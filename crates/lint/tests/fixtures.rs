@@ -238,4 +238,29 @@ fn live_workspace_is_clean() {
         Some(apc_lint::parse::Class::ObstructionFree),
         "StoreServer::dispatch_guest_batch must stay annotated obstruction_free",
     );
+    // The read path: `request_vip` → `commit_vip` → `sync_read` is bounded
+    // wait-free end to end only while the handle method says so. Dropping
+    // the annotation would let the sweep walk into it by name and find
+    // nothing to hold it to.
+    let universal = report
+        .coverage
+        .iter()
+        .find(|c| c.name == "crates/universal")
+        .expect("coverage reports crates/universal");
+    assert!(
+        universal.fns_annotated >= 16,
+        "apc-universal annotations regressed: {}/{}",
+        universal.fns_annotated,
+        universal.fns_total
+    );
+    let sync_read = ws
+        .all_fns()
+        .map(|id| ws.fn_info(id))
+        .find(|f| f.name == "sync_read" && f.self_type.as_deref() == Some("OwnedHandle"))
+        .expect("apc-universal must keep an OwnedHandle::sync_read fn");
+    assert_eq!(
+        sync_read.class,
+        Some(apc_lint::parse::Class::BoundedWaitFree),
+        "OwnedHandle::sync_read must stay annotated bounded_wait_free",
+    );
 }

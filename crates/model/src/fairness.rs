@@ -133,23 +133,20 @@ pub fn fair_livelocks<P: Program>(graph: &StateGraph<P>) -> Vec<LivelockWitness>
             scc_of[s] = i;
         }
     }
+    // Internal steppers of every SCC, in one pass over the edges.
+    let mut internal = vec![ProcessSet::new(); sccs.len()];
+    for e in &graph.edges {
+        if scc_of[e.from] == scc_of[e.to] {
+            internal[scc_of[e.from]].insert(e.pid);
+        }
+    }
     let mut witnesses = Vec::new();
-    for (i, scc) in sccs.iter().enumerate() {
+    for (scc, internal) in sccs.iter().zip(internal) {
         let sample = scc[0];
         let live = graph.states[sample].live_set();
-        if live.is_empty() {
-            continue;
-        }
-        // Internal steppers of this SCC.
-        let mut internal = ProcessSet::new();
-        let mut has_edge = false;
-        for e in &graph.edges {
-            if scc_of[e.from] == i && scc_of[e.to] == i {
-                internal.insert(e.pid);
-                has_edge = true;
-            }
-        }
-        if has_edge && live.is_subset(internal) {
+        // A live process stepping inside the SCC is also what makes it a
+        // cycle: a non-empty `live ⊆ internal` implies an internal edge.
+        if !live.is_empty() && live.is_subset(internal) {
             witnesses.push(LivelockWitness { scc: scc.clone(), live, sample_state: sample });
         }
     }

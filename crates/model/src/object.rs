@@ -213,6 +213,11 @@ impl ObjectState {
                 Ok(OpOutcome::Done(Value::Bot))
             }
             (ObjectState::LiveConsensus(state), Op::Propose(_, v)) => state.propose(pid, v),
+            // A peek reads the decision slot only: it is no event of the
+            // guests' protocol, so it never breaks an isolation window.
+            (ObjectState::LiveConsensus(state), Op::Read(_)) => {
+                Ok(OpOutcome::Done(state.decided.unwrap_or(Value::Bot)))
+            }
             (ObjectState::TestAndSet { set }, Op::TestAndSet(_)) => {
                 let old = *set;
                 *set = true;
@@ -222,6 +227,11 @@ impl ObjectState {
             (ObjectState::FetchAndAdd { count }, Op::FetchAndAdd(_, delta)) => {
                 let old = *count;
                 *count = count.wrapping_add(delta);
+                Ok(OpOutcome::Done(Value::Num(old)))
+            }
+            (ObjectState::FetchAndAdd { count }, Op::FetchMax(_, floor)) => {
+                let old = *count;
+                *count = old.max(floor);
                 Ok(OpOutcome::Done(Value::Num(old)))
             }
             (ObjectState::FetchAndAdd { count }, Op::Read(_)) => {
@@ -301,6 +311,15 @@ mod tests {
     }
 
     #[test]
+    fn fetch_max_only_raises() {
+        let mut obj = ObjectState::FetchAndAdd { count: 2 };
+        let o = ObjectId::new(0);
+        assert_eq!(obj.apply(pid(0), Op::FetchMax(o, 5)).unwrap(), OpOutcome::Done(Value::Num(2)));
+        assert_eq!(obj.apply(pid(1), Op::FetchMax(o, 3)).unwrap(), OpOutcome::Done(Value::Num(5)));
+        assert_eq!(obj.apply(pid(0), Op::Read(o)).unwrap(), OpOutcome::Done(Value::Num(5)));
+    }
+
+    #[test]
     fn swap_exchanges() {
         let mut obj = ObjectState::Swap { value: Value::Bot };
         let o = ObjectId::new(0);
@@ -368,6 +387,21 @@ mod tests {
                 OpOutcome::Pending
             );
         }
+    }
+
+    #[test]
+    fn peek_reads_the_decision_without_breaking_isolation() {
+        let mut obj = live(&[0, 1], &[], 1);
+        let o = ObjectId::new(0);
+        assert_eq!(obj.apply(pid(2), Op::Read(o)).unwrap(), OpOutcome::Done(Value::Bot));
+        assert_eq!(obj.apply(pid(0), Op::Propose(o, Value::Num(1))).unwrap(), OpOutcome::Pending);
+        // A non-port peeks between the guest's two attempts: still isolated.
+        assert_eq!(obj.apply(pid(2), Op::Read(o)).unwrap(), OpOutcome::Done(Value::Bot));
+        assert_eq!(
+            obj.apply(pid(0), Op::Propose(o, Value::Num(1))).unwrap(),
+            OpOutcome::Done(Value::Num(1))
+        );
+        assert_eq!(obj.apply(pid(2), Op::Read(o)).unwrap(), OpOutcome::Done(Value::Num(1)));
     }
 
     #[test]

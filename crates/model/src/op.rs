@@ -12,7 +12,8 @@ use crate::value::Value;
 /// performs at most one `Op`.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Op {
-    /// Read an atomic register.
+    /// Read an atomic register, a counter or a swap cell — or **peek** a
+    /// consensus object: its decided value, `⊥` while undecided.
     Read(ObjectId),
     /// Write a value to an atomic register.
     Write(ObjectId, Value),
@@ -22,6 +23,9 @@ pub enum Op {
     TestAndSet(ObjectId),
     /// Fetch-and-add: returns the previous count and adds `delta`.
     FetchAndAdd(ObjectId, u32),
+    /// Fetch-and-max on a fetch-and-add counter: returns the previous count
+    /// and raises it to at least `floor` (`AtomicU64::fetch_max`).
+    FetchMax(ObjectId, u32),
     /// Swap: returns the previous value and stores the new one.
     Swap(ObjectId, Value),
 }
@@ -35,6 +39,7 @@ impl Op {
             | Op::Propose(o, _)
             | Op::TestAndSet(o)
             | Op::FetchAndAdd(o, _)
+            | Op::FetchMax(o, _)
             | Op::Swap(o, _) => o,
         }
     }
@@ -53,6 +58,7 @@ impl fmt::Display for Op {
             Op::Propose(o, v) => write!(f, "propose({o},{v})"),
             Op::TestAndSet(o) => write!(f, "test&set({o})"),
             Op::FetchAndAdd(o, d) => write!(f, "fetch&add({o},{d})"),
+            Op::FetchMax(o, m) => write!(f, "fetch&max({o},{m})"),
             Op::Swap(o, v) => write!(f, "swap({o},{v})"),
         }
     }
@@ -98,6 +104,7 @@ mod tests {
         assert_eq!(Op::Propose(o, Value::Num(1)).object(), o);
         assert_eq!(Op::TestAndSet(o).object(), o);
         assert_eq!(Op::FetchAndAdd(o, 2).object(), o);
+        assert_eq!(Op::FetchMax(o, 2).object(), o);
         assert_eq!(Op::Swap(o, Value::Bot).object(), o);
     }
 

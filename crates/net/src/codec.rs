@@ -24,6 +24,7 @@
 
 use std::fmt;
 
+use apc_store::router::fnv1a64;
 use apc_store::{DurabilityClass, Request, StoreError, StoreOp, StoreResp, TierCredential};
 
 /// Protocol version carried by every frame (`docs/WIRE.md`).
@@ -153,16 +154,6 @@ impl fmt::Display for CodecError {
 }
 
 impl std::error::Error for CodecError {}
-
-/// FNV-1a over `bytes` — the same checksum the WAL frames use.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 // ---------------------------------------------------------------------------
 // Encoding

@@ -366,7 +366,7 @@ impl<'a> StoreServer<'a> {
     /// both are state-free refusals, so their relative order against the
     /// batch is unobservable).
     fn serve_guest_turn_batched(&mut self, dispatch: Vec<QueuedGuest>, stats: &mut PollStats) {
-        let mut owners: Vec<(usize, u64, u64)> = Vec::new(); // (conn, id, ops)
+        let mut owners: Vec<(usize, u64, u64, Instant)> = Vec::new(); // (conn, id, ops, arrived)
         let mut reqs: Vec<Request> = Vec::new();
         for q in dispatch {
             let ticket = match &self.conns[q.conn].state {
@@ -390,20 +390,21 @@ impl<'a> StoreServer<'a> {
             }
             req.retry_budget = req.retry_budget.min(self.cfg.wire_retry_budget_cap);
             req.credential = TierCredential::for_ticket(&self.batch_ticket);
-            owners.push((q.conn, q.id, req.ops.len() as u64));
+            owners.push((q.conn, q.id, req.ops.len() as u64, q.arrived));
             reqs.push(req);
         }
         if reqs.is_empty() {
             return;
         }
-        let started = Instant::now();
         let envelopes = reqs.len() as u64;
         let responses = self.dispatch_guest_batch(reqs);
-        let ns = elapsed_ns(started);
+        // One clock read for the whole batch: each envelope's latency is
+        // its own, from arrival (queue wait included) to this instant.
+        let done = Instant::now();
         self.metrics.record_batch(envelopes);
         stats.batches += 1;
-        for ((conn, id, ops), resp) in owners.into_iter().zip(responses) {
-            self.metrics.record_request(false, ops, ns);
+        for ((conn, id, ops, arrived), resp) in owners.into_iter().zip(responses) {
+            self.metrics.record_request(false, ops, nanos(done.duration_since(arrived)));
             self.send_response(conn, id, &resp.results);
             stats.served += 1;
         }
@@ -634,7 +635,11 @@ impl<'a> StoreServer<'a> {
 }
 
 fn elapsed_ns(started: Instant) -> u64 {
-    u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    nanos(started.elapsed())
+}
+
+fn nanos(d: std::time::Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 fn find_subsequence(haystack: &[u8], needle: &[u8]) -> Option<usize> {
@@ -884,6 +889,39 @@ mod tests {
             }
         }
         assert_eq!((ok, shed), (4, 2));
+    }
+
+    #[test]
+    fn batched_guest_latency_is_per_envelope_and_includes_queue_wait() {
+        let store = StoreBuilder::new().shards(1).vip_capacity(1).build().unwrap();
+        let mut server = StoreServer::new(
+            &store,
+            ServerConfig { guest_dispatch_per_poll: 2, ..ServerConfig::default() },
+        );
+        let mut guests: Vec<NetClient> =
+            (0..4).map(|_| NetClient::connect(&mut server, TierCredential::Guest)).collect();
+        server.poll(); // handshakes
+        let put = |n: usize| Request::new(vec![StoreOp::Put(format!("w/{n}"), n as u64)]);
+        for (n, g) in guests.iter_mut().enumerate().take(3) {
+            g.send(&put(n));
+        }
+        // Turn 1 serves two frames and holds the third in the backlog.
+        // Turn 2, after the hold, batches it with a frame that just came.
+        let hold = std::time::Duration::from_millis(20);
+        assert_eq!(server.poll().served, 2);
+        std::thread::sleep(hold);
+        guests[3].send(&put(3));
+        let stats = server.poll();
+        assert_eq!((stats.served, stats.batches), (2, 1), "held and fresh share a batch");
+        let snap = server.metrics().scrape();
+        let latency = snap.histogram("store_net_request_latency_ns", &[("tier", "guest")]).unwrap();
+        assert_eq!(latency.count, 4);
+        let hold_ns = hold.as_nanos() as u64;
+        assert!(latency.sum >= hold_ns, "the held frame's wait is on the clock: {latency:?}");
+        // Per envelope, not per batch: the 16.4 ms bound separates a
+        // dispatch from a 20 ms hold, and only the held frame is above it.
+        let slow: u64 = latency.buckets[8..].iter().sum();
+        assert_eq!(slow, 1, "one envelope of four waited: {latency:?}");
     }
 
     #[test]

@@ -104,8 +104,8 @@ pub use apc_obs::{
 pub use api::{Request, Response, StoreError, TierCredential, UNBOUNDED_RETRIES};
 pub use elastic::{ElasticDecision, ElasticEngine, ElasticReport, ElasticityPolicy};
 pub use ops::{
-    apply_op, AdoptSpec, Batch, Key, MergeSpec, ShardCmd, ShardSpec, ShardState, SplitSpec,
-    StoreOp, StoreResp,
+    apply_op, read_batch, read_op, AdoptSpec, Batch, Key, MergeSpec, ShardCmd, ShardSpec,
+    ShardState, SplitSpec, StoreOp, StoreResp,
 };
 pub use persist::{PersistError, Persister, RecoverError, ShardSnapshot, StoreSnapshot};
 pub use router::{

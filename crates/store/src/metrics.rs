@@ -40,8 +40,14 @@ pub(crate) fn elapsed_ns(start: std::time::Instant) -> u64 {
 /// The per-tier commit instruments: VIP and guest are separate series
 /// end-to-end, mirroring the paper's asymmetric per-tier guarantees.
 struct TierMetrics {
-    /// Committed sub-batches (one universal-log append each).
+    /// Sub-batch rounds served: appended to the log or answered locally.
     commits: Counter,
+    /// The rounds among `commits` answered from the port's own replica
+    /// without a log cell (read-only sub-batches).
+    local_reads: Counter,
+    /// Log cells this tier's ports replayed while serving their rounds.
+    /// Replay amplification = replayed ÷ appended (`commits − local_reads`).
+    replayed_cells: Counter,
     /// Operations bounced [`StoreResp::Moved`](crate::ops::StoreResp) by a
     /// reconfiguration epoch check (re-planned by the client, never lost).
     moved_ops: Counter,
@@ -55,13 +61,15 @@ impl TierMetrics {
     fn new() -> Self {
         TierMetrics {
             commits: Counter::new(),
+            local_reads: Counter::new(),
+            replayed_cells: Counter::new(),
             moved_ops: Counter::new(),
             batch_ops: FixedHistogram::new(&BATCH_OPS_BOUNDS),
             latency_ns: FixedHistogram::new(&COMMIT_LATENCY_NS_BOUNDS),
         }
     }
 
-    /// Records one committed sub-batch: three bounded instrument updates.
+    /// Records one served sub-batch round: three bounded instrument updates.
     #[progress(wait_free)]
     fn record(&self, ops: u64, latency_ns: u64, moved_ops: u64) {
         self.commits.inc();
@@ -78,9 +86,21 @@ impl TierMetrics {
         let label = || vec![("tier", String::from(tier))];
         out.push(Sample {
             name: "store_commits_total",
-            help: "Committed sub-batches (one universal-log append each).",
+            help: "Sub-batch rounds served (appended to the log or answered locally).",
             labels: label(),
             value: SampleValue::Counter(self.commits.get()),
+        });
+        out.push(Sample {
+            name: "store_local_reads_total",
+            help: "Read-only sub-batch rounds answered from the port's replica, no log cell.",
+            labels: label(),
+            value: SampleValue::Counter(self.local_reads.get()),
+        });
+        out.push(Sample {
+            name: "store_replayed_cells_total",
+            help: "Log cells replayed by this tier's ports while serving their rounds.",
+            labels: label(),
+            value: SampleValue::Counter(self.replayed_cells.get()),
         });
         out.push(Sample {
             name: "store_moved_ops_total",
@@ -156,10 +176,26 @@ impl StoreMetrics {
         latency_ns: u64,
         moved_ops: u64,
     ) {
+        self.tier(tier).record(ops, latency_ns, moved_ops);
+    }
+
+    fn tier(&self, tier: ProgressClass) -> &TierMetrics {
         match tier {
-            ProgressClass::Vip => self.vip.record(ops, latency_ns, moved_ops),
-            ProgressClass::Guest => self.guest.record(ops, latency_ns, moved_ops),
+            ProgressClass::Vip => &self.vip,
+            ProgressClass::Guest => &self.guest,
         }
+    }
+
+    /// Records a round on `tier` answered without a log cell.
+    #[progress(wait_free)]
+    pub(crate) fn record_local_read(&self, tier: ProgressClass) {
+        self.tier(tier).local_reads.inc();
+    }
+
+    /// Records `cells` log cells replayed by a `tier` port during one round.
+    #[progress(wait_free)]
+    pub(crate) fn record_replayed(&self, tier: ProgressClass, cells: u64) {
+        self.tier(tier).replayed_cells.add(cells);
     }
 
     /// Records an applied split installing topology `version`.
@@ -569,6 +605,14 @@ mod tests {
         assert_eq!(s.value("store_commits_total", &[("tier", "guest")]), Some(1));
         assert_eq!(s.value("store_moved_ops_total", &[("tier", "vip")]), Some(1));
         assert_eq!(s.value("store_moved_ops_total", &[("tier", "guest")]), Some(0));
+        m.record_local_read(ProgressClass::Vip);
+        m.record_replayed(ProgressClass::Vip, 3);
+        m.record_replayed(ProgressClass::Guest, 0);
+        let s = snap(&m);
+        assert_eq!(s.value("store_local_reads_total", &[("tier", "vip")]), Some(1));
+        assert_eq!(s.value("store_local_reads_total", &[("tier", "guest")]), Some(0));
+        assert_eq!(s.value("store_replayed_cells_total", &[("tier", "vip")]), Some(3));
+        assert_eq!(s.value("store_replayed_cells_total", &[("tier", "guest")]), Some(0));
         let vip_lat = s.histogram("store_commit_latency_ns", &[("tier", "vip")]).unwrap();
         assert_eq!(vip_lat.count, 2);
         let guest_ops = s.histogram("store_commit_ops", &[("tier", "guest")]).unwrap();

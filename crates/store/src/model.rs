@@ -22,10 +22,18 @@
 //!    participates terminates, while guest-only schedules admit a fair
 //!    livelock (lockstep guests starve each other forever), which the model
 //!    checker exhibits as a positive witness.
+//!
+//! The read path ([`SyncReadProgram`], [`sync_read_system`]) adds a third:
+//!
+//! 3. **reads that do not append** — a reader that loads the tail once and
+//!    peeks the cells below it observes exactly the prefix `[0, tail)`,
+//!    misses nothing that had completed before it started
+//!    ([`PrefixSafety`]), and terminates in *every* schedule, the lockstep
+//!    ones included: it never proposes.
 
 use apc_model::{
-    MaybeParticipant, ObjectId, Op, ProcessSet, Program, ProgramAction, System, SystemBuilder,
-    Value,
+    Either, MaybeParticipant, ObjectId, Op, ProcessSet, Program, ProgramAction, System,
+    SystemBuilder, Value,
 };
 
 /// Object ids of one modeled shard commit instance.
@@ -171,36 +179,90 @@ pub const ADOPT_BASE: u32 = 600;
 /// window (each process wins at most one cell, so a process can lose at
 /// most `participants − 1` times) — the model-checkable core of the claim
 /// that a checkpoint install never drops or duplicates a committed op.
+///
+/// A placer built with [`LogPlaceProgram::publishing`] also does what
+/// `Universal::advance` does for the read path: after absorbing each cell
+/// it raises the shared tail past it, and it marks itself finished before
+/// it returns.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct LogPlaceProgram {
     cells: Vec<ObjectId>,
     value: Value,
     next_cell: usize,
-    started: bool,
+    step: PlaceStep,
+    publish: Option<(TailObjects, u32)>,
+}
+
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
+enum PlaceStep {
+    /// Next: propose my value to `next_cell`.
+    Propose,
+    /// Awaiting the cell's decision; next: absorb it.
+    Absorb,
+    /// Awaiting the tail raise past the absorbed cell (which agreed on my
+    /// value iff `mine`).
+    Raise { mine: bool },
+    /// Awaiting the finished mark; next: return.
+    Return,
 }
 
 impl LogPlaceProgram {
     /// A port trying to place `value` into the log `cells`, in order.
     pub fn new(cells: Vec<ObjectId>, value: Value) -> Self {
-        LogPlaceProgram { cells, value, next_cell: 0, started: false }
+        LogPlaceProgram { cells, value, next_cell: 0, step: PlaceStep::Propose, publish: None }
     }
-}
 
-impl Program for LogPlaceProgram {
-    fn resume(&mut self, last: Option<Value>) -> ProgramAction {
-        if self.started {
-            let decided = last.expect("propose completes with the decided value");
-            if decided == self.value {
-                return ProgramAction::Decide(self.value);
-            }
-            self.next_cell += 1;
-        }
-        self.started = true;
+    /// The same placer, raising `objs.tail` past every cell it absorbs and
+    /// adding `finished_bit` to `objs.finished` once its value is placed.
+    pub fn publishing(mut self, objs: TailObjects, finished_bit: u32) -> Self {
+        self.publish = Some((objs, finished_bit));
+        self
+    }
+
+    fn propose(&mut self) -> ProgramAction {
+        self.step = PlaceStep::Absorb;
         match self.cells.get(self.next_cell) {
             Some(cell) => ProgramAction::Invoke(Op::Propose(*cell, self.value)),
             // Unreachable when cells ≥ participants (pigeonhole); reported
             // as a dropped placement by [`PlacementSafety`] if it happens.
             None => ProgramAction::Halt,
+        }
+    }
+
+    /// The cursor moves past an absorbed cell: on to the next one, or, if
+    /// the cell agreed on my value, home.
+    fn advance(&mut self, mine: bool) -> ProgramAction {
+        if !mine {
+            self.next_cell += 1;
+            return self.propose();
+        }
+        match self.publish {
+            Some((objs, bit)) => {
+                self.step = PlaceStep::Return;
+                ProgramAction::Invoke(Op::FetchAndAdd(objs.finished, bit))
+            }
+            None => ProgramAction::Decide(self.value),
+        }
+    }
+}
+
+impl Program for LogPlaceProgram {
+    fn resume(&mut self, last: Option<Value>) -> ProgramAction {
+        match self.step {
+            PlaceStep::Propose => self.propose(),
+            PlaceStep::Absorb => {
+                let mine = last.expect("propose completes with the decided value") == self.value;
+                match self.publish {
+                    Some((objs, _)) => {
+                        self.step = PlaceStep::Raise { mine };
+                        let past = self.next_cell as u32 + 1;
+                        ProgramAction::Invoke(Op::FetchMax(objs.tail, past))
+                    }
+                    None => self.advance(mine),
+                }
+            }
+            PlaceStep::Raise { mine } => self.advance(mine),
+            PlaceStep::Return => ProgramAction::Decide(self.value),
         }
     }
 
@@ -556,9 +618,54 @@ pub fn merge_adopt_system(
     (system, child_cells, parent_cells, proposals)
 }
 
-/// Shared body of [`checkpointed_commit_system`] and
-/// [`split_commit_system`]: one distinguished port placing a marker value
-/// (`marker_base + pid`) against the committers' batches.
+/// The set-up shared by the single-log races: `committers` placing their
+/// batches (`100 + pid`) against one distinguished port's marker
+/// (`marker_base + pid`) over one `(ports,vips)`-live cell per placer.
+struct PlaceRace {
+    builder: SystemBuilder,
+    placers: ProcessSet,
+    cells: Vec<ObjectId>,
+    /// What each port would place, by pid.
+    values: Vec<Value>,
+}
+
+impl PlaceRace {
+    fn new(
+        ports: usize,
+        vips: usize,
+        isolation_window: u8,
+        committers: ProcessSet,
+        special: Option<(usize, u32)>,
+    ) -> Self {
+        assert!(ports > 0 && vips <= ports, "need 0 < ports and vips ≤ ports");
+        let marker_port = special.map(|(port, _)| port);
+        assert!(
+            !committers.iter().any(|p| Some(p.index()) == marker_port),
+            "the marker port must not also commit a batch"
+        );
+        let placers: ProcessSet = committers.iter().map(|p| p.index()).chain(marker_port).collect();
+        let mut builder = SystemBuilder::new(ports);
+        let cells: Vec<ObjectId> = (0..placers.iter().count())
+            .map(|_| {
+                builder.add_live_consensus(
+                    ProcessSet::first_n(ports),
+                    ProcessSet::first_n(vips),
+                    isolation_window,
+                )
+            })
+            .collect();
+        let values = (0..ports)
+            .map(|pid| match special {
+                Some((port, marker_base)) if port == pid => Value::Num(marker_base + pid as u32),
+                _ => Value::Num(100 + pid as u32),
+            })
+            .collect();
+        PlaceRace { builder, placers, cells, values }
+    }
+}
+
+/// Shared body of [`checkpointed_commit_system`], [`split_commit_system`]
+/// and [`merge_commit_system`].
 fn special_commit_system(
     ports: usize,
     vips: usize,
@@ -567,47 +674,241 @@ fn special_commit_system(
     special: Option<usize>,
     marker_base: u32,
 ) -> (System<MaybeParticipant<LogPlaceProgram>>, Vec<ObjectId>, Vec<Value>) {
-    assert!(ports > 0 && vips <= ports, "need 0 < ports and vips ≤ ports");
-    if let Some(sp) = special {
-        assert!(
-            !committers.iter().any(|p| p.index() == sp),
-            "the marker port must not also commit a batch"
-        );
-    }
-    let checkpointer = special;
-    let participants: ProcessSet = committers
-        .iter()
-        .map(|p| p.index())
-        .chain(checkpointer)
-        .collect::<Vec<usize>>()
-        .into_iter()
-        .collect();
-    let mut builder = SystemBuilder::new(ports);
-    let cells: Vec<ObjectId> = (0..participants.iter().count())
-        .map(|_| {
-            builder.add_live_consensus(
-                ProcessSet::first_n(ports),
-                ProcessSet::first_n(vips),
-                isolation_window,
-            )
-        })
-        .collect();
-    let value_of = |pid: usize| {
-        if checkpointer == Some(pid) {
-            Value::Num(marker_base + pid as u32)
-        } else {
-            Value::Num(100 + pid as u32)
-        }
-    };
-    let proposals: Vec<Value> = participants.iter().map(|p| value_of(p.index())).collect();
+    let special = special.map(|port| (port, marker_base));
+    let PlaceRace { builder, placers, cells, values } =
+        PlaceRace::new(ports, vips, isolation_window, committers, special);
+    let proposals = placers.iter().map(|p| values[p.index()]).collect();
     let system = builder.build(|pid| {
-        if participants.contains(pid) {
-            MaybeParticipant::Present(LogPlaceProgram::new(cells.clone(), value_of(pid.index())))
+        if placers.contains(pid) {
+            MaybeParticipant::Present(LogPlaceProgram::new(cells.clone(), values[pid.index()]))
         } else {
             MaybeParticipant::Absent
         }
     });
     (system, cells, proposals)
+}
+
+// ---------------------------------------------------------------------------
+// The read path: a reader bounded by the tail racing the placers.
+// ---------------------------------------------------------------------------
+
+/// The shared objects of the read path, beside the log cells.
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
+pub struct TailObjects {
+    /// `Universal::tail`: a counter only ever raised ([`Op::FetchMax`]), to
+    /// one past a cell its raiser has absorbed.
+    pub tail: ObjectId,
+    /// One bit per placer, added when the placer has placed its value and
+    /// is about to return: "this op completed". A reader samples it before
+    /// it starts, which is how [`PrefixSafety`] knows what the read must
+    /// contain.
+    pub finished: ObjectId,
+}
+
+/// What a [`SyncReadProgram`] saw, packed into its decision value.
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
+pub struct ReadObservation {
+    /// The `finished` bits sampled before the read was invoked.
+    pub finished: u32,
+    /// The tail loaded at invocation.
+    pub tail: u32,
+    /// Cells absorbed, from cell 0 (the reader starts with an empty
+    /// replica); short of `tail` only if a cell below it was undecided.
+    pub absorbed: u32,
+}
+
+impl ReadObservation {
+    /// Packs the observation into one model value (a byte per field).
+    pub fn pack(self) -> Value {
+        assert!(self.finished < 256 && self.tail < 256 && self.absorbed < 256);
+        Value::Num(self.finished << 16 | self.tail << 8 | self.absorbed)
+    }
+
+    /// The inverse of [`ReadObservation::pack`].
+    pub fn unpack(v: Value) -> Option<Self> {
+        let n = v.as_num()?;
+        Some(ReadObservation { finished: n >> 16, tail: n >> 8 & 0xff, absorbed: n & 0xff })
+    }
+}
+
+/// `sync_read` on a fresh replica, one atomic event per shared access:
+/// sample the finished bits (the caller's "what had completed before I
+/// asked"), load the tail **once**, peek the cells below it in order, and
+/// emit the observation. It never proposes, so nothing can obstruct it and
+/// its step count is fixed by the tail it loaded.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+pub struct SyncReadProgram {
+    cells: Vec<ObjectId>,
+    objs: TailObjects,
+    seen: ReadObservation,
+    step: ReadStep,
+}
+
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
+enum ReadStep {
+    /// Next: sample the finished bits.
+    Sample,
+    /// Awaiting the finished bits; next: load the tail.
+    LoadTail,
+    /// Awaiting the tail; next: peek cell 0 (or emit).
+    CatchUp,
+    /// Awaiting the peek of cell `absorbed`.
+    Peek,
+}
+
+impl SyncReadProgram {
+    /// A reader over the log `cells` and the tail objects `objs`.
+    pub fn new(cells: Vec<ObjectId>, objs: TailObjects) -> Self {
+        let seen = ReadObservation { finished: 0, tail: 0, absorbed: 0 };
+        SyncReadProgram { cells, objs, seen, step: ReadStep::Sample }
+    }
+
+    /// `while cell_index < tail`: peek the next cell, or emit.
+    fn catch_up(&mut self) -> ProgramAction {
+        match self.cells.get(self.seen.absorbed as usize) {
+            Some(cell) if self.seen.absorbed < self.seen.tail => {
+                self.step = ReadStep::Peek;
+                ProgramAction::Invoke(Op::Read(*cell))
+            }
+            _ => ProgramAction::Decide(self.seen.pack()),
+        }
+    }
+}
+
+impl Program for SyncReadProgram {
+    fn resume(&mut self, last: Option<Value>) -> ProgramAction {
+        let num = |v: Option<Value>| v.and_then(Value::as_num).expect("counters read as numbers");
+        match self.step {
+            ReadStep::Sample => {
+                self.step = ReadStep::LoadTail;
+                ProgramAction::Invoke(Op::Read(self.objs.finished))
+            }
+            ReadStep::LoadTail => {
+                self.seen.finished = num(last);
+                self.step = ReadStep::CatchUp;
+                ProgramAction::Invoke(Op::Read(self.objs.tail))
+            }
+            ReadStep::CatchUp => {
+                self.seen.tail = num(last);
+                self.catch_up()
+            }
+            ReadStep::Peek => match last {
+                // `peek() == None`: stay total, emit what was absorbed.
+                None | Some(Value::Bot) => ProgramAction::Decide(self.seen.pack()),
+                Some(_) => {
+                    self.seen.absorbed += 1;
+                    self.catch_up()
+                }
+            },
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        "sync-read"
+    }
+}
+
+/// The program of one port in the read-path model: a placer that raises
+/// the tail and marks itself finished, or the reader.
+pub type ReadRaceProgram = Either<LogPlaceProgram, SyncReadProgram>;
+
+/// Prefix safety of the read path, checked at every reachable state:
+///
+/// 1. **the tail invariant** — every cell below the tail is decided, and a
+///    placer marked finished has its value in a cell below the tail (every
+///    response that depends on cell `i` happens after `tail > i`);
+/// 2. **the observation is exactly `[0, T)`** — the reader absorbed every
+///    cell below the tail it loaded, none undecided when it peeked;
+/// 3. **nothing completed is missed** — the value of every placer that was
+///    finished before the reader's first event is among those cells.
+#[derive(Clone, Debug)]
+pub struct PrefixSafety {
+    /// The log cells, in order.
+    pub cells: Vec<ObjectId>,
+    /// The tail and finished counters.
+    pub objs: TailObjects,
+    /// The reading port.
+    pub reader: usize,
+    /// Each placer's finished bit and the value it places.
+    pub placers: Vec<(u32, Value)>,
+}
+
+impl<P: apc_model::Program> apc_model::explore::Invariant<P> for PrefixSafety {
+    fn check(&self, sys: &System<P>) -> Result<(), String> {
+        let counter = |id: ObjectId| match sys.object(id) {
+            apc_model::ObjectState::FetchAndAdd { count } => *count,
+            other => panic!("{id} is not a counter: {other:?}"),
+        };
+        // The decided prefix: cells decide in order of absorption, and
+        // nobody proposes past an undecided cell.
+        let decided: Vec<Value> =
+            self.cells.iter().map_while(|c| sys.object(*c).consensus_decision()).collect();
+        let within = |finished: u32, tail: u32, what: &str| {
+            if tail as usize > decided.len() {
+                return Err(format!("{what} tail {tail} is past undecided cell {}", decided.len()));
+            }
+            for (bit, value) in &self.placers {
+                if finished & bit != 0 && !decided[..tail as usize].contains(value) {
+                    return Err(format!("{what}: finished value {value} is not below tail {tail}"));
+                }
+            }
+            Ok(())
+        };
+        within(counter(self.objs.finished), counter(self.objs.tail), "shared")?;
+        let Some(seen) = sys.decision(apc_model::ProcessId::new(self.reader)) else {
+            return Ok(());
+        };
+        let seen = ReadObservation::unpack(seen).ok_or("the reader emits an observation")?;
+        if seen.absorbed != seen.tail {
+            return Err(format!(
+                "the reader stopped at cell {} below its tail {}",
+                seen.absorbed, seen.tail
+            ));
+        }
+        within(seen.finished, seen.tail, "observed")
+    }
+
+    fn name(&self) -> &str {
+        "prefix-safety"
+    }
+}
+
+/// Builds the **read race**: `committers` place their batches (`100 + pid`)
+/// and, optionally, `special = (pid, marker_base)` places a checkpoint,
+/// split-seal or merge-drain marker, all raising the tail as they go, while
+/// `reader` runs one [`SyncReadProgram`] from an empty replica.
+///
+/// Returns the system and the [`PrefixSafety`] invariant over it.
+///
+/// # Panics
+///
+/// Panics if `ports == 0`, `vips > ports`, or `reader` also places.
+pub fn sync_read_system(
+    ports: usize,
+    vips: usize,
+    isolation_window: u8,
+    committers: ProcessSet,
+    special: Option<(usize, u32)>,
+    reader: usize,
+) -> (System<MaybeParticipant<ReadRaceProgram>>, PrefixSafety) {
+    let PlaceRace { mut builder, placers: placing, cells, values } =
+        PlaceRace::new(ports, vips, isolation_window, committers, special);
+    assert!(!placing.iter().any(|p| p.index() == reader), "the reader does not place");
+    let objs =
+        TailObjects { tail: builder.add_fetch_and_add(0), finished: builder.add_fetch_and_add(0) };
+    let placers = placing.iter().map(|p| (1 << p.index(), values[p.index()])).collect();
+    let safety = PrefixSafety { cells: cells.clone(), objs, reader, placers };
+    let system = builder.build(|pid| {
+        if placing.contains(pid) {
+            let place = LogPlaceProgram::new(cells.clone(), values[pid.index()]);
+            MaybeParticipant::Present(Either::Left(place.publishing(objs, 1 << pid.index())))
+        } else if pid.index() == reader {
+            MaybeParticipant::Present(Either::Right(SyncReadProgram::new(cells.clone(), objs)))
+        } else {
+            MaybeParticipant::Absent
+        }
+    });
+    (system, safety)
 }
 
 #[cfg(test)]
@@ -760,6 +1061,38 @@ mod tests {
         let result = explorer.explore(&sys, &[&safety, &order, &NoFaults]);
         assert!(result.ok(), "violations: {:?}", result.violations.first());
         assert!(!result.truncated);
+    }
+
+    #[test]
+    fn a_reader_after_a_finished_writer_observes_its_cell() {
+        let (sys, safety) = sync_read_system(3, 1, 1, ProcessSet::from_indices([1]), None, 0);
+        let mut runner = Runner::new(sys);
+        // An empty log would be read in three events; run the guest writer
+        // solo to completion first, then the reader.
+        runner.run_until_terminated(&Schedule::solo(ProcessId::new(1), 1), 100);
+        runner.run_until_terminated(&Schedule::solo(ProcessId::new(0), 1), 100);
+        let seen = runner.system().decision(ProcessId::new(0)).and_then(ReadObservation::unpack);
+        assert_eq!(seen, Some(ReadObservation { finished: 0b10, tail: 1, absorbed: 1 }));
+        use apc_model::explore::Invariant;
+        assert_eq!(safety.check(runner.system()), Ok(()));
+    }
+
+    #[test]
+    fn read_race_small_exhaustive() {
+        // VIP writer + guest checkpointer + guest reader, every schedule.
+        let (sys, safety) =
+            sync_read_system(3, 1, 1, ProcessSet::from_indices([0]), Some((1, CHECKPOINT_BASE)), 2);
+        let explorer = Explorer::new(ExploreConfig::default().with_max_states(400_000));
+        let result = explorer.explore(&sys, &[&safety, &NoFaults]);
+        assert!(result.ok(), "violations: {:?}", result.violations.first());
+        assert!(!result.truncated);
+    }
+
+    #[test]
+    fn observations_pack_and_unpack() {
+        let seen = ReadObservation { finished: 0b101, tail: 3, absorbed: 2 };
+        assert_eq!(ReadObservation::unpack(seen.pack()), Some(seen));
+        assert_eq!(ReadObservation::unpack(Value::Bot), None);
     }
 
     #[test]

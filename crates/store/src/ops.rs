@@ -72,6 +72,13 @@ impl StoreOp {
             StoreOp::Scan { .. } => None,
         }
     }
+
+    /// Whether this operation leaves every shard state unchanged (`Get`,
+    /// `Scan`). A sub-batch of reads is answered from the caller's replica
+    /// ([`read_batch`]) instead of taking a log cell.
+    pub fn is_read(&self) -> bool {
+        matches!(self, StoreOp::Get(_) | StoreOp::Scan { .. })
+    }
 }
 
 /// The response to one [`StoreOp`].
@@ -176,7 +183,7 @@ impl DerefMut for ShardState {
 /// oracle in tests, and the model commit path.
 pub fn apply_op(state: &mut ShardState, op: &StoreOp) -> StoreResp {
     match op {
-        StoreOp::Get(k) => StoreResp::Value(state.get(k).copied()),
+        StoreOp::Get(k) => read_get(state, k),
         StoreOp::Put(k, v) => StoreResp::Value(state.insert(k.clone(), *v)),
         StoreOp::Remove(k) => StoreResp::Value(state.remove(k)),
         StoreOp::Cas { key, expect, new } => {
@@ -187,15 +194,56 @@ pub fn apply_op(state: &mut ShardState, op: &StoreOp) -> StoreResp {
             }
             StoreResp::Cas { ok, actual }
         }
-        StoreOp::Scan { from, to } => {
-            if from >= to {
-                return StoreResp::Entries(Vec::new());
-            }
-            StoreResp::Entries(
-                state.range(from.clone()..to.clone()).map(|(k, v)| (k.clone(), *v)).collect(),
-            )
-        }
+        StoreOp::Scan { from, to } => read_scan(state, from, to),
     }
+}
+
+/// Answers `op` from `state` if it is a read ([`StoreOp::is_read`]), `None`
+/// otherwise. It shares its two arms with [`apply_op`], so the operational
+/// semantics still live in one place; taking `&ShardState` is the proof
+/// that a read changes nothing.
+pub fn read_op(state: &ShardState, op: &StoreOp) -> Option<StoreResp> {
+    match op {
+        StoreOp::Get(k) => Some(read_get(state, k)),
+        StoreOp::Scan { from, to } => Some(read_scan(state, from, to)),
+        StoreOp::Put(..) | StoreOp::Remove(_) | StoreOp::Cas { .. } => None,
+    }
+}
+
+fn read_get(state: &ShardState, key: &Key) -> StoreResp {
+    // Called by path: apc-lint resolves `x.get(..)` by name, to
+    // `Client::get` among others, and this is on the VIP read path.
+    StoreResp::Value(BTreeMap::get(&state.entries, key).copied())
+}
+
+fn read_scan(state: &ShardState, from: &Key, to: &Key) -> StoreResp {
+    if from >= to {
+        return StoreResp::Entries(Vec::new());
+    }
+    StoreResp::Entries(
+        state.entries.range(from.clone()..to.clone()).map(|(k, v)| (k.clone(), *v)).collect(),
+    )
+}
+
+/// Answers `batch` from `state` if every operation in it is a read — what
+/// [`ShardSpec::apply`] would answer for it at this point of the log,
+/// without the log: the same `planned_at < epoch` → [`StoreResp::Moved`]
+/// bounce, then [`read_op`] per operation. `None` if any operation writes:
+/// the batch must be appended whole, because the read-after-write order
+/// inside one shard's sub-batch is a promise.
+pub fn read_batch(state: &ShardState, batch: &Batch) -> Option<Vec<StoreResp>> {
+    if !batch.ops.iter().all(StoreOp::is_read) {
+        return None;
+    }
+    if batch.planned_at < state.epoch {
+        return Some(moved(batch, state.epoch));
+    }
+    batch.ops.iter().map(|op| read_op(state, op)).collect()
+}
+
+/// The whole-batch bounce of a plan older than the shard's `epoch`.
+fn moved(batch: &Batch, epoch: u64) -> Vec<StoreResp> {
+    batch.ops.iter().map(|_| StoreResp::Moved { epoch }).collect()
 }
 
 /// A batch of same-shard operations committed by **one** log append,
@@ -322,8 +370,7 @@ impl SequentialSpec for ShardSpec {
                     // Planned before this shard's latest split: some of its
                     // keys may have moved. Reject deterministically; the
                     // client re-plans under the published topology.
-                    let epoch = state.epoch;
-                    return batch.ops.iter().map(|_| StoreResp::Moved { epoch }).collect();
+                    return moved(batch, state.epoch);
                 }
                 batch.ops.iter().map(|op| apply_op(state, op)).collect()
             }

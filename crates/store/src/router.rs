@@ -52,8 +52,9 @@ use std::fmt;
 use crate::ops::{Key, StoreOp, StoreResp};
 
 /// FNV-1a 64-bit: key digests here, frame checksums in
-/// [`persist`](crate::persist) — one implementation for both.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
+/// [`persist`](crate::persist), [`wal`](crate::wal) and the `apc-net` wire
+/// codec — one implementation for all of them.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         h ^= u64::from(b);

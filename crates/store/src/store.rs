@@ -11,7 +11,10 @@
 //!   queued tier);
 //! * a client batch is split by the versioned
 //!   [`ShardTopology`] into at most one log append per shard, so same-shard
-//!   operations amortize consensus;
+//!   operations amortize consensus — and a sub-batch made only of reads
+//!   takes none: it is answered from the port's own replica, caught up to
+//!   the log tail observed at invocation
+//!   ([`OwnedHandle::sync_read`]), with the same stale-plan bounce;
 //! * each shard additionally maintains a wait-free
 //!   [`SwmrSnapshot`] of per-port commit digests — the VIP dashboard path:
 //!   reading store-wide statistics never touches the consensus log, so it
@@ -67,7 +70,7 @@ use crate::api::{Request, Response, StoreError, TierCredential, UNBOUNDED_RETRIE
 use crate::elastic::{ElasticDecision, ElasticEngine, ElasticReport, ElasticityPolicy};
 use crate::metrics::{elapsed_ns, StoreMetrics};
 use crate::ops::{
-    AdoptSpec, Batch, MergeSpec, ShardCmd, ShardState, SplitSpec, StoreOp, StoreResp,
+    read_batch, AdoptSpec, Batch, MergeSpec, ShardCmd, ShardState, SplitSpec, StoreOp, StoreResp,
 };
 use crate::router::{MergeError, ShardTopology};
 use crate::wal::{DurabilityClass, DurabilityError, Wal, WalFrame};
@@ -75,11 +78,16 @@ use crate::wal::{DurabilityClass, DurabilityError, Wal, WalFrame};
 /// The universal-object type backing one shard.
 pub type ShardLog = Universal<crate::ops::ShardSpec, AsymmetricFactory>;
 
+/// One port's handle on a shard log, with the port's replica of the shard.
+type PortHandle = OwnedHandle<crate::ops::ShardSpec, AsymmetricFactory>;
+
 /// A monotone per-port commit digest published into the shard's wait-free
 /// snapshot after every commit.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub struct ShardDigest {
-    /// Log cells replayed by the publishing port (monotone version).
+    /// Log cells replayed by the publishing port (monotone version). As
+    /// returned by [`Store::snapshot_stats`], plus the shard's rounds
+    /// answered without a cell — the shard's heat, reads included.
     pub commits: u64,
     /// Number of live keys in the shard at publication time.
     pub entries: u64,
@@ -90,12 +98,16 @@ struct Shard {
     log: Arc<ShardLog>,
     /// One slot per port; guests multiplex, VIPs own theirs exclusively.
     /// Each handle co-owns the shard's universal log.
-    ports: Vec<Mutex<OwnedHandle<crate::ops::ShardSpec, AsymmetricFactory>>>,
+    ports: Vec<Mutex<PortHandle>>,
     /// Per-port digests; single-writer per component (the port's mutex
     /// serializes writers sharing a port).
     stats: SwmrSnapshot<ShardDigest>,
     /// Commits since build, for the auto-checkpoint cadence.
     auto_commits: AtomicU64,
+    /// Rounds answered from a port's replica without a log cell. Read
+    /// traffic is heat too: [`Store::snapshot_stats`] adds this to the
+    /// digest's cell count, or a read-hot shard would never split.
+    local_reads: AtomicU64,
 }
 
 impl Shard {
@@ -103,11 +115,7 @@ impl Shard {
     /// snapshot — every path that advances a port's replica (commits and
     /// reconfigurations alike) must publish, or the dashboard would keep
     /// reporting a drained shard's old entry count forever.
-    fn publish_digest(
-        &self,
-        port: usize,
-        handle: &OwnedHandle<crate::ops::ShardSpec, AsymmetricFactory>,
-    ) {
+    fn publish_digest(&self, port: usize, handle: &PortHandle) {
         self.stats.update(
             port,
             ShardDigest {
@@ -143,6 +151,7 @@ impl Shard {
             ports: port_slots,
             stats: SwmrSnapshot::new(ports, ShardDigest::default()),
             auto_commits: AtomicU64::new(0),
+            local_reads: AtomicU64::new(0),
         }
     }
 }
@@ -618,7 +627,12 @@ impl Store {
             .shards
             .iter()
             .map(|shard| {
-                shard.stats.scan().into_iter().max_by_key(|d| d.commits).unwrap_or_default()
+                let mut digest =
+                    shard.stats.scan().into_iter().max_by_key(|d| d.commits).unwrap_or_default();
+                // RELAXED: a statistic; heat needs no ordering against the
+                // reads it counts.
+                digest.commits += shard.local_reads.load(Ordering::Relaxed);
+                digest
             })
             .collect()
     }
@@ -687,7 +701,7 @@ impl Store {
             ),
             (
                 "store_hottest_shard",
-                "Live shard with the most committed log cells (lowest id on ties).",
+                "Live shard with the most heat: cells plus local reads (lowest id on ties).",
                 self.hottest_shard() as u64,
             ),
         ];
@@ -705,7 +719,7 @@ impl Store {
             };
             samples.push(Sample {
                 name: "store_shard_commits",
-                help: "Committed log cells per shard (freshest port digest).",
+                help: "Heat per shard: committed log cells plus locally answered read rounds.",
                 labels: labels(),
                 value: SampleValue::Gauge(d.commits),
             });
@@ -983,7 +997,7 @@ impl Store {
     ) -> Vec<StoreResp> {
         let ops = batch.ops.len() as u64;
         let start = std::time::Instant::now();
-        let resps = self.commit_on(shard, shard_id, port, batch, durability);
+        let resps = self.commit_on(shard, shard_id, port, ProgressClass::Vip, batch, durability);
         self.note_commit();
         self.metrics.record_commit(ProgressClass::Vip, ops, elapsed_ns(start), count_moved(&resps));
         resps
@@ -1004,7 +1018,7 @@ impl Store {
     ) -> Vec<StoreResp> {
         let ops = batch.ops.len() as u64;
         let start = std::time::Instant::now();
-        let resps = self.commit_on(shard, shard_id, port, batch, durability);
+        let resps = self.commit_on(shard, shard_id, port, ProgressClass::Guest, batch, durability);
         self.metrics.record_commit(
             ProgressClass::Guest,
             ops,
@@ -1017,41 +1031,36 @@ impl Store {
         resps
     }
 
-    /// The tier-independent commit body: one universal-log append, a digest
-    /// publication, a WAL effect frame (if a WAL is attached), and (if
-    /// configured) the auto-checkpoint cadence.
+    /// The tier-independent round body — the single funnel every request
+    /// arm reaches. A sub-batch of reads is answered from the port's own
+    /// replica, caught up to the log tail observed at invocation
+    /// ([`OwnedHandle::sync_read`]): no log cell, nothing for the other
+    /// ports to replay, no WAL work. A sub-batch with any write is one
+    /// universal-log append plus a WAL effect frame (if a WAL is attached).
+    /// Either way the round publishes its digest and ticks the
+    /// auto-checkpoint cadence.
     fn commit_on(
         &self,
         shard: &Shard,
         shard_id: usize,
         port: usize,
+        tier: ProgressClass,
         batch: Batch,
         durability: DurabilityClass,
     ) -> Vec<StoreResp> {
-        let wal_ops = self.wal.as_ref().map(|_| Arc::clone(&batch.ops));
         // APC-LINT: allow(progress): a VIP port's mutex is uncontended by construction (one exclusive owner, and reconfiguration never touches VIP ports), so the VIP path's lock is bounded; guest ports share theirs by design
         let mut handle = shard.ports[port].lock().expect("port slot poisoned");
-        let resps = handle.apply(ShardCmd::Batch(batch));
-        if let (Some(wal), Some(ops)) = (&self.wal, wal_ops) {
-            // Frame the commit's resolved effects while still holding the
-            // port lock: the handle's replay cursor is exactly one past
-            // this batch's log cell here, giving the frame its exact
-            // per-shard linearization stamp. The enqueue is a bounded
-            // encode-and-append into the group-commit buffer — fsync never
-            // happens under a port lock; a VIP that wants it blocks in
-            // `Client::execute_durable`, after every lock is released.
-            let effects = crate::wal::resolved_effects(&ops, &resps);
-            if !effects.is_empty() {
-                // APC-LINT: allow(progress): durability is its own progress class (the module's thesis): logging an effect frame is a bounded buffer append under the WAL mutex, whose critical sections are all bounded memcpys — never an fsync
-                wal.enqueue(&WalFrame {
-                    epoch: handle.local_state().epoch(),
-                    shard: shard_id as u32,
-                    cell: handle.replayed_cells(),
-                    class: durability,
-                    effects,
-                });
+        let replayed = handle.replay_steps();
+        let resps = match handle.sync_read(|state| read_batch(state, &batch)) {
+            Some(resps) => {
+                // RELAXED: heat statistic, read by `snapshot_stats`.
+                shard.local_reads.fetch_add(1, Ordering::Relaxed);
+                self.metrics.record_local_read(tier);
+                resps
             }
-        }
+            None => self.append_on(&mut handle, shard_id, batch, durability),
+        };
+        self.metrics.record_replayed(tier, handle.replay_steps() - replayed);
         shard.publish_digest(port, &handle);
         if let Some(k) = self.checkpoint_every {
             // RELAXED: cadence counter — the checkpoint trigger needs an
@@ -1072,6 +1081,43 @@ impl Store {
                         self.metrics.record_auto_checkpoint();
                     }
                 }
+            }
+        }
+        resps
+    }
+
+    /// The appending half of [`Store::commit_on`]: one universal-log append
+    /// through the locked port `handle` and, if a WAL is attached, the
+    /// commit's effect frame.
+    fn append_on(
+        &self,
+        handle: &mut PortHandle,
+        shard_id: usize,
+        batch: Batch,
+        durability: DurabilityClass,
+    ) -> Vec<StoreResp> {
+        let wal_ops = self.wal.as_ref().map(|_| Arc::clone(&batch.ops));
+        // Called by path so that apc-lint, which resolves `x.apply(..)` to
+        // every `apply` in the workspace, sees the one target.
+        let resps = OwnedHandle::apply(handle, ShardCmd::Batch(batch));
+        if let (Some(wal), Some(ops)) = (&self.wal, wal_ops) {
+            // Frame the commit's resolved effects while still holding the
+            // port lock: the handle's replay cursor is exactly one past
+            // this batch's log cell here, giving the frame its exact
+            // per-shard linearization stamp. The enqueue is a bounded
+            // encode-and-append into the group-commit buffer — fsync never
+            // happens under a port lock; a VIP that wants it blocks in
+            // `Client::execute_durable`, after every lock is released.
+            let effects = crate::wal::resolved_effects(&ops, &resps);
+            if !effects.is_empty() {
+                // APC-LINT: allow(progress): durability is its own progress class (the module's thesis): logging an effect frame is a bounded buffer append under the WAL mutex, whose critical sections are all bounded memcpys — never an fsync
+                wal.enqueue(&WalFrame {
+                    epoch: handle.local_state().epoch(),
+                    shard: shard_id as u32,
+                    cell: handle.replayed_cells(),
+                    class: durability,
+                    effects,
+                });
             }
         }
         resps
@@ -1398,9 +1444,8 @@ impl Client<'_> {
             // store's backpressure (don't re-send with the same deadline).
             if expired {
                 for &(slot, _) in &moved {
-                    results[slot] = Err(StoreError::DeadlineExceeded {
-                        deadline_ms: deadline_ms.unwrap_or(0),
-                    });
+                    results[slot] =
+                        Err(StoreError::DeadlineExceeded { deadline_ms: deadline_ms.unwrap_or(0) });
                 }
                 return Response { results };
             }
@@ -1471,9 +1516,8 @@ impl Client<'_> {
             // Same precedence as the VIP arm: time-out before budget-out.
             if expired {
                 for &(slot, _) in &moved {
-                    results[slot] = Err(StoreError::DeadlineExceeded {
-                        deadline_ms: deadline_ms.unwrap_or(0),
-                    });
+                    results[slot] =
+                        Err(StoreError::DeadlineExceeded { deadline_ms: deadline_ms.unwrap_or(0) });
                 }
                 return Response { results };
             }
@@ -1596,9 +1640,8 @@ impl Client<'_> {
                     started.elapsed() >= std::time::Duration::from_millis(u64::from(ms))
                 });
                 if expired {
-                    results[slot] = Err(StoreError::DeadlineExceeded {
-                        deadline_ms: deadline_ms.unwrap_or(0),
-                    });
+                    results[slot] =
+                        Err(StoreError::DeadlineExceeded { deadline_ms: deadline_ms.unwrap_or(0) });
                 } else if budgets.get(e).copied().unwrap_or(0) == 0 {
                     results[slot] = Err(StoreError::RetryBudgetExhausted {
                         budget: reqs.get(e).map_or(0, |r| r.retry_budget),
@@ -2628,5 +2671,240 @@ mod tests {
         let mut vip = store.client(store.admit_vip().unwrap());
         let got = vip.request_guest_many(vec![Request::new(vec![StoreOp::Put("v".into(), 1)])]);
         assert_eq!(got[0].results, vec![Err(StoreError::GuestTier)]);
+    }
+
+    /// Every port's replay cursor on every shard, `[shard][port]`.
+    fn cursors(store: &Store) -> Vec<Vec<u64>> {
+        store
+            .current_view()
+            .shards
+            .iter()
+            .map(|sh| sh.ports.iter().map(|p| p.lock().unwrap().replayed_cells()).collect())
+            .collect()
+    }
+
+    fn tier_counter(store: &Store, name: &str) -> u64 {
+        let snap = store.scrape();
+        ["vip", "guest"].iter().map(|t| snap.value(name, &[("tier", t)]).unwrap()).sum()
+    }
+
+    fn reads(keys: &[String]) -> Request {
+        Request::new(keys.iter().cloned().map(StoreOp::Get).collect()).retry_budget(8)
+    }
+
+    #[test]
+    fn read_only_rounds_take_no_log_cell() {
+        let store = small_store(2);
+        let mut vip = store.client(store.admit_vip().unwrap());
+        let mut guest = store.client(store.admit_guest());
+        let keys: Vec<String> = (0..8).map(|i| format!("r/{i}")).collect();
+        for (i, k) in keys.iter().enumerate() {
+            guest.put(k, i as u64);
+        }
+        // Catch both sessions' ports up on both shards.
+        assert_eq!(vip.scan("", "z").len(), 8);
+        assert_eq!(guest.scan("", "z").len(), 8);
+        let (cursors0, anchors0) = (cursors(&store), store.anchor_indices());
+        let (steps0, rounds0) = (store.replay_steps(), tier_counter(&store, "store_commits_total"));
+        let (local0, replayed0) = (
+            tier_counter(&store, "store_local_reads_total"),
+            tier_counter(&store, "store_replayed_cells_total"),
+        );
+
+        let mut issued = 0;
+        for i in 0..250 {
+            let k = &keys[i % keys.len()];
+            assert_eq!(vip.get(k), Some((i % keys.len()) as u64));
+            assert_eq!(
+                guest.request_guest(reads(&keys[..1])).results[0],
+                Ok(StoreResp::Value(Some(0)))
+            );
+            issued += 2;
+            // A scan is one round per shard, and so is a two-shard batch.
+            assert_eq!(vip.request_vip(reads(&keys)).results.len(), 8);
+            assert_eq!(guest.scan("r/", "r/9").len(), 8);
+            let many = guest.request_guest_many(vec![reads(&keys[..4]), reads(&keys[4..])]);
+            assert!(many.iter().all(Response::is_ok));
+            issued += 6;
+        }
+        assert!(issued >= 1_000);
+        assert_eq!(cursors(&store), cursors0, "no port of any shard replayed a cell");
+        assert_eq!(store.anchor_indices(), anchors0);
+        assert_eq!(store.replay_steps(), steps0);
+        assert_eq!(tier_counter(&store, "store_commits_total") - rounds0, issued);
+        assert_eq!(tier_counter(&store, "store_local_reads_total") - local0, issued);
+        assert_eq!(tier_counter(&store, "store_replayed_cells_total"), replayed0);
+        // Had any read proposed, its cell would be decided and this put
+        // would land past it.
+        let shard = store.shard_of(&keys[0]);
+        let tail = cursors0[shard].iter().copied().max().unwrap();
+        vip.put(&keys[0], 99);
+        assert_eq!(cursors(&store)[shard][vip.ticket().port()], tail + 1);
+        assert_eq!(guest.get(&keys[0]), Some(99), "the other port catches up by reading");
+    }
+
+    #[test]
+    fn mixed_envelope_appends_whole_and_reads_its_own_write() {
+        let store = small_store(1);
+        let mut c = store.client(store.admit_vip().unwrap());
+        c.put("k", 1);
+        let local0 = tier_counter(&store, "store_local_reads_total");
+        let cells0 = cursors(&store)[0][c.ticket().port()];
+        let resp = c.request(Request::new(vec![
+            StoreOp::Get("k".into()),
+            StoreOp::Put("k".into(), 5),
+            StoreOp::Get("k".into()),
+        ]));
+        assert_eq!(
+            resp.results,
+            vec![
+                Ok(StoreResp::Value(Some(1))),
+                Ok(StoreResp::Value(Some(1))),
+                Ok(StoreResp::Value(Some(5)))
+            ]
+        );
+        assert_eq!(cursors(&store)[0][c.ticket().port()], cells0 + 1, "one cell for the lot");
+        assert_eq!(tier_counter(&store, "store_local_reads_total"), local0);
+    }
+
+    #[test]
+    fn a_read_planned_before_a_split_bounces_at_the_old_shard() {
+        let store = small_store(1);
+        let vip = store.admit_vip().unwrap();
+        let mut c = store.client(vip);
+        let keys: Vec<String> = (0..16).map(|i| format!("s/{i:02}")).collect();
+        for (i, k) in keys.iter().enumerate() {
+            c.put(k, i as u64);
+        }
+        let stale = store.current_view();
+        store.split_shard(0).unwrap();
+        // The split driver absorbed its bump before it published, so the
+        // reader's catch-up crosses it and the stale plan bounces whole.
+        let gets: Vec<StoreOp> = keys.iter().cloned().map(StoreOp::Get).collect();
+        let resps = store.execute_vip_in(&stale, vip.port(), gets, DurabilityClass::Group);
+        assert_eq!(resps, vec![StoreResp::Moved { epoch: 1 }; 16]);
+        let fresh = c.request_vip(reads(&keys));
+        let want: Vec<_> = (0..16).map(|i| Ok(StoreResp::Value(Some(i)))).collect();
+        assert_eq!(fresh.results, want);
+    }
+
+    /// Runs `issue` — a read of `keys` through one request arm — so that it
+    /// plans under the pre-split view and reaches its port only after the
+    /// split: the reader is parked on its port's lock, which this thread
+    /// holds across the split. Returns what the arm answered.
+    fn read_across_a_split(
+        store: &Store,
+        ticket: ClientTicket,
+        issue: impl Fn(&mut Client<'_>) -> Response + Sync,
+    ) -> Response {
+        let tier = if ticket.class() == ProgressClass::Vip { "vip" } else { "guest" };
+        let moved =
+            |s: &Store| s.scrape().value("store_moved_ops_total", &[("tier", tier)]).unwrap();
+        for _ in 0..50 {
+            let before = moved(store);
+            let live = store.topology();
+            let victim = (0..live.shards()).find(|&s| live.is_live(s)).unwrap();
+            let view = store.current_view();
+            assert_ne!(ticket.port(), view.shards[victim].ports.len() - 1, "the driver's port");
+            let parked = view.shards[victim].ports[ticket.port()].lock().unwrap();
+            let go = std::sync::Barrier::new(2);
+            let resp = std::thread::scope(|s| {
+                let reader = s.spawn(|| {
+                    go.wait();
+                    issue(&mut store.client(ticket))
+                });
+                go.wait();
+                // Not load-bearing: it only makes it likely that the reader
+                // has planned by now. If it had not, nothing bounces and
+                // the loop goes round again.
+                std::thread::sleep(Duration::from_millis(5));
+                let child = store.split_shard(victim).unwrap();
+                drop(parked);
+                let resp = reader.join().unwrap();
+                store.merge_shard(child).unwrap();
+                resp
+            });
+            if moved(store) > before {
+                return resp;
+            }
+        }
+        panic!("the reader never planned before the split in 50 attempts");
+    }
+
+    #[test]
+    fn stale_read_plans_return_through_every_replan_loop() {
+        let store = small_store(1);
+        let vip = store.admit_vip().unwrap();
+        let guest = std::iter::repeat_with(|| store.admit_guest())
+            .find(|t| t.port() != store.admission().ports() - 1)
+            .unwrap();
+        let keys: Vec<String> = (0..16).map(|i| format!("s/{i:02}")).collect();
+        let mut c = store.client(vip);
+        for (i, k) in keys.iter().enumerate() {
+            c.put(k, i as u64);
+        }
+        let want: Vec<_> = (0..16).map(|i| Ok(StoreResp::Value(Some(i)))).collect();
+        let local0 = tier_counter(&store, "store_local_reads_total");
+
+        let got = read_across_a_split(&store, vip, |c| c.request_vip(reads(&keys)));
+        assert_eq!(got.results, want, "VIP arm");
+        let got = read_across_a_split(&store, guest, |c| c.request_guest(reads(&keys)));
+        assert_eq!(got.results, want, "guest arm");
+        let got = read_across_a_split(&store, guest, |c| {
+            let mut many = c.request_guest_many(vec![reads(&keys[..8]), reads(&keys[8..])]);
+            let tail = many.pop().unwrap();
+            let mut head = many.pop().unwrap();
+            head.results.extend(tail.results);
+            head
+        });
+        assert_eq!(got.results, want, "coalesced guest arm");
+        let got = read_across_a_split(&store, vip, |c| {
+            c.request(Request::new(vec![StoreOp::Scan { from: "s/".into(), to: "s/99".into() }]))
+        });
+        let all: Vec<_> = keys.iter().cloned().zip(0..).collect();
+        assert_eq!(got.results, vec![Ok(StoreResp::Entries(all))], "waiting arm, a scan");
+        assert!(tier_counter(&store, "store_local_reads_total") > local0, "and none took a cell");
+    }
+
+    #[test]
+    fn a_read_only_melt_is_heat_and_trips_an_auto_split() {
+        use crate::elastic::ElasticityPolicy;
+        let store = StoreBuilder::new()
+            .shards(4)
+            .vip_capacity(1)
+            .guest_ports(2)
+            .guest_group_width(1)
+            .elastic(ElasticityPolicy {
+                evaluate_every: 16,
+                cooldown: 64,
+                min_window: 32,
+                ..ElasticityPolicy::default()
+            })
+            .build()
+            .unwrap();
+        let mut c = store.client(store.admit_guest());
+        let hot_keys = crate::workload::keys_on_shard(&store.topology(), 2, 4);
+        for key in &hot_keys {
+            c.put(key, 7);
+        }
+        assert_eq!(store.hottest_shard(), 2);
+        let cells = cursors(&store);
+        // Reads alone move the detector to another shard...
+        let other = crate::workload::keys_on_shard(&store.topology(), 1, 1);
+        for _ in 0..8 {
+            assert_eq!(c.get(&other[0]), None);
+        }
+        assert_eq!(store.hottest_shard(), 1);
+        // ...and reads alone melt shard 2 until the driver splits it.
+        let mut rounds = 0;
+        while store.elastic_report().unwrap().splits == 0 {
+            for key in &hot_keys {
+                assert_eq!(c.get(key), Some(7));
+            }
+            rounds += 1;
+            assert!(rounds < 500, "a read-only melt must trigger an auto-split");
+        }
+        assert!(store.live_shards() > 4);
+        assert_eq!(cursors(&store)[1], cells[1], "shard 1 took reads and no cell");
     }
 }

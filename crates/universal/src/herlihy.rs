@@ -223,6 +223,14 @@ where
     /// Monotone in `index`; never `⊥`.
     anchor: AtomicCell<Arc<Anchor<S, F::Object>>>,
     handles: AtomicU64,
+    /// One past the highest log index any handle has absorbed. Raised in
+    /// [`Universal::advance`], the one place a cursor moves, so **every
+    /// response or publication that depends on cell `i` happens after
+    /// `tail > i`**: an op's invoker, a reconfiguration driver and a
+    /// checkpointer all absorb their own cell before they return or
+    /// publish. Every cell below `tail` is decided. This is what
+    /// [`Handle::sync_read`] catches up to.
+    tail: AtomicU64,
 }
 
 impl<S, F> Universal<S, F>
@@ -266,6 +274,7 @@ where
             announce: (0..n).map(|_| AtomicCell::new()).collect(),
             anchor: AtomicCell::with_value(Arc::new(anchor)),
             handles: AtomicU64::new(0),
+            tail: AtomicU64::new(index),
         }
     }
 
@@ -586,6 +595,49 @@ where
         replay.cursor = next;
         replay.cell_index += 1;
         replay.steps += 1;
+        // Release: pairs with the Acquire load in `sync_read_through`, so a
+        // reader that sees `tail > i` also sees cell `i` decided and its
+        // successor linked.
+        self.tail.fetch_max(replay.cell_index, Ordering::Release);
+    }
+
+    /// Catches the replica up to the log tail observed **at invocation**
+    /// and answers `f` from it (the shared body of [`Handle::sync_read`]
+    /// and [`OwnedHandle::sync_read`]): no announce, no proposal, no cell.
+    ///
+    /// The step bound is `tail − cursor`, fixed by the one load below — the
+    /// same shape as [`Universal::apply_through`]'s placement bound — so a
+    /// wait-free port keeps its class however fast the log grows meanwhile
+    /// ("peek until the first undecided cell" would chase the log and is
+    /// only lock-free).
+    ///
+    /// Linearizability: cells decide in order, so after the loop the
+    /// replica is exactly the prefix `[0, tail)`. Any operation that
+    /// completed before this call was invoked had raised `tail` past its
+    /// cell, so the read observes it; a decided cell at or past `tail` that
+    /// nobody has absorbed yet has produced no response, so ordering the
+    /// read before it is legal.
+    #[progress(bounded_wait_free)]
+    fn sync_read_through<R>(
+        &self,
+        replay: &mut Replay<S, F::Object>,
+        f: impl FnOnce(&S::State) -> R,
+    ) -> R {
+        let tail = self.tail.load(Ordering::Acquire);
+        while replay.cell_index < tail {
+            // Every cell below `tail` is decided; stay total regardless.
+            let Some(decided) = replay.cursor.cons.peek() else { break };
+            match decided {
+                LogRecord::Op(rec) => {
+                    let _ = self.absorb_op(replay, &rec);
+                }
+                LogRecord::Checkpoint(ck) => self.absorb_checkpoint(replay, &ck),
+                LogRecord::Reconfig(rec) => {
+                    let _ = self.absorb_reconfig(replay, &rec);
+                }
+            }
+        }
+        f(&replay.state)
     }
 }
 
@@ -657,6 +709,20 @@ where
         self.obj.reconfigure_through(&mut self.replay, op)
     }
 
+    /// Answers `f` from this handle's replica after catching it up to the
+    /// log tail observed at invocation — a **linearizable read that appends
+    /// nothing**: no announce, no proposal, no log cell, nothing for the
+    /// other handles to replay. `f` must not need to change the state;
+    /// anything that does goes through [`Self::apply`].
+    ///
+    /// Progress: at most `tail − cursor` absorbed cells, a bound fixed at
+    /// invocation, for every port (the read never proposes, so it cannot be
+    /// obstructed either).
+    #[progress(bounded_wait_free)]
+    pub fn sync_read<R>(&mut self, f: impl FnOnce(&S::State) -> R) -> R {
+        self.obj.sync_read_through(&mut self.replay, f)
+    }
+
     /// The absolute log index of this handle's replay cursor (all cells
     /// before it are reflected in [`Self::local_state`]).
     pub fn replayed_cells(&self) -> u64 {
@@ -671,7 +737,8 @@ where
         self.replay.steps
     }
 
-    /// Read-only access to the local replica (exact as of the last `apply`).
+    /// Read-only access to the local replica (exact as of the last `apply`
+    /// or `sync_read`).
     pub fn local_state(&self) -> &S::State {
         &self.replay.state
     }
@@ -738,6 +805,14 @@ where
         obj.reconfigure_through(replay, op)
     }
 
+    /// A linearizable read that appends nothing; see
+    /// [`Handle::sync_read`].
+    #[progress(bounded_wait_free)]
+    pub fn sync_read<R>(&mut self, f: impl FnOnce(&S::State) -> R) -> R {
+        let OwnedHandle { obj, replay } = self;
+        obj.sync_read_through(replay, f)
+    }
+
     /// The absolute log index of this handle's replay cursor.
     pub fn replayed_cells(&self) -> u64 {
         self.replay.cell_index
@@ -749,7 +824,8 @@ where
         self.replay.steps
     }
 
-    /// Read-only access to the local replica (exact as of the last `apply`).
+    /// Read-only access to the local replica (exact as of the last `apply`
+    /// or `sync_read`).
     pub fn local_state(&self) -> &S::State {
         &self.replay.state
     }
@@ -1142,6 +1218,102 @@ mod tests {
         h.checkpoint();
         drop(h);
         drop(obj);
+    }
+
+    #[test]
+    fn sync_read_catches_up_without_appending() {
+        let obj = wait_free_counter(2);
+        let mut writer = obj.handle(0).unwrap();
+        let mut reader = obj.handle(1).unwrap();
+        for _ in 0..10 {
+            writer.apply(CounterOp::Add(1));
+        }
+        // The reader starts at cursor 0 with the tail at 10: exactly
+        // tail − cursor cells replayed, none consumed.
+        assert_eq!(reader.sync_read(|s| *s), 10);
+        assert_eq!(reader.replay_steps(), 10);
+        assert_eq!(*reader.local_state(), 10);
+        // A caught-up replica answers in zero steps.
+        assert_eq!(reader.sync_read(|s| *s), 10);
+        assert_eq!(reader.replay_steps(), 10);
+        // No cell was taken by either read: the next op lands in cell 10.
+        writer.apply(CounterOp::Add(1));
+        assert_eq!(writer.replayed_cells(), 11);
+        assert_eq!(reader.sync_read(|s| *s), 11);
+    }
+
+    #[test]
+    fn sync_read_crosses_checkpoint_and_reconfig_cells() {
+        let obj = Arc::new(wait_free_counter(3));
+        let mut writer = obj.owned_handle(0).unwrap();
+        let mut reader = obj.owned_handle(1).unwrap();
+        writer.apply(CounterOp::Add(1));
+        writer.checkpoint();
+        writer.reconfigure(CounterOp::Add(10));
+        writer.apply(CounterOp::Add(100));
+        assert_eq!(reader.sync_read(|s| *s), 111);
+        assert_eq!(reader.replayed_cells(), 4, "op, checkpoint, reconfig, op");
+        // A handle bootstrapped from the reconfig anchor replays the suffix only.
+        let mut late = obj.owned_handle(2).unwrap();
+        assert_eq!(late.sync_read(|s| *s), 111);
+        assert_eq!(late.replay_steps(), 1);
+    }
+
+    #[test]
+    fn sync_read_on_a_recovered_object_starts_at_its_index() {
+        let obj: Universal<Counter, CasFactory> =
+            Universal::recovered(Counter, CasFactory::new(Liveness::new_first_n(2, 2)), 2, 41, 100);
+        let mut h = obj.handle(0).unwrap();
+        assert_eq!(h.sync_read(|s| *s), 41);
+        assert_eq!(h.replay_steps(), 0, "the tail starts at the recovery index");
+    }
+
+    #[test]
+    fn sync_read_sees_every_completed_apply_and_is_monotone() {
+        // Guests flood (4,1)-live cells while the VIP port only reads. A
+        // writer counts an op in `started` before it applies and in
+        // `completed` after `apply` returns, so every read is bracketed:
+        // completed-before ≤ value ≤ started-after, and never goes back.
+        let n = 4;
+        let per_thread = 300u64;
+        let obj = Universal::new(Counter, AsymmetricFactory::new(Liveness::new_first_n(n, 1)), n);
+        let started = AtomicU64::new(0);
+        let completed = AtomicU64::new(0);
+        let go = std::sync::Barrier::new(n);
+        std::thread::scope(|s| {
+            for pid in 1..n {
+                let (obj, started, completed, go) = (&obj, &started, &completed, &go);
+                s.spawn(move || {
+                    let mut h = obj.handle(pid).unwrap();
+                    go.wait();
+                    for _ in 0..per_thread {
+                        started.fetch_add(1, Ordering::SeqCst);
+                        h.apply(CounterOp::Add(1));
+                        completed.fetch_add(1, Ordering::SeqCst);
+                    }
+                });
+            }
+            let (obj, started, completed, go) = (&obj, &started, &completed, &go);
+            s.spawn(move || {
+                let mut h = obj.handle(0).unwrap();
+                let total = (n as u64 - 1) * per_thread;
+                let mut last = 0;
+                go.wait();
+                while last < total {
+                    let before = completed.load(Ordering::SeqCst);
+                    let steps = h.replay_steps();
+                    let value = h.sync_read(|s| *s);
+                    let after = started.load(Ordering::SeqCst);
+                    assert!(value >= before, "missed a completed op: {value} < {before}");
+                    assert!(value <= after, "saw an op nobody started: {value} > {after}");
+                    assert!(value >= last, "went backwards: {value} < {last}");
+                    // One cell per op and nothing else in this log.
+                    assert_eq!(h.replay_steps() - steps, value - last);
+                    assert!(h.replayed_cells() <= after, "ran past the tail");
+                    last = value;
+                }
+            });
+        });
     }
 
     #[test]

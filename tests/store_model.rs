@@ -6,7 +6,10 @@
 //! batches is safe on every schedule (no committed op dropped or replayed
 //! twice) — and the **split-vs-commit race**: a live shard split's
 //! topology-bump record racing concurrent VIP/guest batches places exactly
-//! once on every schedule, and VIP fair-termination survives the split.
+//! once on every schedule, and VIP fair-termination survives the split —
+//! and the **read path**: a reader bounded by the tail it loaded observes
+//! exactly a prefix of the log containing everything that had completed,
+//! against every one of those races, and terminates in every schedule.
 
 use asymmetric_progress::model::explore::{
     Agreement, ExploreConfig, Explorer, NoFaults, ValidityIn,
@@ -16,8 +19,8 @@ use asymmetric_progress::model::ObjectId;
 use asymmetric_progress::model::{ProcessSet, Value};
 use asymmetric_progress::store::model::{
     checkpointed_commit_system, merge_adopt_system, merge_commit_system, proposed_batches,
-    shard_commit_system, split_commit_system, MergeOrder, PlacementSafety, ADOPT_BASE,
-    CHECKPOINT_BASE, MERGE_BASE, SPLIT_BASE,
+    shard_commit_system, split_commit_system, sync_read_system, MergeOrder, PlacementSafety,
+    ADOPT_BASE, CHECKPOINT_BASE, MERGE_BASE, SPLIT_BASE,
 };
 
 fn mask_participants(mask: u8, n: usize) -> ProcessSet {
@@ -387,6 +390,116 @@ fn guest_merger_racing_guest_committer_admits_livelock() {
     assert!(!graph.truncated());
     let witnesses = fair_livelocks(&graph);
     assert!(!witnesses.is_empty(), "lockstep guests must admit a livelock witness");
+}
+
+/// What the read races run against: plain batches, then a checkpoint, a
+/// split seal and a merge drain from the marker port.
+const READ_RACE_MARKERS: [Option<u32>; 4] =
+    [None, Some(CHECKPOINT_BASE), Some(SPLIT_BASE), Some(MERGE_BASE)];
+
+/// The read-path safety matrix at (3,1), exhaustively: every choice of
+/// reading port, every committer pattern over the other two, alone and
+/// racing a checkpoint, a split seal and a merge drain from a third port.
+/// On **every** schedule the tail never passes an undecided cell, the
+/// reader's observation is exactly cells `[0, T)` for the tail `T` it
+/// loaded, and it contains the value of every placer that had finished
+/// before the reader's first event.
+#[test]
+fn sync_read_prefix_safety_matrix_3_1_exhaustive() {
+    for reader in 0usize..3 {
+        for committer_mask in 0u8..8 {
+            if committer_mask & (1 << reader) != 0 {
+                continue; // the reader does not also place
+            }
+            let committers = mask_participants(committer_mask, 3);
+            let idle = (0usize..3).find(|&p| p != reader && committer_mask & (1 << p) == 0);
+            for marker in READ_RACE_MARKERS {
+                let special = match (marker, idle) {
+                    (None, _) => None,
+                    (Some(base), Some(port)) => Some((port, base)),
+                    (Some(_), None) => continue, // no port left to place the marker
+                };
+                let (sys, safety) = sync_read_system(3, 1, 1, committers, special, reader);
+                let explorer = Explorer::new(ExploreConfig::default().with_max_states(400_000));
+                let result = explorer.explore(&sys, &[&safety, &NoFaults]);
+                assert!(
+                    result.ok(),
+                    "reader {reader}, committers {committer_mask:03b}, marker {special:?}: {:?}",
+                    result.violations.first()
+                );
+                assert!(!result.truncated, "reader {reader} / {committer_mask:03b} / {special:?}");
+            }
+        }
+    }
+}
+
+/// At (4,2): both VIPs and a guest place while the other guest reads, and
+/// both VIPs place while one guest seals a checkpoint and the other reads
+/// — still a prefix on every schedule. (The three kinds of marker differ
+/// only in the number they place; the (3,1) matrix runs them all.)
+#[test]
+fn sync_read_prefix_safety_4_2_exhaustive() {
+    let cases = [
+        (ProcessSet::from_indices([0, 1, 2]), None),
+        (ProcessSet::from_indices([0, 1]), Some((2, CHECKPOINT_BASE))),
+    ];
+    for (committers, special) in cases {
+        let (sys, safety) = sync_read_system(4, 2, 1, committers, special, 3);
+        let explorer = Explorer::new(ExploreConfig::default().with_max_states(2_000_000));
+        let result = explorer.explore(&sys, &[&safety, &NoFaults]);
+        assert!(result.ok(), "marker {special:?}: {:?}", result.violations.first());
+        assert!(!result.truncated, "marker {special:?} must be exhaustive");
+    }
+}
+
+/// One read race's liveness: no step of the reader lies on a cycle of the
+/// state graph — so it is done once scheduled often enough, in **every**
+/// schedule, fair or not — and whether the placers can livelock is as
+/// `placers_livelock` says (never with the reader among the starved).
+fn assert_reader_always_terminates(
+    (ports, vips): (usize, usize),
+    committers: &[usize],
+    special: Option<(usize, u32)>,
+    reader: usize,
+    placers_livelock: bool,
+) {
+    let committers = ProcessSet::from_indices(committers.iter().copied());
+    let (sys, _) = sync_read_system(ports, vips, 1, committers, special, reader);
+    let graph = StateGraph::build(&sys, 2_000_000);
+    assert!(!graph.truncated());
+    let case = format!("({ports},{vips}) reader {reader} vs {committers} + {special:?}");
+
+    let mut scc_of = vec![0; graph.states().len()];
+    for (i, scc) in graph.sccs().iter().enumerate() {
+        for &state in scc {
+            scc_of[state] = i;
+        }
+    }
+    let on_a_cycle =
+        graph.edges().iter().find(|e| e.pid.index() == reader && scc_of[e.from] == scc_of[e.to]);
+    assert!(on_a_cycle.is_none(), "{case}: a reader step can repeat: {on_a_cycle:?}");
+    let verdict = fair_termination(&graph, |pid| pid.index() == reader);
+    assert!(verdict.holds(), "{case}: {verdict:?}");
+
+    let witnesses = fair_livelocks(&graph);
+    assert_eq!(!witnesses.is_empty(), placers_livelock, "{case}: placer livelock");
+    assert!(witnesses.iter().all(|w| !w.live.iter().any(|p| p.index() == reader)), "{case}");
+}
+
+/// The reader's class: it terminates in every schedule, whatever the
+/// placers do. That includes the guest-only lockstep schedules in which
+/// the placers starve each other forever (the same graphs exhibit that
+/// livelock): the reader never proposes, so there is nothing to obstruct.
+#[test]
+fn sync_read_terminates_in_every_schedule() {
+    // A VIP reads, then a guest reads, while two guests can lock step.
+    assert_reader_always_terminates((3, 1), &[1, 2], None, 0, true);
+    assert_reader_always_terminates((4, 1), &[1, 2], None, 3, true);
+    // A guest batch against a guest's split seal can lock step too.
+    assert_reader_always_terminates((3, 1), &[1], Some((2, SPLIT_BASE)), 0, true);
+    // With a VIP placing, everybody finishes.
+    assert_reader_always_terminates((3, 1), &[0], Some((1, CHECKPOINT_BASE)), 2, false);
+    assert_reader_always_terminates((4, 2), &[0, 1, 2], None, 3, false);
 }
 
 /// The checkpoint, split, and merge marker values are namespaced away from

@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use asymmetric_progress::net::{NetClient, ServerConfig, StoreServer};
+use asymmetric_progress::net::{NetClient, ServerConfig, StoreServer, WireResult};
 use asymmetric_progress::store::{
     DurabilityClass, Request, StoreBuilder, StoreError, StoreOp, StoreResp, TierCredential,
 };
@@ -376,7 +376,7 @@ fn run_pipelines(
     batch: bool,
     shards: usize,
     pipelines: &[Vec<Vec<StoreOp>>],
-) -> Vec<Vec<(u64, Vec<Result<StoreResp, StoreError>>)>> {
+) -> Vec<Vec<(u64, Vec<WireResult>)>> {
     let store = StoreBuilder::new().shards(shards).vip_capacity(1).build().unwrap();
     let mut server =
         StoreServer::new(&store, ServerConfig { batch_guest_dispatch: batch, ..server_cfg(256) });
@@ -389,8 +389,7 @@ fn run_pipelines(
         }
     }
     let want: Vec<usize> = pipelines.iter().map(Vec::len).collect();
-    let mut out: Vec<Vec<(u64, Vec<Result<StoreResp, StoreError>>)>> =
-        pipelines.iter().map(|_| Vec::new()).collect();
+    let mut out: Vec<Vec<(u64, Vec<WireResult>)>> = pipelines.iter().map(|_| Vec::new()).collect();
     for _ in 0..64 {
         server.poll();
         for (g, guest) in guests.iter_mut().enumerate() {

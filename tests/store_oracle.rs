@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 
 use asymmetric_progress::store::{
-    ElasticityPolicy, ShardTopology, StoreBuilder, StoreOp, StoreResp,
+    ElasticityPolicy, ShardTopology, Store, StoreBuilder, StoreOp, StoreResp,
 };
 
 /// The independent oracle: the sequential meaning of one operation.
@@ -55,6 +55,36 @@ fn decode_op(kind: u8, key: u8, val: u64) -> StoreOp {
             let hi = format!("key/{:02}", (key % 12).saturating_add(val as u8 % 5));
             StoreOp::Scan { from: k, to: hi }
         }
+    }
+}
+
+/// The 90%-read mix over the same key space: of twenty kinds, two write
+/// (a put, then a remove or a CAS), fifteen are gets and three are scans.
+fn decode_read_heavy(kind: u8, key: u8, val: u64) -> StoreOp {
+    match kind % 20 {
+        0 => decode_op(0, key, val),
+        1 => decode_op(3 + (val % 2) as u8, key, val),
+        2..=16 => decode_op(2, key, val),
+        _ => decode_op(5, key, val),
+    }
+}
+
+/// One topology change mid-stream: merge any structurally eligible child
+/// (a no-op when none exists) or split any live shard, picked by `target`.
+fn churn(store: &Store, target: usize, merge: bool) {
+    let topology = store.topology();
+    if merge {
+        let candidates: Vec<usize> =
+            (0..topology.shards()).filter(|&s| topology.check_merge(s).is_ok()).collect();
+        if !candidates.is_empty() {
+            let victim = candidates[target % candidates.len()];
+            let parent = store.merge_shard(victim).expect("eligible candidate");
+            assert_eq!(store.topology().node(victim).parent, Some(parent as u32));
+        }
+    } else {
+        let live: Vec<usize> = (0..topology.shards()).filter(|&s| topology.is_live(s)).collect();
+        let child = store.split_shard(live[target % live.len()]).expect("live shard splits");
+        assert_eq!(child, store.shards() - 1, "splits append");
     }
 }
 
@@ -272,32 +302,10 @@ proptest! {
             .expect("valid sizing");
         let mut client = store.client(store.admit_vip().expect("first vip"));
         let mut oracle = BTreeMap::new();
-        let mut merges = 0usize;
         for (i, (kind, key, val)) in encoded.iter().enumerate() {
             for &(at, target, merge) in &churn_points {
-                if at != i {
-                    continue;
-                }
-                if merge == 1 {
-                    // Merge any structurally eligible child, if one exists.
-                    let topology = store.topology();
-                    let candidates: Vec<usize> =
-                        (0..topology.shards()).filter(|&s| topology.check_merge(s).is_ok()).collect();
-                    if !candidates.is_empty() {
-                        let victim = candidates[target % candidates.len()];
-                        let parent = store.merge_shard(victim).expect("eligible candidate");
-                        let after = store.topology();
-                        prop_assert_eq!(after.node(victim).parent, Some(parent as u32));
-                        merges += 1;
-                    }
-                } else {
-                    // Split an arbitrary live shard mid-stream.
-                    let topology = store.topology();
-                    let live: Vec<usize> =
-                        (0..topology.shards()).filter(|&s| topology.is_live(s)).collect();
-                    let victim = live[target % live.len()];
-                    let child = store.split_shard(victim).expect("live shard splits");
-                    prop_assert_eq!(child, store.shards() - 1, "splits append");
+                if at == i {
+                    churn(&store, target, merge == 1);
                 }
             }
             let op = decode_op(*kind, *key, *val);
@@ -319,7 +327,103 @@ proptest! {
                 prop_assert_eq!(digest.entries, 0, "tombstone {} must be empty", s);
             }
         }
-        let _ = merges;
+    }
+
+    /// The read path against the oracle: a 90%-read mix, issued in turn by
+    /// a VIP and two guest sessions (so most reads come from a port that
+    /// did not make the last write and must catch its replica up), with
+    /// splits and merges interleaved. Every response matches the oracle;
+    /// reads are most of the rounds and take no log cell.
+    #[test]
+    fn read_heavy_ops_match_oracle_across_splits_and_merges(
+        shards in 1usize..3,
+        encoded in proptest::collection::vec((0u8..20, 0u8..12, 0u64..16), 20..120),
+        churn_points in proptest::collection::vec((0usize..120, 0usize..8, 0u8..2), 1..6),
+    ) {
+        let store = StoreBuilder::new()
+            .shards(shards)
+            .vip_capacity(1)
+            .guest_ports(2)
+            .guest_group_width(1)
+            .build()
+            .expect("valid sizing");
+        let mut clients = [
+            store.client(store.admit_vip().expect("first vip")),
+            store.client(store.admit_guest()),
+            store.client(store.admit_guest()),
+        ];
+        let mut oracle = BTreeMap::new();
+        for (i, (kind, key, val)) in encoded.iter().enumerate() {
+            for &(at, target, merge) in &churn_points {
+                if at == i {
+                    churn(&store, target, merge == 1);
+                }
+            }
+            let op = decode_read_heavy(*kind, *key, *val);
+            let got = clients[i % 3].execute(vec![op.clone()]).pop().expect("one response");
+            let want = oracle_apply(&mut oracle, &op);
+            prop_assert_eq!(&got, &want, "op {} ({:?}) diverged", i, op);
+        }
+        let snap = store.scrape();
+        let sum = |name| -> u64 {
+            ["vip", "guest"].iter().map(|t| snap.value(name, &[("tier", t)]).expect("series")).sum()
+        };
+        let (rounds, local) = (sum("store_commits_total"), sum("store_local_reads_total"));
+        let read_only = encoded.iter().filter(|(kind, _, _)| kind % 20 >= 2).count() as u64;
+        prop_assert!(local >= read_only, "every read-only op is at least one local round");
+        prop_assert!(rounds > local || read_only == encoded.len() as u64);
+        let cells: u64 = store.snapshot_stats().iter().map(|d| d.commits).sum();
+        prop_assert!(cells >= local, "heat counts the local rounds");
+    }
+
+    /// Batching transparency on the 90%-read mix under churn: the same op
+    /// stream cut at arbitrary batch boundaries, with the same splits and
+    /// merges falling before the batch that holds their op, answers exactly
+    /// as one op at a time does. Read-only batches are answered locally,
+    /// mixed ones appended whole; neither may be told apart.
+    #[test]
+    fn read_heavy_batching_is_transparent_across_splits_and_merges(
+        encoded in proptest::collection::vec((0u8..20, 0u8..12, 0u64..16), 8..80),
+        churn_points in proptest::collection::vec((0usize..80, 0usize..8, 0u8..2), 1..5),
+        batch_seed in 0u64..1000,
+    ) {
+        let ops: Vec<StoreOp> =
+            encoded.iter().map(|(k, key, v)| decode_read_heavy(*k, *key, *v)).collect();
+        let run = |sizes: &mut dyn FnMut() -> usize| -> Vec<StoreResp> {
+            let store = StoreBuilder::new()
+                .shards(2)
+                .vip_capacity(1)
+                .guest_ports(2)
+                .guest_group_width(1)
+                .build()
+                .expect("valid sizing");
+            let mut clients = [
+                store.client(store.admit_vip().expect("first vip")),
+                store.client(store.admit_guest()),
+            ];
+            let mut out = Vec::new();
+            let (mut from, mut batch) = (0, 0);
+            while from < ops.len() {
+                let to = (from + sizes()).min(ops.len());
+                for &(at, target, merge) in &churn_points {
+                    if (from..to).contains(&at) {
+                        churn(&store, target, merge == 1);
+                    }
+                }
+                out.extend(clients[batch % 2].execute(ops[from..to].to_vec()));
+                (from, batch) = (to, batch + 1);
+            }
+            out
+        };
+        let singles = run(&mut || 1);
+        let mut s = batch_seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let batched = run(&mut || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            1 + (s % 5) as usize
+        });
+        prop_assert_eq!(singles, batched);
     }
 
     /// The round-trip (minimal-disruption inverse) property: starting from
