@@ -442,6 +442,7 @@ fn recovery(c: &mut Criterion) {
 /// crash recovery through the WAL costs.
 fn wal(c: &mut Criterion) {
     use apc_store::wal::{Wal, WalConfig};
+    use apc_store::{DurabilityClass, Request};
 
     let scratch_dir =
         std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/tmp-bench/wal");
@@ -489,10 +490,13 @@ fn wal(c: &mut Criterion) {
     g.bench_function("sync-commit", |b| {
         b.iter(|| {
             i = i.wrapping_add(1);
-            let resps = client
-                .execute_durable(vec![StoreOp::Put(format!("key/{:04}", i % 256), i)])
-                .expect("sync acknowledged");
-            criterion::black_box(resps);
+            let resp = client.request(
+                Request::new(vec![StoreOp::Put(format!("key/{:04}", i % 256), i)])
+                    .credential(client.credential())
+                    .durability(DurabilityClass::Sync),
+            );
+            assert!(resp.is_ok(), "sync acknowledged");
+            criterion::black_box(resp);
         })
     });
     drop(store);
@@ -566,12 +570,9 @@ fn wal(c: &mut Criterion) {
 ///   percentiles *include* retried requests — exactly what a caller sees.
 ///   The p999 rides the trend report but is exempt from the CI gate (a
 ///   single scheduler hiccup on a shared runner owns that percentile).
-/// * `pipelined-batched` / `pipelined-unbatched` — the PR-10 batching win:
-///   16 guest connections each pipeline 8 single-op envelopes; batched
-///   mode coalesces each poll turn's drain into one planned store round
-///   (~one log append per shard) while unbatched commits every envelope
-///   alone. Both record ns per envelope served; the acceptance bar is
-///   batched ≥ 2x the unbatched throughput.
+/// * `pipelined-batched` — 16 guest connections each pipeline 8 single-op
+///   envelopes; each poll turn's drain is coalesced into one planned
+///   store round (~one log append per shard). Records ns per envelope.
 fn net(c: &mut Criterion) {
     use apc_net::{
         decode_message, encode_request, FrameReader, NetClient, ServerConfig, StoreServer,
@@ -672,20 +673,15 @@ fn net(c: &mut Criterion) {
         1,
     );
 
-    // The batching A/B: identical pipelined load, the only difference is
-    // `batch_guest_dispatch`. Manual-timed for the same reason as the
-    // loadgen — one measurement spans a whole send-all/serve-all cycle.
+    // Pipelined load through the coalesced guest dispatch. Manual-timed
+    // for the same reason as the loadgen — one measurement spans a whole
+    // send-all/serve-all cycle.
     const PIPE_CONNS: usize = 16;
     const PIPE_DEPTH: usize = 8;
     const PIPE_ITERS: usize = 200;
-    for (name, batch) in [("pipelined-batched", true), ("pipelined-unbatched", false)] {
+    {
         let store = build_store(2);
-        let cfg = ServerConfig {
-            vip_tokens: vec![],
-            batch_guest_dispatch: batch,
-            ..ServerConfig::default()
-        };
-        let mut server = StoreServer::new(&store, cfg);
+        let mut server = StoreServer::new(&store, ServerConfig::default());
         let mut conns: Vec<NetClient> = (0..PIPE_CONNS)
             .map(|_| NetClient::connect(&mut server, TierCredential::Guest))
             .collect();
@@ -714,7 +710,7 @@ fn net(c: &mut Criterion) {
             spent += t0.elapsed().as_nanos();
         }
         let envelopes = (PIPE_ITERS * PIPE_CONNS * PIPE_DEPTH) as u128;
-        criterion::report_measurement(&format!("store/net/{name}"), spent / envelopes, 1);
+        criterion::report_measurement("store/net/pipelined-batched", spent / envelopes, 1);
     }
 }
 

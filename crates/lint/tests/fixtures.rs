@@ -156,6 +156,24 @@ fn batching_on_the_vip_path_fails_the_progress_rule() {
     assert_eq!(report.exit_code(true), 1, "--deny rejects batching on the VIP path");
 }
 
+/// Pins the mechanism `apc-store`'s single execute path rests on: a tier
+/// carried by a closure is checked against the annotated fn the closure
+/// is written in. Of two arms sharing one unannotated higher-order
+/// helper, only the one whose closure names a weaker commit than the arm
+/// claims is a finding.
+#[test]
+fn a_tier_carried_by_a_closure_is_checked_in_the_caller() {
+    let (root, files) = fixture("closure_carried_tier.rs");
+    let (_ws, report) = analyze_files(&root, &files).unwrap();
+    let rules: Vec<&str> = report.findings.iter().map(|f| f.rule).collect();
+    assert_eq!(rules, ["progress"], "exactly the mislabelled arm:\n{}", report.render_text());
+    let f = &report.findings[0];
+    assert!(f.message.contains("serve_mislabelled"), "names the arm: {}", f.message);
+    assert!(f.message.contains("commit_queued"), "names the commit: {}", f.message);
+    assert_eq!(f.path.len(), 2, "straight from the arm's own body: {:?}", f.path);
+    assert_eq!(report.exit_code(true), 1, "--deny rejects a mislabelled arm");
+}
+
 #[test]
 fn known_good_is_clean() {
     let (root, files) = fixture("known_good.rs");
@@ -238,6 +256,21 @@ fn live_workspace_is_clean() {
         Some(apc_lint::parse::Class::ObstructionFree),
         "StoreServer::dispatch_guest_batch must stay annotated obstruction_free",
     );
+    // The request arms share one execute path and one re-plan driver, so
+    // their classes live only in these annotations and in the closures
+    // written under them: dropping or swapping one would leave nothing to
+    // hold the arm's closures to.
+    for (arm, class) in [
+        ("request_vip", apc_lint::parse::Class::BoundedWaitFree),
+        ("request_guest_many", apc_lint::parse::Class::ObstructionFree),
+    ] {
+        let f = ws
+            .all_fns()
+            .map(|id| ws.fn_info(id))
+            .find(|f| f.name == arm && f.self_type.as_deref() == Some("Client"))
+            .unwrap_or_else(|| panic!("apc-store must keep a Client::{arm} fn"));
+        assert_eq!(f.class, Some(class), "Client::{arm} changed its progress class");
+    }
     // The read path: `request_vip` → `commit_vip` → `sync_read` is bounded
     // wait-free end to end only while the handle method says so. Dropping
     // the annotation would let the sweep walk into it by name and find

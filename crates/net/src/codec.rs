@@ -278,10 +278,9 @@ pub fn encode_request(id: u64, req: &Request) -> Vec<u8> {
 
 /// Encodes one response frame.
 ///
-/// The wire vocabulary is **normalized**: the legacy in-band rejection
-/// variants [`StoreResp::Moved`] and [`StoreResp::Unavailable`] are
-/// encoded as their consolidated [`StoreError`] twins (wire discriminants
-/// `1` and `4`), so a wire peer sees exactly one error surface.
+/// The wire vocabulary is **normalized**: a shard's in-band bounce
+/// [`StoreResp::Moved`] is encoded as its [`StoreError::Moved`] twin
+/// (wire discriminant `1`), so a wire peer sees exactly one error surface.
 ///
 /// ## The encode-side payload cap
 ///
@@ -324,15 +323,12 @@ pub fn encode_response(id: u64, results: &[WireResult]) -> Vec<u8> {
     frame(p)
 }
 
-/// One result's wire bytes, with the legacy in-band rejections normalized
-/// to their error twins.
+/// One result's wire bytes, with the in-band bounce normalized to its
+/// error twin.
 fn encode_result(result: &WireResult) -> Vec<u8> {
     let mut p = Vec::new();
     match result {
         Ok(StoreResp::Moved { epoch }) => put_err(&mut p, &StoreError::Moved { epoch: *epoch }),
-        Ok(StoreResp::Unavailable { version }) => {
-            put_err(&mut p, &StoreError::Unavailable { version: *version })
-        }
         Ok(resp) => {
             p.push(0);
             put_resp(&mut p, resp);
@@ -376,10 +372,6 @@ fn put_resp(p: &mut Vec<u8>, resp: &StoreResp) {
         StoreResp::Moved { epoch } => {
             p.push(3);
             put_u64(p, *epoch);
-        }
-        StoreResp::Unavailable { version } => {
-            p.push(4);
-            put_u64(p, *version);
         }
     }
 }
@@ -542,7 +534,6 @@ fn read_result(rd: &mut Rd<'_>) -> Result<WireResult, CodecError> {
                     StoreResp::Entries(entries)
                 }
                 3 => StoreResp::Moved { epoch: rd.u64()? },
-                4 => StoreResp::Unavailable { version: rd.u64()? },
                 found => return Err(CodecError::UnknownDiscriminant { what: "resp", found }),
             };
             Ok(Ok(resp))
@@ -721,13 +712,13 @@ mod tests {
     }
 
     #[test]
-    fn response_roundtrips_and_normalizes_legacy_rejections() {
+    fn response_roundtrips_and_normalizes_the_bounce() {
         let results: Vec<WireResult> = vec![
             Ok(StoreResp::Value(Some(3))),
             Ok(StoreResp::Cas { ok: true, actual: None }),
             Ok(StoreResp::Entries(vec![("k".into(), 9)])),
             Ok(StoreResp::Moved { epoch: 4 }),
-            Ok(StoreResp::Unavailable { version: 6 }),
+            Err(StoreError::Unavailable { version: 6 }),
             Err(StoreError::GuestTier),
             Err(StoreError::RetryBudgetExhausted { budget: 5 }),
             Err(StoreError::Corrupt { detail: "flush failed".into() }),
@@ -737,9 +728,8 @@ mod tests {
         let Message::Response { id, results: decoded } = msg else { panic!("expected a response") };
         assert_eq!(id, 7);
         assert_eq!(decoded[3], Err(StoreError::Moved { epoch: 4 }));
-        assert_eq!(decoded[4], Err(StoreError::Unavailable { version: 6 }));
         assert_eq!(decoded[..3], results[..3]);
-        assert_eq!(decoded[5..], results[5..]);
+        assert_eq!(decoded[4..], results[4..]);
     }
 
     #[test]

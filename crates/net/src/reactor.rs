@@ -30,21 +30,21 @@
 //!
 //! ## Per-shard batching of pipelined guest envelopes
 //!
-//! With [`ServerConfig::batch_guest_dispatch`] (the default), the guest
-//! envelopes dispatched in one turn are **coalesced** into a single store
-//! round via [`apc_store::Client::request_guest_many`]: the store's batch
-//! planner splits the combined op vector per shard, so N pipelined
-//! single-op requests cost ~one log append per shard instead of N, and
-//! the results demultiplex back to each owning `(conn, request-id)`.
+//! The guest envelopes dispatched in one turn are **coalesced** into a
+//! single store round via [`apc_store::Client::request_guest_many`]: the
+//! store's batch planner splits the combined op vector per shard, so N
+//! pipelined single-op requests cost ~one log append per shard instead of
+//! N, and the results demultiplex back to each owning `(conn, request-id)`.
 //! Batching is transparent — same per-envelope responses, budgets, and
-//! deadline errors as per-envelope dispatch (property-tested against the
-//! oracle in `tests/store_net.rs`) — and it cannot erode the asymmetric
-//! guarantees: the batch runs strictly *after* the VIP phase under the
-//! server's own guest session, so coalescing can delay other guests but
-//! never a VIP frame. `Sync`-durability and tier-mismatched envelopes
-//! keep the per-envelope path. VIP frames are never batched, never
-//! queued across turns, never deadline-shed: every VIP frame is still
-//! served in its arrival turn.
+//! deadline errors as one envelope per round (property-tested against the
+//! oracle in `tests/store_net.rs`, 256 envelopes per turn against 1) —
+//! and it cannot erode the asymmetric guarantees: the batch runs strictly
+//! *after* the VIP phase under the server's own guest session, so
+//! coalescing can delay other guests but never a VIP frame. Envelopes the
+//! guest tier refuses (`Sync` durability, a VIP credential on a guest
+//! connection) ride the batch too and are refused one by one by the
+//! store. VIP frames are never batched, never queued across turns, never
+//! deadline-shed: every VIP frame is still served in its arrival turn.
 //!
 //! ## Admission is keyed by connection credential
 //!
@@ -97,16 +97,12 @@ pub struct ServerConfig {
     pub guest_dispatch_per_poll: usize,
     /// Guest frames that may carry over between poll turns after the
     /// per-turn dispatch cap is spent. Overflow beyond this depth is shed
-    /// (newest first) with the typed 429. `0` restores the legacy
-    /// shed-everything-same-turn behavior. A queued frame's wait is
-    /// debited from its `deadline_ms`; frames that expire while queued
-    /// are shed pre-dispatch with [`StoreError::DeadlineExceeded`].
+    /// (newest first) with the typed 429; with depth `0` nothing carries
+    /// over, so everything past the dispatch cap is shed in its arrival
+    /// turn. A queued frame's wait is debited from its `deadline_ms`;
+    /// frames that expire while queued are shed pre-dispatch with
+    /// [`StoreError::DeadlineExceeded`].
     pub guest_queue_depth: usize,
-    /// Coalesce the turn's dispatched guest envelopes into one store
-    /// round through the batch planner (default). Off = per-envelope
-    /// dispatch, observationally equivalent but ~one log append per
-    /// envelope instead of per shard.
-    pub batch_guest_dispatch: bool,
     /// Cap applied to every wire request's retry budget. Keeps the
     /// blocking [`apc_store::UNBOUNDED_RETRIES`] arm unreachable from the
     /// network.
@@ -119,7 +115,6 @@ impl Default for ServerConfig {
             vip_tokens: Vec::new(),
             guest_dispatch_per_poll: 256,
             guest_queue_depth: 1024,
-            batch_guest_dispatch: true,
             wire_retry_budget_cap: 16,
         }
     }
@@ -290,7 +285,7 @@ impl<'a> StoreServer<'a> {
                 ConnState::Serving(t) => *t,
                 _ => continue,
             };
-            let resp = self.serve_request(ticket, req);
+            let resp = self.serve_vip(ticket, req);
             self.send_response(i, id, &resp.results);
             stats.served += 1;
         }
@@ -301,9 +296,9 @@ impl<'a> StoreServer<'a> {
         for (i, id, req) in guest_q {
             self.guest_backlog.push_back(QueuedGuest { conn: i, id, req, arrived: now });
         }
-        let cap = self.cfg.guest_dispatch_per_poll;
-        let mut dispatch: Vec<QueuedGuest> = Vec::new();
-        while dispatch.len() < cap {
+        let mut owners: Vec<(usize, u64, u64, Instant)> = Vec::new(); // (conn, id, ops, arrived)
+        let mut reqs: Vec<Request> = Vec::new();
+        while reqs.len() < self.cfg.guest_dispatch_per_poll {
             let Some(mut q) = self.guest_backlog.pop_front() else { break };
             if !matches!(self.conns[q.conn].state, ConnState::Serving(_)) {
                 continue;
@@ -324,7 +319,9 @@ impl<'a> StoreServer<'a> {
                 }
                 q.req.deadline_ms = Some(ms - waited as u32);
             }
-            dispatch.push(q);
+            q.req.retry_budget = q.req.retry_budget.min(self.cfg.wire_retry_budget_cap);
+            owners.push((q.conn, q.id, q.req.ops.len() as u64, q.arrived));
+            reqs.push(q.req);
         }
         // Overflow beyond the backlog depth is shed from the back — the
         // newest arrivals lose, so a queued frame's position only ever
@@ -342,57 +339,22 @@ impl<'a> StoreServer<'a> {
         }
         self.metrics.record_queue_depth(self.guest_backlog.len() as u64);
 
-        if self.cfg.batch_guest_dispatch {
-            self.serve_guest_turn_batched(dispatch, &mut stats);
-        } else {
-            for q in dispatch {
-                let ticket = match &self.conns[q.conn].state {
-                    ConnState::Serving(t) => *t,
-                    _ => continue,
-                };
-                let resp = self.serve_request(ticket, q.req);
-                self.send_response(q.conn, q.id, &resp.results);
-                stats.served += 1;
-            }
-        }
+        self.serve_guest_turn(owners, reqs, &mut stats);
 
         stats.closed = self.closed_count() - closed_before;
         stats
     }
 
-    /// Serves one turn's guest dispatch set, coalescing every batchable
-    /// envelope into a single store round. `Sync`-durability and
-    /// tier-mismatched envelopes take the per-envelope path (for guests
-    /// both are state-free refusals, so their relative order against the
-    /// batch is unobservable).
-    fn serve_guest_turn_batched(&mut self, dispatch: Vec<QueuedGuest>, stats: &mut PollStats) {
-        let mut owners: Vec<(usize, u64, u64, Instant)> = Vec::new(); // (conn, id, ops, arrived)
-        let mut reqs: Vec<Request> = Vec::new();
-        for q in dispatch {
-            let ticket = match &self.conns[q.conn].state {
-                ConnState::Serving(t) => *t,
-                _ => continue,
-            };
-            let mut req = q.req;
-            // The same admission gates as `serve_request`, applied
-            // before the envelope may join the batch.
-            if req.credential.class() != ticket.class() {
-                let resp = Response::fail_all(req.ops.len(), StoreError::GuestTier);
-                self.send_response(q.conn, q.id, &resp.results);
-                stats.served += 1;
-                continue;
-            }
-            if req.durability == DurabilityClass::Sync {
-                let resp = self.serve_request(ticket, req);
-                self.send_response(q.conn, q.id, &resp.results);
-                stats.served += 1;
-                continue;
-            }
-            req.retry_budget = req.retry_budget.min(self.cfg.wire_retry_budget_cap);
-            req.credential = TierCredential::for_ticket(&self.batch_ticket);
-            owners.push((q.conn, q.id, req.ops.len() as u64, q.arrived));
-            reqs.push(req);
-        }
+    /// Serves one turn's guest dispatch set as a single coalesced store
+    /// round. Nothing is filtered on the way in: an envelope the guest tier
+    /// must refuse (`Sync` durability, a VIP credential) is refused, alone,
+    /// by [`apc_store::Client::request_guest_many`].
+    fn serve_guest_turn(
+        &mut self,
+        owners: Vec<(usize, u64, u64, Instant)>,
+        reqs: Vec<Request>,
+        stats: &mut PollStats,
+    ) {
         if reqs.is_empty() {
             return;
         }
@@ -548,20 +510,19 @@ impl<'a> StoreServer<'a> {
         }
     }
 
-    /// Dispatches one admitted request under the connection's ticket.
-    fn serve_request(&self, ticket: ClientTicket, mut req: Request) -> Response {
-        // Frames cannot escalate: the request's claimed tier must match
-        // what the handshake earned.
+    /// Dispatches one request of a VIP connection under its ticket.
+    fn serve_vip(&self, ticket: ClientTicket, mut req: Request) -> Response {
+        // Frames cannot escalate — or step down: the request's claimed
+        // tier must match what the handshake earned.
         if req.credential.class() != ticket.class() {
             return Response::fail_all(req.ops.len(), StoreError::GuestTier);
         }
         // The wire never reaches the blocking unbounded-retry arm.
         req.retry_budget = req.retry_budget.min(self.cfg.wire_retry_budget_cap);
         req.credential = TierCredential::for_ticket(&ticket);
-        match (req.durability, ticket.class()) {
-            (DurabilityClass::Sync, _) => self.dispatch_durable(ticket, req),
-            (DurabilityClass::Group, ProgressClass::Vip) => self.dispatch_vip(ticket, req),
-            (DurabilityClass::Group, ProgressClass::Guest) => self.dispatch_guest(ticket, req),
+        match req.durability {
+            DurabilityClass::Sync => self.dispatch_durable(ticket, req),
+            DurabilityClass::Group => self.dispatch_vip(ticket, req),
         }
     }
 
@@ -578,19 +539,8 @@ impl<'a> StoreServer<'a> {
         resp
     }
 
-    /// The guest serve path: obstruction-free, like the tier it serves.
-    #[progress(obstruction_free)]
-    fn dispatch_guest(&self, ticket: ClientTicket, req: Request) -> Response {
-        let started = Instant::now();
-        let ops = req.ops.len() as u64;
-        let mut client = self.store.client(ticket);
-        let resp = client.request_guest(req);
-        self.metrics.record_request(false, ops, elapsed_ns(started));
-        resp
-    }
-
-    /// The coalesced guest serve path: every batchable envelope
-    /// dispatched this turn rides one store round under the server's own
+    /// The coalesced guest serve path: every guest envelope dispatched
+    /// this turn rides one store round under the server's own
     /// guest session — the store's batch planner turns N pipelined
     /// single-op envelopes into ~one log append per shard. Runs strictly
     /// after the VIP phase, so coalescing can delay other guests but
@@ -601,16 +551,15 @@ impl<'a> StoreServer<'a> {
         client.request_guest_many(reqs)
     }
 
-    /// `Sync` durability fsyncs on the reactor thread — deliberately
-    /// blocking, and VIP-gated by the store itself.
+    /// A VIP's `Sync` durability fsyncs on the reactor thread —
+    /// deliberately blocking.
     #[progress(blocking)]
     fn dispatch_durable(&self, ticket: ClientTicket, req: Request) -> Response {
         let started = Instant::now();
-        let vip = ticket.class() == ProgressClass::Vip;
         let ops = req.ops.len() as u64;
         let mut client = self.store.client(ticket);
         let resp = client.request(req);
-        self.metrics.record_request(vip, ops, elapsed_ns(started));
+        self.metrics.record_request(true, ops, elapsed_ns(started));
         resp
     }
 
@@ -720,8 +669,8 @@ mod tests {
     use apc_store::{StoreBuilder, StoreOp, StoreResp};
 
     fn server_fixture(store: &Store) -> StoreServer<'_> {
-        // Legacy shed-same-turn semantics (`guest_queue_depth: 0`) keep
-        // the overflow tests deterministic about *which turn* sheds.
+        // No backlog (`guest_queue_depth: 0`) keeps the overflow tests
+        // deterministic about *which turn* sheds.
         StoreServer::new(
             store,
             ServerConfig {
@@ -925,18 +874,19 @@ mod tests {
     }
 
     #[test]
-    fn unbatched_dispatch_still_serves_pipelines() {
+    fn one_envelope_per_poll_still_serves_pipelines() {
         let store = StoreBuilder::new().shards(1).vip_capacity(1).build().unwrap();
         let mut server = StoreServer::new(
             &store,
-            ServerConfig { batch_guest_dispatch: false, ..ServerConfig::default() },
+            ServerConfig { guest_dispatch_per_poll: 1, ..ServerConfig::default() },
         );
         let mut guest = NetClient::connect(&mut server, TierCredential::Guest);
         guest.send(&Request::new(vec![StoreOp::Put("u".into(), 9)]));
         guest.send(&Request::new(vec![StoreOp::Get("u".into())]));
         let stats = server.poll();
-        assert_eq!(stats.served, 2);
-        assert_eq!(stats.batches, 0);
+        assert_eq!((stats.served, stats.batches), (1, 1), "the put; the get waits its turn");
+        let stats = server.poll();
+        assert_eq!((stats.served, stats.batches), (1, 1));
         let got = guest.drain().unwrap();
         assert_eq!(got[1].1, vec![Ok(StoreResp::Value(Some(9)))]);
     }
@@ -951,9 +901,38 @@ mod tests {
             &Request::new(vec![StoreOp::Get("k".into())])
                 .credential(TierCredential::Vip { token: 7 }),
         );
-        server.poll();
+        let stats = server.poll();
         let got = guest.drain().unwrap();
         assert_eq!(got[0].1, vec![Err(StoreError::GuestTier)]);
+        assert_eq!((stats.served, stats.batches), (1, 1), "refused by the (empty) store round");
+    }
+
+    #[test]
+    fn refused_guest_envelopes_ride_their_turn_and_are_counted() {
+        let store = StoreBuilder::new().shards(1).vip_capacity(1).build().unwrap();
+        let mut server = server_fixture(&store);
+        let mut guest = NetClient::connect(&mut server, TierCredential::Guest);
+        let put = || Request::new(vec![StoreOp::Put("k".into(), 1)]);
+        guest.send(&put());
+        guest.send(&put().credential(TierCredential::Vip { token: 7 }));
+        guest.send(&put().durability(DurabilityClass::Sync));
+        guest.send(&Request::new(vec![StoreOp::Get("k".into())]));
+        let stats = server.poll();
+        assert_eq!((stats.served, stats.batches, stats.shed), (4, 1, 0));
+        let got: Vec<_> = guest.drain().unwrap().into_iter().map(|(_, results)| results).collect();
+        let refused = vec![Err(StoreError::GuestTier)];
+        let want = vec![
+            vec![Ok(StoreResp::Value(None))],
+            refused.clone(),
+            refused,
+            vec![Ok(StoreResp::Value(Some(1)))],
+        ];
+        assert_eq!(got, want, "refused alone and in place; the put was applied once");
+        let snap = server.metrics().scrape();
+        assert_eq!(snap.value("store_net_requests_total", &[("tier", "guest")]), Some(4));
+        assert_eq!(snap.value("store_net_batch_dispatches_total", &[]), Some(1));
+        let carried = snap.histogram("store_net_batch_envelopes", &[]).unwrap();
+        assert_eq!((carried.count, carried.sum), (1, 4));
     }
 
     #[test]

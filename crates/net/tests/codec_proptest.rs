@@ -96,8 +96,7 @@ proptest! {
         prop_assert_eq!(decode_message(&payload).unwrap(), Message::Request { id, req });
     }
 
-    /// Responses roundtrip, with the legacy in-band rejections normalized
-    /// to their consolidated error twins.
+    /// Responses roundtrip.
     #[test]
     fn response_roundtrips(
         encoded in proptest::collection::vec((0u8..9, 0u64..1000, 0u64..1000), 0..16),
@@ -110,6 +109,30 @@ proptest! {
         else { panic!("expected a response") };
         prop_assert_eq!(got_id, id);
         prop_assert_eq!(got, results);
+    }
+
+    /// Response tag 4 (once an in-band "unavailable") is reserved: a frame
+    /// that carries it fails closed, whatever results precede it.
+    #[test]
+    fn response_tag_4_fails_closed(
+        encoded in proptest::collection::vec((0u8..9, 0u64..1000, 0u64..1000), 0..6),
+        version in 0u64..u64::MAX,
+        id in 0u64..u64::MAX,
+    ) {
+        // `Err(Moved { epoch })` is `[1][1][u64]` on the wire, the retired
+        // `Ok(Unavailable { version })` was `[0][4][u64]`; it goes last.
+        let mut results: Vec<WireResult> =
+            encoded.iter().map(|(t, a, b)| decode_result(*t, *a, *b)).collect();
+        results.push(Err(StoreError::Moved { epoch: version }));
+        let mut payload = reframe(&encode_response(id, &results));
+        let tags = payload.len() - 10;
+        prop_assert_eq!(&payload[tags..tags + 2], &[1u8, 1][..]);
+        payload[tags] = 0;
+        payload[tags + 1] = 4;
+        prop_assert_eq!(
+            decode_message(&payload),
+            Err(CodecError::UnknownDiscriminant { what: "resp", found: 4 })
+        );
     }
 
     /// The encode-side payload cap: no generated result set — including

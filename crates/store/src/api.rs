@@ -1,51 +1,39 @@
 //! The unified `Request → Response` envelope: one operation surface for
 //! the in-process [`Client`](crate::store::Client) and the wire protocol.
 //!
-//! Historically the client grew four ad-hoc entry points (`execute`,
-//! `execute_durable`, `get`/`put`/`cas`/`remove` via `execute_one`, and
-//! `scan`), each with its own partial error vocabulary smeared across
-//! response variants ([`StoreResp::Moved`], [`StoreResp::Unavailable`])
-//! and a separate durability error type. None of that had a shape a codec
-//! could serialize. This module fixes the surface:
-//!
 //! * [`Request`] — `{ ops, credential, durability, deadline_ms,
 //!   retry_budget }`, the envelope shared **verbatim** by
 //!   [`Client::request`](crate::store::Client::request) and the `apc-net`
 //!   wire frames;
 //! * [`Response`] — per-operation `Result<StoreResp, StoreError>` in
 //!   invocation order;
-//! * [`StoreError`] — the consolidated, `#[non_exhaustive]` error surface
-//!   with **stable wire discriminants**.
+//! * [`StoreError`] — the one error surface, `#[non_exhaustive]`, with
+//!   **stable wire discriminants**.
 //!
-//! The legacy entry points survive as thin wrappers over
-//! [`Client::request`](crate::store::Client::request) (see the mapping
-//! table below), so nothing breaks — but new code, and every byte on the
-//! wire, speaks this envelope.
+//! [`Client::execute`](crate::store::Client::execute) and the
+//! `get`/`put`/`cas`/`remove`/`scan` helpers are sugar: they send the
+//! envelope [`Request::new`] describes and hand back its results.
 //!
-//! ## Error consolidation map
+//! ## Errors
 //!
-//! | legacy surface                              | consolidated form                      | wire |
-//! |---------------------------------------------|----------------------------------------|------|
-//! | [`StoreResp::Moved`] `{ epoch }`            | [`StoreError::Moved`] `{ epoch }`      | `1`  |
-//! | [`DurabilityError::GuestTier`], tier over-claim | [`StoreError::GuestTier`]          | `2`  |
-//! | (new) retry budget spent / backpressure shed | [`StoreError::RetryBudgetExhausted`]  | `3`  |
-//! | [`StoreResp::Unavailable`] `{ version }`, [`DurabilityError::NoWal`] | [`StoreError::Unavailable`] `{ version }` | `4` |
-//! | [`DurabilityError::Wal`] (failed covering flush), codec/persist corruption | [`StoreError::Corrupt`] | `5` |
-//! | (new) deadline expiry                       | [`StoreError::DeadlineExceeded`]       | `6`  |
+//! | error                                  | raised when                                                        | wire |
+//! |----------------------------------------|--------------------------------------------------------------------|------|
+//! | [`StoreError::Moved`] `{ epoch }`      | a shard bounced the operation ([`StoreResp::Moved`]) and nobody re-planned it | `1` |
+//! | [`StoreError::GuestTier`]              | a guest asked for `Sync` durability or presented a VIP credential  | `2`  |
+//! | [`StoreError::RetryBudgetExhausted`]   | the retry budget was spent, or the wire front-end shed the frame   | `3`  |
+//! | [`StoreError::Unavailable`] `{ version }` | the re-planned topology never published; `Sync` without a WAL (`version: 0`) | `4` |
+//! | [`StoreError::Corrupt`]                | the covering durability flush failed; codec/persist corruption     | `5`  |
+//! | [`StoreError::DeadlineExceeded`]       | the request's deadline passed at a re-plan boundary or in the queue | `6` |
 //!
-//! `Moved` never escapes the in-process arms (the retry loop consumes it);
-//! it exists so a wire peer that implements its own re-plan loop can see
-//! the bounce. `RetryBudgetExhausted` is the envelope's 429: the typed
+//! `Moved` never escapes the in-process arms (the re-plan loop consumes
+//! it); it exists so a wire peer that implements its own re-plan loop can
+//! see the bounce. `RetryBudgetExhausted` is the envelope's 429: the typed
 //! "try again later" that the guest tier surfaces **instead of blocking**.
 //! `DeadlineExceeded` is its timeout twin: the request's own patience (not
 //! the store's) ran out — retrying immediately with the same deadline is
 //! pointless, which is exactly why the two are distinct discriminants.
 //!
 //! [`StoreResp::Moved`]: crate::ops::StoreResp::Moved
-//! [`StoreResp::Unavailable`]: crate::ops::StoreResp::Unavailable
-//! [`DurabilityError::GuestTier`]: crate::wal::DurabilityError::GuestTier
-//! [`DurabilityError::NoWal`]: crate::wal::DurabilityError::NoWal
-//! [`DurabilityError::Wal`]: crate::wal::DurabilityError::Wal
 
 use std::fmt;
 
@@ -54,9 +42,11 @@ use crate::ops::{StoreOp, StoreResp};
 use crate::wal::DurabilityClass;
 
 /// Sentinel retry budget: "retry until the topology publishes, waiting if
-/// needed" — the legacy in-process semantics. [`Client::request`] routes
-/// requests carrying this budget through the (blocking) waiting arm; any
-/// finite budget takes the non-blocking bounded arms. The wire front-end
+/// needed" — the waiting arm. [`Client::request`] routes requests carrying
+/// this budget through it (blocking: each round waits, so the 4e9 rounds
+/// it pays for are never spent), and any finite budget through the
+/// non-blocking bounded arms; handed to a bounded arm directly it is that
+/// arm's step bound like any other. The wire front-end
 /// always clamps budgets to a finite value, so no reactor thread ever
 /// waits.
 ///
@@ -113,30 +103,30 @@ pub struct Request {
     /// The claimed progress tier (see [`TierCredential`]).
     pub credential: TierCredential,
     /// WAL durability class the commit's effect frames carry.
-    /// [`DurabilityClass::Sync`] additionally makes the response wait for
-    /// the covering fsync — VIP-only, exactly as
-    /// [`Client::execute_durable`](crate::store::Client::execute_durable).
+    /// [`DurabilityClass::Sync`] additionally makes
+    /// [`Client::request`](crate::store::Client::request) wait for the
+    /// covering fsync — VIP-only.
     pub durability: DurabilityClass,
     /// Relative patience in milliseconds, measured from dispatch; `None`
-    /// means no deadline. Enforced by the **bounded** arms (between `Moved`
-    /// retries) and by the wire front-end (a request that out-waits its
-    /// deadline in a backpressure queue is shed before dispatch); expiry
-    /// surfaces as the typed [`StoreError::DeadlineExceeded`]. The legacy
-    /// waiting arm (`retry_budget == UNBOUNDED_RETRIES`) bounds its waits
-    /// with the store-wide `view_wait_timeout` instead.
+    /// means no deadline. Enforced at every `Moved` re-plan boundary and
+    /// by the wire front-end (a request that out-waits its deadline in a
+    /// backpressure queue is shed before dispatch); expiry surfaces as
+    /// the typed [`StoreError::DeadlineExceeded`]. The waiting arm
+    /// (`retry_budget == UNBOUNDED_RETRIES`) checks it at the same
+    /// boundaries, after each of its bounded waits for a topology.
     pub deadline_ms: Option<u32>,
     /// How many `Moved` re-plan rounds the request will pay for before the
     /// remaining operations come back
     /// [`StoreError::RetryBudgetExhausted`]. Finite budgets make the VIP
     /// arm *bounded* wait-free end to end — the budget is the a-priori
-    /// step bound. [`UNBOUNDED_RETRIES`] selects the legacy waiting arm.
+    /// step bound. [`UNBOUNDED_RETRIES`] selects the waiting arm.
     pub retry_budget: u32,
 }
 
 impl Request {
     /// A guest-tier, group-durability request with unbounded retries — the
-    /// legacy `execute` semantics. Chain the builder methods to tighten
-    /// the terms.
+    /// waiting arm, which is what `Client::execute` sends. Chain the
+    /// builder methods to tighten the terms.
     pub fn new(ops: Vec<StoreOp>) -> Request {
         Request {
             ops,
@@ -190,24 +180,6 @@ impl Response {
     /// True when every operation succeeded.
     pub fn is_ok(&self) -> bool {
         self.results.iter().all(|r| r.is_ok())
-    }
-
-    /// Degrades the envelope back to the legacy `Vec<StoreResp>` shape the
-    /// thin wrappers still expose: `Moved` and `Unavailable` errors map to
-    /// their historical response variants; the envelope-only errors
-    /// (`GuestTier`, `RetryBudgetExhausted`, `Corrupt`) degrade to
-    /// [`StoreResp::Unavailable`] — the legacy vocabulary's closest
-    /// "nothing applied / not acknowledged" shape.
-    pub fn into_legacy(self) -> Vec<StoreResp> {
-        self.results
-            .into_iter()
-            .map(|r| match r {
-                Ok(resp) => resp,
-                Err(StoreError::Moved { epoch }) => StoreResp::Moved { epoch },
-                Err(StoreError::Unavailable { version }) => StoreResp::Unavailable { version },
-                Err(_) => StoreResp::Unavailable { version: 0 },
-            })
-            .collect()
     }
 }
 
@@ -325,28 +297,7 @@ mod tests {
     }
 
     #[test]
-    fn legacy_degradation_keeps_moved_and_unavailable() {
-        let resp = Response {
-            results: vec![
-                Ok(StoreResp::Value(Some(7))),
-                Err(StoreError::Moved { epoch: 2 }),
-                Err(StoreError::Unavailable { version: 5 }),
-                Err(StoreError::GuestTier),
-            ],
-        };
-        assert_eq!(
-            resp.into_legacy(),
-            vec![
-                StoreResp::Value(Some(7)),
-                StoreResp::Moved { epoch: 2 },
-                StoreResp::Unavailable { version: 5 },
-                StoreResp::Unavailable { version: 0 },
-            ]
-        );
-    }
-
-    #[test]
-    fn request_builder_defaults_are_legacy_semantics() {
+    fn request_builder_defaults_are_the_waiting_arm() {
         let req = Request::new(vec![StoreOp::Get("k".into())]);
         assert_eq!(req.credential, TierCredential::Guest);
         assert_eq!(req.retry_budget, UNBOUNDED_RETRIES);

@@ -73,8 +73,8 @@
 //!     StoreOp::Get("user/1".into()),
 //!     StoreOp::Cas { key: "user/2".into(), expect: Some(20), new: 21 },
 //! ]);
-//! assert_eq!(resps[0], StoreResp::Value(Some(10)));
-//! assert_eq!(resps[1], StoreResp::Cas { ok: true, actual: Some(20) });
+//! assert_eq!(resps[0], Ok(StoreResp::Value(Some(10))));
+//! assert_eq!(resps[1], Ok(StoreResp::Cas { ok: true, actual: Some(20) }));
 //!
 //! // Wait-free store-wide stats (never touches the consensus log).
 //! let digests = store.snapshot_stats();
@@ -91,6 +91,7 @@ pub mod metrics;
 pub mod model;
 pub mod ops;
 pub mod persist;
+mod replan;
 pub mod router;
 pub mod store;
 pub mod wal;
@@ -112,5 +113,5 @@ pub use router::{
     BatchPlan, BatchReassembly, MergeError, ShardTopology, TopoNode, TopoRecord, TopologyError,
 };
 pub use store::{Client, ShardDigest, ShardLog, SplitError, Store, StoreBuilder};
-pub use wal::{DurabilityClass, DurabilityError, Wal, WalConfig, WalFrame, WalRecovery};
+pub use wal::{DurabilityClass, Wal, WalConfig, WalFrame, WalRecovery};
 pub use workload::Scenario;

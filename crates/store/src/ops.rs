@@ -97,24 +97,13 @@ pub enum StoreResp {
     Entries(Vec<(Key, u64)>),
     /// The shard split after this op's batch was planned: nothing was
     /// applied; re-plan against a topology of at least `epoch` and retry.
-    /// Client sessions resolve this internally
-    /// ([`Client::execute`](crate::store::Client::execute)); callers only
-    /// see it when driving sub-batches by hand.
+    /// This is the shard's answer at the linearization point; client
+    /// sessions re-plan it away (every `Client::request*` arm), so callers
+    /// only see it when driving sub-batches by hand.
     Moved {
         /// The rejecting shard's split epoch (the minimum topology version
         /// that routes correctly for it).
         epoch: u64,
-    },
-    /// The operation could not be placed: a reconfiguration bounced it
-    /// ([`StoreResp::Moved`]) and the required topology was never
-    /// published within the store's view-wait bound — the reconfiguration
-    /// driver likely died between installing its bump and publishing.
-    /// Nothing was applied for this operation; retrying is safe once the
-    /// topology recovers. This is the typed, non-panicking surface of what
-    /// used to be a client-thread abort.
-    Unavailable {
-        /// The topology version the retry loop was waiting for.
-        version: u64,
     },
 }
 

@@ -72,8 +72,12 @@ use crate::metrics::{elapsed_ns, StoreMetrics};
 use crate::ops::{
     read_batch, AdoptSpec, Batch, MergeSpec, ShardCmd, ShardState, SplitSpec, StoreOp, StoreResp,
 };
+use crate::replan::{Input, Replan, Transition};
 use crate::router::{MergeError, ShardTopology};
-use crate::wal::{DurabilityClass, DurabilityError, Wal, WalFrame};
+use crate::wal::{DurabilityClass, Wal, WalFrame};
+
+/// How long the waiting arm waits for a bumped topology to publish.
+const VIEW_WAIT: Duration = Duration::from_secs(60);
 
 /// The universal-object type backing one shard.
 pub type ShardLog = Universal<crate::ops::ShardSpec, AsymmetricFactory>;
@@ -183,7 +187,6 @@ pub struct StoreBuilder {
     admission: AdmissionConfig,
     checkpoint_every: Option<u64>,
     elastic: Option<ElasticityPolicy>,
-    view_wait: Duration,
 }
 
 impl Default for StoreBuilder {
@@ -193,7 +196,6 @@ impl Default for StoreBuilder {
             admission: AdmissionConfig::default(),
             checkpoint_every: None,
             elastic: None,
-            view_wait: Duration::from_secs(60),
         }
     }
 }
@@ -263,18 +265,6 @@ impl StoreBuilder {
         self
     }
 
-    /// Bounds how long a client's `Moved` retry waits for a bumped
-    /// topology to publish (default 60s). If the reconfiguration driver
-    /// dies between installing its bump and publishing the view, affected
-    /// operations degrade to the typed
-    /// [`StoreResp::Unavailable`]
-    /// response once the bound expires — the client thread is never
-    /// aborted.
-    pub fn view_wait_timeout(mut self, timeout: Duration) -> Self {
-        self.view_wait = timeout;
-        self
-    }
-
     /// Builds the store: admission layer, topology, and `S` shard logs with
     /// their port pools and stats snapshots.
     ///
@@ -289,7 +279,7 @@ impl StoreBuilder {
     /// Builds the store with an op-granular [`Wal`] attached: every commit
     /// logs its resolved effects between checkpoints, closing the
     /// since-last-snapshot crash window, and VIP sessions may opt into
-    /// synchronous durability ([`Client::execute_durable`]). Pair the
+    /// synchronous durability ([`DurabilityClass::Sync`]). Pair the
     /// store with [`Persister::with_wal`](crate::persist::Persister::with_wal)
     /// so checkpoint seals rotate and truncate the log, and recover with
     /// [`StoreBuilder::recover_with_wal`].
@@ -431,7 +421,6 @@ impl StoreBuilder {
             total_commits: AtomicU64::new(0),
             metrics: StoreMetrics::new(),
             wal,
-            view_wait: self.view_wait,
         };
         // The boot-time replay-work gauge: ~0 for a fresh build, O(delta)
         // past the anchors when recovering. Uncontended here — the store
@@ -507,11 +496,8 @@ pub struct Store {
     /// The op-granular WAL, if attached ([`StoreBuilder::build_with_wal`]
     /// / [`StoreBuilder::recover_with_wal`]): every commit logs its
     /// resolved effects, and VIP sessions may demand fsync'd durability
-    /// ([`Client::execute_durable`]).
+    /// ([`DurabilityClass::Sync`]).
     wal: Option<Arc<Wal>>,
-    /// Bound on a client's wait for a bumped-but-unpublished topology
-    /// before degrading to [`StoreResp::Unavailable`].
-    view_wait: Duration,
 }
 
 impl Store {
@@ -546,30 +532,42 @@ impl Store {
         self.view.load().expect("the view is initialized and never cleared")
     }
 
-    /// Waits for a view of at least `min_version`: the topology a `Moved`
-    /// rejection pointed at. The split/merge driver publishes it right
-    /// after installing the bump, so the wait is normally bounded by the
+    /// The bounded arms' view source: the current view if the topology a
+    /// `Moved` rejection pointed at is published, [`Input::NotYet`] if not
+    /// — one wait-free load, never a wait.
+    #[progress(wait_free)]
+    fn view_published(&self, min_version: u64) -> Result<Arc<StoreView>, Input> {
+        let view = self.current_view();
+        if view.topology.version() >= min_version {
+            Ok(view)
+        } else {
+            Err(Input::NotYet)
+        }
+    }
+
+    /// The waiting arm's view source: waits for a view of at least
+    /// `min_version`. The split/merge driver publishes it right after
+    /// installing the bump, so the wait is normally bounded by the
     /// driver's remaining migration work (microseconds in practice) and
     /// the first few yield-only spins catch it.
     ///
-    /// The wait is **bounded** (`StoreBuilder::view_wait_timeout`): a
-    /// yield, then exponential backoff sleeps capped at 1ms, until the
-    /// deadline. `None` past the deadline means the reconfiguration
+    /// The wait is **bounded** ([`VIEW_WAIT`]): a yield, then exponential
+    /// backoff sleeps capped at 1ms, until the deadline.
+    /// [`Input::Never`] past the deadline means the reconfiguration
     /// driver died between installing its bump and publishing the
-    /// topology (the store's one cross-thread obligation); the caller
-    /// surfaces that as the typed [`StoreResp::Unavailable`] instead of
+    /// topology (the store's one cross-thread obligation); the engine
+    /// turns that into the typed [`StoreError::Unavailable`] instead of
     /// aborting the client thread.
     #[progress(blocking)]
-    fn view_at_least(&self, min_version: u64) -> Option<Arc<StoreView>> {
-        let deadline = std::time::Instant::now() + self.view_wait;
+    fn view_at_least(&self, min_version: u64) -> Result<Arc<StoreView>, Input> {
+        let deadline = std::time::Instant::now() + VIEW_WAIT;
         let mut backoff_ns: u64 = 0;
         loop {
-            let view = self.current_view();
-            if view.topology.version() >= min_version {
-                return Some(view);
+            if let Ok(view) = self.view_published(min_version) {
+                return Ok(view);
             }
             if std::time::Instant::now() >= deadline {
-                return None;
+                return Err(Input::Never);
             }
             if backoff_ns == 0 {
                 std::thread::yield_now();
@@ -962,25 +960,6 @@ impl Store {
             .sum()
     }
 
-    /// Commits `batch` on `shard` through `port`, dispatching on the port's
-    /// tier so each tier's progress class is its own auditable function:
-    /// [`Store::commit_vip`] (bounded wait-free) never runs the elasticity
-    /// tick; [`Store::commit_guest`] (obstruction-free) carries it.
-    fn commit(
-        &self,
-        shard: &Shard,
-        shard_id: usize,
-        port: usize,
-        batch: Batch,
-        durability: DurabilityClass,
-    ) -> Vec<StoreResp> {
-        if port < self.admission.spec().x() {
-            self.commit_vip(shard, shard_id, port, batch, durability)
-        } else {
-            self.commit_guest(shard, shard_id, port, batch, durability)
-        }
-    }
-
     /// A VIP-tier commit: one universal-log append through the client's
     /// exclusively-owned port plus a digest publication, in a bounded
     /// number of the caller's own steps. The cadence clock still advances
@@ -1107,7 +1086,7 @@ impl Store {
             // per-shard linearization stamp. The enqueue is a bounded
             // encode-and-append into the group-commit buffer — fsync never
             // happens under a port lock; a VIP that wants it blocks in
-            // `Client::execute_durable`, after every lock is released.
+            // `Client::request`, after every lock is released.
             let effects = crate::wal::resolved_effects(&ops, &resps);
             if !effects.is_empty() {
                 // APC-LINT: allow(progress): durability is its own progress class (the module's thesis): logging an effect frame is a bounded buffer append under the WAL mutex, whose critical sections are all bounded memcpys — never an fsync
@@ -1178,18 +1157,17 @@ impl Store {
         }
     }
 
-    /// Plans and commits `ops` under `view`, one log append per touched
-    /// shard, returning responses in invocation order (stale sub-batches
-    /// come back as [`StoreResp::Moved`]).
+    /// Plans `ops` under `view` and commits one sub-batch per touched shard
+    /// through `commit_sub`, returning responses in invocation order (stale
+    /// sub-batches come back as [`StoreResp::Moved`]). The tier is the
+    /// closure's: each request arm's names its own commit fn inside the
+    /// arm's annotated body, which is where apc-lint reads the class.
     fn execute_in(
-        &self,
         view: &StoreView,
-        port: usize,
         ops: Vec<StoreOp>,
-        durability: DurabilityClass,
+        mut commit_sub: impl FnMut(&Shard, usize, Batch) -> Vec<StoreResp>,
     ) -> Vec<StoreResp> {
-        let plan = view.topology.plan(ops);
-        let (subs, reassembly) = plan.into_sub_batches();
+        let (subs, reassembly) = view.topology.plan(ops).into_sub_batches();
         let version = view.topology.version();
         let per_shard: Vec<Vec<StoreResp>> = subs
             .into_iter()
@@ -1198,77 +1176,40 @@ impl Store {
                 if sub.is_empty() {
                     Vec::new()
                 } else {
-                    self.commit(&view.shards[s], s, port, Batch::new(version, sub), durability)
+                    commit_sub(&view.shards[s], s, Batch::new(version, sub))
                 }
             })
             .collect();
         reassembly.reassemble(per_shard)
     }
 
-    /// The VIP-pinned twin of [`Store::execute_in`]: plans `ops` and
-    /// commits every sub-batch through [`Store::commit_vip`] directly, so
-    /// the whole planning-and-commit round is a bounded number of the
-    /// caller's own steps — the building block of the bounded request arm
-    /// ([`Client::request_vip`]). Only VIP ports may be passed here (the
-    /// caller's ticket enforces that).
-    #[progress(bounded_wait_free)]
-    fn execute_vip_in(
+    /// Drives `plan` to completion: the first round on the current view,
+    /// then — while the engine answers [`Transition::Retry`] — a view from
+    /// `seek_view` and another round over exactly the slots still bounced,
+    /// so an applied operation is never re-issued. `commit_sub` carries the
+    /// arm's tier ([`Store::execute_in`]), `seek_view` whether the arm waits
+    /// for a topology ([`Store::view_at_least`]) or not
+    /// ([`Store::view_published`]).
+    fn replan(
         &self,
-        view: &StoreView,
-        port: usize,
-        ops: Vec<StoreOp>,
-        durability: DurabilityClass,
-    ) -> Vec<StoreResp> {
-        let plan = view.topology.plan(ops);
-        let (subs, reassembly) = plan.into_sub_batches();
-        let version = view.topology.version();
-        let per_shard: Vec<Vec<StoreResp>> = subs
-            .into_iter()
-            .enumerate()
-            .map(|(s, sub)| {
-                if sub.is_empty() {
-                    Vec::new()
-                } else {
-                    self.commit_vip(&view.shards[s], s, port, Batch::new(version, sub), durability)
+        mut plan: Replan,
+        mut commit_sub: impl FnMut(&Shard, usize, Batch) -> Vec<StoreResp>,
+        mut seek_view: impl FnMut(u64) -> Result<Arc<StoreView>, Input>,
+    ) -> Vec<Response> {
+        let started = std::time::Instant::now();
+        let mut view = Ok(self.current_view());
+        loop {
+            let input = match view {
+                Ok(view) => {
+                    Input::Landed(Store::execute_in(&view, plan.due_ops(), &mut commit_sub))
                 }
-            })
-            .collect();
-        reassembly.reassemble(per_shard)
-    }
-
-    /// The guest-pinned twin of [`Store::execute_in`]: every sub-batch
-    /// commits through [`Store::commit_guest`] (queued behind the shared
-    /// port, carrying the elasticity tick) — the building block of the
-    /// non-blocking guest request arm ([`Client::request_guest`]).
-    #[progress(obstruction_free)]
-    fn execute_guest_in(
-        &self,
-        view: &StoreView,
-        port: usize,
-        ops: Vec<StoreOp>,
-        durability: DurabilityClass,
-    ) -> Vec<StoreResp> {
-        let plan = view.topology.plan(ops);
-        let (subs, reassembly) = plan.into_sub_batches();
-        let version = view.topology.version();
-        let per_shard: Vec<Vec<StoreResp>> = subs
-            .into_iter()
-            .enumerate()
-            .map(|(s, sub)| {
-                if sub.is_empty() {
-                    Vec::new()
-                } else {
-                    self.commit_guest(
-                        &view.shards[s],
-                        s,
-                        port,
-                        Batch::new(version, sub),
-                        durability,
-                    )
-                }
-            })
-            .collect();
-        reassembly.reassemble(per_shard)
+                Err(unpublished) => unpublished,
+            };
+            match plan.advance(input, started.elapsed()) {
+                Transition::Retry { need } => view = seek_view(need),
+                Transition::Done => return plan.into_responses(),
+            }
+        }
     }
 
     /// The attached op-granular WAL, if any.
@@ -1331,10 +1272,9 @@ impl Client<'_> {
     ///
     /// Routing, by the envelope's terms:
     ///
-    /// * `retry_budget == `[`UNBOUNDED_RETRIES`] — the legacy **waiting
-    ///   arm**: `Moved` retries wait (bounded by the store-wide
-    ///   `view_wait_timeout`) for the re-planned topology to publish; this
-    ///   is what [`Client::execute`] wraps.
+    /// * `retry_budget == `[`UNBOUNDED_RETRIES`] — the **waiting arm**:
+    ///   `Moved` retries wait (bounded, 60 s) for the re-planned topology
+    ///   to publish; this is what [`Client::execute`] wraps.
     /// * finite `retry_budget` — the **non-blocking bounded arms**
     ///   ([`Client::request_vip`] / [`Client::request_guest`]): no waits
     ///   anywhere; a spent budget or deadline surfaces as the typed
@@ -1349,47 +1289,40 @@ impl Client<'_> {
     /// claims more than the session's admission is refused with
     /// [`StoreError::GuestTier`] on every operation.
     pub fn request(&mut self, req: Request) -> Response {
-        let sync = matches!(req.durability, DurabilityClass::Sync);
-        let mut resp = self.request_unsynced(req);
+        let vip = matches!(self.ticket.class(), ProgressClass::Vip);
+        // A guest's `Sync` is its arm's to refuse: nothing to wait for.
+        let sync = vip && matches!(req.durability, DurabilityClass::Sync);
+        if sync && self.store.wal().is_none() {
+            return Response::fail_all(req.ops.len(), StoreError::Unavailable { version: 0 });
+        }
+        let mut resp = if req.retry_budget == UNBOUNDED_RETRIES {
+            self.request_waiting(req)
+        } else if vip {
+            self.request_vip(req)
+        } else {
+            self.request_guest(req)
+        };
         if sync {
             self.await_durability(&mut resp);
         }
         resp
     }
 
-    /// [`Client::request`] minus the synchronous-durability wait: the
-    /// shared dispatcher for the public entry point and the legacy
-    /// `execute_durable` wrapper (which performs its own fsync so it can
-    /// keep returning the historical [`DurabilityError`]).
-    fn request_unsynced(&mut self, req: Request) -> Response {
-        // Over-claim gate: in process, the admission ticket is the
-        // authority; the credential may only restate (or understate) it.
-        if req.credential.class() == ProgressClass::Vip
-            && !matches!(self.ticket.class(), ProgressClass::Vip)
-        {
-            return Response::fail_all(req.ops.len(), StoreError::GuestTier);
+    /// Why the guest arm refuses `req`, if it does: it serves guest
+    /// tickets only, and synchronous durability and a VIP credential are
+    /// both claims a guest ticket cannot back.
+    #[progress(wait_free)]
+    fn guest_refusal(&self, req: &Request) -> Option<StoreError> {
+        if self.ticket.class() != ProgressClass::Guest {
+            return Some(StoreError::GuestTier);
         }
-        // Synchronous durability is VIP-only and needs a WAL — gate once,
-        // for every arm.
         if matches!(req.durability, DurabilityClass::Sync) {
-            if !matches!(self.ticket.class(), ProgressClass::Vip) {
-                if let Some(wal) = self.store.wal() {
-                    wal.metrics().record_sync_denied();
-                }
-                return Response::fail_all(req.ops.len(), StoreError::GuestTier);
+            if let Some(wal) = self.store.wal() {
+                wal.metrics().record_sync_denied();
             }
-            if self.store.wal().is_none() {
-                return Response::fail_all(req.ops.len(), StoreError::Unavailable { version: 0 });
-            }
+            return Some(StoreError::GuestTier);
         }
-        if req.retry_budget == UNBOUNDED_RETRIES {
-            let Request { ops, durability, .. } = req;
-            return self.request_waiting(ops, durability);
-        }
-        match self.ticket.class() {
-            ProgressClass::Vip => self.request_vip(req),
-            ProgressClass::Guest => self.request_guest(req),
-        }
+        (req.credential.class() == ProgressClass::Vip).then_some(StoreError::GuestTier)
     }
 
     /// The **bounded VIP arm**: executes the envelope in a bounded number
@@ -1406,7 +1339,9 @@ impl Client<'_> {
     ///
     /// This is the arm the `apc-net` reactor pins with `apc-lint`: the
     /// wire front-end's VIP dispatch must stay on it, so no guest flood —
-    /// and no reconfiguration — can make a VIP connection wait.
+    /// and no reconfiguration — can make a VIP connection wait. The
+    /// closures below are part of this body: one that named `commit_guest`
+    /// or `view_at_least` would be a `progress` finding against this fn.
     ///
     /// Synchronous durability note: this arm stamps WAL frames with the
     /// requested class but never performs the (blocking) fsync wait
@@ -1414,137 +1349,27 @@ impl Client<'_> {
     /// the sync acknowledgment must use [`Client::request`].
     #[progress(bounded_wait_free)]
     pub fn request_vip(&mut self, req: Request) -> Response {
-        if !matches!(self.ticket.class(), ProgressClass::Vip) {
-            return Response::fail_all(req.ops.len(), StoreError::GuestTier);
-        }
-        let Request { ops, durability, deadline_ms, retry_budget, .. } = req;
-        let started = std::time::Instant::now();
-        let port = self.ticket.port();
-        let view = self.store.current_view();
-        let first = self.store.execute_vip_in(&view, port, ops.clone(), durability);
-        let mut results: Vec<Result<StoreResp, StoreError>> = first.into_iter().map(Ok).collect();
-        let mut budget = retry_budget;
-        loop {
-            let moved: Vec<(usize, u64)> = results
-                .iter()
-                .enumerate()
-                .filter_map(|(i, r)| match r {
-                    Ok(StoreResp::Moved { epoch }) => Some((i, *epoch)),
-                    _ => None,
-                })
-                .collect();
-            if moved.is_empty() {
-                return Response { results };
-            }
-            let expired = deadline_ms.is_some_and(|ms| {
-                started.elapsed() >= std::time::Duration::from_millis(u64::from(ms))
-            });
-            // A passed deadline outranks remaining budget: the caller's
-            // *time* ran out, which is actionable differently from the
-            // store's backpressure (don't re-send with the same deadline).
-            if expired {
-                for &(slot, _) in &moved {
-                    results[slot] =
-                        Err(StoreError::DeadlineExceeded { deadline_ms: deadline_ms.unwrap_or(0) });
-                }
-                return Response { results };
-            }
-            if budget == 0 {
-                for &(slot, _) in &moved {
-                    results[slot] = Err(StoreError::RetryBudgetExhausted { budget: retry_budget });
-                }
-                return Response { results };
-            }
-            budget -= 1;
-            let Some(need) = moved.iter().map(|&(_, e)| e).max() else {
-                return Response { results }; // moved is non-empty here; total anyway
-            };
-            let view = self.store.current_view();
-            if view.topology.version() < need {
-                continue; // not yet published: spend one budget unit, re-check
-            }
-            let retry: Vec<StoreOp> =
-                moved.iter().filter_map(|&(i, _)| ops.get(i).cloned()).collect();
-            let retried = self.store.execute_vip_in(&view, port, retry, durability);
-            for (&(slot, _), resp) in moved.iter().zip(retried) {
-                results[slot] = Ok(resp);
-            }
-        }
+        let refusal = (self.ticket.class() != ProgressClass::Vip).then_some(StoreError::GuestTier);
+        let (port, durability) = (self.ticket.port(), req.durability);
+        only(self.store.replan(
+            Replan::new([(req, refusal)]),
+            |shard, s, batch| self.store.commit_vip(shard, s, port, batch, durability),
+            |need| self.store.view_published(need),
+        ))
     }
 
-    /// The **bounded guest arm**: the obstruction-free twin of
-    /// [`Client::request_vip`] — commits queue behind the shared guest
-    /// port (`Store::commit_guest`, which also carries the elasticity
-    /// tick), but the `Moved` re-plan loop is the same non-waiting,
-    /// budget-bounded round: backpressure surfaces as the typed
-    /// [`StoreError::RetryBudgetExhausted`] instead of a wait. Guests may
-    /// never stamp synchronous durability
-    /// ([`StoreError::GuestTier`]).
+    /// The **bounded guest arm**: [`Client::request_guest_many`] with one
+    /// envelope.
     #[progress(obstruction_free)]
     pub fn request_guest(&mut self, req: Request) -> Response {
-        if !matches!(self.ticket.class(), ProgressClass::Guest) {
-            return Response::fail_all(req.ops.len(), StoreError::GuestTier);
-        }
-        if matches!(req.durability, DurabilityClass::Sync) {
-            if let Some(wal) = self.store.wal() {
-                wal.metrics().record_sync_denied();
-            }
-            return Response::fail_all(req.ops.len(), StoreError::GuestTier);
-        }
-        let Request { ops, durability, deadline_ms, retry_budget, .. } = req;
-        let started = std::time::Instant::now();
-        let port = self.ticket.port();
-        let view = self.store.current_view();
-        let first = self.store.execute_guest_in(&view, port, ops.clone(), durability);
-        let mut results: Vec<Result<StoreResp, StoreError>> = first.into_iter().map(Ok).collect();
-        let mut budget = retry_budget;
-        loop {
-            let moved: Vec<(usize, u64)> = results
-                .iter()
-                .enumerate()
-                .filter_map(|(i, r)| match r {
-                    Ok(StoreResp::Moved { epoch }) => Some((i, *epoch)),
-                    _ => None,
-                })
-                .collect();
-            if moved.is_empty() {
-                return Response { results };
-            }
-            let expired = deadline_ms.is_some_and(|ms| {
-                started.elapsed() >= std::time::Duration::from_millis(u64::from(ms))
-            });
-            // Same precedence as the VIP arm: time-out before budget-out.
-            if expired {
-                for &(slot, _) in &moved {
-                    results[slot] =
-                        Err(StoreError::DeadlineExceeded { deadline_ms: deadline_ms.unwrap_or(0) });
-                }
-                return Response { results };
-            }
-            if budget == 0 {
-                for &(slot, _) in &moved {
-                    results[slot] = Err(StoreError::RetryBudgetExhausted { budget: retry_budget });
-                }
-                return Response { results };
-            }
-            budget -= 1;
-            let Some(need) = moved.iter().map(|&(_, e)| e).max() else {
-                return Response { results }; // moved is non-empty here; total anyway
-            };
-            let view = self.store.current_view();
-            if view.topology.version() < need {
-                continue; // not yet published: spend one budget unit, re-check
-            }
-            let retry: Vec<StoreOp> =
-                moved.iter().filter_map(|&(i, _)| ops.get(i).cloned()).collect();
-            let retried = self.store.execute_guest_in(&view, port, retry, durability);
-            for (&(slot, _), resp) in moved.iter().zip(retried) {
-                results[slot] = Ok(resp);
-            }
-        }
+        only(self.request_guest_many(vec![req]))
     }
 
-    /// The **coalesced guest arm**: executes many guest envelopes as one
+    /// The **coalesced guest arm**, the obstruction-free twin of
+    /// [`Client::request_vip`]: commits queue behind the shared guest
+    /// port (`Store::commit_guest`, which also carries the elasticity
+    /// tick), the `Moved` re-plan loop is the same non-waiting,
+    /// budget-bounded round, and many guest envelopes execute as one
     /// planning-and-commit round — the combined operation list is planned
     /// once and costs ~one log append per touched shard for the *whole
     /// batch*, instead of one per envelope — while preserving every
@@ -1563,151 +1388,54 @@ impl Client<'_> {
     ///   [`StoreError::DeadlineExceeded`];
     /// * envelopes the guest tier must refuse (synchronous durability, a
     ///   VIP over-claim) are refused individually with
-    ///   [`StoreError::GuestTier`], exactly as [`Client::request_guest`]
-    ///   would — they do not poison their batch-mates.
+    ///   [`StoreError::GuestTier`] — they do not poison their batch-mates.
     ///
     /// Responses come back in envelope order, each with its results in
     /// invocation order: observationally equivalent to dispatching the
     /// envelopes one at a time, in order, on this session.
     #[progress(obstruction_free)]
     pub fn request_guest_many(&mut self, reqs: Vec<Request>) -> Vec<Response> {
-        if !matches!(self.ticket.class(), ProgressClass::Guest) {
-            return reqs
-                .iter()
-                .map(|r| Response::fail_all(r.ops.len(), StoreError::GuestTier))
-                .collect();
-        }
-        let started = std::time::Instant::now();
         let port = self.ticket.port();
-        // Build the combined operation list; `owner[i]` names the
-        // envelope that contributed combined slot `i`. Envelopes the
-        // guest tier refuses get their response up front and contribute
-        // no slots.
-        let mut out: Vec<Response> =
-            reqs.iter().map(|r| Response { results: Vec::with_capacity(r.ops.len()) }).collect();
-        let mut combined: Vec<StoreOp> = Vec::new();
-        let mut owner: Vec<usize> = Vec::new();
-        for (e, req) in reqs.iter().enumerate() {
-            if matches!(req.durability, DurabilityClass::Sync) {
-                if let Some(wal) = self.store.wal() {
-                    wal.metrics().record_sync_denied();
-                }
-                out[e] = Response::fail_all(req.ops.len(), StoreError::GuestTier);
-                continue;
-            }
-            if req.credential.class() == ProgressClass::Vip {
-                out[e] = Response::fail_all(req.ops.len(), StoreError::GuestTier);
-                continue;
-            }
-            for op in &req.ops {
-                combined.push(op.clone());
-                owner.push(e);
-            }
-        }
-        if combined.is_empty() {
-            return out;
-        }
-        let view = self.store.current_view();
-        let first =
-            self.store.execute_guest_in(&view, port, combined.clone(), DurabilityClass::Group);
-        let mut results: Vec<Result<StoreResp, StoreError>> = first.into_iter().map(Ok).collect();
-        let mut budgets: Vec<u32> = reqs.iter().map(|r| r.retry_budget).collect();
-        loop {
-            let moved: Vec<(usize, u64)> = results
-                .iter()
-                .enumerate()
-                .filter_map(|(i, r)| match r {
-                    Ok(StoreResp::Moved { epoch }) => Some((i, *epoch)),
-                    _ => None,
-                })
-                .collect();
-            if moved.is_empty() {
-                break;
-            }
-            // Settle each bounced slot against its own envelope's terms —
-            // the same precedence as the single-envelope arm (time-out
-            // before budget-out) — and keep only the slots whose envelope
-            // still has both budget and time.
-            let mut retry_slots: Vec<(usize, u64)> = Vec::new();
-            let mut charged: Vec<bool> = vec![false; reqs.len()];
-            for &(slot, epoch) in &moved {
-                let e = match owner.get(slot) {
-                    Some(&e) => e,
-                    None => continue, // unreachable: owner is slot-aligned
-                };
-                let deadline_ms = reqs.get(e).and_then(|r| r.deadline_ms);
-                let expired = deadline_ms.is_some_and(|ms| {
-                    started.elapsed() >= std::time::Duration::from_millis(u64::from(ms))
-                });
-                if expired {
-                    results[slot] =
-                        Err(StoreError::DeadlineExceeded { deadline_ms: deadline_ms.unwrap_or(0) });
-                } else if budgets.get(e).copied().unwrap_or(0) == 0 {
-                    results[slot] = Err(StoreError::RetryBudgetExhausted {
-                        budget: reqs.get(e).map_or(0, |r| r.retry_budget),
-                    });
-                } else {
-                    retry_slots.push((slot, epoch));
-                    charged[e] = true;
-                }
-            }
-            if retry_slots.is_empty() {
-                break;
-            }
-            for (e, hit) in charged.iter().enumerate() {
-                if *hit {
-                    budgets[e] = budgets[e].saturating_sub(1);
-                }
-            }
-            let Some(need) = retry_slots.iter().map(|&(_, e)| e).max() else {
-                break; // retry_slots is non-empty here; total anyway
-            };
-            let view = self.store.current_view();
-            if view.topology.version() < need {
-                continue; // not yet published: each waiting envelope spent one unit
-            }
-            let retry: Vec<StoreOp> =
-                retry_slots.iter().filter_map(|&(i, _)| combined.get(i).cloned()).collect();
-            let retried = self.store.execute_guest_in(&view, port, retry, DurabilityClass::Group);
-            for (&(slot, _), resp) in retry_slots.iter().zip(retried) {
-                results[slot] = Ok(resp);
-            }
-        }
-        // Demultiplex: combined slots were appended envelope-by-envelope
-        // in order, so sequential pushes restore each envelope's results
-        // in invocation order.
-        for (slot, r) in results.into_iter().enumerate() {
-            if let Some(&e) = owner.get(slot) {
-                out[e].results.push(r);
-            }
-        }
-        out
+        let envelopes = reqs.into_iter().map(|req| {
+            let refusal = self.guest_refusal(&req);
+            (req, refusal)
+        });
+        self.store.replan(
+            Replan::new(envelopes),
+            |shard, s, batch| {
+                self.store.commit_guest(shard, s, port, batch, DurabilityClass::Group)
+            },
+            |need| self.store.view_published(need),
+        )
     }
 
-    /// The **waiting arm** (legacy semantics): `Moved` retries wait —
-    /// bounded by `view_wait_timeout` — for the re-planned topology, and
-    /// a publish that never comes degrades to
-    /// [`StoreError::Unavailable`].
+    /// The **waiting arm**: `Moved` retries wait — bounded, see
+    /// [`Store::view_at_least`] — for the re-planned topology, and a
+    /// publish that never comes degrades to [`StoreError::Unavailable`].
+    /// Commits go through the session's own tier, and a guest session's
+    /// envelope is refused as its bounded arm would refuse it.
     #[progress(blocking)]
-    fn request_waiting(&mut self, ops: Vec<StoreOp>, durability: DurabilityClass) -> Response {
-        let resps = self.execute_with(ops, durability);
-        Response {
-            results: resps
-                .into_iter()
-                .map(|r| match r {
-                    StoreResp::Unavailable { version } => Err(StoreError::Unavailable { version }),
-                    StoreResp::Moved { epoch } => Err(StoreError::Moved { epoch }),
-                    ok => Ok(ok),
-                })
-                .collect(),
-        }
+    fn request_waiting(&mut self, req: Request) -> Response {
+        let (class, port, durability) = (self.ticket.class(), self.ticket.port(), req.durability);
+        let refusal = match class {
+            ProgressClass::Vip => None,
+            ProgressClass::Guest => self.guest_refusal(&req),
+        };
+        only(self.store.replan(
+            Replan::new([(req, refusal)]),
+            |shard, s, batch| match class {
+                ProgressClass::Vip => self.store.commit_vip(shard, s, port, batch, durability),
+                ProgressClass::Guest => self.store.commit_guest(shard, s, port, batch, durability),
+            },
+            |need| self.store.view_at_least(need),
+        ))
     }
 
     /// The synchronous-durability tail of [`Client::request`]: waits for
     /// the WAL flush covering the envelope's commits; a failed flush
     /// downgrades every applied operation to [`StoreError::Corrupt`] —
-    /// "applied but not durably acknowledged", the same contract as
-    /// [`Client::execute_durable`].
+    /// "applied but not durably acknowledged", the same contract as a
+    /// failed [`Persister::persist`](crate::persist::Persister::persist).
     #[progress(blocking)]
     fn await_durability(&mut self, resp: &mut Response) {
         let Some(wal) = self.store.wal() else { return }; // gated upstream; total anyway
@@ -1722,22 +1450,18 @@ impl Client<'_> {
     }
 
     /// Executes a batch of operations, one log append per touched shard,
-    /// returning responses in invocation order.
+    /// returning the envelope's per-operation results in invocation order.
     ///
-    /// A **thin wrapper** over [`Client::request`]: the envelope carries
-    /// this session's own credential, group durability, and an unbounded
-    /// retry budget (the waiting arm), then degrades the per-operation
-    /// `Result`s back to the legacy [`StoreResp`] vocabulary
-    /// ([`Response::into_legacy`]). New code should speak
-    /// [`Client::request`] directly.
+    /// Sugar over [`Client::request`]: the envelope carries this session's
+    /// own credential, group durability, and an unbounded retry budget
+    /// (the waiting arm).
     ///
     /// If a shard split between planning and commit, the affected
-    /// operations come back [`StoreResp::Moved`] from their old shard
-    /// (nothing applied); the envelope's retry loop transparently
-    /// re-plans exactly those operations against the newly published
-    /// topology and patches their responses in place — already-applied
-    /// operations are never re-issued, so nothing commits twice and
-    /// nothing is dropped.
+    /// operations bounce from their old shard (nothing applied); the
+    /// envelope's retry loop transparently re-plans exactly those
+    /// operations against the newly published topology and patches their
+    /// responses in place — already-applied operations are never
+    /// re-issued, so nothing commits twice and nothing is dropped.
     ///
     /// The class below is the **floor** over admitted tiers: a guest
     /// session shares its port, so its commits queue behind the port
@@ -1745,159 +1469,75 @@ impl Client<'_> {
     /// (`Store::commit_vip`) except across a concurrent reconfiguration,
     /// where the `Moved` retry waits (bounded) for the new topology to
     /// publish; past the bound those operations come back
-    /// [`StoreResp::Unavailable`] instead of hanging or aborting.
+    /// [`StoreError::Unavailable`] instead of hanging or aborting.
     #[progress(obstruction_free)]
-    pub fn execute(&mut self, ops: Vec<StoreOp>) -> Vec<StoreResp> {
+    pub fn execute(&mut self, ops: Vec<StoreOp>) -> Vec<Result<StoreResp, StoreError>> {
         let credential = self.credential();
-        self.request(Request::new(ops).credential(credential)).into_legacy()
+        self.request(Request::new(ops).credential(credential)).results
     }
 
-    /// Executes a batch under the VIP-only **synchronous durability
-    /// class**: on `Ok`, every effect of the batch is fsync'd into the
-    /// store's WAL and survives a kill at any later point — the
-    /// durability half of the paper's asymmetric guarantees. Guest
-    /// sessions are refused ([`DurabilityError::GuestTier`]): their
-    /// commits always ride the coalesced group flusher, exactly as their
-    /// progress class rides the shared ports.
-    ///
-    /// A **thin wrapper** over the [`Request`] envelope (durability
-    /// [`DurabilityClass::Sync`]), kept for its historical
-    /// [`DurabilityError`] signature; it performs the covering fsync
-    /// itself so the flush error arrives un-degraded. New code should use
-    /// [`Client::request`], where a failed flush surfaces as
-    /// [`StoreError::Corrupt`] per operation.
-    ///
-    /// The commit itself is applied in memory before the fsync wait, so
-    /// an `Err` after a partial flush failure means "applied but not
-    /// durably acknowledged" — the same contract as a failed
-    /// [`Persister::persist`](crate::persist::Persister::persist).
-    ///
-    /// # Errors
-    ///
-    /// [`DurabilityError::GuestTier`] for non-VIP sessions,
-    /// [`DurabilityError::NoWal`] if the store was built without a WAL,
-    /// [`DurabilityError::Wal`] if the covering flush failed.
-    #[progress(blocking)]
-    pub fn execute_durable(
-        &mut self,
-        ops: Vec<StoreOp>,
-    ) -> Result<Vec<StoreResp>, DurabilityError> {
-        let store = self.store;
-        if !matches!(self.ticket.class(), ProgressClass::Vip) {
-            if let Some(wal) = store.wal() {
-                wal.metrics().record_sync_denied();
-            }
-            return Err(DurabilityError::GuestTier);
-        }
-        let Some(wal) = store.wal() else {
-            return Err(DurabilityError::NoWal);
-        };
-        let credential = self.credential();
-        let req = Request::new(ops).credential(credential).durability(DurabilityClass::Sync);
-        let resps = self.request_unsynced(req).into_legacy();
-        wal.sync().map_err(DurabilityError::Wal)?;
-        Ok(resps)
-    }
-
-    /// The execute body, parameterized by the durability class its WAL
-    /// frames carry.
-    fn execute_with(&mut self, ops: Vec<StoreOp>, durability: DurabilityClass) -> Vec<StoreResp> {
-        let view = self.store.current_view();
-        let mut resps = self.store.execute_in(&view, self.ticket.port(), ops.clone(), durability);
-        loop {
-            let moved: Vec<(usize, u64)> = resps
-                .iter()
-                .enumerate()
-                .filter_map(|(i, r)| match r {
-                    StoreResp::Moved { epoch } => Some((i, *epoch)),
-                    _ => None,
-                })
-                .collect();
-            if moved.is_empty() {
-                return resps;
-            }
-            let Some(need) = moved.iter().map(|&(_, e)| e).max() else {
-                return resps; // moved is non-empty here; total anyway
-            };
-            let Some(view) = self.store.view_at_least(need) else {
-                // The bumped topology never published (dead reconfig
-                // driver): degrade the still-bounced slots to the typed
-                // response instead of crashing the client thread.
-                for &(slot, _) in &moved {
-                    resps[slot] = StoreResp::Unavailable { version: need };
-                }
-                return resps;
-            };
-            let retry: Vec<StoreOp> = moved.iter().map(|&(i, _)| ops[i].clone()).collect();
-            let retried = self.store.execute_in(&view, self.ticket.port(), retry, durability);
-            for (&(slot, _), resp) in moved.iter().zip(retried) {
-                resps[slot] = resp;
-            }
-        }
-    }
-
-    /// Executes one operation. Total by construction: one op in, one
-    /// response out; a shape mismatch (a store bug) degrades to
-    /// `Value(None)` rather than aborting the client thread.
-    fn execute_one(&mut self, op: StoreOp) -> StoreResp {
-        match self.execute(vec![op]).pop() {
-            Some(resp) => resp,
-            None => StoreResp::Value(None),
-        }
+    /// Executes one operation; `None` if it failed (see
+    /// [`Client::execute`] for the error).
+    fn execute_one(&mut self, op: StoreOp) -> Option<StoreResp> {
+        self.execute(vec![op]).pop()?.ok()
     }
 
     /// Reads `key`. `None` means absent — or, degenerately, that the
-    /// operation came back [`StoreResp::Unavailable`] (use
-    /// [`Client::execute`] to distinguish).
+    /// operation failed (use [`Client::execute`] to distinguish).
     #[progress(obstruction_free)]
     pub fn get(&mut self, key: &str) -> Option<u64> {
         match self.execute_one(StoreOp::Get(key.into())) {
-            StoreResp::Value(v) => v,
+            Some(StoreResp::Value(v)) => v,
             _ => None,
         }
     }
 
     /// Writes `key`, returning the previous value (`None` if absent or
-    /// unavailable — see [`Client::get`]).
+    /// failed — see [`Client::get`]).
     #[progress(obstruction_free)]
     pub fn put(&mut self, key: &str, value: u64) -> Option<u64> {
         match self.execute_one(StoreOp::Put(key.into(), value)) {
-            StoreResp::Value(v) => v,
+            Some(StoreResp::Value(v)) => v,
             _ => None,
         }
     }
 
     /// Removes `key`, returning the removed value (`None` if absent or
-    /// unavailable — see [`Client::get`]).
+    /// failed — see [`Client::get`]).
     #[progress(obstruction_free)]
     pub fn remove(&mut self, key: &str) -> Option<u64> {
         match self.execute_one(StoreOp::Remove(key.into())) {
-            StoreResp::Value(v) => v,
+            Some(StoreResp::Value(v)) => v,
             _ => None,
         }
     }
 
-    /// Compare-and-set on `key`; returns `(ok, actual)`. An unavailable
-    /// topology reads as a failed CAS with `actual: None` — nothing was
+    /// Compare-and-set on `key`; returns `(ok, actual)`. A failed
+    /// operation reads as a failed CAS with `actual: None` — nothing was
     /// applied (use [`Client::execute`] to distinguish).
     #[progress(obstruction_free)]
     pub fn cas(&mut self, key: &str, expect: Option<u64>, new: u64) -> (bool, Option<u64>) {
         match self.execute_one(StoreOp::Cas { key: key.into(), expect, new }) {
-            StoreResp::Cas { ok, actual } => (ok, actual),
+            Some(StoreResp::Cas { ok, actual }) => (ok, actual),
             _ => (false, None),
         }
     }
 
     /// Range scan over `[from, to)` merged across all shards, in key
-    /// order. An unavailable topology reads as an empty scan (use
+    /// order. A failed operation reads as an empty scan (use
     /// [`Client::execute`] to distinguish).
     #[progress(obstruction_free)]
     pub fn scan(&mut self, from: &str, to: &str) -> Vec<(String, u64)> {
         match self.execute_one(StoreOp::Scan { from: from.into(), to: to.into() }) {
-            StoreResp::Entries(entries) => entries,
+            Some(StoreResp::Entries(entries)) => entries,
             _ => Vec::new(),
         }
     }
+}
+
+/// The response of a one-envelope run.
+fn only(mut responses: Vec<Response>) -> Response {
+    responses.pop().unwrap_or(Response { results: Vec::new() })
 }
 
 impl fmt::Debug for Client<'_> {
@@ -1958,7 +1598,7 @@ mod tests {
         let ops: Vec<StoreOp> = (0..12).map(|i| StoreOp::Put(format!("k{i}"), i)).collect();
         let resps = c.execute(ops);
         assert_eq!(resps.len(), 12);
-        assert!(resps.iter().all(|r| *r == StoreResp::Value(None)));
+        assert!(resps.iter().all(|r| *r == Ok(StoreResp::Value(None))));
         let mut check = store.client(store.admit_guest());
         let all = check.scan("", "z");
         assert_eq!(all.len(), 12);
@@ -2647,30 +2287,26 @@ mod tests {
     }
 
     #[test]
-    fn request_guest_many_refuses_sync_envelopes_individually() {
+    fn every_guest_arm_refuses_sync_and_vip_claims_one_envelope_at_a_time() {
         let store = small_store(1);
         let mut c = store.client(store.admit_guest());
-        let got = c.request_guest_many(vec![
-            Request::new(vec![StoreOp::Put("s/a".into(), 1)]),
-            Request::new(vec![StoreOp::Put("s/b".into(), 2)]).durability(DurabilityClass::Sync),
-            Request::new(vec![StoreOp::Get("s/a".into())]),
-        ]);
-        assert_eq!(got[0].results, vec![Ok(StoreResp::Value(None))]);
-        assert_eq!(
-            got[1].results,
-            vec![Err(StoreError::GuestTier)],
-            "a Sync envelope is refused alone, not with its batch-mates"
-        );
-        assert_eq!(got[2].results, vec![Ok(StoreResp::Value(Some(1)))]);
-        assert_eq!(c.get("s/b"), None, "the refused envelope committed nothing");
-    }
-
-    #[test]
-    fn request_guest_many_requires_a_guest_session() {
-        let store = small_store(1);
+        let put = |k: &str| Request::new(vec![StoreOp::Put(k.into(), 1)]).retry_budget(4);
+        let refused = Response::fail_all(1, StoreError::GuestTier);
+        let claims: [fn(Request) -> Request; 2] = [
+            |r| r.durability(DurabilityClass::Sync),
+            |r| r.credential(TierCredential::Vip { token: 7 }),
+        ];
         let mut vip = store.client(store.admit_vip().unwrap());
-        let got = vip.request_guest_many(vec![Request::new(vec![StoreOp::Put("v".into(), 1)])]);
-        assert_eq!(got[0].results, vec![Err(StoreError::GuestTier)]);
+        assert_eq!(vip.request_guest_many(vec![put("v")]), vec![refused.clone()]);
+        assert_eq!(c.request_vip(put("v")), refused, "and neither session has the other's arm");
+        for claim in claims {
+            assert_eq!(c.request(claim(put("x"))), refused);
+            assert_eq!(c.request_guest(claim(put("x"))), refused, "the n = 1 fold");
+            let got = c.request_guest_many(vec![put("a"), claim(put("x")), put("a")]);
+            assert_eq!(got[1], refused, "refused alone, not with its batch-mates");
+            assert_eq!(got[2].results, vec![Ok(StoreResp::Value(Some(1)))], "which ran, in order");
+            assert_eq!(c.get("x"), None, "the refused envelope committed nothing");
+        }
     }
 
     /// Every port's replay cursor on every shard, `[shard][port]`.
@@ -2781,7 +2417,9 @@ mod tests {
         // The split driver absorbed its bump before it published, so the
         // reader's catch-up crosses it and the stale plan bounces whole.
         let gets: Vec<StoreOp> = keys.iter().cloned().map(StoreOp::Get).collect();
-        let resps = store.execute_vip_in(&stale, vip.port(), gets, DurabilityClass::Group);
+        let resps = Store::execute_in(&stale, gets, |shard, s, batch| {
+            store.commit_vip(shard, s, vip.port(), batch, DurabilityClass::Group)
+        });
         assert_eq!(resps, vec![StoreResp::Moved { epoch: 1 }; 16]);
         let fresh = c.request_vip(reads(&keys));
         let want: Vec<_> = (0..16).map(|i| Ok(StoreResp::Value(Some(i)))).collect();

@@ -15,7 +15,7 @@
 //!   buffered since the last cycle, and recovery restores a *consistent
 //!   per-shard prefix* of what was logged;
 //! * **VIP opt-in** ([`DurabilityClass::Sync`], via
-//!   [`Client::execute_durable`](crate::store::Client::execute_durable)):
+//!   [`Client::request`](crate::store::Client::request)):
 //!   the commit returns only after its frame — and everything enqueued
 //!   before it — is fsync'd. Acknowledged sync commits survive a kill at
 //!   any point. Only the VIP tier may opt in: hard guarantees are bounded,
@@ -108,37 +108,9 @@ pub enum DurabilityClass {
     Group,
     /// Synchronous durability (VIP opt-in): the commit returns only after
     /// its frame is fsync'd. See
-    /// [`Client::execute_durable`](crate::store::Client::execute_durable).
+    /// [`Client::request`](crate::store::Client::request).
     Sync,
 }
-
-/// Errors of the synchronous-durability commit path
-/// ([`Client::execute_durable`](crate::store::Client::execute_durable)).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum DurabilityError {
-    /// Synchronous durability is a VIP privilege; guest commits always
-    /// ride the group flusher (asymmetric durability, by design).
-    GuestTier,
-    /// The store was built without a WAL; there is nothing to fsync.
-    NoWal,
-    /// The WAL flush itself failed; the commit is applied in memory but
-    /// its durability is **not** acknowledged.
-    Wal(PersistError),
-}
-
-impl fmt::Display for DurabilityError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DurabilityError::GuestTier => {
-                f.write_str("synchronous durability is a VIP privilege (guest tier denied)")
-            }
-            DurabilityError::NoWal => f.write_str("the store has no WAL attached"),
-            DurabilityError::Wal(e) => write!(f, "WAL flush failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for DurabilityError {}
 
 /// Tuning knobs of the WAL's group-commit flusher and segment layout.
 /// These are the durability-side twins of the ops layer's batching knobs;
@@ -236,7 +208,7 @@ pub fn resolved_effects(ops: &[StoreOp], resps: &[StoreResp]) -> Vec<(Key, Optio
     ops.iter()
         .zip(resps)
         .filter_map(|(op, resp)| match (op, resp) {
-            (_, StoreResp::Moved { .. } | StoreResp::Unavailable { .. }) => None,
+            (_, StoreResp::Moved { .. }) => None,
             (StoreOp::Put(key, value), _) => Some((key.clone(), Some(*value))),
             (StoreOp::Remove(key), _) => Some((key.clone(), None)),
             (StoreOp::Cas { key, new, .. }, StoreResp::Cas { ok: true, .. }) => {
@@ -1266,12 +1238,5 @@ mod tests {
             vec![("p".to_string(), Some(1)), ("d".to_string(), None), ("won".to_string(), Some(7)),],
             "reads, failed CAS, and bounced ops have no effect"
         );
-    }
-
-    #[test]
-    fn errors_render() {
-        assert!(DurabilityError::GuestTier.to_string().contains("VIP"));
-        assert!(DurabilityError::NoWal.to_string().contains("WAL"));
-        assert!(DurabilityError::Wal(PersistError::BadMagic).to_string().contains("magic"));
     }
 }

@@ -597,16 +597,20 @@ fn recovery_scenario() {
 
 /// The **durability scenario**: the op-granular WAL closes the crash
 /// window the checkpoint layer leaves open, asymmetrically — VIP commits
-/// opt into fsync-acknowledged durability (`Client::execute_durable`),
-/// guest commits ride the coalesced group flusher and are *denied* the
-/// sync path with a typed error. The process then "crashes" with group
-/// frames still buffered; snapshot + WAL replay must recover every
-/// acknowledged commit exactly.
-///
-/// [`Client::execute_durable`]: asymmetric_progress::store::store::Client::execute_durable
+/// opt into fsync-acknowledged durability (`Client::request` under
+/// `DurabilityClass::Sync`), guest commits ride the coalesced group
+/// flusher and are *denied* the sync path with a typed error. The process
+/// then "crashes" with group frames still buffered; snapshot + WAL replay
+/// must recover every acknowledged commit exactly.
 fn durability_scenario() {
     use asymmetric_progress::store::persist::Persister;
-    use asymmetric_progress::store::wal::{DurabilityError, Wal, WalConfig};
+    use asymmetric_progress::store::wal::{Wal, WalConfig};
+    use asymmetric_progress::store::{Client, DurabilityClass, Request, Response, StoreError};
+
+    fn sync_commit(client: &mut Client<'_>, ops: Vec<StoreOp>) -> Response {
+        let credential = client.credential();
+        client.request(Request::new(ops).credential(credential).durability(DurabilityClass::Sync))
+    }
 
     const VIP_COMMITS: u64 = 64;
     const GUEST_COMMITS: u64 = 256;
@@ -637,8 +641,8 @@ fn durability_scenario() {
         // synchronous durability.
         let mut guest = store.client(store.admit_guest());
         assert_eq!(
-            guest.execute_durable(vec![StoreOp::Put("guest/denied".into(), 0)]),
-            Err(DurabilityError::GuestTier),
+            sync_commit(&mut guest, vec![StoreOp::Put("guest/denied".into(), 0)]).results,
+            vec![Err(StoreError::GuestTier)],
             "sync durability is a VIP privilege"
         );
 
@@ -650,8 +654,8 @@ fn durability_scenario() {
         let mut vip = store.client(store.admit_vip().expect("vip port"));
         let t0 = Instant::now();
         for i in 0..VIP_COMMITS {
-            vip.execute_durable(vec![StoreOp::Put(format!("vip/{i:04}"), i)])
-                .expect("sync acknowledged");
+            let resp = sync_commit(&mut vip, vec![StoreOp::Put(format!("vip/{i:04}"), i)]);
+            assert!(resp.is_ok(), "sync acknowledged");
         }
         let sync_wall = t0.elapsed();
         println!(
@@ -667,7 +671,8 @@ fn durability_scenario() {
         for i in 0..GUEST_COMMITS {
             guest.put(&format!("guest-late/{i:04}"), i);
         }
-        vip.execute_durable(vec![StoreOp::Put("vip/final".into(), 7)]).expect("sync acknowledged");
+        let resp = sync_commit(&mut vip, vec![StoreOp::Put("vip/final".into(), 7)]);
+        assert!(resp.is_ok(), "sync acknowledged");
         // Everything up to the last fsync is durable; the sync above
         // flushed every buffered group frame with it.
         synced_scan = store.client(store.admit_guest()).scan("", "\u{10ffff}");

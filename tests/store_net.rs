@@ -74,8 +74,8 @@ fn net_handshake_and_roundtrip_both_tiers() {
 fn net_guest_overload_sheds_typed_while_vip_is_served() {
     let store = StoreBuilder::new().shards(2).vip_capacity(1).build().unwrap();
     let cap = 8usize;
-    // `guest_queue_depth: 0` pins the legacy semantics this scenario is
-    // about: overflow sheds in the arrival turn, not after queueing.
+    // No backlog (`guest_queue_depth: 0`) is what this scenario is about:
+    // overflow sheds in the arrival turn, not after queueing.
     let mut server =
         StoreServer::new(&store, ServerConfig { guest_queue_depth: 0, ..server_cfg(cap) });
 
@@ -248,8 +248,8 @@ fn net_http_metrics_lists_net_series() {
     assert!(http.is_closed(), "the HTTP connection closes after the reply");
 }
 
-/// The legacy wrappers are now thin sugar over the envelope: both paths
-/// must produce identical results and identical store state.
+/// `execute` and `get` are sugar over the envelope: both paths must
+/// produce identical results and identical store state.
 #[test]
 fn net_wrappers_and_envelope_agree() {
     let store = StoreBuilder::new().shards(2).vip_capacity(2).build().unwrap();
@@ -270,7 +270,7 @@ fn net_wrappers_and_envelope_agree() {
         Request::new(vec![StoreOp::Get("env/a".into())]).credential(envelope.credential()),
     );
 
-    assert_eq!(w1, e1.into_legacy(), "put: wrapper ≡ envelope");
+    assert_eq!(w1, e1.results, "put: wrapper ≡ envelope");
     assert_eq!(w2, Some(1));
     assert_eq!(e2.results[0], Ok(StoreResp::Value(Some(1))));
 
@@ -373,13 +373,12 @@ fn decode_op(kind: u8, key: u8, val: u64) -> StoreOp {
 /// Drives one server over every guest's pipelined envelopes and returns
 /// each guest's responses in correlation-id order.
 fn run_pipelines(
-    batch: bool,
+    per_poll: usize,
     shards: usize,
     pipelines: &[Vec<Vec<StoreOp>>],
 ) -> Vec<Vec<(u64, Vec<WireResult>)>> {
     let store = StoreBuilder::new().shards(shards).vip_capacity(1).build().unwrap();
-    let mut server =
-        StoreServer::new(&store, ServerConfig { batch_guest_dispatch: batch, ..server_cfg(256) });
+    let mut server = StoreServer::new(&store, server_cfg(per_poll));
     let mut guests: Vec<NetClient> =
         pipelines.iter().map(|_| NetClient::connect(&mut server, TierCredential::Guest)).collect();
     for (g, pipeline) in pipelines.iter().enumerate() {
@@ -408,12 +407,13 @@ fn run_pipelines(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Batching transparency on the wire: coalesced dispatch must be
-    /// observationally equivalent to one-envelope-at-a-time dispatch, and
-    /// both must match the sequential `BTreeMap` oracle response-for-
-    /// response. (Arrival order is deterministic: the reactor ingests
-    /// connections in index order, each connection's pipeline in send
-    /// order — the oracle applies ops in exactly that order.)
+    /// Batching transparency on the wire: a turn that coalesces up to 256
+    /// envelopes into one store round must be observationally equivalent
+    /// to one envelope per round (the same path with n = 1; at most 20
+    /// envelopes, so 64 turns), and both must match the sequential
+    /// `BTreeMap` oracle response-for-response. (Arrival order is
+    /// deterministic: the reactor ingests connections in index order, each
+    /// connection's pipeline in send order — the oracle's order.)
     #[test]
     fn net_batched_dispatch_is_observationally_equivalent(
         shards in 1usize..4,
@@ -442,9 +442,9 @@ proptest! {
             })
             .collect();
 
-        let batched = run_pipelines(true, shards, &pipelines);
-        let unbatched = run_pipelines(false, shards, &pipelines);
-        prop_assert_eq!(&batched, &unbatched, "batching must be transparent");
+        let batched = run_pipelines(256, shards, &pipelines);
+        let one_by_one = run_pipelines(1, shards, &pipelines);
+        prop_assert_eq!(&batched, &one_by_one, "batching must be transparent");
         for (g, (transcript, envs)) in batched.iter().zip(&expect).enumerate() {
             prop_assert_eq!(transcript.len(), envs.len(), "guest {} answered in full", g);
             for ((_, results), want) in transcript.iter().zip(envs) {

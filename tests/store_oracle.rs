@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 
 use asymmetric_progress::store::{
-    ElasticityPolicy, ShardTopology, Store, StoreBuilder, StoreOp, StoreResp,
+    ElasticityPolicy, ShardTopology, Store, StoreBuilder, StoreError, StoreOp, StoreResp,
 };
 
 /// The independent oracle: the sequential meaning of one operation.
@@ -110,7 +110,7 @@ proptest! {
         for (i, (kind, key, val)) in encoded.iter().enumerate() {
             let op = decode_op(*kind, *key, *val);
             let got = client.execute(vec![op.clone()]).pop().expect("one response");
-            let want = oracle_apply(&mut oracle, &op);
+            let want = Ok(oracle_apply(&mut oracle, &op));
             prop_assert_eq!(
                 &got, &want,
                 "op {} ({:?}) diverged at {} shards", i, op, shards
@@ -120,7 +120,7 @@ proptest! {
         let all = client.execute(vec![StoreOp::Scan { from: String::new(), to: "z".into() }]);
         let want: Vec<(String, u64)> =
             oracle.iter().map(|(k, v)| (k.clone(), *v)).collect();
-        prop_assert_eq!(&all[0], &StoreResp::Entries(want));
+        prop_assert_eq!(&all[0], &Ok(StoreResp::Entries(want)));
     }
 
     /// Batching transparency: splitting the same op stream into arbitrary
@@ -134,7 +134,7 @@ proptest! {
         let ops: Vec<StoreOp> =
             encoded.iter().map(|(k, key, v)| decode_op(*k, *key, *v)).collect();
 
-        let run = |batches: Vec<Vec<StoreOp>>| -> Vec<StoreResp> {
+        let run = |batches: Vec<Vec<StoreOp>>| -> Vec<Result<StoreResp, StoreError>> {
             let store = StoreBuilder::new()
                 .shards(2)
                 .vip_capacity(1)
@@ -270,12 +270,12 @@ proptest! {
             }
             let op = decode_op(*kind, *key, *val);
             let got = client.execute(vec![op.clone()]).pop().expect("one response");
-            let want = oracle_apply(&mut oracle, &op);
+            let want = Ok(oracle_apply(&mut oracle, &op));
             prop_assert_eq!(&got, &want, "op {} ({:?}) diverged post-split", i, op);
         }
         let all = client.execute(vec![StoreOp::Scan { from: String::new(), to: "z".into() }]);
         let want: Vec<(String, u64)> = oracle.iter().map(|(k, v)| (k.clone(), *v)).collect();
-        prop_assert_eq!(&all[0], &StoreResp::Entries(want));
+        prop_assert_eq!(&all[0], &Ok(StoreResp::Entries(want)));
         // Audit: per-shard stats cover exactly the oracle's keys.
         let entries: u64 = store.snapshot_stats().iter().map(|d| d.entries).sum();
         prop_assert_eq!(entries, oracle.len() as u64);
@@ -310,12 +310,12 @@ proptest! {
             }
             let op = decode_op(*kind, *key, *val);
             let got = client.execute(vec![op.clone()]).pop().expect("one response");
-            let want = oracle_apply(&mut oracle, &op);
+            let want = Ok(oracle_apply(&mut oracle, &op));
             prop_assert_eq!(&got, &want, "op {} ({:?}) diverged under churn", i, op);
         }
         let all = client.execute(vec![StoreOp::Scan { from: String::new(), to: "z".into() }]);
         let want: Vec<(String, u64)> = oracle.iter().map(|(k, v)| (k.clone(), *v)).collect();
-        prop_assert_eq!(&all[0], &StoreResp::Entries(want));
+        prop_assert_eq!(&all[0], &Ok(StoreResp::Entries(want)));
         // Audit: live-shard stats cover exactly the oracle's keys, and
         // retired shards drained to empty.
         let topology = store.topology();
@@ -361,7 +361,7 @@ proptest! {
             }
             let op = decode_read_heavy(*kind, *key, *val);
             let got = clients[i % 3].execute(vec![op.clone()]).pop().expect("one response");
-            let want = oracle_apply(&mut oracle, &op);
+            let want = Ok(oracle_apply(&mut oracle, &op));
             prop_assert_eq!(&got, &want, "op {} ({:?}) diverged", i, op);
         }
         let snap = store.scrape();
@@ -389,7 +389,7 @@ proptest! {
     ) {
         let ops: Vec<StoreOp> =
             encoded.iter().map(|(k, key, v)| decode_read_heavy(*k, *key, *v)).collect();
-        let run = |sizes: &mut dyn FnMut() -> usize| -> Vec<StoreResp> {
+        let run = |sizes: &mut dyn FnMut() -> usize| -> Vec<Result<StoreResp, StoreError>> {
             let store = StoreBuilder::new()
                 .shards(2)
                 .vip_capacity(1)
@@ -648,10 +648,10 @@ fn one_shard_store_serves_batches_and_scans() {
     assert_eq!(resps.len(), 5);
     assert_eq!(
         resps[2],
-        StoreResp::Entries(vec![("a".into(), 1), ("b".into(), 2)]),
+        Ok(StoreResp::Entries(vec![("a".into(), 1), ("b".into(), 2)])),
         "mid-batch scan sees the same-batch puts"
     );
-    assert_eq!(resps[4], StoreResp::Entries(vec![("b".into(), 2)]));
+    assert_eq!(resps[4], Ok(StoreResp::Entries(vec![("b".into(), 2)])));
 }
 
 /// Router edge case: scans against an empty store return empty (no panic,

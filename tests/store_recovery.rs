@@ -104,7 +104,7 @@ proptest! {
             for (i, (kind, key, val)) in encoded.iter().enumerate() {
                 let op = decode_op(*kind, *key, *val);
                 let got = client.execute(vec![op.clone()]).pop().expect("one response");
-                let want = oracle_apply(&mut oracle, &op);
+                let want = Ok(oracle_apply(&mut oracle, &op));
                 prop_assert_eq!(&got, &want, "pre-crash op {} diverged", i);
                 if (i + 1) % snap_every == 0 {
                     store.checkpoint().write_to(&path).expect("cadence flush");
@@ -130,7 +130,7 @@ proptest! {
         for (i, (kind, key, val)) in encoded.iter().enumerate() {
             let op = decode_op(*kind, *key, *val);
             let got = client.execute(vec![op.clone()]).pop().expect("one response");
-            let want = oracle_apply(&mut oracle_at_snapshot, &op);
+            let want = Ok(oracle_apply(&mut oracle_at_snapshot, &op));
             prop_assert_eq!(&got, &want, "post-recovery op {} diverged", i);
         }
     }

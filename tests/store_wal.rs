@@ -2,8 +2,8 @@
 //!
 //! The contract under test is the PR's asymmetric-durability claim:
 //!
-//! * every commit acknowledged through [`Client::execute_durable`]
-//!   (`DurabilityClass::Sync`, a VIP privilege) survives a crash at *any*
+//! * every commit acknowledged through [`Client::request`] under
+//!   `DurabilityClass::Sync` (a VIP privilege) survives a crash at *any*
 //!   later point;
 //! * group-committed operations recover to a **consistent prefix** of the
 //!   commit order — never a gap, never a phantom, never a torn write;
@@ -16,7 +16,7 @@
 //! * recovery ignores and sweeps orphaned `*.tmp` snapshot files left by
 //!   a crash between temp-file write and rename.
 //!
-//! [`Client::execute_durable`]: asymmetric_progress::store::store::Client::execute_durable
+//! [`Client::request`]: asymmetric_progress::store::store::Client::request
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -25,8 +25,10 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use asymmetric_progress::store::persist::{PersistError, Persister};
-use asymmetric_progress::store::wal::{DurabilityError, Wal, WalConfig};
-use asymmetric_progress::store::{Store, StoreBuilder, StoreOp, StoreResp};
+use asymmetric_progress::store::wal::{Wal, WalConfig};
+use asymmetric_progress::store::{
+    Client, DurabilityClass, Request, Response, Store, StoreBuilder, StoreError, StoreOp, StoreResp,
+};
 
 /// A scratch *directory* under cargo's per-target tmp dir, wiped clean so
 /// stale segments from a previous run never leak into a recovery scan.
@@ -46,6 +48,12 @@ fn no_flusher() -> WalConfig {
 
 fn builder() -> StoreBuilder {
     StoreBuilder::new().shards(2).vip_capacity(1).guest_ports(2).guest_group_width(1)
+}
+
+/// One commit under `DurabilityClass::Sync`, acknowledged after its fsync.
+fn sync_commit(client: &mut Client<'_>, ops: Vec<StoreOp>) -> Response {
+    let credential = client.credential();
+    client.request(Request::new(ops).credential(credential).durability(DurabilityClass::Sync))
 }
 
 /// The independent oracle (duplicated from `store_recovery.rs` on
@@ -98,7 +106,7 @@ fn as_entries(state: &BTreeMap<String, u64>) -> Vec<(String, u64)> {
 }
 
 /// The acceptance-criteria matrix: a mixed VIP/guest stream killed at
-/// every possible point. Every `execute_durable`-acknowledged commit must
+/// every possible point. Every `Sync`-acknowledged commit must
 /// survive, and (with the background flusher disabled, so the only flush
 /// points are the syncs themselves) the recovered state is *exactly* the
 /// oracle at the last acknowledged sync — group commits after it are
@@ -129,7 +137,7 @@ fn kill_at_any_point_recovers_every_sync_acknowledged_commit() {
                 // Every third op is a VIP sync commit; the rest ride the
                 // guest group-commit path.
                 if i % 3 == 2 {
-                    vip.execute_durable(vec![op.clone()]).expect("sync acknowledged");
+                    assert!(sync_commit(&mut vip, vec![op.clone()]).is_ok(), "sync acknowledged");
                 } else {
                     guest.execute(vec![op.clone()]);
                 }
@@ -211,7 +219,7 @@ fn torn_tail_recovers_prefix_but_mid_log_corruption_fails_closed() {
         let store = builder().build_with_wal(Arc::clone(&wal)).expect("sizing");
         let mut vip = store.client(store.admit_vip().expect("vip"));
         for i in 0..6u64 {
-            vip.execute_durable(vec![StoreOp::Put(format!("k{i}"), i)]).expect("sync");
+            assert!(sync_commit(&mut vip, vec![StoreOp::Put(format!("k{i}"), i)]).is_ok());
         }
         wal.simulate_crash();
     }
@@ -308,16 +316,21 @@ fn orphaned_tmp_snapshots_are_ignored_and_swept() {
 }
 
 /// Durability is a progress-class privilege, surfaced as typed errors:
-/// a store without a WAL has nothing to fsync, and a guest is *denied*
-/// synchronous durability (and counted) — the asymmetric contract at the
-/// API surface, with the `store_wal_*` series observable through the
+/// a store without a WAL has nothing to fsync, a guest is *denied*
+/// synchronous durability (and counted), and a flush that fails leaves
+/// the commit applied but not acknowledged — the asymmetric contract at
+/// the API surface, with the `store_wal_*` series observable through the
 /// persister's scrape.
 #[test]
 fn synchronous_durability_is_a_vip_privilege() {
-    // No WAL attached: the VIP path reports NoWal.
+    // No WAL attached: nothing to fsync, and nothing is applied.
     let bare = builder().build().expect("sizing");
     let mut vip = bare.client(bare.admit_vip().expect("vip"));
-    assert_eq!(vip.execute_durable(vec![StoreOp::Put("k".into(), 1)]), Err(DurabilityError::NoWal));
+    assert_eq!(
+        sync_commit(&mut vip, vec![StoreOp::Put("k".into(), 1)]).results,
+        vec![Err(StoreError::Unavailable { version: 0 })]
+    );
+    assert_eq!(vip.get("k"), None);
 
     let dir = scratch_dir("vip-privilege");
     let wal = Wal::open(dir.join("wal"), no_flusher()).expect("fresh wal");
@@ -326,13 +339,13 @@ fn synchronous_durability_is_a_vip_privilege() {
 
     let mut guest = store.client(store.admit_guest());
     assert_eq!(
-        guest.execute_durable(vec![StoreOp::Put("g".into(), 1)]),
-        Err(DurabilityError::GuestTier),
+        sync_commit(&mut guest, vec![StoreOp::Put("g".into(), 1)]).results,
+        vec![Err(StoreError::GuestTier)],
         "synchronous durability is asymmetric by design"
     );
     let mut vip = store.client(store.admit_vip().expect("vip"));
-    let resps = vip.execute_durable(vec![StoreOp::Put("v".into(), 2)]).expect("sync ack");
-    assert_eq!(resps, vec![StoreResp::Value(None)]);
+    let resp = sync_commit(&mut vip, vec![StoreOp::Put("v".into(), 2)]);
+    assert_eq!(resp.results, vec![Ok(StoreResp::Value(None))]);
     guest.put("g", 3); // a group append, for the class-labelled counter
 
     persister.persist(&store).expect("checkpoint");
@@ -345,6 +358,18 @@ fn synchronous_durability_is_a_vip_privilege() {
         snap.value("store_wal_rotations_total", &[]).unwrap_or(0) >= 1,
         "the checkpoint seal rotates the log"
     );
+
+    // A covering flush that fails: one-byte segments make every cycle
+    // after the first open a new file, and the directory is gone.
+    let cfg = WalConfig { segment_bytes: 1, ..no_flusher() };
+    let wal = Wal::open(dir.join("wal2"), cfg).expect("fresh wal");
+    let store = builder().build_with_wal(wal).expect("sizing");
+    let mut vip = store.client(store.admit_vip().expect("vip"));
+    assert!(sync_commit(&mut vip, vec![StoreOp::Put("a".into(), 1)]).is_ok());
+    std::fs::remove_dir_all(dir.join("wal2")).expect("pull the directory");
+    let resp = sync_commit(&mut vip, vec![StoreOp::Put("b".into(), 2)]);
+    assert!(matches!(&resp.results[..], [Err(StoreError::Corrupt { .. })]), "{resp:?}");
+    assert_eq!(vip.get("b"), Some(2), "applied in memory, not durably acknowledged");
 }
 
 proptest! {
@@ -377,14 +402,11 @@ proptest! {
             for (i, (kind, key, val)) in encoded.iter().enumerate() {
                 let op = decode_op(*kind, *key, *val);
                 let got = if i % sync_every == 0 {
-                    vip.execute_durable(vec![op.clone()])
-                        .expect("sync acknowledged")
-                        .pop()
-                        .expect("one response")
+                    sync_commit(&mut vip, vec![op.clone()]).results.pop().expect("one response")
                 } else {
                     guest.execute(vec![op.clone()]).pop().expect("one response")
                 };
-                let want = oracle_apply(&mut oracle, &op);
+                let want = Ok(oracle_apply(&mut oracle, &op));
                 prop_assert_eq!(&got, &want, "pre-crash op {} diverged", i);
                 if i % sync_every == 0 {
                     // The fsync covers every frame buffered up to here.
@@ -415,7 +437,7 @@ proptest! {
         for (i, (kind, key, val)) in encoded.iter().enumerate() {
             let op = decode_op(*kind, *key, *val);
             let got = client.execute(vec![op.clone()]).pop().expect("one response");
-            let want = oracle_apply(&mut at_boundary, &op);
+            let want = Ok(oracle_apply(&mut at_boundary, &op));
             prop_assert_eq!(&got, &want, "post-recovery op {} diverged", i);
         }
     }

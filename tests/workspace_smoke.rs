@@ -105,7 +105,7 @@ fn store_service_layer_wired() {
         StoreOp::Put("b".into(), 2),
         StoreOp::Cas { key: "a".into(), expect: Some(1), new: 3 },
     ]);
-    assert_eq!(resps[2], StoreResp::Cas { ok: true, actual: Some(1) });
+    assert_eq!(resps[2], Ok(StoreResp::Cas { ok: true, actual: Some(1) }));
     assert_eq!(g.get("a"), Some(3), "guest reads the VIP's committed state");
     assert_eq!(g.scan("", "z").len(), 2);
 
