@@ -1,8 +1,8 @@
 //! # `apc-bench` — benchmark harness support
 //!
-//! Shared workload helpers for the criterion benches in `benches/`. The
-//! experiment index lives in `EXPERIMENTS.md` at the workspace root; each
-//! bench target regenerates one experiment's series:
+//! Shared helpers for the criterion benches in `benches/`, which price the
+//! paper-level constructions. They are ungated; the store and its wire are
+//! measured by the stand-alone `benchmark/` workspace (`BENCHMARK.json`).
 //!
 //! | bench target | experiment |
 //! |---|---|
@@ -12,11 +12,6 @@
 //! | `universal` | E8 — asymmetric universal object: VIP vs guest latency |
 //! | `registers` | substrate — cells, stamped registers, snapshots |
 //! | `model_checking` | E3/E5 — cost of exhaustive verification & valence |
-//! | `store` | E10 — apc-store scenarios, batching, wait-free stats |
-//!
-//! Setting `BENCH_JSON=<path>` makes a bench run write its measurements as
-//! machine-readable JSON (see the criterion shim); CI records
-//! `BENCH_store.json` as the perf-trajectory artifact.
 
 #![forbid(unsafe_code)]
 

@@ -28,7 +28,7 @@
 //!
 //! [`MetricsSnapshot`] is the scrape output — a flat list of [`Sample`]s —
 //! and [`encode_prometheus`] renders it in the Prometheus text exposition
-//! format for `examples/store_bench.rs` and any future network front-end.
+//! format, which `apc-net`'s `GET /metrics` side door serves.
 //!
 //! Every fn on the record/read path is annotated `#[progress(wait_free)]`
 //! and the workspace's `apc-lint --deny` gate mechanically proves none of

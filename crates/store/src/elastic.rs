@@ -15,11 +15,10 @@
 //!
 //! Thrash control is two-fold, mirroring every control-loop textbook:
 //!
-//! * **hysteresis** — the split trigger ([`ElasticityPolicy::split_share`],
-//!   a shard's fraction of the evaluation window's total commits) and the
-//!   merge trigger ([`ElasticityPolicy::merge_ratio`], a fraction of the
-//!   fair share) are far apart, so a shard sitting near the fair share
-//!   triggers neither; and
+//! * **hysteresis** — the split trigger (a shard drawing more than half of
+//!   the evaluation window's total commits) and the merge trigger (a child
+//!   drawing less than a quarter of the fair share) are far apart, so a
+//!   shard sitting near the fair share triggers neither; and
 //! * **a cool-down epoch** — after any reconfiguration the engine holds
 //!   for [`ElasticityPolicy::cooldown`] commits, so an oscillating load
 //!   can force at most one reconfiguration per cool-down window (unit
@@ -33,21 +32,34 @@
 use crate::router::ShardTopology;
 use crate::store::ShardDigest;
 
-/// Tuning knobs of the automatic split/merge driver.
+/// The **up** threshold: split the hottest live shard when its share of the
+/// window's total commits exceeds this fraction — one shard carrying half
+/// the store's traffic melts.
 ///
-/// The split trigger is deliberately a **fraction of the window's total
-/// traffic**, not a multiple of the fair share: a fair-share baseline
-/// (`total / live_shards`) shrinks as the topology grows, so any
+/// Deliberately a **fraction of the window's total traffic**, not a
+/// multiple of the fair share: a fair-share baseline (`total /
+/// live_shards`) shrinks as the topology grows, so any
 /// concentrated-but-steady workload would look ever more "skewed" after
-/// each split and the driver would run away to `max_shards`. A
-/// total-share trigger is scale-free — a shard that draws half of *all*
-/// traffic is worth splitting whether the store has 4 shards or 40, and a
-/// shard that draws a third of it never is.
+/// each split and the driver would run away to `max_shards`. A total-share
+/// trigger is scale-free — a shard that draws half of *all* traffic is
+/// worth splitting whether the store has 4 shards or 40, and a shard that
+/// draws a third of it never is.
+const SPLIT_SHARE: f64 = 0.5;
+
+/// The **down** threshold: merge an eligible child when its window delta
+/// falls below this fraction of the fair share (`total / live_shards`).
 ///
-/// The merge trigger *is* fair-share-relative (a cold child is one doing
-/// far less than its fair part), which is equally scale-free in the other
-/// direction: under uniform load every shard sits at exactly the fair
-/// share, so nothing merges no matter how many shards there are.
+/// Fair-share-relative (a cold child is one doing far less than its fair
+/// part), which is equally scale-free in the other direction: under
+/// uniform load every shard sits at exactly the fair share, so nothing
+/// merges no matter how many shards there are. It must stay well below
+/// 1.0: the distance between the two thresholds is the hysteresis band.
+const MERGE_RATIO: f64 = 0.25;
+
+/// Tuning knobs of the automatic split/merge driver. The two trigger
+/// thresholds are not among them: they are fixed (split above half of the
+/// window's total commits, merge below a quarter of the fair share), so
+/// the hysteresis band between them cannot be configured away.
 ///
 /// One honest limitation: hotness below the router's resolution — a
 /// single melted **key** — cannot be relieved by splitting (the hot key
@@ -64,15 +76,6 @@ pub struct ElasticityPolicy {
     /// on one shard) for key-space skew. Size it to several times the
     /// longest plausible per-client burst.
     pub min_window: u64,
-    /// Split the hottest live shard when its share of the window's total
-    /// commits exceeds this fraction (the **up** threshold). Default 0.5:
-    /// one shard carrying half the store's traffic melts.
-    pub split_share: f64,
-    /// Merge an eligible child when its window delta falls below
-    /// `merge_ratio ×` the fair share (`total / live_shards`) — the
-    /// **down** threshold. Keep well below 1.0; the distance between the
-    /// two thresholds is the hysteresis band.
-    pub merge_ratio: f64,
     /// Commits to hold after any reconfiguration (the cool-down epoch):
     /// at most one split or merge per this many commits.
     pub cooldown: u64,
@@ -87,8 +90,6 @@ impl Default for ElasticityPolicy {
         ElasticityPolicy {
             evaluate_every: 64,
             min_window: 1024,
-            split_share: 0.5,
-            merge_ratio: 0.25,
             cooldown: 512,
             max_shards: 64,
             min_live_shards: 1,
@@ -204,7 +205,7 @@ impl ElasticEngine {
         let fair = window as f64 / live as f64;
 
         // Split half: the hottest live shard vs its share of the whole
-        // window (scale-free — see the policy docs for why not fair-share).
+        // window (scale-free — see `SPLIT_SHARE` for why not fair-share).
         if topology.shards() < self.policy.max_shards {
             if let Some((hot, &d)) = deltas
                 .iter()
@@ -212,7 +213,7 @@ impl ElasticEngine {
                 .filter(|&(s, _)| topology.is_live(s))
                 .max_by_key(|&(s, &d)| (d, s))
             {
-                if d as f64 > self.policy.split_share * window as f64 {
+                if d as f64 > SPLIT_SHARE * window as f64 {
                     return ElasticDecision::Split(hot);
                 }
             }
@@ -226,7 +227,7 @@ impl ElasticEngine {
                 .filter(|&s| topology.check_merge(s).is_ok())
                 .min_by_key(|&s| (deltas[s], s));
             if let Some(cold) = candidate {
-                if (deltas[cold] as f64) < self.policy.merge_ratio * fair {
+                if (deltas[cold] as f64) < MERGE_RATIO * fair {
                     return ElasticDecision::Merge(cold);
                 }
             }

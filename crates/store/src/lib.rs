@@ -95,7 +95,6 @@ mod replan;
 pub mod router;
 pub mod store;
 pub mod wal;
-pub mod workload;
 
 pub use admission::{Admission, AdmissionConfig, AdmissionError, ClientTicket, ProgressClass};
 pub use apc_obs::{
@@ -114,4 +113,3 @@ pub use router::{
 };
 pub use store::{Client, ShardDigest, ShardLog, SplitError, Store, StoreBuilder};
 pub use wal::{DurabilityClass, Wal, WalConfig, WalFrame, WalRecovery};
-pub use workload::Scenario;

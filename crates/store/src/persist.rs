@@ -26,7 +26,7 @@
 //!          topo_version u64
 //!          node ×shard_count: seed u64 | parent u32 (u32::MAX = root) |
 //!                             created_at u64 |
-//!                             retired_at u64 (u64::MAX = live)   [v3+]
+//!                             retired_at u64 (u64::MAX = live)
 //!          topo_checksum u64           (FNV-1a of the section before it)
 //! frame ×shard_count:
 //!          log_index u64 | epoch u64 | entry_count u64 | payload_len u64
@@ -35,17 +35,15 @@
 //! footer:  file_checksum u64           (FNV-1a of everything before it)
 //! ```
 //!
-//! Version 2 added the topology section and the per-frame `epoch`: a
+//! The topology section and the per-frame `epoch` are there because a
 //! snapshot taken after live shard splits must restore the **split tree**
 //! (rendezvous seeds, parents, creation versions) or recovered routing
-//! would disagree with the recovered data placement. Version 3 added the
-//! per-node `retired_at` **tombstone**: a snapshot taken after live merges
+//! would disagree with the recovered data placement; the per-node
+//! `retired_at` **tombstone** because a snapshot taken after live merges
 //! must remember which children were retired back into their parents —
 //! recovery rebuilds tombstoned slots empty and keeps routing around them.
-//! Older files stay readable: a v2 file simply has no tombstones (every
-//! node live), and version-1 files (no topology section, no epochs, keys
-//! placed by the old `FNV % S` map) are upgraded to a fresh root topology
-//! with their entries re-partitioned under rendezvous placement.
+//! This build reads version 3 only: a header carrying any other version,
+//! older or newer, fails closed with [`PersistError::UnsupportedVersion`].
 //! Tombstones are validated structurally on read — a retired root, a
 //! retirement version outside the topology's range, a live child under a
 //! tombstone, or a tombstoned frame that still carries entries each fail
@@ -90,7 +88,7 @@ pub enum PersistError {
     },
     /// The file does not start with the snapshot magic.
     BadMagic,
-    /// The file's format version is newer than this build understands.
+    /// The file's format version is not the one this build reads.
     UnsupportedVersion {
         /// The version found in the header.
         found: u32,
@@ -118,7 +116,10 @@ impl fmt::Display for PersistError {
             PersistError::Io { kind, msg } => write!(f, "snapshot I/O failed ({kind:?}): {msg}"),
             PersistError::BadMagic => f.write_str("not a snapshot file (bad magic)"),
             PersistError::UnsupportedVersion { found } => {
-                write!(f, "unsupported snapshot version {found} (this build reads ≤ {VERSION})")
+                write!(
+                    f,
+                    "unsupported snapshot version {found} (this build reads version {VERSION})"
+                )
             }
             PersistError::Truncated { needed, available } => {
                 write!(f, "snapshot truncated: needed {needed} bytes, {available} available")
@@ -264,48 +265,35 @@ impl StoreSnapshot {
             return Err(PersistError::BadMagic);
         }
         let version = r.u32()?;
-        if version == 0 || version > VERSION {
+        if version != VERSION {
             return Err(PersistError::UnsupportedVersion { found: version });
         }
         let shard_count = r.u32()? as usize;
-        let (topology, topo_version) = if version >= 2 {
-            let topo_start = r.pos;
-            let topo_version = r.u64()?;
-            let mut records = Vec::with_capacity(shard_count.min(1024));
-            for _ in 0..shard_count {
-                let seed = r.u64()?;
-                let parent = r.u32()?;
-                let created_at = r.u64()?;
-                // v2 predates merges: every node is live.
-                let retired = if version >= 3 { r.u64()? } else { u64::MAX };
-                records.push(TopoRecord {
-                    seed,
-                    parent: (parent != u32::MAX).then_some(parent),
-                    created_at,
-                    retired_at: (retired != u64::MAX).then_some(retired),
-                });
-            }
-            let topo_expected = fnv1a64(&body[topo_start..r.pos]);
-            if r.u64()? != topo_expected {
-                return Err(PersistError::Corrupt("topology section checksum mismatch"));
-            }
-            let topology =
-                ShardTopology::from_nodes(topo_version, &records).map_err(topology_error)?;
-            (topology, topo_version)
-        } else {
-            // Version 1 predates live splits: no topology section, no
-            // per-frame epoch. The writer's placement was `fresh(S)` root
-            // rendezvous by construction, so upgrading on read is lossless.
-            if shard_count == 0 {
-                return Err(PersistError::Corrupt("a snapshot needs at least one shard"));
-            }
-            (ShardTopology::fresh(shard_count), 0)
-        };
+        let topo_start = r.pos;
+        let topo_version = r.u64()?;
+        let mut records = Vec::with_capacity(shard_count.min(1024));
+        for _ in 0..shard_count {
+            let seed = r.u64()?;
+            let parent = r.u32()?;
+            let created_at = r.u64()?;
+            let retired = r.u64()?;
+            records.push(TopoRecord {
+                seed,
+                parent: (parent != u32::MAX).then_some(parent),
+                created_at,
+                retired_at: (retired != u64::MAX).then_some(retired),
+            });
+        }
+        let topo_expected = fnv1a64(&body[topo_start..r.pos]);
+        if r.u64()? != topo_expected {
+            return Err(PersistError::Corrupt("topology section checksum mismatch"));
+        }
+        let topology = ShardTopology::from_nodes(topo_version, &records).map_err(topology_error)?;
         let mut shards = Vec::with_capacity(shard_count.min(1024));
         for shard_id in 0..shard_count {
             let frame_start = r.pos;
             let log_index = r.u64()?;
-            let epoch = if version >= 2 { r.u64()? } else { 0 };
+            let epoch = r.u64()?;
             let entry_count = r.u64()?;
             let payload_len = r.u64()? as usize;
             let payload_end = r
@@ -342,23 +330,6 @@ impl StoreSnapshot {
         }
         if r.pos != body.len() {
             return Err(PersistError::Corrupt("trailing bytes after the last frame"));
-        }
-        if version < 2 {
-            // The v1 writer placed keys by `FNV % S`, not rendezvous, so the
-            // old frames do not match the upgraded topology's placement.
-            // Re-partition the union of all entries under the new topology
-            // (each frame keeps its own log-index watermark — the old logs
-            // are gone, the index only positions the recovered cursor).
-            let mut redistributed: Vec<std::collections::BTreeMap<String, u64>> =
-                vec![Default::default(); shard_count];
-            for shard in &shards {
-                for (key, value) in shard.state.iter() {
-                    redistributed[topology.shard_of(key)].insert(key.clone(), *value);
-                }
-            }
-            for (shard, entries) in shards.iter_mut().zip(redistributed) {
-                shard.state = ShardState::with_entries(entries, 0);
-            }
         }
         Ok(StoreSnapshot { topology, shards })
     }
@@ -888,126 +859,6 @@ mod tests {
         );
     }
 
-    /// One hand-encoded v2 frame: `(log_index, epoch, entries)`.
-    type V2Frame<'a> = (u64, u64, Vec<(&'a str, u64)>);
-
-    /// Hand-encodes a version-2 snapshot (pre-tombstone format): topology
-    /// nodes without `retired_at`, epoch-ful frames, envelope.
-    fn encode_v2(topo_version: u64, nodes: &[(u64, u32, u64)], shards: &[V2Frame]) -> Vec<u8> {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&MAGIC);
-        put_u32(&mut buf, 2);
-        put_u32(&mut buf, shards.len() as u32);
-        let topo_start = buf.len();
-        put_u64(&mut buf, topo_version);
-        for &(seed, parent, created_at) in nodes {
-            put_u64(&mut buf, seed);
-            put_u32(&mut buf, parent);
-            put_u64(&mut buf, created_at);
-        }
-        let topo_checksum = fnv1a64(&buf[topo_start..]);
-        put_u64(&mut buf, topo_checksum);
-        for (log_index, epoch, entries) in shards {
-            let frame_start = buf.len();
-            put_u64(&mut buf, *log_index);
-            put_u64(&mut buf, *epoch);
-            put_u64(&mut buf, entries.len() as u64);
-            let payload_len_at = buf.len();
-            put_u64(&mut buf, 0);
-            let payload_start = buf.len();
-            for (key, value) in entries {
-                put_u32(&mut buf, key.len() as u32);
-                buf.extend_from_slice(key.as_bytes());
-                put_u64(&mut buf, *value);
-            }
-            let payload_len = (buf.len() - payload_start) as u64;
-            buf[payload_len_at..payload_len_at + 8].copy_from_slice(&payload_len.to_le_bytes());
-            let sum = fnv1a64(&buf[frame_start..]);
-            put_u64(&mut buf, sum);
-        }
-        let sum = fnv1a64(&buf);
-        buf.extend_from_slice(&sum.to_le_bytes());
-        buf
-    }
-
-    #[test]
-    fn version2_snapshots_upgrade_on_read() {
-        // A PR-4-era file: a split topology with no tombstone column. The
-        // upgrade reads every node as live; placement and data are
-        // untouched (v2 placement IS v3 placement with zero tombstones).
-        let (topology, child) = ShardTopology::fresh(2).split(0);
-        let nodes: Vec<(u64, u32, u64)> = (0..topology.shards())
-            .map(|s| {
-                let n = topology.node(s);
-                (n.seed, n.parent.map_or(u32::MAX, |p| p), n.created_at)
-            })
-            .collect();
-        let keyset = ["alpha", "beta", "gamma", "delta"];
-        let mut frames: Vec<V2Frame> = vec![(5, 1, vec![]), (3, 0, vec![]), (1, 1, vec![])];
-        for (i, key) in keyset.iter().enumerate() {
-            frames[topology.shard_of(key)].2.push((key, i as u64));
-        }
-        let bytes = encode_v2(topology.version(), &nodes, &frames);
-        let decoded = StoreSnapshot::decode(&bytes).expect("v2 files stay readable");
-        assert_eq!(decoded.topology, topology, "a v2 topology upgrades to all-live nodes");
-        assert_eq!(decoded.topology.live_shards(), 3);
-        assert_eq!(decoded.entries(), keyset.len() as u64);
-        for (i, key) in keyset.iter().enumerate() {
-            let owner = decoded.topology.shard_of(key);
-            assert_eq!(decoded.shards[owner].state.get(*key), Some(&(i as u64)));
-        }
-        assert_eq!(decoded.shards[child].state.epoch(), 1, "v2 epochs survive the upgrade");
-        assert_eq!(decoded.shards[0].log_index, 5);
-    }
-
-    /// Hand-encodes a version-1 snapshot (pre-topology format): header,
-    /// epoch-less frames, envelope.
-    fn encode_v1(shards: &[(u64, Vec<(&str, u64)>)]) -> Vec<u8> {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&MAGIC);
-        put_u32(&mut buf, 1);
-        put_u32(&mut buf, shards.len() as u32);
-        for (log_index, entries) in shards {
-            let frame_start = buf.len();
-            put_u64(&mut buf, *log_index);
-            put_u64(&mut buf, entries.len() as u64);
-            let payload_len_at = buf.len();
-            put_u64(&mut buf, 0);
-            let payload_start = buf.len();
-            for (key, value) in entries {
-                put_u32(&mut buf, key.len() as u32);
-                buf.extend_from_slice(key.as_bytes());
-                put_u64(&mut buf, *value);
-            }
-            let payload_len = (buf.len() - payload_start) as u64;
-            buf[payload_len_at..payload_len_at + 8].copy_from_slice(&payload_len.to_le_bytes());
-            let sum = fnv1a64(&buf[frame_start..]);
-            put_u64(&mut buf, sum);
-        }
-        let sum = fnv1a64(&buf);
-        buf.extend_from_slice(&sum.to_le_bytes());
-        buf
-    }
-
-    #[test]
-    fn version1_snapshots_upgrade_on_read() {
-        // A PR-3-era file: 2 shards, keys placed by the old `FNV % S` map.
-        let bytes = encode_v1(&[(7, vec![("alpha", 1), ("beta", 2)]), (11, vec![("gamma", 3)])]);
-        let decoded = StoreSnapshot::decode(&bytes).expect("v1 files stay readable");
-        assert_eq!(decoded.topology, ShardTopology::fresh(2));
-        assert_eq!(decoded.entries(), 3, "every v1 entry survives the upgrade");
-        // The upgrade re-partitions under rendezvous placement: every key
-        // now lives on exactly the shard the new router sends it to.
-        for (key, value) in [("alpha", 1u64), ("beta", 2), ("gamma", 3)] {
-            let owner = decoded.topology.shard_of(key);
-            assert_eq!(decoded.shards[owner].state.get(key), Some(&value));
-        }
-        assert_eq!(decoded.shards[0].state.epoch(), 0);
-        // Watermarks are preserved per shard id.
-        assert_eq!(decoded.shards[0].log_index, 7);
-        assert_eq!(decoded.shards[1].log_index, 11);
-    }
-
     #[test]
     fn corrupt_topology_section_is_distinguishable() {
         // Flip a byte inside the topology node records and reseal the
@@ -1079,12 +930,16 @@ mod tests {
         let mut bad_magic = sample().encode();
         bad_magic[0] = b'X';
         assert_eq!(StoreSnapshot::decode(&reseal(bad_magic)).unwrap_err(), PersistError::BadMagic);
-        let mut bad_version = sample().encode();
-        bad_version[4..8].copy_from_slice(&99u32.to_le_bytes());
-        assert_eq!(
-            StoreSnapshot::decode(&reseal(bad_version)).unwrap_err(),
-            PersistError::UnsupportedVersion { found: 99 }
-        );
+        // Nothing writes a pre-v3 file and nothing reads one: versions 1 and
+        // 2 fail closed exactly like an unknown future version.
+        for found in [0, 1, 2, VERSION + 1, 99] {
+            let mut bad_version = sample().encode();
+            bad_version[4..8].copy_from_slice(&found.to_le_bytes());
+            assert_eq!(
+                StoreSnapshot::decode(&reseal(bad_version)).unwrap_err(),
+                PersistError::UnsupportedVersion { found }
+            );
+        }
     }
 
     #[test]

@@ -476,7 +476,7 @@ fn child_seed(parent_seed: u64, version: u64) -> u64 {
 }
 
 /// SplitMix64 (reference constants): seed whitening for the rendezvous
-/// identities here, op-stream derivation in [`workload`](crate::workload).
+/// identities here, deterministic op streams in the store's tests.
 pub(crate) fn splitmix64(seed: u64) -> u64 {
     let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

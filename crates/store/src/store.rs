@@ -1564,6 +1564,19 @@ mod tests {
             .unwrap()
     }
 
+    /// The first `count` keys of the `key/NNNN` namespace that `topology`
+    /// routes to `shard` — how a test aims its traffic at one shard.
+    fn keys_on_shard(topology: &ShardTopology, shard: usize, count: usize) -> Vec<String> {
+        // Nothing routes to a tombstone, so the unbounded scan below would
+        // spin forever on a retired shard; fail loudly instead.
+        assert!(topology.is_live(shard), "shard {shard} is retired; no key routes to it");
+        (0u64..)
+            .map(|i| format!("key/{i:04}"))
+            .filter(|k| topology.shard_of(k) == shard)
+            .take(count)
+            .collect()
+    }
+
     #[test]
     fn builder_defaults_build() {
         let store = StoreBuilder::new().build().unwrap();
@@ -1768,6 +1781,104 @@ mod tests {
         let text = apc_obs::encode_prometheus(&snap);
         assert!(text.contains("store_commits_total{tier=\"vip\"} 5"));
         assert!(text.contains("# TYPE store_commit_latency_ns histogram"));
+    }
+
+    #[test]
+    fn tier_counters_are_exact_under_a_concurrent_scrape() {
+        use crate::router::splitmix64;
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
+
+        const VIPS: usize = 2;
+        const GUESTS: usize = 4;
+        const OPS: u64 = 200;
+        let store = small_store(4);
+        let tickets: Vec<ClientTicket> = (0..VIPS)
+            .map(|_| store.admit_vip().unwrap())
+            .chain((0..GUESTS).map(|_| store.admit_guest()))
+            .collect();
+        // Single-op requests over 32 keys: every op is one commit on one
+        // shard, and the stream is a function of (client, step) alone.
+        let op_of = |client: usize, step: u64| {
+            let r = splitmix64((client as u64) << 32 | step);
+            let key = format!("key/{:02}", r % 32);
+            match (r >> 8) % 4 {
+                0 => StoreOp::Get(key),
+                1 => StoreOp::Put(key, step),
+                2 => StoreOp::Cas { key, expect: None, new: step },
+                _ => StoreOp::Remove(key),
+            }
+        };
+        let reads_of = |clients: std::ops::Range<usize>| {
+            clients
+                .flat_map(|c| (0..OPS).map(move |step| (c, step)))
+                .filter(|&(c, step)| op_of(c, step).is_read())
+                .count() as u64
+        };
+
+        let start = Barrier::new(VIPS + GUESTS + 1);
+        let stop = AtomicBool::new(false);
+        let scrapes = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            let (store, start, stop, scrapes) = (&store, &start, &stop, &scrapes);
+            s.spawn(move || {
+                // The poller: a full registry read + text encoding per
+                // loop, from the first commit of the storm to the last.
+                start.wait();
+                let mut last = [0u64; 2];
+                while !stop.load(Ordering::Acquire) {
+                    let snap = store.scrape();
+                    let text = apc_obs::encode_prometheus(&snap);
+                    // Counted before anything below can fail: the clients
+                    // wait on it.
+                    scrapes.fetch_add(1, Ordering::Release);
+                    assert!(!text.is_empty());
+                    for (seen, (tier, clients)) in
+                        last.iter_mut().zip([("vip", VIPS), ("guest", GUESTS)])
+                    {
+                        let now = snap.value("store_commits_total", &[("tier", tier)]).unwrap();
+                        assert!(*seen <= now, "{tier} commits never run backwards");
+                        assert!(now <= clients as u64 * OPS, "{tier} commits never run ahead");
+                        *seen = now;
+                    }
+                }
+            });
+            let clients: Vec<_> = tickets
+                .iter()
+                .enumerate()
+                .map(|(i, ticket)| {
+                    s.spawn(move || {
+                        let mut client = store.client(*ticket);
+                        start.wait();
+                        for step in 0..OPS {
+                            if step == OPS / 2 {
+                                // Hold the storm open until a scrape that
+                                // began inside it has finished.
+                                while scrapes.load(Ordering::Acquire) == 0 {
+                                    std::thread::yield_now();
+                                }
+                            }
+                            assert!(client.execute(vec![op_of(i, step)])[0].is_ok());
+                        }
+                    })
+                })
+                .collect();
+            for c in clients {
+                c.join().expect("client thread");
+            }
+            stop.store(true, Ordering::Release);
+        });
+
+        let snap = store.scrape();
+        for (tier, clients) in [("vip", 0..VIPS), ("guest", VIPS..VIPS + GUESTS)] {
+            let labels = [("tier", tier)];
+            let commits = snap.value("store_commits_total", &labels).unwrap();
+            assert_eq!(commits, clients.len() as u64 * OPS, "every {tier} commit is counted once");
+            let lat = snap.histogram("store_commit_latency_ns", &labels).unwrap();
+            assert_eq!(lat.count, commits, "every {tier} commit is timed once");
+            let local = snap.value("store_local_reads_total", &labels).unwrap();
+            assert_eq!(local, reads_of(clients), "every {tier} read-only round is counted once");
+        }
     }
 
     #[test]
@@ -2032,7 +2143,7 @@ mod tests {
         let mut c = store.client(store.admit_guest());
         // Melt: hammer keys that all live on one shard under the fresh
         // topology. The driver must split without any manual call.
-        let hot_keys = crate::workload::keys_on_shard(&store.topology(), 0, 4);
+        let hot_keys = keys_on_shard(&store.topology(), 0, 4);
         let mut rounds = 0;
         while store.elastic_report().unwrap().splits == 0 {
             for key in &hot_keys {
@@ -2047,7 +2158,7 @@ mod tests {
         // shard 0 go cold and the driver must retire them, unwinding to
         // the original live set.
         let cool_keys: Vec<String> =
-            (1..4).flat_map(|s| crate::workload::keys_on_shard(&store.topology(), s, 3)).collect();
+            (1..4).flat_map(|s| keys_on_shard(&store.topology(), s, 3)).collect();
         let mut rounds = 0;
         while store.live_shards() > 4 {
             for key in &cool_keys {
@@ -2521,14 +2632,14 @@ mod tests {
             .build()
             .unwrap();
         let mut c = store.client(store.admit_guest());
-        let hot_keys = crate::workload::keys_on_shard(&store.topology(), 2, 4);
+        let hot_keys = keys_on_shard(&store.topology(), 2, 4);
         for key in &hot_keys {
             c.put(key, 7);
         }
         assert_eq!(store.hottest_shard(), 2);
         let cells = cursors(&store);
         // Reads alone move the detector to another shard...
-        let other = crate::workload::keys_on_shard(&store.topology(), 1, 1);
+        let other = keys_on_shard(&store.topology(), 1, 1);
         for _ in 0..8 {
             assert_eq!(c.get(&other[0]), None);
         }

@@ -1,152 +1,78 @@
-//! `store_server`: the wire front-end under a 10k-connection load.
+//! `store_server`: the wire front-end, one turn at a time.
 //!
 //! Run with: `cargo run --release --example store_server`
 //!
-//! One reactor thread serves a [`StoreServer`] over simulated connections
-//! while loadgen threads drive **10,000 concurrent guest connections**
-//! plus a handful of VIP connections through the binary wire protocol.
-//! Every request is the unified `Request` envelope; every connection
-//! speaks the length-prefixed codec of `docs/WIRE.md`.
+//! One thread plays both sides of a [`StoreServer`] over simulated
+//! connections speaking the length-prefixed codec of `docs/WIRE.md`:
 //!
-//! What the run demonstrates, with numbers:
+//! * both tiers handshake, and each gets a round-trip;
+//! * a guest pipelines a burst past the per-turn dispatch cap and its
+//!   backlog: the overflow is answered with `RetryBudgetExhausted` (the
+//!   wire's 429) in the arrival turn, while the VIP frame sent into the
+//!   same turn is served — nothing queues behind the flood, nothing blocks;
+//! * the listener doubles as an observability endpoint: `GET /metrics`
+//!   over a fresh connection returns the merged scrape.
 //!
-//! * per-tier round-trip latency (p50 / p99 / p999) — VIP latency stays
-//!   bounded while guests flood, because each reactor turn serves every
-//!   VIP request through the lint-verified bounded wait-free dispatch
-//!   path before touching the guest queue;
-//! * typed backpressure — guest overload beyond the per-turn dispatch cap
-//!   is answered with `RetryBudgetExhausted` (the wire's 429) and the
-//!   loadgen retries; nothing ever blocks;
-//! * the listener doubles as an observability endpoint: the run ends by
-//!   fetching `GET /metrics` over a fresh connection and printing the
-//!   `store_net_*` series.
-
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
+//! It demonstrates behaviour and times nothing; what the wire costs is
+//! measured by `benchmark/` against `BENCHMARK.json`.
 
 use asymmetric_progress::net::{NetClient, ServerConfig, StoreServer};
 use asymmetric_progress::store::{Request, StoreBuilder, StoreError, StoreOp, TierCredential};
 
-const GUEST_CONNS: usize = 10_000;
-const VIP_CONNS: usize = 4;
-const REQUESTS_PER_CONN: usize = 3;
-const LOADGEN_THREADS: usize = 8;
-const VIP_TOKEN_BASE: u64 = 0xfeed_0000;
+const VIP_TOKEN: u64 = 0xfeed_0000;
+const DISPATCH_CAP: usize = 8;
+const BACKLOG: usize = 8;
+const BURST: usize = 64;
 
 fn main() {
-    let store =
-        StoreBuilder::new().shards(8).vip_capacity(VIP_CONNS).build().expect("valid sizing");
+    let store = StoreBuilder::new().shards(4).vip_capacity(1).build().expect("valid sizing");
     let cfg = ServerConfig {
-        vip_tokens: (0..VIP_CONNS as u64).map(|i| VIP_TOKEN_BASE + i).collect(),
-        guest_dispatch_per_poll: 2_048,
+        vip_tokens: vec![VIP_TOKEN],
+        guest_dispatch_per_poll: DISPATCH_CAP,
+        guest_queue_depth: BACKLOG,
         ..ServerConfig::default()
     };
     let mut server = StoreServer::new(&store, cfg);
 
-    // Open every connection up front on the reactor thread; the endpoints
-    // are handed to loadgen threads (a real deployment would accept TCP
-    // sockets here instead).
-    let guest_ends: Vec<_> = (0..GUEST_CONNS).map(|_| server.connect()).collect();
-    let vip_ends: Vec<_> = (0..VIP_CONNS).map(|_| server.connect()).collect();
-    println!("opened {} simulated connections", server.conn_count());
+    let vip_cred = TierCredential::Vip { token: VIP_TOKEN };
+    let mut vip = NetClient::connect(&mut server, vip_cred);
+    let mut guest = NetClient::connect(&mut server, TierCredential::Guest);
+    server.poll(); // handshakes
 
-    let done = AtomicBool::new(false);
-    let shed_retries = AtomicU64::new(0);
-    let guest_lat = Mutex::new(Vec::<u64>::new());
-    let vip_lat = Mutex::new(Vec::<u64>::new());
+    // One turn serves its VIP frames first, so the guest reads the VIP's write.
+    guest.send(&Request::new(vec![StoreOp::Get("greeting".into())]).retry_budget(4));
+    vip.send(&Request::new(vec![StoreOp::Put("greeting".into(), 1)]).credential(vip_cred));
+    server.poll();
+    println!("vip put   -> {:?}", vip.drain().expect("clean wire")[0].1);
+    println!("guest get -> {:?}", guest.drain().expect("clean wire")[0].1);
 
-    let wall = Instant::now();
-    std::thread::scope(|s| {
-        // Loadgen: each thread owns a slice of guest connections and all
-        // threads share the retry/latency accumulators.
-        let mut slices: Vec<Vec<_>> = (0..LOADGEN_THREADS).map(|_| Vec::new()).collect();
-        for (i, end) in guest_ends.into_iter().enumerate() {
-            slices[i % LOADGEN_THREADS].push(end);
-        }
-        for ends in slices {
-            let shed_retries = &shed_retries;
-            let guest_lat = &guest_lat;
-            s.spawn(move || {
-                let mut clients: Vec<NetClient> = ends
-                    .into_iter()
-                    .map(|e| NetClient::from_end(e, TierCredential::Guest))
-                    .collect();
-                let lat = drive(&mut clients, TierCredential::Guest, shed_retries);
-                guest_lat.lock().unwrap().extend(lat);
-            });
-        }
-        // VIP loadgen: one thread for the whole VIP set.
-        {
-            let shed_retries = &shed_retries;
-            let vip_lat = &vip_lat;
-            s.spawn(move || {
-                let mut clients: Vec<NetClient> = vip_ends
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, e)| {
-                        NetClient::from_end(
-                            e,
-                            TierCredential::Vip { token: VIP_TOKEN_BASE + i as u64 },
-                        )
-                    })
-                    .collect();
-                // The credential sent per request must match the tier; use
-                // token 0's shape for all (the reactor keys on the conn).
-                let lat = drive(
-                    &mut clients,
-                    TierCredential::Vip { token: VIP_TOKEN_BASE },
-                    shed_retries,
-                );
-                vip_lat.lock().unwrap().extend(lat);
-            });
-        }
-
-        // The reactor: poll until every loadgen thread is done.
-        let done = &done;
-        let server = &mut server;
-        let handle = s.spawn(move || {
-            let mut turns = 0u64;
-            let mut served = 0usize;
-            let mut shed = 0usize;
-            while !done.load(Ordering::Acquire) {
-                let stats = server.poll();
-                turns += 1;
-                served += stats.served;
-                shed += stats.shed;
-                if stats.frames == 0 {
-                    std::thread::yield_now();
-                }
-            }
-            (turns, served, shed)
-        });
-
-        // Wait for loadgen (all spawned before the reactor handle), then
-        // stop the reactor. Scope join order: we can't join selectively
-        // here, so signal completion via the expected response count.
-        let expected = (GUEST_CONNS + VIP_CONNS) * REQUESTS_PER_CONN;
-        loop {
-            let got = guest_lat.lock().unwrap().len() + vip_lat.lock().unwrap().len();
-            if got >= expected {
-                break;
-            }
-            std::thread::yield_now();
-        }
-        done.store(true, Ordering::Release);
-        let (turns, served, shed) = handle.join().expect("reactor thread");
-        let secs = wall.elapsed().as_secs_f64();
-        println!(
-            "reactor: {turns} turns, {served} served, {shed} shed (typed 429s) in {secs:.2}s \
-             ({:.0} req/s)",
-            served as f64 / secs
+    // The flood and the VIP frame arrive in the same turn.
+    for i in 0..BURST {
+        guest.send(
+            &Request::new(vec![StoreOp::Put(format!("flood/{i}"), i as u64)]).retry_budget(4),
         );
-    });
+    }
+    vip.send(&Request::new(vec![StoreOp::Put("vip/alive".into(), 1)]).credential(vip_cred));
+    let stats = server.poll();
+    let vip_answers = vip.drain().expect("clean wire");
+    assert_eq!(vip_answers.len(), 1, "the VIP is served in the overload turn");
+    assert!(vip_answers[0].1.iter().all(|r| r.is_ok()), "no VIP 429 under guest flood");
+    assert_eq!(stats.shed, BURST - DISPATCH_CAP - BACKLOG, "overflow is shed on arrival");
 
-    let mut guest = guest_lat.into_inner().unwrap();
-    let mut vip = vip_lat.into_inner().unwrap();
-    println!("guest retries after shed: {}", shed_retries.load(Ordering::Relaxed));
-    report("guest", &mut guest);
-    report("vip  ", &mut vip);
+    // The backlog drains over the next turns; every frame gets one answer.
+    let (mut served, mut shed) = (0, 0);
+    while served + shed < BURST {
+        for (_, results) in guest.drain().expect("clean wire") {
+            match &results[0] {
+                Ok(_) => served += 1,
+                Err(StoreError::RetryBudgetExhausted { .. }) => shed += 1,
+                other => panic!("unexpected guest result: {other:?}"),
+            }
+        }
+        server.poll();
+    }
+    assert_eq!((served, shed), (DISPATCH_CAP + BACKLOG, stats.shed));
+    println!("guest burst of {BURST}: {served} served, {shed} shed (typed 429s); VIP served");
 
     // The same listener answers plain HTTP: fetch the merged scrape.
     let probe = server.connect();
@@ -155,103 +81,9 @@ fn main() {
     let mut body = Vec::new();
     probe.drain_into(&mut body);
     let text = String::from_utf8_lossy(&body);
+    assert!(text.contains("store_net_backpressure_shed_total{tier=\"vip\"} 0"));
     println!("\nGET /metrics (store_net_* series):");
     for line in text.lines().filter(|l| l.starts_with("store_net_") && !l.contains("_bucket")) {
         println!("  {line}");
     }
-}
-
-/// Drives every client through `REQUESTS_PER_CONN` request/response
-/// round-trips, retrying typed backpressure sheds; returns the observed
-/// round-trip latencies in nanoseconds.
-fn drive(
-    clients: &mut [NetClient],
-    credential: TierCredential,
-    shed_retries: &AtomicU64,
-) -> Vec<u64> {
-    struct Pending {
-        sent_at: Instant,
-        round: usize,
-    }
-    let mut latencies = Vec::with_capacity(clients.len() * REQUESTS_PER_CONN);
-    let mut pending: Vec<Option<Pending>> = Vec::new();
-    let mut rounds: Vec<usize> = vec![0; clients.len()];
-    pending.resize_with(clients.len(), || None);
-    let mut done = 0usize;
-    while done < clients.len() {
-        let mut progressed = false;
-        for (c, client) in clients.iter_mut().enumerate() {
-            if rounds[c] >= REQUESTS_PER_CONN {
-                continue;
-            }
-            match &pending[c] {
-                None => {
-                    let key = format!(
-                        "load/{credential_tag}/{c}/{r}",
-                        credential_tag = match credential {
-                            TierCredential::Vip { .. } => "vip",
-                            TierCredential::Guest => "guest",
-                        },
-                        r = rounds[c]
-                    );
-                    let req = Request::new(vec![
-                        StoreOp::Put(key.clone(), rounds[c] as u64),
-                        StoreOp::Get(key),
-                    ])
-                    .credential(credential)
-                    .retry_budget(8);
-                    client.send(&req);
-                    pending[c] = Some(Pending { sent_at: Instant::now(), round: rounds[c] });
-                    progressed = true;
-                }
-                Some(p) => {
-                    let responses = client.drain().expect("clean wire");
-                    if responses.is_empty() {
-                        continue;
-                    }
-                    progressed = true;
-                    let (_, results) = &responses[0];
-                    let was_shed = results
-                        .iter()
-                        .any(|r| matches!(r, Err(StoreError::RetryBudgetExhausted { .. })));
-                    if was_shed {
-                        // Typed backpressure: resend the whole round.
-                        shed_retries.fetch_add(1, Ordering::Relaxed);
-                        pending[c] = None;
-                    } else {
-                        assert!(results.iter().all(|r| r.is_ok()), "request failed: {results:?}");
-                        let rtt = u64::try_from(p.sent_at.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                        latencies.push(rtt);
-                        rounds[c] = p.round + 1;
-                        pending[c] = None;
-                        if rounds[c] >= REQUESTS_PER_CONN {
-                            done += 1;
-                        }
-                    }
-                }
-            }
-        }
-        if !progressed {
-            std::thread::yield_now();
-        }
-    }
-    latencies
-}
-
-fn report(tier: &str, lat: &mut [u64]) {
-    lat.sort_unstable();
-    let pct = |p: f64| -> u64 {
-        if lat.is_empty() {
-            return 0;
-        }
-        let idx = ((lat.len() as f64 - 1.0) * p).round() as usize;
-        lat[idx.min(lat.len() - 1)]
-    };
-    println!(
-        "{tier} rtt over {:>6} requests: p50 {:>9} ns   p99 {:>9} ns   p999 {:>9} ns",
-        lat.len(),
-        pct(0.50),
-        pct(0.99),
-        pct(0.999)
-    );
 }

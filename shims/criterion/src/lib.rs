@@ -9,110 +9,9 @@
 //! prints the mean time per iteration. Good enough to track relative
 //! movement between PRs without a registry; swap in the real crate for
 //! publication-grade statistics.
-//!
-//! ## Machine-readable output
-//!
-//! When the `BENCH_JSON` environment variable names a file, the
-//! [`criterion_main!`]-generated `main` writes every measurement there as
-//! JSON — one record per benchmark with `ns_per_iter`, and (scaled by the
-//! group's [`Throughput`], default 1 element/iter) `ns_per_op` and
-//! `ops_per_sec`. This is how the repository records its perf trajectory
-//! (`BENCH_*.json` artifacts in CI).
 
 use std::fmt;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// One finished measurement, captured for the JSON report.
-#[derive(Clone, Debug)]
-struct BenchRecord {
-    name: String,
-    ns_per_iter: u128,
-    elements_per_iter: u64,
-}
-
-/// All measurements of this process, in completion order.
-static RESULTS: Mutex<Vec<BenchRecord>> = Mutex::new(Vec::new());
-
-fn minimal_json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if (c as u32) < 0x20 => vec![' '],
-            c => vec![c],
-        })
-        .collect()
-}
-
-/// Writes the JSON report to the path named by `BENCH_JSON`, if set.
-///
-/// Called automatically by the `main` that [`criterion_main!`] generates;
-/// harmless to call when the variable is absent. Returns the path written.
-pub fn write_json_report() -> Option<String> {
-    let path = std::env::var("BENCH_JSON").ok()?;
-    let records = RESULTS.lock().expect("bench results poisoned");
-    let mut out = String::from("{\n  \"benchmarks\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        let ns_per_op = r.ns_per_iter as f64 / r.elements_per_iter.max(1) as f64;
-        let ops_per_sec = if ns_per_op > 0.0 { 1e9 / ns_per_op } else { 0.0 };
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"ns_per_iter\": {}, \"elements_per_iter\": {}, \
-             \"ns_per_op\": {:.1}, \"ops_per_sec\": {:.1}}}{}\n",
-            minimal_json_escape(&r.name),
-            r.ns_per_iter,
-            r.elements_per_iter,
-            ns_per_op,
-            ops_per_sec,
-            if i + 1 == records.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    match std::fs::write(&path, out) {
-        Ok(()) => {
-            println!("bench json report written to {path}");
-            Some(path)
-        }
-        Err(err) => {
-            eprintln!("bench json report failed for {path}: {err}");
-            None
-        }
-    }
-}
-
-/// Records an externally measured result into the JSON report, alongside
-/// the timed series.
-///
-/// For benches that drive their own measurement loop — latency percentiles
-/// over a load run, a wall-clock throughput — where [`Bencher::iter`]'s
-/// mean-of-repeats shape does not fit. The record lands in the same
-/// `BENCH_JSON` report (and trend gate) as every timed series.
-pub fn report_measurement(name: &str, ns_per_iter: u128, elements_per_iter: u64) {
-    println!("bench {name:<50} {ns_per_iter:>12} ns/iter (reported)");
-    RESULTS.lock().expect("bench results poisoned").push(BenchRecord {
-        name: name.to_owned(),
-        ns_per_iter,
-        elements_per_iter: elements_per_iter.max(1),
-    });
-}
-
-/// Per-iteration work declared by a benchmark group, used to scale
-/// per-iteration times into per-operation rates.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Throughput {
-    /// Each iteration processes this many logical elements/operations.
-    Elements(u64),
-    /// Each iteration processes this many bytes.
-    Bytes(u64),
-}
-
-impl Throughput {
-    fn per_iter(self) -> u64 {
-        match self {
-            Throughput::Elements(n) | Throughput::Bytes(n) => n,
-        }
-    }
-}
 
 /// Re-export of the standard optimizer barrier under criterion's name.
 pub fn black_box<T>(x: T) -> T {
@@ -182,13 +81,11 @@ pub struct Bencher {
     iters: u64,
     /// Wall-clock budget for the measurement loop.
     budget: Duration,
-    /// Logical operations per iteration (the group's [`Throughput`]).
-    elements: u64,
 }
 
 impl Bencher {
-    fn new(budget: Duration, elements: u64) -> Self {
-        Bencher { elapsed: Duration::ZERO, iters: 0, budget, elements }
+    fn new(budget: Duration) -> Self {
+        Bencher { elapsed: Duration::ZERO, iters: 0, budget }
     }
 
     /// Times `routine` repeatedly.
@@ -235,11 +132,6 @@ impl Bencher {
         }
         let per_iter = self.elapsed.as_nanos() / u128::from(self.iters);
         println!("bench {name:<50} {per_iter:>12} ns/iter ({} iters)", self.iters);
-        RESULTS.lock().expect("bench results poisoned").push(BenchRecord {
-            name: name.to_owned(),
-            ns_per_iter: per_iter,
-            elements_per_iter: self.elements,
-        });
     }
 }
 
@@ -247,7 +139,6 @@ impl Bencher {
 pub struct BenchmarkGroup<'c> {
     name: String,
     budget: Duration,
-    elements: u64,
     _criterion: &'c mut Criterion,
 }
 
@@ -255,17 +146,8 @@ impl BenchmarkGroup<'_> {
     /// Sets the nominal sample count (scales this shim's time budget).
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         // Real criterion defaults to 100 samples; scale the budget so
-        // explicitly-small groups (expensive benches) stay fast, while
-        // gated series (bench_trend in CI) can buy a bigger averaging
-        // window against scheduler noise.
+        // explicitly-small groups (expensive benches) stay fast.
         self.budget = Duration::from_millis((n as u64).clamp(10, 400));
-        self
-    }
-
-    /// Declares the per-iteration workload, so reports can speak in
-    /// per-operation terms.
-    pub fn throughput(&mut self, t: Throughput) -> &mut Self {
-        self.elements = t.per_iter().max(1);
         self
     }
 
@@ -274,7 +156,7 @@ impl BenchmarkGroup<'_> {
     where
         F: FnMut(&mut Bencher),
     {
-        let mut bencher = Bencher::new(self.budget, self.elements);
+        let mut bencher = Bencher::new(self.budget);
         f(&mut bencher);
         bencher.report(&format!("{}/{}", self.name, id.into_id()));
         self
@@ -290,7 +172,7 @@ impl BenchmarkGroup<'_> {
     where
         F: FnMut(&mut Bencher, &I),
     {
-        let mut bencher = Bencher::new(self.budget, self.elements);
+        let mut bencher = Bencher::new(self.budget);
         f(&mut bencher, input);
         bencher.report(&format!("{}/{}", self.name, id.into_id()));
         self
@@ -307,12 +189,7 @@ pub struct Criterion {}
 impl Criterion {
     /// Opens a named group.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
-        BenchmarkGroup {
-            name: name.into(),
-            budget: Duration::from_millis(50),
-            elements: 1,
-            _criterion: self,
-        }
+        BenchmarkGroup { name: name.into(), budget: Duration::from_millis(50), _criterion: self }
     }
 
     /// Runs a standalone benchmark.
@@ -320,7 +197,7 @@ impl Criterion {
     where
         F: FnMut(&mut Bencher),
     {
-        let mut bencher = Bencher::new(Duration::from_millis(50), 1);
+        let mut bencher = Bencher::new(Duration::from_millis(50));
         f(&mut bencher);
         bencher.report(&id.into_id());
         self
@@ -338,14 +215,12 @@ macro_rules! criterion_group {
     };
 }
 
-/// Emits `main` running the given groups, then writing the JSON report if
-/// `BENCH_JSON` names a file.
+/// Emits `main` running the given groups.
 #[macro_export]
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
         fn main() {
             $($group();)+
-            let _ = $crate::write_json_report();
         }
     };
 }
@@ -355,38 +230,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn throughput_scales_reports() {
-        assert_eq!(Throughput::Elements(40).per_iter(), 40);
-        assert_eq!(Throughput::Bytes(8).per_iter(), 8);
-    }
-
-    #[test]
-    fn json_escape_handles_quotes_and_controls() {
-        assert_eq!(minimal_json_escape(r#"a"b\c"#), r#"a\"b\\c"#);
-        assert_eq!(minimal_json_escape("x\ny"), "x y");
-    }
-
-    #[test]
-    fn report_registers_records() {
-        let mut b = Bencher::new(Duration::from_millis(1), 10);
-        b.iter(|| std::hint::black_box(1 + 1));
-        b.report("shim-test/report-registers");
-        let results = RESULTS.lock().unwrap();
-        let rec = results
-            .iter()
-            .find(|r| r.name == "shim-test/report-registers")
-            .expect("record registered");
-        assert_eq!(rec.elements_per_iter, 10);
-    }
-
-    #[test]
-    fn report_measurement_registers_records() {
-        report_measurement("shim-test/reported", 1234, 3);
-        let results = RESULTS.lock().unwrap();
-        let rec = results
-            .iter()
-            .find(|r| r.name == "shim-test/reported")
-            .expect("reported record registered");
-        assert_eq!((rec.ns_per_iter, rec.elements_per_iter), (1234, 3));
+    fn iter_measures_every_timed_run() {
+        let mut runs = 0u64;
+        let mut b = Bencher::new(Duration::from_millis(1));
+        b.iter(|| runs += 1);
+        // One untimed calibration run, then the timed ones.
+        assert!(b.iters >= 1);
+        assert_eq!(runs, b.iters + 1);
+        b.report("shim-test/iter");
     }
 }

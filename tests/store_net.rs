@@ -1,8 +1,8 @@
 //! Integration tests for the wire front-end: the net scenario family.
 //!
-//! These are the `store/scenarios/net/*` acceptance scenarios: handshake
-//! and request/response on both tiers, guest overload answered with typed
-//! backpressure while the VIP tier stays served, a 10k-connection smoke,
+//! The acceptance scenarios: handshake and request/response on both
+//! tiers, guest overload answered with typed backpressure while the VIP
+//! tier stays served, a 10k-connection smoke,
 //! the `GET /metrics` listener, and wrapper-vs-envelope equivalence.
 
 use std::collections::BTreeMap;

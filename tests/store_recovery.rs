@@ -541,72 +541,6 @@ fn post_merge_topology_survives_crash_recovery() {
     assert_eq!(full_scan(&recovered).len(), scanned.len() + 1);
 }
 
-/// A v2 (PR-4-era, pre-tombstone) snapshot file recovers end-to-end
-/// through `StoreBuilder::recover`: the upgrade reads every node as live
-/// and the store serves exactly the flushed data.
-#[test]
-fn v2_snapshot_files_upgrade_on_recovery() {
-    let path = scratch("v2-upgrade.snapshot");
-    // Hand-encode a v2 file: a fresh(2) topology (roots at version 0) and
-    // two frames. Seeds must match what the router derives for roots, so
-    // take them from a live topology.
-    let topology = asymmetric_progress::store::ShardTopology::fresh(2);
-    let entries: Vec<(String, u64)> = (0..10u64).map(|i| (format!("key/{i:02}"), i * 3)).collect();
-    let mut frames: Vec<Vec<(String, u64)>> = vec![Vec::new(), Vec::new()];
-    for (k, v) in &entries {
-        frames[topology.shard_of(k)].push((k.clone(), *v));
-    }
-    let mut buf = Vec::new();
-    buf.extend_from_slice(b"APCS");
-    buf.extend_from_slice(&2u32.to_le_bytes());
-    buf.extend_from_slice(&2u32.to_le_bytes());
-    let topo_start = buf.len();
-    buf.extend_from_slice(&0u64.to_le_bytes()); // topo version
-    for s in 0..2 {
-        let node = topology.node(s);
-        buf.extend_from_slice(&node.seed.to_le_bytes());
-        buf.extend_from_slice(&u32::MAX.to_le_bytes());
-        buf.extend_from_slice(&0u64.to_le_bytes());
-    }
-    let topo_sum = fnv(&buf[topo_start..]);
-    buf.extend_from_slice(&topo_sum.to_le_bytes());
-    for frame in &frames {
-        let frame_start = buf.len();
-        buf.extend_from_slice(&0u64.to_le_bytes()); // log_index
-        buf.extend_from_slice(&0u64.to_le_bytes()); // epoch
-        buf.extend_from_slice(&(frame.len() as u64).to_le_bytes());
-        let payload_len_at = buf.len();
-        buf.extend_from_slice(&0u64.to_le_bytes());
-        let payload_start = buf.len();
-        for (k, v) in frame {
-            buf.extend_from_slice(&(k.len() as u32).to_le_bytes());
-            buf.extend_from_slice(k.as_bytes());
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-        let payload_len = (buf.len() - payload_start) as u64;
-        buf[payload_len_at..payload_len_at + 8].copy_from_slice(&payload_len.to_le_bytes());
-        let sum = fnv(&buf[frame_start..]);
-        buf.extend_from_slice(&sum.to_le_bytes());
-    }
-    let sum = fnv(&buf);
-    buf.extend_from_slice(&sum.to_le_bytes());
-    std::fs::write(&path, &buf).unwrap();
-
-    let recovered = StoreBuilder::new()
-        .vip_capacity(1)
-        .guest_ports(2)
-        .guest_group_width(1)
-        .recover(&path)
-        .unwrap();
-    assert_eq!(recovered.shards(), 2);
-    assert_eq!(recovered.live_shards(), 2, "a v2 file upgrades to all-live nodes");
-    assert_eq!(full_scan(&recovered), entries);
-    // The upgraded store is fully elastic: split and merge still work.
-    let child = recovered.split_shard(0).unwrap();
-    recovered.merge_shard(child).unwrap();
-    assert_eq!(full_scan(&recovered), entries, "nothing lost across the upgrade + round-trip");
-}
-
 /// Fault injection on the tombstone column specifically: structurally
 /// invalid retirements (re-sealed so every checksum passes) must fail
 /// closed with their own typed corruption errors — recovery never builds
