@@ -18,7 +18,7 @@
 use std::fmt;
 
 use apc_progress_macros::progress;
-use apc_registers::collect::StoreCollect;
+use apc_registers::AtomicCell;
 
 use crate::consensus::ProposeOnce;
 use crate::error::ConsensusError;
@@ -61,11 +61,18 @@ impl fmt::Display for AcOutcome {
 /// assert_eq!(value, 7);
 /// ```
 pub struct AdoptCommit<T> {
-    /// Phase-1 proposals.
-    proposals: StoreCollect<T>,
-    /// Phase-2 `(flag, value)` announcements.
-    flags: StoreCollect<(AcOutcome, T)>,
+    /// One entry per process, side by side — an object is one slice,
+    /// allocated once, however many of its registers are ever written.
+    slots: Box<[Registers<T>]>,
     once: ProposeOnce,
+}
+
+/// The two single-writer registers of one process.
+struct Registers<T> {
+    /// Phase 1: the proposal.
+    proposal: AtomicCell<T>,
+    /// Phase 2: the `(flag, value)` announcement.
+    announced: AtomicCell<(AcOutcome, T)>,
 }
 
 impl<T: Clone + Eq + Send + Sync> AdoptCommit<T> {
@@ -77,20 +84,23 @@ impl<T: Clone + Eq + Send + Sync> AdoptCommit<T> {
     pub fn new(n: usize) -> Self {
         assert!((1..=64).contains(&n), "n must be in 1..=64");
         AdoptCommit {
-            proposals: StoreCollect::new(n),
-            flags: StoreCollect::new(n),
+            slots: (0..n)
+                .map(|_| Registers { proposal: AtomicCell::new(), announced: AtomicCell::new() })
+                .collect(),
             once: ProposeOnce::new(),
         }
     }
 
     /// Number of processes.
     pub fn n(&self) -> usize {
-        self.proposals.len()
+        self.slots.len()
     }
 
     /// One adopt-commit operation by `pid` with input `value`.
     ///
-    /// Wait-free: 2 stores + 2 collects (`O(n)` register operations).
+    /// Wait-free: 2 stores + 2 collects (`O(n)` register operations). A
+    /// collect reads the registers one by one in index order and borrows
+    /// each value where it sits; it copies out only the value it adopts.
     ///
     /// # Errors
     ///
@@ -110,50 +120,62 @@ impl<T: Clone + Eq + Send + Sync> AdoptCommit<T> {
         // writes its slot and then reads the others'. That reasoning needs a
         // total store order, which acquire/release alone does not give —
         // hence the SeqCst fence between the store and the collect.
-        self.proposals.store(pid, value.clone());
+        self.slots[pid].proposal.store(value.clone());
         std::sync::atomic::fence(std::sync::atomic::Ordering::SeqCst);
-        let seen = self.proposals.collect_set();
-        let unanimous = seen.iter().all(|(_, v)| *v == value);
-        let phase2_entry = if unanimous {
-            (AcOutcome::Commit, value.clone())
+        let mut unanimous = true;
+        let mut collected_any = false;
+        // The first value collected, kept only if it differs from ours.
+        let mut first_other = None;
+        for slot in self.slots.iter() {
+            slot.proposal.load_with(|seen| {
+                let Some(seen) = seen else { return };
+                if *seen != value {
+                    unanimous = false;
+                    if !collected_any {
+                        first_other = Some(seen.clone());
+                    }
+                }
+                collected_any = true;
+            });
+        }
+        // Mixed proposals: flag adopt, carrying the first value collected
+        // (deterministic choice; any collected value is valid) — which is
+        // ours when no other came first.
+        let (flag, estimate) = if unanimous {
+            (AcOutcome::Commit, value)
         } else {
-            // Mixed proposals: flag adopt, carrying the first value collected
-            // (deterministic choice; any collected value is valid). The
-            // collect always contains at least our own phase-1 store, but the
-            // fallback keeps this arm total: our input is valid too.
-            let first = seen.first().map(|(_, v)| v.clone()).unwrap_or_else(|| value.clone());
-            (AcOutcome::Adopt, first)
+            (AcOutcome::Adopt, first_other.unwrap_or(value))
         };
 
         // Phase 2: publish the flagged value, then collect (same
         // store-buffering pattern, same fence).
-        self.flags.store(pid, phase2_entry.clone());
+        self.slots[pid].announced.store((flag, estimate.clone()));
         std::sync::atomic::fence(std::sync::atomic::Ordering::SeqCst);
-        let seen2 = self.flags.collect_set();
-        let all_commit = seen2.iter().all(|(_, (f, _))| f.is_commit());
-        if all_commit {
-            // Everyone observed unanimity: commit. All committed values are
-            // equal (at most one commit value can exist, see module docs).
-            // The collect contains at least our own flag; falling back to
-            // our phase-2 value keeps the path total.
-            let w = seen2
-                .first()
-                .map(|(_, (_, w))| w.clone())
-                .unwrap_or_else(|| phase2_entry.1.clone());
-            return Ok((AcOutcome::Commit, w));
+        let mut all_commit = true;
+        // The first commit-flagged value collected. All committed values
+        // are equal (at most one commit value can exist, see module docs).
+        let mut committed = None;
+        for slot in self.slots.iter() {
+            slot.announced.load_with(|seen| match seen {
+                Some((AcOutcome::Commit, w)) if committed.is_none() => committed = Some(w.clone()),
+                Some((AcOutcome::Commit, _)) | None => {}
+                Some((AcOutcome::Adopt, _)) => all_commit = false,
+            });
         }
-        if let Some((_, (_, w))) = seen2.iter().find(|(_, (f, _))| f.is_commit()) {
+        Ok(match committed {
+            // Everyone observed unanimity: commit.
+            Some(w) if all_commit => (AcOutcome::Commit, w),
             // Someone flagged commit: adopt that (unique) value.
-            return Ok((AcOutcome::Adopt, w.clone()));
-        }
-        // No commit flags seen: adopt own phase-2 value.
-        Ok((AcOutcome::Adopt, phase2_entry.1))
+            Some(w) => (AcOutcome::Adopt, w),
+            // No commit flags seen: adopt own phase-2 value.
+            None => (AcOutcome::Adopt, estimate),
+        })
     }
 }
 
 impl<T: Clone + Eq + fmt::Debug> fmt::Debug for AdoptCommit<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("AdoptCommit").field("n", &self.proposals.len()).finish()
+        f.debug_struct("AdoptCommit").field("n", &self.slots.len()).finish()
     }
 }
 

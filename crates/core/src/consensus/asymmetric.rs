@@ -188,6 +188,16 @@ mod tests {
     }
 
     #[test]
+    fn a_vip_decided_object_never_enters_the_guest_protocol() {
+        // The wait-free class pays for its own assumptions only: no round
+        // runs, so no round object and no segment is ever built.
+        let cons = AsymmetricConsensus::new(Liveness::new_first_n(8, 2));
+        assert_eq!(cons.propose(0, 1u32).unwrap(), 1);
+        assert_eq!(cons.propose(5, 2).unwrap(), 1, "a guest arriving later learns it");
+        assert_eq!(cons.guests.as_ref().unwrap().rounds_executed(), 0);
+    }
+
+    #[test]
     fn guest_alone_decides_its_value() {
         let cons = AsymmetricConsensus::new(Liveness::new_first_n(4, 2));
         assert_eq!(cons.propose(3, 30u32).unwrap(), 30);

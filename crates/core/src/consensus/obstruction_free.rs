@@ -24,9 +24,13 @@
 //! a round no other process has touched, where its own input converges and
 //! commits.
 //!
-//! The unbounded round sequence is materialized as a lock-free linked list
-//! of fixed-size segments, each slot initialized on first use with a
-//! CAS-from-`⊥` — allocation happens off the register-protocol itself.
+//! The unbounded round sequence is materialized where it is used: round 0's
+//! slot sits inline in the object, and rounds `1..` come from a lock-free
+//! chain of fixed-size segments whose first link is allocated by the first
+//! process that leaves round 0. Every slot (and every link) is initialized
+//! on first use with a CAS-from-`⊥` — allocation happens off the
+//! register-protocol itself. An object decided in round 0, or never
+//! proposed to at all, owns no segment.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,17 +47,20 @@ use crate::liveness::Liveness;
 /// Rounds per lazily-allocated segment.
 const SEGMENT_ROUNDS: usize = 8;
 
+/// One round's adopt-commit object, created by the first process to reach
+/// the round.
+type RoundSlot<T> = AtomicCell<Arc<AdoptCommit<T>>>;
+
+/// `SEGMENT_ROUNDS` consecutive rounds past round 0, and the link to the
+/// segment after them.
 struct Segment<T> {
-    rounds: Vec<AtomicCell<Arc<AdoptCommit<T>>>>,
+    rounds: [RoundSlot<T>; SEGMENT_ROUNDS],
     next: AtomicCell<Arc<Segment<T>>>,
 }
 
-impl<T: Clone + Eq + Send + Sync> Segment<T> {
+impl<T> Segment<T> {
     fn new() -> Self {
-        Segment {
-            rounds: (0..SEGMENT_ROUNDS).map(|_| AtomicCell::new()).collect(),
-            next: AtomicCell::new(),
-        }
+        Segment { rounds: std::array::from_fn(|_| AtomicCell::new()), next: AtomicCell::new() }
     }
 }
 
@@ -78,8 +85,10 @@ impl<T: Clone + Eq + Send + Sync> Segment<T> {
 /// ```
 pub struct ObstructionFreeConsensus<T> {
     spec: Liveness,
-    n: usize,
-    head: Arc<Segment<T>>,
+    /// Round 0 — the only round an uncontended proposal runs.
+    round0: RoundSlot<T>,
+    /// Rounds `1..`, in segments; `⊥` until some process leaves round 0.
+    later: AtomicCell<Arc<Segment<T>>>,
     decision: AtomicCell<T>,
     once: ProposeOnce,
     rounds_executed: AtomicU64,
@@ -88,14 +97,13 @@ pub struct ObstructionFreeConsensus<T> {
 impl<T: Clone + Eq + Send + Sync> ObstructionFreeConsensus<T> {
     /// Creates an obstruction-free consensus object for the ports of `spec`.
     ///
-    /// Ports may be any subset of `0..64`; slots are allocated for the
-    /// maximum port index + 1.
+    /// Ports may be any subset of `0..64`; each round's registers are
+    /// allocated for the maximum port index + 1.
     pub fn new(spec: Liveness) -> Self {
-        let n = spec.ports().iter().map(|p| p.index() + 1).max().unwrap_or(1);
         ObstructionFreeConsensus {
             spec,
-            n,
-            head: Arc::new(Segment::new()),
+            round0: AtomicCell::new(),
+            later: AtomicCell::new(),
             decision: AtomicCell::new(),
             once: ProposeOnce::new(),
             rounds_executed: AtomicU64::new(0),
@@ -116,11 +124,19 @@ impl<T: Clone + Eq + Send + Sync> ObstructionFreeConsensus<T> {
     }
 
     fn round_object(&self, r: usize) -> Arc<AdoptCommit<T>> {
-        let mut segment = Arc::clone(&self.head);
+        let new_round = || {
+            let n = self.spec.ports().iter().map(|p| p.index() + 1).max().unwrap_or(1);
+            Arc::new(AdoptCommit::new(n))
+        };
+        let Some(r) = r.checked_sub(1) else {
+            return self.round0.load_or_init(new_round);
+        };
+        let new_segment = || Arc::new(Segment::new());
+        let mut segment = self.later.load_or_init(new_segment);
         for _ in 0..r / SEGMENT_ROUNDS {
-            segment = segment.next.load_or_init(|| Arc::new(Segment::new()));
+            segment = segment.next.load_or_init(new_segment);
         }
-        segment.rounds[r % SEGMENT_ROUNDS].load_or_init(|| Arc::new(AdoptCommit::new(self.n)))
+        segment.rounds[r % SEGMENT_ROUNDS].load_or_init(new_round)
     }
 
     /// Like [`Consensus::propose`], but gives up (returning `Ok(None)`)
@@ -246,6 +262,7 @@ impl<T: Clone + Eq + fmt::Debug> fmt::Debug for ObstructionFreeConsensus<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::consensus::AcOutcome;
     use apc_model::history::{assert_consensus, ProposeRecord};
     use apc_model::ProcessSet;
     use std::sync::Mutex;
@@ -299,6 +316,49 @@ mod tests {
         let cons: ObstructionFreeConsensus<u8> = ObstructionFreeConsensus::new(of_spec(2));
         let deep = cons.round_object(SEGMENT_ROUNDS * 3 + 2);
         assert_eq!(deep.n(), 2);
+    }
+
+    #[test]
+    fn an_object_that_never_left_round_zero_owns_no_segment() {
+        // Untouched — all a VIP-decided asymmetric cell ever holds of its
+        // guest protocol: no round object, no segment.
+        let cons: ObstructionFreeConsensus<u32> = ObstructionFreeConsensus::new(of_spec(6));
+        assert!(cons.round0.is_bot() && cons.later.is_bot());
+        // Decided uncontended: round 0's object, and still no segment, also
+        // after a latecomer learned the decision.
+        assert_eq!(cons.propose(4, 7).unwrap(), 7);
+        assert_eq!(cons.propose(2, 9).unwrap(), 7);
+        assert_eq!(cons.rounds_executed(), 1);
+        assert!(!cons.round0.is_bot() && cons.later.is_bot());
+        // Only a process that leaves round 0 builds the first segment.
+        cons.round_object(1);
+        assert!(!cons.later.is_bot());
+    }
+
+    #[test]
+    fn the_lazy_chain_hands_every_asker_the_same_round_object() {
+        // Rounds 0 ..= 2·SEGMENT_ROUNDS: the inline slot, then every slot of
+        // the first two segments — two boundaries, each opened by a race.
+        let cons: ObstructionFreeConsensus<u64> = ObstructionFreeConsensus::new(of_spec(2));
+        for r in 0..=2 * SEGMENT_ROUNDS {
+            let barrier = std::sync::Barrier::new(2);
+            let (a, b) = std::thread::scope(|s| {
+                let ask = || {
+                    barrier.wait();
+                    cons.round_object(r)
+                };
+                let a = s.spawn(ask);
+                let b = s.spawn(ask);
+                (a.join().unwrap(), b.join().unwrap())
+            });
+            assert!(Arc::ptr_eq(&a, &b), "round {r} resolved to two objects");
+            assert!(Arc::ptr_eq(&a, &cons.round_object(r)), "round {r} moved");
+            // The object is a working adopt-commit: a solo run commits, and
+            // the second process adopts what was committed.
+            let input = r as u64;
+            assert_eq!(a.adopt_commit(0, input).unwrap(), (AcOutcome::Commit, input));
+            assert_eq!(b.adopt_commit(1, input + 100).unwrap(), (AcOutcome::Adopt, input));
+        }
     }
 
     #[test]

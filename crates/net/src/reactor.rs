@@ -160,6 +160,22 @@ enum ConnState {
     Closed,
 }
 
+/// The work buffers of one reactor turn. They live in the server between
+/// turns for their capacity only: [`StoreServer::poll`] takes them, and
+/// hands every one of them back empty.
+#[derive(Debug, Default)]
+struct TurnBuffers {
+    /// The turn's decoded requests `(conn, id, request)`, by admitted tier.
+    vip_q: Vec<(usize, u64, Request)>,
+    guest_q: Vec<(usize, u64, Request)>,
+    /// One connection's drained bytes.
+    scratch: Vec<u8>,
+    /// The guest dispatch set: `(conn, id, ops, arrived)` per envelope…
+    owners: Vec<(usize, u64, u64, Instant)>,
+    /// …and the envelopes themselves, in the same order.
+    reqs: Vec<Request>,
+}
+
 #[derive(Debug)]
 struct ConnSlot {
     end: ConnEnd,
@@ -182,6 +198,10 @@ pub struct StoreServer<'a> {
     /// reconnects so a flapping VIP client cannot leak ports.
     vip_sessions: BTreeMap<u64, ClientTicket>,
     conns: Vec<ConnSlot>,
+    /// Connections closed so far; bumped where a connection closes, so a
+    /// turn reports its own closes without scanning `conns`.
+    closed: usize,
+    turn: TurnBuffers,
     /// Guest frames carried over between poll turns, oldest first.
     guest_backlog: VecDeque<QueuedGuest>,
     /// The server's own guest session: coalesced dispatches commit under
@@ -199,6 +219,8 @@ impl<'a> StoreServer<'a> {
             metrics: NetMetrics::new(),
             vip_sessions: BTreeMap::new(),
             conns: Vec::new(),
+            closed: 0,
+            turn: TurnBuffers::default(),
             guest_backlog: VecDeque::new(),
             batch_ticket: store.admit_guest(),
         }
@@ -237,10 +259,9 @@ impl<'a> StoreServer<'a> {
     /// One reactor turn: ingest, VIP dispatch, guest dispatch + shed.
     pub fn poll(&mut self) -> PollStats {
         let mut stats = PollStats::default();
-        let closed_before = self.closed_count();
-        let mut vip_q: Vec<(usize, u64, Request)> = Vec::new();
-        let mut guest_q: Vec<(usize, u64, Request)> = Vec::new();
-        let mut scratch = Vec::new();
+        let closed_before = self.closed;
+        let mut turn = std::mem::take(&mut self.turn);
+        let TurnBuffers { vip_q, guest_q, scratch, owners, reqs } = &mut turn;
 
         // Phase 1: ingest every connection.
         for i in 0..self.conns.len() {
@@ -248,7 +269,7 @@ impl<'a> StoreServer<'a> {
                 continue;
             }
             scratch.clear();
-            self.conns[i].end.drain_into(&mut scratch);
+            self.conns[i].end.drain_into(scratch);
 
             // HTTP sniff: a fresh connection whose first bytes spell
             // "GET " is a plain-HTTP probe, not a codec peer. (The sniff
@@ -262,10 +283,10 @@ impl<'a> StoreServer<'a> {
             }
 
             match self.conns[i].state {
-                ConnState::Http(_) => self.ingest_http(i, &scratch),
+                ConnState::Http(_) => self.ingest_http(i, scratch),
                 ConnState::Handshake | ConnState::Serving(_) => {
-                    self.conns[i].reader.push(&scratch);
-                    self.ingest_frames(i, &mut stats, &mut vip_q, &mut guest_q);
+                    self.conns[i].reader.push(scratch);
+                    self.ingest_frames(i, &mut stats, vip_q, guest_q);
                 }
                 ConnState::Closed => {}
             }
@@ -280,7 +301,7 @@ impl<'a> StoreServer<'a> {
         }
 
         // Phase 2: serve every VIP request — no cap, by construction.
-        for (i, id, req) in vip_q {
+        for (i, id, req) in vip_q.drain(..) {
             let ticket = match &self.conns[i].state {
                 ConnState::Serving(t) => *t,
                 _ => continue,
@@ -293,11 +314,9 @@ impl<'a> StoreServer<'a> {
         // Phase 3: the turn's guest arrivals join the backlog behind any
         // carried-over frames; serve from the front, oldest first.
         let now = Instant::now();
-        for (i, id, req) in guest_q {
+        for (i, id, req) in guest_q.drain(..) {
             self.guest_backlog.push_back(QueuedGuest { conn: i, id, req, arrived: now });
         }
-        let mut owners: Vec<(usize, u64, u64, Instant)> = Vec::new(); // (conn, id, ops, arrived)
-        let mut reqs: Vec<Request> = Vec::new();
         while reqs.len() < self.cfg.guest_dispatch_per_poll {
             let Some(mut q) = self.guest_backlog.pop_front() else { break };
             if !matches!(self.conns[q.conn].state, ConnState::Serving(_)) {
@@ -341,18 +360,20 @@ impl<'a> StoreServer<'a> {
 
         self.serve_guest_turn(owners, reqs, &mut stats);
 
-        stats.closed = self.closed_count() - closed_before;
+        self.turn = turn;
+        stats.closed = self.closed - closed_before;
         stats
     }
 
-    /// Serves one turn's guest dispatch set as a single coalesced store
-    /// round. Nothing is filtered on the way in: an envelope the guest tier
-    /// must refuse (`Sync` durability, a VIP credential) is refused, alone,
-    /// by [`apc_store::Client::request_guest_many`].
+    /// Serves one turn's guest dispatch set (drained from `owners` and
+    /// `reqs`) as a single coalesced store round. Nothing is filtered on
+    /// the way in: an envelope the guest tier must refuse (`Sync`
+    /// durability, a VIP credential) is refused, alone, by
+    /// [`apc_store::Client::request_guest_many`].
     fn serve_guest_turn(
         &mut self,
-        owners: Vec<(usize, u64, u64, Instant)>,
-        reqs: Vec<Request>,
+        owners: &mut Vec<(usize, u64, u64, Instant)>,
+        reqs: &mut Vec<Request>,
         stats: &mut PollStats,
     ) {
         if reqs.is_empty() {
@@ -365,15 +386,11 @@ impl<'a> StoreServer<'a> {
         let done = Instant::now();
         self.metrics.record_batch(envelopes);
         stats.batches += 1;
-        for ((conn, id, ops, arrived), resp) in owners.into_iter().zip(responses) {
+        for ((conn, id, ops, arrived), resp) in owners.drain(..).zip(responses) {
             self.metrics.record_request(false, ops, nanos(done.duration_since(arrived)));
             self.send_response(conn, id, &resp.results);
             stats.served += 1;
         }
-    }
-
-    fn closed_count(&self) -> usize {
-        self.conns.iter().filter(|c| matches!(c.state, ConnState::Closed)).count()
     }
 
     /// Extracts and handles every complete frame buffered on conn `i`.
@@ -546,9 +563,9 @@ impl<'a> StoreServer<'a> {
     /// after the VIP phase, so coalescing can delay other guests but
     /// never a VIP frame; obstruction-free like the tier it serves.
     #[progress(obstruction_free)]
-    fn dispatch_guest_batch(&self, reqs: Vec<Request>) -> Vec<Response> {
+    fn dispatch_guest_batch(&self, reqs: &mut Vec<Request>) -> Vec<Response> {
         let mut client = self.store.client(self.batch_ticket);
-        client.request_guest_many(reqs)
+        client.request_guest_from(reqs.drain(..))
     }
 
     /// A VIP's `Sync` durability fsyncs on the reactor thread —
@@ -579,6 +596,7 @@ impl<'a> StoreServer<'a> {
         }
         self.conns[i].end.close();
         self.conns[i].state = ConnState::Closed;
+        self.closed += 1;
         self.metrics.record_close();
     }
 }

@@ -10,8 +10,9 @@ use crossbeam_epoch::{self as epoch, Atomic, Owned, Shared};
 /// `Option<T>` — the real-thread analogue of the paper's atomic registers,
 /// with a null pointer playing the role of `⊥`.
 ///
-/// Readers clone the stored value under an epoch guard; writers swing an
-/// `AtomicPtr` and defer destruction of the previous value to
+/// Readers clone the stored value under an epoch guard — or borrow it for
+/// the length of a closure ([`AtomicCell::load_with`]) — and writers swing
+/// an `AtomicPtr` and defer destruction of the previous value to
 /// crossbeam-epoch. All operations are lock-free; none blocks.
 ///
 /// The extra primitive [`AtomicCell::set_if_bot`] (compare-and-swap from
@@ -52,6 +53,27 @@ impl<T> AtomicCell<T> {
     pub fn is_bot(&self) -> bool {
         let guard = epoch::pin();
         self.inner.load(Ordering::Acquire, &guard).is_null()
+    }
+
+    /// Reads the current value **without cloning it**: `f` borrows the
+    /// stored value (`None` for `⊥`) under the epoch guard and returns what
+    /// it needs of it. This is the read for values whose `Clone` is not
+    /// free — a collect that compares or copies one field of each slot
+    /// should not deep-copy the slot to do it.
+    ///
+    /// The value `f` sees is the register's value at the load, exactly as
+    /// for [`AtomicCell::load`]; a concurrent writer replaces the pointer
+    /// and never mutates the value behind it.
+    #[progress(wait_free)]
+    pub fn load_with<R>(&self, f: impl FnOnce(Option<&T>) -> R) -> R {
+        let guard = epoch::pin();
+        let shared = self.inner.load(Ordering::Acquire, &guard);
+        // SAFETY: `shared` is protected by `guard`, which outlives the call
+        // to `f`: a writer that displaces the value only defers its
+        // destruction, so it cannot be reclaimed while `f` borrows it. The
+        // borrow cannot escape: `R` is chosen by the caller before the
+        // reference's lifetime exists, so `f` cannot return the reference.
+        f(unsafe { shared.as_ref() })
     }
 
     /// Stores a value, discarding the previous one.
@@ -129,11 +151,7 @@ impl<T: Clone> AtomicCell<T> {
     /// Reads the current value (cloning it), or `None` if the cell is `⊥`.
     #[progress(wait_free)]
     pub fn load(&self) -> Option<T> {
-        let guard = epoch::pin();
-        let shared = self.inner.load(Ordering::Acquire, &guard);
-        // SAFETY: `shared` is protected by `guard`: it cannot be reclaimed
-        // while the guard is live, so the reference is valid for the clone.
-        unsafe { shared.as_ref() }.cloned()
+        self.load_with(|value| value.cloned())
     }
 
     /// Swaps in `value`, returning the previous value.
@@ -286,6 +304,15 @@ mod tests {
         let cell = AtomicCell::with_value(1u8);
         cell.clear();
         assert!(cell.is_bot());
+    }
+
+    #[test]
+    fn load_with_borrows_without_cloning() {
+        struct NoClone(Vec<u8>);
+        let cell: AtomicCell<NoClone> = AtomicCell::new();
+        assert_eq!(cell.load_with(|v| v.map(|v| v.0.len())), None);
+        cell.store(NoClone(vec![1, 2, 3]));
+        assert_eq!(cell.load_with(|v| v.map(|v| v.0.len())), Some(3));
     }
 
     #[test]

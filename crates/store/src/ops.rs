@@ -238,22 +238,27 @@ fn moved(batch: &Batch, epoch: u64) -> Vec<StoreResp> {
 /// A batch of same-shard operations committed by **one** log append,
 /// stamped with the topology version it was planned under.
 ///
-/// The ops are `Arc`-shared: a batch is cloned many times on its way
-/// through the log (the announce slot, every consensus proposal, the
-/// agreed cell), and sharing makes each of those clones O(1) instead of a
-/// deep copy of every key string.
+/// The ops are one `Arc`-shared slice. Shared, because a batch is cloned
+/// many times on its way through the log (the announce slot, every
+/// consensus proposal, the agreed cell) and each of those clones must be
+/// O(1), not a deep copy of every key string. One exact-size slice,
+/// because the agreed cell keeps it for as long as the log keeps the cell:
+/// a one-op batch retains one allocation of `16 + size_of::<StoreOp>()`
+/// bytes, not the planner's growable buffer behind a second pointer.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct Batch {
     /// The topology version the router used to place this batch's keys.
     pub planned_at: u64,
     /// The operations, in invocation order.
-    pub ops: std::sync::Arc<Vec<StoreOp>>,
+    pub ops: std::sync::Arc<[StoreOp]>,
 }
 
 impl Batch {
-    /// A batch of `ops` planned under topology version `planned_at`.
+    /// A batch of `ops` planned under topology version `planned_at`. The
+    /// ops move into the batch's own exact-size allocation; `ops`' buffer
+    /// is released here, whatever its capacity was.
     pub fn new(planned_at: u64, ops: Vec<StoreOp>) -> Self {
-        Batch { planned_at, ops: std::sync::Arc::new(ops) }
+        Batch { planned_at, ops: ops.into() }
     }
 }
 

@@ -421,6 +421,7 @@ impl StoreBuilder {
             total_commits: AtomicU64::new(0),
             metrics: StoreMetrics::new(),
             wal,
+            _settle: SettleAllocator,
         };
         // The boot-time replay-work gauge: ~0 for a fresh build, O(delta)
         // past the anchors when recovering. Uncontended here — the store
@@ -498,6 +499,25 @@ pub struct Store {
     /// resolved effects, and VIP sessions may demand fsync'd durability
     /// ([`DurabilityClass::Sync`]).
     wal: Option<Arc<Wal>>,
+    /// Declared last, so dropped last: after everything above is freed.
+    _settle: SettleAllocator,
+}
+
+/// Makes a store's teardown pay for its own frees. Dropping a store frees
+/// one small allocation per key per replica. glibc parks small frees in its
+/// fast bins and coalesces them only in bulk, inside the next *large*
+/// request; left alone, that is the first large allocation of whatever runs
+/// after the teardown (the next store's build, say), which is then billed
+/// for half a million chunks it never owned. One large request here is
+/// that trigger. It is the allocator's own mechanism, not a tuning: on an
+/// allocator without deferred coalescing it is one wasted `malloc`/`free`
+/// per store lifetime.
+struct SettleAllocator;
+
+impl Drop for SettleAllocator {
+    fn drop(&mut self) {
+        drop(std::hint::black_box(Vec::<u8>::with_capacity(64 << 10)));
+    }
 }
 
 impl Store {
@@ -1362,7 +1382,7 @@ impl Client<'_> {
     /// envelope.
     #[progress(obstruction_free)]
     pub fn request_guest(&mut self, req: Request) -> Response {
-        only(self.request_guest_many(vec![req]))
+        only(self.request_guest_from([req]))
     }
 
     /// The **coalesced guest arm**, the obstruction-free twin of
@@ -1395,6 +1415,14 @@ impl Client<'_> {
     /// envelopes one at a time, in order, on this session.
     #[progress(obstruction_free)]
     pub fn request_guest_many(&mut self, reqs: Vec<Request>) -> Vec<Response> {
+        self.request_guest_from(reqs)
+    }
+
+    /// [`Client::request_guest_many`] over any source of envelopes, for a
+    /// caller that keeps its envelope buffer from round to round and hands
+    /// over `buffer.drain(..)` (the reactor, every turn).
+    #[progress(obstruction_free)]
+    pub fn request_guest_from(&mut self, reqs: impl IntoIterator<Item = Request>) -> Vec<Response> {
         let port = self.ticket.port();
         let envelopes = reqs.into_iter().map(|req| {
             let refusal = self.guest_refusal(&req);

@@ -9,8 +9,20 @@
 //! everyone arriving later: fresh handles bootstrap from the latest agreed
 //! checkpoint and replay only the post-checkpoint suffix, so handle
 //! creation costs O(delta) instead of O(history), and the pre-checkpoint
-//! prefix of the log becomes reclaimable (memory is capped by checkpoint
-//! cadence, not by lifetime).
+//! prefix of the log becomes *reclaimable*. Reclaimable is not reclaimed:
+//! a cell is freed when the last `Arc` to it goes, and every handle's
+//! cursor pins its cell and, through the `next` links, every cell after it.
+//! A handle adopts an anchor only when it is created; afterwards it walks
+//! the log cell by cell, so one handle that lags behind the anchor keeps
+//! the whole prefix from its cursor on alive, and an object nobody
+//! checkpoints (the store's default: `StoreBuilder::checkpoint_every` is
+//! off) retains every cell it ever agreed on. What holds today is
+//! therefore: memory = cells retained × bytes per cell, with cells
+//! retained = log length since the slowest live cursor. Bounding the first
+//! factor — a lagging handle re-adopts the anchor, the cadence becomes a
+//! default — is ROADMAP item 2; the second factor is what a cell's
+//! consensus object and its agreed record retain, and `tests/alloc_budget.rs`
+//! holds it.
 //!
 //! Progress: operation placement keeps its original guarantee (wait-free
 //! for the factory's wait-free set via the helping rule, obstruction-free
@@ -673,7 +685,6 @@ where
     /// (placement within ~2·n cells by the helping rule); otherwise
     /// obstruction-free.
     #[progress(bounded_wait_free)]
-    #[progress(bounded_wait_free)]
     pub fn apply(&mut self, op: S::Op) -> S::Resp {
         self.obj.apply_through(&mut self.replay, op)
     }
@@ -783,7 +794,6 @@ where
     }
 
     /// Applies `op` to the shared object; see [`Handle::apply`].
-    #[progress(bounded_wait_free)]
     #[progress(bounded_wait_free)]
     pub fn apply(&mut self, op: S::Op) -> S::Resp {
         self.obj.apply_through(&mut self.replay, op)

@@ -1,0 +1,168 @@
+//! The allocation budget of the store's commit path, held as a test.
+//!
+//! The universal construction agrees on one consensus cell per write and
+//! never revisits it, so what one cell retains *is* the store's memory
+//! growth. This binary installs a counting `#[global_allocator]` and prices
+//! a one-op request on each arm — guest put, VIP put, local read — in
+//! allocator calls (`alloc` + `realloc`; `dealloc` is not a call) and in
+//! what the request leaves allocated. Sizes are the **requested** sizes,
+//! not the allocator's chunk sizes, so the figures do not depend on glibc.
+//!
+//! A change that adds an allocation to the commit path fails here and has
+//! to raise a budget below to land — that is, it has to say so.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+
+use asymmetric_progress::store::{Client, Request, StoreBuilder, StoreOp};
+
+struct Counting;
+
+static CALLS: AtomicU64 = AtomicU64::new(0);
+static LIVE_ALLOCS: AtomicI64 = AtomicI64::new(0);
+static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
+
+// SAFETY: every method forwards to `System` with the caller's own arguments
+// and only counts around the call.
+// RELAXED (all counters): statistics read by the one thread that made them.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+        LIVE_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_ALLOCS.fetch_sub(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+const KEYS: u32 = 100_000;
+const REQUESTS: u32 = 50_000;
+
+/// Per-request cost of one arm — measured, or allowed: allocator calls,
+/// and allocations and requested bytes still live when the arm ends.
+#[derive(Debug)]
+struct Census {
+    calls: f64,
+    retained_allocs: f64,
+    retained_bytes: f64,
+}
+
+fn key(k: u32) -> String {
+    format!("k{k:07}")
+}
+
+/// A deterministic walk over the preloaded keys (every shard is visited).
+fn nth_key(i: u32) -> String {
+    key(i.wrapping_mul(2_654_435_761) % KEYS)
+}
+
+fn one_op(client: &mut Client<'_>, op: StoreOp) {
+    let resp = client.request(Request::new(vec![op]));
+    assert!(resp.results[0].is_ok(), "the census prices served requests only");
+}
+
+/// Runs `REQUESTS` one-op requests built by `op` and prices them.
+fn measure(client: &mut Client<'_>, op: impl Fn(u32) -> StoreOp) -> Census {
+    let snapshot = || {
+        (
+            CALLS.load(Ordering::Relaxed) as f64,
+            LIVE_ALLOCS.load(Ordering::Relaxed) as f64,
+            LIVE_BYTES.load(Ordering::Relaxed) as f64,
+        )
+    };
+    let before = snapshot();
+    for i in 0..REQUESTS {
+        one_op(client, op(i));
+    }
+    let after = snapshot();
+    let n = f64::from(REQUESTS);
+    Census {
+        calls: (after.0 - before.0) / n,
+        retained_allocs: (after.1 - before.1) / n,
+        retained_bytes: (after.2 - before.2) / n,
+    }
+}
+
+/// Brings `client`'s replica of every shard up to the log tail, so that an
+/// arm is not charged for replaying the cells of the arm before it.
+fn catch_up(client: &mut Client<'_>) {
+    for i in 0..64 {
+        one_op(client, StoreOp::Get(nth_key(i)));
+    }
+}
+
+#[test]
+fn commit_path_allocations_stay_within_budget() {
+    let store = StoreBuilder::new().build().expect("default sizing builds");
+    let mut guest = store.client(store.admit_guest());
+    let mut vip = store.client(store.admit_vip().expect("a VIP port is free"));
+    for chunk in (0..KEYS).collect::<Vec<_>>().chunks(256) {
+        let ops = chunk.iter().map(|&k| StoreOp::Put(key(k), u64::from(k))).collect();
+        assert!(guest.execute(ops).iter().all(Result::is_ok));
+    }
+
+    let put = |i: u32| StoreOp::Put(nth_key(i), u64::from(i));
+    let get = |i: u32| StoreOp::Get(nth_key(i));
+    // Warm every lazily built piece of both sessions before pricing them.
+    for i in 0..256 {
+        one_op(&mut guest, put(i));
+        one_op(&mut vip, put(i));
+    }
+
+    catch_up(&mut guest);
+    let guest_put = measure(&mut guest, put);
+    catch_up(&mut vip);
+    let vip_put = measure(&mut vip, put);
+    catch_up(&mut guest);
+    let local_read = measure(&mut guest, get);
+
+    // The budgets are the census of the commit that set them (PR 22; its
+    // parent read 44 / 15 / 960, 33 / 8 / 576 and 25 / 0 / 0). Two of the
+    // calls of every arm are this harness building its request: the
+    // `Vec<StoreOp>` and the key, whose 8 bytes a put's cell then keeps.
+    let arms = [
+        (
+            "guest put",
+            guest_put,
+            Census { calls: 32.0, retained_allocs: 11.0, retained_bytes: 632.0 },
+        ),
+        ("vip put", vip_put, Census { calls: 26.0, retained_allocs: 5.0, retained_bytes: 280.0 }),
+        (
+            "local read",
+            local_read,
+            Census { calls: 20.0, retained_allocs: 0.0, retained_bytes: 0.0 },
+        ),
+    ];
+    println!("per one-op request       calls  retained allocs  retained bytes");
+    for (name, census, _) in &arms {
+        println!(
+            "{name:<22} {:>7.2} {:>16.2} {:>15.1}",
+            census.calls, census.retained_allocs, census.retained_bytes
+        );
+    }
+    // A hair of slack: amortized growth of long-lived buffers is a fraction
+    // of an allocation per request, a new allocation on the path is a whole one.
+    const SLACK: f64 = 0.01;
+    for (name, census, budget) in &arms {
+        assert!(
+            census.calls <= budget.calls + SLACK
+                && census.retained_allocs <= budget.retained_allocs + SLACK
+                && census.retained_bytes <= budget.retained_bytes + SLACK * 64.0,
+            "{name} is over its allocation budget: {census:?}"
+        );
+    }
+}
