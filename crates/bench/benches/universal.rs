@@ -11,6 +11,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use std::sync::Arc;
 
 use apc_core::liveness::Liveness;
 use apc_universal::seq::{Counter, CounterOp};
@@ -20,9 +21,9 @@ fn sequential_ops(c: &mut Criterion) {
     let mut g = c.benchmark_group("E8/sequential-counter-ops");
     g.bench_function("wait-free-cells", |b| {
         b.iter_batched(
-            || Universal::new(Counter, CasFactory::new(Liveness::new_first_n(4, 4)), 4),
+            || Arc::new(Universal::new(Counter, CasFactory::new(Liveness::new_first_n(4, 4)), 4)),
             |obj| {
-                let mut h = obj.handle(0).unwrap();
+                let mut h = obj.owned_handle(0).unwrap();
                 for _ in 0..50 {
                     black_box(h.apply(CounterOp::Add(1)));
                 }
@@ -32,9 +33,15 @@ fn sequential_ops(c: &mut Criterion) {
     });
     g.bench_function("asymmetric-cells-vip", |b| {
         b.iter_batched(
-            || Universal::new(Counter, AsymmetricFactory::new(Liveness::new_first_n(4, 1)), 4),
+            || {
+                Arc::new(Universal::new(
+                    Counter,
+                    AsymmetricFactory::new(Liveness::new_first_n(4, 1)),
+                    4,
+                ))
+            },
             |obj| {
-                let mut h = obj.handle(0).unwrap();
+                let mut h = obj.owned_handle(0).unwrap();
                 for _ in 0..50 {
                     black_box(h.apply(CounterOp::Add(1)));
                 }
@@ -44,9 +51,15 @@ fn sequential_ops(c: &mut Criterion) {
     });
     g.bench_function("asymmetric-cells-guest", |b| {
         b.iter_batched(
-            || Universal::new(Counter, AsymmetricFactory::new(Liveness::new_first_n(4, 1)), 4),
+            || {
+                Arc::new(Universal::new(
+                    Counter,
+                    AsymmetricFactory::new(Liveness::new_first_n(4, 1)),
+                    4,
+                ))
+            },
             |obj| {
-                let mut h = obj.handle(2).unwrap();
+                let mut h = obj.owned_handle(2).unwrap();
                 for _ in 0..50 {
                     black_box(h.apply(CounterOp::Add(1)));
                 }
@@ -64,15 +77,15 @@ fn contended_classes(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("vip-plus-guests", guests), &guests, |b, &guests| {
             b.iter_batched(
                 || {
-                    Universal::new(
+                    Arc::new(Universal::new(
                         Counter,
                         AsymmetricFactory::new(Liveness::new_first_n(guests + 1, 1)),
                         guests + 1,
-                    )
+                    ))
                 },
                 |obj| {
                     let times = apc_bench::timed_threads(guests + 1, |pid| {
-                        let mut h = obj.handle(pid).unwrap();
+                        let mut h = obj.owned_handle(pid).unwrap();
                         for _ in 0..20 {
                             let _ = h.apply(CounterOp::Add(1));
                         }

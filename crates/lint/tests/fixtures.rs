@@ -271,29 +271,22 @@ fn live_workspace_is_clean() {
             .unwrap_or_else(|| panic!("apc-store must keep a Client::{arm} fn"));
         assert_eq!(f.class, Some(class), "Client::{arm} changed its progress class");
     }
-    // The read path: `request_vip` → `commit_vip` → `sync_read` is bounded
-    // wait-free end to end only while the handle method says so. Dropping
-    // the annotation would let the sweep walk into it by name and find
-    // nothing to hold it to.
-    let universal = report
-        .coverage
-        .iter()
-        .find(|c| c.name == "crates/universal")
-        .expect("coverage reports crates/universal");
-    assert!(
-        universal.fns_annotated >= 16,
-        "apc-universal annotations regressed: {}/{}",
-        universal.fns_annotated,
-        universal.fns_total
-    );
-    let sync_read = ws
-        .all_fns()
-        .map(|id| ws.fn_info(id))
-        .find(|f| f.name == "sync_read" && f.self_type.as_deref() == Some("OwnedHandle"))
-        .expect("apc-universal must keep an OwnedHandle::sync_read fn");
-    assert_eq!(
-        sync_read.class,
-        Some(apc_lint::parse::Class::BoundedWaitFree),
-        "OwnedHandle::sync_read must stay annotated bounded_wait_free",
-    );
+    // The log walk's four drivers: `request_vip` → `commit_vip` →
+    // `sync_read` / `apply` is bounded wait-free end to end only while the
+    // handle methods say so, and a seal or a reconfiguration is lock-free,
+    // never more. Dropping an annotation would let the sweep walk into the
+    // method by name and find nothing to hold it to.
+    for (driver, class) in [
+        ("apply", apc_lint::parse::Class::BoundedWaitFree),
+        ("sync_read", apc_lint::parse::Class::BoundedWaitFree),
+        ("checkpoint", apc_lint::parse::Class::LockFree),
+        ("reconfigure", apc_lint::parse::Class::LockFree),
+    ] {
+        let f = ws
+            .all_fns()
+            .map(|id| ws.fn_info(id))
+            .find(|f| f.name == driver && f.self_type.as_deref() == Some("OwnedHandle"))
+            .unwrap_or_else(|| panic!("apc-universal must keep an OwnedHandle::{driver} fn"));
+        assert_eq!(f.class, Some(class), "OwnedHandle::{driver} changed its progress class");
+    }
 }

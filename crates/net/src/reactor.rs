@@ -614,7 +614,7 @@ fn find_subsequence(haystack: &[u8], needle: &[u8]) -> Option<usize> {
 }
 
 /// A client-side convenience wrapper over one [`ConnEnd`]: correlation-id
-/// bookkeeping plus frame reassembly. This is what the loadgen and tests
+/// bookkeeping plus frame reassembly. This is what the tests and the example
 /// drive; it is intentionally dumb — no retries, no reconnects.
 #[derive(Debug)]
 pub struct NetClient {
@@ -626,12 +626,7 @@ pub struct NetClient {
 impl NetClient {
     /// Opens a connection on `server` and sends the `Hello` handshake.
     pub fn connect(server: &mut StoreServer<'_>, credential: TierCredential) -> NetClient {
-        NetClient::from_end(server.connect(), credential)
-    }
-
-    /// Wraps an already-opened endpoint (for loadgen threads that receive
-    /// their `ConnEnd`s from the reactor thread) and sends the handshake.
-    pub fn from_end(end: ConnEnd, credential: TierCredential) -> NetClient {
+        let end = server.connect();
         end.send(&encode_hello(&credential));
         NetClient { end, reader: FrameReader::new(), next_id: 1 }
     }

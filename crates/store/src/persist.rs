@@ -655,14 +655,15 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-/// A bounds-checked little-endian reader over the snapshot body.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// The durability layer's byte cursor: a bounds-checked little-endian
+/// reader over a snapshot body or a WAL frame payload.
+pub(crate) struct Reader<'a> {
+    pub(crate) buf: &'a [u8],
+    pub(crate) pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], PersistError> {
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], PersistError> {
         let end = self.pos.checked_add(n).ok_or(PersistError::Corrupt("length overflows"))?;
         if end > self.buf.len() {
             return Err(PersistError::Truncated {
@@ -675,11 +676,15 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
-    fn u32(&mut self) -> Result<u32, PersistError> {
+    pub(crate) fn u8(&mut self) -> Result<u8, PersistError> {
+        Ok(self.take(1)?[0])
+    }
+
+    pub(crate) fn u32(&mut self) -> Result<u32, PersistError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
     }
 
-    fn u64(&mut self) -> Result<u64, PersistError> {
+    pub(crate) fn u64(&mut self) -> Result<u64, PersistError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
     }
 }

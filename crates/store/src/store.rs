@@ -54,7 +54,7 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use apc_core::liveness::Liveness;
@@ -106,7 +106,7 @@ struct Shard {
     /// Per-port digests; single-writer per component (the port's mutex
     /// serializes writers sharing a port).
     stats: SwmrSnapshot<ShardDigest>,
-    /// Commits since build, for the auto-checkpoint cadence.
+    /// Appended rounds since build, for the auto-checkpoint cadence.
     auto_commits: AtomicU64,
     /// Rounds answered from a port's replica without a log cell. Read
     /// traffic is heat too: [`Store::snapshot_stats`] adds this to the
@@ -115,11 +115,33 @@ struct Shard {
 }
 
 impl Shard {
-    /// Publishes `handle`'s replayed position into the wait-free stats
-    /// snapshot — every path that advances a port's replica (commits and
-    /// reconfigurations alike) must publish, or the dashboard would keep
-    /// reporting a drained shard's old entry count forever.
-    fn publish_digest(&self, port: usize, handle: &PortHandle) {
+    /// **The one door to a port**: locks the slot, runs `act` on its handle,
+    /// then publishes the handle's replayed position into the wait-free
+    /// stats snapshot — in that order, always. Nothing else locks a port, so
+    /// no path that advances a port's replica (commits, seals and
+    /// reconfigurations alike) can leave the dashboard reporting the
+    /// position it had before.
+    fn visit<R>(&self, port: usize, act: impl FnOnce(&mut PortHandle) -> R) -> R {
+        // APC-LINT: allow(progress): a VIP port's mutex is uncontended by construction (one exclusive owner, and reconfiguration never touches VIP ports), so the VIP path's lock is bounded; guest ports share theirs by design
+        let handle = self.ports[port].lock().expect("port slot poisoned");
+        self.enter(port, handle, act)
+    }
+
+    /// [`Shard::visit`] if the port is free right now; `None`, never a
+    /// wait, if someone is in it.
+    fn try_visit<R>(&self, port: usize, act: impl FnOnce(&mut PortHandle) -> R) -> Option<R> {
+        let handle = self.ports[port].try_lock().ok()?;
+        Some(self.enter(port, handle, act))
+    }
+
+    /// What both doors do once the slot is theirs.
+    fn enter<R>(
+        &self,
+        port: usize,
+        mut handle: MutexGuard<'_, PortHandle>,
+        act: impl FnOnce(&mut PortHandle) -> R,
+    ) -> R {
+        let out = act(&mut handle);
         self.stats.update(
             port,
             ShardDigest {
@@ -127,6 +149,14 @@ impl Shard {
                 entries: handle.local_state().len() as u64,
             },
         );
+        out
+    }
+
+    /// The port seals and reconfigurations ride: the guest tier
+    /// (`guest_ports ≥ 1`, so the last port is always a guest port), never a
+    /// VIP's exclusive one.
+    fn seal_port(&self) -> usize {
+        self.ports.len() - 1
     }
 
     /// Builds one shard over `ports` port slots, optionally resuming from a
@@ -809,15 +839,12 @@ impl Store {
             SplitSpec { child_seed: topology.node(child).seed, version: topology.version() };
         // The linearization point: the bump agreed through the parent's own
         // log, returning exactly the pre-bump keys the child now owns.
-        let outgoing = {
-            let slot = view.shards[shard].ports.len() - 1; // guest tier
-            let mut handle = view.shards[shard].ports[slot].lock().expect("port slot poisoned");
-            let (_, mut resps) = handle.reconfigure(ShardCmd::Split(split));
-            view.shards[shard].publish_digest(slot, &handle);
-            match resps.pop() {
-                Some(StoreResp::Entries(entries)) => entries,
-                other => unreachable!("a split bump answers with its migration set, got {other:?}"),
-            }
+        let parent = &view.shards[shard];
+        let (_, mut resps) =
+            parent.visit(parent.seal_port(), |handle| handle.reconfigure(ShardCmd::Split(split)));
+        let outgoing = match resps.pop() {
+            Some(StoreResp::Entries(entries)) => entries,
+            other => unreachable!("a split bump answers with its migration set, got {other:?}"),
         };
         let node = topology.node(child);
         let child_shard = Arc::new(Shard::build(
@@ -826,13 +853,9 @@ impl Store {
             self.admission.ports(),
             Some((ShardState::with_entries(outgoing.into_iter().collect(), node.created_at), 0)),
         ));
-        {
-            // Seed the newborn's dashboard so the migrated entries are
-            // visible before its first commit.
-            let slot = child_shard.ports.len() - 1;
-            let handle = child_shard.ports[slot].lock().expect("port slot poisoned");
-            child_shard.publish_digest(slot, &handle);
-        }
+        // Seed the newborn's dashboard so the migrated entries are visible
+        // before its first commit: a visit publishes.
+        child_shard.visit(child_shard.seal_port(), |_| ());
         let mut shards = view.shards.clone();
         shards.push(child_shard);
         self.metrics.record_split(topology.version());
@@ -898,31 +921,26 @@ impl Store {
         let version = topology.version();
         // Child-side linearization point: retire through the child's own
         // log. Returns exactly the entries committed before the bump.
-        let outgoing = {
-            let slot = view.shards[child].ports.len() - 1; // guest tier
-            let mut handle = view.shards[child].ports[slot].lock().expect("port slot poisoned");
-            let (_, mut resps) = handle.reconfigure(ShardCmd::Merge(MergeSpec { version }));
-            view.shards[child].publish_digest(slot, &handle);
-            match resps.pop() {
-                Some(StoreResp::Entries(entries)) => entries,
-                other => {
-                    unreachable!("a merge retirement answers with its migration set, got {other:?}")
-                }
+        let retiring = &view.shards[child];
+        let (_, mut resps) = retiring.visit(retiring.seal_port(), |handle| {
+            handle.reconfigure(ShardCmd::Merge(MergeSpec { version }))
+        });
+        let outgoing = match resps.pop() {
+            Some(StoreResp::Entries(entries)) => entries,
+            other => {
+                unreachable!("a merge retirement answers with its migration set, got {other:?}")
             }
         };
         // Parent-side linearization point: adopt through the parent's log
         // (sealed — the dual-log anchor that also compacts the parent).
-        {
-            let slot = view.shards[parent].ports.len() - 1; // guest tier
-            let mut handle = view.shards[parent].ports[slot].lock().expect("port slot poisoned");
-            let (_, resps) = handle
-                .reconfigure(ShardCmd::Adopt(AdoptSpec { version, entries: Arc::new(outgoing) }));
-            view.shards[parent].publish_digest(slot, &handle);
-            debug_assert!(
-                matches!(resps.first(), Some(StoreResp::Value(Some(_)))),
-                "an adoption answers with its entry count"
-            );
-        }
+        let adopter = &view.shards[parent];
+        let (_, resps) = adopter.visit(adopter.seal_port(), |handle| {
+            handle.reconfigure(ShardCmd::Adopt(AdoptSpec { version, entries: Arc::new(outgoing) }))
+        });
+        debug_assert!(
+            matches!(resps.first(), Some(StoreResp::Value(Some(_)))),
+            "an adoption answers with its entry count"
+        );
         self.metrics.record_merge(version);
         self.metrics.record_adopt();
         self.view.store(Arc::new(StoreView { topology, shards: view.shards.clone() }));
@@ -949,12 +967,10 @@ impl Store {
             .shards
             .iter()
             .map(|shard| {
-                // Ride the guest tier: guest_ports ≥ 1, so the last port is
-                // always a guest port.
-                let slot = shard.ports.len() - 1;
-                let mut handle = shard.ports[slot].lock().expect("port slot poisoned");
-                let log_index = handle.checkpoint();
-                crate::persist::ShardSnapshot { log_index, state: handle.local_state().clone() }
+                shard.visit(shard.seal_port(), |handle| {
+                    let log_index = handle.checkpoint();
+                    crate::persist::ShardSnapshot { log_index, state: handle.local_state().clone() }
+                })
             })
             .collect();
         crate::persist::StoreSnapshot { topology: view.topology.clone(), shards }
@@ -975,8 +991,9 @@ impl Store {
         self.current_view()
             .shards
             .iter()
-            .flat_map(|shard| &shard.ports)
-            .map(|slot| slot.lock().expect("port slot poisoned").replay_steps())
+            .flat_map(|shard| {
+                (0..shard.ports.len()).map(move |port| shard.visit(port, |h| h.replay_steps()))
+            })
             .sum()
     }
 
@@ -1035,9 +1052,9 @@ impl Store {
     /// replica, caught up to the log tail observed at invocation
     /// ([`OwnedHandle::sync_read`]): no log cell, nothing for the other
     /// ports to replay, no WAL work. A sub-batch with any write is one
-    /// universal-log append plus a WAL effect frame (if a WAL is attached).
-    /// Either way the round publishes its digest and ticks the
-    /// auto-checkpoint cadence.
+    /// universal-log append plus a WAL effect frame (if a WAL is attached),
+    /// and a tick of the auto-checkpoint cadence. Either way the round
+    /// publishes its digest ([`Shard::visit`]).
     fn commit_on(
         &self,
         shard: &Shard,
@@ -1047,40 +1064,33 @@ impl Store {
         batch: Batch,
         durability: DurabilityClass,
     ) -> Vec<StoreResp> {
-        // APC-LINT: allow(progress): a VIP port's mutex is uncontended by construction (one exclusive owner, and reconfiguration never touches VIP ports), so the VIP path's lock is bounded; guest ports share theirs by design
-        let mut handle = shard.ports[port].lock().expect("port slot poisoned");
-        let replayed = handle.replay_steps();
-        let resps = match handle.sync_read(|state| read_batch(state, &batch)) {
-            Some(resps) => {
-                // RELAXED: heat statistic, read by `snapshot_stats`.
-                shard.local_reads.fetch_add(1, Ordering::Relaxed);
-                self.metrics.record_local_read(tier);
-                resps
-            }
-            None => self.append_on(&mut handle, shard_id, batch, durability),
-        };
-        self.metrics.record_replayed(tier, handle.replay_steps() - replayed);
-        shard.publish_digest(port, &handle);
-        if let Some(k) = self.checkpoint_every {
-            // RELAXED: cadence counter — the checkpoint trigger needs an
-            // exact count (atomicity) but no cross-thread ordering.
-            let commits = shard.auto_commits.fetch_add(1, Ordering::Relaxed) + 1;
-            if commits.is_multiple_of(k) {
-                let last = shard.ports.len() - 1;
-                if port == last {
-                    handle.checkpoint();
-                    self.metrics.record_auto_checkpoint();
-                } else {
-                    // Ride the guest tier without ever holding two port
-                    // locks: if the seal port is busy, skip — a commit is
-                    // happening there and the next cadence window retries.
-                    drop(handle);
-                    if let Ok(mut sealer) = shard.ports[last].try_lock() {
-                        sealer.checkpoint();
-                        self.metrics.record_auto_checkpoint();
-                    }
+        let (resps, seal_due) = shard.visit(port, |handle| {
+            let replayed = handle.replay_steps();
+            let round = match handle.sync_read(|state| read_batch(state, &batch)) {
+                Some(resps) => {
+                    // RELAXED: heat statistic, read by `snapshot_stats`.
+                    shard.local_reads.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.record_local_read(tier);
+                    (resps, false)
                 }
-            }
+                None => {
+                    let resps = self.append_on(handle, shard_id, batch, durability);
+                    // RELAXED: cadence counter — the checkpoint trigger needs
+                    // an exact count (atomicity) but no cross-thread ordering.
+                    let seal_due = self.checkpoint_every.is_some_and(|k| {
+                        (shard.auto_commits.fetch_add(1, Ordering::Relaxed) + 1).is_multiple_of(k)
+                    });
+                    (resps, seal_due)
+                }
+            };
+            self.metrics.record_replayed(tier, handle.replay_steps() - replayed);
+            round
+        });
+        // The seal rides the guest tier without ever holding two port locks
+        // (the caller's door is closed): if the seal port is busy, skip — a
+        // commit is happening there and the next cadence window retries.
+        if seal_due && shard.try_visit(shard.seal_port(), |sealer| sealer.checkpoint()).is_some() {
+            self.metrics.record_auto_checkpoint();
         }
         resps
     }
@@ -2271,12 +2281,18 @@ mod tests {
         let snapshot = store.checkpoint();
         assert_eq!(snapshot.shards.len(), 3);
         assert_eq!(snapshot.entries(), 24, "sealed states cover every committed key");
-        let anchors = store.anchor_indices();
+        let (anchors, stats) = (store.anchor_indices(), store.snapshot_stats());
         for (s, anchor) in anchors.iter().enumerate() {
             assert_eq!(
                 *anchor,
                 snapshot.shards[s].log_index + 1,
                 "anchor points past shard {s}'s checkpoint cell"
+            );
+            // No reads so far, so heat is cells alone.
+            assert_eq!(
+                stats[s].commits,
+                snapshot.shards[s].log_index + 1,
+                "shard {s}'s seal published its digest"
             );
         }
         // The store keeps serving after a checkpoint.
@@ -2469,7 +2485,17 @@ mod tests {
 
     #[test]
     fn read_only_rounds_take_no_log_cell() {
-        let store = small_store(2);
+        // A seal is due every 4th appended round — and only appended ones:
+        // a read round that ticked the cadence would seal a checkpoint cell,
+        // moving an anchor and a cursor below.
+        let store = StoreBuilder::new()
+            .shards(2)
+            .vip_capacity(2)
+            .guest_ports(4)
+            .guest_group_width(2)
+            .checkpoint_every(4)
+            .build()
+            .unwrap();
         let mut vip = store.client(store.admit_vip().unwrap());
         let mut guest = store.client(store.admit_guest());
         let keys: Vec<String> = (0..8).map(|i| format!("r/{i}")).collect();

@@ -80,7 +80,7 @@ use apc_progress_macros::progress;
 
 use crate::metrics::{elapsed_ns, WalMetrics};
 use crate::ops::{Key, StoreOp, StoreResp};
-use crate::persist::PersistError;
+use crate::persist::{PersistError, Reader};
 use crate::router::fnv1a64;
 
 /// Magic bytes opening every WAL segment file.
@@ -731,7 +731,7 @@ fn encode_frame(buf: &mut Vec<u8>, frame: &WalFrame) {
 /// Decodes one frame's payload (everything between the length prefix and
 /// the CRC).
 fn decode_payload(payload: &[u8]) -> Result<WalFrame, PersistError> {
-    let mut r = FrameReader { buf: payload, pos: 0 };
+    let mut r = Reader { buf: payload, pos: 0 };
     let epoch = r.u64()?;
     let shard = r.u32()?;
     let cell = r.u64()?;
@@ -759,39 +759,6 @@ fn decode_payload(payload: &[u8]) -> Result<WalFrame, PersistError> {
         return Err(PersistError::Corrupt("trailing bytes inside a WAL frame"));
     }
     Ok(WalFrame { epoch, shard, cell, class, effects })
-}
-
-/// A bounds-checked little-endian reader over one frame payload.
-struct FrameReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> FrameReader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], PersistError> {
-        let end = self.pos.checked_add(n).ok_or(PersistError::Corrupt("length overflows"))?;
-        if end > self.buf.len() {
-            return Err(PersistError::Truncated {
-                needed: n,
-                available: self.buf.len() - self.pos,
-            });
-        }
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, PersistError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, PersistError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, PersistError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
 }
 
 /// One segment's parse result: the frames that decoded cleanly, and the

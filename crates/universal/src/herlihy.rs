@@ -1,6 +1,15 @@
 //! The announce-and-help universal construction (Herlihy [7]), extended
 //! with **checkpoint cells**.
 //!
+//! **One walk, one handle.** An [`OwnedHandle`] does one thing to the log:
+//! decide the cell at its cursor (`decide_current_cell`, helping rule
+//! included) and absorb the agreed record (`absorb`: apply the operation if
+//! there is one, note it in `applied`, move the cursor, raise `tail`,
+//! publish the anchor if the record seals a state). `apply`, `reconfigure`,
+//! `checkpoint` and `sync_read` are loops over that step which differ only
+//! in what they propose and when they stop, so what a cell does to a replica
+//! cannot depend on which of them crossed it.
+//!
 //! Checkpoints ride the same consensus path as operations: any port may
 //! propose a [`CheckpointRecord`] — its fully-replayed state sealed at a log
 //! index — into the next free cell. Once a checkpoint is agreed, it is a
@@ -220,8 +229,8 @@ where
 /// A linearizable shared object built from a sequential specification and a
 /// consensus factory (see the crate docs).
 ///
-/// Operations go through per-process [`Handle`]s (one per process index),
-/// which carry the replayed local copy of the state.
+/// Operations go through per-process [`OwnedHandle`]s (one per process
+/// index), which carry the replayed local copy of the state.
 pub struct Universal<S, F>
 where
     S: SequentialSpec,
@@ -236,12 +245,12 @@ where
     anchor: AtomicCell<Arc<Anchor<S, F::Object>>>,
     handles: AtomicU64,
     /// One past the highest log index any handle has absorbed. Raised in
-    /// [`Universal::advance`], the one place a cursor moves, so **every
+    /// [`OwnedHandle::advance`], the one place a cursor moves, so **every
     /// response or publication that depends on cell `i` happens after
     /// `tail > i`**: an op's invoker, a reconfiguration driver and a
     /// checkpointer all absorb their own cell before they return or
     /// publish. Every cell below `tail` is decided. This is what
-    /// [`Handle::sync_read`] catches up to.
+    /// [`OwnedHandle::sync_read`] catches up to.
     tail: AtomicU64,
 }
 
@@ -306,10 +315,19 @@ where
         self.anchor.load().expect("the anchor is initialized and never cleared")
     }
 
-    /// Claims the port bit for `pid` and builds its initial replay state
-    /// from the latest checkpoint anchor.
+    /// Takes the (unique) handle for process `pid`: claims the port bit and
+    /// starts the handle's replica at the latest checkpoint anchor. The
+    /// handle keeps the object alive through an [`Arc`], so it can be stored
+    /// next to (or instead of) the object without borrowing it, e.g. in a
+    /// pool of per-port slots.
+    ///
+    /// # Errors
+    ///
+    /// * [`UniversalError::NotAPort`] if `pid` is not a port of the
+    ///   factory's liveness spec;
+    /// * [`UniversalError::HandleTaken`] if the handle was already taken.
     #[progress(wait_free)]
-    fn take_port(&self, pid: usize) -> Result<Replay<S, F::Object>, UniversalError> {
+    pub fn owned_handle(self: &Arc<Self>, pid: usize) -> Result<OwnedHandle<S, F>, UniversalError> {
         if pid >= self.n || !self.factory.spec().is_port(pid) {
             return Err(UniversalError::NotAPort { pid });
         }
@@ -318,7 +336,8 @@ where
             return Err(UniversalError::HandleTaken { pid });
         }
         let anchor = self.latest_anchor();
-        Ok(Replay {
+        Ok(OwnedHandle {
+            obj: Arc::clone(self),
             pid,
             seq: 0,
             cursor: Arc::clone(&anchor.cell),
@@ -327,33 +346,6 @@ where
             applied: anchor.applied.clone(),
             steps: 0,
         })
-    }
-
-    /// Takes the (unique) operation handle for process `pid`.
-    ///
-    /// # Errors
-    ///
-    /// * [`UniversalError::NotAPort`] if `pid` is not a port of the
-    ///   factory's liveness spec;
-    /// * [`UniversalError::HandleTaken`] if the handle was already taken.
-    #[progress(wait_free)]
-    pub fn handle(&self, pid: usize) -> Result<Handle<'_, S, F>, UniversalError> {
-        Ok(Handle { obj: self, replay: self.take_port(pid)? })
-    }
-
-    /// Takes the (unique) handle for process `pid` as an owned value keeping
-    /// the object alive through an [`Arc`].
-    ///
-    /// This is the form service layers want: the handle can be stored next
-    /// to (or instead of) the object without borrowing it, e.g. in a pool of
-    /// per-port slots.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Universal::handle`].
-    #[progress(wait_free)]
-    pub fn owned_handle(self: &Arc<Self>, pid: usize) -> Result<OwnedHandle<S, F>, UniversalError> {
-        Ok(OwnedHandle { obj: Arc::clone(self), replay: self.take_port(pid)? })
     }
 }
 
@@ -370,17 +362,47 @@ where
     }
 }
 
-/// The per-port replay state shared by [`Handle`] and [`OwnedHandle`]: the
-/// cursor into the operation log and the local state replica.
-struct Replay<S, C>
+/// The kind of record a log cell agreed on.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+enum Kind {
+    Op,
+    Checkpoint,
+    Reconfig,
+}
+
+/// What [`OwnedHandle::absorb`] crossed.
+struct Absorbed<R> {
+    kind: Kind,
+    /// The record's proposer and its sequence number there (0 for a
+    /// checkpoint, which has none; real sequence numbers start at 1).
+    author: (usize, u64),
+    /// Log index of the absorbed cell.
+    index: u64,
+    /// The record's operation answered at this cell (`None` for a
+    /// checkpoint, which carries no operation).
+    resp: Option<R>,
+}
+
+/// A per-process handle on a [`Universal`] object, created by
+/// [`Universal::owned_handle`].
+///
+/// Holds the process's replay cursor and local state copy, and co-owns the
+/// object through an [`Arc`], so it can be stored in long-lived structures
+/// (port pools, per-client sessions) without a borrow. `apply` is
+/// linearizable across handles, with the progress condition of the
+/// underlying consensus factory (wait-free for the factory's wait-free set,
+/// obstruction-free for the rest).
+pub struct OwnedHandle<S, F>
 where
     S: SequentialSpec,
+    F: ConsensusFactory<LogRecordOf<S>>,
 {
+    obj: Arc<Universal<S, F>>,
     pid: usize,
     /// Sequence number of my most recent operation.
     seq: u64,
     /// The next undecided-or-unapplied cell.
-    cursor: Arc<CellNode<C>>,
+    cursor: Arc<CellNode<F::Object>>,
     /// Absolute log index of `cursor`.
     cell_index: u64,
     /// Local replayed state.
@@ -392,290 +414,14 @@ where
     steps: u64,
 }
 
-impl<S, F> Universal<S, F>
-where
-    S: SequentialSpec,
-    F: ConsensusFactory<LogRecordOf<S>>,
-{
-    /// Applies `op` through the given replay state (the shared body of
-    /// [`Handle::apply`] and [`OwnedHandle::apply`]).
-    #[progress(bounded_wait_free)]
-    fn apply_through(&self, replay: &mut Replay<S, F::Object>, op: S::Op) -> S::Resp {
-        replay.seq += 1;
-        let my_seq = replay.seq;
-        self.announce[replay.pid].store(Announce { seq: my_seq, op: op.clone() });
-        loop {
-            let decided = self.decide_current_cell(replay, || {
-                LogRecord::Op(OpRecord { pid: replay.pid as u8, seq: my_seq, op: op.clone() })
-            });
-            match decided {
-                LogRecord::Op(rec) => {
-                    let mine = rec.pid as usize == replay.pid && rec.seq == my_seq;
-                    let resp = self.absorb_op(replay, &rec);
-                    if mine {
-                        return resp;
-                    }
-                }
-                LogRecord::Checkpoint(ck) => self.absorb_checkpoint(replay, &ck),
-                LogRecord::Reconfig(rec) => {
-                    let _ = self.absorb_reconfig(replay, &rec);
-                }
-            }
-        }
-    }
-
-    /// Places a reconfiguration through the replay state (the shared body of
-    /// [`Handle::reconfigure`] and [`OwnedHandle::reconfigure`]); returns
-    /// the log index of the agreed reconfig cell and the op's response at
-    /// that linearization point.
-    ///
-    /// Like checkpoints, reconfig proposals are not announced (nobody helps
-    /// them), so placement is lock-free: each failed attempt means some
-    /// other port's record committed instead. The proposer still obeys the
-    /// helping rule, so it never undermines the wait-free bound of the
-    /// privileged set.
-    #[progress(lock_free)]
-    fn reconfigure_through(&self, replay: &mut Replay<S, F::Object>, op: S::Op) -> (u64, S::Resp) {
-        replay.seq += 1;
-        let my_seq = replay.seq;
-        loop {
-            let decided = self.decide_current_cell(replay, || {
-                // Speculate the sealed post-state from the fully-replayed
-                // prefix; exact whenever this record is the one agreed.
-                let mut post = replay.state.clone();
-                let _ = self.spec.apply(&mut post, &op);
-                LogRecord::Reconfig(ReconfigRecord {
-                    pid: replay.pid as u8,
-                    seq: my_seq,
-                    op: op.clone(),
-                    state: Arc::new(post),
-                })
-            });
-            match decided {
-                LogRecord::Op(rec) => {
-                    let _ = self.absorb_op(replay, &rec);
-                }
-                LogRecord::Checkpoint(ck) => self.absorb_checkpoint(replay, &ck),
-                LogRecord::Reconfig(rec) => {
-                    let mine = rec.pid as usize == replay.pid && rec.seq == my_seq;
-                    let index = replay.cell_index;
-                    let resp = self.absorb_reconfig(replay, &rec);
-                    if mine {
-                        return (index, resp);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Proposes a checkpoint through the replay state (the shared body of
-    /// [`Handle::checkpoint`] and [`OwnedHandle::checkpoint`]); returns the
-    /// log index of the agreed checkpoint cell.
-    #[progress(lock_free)]
-    fn checkpoint_through(&self, replay: &mut Replay<S, F::Object>) -> u64 {
-        loop {
-            let decided = self.decide_current_cell(replay, || {
-                LogRecord::Checkpoint(CheckpointRecord {
-                    pid: replay.pid as u8,
-                    index: replay.cell_index,
-                    state: Arc::new(replay.state.clone()),
-                    applied: replay.applied.clone(),
-                })
-            });
-            match decided {
-                LogRecord::Op(rec) => {
-                    // Another operation claimed the cell; absorb it and
-                    // re-seal at the next index (lock-free: their progress).
-                    let _ = self.absorb_op(replay, &rec);
-                }
-                LogRecord::Checkpoint(ck) => {
-                    // Any checkpoint agreed at my cursor cell seals exactly
-                    // my replayed prefix (determinism), so it serves whether
-                    // or not I proposed it.
-                    let index = ck.index;
-                    self.absorb_checkpoint(replay, &ck);
-                    return index;
-                }
-                LogRecord::Reconfig(rec) => {
-                    // A reconfiguration claimed the cell: absorb it (it
-                    // seals its own anchor) and re-seal at the next index so
-                    // the checkpoint contract — sealed state excludes the
-                    // checkpoint cell — stays exact.
-                    let _ = self.absorb_reconfig(replay, &rec);
-                }
-            }
-        }
-    }
-
-    /// Produces (or learns) the decision of the cursor cell. `fallback` is
-    /// the record to propose when the helping rule yields no candidate.
-    fn decide_current_cell(
-        &self,
-        replay: &Replay<S, F::Object>,
-        fallback: impl FnOnce() -> LogRecordOf<S>,
-    ) -> LogRecordOf<S> {
-        if let Some(d) = replay.cursor.cons.peek() {
-            return d;
-        }
-        // Helping rule: cell k prefers the announcement of process k mod n,
-        // if it is pending (announced and not yet applied in my replay —
-        // which is exact for all cells before this one).
-        let slot = (replay.cell_index as usize) % self.n;
-        let candidate = self.announce[slot]
-            .load()
-            .filter(|a| a.seq > replay.applied[slot])
-            .map(|a| LogRecord::Op(OpRecord { pid: slot as u8, seq: a.seq, op: a.op }));
-        let proposal = candidate.unwrap_or_else(fallback);
-        // APC-LINT: allow(progress): dynamic dispatch through the factory's consensus object; its class is the factory's liveness spec (wait-free for the VIP set), checked at the object, not here
-        match replay.cursor.cons.propose(replay.pid, proposal) {
-            Ok(decided) => decided,
-            Err(ConsensusError::AlreadyProposed { .. }) => replay
-                .cursor
-                .cons
-                .peek()
-                .expect("a proposed-to cell that rejects re-proposals has decided"),
-            Err(ConsensusError::NotAPort { pid }) => {
-                unreachable!("handle creation verified port membership for {pid}")
-            }
-        }
-    }
-
-    /// Applies a decided operation record to the local replica and moves on.
-    fn absorb_op(&self, replay: &mut Replay<S, F::Object>, rec: &OpRecord<S::Op>) -> S::Resp {
-        let resp = self.spec.apply(&mut replay.state, &rec.op);
-        replay.applied[rec.pid as usize] = rec.seq;
-        self.advance(replay);
-        resp
-    }
-
-    /// Passes a decided checkpoint cell: the sealed state equals the local
-    /// replica already (determinism), so the cell contributes no operation;
-    /// publish it as the bootstrap anchor for future handles.
-    fn absorb_checkpoint(
-        &self,
-        replay: &mut Replay<S, F::Object>,
-        ck: &CheckpointRecord<S::State>,
-    ) {
-        debug_assert_eq!(ck.index, replay.cell_index, "checkpoint index matches its cell");
-        self.advance(replay);
-        let anchor_index = replay.cell_index;
-        if self.latest_anchor().index >= anchor_index {
-            return; // someone already published this checkpoint (or a later one)
-        }
-        let anchor = Arc::new(Anchor {
-            index: anchor_index,
-            // Share the sealed state straight out of the record: the seal
-            // equals the local replica here (determinism), no clone needed.
-            state: Arc::clone(&ck.state),
-            applied: replay.applied.clone(),
-            cell: Arc::clone(&replay.cursor),
-        });
-        // Monotone publish: racing replicas can only move the anchor forward.
-        self.anchor.update_if(anchor, |cur| cur.is_none_or(|a| a.index < anchor_index));
-    }
-
-    /// Applies a decided reconfiguration to the local replica, publishes its
-    /// sealed post-state as the bootstrap anchor, and moves on.
-    fn absorb_reconfig(
-        &self,
-        replay: &mut Replay<S, F::Object>,
-        rec: &ReconfigRecord<S::Op, S::State>,
-    ) -> S::Resp {
-        let resp = self.spec.apply(&mut replay.state, &rec.op);
-        debug_assert!(*rec.state == replay.state, "sealed reconfig state matches the replica");
-        replay.applied[rec.pid as usize] = rec.seq;
-        self.advance(replay);
-        let anchor_index = replay.cell_index;
-        if self.latest_anchor().index < anchor_index {
-            let anchor = Arc::new(Anchor {
-                index: anchor_index,
-                // The seal equals the local replica here (determinism);
-                // share it straight out of the record.
-                state: Arc::clone(&rec.state),
-                applied: replay.applied.clone(),
-                cell: Arc::clone(&replay.cursor),
-            });
-            self.anchor.update_if(anchor, |cur| cur.is_none_or(|a| a.index < anchor_index));
-        }
-        resp
-    }
-
-    /// Moves the cursor to the next cell, creating it if necessary.
-    fn advance(&self, replay: &mut Replay<S, F::Object>) {
-        let next =
-            replay.cursor.next.load_or_init(|| Arc::new(CellNode::new(self.factory.create())));
-        replay.cursor = next;
-        replay.cell_index += 1;
-        replay.steps += 1;
-        // Release: pairs with the Acquire load in `sync_read_through`, so a
-        // reader that sees `tail > i` also sees cell `i` decided and its
-        // successor linked.
-        self.tail.fetch_max(replay.cell_index, Ordering::Release);
-    }
-
-    /// Catches the replica up to the log tail observed **at invocation**
-    /// and answers `f` from it (the shared body of [`Handle::sync_read`]
-    /// and [`OwnedHandle::sync_read`]): no announce, no proposal, no cell.
-    ///
-    /// The step bound is `tail − cursor`, fixed by the one load below — the
-    /// same shape as [`Universal::apply_through`]'s placement bound — so a
-    /// wait-free port keeps its class however fast the log grows meanwhile
-    /// ("peek until the first undecided cell" would chase the log and is
-    /// only lock-free).
-    ///
-    /// Linearizability: cells decide in order, so after the loop the
-    /// replica is exactly the prefix `[0, tail)`. Any operation that
-    /// completed before this call was invoked had raised `tail` past its
-    /// cell, so the read observes it; a decided cell at or past `tail` that
-    /// nobody has absorbed yet has produced no response, so ordering the
-    /// read before it is legal.
-    #[progress(bounded_wait_free)]
-    fn sync_read_through<R>(
-        &self,
-        replay: &mut Replay<S, F::Object>,
-        f: impl FnOnce(&S::State) -> R,
-    ) -> R {
-        let tail = self.tail.load(Ordering::Acquire);
-        while replay.cell_index < tail {
-            // Every cell below `tail` is decided; stay total regardless.
-            let Some(decided) = replay.cursor.cons.peek() else { break };
-            match decided {
-                LogRecord::Op(rec) => {
-                    let _ = self.absorb_op(replay, &rec);
-                }
-                LogRecord::Checkpoint(ck) => self.absorb_checkpoint(replay, &ck),
-                LogRecord::Reconfig(rec) => {
-                    let _ = self.absorb_reconfig(replay, &rec);
-                }
-            }
-        }
-        f(&replay.state)
-    }
-}
-
-/// A per-process handle on a [`Universal`] object.
-///
-/// Holds the process's replay cursor and local state copy; `apply` is
-/// linearizable across handles, with the progress condition of the
-/// underlying consensus factory (wait-free for the factory's wait-free set,
-/// obstruction-free for the rest).
-pub struct Handle<'a, S, F>
-where
-    S: SequentialSpec,
-    F: ConsensusFactory<LogRecordOf<S>>,
-{
-    obj: &'a Universal<S, F>,
-    replay: Replay<S, F::Object>,
-}
-
-impl<S, F> Handle<'_, S, F>
+impl<S, F> OwnedHandle<S, F>
 where
     S: SequentialSpec,
     F: ConsensusFactory<LogRecordOf<S>>,
 {
     /// The process this handle belongs to.
     pub fn pid(&self) -> usize {
-        self.replay.pid
+        self.pid
     }
 
     /// Applies `op` to the shared object, returning its response at its
@@ -686,22 +432,20 @@ where
     /// obstruction-free.
     #[progress(bounded_wait_free)]
     pub fn apply(&mut self, op: S::Op) -> S::Resp {
-        self.obj.apply_through(&mut self.replay, op)
-    }
-
-    /// Seals this handle's fully-replayed state into a checkpoint cell
-    /// agreed through the same consensus path as operations; returns the
-    /// log index of the checkpoint cell.
-    ///
-    /// After agreement, fresh handles bootstrap from the sealed state and
-    /// replay only the post-checkpoint suffix (O(delta) instead of
-    /// O(history)), and the pre-checkpoint cells become reclaimable.
-    ///
-    /// Progress: lock-free — each failed placement attempt is another
-    /// port's operation committing.
-    #[progress(lock_free)]
-    pub fn checkpoint(&mut self) -> u64 {
-        self.obj.checkpoint_through(&mut self.replay)
+        self.seq += 1;
+        let me = (self.pid, self.seq);
+        self.obj.announce[self.pid].store(Announce { seq: self.seq, op: op.clone() });
+        loop {
+            let decided = self.decide_current_cell(|| {
+                LogRecord::Op(OpRecord { pid: self.pid as u8, seq: self.seq, op: op.clone() })
+            });
+            match self.absorb(decided) {
+                Absorbed { kind: Kind::Op, author, resp: Some(resp), .. } if author == me => {
+                    return resp;
+                }
+                _ => {}
+            }
+        }
     }
 
     /// Applies `op` **and** seals the post-op state in a single agreed
@@ -713,31 +457,194 @@ where
     /// it at the same log index, and fresh handles bootstrap from the sealed
     /// post-state (the cell doubles as a checkpoint anchor).
     ///
-    /// Progress: lock-free, like [`Handle::checkpoint`] — each failed
-    /// placement attempt is another port's record committing.
+    /// Progress: lock-free. Like checkpoints, reconfig proposals are not
+    /// announced (nobody helps them), so each failed placement attempt means
+    /// some other port's record committed instead. The proposer still obeys
+    /// the helping rule, so it never undermines the wait-free bound of the
+    /// privileged set.
     #[progress(lock_free)]
     pub fn reconfigure(&mut self, op: S::Op) -> (u64, S::Resp) {
-        self.obj.reconfigure_through(&mut self.replay, op)
+        self.seq += 1;
+        let me = (self.pid, self.seq);
+        loop {
+            let decided = self.decide_current_cell(|| {
+                // Speculate the sealed post-state from the fully-replayed
+                // prefix; exact whenever this record is the one agreed.
+                let mut post = self.state.clone();
+                let _ = self.obj.spec.apply(&mut post, &op);
+                LogRecord::Reconfig(ReconfigRecord {
+                    pid: self.pid as u8,
+                    seq: self.seq,
+                    op: op.clone(),
+                    state: Arc::new(post),
+                })
+            });
+            match self.absorb(decided) {
+                Absorbed { kind: Kind::Reconfig, author, index, resp: Some(resp) }
+                    if author == me =>
+                {
+                    return (index, resp);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Seals this handle's fully-replayed state into a checkpoint cell
+    /// agreed through the same consensus path as operations; returns the
+    /// log index of the checkpoint cell.
+    ///
+    /// After agreement, fresh handles bootstrap from the sealed state and
+    /// replay only the post-checkpoint suffix (O(delta) instead of
+    /// O(history)), and the pre-checkpoint cells become reclaimable.
+    ///
+    /// Progress: lock-free — each failed placement attempt is another
+    /// port's record committing; the loop absorbs it and re-seals at the
+    /// next index, so the checkpoint contract — sealed state excludes the
+    /// checkpoint cell — stays exact.
+    #[progress(lock_free)]
+    pub fn checkpoint(&mut self) -> u64 {
+        loop {
+            let decided = self.decide_current_cell(|| {
+                LogRecord::Checkpoint(CheckpointRecord {
+                    pid: self.pid as u8,
+                    index: self.cell_index,
+                    state: Arc::new(self.state.clone()),
+                    applied: self.applied.clone(),
+                })
+            });
+            // Any checkpoint agreed at my cursor cell seals exactly my
+            // replayed prefix (determinism), so it serves whether or not I
+            // proposed it.
+            let crossed = self.absorb(decided);
+            if crossed.kind == Kind::Checkpoint {
+                return crossed.index;
+            }
+        }
     }
 
     /// Answers `f` from this handle's replica after catching it up to the
-    /// log tail observed at invocation — a **linearizable read that appends
-    /// nothing**: no announce, no proposal, no log cell, nothing for the
-    /// other handles to replay. `f` must not need to change the state;
+    /// log tail observed **at invocation** — a **linearizable read that
+    /// appends nothing**: no announce, no proposal, no log cell, nothing for
+    /// the other handles to replay. `f` must not need to change the state;
     /// anything that does goes through [`Self::apply`].
     ///
-    /// Progress: at most `tail − cursor` absorbed cells, a bound fixed at
-    /// invocation, for every port (the read never proposes, so it cannot be
-    /// obstructed either).
+    /// Progress: the step bound is `tail − cursor`, fixed by the one load
+    /// below — the same shape as [`Self::apply`]'s placement bound — so a
+    /// wait-free port keeps its class however fast the log grows meanwhile
+    /// ("peek until the first undecided cell" would chase the log and is
+    /// only lock-free), and the read never proposes, so it cannot be
+    /// obstructed either.
+    ///
+    /// Linearizability: cells decide in order, so after the loop the
+    /// replica is exactly the prefix `[0, tail)`. Any operation that
+    /// completed before this call was invoked had raised `tail` past its
+    /// cell, so the read observes it; a decided cell at or past `tail` that
+    /// nobody has absorbed yet has produced no response, so ordering the
+    /// read before it is legal.
     #[progress(bounded_wait_free)]
     pub fn sync_read<R>(&mut self, f: impl FnOnce(&S::State) -> R) -> R {
-        self.obj.sync_read_through(&mut self.replay, f)
+        let tail = self.obj.tail.load(Ordering::Acquire);
+        while self.cell_index < tail {
+            // Every cell below `tail` is decided; stay total regardless.
+            let Some(decided) = self.cursor.cons.peek() else { break };
+            self.absorb(decided);
+        }
+        f(&self.state)
+    }
+
+    /// Produces (or learns) the decision of the cursor cell. `fallback` is
+    /// the record to propose when the helping rule yields no candidate.
+    fn decide_current_cell(&self, fallback: impl FnOnce() -> LogRecordOf<S>) -> LogRecordOf<S> {
+        if let Some(d) = self.cursor.cons.peek() {
+            return d;
+        }
+        // Helping rule: cell k prefers the announcement of process k mod n,
+        // if it is pending (announced and not yet applied in my replay —
+        // which is exact for all cells before this one).
+        let slot = (self.cell_index as usize) % self.obj.n;
+        let candidate = self.obj.announce[slot]
+            .load()
+            .filter(|a| a.seq > self.applied[slot])
+            .map(|a| LogRecord::Op(OpRecord { pid: slot as u8, seq: a.seq, op: a.op }));
+        let proposal = candidate.unwrap_or_else(fallback);
+        // APC-LINT: allow(progress): dynamic dispatch through the factory's consensus object; its class is the factory's liveness spec (wait-free for the VIP set), checked at the object, not here
+        match self.cursor.cons.propose(self.pid, proposal) {
+            Ok(decided) => decided,
+            Err(ConsensusError::AlreadyProposed { .. }) => self
+                .cursor
+                .cons
+                .peek()
+                .expect("a proposed-to cell that rejects re-proposals has decided"),
+            Err(ConsensusError::NotAPort { pid }) => {
+                unreachable!("handle creation verified port membership for {pid}")
+            }
+        }
+    }
+
+    /// **The walk's one step**: absorbs the decided record of the cursor
+    /// cell, whoever proposed it and whichever driver is walking. Applies
+    /// the record's operation (if it carries one) to the local replica and
+    /// notes it in `applied`, moves the cursor, and — if the record seals a
+    /// state (a checkpoint its prefix, a reconfiguration its own post-state)
+    /// — publishes the seal as the bootstrap anchor for future handles. By
+    /// determinism the seal equals the local replica here, so it is shared
+    /// straight out of the record, never cloned.
+    fn absorb(&mut self, decided: LogRecordOf<S>) -> Absorbed<S::Resp> {
+        let index = self.cell_index;
+        let (kind, author, op, seal) = match decided {
+            LogRecord::Op(rec) => (Kind::Op, (rec.pid as usize, rec.seq), Some(rec.op), None),
+            LogRecord::Checkpoint(ck) => {
+                debug_assert_eq!(ck.index, index, "checkpoint index matches its cell");
+                (Kind::Checkpoint, (ck.pid as usize, 0), None, Some(ck.state))
+            }
+            LogRecord::Reconfig(rec) => {
+                (Kind::Reconfig, (rec.pid as usize, rec.seq), Some(rec.op), Some(rec.state))
+            }
+        };
+        let resp = op.map(|op| {
+            let resp = self.obj.spec.apply(&mut self.state, &op);
+            self.applied[author.0] = author.1;
+            resp
+        });
+        self.advance();
+        if let Some(state) = seal {
+            debug_assert!(*state == self.state, "a sealed state matches the replica");
+            let anchor_index = self.cell_index;
+            // Skip the allocation when someone already published this seal
+            // (or a later one).
+            if self.obj.latest_anchor().index < anchor_index {
+                let anchor = Arc::new(Anchor {
+                    index: anchor_index,
+                    state,
+                    applied: self.applied.clone(),
+                    cell: Arc::clone(&self.cursor),
+                });
+                // Monotone publish: racing replicas can only move the anchor
+                // forward.
+                self.obj.anchor.update_if(anchor, |cur| cur.is_none_or(|a| a.index < anchor_index));
+            }
+        }
+        Absorbed { kind, author, index, resp }
+    }
+
+    /// Moves the cursor to the next cell, creating it if necessary.
+    fn advance(&mut self) {
+        let next =
+            self.cursor.next.load_or_init(|| Arc::new(CellNode::new(self.obj.factory.create())));
+        self.cursor = next;
+        self.cell_index += 1;
+        self.steps += 1;
+        // Release: pairs with the Acquire load in `sync_read`, so a reader
+        // that sees `tail > i` also sees cell `i` decided and its successor
+        // linked.
+        self.obj.tail.fetch_max(self.cell_index, Ordering::Release);
     }
 
     /// The absolute log index of this handle's replay cursor (all cells
     /// before it are reflected in [`Self::local_state`]).
     pub fn replayed_cells(&self) -> u64 {
-        self.replay.cell_index
+        self.cell_index
     }
 
     /// Log cells this handle has consumed itself — the replay-work meter.
@@ -745,104 +652,13 @@ where
     /// A handle bootstrapped from a checkpoint does **not** count the sealed
     /// prefix: this is the regression guard for the O(delta) replay claim.
     pub fn replay_steps(&self) -> u64 {
-        self.replay.steps
+        self.steps
     }
 
     /// Read-only access to the local replica (exact as of the last `apply`
     /// or `sync_read`).
     pub fn local_state(&self) -> &S::State {
-        &self.replay.state
-    }
-}
-
-impl<S, F> fmt::Debug for Handle<'_, S, F>
-where
-    S: SequentialSpec,
-    F: ConsensusFactory<LogRecordOf<S>>,
-{
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Handle")
-            .field("pid", &self.replay.pid)
-            .field("replayed_cells", &self.replay.cell_index)
-            .finish()
-    }
-}
-
-/// An owned per-process handle keeping its [`Universal`] object alive.
-///
-/// Identical to [`Handle`] except that it co-owns the object through an
-/// [`Arc`], so it can be stored in long-lived structures (port pools,
-/// per-client sessions) without a borrow. Created by
-/// [`Universal::owned_handle`].
-pub struct OwnedHandle<S, F>
-where
-    S: SequentialSpec,
-    F: ConsensusFactory<LogRecordOf<S>>,
-{
-    obj: Arc<Universal<S, F>>,
-    replay: Replay<S, F::Object>,
-}
-
-impl<S, F> OwnedHandle<S, F>
-where
-    S: SequentialSpec,
-    F: ConsensusFactory<LogRecordOf<S>>,
-{
-    /// The process this handle belongs to.
-    pub fn pid(&self) -> usize {
-        self.replay.pid
-    }
-
-    /// Applies `op` to the shared object; see [`Handle::apply`].
-    #[progress(bounded_wait_free)]
-    pub fn apply(&mut self, op: S::Op) -> S::Resp {
-        self.obj.apply_through(&mut self.replay, op)
-    }
-
-    /// Seals a checkpoint; see [`Handle::checkpoint`].
-    #[progress(lock_free)]
-    pub fn checkpoint(&mut self) -> u64 {
-        // Split the borrow: `obj` and `replay` are disjoint fields.
-        let OwnedHandle { obj, replay } = self;
-        obj.checkpoint_through(replay)
-    }
-
-    /// Applies `op` and seals the post-op state in one agreed cell; see
-    /// [`Handle::reconfigure`].
-    #[progress(lock_free)]
-    pub fn reconfigure(&mut self, op: S::Op) -> (u64, S::Resp) {
-        let OwnedHandle { obj, replay } = self;
-        obj.reconfigure_through(replay, op)
-    }
-
-    /// A linearizable read that appends nothing; see
-    /// [`Handle::sync_read`].
-    #[progress(bounded_wait_free)]
-    pub fn sync_read<R>(&mut self, f: impl FnOnce(&S::State) -> R) -> R {
-        let OwnedHandle { obj, replay } = self;
-        obj.sync_read_through(replay, f)
-    }
-
-    /// The absolute log index of this handle's replay cursor.
-    pub fn replayed_cells(&self) -> u64 {
-        self.replay.cell_index
-    }
-
-    /// Log cells this handle has consumed itself; see
-    /// [`Handle::replay_steps`].
-    pub fn replay_steps(&self) -> u64 {
-        self.replay.steps
-    }
-
-    /// Read-only access to the local replica (exact as of the last `apply`
-    /// or `sync_read`).
-    pub fn local_state(&self) -> &S::State {
-        &self.replay.state
-    }
-
-    /// The shared object this handle operates on.
-    pub fn object(&self) -> &Arc<Universal<S, F>> {
-        &self.obj
+        &self.state
     }
 }
 
@@ -853,8 +669,8 @@ where
 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("OwnedHandle")
-            .field("pid", &self.replay.pid)
-            .field("replayed_cells", &self.replay.cell_index)
+            .field("pid", &self.pid)
+            .field("replayed_cells", &self.cell_index)
             .finish()
     }
 }
@@ -867,14 +683,14 @@ mod tests {
     use apc_core::liveness::Liveness;
     use std::sync::Mutex;
 
-    fn wait_free_counter(n: usize) -> Universal<Counter, CasFactory> {
-        Universal::new(Counter, CasFactory::new(Liveness::new_first_n(n, n)), n)
+    fn wait_free_counter(n: usize) -> Arc<Universal<Counter, CasFactory>> {
+        Arc::new(Universal::new(Counter, CasFactory::new(Liveness::new_first_n(n, n)), n))
     }
 
     #[test]
     fn sequential_counter() {
         let obj = wait_free_counter(2);
-        let mut h = obj.handle(0).unwrap();
+        let mut h = obj.owned_handle(0).unwrap();
         assert_eq!(h.apply(CounterOp::Add(5)), 5);
         assert_eq!(h.apply(CounterOp::Add(5)), 10);
         assert_eq!(h.apply(CounterOp::Get), 10);
@@ -884,8 +700,8 @@ mod tests {
     #[test]
     fn two_handles_see_each_other() {
         let obj = wait_free_counter(2);
-        let mut h0 = obj.handle(0).unwrap();
-        let mut h1 = obj.handle(1).unwrap();
+        let mut h0 = obj.owned_handle(0).unwrap();
+        let mut h1 = obj.owned_handle(1).unwrap();
         h0.apply(CounterOp::Add(1));
         h1.apply(CounterOp::Add(2));
         assert_eq!(h0.apply(CounterOp::Get), 3);
@@ -894,9 +710,9 @@ mod tests {
     #[test]
     fn one_handle_per_pid() {
         let obj = wait_free_counter(2);
-        let _h = obj.handle(0).unwrap();
-        assert_eq!(obj.handle(0).unwrap_err(), UniversalError::HandleTaken { pid: 0 });
-        assert_eq!(obj.handle(9).unwrap_err(), UniversalError::NotAPort { pid: 9 });
+        let _h = obj.owned_handle(0).unwrap();
+        assert_eq!(obj.owned_handle(0).unwrap_err(), UniversalError::HandleTaken { pid: 0 });
+        assert_eq!(obj.owned_handle(9).unwrap_err(), UniversalError::NotAPort { pid: 9 });
     }
 
     #[test]
@@ -910,14 +726,14 @@ mod tests {
             for pid in 0..n - 1 {
                 let obj = &obj;
                 s.spawn(move || {
-                    let mut h = obj.handle(pid).unwrap();
+                    let mut h = obj.owned_handle(pid).unwrap();
                     for _ in 0..per_thread {
                         h.apply(CounterOp::Add(1));
                     }
                 });
             }
         });
-        let mut late = obj.handle(n - 1).unwrap();
+        let mut late = obj.owned_handle(n - 1).unwrap();
         assert_eq!(late.apply(CounterOp::Get), ((n - 1) * per_thread) as u64);
     }
 
@@ -927,19 +743,19 @@ mod tests {
         // exactly once, and per-producer subsequences must stay ordered.
         let n = 4;
         let per_thread = 25u64;
-        let obj = Universal::new(Queue, CasFactory::new(Liveness::new_first_n(n, n)), n);
+        let obj = Arc::new(Universal::new(Queue, CasFactory::new(Liveness::new_first_n(n, n)), n));
         std::thread::scope(|s| {
             for pid in 0..n - 1 {
                 let obj = &obj;
                 s.spawn(move || {
-                    let mut h = obj.handle(pid).unwrap();
+                    let mut h = obj.owned_handle(pid).unwrap();
                     for i in 0..per_thread {
                         h.apply(QueueOp::Enqueue(pid as u64 * 1000 + i));
                     }
                 });
             }
         });
-        let mut consumer = obj.handle(n - 1).unwrap();
+        let mut consumer = obj.owned_handle(n - 1).unwrap();
         let mut seen: Vec<u64> = Vec::new();
         while let Some(v) = consumer.apply(QueueOp::Dequeue) {
             seen.push(v);
@@ -957,17 +773,18 @@ mod tests {
     #[test]
     fn kv_store_linearizes_puts() {
         let n = 4;
-        let obj = Universal::new(KvStore, CasFactory::new(Liveness::new_first_n(n, n)), n);
+        let obj =
+            Arc::new(Universal::new(KvStore, CasFactory::new(Liveness::new_first_n(n, n)), n));
         std::thread::scope(|s| {
             for pid in 0..n - 1 {
                 let obj = &obj;
                 s.spawn(move || {
-                    let mut h = obj.handle(pid).unwrap();
+                    let mut h = obj.owned_handle(pid).unwrap();
                     h.apply(KvOp::Put(format!("k{pid}"), pid as u64));
                 });
             }
         });
-        let mut reader = obj.handle(n - 1).unwrap();
+        let mut reader = obj.owned_handle(n - 1).unwrap();
         for pid in 0..n - 1 {
             assert_eq!(reader.apply(KvOp::Get(format!("k{pid}"))), Some(pid as u64));
         }
@@ -979,13 +796,17 @@ mod tests {
         // (4,1)-live cells: pid 0 is wait-free. Guests hammer the object
         // while pid 0 performs operations; pid 0 must complete all of them.
         let n = 4;
-        let obj = Universal::new(Counter, AsymmetricFactory::new(Liveness::new_first_n(n, 1)), n);
+        let obj = Arc::new(Universal::new(
+            Counter,
+            AsymmetricFactory::new(Liveness::new_first_n(n, 1)),
+            n,
+        ));
         let done = Mutex::new(Vec::new());
         std::thread::scope(|s| {
             for pid in 1..n {
                 let obj = &obj;
                 s.spawn(move || {
-                    let mut h = obj.handle(pid).unwrap();
+                    let mut h = obj.owned_handle(pid).unwrap();
                     for _ in 0..20 {
                         h.apply(CounterOp::Add(1));
                     }
@@ -994,7 +815,7 @@ mod tests {
             let obj = &obj;
             let done = &done;
             s.spawn(move || {
-                let mut h = obj.handle(0).unwrap();
+                let mut h = obj.owned_handle(0).unwrap();
                 for _ in 0..20 {
                     let v = h.apply(CounterOp::Add(1));
                     done.lock().unwrap().push(v);
@@ -1010,28 +831,9 @@ mod tests {
     }
 
     #[test]
-    fn owned_handles_interoperate_with_borrowed_ones() {
-        let obj = Arc::new(wait_free_counter(3));
-        let mut owned = obj.owned_handle(0).unwrap();
-        let mut borrowed = obj.handle(1).unwrap();
-        assert_eq!(obj.owned_handle(0).unwrap_err(), UniversalError::HandleTaken { pid: 0 });
-        owned.apply(CounterOp::Add(4));
-        borrowed.apply(CounterOp::Add(5));
-        assert_eq!(owned.apply(CounterOp::Get), 9);
-        assert_eq!(owned.pid(), 0);
-        assert!(owned.replayed_cells() >= 2);
-        assert_eq!(owned.object().n(), 3);
-        // The owned handle keeps the object alive on its own.
-        let mut survivor = obj.owned_handle(2).unwrap();
-        drop(borrowed);
-        drop(obj);
-        assert_eq!(survivor.apply(CounterOp::Get), 9);
-    }
-
-    #[test]
     fn local_state_reflects_replay() {
         let obj = wait_free_counter(2);
-        let mut h = obj.handle(0).unwrap();
+        let mut h = obj.owned_handle(0).unwrap();
         h.apply(CounterOp::Add(7));
         assert_eq!(*h.local_state(), 7);
     }
@@ -1039,7 +841,7 @@ mod tests {
     #[test]
     fn checkpoint_seals_state_and_ops_continue() {
         let obj = wait_free_counter(2);
-        let mut h = obj.handle(0).unwrap();
+        let mut h = obj.owned_handle(0).unwrap();
         h.apply(CounterOp::Add(3));
         h.apply(CounterOp::Add(4));
         let index = h.checkpoint();
@@ -1047,7 +849,7 @@ mod tests {
         assert_eq!(obj.anchor_index(), 3, "anchor points past the checkpoint cell");
         // Operations after the checkpoint see the sealed state.
         assert_eq!(h.apply(CounterOp::Add(1)), 8);
-        let mut h1 = obj.handle(1).unwrap();
+        let mut h1 = obj.owned_handle(1).unwrap();
         assert_eq!(h1.apply(CounterOp::Get), 8);
     }
 
@@ -1056,7 +858,7 @@ mod tests {
         let n = 3;
         let history = 200u64;
         let obj = wait_free_counter(n);
-        let mut h0 = obj.handle(0).unwrap();
+        let mut h0 = obj.owned_handle(0).unwrap();
         for _ in 0..history {
             h0.apply(CounterOp::Add(1));
         }
@@ -1068,7 +870,7 @@ mod tests {
         }
         // The fresh handle must bootstrap from the checkpoint, not replay
         // the whole history.
-        let mut h1 = obj.handle(1).unwrap();
+        let mut h1 = obj.owned_handle(1).unwrap();
         assert_eq!(h1.apply(CounterOp::Get), history + delta);
         assert!(
             h1.replay_steps() <= delta + 2,
@@ -1083,7 +885,7 @@ mod tests {
     #[test]
     fn replay_steps_meter_counts_own_work() {
         let obj = wait_free_counter(2);
-        let mut h = obj.handle(0).unwrap();
+        let mut h = obj.owned_handle(0).unwrap();
         assert_eq!(h.replay_steps(), 0);
         h.apply(CounterOp::Add(1));
         h.apply(CounterOp::Add(1));
@@ -1104,7 +906,7 @@ mod tests {
             for pid in 0..workers as usize {
                 let obj = &obj;
                 s.spawn(move || {
-                    let mut h = obj.handle(pid).unwrap();
+                    let mut h = obj.owned_handle(pid).unwrap();
                     for _ in 0..per_thread {
                         h.apply(CounterOp::Add(1));
                     }
@@ -1112,29 +914,29 @@ mod tests {
             }
             let obj = &obj;
             s.spawn(move || {
-                let mut h = obj.handle(3).unwrap();
+                let mut h = obj.owned_handle(3).unwrap();
                 for _ in 0..10 {
                     h.checkpoint();
                 }
             });
         });
         assert!(obj.anchor_index() > 0, "at least one checkpoint installed");
-        let mut reader = obj.handle(4).unwrap();
+        let mut reader = obj.owned_handle(4).unwrap();
         assert_eq!(reader.apply(CounterOp::Get), workers * per_thread);
     }
 
     #[test]
     fn checkpoints_may_be_taken_by_any_port_and_stack() {
         let obj = wait_free_counter(3);
-        let mut h0 = obj.handle(0).unwrap();
-        let mut h1 = obj.handle(1).unwrap();
+        let mut h0 = obj.owned_handle(0).unwrap();
+        let mut h1 = obj.owned_handle(1).unwrap();
         h0.apply(CounterOp::Add(2));
         let first = h0.checkpoint();
         h1.apply(CounterOp::Add(5));
         let second = h1.checkpoint();
         assert!(second > first, "later checkpoint seals a longer prefix");
         assert_eq!(obj.anchor_index(), second + 1);
-        let mut h2 = obj.handle(2).unwrap();
+        let mut h2 = obj.owned_handle(2).unwrap();
         assert_eq!(h2.apply(CounterOp::Get), 7);
         assert!(h2.replay_steps() <= 2, "bootstrapped from the latest anchor");
     }
@@ -1142,7 +944,7 @@ mod tests {
     #[test]
     fn reconfigure_applies_and_seals_in_one_cell() {
         let obj = wait_free_counter(3);
-        let mut h = obj.handle(0).unwrap();
+        let mut h = obj.owned_handle(0).unwrap();
         h.apply(CounterOp::Add(3));
         h.apply(CounterOp::Add(4));
         let (index, resp) = h.reconfigure(CounterOp::Add(10));
@@ -1150,7 +952,7 @@ mod tests {
         assert_eq!(resp, 17, "the op observed everything committed before the bump");
         assert_eq!(obj.anchor_index(), 3, "anchor points past the reconfig cell");
         // Fresh handles bootstrap from the sealed post-reconfig state.
-        let mut h1 = obj.handle(1).unwrap();
+        let mut h1 = obj.owned_handle(1).unwrap();
         assert_eq!(h1.apply(CounterOp::Get), 17);
         assert!(h1.replay_steps() <= 1, "the reconfig cell doubles as a checkpoint");
     }
@@ -1169,7 +971,7 @@ mod tests {
             for pid in 0..workers as usize {
                 let obj = &obj;
                 s.spawn(move || {
-                    let mut h = obj.handle(pid).unwrap();
+                    let mut h = obj.owned_handle(pid).unwrap();
                     for _ in 0..per_thread {
                         h.apply(CounterOp::Add(1));
                     }
@@ -1177,7 +979,7 @@ mod tests {
             }
             let obj = &obj;
             s.spawn(move || {
-                let mut h = obj.handle(3).unwrap();
+                let mut h = obj.owned_handle(3).unwrap();
                 let mut last = 0;
                 for _ in 0..bumps {
                     let (_, total) = h.reconfigure(CounterOp::Add(1_000));
@@ -1187,29 +989,34 @@ mod tests {
             });
         });
         assert!(obj.anchor_index() > 0, "at least one reconfig anchor installed");
-        let mut reader = obj.handle(4).unwrap();
+        let mut reader = obj.owned_handle(4).unwrap();
         assert_eq!(reader.apply(CounterOp::Get), workers * per_thread + bumps * 1_000);
     }
 
     #[test]
     fn checkpoint_after_reconfig_reseals_cleanly() {
         let obj = wait_free_counter(2);
-        let mut h = obj.handle(0).unwrap();
+        let mut h = obj.owned_handle(0).unwrap();
         h.apply(CounterOp::Add(1));
         let (bump_index, _) = h.reconfigure(CounterOp::Add(2));
         let ck_index = h.checkpoint();
         assert!(ck_index > bump_index);
         assert_eq!(obj.anchor_index(), ck_index + 1);
-        let mut h1 = obj.handle(1).unwrap();
+        let mut h1 = obj.owned_handle(1).unwrap();
         assert_eq!(h1.apply(CounterOp::Get), 3);
     }
 
     #[test]
     fn recovered_object_starts_at_the_given_index_and_state() {
-        let obj: Universal<Counter, CasFactory> =
-            Universal::recovered(Counter, CasFactory::new(Liveness::new_first_n(2, 2)), 2, 41, 100);
+        let obj = Arc::new(Universal::recovered(
+            Counter,
+            CasFactory::new(Liveness::new_first_n(2, 2)),
+            2,
+            41,
+            100,
+        ));
         assert_eq!(obj.anchor_index(), 100);
-        let mut h = obj.handle(0).unwrap();
+        let mut h = obj.owned_handle(0).unwrap();
         assert_eq!(h.replayed_cells(), 100, "cursor starts at the recovery index");
         assert_eq!(h.apply(CounterOp::Add(1)), 42, "recovered state is live");
         assert_eq!(h.replay_steps(), 1, "no pre-recovery replay work");
@@ -1221,7 +1028,7 @@ mod tests {
         // the prefix: the iterative CellNode drop must unwind it safely.
         let n = 2;
         let obj = wait_free_counter(n);
-        let mut h = obj.handle(0).unwrap();
+        let mut h = obj.owned_handle(0).unwrap();
         for _ in 0..50_000 {
             h.apply(CounterOp::Add(1));
         }
@@ -1233,8 +1040,8 @@ mod tests {
     #[test]
     fn sync_read_catches_up_without_appending() {
         let obj = wait_free_counter(2);
-        let mut writer = obj.handle(0).unwrap();
-        let mut reader = obj.handle(1).unwrap();
+        let mut writer = obj.owned_handle(0).unwrap();
+        let mut reader = obj.owned_handle(1).unwrap();
         for _ in 0..10 {
             writer.apply(CounterOp::Add(1));
         }
@@ -1254,7 +1061,7 @@ mod tests {
 
     #[test]
     fn sync_read_crosses_checkpoint_and_reconfig_cells() {
-        let obj = Arc::new(wait_free_counter(3));
+        let obj = wait_free_counter(3);
         let mut writer = obj.owned_handle(0).unwrap();
         let mut reader = obj.owned_handle(1).unwrap();
         writer.apply(CounterOp::Add(1));
@@ -1270,10 +1077,78 @@ mod tests {
     }
 
     #[test]
+    fn absorbed_effect_does_not_depend_on_who_absorbs_it() {
+        type Port = OwnedHandle<Counter, CasFactory>;
+        type Foreign = fn(&Port) -> LogRecordOf<Counter>;
+        type Driver = fn(&mut Port);
+        let foreign: [(&str, Foreign); 3] = [
+            ("op", |_| LogRecord::Op(OpRecord { pid: 0, seq: 2, op: CounterOp::Add(10) })),
+            ("checkpoint", |a| {
+                LogRecord::Checkpoint(CheckpointRecord {
+                    pid: 0,
+                    index: a.cell_index,
+                    state: Arc::new(a.state),
+                    applied: a.applied.clone(),
+                })
+            }),
+            ("reconfiguration", |a| {
+                LogRecord::Reconfig(ReconfigRecord {
+                    pid: 0,
+                    seq: 2,
+                    op: CounterOp::Add(10),
+                    state: Arc::new(a.state + 10),
+                })
+            }),
+        ];
+        let drivers: [(&str, Driver); 4] = [
+            ("apply", |h| _ = h.apply(CounterOp::Add(100))),
+            ("reconfigure", |h| _ = h.reconfigure(CounterOp::Add(100))),
+            ("checkpoint", |h| _ = h.checkpoint()),
+            ("sync_read", |h| h.sync_read(|_| ())),
+        ];
+        for (kind, record) in foreign {
+            for (name, drive) in drivers {
+                // What port 1 and the object look like after port 1 met the
+                // foreign record at its cursor under `drive` — having first
+                // crossed it with `sync_read` if `witness`. A checkpoint
+                // agreed at a checkpointer's cursor is the one it came for:
+                // it stops there, and so does its witness.
+                let stops = (name, kind) == ("checkpoint", "checkpoint");
+                let crossed = |witness: bool| {
+                    let obj = wait_free_counter(2);
+                    let mut author = obj.owned_handle(0).unwrap();
+                    let mut port = obj.owned_handle(1).unwrap();
+                    author.apply(CounterOp::Add(1));
+                    // The author agrees its record into cell 1 and moves
+                    // past it — the tail is raised, nothing is published
+                    // yet — so whoever crosses the cell next does so alone.
+                    assert_eq!(author.decide_current_cell(|| record(&author)), record(&author));
+                    author.advance();
+                    if witness {
+                        port.sync_read(|_| ());
+                    }
+                    if !(witness && stops) {
+                        drive(&mut port);
+                    }
+                    (port.state, port.applied.clone(), port.cell_index, obj.anchor_index())
+                };
+                let alone = crossed(false);
+                assert_eq!(alone, crossed(true), "{name} absorbing a foreign {kind}");
+                assert!(kind == "op" || alone.3 >= 2, "{name} published the foreign {kind}'s seal");
+            }
+        }
+    }
+
+    #[test]
     fn sync_read_on_a_recovered_object_starts_at_its_index() {
-        let obj: Universal<Counter, CasFactory> =
-            Universal::recovered(Counter, CasFactory::new(Liveness::new_first_n(2, 2)), 2, 41, 100);
-        let mut h = obj.handle(0).unwrap();
+        let obj = Arc::new(Universal::recovered(
+            Counter,
+            CasFactory::new(Liveness::new_first_n(2, 2)),
+            2,
+            41,
+            100,
+        ));
+        let mut h = obj.owned_handle(0).unwrap();
         assert_eq!(h.sync_read(|s| *s), 41);
         assert_eq!(h.replay_steps(), 0, "the tail starts at the recovery index");
     }
@@ -1286,7 +1161,11 @@ mod tests {
         // completed-before ≤ value ≤ started-after, and never goes back.
         let n = 4;
         let per_thread = 300u64;
-        let obj = Universal::new(Counter, AsymmetricFactory::new(Liveness::new_first_n(n, 1)), n);
+        let obj = Arc::new(Universal::new(
+            Counter,
+            AsymmetricFactory::new(Liveness::new_first_n(n, 1)),
+            n,
+        ));
         let started = AtomicU64::new(0);
         let completed = AtomicU64::new(0);
         let go = std::sync::Barrier::new(n);
@@ -1294,7 +1173,7 @@ mod tests {
             for pid in 1..n {
                 let (obj, started, completed, go) = (&obj, &started, &completed, &go);
                 s.spawn(move || {
-                    let mut h = obj.handle(pid).unwrap();
+                    let mut h = obj.owned_handle(pid).unwrap();
                     go.wait();
                     for _ in 0..per_thread {
                         started.fetch_add(1, Ordering::SeqCst);
@@ -1305,7 +1184,7 @@ mod tests {
             }
             let (obj, started, completed, go) = (&obj, &started, &completed, &go);
             s.spawn(move || {
-                let mut h = obj.handle(0).unwrap();
+                let mut h = obj.owned_handle(0).unwrap();
                 let total = (n as u64 - 1) * per_thread;
                 let mut last = 0;
                 go.wait();
@@ -1331,23 +1210,27 @@ mod tests {
         // A guest checkpoints while the VIP operates: the VIP's operations
         // all complete (the checkpointer helps pending announcements).
         let n = 3;
-        let obj = Universal::new(Counter, AsymmetricFactory::new(Liveness::new_first_n(n, 1)), n);
+        let obj = Arc::new(Universal::new(
+            Counter,
+            AsymmetricFactory::new(Liveness::new_first_n(n, 1)),
+            n,
+        ));
         std::thread::scope(|s| {
             let obj = &obj;
             s.spawn(move || {
-                let mut vip = obj.handle(0).unwrap();
+                let mut vip = obj.owned_handle(0).unwrap();
                 for _ in 0..30 {
                     vip.apply(CounterOp::Add(1));
                 }
             });
             s.spawn(move || {
-                let mut g = obj.handle(1).unwrap();
+                let mut g = obj.owned_handle(1).unwrap();
                 for _ in 0..5 {
                     g.checkpoint();
                 }
             });
         });
-        let mut reader = obj.handle(2).unwrap();
+        let mut reader = obj.owned_handle(2).unwrap();
         assert_eq!(reader.apply(CounterOp::Get), 30);
     }
 }

@@ -18,16 +18,19 @@
 //! placed into a linked list of cells, each cell's order decided by one
 //! consensus instance; helping (cell `k` prefers the announcement of
 //! process `k mod n`) makes placement wait-free whenever the cell consensus
-//! is.
+//! is. There is **one handle type** ([`OwnedHandle`], one per process) and
+//! **one walk** of that log: every public operation decides the cell at the
+//! handle's cursor and absorbs the agreed record in the same single step,
+//! and the operations differ only in what they propose and when they stop.
 //!
 //! The log additionally supports **checkpoint cells**
-//! ([`Handle::checkpoint`]): any port can seal its fully-replayed state
+//! ([`OwnedHandle::checkpoint`]): any port can seal its fully-replayed state
 //! through the same consensus path, after which fresh handles bootstrap
 //! from the sealed state and replay only the post-checkpoint suffix
 //! (O(delta) instead of O(history)), the retired prefix becomes
 //! reclaimable, and a persistence layer can rebuild the object from a
 //! durable snapshot via [`Universal::recovered`]; and **reconfig cells**
-//! ([`Handle::reconfigure`]): an operation that also seals the state after
+//! ([`OwnedHandle::reconfigure`]): an operation that also seals the state after
 //! itself, so a service layer can linearize a live reconfiguration (e.g. a
 //! shard-topology bump) against concurrent operations in one agreed cell.
 //!
@@ -36,10 +39,11 @@
 //! ```
 //! use apc_universal::{seq::Counter, Universal, CasFactory};
 //! use apc_core::liveness::Liveness;
+//! use std::sync::Arc;
 //!
-//! let obj = Universal::new(Counter, CasFactory::new(Liveness::new_first_n(2, 2)), 2);
-//! let mut h0 = obj.handle(0).unwrap();
-//! let mut h1 = obj.handle(1).unwrap();
+//! let obj = Arc::new(Universal::new(Counter, CasFactory::new(Liveness::new_first_n(2, 2)), 2));
+//! let mut h0 = obj.owned_handle(0).unwrap();
+//! let mut h1 = obj.owned_handle(1).unwrap();
 //! h0.apply(apc_universal::seq::CounterOp::Add(2));
 //! h1.apply(apc_universal::seq::CounterOp::Add(3));
 //! assert_eq!(h1.apply(apc_universal::seq::CounterOp::Get), 5);
@@ -55,6 +59,6 @@ mod herlihy;
 
 pub use factory::{AsymmetricFactory, CasFactory, ConsensusFactory};
 pub use herlihy::{
-    CheckpointRecord, Handle, LogRecord, LogRecordOf, OpRecord, OwnedHandle, ReconfigRecord,
-    Universal, UniversalError,
+    CheckpointRecord, LogRecord, LogRecordOf, OpRecord, OwnedHandle, ReconfigRecord, Universal,
+    UniversalError,
 };

@@ -5,11 +5,15 @@
 //! tier stays served, a 10k-connection smoke,
 //! the `GET /metrics` listener, and wrapper-vs-envelope equivalence.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::path::PathBuf;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use asymmetric_progress::net::{NetClient, ServerConfig, StoreServer, WireResult};
+use asymmetric_progress::store::persist::Persister;
+use asymmetric_progress::store::wal::{Wal, WalConfig};
 use asymmetric_progress::store::{
     DurabilityClass, Request, StoreBuilder, StoreError, StoreOp, StoreResp, TierCredential,
 };
@@ -455,4 +459,31 @@ proptest! {
             }
         }
     }
+}
+
+/// METRICS.md is the catalogue of every exported series: a series added to
+/// a scrape without a row there, or a row that outlives its series, fails
+/// here with the difference.
+#[test]
+fn metrics_md_lists_exactly_the_scraped_series() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("store-net-metrics-md");
+    let _ = std::fs::remove_dir_all(&dir);
+    let wal = Wal::open(dir.join("wal"), WalConfig::default()).expect("fresh wal");
+    let store = StoreBuilder::new().shards(2).build_with_wal(Arc::clone(&wal)).unwrap();
+    let persister = Persister::new(dir.join("store.snapshot")).with_wal(wal);
+    let server = StoreServer::new(&store, server_cfg(8));
+    let mut scrape = server.scrape();
+    scrape.merge(persister.scrape());
+
+    let scraped: BTreeSet<&str> = scrape.samples.iter().map(|s| s.name).collect();
+    let documented: BTreeSet<&str> = include_str!("../METRICS.md")
+        .lines()
+        .filter_map(|row| row.strip_prefix("| `")?.split('`').next())
+        .collect();
+    assert!(
+        scraped == documented,
+        "METRICS.md has drifted — scraped but not documented: {:?}; documented but not scraped: {:?}",
+        scraped.difference(&documented).collect::<Vec<_>>(),
+        documented.difference(&scraped).collect::<Vec<_>>(),
+    );
 }

@@ -11,6 +11,7 @@
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
@@ -214,8 +215,8 @@ fn fresh_handle_replay_is_o_delta_not_o_history() {
     let n = 3;
     let history = 500u64; // sealed prefix
     let delta = 7u64; // post-checkpoint suffix
-    let obj = Universal::new(Counter, CasFactory::new(Liveness::new_first_n(n, n)), n);
-    let mut writer = obj.handle(0).unwrap();
+    let obj = Arc::new(Universal::new(Counter, CasFactory::new(Liveness::new_first_n(n, n)), n));
+    let mut writer = obj.owned_handle(0).unwrap();
     for _ in 0..history {
         writer.apply(CounterOp::Add(1));
     }
@@ -224,7 +225,7 @@ fn fresh_handle_replay_is_o_delta_not_o_history() {
     for _ in 0..delta {
         writer.apply(CounterOp::Add(1));
     }
-    let mut fresh = obj.handle(1).unwrap();
+    let mut fresh = obj.owned_handle(1).unwrap();
     assert_eq!(fresh.apply(CounterOp::Get), history + delta, "replay is still exact");
     let steps = fresh.replay_steps();
     assert!(

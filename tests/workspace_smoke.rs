@@ -4,6 +4,8 @@
 //! hierarchy}`) so a wiring regression in `src/lib.rs` or the workspace
 //! manifests fails fast and obviously.
 
+use std::sync::Arc;
+
 use asymmetric_progress::common2::TestAndSet;
 use asymmetric_progress::core::consensus::{AsymmetricConsensus, Consensus};
 use asymmetric_progress::core::liveness::Liveness;
@@ -65,9 +67,10 @@ fn facade_crates_all_wired() {
     assert!(!tas.test_and_set(), "second TAS loses");
 
     // universal
-    let counter = Universal::new(Counter, CasFactory::new(Liveness::new_first_n(2, 2)), 2);
-    let mut h0 = counter.handle(0).unwrap();
-    let mut h1 = counter.handle(1).unwrap();
+    let counter =
+        Arc::new(Universal::new(Counter, CasFactory::new(Liveness::new_first_n(2, 2)), 2));
+    let mut h0 = counter.owned_handle(0).unwrap();
+    let mut h1 = counter.owned_handle(1).unwrap();
     h0.apply(CounterOp::Add(2));
     h1.apply(CounterOp::Add(3));
     assert_eq!(h0.apply(CounterOp::Get), 5);
