@@ -174,6 +174,36 @@ fn a_tier_carried_by_a_closure_is_checked_in_the_caller() {
     assert_eq!(report.exit_code(true), 1, "--deny rejects a mislabelled arm");
 }
 
+/// Pins what lets `apc-store` call its shard map plainly: a map reached
+/// through a field of a known type is swept like any callee. A
+/// `bounded_wait_free` read that reaches a map method taking a lock, and
+/// an annotated map method that can panic, MUST both be findings — so the
+/// real `KeyMap::get` / `KeyMap::range` can only stay green by staying
+/// lock- and panic-free.
+#[test]
+fn a_map_method_that_locks_or_panics_fails_the_vip_read() {
+    let (root, files) = fixture("map_read_blocks_vip.rs");
+    let (_ws, report) = analyze_files(&root, &files).unwrap();
+    let mut rules: Vec<&str> = report.findings.iter().map(|f| f.rule).collect();
+    rules.sort_unstable();
+    assert_eq!(rules, ["panic", "progress"], "exactly the two:\n{}", report.render_text());
+    let blocked = report.findings.iter().find(|f| f.rule == "progress").expect("checked above");
+    assert!(blocked.message.contains("read_vip"), "names the VIP read: {}", blocked.message);
+    assert!(
+        blocked.path.iter().any(|hop| hop.contains("LatchedMap::get")),
+        "chain enters the map by its field's type: {:?}",
+        blocked.path,
+    );
+    assert!(
+        blocked.path.last().is_some_and(|hop| hop.contains("lock")),
+        "chain ends at the latch: {:?}",
+        blocked.path,
+    );
+    let panics = report.findings.iter().find(|f| f.rule == "panic").expect("checked above");
+    assert!(panics.message.contains("LatchedMap::range"), "names the method: {}", panics.message);
+    assert_eq!(report.exit_code(true), 1, "--deny rejects a latched or panicking map");
+}
+
 #[test]
 fn known_good_is_clean() {
     let (root, files) = fixture("known_good.rs");

@@ -30,9 +30,10 @@
 //!   merge faded children back, hysteresis + cool-down against thrash;
 //! * [`ops`] + [`store`] — read/write/CAS/scan operations, same-shard
 //!   batching into single universal-construction appends, and wait-free
-//!   snapshot statistics through
-//!   [`SwmrSnapshot`](apc_registers::snapshot::SwmrSnapshot) for the VIP
-//!   dashboard path.
+//!   statistics from one single-writer digest register per port for the
+//!   VIP dashboard path;
+//! * [`keymap`] — the ordered map every shard replica is: sorted leaves of
+//!   packed keys behind one packed fence index.
 //!
 //! The [`persist`] layer makes the store crash-recoverable: a flush seals a
 //! **checkpoint cell** on every shard log (agreed through the same
@@ -87,6 +88,7 @@
 pub mod admission;
 pub mod api;
 pub mod elastic;
+pub mod keymap;
 pub mod metrics;
 pub mod model;
 pub mod ops;
@@ -103,6 +105,7 @@ pub use apc_obs::{
 };
 pub use api::{Request, Response, StoreError, TierCredential, UNBOUNDED_RETRIES};
 pub use elastic::{ElasticDecision, ElasticEngine, ElasticReport, ElasticityPolicy};
+pub use keymap::KeyMap;
 pub use ops::{
     apply_op, read_batch, read_op, AdoptSpec, Batch, Key, MergeSpec, ShardCmd, ShardSpec,
     ShardState, SplitSpec, StoreOp, StoreResp,

@@ -22,11 +22,9 @@
 //! after it (and is bounced to the shard that now owns its keys); it is
 //! never applied twice and never dropped.
 
-use std::collections::BTreeMap;
-use std::ops::{Deref, DerefMut};
-
 use apc_universal::seq::SequentialSpec;
 
+use crate::keymap::KeyMap;
 use crate::router::rendezvous_score;
 
 /// A store key. Keys are routed to shards by
@@ -124,12 +122,24 @@ impl StoreResp {
 /// The per-shard state: an ordered map, scannable by range, plus the
 /// topology **epoch** of the shard's last split.
 ///
-/// Dereferences to the underlying `BTreeMap<Key, u64>` — the epoch is
-/// metadata the operational semantics never read, so map-level access stays
-/// as direct as it was when this type *was* the map.
+/// The map is a [`KeyMap`]: sorted leaves of at most 64 entries (or 4 KiB of
+/// key text — its two constants, `LEAF_ENTRIES` and `LEAF_BYTES`), each
+/// holding its keys packed in one buffer beside an offsets and a values
+/// array, found through one packed index of the leaves' lower bounds. Every
+/// port keeps a replica of this state and every log cell is applied to each
+/// of them, so what a key costs here is what it costs times the replicas:
+/// ~21 B in a full leaf, ~40 B under random inserts, and a deep clone
+/// ([`Store::checkpoint`](crate::store::Store::checkpoint), every cadence
+/// seal, a new handle) is three `memcpy`s per leaf.
+///
+/// Two states are equal when their epochs and their **entry sequences**
+/// are, wherever their leaves happen to be cut: a replica that replayed a
+/// log cell by cell and one rebuilt from a sealed state or a snapshot hold
+/// the same map in different layouts, and replay checks and consensus on
+/// sealed states compare exactly such pairs.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct ShardState {
-    entries: BTreeMap<Key, u64>,
+    map: KeyMap,
     /// The topology version of this shard's most recent split (or the
     /// version whose split created it). Batches planned earlier are stale.
     epoch: u64,
@@ -143,27 +153,23 @@ impl ShardState {
 
     /// A state preloaded with `entries` at the given split `epoch` — how a
     /// freshly split-off shard is born, and how recovery rebuilds one.
-    pub fn with_entries(entries: BTreeMap<Key, u64>, epoch: u64) -> Self {
-        ShardState { entries, epoch }
+    /// Entries in key order are appended without a search each; any other
+    /// order is accepted, a later duplicate winning.
+    pub fn with_entries<K: AsRef<str>>(
+        entries: impl IntoIterator<Item = (K, u64)>,
+        epoch: u64,
+    ) -> Self {
+        ShardState { map: entries.into_iter().collect(), epoch }
+    }
+
+    /// The shard's entries.
+    pub fn entries(&self) -> &KeyMap {
+        &self.map
     }
 
     /// The topology version of this shard's most recent split.
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-}
-
-impl Deref for ShardState {
-    type Target = BTreeMap<Key, u64>;
-
-    fn deref(&self) -> &BTreeMap<Key, u64> {
-        &self.entries
-    }
-}
-
-impl DerefMut for ShardState {
-    fn deref_mut(&mut self) -> &mut BTreeMap<Key, u64> {
-        &mut self.entries
     }
 }
 
@@ -173,13 +179,13 @@ impl DerefMut for ShardState {
 pub fn apply_op(state: &mut ShardState, op: &StoreOp) -> StoreResp {
     match op {
         StoreOp::Get(k) => read_get(state, k),
-        StoreOp::Put(k, v) => StoreResp::Value(state.insert(k.clone(), *v)),
-        StoreOp::Remove(k) => StoreResp::Value(state.remove(k)),
+        StoreOp::Put(k, v) => StoreResp::Value(state.map.insert(k, *v)),
+        StoreOp::Remove(k) => StoreResp::Value(state.map.remove(k)),
         StoreOp::Cas { key, expect, new } => {
-            let actual = state.get(key).copied();
+            let actual = state.map.get(key);
             let ok = actual == *expect;
             if ok {
-                state.insert(key.clone(), *new);
+                state.map.insert(key, *new);
             }
             StoreResp::Cas { ok, actual }
         }
@@ -199,19 +205,17 @@ pub fn read_op(state: &ShardState, op: &StoreOp) -> Option<StoreResp> {
     }
 }
 
-fn read_get(state: &ShardState, key: &Key) -> StoreResp {
-    // Called by path: apc-lint resolves `x.get(..)` by name, to
-    // `Client::get` among others, and this is on the VIP read path.
-    StoreResp::Value(BTreeMap::get(&state.entries, key).copied())
+fn read_get(state: &ShardState, key: &str) -> StoreResp {
+    StoreResp::Value(state.map.get(key))
 }
 
-fn read_scan(state: &ShardState, from: &Key, to: &Key) -> StoreResp {
-    if from >= to {
-        return StoreResp::Entries(Vec::new());
-    }
-    StoreResp::Entries(
-        state.entries.range(from.clone()..to.clone()).map(|(k, v)| (k.clone(), *v)).collect(),
-    )
+fn read_scan(state: &ShardState, from: &str, to: &str) -> StoreResp {
+    StoreResp::Entries(state.map.range(from, to).map(owned).collect())
+}
+
+/// An entry as a response carries it.
+fn owned((key, value): (&str, u64)) -> (Key, u64) {
+    (key.to_owned(), value)
 }
 
 /// Answers `batch` from `state` if every operation in it is a read — what
@@ -354,7 +358,7 @@ impl SequentialSpec for ShardSpec {
     type Resp = Vec<StoreResp>;
 
     fn init(&self) -> ShardState {
-        ShardState { entries: BTreeMap::new(), epoch: self.created_at }
+        ShardState { map: KeyMap::new(), epoch: self.created_at }
     }
 
     fn apply(&self, state: &mut ShardState, cmd: &ShardCmd) -> Vec<StoreResp> {
@@ -369,18 +373,19 @@ impl SequentialSpec for ShardSpec {
                 batch.ops.iter().map(|op| apply_op(state, op)).collect()
             }
             ShardCmd::Split(split) => {
-                let own = self.seed;
-                let outgoing: Vec<(Key, u64)> = state
-                    .entries
-                    .iter()
-                    .filter(|(k, _)| {
-                        rendezvous_score(split.child_seed, k) > rendezvous_score(own, k)
-                    })
-                    .map(|(k, v)| (k.clone(), *v))
-                    .collect();
-                for (k, _) in &outgoing {
-                    state.entries.remove(k);
+                // One pass in key order: the child's winners leave as the
+                // migration set, the rest are appended to the map that
+                // replaces this one.
+                let mut kept = KeyMap::new();
+                let mut outgoing = Vec::new();
+                for (k, v) in state.map.iter() {
+                    if rendezvous_score(split.child_seed, k) > rendezvous_score(self.seed, k) {
+                        outgoing.push((k.to_owned(), v));
+                    } else {
+                        kept.push(k, v);
+                    }
                 }
+                state.map = kept;
                 state.epoch = split.version;
                 vec![StoreResp::Entries(outgoing)]
             }
@@ -388,9 +393,8 @@ impl SequentialSpec for ShardSpec {
                 // Retirement drains everything: the whole state is the
                 // migration set, and the epoch bump makes every batch
                 // planned before the merge bounce deterministically.
-                let outgoing: Vec<(Key, u64)> =
-                    state.entries.iter().map(|(k, v)| (k.clone(), *v)).collect();
-                state.entries.clear();
+                let outgoing = state.map.iter().map(owned).collect();
+                state.map.clear();
                 state.epoch = merge.version;
                 vec![StoreResp::Entries(outgoing)]
             }
@@ -398,11 +402,19 @@ impl SequentialSpec for ShardSpec {
                 // Adoption folds the child's keys back in. The child owned
                 // them exclusively, so this never overwrites a live entry;
                 // the parent's epoch stays put (see [`AdoptSpec`]).
-                let adopted = adopt.entries.len() as u64;
+                // Both runs are in key order: one merge pass appends them
+                // to the map that replaces this one.
+                let old = std::mem::take(&mut state.map);
+                let mut own = old.iter().peekable();
                 for (k, v) in adopt.entries.iter() {
-                    state.entries.insert(k.clone(), *v);
+                    while let Some((key, value)) = own.next_if(|(key, _)| *key < k.as_str()) {
+                        state.map.push(key, value);
+                    }
+                    own.next_if(|(key, _)| *key == k.as_str());
+                    state.map.push(k, *v);
                 }
-                vec![StoreResp::Value(Some(adopted))]
+                state.map.extend(own);
+                vec![StoreResp::Value(Some(adopt.entries.len() as u64))]
             }
         }
     }
@@ -428,17 +440,17 @@ mod tests {
         assert_eq!(apply_op(&mut s, &op), StoreResp::Cas { ok: true, actual: None });
         let op = StoreOp::Cas { key: "k".into(), expect: Some(4), new: 6 };
         assert_eq!(apply_op(&mut s, &op), StoreResp::Cas { ok: false, actual: Some(5) });
-        assert_eq!(s["k"], 5, "failed CAS must not write");
+        assert_eq!(s.map.get("k"), Some(5), "failed CAS must not write");
         let op = StoreOp::Cas { key: "k".into(), expect: Some(5), new: 6 };
         assert_eq!(apply_op(&mut s, &op), StoreResp::Cas { ok: true, actual: Some(5) });
-        assert_eq!(s["k"], 6);
+        assert_eq!(s.map.get("k"), Some(6));
     }
 
     #[test]
     fn scan_is_half_open_and_ordered() {
         let mut s = ShardState::new();
         for (k, v) in [("a", 1u64), ("b", 2), ("c", 3), ("d", 4)] {
-            s.insert(k.into(), v);
+            s.map.insert(k, v);
         }
         let resp = apply_op(&mut s, &StoreOp::Scan { from: "b".into(), to: "d".into() });
         assert_eq!(resp, StoreResp::Entries(vec![("b".into(), 2), ("c".into(), 3)]));
@@ -486,7 +498,7 @@ mod tests {
             )),
         );
         assert_eq!(resps, vec![StoreResp::Moved { epoch: 3 }, StoreResp::Moved { epoch: 3 }]);
-        assert!(!s.contains_key("b"), "a bounced batch must not write");
+        assert_eq!(s.map.get("b"), None, "a bounced batch must not write");
         // A re-planned batch at the new version applies.
         let resps =
             spec.apply(&mut s, &ShardCmd::Batch(Batch::new(3, vec![StoreOp::Get("b".into())])));
@@ -498,13 +510,14 @@ mod tests {
         let spec = ShardSpec { seed: 42, created_at: 0 };
         let mut s = spec.init();
         for i in 0..64 {
-            s.insert(format!("key/{i:02}"), i);
+            s.map.insert(&format!("key/{i:02}"), i);
         }
         let child_seed = 0xfeed;
         let expect_out: Vec<Key> = s
-            .keys()
+            .map
+            .iter()
+            .map(|(k, _)| k.to_owned())
             .filter(|k| rendezvous_score(child_seed, k) > rendezvous_score(42, k))
-            .cloned()
             .collect();
         let resps = spec.apply(&mut s, &ShardCmd::Split(SplitSpec { child_seed, version: 1 }));
         let outgoing = match &resps[0] {
@@ -513,9 +526,9 @@ mod tests {
         };
         assert_eq!(outgoing.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(), expect_out);
         assert!(!outgoing.is_empty(), "64 keys must yield some child winners");
-        assert_eq!(outgoing.len() + s.len(), 64, "partition, not loss");
+        assert_eq!(outgoing.len() + s.map.len(), 64, "partition, not loss");
         for (k, _) in &outgoing {
-            assert!(!s.contains_key(k), "moved keys leave the parent");
+            assert_eq!(s.map.get(k), None, "moved keys leave the parent");
         }
     }
 
@@ -531,7 +544,7 @@ mod tests {
             vec![StoreResp::Entries(vec![("a".into(), 1), ("b".into(), 2)])],
             "the migration set is the whole state, in key order"
         );
-        assert!(s.is_empty(), "retirement leaves the child empty");
+        assert!(s.map.is_empty(), "retirement leaves the child empty");
         assert_eq!(s.epoch(), 4);
         // Anything planned before the merge bounces; the shard keeps
         // answering even though it is retired.
@@ -549,7 +562,7 @@ mod tests {
         let resps =
             spec.apply(&mut s, &ShardCmd::Adopt(AdoptSpec { version: 2, entries: adopted }));
         assert_eq!(resps, vec![StoreResp::Value(Some(2))], "adoption reports its entry count");
-        assert_eq!(s.len(), 3);
+        assert_eq!(s.map.len(), 3);
         assert_eq!(s.epoch(), 0, "adoption must not invalidate in-flight parent batches");
         // A batch planned before the merge still applies on the parent.
         let resps =
@@ -564,9 +577,9 @@ mod tests {
         let spec = ShardSpec { seed: 11, created_at: 0 };
         let mut s = spec.init();
         for i in 0..32 {
-            s.insert(format!("k{i:02}"), i);
+            s.map.insert(&format!("k{i:02}"), i);
         }
-        let before: Vec<(Key, u64)> = s.iter().map(|(k, v)| (k.clone(), *v)).collect();
+        let before: Vec<(Key, u64)> = s.map.iter().map(owned).collect();
         let resps =
             spec.apply(&mut s, &ShardCmd::Split(SplitSpec { child_seed: 0xfeed, version: 1 }));
         let outgoing = match &resps[0] {
@@ -577,7 +590,7 @@ mod tests {
             &mut s,
             &ShardCmd::Adopt(AdoptSpec { version: 2, entries: std::sync::Arc::new(outgoing) }),
         );
-        let after: Vec<(Key, u64)> = s.iter().map(|(k, v)| (k.clone(), *v)).collect();
+        let after: Vec<(Key, u64)> = s.map.iter().map(owned).collect();
         assert_eq!(after, before, "drain + adopt is the identity on the key set");
     }
 

@@ -200,7 +200,7 @@ pub struct StoreSnapshot {
 impl StoreSnapshot {
     /// Total live keys across all shards.
     pub fn entries(&self) -> u64 {
-        self.shards.iter().map(|s| s.state.len() as u64).sum()
+        self.shards.iter().map(|s| s.state.entries().len() as u64).sum()
     }
 
     /// Serializes the snapshot into the version-3 frame format.
@@ -224,14 +224,14 @@ impl StoreSnapshot {
             let frame_start = buf.len();
             put_u64(&mut buf, shard.log_index);
             put_u64(&mut buf, shard.state.epoch());
-            put_u64(&mut buf, shard.state.len() as u64);
+            put_u64(&mut buf, shard.state.entries().len() as u64);
             let payload_len_at = buf.len();
             put_u64(&mut buf, 0); // payload_len, patched below
             let payload_start = buf.len();
-            for (key, value) in shard.state.iter() {
+            for (key, value) in shard.state.entries().iter() {
                 put_u32(&mut buf, key.len() as u32);
                 buf.extend_from_slice(key.as_bytes());
-                put_u64(&mut buf, *value);
+                put_u64(&mut buf, value);
             }
             let payload_len = (buf.len() - payload_start) as u64;
             buf[payload_len_at..payload_len_at + 8].copy_from_slice(&payload_len.to_le_bytes());
@@ -300,14 +300,15 @@ impl StoreSnapshot {
                 .pos
                 .checked_add(payload_len)
                 .ok_or(PersistError::Corrupt("payload length overflows"))?;
-            let mut entries = std::collections::BTreeMap::new();
+            // Borrowed from the file's bytes: the state copies each key
+            // once, into its leaf. An entry is at least 12 bytes, which
+            // bounds what a lying `entry_count` can make this reserve.
+            let mut entries = Vec::with_capacity((entry_count as usize).min(payload_len / 12));
             for _ in 0..entry_count {
                 let key_len = r.u32()? as usize;
                 let key = std::str::from_utf8(r.take(key_len)?)
-                    .map_err(|_| PersistError::Corrupt("key is not valid UTF-8"))?
-                    .to_owned();
-                let value = r.u64()?;
-                entries.insert(key, value);
+                    .map_err(|_| PersistError::Corrupt("key is not valid UTF-8"))?;
+                entries.push((key, r.u64()?));
             }
             if r.pos != payload_end {
                 return Err(PersistError::Corrupt("payload length disagrees with entries"));
@@ -693,12 +694,14 @@ impl<'a> Reader<'a> {
 mod tests {
     use super::*;
 
+    /// An empty shard whose last split was at `epoch`.
+    fn empty_at(epoch: u64) -> ShardState {
+        ShardState::with_entries(Vec::<(String, u64)>::new(), epoch)
+    }
+
     fn sample() -> StoreSnapshot {
-        let mut a = ShardState::new();
-        a.insert("alpha".into(), 1);
-        a.insert("beta".into(), 2);
-        let mut b = ShardState::new();
-        b.insert("γλώσσα".into(), 3); // multi-byte UTF-8 keys round-trip
+        let a = ShardState::with_entries([("alpha", 1), ("beta", 2)], 0);
+        let b = ShardState::with_entries([("γλώσσα", 3)], 0); // multi-byte UTF-8 keys round-trip
         StoreSnapshot {
             topology: ShardTopology::fresh(2),
             shards: vec![
@@ -769,15 +772,9 @@ mod tests {
             shards: vec![
                 ShardSnapshot { log_index: 12, state: ShardState::with_entries(parent_state, 2) },
                 ShardSnapshot { log_index: 4, state: ShardState::new() },
-                ShardSnapshot {
-                    log_index: 7,
-                    state: ShardState::with_entries(Default::default(), 1),
-                },
+                ShardSnapshot { log_index: 7, state: empty_at(1) },
                 // The tombstoned child: empty, epoch = its retirement.
-                ShardSnapshot {
-                    log_index: 3,
-                    state: ShardState::with_entries(Default::default(), 3),
-                },
+                ShardSnapshot { log_index: 3, state: empty_at(3) },
             ],
         };
         let decoded = StoreSnapshot::decode(&snap.encode()).unwrap();
@@ -884,8 +881,7 @@ mod tests {
     #[test]
     fn epoch_beyond_topology_version_is_corrupt() {
         let mut snap = sample();
-        snap.shards[0] =
-            ShardSnapshot { log_index: 7, state: ShardState::with_entries(Default::default(), 5) };
+        snap.shards[0] = ShardSnapshot { log_index: 7, state: empty_at(5) };
         assert_eq!(
             StoreSnapshot::decode(&snap.encode()).unwrap_err(),
             PersistError::Corrupt("shard epoch exceeds the topology version")

@@ -15,10 +15,10 @@
 //!   takes none: it is answered from the port's own replica, caught up to
 //!   the log tail observed at invocation
 //!   ([`OwnedHandle::sync_read`]), with the same stale-plan bounce;
-//! * each shard additionally maintains a wait-free
-//!   [`SwmrSnapshot`] of per-port commit digests — the VIP dashboard path:
-//!   reading store-wide statistics never touches the consensus log, so it
-//!   completes even while guests hammer every shard.
+//! * each shard additionally keeps one single-writer register per port
+//!   holding that port's commit digest — the VIP dashboard path: reading
+//!   store-wide statistics is one load per port and never touches the
+//!   consensus log, so it completes even while guests hammer every shard.
 //!
 //! ## Live shard splits and merges
 //!
@@ -59,7 +59,6 @@ use std::time::Duration;
 
 use apc_core::liveness::Liveness;
 use apc_progress_macros::progress;
-use apc_registers::snapshot::SwmrSnapshot;
 use apc_registers::AtomicCell;
 use apc_universal::{AsymmetricFactory, OwnedHandle, Universal};
 
@@ -85,8 +84,8 @@ pub type ShardLog = Universal<crate::ops::ShardSpec, AsymmetricFactory>;
 /// One port's handle on a shard log, with the port's replica of the shard.
 type PortHandle = OwnedHandle<crate::ops::ShardSpec, AsymmetricFactory>;
 
-/// A monotone per-port commit digest published into the shard's wait-free
-/// snapshot after every commit.
+/// A monotone per-port commit digest, published into the port's register
+/// after every visit.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub struct ShardDigest {
     /// Log cells replayed by the publishing port (monotone version). As
@@ -103,9 +102,12 @@ struct Shard {
     /// One slot per port; guests multiplex, VIPs own theirs exclusively.
     /// Each handle co-owns the shard's universal log.
     ports: Vec<Mutex<PortHandle>>,
-    /// Per-port digests; single-writer per component (the port's mutex
-    /// serializes writers sharing a port).
-    stats: SwmrSnapshot<ShardDigest>,
+    /// Per-port digests, `⊥` until the port's first visit. Each register
+    /// has one writer at a time (whoever holds the port's mutex), and the
+    /// one reader ([`Store::snapshot_stats`]) keeps the maximum of monotone
+    /// per-port values, so it needs each port's latest value and no
+    /// atomicity across ports: one collect, not a snapshot scan.
+    stats: Vec<AtomicCell<ShardDigest>>,
     /// Appended rounds since build, for the auto-checkpoint cadence.
     auto_commits: AtomicU64,
     /// Rounds answered from a port's replica without a log cell. Read
@@ -116,8 +118,8 @@ struct Shard {
 
 impl Shard {
     /// **The one door to a port**: locks the slot, runs `act` on its handle,
-    /// then publishes the handle's replayed position into the wait-free
-    /// stats snapshot — in that order, always. Nothing else locks a port, so
+    /// then publishes the handle's replayed position into the port's stats
+    /// register — in that order, always. Nothing else locks a port, so
     /// no path that advances a port's replica (commits, seals and
     /// reconfigurations alike) can leave the dashboard reporting the
     /// position it had before.
@@ -142,13 +144,10 @@ impl Shard {
         act: impl FnOnce(&mut PortHandle) -> R,
     ) -> R {
         let out = act(&mut handle);
-        self.stats.update(
-            port,
-            ShardDigest {
-                commits: handle.replayed_cells(),
-                entries: handle.local_state().len() as u64,
-            },
-        );
+        self.stats[port].store(ShardDigest {
+            commits: handle.replayed_cells(),
+            entries: handle.local_state().entries().len() as u64,
+        });
         out
     }
 
@@ -183,7 +182,7 @@ impl Shard {
         Shard {
             log,
             ports: port_slots,
-            stats: SwmrSnapshot::new(ports, ShardDigest::default()),
+            stats: (0..ports).map(|_| AtomicCell::new()).collect(),
             auto_commits: AtomicU64::new(0),
             local_reads: AtomicU64::new(0),
         }
@@ -277,7 +276,7 @@ impl StoreBuilder {
 
     /// Enables the **automatic elasticity driver**: every
     /// [`ElasticityPolicy::evaluate_every`] commits, the store evaluates
-    /// the policy against its wait-free stats snapshots and performs a
+    /// the policy against its wait-free per-shard digests and performs a
     /// [`Store::split_shard`] on a melting shard or a
     /// [`Store::merge_shard`] on a cold, structurally eligible child — no
     /// manual call needed.
@@ -296,7 +295,7 @@ impl StoreBuilder {
     }
 
     /// Builds the store: admission layer, topology, and `S` shard logs with
-    /// their port pools and stats snapshots.
+    /// their port pools and digest registers.
     ///
     /// # Errors
     ///
@@ -534,14 +533,14 @@ pub struct Store {
 }
 
 /// Makes a store's teardown pay for its own frees. Dropping a store frees
-/// one small allocation per key per replica. glibc parks small frees in its
-/// fast bins and coalesces them only in bulk, inside the next *large*
+/// 5–11 small allocations per retained log cell. glibc parks small frees in
+/// its fast bins and coalesces them only in bulk, inside the next *large*
 /// request; left alone, that is the first large allocation of whatever runs
 /// after the teardown (the next store's build, say), which is then billed
-/// for half a million chunks it never owned. One large request here is
-/// that trigger. It is the allocator's own mechanism, not a tuning: on an
-/// allocator without deferred coalescing it is one wasted `malloc`/`free`
-/// per store lifetime.
+/// for hundreds of thousands of chunks it never owned. One large request
+/// here is that trigger. It is the allocator's own mechanism, not a tuning:
+/// on an allocator without deferred coalescing it is one wasted
+/// `malloc`/`free` per store lifetime.
 struct SettleAllocator;
 
 impl Drop for SettleAllocator {
@@ -664,9 +663,9 @@ impl Store {
     /// Wait-free store-wide statistics: for each shard, the freshest
     /// per-port commit digest.
     ///
-    /// This is the VIP dashboard path — it reads each shard's register-based
-    /// [`SwmrSnapshot`] and never touches the consensus log, so it completes
-    /// in a bounded number of steps regardless of guest contention. It is
+    /// This is the VIP dashboard path — it loads each port's digest register
+    /// once and never touches the consensus log, so it completes in a
+    /// bounded number of steps regardless of guest contention. It is
     /// also the hot-shard detector: a shard whose `commits` digest runs away
     /// from the others is the one to [`split`](Store::split_shard).
     #[progress(wait_free)]
@@ -675,8 +674,12 @@ impl Store {
             .shards
             .iter()
             .map(|shard| {
-                let mut digest =
-                    shard.stats.scan().into_iter().max_by_key(|d| d.commits).unwrap_or_default();
+                let mut digest = shard
+                    .stats
+                    .iter()
+                    .filter_map(AtomicCell::load)
+                    .max_by_key(|d| d.commits)
+                    .unwrap_or_default();
                 // RELAXED: a statistic; heat needs no ordering against the
                 // reads it counts.
                 digest.commits += shard.local_reads.load(Ordering::Relaxed);
@@ -686,8 +689,8 @@ impl Store {
     }
 
     /// The **live** shard with the most committed log cells — the hot
-    /// shard under a skewed workload, read wait-free from the stats
-    /// snapshots (tombstones stop taking real traffic, so they are
+    /// shard under a skewed workload, read wait-free from the per-port
+    /// digests (tombstones stop taking real traffic, so they are
     /// excluded no matter what their historical digests say).
     ///
     /// **Determinism:** ties — including the all-zero digests of an idle
@@ -722,8 +725,8 @@ impl Store {
     ///
     /// This is the dashboard entry point, and it keeps the VIP dashboard
     /// contract of [`Store::snapshot_stats`]: the whole scrape is a
-    /// bounded number of the scraper's own steps — register snapshots and
-    /// atomic loads only, never a consensus-log append, a port lock, or
+    /// bounded number of the scraper's own steps — register and atomic
+    /// loads only, never a consensus-log append, a port lock, or
     /// the elastic engine's mutex — so a monitoring poller can never
     /// steal progress from VIP clients. `apc-lint --deny` enforces this
     /// transitively.
@@ -851,7 +854,7 @@ impl Store {
             crate::ops::ShardSpec { seed: node.seed, created_at: node.created_at },
             self.admission.spec(),
             self.admission.ports(),
-            Some((ShardState::with_entries(outgoing.into_iter().collect(), node.created_at), 0)),
+            Some((ShardState::with_entries(outgoing, node.created_at), 0)),
         ));
         // Seed the newborn's dashboard so the migrated entries are visible
         // before its first commit: a visit publishes.

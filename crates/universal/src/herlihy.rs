@@ -26,12 +26,17 @@
 //! the whole prefix from its cursor on alive, and an object nobody
 //! checkpoints (the store's default: `StoreBuilder::checkpoint_every` is
 //! off) retains every cell it ever agreed on. What holds today is
-//! therefore: memory = cells retained × bytes per cell, with cells
-//! retained = log length since the slowest live cursor. Bounding the first
-//! factor — a lagging handle re-adopts the anchor, the cadence becomes a
-//! default — is ROADMAP item 2; the second factor is what a cell's
-//! consensus object and its agreed record retain, and `tests/alloc_budget.rs`
-//! holds it.
+//! therefore: memory = cells retained × bytes per cell + one replica of
+//! the state per handle, with cells retained = log length since the
+//! slowest live cursor. Bounding the first factor — a lagging handle
+//! re-adopts the anchor, the cadence becomes a default — is ROADMAP item 2;
+//! the second factor is what a cell's consensus object and its agreed
+//! record retain. For the store the replicas are keys × bytes per key ×
+//! ports that have visited the shard, at ~21 B per 8-byte key in a full
+//! leaf of its packed map (~72 B in the `BTreeMap<String, u64>` it
+//! replaced), and cloning one — what every checkpoint seal, every
+//! `reconfigure` and every `owned_handle` does — is a few `memcpy`s per 64
+//! keys. `tests/alloc_budget.rs` holds both per-unit figures.
 //!
 //! Progress: operation placement keeps its original guarantee (wait-free
 //! for the factory's wait-free set via the helping rule, obstruction-free

@@ -8,6 +8,10 @@
 //! what the request leaves allocated. Sizes are the **requested** sizes,
 //! not the allocator's chunk sizes, so the figures do not depend on glibc.
 //!
+//! The other factor of the store's memory is what a stored key costs on
+//! each replica that holds it; a fourth line prices that: what one port's
+//! replicas retain per preloaded key once the port has caught up.
+//!
 //! A change that adds an allocation to the commit path fails here and has
 //! to raise a budget below to land — that is, it has to say so.
 
@@ -75,8 +79,8 @@ fn one_op(client: &mut Client<'_>, op: StoreOp) {
     assert!(resp.results[0].is_ok(), "the census prices served requests only");
 }
 
-/// Runs `REQUESTS` one-op requests built by `op` and prices them.
-fn measure(client: &mut Client<'_>, op: impl Fn(u32) -> StoreOp) -> Census {
+/// Prices `work` per each of the `n` units it is made of.
+fn measure(n: u32, work: impl FnOnce()) -> Census {
     let snapshot = || {
         (
             CALLS.load(Ordering::Relaxed) as f64,
@@ -85,16 +89,19 @@ fn measure(client: &mut Client<'_>, op: impl Fn(u32) -> StoreOp) -> Census {
         )
     };
     let before = snapshot();
-    for i in 0..REQUESTS {
-        one_op(client, op(i));
-    }
+    work();
     let after = snapshot();
-    let n = f64::from(REQUESTS);
+    let n = f64::from(n);
     Census {
         calls: (after.0 - before.0) / n,
         retained_allocs: (after.1 - before.1) / n,
         retained_bytes: (after.2 - before.2) / n,
     }
+}
+
+/// Runs `REQUESTS` one-op requests built by `op` and prices them.
+fn measure_requests(client: &mut Client<'_>, op: impl Fn(u32) -> StoreOp) -> Census {
+    measure(REQUESTS, || (0..REQUESTS).for_each(|i| one_op(client, op(i))))
 }
 
 /// Brings `client`'s replica of every shard up to the log tail, so that an
@@ -115,6 +122,11 @@ fn commit_path_allocations_stay_within_budget() {
         assert!(guest.execute(ops).iter().all(Result::is_ok));
     }
 
+    // The VIP's port has replayed nothing yet: catching up builds its
+    // replica of every shard, cell by cell, and retains nothing else (the
+    // cells are the log's, already counted).
+    let stored_key = measure(KEYS, || catch_up(&mut vip));
+
     let put = |i: u32| StoreOp::Put(nth_key(i), u64::from(i));
     let get = |i: u32| StoreOp::Get(nth_key(i));
     // Warm every lazily built piece of both sessions before pricing them.
@@ -124,30 +136,38 @@ fn commit_path_allocations_stay_within_budget() {
     }
 
     catch_up(&mut guest);
-    let guest_put = measure(&mut guest, put);
+    let guest_put = measure_requests(&mut guest, put);
     catch_up(&mut vip);
-    let vip_put = measure(&mut vip, put);
+    let vip_put = measure_requests(&mut vip, put);
     catch_up(&mut guest);
-    let local_read = measure(&mut guest, get);
+    let local_read = measure_requests(&mut guest, get);
 
-    // The budgets are the census of the commit that set them (PR 22; its
-    // parent read 44 / 15 / 960, 33 / 8 / 576 and 25 / 0 / 0). Two of the
-    // calls of every arm are this harness building its request: the
-    // `Vec<StoreOp>` and the key, whose 8 bytes a put's cell then keeps.
+    // The budgets are the census of the commit that set them (PR 24: the
+    // shard map stopped cloning an overwritten key and a visit stopped
+    // allocating a snapshot scan; its parent read 32 / 11 / 632,
+    // 26 / 5 / 280 and 20 / 0 / 0, and 1.20 / 1.17 / 71.6 per stored key).
+    // Two of the calls of every arm are this harness building its
+    // request: the `Vec<StoreOp>` and the key, whose 8 bytes a put's cell
+    // then keeps. A stored key's calls are its share of its leaf's growth.
     let arms = [
         (
             "guest put",
             guest_put,
-            Census { calls: 32.0, retained_allocs: 11.0, retained_bytes: 632.0 },
+            Census { calls: 28.0, retained_allocs: 11.0, retained_bytes: 632.0 },
         ),
-        ("vip put", vip_put, Census { calls: 26.0, retained_allocs: 5.0, retained_bytes: 280.0 }),
+        ("vip put", vip_put, Census { calls: 22.0, retained_allocs: 5.0, retained_bytes: 280.0 }),
         (
             "local read",
             local_read,
-            Census { calls: 20.0, retained_allocs: 0.0, retained_bytes: 0.0 },
+            Census { calls: 17.0, retained_allocs: 0.0, retained_bytes: 0.0 },
+        ),
+        (
+            "stored key / replica",
+            stored_key,
+            Census { calls: 0.5, retained_allocs: 0.1, retained_bytes: 44.0 },
         ),
     ];
-    println!("per one-op request       calls  retained allocs  retained bytes");
+    println!("per request, per key     calls  retained allocs  retained bytes");
     for (name, census, _) in &arms {
         println!(
             "{name:<22} {:>7.2} {:>16.2} {:>15.1}",
