@@ -7,7 +7,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use apc_progress_macros::progress;
 use apc_registers::AtomicCell;
 
-use crate::consensus::{Consensus, ObstructionFreeConsensus, ProposeOnce};
+use crate::consensus::obstruction_free::Rounds;
+use crate::consensus::{Consensus, ProposeOnce};
 use crate::error::ConsensusError;
 use crate::liveness::Liveness;
 
@@ -16,15 +17,51 @@ use crate::liveness::Liveness;
 /// * Processes in the **wait-free set `X`** decide with one CAS and one read
 ///   on the decision slot — a bounded number of their own steps, no matter
 ///   what the other processes do.
-/// * The **guests `Y \ X`** run the register-based round protocol
-///   ([`ObstructionFreeConsensus`]) *among themselves* and install its
-///   outcome into the decision slot with a CAS-from-`⊥`; they also return as
-///   soon as any decision exists (the §2 remark). Their termination is
+/// * The **guests `Y \ X`** run the register-based round protocol of
+///   [`ObstructionFreeConsensus`](crate::consensus::ObstructionFreeConsensus)
+///   *among themselves*, on the decision slot itself: a round that commits
+///   installs its value there with a CAS-from-`⊥`, and they return as soon
+///   as any decision exists (the §2 remark). Their termination is
 ///   guaranteed when they run long enough in isolation — and not otherwise,
 ///   which is the entire point.
 ///
 /// Agreement holds because the decision slot is written at most once;
 /// validity holds because both paths only install proposed values.
+///
+/// # What a decided object retains
+///
+/// Only the decision. The guests' rounds are a way to reach it, and a
+/// guest that reached it takes them down on its way out: the rounds install
+/// the outcome in the decision slot and *then* the guest retires them (round
+/// 0 and any later rounds back to `⊥`). A guest that gives up undecided
+/// (`propose_bounded` → `Ok(None)`) retires nothing. A late racer that asks
+/// for a round after a retire re-creates it lazily and retires it again
+/// when it leaves, so once an object's last proposer has returned it holds
+/// no round object — a guest-decided object keeps what a VIP-decided one
+/// keeps, which in the universal construction's log is one record per cell.
+/// The rounds sit inline as two `⊥` pointers until a guest runs one; there
+/// is no second decision slot, no second port check and no second
+/// at-most-once mask behind them.
+///
+/// Safety does not rest on the rounds once the slot is decided:
+///
+/// * *agreement* — every proposer, VIP or guest, returns what the slot's
+///   CAS-from-`⊥` holds, and the slot is never cleared;
+/// * *validity* — what the rounds output is some guest's proposal, and the
+///   slot only ever receives a proposal or a round output;
+/// * *obstruction-freedom* — a guest running alone either finds the slot
+///   decided (and escapes) or reaches a round nobody else touches (fresh or
+///   re-created alike) and commits its estimate there.
+///
+/// The order — decide, then retire — is what makes a retired round
+/// protocol mean a decided object. The rounds' one job is to carry a value
+/// committed in round `r` into every estimate that enters round `r + 1`
+/// until the slot holds a decision; retired before the slot is decided, a
+/// guest stalled between the two steps would leave an undecided object
+/// whose committed round is gone, and a latecomer would start over at a
+/// fresh round 0 instead of adopting that value. There is no inner
+/// decision to retire: a round that commits installs its value in the slot
+/// itself, which is the only decision there is.
 ///
 /// This is the object the paper proves *cannot* be built for `x ≥ 1` from
 /// `(n−1,n−1)`-live objects and registers (Theorem 1) — here it is built
@@ -46,7 +83,9 @@ use crate::liveness::Liveness;
 pub struct AsymmetricConsensus<T> {
     spec: Liveness,
     decision: AtomicCell<T>,
-    guests: Option<ObstructionFreeConsensus<T>>,
+    /// The guests' round protocol; two `⊥` pointers unless a guest is
+    /// running it.
+    rounds: Rounds<T>,
     once: ProposeOnce,
     wait_free_proposals: AtomicU64,
     guest_proposals: AtomicU64,
@@ -55,11 +94,10 @@ pub struct AsymmetricConsensus<T> {
 impl<T: Clone + Eq + Send + Sync> AsymmetricConsensus<T> {
     /// Creates a `(y,x)`-live consensus object with the given specification.
     pub fn new(spec: Liveness) -> Self {
-        let guest_spec = Liveness::obstruction_free(spec.guests()).ok();
         AsymmetricConsensus {
             spec,
             decision: AtomicCell::new(),
-            guests: guest_spec.map(ObstructionFreeConsensus::new),
+            rounds: Rounds::new(),
             once: ProposeOnce::new(),
             wait_free_proposals: AtomicU64::new(0),
             guest_proposals: AtomicU64::new(0),
@@ -105,19 +143,24 @@ impl<T: Clone + Eq + Send + Sync> AsymmetricConsensus<T> {
             return self.propose(pid, value).map(Some);
         }
         self.once.claim(pid)?;
+        Ok(self.propose_as_guest(pid, value, Some(max_rounds)))
+    }
+
+    /// The guest path, after the port and at-most-once checks:
+    /// obstruction-free rounds among the guests on the decision slot —
+    /// polled before each round (§2 remark: as soon as any value is decided,
+    /// any process can decide the very same value), a commit installed with
+    /// a CAS-from-`⊥` — then the rounds retired. `None` only if
+    /// `max_rounds` ran out undecided, and then nothing is retired.
+    #[progress(obstruction_free)]
+    fn propose_as_guest(&self, pid: usize, value: T, max_rounds: Option<usize>) -> Option<T> {
         // RELAXED: diagnostic counter; decision safety comes from the slot.
         self.guest_proposals.fetch_add(1, Ordering::Relaxed);
-        if let Some(d) = self.decision.load() {
-            return Ok(Some(d));
-        }
-        // A guest pid implies a non-empty guest set; stay total anyway.
-        let Some(inner) = self.guests.as_ref() else {
-            return Err(ConsensusError::NotAPort { pid });
-        };
-        match inner.propose_bounded(pid, value, max_rounds)? {
-            Some(w) => Ok(Some(self.decision.decide(w))),
-            None => Ok(self.decision.load()),
-        }
+        let guests = self.spec.guests();
+        let decided = self.rounds.run(pid, value, guests, max_rounds, &self.decision, None)?;
+        // Only now: a retired round protocol must mean a decided object.
+        self.rounds.retire();
+        Some(decided)
     }
 }
 
@@ -138,29 +181,18 @@ impl<T: Clone + Eq + Send + Sync> Consensus<T> for AsymmetricConsensus<T> {
             self.wait_free_proposals.fetch_add(1, Ordering::Relaxed);
             return Ok(self.decision.decide(value));
         }
-        // Guest path: obstruction-free rounds among the guests, polling the
-        // decision slot between rounds (§2 remark: as soon as any value is
-        // decided, any process can decide the very same value).
-        // RELAXED: diagnostic counter; see the wait-free arm above.
-        self.guest_proposals.fetch_add(1, Ordering::Relaxed);
-        if let Some(d) = self.decision.load() {
-            return Ok(d);
-        }
-        // A guest pid implies a non-empty guest set; stay total anyway.
-        let Some(inner) = self.guests.as_ref() else {
-            return Err(ConsensusError::NotAPort { pid });
-        };
         // APC-LINT: allow(progress): guest-pid branch only — VIP pids returned above; guests are obstruction-free by specification (y,x)-liveness
-        let w = inner.propose_with_escape(pid, value, &|| self.decision.load())?;
-        Ok(self.decision.decide(w))
+        let decided = self.propose_as_guest(pid, value, None);
+        // APC-LINT: allow(panic): with no round bound the guest path has none to exhaust — it returns only on a decision, so this arm is unreachable by construction, not an environmental failure
+        Ok(decided.expect("unbounded guest rounds end only on a decision"))
     }
 
     #[progress(wait_free)]
     fn peek(&self) -> Option<T> {
-        // Only the outer decision slot counts. An inner guest-protocol
-        // decision that has not yet been installed must NOT be reported: a
-        // wait-free proposal could still win the slot with a different
-        // value, and peek must never contradict a later propose return.
+        // Only the decision slot counts: the rounds have no decision of
+        // their own. A guest's commit decides nothing until its CAS wins the
+        // slot — a wait-free proposal may win it first with another value,
+        // and peek must never contradict a later propose return.
         self.decision.load()
     }
 }
@@ -193,8 +225,12 @@ mod tests {
         // runs, so no round object and no segment is ever built.
         let cons = AsymmetricConsensus::new(Liveness::new_first_n(8, 2));
         assert_eq!(cons.propose(0, 1u32).unwrap(), 1);
-        assert_eq!(cons.propose(5, 2).unwrap(), 1, "a guest arriving later learns it");
-        assert_eq!(cons.guests.as_ref().unwrap().rounds_executed(), 0);
+        assert!(cons.rounds.hold_nothing());
+        // A guest arriving later learns it before its first round — even
+        // one allowed no round at all.
+        assert_eq!(cons.propose_bounded(5, 2, 0).unwrap(), Some(1));
+        assert_eq!(cons.propose(6, 3).unwrap(), 1);
+        assert!(cons.rounds.hold_nothing());
     }
 
     #[test]
@@ -202,6 +238,10 @@ mod tests {
         let cons = AsymmetricConsensus::new(Liveness::new_first_n(4, 2));
         assert_eq!(cons.propose(3, 30u32).unwrap(), 30);
         assert_eq!(cons.path_stats(), (0, 1));
+        // It ran round 0 and took it down on its way out: the object keeps
+        // its decision and nothing of the guest protocol.
+        assert!(cons.rounds.hold_nothing());
+        assert_eq!(cons.peek(), Some(30));
     }
 
     #[test]
@@ -227,10 +267,12 @@ mod tests {
     }
 
     #[test]
-    fn fully_wait_free_spec_has_no_guest_protocol() {
+    fn fully_wait_free_spec_never_runs_a_round() {
         let cons = AsymmetricConsensus::new(Liveness::new_first_n(3, 3));
-        assert!(cons.guests.is_none());
         assert_eq!(cons.propose(2, 5u8).unwrap(), 5);
+        assert_eq!(cons.propose(1, 6).unwrap(), 5);
+        assert_eq!(cons.path_stats(), (2, 0));
+        assert!(cons.rounds.hold_nothing());
     }
 
     #[test]
@@ -241,13 +283,76 @@ mod tests {
     }
 
     #[test]
+    fn a_guest_that_gives_up_retires_nothing() {
+        let cons = AsymmetricConsensus::new(Liveness::new_first_n(5, 1));
+        // No round allowed: it gives up before building anything.
+        assert_eq!(cons.propose_bounded(1, 10u32, 0).unwrap(), None);
+        assert!(cons.rounds.hold_nothing());
+        // Guest 4 commits 40 in round 0 and stalls before its CAS reaches
+        // the slot (here: its rounds run on a slot of its own)...
+        let stalled = AtomicCell::new();
+        assert_eq!(cons.rounds.run(4, 40, cons.spec.guests(), None, &stalled, None), Some(40));
+        // ...so guest 2 adopts 40 there and runs out of rounds undecided. It
+        // must leave the protocol as it found it.
+        assert_eq!(cons.propose_bounded(2, 20, 1).unwrap(), None);
+        assert_eq!(cons.peek(), None);
+        assert!(!cons.rounds.hold_nothing(), "an undecided guest retired the rounds");
+        // The protocol still works: guest 3 adopts 40 in round 0, commits it
+        // in round 1, installs it — and only then is the object empty.
+        assert_eq!(cons.propose(3, 30).unwrap(), 40);
+        assert!(cons.rounds.hold_nothing());
+        assert_eq!(cons.propose(0, 0).unwrap(), 40);
+    }
+
+    #[test]
+    fn contended_objects_keep_only_their_decision() {
+        // Per object: four guests started first, so they are usually inside
+        // the rounds when the VIP lands; a watcher checks, while they run,
+        // that a retired round protocol always means a decided object; once
+        // every proposer has returned, no round object or segment is left —
+        // whatever late racers re-created, they retired. (There is no inner
+        // decision to leave: a round's commit goes straight to the slot.)
+        const GUESTS: usize = 4;
+        for object in 0..200u64 {
+            let cons = AsymmetricConsensus::new(Liveness::new_first_n(GUESTS + 1, 1));
+            let records = Mutex::new(Vec::new());
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let mut built = false;
+                    while cons.peek().is_none() {
+                        let empty = cons.rounds.hold_nothing();
+                        if built && empty {
+                            assert!(
+                                cons.peek().is_some(),
+                                "object {object}: the rounds were retired before the decision"
+                            );
+                        }
+                        built |= !empty;
+                    }
+                });
+                let propose = |pid: usize| {
+                    let proposed = object * 100 + pid as u64;
+                    let returned = cons.propose(pid, proposed).unwrap();
+                    records.lock().unwrap().push(ProposeRecord { pid, proposed, returned });
+                };
+                for pid in 1..=GUESTS {
+                    s.spawn(move || propose(pid));
+                }
+                s.spawn(move || propose(0));
+            });
+            assert_consensus(&records.into_inner().unwrap());
+            assert!(cons.rounds.hold_nothing(), "object {object} kept guest protocol state");
+        }
+    }
+
+    #[test]
     fn bounded_wait_free_never_gives_up() {
         let cons = AsymmetricConsensus::new(Liveness::new_first_n(3, 1));
         assert_eq!(cons.propose_bounded(0, 7u32, 0).unwrap(), Some(7));
     }
 
     #[test]
-    fn peek_surfaces_inner_guest_decision() {
+    fn peek_surfaces_a_guest_decision() {
         let cons = AsymmetricConsensus::new(Liveness::new_first_n(3, 1));
         cons.propose(1, 4u32).unwrap();
         assert_eq!(cons.peek(), Some(4));

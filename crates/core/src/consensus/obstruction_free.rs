@@ -31,11 +31,27 @@
 //! on first use with a CAS-from-`⊥` — allocation happens off the
 //! register-protocol itself. An object decided in round 0, or never
 //! proposed to at all, owns no segment.
+//!
+//! **Whose decision `D` is.** The rounds (`Rounds`, crate-private) decide a
+//! slot they do not own: the loop above polls it and installs a commit in it
+//! with a CAS-from-`⊥`. This object runs them on its own slot — what `peek`
+//! and every later proposer read — and keeps slot and rounds for as long as
+//! it lives. [`crate::consensus::AsymmetricConsensus`] runs the same rounds
+//! on its outer slot, so there the outer slot *is* `D`: nothing else is
+//! installed. Once `D` is decided the rounds have no use there, and every
+//! guest that ran them *retires* them on its way out — round 0 and the
+//! segment chain back to `⊥`, each displaced object reclaimed once no process
+//! still holds it. A process that asks for a round after a retire
+//! re-creates it lazily and retires it on its own way out, so once the last
+//! proposer of a composed object has returned, it holds no round object. A
+//! retire is safe only once `D` is decided; the argument is on
+//! [`crate::consensus::AsymmetricConsensus`].
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use apc_model::ProcessSet;
 use apc_progress_macros::progress;
 use apc_registers::AtomicCell;
 
@@ -64,6 +80,96 @@ impl<T> Segment<T> {
     }
 }
 
+/// The round protocol: the unbounded sequence of adopt-commit rounds, built
+/// on first use, deciding a slot its caller owns (see the module docs).
+pub(crate) struct Rounds<T> {
+    /// Round 0 — the only round an uncontended proposal runs.
+    round0: RoundSlot<T>,
+    /// Rounds `1..`, in segments; `⊥` until some process leaves round 0.
+    later: AtomicCell<Arc<Segment<T>>>,
+}
+
+impl<T: Clone + Eq + Send + Sync> Rounds<T> {
+    pub(crate) fn new() -> Self {
+        Rounds { round0: AtomicCell::new(), later: AtomicCell::new() }
+    }
+
+    /// Round `r`'s object; each round's registers are allocated for the
+    /// maximum index in `ports` + 1.
+    fn round_object(&self, r: usize, ports: ProcessSet) -> Arc<AdoptCommit<T>> {
+        let new_round = || {
+            let n = ports.iter().map(|p| p.index() + 1).max().unwrap_or(1);
+            Arc::new(AdoptCommit::new(n))
+        };
+        let Some(r) = r.checked_sub(1) else {
+            return self.round0.load_or_init(new_round);
+        };
+        let new_segment = || Arc::new(Segment::new());
+        let mut segment = self.later.load_or_init(new_segment);
+        for _ in 0..r / SEGMENT_ROUNDS {
+            segment = segment.next.load_or_init(new_segment);
+        }
+        segment.rounds[r % SEGMENT_ROUNDS].load_or_init(new_round)
+    }
+
+    /// Runs rounds as `pid` (one of `ports`) from `estimate` until
+    /// `decision` holds a value, and returns that value: `decision` is
+    /// polled before every round, and a round that commits installs its
+    /// value there with a CAS-from-`⊥`. Gives up with `None` after
+    /// `max_rounds` rounds without a decision. Each round run is counted
+    /// into `counter`, if there is one.
+    pub(crate) fn run(
+        &self,
+        pid: usize,
+        mut estimate: T,
+        ports: ProcessSet,
+        max_rounds: Option<usize>,
+        decision: &AtomicCell<T>,
+        counter: Option<&AtomicU64>,
+    ) -> Option<T> {
+        let mut r = 0usize;
+        loop {
+            if let Some(d) = decision.load() {
+                return Some(d);
+            }
+            if max_rounds.is_some_and(|max| r >= max) {
+                return None;
+            }
+            if let Some(counter) = counter {
+                // RELAXED: diagnostic counter; round objects provide ordering.
+                counter.fetch_add(1, Ordering::Relaxed);
+            }
+            let ac = self.round_object(r, ports);
+            let (flag, w) =
+                ac.adopt_commit(pid, estimate).expect("each pid visits each round at most once");
+            if flag.is_commit() {
+                return Some(decision.decide(w));
+            }
+            estimate = w;
+            r += 1;
+        }
+    }
+
+    /// Takes the rounds down: round 0 and the segment chain back to `⊥`,
+    /// each displaced object reclaimed once no process still holds it.
+    ///
+    /// Only for a caller whose `decision` slot is already decided, and that
+    /// keeps that slot — a standalone [`ObstructionFreeConsensus`] never
+    /// retires.
+    #[progress(wait_free)]
+    pub(crate) fn retire(&self) {
+        self.round0.clear();
+        self.later.clear();
+    }
+
+    /// Whether no round object and no segment is held — what retired rounds,
+    /// or rounds nobody ran, look like.
+    #[cfg(test)]
+    pub(crate) fn hold_nothing(&self) -> bool {
+        self.round0.is_bot() && self.later.is_bot()
+    }
+}
+
 /// Obstruction-free consensus for up to `n` processes from registers.
 ///
 /// Implements the `(n,0)`-live end of the paper's spectrum. Also exposes
@@ -85,10 +191,7 @@ impl<T> Segment<T> {
 /// ```
 pub struct ObstructionFreeConsensus<T> {
     spec: Liveness,
-    /// Round 0 — the only round an uncontended proposal runs.
-    round0: RoundSlot<T>,
-    /// Rounds `1..`, in segments; `⊥` until some process leaves round 0.
-    later: AtomicCell<Arc<Segment<T>>>,
+    rounds: Rounds<T>,
     decision: AtomicCell<T>,
     once: ProposeOnce,
     rounds_executed: AtomicU64,
@@ -102,8 +205,7 @@ impl<T: Clone + Eq + Send + Sync> ObstructionFreeConsensus<T> {
     pub fn new(spec: Liveness) -> Self {
         ObstructionFreeConsensus {
             spec,
-            round0: AtomicCell::new(),
-            later: AtomicCell::new(),
+            rounds: Rounds::new(),
             decision: AtomicCell::new(),
             once: ProposeOnce::new(),
             rounds_executed: AtomicU64::new(0),
@@ -121,22 +223,6 @@ impl<T: Clone + Eq + Send + Sync> ObstructionFreeConsensus<T> {
     pub fn rounds_executed(&self) -> u64 {
         // RELAXED: diagnostic counter; not ordered with round state.
         self.rounds_executed.load(Ordering::Relaxed)
-    }
-
-    fn round_object(&self, r: usize) -> Arc<AdoptCommit<T>> {
-        let new_round = || {
-            let n = self.spec.ports().iter().map(|p| p.index() + 1).max().unwrap_or(1);
-            Arc::new(AdoptCommit::new(n))
-        };
-        let Some(r) = r.checked_sub(1) else {
-            return self.round0.load_or_init(new_round);
-        };
-        let new_segment = || Arc::new(Segment::new());
-        let mut segment = self.later.load_or_init(new_segment);
-        for _ in 0..r / SEGMENT_ROUNDS {
-            segment = segment.next.load_or_init(new_segment);
-        }
-        segment.rounds[r % SEGMENT_ROUNDS].load_or_init(new_round)
     }
 
     /// Like [`Consensus::propose`], but gives up (returning `Ok(None)`)
@@ -161,69 +247,12 @@ impl<T: Clone + Eq + Send + Sync> ObstructionFreeConsensus<T> {
             return Err(ConsensusError::NotAPort { pid });
         }
         self.once.claim(pid)?;
-        Ok(self.run_rounds(pid, value, Some(max_rounds), &|| None))
+        Ok(self.run_rounds(pid, value, Some(max_rounds)))
     }
 
-    /// Like [`Consensus::propose`], but polls `escape` between rounds and
-    /// returns its value if it produces one — used by
-    /// [`crate::consensus::AsymmetricConsensus`] to let a guest adopt a
-    /// decision taken *outside* this object (the paper's §2 remark: once any
-    /// value is decided, any process can decide it).
-    ///
-    /// An escape does **not** decide this object: the internal decision slot
-    /// is left untouched.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Consensus::propose`].
-    #[progress(obstruction_free)]
-    pub fn propose_with_escape(
-        &self,
-        pid: usize,
-        value: T,
-        escape: &dyn Fn() -> Option<T>,
-    ) -> Result<T, ConsensusError> {
-        if !self.spec.is_port(pid) {
-            return Err(ConsensusError::NotAPort { pid });
-        }
-        self.once.claim(pid)?;
-        let decided = self.run_rounds(pid, value, None, escape);
-        // APC-LINT: allow(panic): with `max_rounds: None` the round loop has no bound to exhaust — it returns only on a decision or escape, so this arm is unreachable by construction, not an environmental failure
-        Ok(decided.expect("unbounded rounds end only on a decision or escape"))
-    }
-
-    fn run_rounds(
-        &self,
-        pid: usize,
-        mut estimate: T,
-        max_rounds: Option<usize>,
-        escape: &dyn Fn() -> Option<T>,
-    ) -> Option<T> {
-        let mut r = 0usize;
-        loop {
-            if let Some(d) = self.decision.load() {
-                return Some(d);
-            }
-            if let Some(e) = escape() {
-                return Some(e);
-            }
-            if let Some(max) = max_rounds {
-                if r >= max {
-                    return None;
-                }
-            }
-            // RELAXED: diagnostic counter; round objects provide ordering.
-            self.rounds_executed.fetch_add(1, Ordering::Relaxed);
-            let ac = self.round_object(r);
-            let (flag, w) =
-                ac.adopt_commit(pid, estimate).expect("each pid visits each round at most once");
-            if flag.is_commit() {
-                let _ = self.decision.set_if_bot(w);
-                return Some(self.decision.load().expect("decision just set"));
-            }
-            estimate = w;
-            r += 1;
-        }
+    fn run_rounds(&self, pid: usize, value: T, max_rounds: Option<usize>) -> Option<T> {
+        let ports = self.spec.ports();
+        self.rounds.run(pid, value, ports, max_rounds, &self.decision, Some(&self.rounds_executed))
     }
 }
 
@@ -239,7 +268,7 @@ impl<T: Clone + Eq + Send + Sync> Consensus<T> for ObstructionFreeConsensus<T> {
             return Err(ConsensusError::NotAPort { pid });
         }
         self.once.claim(pid)?;
-        let decided = self.run_rounds(pid, value, None, &|| None);
+        let decided = self.run_rounds(pid, value, None);
         // APC-LINT: allow(panic): with `max_rounds: None` the round loop has no bound to exhaust — it returns only on a decision, so this arm is unreachable by construction, not an environmental failure
         Ok(decided.expect("unbounded rounds end only on decision"))
     }
@@ -264,7 +293,6 @@ mod tests {
     use super::*;
     use crate::consensus::AcOutcome;
     use apc_model::history::{assert_consensus, ProposeRecord};
-    use apc_model::ProcessSet;
     use std::sync::Mutex;
 
     fn of_spec(n: usize) -> Liveness {
@@ -302,6 +330,35 @@ mod tests {
     }
 
     #[test]
+    fn rounds_decide_the_slot_they_are_given() {
+        let rounds: Rounds<u32> = Rounds::new();
+        let ports = ProcessSet::first_n(3);
+        let slot = AtomicCell::new();
+        // A commit is installed in the slot the caller passed in.
+        assert_eq!(rounds.run(0, 7, ports, None, &slot, None), Some(7));
+        assert_eq!(slot.load(), Some(7));
+        // A decided slot is returned before any round runs...
+        let counter = AtomicU64::new(0);
+        assert_eq!(rounds.run(1, 8, ports, None, &slot, Some(&counter)), Some(7));
+        assert_eq!(counter.load(Ordering::Relaxed), 0);
+        // ...and a bound that runs out undecided gives up.
+        assert_eq!(rounds.run(2, 9, ports, Some(0), &AtomicCell::new(), None), None);
+    }
+
+    #[test]
+    fn retiring_clears_every_round() {
+        let rounds: Rounds<u32> = Rounds::new();
+        let ports = ProcessSet::first_n(2);
+        assert_eq!(rounds.run(0, 5, ports, None, &AtomicCell::new(), None), Some(5));
+        rounds.round_object(SEGMENT_ROUNDS + 1, ports);
+        assert!(!rounds.round0.is_bot() && !rounds.later.is_bot());
+        rounds.retire();
+        assert!(rounds.hold_nothing());
+        // Retired rounds are rounds nobody ran: asking re-creates them.
+        assert_eq!(rounds.round_object(0, ports).n(), 2);
+    }
+
+    #[test]
     fn rounds_counter_is_diagnostic() {
         let cons = ObstructionFreeConsensus::new(of_spec(2));
         assert_eq!(cons.rounds_executed(), 0);
@@ -313,8 +370,8 @@ mod tests {
     fn segment_growth_past_one_segment() {
         // Force many rounds by bounding and retrying with distinct pids...
         // Simplest: look up a deep round object directly.
-        let cons: ObstructionFreeConsensus<u8> = ObstructionFreeConsensus::new(of_spec(2));
-        let deep = cons.round_object(SEGMENT_ROUNDS * 3 + 2);
+        let rounds: Rounds<u8> = Rounds::new();
+        let deep = rounds.round_object(SEGMENT_ROUNDS * 3 + 2, ProcessSet::first_n(2));
         assert_eq!(deep.n(), 2);
     }
 
@@ -323,36 +380,37 @@ mod tests {
         // Untouched — all a VIP-decided asymmetric cell ever holds of its
         // guest protocol: no round object, no segment.
         let cons: ObstructionFreeConsensus<u32> = ObstructionFreeConsensus::new(of_spec(6));
-        assert!(cons.round0.is_bot() && cons.later.is_bot());
+        assert!(cons.rounds.hold_nothing());
         // Decided uncontended: round 0's object, and still no segment, also
         // after a latecomer learned the decision.
         assert_eq!(cons.propose(4, 7).unwrap(), 7);
         assert_eq!(cons.propose(2, 9).unwrap(), 7);
         assert_eq!(cons.rounds_executed(), 1);
-        assert!(!cons.round0.is_bot() && cons.later.is_bot());
+        assert!(!cons.rounds.round0.is_bot() && cons.rounds.later.is_bot());
         // Only a process that leaves round 0 builds the first segment.
-        cons.round_object(1);
-        assert!(!cons.later.is_bot());
+        cons.rounds.round_object(1, cons.spec.ports());
+        assert!(!cons.rounds.later.is_bot());
     }
 
     #[test]
     fn the_lazy_chain_hands_every_asker_the_same_round_object() {
         // Rounds 0 ..= 2·SEGMENT_ROUNDS: the inline slot, then every slot of
         // the first two segments — two boundaries, each opened by a race.
-        let cons: ObstructionFreeConsensus<u64> = ObstructionFreeConsensus::new(of_spec(2));
+        let rounds: Rounds<u64> = Rounds::new();
+        let ports = ProcessSet::first_n(2);
         for r in 0..=2 * SEGMENT_ROUNDS {
             let barrier = std::sync::Barrier::new(2);
             let (a, b) = std::thread::scope(|s| {
                 let ask = || {
                     barrier.wait();
-                    cons.round_object(r)
+                    rounds.round_object(r, ports)
                 };
                 let a = s.spawn(ask);
                 let b = s.spawn(ask);
                 (a.join().unwrap(), b.join().unwrap())
             });
             assert!(Arc::ptr_eq(&a, &b), "round {r} resolved to two objects");
-            assert!(Arc::ptr_eq(&a, &cons.round_object(r)), "round {r} moved");
+            assert!(Arc::ptr_eq(&a, &rounds.round_object(r, ports)), "round {r} moved");
             // The object is a working adopt-commit: a solo run commits, and
             // the second process adopts what was committed.
             let input = r as u64;

@@ -87,9 +87,15 @@ impl<T> AtomicCell<T> {
         unsafe { defer_destroy(old, &guard) };
     }
 
-    /// Clears the cell back to `⊥`.
+    /// Clears the cell back to `⊥`. Clearing a `⊥` cell is one load: it
+    /// neither writes the cell nor pins an epoch.
     #[progress(wait_free)]
     pub fn clear(&self) {
+        // SAFETY: the pointer is only compared with null, never
+        // dereferenced, so no guard has to keep its target alive.
+        if unsafe { self.inner.load(Ordering::Acquire, epoch::unprotected()) }.is_null() {
+            return;
+        }
         let guard = epoch::pin();
         let old = self.inner.swap(Shared::null(), Ordering::AcqRel, &guard);
         // SAFETY: as in `store`.

@@ -31,8 +31,12 @@
 //! slowest live cursor. Bounding the first factor — a lagging handle
 //! re-adopts the anchor, the cadence becomes a default — is ROADMAP item 2;
 //! the second factor is what a cell's consensus object and its agreed
-//! record retain. For the store the replicas are keys × bytes per key ×
-//! ports that have visited the shard, at ~21 B per 8-byte key in a full
+//! record retain, which with the store's `(n,x)`-live cells is the same
+//! whichever class decided the cell: a guest retires its round protocol
+//! once the cell is decided, so a decided cell keeps its node and one
+//! record — 232 requested bytes in five allocations for a one-op write,
+//! the batch included. For the store the replicas are keys × bytes per
+//! key × ports that have visited the shard, at ~21 B per 8-byte key in a full
 //! leaf of its packed map (~72 B in the `BTreeMap<String, u64>` it
 //! replaced), and cloning one — what every checkpoint seal, every
 //! `reconfigure` and every `owned_handle` does — is a few `memcpy`s per 64

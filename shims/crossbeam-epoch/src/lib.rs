@@ -10,9 +10,10 @@
 //! while that guard is alive, because it was unlinked before retirement and
 //! the guard count cannot reach zero before the guard drops.
 
+use std::cell::Cell;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// A deferred-destruction record: a type-erased pointer plus its dropper.
 struct Garbage {
@@ -31,30 +32,53 @@ static GARBAGE: Mutex<Vec<Garbage>> = Mutex::new(Vec::new());
 // stays a single atomic load instead of taking the mutex.
 static GARBAGE_LEN: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// The buffer this thread last drained, emptied: swapped in as the next
+    /// garbage list, so a drain hands the list a buffer that already has
+    /// capacity instead of leaving the next retirement to allocate one.
+    static SPARE: Cell<Vec<Garbage>> = const { Cell::new(Vec::new()) };
+}
+
+/// The garbage list. A poisoned lock is recovered, not propagated: every
+/// critical section is one `push` or one buffer swap, so a panic inside one
+/// cannot leave the list half-written.
+fn garbage() -> MutexGuard<'static, Vec<Garbage>> {
+    GARBAGE.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn drain_garbage_if_quiescent() {
     if GARBAGE_LEN.load(Ordering::Acquire) == 0 {
         return;
     }
-    let drained: Vec<Garbage> = {
-        let Ok(mut garbage) = GARBAGE.lock() else {
-            return;
-        };
+    drain_garbage();
+}
+
+// Out of line: the check above runs in every guard drop, which is inlined
+// into every register operation; the drain itself need not be.
+#[inline(never)]
+fn drain_garbage() {
+    let mut drained = {
+        let mut garbage = garbage();
         if LIVE_GUARDS.load(Ordering::Acquire) != 0 {
             return;
         }
         GARBAGE_LEN.store(0, Ordering::Release);
-        std::mem::take(&mut *garbage)
+        // A drain re-entered from a destructor below finds the spare
+        // already taken and swaps in an empty `Vec`, which allocates nothing.
+        let spare = SPARE.try_with(Cell::take).unwrap_or_default();
+        std::mem::replace(&mut *garbage, spare)
     };
     // Destructors run after the lock is released: a retired value whose own
     // Drop pins/unpins (re-entering this function) must not deadlock. The
     // records are already unlinked and were retired before the count hit
     // zero, so no new guard can reach them.
-    for g in drained {
+    for g in drained.drain(..) {
         // SAFETY: each record is pushed exactly once and drained exactly
         // once; no guard was live at the takeover point, so no reader can
         // still hold the pointer.
         unsafe { (g.drop_fn)(g.ptr) };
     }
+    let _ = SPARE.try_with(|spare| spare.set(drained));
 }
 
 /// A pinned-epoch witness. Pointers loaded while a guard is live remain
@@ -78,7 +102,7 @@ impl Guard {
         }
         if !shared.ptr.is_null() {
             // APC-LINT: allow(progress): shim-only global garbage mutex, held for one push; upstream crossbeam-epoch retires into per-thread bags without locking
-            let mut garbage = GARBAGE.lock().expect("garbage list poisoned");
+            let mut garbage = garbage();
             garbage.push(Garbage { ptr: shared.ptr.cast::<u8>(), drop_fn: drop_box::<T> });
             GARBAGE_LEN.store(garbage.len(), Ordering::Release);
         }
@@ -280,5 +304,48 @@ impl<T> Atomic<T> {
                 new,
             }),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    static DROPS: AtomicUsize = AtomicUsize::new(0);
+
+    struct Counted;
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            DROPS.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Retires one value under a guard and drops the guard, which drains.
+    fn retire_one() {
+        let guard = pin();
+        let shared = Shared { ptr: Owned::new(Counted).into_ptr(), _guard: PhantomData };
+        // SAFETY: `shared` was never published, so nothing else can reach it.
+        unsafe { guard.defer_destroy(shared) };
+    }
+
+    // One test: the statics are global to this binary.
+    #[test]
+    fn a_drain_recycles_its_buffer_and_survives_a_poisoned_lock() {
+        retire_one();
+        retire_one();
+        assert_eq!(DROPS.load(Ordering::SeqCst), 2);
+        // The first drain kept its buffer as the spare; the second swapped
+        // it in as the list, so the next retirement pushes without allocating.
+        assert!(garbage().capacity() > 0);
+
+        let _ = std::thread::spawn(|| {
+            let _held = GARBAGE.lock();
+            panic!("poisoning the garbage list on purpose");
+        })
+        .join();
+        assert!(GARBAGE.is_poisoned());
+        retire_one();
+        assert_eq!(DROPS.load(Ordering::SeqCst), 3, "a poisoned list still reclaims");
     }
 }

@@ -142,24 +142,32 @@ fn commit_path_allocations_stay_within_budget() {
     catch_up(&mut guest);
     let local_read = measure_requests(&mut guest, get);
 
-    // The budgets are the census of the commit that set them (PR 24: the
-    // shard map stopped cloning an overwritten key and a visit stopped
-    // allocating a snapshot scan; its parent read 32 / 11 / 632,
-    // 26 / 5 / 280 and 20 / 0 / 0, and 1.20 / 1.17 / 71.6 per stored key).
-    // Two of the calls of every arm are this harness building its
-    // request: the `Vec<StoreOp>` and the key, whose 8 bytes a put's cell
-    // then keeps. A stored key's calls are its share of its leaf's growth.
+    // The budgets are the census of the commit that set them (PR 25: a
+    // guest retires the round protocol once the cell is decided, a round's
+    // commit goes straight to the cell's one decision slot, the rounds sit
+    // inline as two pointers, and a garbage drain hands its buffer back;
+    // its parent read 28 / 11 / 632, 22 / 5 / 280 and 17 / 0 / 0).
+    //
+    // What a put's cell leaves, guest or VIP alike, is five allocations:
+    // the 88 B log node (its `Arc` counts, the consensus object — decision
+    // slot, inline rounds, at-most-once mask, counters — and the link),
+    // the batch's 72 B `Arc<[StoreOp]>`, the 8 B key, the 56 B decided
+    // record and the 8 B box of that link. A guest's round-0 adopt-commit
+    // object and its registers are built and freed inside the request. Two
+    // of the calls of every arm are this harness building its request: the
+    // `Vec<StoreOp>` and the key. A stored key's calls are its share of its
+    // leaf's growth, and what it keeps is its bytes in that leaf.
     let arms = [
         (
             "guest put",
             guest_put,
-            Census { calls: 28.0, retained_allocs: 11.0, retained_bytes: 632.0 },
+            Census { calls: 25.0, retained_allocs: 5.0, retained_bytes: 232.0 },
         ),
-        ("vip put", vip_put, Census { calls: 22.0, retained_allocs: 5.0, retained_bytes: 280.0 }),
+        ("vip put", vip_put, Census { calls: 20.0, retained_allocs: 5.0, retained_bytes: 232.0 }),
         (
             "local read",
             local_read,
-            Census { calls: 17.0, retained_allocs: 0.0, retained_bytes: 0.0 },
+            Census { calls: 16.0, retained_allocs: 0.0, retained_bytes: 0.0 },
         ),
         (
             "stored key / replica",
