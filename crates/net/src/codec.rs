@@ -182,39 +182,49 @@ fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
     }
 }
 
-/// Wraps a finished payload into a full frame (length prefix + checksum).
-///
-/// Callers are responsible for keeping `payload` within
-/// [`MAX_WIRE_PAYLOAD`]: a larger frame is structurally valid to *build*
-/// but the peer's decoder fails closed on it and poisons the stream.
-/// [`encode_response`] enforces the cap itself (the one message whose size
-/// the remote peer does not control — see the oversize policy there);
-/// [`encode_hello`] cannot exceed it; [`encode_request`] callers own their
-/// envelope's size, exactly like any other client-side protocol limit.
-fn frame(payload: Vec<u8>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + FRAME_OVERHEAD);
-    put_u32(&mut out, payload.len() as u32);
-    let crc = fnv1a64(&payload);
-    out.extend_from_slice(&payload);
-    put_u64(&mut out, crc);
-    out
+/// Opens a frame at the end of `out`: a length placeholder, then the
+/// payload's version and kind bytes. Returns where the frame starts, for
+/// [`close_frame`].
+fn open_frame(out: &mut Vec<u8>, kind: u8) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0, 0, 0, 0, WIRE_VERSION, kind]);
+    start
 }
 
-fn payload_head(kind: u8) -> Vec<u8> {
-    vec![WIRE_VERSION, kind]
+/// Closes the frame [`open_frame`] opened at `start`: patches its length
+/// prefix and appends the payload's checksum, read in place.
+///
+/// Callers are responsible for keeping the payload within
+/// [`MAX_WIRE_PAYLOAD`]: a larger frame is structurally valid to *build*
+/// but the peer's decoder fails closed on it and poisons the stream.
+/// [`encode_response_into`] enforces the cap itself (the one message whose
+/// size the remote peer does not control — see the oversize policy there);
+/// [`encode_hello`] cannot exceed it; [`encode_request`] callers own their
+/// envelope's size, exactly like any other client-side protocol limit.
+fn close_frame(out: &mut Vec<u8>, start: usize) {
+    let payload = &out[start + 4..];
+    let (len, crc) = (payload.len() as u32, fnv1a64(payload));
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    put_u64(out, crc);
 }
 
 /// Encodes the handshake frame.
 pub fn encode_hello(credential: &TierCredential) -> Vec<u8> {
-    let mut p = payload_head(KIND_HELLO);
+    let mut out = Vec::new();
+    let start = open_frame(&mut out, KIND_HELLO);
+    put_credential(&mut out, credential);
+    close_frame(&mut out, start);
+    out
+}
+
+fn put_credential(p: &mut Vec<u8>, credential: &TierCredential) {
     match credential {
         TierCredential::Guest => p.push(0),
         TierCredential::Vip { token } => {
             p.push(1);
-            put_u64(&mut p, *token);
+            put_u64(p, *token);
         }
     }
-    frame(p)
 }
 
 fn put_op(p: &mut Vec<u8>, op: &StoreOp) {
@@ -248,35 +258,43 @@ fn put_op(p: &mut Vec<u8>, op: &StoreOp) {
 
 /// Encodes one request frame: correlation id + the unified envelope.
 pub fn encode_request(id: u64, req: &Request) -> Vec<u8> {
-    let mut p = payload_head(KIND_REQUEST);
-    put_u64(&mut p, id);
+    let mut out = Vec::new();
+    let start = open_frame(&mut out, KIND_REQUEST);
+    put_u64(&mut out, id);
     match req.durability {
-        DurabilityClass::Group => p.push(0),
-        DurabilityClass::Sync => p.push(1),
+        DurabilityClass::Group => out.push(0),
+        DurabilityClass::Sync => out.push(1),
     }
     match req.deadline_ms {
-        None => p.push(0),
+        None => out.push(0),
         Some(ms) => {
-            p.push(1);
-            put_u32(&mut p, ms);
+            out.push(1);
+            put_u32(&mut out, ms);
         }
     }
-    put_u32(&mut p, req.retry_budget);
-    match req.credential {
-        TierCredential::Guest => p.push(0),
-        TierCredential::Vip { token } => {
-            p.push(1);
-            put_u64(&mut p, token);
-        }
-    }
-    put_u32(&mut p, req.ops.len() as u32);
+    put_u32(&mut out, req.retry_budget);
+    put_credential(&mut out, &req.credential);
+    put_u32(&mut out, req.ops.len() as u32);
     for op in &req.ops {
-        put_op(&mut p, op);
+        put_op(&mut out, op);
     }
-    frame(p)
+    close_frame(&mut out, start);
+    out
 }
 
-/// Encodes one response frame.
+/// Encodes one response frame into a new buffer: [`encode_response_into`]
+/// an empty `Vec`.
+pub fn encode_response(id: u64, results: &[WireResult]) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_response_into(&mut out, id, results);
+    out
+}
+
+/// Appends one response frame to `out`, leaving what `out` held before
+/// untouched — the reactor clears and reuses one buffer for every
+/// response it sends. Nothing is allocated but `out`'s own growth: each
+/// result is sized first and then written straight into the frame, whose
+/// length prefix and checksum are filled in last.
 ///
 /// The wire vocabulary is **normalized**: a shard's in-band bounce
 /// [`StoreResp::Moved`] is encoded as its [`StoreError::Moved`] twin
@@ -297,45 +315,68 @@ pub fn encode_request(id: u64, req: &Request) -> Vec<u8> {
 /// fail closed *individually*, telling the caller to narrow the
 /// operation. Results that fit their share are transmitted untouched.
 /// (`docs/WIRE.md` § "Oversized responses" is the normative text.)
-pub fn encode_response(id: u64, results: &[WireResult]) -> Vec<u8> {
-    let mut p = payload_head(KIND_RESPONSE);
-    put_u64(&mut p, id);
-    put_u32(&mut p, results.len() as u32);
-    let budget = (MAX_WIRE_PAYLOAD as usize).saturating_sub(p.len());
-    let encoded: Vec<Vec<u8>> = results.iter().map(encode_result).collect();
-    if encoded.iter().map(Vec::len).sum::<usize>() <= budget {
-        for e in &encoded {
-            p.extend_from_slice(e);
+pub fn encode_response_into(out: &mut Vec<u8>, id: u64, results: &[WireResult]) {
+    // The payload's head: version, kind, id, result count.
+    const HEAD: usize = 2 + 8 + 4;
+    let budget = MAX_WIRE_PAYLOAD as usize - HEAD;
+    let body: usize = results.iter().map(result_len).sum();
+    out.reserve(FRAME_OVERHEAD + HEAD + body.min(budget));
+    let start = open_frame(out, KIND_RESPONSE);
+    put_u64(out, id);
+    put_u32(out, results.len() as u32);
+    if body <= budget {
+        for result in results {
+            put_result(out, result);
         }
-        return frame(p);
-    }
-    // Overflow: fair-share replacement. Every kept result and every
-    // replacement is at most `share` bytes, so the payload stays in cap
-    // for any result count the decoder's list cap admits.
-    let share = budget / results.len().max(1);
-    for e in &encoded {
-        if e.len() <= share {
-            p.extend_from_slice(e);
-        } else {
-            put_oversize_err(&mut p, e.len(), share);
+    } else {
+        // Overflow: fair-share replacement. Every kept result and every
+        // replacement is at most `share` bytes, so the payload stays in
+        // cap for any result count the decoder's list cap admits.
+        let share = budget / results.len().max(1);
+        for result in results {
+            match result_len(result) {
+                len if len <= share => put_result(out, result),
+                len => put_oversize_err(out, len, share),
+            }
         }
     }
-    frame(p)
+    close_frame(out, start);
 }
 
 /// One result's wire bytes, with the in-band bounce normalized to its
 /// error twin.
-fn encode_result(result: &WireResult) -> Vec<u8> {
-    let mut p = Vec::new();
+fn put_result(p: &mut Vec<u8>, result: &WireResult) {
+    let before = p.len();
     match result {
-        Ok(StoreResp::Moved { epoch }) => put_err(&mut p, &StoreError::Moved { epoch: *epoch }),
+        Ok(StoreResp::Moved { epoch }) => put_err(p, &StoreError::Moved { epoch: *epoch }),
         Ok(resp) => {
             p.push(0);
-            put_resp(&mut p, resp);
+            put_resp(p, resp);
         }
-        Err(err) => put_err(&mut p, err),
+        Err(err) => put_err(p, err),
     }
-    p
+    debug_assert_eq!(p.len() - before, result_len(result), "result_len prices put_result");
+}
+
+/// The bytes [`put_result`] writes for `result`.
+fn result_len(result: &WireResult) -> usize {
+    let opt_u64 = |v: &Option<u64>| 1 + v.map_or(0, |_| 8);
+    // The result tag, then the response's or the error's discriminant.
+    2 + match result {
+        Ok(StoreResp::Value(v)) => opt_u64(v),
+        Ok(StoreResp::Cas { actual, .. }) => 1 + opt_u64(actual),
+        Ok(StoreResp::Entries(entries)) => {
+            4 + entries.iter().map(|(k, _)| 4 + k.len() + 8).sum::<usize>()
+        }
+        Ok(StoreResp::Moved { .. }) => 8,
+        Err(err) => match err {
+            StoreError::Moved { .. } | StoreError::Unavailable { .. } => 8,
+            StoreError::GuestTier => 0,
+            StoreError::RetryBudgetExhausted { .. } | StoreError::DeadlineExceeded { .. } => 4,
+            StoreError::Corrupt { detail } => 4 + detail.len(),
+            other => 4 + other.to_string().len(),
+        },
+    }
 }
 
 /// The typed oversize signal: a [`StoreError::Corrupt`] whose detail names
@@ -367,8 +408,8 @@ fn put_resp(p: &mut Vec<u8>, resp: &StoreResp) {
                 put_u64(p, *v);
             }
         }
-        // Normalized to errors by `encode_response`; kept total here for
-        // direct callers.
+        // Normalized to errors by `put_result`, the one caller; kept
+        // total here.
         StoreResp::Moved { epoch } => {
             p.push(3);
             put_u64(p, *epoch);
@@ -425,8 +466,12 @@ impl<'a> Rd<'a> {
         Rd { buf, pos: 0 }
     }
 
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     fn need(&self, n: usize) -> Result<(), CodecError> {
-        let available = self.buf.len() - self.pos;
+        let available = self.remaining();
         if available < n {
             return Err(CodecError::Truncated { needed: n, available });
         }
@@ -481,7 +526,7 @@ impl<'a> Rd<'a> {
     }
 
     fn finish(self) -> Result<(), CodecError> {
-        let extra = self.buf.len() - self.pos;
+        let extra = self.remaining();
         if extra > 0 {
             return Err(CodecError::TrailingBytes { extra });
         }
@@ -581,7 +626,9 @@ pub fn decode_message(payload: &[u8]) -> Result<Message, CodecError> {
             let retry_budget = rd.u32()?;
             let credential = read_credential(&mut rd)?;
             let n = rd.list_len()?;
-            let mut ops = Vec::new();
+            // Sized once: an op is at least 5 bytes (tag + string length),
+            // so the bytes left bound the count a lying prefix can claim.
+            let mut ops = Vec::with_capacity((n as usize).min(rd.remaining() / 5));
             for _ in 0..n {
                 ops.push(read_op(&mut rd)?);
             }
@@ -614,9 +661,15 @@ pub fn decode_message(payload: &[u8]) -> Result<Message, CodecError> {
 /// closed. A structurally wrong frame — oversized length prefix, checksum
 /// mismatch — is an immediate error and poisons the stream (every later
 /// call returns the same error).
+///
+/// A payload is lent out of the reader's own buffer, not copied: frames
+/// are read at a cursor, and the bytes behind it are dropped once per
+/// [`FrameReader::push`], not once per frame.
 #[derive(Debug, Default)]
 pub struct FrameReader {
     buf: Vec<u8>,
+    /// Bytes at the front of `buf` already handed out as frames.
+    read: usize,
     poisoned: Option<CodecError>,
 }
 
@@ -628,46 +681,50 @@ impl FrameReader {
 
     /// Appends raw bytes received from the connection.
     pub fn push(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.read);
+        self.read = 0;
         self.buf.extend_from_slice(bytes);
     }
 
     /// Bytes buffered but not yet consumed by a complete frame. Non-zero
     /// at stream close means a torn tail.
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.read
     }
 
-    /// Extracts the next complete, checksum-verified frame payload.
-    /// `Ok(None)` means "no complete frame yet — feed more bytes".
-    pub fn next_payload(&mut self) -> Result<Option<Vec<u8>>, CodecError> {
+    /// Extracts the next complete, checksum-verified frame payload, lent
+    /// until the reader is next used. `Ok(None)` means "no complete frame
+    /// yet — feed more bytes".
+    pub fn next_payload(&mut self) -> Result<Option<&[u8]>, CodecError> {
         if let Some(err) = &self.poisoned {
             return Err(err.clone());
         }
-        if self.buf.len() < 4 {
+        let frame = &self.buf[self.read..];
+        if frame.len() < 4 {
             return Ok(None);
         }
         let mut lb = [0u8; 4];
-        lb.copy_from_slice(&self.buf[..4]);
+        lb.copy_from_slice(&frame[..4]);
         let len = u32::from_le_bytes(lb);
         if len > MAX_WIRE_PAYLOAD {
             let err = CodecError::FrameTooLarge { len, max: MAX_WIRE_PAYLOAD };
             self.poisoned = Some(err.clone());
             return Err(err);
         }
-        let total = 4 + len as usize + 8;
-        if self.buf.len() < total {
+        let end = 4 + len as usize;
+        if frame.len() < end + 8 {
             return Ok(None);
         }
-        let payload = self.buf[4..4 + len as usize].to_vec();
         let mut cb = [0u8; 8];
-        cb.copy_from_slice(&self.buf[4 + len as usize..total]);
-        if fnv1a64(&payload) != u64::from_le_bytes(cb) {
+        cb.copy_from_slice(&frame[end..end + 8]);
+        if fnv1a64(&frame[4..end]) != u64::from_le_bytes(cb) {
             let err = CodecError::ChecksumMismatch;
             self.poisoned = Some(err.clone());
             return Err(err);
         }
-        self.buf.drain(..total);
-        Ok(Some(payload))
+        let payload = self.read + 4..self.read + end;
+        self.read += end + 8;
+        Ok(Some(&self.buf[payload]))
     }
 }
 
@@ -692,9 +749,9 @@ mod tests {
     fn decode_one(frame: &[u8]) -> Message {
         let mut reader = FrameReader::new();
         reader.push(frame);
-        let payload = reader.next_payload().unwrap().expect("one complete frame");
+        let msg = decode_message(reader.next_payload().unwrap().expect("one complete frame"));
         assert_eq!(reader.buffered(), 0);
-        decode_message(&payload).unwrap()
+        msg.unwrap()
     }
 
     #[test]
@@ -839,7 +896,7 @@ mod tests {
             // failures; a flip that still parses must not decode cleanly.
             Err(_) => {}
             Ok(Some(payload)) => {
-                assert!(decode_message(&payload).is_err(), "corrupt frame decoded cleanly");
+                assert!(decode_message(payload).is_err(), "corrupt frame decoded cleanly");
             }
             Ok(None) => {} // length prefix grew: stream legitimately waits
         }
@@ -867,7 +924,7 @@ mod tests {
         let good = encode_request(1, &Request::new(vec![StoreOp::Get("k".into())]));
         let mut reader = FrameReader::new();
         reader.push(&good);
-        let mut payload = reader.next_payload().unwrap().expect("frame");
+        let mut payload = reader.next_payload().unwrap().expect("frame").to_vec();
         let last_op_tag = payload.len() - ("k".len() + 4 + 1);
         payload[last_op_tag] = 0x6e;
         assert!(matches!(
@@ -881,7 +938,7 @@ mod tests {
         let frame = encode_hello(&TierCredential::Guest);
         let mut reader = FrameReader::new();
         reader.push(&frame);
-        let mut payload = reader.next_payload().unwrap().expect("frame");
+        let mut payload = reader.next_payload().unwrap().expect("frame").to_vec();
         payload.push(0);
         assert!(matches!(decode_message(&payload), Err(CodecError::TrailingBytes { extra: 1 })));
     }

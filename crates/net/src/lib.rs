@@ -61,8 +61,8 @@ pub mod metrics;
 pub mod reactor;
 
 pub use codec::{
-    decode_message, encode_hello, encode_request, encode_response, CodecError, FrameReader,
-    Message, WireResult, MAX_WIRE_LIST, MAX_WIRE_PAYLOAD, WIRE_VERSION,
+    decode_message, encode_hello, encode_request, encode_response, encode_response_into,
+    CodecError, FrameReader, Message, WireResult, MAX_WIRE_LIST, MAX_WIRE_PAYLOAD, WIRE_VERSION,
 };
 pub use conn::{sim_pair, ConnEnd};
 pub use metrics::{NetMetrics, NET_LATENCY_NS_BOUNDS};

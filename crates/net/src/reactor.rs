@@ -77,10 +77,15 @@ use apc_store::{
     TierCredential,
 };
 
-use crate::codec::{decode_message, encode_hello, encode_request, encode_response};
+use crate::codec::{decode_message, encode_hello, encode_request, encode_response_into};
 use crate::codec::{CodecError, FrameReader, Message, WireResult};
 use crate::conn::{sim_pair, ConnEnd};
 use crate::metrics::NetMetrics;
+
+/// The most bytes a plain-HTTP request head may take. A peer that has not
+/// ended its head by then is closed and counted as a codec fault, so the
+/// side door holds at most this much per connection.
+const MAX_HTTP_HEAD: usize = 8 << 10;
 
 /// Tuning knobs for a [`StoreServer`].
 #[derive(Clone, Debug)]
@@ -174,6 +179,9 @@ struct TurnBuffers {
     owners: Vec<(usize, u64, u64, Instant)>,
     /// …and the envelopes themselves, in the same order.
     reqs: Vec<Request>,
+    /// The response frame being sent: every response of the turn is
+    /// encoded here and copied into its connection's pipe.
+    frame: Vec<u8>,
 }
 
 #[derive(Debug)]
@@ -261,7 +269,7 @@ impl<'a> StoreServer<'a> {
         let mut stats = PollStats::default();
         let closed_before = self.closed;
         let mut turn = std::mem::take(&mut self.turn);
-        let TurnBuffers { vip_q, guest_q, scratch, owners, reqs } = &mut turn;
+        let TurnBuffers { vip_q, guest_q, scratch, owners, reqs, frame } = &mut turn;
 
         // Phase 1: ingest every connection.
         for i in 0..self.conns.len() {
@@ -286,7 +294,7 @@ impl<'a> StoreServer<'a> {
                 ConnState::Http(_) => self.ingest_http(i, scratch),
                 ConnState::Handshake | ConnState::Serving(_) => {
                     self.conns[i].reader.push(scratch);
-                    self.ingest_frames(i, &mut stats, vip_q, guest_q);
+                    self.ingest_frames(i, &mut stats, vip_q, guest_q, frame);
                 }
                 ConnState::Closed => {}
             }
@@ -307,7 +315,7 @@ impl<'a> StoreServer<'a> {
                 _ => continue,
             };
             let resp = self.serve_vip(ticket, req);
-            self.send_response(i, id, &resp.results);
+            self.send_response(frame, i, id, &resp.results);
             stats.served += 1;
         }
 
@@ -332,7 +340,7 @@ impl<'a> StoreServer<'a> {
                     self.metrics.record_deadline_shed(false);
                     let err = StoreError::DeadlineExceeded { deadline_ms: ms };
                     let resp = Response::fail_all(q.req.ops.len(), err);
-                    self.send_response(q.conn, q.id, &resp.results);
+                    self.send_response(frame, q.conn, q.id, &resp.results);
                     stats.deadline_shed += 1;
                     continue;
                 }
@@ -353,13 +361,14 @@ impl<'a> StoreServer<'a> {
             self.metrics.record_shed(false);
             let err = StoreError::RetryBudgetExhausted { budget: q.req.retry_budget };
             let resp = Response::fail_all(q.req.ops.len(), err);
-            self.send_response(q.conn, q.id, &resp.results);
+            self.send_response(frame, q.conn, q.id, &resp.results);
             stats.shed += 1;
         }
         self.metrics.record_queue_depth(self.guest_backlog.len() as u64);
 
-        self.serve_guest_turn(owners, reqs, &mut stats);
+        self.serve_guest_turn(owners, reqs, frame, &mut stats);
 
+        frame.clear();
         self.turn = turn;
         stats.closed = self.closed - closed_before;
         stats
@@ -374,6 +383,7 @@ impl<'a> StoreServer<'a> {
         &mut self,
         owners: &mut Vec<(usize, u64, u64, Instant)>,
         reqs: &mut Vec<Request>,
+        frame: &mut Vec<u8>,
         stats: &mut PollStats,
     ) {
         if reqs.is_empty() {
@@ -388,7 +398,7 @@ impl<'a> StoreServer<'a> {
         stats.batches += 1;
         for ((conn, id, ops, arrived), resp) in owners.drain(..).zip(responses) {
             self.metrics.record_request(false, ops, nanos(done.duration_since(arrived)));
-            self.send_response(conn, id, &resp.results);
+            self.send_response(frame, conn, id, &resp.results);
             stats.served += 1;
         }
     }
@@ -400,6 +410,7 @@ impl<'a> StoreServer<'a> {
         stats: &mut PollStats,
         vip_q: &mut Vec<(usize, u64, Request)>,
         guest_q: &mut Vec<(usize, u64, Request)>,
+        frame: &mut Vec<u8>,
     ) {
         loop {
             let payload = match self.conns[i].reader.next_payload() {
@@ -412,7 +423,7 @@ impl<'a> StoreServer<'a> {
             };
             self.metrics.record_frame_in();
             stats.frames += 1;
-            let msg = match decode_message(&payload) {
+            let msg = match decode_message(payload) {
                 Ok(m) => m,
                 Err(_) => {
                     self.close_conn(i, true);
@@ -422,7 +433,7 @@ impl<'a> StoreServer<'a> {
             match msg {
                 Message::Hello(cred) => {
                     if matches!(self.conns[i].state, ConnState::Handshake) {
-                        self.finish_handshake(i, cred);
+                        self.finish_handshake(i, cred, frame);
                         if matches!(self.conns[i].state, ConnState::Closed) {
                             return;
                         }
@@ -453,7 +464,7 @@ impl<'a> StoreServer<'a> {
     }
 
     /// Admits (or refuses) a handshake credential on conn `i`.
-    fn finish_handshake(&mut self, i: usize, cred: TierCredential) {
+    fn finish_handshake(&mut self, i: usize, cred: TierCredential, frame: &mut Vec<u8>) {
         match cred {
             TierCredential::Vip { token } => {
                 let ticket = if self.cfg.vip_tokens.contains(&token) {
@@ -479,7 +490,7 @@ impl<'a> StoreServer<'a> {
                         // Unknown token or VIP capacity exhausted: the
                         // credential does not grant the claimed tier.
                         self.metrics.record_deny(true);
-                        self.send_response(i, 0, &[Err(StoreError::GuestTier)]);
+                        self.send_response(frame, i, 0, &[Err(StoreError::GuestTier)]);
                         self.close_conn(i, false);
                     }
                 }
@@ -493,20 +504,27 @@ impl<'a> StoreServer<'a> {
     }
 
     /// Accumulates HTTP bytes on conn `i`; answers and closes once the
-    /// request head is complete.
+    /// request head is complete, and closes as a fault a head that has not
+    /// ended within [`MAX_HTTP_HEAD`] bytes.
     fn ingest_http(&mut self, i: usize, bytes: &[u8]) {
-        let head = if let ConnState::Http(buf) = &mut self.conns[i].state {
-            buf.extend_from_slice(bytes);
-            find_subsequence(buf, b"\r\n\r\n")
-                .map(|pos| String::from_utf8_lossy(&buf[..pos]).into_owned())
-        } else {
-            None
-        };
-        if let Some(head) = head {
-            self.metrics.record_http_hit();
-            let response = self.http_response(&head);
-            self.conns[i].end.send(response.as_bytes());
-            self.close_conn(i, false);
+        let ConnState::Http(buf) = &mut self.conns[i].state else { return };
+        // Only the new bytes, and the three before them, can complete the
+        // terminator; nothing past the cap is kept.
+        let from = buf.len().saturating_sub(3);
+        let room = MAX_HTTP_HEAD.saturating_sub(buf.len());
+        buf.extend_from_slice(&bytes[..bytes.len().min(room)]);
+        let head = find_subsequence(&buf[from..], b"\r\n\r\n")
+            .map(|pos| String::from_utf8_lossy(&buf[..from + pos]).into_owned());
+        let full = buf.len() >= MAX_HTTP_HEAD;
+        match head {
+            Some(head) => {
+                self.metrics.record_http_hit();
+                let response = self.http_response(&head);
+                self.conns[i].end.send(response.as_bytes());
+                self.close_conn(i, false);
+            }
+            None if full => self.close_conn(i, true),
+            None => {}
         }
     }
 
@@ -580,9 +598,11 @@ impl<'a> StoreServer<'a> {
         resp
     }
 
-    fn send_response(&self, i: usize, id: u64, results: &[WireResult]) {
-        let frame = encode_response(id, results);
-        if self.conns[i].end.send(&frame) {
+    /// Encodes one response into the turn's `frame` buffer and sends it.
+    fn send_response(&self, frame: &mut Vec<u8>, i: usize, id: u64, results: &[WireResult]) {
+        frame.clear();
+        encode_response_into(frame, id, results);
+        if self.conns[i].end.send(frame) {
             self.metrics.record_frame_out();
         }
     }
@@ -646,7 +666,7 @@ impl NetClient {
         self.reader.push(&raw);
         let mut out = Vec::new();
         while let Some(payload) = self.reader.next_payload()? {
-            match decode_message(&payload)? {
+            match decode_message(payload)? {
                 Message::Response { id, results } => out.push((id, results)),
                 Message::Hello(_) => {
                     return Err(CodecError::UnknownDiscriminant {
@@ -971,6 +991,29 @@ mod tests {
         let mut body2 = Vec::new();
         probe2.drain_into(&mut body2);
         assert!(String::from_utf8(body2).unwrap().starts_with("HTTP/1.1 404"));
+    }
+
+    #[test]
+    fn an_unterminated_http_head_is_closed_at_the_cap_and_counted() {
+        let store = StoreBuilder::new().shards(1).vip_capacity(1).build().unwrap();
+        let mut server = server_fixture(&store);
+        let probe = server.connect();
+        probe.send(b"GET /metrics HTTP/1.1\r\n");
+        server.poll();
+        assert!(!probe.is_closed(), "a head in progress waits for its end");
+        for _ in 0..16 {
+            probe.send(&[b'x'; 1024]);
+            server.poll();
+        }
+        assert!(probe.is_closed(), "16 KiB without a blank line is past the cap");
+        assert_eq!(server.metrics().scrape().value("store_net_codec_errors_total", &[]), Some(1));
+        assert_eq!(
+            server.metrics().scrape().value("store_net_http_metrics_hits_total", &[]),
+            Some(0)
+        );
+        let mut answer = Vec::new();
+        probe.drain_into(&mut answer);
+        assert!(answer.is_empty(), "nothing is served to a head that never ended");
     }
 
     #[test]

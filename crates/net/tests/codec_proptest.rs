@@ -5,8 +5,8 @@
 use proptest::prelude::*;
 
 use apc_net::{
-    decode_message, encode_hello, encode_request, encode_response, CodecError, FrameReader,
-    Message, WireResult, MAX_WIRE_PAYLOAD,
+    decode_message, encode_hello, encode_request, encode_response, encode_response_into,
+    CodecError, FrameReader, Message, WireResult, MAX_WIRE_PAYLOAD,
 };
 use apc_store::{DurabilityClass, Request, StoreError, StoreOp, StoreResp, TierCredential};
 
@@ -71,7 +71,7 @@ fn decode_result(tag: u8, a: u64, b: u64) -> WireResult {
 fn reframe(frame: &[u8]) -> Vec<u8> {
     let mut reader = FrameReader::new();
     reader.push(frame);
-    let payload = reader.next_payload().expect("well-formed").expect("complete");
+    let payload = reader.next_payload().expect("well-formed").expect("complete").to_vec();
     assert_eq!(reader.buffered(), 0, "one frame consumes exactly its bytes");
     payload
 }
@@ -172,6 +172,92 @@ proptest! {
         }
     }
 
+    /// Encoding into a buffer that already holds bytes appends exactly the
+    /// owned encoding and leaves the bytes before it alone — on the
+    /// in-cap path and on the fair-share oversize path alike.
+    #[test]
+    fn encode_response_into_appends_the_owned_encoding(
+        prefix in proptest::collection::vec(0u8..=255, 0..64),
+        encoded in proptest::collection::vec((0u8..9, 0u64..1000, 0u64..1000), 0..8),
+        huge_at in proptest::collection::vec(0usize..8, 0..3),
+        entry_count in 1usize..60_000,
+        id in 0u64..u64::MAX,
+    ) {
+        let mut results: Vec<WireResult> =
+            encoded.iter().map(|(t, a, b)| decode_result(*t, *a, *b)).collect();
+        for pos in huge_at {
+            if results.is_empty() { break; }
+            let slot = pos % results.len();
+            let entries = (0..entry_count)
+                .map(|i| (format!("bulk/{i:06}/{}", "q".repeat(20)), i as u64))
+                .collect();
+            results[slot] = Ok(StoreResp::Entries(entries));
+        }
+        let owned = encode_response(id, &results);
+        let mut out = prefix.clone();
+        encode_response_into(&mut out, id, &results);
+        prop_assert_eq!(&out[..prefix.len()], &prefix[..]);
+        prop_assert!(out[prefix.len()..] == owned[..], "appended frame differs from the owned one");
+        // A reused buffer, cleared, encodes the next response just the same.
+        out.clear();
+        encode_response_into(&mut out, id ^ 1, &results[..results.len() / 2]);
+        prop_assert!(out == encode_response(id ^ 1, &results[..results.len() / 2]));
+    }
+
+    /// Many frames pushed at once and then re-pushed in pieces cut at
+    /// arbitrary offsets come out whole and in order, `buffered()` is
+    /// exactly the bytes not yet handed out after every step, and a torn
+    /// tail behind frames already read still shows at close.
+    #[test]
+    fn frame_reader_yields_every_frame_in_order_across_any_split(
+        ids in proptest::collection::vec(0u64..u64::MAX, 1..12),
+        cuts in proptest::collection::vec(0usize..10_000, 0..8),
+        torn in 1usize..20,
+    ) {
+        let frames: Vec<Vec<u8>> = ids
+            .iter()
+            .map(|&id| encode_request(id, &Request::new(vec![StoreOp::Get(format!("k/{id}"))])))
+            .collect();
+        let stream: Vec<u8> = frames.concat();
+
+        // All frames in one push.
+        let mut reader = FrameReader::new();
+        reader.push(&stream);
+        let mut left = stream.len();
+        for frame in &frames {
+            prop_assert_eq!(reader.buffered(), left);
+            let payload = reader.next_payload().unwrap().expect("a whole frame is buffered");
+            prop_assert_eq!(payload, &frame[4..frame.len() - 8]);
+            left -= frame.len();
+            prop_assert_eq!(reader.buffered(), left);
+        }
+        prop_assert_eq!(reader.next_payload().unwrap(), None);
+
+        // The same stream in pieces.
+        let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (stream.len() + 1)).collect();
+        cuts.push(stream.len());
+        cuts.sort_unstable();
+        let mut reader = FrameReader::new();
+        let (mut pushed, mut read, mut next) = (0, 0, 0);
+        for &cut in &cuts {
+            reader.push(&stream[pushed..cut]);
+            pushed = cut;
+            while let Some(payload) = reader.next_payload().unwrap() {
+                prop_assert_eq!(payload, &frames[next][4..frames[next].len() - 8]);
+                read += frames[next].len();
+                next += 1;
+            }
+            prop_assert_eq!(reader.buffered(), pushed - read, "exactly the unread bytes");
+        }
+        prop_assert_eq!(next, frames.len(), "every frame, once");
+
+        // A torn tail behind consumed frames is still visible at close.
+        let tail = &frames[0][..torn.min(frames[0].len() - 1)];
+        reader.push(tail);
+        prop_assert_eq!(reader.next_payload().unwrap(), None);
+        prop_assert_eq!(reader.buffered(), tail.len());
+    }
+
     /// Hello frames roundtrip for every credential shape.
     #[test]
     fn hello_roundtrips(cred in 0u8..=255, token in 0u64..u64::MAX) {
@@ -216,7 +302,7 @@ proptest! {
                 // that can only *shrink* the frame, and the decoder then
                 // fails on the truncated body or trailing bytes. A clean
                 // decode must reproduce the original message exactly.
-                match decode_message(&payload) {
+                match decode_message(payload) {
                     Err(_) => {}
                     Ok(msg) => prop_assert_eq!(msg, Message::Request { id: 5, req }),
                 }
@@ -240,7 +326,7 @@ proptest! {
         // Feeding the remainder completes the frame exactly.
         reader.push(&frame[cut..]);
         let payload = reader.next_payload().unwrap().expect("now complete");
-        prop_assert!(decode_message(&payload).is_ok());
+        prop_assert!(decode_message(payload).is_ok());
     }
 
     /// Arbitrary garbage never panics the decoder and never yields a
@@ -252,7 +338,7 @@ proptest! {
         match reader.next_payload() {
             Ok(Some(payload)) => {
                 prop_assert!(payload.len() <= MAX_WIRE_PAYLOAD as usize);
-                let _ = decode_message(&payload); // must not panic
+                let _ = decode_message(payload); // must not panic
             }
             Ok(None) => {}
             Err(e) => {

@@ -23,8 +23,9 @@
 //! are racing may observe bucket counts from slightly different instants
 //! (each component is individually monotone), exactly like any live
 //! Prometheus scrape. Nothing here ever blocks a writer to get a
-//! consistent cut — consistency is the job of the store's
-//! `SwmrSnapshot`-based digest path, which feeds these instruments.
+//! consistent cut, and the store's own per-shard series are no cut either:
+//! they are read one port's digest register at a time
+//! (`Store::snapshot_stats`), each register monotone on its own.
 //!
 //! [`MetricsSnapshot`] is the scrape output — a flat list of [`Sample`]s —
 //! and [`encode_prometheus`] renders it in the Prometheus text exposition

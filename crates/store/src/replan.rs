@@ -42,8 +42,15 @@ struct Envelope {
 /// What the driver observed since the last transition.
 #[derive(Debug)]
 pub(crate) enum Input {
-    /// A round ran: one response per slot of [`Replan::due_ops`], in order.
-    Landed(Vec<StoreResp>),
+    /// A round ran over [`Replan::due_ops`].
+    Landed {
+        /// One response per operation of the round, in order.
+        resps: Vec<StoreResp>,
+        /// The operation behind each response that bounced, in order: the
+        /// round handed the operations over, and hands back those the
+        /// next round must carry.
+        bounced: Vec<StoreOp>,
+    },
     /// No round ran: the topology the bounced slots need is not published
     /// yet, and the view source does not wait.
     NotYet,
@@ -66,6 +73,8 @@ pub(crate) enum Transition {
 #[derive(Debug)]
 pub(crate) struct Replan {
     envelopes: Vec<Envelope>,
+    /// The next round's operations, one per due slot: every operation
+    /// until the first round takes them, then those handed back bounced.
     ops: Vec<StoreOp>,
     /// Per slot, once the first round has landed: `Err(Moved)` while the
     /// slot is bounced. Empty until then, when every slot is due.
@@ -100,12 +109,11 @@ impl Replan {
     }
 
     /// The operations of the due slots, in slot order: the next round.
+    /// They move into the round; the round's [`Input::Landed`] hands back
+    /// the ones it bounced.
     #[progress(wait_free)]
-    pub(crate) fn due_ops(&self) -> Vec<StoreOp> {
-        if self.results.is_empty() {
-            return self.ops.clone();
-        }
-        self.due.iter().map(|&slot| self.ops[slot].clone()).collect()
+    pub(crate) fn due_ops(&mut self) -> Vec<StoreOp> {
+        std::mem::take(&mut self.ops)
     }
 
     /// Absorbs `input`, then settles every slot still bounced against its
@@ -123,16 +131,21 @@ impl Replan {
             landed => Ok(landed),
         };
         match input {
-            Input::Landed(round) if results.is_empty() => {
-                debug_assert_eq!(round.len(), ops.len(), "one response per slot");
-                results.extend(round.into_iter().map(land));
-                due.extend((0..results.len()).filter(|&slot| results[slot].is_err()));
-            }
-            Input::Landed(round) => {
-                debug_assert_eq!(round.len(), due.len(), "one response per due slot");
-                for (&slot, resp) in due.iter().zip(round) {
-                    results[slot] = land(resp);
+            Input::Landed { resps, bounced } => {
+                if results.is_empty() {
+                    let slots = envelopes.last().map_or(0, |env| env.end);
+                    debug_assert_eq!(resps.len(), slots, "one response per slot");
+                    *results = resps.into_iter().map(land).collect();
+                    due.extend((0..results.len()).filter(|&slot| results[slot].is_err()));
+                } else {
+                    debug_assert_eq!(resps.len(), due.len(), "one response per due slot");
+                    for (&slot, resp) in due.iter().zip(resps) {
+                        results[slot] = land(resp);
+                    }
+                    due.retain(|&slot| results[slot].is_err());
                 }
+                debug_assert_eq!(bounced.len(), due.len(), "one operation per bounced slot");
+                *ops = bounced;
             }
             Input::NotYet => {}
             Input::Never => {
@@ -141,12 +154,17 @@ impl Replan {
                         results[slot] = Err(StoreError::Unavailable { version: epoch });
                     }
                 }
+                ops.clear();
                 return Transition::Done;
             }
         }
-        let (mut need, mut e) = (0, 0);
+        // `ops` runs beside `due`: the slot judged `at`-th owns `ops[at]`,
+        // and a slot that stays due moves it to `ops[kept]`.
+        let (mut need, mut e, mut next, mut kept) = (0, 0, 0, 0);
         let mut charged: Vec<usize> = Vec::new();
         due.retain(|&slot| {
+            let at = next;
+            next += 1;
             let Err(StoreError::Moved { epoch }) = results[slot] else { return false };
             while slot >= envelopes[e].end {
                 e += 1; // `due` ascends, and so do the envelopes' slot ranges
@@ -169,8 +187,11 @@ impl Replan {
             if charged.last() != Some(&e) {
                 charged.push(e);
             }
+            ops.swap(kept, at);
+            kept += 1;
             true
         });
+        ops.truncate(kept);
         for e in charged {
             envelopes[e].left -= 1;
         }
@@ -184,6 +205,10 @@ impl Replan {
     /// One response per envelope, in envelope order, each with its results
     /// in invocation order.
     pub(crate) fn into_responses(self) -> Vec<Response> {
+        if let [Envelope { refusal: None, .. }] = self.envelopes[..] {
+            // One envelope owns every slot: its results are the run's.
+            return vec![Response { results: self.results }];
+        }
         let mut slots = self.results.into_iter();
         self.envelopes
             .into_iter()
@@ -227,6 +252,7 @@ mod tests {
     fn run(envelopes: Vec<(Request, Option<StoreError>)>, script: &[Step]) -> Vec<Response> {
         let mut plan = Replan::new(envelopes);
         let owner = |plan: &Replan, slot| plan.envelopes.iter().position(|e| slot < e.end).unwrap();
+        let ids: Vec<u64> = plan.ops.iter().map(id_of).collect();
         let mut applied = vec![false; plan.ops.len()];
         let mut round: Vec<usize> = (0..plan.ops.len()).collect();
         let mut steps = script.iter().copied().chain(std::iter::repeat(((0, 0), (0, 0))));
@@ -236,20 +262,23 @@ mod tests {
             let ((dt_ms, next_view), (bounce, epoch)) = steps.next().unwrap();
             now += Duration::from_millis(dt_ms);
             let input = match view {
-                0..=5 => Input::Landed(
-                    plan.due_ops()
-                        .iter()
-                        .zip(&round)
-                        .map(|(op, &slot)| {
-                            assert!(!applied[slot], "slot {slot} landed and was issued again");
-                            applied[slot] = bounce >> (id_of(op) % 64) & 1 == 0;
-                            match applied[slot] {
-                                true => StoreResp::Value(Some(id_of(op))),
-                                false => StoreResp::Moved { epoch: 1 + epoch },
-                            }
-                        })
-                        .collect(),
-                ),
+                0..=5 => {
+                    let (mut resps, mut bounced) = (Vec::new(), Vec::new());
+                    let ops = plan.due_ops();
+                    assert_eq!(ops.len(), round.len(), "one operation per due slot");
+                    for (op, &slot) in ops.into_iter().zip(&round) {
+                        assert_eq!(id_of(&op), ids[slot], "slot {slot} is issued its own op");
+                        assert!(!applied[slot], "slot {slot} landed and was issued again");
+                        applied[slot] = bounce >> (id_of(&op) % 64) & 1 == 0;
+                        if applied[slot] {
+                            resps.push(StoreResp::Value(Some(id_of(&op))));
+                        } else {
+                            resps.push(StoreResp::Moved { epoch: 1 + epoch });
+                            bounced.push(op);
+                        }
+                    }
+                    Input::Landed { resps, bounced }
+                }
                 6..=8 => Input::NotYet,
                 _ => Input::Never,
             };
@@ -331,12 +360,14 @@ mod tests {
         // Bumped but never published, no deadline, a view source that does
         // not wait: every round is charged, so the bounded arms terminate.
         let mut plan = Replan::new([(request(&[0], UNBOUNDED_RETRIES, None), None)]);
-        let bounced = Input::Landed(vec![StoreResp::Moved { epoch: 3 }]);
-        assert_eq!(plan.advance(bounced, Duration::ZERO), Transition::Retry { need: 3 });
+        let round =
+            Input::Landed { resps: vec![StoreResp::Moved { epoch: 3 }], bounced: plan.due_ops() };
+        assert_eq!(plan.advance(round, Duration::ZERO), Transition::Retry { need: 3 });
         for _ in 0..1000 {
             assert_eq!(plan.advance(Input::NotYet, Duration::ZERO), Transition::Retry { need: 3 });
         }
         assert_eq!(plan.envelopes[0].left, UNBOUNDED_RETRIES - 1001);
+        assert_eq!(plan.ops.len(), 1, "rounds that never ran keep the bounced op");
         plan.envelopes[0].left = 0; // … and 4e9 rounds later
         assert_eq!(plan.advance(Input::NotYet, Duration::ZERO), Transition::Done);
         let spent = StoreError::RetryBudgetExhausted { budget: UNBOUNDED_RETRIES };

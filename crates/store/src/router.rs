@@ -452,12 +452,14 @@ impl ShardTopology {
                     per_shard[shard].push(op);
                 }
                 None => {
+                    // Every live shard but the last gets a copy; the last
+                    // gets the op itself.
+                    let last = (0..self.shards()).rfind(|&s| self.is_live(s));
                     let mut indices = Vec::with_capacity(self.nodes.len());
-                    for (s, sub) in per_shard.iter_mut().enumerate() {
-                        if self.nodes[s].is_live() {
-                            indices.push((s, sub.len()));
-                            sub.push(op.clone());
-                        }
+                    let mut op = Some(op);
+                    for s in (0..self.shards()).filter(|&s| self.is_live(s)) {
+                        indices.push((s, per_shard[s].len()));
+                        per_shard[s].extend(if Some(s) == last { op.take() } else { op.clone() });
                     }
                     slots.push(RespSlot::Broadcast { indices });
                 }
@@ -536,29 +538,33 @@ pub struct BatchReassembly {
 
 impl BatchReassembly {
     /// Merges `per_shard[s]` (responses of shard `s`'s sub-batch, in
-    /// sub-batch order) back into one response vector in invocation order.
-    /// Broadcast scans are merged across shards into key order; if any
-    /// shard rejected its copy of a broadcast op as stale
-    /// ([`StoreResp::Moved`]), the merged response is `Moved` so the client
-    /// retries the whole (read-only) op against the fresh topology.
+    /// sub-batch order) back into one response vector in invocation order,
+    /// moving each response out rather than copying it. Broadcast scans
+    /// are merged across shards into key order; if any shard rejected its
+    /// copy of a broadcast op as stale ([`StoreResp::Moved`]), the merged
+    /// response is `Moved` so the client retries the whole (read-only) op
+    /// against the fresh topology.
     ///
     /// # Panics
     ///
     /// Panics if the response shapes do not match the plan (a store bug).
-    pub fn reassemble(&self, per_shard: Vec<Vec<StoreResp>>) -> Vec<StoreResp> {
+    pub fn reassemble(&self, mut per_shard: Vec<Vec<StoreResp>>) -> Vec<StoreResp> {
+        let mut take =
+            |s: usize, i: usize| std::mem::replace(&mut per_shard[s][i], StoreResp::Value(None));
         self.slots
             .iter()
             .map(|slot| match slot {
-                RespSlot::Single { shard, index } => per_shard[*shard][*index].clone(),
+                RespSlot::Single { shard, index } => take(*shard, *index),
                 RespSlot::Broadcast { indices } => {
                     let mut merged: Vec<(Key, u64)> = Vec::new();
                     let mut moved_epoch = None;
                     for &(s, i) in indices {
-                        match &per_shard[s][i] {
-                            StoreResp::Entries(entries) => merged.extend(entries.iter().cloned()),
+                        match take(s, i) {
+                            StoreResp::Entries(part) if merged.is_empty() => merged = part,
+                            StoreResp::Entries(mut part) => merged.append(&mut part),
                             StoreResp::Moved { epoch } => {
                                 moved_epoch =
-                                    Some(moved_epoch.map_or(*epoch, |e: u64| e.max(*epoch)));
+                                    Some(moved_epoch.map_or(epoch, |e: u64| e.max(epoch)));
                             }
                             other => panic!("broadcast slot returned {other:?}"),
                         }
@@ -569,6 +575,35 @@ impl BatchReassembly {
                     merged.sort_by(|a, b| a.0.cmp(&b.0));
                     StoreResp::Entries(merged)
                 }
+            })
+            .collect()
+    }
+
+    /// The operation behind each slot that `resps` — this plan's
+    /// reassembled responses — answers [`StoreResp::Moved`], in slot order.
+    /// `sub_batch(s)` is the sub-batch shard `s` bounced, if it bounced
+    /// one; a sub-batch bounces whole, so every bounced slot has a shard
+    /// there holding its operation, and only these operations are copied.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a bounced slot has no bounced sub-batch (a store bug).
+    pub(crate) fn bounced<'a>(
+        &self,
+        resps: &[StoreResp],
+        sub_batch: impl Fn(usize) -> Option<&'a [StoreOp]>,
+    ) -> Vec<StoreOp> {
+        let op = |(s, i): (usize, usize)| sub_batch(s).map(|ops| ops[i].clone());
+        self.slots
+            .iter()
+            .zip(resps)
+            .filter(|(_, resp)| matches!(resp, StoreResp::Moved { .. }))
+            .map(|(slot, _)| {
+                let op = match slot {
+                    RespSlot::Single { shard, index } => op((*shard, *index)),
+                    RespSlot::Broadcast { indices } => indices.iter().copied().find_map(op),
+                };
+                op.expect("a bounced slot's sub-batch bounced")
             })
             .collect()
     }

@@ -1191,29 +1191,41 @@ impl Store {
     }
 
     /// Plans `ops` under `view` and commits one sub-batch per touched shard
-    /// through `commit_sub`, returning responses in invocation order (stale
-    /// sub-batches come back as [`StoreResp::Moved`]). The tier is the
-    /// closure's: each request arm's names its own commit fn inside the
-    /// arm's annotated body, which is where apc-lint reads the class.
+    /// through `commit_sub`: one round, whose responses come back in
+    /// invocation order (stale sub-batches as [`StoreResp::Moved`]). The
+    /// ops are the round's; each sub-batch's stays shared with its commit
+    /// until the shard answers, and only a bounced one's operations are
+    /// copied back out for the retry. The tier is the closure's: each
+    /// request arm's names its own commit fn inside the arm's annotated
+    /// body, which is where apc-lint reads the class.
     fn execute_in(
         view: &StoreView,
         ops: Vec<StoreOp>,
         mut commit_sub: impl FnMut(&Shard, usize, Batch) -> Vec<StoreResp>,
-    ) -> Vec<StoreResp> {
+    ) -> Input {
         let (subs, reassembly) = view.topology.plan(ops).into_sub_batches();
         let version = view.topology.version();
+        let mut bounced: Vec<(usize, Arc<[StoreOp]>)> = Vec::new();
         let per_shard: Vec<Vec<StoreResp>> = subs
             .into_iter()
             .enumerate()
             .map(|(s, sub)| {
                 if sub.is_empty() {
-                    Vec::new()
-                } else {
-                    commit_sub(&view.shards[s], s, Batch::new(version, sub))
+                    return Vec::new();
                 }
+                let batch = Batch::new(version, sub);
+                let ops = Arc::clone(&batch.ops);
+                let resps = commit_sub(&view.shards[s], s, batch);
+                if count_moved(&resps) > 0 {
+                    bounced.push((s, ops));
+                }
+                resps
             })
             .collect();
-        reassembly.reassemble(per_shard)
+        let resps = reassembly.reassemble(per_shard);
+        let sub_batch = |s| bounced.iter().find(|(b, _)| *b == s).map(|(_, ops)| &ops[..]);
+        let bounced = reassembly.bounced(&resps, sub_batch);
+        Input::Landed { resps, bounced }
     }
 
     /// Drives `plan` to completion: the first round on the current view,
@@ -1233,9 +1245,7 @@ impl Store {
         let mut view = Ok(self.current_view());
         loop {
             let input = match view {
-                Ok(view) => {
-                    Input::Landed(Store::execute_in(&view, plan.due_ops(), &mut commit_sub))
-                }
+                Ok(view) => Store::execute_in(&view, plan.due_ops(), &mut commit_sub),
                 Err(unpublished) => unpublished,
             };
             match plan.advance(input, started.elapsed()) {
@@ -2573,7 +2583,7 @@ mod tests {
 
     #[test]
     fn a_read_planned_before_a_split_bounces_at_the_old_shard() {
-        let store = small_store(1);
+        let store = small_store(2);
         let vip = store.admit_vip().unwrap();
         let mut c = store.client(vip);
         let keys: Vec<String> = (0..16).map(|i| format!("s/{i:02}")).collect();
@@ -2581,14 +2591,33 @@ mod tests {
             c.put(k, i as u64);
         }
         let stale = store.current_view();
-        store.split_shard(0).unwrap();
+        store.split_shard(1).unwrap();
         // The split driver absorbed its bump before it published, so the
-        // reader's catch-up crosses it and the stale plan bounces whole.
-        let gets: Vec<StoreOp> = keys.iter().cloned().map(StoreOp::Get).collect();
-        let resps = Store::execute_in(&stale, gets, |shard, s, batch| {
+        // reader's catch-up crosses it and the stale plan bounces whole at
+        // shard 1. Shard 0 did not split and answers its part, and so its
+        // half of the scan; the scan bounces all the same, because shard 1
+        // bounced its copy — the retry's copy comes from there.
+        let mut ops: Vec<StoreOp> = keys.iter().cloned().map(StoreOp::Get).collect();
+        ops.push(StoreOp::Scan { from: "s/".into(), to: "s/99".into() });
+        let round = Store::execute_in(&stale, ops.clone(), |shard, s, batch| {
             store.commit_vip(shard, s, vip.port(), batch, DurabilityClass::Group)
         });
-        assert_eq!(resps, vec![StoreResp::Moved { epoch: 1 }; 16]);
+        let Input::Landed { resps, bounced } = round else { panic!("a round over a view lands") };
+        let split = |op: &StoreOp| op.routing_key().is_none_or(|k| stale.topology.shard_of(k) == 1);
+        for ((op, resp), value) in ops.iter().zip(&resps).zip(0..) {
+            let want = if split(op) {
+                StoreResp::Moved { epoch: 1 }
+            } else {
+                StoreResp::Value(Some(value))
+            };
+            assert_eq!(resp, &want, "{op:?}");
+        }
+        // The retry carries exactly the bounced operations, unchanged and
+        // in invocation order — copied back out of the sub-batch that
+        // bounced them, the scan once.
+        let want: Vec<StoreOp> = ops.iter().filter(|op| split(op)).cloned().collect();
+        assert!(want.len() > 1 && want.len() < ops.len(), "both shards hold keys: {want:?}");
+        assert_eq!(bounced, want);
         let fresh = c.request_vip(reads(&keys));
         let want: Vec<_> = (0..16).map(|i| Ok(StoreResp::Value(Some(i)))).collect();
         assert_eq!(fresh.results, want);

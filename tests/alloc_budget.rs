@@ -12,13 +12,21 @@
 //! each replica that holds it; a fourth line prices that: what one port's
 //! replicas retain per preloaded key once the port has caught up.
 //!
-//! A change that adds an allocation to the commit path fails here and has
-//! to raise a budget below to land — that is, it has to say so.
+//! A second table prices the same store behind the wire: a `StoreServer`
+//! over `sim_pair` connections, in allocator calls made inside `poll()`
+//! per served frame — from the request's bytes arriving to its response's
+//! bytes sent — for a put and a local get on each tier, a 64-frame guest
+//! batch and a 16-key scan.
+//!
+//! A change that adds an allocation to the commit path or the serve path
+//! fails here and has to raise a budget below to land — that is, it has to
+//! say so.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
-use asymmetric_progress::store::{Client, Request, StoreBuilder, StoreOp};
+use asymmetric_progress::net::{NetClient, ServerConfig, StoreServer};
+use asymmetric_progress::store::{Client, Request, Store, StoreBuilder, StoreOp, TierCredential};
 
 struct Counting;
 
@@ -142,32 +150,41 @@ fn commit_path_allocations_stay_within_budget() {
     catch_up(&mut guest);
     let local_read = measure_requests(&mut guest, get);
 
-    // The budgets are the census of the commit that set them (PR 25: a
-    // guest retires the round protocol once the cell is decided, a round's
-    // commit goes straight to the cell's one decision slot, the rounds sit
-    // inline as two pointers, and a garbage drain hands its buffer back;
-    // its parent read 28 / 11 / 632, 22 / 5 / 280 and 17 / 0 / 0).
+    // The budgets are the census of the commit that set them: the ops move
+    // through the round instead of being cloned into it, and responses
+    // move out of the reassembly (its parent read 25, 20 and 16 calls).
     //
     // What a put's cell leaves, guest or VIP alike, is five allocations:
     // the 88 B log node (its `Arc` counts, the consensus object — decision
     // slot, inline rounds, at-most-once mask, counters — and the link),
     // the batch's 72 B `Arc<[StoreOp]>`, the 8 B key, the 56 B decided
-    // record and the 8 B box of that link. A guest's round-0 adopt-commit
-    // object and its registers are built and freed inside the request. Two
-    // of the calls of every arm are this harness building its request: the
-    // `Vec<StoreOp>` and the key. A stored key's calls are its share of its
-    // leaf's growth, and what it keeps is its bytes in that leaf.
+    // record and the 8 B box of that link. A stored key's calls are its
+    // share of its leaf's growth, and what it keeps is its bytes in that
+    // leaf.
+    //
+    // Every other call is freed before the request returns:
+    // - 3 are this harness building its request: the key's two (`format!`
+    //   grows it once) and the `Vec<StoreOp>`;
+    // - 7 are the round on every arm: the run's envelope list, the plan's
+    //   three vectors (per-shard, per-slot, the one sub-batch), the
+    //   shard's response vector, the reassembled one and the `Response`
+    //   list;
+    // - 1 is the shard's digest, published into its register on every
+    //   visit;
+    // - a put adds the announce record (1); a guest's put adds its round-0
+    //   adopt-commit object, its register slice, the slice's box, and its
+    //   proposal and flag records (5), retired when it leaves.
     let arms = [
         (
             "guest put",
             guest_put,
-            Census { calls: 25.0, retained_allocs: 5.0, retained_bytes: 232.0 },
+            Census { calls: 21.0, retained_allocs: 5.0, retained_bytes: 232.0 },
         ),
-        ("vip put", vip_put, Census { calls: 20.0, retained_allocs: 5.0, retained_bytes: 232.0 }),
+        ("vip put", vip_put, Census { calls: 16.0, retained_allocs: 5.0, retained_bytes: 232.0 }),
         (
             "local read",
             local_read,
-            Census { calls: 16.0, retained_allocs: 0.0, retained_bytes: 0.0 },
+            Census { calls: 12.0, retained_allocs: 0.0, retained_bytes: 0.0 },
         ),
         (
             "stored key / replica",
@@ -182,9 +199,6 @@ fn commit_path_allocations_stay_within_budget() {
             census.calls, census.retained_allocs, census.retained_bytes
         );
     }
-    // A hair of slack: amortized growth of long-lived buffers is a fraction
-    // of an allocation per request, a new allocation on the path is a whole one.
-    const SLACK: f64 = 0.01;
     for (name, census, budget) in &arms {
         assert!(
             census.calls <= budget.calls + SLACK
@@ -192,5 +206,111 @@ fn commit_path_allocations_stay_within_budget() {
                 && census.retained_bytes <= budget.retained_bytes + SLACK * 64.0,
             "{name} is over its allocation budget: {census:?}"
         );
+    }
+
+    serve_path_allocations_stay_within_budget(&store);
+}
+
+/// A hair of slack: amortized growth of long-lived buffers is a fraction of
+/// an allocation per request, a new allocation on the path is a whole one.
+const SLACK: f64 = 0.01;
+
+const TOKEN: u64 = 0xfeed;
+
+const VIP: TierCredential = TierCredential::Vip { token: TOKEN };
+
+/// One reactor turn of an arm: one one-op frame of `op` from each of
+/// `clients`, all claiming `credential`; then every answer is drained.
+/// Returns the allocator calls made inside `poll()`: the clients' encoding
+/// and decoding is not counted.
+fn turn(
+    server: &mut StoreServer<'_>,
+    clients: &mut [NetClient],
+    credential: TierCredential,
+    op: &impl Fn(u32) -> StoreOp,
+    turn: u32,
+) -> u64 {
+    let frames = clients.len() as u32;
+    for (f, client) in (0..).zip(clients.iter_mut()) {
+        client.send(&Request::new(vec![op(turn * frames + f)]).credential(credential));
+    }
+    let before = CALLS.load(Ordering::Relaxed);
+    let stats = server.poll();
+    let calls = CALLS.load(Ordering::Relaxed) - before;
+    assert_eq!(stats.served, clients.len(), "the census prices served frames only");
+    for client in clients.iter_mut() {
+        for (_, results) in client.drain().expect("well-formed responses") {
+            assert!(results.iter().all(Result::is_ok), "served, not refused: {results:?}");
+        }
+    }
+    calls
+}
+
+/// Allocator calls per frame inside `poll()` over `turns` turns of an arm,
+/// after as many unpriced ones to warm the reactor's buffers and to catch
+/// the serving port up with the cells of the arm before.
+fn measure_turns(
+    server: &mut StoreServer<'_>,
+    clients: &mut [NetClient],
+    credential: TierCredential,
+    turns: u32,
+    op: impl Fn(u32) -> StoreOp,
+) -> f64 {
+    for t in 0..turns {
+        turn(server, clients, credential, &op, t);
+    }
+    let calls: u64 = (0..turns).map(|t| turn(server, clients, credential, &op, t)).sum();
+    calls as f64 / f64::from(turns * clients.len() as u32)
+}
+
+/// The same store behind the wire: one `StoreServer` over `sim_pair`
+/// connections, priced per served frame from the bytes the reactor drains
+/// to the bytes it sends back.
+fn serve_path_allocations_stay_within_budget(store: &Store) {
+    let cfg = ServerConfig { vip_tokens: vec![TOKEN], ..ServerConfig::default() };
+    let mut server = StoreServer::new(store, cfg);
+    let mut vip = [NetClient::connect(&mut server, VIP)];
+    let mut guests: Vec<NetClient> =
+        (0..64).map(|_| NetClient::connect(&mut server, TierCredential::Guest)).collect();
+    server.poll(); // the handshakes
+
+    let put = |i: u32| StoreOp::Put(nth_key(i), u64::from(i));
+    let get = |i: u32| StoreOp::Get(nth_key(i));
+    let scan = |i: u32| {
+        let from = i.wrapping_mul(2_654_435_761) % (KEYS - 16);
+        StoreOp::Scan { from: key(from), to: key(from + 16) }
+    };
+    const TURNS: u32 = 4_000;
+    let guest = TierCredential::Guest;
+    let s = &mut server;
+    // The budgets are the census of the commit that set them: a response is
+    // encoded into the reactor's one frame buffer, a request is decoded
+    // from the bytes where the connection's reader holds them, and its ops
+    // and results move through the round (its parent read 28, 33, 24, 24,
+    // 14.2 and 92.4).
+    //
+    // A one-op frame's calls are its decoded request — the ops `Vec` and
+    // the key, which a put's cell keeps — and then exactly the calls of the
+    // same request in process less the harness's three: the round's seven,
+    // the digest and what its commit builds (see above). A guest frame in a
+    // 64-frame batch shares the round and the commits with its batch-mates
+    // and keeps three calls of its own: its ops, its key and its results.
+    // A scan adds a copy of itself for each shard but the last; each
+    // shard's sub-batch, batch, response vectors and digest; and one
+    // `String` per key it returns.
+    let arms = [
+        ("vip put", measure_turns(s, &mut vip, VIP, TURNS, put), 15.0),
+        ("guest put", measure_turns(s, &mut guests[..1], guest, TURNS, put), 20.0),
+        ("vip get", measure_turns(s, &mut vip, VIP, TURNS, get), 11.0),
+        ("guest get", measure_turns(s, &mut guests[..1], guest, TURNS, get), 11.0),
+        ("64-frame guest batch", measure_turns(s, &mut guests, guest, TURNS / 64, put), 4.2),
+        ("16-key scan", measure_turns(s, &mut vip, VIP, TURNS, scan), 54.1),
+    ];
+    println!("per frame, inside poll()  calls");
+    for (name, calls, _) in &arms {
+        println!("{name:<22} {calls:>8.3}");
+    }
+    for (name, calls, budget) in &arms {
+        assert!(*calls <= budget + SLACK, "{name} is over its serve-path budget: {calls:.2}");
     }
 }
