@@ -8,8 +8,8 @@ use apc_progress_macros::progress;
 /// A wait-free fetch-and-add counter (consensus number 2).
 ///
 /// Beyond being a Common2 citizen, fetch-and-add is the classic ticket
-/// dispenser: `fetch_add(1)` hands out unique, gap-free tickets — which is
-/// how the benchmarks in this repository assign one-shot process identities.
+/// dispenser: `fetch_add(1)` hands out unique, gap-free tickets, e.g. one-shot
+/// process identities for threads that arrive in no fixed order.
 ///
 /// # Examples
 ///

@@ -2,7 +2,6 @@
 //! for the rest.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use apc_progress_macros::progress;
 use apc_registers::AtomicCell;
@@ -87,8 +86,6 @@ pub struct AsymmetricConsensus<T> {
     /// running it.
     rounds: Rounds<T>,
     once: ProposeOnce,
-    wait_free_proposals: AtomicU64,
-    guest_proposals: AtomicU64,
 }
 
 impl<T: Clone + Eq + Send + Sync> AsymmetricConsensus<T> {
@@ -99,24 +96,12 @@ impl<T: Clone + Eq + Send + Sync> AsymmetricConsensus<T> {
             decision: AtomicCell::new(),
             rounds: Rounds::new(),
             once: ProposeOnce::new(),
-            wait_free_proposals: AtomicU64::new(0),
-            guest_proposals: AtomicU64::new(0),
         }
     }
 
     /// The liveness specification.
     pub fn spec(&self) -> Liveness {
         self.spec
-    }
-
-    /// Diagnostic: `(wait-free proposals, guest proposals)` seen so far.
-    #[progress(wait_free)]
-    pub fn path_stats(&self) -> (u64, u64) {
-        // RELAXED: diagnostic counters; stale reads fine, nothing ordered.
-        (
-            self.wait_free_proposals.load(Ordering::Relaxed),
-            self.guest_proposals.load(Ordering::Relaxed),
-        )
     }
 
     /// Guest-path proposal that gives up after `max_rounds` obstruction-free
@@ -154,10 +139,8 @@ impl<T: Clone + Eq + Send + Sync> AsymmetricConsensus<T> {
     /// `max_rounds` ran out undecided, and then nothing is retired.
     #[progress(obstruction_free)]
     fn propose_as_guest(&self, pid: usize, value: T, max_rounds: Option<usize>) -> Option<T> {
-        // RELAXED: diagnostic counter; decision safety comes from the slot.
-        self.guest_proposals.fetch_add(1, Ordering::Relaxed);
         let guests = self.spec.guests();
-        let decided = self.rounds.run(pid, value, guests, max_rounds, &self.decision, None)?;
+        let decided = self.rounds.run(pid, value, guests, max_rounds, &self.decision)?;
         // Only now: a retired round protocol must mean a decided object.
         self.rounds.retire();
         Some(decided)
@@ -176,9 +159,6 @@ impl<T: Clone + Eq + Send + Sync> Consensus<T> for AsymmetricConsensus<T> {
         self.once.claim(pid)?;
         if self.spec.is_wait_free_for(pid) {
             // Wait-free path: one CAS + one read.
-            // RELAXED: diagnostic counter; the decision slot's CAS carries
-            // all the ordering the protocol needs.
-            self.wait_free_proposals.fetch_add(1, Ordering::Relaxed);
             return Ok(self.decision.decide(value));
         }
         // APC-LINT: allow(progress): guest-pid branch only — VIP pids returned above; guests are obstruction-free by specification (y,x)-liveness
@@ -216,7 +196,9 @@ mod tests {
     fn wait_free_member_decides_immediately() {
         let cons = AsymmetricConsensus::new(Liveness::new_first_n(4, 2));
         assert_eq!(cons.propose(1, 10u32).unwrap(), 10);
-        assert_eq!(cons.path_stats(), (1, 0));
+        // One CAS on the slot: no round object was built on the way.
+        assert!(cons.rounds.hold_nothing());
+        assert_eq!(cons.peek(), Some(10));
     }
 
     #[test]
@@ -236,8 +218,10 @@ mod tests {
     #[test]
     fn guest_alone_decides_its_value() {
         let cons = AsymmetricConsensus::new(Liveness::new_first_n(4, 2));
-        assert_eq!(cons.propose(3, 30u32).unwrap(), 30);
-        assert_eq!(cons.path_stats(), (0, 1));
+        // A guest decides through the rounds, not the slot's CAS: allowed no
+        // round, it cannot decide alone.
+        assert_eq!(cons.propose_bounded(2, 20u32, 0).unwrap(), None);
+        assert_eq!(cons.propose(3, 30).unwrap(), 30);
         // It ran round 0 and took it down on its way out: the object keeps
         // its decision and nothing of the guest protocol.
         assert!(cons.rounds.hold_nothing());
@@ -271,7 +255,6 @@ mod tests {
         let cons = AsymmetricConsensus::new(Liveness::new_first_n(3, 3));
         assert_eq!(cons.propose(2, 5u8).unwrap(), 5);
         assert_eq!(cons.propose(1, 6).unwrap(), 5);
-        assert_eq!(cons.path_stats(), (2, 0));
         assert!(cons.rounds.hold_nothing());
     }
 
@@ -291,7 +274,7 @@ mod tests {
         // Guest 4 commits 40 in round 0 and stalls before its CAS reaches
         // the slot (here: its rounds run on a slot of its own)...
         let stalled = AtomicCell::new();
-        assert_eq!(cons.rounds.run(4, 40, cons.spec.guests(), None, &stalled, None), Some(40));
+        assert_eq!(cons.rounds.run(4, 40, cons.spec.guests(), None, &stalled), Some(40));
         // ...so guest 2 adopts 40 there and runs out of rounds undecided. It
         // must leave the protocol as it found it.
         assert_eq!(cons.propose_bounded(2, 20, 1).unwrap(), None);

@@ -48,7 +48,6 @@
 //! [`crate::consensus::AsymmetricConsensus`].
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use apc_model::ProcessSet;
@@ -116,8 +115,7 @@ impl<T: Clone + Eq + Send + Sync> Rounds<T> {
     /// `decision` holds a value, and returns that value: `decision` is
     /// polled before every round, and a round that commits installs its
     /// value there with a CAS-from-`⊥`. Gives up with `None` after
-    /// `max_rounds` rounds without a decision. Each round run is counted
-    /// into `counter`, if there is one.
+    /// `max_rounds` rounds without a decision.
     pub(crate) fn run(
         &self,
         pid: usize,
@@ -125,7 +123,6 @@ impl<T: Clone + Eq + Send + Sync> Rounds<T> {
         ports: ProcessSet,
         max_rounds: Option<usize>,
         decision: &AtomicCell<T>,
-        counter: Option<&AtomicU64>,
     ) -> Option<T> {
         let mut r = 0usize;
         loop {
@@ -134,10 +131,6 @@ impl<T: Clone + Eq + Send + Sync> Rounds<T> {
             }
             if max_rounds.is_some_and(|max| r >= max) {
                 return None;
-            }
-            if let Some(counter) = counter {
-                // RELAXED: diagnostic counter; round objects provide ordering.
-                counter.fetch_add(1, Ordering::Relaxed);
             }
             let ac = self.round_object(r, ports);
             let (flag, w) =
@@ -174,8 +167,8 @@ impl<T: Clone + Eq + Send + Sync> Rounds<T> {
 ///
 /// Implements the `(n,0)`-live end of the paper's spectrum. Also exposes
 /// [`ObstructionFreeConsensus::propose_bounded`] for callers (tests,
-/// benchmarks, adversaries) that need to observe *non*-termination under
-/// contention instead of spinning forever.
+/// adversaries) that need to observe *non*-termination under contention
+/// instead of spinning forever.
 ///
 /// # Examples
 ///
@@ -194,7 +187,6 @@ pub struct ObstructionFreeConsensus<T> {
     rounds: Rounds<T>,
     decision: AtomicCell<T>,
     once: ProposeOnce,
-    rounds_executed: AtomicU64,
 }
 
 impl<T: Clone + Eq + Send + Sync> ObstructionFreeConsensus<T> {
@@ -208,21 +200,12 @@ impl<T: Clone + Eq + Send + Sync> ObstructionFreeConsensus<T> {
             rounds: Rounds::new(),
             decision: AtomicCell::new(),
             once: ProposeOnce::new(),
-            rounds_executed: AtomicU64::new(0),
         }
     }
 
     /// The liveness specification.
     pub fn spec(&self) -> Liveness {
         self.spec
-    }
-
-    /// Total adopt-commit rounds executed across all proposals (diagnostic:
-    /// contention shows up as extra rounds).
-    #[progress(wait_free)]
-    pub fn rounds_executed(&self) -> u64 {
-        // RELAXED: diagnostic counter; not ordered with round state.
-        self.rounds_executed.load(Ordering::Relaxed)
     }
 
     /// Like [`Consensus::propose`], but gives up (returning `Ok(None)`)
@@ -252,7 +235,7 @@ impl<T: Clone + Eq + Send + Sync> ObstructionFreeConsensus<T> {
 
     fn run_rounds(&self, pid: usize, value: T, max_rounds: Option<usize>) -> Option<T> {
         let ports = self.spec.ports();
-        self.rounds.run(pid, value, ports, max_rounds, &self.decision, Some(&self.rounds_executed))
+        self.rounds.run(pid, value, ports, max_rounds, &self.decision)
     }
 }
 
@@ -335,35 +318,28 @@ mod tests {
         let ports = ProcessSet::first_n(3);
         let slot = AtomicCell::new();
         // A commit is installed in the slot the caller passed in.
-        assert_eq!(rounds.run(0, 7, ports, None, &slot, None), Some(7));
+        assert_eq!(rounds.run(0, 7, ports, None, &slot), Some(7));
         assert_eq!(slot.load(), Some(7));
-        // A decided slot is returned before any round runs...
-        let counter = AtomicU64::new(0);
-        assert_eq!(rounds.run(1, 8, ports, None, &slot, Some(&counter)), Some(7));
-        assert_eq!(counter.load(Ordering::Relaxed), 0);
+        // A decided slot is returned before any round runs, so rounds that
+        // find it decided build nothing...
+        let untouched: Rounds<u32> = Rounds::new();
+        assert_eq!(untouched.run(1, 8, ports, None, &slot), Some(7));
+        assert!(untouched.hold_nothing());
         // ...and a bound that runs out undecided gives up.
-        assert_eq!(rounds.run(2, 9, ports, Some(0), &AtomicCell::new(), None), None);
+        assert_eq!(rounds.run(2, 9, ports, Some(0), &AtomicCell::new()), None);
     }
 
     #[test]
     fn retiring_clears_every_round() {
         let rounds: Rounds<u32> = Rounds::new();
         let ports = ProcessSet::first_n(2);
-        assert_eq!(rounds.run(0, 5, ports, None, &AtomicCell::new(), None), Some(5));
+        assert_eq!(rounds.run(0, 5, ports, None, &AtomicCell::new()), Some(5));
         rounds.round_object(SEGMENT_ROUNDS + 1, ports);
         assert!(!rounds.round0.is_bot() && !rounds.later.is_bot());
         rounds.retire();
         assert!(rounds.hold_nothing());
         // Retired rounds are rounds nobody ran: asking re-creates them.
         assert_eq!(rounds.round_object(0, ports).n(), 2);
-    }
-
-    #[test]
-    fn rounds_counter_is_diagnostic() {
-        let cons = ObstructionFreeConsensus::new(of_spec(2));
-        assert_eq!(cons.rounds_executed(), 0);
-        cons.propose(0, 3u8).unwrap();
-        assert!(cons.rounds_executed() >= 1);
     }
 
     #[test]
@@ -385,7 +361,6 @@ mod tests {
         // after a latecomer learned the decision.
         assert_eq!(cons.propose(4, 7).unwrap(), 7);
         assert_eq!(cons.propose(2, 9).unwrap(), 7);
-        assert_eq!(cons.rounds_executed(), 1);
         assert!(!cons.rounds.round0.is_bot() && cons.rounds.later.is_bot());
         // Only a process that leaves round 0 builds the first segment.
         cons.rounds.round_object(1, cons.spec.ports());

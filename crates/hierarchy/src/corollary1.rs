@@ -13,8 +13,8 @@
 //! * whether the negative direction produced a machine-checked starvation
 //!   certificate (`x+2` processes cannot all be served).
 //!
-//! [`hierarchy_table`] is what the `hierarchy-table` bench/example prints —
-//! the repository's equivalent of the paper's central "table".
+//! [`hierarchy_table`] is what the `theorem_lab` example prints — the
+//! repository's equivalent of the paper's central "table".
 
 use std::fmt;
 

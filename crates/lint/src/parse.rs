@@ -738,10 +738,9 @@ mod tests {
 
     #[test]
     fn struct_fields_mapped() {
-        let ast = parse(
-            "pub struct Shard { pub stats: SwmrSnapshot<Digest>, ports: Vec<Mutex<Handle>> }",
-        );
-        assert_eq!(ast.fields.get("stats").map(String::as_str), Some("SwmrSnapshot"));
+        let ast =
+            parse("pub struct Shard { pub stats: AtomicCell<Digest>, ports: Vec<Mutex<Handle>> }");
+        assert_eq!(ast.fields.get("stats").map(String::as_str), Some("AtomicCell"));
         assert_eq!(ast.fields.get("ports").map(String::as_str), Some("Vec"));
     }
 

@@ -4,33 +4,23 @@
 //! linearizable multi-writer multi-reader registers for arbitrary Rust
 //! values, built on `AtomicPtr` with
 //! [crossbeam-epoch](https://docs.rs/crossbeam-epoch) deferred reclamation,
-//! plus classic register-based constructions used as substrates by the
-//! consensus algorithms:
+//! and an allocation-free register for small values:
 //!
 //! * [`AtomicCell`] — an MWMR atomic register over `Option<T>` (a null
 //!   pointer is the paper's `⊥`), with `load`/`store`/`swap` and the
-//!   decision-slot primitive `set_if_bot` (compare-and-swap from `⊥`).
+//!   decision-slot primitive `set_if_bot` (compare-and-swap from `⊥`). The
+//!   consensus objects' decision slots, adopt-commit's registers and the
+//!   universal construction's log links are all `AtomicCell`s.
 //! * [`PackedRegister`] — an allocation-free register for small values
 //!   (`u64` minus one sentinel), for hot paths.
-//! * [`StampedCell`] — a register holding `(stamp, value)` pairs swung
-//!   atomically, the building block of round-based protocols.
-//! * [`snapshot::SwmrSnapshot`] — the wait-free single-writer atomic
-//!   snapshot of Afek et al., with embedded scans.
-//! * [`collect::StoreCollect`] — a store/collect array (regular collect),
-//!   the substrate of adopt-commit.
 //!
-//! All `unsafe` is confined to [`AtomicCell`]'s pointer management; every
-//! other type builds on it or on std atomics.
+//! All `unsafe` is confined to [`AtomicCell`]'s pointer management;
+//! [`PackedRegister`] builds on std atomics.
 
 #![warn(missing_docs)]
 
 mod atomic_cell;
 mod packed;
-mod stamped;
-
-pub mod collect;
-pub mod snapshot;
 
 pub use atomic_cell::AtomicCell;
 pub use packed::PackedRegister;
-pub use stamped::{max_stamped, Stamped, StampedCell};

@@ -34,7 +34,7 @@
 //! record retain, which with the store's `(n,x)`-live cells is the same
 //! whichever class decided the cell: a guest retires its round protocol
 //! once the cell is decided, so a decided cell keeps its node and one
-//! record — 232 requested bytes in five allocations for a one-op write,
+//! record — 216 requested bytes in five allocations for a one-op write,
 //! the batch included. For the store the replicas are keys × bytes per
 //! key × ports that have visited the shard, at ~21 B per 8-byte key in a full
 //! leaf of its packed map (~72 B in the `BTreeMap<String, u64>` it

@@ -37,8 +37,6 @@ fn main() {
             });
         }
     });
-    let (wf, guests) = cons.path_stats();
-    println!("  paths taken: {wf} wait-free, {guests} obstruction-free");
 
     banner("2. The arbiter object type (Figure 4)");
     let arbiter = Arbiter::new(ProcessSet::from_indices([0, 1]));

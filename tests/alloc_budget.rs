@@ -155,12 +155,11 @@ fn commit_path_allocations_stay_within_budget() {
     // move out of the reassembly (its parent read 25, 20 and 16 calls).
     //
     // What a put's cell leaves, guest or VIP alike, is five allocations:
-    // the 88 B log node (its `Arc` counts, the consensus object — decision
-    // slot, inline rounds, at-most-once mask, counters — and the link),
-    // the batch's 72 B `Arc<[StoreOp]>`, the 8 B key, the 56 B decided
-    // record and the 8 B box of that link. A stored key's calls are its
-    // share of its leaf's growth, and what it keeps is its bytes in that
-    // leaf.
+    // the 72 B log node (its `Arc` counts, the consensus object — decision
+    // slot, inline rounds, at-most-once mask — and the link), the batch's
+    // 72 B `Arc<[StoreOp]>`, the 8 B key, the 56 B decided record and the
+    // 8 B box of that link. A stored key's calls are its share of its
+    // leaf's growth, and what it keeps is its bytes in that leaf.
     //
     // Every other call is freed before the request returns:
     // - 3 are this harness building its request: the key's two (`format!`
@@ -178,9 +177,9 @@ fn commit_path_allocations_stay_within_budget() {
         (
             "guest put",
             guest_put,
-            Census { calls: 21.0, retained_allocs: 5.0, retained_bytes: 232.0 },
+            Census { calls: 21.0, retained_allocs: 5.0, retained_bytes: 216.0 },
         ),
-        ("vip put", vip_put, Census { calls: 16.0, retained_allocs: 5.0, retained_bytes: 232.0 }),
+        ("vip put", vip_put, Census { calls: 16.0, retained_allocs: 5.0, retained_bytes: 216.0 }),
         (
             "local read",
             local_read,

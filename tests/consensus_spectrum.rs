@@ -2,7 +2,7 @@
 //! objects under real-thread stress, checked with the history tools.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use asymmetric_progress::core::consensus::{
     AsymmetricConsensus, CasConsensus, Consensus, ObstructionFreeConsensus,
@@ -11,6 +11,8 @@ use asymmetric_progress::core::liveness::Liveness;
 use asymmetric_progress::model::history::{assert_consensus, ProposeRecord};
 use asymmetric_progress::model::linearize::{is_linearizable, CompleteOp, ConsensusSpec};
 use asymmetric_progress::model::ProcessSet;
+use asymmetric_progress::universal::seq::{Counter, CounterOp};
+use asymmetric_progress::universal::{AsymmetricFactory, Universal};
 
 fn stress<C: Consensus<u64>>(make: impl Fn() -> C, n: usize, rounds: usize) {
     for round in 0..rounds {
@@ -151,5 +153,36 @@ fn peek_is_consistent_with_decisions() {
         for p in peeked.into_inner().unwrap() {
             assert_eq!(p, final_value, "peek contradicted the decision");
         }
+    }
+}
+
+/// E8, in steps — the VIP's replay is flat in the number of guests: on an
+/// `(n,1)`-live universal counter, whether 1, 4 or 16 guest handles apply
+/// the `L` ops that land between two VIP operations, the second VIP
+/// `apply` consumes exactly `L + 1` cells — the guests' `L` and its own —
+/// and nothing that scales with who wrote them.
+#[test]
+fn vip_replay_is_flat_in_the_number_of_guests() {
+    const L: u64 = 32;
+    for guests in [1usize, 4, 16] {
+        let n = guests + 1;
+        let spec = Liveness::new_first_n(n, 1);
+        let obj = Arc::new(Universal::new(Counter, AsymmetricFactory::new(spec), n));
+        let mut vip = obj.owned_handle(0).unwrap();
+        assert_eq!(vip.apply(CounterOp::Add(1)), 1);
+        let before = vip.replay_steps();
+        let per_guest = L / guests as u64;
+        std::thread::scope(|s| {
+            for pid in 1..n {
+                let mut guest = obj.owned_handle(pid).unwrap();
+                s.spawn(move || {
+                    for _ in 0..per_guest {
+                        guest.apply(CounterOp::Add(1));
+                    }
+                });
+            }
+        });
+        assert_eq!(vip.apply(CounterOp::Add(1)), L + 2, "{guests} guests");
+        assert_eq!(vip.replay_steps() - before, L + 1, "{guests} guests");
     }
 }

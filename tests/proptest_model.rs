@@ -9,7 +9,7 @@ use asymmetric_progress::core::group::model::group_system;
 use asymmetric_progress::core::group::GroupLayout;
 use asymmetric_progress::model::programs::ProposeProgram;
 use asymmetric_progress::model::{
-    ProcessId, ProcessSet, Runner, Schedule, ScheduleEvent, SystemBuilder, Value,
+    ProcessId, ProcessSet, Runner, Schedule, ScheduleEvent, System, SystemBuilder, Value,
 };
 
 /// An arbitrary schedule over `n` processes: steps with occasional crashes.
@@ -43,8 +43,58 @@ fn check_agreement_validity(
     Ok(())
 }
 
+/// Four processes, each proposing its index to one `(4,x)`-live object
+/// whose wait-free set is `0..x`.
+fn live_consensus_system(x: usize, window: u8) -> System<ProposeProgram> {
+    let mut b = SystemBuilder::new(4);
+    let cons = b.add_live_consensus(ProcessSet::first_n(4), ProcessSet::first_n(x), window);
+    b.build(|pid| ProposeProgram::new(cons, Value::Num(pid.index() as u32)))
+}
+
+/// The steps a VIP running alone takes to decide: the `c` of bounded
+/// wait-freedom, measured on the object rather than written down.
+fn solo_vip_steps(x: usize, window: u8) -> usize {
+    let mut runner = Runner::new(live_consensus_system(x, window));
+    let vip = ProcessId::new(0);
+    (1..=64)
+        .find(|_| {
+            runner.execute(ScheduleEvent::Step(vip));
+            runner.system().decision(vip).is_some()
+        })
+        .expect("a VIP running alone decides")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// E7, in steps — bounded wait-freedom: under any schedule and crash
+    /// pattern, every VIP that has taken `c` of its own steps has decided,
+    /// where `c` is what it takes alone. Guests may interleave anywhere;
+    /// they never add a step to a VIP's propose.
+    #[test]
+    fn vip_decides_within_its_solo_step_count(
+        schedule in schedule_strategy(4, 120),
+        x in 1usize..=4,
+        window in 1u8..4,
+    ) {
+        let c = solo_vip_steps(x, window);
+        let mut runner = Runner::new(live_consensus_system(x, window));
+        let mut own_steps = [0usize; 4];
+        for &event in schedule.events() {
+            if let ScheduleEvent::Step(pid) = event {
+                if runner.system().status(pid).is_live() {
+                    own_steps[pid.index()] += 1;
+                }
+            }
+            runner.execute(event);
+            for (vip, &steps) in own_steps.iter().enumerate().take(x) {
+                prop_assert!(
+                    steps < c || runner.system().decision(ProcessId::new(vip)).is_some(),
+                    "VIP p{} took {} steps (solo bound {}) and has not decided", vip, steps, c
+                );
+            }
+        }
+    }
 
     /// (y,x)-live base objects: agreement + validity under arbitrary
     /// schedules and crashes, for every x.
@@ -53,10 +103,7 @@ proptest! {
         schedule in schedule_strategy(4, 120),
         x in 0usize..=4,
     ) {
-        let mut b = SystemBuilder::new(4);
-        let cons = b.add_live_consensus(ProcessSet::first_n(4), ProcessSet::first_n(x.min(4)), 1);
-        let sys = b.build(|pid| ProposeProgram::new(cons, Value::Num(pid.index() as u32)));
-        let mut runner = Runner::new(sys);
+        let mut runner = Runner::new(live_consensus_system(x, 1));
         runner.run(&schedule);
         check_agreement_validity(&runner.system().decisions(), |v| {
             matches!(v, Value::Num(k) if k < 4)
@@ -131,10 +178,7 @@ proptest! {
         pid in 0usize..4,
         steps in 16usize..64,
     ) {
-        let mut b = SystemBuilder::new(4);
-        let cons = b.add_obstruction_free_consensus(ProcessSet::first_n(4), window);
-        let sys = b.build(|p| ProposeProgram::new(cons, Value::Num(p.index() as u32)));
-        let mut runner = Runner::new(sys);
+        let mut runner = Runner::new(live_consensus_system(0, window));
         runner.run(&Schedule::solo(ProcessId::new(pid), steps.max(window as usize + 3)));
         prop_assert_eq!(
             runner.system().decision(ProcessId::new(pid)),

@@ -1,5 +1,5 @@
-//! Property-based tests on the real (threaded) substrate: registers,
-//! snapshots, the linearizability checker, and liveness-spec algebra.
+//! Property-based tests on the real (threaded) substrate: registers, the
+//! linearizability checker, and liveness-spec algebra.
 
 use proptest::prelude::*;
 
@@ -8,7 +8,6 @@ use asymmetric_progress::model::linearize::{
     is_linearizable, CompleteOp, ConsensusSpec, RegOp, RegisterSpec,
 };
 use asymmetric_progress::model::ProcessSet;
-use asymmetric_progress::registers::snapshot::SwmrSnapshot;
 use asymmetric_progress::registers::{AtomicCell, PackedRegister};
 
 proptest! {
@@ -67,21 +66,6 @@ proptest! {
                 }
             }
             prop_assert_eq!(packed.load(), cell.load());
-        }
-    }
-
-    /// Sequential snapshot = plain array.
-    #[test]
-    fn snapshot_matches_array(
-        updates in proptest::collection::vec((0usize..4, 0u64..100), 0..40)
-    ) {
-        let snap = SwmrSnapshot::new(4, 0u64);
-        let mut array = [0u64; 4];
-        for (i, v) in updates {
-            snap.update(i, v);
-            array[i] = v;
-            prop_assert_eq!(snap.scan(), array.to_vec());
-            prop_assert_eq!(snap.read(i), array[i]);
         }
     }
 
