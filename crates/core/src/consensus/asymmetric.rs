@@ -37,7 +37,8 @@ use crate::liveness::Liveness;
 /// for a round after a retire re-creates it lazily and retires it again
 /// when it leaves, so once an object's last proposer has returned it holds
 /// no round object — a guest-decided object keeps what a VIP-decided one
-/// keeps, which in the universal construction's log is one record per cell.
+/// keeps. In the universal construction's log that is the object itself,
+/// inline in its 64-cell segment, and one boxed record per cell.
 /// The rounds sit inline as two `⊥` pointers until a guest runs one; there
 /// is no second decision slot, no second port check and no second
 /// at-most-once mask behind them.

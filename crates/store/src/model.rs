@@ -29,7 +29,19 @@
 //!    peeks the cells below it observes exactly the prefix `[0, tail)`,
 //!    misses nothing that had completed before it started
 //!    ([`PrefixSafety`]), and terminates in *every* schedule, the lockstep
-//!    ones included: it never proposes.
+//!    ones included: it never proposes to a cell.
+//!
+//! The segmented log ([`LogCells::segmented`], [`segmented_commit_system`],
+//! [`segmented_sync_read_system`]) adds a fourth:
+//!
+//! 4. **the segment hand-off** — the real log allocates its cells 64 at a
+//!    time and links each segment to the next with a CAS from `⊥`. With
+//!    segments of two, every placer or reader that absorbs a segment's last
+//!    cell proposes the segment it built to the boundary's link and walks
+//!    on in the segment the link decided, and [`PlacementSafety`] and
+//!    [`PrefixSafety`] hold over the log the links decide.
+
+use std::sync::Arc;
 
 use apc_model::{
     Either, MaybeParticipant, ObjectId, Op, ProcessSet, Program, ProgramAction, System,
@@ -170,10 +182,124 @@ pub const MERGE_BASE: u32 = 700;
 /// [`ShardCmd::Adopt`](crate::ops::ShardCmd) placing in the parent's log.
 pub const ADOPT_BASE: u32 = 600;
 
+/// Segment ids — what a port proposes to a segment link: the segment it
+/// built — are `SEGMENT_BASE + pid`.
+pub const SEGMENT_BASE: u32 = 500;
+
+/// Cells per segment of a modeled segmented log: two, so that three
+/// placers, or two and a log that starts in mid-segment, cross a boundary.
+/// (The real log's segments hold 64.)
+pub const MODEL_SEGMENT_CELLS: usize = 2;
+
+/// A modeled log as its walkers find it: the cells of its first segment,
+/// from where the log starts in it, then one boundary per later segment.
+///
+/// At a boundary every port has a segment of its own, the one it would
+/// build; crossing is one propose of `SEGMENT_BASE + pid` to the
+/// boundary's **link**, a wait-free consensus object (the real link's CAS
+/// from `⊥`), and the walk continues in the segment the link decided. A
+/// flat log ([`LogCells::flat`]) is one long first segment with no
+/// boundary. Whatever the schedule, the log is what
+/// [`LogCells::linked_cells`] reads off the decided links.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+pub struct LogCells {
+    /// The first segment's cells from the log's start (all of a flat log).
+    head: Vec<ObjectId>,
+    boundaries: Vec<Boundary>,
+}
+
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+struct Boundary {
+    /// Decides which segment comes next.
+    link: ObjectId,
+    /// By pid: the segment that port proposes here.
+    segments: Vec<Vec<ObjectId>>,
+}
+
+impl LogCells {
+    /// A log of the given cells, in order, with no segment boundary.
+    pub fn flat(cells: Vec<ObjectId>) -> Self {
+        LogCells { head: cells, boundaries: Vec::new() }
+    }
+
+    /// Adds a segmented log for `ports` ports to `builder`: a first segment
+    /// entered `start` cells in, then a boundary after each segment that
+    /// ends inside a window of `len` cells. Each cell is made by
+    /// `new_cell`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start ≥ MODEL_SEGMENT_CELLS`.
+    pub fn segmented(
+        builder: &mut SystemBuilder,
+        ports: usize,
+        len: usize,
+        start: usize,
+        mut new_cell: impl FnMut(&mut SystemBuilder) -> ObjectId,
+    ) -> Self {
+        assert!(start < MODEL_SEGMENT_CELLS, "the log starts inside its first segment");
+        let head: Vec<ObjectId> = (start..MODEL_SEGMENT_CELLS).map(|_| new_cell(builder)).collect();
+        // One boundary after each segment whose last cell is in the window:
+        // the walker that absorbs that cell crosses it, eagerly.
+        let count = len.checked_sub(head.len()).map_or(0, |rest| rest / MODEL_SEGMENT_CELLS + 1);
+        let all = ProcessSet::first_n(ports);
+        let boundaries = (0..count)
+            .map(|_| Boundary {
+                link: builder.add_live_consensus(all, all, 0),
+                segments: (0..ports)
+                    .map(|_| (0..MODEL_SEGMENT_CELLS).map(|_| new_cell(builder)).collect())
+                    .collect(),
+            })
+            .collect();
+        LogCells { head, boundaries }
+    }
+
+    /// Log cell `index` for a walker in the segment `segment` built, if
+    /// the window has it (`segment` is `None` in the first segment).
+    fn cell_at(&self, index: usize, segment: Option<usize>) -> Option<ObjectId> {
+        let Some(rest) = index.checked_sub(self.head.len()) else {
+            return Some(self.head[index]);
+        };
+        let boundary = self.boundaries.get(rest / MODEL_SEGMENT_CELLS)?;
+        Some(boundary.segments[segment?][rest % MODEL_SEGMENT_CELLS])
+    }
+
+    /// The link a walker crosses after absorbing cell `index`: `Some` iff
+    /// that cell ends a segment and the window goes on.
+    fn link_after(&self, index: usize) -> Option<ObjectId> {
+        let rest = (index + 1).checked_sub(self.head.len())?;
+        let boundary = self.boundaries.get(rest / MODEL_SEGMENT_CELLS)?;
+        (rest % MODEL_SEGMENT_CELLS == 0).then_some(boundary.link)
+    }
+
+    /// The log in `sys`: the first segment's cells, then those of each
+    /// segment a link decided, up to the first undecided link.
+    pub fn linked_cells<P: Program>(&self, sys: &System<P>) -> Vec<ObjectId> {
+        let mut cells = self.head.clone();
+        for boundary in &self.boundaries {
+            let Some(builder) = segment_builder(sys.object(boundary.link).consensus_decision())
+            else {
+                break;
+            };
+            cells.extend(&boundary.segments[builder]);
+        }
+        cells
+    }
+}
+
+/// The port whose segment a link decided, from the link's decision.
+fn segment_builder(decided: Option<Value>) -> Option<usize> {
+    Some(decided?.as_num()?.checked_sub(SEGMENT_BASE)? as usize)
+}
+
 /// One port placing one value (a batch or a checkpoint) into a multi-cell
 /// log, exactly like the real universal construction walks its cells:
 /// propose to the next free cell; if the cell agreed on someone else's
 /// value, move on and re-propose; stop at the cell that agreed on mine.
+/// Absorbing a segment's last cell crosses into the next segment first,
+/// whoever's value the cell agreed on, as `Universal::advance` does: the
+/// placer proposes the segment it built to the link and walks on in the
+/// one the link decided.
 ///
 /// With as many cells as participants, every participant places within the
 /// window (each process wins at most one cell, so a process can lose at
@@ -182,13 +308,16 @@ pub const ADOPT_BASE: u32 = 600;
 ///
 /// A placer built with [`LogPlaceProgram::publishing`] also does what
 /// `Universal::advance` does for the read path: after absorbing each cell
-/// it raises the shared tail past it, and it marks itself finished before
-/// it returns.
+/// (and crossing, if it ends a segment) it raises the shared tail past it,
+/// and it marks itself finished before it returns.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct LogPlaceProgram {
-    cells: Vec<ObjectId>,
+    log: Arc<LogCells>,
+    pid: usize,
     value: Value,
     next_cell: usize,
+    /// Whose segment the cursor is in past the first one.
+    segment: Option<usize>,
     step: PlaceStep,
     publish: Option<(TailObjects, u32)>,
 }
@@ -199,17 +328,27 @@ enum PlaceStep {
     Propose,
     /// Awaiting the cell's decision; next: absorb it.
     Absorb,
-    /// Awaiting the tail raise past the absorbed cell (which agreed on my
-    /// value iff `mine`).
+    /// Awaiting the link's decision past the absorbed cell (which agreed on
+    /// my value iff `mine`).
+    Cross { mine: bool },
+    /// Awaiting the tail raise past the absorbed cell.
     Raise { mine: bool },
     /// Awaiting the finished mark; next: return.
     Return,
 }
 
 impl LogPlaceProgram {
-    /// A port trying to place `value` into the log `cells`, in order.
-    pub fn new(cells: Vec<ObjectId>, value: Value) -> Self {
-        LogPlaceProgram { cells, value, next_cell: 0, step: PlaceStep::Propose, publish: None }
+    /// Port `pid` trying to place `value` into `log`, in order.
+    pub fn new(log: Arc<LogCells>, pid: usize, value: Value) -> Self {
+        LogPlaceProgram {
+            log,
+            pid,
+            value,
+            next_cell: 0,
+            segment: None,
+            step: PlaceStep::Propose,
+            publish: None,
+        }
     }
 
     /// The same placer, raising `objs.tail` past every cell it absorbs and
@@ -221,11 +360,35 @@ impl LogPlaceProgram {
 
     fn propose(&mut self) -> ProgramAction {
         self.step = PlaceStep::Absorb;
-        match self.cells.get(self.next_cell) {
-            Some(cell) => ProgramAction::Invoke(Op::Propose(*cell, self.value)),
+        match self.log.cell_at(self.next_cell, self.segment) {
+            Some(cell) => ProgramAction::Invoke(Op::Propose(cell, self.value)),
             // Unreachable when cells ≥ participants (pigeonhole); reported
             // as a dropped placement by [`PlacementSafety`] if it happens.
             None => ProgramAction::Halt,
+        }
+    }
+
+    /// After absorbing `next_cell`: cross into the next segment if the
+    /// cell ends one, then raise the tail.
+    fn absorbed(&mut self, mine: bool) -> ProgramAction {
+        match self.log.link_after(self.next_cell) {
+            Some(link) => {
+                self.step = PlaceStep::Cross { mine };
+                let built = Value::Num(SEGMENT_BASE + self.pid as u32);
+                ProgramAction::Invoke(Op::Propose(link, built))
+            }
+            None => self.raise(mine),
+        }
+    }
+
+    fn raise(&mut self, mine: bool) -> ProgramAction {
+        match self.publish {
+            Some((objs, _)) => {
+                self.step = PlaceStep::Raise { mine };
+                let past = self.next_cell as u32 + 1;
+                ProgramAction::Invoke(Op::FetchMax(objs.tail, past))
+            }
+            None => self.advance(mine),
         }
     }
 
@@ -252,14 +415,11 @@ impl Program for LogPlaceProgram {
             PlaceStep::Propose => self.propose(),
             PlaceStep::Absorb => {
                 let mine = last.expect("propose completes with the decided value") == self.value;
-                match self.publish {
-                    Some((objs, _)) => {
-                        self.step = PlaceStep::Raise { mine };
-                        let past = self.next_cell as u32 + 1;
-                        ProgramAction::Invoke(Op::FetchMax(objs.tail, past))
-                    }
-                    None => self.advance(mine),
-                }
+                self.absorbed(mine)
+            }
+            PlaceStep::Cross { mine } => {
+                self.segment = segment_builder(last);
+                self.raise(mine)
             }
             PlaceStep::Raise { mine } => self.advance(mine),
             PlaceStep::Return => ProgramAction::Decide(self.value),
@@ -279,13 +439,14 @@ impl Program for LogPlaceProgram {
 /// 2. **cell validity** — every cell decision is some participant's
 ///    proposal;
 /// 3. **placement before decision** — a port only decides a value some
-///    cell actually agreed on;
+///    cell of the log actually agreed on (in a segmented log, a cell of a
+///    segment some link decided);
 /// 4. **no dropped commit** — in a terminal state, every participant has
 ///    decided (its value was placed inside the log window).
 #[derive(Clone, Debug)]
 pub struct PlacementSafety {
-    /// The log cells, in order.
-    pub cells: Vec<ObjectId>,
+    /// The log.
+    pub log: LogCells,
     /// The participating ports.
     pub participants: ProcessSet,
     /// Every participant's proposal value.
@@ -294,8 +455,12 @@ pub struct PlacementSafety {
 
 impl<P: apc_model::Program> apc_model::explore::Invariant<P> for PlacementSafety {
     fn check(&self, sys: &System<P>) -> Result<(), String> {
-        let placed: Vec<Value> =
-            self.cells.iter().filter_map(|c| sys.object(*c).consensus_decision()).collect();
+        let placed: Vec<Value> = self
+            .log
+            .linked_cells(sys)
+            .iter()
+            .filter_map(|c| sys.object(*c).consensus_decision())
+            .collect();
         for (i, v) in placed.iter().enumerate() {
             if placed[..i].contains(v) {
                 return Err(format!("value {v} was agreed by two log cells"));
@@ -592,18 +757,18 @@ pub fn merge_adopt_system(
         .collect();
     proposals.push(Value::Num(MERGE_BASE + merger as u32));
     proposals.push(Value::Num(ADOPT_BASE + merger as u32));
+    let child_log = Arc::new(LogCells::flat(child_cells.clone()));
+    let parent_log = Arc::new(LogCells::flat(parent_cells.clone()));
     let system = builder.build(|pid| {
         let batch = Value::Num(100 + pid.index() as u32);
+        let commit = |log: &Arc<LogCells>| {
+            let place = LogPlaceProgram::new(Arc::clone(log), pid.index(), batch);
+            MaybeParticipant::Present(MergePlaceProgram::Commit(place))
+        };
         if child_committers.contains(pid) {
-            MaybeParticipant::Present(MergePlaceProgram::Commit(LogPlaceProgram::new(
-                child_cells.clone(),
-                batch,
-            )))
+            commit(&child_log)
         } else if parent_committers.contains(pid) {
-            MaybeParticipant::Present(MergePlaceProgram::Commit(LogPlaceProgram::new(
-                parent_cells.clone(),
-                batch,
-            )))
+            commit(&parent_log)
         } else if pid.index() == merger {
             MaybeParticipant::Present(MergePlaceProgram::Merge(DualLogPlaceProgram::new(
                 child_cells.clone(),
@@ -620,11 +785,13 @@ pub fn merge_adopt_system(
 
 /// The set-up shared by the single-log races: `committers` placing their
 /// batches (`100 + pid`) against one distinguished port's marker
-/// (`marker_base + pid`) over one `(ports,vips)`-live cell per placer.
+/// (`marker_base + pid`) over a window of one `(ports,vips)`-live cell per
+/// placer — flat, or, if `segmented` gives the log's start in its first
+/// segment, in segments.
 struct PlaceRace {
     builder: SystemBuilder,
     placers: ProcessSet,
-    cells: Vec<ObjectId>,
+    log: Arc<LogCells>,
     /// What each port would place, by pid.
     values: Vec<Value>,
 }
@@ -636,6 +803,7 @@ impl PlaceRace {
         isolation_window: u8,
         committers: ProcessSet,
         special: Option<(usize, u32)>,
+        segmented: Option<usize>,
     ) -> Self {
         assert!(ports > 0 && vips <= ports, "need 0 < ports and vips ≤ ports");
         let marker_port = special.map(|(port, _)| port);
@@ -645,22 +813,46 @@ impl PlaceRace {
         );
         let placers: ProcessSet = committers.iter().map(|p| p.index()).chain(marker_port).collect();
         let mut builder = SystemBuilder::new(ports);
-        let cells: Vec<ObjectId> = (0..placers.iter().count())
-            .map(|_| {
-                builder.add_live_consensus(
-                    ProcessSet::first_n(ports),
-                    ProcessSet::first_n(vips),
-                    isolation_window,
-                )
-            })
-            .collect();
+        let cell = |b: &mut SystemBuilder| {
+            b.add_live_consensus(
+                ProcessSet::first_n(ports),
+                ProcessSet::first_n(vips),
+                isolation_window,
+            )
+        };
+        let len = placers.iter().count();
+        let log = match segmented {
+            None => LogCells::flat((0..len).map(|_| cell(&mut builder)).collect()),
+            Some(start) => LogCells::segmented(&mut builder, ports, len, start, cell),
+        };
         let values = (0..ports)
             .map(|pid| match special {
                 Some((port, marker_base)) if port == pid => Value::Num(marker_base + pid as u32),
                 _ => Value::Num(100 + pid as u32),
             })
             .collect();
-        PlaceRace { builder, placers, cells, values }
+        PlaceRace { builder, placers, log: Arc::new(log), values }
+    }
+
+    /// Builds the system: each placer runs `program` of its
+    /// [`LogPlaceProgram`], everyone else `other(pid)`.
+    fn build<P: Program>(
+        self,
+        program: impl Fn(LogPlaceProgram) -> P,
+        mut other: impl FnMut(usize) -> MaybeParticipant<P>,
+    ) -> (System<MaybeParticipant<P>>, PlacementSafety) {
+        let PlaceRace { builder, placers, log, values } = self;
+        let system = builder.build(|pid| {
+            if placers.contains(pid) {
+                let pid = pid.index();
+                let place = LogPlaceProgram::new(Arc::clone(&log), pid, values[pid]);
+                MaybeParticipant::Present(program(place))
+            } else {
+                other(pid.index())
+            }
+        });
+        let proposals = placers.iter().map(|p| values[p.index()]).collect();
+        (system, PlacementSafety { log: LogCells::clone(&log), participants: placers, proposals })
     }
 }
 
@@ -675,17 +867,38 @@ fn special_commit_system(
     marker_base: u32,
 ) -> (System<MaybeParticipant<LogPlaceProgram>>, Vec<ObjectId>, Vec<Value>) {
     let special = special.map(|port| (port, marker_base));
-    let PlaceRace { builder, placers, cells, values } =
-        PlaceRace::new(ports, vips, isolation_window, committers, special);
-    let proposals = placers.iter().map(|p| values[p.index()]).collect();
-    let system = builder.build(|pid| {
-        if placers.contains(pid) {
-            MaybeParticipant::Present(LogPlaceProgram::new(cells.clone(), values[pid.index()]))
-        } else {
-            MaybeParticipant::Absent
-        }
-    });
-    (system, cells, proposals)
+    let race = PlaceRace::new(ports, vips, isolation_window, committers, special, None);
+    let (system, safety) = race.build(|place| place, |_| MaybeParticipant::Absent);
+    (system, safety.log.head, safety.proposals)
+}
+
+/// Builds the **segment hand-off race**: `committers` place their batches
+/// (`100 + pid`) and, optionally, `special = (pid, marker_base)` places a
+/// marker, into a log of [`MODEL_SEGMENT_CELLS`]-cell segments that starts
+/// `start` cells into its first segment — the model of the real log's
+/// 64-cell segments, where a handle that absorbs a segment's last cell
+/// proposes the segment it built to the link and walks on in the one the
+/// link decided.
+///
+/// Each placer runs `program` of its [`LogPlaceProgram`]: pass `|p| p` for
+/// the placers as built, or a wrapper to check a variant of them. Returns
+/// the system and the [`PlacementSafety`] over the log the links decide.
+///
+/// # Panics
+///
+/// Panics if `ports == 0`, `vips > ports`, the marker port also commits,
+/// or `start ≥ MODEL_SEGMENT_CELLS`.
+pub fn segmented_commit_system<P: Program>(
+    ports: usize,
+    vips: usize,
+    isolation_window: u8,
+    committers: ProcessSet,
+    special: Option<(usize, u32)>,
+    start: usize,
+    program: impl Fn(LogPlaceProgram) -> P,
+) -> (System<MaybeParticipant<P>>, PlacementSafety) {
+    let race = PlaceRace::new(ports, vips, isolation_window, committers, special, Some(start));
+    race.build(program, |_| MaybeParticipant::Absent)
 }
 
 // ---------------------------------------------------------------------------
@@ -734,11 +947,18 @@ impl ReadObservation {
 /// `sync_read` on a fresh replica, one atomic event per shared access:
 /// sample the finished bits (the caller's "what had completed before I
 /// asked"), load the tail **once**, peek the cells below it in order, and
-/// emit the observation. It never proposes, so nothing can obstruct it and
-/// its step count is fixed by the tail it loaded.
+/// emit the observation. It never proposes to a cell, so nothing can
+/// obstruct it and its step count is fixed by the tail it loaded. Absorbing
+/// a segment's last cell crosses into the next segment as a placer does —
+/// one propose to the link, a wait-free object — and since a placer crosses
+/// before it raises the tail, a reader below the tail finds the link
+/// already decided.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct SyncReadProgram {
-    cells: Vec<ObjectId>,
+    log: Arc<LogCells>,
+    pid: usize,
+    /// Whose segment the cursor is in past the first one.
+    segment: Option<usize>,
     objs: TailObjects,
     seen: ReadObservation,
     step: ReadStep,
@@ -754,21 +974,23 @@ enum ReadStep {
     CatchUp,
     /// Awaiting the peek of cell `absorbed`.
     Peek,
+    /// Awaiting the link's decision past the last absorbed cell.
+    Cross,
 }
 
 impl SyncReadProgram {
-    /// A reader over the log `cells` and the tail objects `objs`.
-    pub fn new(cells: Vec<ObjectId>, objs: TailObjects) -> Self {
+    /// Port `pid` reading `log`, bounded by the tail objects `objs`.
+    pub fn new(log: Arc<LogCells>, pid: usize, objs: TailObjects) -> Self {
         let seen = ReadObservation { finished: 0, tail: 0, absorbed: 0 };
-        SyncReadProgram { cells, objs, seen, step: ReadStep::Sample }
+        SyncReadProgram { log, pid, segment: None, objs, seen, step: ReadStep::Sample }
     }
 
     /// `while cell_index < tail`: peek the next cell, or emit.
     fn catch_up(&mut self) -> ProgramAction {
-        match self.cells.get(self.seen.absorbed as usize) {
+        match self.log.cell_at(self.seen.absorbed as usize, self.segment) {
             Some(cell) if self.seen.absorbed < self.seen.tail => {
                 self.step = ReadStep::Peek;
-                ProgramAction::Invoke(Op::Read(*cell))
+                ProgramAction::Invoke(Op::Read(cell))
             }
             _ => ProgramAction::Decide(self.seen.pack()),
         }
@@ -796,10 +1018,22 @@ impl Program for SyncReadProgram {
                 // `peek() == None`: stay total, emit what was absorbed.
                 None | Some(Value::Bot) => ProgramAction::Decide(self.seen.pack()),
                 Some(_) => {
+                    let index = self.seen.absorbed as usize;
                     self.seen.absorbed += 1;
-                    self.catch_up()
+                    match self.log.link_after(index) {
+                        Some(link) => {
+                            self.step = ReadStep::Cross;
+                            let built = Value::Num(SEGMENT_BASE + self.pid as u32);
+                            ProgramAction::Invoke(Op::Propose(link, built))
+                        }
+                        None => self.catch_up(),
+                    }
                 }
             },
+            ReadStep::Cross => {
+                self.segment = segment_builder(last);
+                self.catch_up()
+            }
         }
     }
 
@@ -814,17 +1048,18 @@ pub type ReadRaceProgram = Either<LogPlaceProgram, SyncReadProgram>;
 
 /// Prefix safety of the read path, checked at every reachable state:
 ///
-/// 1. **the tail invariant** — every cell below the tail is decided, and a
-///    placer marked finished has its value in a cell below the tail (every
-///    response that depends on cell `i` happens after `tail > i`);
+/// 1. **the tail invariant** — every cell below the tail is decided (in a
+///    segmented log, in a segment the links decided), and a placer marked
+///    finished has its value in a cell below the tail (every response that
+///    depends on cell `i` happens after `tail > i`);
 /// 2. **the observation is exactly `[0, T)`** — the reader absorbed every
 ///    cell below the tail it loaded, none undecided when it peeked;
 /// 3. **nothing completed is missed** — the value of every placer that was
 ///    finished before the reader's first event is among those cells.
 #[derive(Clone, Debug)]
 pub struct PrefixSafety {
-    /// The log cells, in order.
-    pub cells: Vec<ObjectId>,
+    /// The log.
+    pub log: LogCells,
     /// The tail and finished counters.
     pub objs: TailObjects,
     /// The reading port.
@@ -841,8 +1076,12 @@ impl<P: apc_model::Program> apc_model::explore::Invariant<P> for PrefixSafety {
         };
         // The decided prefix: cells decide in order of absorption, and
         // nobody proposes past an undecided cell.
-        let decided: Vec<Value> =
-            self.cells.iter().map_while(|c| sys.object(*c).consensus_decision()).collect();
+        let decided: Vec<Value> = self
+            .log
+            .linked_cells(sys)
+            .iter()
+            .map_while(|c| sys.object(*c).consensus_decision())
+            .collect();
         let within = |finished: u32, tail: u32, what: &str| {
             if tail as usize > decided.len() {
                 return Err(format!("{what} tail {tail} is past undecided cell {}", decided.len()));
@@ -891,24 +1130,68 @@ pub fn sync_read_system(
     special: Option<(usize, u32)>,
     reader: usize,
 ) -> (System<MaybeParticipant<ReadRaceProgram>>, PrefixSafety) {
-    let PlaceRace { mut builder, placers: placing, cells, values } =
-        PlaceRace::new(ports, vips, isolation_window, committers, special);
-    assert!(!placing.iter().any(|p| p.index() == reader), "the reader does not place");
-    let objs =
-        TailObjects { tail: builder.add_fetch_and_add(0), finished: builder.add_fetch_and_add(0) };
-    let placers = placing.iter().map(|p| (1 << p.index(), values[p.index()])).collect();
-    let safety = PrefixSafety { cells: cells.clone(), objs, reader, placers };
-    let system = builder.build(|pid| {
-        if placing.contains(pid) {
-            let place = LogPlaceProgram::new(cells.clone(), values[pid.index()]);
-            MaybeParticipant::Present(Either::Left(place.publishing(objs, 1 << pid.index())))
-        } else if pid.index() == reader {
-            MaybeParticipant::Present(Either::Right(SyncReadProgram::new(cells.clone(), objs)))
-        } else {
-            MaybeParticipant::Absent
-        }
-    });
-    (system, safety)
+    read_race(ports, vips, isolation_window, committers, special, reader, None)
+}
+
+/// The read race of [`sync_read_system`] over the segmented log of
+/// [`segmented_commit_system`], started `start` cells into its first
+/// segment: the placers and the reader cross the boundary as the real
+/// handles do.
+///
+/// # Panics
+///
+/// Panics if `ports == 0`, `vips > ports`, `reader` also places, or
+/// `start ≥ MODEL_SEGMENT_CELLS`.
+pub fn segmented_sync_read_system(
+    ports: usize,
+    vips: usize,
+    isolation_window: u8,
+    committers: ProcessSet,
+    special: Option<(usize, u32)>,
+    reader: usize,
+    start: usize,
+) -> (System<MaybeParticipant<ReadRaceProgram>>, PrefixSafety) {
+    read_race(ports, vips, isolation_window, committers, special, reader, Some(start))
+}
+
+/// Shared body of [`sync_read_system`] and [`segmented_sync_read_system`].
+fn read_race(
+    ports: usize,
+    vips: usize,
+    isolation_window: u8,
+    committers: ProcessSet,
+    special: Option<(usize, u32)>,
+    reader: usize,
+    segmented: Option<usize>,
+) -> (System<MaybeParticipant<ReadRaceProgram>>, PrefixSafety) {
+    let mut race = PlaceRace::new(ports, vips, isolation_window, committers, special, segmented);
+    assert!(!race.placers.iter().any(|p| p.index() == reader), "the reader does not place");
+    let objs = TailObjects {
+        tail: race.builder.add_fetch_and_add(0),
+        finished: race.builder.add_fetch_and_add(0),
+    };
+    let log = Arc::clone(&race.log);
+    let (system, placement) = race.build(
+        |place| {
+            let bit = 1 << place.pid;
+            Either::Left(place.publishing(objs, bit))
+        },
+        |pid| {
+            if pid == reader {
+                let read = SyncReadProgram::new(Arc::clone(&log), reader, objs);
+                MaybeParticipant::Present(Either::Right(read))
+            } else {
+                MaybeParticipant::Absent
+            }
+        },
+    );
+    let placers = placement
+        .participants
+        .iter()
+        .zip(placement.proposals)
+        .map(|(p, value)| (1 << p.index(), value))
+        .collect();
+    (system, PrefixSafety { log: placement.log, objs, reader, placers })
 }
 
 #[cfg(test)]
@@ -1005,8 +1288,11 @@ mod tests {
         let committers = ProcessSet::from_indices([0, 1]);
         let (sys, cells, proposals) = checkpointed_commit_system(3, 1, 1, committers, Some(2));
         let explorer = Explorer::new(ExploreConfig::default().with_max_states(400_000));
-        let safety =
-            PlacementSafety { cells, participants: ProcessSet::from_indices([0, 1, 2]), proposals };
+        let safety = PlacementSafety {
+            log: LogCells::flat(cells),
+            participants: ProcessSet::from_indices([0, 1, 2]),
+            proposals,
+        };
         let result = explorer.explore(&sys, &[&safety, &NoFaults]);
         assert!(result.ok(), "violations: {:?}", result.violations.first());
         assert!(!result.truncated);
@@ -1047,7 +1333,7 @@ mod tests {
         let all_cells: Vec<ObjectId> =
             child_cells.iter().chain(parent_cells.iter()).copied().collect();
         let safety = PlacementSafety {
-            cells: all_cells,
+            log: LogCells::flat(all_cells),
             participants: ProcessSet::from_indices([0, 1, 2]),
             proposals,
         };

@@ -533,9 +533,11 @@ pub struct Store {
 }
 
 /// Makes a store's teardown pay for its own frees. Dropping a store frees
-/// 5–11 small allocations per retained log cell. glibc parks small frees in
-/// its fast bins and coalesces them only in bulk, inside the next *large*
-/// request; left alone, that is the first large allocation of whatever runs
+/// three small allocations per retained one-op log cell (its decided
+/// record, its batch's ops and the key) and a ~3 KB segment per 64 cells.
+/// glibc parks small frees in its fast bins and coalesces them only in
+/// bulk, inside the next *large* request; left alone, that is the first
+/// large allocation of whatever runs
 /// after the teardown (the next store's build, say), which is then billed
 /// for hundreds of thousands of chunks it never owned. One large request
 /// here is that trigger. It is the allocator's own mechanism, not a tuning:

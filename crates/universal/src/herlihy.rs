@@ -18,29 +18,42 @@
 //! everyone arriving later: fresh handles bootstrap from the latest agreed
 //! checkpoint and replay only the post-checkpoint suffix, so handle
 //! creation costs O(delta) instead of O(history), and the pre-checkpoint
-//! prefix of the log becomes *reclaimable*. Reclaimable is not reclaimed:
-//! a cell is freed when the last `Arc` to it goes, and every handle's
-//! cursor pins its cell and, through the `next` links, every cell after it.
-//! A handle adopts an anchor only when it is created; afterwards it walks
-//! the log cell by cell, so one handle that lags behind the anchor keeps
-//! the whole prefix from its cursor on alive, and an object nobody
-//! checkpoints (the store's default: `StoreBuilder::checkpoint_every` is
-//! off) retains every cell it ever agreed on. What holds today is
-//! therefore: memory = cells retained × bytes per cell + one replica of
-//! the state per handle, with cells retained = log length since the
-//! slowest live cursor. Bounding the first factor — a lagging handle
-//! re-adopts the anchor, the cadence becomes a default — is ROADMAP item 2;
-//! the second factor is what a cell's consensus object and its agreed
-//! record retain, which with the store's `(n,x)`-live cells is the same
-//! whichever class decided the cell: a guest retires its round protocol
-//! once the cell is decided, so a decided cell keeps its node and one
-//! record — 216 requested bytes in five allocations for a one-op write,
-//! the batch included. For the store the replicas are keys × bytes per
-//! key × ports that have visited the shard, at ~21 B per 8-byte key in a full
-//! leaf of its packed map (~72 B in the `BTreeMap<String, u64>` it
-//! replaced), and cloning one — what every checkpoint seal, every
-//! `reconfigure` and every `owned_handle` does — is a few `memcpy`s per 64
-//! keys. `tests/alloc_budget.rs` holds both per-unit figures.
+//! prefix of the log becomes *reclaimable*.
+//!
+//! **The log is a chain of segments.** A segment is `SEGMENT_CELLS` (64)
+//! consensus objects in one allocation, built whole by the first handle to
+//! step past the segment before it, and linked to its successor by a
+//! set-once link (a CAS from `⊥`, as `Rounds` builds its round segments in
+//! `apc-core`). A cursor is a segment and the absolute index of a cell in
+//! it: moving to the next cell inside a segment is an index increment, with
+//! no `Arc` clone, no drop and no epoch pin; only a boundary crossing
+//! touches the link.
+//!
+//! Reclaimable is not reclaimed: a segment is freed when the last `Arc` to
+//! it goes, and every handle's cursor — and the anchor — pins its segment,
+//! so up to 63 cells before the cursor, and, through the links, every
+//! segment after it. A handle adopts an anchor only when it is created;
+//! afterwards it walks the log cell by cell, so one handle that lags behind
+//! the anchor keeps the whole prefix from its segment on alive, and an
+//! object nobody checkpoints (the store's default:
+//! `StoreBuilder::checkpoint_every` is off) retains every cell it ever
+//! agreed on. What holds today is therefore: memory = cells retained ×
+//! bytes per cell + one replica of the state per handle, with cells
+//! retained = log length since the start of the slowest live cursor's
+//! segment. Bounding the first factor — a lagging handle re-adopts the
+//! anchor, the cadence becomes a default — is ROADMAP item 3; the second
+//! factor is a cell's share of its segment plus its agreed record, which
+//! with the store's `(n,x)`-live cells is the same whichever class decided
+//! the cell: a guest retires its round protocol once the cell is decided.
+//! For a one-op write that is 48 B of segment (1/64 of ~3.1 KB) and the
+//! record's box, the batch's ops slice and its key: ~184 requested bytes
+//! in 3 + 1/64 allocations, and a retired cell frees as many. For the
+//! store the replicas are keys × bytes per key × ports that have visited
+//! the shard, at ~21 B per 8-byte key in a full leaf of its packed map
+//! (~72 B in the `BTreeMap<String, u64>` it replaced), and cloning one —
+//! what every checkpoint seal, every `reconfigure` and every
+//! `owned_handle` does — is a few `memcpy`s per 64 keys.
+//! `tests/alloc_budget.rs` holds the per-unit figures.
 //!
 //! Progress: operation placement keeps its original guarantee (wait-free
 //! for the factory's wait-free set via the helping rule, obstruction-free
@@ -57,7 +70,7 @@ use std::sync::Arc;
 use apc_core::consensus::Consensus;
 use apc_core::error::ConsensusError;
 use apc_progress_macros::progress;
-use apc_registers::AtomicCell;
+use apc_registers::{AtomicCell, OnceArc};
 
 use crate::factory::ConsensusFactory;
 use crate::seq::SequentialSpec;
@@ -194,31 +207,39 @@ struct Announce<O> {
     op: O,
 }
 
-/// One cell of the operation log.
-struct CellNode<C> {
-    cons: C,
-    next: AtomicCell<Arc<CellNode<C>>>,
+/// Cells per log segment.
+const SEGMENT_CELLS: usize = 64;
+
+/// Where log cell `index` sits in its segment. Segments are aligned to
+/// absolute indices, so a log recovered mid-segment starts part-way into
+/// its first one.
+fn offset(index: u64) -> usize {
+    (index % SEGMENT_CELLS as u64) as usize
 }
 
-impl<C> CellNode<C> {
-    fn new(cons: C) -> Self {
-        CellNode { cons, next: AtomicCell::new() }
+/// `SEGMENT_CELLS` consecutive cells of the operation log, and the link to
+/// the segment after them.
+struct Segment<C> {
+    cells: [C; SEGMENT_CELLS],
+    next: OnceArc<Segment<C>>,
+}
+
+impl<C> Segment<C> {
+    fn new(mut create: impl FnMut() -> C) -> Self {
+        Segment { cells: std::array::from_fn(|_| create()), next: OnceArc::new() }
     }
 }
 
-impl<C> Drop for CellNode<C> {
+impl<C> Drop for Segment<C> {
     fn drop(&mut self) {
         // Unlink the tail iteratively: once a checkpoint retires a long
-        // prefix, the naive recursive drop (cell 0 drops cell 1 drops …)
-        // would overflow the stack. Each hop either takes sole ownership of
-        // the next cell (and keeps walking) or stops at a cell someone else
-        // still references.
+        // prefix, the naive recursive drop (segment 0 drops segment 1 drops
+        // …) would overflow the stack. Each hop either owns the next
+        // segment alone (takes its link and keeps walking) or stops at a
+        // segment someone else still references.
         let mut cur = self.next.take_mut();
-        while let Some(node) = cur {
-            cur = match Arc::try_unwrap(node) {
-                Ok(mut inner) => inner.next.take_mut(),
-                Err(_) => None,
-            };
+        while let Some(mut segment) = cur {
+            cur = Arc::get_mut(&mut segment).and_then(|s| s.next.take_mut());
         }
     }
 }
@@ -228,11 +249,12 @@ struct Anchor<S, C>
 where
     S: SequentialSpec,
 {
-    /// Log index of `cell` (the first cell a bootstrapping replay consumes).
+    /// Log index of the first cell a bootstrapping replay consumes.
     index: u64,
     state: Arc<S::State>,
     applied: Vec<u64>,
-    cell: Arc<CellNode<C>>,
+    /// The segment holding cell `index`.
+    segment: Arc<Segment<C>>,
 }
 
 /// A linearizable shared object built from a sequential specification and a
@@ -295,8 +317,8 @@ where
 
     fn with_anchor(spec: S, factory: F, n: usize, state: S::State, index: u64) -> Self {
         assert!((1..=64).contains(&n), "n must be in 1..=64");
-        let head = Arc::new(CellNode::new(factory.create()));
-        let anchor = Anchor { index, state: Arc::new(state), applied: vec![0; n], cell: head };
+        let head = Arc::new(Segment::new(|| factory.create()));
+        let anchor = Anchor { index, state: Arc::new(state), applied: vec![0; n], segment: head };
         Universal {
             spec,
             factory,
@@ -349,7 +371,7 @@ where
             obj: Arc::clone(self),
             pid,
             seq: 0,
-            cursor: Arc::clone(&anchor.cell),
+            segment: Arc::clone(&anchor.segment),
             cell_index: anchor.index,
             state: S::State::clone(&anchor.state),
             applied: anchor.applied.clone(),
@@ -410,9 +432,10 @@ where
     pid: usize,
     /// Sequence number of my most recent operation.
     seq: u64,
-    /// The next undecided-or-unapplied cell.
-    cursor: Arc<CellNode<F::Object>>,
-    /// Absolute log index of `cursor`.
+    /// The segment holding the cursor cell, `cell_index`.
+    segment: Arc<Segment<F::Object>>,
+    /// Absolute log index of the cursor: the next undecided-or-unapplied
+    /// cell.
     cell_index: u64,
     /// Local replayed state.
     state: S::State,
@@ -556,16 +579,22 @@ where
         let tail = self.obj.tail.load(Ordering::Acquire);
         while self.cell_index < tail {
             // Every cell below `tail` is decided; stay total regardless.
-            let Some(decided) = self.cursor.cons.peek() else { break };
+            let Some(decided) = self.cell().peek() else { break };
             self.absorb(decided);
         }
         f(&self.state)
     }
 
+    /// The cursor cell's consensus object.
+    fn cell(&self) -> &F::Object {
+        &self.segment.cells[offset(self.cell_index)]
+    }
+
     /// Produces (or learns) the decision of the cursor cell. `fallback` is
     /// the record to propose when the helping rule yields no candidate.
     fn decide_current_cell(&self, fallback: impl FnOnce() -> LogRecordOf<S>) -> LogRecordOf<S> {
-        if let Some(d) = self.cursor.cons.peek() {
+        let cell = self.cell();
+        if let Some(d) = cell.peek() {
             return d;
         }
         // Helping rule: cell k prefers the announcement of process k mod n,
@@ -578,13 +607,11 @@ where
             .map(|a| LogRecord::Op(OpRecord { pid: slot as u8, seq: a.seq, op: a.op }));
         let proposal = candidate.unwrap_or_else(fallback);
         // APC-LINT: allow(progress): dynamic dispatch through the factory's consensus object; its class is the factory's liveness spec (wait-free for the VIP set), checked at the object, not here
-        match self.cursor.cons.propose(self.pid, proposal) {
+        match cell.propose(self.pid, proposal) {
             Ok(decided) => decided,
-            Err(ConsensusError::AlreadyProposed { .. }) => self
-                .cursor
-                .cons
-                .peek()
-                .expect("a proposed-to cell that rejects re-proposals has decided"),
+            Err(ConsensusError::AlreadyProposed { .. }) => {
+                cell.peek().expect("a proposed-to cell that rejects re-proposals has decided")
+            }
             Err(ConsensusError::NotAPort { pid }) => {
                 unreachable!("handle creation verified port membership for {pid}")
             }
@@ -627,7 +654,7 @@ where
                     index: anchor_index,
                     state,
                     applied: self.applied.clone(),
-                    cell: Arc::clone(&self.cursor),
+                    segment: Arc::clone(&self.segment),
                 });
                 // Monotone publish: racing replicas can only move the anchor
                 // forward.
@@ -637,12 +664,18 @@ where
         Absorbed { kind, author, index, resp }
     }
 
-    /// Moves the cursor to the next cell, creating it if necessary.
+    /// Moves the cursor to the next cell: the next one in its segment, or,
+    /// past the segment's last cell, the first of the linked segment,
+    /// building that segment if nobody has yet.
     fn advance(&mut self) {
-        let next =
-            self.cursor.next.load_or_init(|| Arc::new(CellNode::new(self.obj.factory.create())));
-        self.cursor = next;
         self.cell_index += 1;
+        if offset(self.cell_index) == 0 {
+            let next = self
+                .segment
+                .next
+                .load_or_init(|| Arc::new(Segment::new(|| self.obj.factory.create())));
+            self.segment = next;
+        }
         self.steps += 1;
         // Release: pairs with the Acquire load in `sync_read`, so a reader
         // that sees `tail > i` also sees cell `i` decided and its successor
@@ -1034,7 +1067,7 @@ mod tests {
     #[test]
     fn long_compacted_log_drops_without_stack_overflow() {
         // Build a long log, checkpoint it, drop every strong reference to
-        // the prefix: the iterative CellNode drop must unwind it safely.
+        // the prefix: the iterative Segment drop must unwind it safely.
         let n = 2;
         let obj = wait_free_counter(n);
         let mut h = obj.owned_handle(0).unwrap();
@@ -1091,7 +1124,7 @@ mod tests {
         type Foreign = fn(&Port) -> LogRecordOf<Counter>;
         type Driver = fn(&mut Port);
         let foreign: [(&str, Foreign); 3] = [
-            ("op", |_| LogRecord::Op(OpRecord { pid: 0, seq: 2, op: CounterOp::Add(10) })),
+            ("op", |a| LogRecord::Op(OpRecord { pid: 0, seq: a.seq + 1, op: CounterOp::Add(10) })),
             ("checkpoint", |a| {
                 LogRecord::Checkpoint(CheckpointRecord {
                     pid: 0,
@@ -1103,7 +1136,7 @@ mod tests {
             ("reconfiguration", |a| {
                 LogRecord::Reconfig(ReconfigRecord {
                     pid: 0,
-                    seq: 2,
+                    seq: a.seq + 1,
                     op: CounterOp::Add(10),
                     state: Arc::new(a.state + 10),
                 })
@@ -1115,37 +1148,120 @@ mod tests {
             ("checkpoint", |h| _ = h.checkpoint()),
             ("sync_read", |h| h.sync_read(|_| ())),
         ];
-        for (kind, record) in foreign {
-            for (name, drive) in drivers {
-                // What port 1 and the object look like after port 1 met the
-                // foreign record at its cursor under `drive` — having first
-                // crossed it with `sync_read` if `witness`. A checkpoint
-                // agreed at a checkpointer's cursor is the one it came for:
-                // it stops there, and so does its witness.
-                let stops = (name, kind) == ("checkpoint", "checkpoint");
-                let crossed = |witness: bool| {
-                    let obj = wait_free_counter(2);
-                    let mut author = obj.owned_handle(0).unwrap();
-                    let mut port = obj.owned_handle(1).unwrap();
-                    author.apply(CounterOp::Add(1));
-                    // The author agrees its record into cell 1 and moves
-                    // past it — the tail is raised, nothing is published
-                    // yet — so whoever crosses the cell next does so alone.
-                    assert_eq!(author.decide_current_cell(|| record(&author)), record(&author));
-                    author.advance();
-                    if witness {
-                        port.sync_read(|_| ());
-                    }
-                    if !(witness && stops) {
-                        drive(&mut port);
-                    }
-                    (port.state, port.applied.clone(), port.cell_index, obj.anchor_index())
-                };
-                let alone = crossed(false);
-                assert_eq!(alone, crossed(true), "{name} absorbing a foreign {kind}");
-                assert!(kind == "op" || alone.3 >= 2, "{name} published the foreign {kind}'s seal");
+        // The foreign record sits in cell 1, and in a segment's last cell,
+        // where absorbing it also crosses into the next segment.
+        for at in [1, SEGMENT_CELLS as u64 - 1] {
+            for (kind, record) in foreign {
+                for (name, drive) in drivers {
+                    // What port 1 and the object look like after port 1 met
+                    // the foreign record at its cursor under `drive` —
+                    // having first crossed it with `sync_read` if
+                    // `witness`. A checkpoint agreed at a checkpointer's
+                    // cursor is the one it came for: it stops there, and so
+                    // does its witness.
+                    let stops = (name, kind) == ("checkpoint", "checkpoint");
+                    let crossed = |witness: bool| {
+                        let obj = wait_free_counter(2);
+                        let mut author = obj.owned_handle(0).unwrap();
+                        let mut port = obj.owned_handle(1).unwrap();
+                        for _ in 0..at {
+                            author.apply(CounterOp::Add(1));
+                        }
+                        // The author agrees its record into cell `at` and
+                        // moves past it — the tail is raised, nothing is
+                        // published yet — so whoever crosses the cell next
+                        // does so alone.
+                        let foreign = record(&author);
+                        assert_eq!(author.decide_current_cell(|| foreign.clone()), foreign);
+                        author.advance();
+                        if witness {
+                            port.sync_read(|_| ());
+                        }
+                        if !(witness && stops) {
+                            drive(&mut port);
+                        }
+                        (port.state, port.applied.clone(), port.cell_index, obj.anchor_index())
+                    };
+                    let alone = crossed(false);
+                    let case = format!("{name} absorbing a foreign {kind} in cell {at}");
+                    assert_eq!(alone, crossed(true), "{case}");
+                    assert!(kind == "op" || alone.3 > at, "{case} published its seal");
+                }
             }
         }
+    }
+
+    #[test]
+    fn racing_handles_resolve_a_boundary_to_one_segment() {
+        // Two handles stand on a segment's last cell and both checkpoint:
+        // one seal is agreed there, and both absorb it and cross the
+        // boundary at once. Three boundaries, each opened by a race.
+        let obj = wait_free_counter(2);
+        let mut h0 = obj.owned_handle(0).unwrap();
+        let mut h1 = obj.owned_handle(1).unwrap();
+        for b in 1..=3u64 {
+            let last = b * SEGMENT_CELLS as u64 - 1;
+            while h0.replayed_cells() < last {
+                h0.apply(CounterOp::Add(1));
+            }
+            h1.sync_read(|_| ());
+            let barrier = std::sync::Barrier::new(2);
+            let sealed = std::thread::scope(|s| {
+                let a = s.spawn(|| {
+                    barrier.wait();
+                    h0.checkpoint()
+                });
+                let b = s.spawn(|| {
+                    barrier.wait();
+                    h1.checkpoint()
+                });
+                (a.join().unwrap(), b.join().unwrap())
+            });
+            assert_eq!(sealed, (last, last), "both absorbed the seal agreed in cell {last}");
+            assert_eq!((h0.replayed_cells(), h1.replayed_cells()), (last + 1, last + 1));
+            assert!(Arc::ptr_eq(&h0.segment, &h1.segment), "boundary {b} resolved to two segments");
+        }
+        // The one segment is the log: what one handle places, the other reads.
+        h0.apply(CounterOp::Add(1));
+        assert_eq!(h1.sync_read(|s| *s), 3 * SEGMENT_CELLS as u64 - 2);
+    }
+
+    #[test]
+    fn a_log_recovered_mid_segment_works_across_the_next_boundary() {
+        // Segments are aligned to absolute indices, so a log recovered at
+        // 100 starts 36 cells into the segment [64, 128).
+        let obj = Arc::new(Universal::recovered(
+            Counter,
+            CasFactory::new(Liveness::new_first_n(3, 3)),
+            3,
+            41,
+            100,
+        ));
+        let mut writer = obj.owned_handle(0).unwrap();
+        let mut sealer = obj.owned_handle(1).unwrap();
+        let boundary = 2 * SEGMENT_CELLS as u64;
+        // Placement fills the segment up to its last cell, and a checkpoint
+        // takes that one: the anchor is the next segment's first cell.
+        while writer.replayed_cells() < boundary - 1 {
+            writer.apply(CounterOp::Add(1));
+        }
+        assert_eq!(sealer.checkpoint(), boundary - 1);
+        assert_eq!(sealer.replay_steps(), boundary - 100, "27 ops and the seal");
+        assert_eq!(obj.anchor_index(), boundary);
+        // Placement and replay carry on past the boundary.
+        for _ in 0..3 {
+            writer.apply(CounterOp::Add(1));
+        }
+        assert_eq!(writer.replayed_cells(), boundary + 3);
+        assert_eq!(sealer.sync_read(|s| *s), 41 + 27 + 3);
+        // A seal in mid-segment, and a fresh handle that bootstraps there.
+        let mid = sealer.checkpoint();
+        assert_eq!(offset(mid + 1), 4, "the anchor is in mid-segment");
+        let mut fresh = obj.owned_handle(2).unwrap();
+        assert_eq!(fresh.replayed_cells(), mid + 1);
+        assert!(Arc::ptr_eq(&fresh.segment, &sealer.segment), "the anchor pins the seal's segment");
+        assert_eq!(fresh.apply(CounterOp::Get), 71);
+        assert_eq!(fresh.replay_steps(), 1, "no replay before the anchor");
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!   bounds which *groups of processes* can be given hard guarantees.
 //!
 //! The construction is the standard announce-and-help log: operations are
-//! placed into a linked list of cells, each cell's order decided by one
-//! consensus instance; helping (cell `k` prefers the announcement of
+//! placed into a list of cells, allocated and linked 64 at a time, each
+//! cell's order decided by one consensus instance; helping (cell `k` prefers the announcement of
 //! process `k mod n`) makes placement wait-free whenever the cell consensus
 //! is. There is **one handle type** ([`OwnedHandle`], one per process) and
 //! **one walk** of that log: every public operation decides the cell at the

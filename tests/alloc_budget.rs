@@ -12,6 +12,10 @@
 //! each replica that holds it; a fourth line prices that: what one port's
 //! replicas retain per preloaded key once the port has caught up.
 //!
+//! A fifth line prices the way back: the frees (`dealloc` calls) per cell
+//! when a checkpoint seals a shard log's prefix and every cursor moves past
+//! it, so that nothing holds the prefix any more and it is released.
+//!
 //! A second table prices the same store behind the wire: a `StoreServer`
 //! over `sim_pair` connections, in allocator calls made inside `poll()`
 //! per served frame — from the request's bytes arriving to its response's
@@ -24,13 +28,20 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::Arc;
 
+use asymmetric_progress::core::liveness::Liveness;
 use asymmetric_progress::net::{NetClient, ServerConfig, StoreServer};
-use asymmetric_progress::store::{Client, Request, Store, StoreBuilder, StoreOp, TierCredential};
+use asymmetric_progress::store::{
+    Batch, Client, Request, ShardCmd, ShardLog, ShardSpec, Store, StoreBuilder, StoreOp,
+    TierCredential,
+};
+use asymmetric_progress::universal::AsymmetricFactory;
 
 struct Counting;
 
 static CALLS: AtomicU64 = AtomicU64::new(0);
+static FREES: AtomicU64 = AtomicU64::new(0);
 static LIVE_ALLOCS: AtomicI64 = AtomicI64::new(0);
 static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
 
@@ -46,6 +57,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        FREES.fetch_add(1, Ordering::Relaxed);
         LIVE_ALLOCS.fetch_sub(1, Ordering::Relaxed);
         LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
@@ -150,16 +162,18 @@ fn commit_path_allocations_stay_within_budget() {
     catch_up(&mut guest);
     let local_read = measure_requests(&mut guest, get);
 
-    // The budgets are the census of the commit that set them: the ops move
-    // through the round instead of being cloned into it, and responses
-    // move out of the reassembly (its parent read 25, 20 and 16 calls).
+    // The budgets are the census of the commit that set them: a shard log
+    // is a chain of 64-cell segments, each one allocation, so a cell has
+    // no node and no link of its own (its parent read 21 and 16 calls, and
+    // 5 allocations / 216 B retained per put).
     //
-    // What a put's cell leaves, guest or VIP alike, is five allocations:
-    // the 72 B log node (its `Arc` counts, the consensus object — decision
-    // slot, inline rounds, at-most-once mask — and the link), the batch's
-    // 72 B `Arc<[StoreOp]>`, the 8 B key, the 56 B decided record and the
-    // 8 B box of that link. A stored key's calls are its share of its
-    // leaf's growth, and what it keeps is its bytes in that leaf.
+    // What a put's cell leaves, guest or VIP alike, is three allocations
+    // and its share of a fourth: 48 B of its 3,096 B segment (the
+    // consensus object — decision slot, inline rounds, at-most-once mask —
+    // plus a 64th of the segment's `Arc` counts and link), the batch's
+    // 72 B `Arc<[StoreOp]>`, the 8 B key and the 56 B decided record. A
+    // stored key's calls are its share of its leaf's growth, and what it
+    // keeps is its bytes in that leaf.
     //
     // Every other call is freed before the request returns:
     // - 3 are this harness building its request: the key's two (`format!`
@@ -173,13 +187,15 @@ fn commit_path_allocations_stay_within_budget() {
     // - a put adds the announce record (1); a guest's put adds its round-0
     //   adopt-commit object, its register slice, the slice's box, and its
     //   proposal and flag records (5), retired when it leaves.
+    let cell = Census {
+        calls: 3.0 + SEGMENT_SHARE,
+        retained_allocs: 3.0 + SEGMENT_SHARE,
+        retained_bytes: 136.0 + 3096.0 * SEGMENT_SHARE,
+    };
+    let put_budget = |other_calls: f64| Census { calls: cell.calls + other_calls, ..cell };
     let arms = [
-        (
-            "guest put",
-            guest_put,
-            Census { calls: 21.0, retained_allocs: 5.0, retained_bytes: 216.0 },
-        ),
-        ("vip put", vip_put, Census { calls: 16.0, retained_allocs: 5.0, retained_bytes: 216.0 }),
+        ("guest put", guest_put, put_budget(16.0)),
+        ("vip put", vip_put, put_budget(11.0)),
         (
             "local read",
             local_read,
@@ -207,12 +223,46 @@ fn commit_path_allocations_stay_within_budget() {
         );
     }
 
+    // Retiring a cell frees what it retained: three allocations and its
+    // share of its segment (its parent freed five: node, link, record, ops
+    // and key).
+    let retired = retired_cell_frees();
+    println!("retired cell, frees      {retired:>7.3}");
+    let budget = cell.retained_allocs;
+    assert!(retired <= budget + SLACK, "a retired cell is over its free budget: {retired:.3}");
+
     serve_path_allocations_stay_within_budget(&store);
+}
+
+/// Frees per cell when a shard log's prefix is released: a `(2,1)`-live
+/// log takes `REQUESTS` one-put batches from its VIP port; its guest port
+/// catches up, then seals a checkpoint, and the VIP's cursor moves past the
+/// checkpoint cell. Nothing holds the sealed prefix after that. Frees are
+/// counted from the seal on, so the count includes the seal's own few.
+fn retired_cell_frees() -> f64 {
+    let factory = AsymmetricFactory::new(Liveness::new_first_n(2, 1));
+    let log = Arc::new(ShardLog::new(ShardSpec::default(), factory, 2));
+    let mut vip = log.owned_handle(0).expect("port 0 is free");
+    let mut guest = log.owned_handle(1).expect("port 1 is free");
+    for i in 0..REQUESTS {
+        let put = StoreOp::Put(nth_key(i), u64::from(i));
+        vip.apply(ShardCmd::Batch(Batch::new(0, vec![put])));
+    }
+    guest.sync_read(|_| ());
+    let before = FREES.load(Ordering::Relaxed);
+    guest.checkpoint();
+    vip.sync_read(|_| ());
+    let frees = FREES.load(Ordering::Relaxed) - before;
+    frees as f64 / f64::from(REQUESTS)
 }
 
 /// A hair of slack: amortized growth of long-lived buffers is a fraction of
 /// an allocation per request, a new allocation on the path is a whole one.
 const SLACK: f64 = 0.01;
+
+/// A cell's share of its segment's one allocation: a shard log allocates
+/// its cells 64 at a time.
+const SEGMENT_SHARE: f64 = 1.0 / 64.0;
 
 const TOKEN: u64 = 0xfeed;
 
@@ -282,11 +332,9 @@ fn serve_path_allocations_stay_within_budget(store: &Store) {
     const TURNS: u32 = 4_000;
     let guest = TierCredential::Guest;
     let s = &mut server;
-    // The budgets are the census of the commit that set them: a response is
-    // encoded into the reactor's one frame buffer, a request is decoded
-    // from the bytes where the connection's reader holds them, and its ops
-    // and results move through the round (its parent read 28, 33, 24, 24,
-    // 14.2 and 92.4).
+    // The budgets are the census of the commit that set them: a put's cell
+    // is three allocations and a 64th of its segment (its parent read 15,
+    // 20, 11, 11, 4.18 and 54.1).
     //
     // A one-op frame's calls are its decoded request — the ops `Vec` and
     // the key, which a put's cell keeps — and then exactly the calls of the
@@ -298,11 +346,11 @@ fn serve_path_allocations_stay_within_budget(store: &Store) {
     // shard's sub-batch, batch, response vectors and digest; and one
     // `String` per key it returns.
     let arms = [
-        ("vip put", measure_turns(s, &mut vip, VIP, TURNS, put), 15.0),
-        ("guest put", measure_turns(s, &mut guests[..1], guest, TURNS, put), 20.0),
+        ("vip put", measure_turns(s, &mut vip, VIP, TURNS, put), 13.0 + SEGMENT_SHARE),
+        ("guest put", measure_turns(s, &mut guests[..1], guest, TURNS, put), 18.0 + SEGMENT_SHARE),
         ("vip get", measure_turns(s, &mut vip, VIP, TURNS, get), 11.0),
         ("guest get", measure_turns(s, &mut guests[..1], guest, TURNS, get), 11.0),
-        ("64-frame guest batch", measure_turns(s, &mut guests, guest, TURNS / 64, put), 4.2),
+        ("64-frame guest batch", measure_turns(s, &mut guests, guest, TURNS / 64, put), 4.07),
         ("16-key scan", measure_turns(s, &mut vip, VIP, TURNS, scan), 54.1),
     ];
     println!("per frame, inside poll()  calls");

@@ -9,18 +9,22 @@
 //! once on every schedule, and VIP fair-termination survives the split —
 //! and the **read path**: a reader bounded by the tail it loaded observes
 //! exactly a prefix of the log containing everything that had completed,
-//! against every one of those races, and terminates in every schedule.
+//! against every one of those races, and terminates in every schedule —
+//! and the **segment hand-off**: placers and a reader crossing from one
+//! segment of the log to the next walk on in the segment the link decided,
+//! and a placer that keeps the segment it built is caught.
 
 use asymmetric_progress::model::explore::{
-    Agreement, ExploreConfig, Explorer, NoFaults, ValidityIn,
+    Agreement, ExploreConfig, Explorer, Invariant, NoFaults, ValidityIn,
 };
 use asymmetric_progress::model::fairness::{fair_livelocks, fair_termination, StateGraph};
-use asymmetric_progress::model::ObjectId;
-use asymmetric_progress::model::{ProcessSet, Value};
+use asymmetric_progress::model::{ObjectId, Op, Program, ProgramAction};
+use asymmetric_progress::model::{ProcessId, ProcessSet, Runner, Schedule, Value};
 use asymmetric_progress::store::model::{
     checkpointed_commit_system, merge_adopt_system, merge_commit_system, proposed_batches,
-    shard_commit_system, split_commit_system, sync_read_system, MergeOrder, PlacementSafety,
-    ADOPT_BASE, CHECKPOINT_BASE, MERGE_BASE, SPLIT_BASE,
+    segmented_commit_system, segmented_sync_read_system, shard_commit_system, split_commit_system,
+    sync_read_system, LogCells, LogPlaceProgram, MergeOrder, PlacementSafety, ADOPT_BASE,
+    CHECKPOINT_BASE, MERGE_BASE, MODEL_SEGMENT_CELLS, SEGMENT_BASE, SPLIT_BASE,
 };
 
 fn mask_participants(mask: u8, n: usize) -> ProcessSet {
@@ -114,7 +118,7 @@ fn checkpoint_install_race_safety_matrix_exhaustive() {
             let committers = mask_participants(committer_mask, 3);
             let participants = mask_participants(committer_mask | (1 << ck), 3);
             let (sys, cells, proposals) = checkpointed_commit_system(3, 1, 1, committers, Some(ck));
-            let safety = PlacementSafety { cells, participants, proposals };
+            let safety = PlacementSafety { log: LogCells::flat(cells), participants, proposals };
             let explorer = Explorer::new(ExploreConfig::default().with_max_states(400_000));
             let result = explorer.explore(&sys, &[&safety, &NoFaults]);
             assert!(
@@ -136,7 +140,11 @@ fn checkpoint_install_race_safety_matrix_exhaustive() {
 fn checkpoint_race_4_2_exhaustive() {
     let committers = ProcessSet::from_indices([0, 1, 2]);
     let (sys, cells, proposals) = checkpointed_commit_system(4, 2, 1, committers, Some(3));
-    let safety = PlacementSafety { cells, participants: ProcessSet::first_n(4), proposals };
+    let safety = PlacementSafety {
+        log: LogCells::flat(cells),
+        participants: ProcessSet::first_n(4),
+        proposals,
+    };
     let explorer = Explorer::new(ExploreConfig::default().with_max_states(2_000_000));
     let result = explorer.explore(&sys, &[&safety, &NoFaults]);
     assert!(result.ok(), "{:?}", result.violations.first());
@@ -190,7 +198,7 @@ fn split_install_race_safety_matrix_exhaustive() {
             let committers = mask_participants(committer_mask, 3);
             let participants = mask_participants(committer_mask | (1 << splitter), 3);
             let (sys, cells, proposals) = split_commit_system(3, 1, 1, committers, Some(splitter));
-            let safety = PlacementSafety { cells, participants, proposals };
+            let safety = PlacementSafety { log: LogCells::flat(cells), participants, proposals };
             let explorer = Explorer::new(ExploreConfig::default().with_max_states(400_000));
             let result = explorer.explore(&sys, &[&safety, &NoFaults]);
             assert!(
@@ -212,7 +220,11 @@ fn split_install_race_safety_matrix_exhaustive() {
 fn split_race_4_2_exhaustive() {
     let committers = ProcessSet::from_indices([0, 1, 2]);
     let (sys, cells, proposals) = split_commit_system(4, 2, 1, committers, Some(3));
-    let safety = PlacementSafety { cells, participants: ProcessSet::first_n(4), proposals };
+    let safety = PlacementSafety {
+        log: LogCells::flat(cells),
+        participants: ProcessSet::first_n(4),
+        proposals,
+    };
     let explorer = Explorer::new(ExploreConfig::default().with_max_states(2_000_000));
     let result = explorer.explore(&sys, &[&safety, &NoFaults]);
     assert!(result.ok(), "{:?}", result.violations.first());
@@ -278,7 +290,7 @@ fn merge_install_race_safety_matrix_exhaustive() {
             let committers = mask_participants(committer_mask, 3);
             let participants = mask_participants(committer_mask | (1 << merger), 3);
             let (sys, cells, proposals) = merge_commit_system(3, 1, 1, committers, Some(merger));
-            let safety = PlacementSafety { cells, participants, proposals };
+            let safety = PlacementSafety { log: LogCells::flat(cells), participants, proposals };
             let explorer = Explorer::new(ExploreConfig::default().with_max_states(400_000));
             let result = explorer.explore(&sys, &[&safety, &NoFaults]);
             assert!(
@@ -300,7 +312,11 @@ fn merge_install_race_safety_matrix_exhaustive() {
 fn merge_race_4_2_exhaustive() {
     let committers = ProcessSet::from_indices([0, 1, 2]);
     let (sys, cells, proposals) = merge_commit_system(4, 2, 1, committers, Some(3));
-    let safety = PlacementSafety { cells, participants: ProcessSet::first_n(4), proposals };
+    let safety = PlacementSafety {
+        log: LogCells::flat(cells),
+        participants: ProcessSet::first_n(4),
+        proposals,
+    };
     let explorer = Explorer::new(ExploreConfig::default().with_max_states(2_000_000));
     let result = explorer.explore(&sys, &[&safety, &NoFaults]);
     assert!(result.ok(), "{:?}", result.violations.first());
@@ -337,7 +353,8 @@ fn merge_adopt_race_matrix_exhaustive() {
                 child_cells.iter().chain(parent_cells.iter()).copied().collect();
             let participants: ProcessSet =
                 child.into_iter().chain(parent).chain([2usize]).collect();
-            let safety = PlacementSafety { cells: all_cells, participants, proposals };
+            let safety =
+                PlacementSafety { log: LogCells::flat(all_cells), participants, proposals };
             let order = MergeOrder {
                 child_cells,
                 parent_cells,
@@ -502,9 +519,9 @@ fn sync_read_terminates_in_every_schedule() {
     assert_reader_always_terminates((4, 2), &[0, 1, 2], None, 3, false);
 }
 
-/// The checkpoint, split, and merge marker values are namespaced away from
-/// batch ids (and from each other), so none can be confused in a cell
-/// decision.
+/// The checkpoint, split, and merge marker values and the segment ids are
+/// namespaced away from batch ids (and from each other), so none can be
+/// confused in a decision.
 #[test]
 fn checkpoint_values_are_disjoint_from_batches() {
     let batches = proposed_batches(ProcessSet::first_n(64));
@@ -513,7 +530,14 @@ fn checkpoint_values_are_disjoint_from_batches() {
         assert!(!batches.contains(&Value::Num(SPLIT_BASE + pid)));
         assert!(!batches.contains(&Value::Num(MERGE_BASE + pid)));
         assert!(!batches.contains(&Value::Num(ADOPT_BASE + pid)));
-        let markers = [CHECKPOINT_BASE + pid, SPLIT_BASE + pid, MERGE_BASE + pid, ADOPT_BASE + pid];
+        assert!(!batches.contains(&Value::Num(SEGMENT_BASE + pid)));
+        let markers = [
+            CHECKPOINT_BASE + pid,
+            SPLIT_BASE + pid,
+            MERGE_BASE + pid,
+            ADOPT_BASE + pid,
+            SEGMENT_BASE + pid,
+        ];
         for (i, a) in markers.iter().enumerate() {
             for b in &markers[i + 1..] {
                 assert_ne!(a, b, "marker namespaces must not collide");
@@ -527,7 +551,6 @@ fn checkpoint_values_are_disjoint_from_batches() {
 /// the absence of a VIP.
 #[test]
 fn every_solo_guest_commits() {
-    use asymmetric_progress::model::{ProcessId, Runner, Schedule};
     for guest in [1usize, 2] {
         let (sys, _) = shard_commit_system(3, 1, 2, ProcessSet::from_indices([guest]));
         let mut runner = Runner::new(sys);
@@ -536,6 +559,135 @@ fn every_solo_guest_commits() {
             runner.system().decision(ProcessId::new(guest)),
             Some(Value::Num(100 + guest as u32)),
             "solo guest {guest} must commit its own batch"
+        );
+    }
+}
+
+/// The port patterns of a (3,1) race: every committer mask, alone and
+/// racing a checkpoint from a port that neither commits nor is `reader`.
+fn race_patterns(reader: Option<usize>) -> Vec<(ProcessSet, Option<(usize, u32)>)> {
+    let mut patterns = Vec::new();
+    for committer_mask in 0u8..8 {
+        if reader.is_some_and(|r| committer_mask & (1 << r) != 0) {
+            continue; // the reader does not also place
+        }
+        let committers = mask_participants(committer_mask, 3);
+        let idle = (0usize..3).find(|&p| Some(p) != reader && committer_mask & (1 << p) == 0);
+        patterns.push((committers, None));
+        if let Some(port) = idle {
+            patterns.push((committers, Some((port, CHECKPOINT_BASE))));
+        }
+    }
+    patterns
+}
+
+/// The segment hand-off, placement half, exhaustively: (3,1) placers —
+/// every committer pattern, alone and racing a checkpoint — in a log of
+/// two-cell segments that starts at a segment's first cell or at its last.
+/// A placer that absorbs a segment's last cell proposes the segment it built
+/// to the link and walks on in the one the link decided; on **every**
+/// schedule [`PlacementSafety`] holds over the log the links decide.
+#[test]
+fn segment_handoff_placement_safety_3_1_exhaustive() {
+    for start in 0..MODEL_SEGMENT_CELLS {
+        for (committers, special) in race_patterns(None) {
+            if committers.is_empty() && special.is_none() {
+                continue;
+            }
+            let (sys, safety) = segmented_commit_system(3, 1, 1, committers, special, start, |p| p);
+            let explorer = Explorer::new(ExploreConfig::default().with_max_states(2_000_000));
+            let result = explorer.explore(&sys, &[&safety, &NoFaults]);
+            let case = format!("start {start}, committers {committers} + {special:?}");
+            assert!(result.ok(), "{case}: {:?}", result.violations.first());
+            assert!(!result.truncated, "{case} must be exhaustive");
+        }
+    }
+}
+
+/// A placer that loses a segment's last cell crosses into the segment the
+/// link decided — the one the first crosser built — and places there.
+#[test]
+fn a_placer_walks_on_in_the_segment_the_link_decided() {
+    // Started at its first segment's last cell: every placer crosses.
+    let committers = ProcessSet::from_indices([0, 2]);
+    let (sys, safety) = segmented_commit_system(3, 1, 1, committers, None, 1, |p| p);
+    let mut runner = Runner::new(sys);
+    // The VIP places in cell 0 and crosses first: its segment is linked.
+    runner.run_until_terminated(&Schedule::solo(ProcessId::new(0), 1), 100);
+    // The guest loses cell 0, crosses, and places in the VIP's segment.
+    runner.run_until_terminated(&Schedule::solo(ProcessId::new(2), 1), 100);
+    let sys = runner.system();
+    let placed: Vec<Value> = safety
+        .log
+        .linked_cells(sys)
+        .iter()
+        .filter_map(|c| sys.object(*c).consensus_decision())
+        .collect();
+    assert_eq!(placed, [Value::Num(100), Value::Num(102)]);
+    assert_eq!(sys.decision(ProcessId::new(2)), Some(Value::Num(102)));
+    assert_eq!(safety.check(sys), Ok(()));
+}
+
+/// The segment hand-off, read half, exhaustively: every reading port and
+/// every pattern of (3,1) placers over the other two, alone and racing a
+/// checkpoint, in a log of two-cell segments started at either cell. Placers
+/// cross before they raise the tail, so on **every** schedule the reader
+/// finds each link below its tail decided and observes exactly a prefix
+/// holding everything that had completed ([`PrefixSafety`]).
+#[test]
+fn segment_handoff_read_race_prefix_safety_exhaustive() {
+    for start in 0..MODEL_SEGMENT_CELLS {
+        for reader in 0usize..3 {
+            for (committers, special) in race_patterns(Some(reader)) {
+                let (sys, safety) =
+                    segmented_sync_read_system(3, 1, 1, committers, special, reader, start);
+                let explorer = Explorer::new(ExploreConfig::default().with_max_states(2_000_000));
+                let result = explorer.explore(&sys, &[&safety, &NoFaults]);
+                let case = format!("start {start}, reader {reader}, {committers} + {special:?}");
+                assert!(result.ok(), "{case}: {:?}", result.violations.first());
+                assert!(!result.truncated, "{case} must be exhaustive");
+            }
+        }
+    }
+}
+
+/// The mutant the hand-off model must reject: a placer that, crossing a
+/// boundary, carries on in the segment it proposed there, whatever the link
+/// decided.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+struct KeepsItsOwnSegment {
+    placer: LogPlaceProgram,
+    built: Option<Value>,
+}
+
+impl Program for KeepsItsOwnSegment {
+    fn resume(&mut self, last: Option<Value>) -> ProgramAction {
+        let last = self.built.take().or(last);
+        let action = self.placer.resume(last);
+        if let ProgramAction::Invoke(Op::Propose(_, built @ Value::Num(id))) = action {
+            if (SEGMENT_BASE..SEGMENT_BASE + 64).contains(&id) {
+                self.built = Some(built);
+            }
+        }
+        action
+    }
+}
+
+/// Three placers that each keep the segment they built: whichever loses a
+/// link places its value in a segment no link decided, outside the log, and
+/// [`PlacementSafety`] rejects the schedule — at either start.
+#[test]
+fn a_placer_that_keeps_its_own_segment_is_rejected() {
+    let mutant = |placer| KeepsItsOwnSegment { placer, built: None };
+    for start in 0..MODEL_SEGMENT_CELLS {
+        let (sys, safety) =
+            segmented_commit_system(3, 1, 1, ProcessSet::first_n(3), None, start, mutant);
+        let explorer = Explorer::new(ExploreConfig::default().with_max_states(2_000_000));
+        let result = explorer.explore(&sys, &[&safety, &NoFaults]);
+        let violation = result.violations.first();
+        assert!(
+            violation.is_some_and(|v| v.message.contains("no cell agreed on it")),
+            "start {start}: the mutant must be rejected: {violation:?}"
         );
     }
 }
