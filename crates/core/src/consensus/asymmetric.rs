@@ -4,7 +4,7 @@
 use std::fmt;
 
 use apc_progress_macros::progress;
-use apc_registers::AtomicCell;
+use apc_registers::OnceBox;
 
 use crate::consensus::obstruction_free::Rounds;
 use crate::consensus::{Consensus, ProposeOnce};
@@ -42,6 +42,12 @@ use crate::liveness::Liveness;
 /// The rounds sit inline as two `⊥` pointers until a guest runs one; there
 /// is no second decision slot, no second port check and no second
 /// at-most-once mask behind them.
+///
+/// The decision slot is an [`OnceBox`]: installed by one CAS-from-`⊥`, never
+/// cleared or replaced, and freed only with the object. So a reader needs
+/// no epoch to hold it: [`Consensus::peek_with`] lends the decided value out
+/// with one load and no clone, which is how a replica replays a decided
+/// cell. A VIP still pays one CAS and one read.
 ///
 /// Safety does not rest on the rounds once the slot is decided:
 ///
@@ -82,7 +88,9 @@ use crate::liveness::Liveness;
 /// ```
 pub struct AsymmetricConsensus<T> {
     spec: Liveness,
-    decision: AtomicCell<T>,
+    /// The decision slot: set once, by the VIP's CAS or a guest round's
+    /// commit, and lent out to every later reader without a clone.
+    decision: OnceBox<T>,
     /// The guests' round protocol; two `⊥` pointers unless a guest is
     /// running it.
     rounds: Rounds<T>,
@@ -94,7 +102,7 @@ impl<T: Clone + Eq + Send + Sync> AsymmetricConsensus<T> {
     pub fn new(spec: Liveness) -> Self {
         AsymmetricConsensus {
             spec,
-            decision: AtomicCell::new(),
+            decision: OnceBox::new(),
             rounds: Rounds::new(),
             once: ProposeOnce::new(),
         }
@@ -160,7 +168,7 @@ impl<T: Clone + Eq + Send + Sync> Consensus<T> for AsymmetricConsensus<T> {
         self.once.claim(pid)?;
         if self.spec.is_wait_free_for(pid) {
             // Wait-free path: one CAS + one read.
-            return Ok(self.decision.decide(value));
+            return Ok(self.decision.decide(value).clone());
         }
         // APC-LINT: allow(progress): guest-pid branch only — VIP pids returned above; guests are obstruction-free by specification (y,x)-liveness
         let decided = self.propose_as_guest(pid, value, None);
@@ -174,7 +182,12 @@ impl<T: Clone + Eq + Send + Sync> Consensus<T> for AsymmetricConsensus<T> {
         // their own. A guest's commit decides nothing until its CAS wins the
         // slot — a wait-free proposal may win it first with another value,
         // and peek must never contradict a later propose return.
-        self.decision.load()
+        self.decision.get().cloned()
+    }
+
+    #[progress(wait_free)]
+    fn peek_with<R>(&self, f: impl FnOnce(Option<&T>) -> R) -> R {
+        f(self.decision.get())
     }
 }
 
@@ -182,7 +195,7 @@ impl<T: Clone + Eq + fmt::Debug> fmt::Debug for AsymmetricConsensus<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("AsymmetricConsensus")
             .field("spec", &self.spec)
-            .field("decided", &self.decision.load())
+            .field("decided", &self.decision.get())
             .finish()
     }
 }
@@ -274,7 +287,7 @@ mod tests {
         assert!(cons.rounds.hold_nothing());
         // Guest 4 commits 40 in round 0 and stalls before its CAS reaches
         // the slot (here: its rounds run on a slot of its own)...
-        let stalled = AtomicCell::new();
+        let stalled = OnceBox::new();
         assert_eq!(cons.rounds.run(4, 40, cons.spec.guests(), None, &stalled), Some(40));
         // ...so guest 2 adopts 40 there and runs out of rounds undecided. It
         // must leave the protocol as it found it.

@@ -3,7 +3,7 @@
 use std::fmt;
 
 use apc_progress_macros::progress;
-use apc_registers::AtomicCell;
+use apc_registers::OnceBox;
 
 use crate::consensus::{Consensus, ProposeOnce};
 use crate::error::ConsensusError;
@@ -19,7 +19,9 @@ use crate::liveness::Liveness;
 /// (Figure 5).
 ///
 /// Every `propose` performs one CAS and one read: the first CAS wins; all
-/// later proposals observe the winner.
+/// later proposals observe the winner. The slot is an
+/// [`OnceBox`](apc_registers::OnceBox), never replaced once set, so
+/// [`Consensus::peek_with`] borrows the decision with one load.
 ///
 /// # Examples
 ///
@@ -33,7 +35,8 @@ use crate::liveness::Liveness;
 /// ```
 pub struct CasConsensus<T> {
     spec: Liveness,
-    slot: AtomicCell<T>,
+    /// The decision slot, set once by the first CAS.
+    slot: OnceBox<T>,
     once: ProposeOnce,
 }
 
@@ -44,7 +47,7 @@ impl<T> CasConsensus<T> {
     /// wait-freedom to *everyone*; the ports are still enforced. (An object
     /// may always be *more* live than its specification.)
     pub fn new(spec: Liveness) -> Self {
-        CasConsensus { spec, slot: AtomicCell::new(), once: ProposeOnce::new() }
+        CasConsensus { spec, slot: OnceBox::new(), once: ProposeOnce::new() }
     }
 
     /// The liveness specification this object was declared with.
@@ -60,12 +63,17 @@ impl<T: Clone + Send + Sync> Consensus<T> for CasConsensus<T> {
             return Err(ConsensusError::NotAPort { pid });
         }
         self.once.claim(pid)?;
-        Ok(self.slot.decide(value))
+        Ok(self.slot.decide(value).clone())
     }
 
     #[progress(wait_free)]
     fn peek(&self) -> Option<T> {
-        self.slot.load()
+        self.slot.get().cloned()
+    }
+
+    #[progress(wait_free)]
+    fn peek_with<R>(&self, f: impl FnOnce(Option<&T>) -> R) -> R {
+        f(self.slot.get())
     }
 }
 
@@ -73,7 +81,7 @@ impl<T: Clone + fmt::Debug> fmt::Debug for CasConsensus<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CasConsensus")
             .field("spec", &self.spec)
-            .field("decided", &self.slot.load())
+            .field("decided", &self.slot.get())
             .finish()
     }
 }

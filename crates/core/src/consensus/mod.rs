@@ -50,6 +50,19 @@ pub trait Consensus<T>: Send + Sync {
     /// The paper (§2, remark): "as soon as a value has been decided by a
     /// process, any process can decide the very same value."
     fn peek(&self) -> Option<T>;
+
+    /// Answers `f` from the decided value **without cloning it**: `f`
+    /// borrows the decision (`None` while undecided) and returns what it
+    /// needs of it. The default answers from [`Consensus::peek`]'s clone;
+    /// the objects of this module lend out their decision slot, which is
+    /// never replaced once set, so the borrow costs one load.
+    #[apc_progress_macros::progress(wait_free)]
+    fn peek_with<R>(&self, f: impl FnOnce(Option<&T>) -> R) -> R
+    where
+        Self: Sized,
+    {
+        f(self.peek().as_ref())
+    }
 }
 
 /// Tracks the at-most-once `propose` discipline for up to 64 ports.

@@ -34,9 +34,12 @@
 //!
 //! **Whose decision `D` is.** The rounds (`Rounds`, crate-private) decide a
 //! slot they do not own: the loop above polls it and installs a commit in it
-//! with a CAS-from-`⊥`. This object runs them on its own slot — what `peek`
-//! and every later proposer read — and keeps slot and rounds for as long as
-//! it lives. [`crate::consensus::AsymmetricConsensus`] runs the same rounds
+//! with a CAS-from-`⊥`. A slot is an [`OnceBox`]: set once, never cleared,
+//! so a poll is one load and `peek_with` borrows the decision without an
+//! epoch pin or a clone. The rounds' own registers stay `AtomicCell`s —
+//! retiring clears them. This object runs the rounds on its own slot — what
+//! `peek` and every later proposer read — and keeps slot and rounds for as
+//! long as it lives. [`crate::consensus::AsymmetricConsensus`] runs the same rounds
 //! on its outer slot, so there the outer slot *is* `D`: nothing else is
 //! installed. Once `D` is decided the rounds have no use there, and every
 //! guest that ran them *retires* them on its way out — round 0 and the
@@ -52,7 +55,7 @@ use std::sync::Arc;
 
 use apc_model::ProcessSet;
 use apc_progress_macros::progress;
-use apc_registers::AtomicCell;
+use apc_registers::{AtomicCell, OnceBox};
 
 use crate::consensus::adopt_commit::AdoptCommit;
 use crate::consensus::{Consensus, ProposeOnce};
@@ -122,12 +125,12 @@ impl<T: Clone + Eq + Send + Sync> Rounds<T> {
         mut estimate: T,
         ports: ProcessSet,
         max_rounds: Option<usize>,
-        decision: &AtomicCell<T>,
+        decision: &OnceBox<T>,
     ) -> Option<T> {
         let mut r = 0usize;
         loop {
-            if let Some(d) = decision.load() {
-                return Some(d);
+            if let Some(d) = decision.get() {
+                return Some(d.clone());
             }
             if max_rounds.is_some_and(|max| r >= max) {
                 return None;
@@ -136,7 +139,7 @@ impl<T: Clone + Eq + Send + Sync> Rounds<T> {
             let (flag, w) =
                 ac.adopt_commit(pid, estimate).expect("each pid visits each round at most once");
             if flag.is_commit() {
-                return Some(decision.decide(w));
+                return Some(decision.decide(w).clone());
             }
             estimate = w;
             r += 1;
@@ -185,7 +188,8 @@ impl<T: Clone + Eq + Send + Sync> Rounds<T> {
 pub struct ObstructionFreeConsensus<T> {
     spec: Liveness,
     rounds: Rounds<T>,
-    decision: AtomicCell<T>,
+    /// `D`: set once, by the first round that commits.
+    decision: OnceBox<T>,
     once: ProposeOnce,
 }
 
@@ -198,7 +202,7 @@ impl<T: Clone + Eq + Send + Sync> ObstructionFreeConsensus<T> {
         ObstructionFreeConsensus {
             spec,
             rounds: Rounds::new(),
-            decision: AtomicCell::new(),
+            decision: OnceBox::new(),
             once: ProposeOnce::new(),
         }
     }
@@ -258,7 +262,12 @@ impl<T: Clone + Eq + Send + Sync> Consensus<T> for ObstructionFreeConsensus<T> {
 
     #[progress(wait_free)]
     fn peek(&self) -> Option<T> {
-        self.decision.load()
+        self.decision.get().cloned()
+    }
+
+    #[progress(wait_free)]
+    fn peek_with<R>(&self, f: impl FnOnce(Option<&T>) -> R) -> R {
+        f(self.decision.get())
     }
 }
 
@@ -266,7 +275,7 @@ impl<T: Clone + Eq + fmt::Debug> fmt::Debug for ObstructionFreeConsensus<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ObstructionFreeConsensus")
             .field("spec", &self.spec)
-            .field("decided", &self.decision.load())
+            .field("decided", &self.decision.get())
             .finish()
     }
 }
@@ -316,24 +325,24 @@ mod tests {
     fn rounds_decide_the_slot_they_are_given() {
         let rounds: Rounds<u32> = Rounds::new();
         let ports = ProcessSet::first_n(3);
-        let slot = AtomicCell::new();
+        let slot = OnceBox::new();
         // A commit is installed in the slot the caller passed in.
         assert_eq!(rounds.run(0, 7, ports, None, &slot), Some(7));
-        assert_eq!(slot.load(), Some(7));
+        assert_eq!(slot.get(), Some(&7));
         // A decided slot is returned before any round runs, so rounds that
         // find it decided build nothing...
         let untouched: Rounds<u32> = Rounds::new();
         assert_eq!(untouched.run(1, 8, ports, None, &slot), Some(7));
         assert!(untouched.hold_nothing());
         // ...and a bound that runs out undecided gives up.
-        assert_eq!(rounds.run(2, 9, ports, Some(0), &AtomicCell::new()), None);
+        assert_eq!(rounds.run(2, 9, ports, Some(0), &OnceBox::new()), None);
     }
 
     #[test]
     fn retiring_clears_every_round() {
         let rounds: Rounds<u32> = Rounds::new();
         let ports = ProcessSet::first_n(2);
-        assert_eq!(rounds.run(0, 5, ports, None, &AtomicCell::new()), Some(5));
+        assert_eq!(rounds.run(0, 5, ports, None, &OnceBox::new()), Some(5));
         rounds.round_object(SEGMENT_ROUNDS + 1, ports);
         assert!(!rounds.round0.is_bot() && !rounds.later.is_bot());
         rounds.retire();

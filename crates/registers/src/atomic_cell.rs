@@ -16,12 +16,13 @@ use crossbeam_epoch::{self as epoch, Atomic, Owned, Shared};
 /// crossbeam-epoch. All operations are lock-free; none blocks.
 ///
 /// The extra primitive [`AtomicCell::set_if_bot`] (compare-and-swap from
-/// `⊥`) is the *decision slot* idiom used by wait-free consensus: the first
-/// writer wins and every process can read the winner. Note that a CAS-backed
-/// register is strictly stronger than a read/write register — the
-/// implementations in `apc-core` are explicit about which primitive each
-/// algorithm needs, because the whole point of the paper is that this
-/// difference matters.
+/// `⊥`) lets the first writer win and every process read the winner — the
+/// decision-slot idiom, which the consensus objects run on the set-once
+/// [`OnceBox`](crate::OnceBox) instead, since a slot that is never cleared
+/// needs no epoch. Note that a CAS-backed register is strictly stronger than
+/// a read/write register — the implementations in `apc-core` are explicit
+/// about which primitive each algorithm needs, because the whole point of
+/// the paper is that this difference matters.
 ///
 /// # Examples
 ///
@@ -171,32 +172,22 @@ impl<T: Clone> AtomicCell<T> {
         previous
     }
 
-    /// *Decides* the cell: installs `value` if the cell is `⊥` and returns
-    /// whatever value the cell holds afterwards (the winner's).
-    ///
-    /// This is the total, panic-free form of the decision-slot idiom used by
-    /// every consensus object in `apc-core`: one CAS, one read, and a
-    /// fallback to the caller's own value in the (caller-contract-violating)
-    /// case where the slot was concurrently cleared after losing the race.
-    #[progress(wait_free)]
-    pub fn decide(&self, value: T) -> T {
-        match self.set_if_bot(value.clone()) {
-            Ok(()) => value,
-            Err(returned) => self.load().unwrap_or(returned),
-        }
-    }
-
     /// Reads the value, initializing the cell with `init()` first if it is
     /// `⊥`. Returns the value that ended up being read.
     ///
     /// Under a race, exactly one initializer wins and all callers observe a
-    /// single consistent value.
+    /// single consistent value — unless the cell is cleared between the
+    /// losing CAS and the read after it, when the caller gets its own value.
     #[progress(wait_free)]
     pub fn load_or_init(&self, init: impl FnOnce() -> T) -> T {
         if let Some(v) = self.load() {
             return v;
         }
-        self.decide(init())
+        let value = init();
+        match self.set_if_bot(value.clone()) {
+            Ok(()) => value,
+            Err(returned) => self.load().unwrap_or(returned),
+        }
     }
 
     /// Replaces the current value with `value` iff `keep_new` approves the

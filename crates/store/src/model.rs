@@ -307,9 +307,10 @@ fn segment_builder(decided: Option<Value>) -> Option<usize> {
 /// that a checkpoint install never drops or duplicates a committed op.
 ///
 /// A placer built with [`LogPlaceProgram::publishing`] also does what
-/// `Universal::advance` does for the read path: after absorbing each cell
-/// (and crossing, if it ends a segment) it raises the shared tail past it,
-/// and it marks itself finished before it returns.
+/// `OwnedHandle::apply` does for the read path: once it has absorbed the
+/// cell that agreed on its own value (and crossed, if that cell ends a
+/// segment) it raises the shared tail past it — once per placement, not
+/// per cell — and it marks itself finished before it returns.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct LogPlaceProgram {
     log: Arc<LogCells>,
@@ -331,8 +332,8 @@ enum PlaceStep {
     /// Awaiting the link's decision past the absorbed cell (which agreed on
     /// my value iff `mine`).
     Cross { mine: bool },
-    /// Awaiting the tail raise past the absorbed cell.
-    Raise { mine: bool },
+    /// Awaiting the tail raise past my own absorbed cell.
+    Raise,
     /// Awaiting the finished mark; next: return.
     Return,
 }
@@ -351,8 +352,8 @@ impl LogPlaceProgram {
         }
     }
 
-    /// The same placer, raising `objs.tail` past every cell it absorbs and
-    /// adding `finished_bit` to `objs.finished` once its value is placed.
+    /// The same placer, raising `objs.tail` past the cell that agreed on its
+    /// value and adding `finished_bit` to `objs.finished` once it is placed.
     pub fn publishing(mut self, objs: TailObjects, finished_bit: u32) -> Self {
         self.publish = Some((objs, finished_bit));
         self
@@ -369,7 +370,7 @@ impl LogPlaceProgram {
     }
 
     /// After absorbing `next_cell`: cross into the next segment if the
-    /// cell ends one, then raise the tail.
+    /// cell ends one, then — if the cell is mine — raise the tail.
     fn absorbed(&mut self, mine: bool) -> ProgramAction {
         match self.log.link_after(self.next_cell) {
             Some(link) => {
@@ -383,12 +384,12 @@ impl LogPlaceProgram {
 
     fn raise(&mut self, mine: bool) -> ProgramAction {
         match self.publish {
-            Some((objs, _)) => {
-                self.step = PlaceStep::Raise { mine };
+            Some((objs, _)) if mine => {
+                self.step = PlaceStep::Raise;
                 let past = self.next_cell as u32 + 1;
                 ProgramAction::Invoke(Op::FetchMax(objs.tail, past))
             }
-            None => self.advance(mine),
+            _ => self.advance(mine),
         }
     }
 
@@ -421,7 +422,7 @@ impl Program for LogPlaceProgram {
                 self.segment = segment_builder(last);
                 self.raise(mine)
             }
-            PlaceStep::Raise { mine } => self.advance(mine),
+            PlaceStep::Raise => self.advance(true),
             PlaceStep::Return => ProgramAction::Decide(self.value),
         }
     }
@@ -1114,8 +1115,9 @@ impl<P: apc_model::Program> apc_model::explore::Invariant<P> for PrefixSafety {
 
 /// Builds the **read race**: `committers` place their batches (`100 + pid`)
 /// and, optionally, `special = (pid, marker_base)` places a checkpoint,
-/// split-seal or merge-drain marker, all raising the tail as they go, while
-/// `reader` runs one [`SyncReadProgram`] from an empty replica.
+/// split-seal or merge-drain marker, each raising the tail past its own
+/// cell before it finishes, while `reader` runs one [`SyncReadProgram`]
+/// from an empty replica.
 ///
 /// Returns the system and the [`PrefixSafety`] invariant over it.
 ///

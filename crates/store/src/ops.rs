@@ -418,6 +418,25 @@ impl SequentialSpec for ShardSpec {
             }
         }
     }
+
+    /// What a replica does with a command somebody else is waiting on: a
+    /// batch's writes go through [`apply_op`] and nothing else happens —
+    /// no response vector, no lookup for a read, nothing at all for a batch
+    /// a split has made stale (it bounces whole, changing nothing). A
+    /// reconfiguration is rare and replays as it applies.
+    fn replay(&self, state: &mut ShardState, cmd: &ShardCmd) {
+        match cmd {
+            ShardCmd::Batch(batch) => {
+                if batch.planned_at < state.epoch {
+                    return;
+                }
+                for op in batch.ops.iter().filter(|op| !op.is_read()) {
+                    apply_op(state, op);
+                }
+            }
+            reconfig => drop(self.apply(state, reconfig)),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -592,6 +611,101 @@ mod tests {
         );
         let after: Vec<(Key, u64)> = s.map.iter().map(owned).collect();
         assert_eq!(after, before, "drain + adopt is the identity on the key set");
+    }
+
+    /// A key space small enough that commands collide: the empty key, a few
+    /// prefixes of one another, and plain ones.
+    fn key_of(n: u32) -> Key {
+        match n % 8 {
+            0 => "p".repeat(n as usize / 8),
+            _ => format!("k{n:02}"),
+        }
+    }
+
+    /// One command of a script: mostly batches of every operation against
+    /// the small key space, planned at a version that may be older than
+    /// the shard's epoch; now and then a split, a merge or an adoption.
+    fn command(kind: u8, ops: &[(u8, u32, u64)], at: u64) -> ShardCmd {
+        let op = |&(op, k, v): &(u8, u32, u64)| match op {
+            0 => StoreOp::Get(key_of(k)),
+            1 => StoreOp::Remove(key_of(k)),
+            2 => StoreOp::Cas { key: key_of(k), expect: (v > 0).then_some(v), new: v + 1 },
+            3 => StoreOp::Scan { from: key_of(k), to: key_of(k + 9) },
+            _ => StoreOp::Put(key_of(k), v),
+        };
+        match kind {
+            13 => ShardCmd::Split(SplitSpec { child_seed: at, version: at + 1 }),
+            14 => ShardCmd::Merge(MergeSpec { version: at + 1 }),
+            15 => {
+                let entries: std::collections::BTreeMap<Key, u64> =
+                    ops.iter().map(|&(_, k, v)| (key_of(k + 48), v)).collect();
+                ShardCmd::Adopt(AdoptSpec {
+                    version: at,
+                    entries: std::sync::Arc::new(entries.into_iter().collect()),
+                })
+            }
+            _ => ShardCmd::Batch(Batch::new(at, ops.iter().map(op).collect())),
+        }
+    }
+
+    /// The cases a replay could get wrong, against `state`: a `Cas` that
+    /// hits a stored value, one that misses it, a `Remove` of an absent key,
+    /// a batch mixing reads and writes; then a split, a batch planned before
+    /// it and one after, an adoption, a merge and a batch it made stale.
+    fn landmarks(state: &ShardState) -> Vec<ShardCmd> {
+        let (key, value) =
+            state.entries().iter().next().map_or(("k01", None), |(k, v)| (k, Some(v)));
+        let batch = |at: u64, ops: Vec<StoreOp>| ShardCmd::Batch(Batch::new(at, ops));
+        let now = state.epoch();
+        vec![
+            batch(now, vec![StoreOp::Cas { key: key.into(), expect: value, new: 90 }]),
+            batch(now, vec![StoreOp::Cas { key: key.into(), expect: Some(91), new: 92 }]),
+            batch(now, vec![StoreOp::Remove("absent".into())]),
+            batch(
+                now,
+                vec![
+                    StoreOp::Get(key.into()),
+                    StoreOp::Put(key.into(), 93),
+                    StoreOp::Scan { from: String::new(), to: "z".into() },
+                    StoreOp::Put("fresh".into(), 94),
+                    StoreOp::Get("fresh".into()),
+                ],
+            ),
+            command(13, &[], now),
+            batch(now, vec![StoreOp::Put("stale".into(), 95)]),
+            batch(now + 1, vec![StoreOp::Put("after-split".into(), 96)]),
+            command(15, &[(4, 3, 97), (4, 11, 98)], now + 2),
+            command(14, &[], now + 2),
+            batch(now + 2, vec![StoreOp::Put("stale-after-merge".into(), 99)]),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// Replaying any command leaves the state applying it leaves: from
+        /// a random state, the landmark cases and then a random script,
+        /// compared after every command.
+        #[test]
+        fn replay_leaves_the_state_apply_leaves(
+            entries in proptest::collection::vec((0u32..48, 0u64..4), 0..40),
+            epoch in 0u64..3,
+            script in proptest::collection::vec(
+                (0u8..16, proptest::collection::vec((0u8..6, 0u32..48, 0u64..4), 1..6), 0u64..5),
+                1..24,
+            ),
+        ) {
+            let spec = ShardSpec { seed: 5, created_at: 0 };
+            let start =
+                ShardState::with_entries(entries.iter().map(|&(k, v)| (key_of(k), v)), epoch);
+            let random = script.iter().map(|(kind, ops, at)| command(*kind, ops, *at));
+            let (mut applied, mut replayed) = (start.clone(), start.clone());
+            for cmd in landmarks(&start).into_iter().chain(random) {
+                spec.apply(&mut applied, &cmd);
+                spec.replay(&mut replayed, &cmd);
+                proptest::prop_assert_eq!(&replayed, &applied, "after {:?}", cmd);
+            }
+        }
     }
 
     #[test]

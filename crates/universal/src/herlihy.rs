@@ -2,10 +2,16 @@
 //! with **checkpoint cells**.
 //!
 //! **One walk, one handle.** An [`OwnedHandle`] does one thing to the log:
-//! decide the cell at its cursor (`decide_current_cell`, helping rule
-//! included) and absorb the agreed record (`absorb`: apply the operation if
-//! there is one, note it in `applied`, move the cursor, raise `tail`,
-//! publish the anchor if the record seals a state). `apply`, `reconfigure`,
+//! make sure the cell at its cursor is decided (`decide_current_cell`,
+//! helping rule included) and absorb the agreed record (`absorb`). Absorbing
+//! borrows the record where the cell's decision slot holds it — no clone,
+//! no epoch pin — applies its operation if there is one, notes it in
+//! `applied`, moves the cursor, and publishes the anchor if the record
+//! seals a state. Only the walker's own operation is applied with
+//! [`SequentialSpec::apply`], for the response it is waiting on; every other
+//! record is *replayed* ([`SequentialSpec::replay`]) for its effect on the
+//! replica alone, so a lagging replica pays one state change per foreign
+//! write and builds no response for it. `apply`, `reconfigure`,
 //! `checkpoint` and `sync_read` are loops over that step which differ only
 //! in what they propose and when they stop, so what a cell does to a replica
 //! cannot depend on which of them crossed it.
@@ -275,13 +281,15 @@ where
     /// Monotone in `index`; never `⊥`.
     anchor: AtomicCell<Arc<Anchor<S, F::Object>>>,
     handles: AtomicU64,
-    /// One past the highest log index any handle has absorbed. Raised in
-    /// [`OwnedHandle::advance`], the one place a cursor moves, so **every
-    /// response or publication that depends on cell `i` happens after
-    /// `tail > i`**: an op's invoker, a reconfiguration driver and a
-    /// checkpointer all absorb their own cell before they return or
-    /// publish. Every cell below `tail` is decided. This is what
-    /// [`OwnedHandle::sync_read`] catches up to.
+    /// A log index every cell below which is decided, and past every cell
+    /// whose effect a caller has been shown. Raised to the walker's cursor
+    /// once per call, not per cell: by [`OwnedHandle::apply`] before it
+    /// returns its response, and by `absorb` before it publishes a seal as
+    /// the anchor — which is how `reconfigure` and `checkpoint` raise it
+    /// before they return. So **every response or publication that depends
+    /// on cell `i` happens after `tail > i`**, and whenever none of its
+    /// operations is running, a handle's cursor is at most `tail`. This is
+    /// what [`OwnedHandle::sync_read`] catches up to.
     tail: AtomicU64,
 }
 
@@ -393,24 +401,14 @@ where
     }
 }
 
-/// The kind of record a log cell agreed on.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-enum Kind {
-    Op,
-    Checkpoint,
-    Reconfig,
-}
-
 /// What [`OwnedHandle::absorb`] crossed.
 struct Absorbed<R> {
-    kind: Kind,
-    /// The record's proposer and its sequence number there (0 for a
-    /// checkpoint, which has none; real sequence numbers start at 1).
-    author: (usize, u64),
+    /// Whether the cell agreed on a checkpoint.
+    checkpoint: bool,
     /// Log index of the absorbed cell.
     index: u64,
-    /// The record's operation answered at this cell (`None` for a
-    /// checkpoint, which carries no operation).
+    /// The walker's own operation, answered at this cell; `None` for every
+    /// other record, which is replayed and not answered.
     resp: Option<R>,
 }
 
@@ -468,14 +466,12 @@ where
         let me = (self.pid, self.seq);
         self.obj.announce[self.pid].store(Announce { seq: self.seq, op: op.clone() });
         loop {
-            let decided = self.decide_current_cell(|| {
+            self.decide_current_cell(|| {
                 LogRecord::Op(OpRecord { pid: self.pid as u8, seq: self.seq, op: op.clone() })
             });
-            match self.absorb(decided) {
-                Absorbed { kind: Kind::Op, author, resp: Some(resp), .. } if author == me => {
-                    return resp;
-                }
-                _ => {}
+            if let Some(Absorbed { resp: Some(resp), .. }) = self.absorb(Some(me)) {
+                self.raise_tail();
+                return resp;
             }
         }
     }
@@ -499,7 +495,7 @@ where
         self.seq += 1;
         let me = (self.pid, self.seq);
         loop {
-            let decided = self.decide_current_cell(|| {
+            self.decide_current_cell(|| {
                 // Speculate the sealed post-state from the fully-replayed
                 // prefix; exact whenever this record is the one agreed.
                 let mut post = self.state.clone();
@@ -511,13 +507,9 @@ where
                     state: Arc::new(post),
                 })
             });
-            match self.absorb(decided) {
-                Absorbed { kind: Kind::Reconfig, author, index, resp: Some(resp) }
-                    if author == me =>
-                {
-                    return (index, resp);
-                }
-                _ => {}
+            // A reconfiguration seals, so absorbing it raised the tail.
+            if let Some(Absorbed { index, resp: Some(resp), .. }) = self.absorb(Some(me)) {
+                return (index, resp);
             }
         }
     }
@@ -537,7 +529,7 @@ where
     #[progress(lock_free)]
     pub fn checkpoint(&mut self) -> u64 {
         loop {
-            let decided = self.decide_current_cell(|| {
+            self.decide_current_cell(|| {
                 LogRecord::Checkpoint(CheckpointRecord {
                     pid: self.pid as u8,
                     index: self.cell_index,
@@ -547,10 +539,9 @@ where
             });
             // Any checkpoint agreed at my cursor cell seals exactly my
             // replayed prefix (determinism), so it serves whether or not I
-            // proposed it.
-            let crossed = self.absorb(decided);
-            if crossed.kind == Kind::Checkpoint {
-                return crossed.index;
+            // proposed it; absorbing it raised the tail.
+            if let Some(Absorbed { checkpoint: true, index, .. }) = self.absorb(None) {
+                return index;
             }
         }
     }
@@ -577,11 +568,8 @@ where
     #[progress(bounded_wait_free)]
     pub fn sync_read<R>(&mut self, f: impl FnOnce(&S::State) -> R) -> R {
         let tail = self.obj.tail.load(Ordering::Acquire);
-        while self.cell_index < tail {
-            // Every cell below `tail` is decided; stay total regardless.
-            let Some(decided) = self.cell().peek() else { break };
-            self.absorb(decided);
-        }
+        // Every cell below `tail` is decided; stay total regardless.
+        while self.cell_index < tail && self.absorb(None).is_some() {}
         f(&self.state)
     }
 
@@ -590,28 +578,29 @@ where
         &self.segment.cells[offset(self.cell_index)]
     }
 
-    /// Produces (or learns) the decision of the cursor cell. `fallback` is
-    /// the record to propose when the helping rule yields no candidate.
-    fn decide_current_cell(&self, fallback: impl FnOnce() -> LogRecordOf<S>) -> LogRecordOf<S> {
+    /// Makes sure the cursor cell is decided, proposing to it if it is not.
+    /// `fallback` is the record to propose when the helping rule yields no
+    /// candidate. What was decided is `absorb`'s to read.
+    fn decide_current_cell(&self, fallback: impl FnOnce() -> LogRecordOf<S>) {
         let cell = self.cell();
-        if let Some(d) = cell.peek() {
-            return d;
+        if cell.peek_with(|decided| decided.is_some()) {
+            return;
         }
         // Helping rule: cell k prefers the announcement of process k mod n,
         // if it is pending (announced and not yet applied in my replay —
-        // which is exact for all cells before this one).
+        // which is exact for all cells before this one). Only a pending
+        // announcement is cloned.
         let slot = (self.cell_index as usize) % self.obj.n;
-        let candidate = self.obj.announce[slot]
-            .load()
-            .filter(|a| a.seq > self.applied[slot])
-            .map(|a| LogRecord::Op(OpRecord { pid: slot as u8, seq: a.seq, op: a.op }));
+        let done = self.applied[slot];
+        let candidate = self.obj.announce[slot].load_with(|a| {
+            let a = a.filter(|a| a.seq > done)?;
+            Some(LogRecord::Op(OpRecord { pid: slot as u8, seq: a.seq, op: a.op.clone() }))
+        });
         let proposal = candidate.unwrap_or_else(fallback);
         // APC-LINT: allow(progress): dynamic dispatch through the factory's consensus object; its class is the factory's liveness spec (wait-free for the VIP set), checked at the object, not here
         match cell.propose(self.pid, proposal) {
-            Ok(decided) => decided,
-            Err(ConsensusError::AlreadyProposed { .. }) => {
-                cell.peek().expect("a proposed-to cell that rejects re-proposals has decided")
-            }
+            // A proposed-to cell that rejects a re-proposal has decided too.
+            Ok(_) | Err(ConsensusError::AlreadyProposed { .. }) => {}
             Err(ConsensusError::NotAPort { pid }) => {
                 unreachable!("handle creation verified port membership for {pid}")
             }
@@ -619,33 +608,47 @@ where
     }
 
     /// **The walk's one step**: absorbs the decided record of the cursor
-    /// cell, whoever proposed it and whichever driver is walking. Applies
-    /// the record's operation (if it carries one) to the local replica and
-    /// notes it in `applied`, moves the cursor, and — if the record seals a
-    /// state (a checkpoint its prefix, a reconfiguration its own post-state)
-    /// — publishes the seal as the bootstrap anchor for future handles. By
-    /// determinism the seal equals the local replica here, so it is shared
-    /// straight out of the record, never cloned.
-    fn absorb(&mut self, decided: LogRecordOf<S>) -> Absorbed<S::Resp> {
+    /// cell, whoever proposed it and whichever operation is walking; `None`
+    /// (and nothing absorbed) if the cell is undecided. The record is
+    /// borrowed from the cell. Its operation, if it carries one, is applied
+    /// for a response if it is the one the walker `awaited` (its author and
+    /// sequence number), and replayed for its effect otherwise; either way
+    /// it is noted in `applied`. Then the cursor moves, and — if the record
+    /// seals a state (a checkpoint its prefix, a reconfiguration its own
+    /// post-state) — the tail is raised and the seal published as the
+    /// bootstrap anchor for future handles. By determinism the seal equals
+    /// the local replica here, so it is shared straight out of the record,
+    /// never cloned.
+    fn absorb(&mut self, awaited: Option<(usize, u64)>) -> Option<Absorbed<S::Resp>> {
         let index = self.cell_index;
-        let (kind, author, op, seal) = match decided {
-            LogRecord::Op(rec) => (Kind::Op, (rec.pid as usize, rec.seq), Some(rec.op), None),
-            LogRecord::Checkpoint(ck) => {
-                debug_assert_eq!(ck.index, index, "checkpoint index matches its cell");
-                (Kind::Checkpoint, (ck.pid as usize, 0), None, Some(ck.state))
-            }
-            LogRecord::Reconfig(rec) => {
-                (Kind::Reconfig, (rec.pid as usize, rec.seq), Some(rec.op), Some(rec.state))
-            }
-        };
-        let resp = op.map(|op| {
-            let resp = self.obj.spec.apply(&mut self.state, &op);
-            self.applied[author.0] = author.1;
-            resp
-        });
+        let Self { obj, segment, state, applied, .. } = self;
+        let (checkpoint, resp, seal) = segment.cells[offset(index)].peek_with(|decided| {
+            let (checkpoint, author, op, seal) = match decided? {
+                LogRecord::Op(rec) => (false, (rec.pid, rec.seq), Some(&rec.op), None),
+                LogRecord::Checkpoint(ck) => {
+                    debug_assert_eq!(ck.index, index, "checkpoint index matches its cell");
+                    (true, (ck.pid, 0), None, Some(&ck.state))
+                }
+                LogRecord::Reconfig(rec) => {
+                    (false, (rec.pid, rec.seq), Some(&rec.op), Some(&rec.state))
+                }
+            };
+            let author = (usize::from(author.0), author.1);
+            let resp = op.and_then(|op| {
+                applied[author.0] = author.1;
+                if awaited == Some(author) {
+                    Some(obj.spec.apply(state, op))
+                } else {
+                    obj.spec.replay(state, op);
+                    None
+                }
+            });
+            Some((checkpoint, resp, seal.map(Arc::clone)))
+        })?;
         self.advance();
         if let Some(state) = seal {
             debug_assert!(*state == self.state, "a sealed state matches the replica");
+            self.raise_tail();
             let anchor_index = self.cell_index;
             // Skip the allocation when someone already published this seal
             // (or a later one).
@@ -661,7 +664,7 @@ where
                 self.obj.anchor.update_if(anchor, |cur| cur.is_none_or(|a| a.index < anchor_index));
             }
         }
-        Absorbed { kind, author, index, resp }
+        Some(Absorbed { checkpoint, index, resp })
     }
 
     /// Moves the cursor to the next cell: the next one in its segment, or,
@@ -677,6 +680,11 @@ where
             self.segment = next;
         }
         self.steps += 1;
+    }
+
+    /// Raises the object's `tail` to this handle's cursor: every cell before
+    /// it is decided and absorbed here.
+    fn raise_tail(&self) {
         // Release: pairs with the Acquire load in `sync_read`, so a reader
         // that sees `tail > i` also sees cell `i` decided and its successor
         // linked.
@@ -1172,8 +1180,10 @@ mod tests {
                         // published yet — so whoever crosses the cell next
                         // does so alone.
                         let foreign = record(&author);
-                        assert_eq!(author.decide_current_cell(|| foreign.clone()), foreign);
+                        author.decide_current_cell(|| foreign.clone());
+                        assert_eq!(author.cell().peek(), Some(foreign));
                         author.advance();
+                        author.raise_tail();
                         if witness {
                             port.sync_read(|_| ());
                         }
@@ -1189,6 +1199,91 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_replaying_replica_ends_where_an_applying_one_does() {
+        // One port agrees a log of KV operations from three authors, with
+        // checkpoint and reconfiguration cells among them, and absorbs
+        // every record as its author would: applying the operation for its
+        // response. Another port only ever replays (`sync_read`), at ragged
+        // points along the way. Both must end with the same state, the same
+        // `applied` vector and the same cursor; the applier's responses must
+        // be a sequential run's.
+        type Port = OwnedHandle<KvStore, AsymmetricFactory>;
+        let obj = Arc::new(Universal::new(
+            KvStore,
+            AsymmetricFactory::new(Liveness::new_first_n(3, 1)),
+            3,
+        ));
+        let mut reader: Port = obj.owned_handle(0).unwrap();
+        let mut applier: Port = obj.owned_handle(1).unwrap();
+        let mut oracle = KvStore.init();
+        let mut seqs = [0u64; 3];
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        for i in 0..600u64 {
+            rng =
+                rng.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            let key = format!("k{}", (rng >> 33) % 11);
+            let op = match (rng >> 20) % 4 {
+                0 => KvOp::Get(key),
+                1 => KvOp::Remove(key),
+                _ => KvOp::Put(key, i),
+            };
+            let pid = ((rng >> 40) % 3) as u8;
+            let record = match i % 29 {
+                13 => LogRecord::Checkpoint(CheckpointRecord {
+                    pid,
+                    index: applier.cell_index,
+                    state: Arc::new(applier.state.clone()),
+                    applied: applier.applied.clone(),
+                }),
+                27 => {
+                    let mut post = applier.state.clone();
+                    KvStore.apply(&mut post, &op);
+                    seqs[usize::from(pid)] += 1;
+                    let seq = seqs[usize::from(pid)];
+                    LogRecord::Reconfig(ReconfigRecord {
+                        pid,
+                        seq,
+                        op: op.clone(),
+                        state: Arc::new(post),
+                    })
+                }
+                _ => {
+                    seqs[usize::from(pid)] += 1;
+                    let seq = seqs[usize::from(pid)];
+                    LogRecord::Op(OpRecord { pid, seq, op: op.clone() })
+                }
+            };
+            let author = match &record {
+                LogRecord::Op(r) => Some((usize::from(r.pid), r.seq)),
+                LogRecord::Reconfig(r) => Some((usize::from(r.pid), r.seq)),
+                LogRecord::Checkpoint(_) => None,
+            };
+            applier.decide_current_cell(|| record.clone());
+            assert_eq!(applier.cell().peek(), Some(record), "cell {i} took the record");
+            let crossed = applier.absorb(author).expect("a decided cell is absorbed");
+            match author {
+                Some(_) => {
+                    let expected = KvStore.apply(&mut oracle, &op);
+                    assert_eq!(crossed.resp, Some(expected), "cell {i} answered as its author");
+                }
+                None => assert_eq!(crossed.resp, None, "a checkpoint answers nothing"),
+            }
+            applier.raise_tail();
+            if rng.is_multiple_of(5) {
+                reader.sync_read(|_| ());
+            }
+        }
+        reader.sync_read(|_| ());
+        assert_eq!(reader.state, oracle);
+        assert_eq!(
+            (&reader.state, &reader.applied, reader.cell_index),
+            (&applier.state, &applier.applied, applier.cell_index)
+        );
+        assert_eq!(reader.applied, seqs.to_vec(), "every authored record is noted");
+        assert!(obj.anchor_index() > 0, "the seals were published");
     }
 
     #[test]

@@ -25,6 +25,15 @@ pub trait SequentialSpec: Send + Sync {
 
     /// Applies `op`, mutating the state and producing the response.
     fn apply(&self, state: &mut Self::State, op: &Self::Op) -> Self::Resp;
+
+    /// Applies `op` for its effect alone: what a replica does with an
+    /// operation somebody else is waiting on. It must leave `state` exactly
+    /// as [`SequentialSpec::apply`] would; the default is `apply` with the
+    /// response discarded. Override it where building the response, or an
+    /// operation that changes nothing, costs something worth skipping.
+    fn replay(&self, state: &mut Self::State, op: &Self::Op) {
+        let _ = self.apply(state, op);
+    }
 }
 
 /// A shared counter.
@@ -124,6 +133,13 @@ impl SequentialSpec for KvStore {
             KvOp::Remove(k) => state.remove(k),
         }
     }
+
+    fn replay(&self, state: &mut Self::State, op: &KvOp) {
+        // A `Get` has no effect to replay.
+        if !matches!(op, KvOp::Get(_)) {
+            self.apply(state, op);
+        }
+    }
 }
 
 /// An append-only log: appends return the entry's index.
@@ -195,6 +211,25 @@ mod tests {
         assert_eq!(spec.apply(&mut s, &KvOp::Get("a".into())), Some(2));
         assert_eq!(spec.apply(&mut s, &KvOp::Remove("a".into())), Some(2));
         assert_eq!(spec.apply(&mut s, &KvOp::Get("a".into())), None);
+    }
+
+    #[test]
+    fn kv_replay_leaves_what_apply_leaves() {
+        let spec = KvStore;
+        let ops = [
+            KvOp::Put("a".into(), 1),
+            KvOp::Get("a".into()),
+            KvOp::Put("b".into(), 2),
+            KvOp::Remove("a".into()),
+            KvOp::Remove("z".into()),
+            KvOp::Get("b".into()),
+        ];
+        let (mut applied, mut replayed) = (spec.init(), spec.init());
+        for op in &ops {
+            spec.apply(&mut applied, op);
+            spec.replay(&mut replayed, op);
+            assert_eq!(applied, replayed, "after {op:?}");
+        }
     }
 
     #[test]

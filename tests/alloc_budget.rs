@@ -16,6 +16,11 @@
 //! when a checkpoint seals a shard log's prefix and every cursor moves past
 //! it, so that nothing holds the prefix any more and it is released.
 //!
+//! A sixth line prices what a lagging replica pays to catch up: allocator
+//! calls per foreign one-put cell while a caught-up port replays cells
+//! written since. The record is borrowed from its cell and replayed for its
+//! effect alone, so the budget is zero.
+//!
 //! A second table prices the same store behind the wire: a `StoreServer`
 //! over `sim_pair` connections, in allocator calls made inside `poll()`
 //! per served frame — from the request's bytes arriving to its response's
@@ -231,7 +236,39 @@ fn commit_path_allocations_stay_within_budget() {
     let budget = cell.retained_allocs;
     assert!(retired <= budget + SLACK, "a retired cell is over its free budget: {retired:.3}");
 
+    // Replaying a foreign write costs its effect on the replica and nothing
+    // else: the record is borrowed from its cell and no response is built
+    // (its parent read 1.0, the response vector nobody read).
+    let replayed = replayed_cell_calls();
+    println!("replayed cell, calls     {replayed:>7.3}");
+    assert!(replayed <= SLACK, "a replayed cell is over its call budget: {replayed:.3}");
+
     serve_path_allocations_stay_within_budget(&store);
+}
+
+/// Allocator calls per foreign cell while a caught-up port catches up: a
+/// `(2,1)`-live log whose VIP port holds a replica of every key; its guest
+/// port then writes `REQUESTS` one-put batches over those keys, and the VIP
+/// replays them. Overwriting a stored key allocates nothing in the map, so
+/// every call counted is the replay's own.
+fn replayed_cell_calls() -> f64 {
+    const STORED: u32 = 4_096;
+    let factory = AsymmetricFactory::new(Liveness::new_first_n(2, 1));
+    let log = Arc::new(ShardLog::new(ShardSpec::default(), factory, 2));
+    let mut vip = log.owned_handle(0).expect("port 0 is free");
+    let mut guest = log.owned_handle(1).expect("port 1 is free");
+    for chunk in (0..STORED).collect::<Vec<_>>().chunks(256) {
+        let puts = chunk.iter().map(|&k| StoreOp::Put(key(k), 0)).collect();
+        guest.apply(ShardCmd::Batch(Batch::new(0, puts)));
+    }
+    vip.sync_read(|_| ());
+    for i in 0..REQUESTS {
+        let put = StoreOp::Put(key(i % STORED), u64::from(i));
+        guest.apply(ShardCmd::Batch(Batch::new(0, vec![put])));
+    }
+    let census = measure(REQUESTS, || vip.sync_read(|_| ()));
+    assert_eq!(vip.replayed_cells(), guest.replayed_cells(), "the VIP caught up");
+    census.calls
 }
 
 /// Frees per cell when a shard log's prefix is released: a `(2,1)`-live
