@@ -9,12 +9,8 @@
 //!   which is exactly the paper's point that hard guarantees only scale to
 //!   `x` processes (Theorem 3: consensus number `x+1`);
 //! * an **unbounded guest tier** — guests are obstruction-free. Any number
-//!   of guest clients are admitted; they are multiplexed onto the shard
-//!   spec's guest ports `Y \ X`, placed round-robin into the
-//!   [`GroupLayout`]-computed groups that structure the guest ports as an
-//!   arbiter cascade (§6.2 of the paper: `⌈g/width⌉` ordered groups, lower
-//!   group index = earlier in the cascade = stronger asymmetric claim on
-//!   the group termination property).
+//!   of guest clients are admitted; they are multiplexed round-robin onto
+//!   the shard spec's guest ports `Y \ X`.
 //!
 //! [`Admission`] owns the per-shard [`Liveness`] specification; every shard
 //! of one store uses the same spec, so a ticket's port is valid on all
@@ -25,7 +21,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use apc_progress_macros::progress;
 
-use apc_core::group::GroupLayout;
 use apc_core::liveness::Liveness;
 use apc_model::ProcessSet;
 
@@ -54,14 +49,11 @@ pub struct AdmissionConfig {
     pub vip_capacity: usize,
     /// Number of obstruction-free guest ports clients multiplex onto.
     pub guest_ports: usize,
-    /// Group width for the guest arbiter cascade (the `x` of the guests'
-    /// [`GroupLayout`]).
-    pub guest_group_width: usize,
 }
 
 impl Default for AdmissionConfig {
     fn default() -> Self {
-        AdmissionConfig { vip_capacity: 2, guest_ports: 6, guest_group_width: 2 }
+        AdmissionConfig { vip_capacity: 2, guest_ports: 6 }
     }
 }
 
@@ -99,7 +91,6 @@ pub struct ClientTicket {
     id: u64,
     class: ProgressClass,
     port: usize,
-    group: Option<usize>,
 }
 
 impl ClientTicket {
@@ -117,12 +108,6 @@ impl ClientTicket {
     pub fn port(&self) -> usize {
         self.port
     }
-
-    /// For guests, the 1-based arbiter-cascade group of the client's port
-    /// (lower = earlier in the cascade); `None` for VIPs.
-    pub fn cascade_group(&self) -> Option<usize> {
-        self.group
-    }
 }
 
 /// The admission state of one store.
@@ -130,7 +115,6 @@ impl ClientTicket {
 pub struct Admission {
     cfg: AdmissionConfig,
     spec: Liveness,
-    layout: GroupLayout,
     next_id: AtomicU64,
     vips_issued: AtomicUsize,
     guests_issued: AtomicU64,
@@ -138,20 +122,15 @@ pub struct Admission {
 
 impl Admission {
     /// Builds the admission layer, deriving the per-shard [`Liveness`] spec
-    /// (`(vip_capacity + guest_ports, vip_capacity)`-live) and the guest
-    /// [`GroupLayout`].
+    /// (`(vip_capacity + guest_ports, vip_capacity)`-live).
     ///
     /// # Errors
     ///
-    /// [`AdmissionError::BadConfig`] if there are no guest ports, the group
-    /// width is zero or exceeds the guest port count, or the total port
-    /// count leaves the representable range (`1..=64`).
+    /// [`AdmissionError::BadConfig`] if there are no guest ports or the
+    /// total port count leaves the representable range (`1..=64`).
     pub fn new(cfg: AdmissionConfig) -> Result<Self, AdmissionError> {
         if cfg.guest_ports == 0 {
             return Err(AdmissionError::BadConfig("guest_ports must be at least 1"));
-        }
-        if cfg.guest_group_width == 0 || cfg.guest_group_width > cfg.guest_ports {
-            return Err(AdmissionError::BadConfig("guest_group_width must be in 1..=guest_ports"));
         }
         let ports = cfg.vip_capacity + cfg.guest_ports;
         if ports > 64 {
@@ -159,21 +138,13 @@ impl Admission {
         }
         let spec = Liveness::new(ProcessSet::first_n(ports), ProcessSet::first_n(cfg.vip_capacity))
             .map_err(|_| AdmissionError::BadConfig("liveness spec rejected the port sets"))?;
-        let layout = GroupLayout::new(cfg.guest_ports, cfg.guest_group_width)
-            .map_err(|_| AdmissionError::BadConfig("guest group layout rejected"))?;
         Ok(Admission {
             cfg,
             spec,
-            layout,
             next_id: AtomicU64::new(0),
             vips_issued: AtomicUsize::new(0),
             guests_issued: AtomicU64::new(0),
         })
-    }
-
-    /// The sizing this layer was built with.
-    pub fn config(&self) -> AdmissionConfig {
-        self.cfg
     }
 
     /// The per-shard liveness specification
@@ -185,12 +156,6 @@ impl Admission {
     /// Total port count per shard (`y` of the spec).
     pub fn ports(&self) -> usize {
         self.spec.y()
-    }
-
-    /// The guest arbiter-cascade layout (over guest ports, 0-based within
-    /// the guest range).
-    pub fn guest_layout(&self) -> GroupLayout {
-        self.layout
     }
 
     /// Admits a client into `class`.
@@ -219,7 +184,6 @@ impl Admission {
                     id: self.next_id.fetch_add(1, Ordering::Relaxed),
                     class: ProgressClass::Vip,
                     port: slot,
-                    group: None,
                 })
             }
             ProgressClass::Guest => Ok(self.admit_guest()),
@@ -240,7 +204,6 @@ impl Admission {
             id: self.next_id.fetch_add(1, Ordering::Relaxed),
             class: ProgressClass::Guest,
             port: self.cfg.vip_capacity + guest_slot,
-            group: Some(self.layout.group_of(guest_slot)),
         }
     }
 
@@ -258,22 +221,21 @@ impl Admission {
 mod tests {
     use super::*;
 
-    fn cfg(v: usize, g: usize, w: usize) -> AdmissionConfig {
-        AdmissionConfig { vip_capacity: v, guest_ports: g, guest_group_width: w }
+    fn cfg(v: usize, g: usize) -> AdmissionConfig {
+        AdmissionConfig { vip_capacity: v, guest_ports: g }
     }
 
     #[test]
     fn spec_matches_config() {
-        let a = Admission::new(cfg(2, 6, 2)).unwrap();
+        let a = Admission::new(cfg(2, 6)).unwrap();
         assert_eq!(a.spec().y(), 8);
         assert_eq!(a.spec().x(), 2);
         assert_eq!(a.ports(), 8);
-        assert_eq!(a.guest_layout().m(), 3, "6 guest ports in groups of 2");
     }
 
     #[test]
     fn vip_tier_is_bounded() {
-        let a = Admission::new(cfg(2, 2, 1)).unwrap();
+        let a = Admission::new(cfg(2, 2)).unwrap();
         let t0 = a.admit(ProgressClass::Vip).unwrap();
         let t1 = a.admit(ProgressClass::Vip).unwrap();
         assert_eq!((t0.port(), t1.port()), (0, 1), "VIPs own distinct wait-free ports");
@@ -286,7 +248,7 @@ mod tests {
 
     #[test]
     fn guest_tier_is_unbounded_and_round_robins() {
-        let a = Admission::new(cfg(1, 3, 1)).unwrap();
+        let a = Admission::new(cfg(1, 3)).unwrap();
         let ports: Vec<usize> =
             (0..7).map(|_| a.admit(ProgressClass::Guest).unwrap().port()).collect();
         assert_eq!(ports, vec![1, 2, 3, 1, 2, 3, 1], "round-robin over guest ports");
@@ -298,19 +260,8 @@ mod tests {
     }
 
     #[test]
-    fn guests_are_placed_into_cascade_groups() {
-        let a = Admission::new(cfg(0, 6, 2)).unwrap();
-        let groups: Vec<usize> = (0..6)
-            .map(|_| a.admit(ProgressClass::Guest).unwrap().cascade_group().unwrap())
-            .collect();
-        assert_eq!(groups, vec![1, 1, 2, 2, 3, 3]);
-        let vip_less = a.admit(ProgressClass::Vip);
-        assert_eq!(vip_less, Err(AdmissionError::VipCapacityExhausted { capacity: 0 }));
-    }
-
-    #[test]
     fn tickets_have_unique_ids() {
-        let a = Admission::new(cfg(1, 2, 2)).unwrap();
+        let a = Admission::new(cfg(1, 2)).unwrap();
         let ids: Vec<u64> = [
             a.admit(ProgressClass::Vip).unwrap().id(),
             a.admit(ProgressClass::Guest).unwrap().id(),
@@ -325,9 +276,7 @@ mod tests {
 
     #[test]
     fn bad_configs_rejected() {
-        assert!(Admission::new(cfg(1, 0, 1)).is_err());
-        assert!(Admission::new(cfg(1, 2, 0)).is_err());
-        assert!(Admission::new(cfg(1, 2, 3)).is_err());
-        assert!(Admission::new(cfg(60, 8, 2)).is_err());
+        assert!(Admission::new(cfg(1, 0)).is_err());
+        assert!(Admission::new(cfg(60, 8)).is_err());
     }
 }

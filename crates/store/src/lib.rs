@@ -12,9 +12,7 @@
 //!   [`Liveness`](apc_core::liveness::Liveness) spec: VIPs own wait-free
 //!   ports exclusively (capacity `x`, admission fails beyond it — hard
 //!   guarantees are bounded, per Theorem 3), guests are unbounded and
-//!   multiplex onto guest ports placed into
-//!   [`GroupLayout`](apc_core::group::GroupLayout)-computed arbiter-cascade
-//!   groups (§6.2);
+//!   multiplex round-robin onto the guest ports;
 //! * [`router`] — rendezvous-hashes keys over a **versioned shard
 //!   topology** (HRW at the roots, pairwise HRW down the split tree,
 //!   tombstones skipped) and plans client batches into at most one log

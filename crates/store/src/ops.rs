@@ -105,20 +105,6 @@ pub enum StoreResp {
     },
 }
 
-impl StoreResp {
-    /// Convenience accessor for `Value` responses.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this is not a [`StoreResp::Value`].
-    pub fn expect_value(&self) -> Option<u64> {
-        match self {
-            StoreResp::Value(v) => *v,
-            other => panic!("expected a value response, got {other:?}"),
-        }
-    }
-}
-
 /// The per-shard state: an ordered map, scannable by range, plus the
 /// topology **epoch** of the shard's last split.
 ///

@@ -12,11 +12,22 @@
 //! recovery guarantee is *prefix consistency*: the recovered store is
 //! exactly the store as of the last successful flush.
 //!
-//! [`Persister`] adds **group commit**: concurrent `persist` calls coalesce
-//! into a single seal-and-fsync cycle, the same way the ops layer batches
-//! same-shard operations into one log append — one durability round
-//! absorbs every request that arrived while the previous round was in
-//! flight.
+//! # Group commit: one flush lock, one ledger
+//!
+//! [`Persister`] coalesces concurrent `persist` calls into one
+//! seal-and-fsync cycle, as the ops layer batches same-shard operations
+//! into one log append; the [`Wal`](crate::wal::Wal) group-commits the
+//! same way. A caller registers a **generation** without any lock, then
+//! takes the **flush lock**, held across a whole cycle. Under it, the
+//! caller either finds its generation already taken by another caller's
+//! cycle (it was *coalesced*) or runs the next cycle itself, covering every
+//! generation registered so far. Each cycle's outcome goes into a `Ledger`
+//! under the same lock, and a request is `Ok` iff **the cycle that took
+//! it** succeeded: a later success never acknowledges an earlier failure.
+//! A cycle that panics leaves its take unsettled and the lock poisoned;
+//! every lock here is recovered from poison, and the ledger reads an
+//! unsettled take as failed, so a panic costs its own requests an `Err`
+//! and wedges nobody.
 //!
 //! # File format (version 3, little-endian)
 //!
@@ -57,7 +68,8 @@ use std::fmt;
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::{Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use apc_obs::MetricsSnapshot;
 use apc_progress_macros::progress;
@@ -397,10 +409,9 @@ impl StoreSnapshot {
 /// seal-and-fsync cycle.
 ///
 /// [`Persister::persist`] seals a checkpoint on every shard and writes the
-/// snapshot file — but concurrent callers coalesce: while one flush is in
-/// flight, arriving requests park; the next flush covers all of them at
-/// once (their checkpoints are sealed by that single cycle). This is the
-/// durability-layer twin of the ops layer's same-shard batching.
+/// snapshot file — but a request whose generation another caller's cycle
+/// already took returns that cycle's outcome instead of running one (see
+/// the [module docs](self) on group commit).
 ///
 /// # Examples
 ///
@@ -416,9 +427,13 @@ impl StoreSnapshot {
 #[derive(Debug)]
 pub struct Persister {
     path: PathBuf,
-    state: Mutex<FlushState>,
-    arrived: Condvar,
-    /// Flush instruments — atomics outside the state mutex, so scraping
+    /// Generation of the newest durability request, registered before the
+    /// flush lock is taken.
+    requested: AtomicU64,
+    /// The flush lock, held across a whole seal cycle, and the ledger of
+    /// what each cycle took and how it ended.
+    flush: Mutex<Ledger>,
+    /// Flush instruments — atomics outside the flush lock, so scraping
     /// never queues behind an in-flight fsync.
     metrics: PersistMetrics,
     /// The op-granular WAL this persister coordinates with
@@ -428,49 +443,13 @@ pub struct Persister {
     wal: Option<std::sync::Arc<crate::wal::Wal>>,
 }
 
-#[derive(Debug, Default)]
-struct FlushState {
-    /// Generation of the newest durability request.
-    requested: u64,
-    /// Generation through which flushes have completed.
-    completed: u64,
-    /// Generation through which a *successful* flush has completed: every
-    /// request at or below this line is durably on disk (later failures
-    /// cannot un-write an atomically renamed snapshot).
-    completed_ok: u64,
-    /// Whether a leader is currently flushing.
-    flushing: bool,
-    /// The most recent flush failure (returned to waiters whose requests no
-    /// successful flush has covered).
-    last_error: Option<PersistError>,
-    /// Number of physical seal-and-write cycles performed.
-    flushes: u64,
-}
-
-/// Unwind protection for the flush leader: if sealing or writing panics
-/// (e.g. a poisoned port mutex), hand leadership back and wake the parked
-/// waiters so they fail loudly in their own threads instead of hanging on
-/// the condvar forever.
-struct LeaderGuard<'a>(&'a Persister);
-
-impl Drop for LeaderGuard<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            if let Ok(mut st) = self.0.state.lock() {
-                st.flushing = false;
-            }
-            self.0.arrived.notify_all();
-        }
-    }
-}
-
 impl Persister {
     /// A persister flushing snapshots to `path`.
     pub fn new(path: impl Into<PathBuf>) -> Self {
         Persister {
             path: path.into(),
-            state: Mutex::new(FlushState::default()),
-            arrived: Condvar::new(),
+            requested: AtomicU64::new(0),
+            flush: Mutex::new(Ledger::default()),
             metrics: PersistMetrics::new(),
             wal: None,
         }
@@ -501,8 +480,8 @@ impl Persister {
     /// failures, coalesced requests, flush latency), ready to
     /// [`merge`](MetricsSnapshot::merge) into a
     /// [`Store::scrape`](crate::Store::scrape) snapshot. Reads atomics
-    /// only — never the flush-state mutex — so a dashboard poller cannot
-    /// queue behind an in-flight fsync.
+    /// only — never the flush lock — so a dashboard poller cannot queue
+    /// behind an in-flight fsync.
     #[progress(wait_free)]
     pub fn scrape(&self) -> MetricsSnapshot {
         let mut samples = self.metrics.samples();
@@ -512,80 +491,55 @@ impl Persister {
         MetricsSnapshot { samples }
     }
 
-    /// The snapshot path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Number of physical flush cycles performed so far. With `k`
     /// concurrent [`Persister::persist`] calls this is between 1 and `k` —
     /// the group-commit win is `k − flushes()`.
     #[progress(blocking)]
     pub fn flushes(&self) -> u64 {
-        self.state.lock().expect("persister state poisoned").flushes
+        lock_unpoisoned(&self.flush).cycles
     }
 
     /// Makes the store's current state durable: seals a checkpoint on every
     /// shard and writes the snapshot file, coalescing with concurrent
-    /// callers (group commit). On return, every operation that committed
+    /// callers (group commit). On `Ok`, every operation that committed
     /// before this call is on disk.
     ///
-    /// Returns the number of flush cycles completed when this request was
-    /// covered.
+    /// Returns the number of flush cycles performed when this request was
+    /// settled.
     ///
     /// # Errors
     ///
-    /// `Ok` iff a successful flush covered this request — then its data is
-    /// durably on disk regardless of what later cycles did (snapshots are
-    /// whole-store and atomically renamed, so neither a later failure nor
-    /// a later success can un-write it). `Err` with the latest flush error
-    /// otherwise.
+    /// `Ok` iff the cycle that took this request succeeded — then its data
+    /// is durably on disk regardless of what later cycles do (snapshots
+    /// are whole-store and atomically renamed). `Err` with that cycle's
+    /// error otherwise, or if that cycle panicked. The rule is conservative
+    /// only in a race: a request whose cycle failed reads `Err` even if a
+    /// later cycle has since succeeded and covered its data too; the
+    /// caller may retry.
     #[progress(blocking)]
     pub fn persist(&self, store: &Store) -> Result<u64, PersistError> {
-        let mut st = self.state.lock().expect("persister state poisoned");
-        st.requested += 1;
-        let my_gen = st.requested;
-        // Whether this caller performed a physical cycle itself; a request
-        // covered without ever leading was coalesced into someone else's.
-        let mut led = false;
-        loop {
-            if st.completed >= my_gen {
-                if !led {
-                    self.metrics.record_coalesced();
-                }
-                return if st.completed_ok >= my_gen {
-                    Ok(st.flushes)
-                } else {
-                    Err(st.last_error.clone().expect("a failed covering flush recorded its error"))
-                };
-            }
-            if !st.flushing {
-                // Become the leader: this flush covers every request made
-                // before the target is captured here; requests arriving
-                // while the flush is in flight wait for the next cycle
-                // (their operations may postdate this cycle's seal).
-                st.flushing = true;
-                let target = st.requested;
-                drop(st);
-                let guard = LeaderGuard(self);
-                let start = std::time::Instant::now();
-                let outcome = self.seal_cycle(store);
-                std::mem::forget(guard); // normal path: finalize below
-                self.metrics.record_flush(elapsed_ns(start), outcome.is_ok());
-                led = true;
-                st = self.state.lock().expect("persister state poisoned");
-                st.flushing = false;
-                st.completed = target;
-                st.flushes += 1;
-                match outcome {
-                    Ok(()) => st.completed_ok = target,
-                    Err(e) => st.last_error = Some(e),
-                }
-                self.arrived.notify_all();
-            } else {
-                st = self.arrived.wait(st).expect("persister state poisoned");
-            }
+        // RELEASE: the cycle that takes this generation reads it with
+        // Acquire, so everything this caller committed before the call
+        // happens before that cycle's seal.
+        let gen = self.requested.fetch_add(1, Ordering::Release) + 1;
+        let mut ledger = lock_unpoisoned(&self.flush);
+        if let Some(outcome) = ledger.outcome(gen) {
+            // Taken by another caller's cycle: coalesced.
+            self.metrics.record_coalesced();
+            return outcome.map(|()| ledger.cycles);
         }
+        // ACQUIRE: pairs with every requester's Release increment, so the
+        // commits of every generation this cycle takes (this caller's
+        // included) happen before its seal: a taken generation really is
+        // in the snapshot. A request registered after this load finds its
+        // generation untaken once it holds the lock, and runs its own cycle.
+        let target = self.requested.load(Ordering::Acquire);
+        ledger.take_through(target);
+        let start = std::time::Instant::now();
+        let outcome = self.seal_cycle(store);
+        self.metrics.record_flush(elapsed_ns(start), outcome.is_ok());
+        ledger.settle(outcome.clone());
+        outcome.map(|()| ledger.cycles)
     }
 
     /// One physical seal cycle. With a WAL attached: rotate it to a fresh
@@ -605,6 +559,87 @@ impl Persister {
         }
         Ok(())
     }
+}
+
+/// The record of one flush lock's group-commit cycles: which generations
+/// each cycle took and how it ended. [`Persister`] and the
+/// [`Wal`](crate::wal::Wal) keep theirs behind their flush locks and read
+/// and write it only there, so the one take a reader can find unsettled
+/// is a take whose cycle panicked.
+#[derive(Debug, Default)]
+pub(crate) struct Ledger {
+    /// Highest generation any cycle has taken.
+    taken: u64,
+    /// Highest generation whose cycle has settled; below `taken` only
+    /// while the newest take is open.
+    settled: u64,
+    /// The failed ranges `(lo, hi]`, oldest first, each with its cycle's
+    /// error. At most [`LEDGER_FAILURES`] of them.
+    failed: Vec<(u64, u64, PersistError)>,
+    /// Cycles taken (what [`Persister::flushes`] reports).
+    pub(crate) cycles: u64,
+}
+
+/// How many failed ranges a [`Ledger`] keeps apart. Past it the two oldest
+/// merge into one, which can make a success between them read `Err` to a
+/// caller that asks that late: conservative, never a false `Ok`.
+const LEDGER_FAILURES: usize = 64;
+
+impl Ledger {
+    /// A cycle starts, covering every generation up to `target`. A take
+    /// that never settled (its cycle panicked) is settled as failed first.
+    pub(crate) fn take_through(&mut self, target: u64) {
+        if self.settled < self.taken {
+            self.settle(Err(abandoned()));
+        }
+        self.taken = self.taken.max(target);
+        self.cycles += 1;
+    }
+
+    /// The cycle that took last ends with `result`.
+    pub(crate) fn settle(&mut self, result: Result<(), PersistError>) {
+        if let Err(e) = result {
+            if self.failed.len() == LEDGER_FAILURES {
+                let (_, hi, _) = self.failed.remove(1);
+                self.failed[0].1 = hi;
+            }
+            self.failed.push((self.settled, self.taken, e));
+        }
+        self.settled = self.taken;
+    }
+
+    /// How the cycle that took `gen` ended: `None` until some cycle takes
+    /// it, `Err` if that cycle failed or was abandoned, `Ok` otherwise. A
+    /// later success never turns an earlier failure into `Ok`.
+    pub(crate) fn outcome(&self, gen: u64) -> Option<Result<(), PersistError>> {
+        if gen > self.taken {
+            return None;
+        }
+        if gen > self.settled {
+            return Some(Err(abandoned()));
+        }
+        let i = self.failed.partition_point(|&(_, hi, _)| hi < gen);
+        Some(match self.failed.get(i) {
+            Some((lo, _, e)) if *lo < gen => Err(e.clone()),
+            _ => Ok(()),
+        })
+    }
+}
+
+/// The error of a generation whose cycle panicked before it settled.
+fn abandoned() -> PersistError {
+    PersistError::Io {
+        kind: io::ErrorKind::Other,
+        msg: "the flush cycle that took this request panicked".into(),
+    }
+}
+
+/// Locks `m`, taking the guard back if a holder panicked: every critical
+/// section of the durability layer leaves its state usable when it
+/// unwinds (the [`Ledger`] reads an unsettled take as failed), so a
+/// poisoned lock is neither a panic nor a hang.
+pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Removes orphaned `<snapshot>.<pid>-<seq>.tmp` siblings that a crash
@@ -966,5 +1001,140 @@ mod tests {
         assert!(PersistError::ChecksumMismatch { shard: Some(3) }.to_string().contains('3'));
         assert!(RecoverError::from(PersistError::BadMagic).to_string().contains("recovery"));
         assert!(RecoverError::from(AdmissionError::BadConfig("x")).to_string().contains("x"));
+    }
+
+    /// A distinct error per failed cycle, so a read-back names its cycle.
+    fn failed(cycle: usize) -> PersistError {
+        PersistError::Io { kind: io::ErrorKind::Other, msg: format!("cycle {cycle} failed") }
+    }
+
+    /// A cycle to 5 fails, then a cycle to 6 succeeds: generation 5 keeps
+    /// its own cycle's error. A failed WAL cycle drops its frames, so
+    /// reading 5 as `Ok` once 6 landed would acknowledge a lost write.
+    #[test]
+    fn ledger_keeps_a_failure_after_a_later_success() {
+        let mut ledger = Ledger::default();
+        assert_eq!(ledger.outcome(0), Some(Ok(())), "generation 0 asks for nothing");
+        assert_eq!(ledger.outcome(1), None);
+        ledger.take_through(5);
+        ledger.settle(Err(failed(5)));
+        ledger.take_through(6);
+        ledger.settle(Ok(()));
+        for gen in 1..=5 {
+            assert_eq!(ledger.outcome(gen), Some(Err(failed(5))), "generation {gen}");
+        }
+        assert_eq!(ledger.outcome(6), Some(Ok(())));
+        assert_eq!(ledger.outcome(7), None);
+        assert_eq!(ledger.cycles, 2);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The ledger against a per-generation oracle. A script step takes
+        /// up to `taken + d` (abandoning the open take, if any), settles
+        /// the open take `Ok`, or settles it `Err`; after every step every
+        /// generation reads what the cycle that took it ended with, an
+        /// open take reading as abandoned.
+        #[test]
+        fn ledger_matches_a_per_generation_oracle(
+            script in proptest::collection::vec((0u8..4, 0u64..4), 1..48),
+        ) {
+            let mut ledger = Ledger::default();
+            // oracle[g]: None until taken, then the outcome a reader sees.
+            let mut oracle: Vec<Option<Result<(), PersistError>>> = vec![Some(Ok(()))];
+            let mut open: Option<std::ops::Range<usize>> = None;
+            let mut takes = 0;
+            for (step, &(kind, d)) in script.iter().enumerate() {
+                match (kind, open.clone()) {
+                    (0 | 1, _) => {
+                        let from = oracle.len();
+                        let target = from - 1 + d as usize;
+                        ledger.take_through(target as u64);
+                        oracle.resize(target + 1, Some(Err(abandoned())));
+                        open = Some(from..target + 1);
+                        takes += 1;
+                    }
+                    (2, Some(range)) => {
+                        ledger.settle(Ok(()));
+                        oracle[range].fill(Some(Ok(())));
+                        open = None;
+                    }
+                    (3, Some(range)) => {
+                        ledger.settle(Err(failed(step)));
+                        oracle[range].fill(Some(Err(failed(step))));
+                        open = None;
+                    }
+                    _ => {} // nothing open to settle
+                }
+                for gen in 0..oracle.len() + 2 {
+                    let expected = oracle.get(gen).cloned().flatten();
+                    proptest::prop_assert_eq!(
+                        ledger.outcome(gen as u64), expected, "generation {} after step {}", gen, step
+                    );
+                }
+                proptest::prop_assert_eq!(ledger.cycles, takes);
+            }
+        }
+    }
+
+    /// Past [`LEDGER_FAILURES`] failed ranges the oldest merge: a success
+    /// between them may then read `Err`, but a failure never reads `Ok`,
+    /// and the newest failures stay exact.
+    #[test]
+    fn ledger_merges_old_failures_conservatively() {
+        let mut ledger = Ledger::default();
+        let cycles = 4 * LEDGER_FAILURES;
+        for cycle in 1..=cycles {
+            ledger.take_through(cycle as u64);
+            ledger.settle(if cycle % 2 == 1 { Err(failed(cycle)) } else { Ok(()) });
+        }
+        assert_eq!(ledger.failed.len(), LEDGER_FAILURES);
+        for gen in 1..=cycles {
+            let read = ledger.outcome(gen as u64).expect("taken");
+            if gen % 2 == 1 {
+                assert!(read.is_err(), "failed generation {gen} read Ok");
+            } else if gen > cycles - LEDGER_FAILURES {
+                assert_eq!(read, Ok(()), "recent generation {gen}");
+            }
+        }
+    }
+
+    /// A seal cycle that panics while holding the flush lock, after its
+    /// take, wedges nobody: the generations it took read `Err`, and the
+    /// next request runs its own cycle and reads `Ok`.
+    #[test]
+    fn a_poisoned_flush_lock_wedges_no_persister() {
+        let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("../../target/tmp-unit-tests/persist-unit/poisoned");
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("store.snapshot");
+        let store = crate::StoreBuilder::new().shards(2).build().unwrap();
+        store.client(store.admit_guest()).put("k", 1);
+        let persister = Persister::new(&path);
+        // Two requests register; a cycle takes both and panics mid-seal.
+        let taken = [1, 2].map(|_| persister.requested.fetch_add(1, Ordering::Release) + 1);
+        let joined = std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut ledger = persister.flush.lock().unwrap();
+                ledger.take_through(persister.requested.load(Ordering::Acquire));
+                panic!("the seal cycle panics");
+            })
+            .join()
+        });
+        assert!(joined.is_err() && persister.flush.is_poisoned());
+        for gen in taken {
+            let read = lock_unpoisoned(&persister.flush).outcome(gen);
+            assert!(matches!(read, Some(Err(_))), "abandoned generation {gen} read {read:?}");
+        }
+        assert_eq!(persister.persist(&store), Ok(2), "the abandoned take counts as a cycle");
+        assert_eq!(persister.persist(&store), Ok(3));
+        for gen in taken {
+            assert!(matches!(lock_unpoisoned(&persister.flush).outcome(gen), Some(Err(_))));
+        }
+        assert_eq!(persister.flushes(), 3);
+        let recovered = crate::StoreBuilder::new().recover(&path).unwrap();
+        assert_eq!(recovered.client(recovered.admit_guest()).get("k"), Some(1));
     }
 }

@@ -231,7 +231,7 @@ impl Default for StoreBuilder {
 
 impl StoreBuilder {
     /// A builder with the default sizing (4 shards, 2 VIP ports, 6 guest
-    /// ports in cascade groups of 2).
+    /// ports).
     pub fn new() -> Self {
         StoreBuilder::default()
     }
@@ -252,12 +252,6 @@ impl StoreBuilder {
     /// Sets the guest port count (per shard).
     pub fn guest_ports(mut self, g: usize) -> Self {
         self.admission.guest_ports = g;
-        self
-    }
-
-    /// Sets the guest arbiter-cascade group width.
-    pub fn guest_group_width(mut self, w: usize) -> Self {
-        self.admission.guest_group_width = w;
         self
     }
 
@@ -1608,13 +1602,7 @@ mod tests {
     use super::*;
 
     fn small_store(shards: usize) -> Store {
-        StoreBuilder::new()
-            .shards(shards)
-            .vip_capacity(2)
-            .guest_ports(4)
-            .guest_group_width(2)
-            .build()
-            .unwrap()
+        StoreBuilder::new().shards(shards).vip_capacity(2).guest_ports(4).build().unwrap()
     }
 
     /// The first `count` keys of the `key/NNNN` namespace that `topology`
@@ -1684,13 +1672,7 @@ mod tests {
     fn guests_sharing_a_port_serialize_but_succeed() {
         // 1 guest port, many guest clients: all multiplex onto the same
         // port and every operation still commits.
-        let store = StoreBuilder::new()
-            .shards(1)
-            .vip_capacity(1)
-            .guest_ports(1)
-            .guest_group_width(1)
-            .build()
-            .unwrap();
+        let store = StoreBuilder::new().shards(1).vip_capacity(1).guest_ports(1).build().unwrap();
         let tickets: Vec<_> = (0..4).map(|_| store.admit_guest()).collect();
         assert!(tickets.windows(2).all(|w| w[0].port() == w[1].port()));
         std::thread::scope(|s| {
@@ -2180,7 +2162,6 @@ mod tests {
             .shards(4)
             .vip_capacity(1)
             .guest_ports(2)
-            .guest_group_width(1)
             .elastic(ElasticityPolicy {
                 evaluate_every: 16,
                 cooldown: 64,
@@ -2243,7 +2224,6 @@ mod tests {
             .shards(1)
             .vip_capacity(1)
             .guest_ports(2)
-            .guest_group_width(1)
             .checkpoint_every(8)
             .build()
             .unwrap();
@@ -2266,7 +2246,6 @@ mod tests {
             .shards(1)
             .vip_capacity(1)
             .guest_ports(1)
-            .guest_group_width(1)
             .checkpoint_every(0)
             .build()
             .unwrap();
@@ -2331,12 +2310,7 @@ mod tests {
             c.put("late", 1);
             c.scan("", "z").into_iter().filter(|(k, _)| k != "late").collect()
         }; // store dropped = crash
-        let recovered = StoreBuilder::new()
-            .vip_capacity(2)
-            .guest_ports(4)
-            .guest_group_width(2)
-            .recover(&path)
-            .unwrap();
+        let recovered = StoreBuilder::new().vip_capacity(2).guest_ports(4).recover(&path).unwrap();
         assert_eq!(recovered.shards(), 2, "shard count restored from the snapshot");
         let mut c = recovered.client(recovered.admit_vip().unwrap());
         assert_eq!(c.scan("", "z"), expected);
@@ -2359,12 +2333,7 @@ mod tests {
             snapshot.write_to(&path).unwrap();
             snapshot
         };
-        let recovered = StoreBuilder::new()
-            .vip_capacity(2)
-            .guest_ports(4)
-            .guest_group_width(2)
-            .recover(&path)
-            .unwrap();
+        let recovered = StoreBuilder::new().vip_capacity(2).guest_ports(4).recover(&path).unwrap();
         assert_eq!(
             recovered.anchor_indices(),
             snapshot.shards.iter().map(|s| s.log_index).collect::<Vec<_>>(),
@@ -2419,12 +2388,7 @@ mod tests {
         persister.persist(&store).unwrap();
         assert_eq!(persister.flushes(), flushes + 1);
         // Whatever the interleaving, the final file is complete and valid.
-        let recovered = StoreBuilder::new()
-            .vip_capacity(2)
-            .guest_ports(4)
-            .guest_group_width(2)
-            .recover(&path)
-            .unwrap();
+        let recovered = StoreBuilder::new().vip_capacity(2).guest_ports(4).recover(&path).unwrap();
         let mut check = recovered.client(recovered.admit_guest());
         assert_eq!(check.scan("", "z").len(), 8);
     }
@@ -2507,7 +2471,6 @@ mod tests {
             .shards(2)
             .vip_capacity(2)
             .guest_ports(4)
-            .guest_group_width(2)
             .checkpoint_every(4)
             .build()
             .unwrap();
@@ -2710,7 +2673,6 @@ mod tests {
             .shards(4)
             .vip_capacity(1)
             .guest_ports(2)
-            .guest_group_width(1)
             .elastic(ElasticityPolicy {
                 evaluate_every: 16,
                 cooldown: 64,

@@ -10,7 +10,7 @@
 //!
 //! * **guest / default** ([`DurabilityClass::Group`]): a commit enqueues
 //!   its frame into the coalescing buffer and returns; a background
-//!   flusher (or the next [`Wal::sync`] leader) writes and fsyncs many
+//!   flusher (or the next [`Wal::sync`] caller) writes and fsyncs many
 //!   frames per cycle — the group-commit win. A crash may lose the frames
 //!   buffered since the last cycle, and recovery restores a *consistent
 //!   per-shard prefix* of what was logged;
@@ -58,6 +58,26 @@
 //! effect is inside the snapshot (and re-applying it would be a no-op
 //! anyway).
 //!
+//! ## Group commit and lock order
+//!
+//! The WAL group-commits the way the
+//! [`Persister`](crate::persist::Persister) does (see the
+//! [`persist`](crate::persist) module docs). A frame's generation is its
+//! place in the buffer. One **flush lock**, the *log* lock over the open
+//! segment and the ledger of cycles, is held across a whole
+//! write-and-fsync cycle. Under it, [`Wal::sync`] either finds its
+//! generation taken by another caller's cycle (coalesced) and returns that
+//! cycle's outcome, or runs the next cycle itself. A sync is `Ok` iff the
+//! cycle that took its frames succeeded. The *buffer* lock covers only
+//! what [`Wal::enqueue`] touches, and a cycle holds it just long enough to
+//! take the buffer, so an enqueue never waits on an fsync.
+//!
+//! Locks are taken in one order: persister flush → WAL log → WAL buffer (a
+//! checkpoint seal rotates the WAL under the persister's flush lock), and
+//! admin → port → WAL buffer (a commit enqueues its frame under its port
+//! lock). No port lock is held across [`Wal::sync`]. Every lock is
+//! recovered from poison; a cycle that panicked reads as failed.
+//!
 //! ## Failure policy
 //!
 //! Decoding fails closed with typed [`PersistError`]s. A **torn tail** —
@@ -72,7 +92,7 @@ use std::fmt;
 use std::fs;
 use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, Weak};
 use std::time::Duration;
 
 use apc_obs::MetricsSnapshot;
@@ -80,7 +100,7 @@ use apc_progress_macros::progress;
 
 use crate::metrics::{elapsed_ns, WalMetrics};
 use crate::ops::{Key, StoreOp, StoreResp};
-use crate::persist::{PersistError, Reader};
+use crate::persist::{lock_unpoisoned, Ledger, PersistError, Reader};
 use crate::router::fnv1a64;
 
 /// Magic bytes opening every WAL segment file.
@@ -226,34 +246,35 @@ struct SegmentWriter {
     bytes: u64,
 }
 
-/// Mutable WAL state: the buffer, the open segment, and the group-commit
-/// generations (the same leader/waiter protocol as
-/// [`Persister::persist`](crate::persist::Persister::persist)).
-struct WalInner {
-    /// The open segment (`None` after an open failure; the next flush
-    /// cycle retries).
-    writer: Option<SegmentWriter>,
-    /// Sequence number of the open segment.
-    seg_seq: u64,
+/// What [`Wal::enqueue`] touches, behind the buffer lock: a cycle holds
+/// this lock only to take the buffer, so an enqueue never waits on an
+/// fsync.
+#[derive(Default)]
+struct Buffer {
     /// Encoded frames awaiting their write-and-fsync cycle.
     pending: Vec<u8>,
     /// Frames inside `pending`.
     pending_frames: u64,
     /// Generation of the newest enqueued frame.
     appended: u64,
-    /// Generation through which flush cycles have completed.
-    completed: u64,
-    /// Generation through which a *successful* cycle has completed: every
-    /// frame at or below this line is fsync'd.
-    completed_ok: u64,
-    /// Whether a leader is currently flushing.
-    flushing: bool,
-    /// The most recent flush failure (returned to sync waiters whose
-    /// frames no successful cycle has covered).
-    last_error: Option<PersistError>,
-    /// Set by [`Wal::simulate_crash`] and on drop: enqueues become no-ops
-    /// and the flusher exits.
+    /// Set by [`Wal::simulate_crash`]: enqueues become no-ops and the
+    /// flusher exits.
     shutdown: bool,
+}
+
+/// The WAL's flush lock: the open segment and the ledger of every
+/// write-and-fsync cycle, held across the write and the fsync.
+struct Log {
+    /// The segment directory.
+    dir: PathBuf,
+    /// The size threshold that rolls to the next segment.
+    segment_bytes: u64,
+    /// The open segment.
+    writer: SegmentWriter,
+    /// Sequence number of the open segment.
+    seg_seq: u64,
+    /// Which generations each cycle took, and how it ended.
+    ledger: Ledger,
 }
 
 /// The channel between the WAL and its background flusher thread. Kept
@@ -276,12 +297,11 @@ struct FlusherNudge {
 pub struct Wal {
     dir: PathBuf,
     cfg: WalConfig,
-    inner: Mutex<WalInner>,
-    /// Wakes sync waiters when a flush cycle completes.
-    flushed: Condvar,
+    buffer: Mutex<Buffer>,
+    log: Mutex<Log>,
     signal: Arc<FlusherSignal>,
-    /// WAL instruments — atomics outside the buffer mutex, so scraping
-    /// never queues behind an in-flight fsync.
+    /// WAL instruments — atomics outside both locks, so scraping never
+    /// queues behind an in-flight fsync.
     metrics: WalMetrics,
     /// Frames recovered from pre-existing segments at open, taken once by
     /// [`StoreBuilder::recover_with_wal`](crate::StoreBuilder::recover_with_wal).
@@ -318,21 +338,16 @@ impl Wal {
         }
         let writer = open_segment(&dir, next_seq)?;
         let wal = Arc::new(Wal {
+            buffer: Mutex::new(Buffer::default()),
+            log: Mutex::new(Log {
+                dir: dir.clone(),
+                segment_bytes: cfg.segment_bytes,
+                writer,
+                seg_seq: next_seq,
+                ledger: Ledger::default(),
+            }),
             dir,
             cfg,
-            inner: Mutex::new(WalInner {
-                writer: Some(writer),
-                seg_seq: next_seq,
-                pending: Vec::new(),
-                pending_frames: 0,
-                appended: 0,
-                completed: 0,
-                completed_ok: 0,
-                flushing: false,
-                last_error: None,
-                shutdown: false,
-            }),
-            flushed: Condvar::new(),
             signal: Arc::new(FlusherSignal {
                 state: Mutex::new(FlusherNudge::default()),
                 cv: Condvar::new(),
@@ -349,27 +364,17 @@ impl Wal {
         Ok(wal)
     }
 
-    /// The segment directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The configured knobs.
-    pub fn config(&self) -> WalConfig {
-        self.cfg
-    }
-
     /// Takes the frames recovered from pre-existing segments (once).
     pub(crate) fn take_recovered(&self) -> Option<WalRecovery> {
-        self.recovered.lock().ok().and_then(|mut slot| slot.take())
+        lock_unpoisoned(&self.recovered).take()
     }
 
     /// A wait-free scrape of the WAL's metric series (appends, flush
     /// cycles, fsync latency, group sizes, rotations, truncations),
     /// ready to [`merge`](MetricsSnapshot::merge) into a
     /// [`Store::scrape`](crate::Store::scrape) snapshot. Reads atomics
-    /// only — never the buffer mutex — so a dashboard poller cannot
-    /// queue behind an in-flight fsync.
+    /// only — never a WAL lock — so a dashboard poller cannot queue
+    /// behind an in-flight fsync.
     #[progress(wait_free)]
     pub fn scrape(&self) -> MetricsSnapshot {
         MetricsSnapshot { samples: self.metrics.samples() }
@@ -384,7 +389,7 @@ impl Wal {
     /// Enqueues one frame into the group-commit buffer and returns its
     /// generation (a ticket [`Wal::sync`] can wait on). Never blocks on
     /// I/O: the critical section is an encode-and-append under the buffer
-    /// mutex. Frames enqueued after [`Wal::simulate_crash`] are silently
+    /// lock. Frames enqueued after [`Wal::simulate_crash`] are silently
     /// discarded — a crashed log writes nothing.
     ///
     /// Durability is classless here: the *frame* records the commit's
@@ -392,54 +397,44 @@ impl Wal {
     /// caller's choice, made by following up with [`Wal::sync`].
     #[progress(blocking)]
     pub fn enqueue(&self, frame: &WalFrame) -> u64 {
-        let mut st = self.inner.lock().expect("WAL state poisoned");
-        if st.shutdown {
-            return st.appended;
+        let mut buf = lock_unpoisoned(&self.buffer);
+        if buf.shutdown {
+            return buf.appended;
         }
-        let before = st.pending.len();
-        encode_frame(&mut st.pending, frame);
-        let bytes = (st.pending.len() - before) as u64;
-        st.pending_frames += 1;
-        st.appended += 1;
-        let gen = st.appended;
-        let nudge = st.pending_frames >= self.cfg.max_coalesced_frames;
-        drop(st);
+        let before = buf.pending.len();
+        encode_frame(&mut buf.pending, frame);
+        let bytes = (buf.pending.len() - before) as u64;
+        buf.pending_frames += 1;
+        buf.appended += 1;
+        let gen = buf.appended;
+        let nudge = buf.pending_frames >= self.cfg.max_coalesced_frames;
+        drop(buf);
         self.metrics.record_append(bytes, frame.class);
         if nudge {
-            self.nudge_flusher();
+            // The buffer reached the coalescing cap: wake the flusher early.
+            self.signal_flusher(|sig| sig.nudged = true);
         }
         gen
     }
 
     /// Blocks until every frame enqueued before this call is fsync'd —
-    /// the synchronous-durability wait. Concurrent callers coalesce into
-    /// one write-and-fsync cycle via the same leader/waiter protocol as
-    /// [`Persister::persist`](crate::persist::Persister::persist).
+    /// the synchronous-durability wait. Concurrent callers coalesce: under
+    /// the flush lock, a caller whose frames another caller's cycle
+    /// already took returns that cycle's outcome, and any other runs the
+    /// next cycle itself.
     ///
     /// # Errors
     ///
-    /// `Ok` iff a successful cycle covered this call's frames — then they
-    /// are durably on disk. `Err` with the latest flush error otherwise.
+    /// `Ok` iff the cycle that took this call's frames succeeded — then
+    /// they are durably on disk. `Err` with that cycle's error otherwise
+    /// (its frames were dropped), or if that cycle panicked.
     #[progress(blocking)]
     pub fn sync(&self) -> Result<(), PersistError> {
-        let mut st = self.inner.lock().expect("WAL state poisoned");
-        let my_gen = st.appended;
-        loop {
-            if st.completed >= my_gen {
-                return if st.completed_ok >= my_gen {
-                    Ok(())
-                } else {
-                    Err(st
-                        .last_error
-                        .clone()
-                        .unwrap_or(PersistError::Corrupt("flush failed without recording why")))
-                };
-            }
-            if !st.flushing {
-                st = self.flush_cycle(st);
-            } else {
-                st = self.flushed.wait(st).expect("WAL state poisoned");
-            }
+        let gen = lock_unpoisoned(&self.buffer).appended;
+        let mut log = lock_unpoisoned(&self.log);
+        match log.ledger.outcome(gen) {
+            Some(outcome) => outcome,
+            None => log.write_cycle(&self.buffer, &self.metrics),
         }
     }
 
@@ -454,31 +449,12 @@ impl Wal {
     /// # Errors
     ///
     /// [`PersistError::Io`] if the flush or the new segment's creation
-    /// fails (the WAL stays usable; the next cycle retries the open).
+    /// fails (the WAL stays usable on its old segment).
     #[progress(blocking)]
     pub fn rotate(&self) -> Result<u64, PersistError> {
-        let mut st = self.inner.lock().expect("WAL state poisoned");
-        // Drain the buffer through the normal leadership protocol first.
-        while st.flushing {
-            st = self.flushed.wait(st).expect("WAL state poisoned");
-        }
-        if st.pending_frames > 0 {
-            st = self.flush_cycle(st);
-            if st.completed_ok < st.completed {
-                let err = st
-                    .last_error
-                    .clone()
-                    .unwrap_or(PersistError::Corrupt("flush failed without recording why"));
-                return Err(err);
-            }
-        }
-        let next = st.seg_seq + 1;
-        let writer = open_segment(&self.dir, next)?;
-        st.writer = Some(writer);
-        st.seg_seq = next;
-        drop(st);
-        self.metrics.record_rotation();
-        Ok(next)
+        let mut log = lock_unpoisoned(&self.log);
+        log.write_cycle(&self.buffer, &self.metrics)?;
+        log.roll_segment(&self.metrics)
     }
 
     /// Deletes every segment with a sequence number below `seq` (parsed
@@ -506,7 +482,7 @@ impl Wal {
     /// Frames buffered but not yet flushed (test/diagnostic visibility).
     #[progress(blocking)]
     pub fn pending_frames(&self) -> u64 {
-        self.inner.lock().expect("WAL state poisoned").pending_frames
+        lock_unpoisoned(&self.buffer).pending_frames
     }
 
     /// Fault-injection hook: model a process kill. The buffer is
@@ -515,100 +491,69 @@ impl Wal {
     /// segment files are left as the "dead process" wrote them, ready to
     /// be recovered — or further mutilated — by a test.
     pub fn simulate_crash(&self) {
-        if let Ok(mut st) = self.inner.lock() {
-            st.shutdown = true;
-            st.pending.clear();
-            st.pending_frames = 0;
+        {
+            let mut buf = lock_unpoisoned(&self.buffer);
+            buf.shutdown = true;
+            buf.pending.clear();
+            buf.pending_frames = 0;
         }
-        if let Ok(mut sig) = self.signal.state.lock() {
-            sig.shutdown = true;
-        }
-        self.signal.cv.notify_all();
-        self.flushed.notify_all();
+        self.signal_flusher(|sig| sig.shutdown = true);
     }
 
-    /// One write-and-fsync cycle as the leader. Takes the guard holding
-    /// `flushing == false`, returns with the lock re-acquired and the
-    /// cycle's generations published.
-    fn flush_cycle<'a>(
-        &'a self,
-        mut st: std::sync::MutexGuard<'a, WalInner>,
-    ) -> std::sync::MutexGuard<'a, WalInner> {
-        st.flushing = true;
-        let target = st.appended;
-        let batch = std::mem::take(&mut st.pending);
-        let frames = st.pending_frames;
-        st.pending_frames = 0;
-        // Take the writer out so I/O runs without the lock: enqueues keep
-        // landing in the (fresh) buffer meanwhile.
-        let mut writer = st.writer.take();
-        let seg_seq = st.seg_seq;
-        drop(st);
-        let start = std::time::Instant::now();
-        let outcome = self.write_batch(&mut writer, seg_seq, &batch);
-        let rotated = match &outcome {
-            Ok(r) => *r,
-            Err(_) => false,
+    /// Sets a flag for the background flusher and wakes it.
+    fn signal_flusher(&self, set: impl FnOnce(&mut FlusherNudge)) {
+        set(&mut lock_unpoisoned(&self.signal.state));
+        self.signal.cv.notify_all();
+    }
+}
+
+impl Log {
+    /// One write-and-fsync cycle, run under the flush lock: takes every
+    /// buffered frame, records their generations in the ledger, writes
+    /// and fsyncs them, and settles the ledger with the outcome. `Ok` at
+    /// once if nothing is buffered.
+    fn write_cycle(
+        &mut self,
+        buffer: &Mutex<Buffer>,
+        metrics: &WalMetrics,
+    ) -> Result<(), PersistError> {
+        let (batch, frames, target) = {
+            let mut buf = lock_unpoisoned(buffer);
+            let frames = std::mem::take(&mut buf.pending_frames);
+            (std::mem::take(&mut buf.pending), frames, buf.appended)
         };
-        self.metrics.record_flush(elapsed_ns(start), frames, outcome.is_ok());
-        if rotated {
-            self.metrics.record_rotation();
+        if frames == 0 {
+            return Ok(());
         }
-        let mut st = self.inner.lock().expect("WAL state poisoned");
-        if st.writer.is_none() {
-            st.writer = writer;
-            if rotated {
-                st.seg_seq = seg_seq + 1;
-            }
-        }
-        st.flushing = false;
-        st.completed = target;
-        match outcome {
-            Ok(_) => st.completed_ok = target,
-            Err(e) => st.last_error = Some(e),
-        }
-        self.flushed.notify_all();
-        st
+        self.ledger.take_through(target);
+        let start = std::time::Instant::now();
+        let outcome = self.write_batch(&batch, metrics);
+        metrics.record_flush(elapsed_ns(start), frames, outcome.is_ok());
+        self.ledger.settle(outcome.clone());
+        outcome
     }
 
-    /// Writes one batch to the open segment and fsyncs it, rotating first
-    /// if the segment is over its size threshold. Returns whether a
-    /// rotation happened. Reopens the segment if a previous cycle failed
-    /// to.
-    fn write_batch(
-        &self,
-        writer: &mut Option<SegmentWriter>,
-        seg_seq: u64,
-        batch: &[u8],
-    ) -> Result<bool, PersistError> {
-        if batch.is_empty() {
-            return Ok(false);
+    /// Writes one batch to the open segment and fsyncs it, rolling to the
+    /// next segment first if this one is over its size threshold.
+    fn write_batch(&mut self, batch: &[u8], metrics: &WalMetrics) -> Result<(), PersistError> {
+        if self.writer.bytes >= self.segment_bytes {
+            // The full segment was fsync'd by the cycle that filled it.
+            self.roll_segment(metrics)?;
         }
-        let mut rotated = false;
-        if writer.as_ref().is_some_and(|w| w.bytes >= self.cfg.segment_bytes) {
-            // Seal the full segment (it was fsync'd by the cycle that
-            // filled it) and roll forward.
-            *writer = Some(open_segment(&self.dir, seg_seq + 1)?);
-            rotated = true;
-        }
-        if writer.is_none() {
-            // A previous cycle failed to open the segment; retry here.
-            *writer = Some(open_segment(&self.dir, seg_seq)?);
-        }
-        let w = writer.as_mut().expect("writer was just ensured above");
-        w.file.write_all(batch)?;
-        w.file.sync_all()?;
-        w.bytes += batch.len() as u64;
-        Ok(rotated)
+        self.writer.file.write_all(batch)?;
+        self.writer.file.sync_all()?;
+        self.writer.bytes += batch.len() as u64;
+        Ok(())
     }
 
-    /// Wakes the background flusher early (buffer reached the coalescing
-    /// cap).
-    fn nudge_flusher(&self) {
-        if let Ok(mut sig) = self.signal.state.lock() {
-            sig.nudged = true;
-        }
-        self.signal.cv.notify_all();
+    /// Opens the next segment and makes it the one written to; returns its
+    /// sequence number. On failure the open segment stays in use.
+    fn roll_segment(&mut self, metrics: &WalMetrics) -> Result<u64, PersistError> {
+        let next = self.seg_seq + 1;
+        self.writer = open_segment(&self.dir, next)?;
+        self.seg_seq = next;
+        metrics.record_rotation();
+        Ok(next)
     }
 }
 
@@ -616,20 +561,12 @@ impl Drop for Wal {
     fn drop(&mut self) {
         // Stop the flusher, then make a clean shutdown durable (a crash
         // never runs this — tests model one with `simulate_crash`).
-        if let Ok(mut sig) = self.signal.state.lock() {
-            sig.shutdown = true;
-        }
-        self.signal.cv.notify_all();
-        let Ok(mut st) = self.inner.lock() else { return };
-        if st.shutdown || st.pending.is_empty() {
+        self.signal_flusher(|sig| sig.shutdown = true);
+        if self.buffer.get_mut().unwrap_or_else(PoisonError::into_inner).shutdown {
             return;
         }
-        let batch = std::mem::take(&mut st.pending);
-        st.pending_frames = 0;
-        let mut writer = st.writer.take();
-        let seg_seq = st.seg_seq;
-        drop(st);
-        let _ = self.write_batch(&mut writer, seg_seq, &batch);
+        let log = self.log.get_mut().unwrap_or_else(PoisonError::into_inner);
+        let _ = log.write_cycle(&self.buffer, &self.metrics);
     }
 }
 
@@ -639,15 +576,10 @@ impl Drop for Wal {
 fn flusher_loop(weak: Weak<Wal>, signal: Arc<FlusherSignal>, interval: Duration) {
     loop {
         {
-            let mut sig = match signal.state.lock() {
-                Ok(s) => s,
-                Err(_) => return,
-            };
+            let mut sig = lock_unpoisoned(&signal.state);
             if !sig.nudged && !sig.shutdown {
-                sig = match signal.cv.wait_timeout(sig, interval) {
-                    Ok((s, _)) => s,
-                    Err(_) => return,
-                };
+                sig =
+                    signal.cv.wait_timeout(sig, interval).unwrap_or_else(PoisonError::into_inner).0;
             }
             if sig.shutdown {
                 return;
@@ -655,13 +587,10 @@ fn flusher_loop(weak: Weak<Wal>, signal: Arc<FlusherSignal>, interval: Duration)
             sig.nudged = false;
         }
         let Some(wal) = weak.upgrade() else { return };
-        let st = wal.inner.lock().expect("WAL state poisoned");
-        if st.shutdown {
+        if lock_unpoisoned(&wal.buffer).shutdown {
             return;
         }
-        if st.pending_frames > 0 && !st.flushing {
-            drop(wal.flush_cycle(st));
-        }
+        let _ = lock_unpoisoned(&wal.log).write_cycle(&wal.buffer, &wal.metrics);
         // `wal` drops here: the thread never holds the Arc across a sleep.
     }
 }
@@ -1205,5 +1134,47 @@ mod tests {
             vec![("p".to_string(), Some(1)), ("d".to_string(), None), ("won".to_string(), Some(7)),],
             "reads, failed CAS, and bounced ops have no effect"
         );
+    }
+
+    /// A write cycle that panics while holding the flush lock, after it
+    /// took the buffer, wedges nobody: a sync of the frames it took
+    /// returns `Err` at once, and a sync of a new frame runs its own cycle
+    /// and reads `Ok`.
+    #[test]
+    fn a_poisoned_flush_lock_wedges_no_sync() {
+        let dir = scratch("poisoned");
+        let wal = Wal::open(&dir, no_flusher()).unwrap();
+        wal.enqueue(&frame(0, 1, &[("lost", Some(1))]));
+        wal.enqueue(&frame(0, 2, &[("lost", Some(2))]));
+        let joined = std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut log = wal.log.lock().unwrap();
+                let target = {
+                    let mut buf = lock_unpoisoned(&wal.buffer);
+                    buf.pending.clear();
+                    buf.pending_frames = 0;
+                    buf.appended
+                };
+                log.ledger.take_through(target);
+                panic!("the write cycle panics");
+            })
+            .join()
+        });
+        assert!(joined.is_err() && wal.log.is_poisoned());
+        assert!(wal.sync().is_err(), "the abandoned frames are not acknowledged");
+        wal.enqueue(&frame(0, 3, &[("kept", Some(3))]));
+        wal.sync().unwrap();
+        {
+            let log = lock_unpoisoned(&wal.log);
+            assert!(matches!(log.ledger.outcome(1), Some(Err(_))));
+            assert!(matches!(log.ledger.outcome(2), Some(Err(_))));
+            assert_eq!(log.ledger.outcome(3), Some(Ok(())));
+        }
+        assert_eq!(wal.rotate().unwrap(), 2, "rotation works under the recovered lock");
+        drop(wal);
+        let reopened = Wal::open(&dir, no_flusher()).unwrap();
+        let rec = reopened.take_recovered().unwrap();
+        assert_eq!(rec.frames.len(), 1);
+        assert_eq!(rec.frames[0].effects[0].0, "kept");
     }
 }

@@ -102,7 +102,6 @@ proptest! {
             .shards(shards)
             .vip_capacity(1)
             .guest_ports(2)
-            .guest_group_width(1)
             .build()
             .expect("valid sizing");
         let mut client = store.client(store.admit_vip().expect("first vip"));
@@ -139,7 +138,6 @@ proptest! {
                 .shards(2)
                 .vip_capacity(1)
                 .guest_ports(2)
-                .guest_group_width(1)
                 .build()
                 .expect("valid sizing");
             let mut client = store.client(store.admit_vip().expect("first vip"));
@@ -174,7 +172,6 @@ proptest! {
             .shards(2)
             .vip_capacity(1)
             .guest_ports(3)
-            .guest_group_width(1)
             .build()
             .expect("valid sizing");
         let tickets: Vec<_> = (0..clients)
@@ -254,7 +251,6 @@ proptest! {
             .shards(shards)
             .vip_capacity(1)
             .guest_ports(2)
-            .guest_group_width(1)
             .build()
             .expect("valid sizing");
         let mut client = store.client(store.admit_vip().expect("first vip"));
@@ -297,7 +293,6 @@ proptest! {
             .shards(shards)
             .vip_capacity(1)
             .guest_ports(2)
-            .guest_group_width(1)
             .build()
             .expect("valid sizing");
         let mut client = store.client(store.admit_vip().expect("first vip"));
@@ -344,7 +339,6 @@ proptest! {
             .shards(shards)
             .vip_capacity(1)
             .guest_ports(2)
-            .guest_group_width(1)
             .build()
             .expect("valid sizing");
         let mut clients = [
@@ -394,7 +388,6 @@ proptest! {
                 .shards(2)
                 .vip_capacity(1)
                 .guest_ports(2)
-                .guest_group_width(1)
                 .build()
                 .expect("valid sizing");
             let mut clients = [
@@ -530,7 +523,6 @@ proptest! {
             .shards(4)
             .vip_capacity(1)
             .guest_ports(4)
-            .guest_group_width(2)
             .elastic(ElasticityPolicy {
                 evaluate_every: 4,
                 min_window: 8,
@@ -633,13 +625,8 @@ proptest! {
 /// (broadcast degenerates to a single sub-batch).
 #[test]
 fn one_shard_store_serves_batches_and_scans() {
-    let store = StoreBuilder::new()
-        .shards(1)
-        .vip_capacity(1)
-        .guest_ports(2)
-        .guest_group_width(1)
-        .build()
-        .expect("valid sizing");
+    let store =
+        StoreBuilder::new().shards(1).vip_capacity(1).guest_ports(2).build().expect("valid sizing");
     let mut c = store.client(store.admit_vip().expect("vip"));
     let resps = c.execute(vec![
         StoreOp::Put("a".into(), 1),
@@ -667,7 +654,6 @@ fn empty_store_scans_are_empty() {
             .shards(shards)
             .vip_capacity(1)
             .guest_ports(2)
-            .guest_group_width(1)
             .build()
             .expect("valid sizing");
         let mut c = store.client(store.admit_guest());

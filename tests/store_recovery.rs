@@ -96,7 +96,6 @@ proptest! {
                 .shards(shards)
                 .vip_capacity(1)
                 .guest_ports(2)
-                .guest_group_width(1)
                 .build()
                 .expect("valid sizing");
             let mut client = store.client(store.admit_vip().expect("first vip"));
@@ -116,7 +115,6 @@ proptest! {
         let recovered = StoreBuilder::new()
             .vip_capacity(1)
             .guest_ports(2)
-            .guest_group_width(1)
             .recover(&path)
             .expect("snapshot must recover");
         prop_assert_eq!(recovered.shards(), shards, "shard count survives recovery");
@@ -149,7 +147,6 @@ proptest! {
             .shards(2)
             .vip_capacity(1)
             .guest_ports(2)
-            .guest_group_width(1)
             .build()
             .expect("valid sizing");
         let mut client = store.client(store.admit_vip().expect("first vip"));
@@ -167,7 +164,6 @@ proptest! {
         let err = StoreBuilder::new()
             .vip_capacity(1)
             .guest_ports(2)
-            .guest_group_width(1)
             .recover(&path)
             .expect_err("flipped byte must not recover");
         prop_assert!(
@@ -181,7 +177,6 @@ proptest! {
         let err = StoreBuilder::new()
             .vip_capacity(1)
             .guest_ports(2)
-            .guest_group_width(1)
             .recover(&path)
             .expect_err("truncated file must not recover");
         prop_assert!(
@@ -199,7 +194,6 @@ proptest! {
         let recovered = StoreBuilder::new()
             .vip_capacity(1)
             .guest_ports(2)
-            .guest_group_width(1)
             .recover(&path)
             .expect("pristine snapshot recovers");
         prop_assert_eq!(full_scan(&recovered).len(), 20);
@@ -249,13 +243,7 @@ fn recovered_store_does_not_replay_history() {
     let path = scratch("o-delta-store.snapshot");
     let history = 300u64;
     {
-        let store = StoreBuilder::new()
-            .shards(2)
-            .vip_capacity(1)
-            .guest_ports(2)
-            .guest_group_width(1)
-            .build()
-            .unwrap();
+        let store = StoreBuilder::new().shards(2).vip_capacity(1).guest_ports(2).build().unwrap();
         let mut client = store.client(store.admit_vip().unwrap());
         for i in 0..history {
             client.put(&format!("key/{i:03}"), i);
@@ -268,12 +256,7 @@ fn recovered_store_does_not_replay_history() {
             "the shards' checkpoints jointly seal every commit"
         );
     }
-    let recovered = StoreBuilder::new()
-        .vip_capacity(1)
-        .guest_ports(2)
-        .guest_group_width(1)
-        .recover(&path)
-        .unwrap();
+    let recovered = StoreBuilder::new().vip_capacity(1).guest_ports(2).recover(&path).unwrap();
     assert_eq!(recovered.replay_steps(), 0, "boot replays nothing");
     let mut client = recovered.client(recovered.admit_vip().unwrap());
     assert_eq!(client.get("key/000"), Some(0));
@@ -298,13 +281,7 @@ fn concurrent_flushes_recover_to_a_per_shard_prefix() {
     let per_client = 40u64;
     let shards;
     {
-        let store = StoreBuilder::new()
-            .shards(3)
-            .vip_capacity(1)
-            .guest_ports(4)
-            .guest_group_width(2)
-            .build()
-            .unwrap();
+        let store = StoreBuilder::new().shards(3).vip_capacity(1).guest_ports(4).build().unwrap();
         shards = store.shards();
         let persister = Persister::new(&path);
         persister.persist(&store).unwrap();
@@ -332,12 +309,7 @@ fn concurrent_flushes_recover_to_a_per_shard_prefix() {
             });
         });
     } // crash
-    let recovered = StoreBuilder::new()
-        .vip_capacity(1)
-        .guest_ports(4)
-        .guest_group_width(2)
-        .recover(&path)
-        .unwrap();
+    let recovered = StoreBuilder::new().vip_capacity(1).guest_ports(4).recover(&path).unwrap();
     let entries = full_scan(&recovered);
     for (k, v) in &entries {
         let (c, i) = k.split_once('/').expect("key shape");
@@ -377,13 +349,7 @@ fn concurrent_flushes_recover_to_a_per_shard_prefix() {
 /// snapshots without a store.
 #[test]
 fn snapshot_api_roundtrip() {
-    let store = StoreBuilder::new()
-        .shards(2)
-        .vip_capacity(1)
-        .guest_ports(2)
-        .guest_group_width(1)
-        .build()
-        .unwrap();
+    let store = StoreBuilder::new().shards(2).vip_capacity(1).guest_ports(2).build().unwrap();
     let mut client = store.client(store.admit_guest());
     client.put("a", 1);
     client.put("b", 2);
@@ -400,13 +366,7 @@ fn snapshot_api_roundtrip() {
 fn post_split_topology_survives_crash_recovery() {
     let path = scratch("post-split.snapshot");
     let (expected, topology_before) = {
-        let store = StoreBuilder::new()
-            .shards(2)
-            .vip_capacity(1)
-            .guest_ports(3)
-            .guest_group_width(1)
-            .build()
-            .unwrap();
+        let store = StoreBuilder::new().shards(2).vip_capacity(1).guest_ports(3).build().unwrap();
         let mut c = store.client(store.admit_vip().unwrap());
         for i in 0..96u64 {
             c.put(&format!("key/{i:03}"), i);
@@ -422,12 +382,7 @@ fn post_split_topology_survives_crash_recovery() {
         c.put("late", 1);
         (full_scan(&store), store.topology())
     }; // crash
-    let recovered = StoreBuilder::new()
-        .vip_capacity(1)
-        .guest_ports(3)
-        .guest_group_width(1)
-        .recover(&path)
-        .unwrap();
+    let recovered = StoreBuilder::new().vip_capacity(1).guest_ports(3).recover(&path).unwrap();
     assert_eq!(recovered.shards(), 4, "post-split shard count restored");
     let topology_after = recovered.topology();
     assert_eq!(topology_after.version(), 2, "topology version restored");
@@ -479,13 +434,7 @@ fn fnv(bytes: &[u8]) -> u64 {
 fn post_merge_topology_survives_crash_recovery() {
     let path = scratch("post-merge.snapshot");
     let (expected, topology_before) = {
-        let store = StoreBuilder::new()
-            .shards(2)
-            .vip_capacity(1)
-            .guest_ports(3)
-            .guest_group_width(1)
-            .build()
-            .unwrap();
+        let store = StoreBuilder::new().shards(2).vip_capacity(1).guest_ports(3).build().unwrap();
         let mut c = store.client(store.admit_vip().unwrap());
         for i in 0..96u64 {
             c.put(&format!("key/{i:03}"), i);
@@ -505,12 +454,7 @@ fn post_merge_topology_survives_crash_recovery() {
         let _ = c2;
         (full_scan(&store), store.topology())
     }; // crash
-    let recovered = StoreBuilder::new()
-        .vip_capacity(1)
-        .guest_ports(3)
-        .guest_group_width(1)
-        .recover(&path)
-        .unwrap();
+    let recovered = StoreBuilder::new().vip_capacity(1).guest_ports(3).recover(&path).unwrap();
     assert_eq!(recovered.shards(), 4, "tombstones keep their slot across recovery");
     assert_eq!(recovered.live_shards(), 3, "the live set survives");
     let topology_after = recovered.topology();
@@ -582,7 +526,6 @@ fn corrupted_tombstones_fail_closed_with_typed_errors() {
         StoreBuilder::new()
             .vip_capacity(1)
             .guest_ports(2)
-            .guest_group_width(1)
             .recover(&path)
             .expect_err("corrupt tombstones must not recover")
     };
@@ -613,13 +556,7 @@ fn corrupted_tombstones_fail_closed_with_typed_errors() {
     );
     // And a well-formed tombstone with a lying (non-empty) frame: build a
     // real post-merge snapshot, then graft data into the retired frame.
-    let store = StoreBuilder::new()
-        .shards(1)
-        .vip_capacity(1)
-        .guest_ports(2)
-        .guest_group_width(1)
-        .build()
-        .unwrap();
+    let store = StoreBuilder::new().shards(1).vip_capacity(1).guest_ports(2).build().unwrap();
     let mut c = store.client(store.admit_vip().unwrap());
     for i in 0..8u64 {
         c.put(&format!("k{i}"), i);
@@ -638,7 +575,6 @@ fn corrupted_tombstones_fail_closed_with_typed_errors() {
     let err = StoreBuilder::new()
         .vip_capacity(1)
         .guest_ports(2)
-        .guest_group_width(1)
         .recover(&path)
         .expect_err("a tombstoned frame with entries must not recover");
     assert!(
@@ -661,7 +597,6 @@ fn churned_topology_recovers_exactly() {
                 .shards(1 + (seed as usize % 3))
                 .vip_capacity(1)
                 .guest_ports(2)
-                .guest_group_width(1)
                 .build()
                 .unwrap();
             let mut c = store.client(store.admit_vip().unwrap());
@@ -687,12 +622,7 @@ fn churned_topology_recovers_exactly() {
             store.checkpoint().write_to(&path).unwrap();
             (full_scan(&store), store.topology())
         };
-        let recovered = StoreBuilder::new()
-            .vip_capacity(1)
-            .guest_ports(2)
-            .guest_group_width(1)
-            .recover(&path)
-            .unwrap();
+        let recovered = StoreBuilder::new().vip_capacity(1).guest_ports(2).recover(&path).unwrap();
         assert_eq!(recovered.topology(), topo_before, "seed {seed}: churned tree survives");
         assert_eq!(full_scan(&recovered), expected, "seed {seed}: data survives");
         let mut c = recovered.client(recovered.admit_vip().unwrap());

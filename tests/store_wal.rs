@@ -47,7 +47,7 @@ fn no_flusher() -> WalConfig {
 }
 
 fn builder() -> StoreBuilder {
-    StoreBuilder::new().shards(2).vip_capacity(1).guest_ports(2).guest_group_width(1)
+    StoreBuilder::new().shards(2).vip_capacity(1).guest_ports(2)
 }
 
 /// One commit under `DurabilityClass::Sync`, acknowledged after its fsync.

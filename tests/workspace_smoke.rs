@@ -84,13 +84,8 @@ fn facade_crates_all_wired() {
 /// statistics — the full service surface through the facade.
 #[test]
 fn store_service_layer_wired() {
-    let store = StoreBuilder::new()
-        .shards(2)
-        .vip_capacity(1)
-        .guest_ports(2)
-        .guest_group_width(1)
-        .build()
-        .expect("valid sizing");
+    let store =
+        StoreBuilder::new().shards(2).vip_capacity(1).guest_ports(2).build().expect("valid sizing");
 
     // Admission: bounded VIP tier, unbounded guest tier.
     let vip = store.admit_vip().expect("first VIP fits");
@@ -98,7 +93,6 @@ fn store_service_layer_wired() {
     let guest = store.admit_guest();
     assert_eq!(vip.class(), ProgressClass::Vip);
     assert_eq!(guest.class(), ProgressClass::Guest);
-    assert!(guest.cascade_group().is_some(), "guests land in a cascade group");
 
     // Batched cross-shard operations through both classes.
     let mut v = store.client(vip);
@@ -133,7 +127,6 @@ fn store_persistence_wired() {
             .shards(2)
             .vip_capacity(1)
             .guest_ports(2)
-            .guest_group_width(1)
             .build()
             .expect("valid sizing");
         let mut c = store.client(store.admit_guest());
@@ -144,12 +137,8 @@ fn store_persistence_wired() {
         c.put("volatile", 2); // committed after the flush: lost in the crash
     }
 
-    let recovered = StoreBuilder::new()
-        .vip_capacity(1)
-        .guest_ports(2)
-        .guest_group_width(1)
-        .recover(&path)
-        .expect("recover");
+    let recovered =
+        StoreBuilder::new().vip_capacity(1).guest_ports(2).recover(&path).expect("recover");
     assert_eq!(recovered.shards(), 2, "shard count restored from the snapshot");
     assert_eq!(recovered.replay_steps(), 0, "boot replays nothing (O(delta))");
     let mut c = recovered.client(recovered.admit_vip().expect("vip"));
