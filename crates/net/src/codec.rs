@@ -754,6 +754,143 @@ mod tests {
         msg.unwrap()
     }
 
+    /// Lowercase hex of `bytes`, for the format pins.
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Format pins: the exact bytes of one frame of each kind — a `Hello`,
+    /// a `Request` carrying every op kind, and a `Response` carrying every
+    /// result and error kind. Any change to the wire format fails here,
+    /// whatever the roundtrip tests still accept.
+    #[test]
+    fn format_pins_every_frame_kind() {
+        let hello = encode_hello(&TierCredential::Vip { token: 42 });
+        let pin = concat!(
+            "0b000000", // payload_len 11
+            "01",
+            "01", // version 1, Hello
+            "01",
+            "2a00000000000000", // Vip { token: 42 }
+            "a8f7a870e1c140b6", // fnv1a64(payload)
+        );
+        assert_eq!(hex(&hello), pin);
+        assert_eq!(decode_one(&hello), Message::Hello(TierCredential::Vip { token: 42 }));
+
+        let request = encode_request(99, &sample_request());
+        let pin = concat!(
+            "6c000000", // payload_len 108
+            "01",
+            "02",               // version 1, Request
+            "6300000000000000", // id 99
+            "01",               // Sync
+            "01",
+            "fa000000", // deadline 250 ms
+            "08000000", // retry budget 8
+            "01",
+            "2a00000000000000", // Vip { token: 42 }
+            "05000000",         // five ops
+            "00",
+            "05000000",
+            "616c706861", // Get "alpha"
+            "01",
+            "04000000",
+            "62657461",
+            "0700000000000000", // Put "beta" 7
+            "03",
+            "05000000",
+            "67616d6d61",
+            "01",
+            "0100000000000000",
+            "0200000000000000", // Cas
+            "04",
+            "01000000",
+            "61",
+            "01000000",
+            "7a", // Scan "a".."z"
+            "02",
+            "05000000",
+            "64656c7461",       // Remove "delta"
+            "bd6c8259893696a3", // fnv1a64(payload)
+        );
+        assert_eq!(hex(&request), pin);
+        assert_eq!(decode_one(&request), Message::Request { id: 99, req: sample_request() });
+
+        let results: Vec<WireResult> = vec![
+            Ok(StoreResp::Value(Some(3))),
+            Ok(StoreResp::Value(None)),
+            Ok(StoreResp::Cas { ok: true, actual: None }),
+            Ok(StoreResp::Cas { ok: false, actual: Some(2) }),
+            Ok(StoreResp::Entries(vec![("k".into(), 9), ("l".into(), 10)])),
+            Ok(StoreResp::Moved { epoch: 4 }),
+            Err(StoreError::Moved { epoch: 5 }),
+            Err(StoreError::GuestTier),
+            Err(StoreError::RetryBudgetExhausted { budget: 5 }),
+            Err(StoreError::Unavailable { version: 6 }),
+            Err(StoreError::Corrupt { detail: "flush failed".into() }),
+            Err(StoreError::DeadlineExceeded { deadline_ms: 250 }),
+        ];
+        let response = encode_response(7, &results);
+        let pin = concat!(
+            "8a000000", // payload_len 138
+            "01",
+            "03",               // version 1, Response
+            "0700000000000000", // id 7
+            "0c000000",         // twelve results
+            "00",
+            "00",
+            "01",
+            "0300000000000000", // Value(Some(3))
+            "00",
+            "00",
+            "00", // Value(None)
+            "00",
+            "01",
+            "01",
+            "00", // Cas { ok, actual: None }
+            "00",
+            "01",
+            "00",
+            "01",
+            "0200000000000000", // Cas { !ok, actual: Some(2) }
+            "00",
+            "02",
+            "02000000", // Entries, two of them
+            "01000000",
+            "6b",
+            "0900000000000000",
+            "01000000",
+            "6c",
+            "0a00000000000000",
+            "01",
+            "01",
+            "0400000000000000", // the bounce, as error Moved { 4 }
+            "01",
+            "01",
+            "0500000000000000", // Moved { 5 }
+            "01",
+            "02", // GuestTier
+            "01",
+            "03",
+            "05000000", // RetryBudgetExhausted { 5 }
+            "01",
+            "04",
+            "0600000000000000", // Unavailable { 6 }
+            "01",
+            "05",
+            "0c000000",
+            "666c757368206661696c6564", // Corrupt "flush failed"
+            "01",
+            "06",
+            "fa000000",         // DeadlineExceeded { 250 }
+            "fa49b0af7d58cafd", // fnv1a64(payload)
+        );
+        assert_eq!(hex(&response), pin);
+        let mut normalized = results;
+        normalized[5] = Err(StoreError::Moved { epoch: 4 });
+        assert_eq!(decode_one(&response), Message::Response { id: 7, results: normalized });
+    }
+
     #[test]
     fn request_roundtrips() {
         let req = sample_request();

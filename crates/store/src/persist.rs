@@ -746,6 +746,68 @@ mod tests {
         }
     }
 
+    /// Lowercase hex of `bytes`, for the format pin.
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Format pin: the exact bytes of a two-shard snapshot whose second
+    /// shard is a tombstone — header, topology section and its checksum,
+    /// both shard frames with their checksums, and the file checksum.
+    #[test]
+    fn format_pin_two_shards_with_a_tombstone() {
+        let (split, child) = ShardTopology::fresh(1).split(0);
+        let (merged, _) = split.merge(child).unwrap();
+        let snap = StoreSnapshot {
+            topology: merged,
+            shards: vec![
+                ShardSnapshot {
+                    log_index: 5,
+                    state: ShardState::with_entries([("a", 1), ("bb", 2)], 0),
+                },
+                ShardSnapshot { log_index: 3, state: empty_at(2) },
+            ],
+        };
+        let bytes = snap.encode();
+        let pin = concat!(
+            "41504353", // "APCS"
+            "03000000", // version 3
+            "02000000", // two shards
+            // topology: version 2, a root and its retired child
+            "0200000000000000",
+            "095b2647591318c2",
+            "ffffffff",
+            "0000000000000000",
+            "ffffffffffffffff",
+            "3bf9d75c781cde96",
+            "00000000",
+            "0100000000000000",
+            "0200000000000000",
+            "2a662e238602c9bb", // topology checksum
+            // shard 0: log_index 5, epoch 0, two entries, 27 payload bytes
+            "0500000000000000",
+            "0000000000000000",
+            "0200000000000000",
+            "1b00000000000000",
+            "01000000",
+            "61",
+            "0100000000000000",
+            "02000000",
+            "6262",
+            "0200000000000000",
+            "c677a989278cd456", // shard 0 checksum
+            // shard 1, the tombstone: log_index 3, epoch 2, empty
+            "0300000000000000",
+            "0200000000000000",
+            "0000000000000000",
+            "0000000000000000",
+            "6461ad75e7708bc4", // shard 1 checksum
+            "20906c67ac45374b", // file checksum
+        );
+        assert_eq!(hex(&bytes), pin);
+        assert_eq!(StoreSnapshot::decode(&bytes).unwrap(), snap);
+    }
+
     #[test]
     fn encode_decode_roundtrip() {
         let snap = sample();

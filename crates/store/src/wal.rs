@@ -860,6 +860,53 @@ mod tests {
         }
     }
 
+    /// Lowercase hex of `bytes`, for the format pin.
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Format pin: the exact bytes of a segment holding one frame with a
+    /// set and a delete effect — the header, the length prefix, the
+    /// payload and its checksum.
+    #[test]
+    fn format_pin_segment_header_and_one_frame() {
+        let dir = scratch("format-pin");
+        let wal = Wal::open(&dir, no_flusher()).unwrap();
+        let logged = WalFrame {
+            epoch: 3,
+            shard: 2,
+            cell: 17,
+            class: DurabilityClass::Sync,
+            effects: vec![("set".into(), Some(7)), ("gone".into(), None)],
+        };
+        wal.enqueue(&logged);
+        wal.sync().unwrap();
+        drop(wal);
+        let bytes = fs::read(dir.join(segment_name(1))).unwrap();
+        let pin = concat!(
+            "41504357",         // "APCW"
+            "01000000",         // version 1
+            "0100000000000000", // segment 1
+            "32000000",         // payload_len 50
+            "0300000000000000", // epoch 3
+            "02000000",         // shard 2
+            "1100000000000000", // cell 17
+            "01",               // Sync
+            "02000000",         // two effects
+            "00",
+            "03000000",
+            "736574",
+            "0700000000000000", // set "set" = 7
+            "01",
+            "04000000",
+            "676f6e65",         // delete "gone"
+            "8cc05628bd3bedff", // fnv1a64(payload)
+        );
+        assert_eq!(hex(&bytes), pin);
+        let reopened = Wal::open(&dir, no_flusher()).unwrap();
+        assert_eq!(reopened.take_recovered().unwrap().frames, vec![logged]);
+    }
+
     #[test]
     fn enqueue_sync_replay_roundtrip() {
         let dir = scratch("roundtrip");
