@@ -2,29 +2,21 @@
 //! [`Request`]`→`[`Response`](apc_store::Response) envelope (protocol
 //! spec: `docs/WIRE.md`).
 //!
-//! ## Frame layout
-//!
-//! ```text
-//! | payload_len: u32 LE | payload | fnv1a64(payload): u64 LE |
-//! payload = | version: u8 | kind: u8 | body |
-//! ```
-//!
-//! The shape deliberately mirrors the WAL's on-disk frames (`APCW`
-//! segments): a sanity-capped length prefix, the payload, a 64-bit FNV-1a
-//! checksum — and the same failure policy. A frame that is merely
-//! *incomplete* is "awaiting more bytes" while the stream lives (the
-//! streaming [`FrameReader`] returns `Ok(None)`); the same bytes at
-//! stream close are a **torn tail** and the connection fails closed. A
-//! frame that is *wrong* — oversized length prefix, checksum mismatch,
-//! unknown version/kind/discriminant, trailing bytes, non-UTF-8 keys —
-//! always fails closed: no partial decode is ever surfaced.
-//!
-//! All integers are little-endian. Strings are `len: u32 | utf8 bytes`.
-//! `Option<u64>`/`Option<u32>` are `tag: u8 (0|1) | value if 1`.
+//! A message travels as the payload `| version: u8 | kind: u8 | body |` of
+//! one [`apc_store::frame`] frame, written with that module's primitives as
+//! the WAL's frames are; this module owns the payload schema, the 1 MiB cap
+//! and the stream policy. A frame that is merely *incomplete* is "awaiting
+//! more bytes" while the stream lives (the streaming [`FrameReader`]
+//! returns `Ok(None)`); the same bytes at stream close are a **torn tail**
+//! and the connection fails closed. A frame that is *wrong* — oversized
+//! length prefix, checksum mismatch, unknown version/kind/discriminant,
+//! trailing bytes, non-UTF-8 keys — always fails closed: no partial decode
+//! is ever surfaced. `Option<u64>`/`Option<u32>` are `tag: u8 (0|1) | value
+//! if 1`.
 
 use std::fmt;
 
-use apc_store::router::fnv1a64;
+use apc_store::frame::{self, put_str, put_u32, put_u64, Cursor, Fault, Next};
 use apc_store::{DurabilityClass, Request, StoreError, StoreOp, StoreResp, TierCredential};
 
 /// Protocol version carried by every frame (`docs/WIRE.md`).
@@ -49,7 +41,7 @@ pub const KIND_RESPONSE: u8 = 3;
 
 /// Bytes a frame spends on framing around its payload (length prefix +
 /// checksum).
-pub const FRAME_OVERHEAD: usize = 4 + 8;
+pub const FRAME_OVERHEAD: usize = frame::OVERHEAD;
 
 /// One per-operation outcome as it travels the wire.
 pub type WireResult = Result<StoreResp, StoreError>;
@@ -155,22 +147,19 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
+impl From<Fault> for CodecError {
+    fn from(fault: Fault) -> Self {
+        match fault {
+            Fault::Truncated { needed, available } => CodecError::Truncated { needed, available },
+            Fault::BadUtf8 => CodecError::BadUtf8,
+            Fault::TrailingBytes { extra } => CodecError::TrailingBytes { extra },
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Encoding
 // ---------------------------------------------------------------------------
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
 
 fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
     match v {
@@ -182,38 +171,13 @@ fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
     }
 }
 
-/// Opens a frame at the end of `out`: a length placeholder, then the
-/// payload's version and kind bytes. Returns where the frame starts, for
-/// [`close_frame`].
-fn open_frame(out: &mut Vec<u8>, kind: u8) -> usize {
-    let start = out.len();
-    out.extend_from_slice(&[0, 0, 0, 0, WIRE_VERSION, kind]);
-    start
-}
-
-/// Closes the frame [`open_frame`] opened at `start`: patches its length
-/// prefix and appends the payload's checksum, read in place.
-///
-/// Callers are responsible for keeping the payload within
-/// [`MAX_WIRE_PAYLOAD`]: a larger frame is structurally valid to *build*
-/// but the peer's decoder fails closed on it and poisons the stream.
-/// [`encode_response_into`] enforces the cap itself (the one message whose
-/// size the remote peer does not control — see the oversize policy there);
-/// [`encode_hello`] cannot exceed it; [`encode_request`] callers own their
-/// envelope's size, exactly like any other client-side protocol limit.
-fn close_frame(out: &mut Vec<u8>, start: usize) {
-    let payload = &out[start + 4..];
-    let (len, crc) = (payload.len() as u32, fnv1a64(payload));
-    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
-    put_u64(out, crc);
-}
-
 /// Encodes the handshake frame.
 pub fn encode_hello(credential: &TierCredential) -> Vec<u8> {
     let mut out = Vec::new();
-    let start = open_frame(&mut out, KIND_HELLO);
+    let start = frame::begin(&mut out);
+    out.extend_from_slice(&[WIRE_VERSION, KIND_HELLO]);
     put_credential(&mut out, credential);
-    close_frame(&mut out, start);
+    frame::seal(&mut out, start);
     out
 }
 
@@ -257,9 +221,12 @@ fn put_op(p: &mut Vec<u8>, op: &StoreOp) {
 }
 
 /// Encodes one request frame: correlation id + the unified envelope.
+/// Keeping it within [`MAX_WIRE_PAYLOAD`] is the caller's job: the peer
+/// fails closed on a larger one.
 pub fn encode_request(id: u64, req: &Request) -> Vec<u8> {
     let mut out = Vec::new();
-    let start = open_frame(&mut out, KIND_REQUEST);
+    let start = frame::begin(&mut out);
+    out.extend_from_slice(&[WIRE_VERSION, KIND_REQUEST]);
     put_u64(&mut out, id);
     match req.durability {
         DurabilityClass::Group => out.push(0),
@@ -278,7 +245,7 @@ pub fn encode_request(id: u64, req: &Request) -> Vec<u8> {
     for op in &req.ops {
         put_op(&mut out, op);
     }
-    close_frame(&mut out, start);
+    frame::seal(&mut out, start);
     out
 }
 
@@ -321,7 +288,8 @@ pub fn encode_response_into(out: &mut Vec<u8>, id: u64, results: &[WireResult]) 
     let budget = MAX_WIRE_PAYLOAD as usize - HEAD;
     let body: usize = results.iter().map(result_len).sum();
     out.reserve(FRAME_OVERHEAD + HEAD + body.min(budget));
-    let start = open_frame(out, KIND_RESPONSE);
+    let start = frame::begin(out);
+    out.extend_from_slice(&[WIRE_VERSION, KIND_RESPONSE]);
     put_u64(out, id);
     put_u32(out, results.len() as u32);
     if body <= budget {
@@ -340,7 +308,7 @@ pub fn encode_response_into(out: &mut Vec<u8>, id: u64, results: &[WireResult]) 
             }
         }
     }
-    close_frame(out, start);
+    frame::seal(out, start);
 }
 
 /// One result's wire bytes, with the in-band bounce normalized to its
@@ -455,86 +423,23 @@ fn put_err(p: &mut Vec<u8>, err: &StoreError) {
 // Decoding
 // ---------------------------------------------------------------------------
 
-/// Bounds-checked little-endian reader over one payload.
-struct Rd<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Rd<'a> {
-    fn new(buf: &'a [u8]) -> Rd<'a> {
-        Rd { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn need(&self, n: usize) -> Result<(), CodecError> {
-        let available = self.remaining();
-        if available < n {
-            return Err(CodecError::Truncated { needed: n, available });
-        }
-        Ok(())
-    }
-
-    fn u8(&mut self) -> Result<u8, CodecError> {
-        self.need(1)?;
-        let v = self.buf[self.pos];
-        self.pos += 1;
-        Ok(v)
-    }
-
-    fn u32(&mut self) -> Result<u32, CodecError> {
-        self.need(4)?;
-        let mut b = [0u8; 4];
-        b.copy_from_slice(&self.buf[self.pos..self.pos + 4]);
-        self.pos += 4;
-        Ok(u32::from_le_bytes(b))
-    }
-
-    fn u64(&mut self) -> Result<u64, CodecError> {
-        self.need(8)?;
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&self.buf[self.pos..self.pos + 8]);
-        self.pos += 8;
-        Ok(u64::from_le_bytes(b))
-    }
-
-    fn str_(&mut self) -> Result<String, CodecError> {
-        let len = self.u32()? as usize;
-        self.need(len)?;
-        let bytes = &self.buf[self.pos..self.pos + len];
-        self.pos += len;
-        String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::BadUtf8)
-    }
-
-    fn opt_u64(&mut self) -> Result<Option<u64>, CodecError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64()?)),
-            found => Err(CodecError::UnknownDiscriminant { what: "option", found }),
-        }
-    }
-
-    fn list_len(&mut self) -> Result<u32, CodecError> {
-        let len = self.u32()?;
-        if len > MAX_WIRE_LIST {
-            return Err(CodecError::OversizedList { len, max: MAX_WIRE_LIST });
-        }
-        Ok(len)
-    }
-
-    fn finish(self) -> Result<(), CodecError> {
-        let extra = self.remaining();
-        if extra > 0 {
-            return Err(CodecError::TrailingBytes { extra });
-        }
-        Ok(())
+fn opt_u64(rd: &mut Cursor<'_>) -> Result<Option<u64>, CodecError> {
+    match rd.u8()? {
+        0 => Ok(None),
+        1 => Ok(Some(rd.u64()?)),
+        found => Err(CodecError::UnknownDiscriminant { what: "option", found }),
     }
 }
 
-fn read_credential(rd: &mut Rd<'_>) -> Result<TierCredential, CodecError> {
+fn list_len(rd: &mut Cursor<'_>) -> Result<u32, CodecError> {
+    let len = rd.u32()?;
+    if len > MAX_WIRE_LIST {
+        return Err(CodecError::OversizedList { len, max: MAX_WIRE_LIST });
+    }
+    Ok(len)
+}
+
+fn read_credential(rd: &mut Cursor<'_>) -> Result<TierCredential, CodecError> {
     match rd.u8()? {
         0 => Ok(TierCredential::Guest),
         1 => Ok(TierCredential::Vip { token: rd.u64()? }),
@@ -542,22 +447,22 @@ fn read_credential(rd: &mut Rd<'_>) -> Result<TierCredential, CodecError> {
     }
 }
 
-fn read_op(rd: &mut Rd<'_>) -> Result<StoreOp, CodecError> {
+fn read_op(rd: &mut Cursor<'_>) -> Result<StoreOp, CodecError> {
     match rd.u8()? {
-        0 => Ok(StoreOp::Get(rd.str_()?)),
-        1 => Ok(StoreOp::Put(rd.str_()?, rd.u64()?)),
-        2 => Ok(StoreOp::Remove(rd.str_()?)),
-        3 => Ok(StoreOp::Cas { key: rd.str_()?, expect: rd.opt_u64()?, new: rd.u64()? }),
-        4 => Ok(StoreOp::Scan { from: rd.str_()?, to: rd.str_()? }),
+        0 => Ok(StoreOp::Get(rd.str()?.into())),
+        1 => Ok(StoreOp::Put(rd.str()?.into(), rd.u64()?)),
+        2 => Ok(StoreOp::Remove(rd.str()?.into())),
+        3 => Ok(StoreOp::Cas { key: rd.str()?.into(), expect: opt_u64(rd)?, new: rd.u64()? }),
+        4 => Ok(StoreOp::Scan { from: rd.str()?.into(), to: rd.str()?.into() }),
         found => Err(CodecError::UnknownDiscriminant { what: "op", found }),
     }
 }
 
-fn read_result(rd: &mut Rd<'_>) -> Result<WireResult, CodecError> {
+fn read_result(rd: &mut Cursor<'_>) -> Result<WireResult, CodecError> {
     match rd.u8()? {
         0 => {
             let resp = match rd.u8()? {
-                0 => StoreResp::Value(rd.opt_u64()?),
+                0 => StoreResp::Value(opt_u64(rd)?),
                 1 => {
                     let ok = match rd.u8()? {
                         0 => false,
@@ -566,13 +471,13 @@ fn read_result(rd: &mut Rd<'_>) -> Result<WireResult, CodecError> {
                             return Err(CodecError::UnknownDiscriminant { what: "bool", found })
                         }
                     };
-                    StoreResp::Cas { ok, actual: rd.opt_u64()? }
+                    StoreResp::Cas { ok, actual: opt_u64(rd)? }
                 }
                 2 => {
-                    let len = rd.list_len()?;
+                    let len = list_len(rd)?;
                     let mut entries = Vec::new();
                     for _ in 0..len {
-                        let k = rd.str_()?;
+                        let k = rd.str()?.into();
                         let v = rd.u64()?;
                         entries.push((k, v));
                     }
@@ -589,7 +494,7 @@ fn read_result(rd: &mut Rd<'_>) -> Result<WireResult, CodecError> {
                 2 => StoreError::GuestTier,
                 3 => StoreError::RetryBudgetExhausted { budget: rd.u32()? },
                 4 => StoreError::Unavailable { version: rd.u64()? },
-                5 => StoreError::Corrupt { detail: rd.str_()? },
+                5 => StoreError::Corrupt { detail: rd.str()?.into() },
                 6 => StoreError::DeadlineExceeded { deadline_ms: rd.u32()? },
                 found => return Err(CodecError::UnknownDiscriminant { what: "error", found }),
             };
@@ -603,7 +508,7 @@ fn read_result(rd: &mut Rd<'_>) -> Result<WireResult, CodecError> {
 /// [`FrameReader::next_payload`]) into a [`Message`]. Fails closed on any
 /// structural fault.
 pub fn decode_message(payload: &[u8]) -> Result<Message, CodecError> {
-    let mut rd = Rd::new(payload);
+    let mut rd = Cursor::new(payload);
     let version = rd.u8()?;
     if version != WIRE_VERSION {
         return Err(CodecError::BadVersion { found: version });
@@ -625,10 +530,10 @@ pub fn decode_message(payload: &[u8]) -> Result<Message, CodecError> {
             };
             let retry_budget = rd.u32()?;
             let credential = read_credential(&mut rd)?;
-            let n = rd.list_len()?;
+            let n = list_len(&mut rd)?;
             // Sized once: an op is at least 5 bytes (tag + string length),
-            // so the bytes left bound the count a lying prefix can claim.
-            let mut ops = Vec::with_capacity((n as usize).min(rd.remaining() / 5));
+            // so the payload's size bounds the count a lying prefix can claim.
+            let mut ops = Vec::with_capacity((n as usize).min(payload.len() / 5));
             for _ in 0..n {
                 ops.push(read_op(&mut rd)?);
             }
@@ -639,7 +544,7 @@ pub fn decode_message(payload: &[u8]) -> Result<Message, CodecError> {
         }
         KIND_RESPONSE => {
             let id = rd.u64()?;
-            let n = rd.list_len()?;
+            let n = list_len(&mut rd)?;
             let mut results = Vec::new();
             for _ in 0..n {
                 results.push(read_result(&mut rd)?);
@@ -655,7 +560,7 @@ pub fn decode_message(payload: &[u8]) -> Result<Message, CodecError> {
 /// The streaming frame extractor: push raw connection bytes in, pull
 /// complete checksum-verified payloads out.
 ///
-/// Mirrors the WAL's torn-tail policy: an incomplete frame is `Ok(None)`
+/// Splits frames with [`frame::next`]: an incomplete frame is `Ok(None)`
 /// ("await more bytes") while the stream lives; [`FrameReader::buffered`]
 /// at stream close detects the torn tail so the connection can fail
 /// closed. A structurally wrong frame — oversized length prefix, checksum
@@ -699,32 +604,17 @@ impl FrameReader {
         if let Some(err) = &self.poisoned {
             return Err(err.clone());
         }
-        let frame = &self.buf[self.read..];
-        if frame.len() < 4 {
-            return Ok(None);
-        }
-        let mut lb = [0u8; 4];
-        lb.copy_from_slice(&frame[..4]);
-        let len = u32::from_le_bytes(lb);
-        if len > MAX_WIRE_PAYLOAD {
-            let err = CodecError::FrameTooLarge { len, max: MAX_WIRE_PAYLOAD };
-            self.poisoned = Some(err.clone());
-            return Err(err);
-        }
-        let end = 4 + len as usize;
-        if frame.len() < end + 8 {
-            return Ok(None);
-        }
-        let mut cb = [0u8; 8];
-        cb.copy_from_slice(&frame[end..end + 8]);
-        if fnv1a64(&frame[4..end]) != u64::from_le_bytes(cb) {
-            let err = CodecError::ChecksumMismatch;
-            self.poisoned = Some(err.clone());
-            return Err(err);
-        }
-        let payload = self.read + 4..self.read + end;
-        self.read += end + 8;
-        Ok(Some(&self.buf[payload]))
+        let err = match frame::next(&self.buf[self.read..], MAX_WIRE_PAYLOAD) {
+            Next::Frame(payload, end) => {
+                self.read += end;
+                return Ok(Some(payload));
+            }
+            Next::Short(_) => return Ok(None),
+            Next::OverCap(len) => CodecError::FrameTooLarge { len, max: MAX_WIRE_PAYLOAD },
+            Next::BadChecksum(_) => CodecError::ChecksumMismatch,
+        };
+        self.poisoned = Some(err.clone());
+        Err(err)
     }
 }
 

@@ -6,7 +6,7 @@
 //! VIP tier and an unbounded obstruction-free guest tier — over
 //! `apc-universal`'s `(y,x)`-live universal construction.
 //!
-//! Three layers:
+//! The layers:
 //!
 //! * [`admission`] — registers clients into the per-shard
 //!   [`Liveness`](apc_core::liveness::Liveness) spec: VIPs own wait-free
@@ -31,7 +31,10 @@
 //!   statistics from one single-writer digest register per port for the
 //!   VIP dashboard path;
 //! * [`keymap`] — the ordered map every shard replica is: sorted leaves of
-//!   packed keys behind one packed fence index.
+//!   packed keys behind one packed fence index;
+//! * [`frame`] — the byte format under the snapshot, the WAL and the
+//!   `apc-net` wire codec: one checksummed frame shape, the little-endian
+//!   primitives, and one bounds-checked cursor.
 //!
 //! The [`persist`] layer makes the store crash-recoverable: a flush seals a
 //! **checkpoint cell** on every shard log (agreed through the same
@@ -86,6 +89,7 @@
 pub mod admission;
 pub mod api;
 pub mod elastic;
+pub mod frame;
 pub mod keymap;
 pub mod metrics;
 pub mod model;

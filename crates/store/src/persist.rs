@@ -46,6 +46,9 @@
 //! footer:  file_checksum u64           (FNV-1a of everything before it)
 //! ```
 //!
+//! Integers, strings and the checksum are [`frame`](crate::frame)'s; the
+//! sections and their nested checksums are this module's own.
+//!
 //! The topology section and the per-frame `epoch` are there because a
 //! snapshot taken after live shard splits must restore the **split tree**
 //! (rendezvous seeds, parents, creation versions) or recovered routing
@@ -69,15 +72,16 @@ use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
 
 use apc_obs::MetricsSnapshot;
 use apc_progress_macros::progress;
 
 use crate::admission::AdmissionError;
+use crate::frame::{fnv1a64, put_str, put_u32, put_u64, Cursor, Fault};
 use crate::metrics::{elapsed_ns, PersistMetrics};
 use crate::ops::ShardState;
-use crate::router::{fnv1a64, ShardTopology, TopoRecord, TopologyError};
+use crate::router::{ShardTopology, TopoRecord, TopologyError};
 use crate::store::Store;
 
 /// Magic bytes opening every snapshot file.
@@ -150,6 +154,18 @@ impl std::error::Error for PersistError {}
 impl From<io::Error> for PersistError {
     fn from(e: io::Error) -> Self {
         PersistError::Io { kind: e.kind(), msg: e.to_string() }
+    }
+}
+
+impl From<Fault> for PersistError {
+    fn from(fault: Fault) -> Self {
+        match fault {
+            Fault::Truncated { needed, available } => PersistError::Truncated { needed, available },
+            Fault::BadUtf8 => PersistError::Corrupt("key is not valid UTF-8"),
+            Fault::TrailingBytes { .. } => {
+                PersistError::Corrupt("trailing bytes after the last frame")
+            }
+        }
     }
 }
 
@@ -241,8 +257,7 @@ impl StoreSnapshot {
             put_u64(&mut buf, 0); // payload_len, patched below
             let payload_start = buf.len();
             for (key, value) in shard.state.entries().iter() {
-                put_u32(&mut buf, key.len() as u32);
-                buf.extend_from_slice(key.as_bytes());
+                put_str(&mut buf, key);
                 put_u64(&mut buf, value);
             }
             let payload_len = (buf.len() - payload_start) as u64;
@@ -263,16 +278,13 @@ impl StoreSnapshot {
     pub fn decode(bytes: &[u8]) -> Result<Self, PersistError> {
         // Envelope first: the trailing file checksum covers everything, so
         // arbitrary corruption is caught before structural parsing.
-        let body_len = bytes
-            .len()
-            .checked_sub(8)
+        let (body, footer) = bytes
+            .split_last_chunk()
             .ok_or(PersistError::Truncated { needed: 8, available: bytes.len() })?;
-        let (body, footer) = bytes.split_at(body_len);
-        let stored = u64::from_le_bytes(footer.try_into().expect("footer is 8 bytes"));
-        if fnv1a64(body) != stored {
+        if fnv1a64(body) != u64::from_le_bytes(*footer) {
             return Err(PersistError::ChecksumMismatch { shard: None });
         }
-        let mut r = Reader { buf: body, pos: 0 };
+        let mut r = Cursor::new(body);
         if r.take(4)? != MAGIC {
             return Err(PersistError::BadMagic);
         }
@@ -281,7 +293,7 @@ impl StoreSnapshot {
             return Err(PersistError::UnsupportedVersion { found: version });
         }
         let shard_count = r.u32()? as usize;
-        let topo_start = r.pos;
+        let topo_start = r.pos();
         let topo_version = r.u64()?;
         let mut records = Vec::with_capacity(shard_count.min(1024));
         for _ in 0..shard_count {
@@ -296,20 +308,20 @@ impl StoreSnapshot {
                 retired_at: (retired != u64::MAX).then_some(retired),
             });
         }
-        let topo_expected = fnv1a64(&body[topo_start..r.pos]);
+        let topo_expected = fnv1a64(&body[topo_start..r.pos()]);
         if r.u64()? != topo_expected {
             return Err(PersistError::Corrupt("topology section checksum mismatch"));
         }
         let topology = ShardTopology::from_nodes(topo_version, &records).map_err(topology_error)?;
         let mut shards = Vec::with_capacity(shard_count.min(1024));
         for shard_id in 0..shard_count {
-            let frame_start = r.pos;
+            let frame_start = r.pos();
             let log_index = r.u64()?;
             let epoch = r.u64()?;
             let entry_count = r.u64()?;
             let payload_len = r.u64()? as usize;
             let payload_end = r
-                .pos
+                .pos()
                 .checked_add(payload_len)
                 .ok_or(PersistError::Corrupt("payload length overflows"))?;
             // Borrowed from the file's bytes: the state copies each key
@@ -317,15 +329,12 @@ impl StoreSnapshot {
             // bounds what a lying `entry_count` can make this reserve.
             let mut entries = Vec::with_capacity((entry_count as usize).min(payload_len / 12));
             for _ in 0..entry_count {
-                let key_len = r.u32()? as usize;
-                let key = std::str::from_utf8(r.take(key_len)?)
-                    .map_err(|_| PersistError::Corrupt("key is not valid UTF-8"))?;
-                entries.push((key, r.u64()?));
+                entries.push((r.str()?, r.u64()?));
             }
-            if r.pos != payload_end {
+            if r.pos() != payload_end {
                 return Err(PersistError::Corrupt("payload length disagrees with entries"));
             }
-            let expected = fnv1a64(&body[frame_start..r.pos]);
+            let expected = fnv1a64(&body[frame_start..r.pos()]);
             if r.u64()? != expected {
                 return Err(PersistError::ChecksumMismatch { shard: Some(shard_id as u32) });
             }
@@ -341,9 +350,7 @@ impl StoreSnapshot {
             shards
                 .push(ShardSnapshot { log_index, state: ShardState::with_entries(entries, epoch) });
         }
-        if r.pos != body.len() {
-            return Err(PersistError::Corrupt("trailing bytes after the last frame"));
-        }
+        r.finish()?;
         Ok(StoreSnapshot { topology, shards })
     }
 
@@ -642,6 +649,15 @@ pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Try-locks `m` under the same rule: `None` only while another thread holds it.
+pub(crate) fn try_lock_unpoisoned<T>(m: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
+    match m.try_lock() {
+        Ok(guard) => Some(guard),
+        Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+        Err(TryLockError::WouldBlock) => None,
+    }
+}
+
 /// Removes orphaned `<snapshot>.<pid>-<seq>.tmp` siblings that a crash
 /// mid-[`StoreSnapshot::write_to`] left next to `path` — a temp file that
 /// was written but never renamed. Such a file is garbage by construction
@@ -681,48 +697,6 @@ fn topology_error(e: TopologyError) -> PersistError {
         TopologyError::RetiredOutOfRange => "tombstone outside the topology's version range",
         TopologyError::LiveChildOfTombstone => "live shard parented to a tombstone",
     })
-}
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// The durability layer's byte cursor: a bounds-checked little-endian
-/// reader over a snapshot body or a WAL frame payload.
-pub(crate) struct Reader<'a> {
-    pub(crate) buf: &'a [u8],
-    pub(crate) pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], PersistError> {
-        let end = self.pos.checked_add(n).ok_or(PersistError::Corrupt("length overflows"))?;
-        if end > self.buf.len() {
-            return Err(PersistError::Truncated {
-                needed: n,
-                available: self.buf.len() - self.pos,
-            });
-        }
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, PersistError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, PersistError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, PersistError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
 }
 
 #[cfg(test)]

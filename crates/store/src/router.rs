@@ -49,19 +49,8 @@
 
 use std::fmt;
 
+use crate::frame::fnv1a64;
 use crate::ops::{Key, StoreOp, StoreResp};
-
-/// FNV-1a 64-bit: key digests here, frame checksums in
-/// [`persist`](crate::persist), [`wal`](crate::wal) and the `apc-net` wire
-/// codec — one implementation for all of them.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// The rendezvous score of `key` for a shard with the given `seed`: the
 /// highest score in a candidate set owns the key.

@@ -71,6 +71,7 @@ use crate::metrics::{elapsed_ns, StoreMetrics};
 use crate::ops::{
     read_batch, AdoptSpec, Batch, MergeSpec, ShardCmd, ShardState, SplitSpec, StoreOp, StoreResp,
 };
+use crate::persist::{lock_unpoisoned, try_lock_unpoisoned};
 use crate::replan::{Input, Replan, Transition};
 use crate::router::{MergeError, ShardTopology};
 use crate::wal::{DurabilityClass, Wal, WalFrame};
@@ -506,7 +507,8 @@ pub struct Store {
     view: AtomicCell<Arc<StoreView>>,
     /// Serializes admin operations (splits, merges, and store-wide
     /// checkpoints) so a durable snapshot's topology always matches its
-    /// sealed states.
+    /// sealed states. It guards no data, so a panic under it poisons
+    /// nothing: every taker recovers the guard.
     admin: Mutex<()>,
     checkpoint_every: Option<u64>,
     /// The automatic elasticity driver, if configured.
@@ -784,9 +786,7 @@ impl Store {
     /// when the store was built without [`StoreBuilder::elastic`].
     #[progress(blocking)]
     pub fn elastic_report(&self) -> Option<ElasticReport> {
-        self.elastic
-            .as_ref()
-            .map(|slot| slot.engine.lock().expect("elastic engine poisoned").report())
+        self.elastic.as_ref().map(|slot| lock_unpoisoned(&slot.engine).report())
     }
 
     /// Splits shard `shard` **live**: commits keep flowing while the split
@@ -820,7 +820,7 @@ impl Store {
     /// [`SplitError::RetiredShard`] if a merge already tombstoned it.
     #[progress(blocking)]
     pub fn split_shard(&self, shard: usize) -> Result<usize, SplitError> {
-        let _admin = self.admin.lock().expect("admin lock poisoned");
+        let _admin = lock_unpoisoned(&self.admin);
         self.split_locked(shard)
     }
 
@@ -909,7 +909,7 @@ impl Store {
     /// Any [`MergeError`] from [`ShardTopology::check_merge`].
     #[progress(blocking)]
     pub fn merge_shard(&self, child: usize) -> Result<usize, MergeError> {
-        let _admin = self.admin.lock().expect("admin lock poisoned");
+        let _admin = lock_unpoisoned(&self.admin);
         self.merge_locked(child)
     }
 
@@ -960,7 +960,7 @@ impl Store {
     /// always matches its sealed states.
     #[progress(blocking)]
     pub fn checkpoint(&self) -> crate::persist::StoreSnapshot {
-        let _admin = self.admin.lock().expect("admin lock poisoned");
+        let _admin = lock_unpoisoned(&self.admin);
         let view = self.current_view();
         let shards = view
             .shards
@@ -1146,7 +1146,8 @@ impl Store {
     /// One step of the elasticity cadence, ridden by the commit path. Runs
     /// a policy evaluation every `evaluate_every` commits; everything is
     /// try-locked, so a busy engine or a concurrent admin operation makes
-    /// this a no-op rather than a stall.
+    /// this a no-op rather than a stall. A lock an earlier panic poisoned
+    /// is not busy: reading it as busy would turn the driver off for good.
     ///
     /// Reconfigurations ride **guest-tier commits only**: applying a
     /// decision blocks on guest-tier port locks and installs through a
@@ -1170,8 +1171,8 @@ impl Store {
         if port < self.admission.spec().x() {
             return; // never on a VIP thread (see above)
         }
-        let Ok(mut engine) = slot.engine.try_lock() else { return };
-        let Ok(_admin) = self.admin.try_lock() else { return };
+        let Some(mut engine) = try_lock_unpoisoned(&slot.engine) else { return };
+        let Some(_admin) = try_lock_unpoisoned(&self.admin) else { return };
         let stats = self.snapshot_stats();
         let topology = self.current_view().topology.clone();
         let decision = engine.evaluate(total, &stats, &topology);
@@ -2216,6 +2217,51 @@ mod tests {
     fn elastic_report_is_none_without_the_driver() {
         let store = small_store(1);
         assert!(store.elastic_report().is_none());
+    }
+
+    /// A panic under the admin lock costs only its own operation. The
+    /// thread below dies where an elastic reconfiguration would, holding
+    /// the engine and the admin lock: afterwards splits, merges and
+    /// checkpoints still run, and the driver still splits a melting shard.
+    #[test]
+    fn a_poisoned_admin_lock_costs_only_its_own_operation() {
+        use crate::elastic::ElasticityPolicy;
+        let store = StoreBuilder::new()
+            .shards(4)
+            .vip_capacity(1)
+            .guest_ports(2)
+            .elastic(ElasticityPolicy {
+                evaluate_every: 16,
+                cooldown: 64,
+                min_window: 32,
+                ..ElasticityPolicy::default()
+            })
+            .build()
+            .unwrap();
+        let joined = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _engine = store.elastic.as_ref().unwrap().engine.lock().unwrap();
+                let _admin = store.admin.lock().unwrap();
+                panic!("a reconfiguration panics under the admin lock");
+            })
+            .join()
+        });
+        assert!(joined.is_err() && store.admin.is_poisoned());
+        let child = store.split_shard(0).unwrap();
+        assert_eq!(store.merge_shard(child).unwrap(), 0);
+        assert_eq!(store.checkpoint().shards.len(), 5);
+        assert_eq!(store.elastic_report().unwrap().splits, 0);
+        let mut c = store.client(store.admit_guest());
+        let hot_keys = keys_on_shard(&store.topology(), 1, 4);
+        let mut rounds = 0;
+        while store.elastic_report().unwrap().splits == 0 {
+            for key in &hot_keys {
+                c.put(key, rounds);
+            }
+            rounds += 1;
+            assert!(rounds < 500, "the melt must trigger an auto-split past the poison");
+        }
+        assert!(store.live_shards() > 4);
     }
 
     #[test]

@@ -40,15 +40,15 @@
 //! ```text
 //! segment file "wal-{seq:016x}.apcw":
 //!   header: "APCW" | version u32 | segment_seq u64          (16 bytes)
-//!   frame ×N:
-//!     payload_len u32
+//!   frame ×N: payload_len u32 | payload | fnv1a64(payload) u64
 //!     payload: epoch u64 | shard u32 | cell u64 | class u8 |
 //!              effect_count u32 |
 //!              effect ×count: tag u8 (0 = set, 1 = delete) |
 //!                             key_len u32 | key bytes |
 //!                             value u64 (tag 0 only)
-//!     crc u64                       (FNV-1a of the payload)
 //! ```
+//!
+//! Frames and primitives are [`frame`]'s, shared with the wire codec.
 //!
 //! Segments rotate at [`WalConfig::segment_bytes`] and are truncated at
 //! each checkpoint seal: [`Persister`](crate::persist::Persister) rotates
@@ -98,10 +98,10 @@ use std::time::Duration;
 use apc_obs::MetricsSnapshot;
 use apc_progress_macros::progress;
 
+use crate::frame::{self, put_str, put_u32, put_u64, Cursor, Next};
 use crate::metrics::{elapsed_ns, WalMetrics};
 use crate::ops::{Key, StoreOp, StoreResp};
-use crate::persist::{lock_unpoisoned, Ledger, PersistError, Reader};
-use crate::router::fnv1a64;
+use crate::persist::{lock_unpoisoned, Ledger, PersistError};
 
 /// Magic bytes opening every WAL segment file.
 pub const WAL_MAGIC: [u8; 4] = *b"APCW";
@@ -602,8 +602,8 @@ fn open_segment(dir: &Path, seq: u64) -> Result<SegmentWriter, PersistError> {
     let mut file = fs::File::create(&path)?;
     let mut header = Vec::with_capacity(SEGMENT_HEADER);
     header.extend_from_slice(&WAL_MAGIC);
-    header.extend_from_slice(&WAL_VERSION.to_le_bytes());
-    header.extend_from_slice(&seq.to_le_bytes());
+    put_u32(&mut header, WAL_VERSION);
+    put_u64(&mut header, seq);
     file.write_all(&header)?;
     file.sync_all()?;
     if let Ok(d) = fs::File::open(dir) {
@@ -627,40 +627,33 @@ fn segment_seq_of(name: &str) -> Option<u64> {
     u64::from_str_radix(hex, 16).ok()
 }
 
-/// Encodes one frame (length prefix, payload, CRC) into `buf`.
+/// Appends one frame to `buf`.
 fn encode_frame(buf: &mut Vec<u8>, frame: &WalFrame) {
-    let len_at = buf.len();
-    buf.extend_from_slice(&0u32.to_le_bytes()); // payload_len, patched below
-    let payload_start = buf.len();
-    buf.extend_from_slice(&frame.epoch.to_le_bytes());
-    buf.extend_from_slice(&frame.shard.to_le_bytes());
-    buf.extend_from_slice(&frame.cell.to_le_bytes());
+    let start = frame::begin(buf);
+    put_u64(buf, frame.epoch);
+    put_u32(buf, frame.shard);
+    put_u64(buf, frame.cell);
     buf.push(match frame.class {
         DurabilityClass::Group => 0,
         DurabilityClass::Sync => 1,
     });
-    buf.extend_from_slice(&(frame.effects.len() as u32).to_le_bytes());
+    put_u32(buf, frame.effects.len() as u32);
     for (key, effect) in &frame.effects {
         buf.push(match effect {
             Some(_) => 0,
             None => 1,
         });
-        buf.extend_from_slice(&(key.len() as u32).to_le_bytes());
-        buf.extend_from_slice(key.as_bytes());
+        put_str(buf, key);
         if let Some(value) = effect {
-            buf.extend_from_slice(&value.to_le_bytes());
+            put_u64(buf, *value);
         }
     }
-    let payload_len = (buf.len() - payload_start) as u32;
-    buf[len_at..len_at + 4].copy_from_slice(&payload_len.to_le_bytes());
-    let crc = fnv1a64(&buf[payload_start..]);
-    buf.extend_from_slice(&crc.to_le_bytes());
+    frame::seal(buf, start);
 }
 
-/// Decodes one frame's payload (everything between the length prefix and
-/// the CRC).
+/// Decodes one frame's payload.
 fn decode_payload(payload: &[u8]) -> Result<WalFrame, PersistError> {
-    let mut r = Reader { buf: payload, pos: 0 };
+    let mut r = Cursor::new(payload);
     let epoch = r.u64()?;
     let shard = r.u32()?;
     let cell = r.u64()?;
@@ -673,10 +666,7 @@ fn decode_payload(payload: &[u8]) -> Result<WalFrame, PersistError> {
     let mut effects = Vec::with_capacity(count.min(4096));
     for _ in 0..count {
         let tag = r.u8()?;
-        let key_len = r.u32()? as usize;
-        let key = std::str::from_utf8(r.take(key_len)?)
-            .map_err(|_| PersistError::Corrupt("WAL key is not valid UTF-8"))?
-            .to_owned();
+        let key = r.str()?.to_owned();
         let effect = match tag {
             0 => Some(r.u64()?),
             1 => None,
@@ -684,9 +674,7 @@ fn decode_payload(payload: &[u8]) -> Result<WalFrame, PersistError> {
         };
         effects.push((key, effect));
     }
-    if r.pos != payload.len() {
-        return Err(PersistError::Corrupt("trailing bytes inside a WAL frame"));
-    }
+    r.finish()?;
     Ok(WalFrame { epoch, shard, cell, class, effects })
 }
 
@@ -705,7 +693,8 @@ struct SegmentScan {
 fn scan_segment(path: &Path) -> Result<SegmentScan, PersistError> {
     let mut bytes = Vec::new();
     fs::File::open(path)?.read_to_end(&mut bytes)?;
-    if bytes.len() < SEGMENT_HEADER {
+    let mut header = Cursor::new(&bytes);
+    let (Ok(magic), Ok(version), Ok(seq)) = (header.take(4), header.u32(), header.u64()) else {
         // A header torn mid-write: structurally empty. Whether that is
         // tolerable (tail) or not (middle) is the caller's call.
         return Ok(SegmentScan {
@@ -717,48 +706,28 @@ fn scan_segment(path: &Path) -> Result<SegmentScan, PersistError> {
             }),
             valid_after_failure: false,
         });
-    }
-    if bytes[..4] != WAL_MAGIC {
+    };
+    if magic != WAL_MAGIC {
         return Err(PersistError::BadMagic);
     }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
     if version == 0 || version > WAL_VERSION {
         return Err(PersistError::UnsupportedVersion { found: version });
     }
-    let seq = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
-    let mut frames = Vec::new();
-    let mut pos = SEGMENT_HEADER;
-    let mut failure = None;
-    let mut failure_end = 0;
-    while pos < bytes.len() {
+    let (mut frames, mut pos, mut failure) = (Vec::new(), header.pos(), None);
+    while pos < bytes.len() && failure.is_none() {
         match scan_frame(&bytes, pos) {
             Ok((frame, next)) => {
                 frames.push(frame);
                 pos = next;
             }
-            Err((e, skip_to)) => {
-                failure = Some(e);
-                failure_end = skip_to;
-                break;
-            }
+            Err(failed) => failure = Some(failed),
         }
     }
     // Look past the failure: if the bad frame's extent was still readable,
-    // any valid frame after it proves mid-log corruption.
-    let mut valid_after_failure = false;
-    if failure.is_some() && failure_end > 0 {
-        let mut pos = failure_end;
-        while pos < bytes.len() {
-            match scan_frame(&bytes, pos) {
-                Ok((_, next)) => {
-                    valid_after_failure = true;
-                    pos = next;
-                }
-                Err(_) => break,
-            }
-        }
-    }
-    Ok(SegmentScan { seq, frames, failure, valid_after_failure })
+    // a valid frame right after it proves mid-log corruption.
+    let valid_after_failure = matches!(failure, Some((_, end))
+        if end > 0 && end < bytes.len() && scan_frame(&bytes, end).is_ok());
+    Ok(SegmentScan { seq, frames, failure: failure.map(|(e, _)| e), valid_after_failure })
 }
 
 /// Decodes the frame starting at `pos`. On success returns the frame and
@@ -766,28 +735,18 @@ fn scan_segment(path: &Path) -> Result<SegmentScan, PersistError> {
 /// past the frame's claimed extent (0 when even that is unknowable —
 /// i.e. the tear reaches the end of the file).
 fn scan_frame(bytes: &[u8], pos: usize) -> Result<(WalFrame, usize), (PersistError, usize)> {
-    let avail = bytes.len() - pos;
-    if avail < 4 {
-        return Err((PersistError::Truncated { needed: 4, available: avail }, 0));
-    }
-    let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes"));
-    if len > MAX_FRAME_PAYLOAD {
-        return Err((PersistError::Corrupt("WAL frame length exceeds the sanity cap"), 0));
-    }
-    let payload_start = pos + 4;
-    let crc_at = payload_start + len as usize;
-    let end = crc_at + 8;
-    if end > bytes.len() {
-        return Err((PersistError::Truncated { needed: end - pos, available: avail }, 0));
-    }
-    let payload = &bytes[payload_start..crc_at];
-    let stored = u64::from_le_bytes(bytes[crc_at..end].try_into().expect("8 bytes"));
-    if fnv1a64(payload) != stored {
-        return Err((PersistError::ChecksumMismatch { shard: None }, end));
-    }
-    match decode_payload(payload) {
-        Ok(frame) => Ok((frame, end)),
-        Err(e) => Err((e, end)),
+    let available = bytes.len() - pos;
+    match frame::next(&bytes[pos..], MAX_FRAME_PAYLOAD) {
+        Next::Frame(payload, end) => {
+            decode_payload(payload).map(|frame| (frame, pos + end)).map_err(|e| (e, pos + end))
+        }
+        Next::Short(short) => {
+            Err((PersistError::Truncated { needed: available + short, available }, 0))
+        }
+        Next::OverCap(_) => {
+            Err((PersistError::Corrupt("WAL frame length exceeds the sanity cap"), 0))
+        }
+        Next::BadChecksum(end) => Err((PersistError::ChecksumMismatch { shard: None }, pos + end)),
     }
 }
 

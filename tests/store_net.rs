@@ -11,7 +11,10 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use asymmetric_progress::net::{NetClient, ServerConfig, StoreServer, WireResult};
+use asymmetric_progress::net::codec::{KIND_HELLO, KIND_REQUEST, KIND_RESPONSE};
+use asymmetric_progress::net::{
+    NetClient, ServerConfig, StoreServer, WireResult, MAX_WIRE_LIST, MAX_WIRE_PAYLOAD,
+};
 use asymmetric_progress::store::persist::Persister;
 use asymmetric_progress::store::wal::{Wal, WalConfig};
 use asymmetric_progress::store::{
@@ -485,5 +488,72 @@ fn metrics_md_lists_exactly_the_scraped_series() {
         "METRICS.md has drifted — scraped but not documented: {:?}; documented but not scraped: {:?}",
         scraped.difference(&documented).collect::<Vec<_>>(),
         documented.difference(&scraped).collect::<Vec<_>>(),
+    );
+}
+
+/// The rows of the WIRE.md table whose header line starts with `header`,
+/// each split into trimmed cells.
+fn wire_md_table<'a>(doc: &'a str, header: &str) -> Vec<Vec<&'a str>> {
+    let rows: Vec<Vec<&str>> = doc
+        .lines()
+        .skip_while(|line| !line.starts_with(header))
+        .skip(2) // the header and its separator
+        .take_while(|line| line.starts_with('|'))
+        .map(|row| row.trim_matches('|').split('|').map(str::trim).collect())
+        .collect();
+    assert!(!rows.is_empty(), "docs/WIRE.md has no table headed `{header}`");
+    rows
+}
+
+/// docs/WIRE.md is the normative spec: its error-discriminant, cap and
+/// frame-kind tables must say what the code does.
+#[test]
+fn wire_md_tables_match_the_code() {
+    let doc = include_str!("../docs/WIRE.md");
+    let errors = [
+        StoreError::Moved { epoch: 0 },
+        StoreError::GuestTier,
+        StoreError::RetryBudgetExhausted { budget: 0 },
+        StoreError::Unavailable { version: 0 },
+        StoreError::Corrupt { detail: String::new() },
+        StoreError::DeadlineExceeded { deadline_ms: 0 },
+    ];
+    let coded: Vec<(u8, String)> = errors
+        .iter()
+        .map(|e| {
+            let debug = format!("{e:?}");
+            (e.wire_discriminant(), debug.split([' ', '{']).next().unwrap_or_default().to_owned())
+        })
+        .collect();
+    let documented: Vec<(u8, String)> = wire_md_table(doc, "| discriminant |")
+        .iter()
+        .map(|row| (row[0].parse().expect("a discriminant"), row[1].trim_matches('`').to_owned()))
+        .collect();
+    assert_eq!(documented, coded, "WIRE.md § Error discriminants");
+
+    // A cap's value cell carries its exact value as `a << b`.
+    let shifted = |cell: &str| -> u32 {
+        let expr = cell.split('`').nth(1).expect("a `a << b` value");
+        let (base, shift) = expr.split_once(" << ").expect("a `a << b` value");
+        base.parse::<u32>().unwrap() << shift.parse::<u32>().unwrap()
+    };
+    let caps: Vec<(&str, u32)> = wire_md_table(doc, "| cap |")
+        .iter()
+        .map(|row| (row[0].trim_matches('`'), shifted(row[1])))
+        .collect();
+    assert_eq!(
+        caps,
+        [("MAX_WIRE_PAYLOAD", MAX_WIRE_PAYLOAD), ("MAX_WIRE_LIST", MAX_WIRE_LIST)],
+        "WIRE.md § Frame layout caps"
+    );
+
+    let kinds: Vec<(&str, u8)> = wire_md_table(doc, "| kind |")
+        .iter()
+        .map(|row| (row[0].trim_matches('`'), row[1].parse().expect("a kind byte")))
+        .collect();
+    assert_eq!(
+        kinds,
+        [("Hello", KIND_HELLO), ("Request", KIND_REQUEST), ("Response", KIND_RESPONSE)],
+        "WIRE.md § Frame kinds"
     );
 }
