@@ -978,6 +978,72 @@ mod tests {
         assert_eq!(resps, vec![StoreResp::Moved { epoch: 3 }]);
     }
 
+    /// The 64 keys of the placement pin: 8-byte benchmark keys, 16-byte
+    /// keys with a common 8-byte prefix, short keys and the empty key, and
+    /// multi-byte UTF-8.
+    fn pinned_keys() -> Vec<String> {
+        (0..64u32)
+            .map(|i| match i % 4 {
+                0 => format!("k{:07}", i * 7915),
+                1 => format!("user:000{:08}", i * 7915),
+                2 if i == 2 => String::new(),
+                2 => format!("{i}"),
+                _ => format!("é{i}ß/{}", "x".repeat(i as usize % 9)),
+            })
+            .collect()
+    }
+
+    /// Placement decides which shard's log, snapshot section and WAL frames
+    /// hold a key, so it must never move: `shard_of` for 64 fixed keys on a
+    /// fresh 4-root topology, after splitting root 0, after splitting that
+    /// child, and after merging the grandchild back.
+    #[test]
+    fn placement_pin_across_split_and_merge() {
+        #[rustfmt::skip]
+        const FRESH: [usize; 64] = [
+            0, 1, 3, 1, 2, 0, 1, 0, 2, 2, 1, 3, 1, 2, 0, 2,
+            3, 2, 3, 0, 2, 3, 2, 3, 2, 0, 3, 0, 2, 3, 0, 0,
+            3, 3, 3, 0, 1, 3, 2, 1, 3, 0, 3, 3, 1, 3, 3, 0,
+            3, 3, 1, 2, 3, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 1,
+        ];
+        #[rustfmt::skip]
+        const SPLIT_0: [usize; 64] = [
+            0, 1, 3, 1, 2, 4, 1, 0, 2, 2, 1, 3, 1, 2, 0, 2,
+            3, 2, 3, 0, 2, 3, 2, 3, 2, 0, 3, 0, 2, 3, 4, 0,
+            3, 3, 3, 0, 1, 3, 2, 1, 3, 0, 3, 3, 1, 3, 3, 0,
+            3, 3, 1, 2, 3, 0, 4, 4, 0, 0, 0, 3, 4, 4, 0, 1,
+        ];
+        #[rustfmt::skip]
+        const SPLIT_4: [usize; 64] = [
+            0, 1, 3, 1, 2, 5, 1, 0, 2, 2, 1, 3, 1, 2, 0, 2,
+            3, 2, 3, 0, 2, 3, 2, 3, 2, 0, 3, 0, 2, 3, 4, 0,
+            3, 3, 3, 0, 1, 3, 2, 1, 3, 0, 3, 3, 1, 3, 3, 0,
+            3, 3, 1, 2, 3, 0, 4, 4, 0, 0, 0, 3, 5, 4, 0, 1,
+        ];
+        #[rustfmt::skip]
+        const MERGED: [usize; 64] = [
+            0, 1, 3, 1, 2, 4, 1, 0, 2, 2, 1, 3, 1, 2, 0, 2,
+            3, 2, 3, 0, 2, 3, 2, 3, 2, 0, 3, 0, 2, 3, 4, 0,
+            3, 3, 3, 0, 1, 3, 2, 1, 3, 0, 3, 3, 1, 3, 3, 0,
+            3, 3, 1, 2, 3, 0, 4, 4, 0, 0, 0, 3, 4, 4, 0, 1,
+        ];
+        let fresh = ShardTopology::fresh(4);
+        let (split_0, child) = fresh.split(0);
+        let (split_4, grandchild) = split_0.split(child);
+        let (merged, _) = split_4.merge(grandchild).expect("the grandchild is a last live child");
+        assert_eq!((child, grandchild), (4, 5));
+        let keys = pinned_keys();
+        for (name, topology, pin) in [
+            ("fresh", &fresh, &FRESH),
+            ("split(0)", &split_0, &SPLIT_0),
+            ("split(4)", &split_4, &SPLIT_4),
+            ("merge(5)", &merged, &MERGED),
+        ] {
+            let got: Vec<usize> = keys.iter().map(|k| topology.shard_of(k)).collect();
+            assert_eq!(got, pin, "placement moved on the {name} topology");
+        }
+    }
+
     #[test]
     fn active_shards_skips_idle_ones() {
         let t = ShardTopology::fresh(4);
