@@ -1,27 +1,48 @@
-//! The shard's ordered map: sorted leaves of packed keys behind one packed
-//! fence index.
+//! The shard's ordered map: sorted leaves behind one fence index, both
+//! searched over one array of 8-byte key heads.
 //!
 //! A [`KeyMap`] maps string keys to `u64` values in key order, like a
 //! `BTreeMap<String, u64>`, but keeps the bytes it compares where it looks
-//! for them:
+//! for them. Every entry has a **head**: the first 8 bytes of its key,
+//! zero-padded. Read as big-endian `u64`s, two heads order as their keys
+//! do, unless they are equal. Equal heads are a tie. If the stored key is
+//! at most 8 bytes, it is a prefix of the other (its zero padding matches
+//! the other's NUL bytes), so the lengths settle the tie; otherwise the
+//! full keys are compared.
 //!
-//! * a **leaf** holds up to `LEAF_ENTRIES` (64) consecutive entries: their key
-//!   text back to back in one buffer, an offsets array beside it, and a
-//!   values array — three allocations per leaf, none per key;
-//! * the **fence index** holds, packed the same way, one lower-bound key per
-//!   leaf after the first: every key of leaf `i + 1` is `>= fence[i]`, every
-//!   key of leaf `i` is below it.
+//! * a **leaf** holds up to `LEAF_ENTRIES` (64) consecutive entries in two
+//!   buffers: the slots and the text. A slot is 20 B: the head, a `u32`
+//!   tag that holds a short key's length or a long key's text offset, and
+//!   the value. The text holds the full keys longer than 8 bytes, back to
+//!   back. A key of at most 8 bytes is stored in its head alone and lent
+//!   from there. Nothing is allocated per key;
+//! * the **fence index** is the same structure without values (12 B slots):
+//!   one lower-bound key per leaf after the first. Every key of leaf
+//!   `i + 1` is `>= fence[i]`, every key of leaf `i` is below it.
 //!
-//! A lookup binary-searches the fence index (12 B per leaf for 8-byte keys:
-//! ~5 KB per 25 000 keys, so it stays cache-resident while the leaves do
-//! not) and then one leaf — two dependent cache misses, not one per tree
-//! level plus one per heap-allocated key compared. A scan walks leaves in
-//! sequence. Overwriting a key touches one value slot and copies no key.
+//! A lookup binary-searches the fence index and then one leaf, with one
+//! routine. A probe loads one slot from the array the search walks and
+//! compares its head as one integer; a tie reads the tag in the same slot,
+//! and only a tie with a key longer than 8 bytes loads text. Keys that
+//! share more than their first 8 bytes would tie on every probe, so an
+//! array whose keys are all long heads the bytes after their common prefix
+//! instead, and the search checks that prefix once. The fence index costs
+//! 12 B per leaf for 8-byte keys: ~5 KB per 25 000 keys, so it stays
+//! cache-resident while the leaves do not, and a lookup is two dependent
+//! cache misses, not one per tree level plus one per heap-allocated key
+//! compared. A scan walks leaves in sequence. Overwriting a key touches one
+//! value and copies no key.
+//!
+//! An 8-byte key in a full leaf costs its 20 B slot plus a 64th of its
+//! leaf's 56 B header and 12 B fence slot: 21.1 B. Its leaf's text buffer
+//! is never allocated. A half-full leaf costs twice as much per key. A
+//! deep clone is one `memcpy` per allocated buffer: one per leaf of short
+//! keys, two per leaf with long ones.
 //!
 //! Two levels, not a tree: inserting or freeing a leaf shifts the tail of
-//! the leaf vector and of the fence index (72 B + one fence key per leaf
+//! the leaf vector and of the fence index (56 B + one fence slot per leaf
 //! behind it), once per ~`LEAF_ENTRIES / 2` inserts. At 100 000 keys that
-//! is ~3 KB moved per insert, amortised, and a shard that grows far past
+//! is ~2 KB moved per insert, amortised, and a shard that grows far past
 //! that is what [`Store::split_shard`](crate::store::Store::split_shard)
 //! is for.
 //!
@@ -34,53 +55,170 @@ use std::fmt;
 
 use apc_progress_macros::progress;
 
-/// Entries per leaf. 64 values are 512 B, 64 offsets 256 B, 64 eight-byte
-/// keys 512 B: a leaf search is 6 probes over ~20 cache lines of which it
-/// touches 4–6, and an insert shifts at most ~1.3 KB. Per stored 8-byte key
-/// a full leaf costs (512 + 256 + 512 + 72 B of leaf header + 12 B of
-/// fence) / 64 = 21 B, a half-full one twice that.
+/// Entries per leaf. 64 slots are 1280 B: a leaf search is 6 probes over
+/// 20 cache lines of slots, and an insert shifts at most ~1.3 KB.
 const LEAF_ENTRIES: usize = 64;
 
-/// Key bytes per leaf: 64 B per entry on average before a leaf splits on
-/// bytes and not on count, so a leaf's text stays within a page whatever
+/// Long-key text per leaf: 64 B per entry on average before a leaf splits
+/// on bytes and not on count, so a leaf's text stays within a page whatever
 /// the key lengths. A key longer than this gets a leaf of its own.
 const LEAF_BYTES: usize = 4096;
 
-/// Strings stored back to back in one buffer, addressed by position.
-#[derive(Clone, Default)]
-struct Packed {
-    text: String,
-    /// Where each string starts in `text`; it ends where the next one
-    /// starts, the last one at `text.len()`.
-    starts: Vec<u32>,
+/// The key bytes a head holds. A key of at most this many bytes is short:
+/// its head is all of it.
+const HEAD: usize = 8;
+
+/// The tag bit of a long key; the other 31 bits are its offset in the text.
+const LONG: u32 = 1 << 31;
+
+/// The first [`HEAD`] bytes of `bytes`, zero-padded.
+fn head_of(bytes: &[u8]) -> [u8; HEAD] {
+    let n = bytes.len().min(HEAD);
+    let mut head = [0; HEAD];
+    head[..n].copy_from_slice(&bytes[..n]);
+    head
 }
 
-impl Packed {
+/// A head as the integer the search compares.
+fn rank(head: [u8; HEAD]) -> u64 {
+    u64::from_be_bytes(head)
+}
+
+/// Where a long key's text starts, if `tag` is a long key's.
+fn long_start(tag: u32) -> Option<usize> {
+    (tag & LONG != 0).then_some((tag & !LONG) as usize)
+}
+
+/// How many leading bytes `a` and `b` share.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    a.iter().zip(b).take_while(|(x, y)| x == y).count()
+}
+
+/// One entry: its head, its tag and its value. A leaf's is 20 B, the fence
+/// index's 12 B; packed, so the value does not pad the slot to 24 B.
+#[derive(Clone, Copy)]
+#[repr(C, packed(4))]
+struct Slot<V> {
+    head: [u8; HEAD],
+    /// The key's length if it is short, else [`LONG`] and the offset of its
+    /// text.
+    tag: u32,
+    value: V,
+}
+
+// The slot sizes the module docs' bytes-per-key figure is made of.
+const _: () = assert!(size_of::<Slot<u64>>() == 20 && size_of::<Slot<()>>() == 12);
+
+/// Entries in key order, addressed by position: a leaf (`V = u64`) or the
+/// fence index (`V = ()`).
+///
+/// Keys that share more than their first 8 bytes would tie on every probe,
+/// so an array whose keys are all long heads the bytes after their common
+/// prefix instead: `user:0000012345` and `user:0000012346` share 14 bytes,
+/// and their heads are `5` and `6`.
+#[derive(Clone, Default)]
+struct Entries<V: Copy> {
+    slots: Vec<Slot<V>>,
+    /// The long keys' full text, back to back in entry order: a long key
+    /// ends where the next long key starts, the last one at `text.len()`.
+    text: String,
+    /// How many leading bytes every key here shares and no head holds: a
+    /// head is the [`HEAD`] bytes after them. Zero unless every key is
+    /// long, so a short key's head is all of it. It shrinks when a key
+    /// that shares less arrives, and widens to all the keys share when a
+    /// leaf splits.
+    prefix: u32,
+}
+
+/// Up to [`LEAF_ENTRIES`] consecutive entries; never empty while in a map.
+type Leaf = Entries<u64>;
+
+impl<V: Copy> Entries<V> {
+    fn single(key: &str, value: V) -> Self {
+        let mut entries = Entries { slots: Vec::new(), text: String::new(), prefix: 0 };
+        entries.insert(0, key, value);
+        entries
+    }
+
     fn len(&self) -> usize {
-        self.starts.len()
+        self.slots.len()
     }
 
-    fn get(&self, i: usize) -> Option<&str> {
-        let start = *self.starts.get(i)? as usize;
-        self.text.get(start..self.start(i + 1))
+    /// Where the text of the first long key at or after position `i`
+    /// starts: `text.len()` if there is none. A long key inserted at `i`
+    /// goes there.
+    fn text_at(&self, i: usize) -> usize {
+        let slots = self.slots.get(i..).unwrap_or_default();
+        slots.iter().find_map(|slot| long_start(slot.tag)).unwrap_or(self.text.len())
     }
 
-    /// Where string `i` starts — for `i == len()`, where one appended
-    /// would.
-    fn start(&self, i: usize) -> usize {
-        self.starts.get(i).map_or(self.text.len(), |&start| start as usize)
+    /// Moves the text offset of every long key in `slots` through `shift`.
+    fn shift_text(slots: &mut [Slot<V>], shift: impl Fn(u32) -> u32) {
+        for slot in slots {
+            if slot.tag & LONG != 0 {
+                slot.tag = shift(slot.tag);
+            }
+        }
+    }
+
+    /// The key of entry `i`.
+    fn key(&self, i: usize) -> Option<&str> {
+        let slot = self.slots.get(i)?;
+        match long_start(slot.tag) {
+            None => std::str::from_utf8(&slot.head[..(slot.tag as usize).min(HEAD)]).ok(),
+            Some(start) => self.text.get(start..self.text_at(i + 1)),
+        }
+    }
+
+    fn entry(&self, i: usize) -> Option<(&str, V)> {
+        Some((self.key(i)?, self.slots.get(i)?.value))
+    }
+
+    /// The bytes every key here starts with and no head holds. While
+    /// `prefix` is nonzero every key is long, so the text starts with the
+    /// first key, which starts with them.
+    fn shared(&self) -> &[u8] {
+        &self.text.as_bytes()[..(self.prefix as usize).min(self.text.len())]
+    }
+
+    /// `key`'s head here; or, if `key` does not start with the shared
+    /// bytes, the position it sorts at: before every entry or after them.
+    fn head_here(&self, key: &str) -> Result<[u8; HEAD], usize> {
+        let shared = self.shared();
+        match key.as_bytes().strip_prefix(shared) {
+            Some(rest) => Ok(head_of(rest)),
+            None if key.as_bytes() < shared => Err(0),
+            None => Err(self.len()),
+        }
+    }
+
+    /// How entry `i` orders against `key`, whose head ranks `rank_of_key`.
+    /// Equal heads are settled by length if the entry is short and by the
+    /// full text otherwise.
+    fn order(&self, i: usize, key: &str, rank_of_key: u64) -> Ordering {
+        let Some(slot) = self.slots.get(i) else { return Ordering::Greater };
+        match rank(slot.head).cmp(&rank_of_key) {
+            Ordering::Equal => {}
+            order => return order,
+        }
+        match long_start(slot.tag) {
+            None => (slot.tag as usize).cmp(&key.len()),
+            Some(_) => self.key(i).unwrap_or_default().cmp(key),
+        }
     }
 
     /// The position of `key` (`Ok`), or the position it would be inserted
-    /// at to keep the strings sorted (`Err`): at most `log2(len) + 1`
-    /// comparisons.
+    /// at to keep the entries sorted (`Err`): at most `log2(len) + 1`
+    /// probes.
     fn search(&self, key: &str) -> Result<usize, usize> {
+        let rank_of_key = match self.head_here(key) {
+            Ok(head) => rank(head),
+            Err(at) => return Err(at),
+        };
         let (mut lo, mut hi) = (0, self.len());
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            // `mid < len()`: the else arm is never taken.
-            let Some(probe) = self.get(mid) else { return Err(lo) };
-            match probe.cmp(key) {
+            match self.order(mid, key, rank_of_key) {
                 Ordering::Less => lo = mid + 1,
                 Ordering::Equal => return Ok(mid),
                 Ordering::Greater => hi = mid,
@@ -89,70 +227,89 @@ impl Packed {
         Err(lo)
     }
 
-    fn insert(&mut self, i: usize, key: &str) {
-        // The offsets are 32-bit: a leaf's text is bounded by `LEAF_BYTES`
-        // plus one key (the codec caps a key at 1 MiB), the fence index by
-        // one key per leaf.
+    /// Rewrites every head to hold the [`HEAD`] bytes after the first
+    /// `prefix`, which every key here must share.
+    fn set_prefix(&mut self, prefix: usize) {
+        for i in 0..self.len() {
+            let key = self.key(i).unwrap_or_default().as_bytes();
+            self.slots[i].head = head_of(&key[prefix.min(key.len())..]);
+        }
+        self.prefix = prefix as u32;
+    }
+
+    /// Widens the shared prefix to the whole of what the keys share, if they
+    /// are all long: the first and the last key share what all do.
+    fn widen_prefix(&mut self) {
+        if self.slots.iter().all(|slot| slot.tag & LONG != 0) {
+            let first = self.key(0).unwrap_or_default().as_bytes();
+            let last = self.key(self.len().saturating_sub(1)).unwrap_or_default().as_bytes();
+            let prefix = common_prefix(first, last);
+            if prefix > self.prefix as usize {
+                self.set_prefix(prefix);
+            }
+        }
+    }
+
+    fn insert(&mut self, i: usize, key: &str, value: V) {
+        // Offsets and the prefix are 31 bits: a leaf's text is bounded by
+        // `LEAF_BYTES` plus one key (the codec caps a key at 1 MiB), the
+        // fence index's by one key per leaf.
         assert!(
-            u32::try_from(self.text.len() + key.len()).is_ok(),
-            "4 GiB of key text behind one offsets array"
+            self.text.len() + key.len() < LONG as usize,
+            "2 GiB of long-key text behind one slot array"
         );
-        let at = self.start(i);
-        self.text.insert_str(at, key);
-        for start in &mut self.starts[i..] {
-            *start += key.len() as u32;
+        let prefix = match self.len() {
+            _ if key.len() <= HEAD => 0,
+            0 => key.len(),
+            _ => common_prefix(self.shared(), key.as_bytes()),
+        };
+        if prefix != self.prefix as usize {
+            self.set_prefix(prefix);
         }
-        self.starts.insert(i, at as u32);
+        let tag = if key.len() <= HEAD {
+            key.len() as u32
+        } else {
+            let at = self.text_at(i);
+            self.text.insert_str(at, key);
+            Self::shift_text(&mut self.slots[i..], |tag| tag + key.len() as u32);
+            LONG | at as u32
+        };
+        self.slots.insert(i, Slot { head: head_of(&key.as_bytes()[prefix..]), tag, value });
     }
 
-    fn remove(&mut self, i: usize) {
-        let (at, end) = (self.start(i), self.start(i + 1));
-        self.text.replace_range(at..end, "");
-        self.starts.remove(i);
-        for start in &mut self.starts[i..] {
-            *start -= (end - at) as u32;
+    fn remove(&mut self, i: usize) -> V {
+        let slot = self.slots.remove(i);
+        if let Some(start) = long_start(slot.tag) {
+            let end = self.text_at(i);
+            self.text.replace_range(start..end, "");
+            Self::shift_text(&mut self.slots[i..], |tag| tag - (end - start) as u32);
         }
+        slot.value
     }
 
-    /// Splits off the strings from position `at` on.
-    fn split_off(&mut self, at: usize) -> Packed {
-        let cut = self.start(at);
+    /// Splits off the entries from position `at` on. Each half keeps the
+    /// shared prefix and widens it to what its own keys share.
+    fn split_off(&mut self, at: usize) -> Self {
+        let cut = self.text_at(at);
         let text = self.text.split_off(cut);
-        let mut starts = self.starts.split_off(at);
-        for start in &mut starts {
-            *start -= cut as u32;
-        }
-        Packed { text, starts }
+        let mut slots = self.slots.split_off(at);
+        Self::shift_text(&mut slots, |tag| tag - cut as u32);
+        let mut right = Entries { slots, text, prefix: self.prefix };
+        self.widen_prefix();
+        right.widen_prefix();
+        right
     }
 
     fn clear(&mut self) {
+        self.slots.clear();
         self.text.clear();
-        self.starts.clear();
-    }
-}
-
-/// Up to [`LEAF_ENTRIES`] consecutive entries; never empty while in a map.
-#[derive(Clone)]
-struct Leaf {
-    keys: Packed,
-    /// `values[i]` belongs to `keys.get(i)`.
-    values: Vec<u64>,
-}
-
-impl Leaf {
-    fn single(key: &str, value: u64) -> Leaf {
-        let mut keys = Packed::default();
-        keys.insert(0, key);
-        Leaf { keys, values: vec![value] }
-    }
-
-    fn entry(&self, i: usize) -> Option<(&str, u64)> {
-        Some((self.keys.get(i)?, *self.values.get(i)?))
+        self.prefix = 0;
     }
 
     /// Whether one more entry under `key` stays within both budgets.
     fn fits(&self, key: &str) -> bool {
-        self.values.len() < LEAF_ENTRIES && self.keys.text.len() + key.len() <= LEAF_BYTES
+        let text = if key.len() > HEAD { key.len() } else { 0 };
+        self.len() < LEAF_ENTRIES && self.text.len() + text <= LEAF_BYTES
     }
 }
 
@@ -165,10 +322,10 @@ impl Leaf {
 /// leaves in different places and are still the same map.
 #[derive(Clone, Default)]
 pub struct KeyMap {
-    /// `fence.get(i)` bounds leaf `i + 1` from below and leaf `i` from
-    /// above; leaf 0 has no fence. A bound need not be a stored key:
-    /// removing a leaf's first entry leaves its fence where it was.
-    fence: Packed,
+    /// Entry `i` bounds leaf `i + 1` from below and leaf `i` from above;
+    /// leaf 0 has no fence. A bound need not be a stored key: removing a
+    /// leaf's first entry leaves its fence where it was.
+    fence: Entries<()>,
     leaves: Vec<Leaf>,
     len: usize,
 }
@@ -205,12 +362,12 @@ impl KeyMap {
     }
 
     /// The value stored under `key`. Bounded by the fence search plus one
-    /// leaf search: `log2(leaves) + log2(LEAF_ENTRIES) + 2` comparisons.
+    /// leaf search: `log2(leaves) + log2(LEAF_ENTRIES) + 2` probes.
     #[progress(wait_free)]
     pub fn get(&self, key: &str) -> Option<u64> {
         let leaf = self.leaves.get(self.leaf_for(key))?;
-        let at = leaf.keys.search(key).ok()?;
-        leaf.values.get(at).copied()
+        let at = leaf.search(key).ok()?;
+        leaf.slots.get(at).map(|slot| slot.value)
     }
 
     /// Stores `value` under `key`, returning the value it replaces. Over an
@@ -222,8 +379,13 @@ impl KeyMap {
             self.len = 1;
             return None;
         };
-        match leaf.keys.search(key) {
-            Ok(at) => Some(std::mem::replace(&mut leaf.values[at], value)),
+        match leaf.search(key) {
+            Ok(at) => {
+                let slot = &mut leaf.slots[at];
+                let old = slot.value;
+                slot.value = value;
+                Some(old)
+            }
             Err(at) => {
                 self.insert_at(li, at, key, value);
                 None
@@ -239,11 +401,11 @@ impl KeyMap {
         let above = self
             .leaves
             .last()
-            .and_then(|leaf| leaf.keys.get(leaf.keys.len() - 1))
+            .and_then(|leaf| leaf.key(leaf.len() - 1))
             .is_some_and(|top| top < key);
         if above {
             let last = self.leaves.len() - 1;
-            self.insert_at(last, self.leaves[last].values.len(), key, value);
+            self.insert_at(last, self.leaves[last].len(), key, value);
         } else {
             self.insert(key, value);
         }
@@ -257,11 +419,10 @@ impl KeyMap {
             let rightmost = li + 1 == self.leaves.len();
             let leaf = &mut self.leaves[li];
             if leaf.fits(key) {
-                leaf.keys.insert(at, key);
-                leaf.values.insert(at, value);
+                leaf.insert(at, key, value);
                 return;
             }
-            let len = leaf.values.len();
+            let len = leaf.len();
             // Where to cut. At the insertion point if the entry goes past
             // the map's last key (an ascending load leaves full leaves
             // behind it, not half-full ones), if the key is too long to
@@ -275,17 +436,17 @@ impl KeyMap {
             if cut == 0 {
                 // The entry's own leaf takes over this leaf's fence; this
                 // leaf is fenced by its first key from now on.
-                self.fence.insert(li, leaf.keys.get(0).unwrap_or_default());
+                self.fence.insert(li, leaf.key(0).unwrap_or_default(), ());
                 self.leaves.insert(li, Leaf::single(key, value));
                 return;
             }
             if cut == len {
-                self.fence.insert(li, key);
+                self.fence.insert(li, key, ());
                 self.leaves.insert(li + 1, Leaf::single(key, value));
                 return;
             }
-            let right = Leaf { keys: leaf.keys.split_off(cut), values: leaf.values.split_off(cut) };
-            self.fence.insert(li, right.keys.get(0).unwrap_or_default());
+            let right = leaf.split_off(cut);
+            self.fence.insert(li, right.key(0).unwrap_or_default(), ());
             self.leaves.insert(li + 1, right);
             if at > cut {
                 li += 1;
@@ -298,11 +459,10 @@ impl KeyMap {
     pub fn remove(&mut self, key: &str) -> Option<u64> {
         let li = self.leaf_for(key);
         let leaf = self.leaves.get_mut(li)?;
-        let at = leaf.keys.search(key).ok()?;
-        leaf.keys.remove(at);
-        let value = leaf.values.remove(at);
+        let at = leaf.search(key).ok()?;
+        let value = leaf.remove(at);
         self.len -= 1;
-        if leaf.values.is_empty() {
+        if leaf.len() == 0 {
             self.leaves.remove(li);
             // Leaf 0 has no fence of its own: freeing it unfences leaf 1.
             if self.fence.len() > 0 {
@@ -327,7 +487,7 @@ impl KeyMap {
         }
         let li = self.leaf_for(from);
         let leaves = self.leaves.get(li..).unwrap_or_default();
-        let at = leaves.first().map_or(0, |leaf| match leaf.keys.search(from) {
+        let at = leaves.first().map_or(0, |leaf| match leaf.search(from) {
             Ok(at) | Err(at) => at,
         });
         Iter { leaves, at, to: Some(to) }
@@ -409,23 +569,53 @@ mod tests {
 
     use super::*;
 
+    /// One entry array's own promises: every key starts with the shared
+    /// prefix, which only long keys have; each head is the bytes after it;
+    /// a short key's tag is its exact length; and the text is the long
+    /// keys' and nothing else, in order. Returns the keys.
+    fn check_entries<V: Copy>(entries: &Entries<V>) -> Vec<&str> {
+        let keys: Vec<&str> = (0..entries.len()).map(|i| entries.key(i).unwrap()).collect();
+        let prefix = entries.prefix as usize;
+        let mut text = String::new();
+        for (i, key) in keys.iter().enumerate() {
+            assert!(prefix == 0 || key.len() > HEAD, "entry {i} is short under a prefix");
+            assert!(key.as_bytes().starts_with(entries.shared()), "entry {i} lacks the prefix");
+            assert_eq!(
+                entries.slots[i].head,
+                head_of(&key.as_bytes()[prefix..]),
+                "entry {i}'s head"
+            );
+            let tag = entries.slots[i].tag;
+            match long_start(tag) {
+                None => assert_eq!(tag as usize, key.len(), "entry {i}'s length"),
+                Some(start) => {
+                    assert!(key.len() > HEAD, "entry {i} is short but tagged long");
+                    assert_eq!(start, text.len(), "entry {i}'s text is not where it belongs");
+                    text.push_str(key);
+                }
+            }
+        }
+        assert_eq!(entries.text, text, "the text is the long keys', back to back");
+        keys
+    }
+
     /// The layout's own promises, whatever history produced it.
     fn check_layout(map: &KeyMap) {
-        assert_eq!(map.fence.len(), map.leaves.len().saturating_sub(1), "one fence per later leaf");
-        assert_eq!(map.leaves.iter().map(|leaf| leaf.values.len()).sum::<usize>(), map.len);
+        let fence = check_entries(&map.fence);
+        assert_eq!(fence.len(), map.leaves.len().saturating_sub(1), "one fence per later leaf");
+        assert_eq!(map.leaves.iter().map(Entries::len).sum::<usize>(), map.len);
+        let mut below: Option<&str> = None;
         for (li, leaf) in map.leaves.iter().enumerate() {
-            let keys: Vec<&str> = (0..leaf.keys.len()).map(|i| leaf.keys.get(i).unwrap()).collect();
+            let keys = check_entries(leaf);
             assert!(!keys.is_empty(), "leaf {li} is empty");
-            assert_eq!(keys.len(), leaf.values.len());
             assert!(keys.len() <= LEAF_ENTRIES);
-            assert!(keys.len() == 1 || leaf.keys.text.len() <= LEAF_BYTES, "leaf {li} over budget");
+            assert!(keys.len() == 1 || leaf.text.len() <= LEAF_BYTES, "leaf {li} over budget");
             assert!(keys.windows(2).all(|pair| pair[0] < pair[1]), "leaf {li} out of order");
             if li > 0 {
-                let fence = map.fence.get(li - 1).unwrap();
-                assert!(fence <= keys[0], "leaf {li} starts below its fence");
-                let below = &map.leaves[li - 1];
-                assert!(below.keys.get(below.keys.len() - 1).unwrap() < fence);
+                assert!(fence[li - 1] <= keys[0], "leaf {li} starts below its fence");
+                assert!(below.unwrap() < fence[li - 1], "leaf {} ends at its fence", li - 1);
             }
+            below = keys.last().copied();
         }
     }
 
@@ -444,13 +634,25 @@ mod tests {
 
     /// A small key space with every shape in it: the empty key, one-byte
     /// keys, a chain of prefixes, keys a few of which fill a leaf's byte
-    /// budget, and plain ones.
+    /// budget, plain ones, and the ones heads can get wrong — keys of 7, 8
+    /// and 9 bytes under one head, NUL bytes against the head's zero
+    /// padding, a character straddling byte 8, and long keys sharing their
+    /// first 8 bytes.
     fn key_of(n: u32) -> String {
+        const ONE_HEAD: [&str; 6] =
+            ["headkey", "headkey\0", "headkey\0\0", "headkeys", "headkeys\0", "headkeys!"];
+        const NULS: [&str; 8] =
+            ["ab", "ab\0", "ab\0\0", "a\0b", "\0", "\0\0ab", "ab\0\0\0\0\0\0", "ab\0\0\0\0\0\0\0"];
+        let i = (n / 16) as usize;
         match n % 16 {
             0 if n == 0 => String::new(),
-            1 => char::from(b'a' + (n / 16 % 26) as u8).to_string(),
-            2 => "p".repeat(1 + (n / 16) as usize % 40),
+            1 => char::from(b'a' + (i % 26) as u8).to_string(),
+            2 => "p".repeat(1 + i % 40),
             3 => format!("{n:0>900}"),
+            4 => ONE_HEAD[i % ONE_HEAD.len()].to_owned(),
+            5 => NULS[i % NULS.len()].to_owned(),
+            6 => format!("headkey{}{}", ['é', '€', '😀', 'ß'][i % 4], "z".repeat(i / 4 % 3)),
+            7 | 8 => format!("user:000{}", &(n * 7919).to_string()[..1 + i % 6]),
             _ => format!("k{n:04}"),
         }
     }
@@ -468,6 +670,59 @@ mod tests {
         order
     }
 
+    /// Runs `script` against `KeyMap` and `BTreeMap<String, u64>` side by
+    /// side: every answer, the length after every step, the final contents
+    /// and layout, and a clone taken mid-way.
+    fn run_against_the_oracle(script: &[(u8, u32, u32)]) -> Result<(), TestCaseError> {
+        let mut map = KeyMap::new();
+        let mut oracle = BTreeMap::new();
+        let mut cloned: Option<(KeyMap, Vec<(String, u64)>)> = None;
+        for (step, &(kind, a, b)) in script.iter().enumerate() {
+            let (key, value) = (key_of(a), u64::from(b));
+            match kind {
+                0..=11 => prop_assert_eq!(map.insert(&key, value), oracle.insert(key, value)),
+                12..=15 => prop_assert_eq!(map.remove(&key), oracle.remove(&key)),
+                16..=18 => prop_assert_eq!(map.get(&key), oracle.get(&key).copied()),
+                19..=21 => {
+                    let to = key_of(b);
+                    let got: Vec<(String, u64)> =
+                        map.range(&key, &to).map(|(k, v)| (k.to_owned(), v)).collect();
+                    let want: Vec<(String, u64)> = if key < to {
+                        oracle.range(key..to).map(|(k, v)| (k.clone(), *v)).collect()
+                    } else {
+                        Vec::new()
+                    };
+                    prop_assert_eq!(got, want);
+                }
+                22 => {
+                    if let Some((clone, at_clone)) = cloned.take() {
+                        prop_assert_eq!(
+                            contents(&clone),
+                            at_clone,
+                            "a clone moved with its source"
+                        );
+                    }
+                    cloned = Some((map.clone(), oracle_contents(&oracle)));
+                }
+                // Rare, or no history grows past a leaf or two.
+                _ if step % 8 == 0 => {
+                    map.clear();
+                    oracle.clear();
+                }
+                _ => {}
+            }
+            prop_assert_eq!(map.len(), oracle.len());
+        }
+        check_layout(&map);
+        prop_assert_eq!(contents(&map), oracle_contents(&oracle));
+        prop_assert_eq!(&map, &oracle.iter().map(|(k, v)| (k, *v)).collect::<KeyMap>());
+        if let Some((clone, at_clone)) = cloned {
+            check_layout(&clone);
+            prop_assert_eq!(contents(&clone), at_clone, "a clone moved with its source");
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -478,48 +733,20 @@ mod tests {
         fn every_answer_matches_the_btreemap_oracle(
             script in proptest::collection::vec((0u8..24, 0u32..600, 0u32..600), 1..1500),
         ) {
-            let mut map = KeyMap::new();
-            let mut oracle = BTreeMap::new();
-            let mut cloned: Option<(KeyMap, Vec<(String, u64)>)> = None;
-            for (step, &(kind, a, b)) in script.iter().enumerate() {
-                let (key, value) = (key_of(a), u64::from(b));
-                match kind {
-                    0..=11 => prop_assert_eq!(map.insert(&key, value), oracle.insert(key, value)),
-                    12..=15 => prop_assert_eq!(map.remove(&key), oracle.remove(&key)),
-                    16..=18 => prop_assert_eq!(map.get(&key), oracle.get(&key).copied()),
-                    19..=21 => {
-                        let to = key_of(b);
-                        let got: Vec<(String, u64)> =
-                            map.range(&key, &to).map(|(k, v)| (k.to_owned(), v)).collect();
-                        let want: Vec<(String, u64)> = if key < to {
-                            oracle.range(key..to).map(|(k, v)| (k.clone(), *v)).collect()
-                        } else {
-                            Vec::new()
-                        };
-                        prop_assert_eq!(got, want);
-                    }
-                    22 => {
-                        if let Some((clone, at_clone)) = cloned.take() {
-                            prop_assert_eq!(contents(&clone), at_clone, "a clone moved with its source");
-                        }
-                        cloned = Some((map.clone(), oracle_contents(&oracle)));
-                    }
-                    // Rare, or no history grows past a leaf or two.
-                    _ if step % 8 == 0 => {
-                        map.clear();
-                        oracle.clear();
-                    }
-                    _ => {}
-                }
-                prop_assert_eq!(map.len(), oracle.len());
-            }
-            check_layout(&map);
-            prop_assert_eq!(contents(&map), oracle_contents(&oracle));
-            prop_assert_eq!(&map, &oracle.iter().map(|(k, v)| (k, *v)).collect::<KeyMap>());
-            if let Some((clone, at_clone)) = cloned {
-                check_layout(&clone);
-                prop_assert_eq!(contents(&clone), at_clone, "a clone moved with its source");
-            }
+            run_against_the_oracle(&script)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// The oracle proptest at 1024 cases, for release builds.
+        #[test]
+        #[ignore = "1024 cases: run in release with --include-ignored"]
+        fn every_answer_matches_the_btreemap_oracle_at_1024_cases(
+            script in proptest::collection::vec((0u8..24, 0u32..600, 0u32..600), 1..1500),
+        ) {
+            run_against_the_oracle(&script)?;
         }
     }
 
@@ -568,7 +795,7 @@ mod tests {
             assert_eq!(map.insert(&huge, 77), None);
             check_layout(&map);
             assert_eq!(map.leaves.len(), 3, "the leaf is cut at the insertion point");
-            assert_eq!(map.leaves[1].values.len(), 1);
+            assert_eq!(map.leaves[1].len(), 1);
             assert_eq!(map.get(&huge), Some(77));
             assert_eq!(map.insert(&huge, 78), Some(77));
             // Neighbours on both sides still land, and find their own way.
@@ -635,7 +862,7 @@ mod tests {
         }
         check_layout(&ascending);
         check_layout(&churned);
-        let cuts = |map: &KeyMap| map.leaves.iter().map(|l| l.values.len()).collect::<Vec<_>>();
+        let cuts = |map: &KeyMap| map.leaves.iter().map(Entries::len).collect::<Vec<_>>();
         assert_ne!(cuts(&ascending), cuts(&churned), "the two histories cut their leaves apart");
         assert_eq!(ascending, churned);
         churned.insert("k0500", 0);

@@ -30,8 +30,9 @@
 //!   batching into single universal-construction appends, and wait-free
 //!   statistics from one single-writer digest register per port for the
 //!   VIP dashboard path;
-//! * [`keymap`] — the ordered map every shard replica is: sorted leaves of
-//!   packed keys behind one packed fence index;
+//! * [`keymap`] — the ordered map every shard replica is: sorted leaves
+//!   behind one fence index, each searched over one array of 8-byte key
+//!   heads;
 //! * [`frame`] — the byte format under the snapshot, the WAL and the
 //!   `apc-net` wire codec: one checksummed frame shape, the little-endian
 //!   primitives, and one bounds-checked cursor.

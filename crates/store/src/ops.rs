@@ -25,7 +25,7 @@
 use apc_universal::seq::SequentialSpec;
 
 use crate::keymap::KeyMap;
-use crate::router::rendezvous_score;
+use crate::router::{key_digest, rendezvous_score};
 
 /// A store key. Keys are routed to shards by
 /// [`ShardTopology`](crate::router::ShardTopology).
@@ -109,14 +109,18 @@ pub enum StoreResp {
 /// topology **epoch** of the shard's last split.
 ///
 /// The map is a [`KeyMap`]: sorted leaves of at most 64 entries (or 4 KiB of
-/// key text — its two constants, `LEAF_ENTRIES` and `LEAF_BYTES`), each
-/// holding its keys packed in one buffer beside an offsets and a values
-/// array, found through one packed index of the leaves' lower bounds. Every
-/// port keeps a replica of this state and every log cell is applied to each
-/// of them, so what a key costs here is what it costs times the replicas:
-/// ~21 B in a full leaf, ~40 B under random inserts, and a deep clone
+/// long-key text — its two constants, `LEAF_ENTRIES` and `LEAF_BYTES`),
+/// found through one fence index of the leaves' lower bounds. Each leaf is
+/// one array of 20 B slots — a key's first 8 bytes as its head, its length
+/// or text offset, its value — that the search walks, and one buffer with
+/// the full text of the keys longer than 8 bytes. A replayed write is one
+/// descent over two such arrays. Every port keeps a replica of this state
+/// and every log cell is applied to each of them, so what a key costs here
+/// is what it costs times the replicas: ~21 B for an 8-byte key in a full
+/// leaf, ~40 B under random inserts, and a deep clone
 /// ([`Store::checkpoint`](crate::store::Store::checkpoint), every cadence
-/// seal, a new handle) is three `memcpy`s per leaf.
+/// seal, a new handle) is one `memcpy` per leaf of such keys, two with
+/// longer ones.
 ///
 /// Two states are equal when their epochs and their **entry sequences**
 /// are, wherever their leaves happen to be cut: a replica that replayed a
@@ -365,7 +369,10 @@ impl SequentialSpec for ShardSpec {
                 let mut kept = KeyMap::new();
                 let mut outgoing = Vec::new();
                 for (k, v) in state.map.iter() {
-                    if rendezvous_score(split.child_seed, k) > rendezvous_score(self.seed, k) {
+                    let digest = key_digest(k);
+                    if rendezvous_score(split.child_seed, digest)
+                        > rendezvous_score(self.seed, digest)
+                    {
                         outgoing.push((k.to_owned(), v));
                     } else {
                         kept.push(k, v);
@@ -522,7 +529,10 @@ mod tests {
             .map
             .iter()
             .map(|(k, _)| k.to_owned())
-            .filter(|k| rendezvous_score(child_seed, k) > rendezvous_score(42, k))
+            .filter(|k| {
+                let digest = key_digest(k);
+                rendezvous_score(child_seed, digest) > rendezvous_score(42, digest)
+            })
             .collect();
         let resps = spec.apply(&mut s, &ShardCmd::Split(SplitSpec { child_seed, version: 1 }));
         let outgoing = match &resps[0] {

@@ -52,14 +52,21 @@ use std::fmt;
 use crate::frame::fnv1a64;
 use crate::ops::{Key, StoreOp, StoreResp};
 
-/// The rendezvous score of `key` for a shard with the given `seed`: the
-/// highest score in a candidate set owns the key.
+/// The digest every rendezvous score of `key` is mixed from: a key is
+/// hashed once, however many shard seeds it is scored against.
+pub(crate) fn key_digest(key: &str) -> u64 {
+    fnv1a64(key.as_bytes())
+}
+
+/// The rendezvous score of the key with [`key_digest`] `digest` for a shard
+/// with the given `seed`: the highest score in a candidate set owns the
+/// key.
 ///
-/// The key digest is mixed with the seed through a SplitMix64 finalizer —
-/// FNV alone has too little avalanche for *cross-seed ordering* to decorrelate
+/// The digest is mixed with the seed through a SplitMix64 finalizer — FNV
+/// alone has too little avalanche for *cross-seed ordering* to decorrelate
 /// (a raw seeded FNV makes one seed win almost every key).
-pub(crate) fn rendezvous_score(seed: u64, key: &str) -> u64 {
-    splitmix64(seed ^ fnv1a64(key.as_bytes()))
+pub(crate) fn rendezvous_score(seed: u64, digest: u64) -> u64 {
+    splitmix64(seed ^ digest)
 }
 
 /// One shard's entry in the topology tree.
@@ -326,16 +333,14 @@ impl ShardTopology {
     /// skipped, which is what hands a merged child's keys back to its
     /// parent).
     pub fn shard_of(&self, key: &str) -> usize {
-        let mut owner = self
-            .roots()
-            .max_by_key(|&r| (rendezvous_score(self.nodes[r].seed, key), r))
-            .expect("a topology has at least one root");
+        let digest = key_digest(key);
+        let score = |shard: usize| rendezvous_score(self.nodes[shard].seed, digest);
+        let mut owner =
+            self.roots().max_by_key(|&r| (score(r), r)).expect("a topology has at least one root");
         'descend: loop {
-            let here = rendezvous_score(self.nodes[owner].seed, key);
+            let here = score(owner);
             for &child in &self.nodes[owner].children {
-                if self.nodes[child as usize].is_live()
-                    && rendezvous_score(self.nodes[child as usize].seed, key) > here
-                {
+                if self.nodes[child as usize].is_live() && score(child as usize) > here {
                     owner = child as usize;
                     continue 'descend;
                 }

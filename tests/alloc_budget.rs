@@ -21,6 +21,10 @@
 //! written since. The record is borrowed from its cell and replayed for its
 //! effect alone, so the budget is zero.
 //!
+//! A seventh line prices a deep clone of a replica's map — what every
+//! checkpoint seal and every new handle makes: allocator calls per key, a
+//! fixed number of buffers per leaf and none per key.
+//!
 //! A second table prices the same store behind the wire: a `StoreServer`
 //! over `sim_pair` connections, in allocator calls made inside `poll()`
 //! per served frame — from the request's bytes arriving to its response's
@@ -38,7 +42,7 @@ use std::sync::Arc;
 use asymmetric_progress::core::liveness::Liveness;
 use asymmetric_progress::net::{NetClient, ServerConfig, StoreServer};
 use asymmetric_progress::store::{
-    Batch, Client, Request, ShardCmd, ShardLog, ShardSpec, Store, StoreBuilder, StoreOp,
+    Batch, Client, KeyMap, Request, ShardCmd, ShardLog, ShardSpec, Store, StoreBuilder, StoreOp,
     TierCredential,
 };
 use asymmetric_progress::universal::AsymmetricFactory;
@@ -178,7 +182,10 @@ fn commit_path_allocations_stay_within_budget() {
     // plus a 64th of the segment's `Arc` counts and link), the batch's
     // 72 B `Arc<[StoreOp]>`, the 8 B key and the 56 B decided record. A
     // stored key's calls are its share of its leaf's growth, and what it
-    // keeps is its bytes in that leaf.
+    // keeps is its bytes in that leaf: a 16 B slot (head and value), a 4 B
+    // tag and its share of the leaf's header and fence entry, 21.3 B in a
+    // full leaf. The budget is that and no more (it was twice the census),
+    // so a layout that stores a key's bytes twice fails here.
     //
     // Every other call is freed before the request returns:
     // - 3 are this harness building its request: the key's two (`format!`
@@ -209,7 +216,7 @@ fn commit_path_allocations_stay_within_budget() {
         (
             "stored key / replica",
             stored_key,
-            Census { calls: 0.5, retained_allocs: 0.1, retained_bytes: 44.0 },
+            Census { calls: 0.5, retained_allocs: 0.1, retained_bytes: 22.0 },
         ),
     ];
     println!("per request, per key     calls  retained allocs  retained bytes");
@@ -243,7 +250,23 @@ fn commit_path_allocations_stay_within_budget() {
     println!("replayed cell, calls     {replayed:>7.3}");
     assert!(replayed <= SLACK, "a replayed cell is over its call budget: {replayed:.3}");
 
+    // A deep clone copies each leaf's buffers whole: two allocations per
+    // leaf of 8-byte keys (slots and tags; the long-key text is empty),
+    // none per key.
+    let cloned = deep_clone_calls();
+    println!("deep clone, calls / key  {cloned:>7.3}");
+    assert!(cloned <= 0.1, "a deep clone is over its call budget: {cloned:.3} per key");
+
     serve_path_allocations_stay_within_budget(&store);
+}
+
+/// Allocator calls per key for a deep clone of a `KEYS`-key map.
+fn deep_clone_calls() -> f64 {
+    let map: KeyMap = (0..KEYS).map(|k| (key(k), u64::from(k))).collect();
+    let mut clone = None;
+    let census = measure(KEYS, || clone = Some(map.clone()));
+    assert_eq!(clone.as_ref(), Some(&map));
+    census.calls
 }
 
 /// Allocator calls per foreign cell while a caught-up port catches up: a
