@@ -12,8 +12,20 @@
 //! "wait for data" primitive, because the reactor must never park. A
 //! poisoned pipe mutex (a peer thread panicked mid-append) degrades to
 //! the poisoned guard's data rather than propagating the panic.
+//!
+//! ## The readiness hook
+//!
+//! `StoreServer::connect` hooks the client→server pipe to one bit of the
+//! reactor's ready set: every [`ConnEnd::send`] into that pipe, and the
+//! client's [`ConnEnd::close`], sets the bit with one wait-free `fetch_or`
+//! after the pipe has changed. The reactor swaps a word of the set to 0
+//! *before* it drains the connections the word names, so a write that
+//! lands after the swap leaves its bit set for the next turn: no wakeup is
+//! lost, at worst a turn visits a connection whose bytes an earlier turn
+//! already took. A pair made by [`sim_pair`] has no hook.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// One direction of a duplex connection.
@@ -21,6 +33,28 @@ use std::sync::{Arc, Mutex, MutexGuard};
 struct Pipe {
     buf: VecDeque<u8>,
     closed: bool,
+    /// The reader's ready bit: set on every write and on the writer's close.
+    wake: Option<Wake>,
+}
+
+impl Pipe {
+    /// Sets the reader's ready bit, if the pipe is hooked.
+    fn ring(&self) {
+        if let Some(w) = &self.wake {
+            // SEQCST: pairs with the reactor's swap, so a turn that sees
+            // the bit also sees the pipe change that set it, and a client
+            // that rang before it saw a turn end is seen by the next turn.
+            w.word.fetch_or(w.bit, Ordering::SeqCst);
+        }
+    }
+}
+
+/// One connection's bit in a reactor's ready set.
+#[derive(Debug)]
+struct Wake {
+    /// The set's word for this connection's block of 64.
+    word: Arc<AtomicU64>,
+    bit: u64,
 }
 
 fn locked(pipe: &Mutex<Pipe>) -> MutexGuard<'_, Pipe> {
@@ -42,7 +76,17 @@ pub struct ConnEnd {
 
 /// Creates a connected pair of endpoints.
 pub fn sim_pair() -> (ConnEnd, ConnEnd) {
-    let a2b = Arc::new(Mutex::new(Pipe::default()));
+    pair(None)
+}
+
+/// A connected pair `(client, server)` whose client→server pipe sets `bit`
+/// of `word` whenever the client sends or closes.
+pub(crate) fn hooked_pair(word: Arc<AtomicU64>, bit: u64) -> (ConnEnd, ConnEnd) {
+    pair(Some(Wake { word, bit }))
+}
+
+fn pair(wake: Option<Wake>) -> (ConnEnd, ConnEnd) {
+    let a2b = Arc::new(Mutex::new(Pipe { wake, ..Pipe::default() }));
     let b2a = Arc::new(Mutex::new(Pipe::default()));
     (ConnEnd { tx: Arc::clone(&a2b), rx: Arc::clone(&b2a) }, ConnEnd { tx: b2a, rx: a2b })
 }
@@ -56,6 +100,7 @@ impl ConnEnd {
             return false;
         }
         pipe.buf.extend(bytes);
+        pipe.ring();
         true
     }
 
@@ -72,8 +117,12 @@ impl ConnEnd {
     /// (a close with a part-written frame is exactly the torn tail the
     /// codec's close-time check catches).
     pub fn close(&self) {
-        locked(&self.tx).closed = true;
+        // The inbound side first: a reader woken by the outbound side's
+        // bit must already see the whole hang-up.
         locked(&self.rx).closed = true;
+        let mut tx = locked(&self.tx);
+        tx.closed = true;
+        tx.ring();
     }
 
     /// True once either side has hung up.
@@ -115,6 +164,24 @@ mod tests {
         assert!(b.is_closed());
         let mut buf = Vec::new();
         assert_eq!(b.drain_into(&mut buf), 4, "pre-close bytes survive for torn-tail checks");
+    }
+
+    #[test]
+    fn the_hook_rings_on_the_clients_send_and_close_only() {
+        let word = Arc::new(AtomicU64::new(0));
+        // RELAXED: one thread rings and reads.
+        let rung = || word.swap(0, Ordering::Relaxed);
+        let (client, server) = hooked_pair(Arc::clone(&word), 1 << 5);
+        assert!(server.send(b"reply"));
+        assert_eq!(rung(), 0, "the server's writes ring nothing");
+        assert!(client.send(b"x"));
+        assert_eq!(rung(), 1 << 5);
+        client.close();
+        assert_eq!(rung(), 1 << 5, "a hang-up rings");
+        assert!(server.is_closed(), "and is whole by the time it rings");
+        let (_client, server) = hooked_pair(Arc::clone(&word), 1);
+        server.close();
+        assert_eq!(rung(), 0, "the server's own close rings nothing");
     }
 
     #[test]

@@ -11,10 +11,15 @@
 //! the network boundary instead of flattening them:
 //!
 //! * **VIP isolation** — admission is keyed by connection credential
-//!   (a token from [`ServerConfig::vip_tokens`]), each reactor turn
-//!   serves *every* VIP request through a lint-verified
-//!   `bounded_wait_free` dispatch path, and guest load can only add
-//!   drain work, never make a VIP request wait on guest progress.
+//!   (a token from [`ServerConfig::vip_tokens`]), and each reactor turn
+//!   drains the ready VIP connections first and serves *every* VIP
+//!   request through a lint-verified `bounded_wait_free` dispatch path
+//!   before it drains any guest, handshake or HTTP connection: guest
+//!   load never makes a VIP request wait on guest progress, nor on guest
+//!   ingest within its turn.
+//! * **Idle connections cost nothing** — a connection rings one bit of
+//!   the reactor's ready set when its client sends or hangs up, and a
+//!   turn visits only the connections whose bits are set.
 //! * **Backpressure as a value** — guest overload is shed with a typed
 //!   [`StoreError::RetryBudgetExhausted`](apc_store::StoreError) response
 //!   (the wire's 429), and every wire retry budget is clamped finite so

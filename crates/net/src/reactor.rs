@@ -1,20 +1,31 @@
 //! The single-threaded reactor: multiplexes many simulated connections
 //! onto one [`Store`]'s admission tiers.
 //!
-//! One [`StoreServer::poll`] call is one reactor turn, in three phases:
+//! One [`StoreServer::poll`] call is one reactor turn. It visits only the
+//! connections that have something to say: each connection's client
+//! rings one bit of the server's **ready set** whenever it sends or hangs
+//! up (the hook is in [`crate::conn`]), and the turn swaps every word of
+//! the set to 0 before it drains any connection, then visits the set
+//! bits, lowest index first. An idle connection costs a turn nothing but
+//! its share of one word per 64 connections. The turn runs in four
+//! phases:
 //!
-//! 1. **Ingest** — drain every connection's bytes, extract complete
+//! 1. **VIP ingest and dispatch** — the ready VIP connections are drained
+//!    first, and every request they carry is served, no cap. The
+//!    per-request work is `StoreServer::dispatch_vip`, annotated
+//!    `bounded_wait_free` and lint-verified: the whole serve path down to
+//!    the store's port commit is a bounded number of steps, and no guest,
+//!    handshake or HTTP connection has been drained yet, so guest load
+//!    can neither lengthen this phase nor make any VIP request wait on
+//!    guest progress.
+//! 2. **Ingest** — drain every other ready connection, extract complete
 //!    frames, finish handshakes ([`Message::Hello`] → admission) and
 //!    answer plain-HTTP probes (`GET /metrics` serves the merged
 //!    store + net Prometheus scrape). Decoded requests are queued by the
 //!    *connection's* admitted tier, never by what the frame claims.
-//! 2. **VIP dispatch** — every queued VIP request is served, no cap. The
-//!    per-request work is `StoreServer::dispatch_vip`, annotated
-//!    `bounded_wait_free` and lint-verified: the whole serve path down to
-//!    the store's port commit is a bounded number of steps, so a guest
-//!    flood can make this phase *longer* (more conns to drain) but can
-//!    never make any single VIP request wait on guest progress.
-//! 3. **Guest dispatch** — the turn's guest arrivals join a bounded
+//! 3. **Late VIP dispatch** — the requests of VIP connections admitted
+//!    during phase 2 are served, still before any guest.
+//! 4. **Guest dispatch** — the turn's guest arrivals join a bounded
 //!    backlog ([`ServerConfig::guest_queue_depth`]) behind frames carried
 //!    over from earlier turns; up to
 //!    [`ServerConfig::guest_dispatch_per_poll`] are served from the
@@ -68,6 +79,8 @@
 //! thread via the store's own (VIP-gated) blocking arm.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use apc_obs::{encode_prometheus, MetricsSnapshot};
@@ -79,7 +92,7 @@ use apc_store::{
 
 use crate::codec::{decode_message, encode_hello, encode_request, encode_response_into};
 use crate::codec::{CodecError, FrameReader, Message, WireResult};
-use crate::conn::{sim_pair, ConnEnd};
+use crate::conn::{hooked_pair, ConnEnd};
 use crate::metrics::NetMetrics;
 
 /// The most bytes a plain-HTTP request head may take. A peer that has not
@@ -140,6 +153,9 @@ pub struct PollStats {
     pub batches: usize,
     /// Connections that transitioned to closed during the turn.
     pub closed: usize,
+    /// Connections the turn drained: only those whose client sent or hung
+    /// up after an earlier turn took their ready bit.
+    pub visited: usize,
 }
 
 /// A guest frame waiting in the reactor backlog, stamped with its
@@ -170,6 +186,8 @@ enum ConnState {
 /// hands every one of them back empty.
 #[derive(Debug, Default)]
 struct TurnBuffers {
+    /// The turn's copy of the ready set, each word taken with one swap.
+    ready: Vec<u64>,
     /// The turn's decoded requests `(conn, id, request)`, by admitted tier.
     vip_q: Vec<(usize, u64, Request)>,
     guest_q: Vec<(usize, u64, Request)>,
@@ -206,6 +224,9 @@ pub struct StoreServer<'a> {
     /// reconnects so a flapping VIP client cannot leak ports.
     vip_sessions: BTreeMap<u64, ClientTicket>,
     conns: Vec<ConnSlot>,
+    /// The ready set: bit `i % 64` of word `i / 64` is set by connection
+    /// `i`'s client whenever it sends or hangs up.
+    ready: Vec<Arc<AtomicU64>>,
     /// Connections closed so far; bumped where a connection closes, so a
     /// turn reports its own closes without scanning `conns`.
     closed: usize,
@@ -227,6 +248,7 @@ impl<'a> StoreServer<'a> {
             metrics: NetMetrics::new(),
             vip_sessions: BTreeMap::new(),
             conns: Vec::new(),
+            ready: Vec::new(),
             closed: 0,
             turn: TurnBuffers::default(),
             guest_backlog: VecDeque::new(),
@@ -238,7 +260,11 @@ impl<'a> StoreServer<'a> {
     /// The connection serves nothing until its `Hello` handshake lands in
     /// a later [`StoreServer::poll`].
     pub fn connect(&mut self) -> ConnEnd {
-        let (client, server) = sim_pair();
+        let i = self.conns.len();
+        if i == self.ready.len() * 64 {
+            self.ready.push(Arc::new(AtomicU64::new(0)));
+        }
+        let (client, server) = hooked_pair(Arc::clone(&self.ready[i / 64]), 1 << (i % 64));
         self.conns.push(ConnSlot {
             end: server,
             reader: FrameReader::new(),
@@ -264,63 +290,30 @@ impl<'a> StoreServer<'a> {
         snap
     }
 
-    /// One reactor turn: ingest, VIP dispatch, guest dispatch + shed.
+    /// One reactor turn: VIP ingest and dispatch, ingest of every other
+    /// ready connection, late VIP dispatch, guest dispatch + shed.
     pub fn poll(&mut self) -> PollStats {
         let mut stats = PollStats::default();
         let closed_before = self.closed;
         let mut turn = std::mem::take(&mut self.turn);
-        let TurnBuffers { vip_q, guest_q, scratch, owners, reqs, frame } = &mut turn;
 
-        // Phase 1: ingest every connection.
-        for i in 0..self.conns.len() {
-            if matches!(self.conns[i].state, ConnState::Closed) {
-                continue;
-            }
-            scratch.clear();
-            self.conns[i].end.drain_into(scratch);
+        // Every word is swapped out before any connection is drained, so
+        // a client that writes after its word's swap rings it again for
+        // the next turn. SEQCST: pairs with the ring (see `conn`).
+        turn.ready.clear();
+        turn.ready.extend(self.ready.iter().map(|word| word.swap(0, Ordering::SeqCst)));
 
-            // HTTP sniff: a fresh connection whose first bytes spell
-            // "GET " is a plain-HTTP probe, not a codec peer. (The sniff
-            // needs the prefix in one chunk — true of any real client,
-            // which writes the request head with a single send.)
-            if matches!(self.conns[i].state, ConnState::Handshake)
-                && self.conns[i].reader.buffered() == 0
-                && scratch.starts_with(b"GET ")
-            {
-                self.conns[i].state = ConnState::Http(Vec::new());
-            }
+        // Phase 1: the ready VIP connections, drained and served first.
+        self.ingest_ready(true, &mut turn, &mut stats);
+        self.serve_vips(&mut turn, &mut stats);
+        // Phase 2: every other ready connection.
+        self.ingest_ready(false, &mut turn, &mut stats);
+        // Phase 3: VIPs admitted in phase 2, still before any guest.
+        self.serve_vips(&mut turn, &mut stats);
 
-            match self.conns[i].state {
-                ConnState::Http(_) => self.ingest_http(i, scratch),
-                ConnState::Handshake | ConnState::Serving(_) => {
-                    self.conns[i].reader.push(scratch);
-                    self.ingest_frames(i, &mut stats, vip_q, guest_q, frame);
-                }
-                ConnState::Closed => {}
-            }
-
-            // Peer hang-up: any bytes still buffered are a torn tail —
-            // the stream died mid-frame — and fail closed, mirroring the
-            // WAL's recovery policy.
-            if !matches!(self.conns[i].state, ConnState::Closed) && self.conns[i].end.is_closed() {
-                let torn = self.conns[i].reader.buffered() > 0;
-                self.close_conn(i, torn);
-            }
-        }
-
-        // Phase 2: serve every VIP request — no cap, by construction.
-        for (i, id, req) in vip_q.drain(..) {
-            let ticket = match &self.conns[i].state {
-                ConnState::Serving(t) => *t,
-                _ => continue,
-            };
-            let resp = self.serve_vip(ticket, req);
-            self.send_response(frame, i, id, &resp.results);
-            stats.served += 1;
-        }
-
-        // Phase 3: the turn's guest arrivals join the backlog behind any
+        // Phase 4: the turn's guest arrivals join the backlog behind any
         // carried-over frames; serve from the front, oldest first.
+        let TurnBuffers { guest_q, owners, reqs, frame, .. } = &mut turn;
         let now = Instant::now();
         for (i, id, req) in guest_q.drain(..) {
             self.guest_backlog.push_back(QueuedGuest { conn: i, id, req, arrived: now });
@@ -372,6 +365,76 @@ impl<'a> StoreServer<'a> {
         self.turn = turn;
         stats.closed = self.closed - closed_before;
         stats
+    }
+
+    /// Drains the turn's ready connections that are serving VIPs (`vip`),
+    /// or every other one, lowest index first.
+    fn ingest_ready(&mut self, vip: bool, turn: &mut TurnBuffers, stats: &mut PollStats) {
+        for w in 0..turn.ready.len() {
+            for i in set_bits(turn.ready[w]).map(|b| w * 64 + b) {
+                let class = match &self.conns[i].state {
+                    ConnState::Serving(t) => Some(t.class()),
+                    _ => None,
+                };
+                if (class == Some(ProgressClass::Vip)) == vip {
+                    self.ingest_conn(i, turn, stats);
+                }
+            }
+        }
+    }
+
+    /// Drains conn `i`'s bytes and handles them: frames are decoded and
+    /// queued by tier, a handshake is finished, an HTTP probe answered.
+    fn ingest_conn(&mut self, i: usize, turn: &mut TurnBuffers, stats: &mut PollStats) {
+        if matches!(self.conns[i].state, ConnState::Closed) {
+            return;
+        }
+        stats.visited += 1;
+        let TurnBuffers { vip_q, guest_q, scratch, frame, .. } = turn;
+        scratch.clear();
+        self.conns[i].end.drain_into(scratch);
+
+        // HTTP sniff: a fresh connection whose first bytes spell
+        // "GET " is a plain-HTTP probe, not a codec peer. (The sniff
+        // needs the prefix in one chunk — true of any real client,
+        // which writes the request head with a single send.)
+        if matches!(self.conns[i].state, ConnState::Handshake)
+            && self.conns[i].reader.buffered() == 0
+            && scratch.starts_with(b"GET ")
+        {
+            self.conns[i].state = ConnState::Http(Vec::new());
+        }
+
+        match self.conns[i].state {
+            ConnState::Http(_) => self.ingest_http(i, scratch),
+            ConnState::Handshake | ConnState::Serving(_) => {
+                self.conns[i].reader.push(scratch);
+                self.ingest_frames(i, stats, vip_q, guest_q, frame);
+            }
+            ConnState::Closed => {}
+        }
+
+        // Peer hang-up: any bytes still buffered are a torn tail —
+        // the stream died mid-frame — and fail closed, mirroring the
+        // WAL's recovery policy.
+        if !matches!(self.conns[i].state, ConnState::Closed) && self.conns[i].end.is_closed() {
+            let torn = self.conns[i].reader.buffered() > 0;
+            self.close_conn(i, torn);
+        }
+    }
+
+    /// Serves every queued VIP request — no cap, by construction.
+    fn serve_vips(&mut self, turn: &mut TurnBuffers, stats: &mut PollStats) {
+        let TurnBuffers { vip_q, frame, .. } = turn;
+        for (i, id, req) in vip_q.drain(..) {
+            let ticket = match &self.conns[i].state {
+                ConnState::Serving(t) => *t,
+                _ => continue,
+            };
+            let resp = self.serve_vip(ticket, req);
+            self.send_response(frame, i, id, &resp.results);
+            stats.served += 1;
+        }
     }
 
     /// Serves one turn's guest dispatch set (drained from `owners` and
@@ -627,6 +690,15 @@ fn elapsed_ns(started: Instant) -> u64 {
 
 fn nanos(d: std::time::Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// The indices of `word`'s set bits, lowest first.
+fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let bit = (word != 0).then(|| word.trailing_zeros() as usize)?;
+        word &= word - 1;
+        Some(bit)
+    })
 }
 
 fn find_subsequence(haystack: &[u8], needle: &[u8]) -> Option<usize> {
@@ -1039,6 +1111,147 @@ mod tests {
         guest.close();
         server.poll();
         assert_eq!(server.metrics().scrape().value("store_net_codec_errors_total", &[]), Some(1));
+    }
+
+    #[test]
+    fn a_vip_frame_is_served_before_an_http_probe_of_the_same_turn() {
+        let store = StoreBuilder::new().shards(1).vip_capacity(1).build().unwrap();
+        let mut server = server_fixture(&store);
+        let mut vip = NetClient::connect(&mut server, TierCredential::Vip { token: 7 });
+        server.poll();
+        let probe = server.connect();
+        vip.send(
+            &Request::new(vec![StoreOp::Put("k".into(), 1)])
+                .credential(TierCredential::Vip { token: 7 }),
+        );
+        probe.send(b"GET /metrics HTTP/1.1\r\n\r\n");
+        let stats = server.poll();
+        assert_eq!((stats.served, stats.visited), (1, 2));
+        let mut body = Vec::new();
+        probe.drain_into(&mut body);
+        let text = String::from_utf8(body).unwrap();
+        assert!(text.contains("store_net_requests_total{tier=\"vip\"} 1"), "got: {text}");
+        assert_eq!(vip.drain().unwrap().len(), 1);
+    }
+
+    #[test]
+    fn a_turn_visits_only_the_connections_that_sent() {
+        let store = StoreBuilder::new().shards(1).vip_capacity(1).build().unwrap();
+        let mut server = server_fixture(&store);
+        let idle: Vec<NetClient> =
+            (0..4096).map(|_| NetClient::connect(&mut server, TierCredential::Guest)).collect();
+        let mut sender = NetClient::connect(&mut server, TierCredential::Guest);
+        assert_eq!(server.poll().visited, 4097, "every handshake is a send");
+        assert_eq!(server.poll().visited, 0, "nobody has anything to say");
+        sender.send(&Request::new(vec![StoreOp::Put("k".into(), 1)]));
+        let stats = server.poll();
+        assert_eq!((stats.visited, stats.served), (1, 1));
+        assert_eq!(sender.drain().unwrap().len(), 1);
+        drop(idle);
+    }
+
+    #[test]
+    fn a_hang_up_with_no_bytes_is_closed_by_the_next_turn() {
+        let store = StoreBuilder::new().shards(1).vip_capacity(1).build().unwrap();
+        let mut server = server_fixture(&store);
+        let guests: Vec<NetClient> =
+            (0..3).map(|_| NetClient::connect(&mut server, TierCredential::Guest)).collect();
+        server.poll();
+        let open = |server: &StoreServer<'_>| {
+            server.metrics().scrape().value("store_net_conns_open", &[]).unwrap()
+        };
+        assert_eq!(open(&server), 3);
+        guests[1].close();
+        let stats = server.poll();
+        assert_eq!((stats.visited, stats.closed), (1, 1));
+        assert_eq!(open(&server), 2);
+        assert_eq!(server.metrics().scrape().value("store_net_codec_errors_total", &[]), Some(0));
+        assert_eq!(server.poll().visited, 0, "a closed connection is not visited again");
+    }
+
+    #[test]
+    fn half_a_frame_after_idle_turns_then_a_close_is_one_codec_error() {
+        let store = StoreBuilder::new().shards(1).vip_capacity(1).build().unwrap();
+        let mut server = server_fixture(&store);
+        let guest = NetClient::connect(&mut server, TierCredential::Guest);
+        for _ in 0..100 {
+            server.poll();
+        }
+        let frame = encode_request(9, &Request::new(vec![StoreOp::Get("k".into())]));
+        guest.end.send(&frame[..frame.len() / 2]);
+        assert_eq!(server.poll().visited, 1);
+        guest.close();
+        let stats = server.poll();
+        assert_eq!((stats.visited, stats.closed), (1, 1));
+        assert_eq!(server.metrics().scrape().value("store_net_codec_errors_total", &[]), Some(1));
+    }
+
+    /// Client threads pipeline bursts of frames while this thread polls;
+    /// after each burst a client waits for its answers. A send rings its
+    /// connection's bit before the client reads the turn counter, so the
+    /// second turn to end after that read has drained it, and with every
+    /// burst smaller than the dispatch cap, served it too.
+    #[test]
+    fn no_lost_wakeup_under_pipelining_client_threads() {
+        const CONNS: usize = 8;
+        const FRAMES: usize = 2_000;
+        let store = StoreBuilder::new().shards(2).vip_capacity(2).build().unwrap();
+        let mut server = StoreServer::new(
+            &store,
+            ServerConfig { vip_tokens: vec![1, 2], ..ServerConfig::default() },
+        );
+        let mut creds = vec![TierCredential::Guest; CONNS];
+        creds[0] = TierCredential::Vip { token: 1 };
+        creds[1] = TierCredential::Vip { token: 2 };
+        let clients: Vec<NetClient> =
+            creds.iter().map(|&cred| NetClient::connect(&mut server, cred)).collect();
+        server.poll();
+        // Turns ended since the handshakes.
+        let turns = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            let handles: Vec<_> = clients
+                .into_iter()
+                .zip(creds)
+                .enumerate()
+                .map(|(c, (mut client, cred))| {
+                    let turns = &turns;
+                    s.spawn(move || {
+                        let (mut sent, mut burst) = (0, 1 + c % 16);
+                        while sent < FRAMES {
+                            let n = burst.min(FRAMES - sent);
+                            for k in sent..sent + n {
+                                let put = StoreOp::Put(format!("w/{c}/{k}"), k as u64);
+                                client.send(&Request::new(vec![put]).credential(cred));
+                            }
+                            sent += n;
+                            let from = turns.load(Ordering::SeqCst);
+                            let mut answered = 0;
+                            loop {
+                                let seen = turns.load(Ordering::SeqCst);
+                                answered += client.drain().unwrap().len();
+                                if answered == n {
+                                    break;
+                                }
+                                assert!(
+                                    seen < from + 2,
+                                    "conn {c}: {} of {n} frames unanswered two turns on",
+                                    n - answered
+                                );
+                                std::thread::yield_now();
+                            }
+                            burst = burst % 16 + 1;
+                        }
+                    })
+                })
+                .collect();
+            while !handles.iter().all(|h| h.is_finished()) {
+                server.poll();
+                turns.fetch_add(1, Ordering::SeqCst);
+            }
+        });
+        let snap = server.metrics().scrape();
+        let served = |tier| snap.value("store_net_requests_total", &[("tier", tier)]).unwrap();
+        assert_eq!((served("vip"), served("guest")), (2 * 2_000, 6 * 2_000));
     }
 
     #[test]

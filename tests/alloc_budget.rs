@@ -29,7 +29,8 @@
 //! over `sim_pair` connections, in allocator calls made inside `poll()`
 //! per served frame — from the request's bytes arriving to its response's
 //! bytes sent — for a put and a local get on each tier, a 64-frame guest
-//! batch and a 16-key scan.
+//! batch and a 16-key scan. Its last line prices a turn over 4096
+//! handshaken connections that have nothing to say: no allocator call.
 //!
 //! A change that adds an allocation to the commit path or the serve path
 //! fails here and has to raise a budget below to land — that is, it has to
@@ -420,4 +421,26 @@ fn serve_path_allocations_stay_within_budget(store: &Store) {
     for (name, calls, budget) in &arms {
         assert!(*calls <= budget + SLACK, "{name} is over its serve-path budget: {calls:.2}");
     }
+
+    let idle = idle_turn_calls(store);
+    println!("a turn over {IDLE_CONNS} idle connections: {idle} allocator calls");
+    assert_eq!(idle, 0, "a turn with nothing to serve allocates");
+}
+
+const IDLE_CONNS: usize = 4096;
+
+/// Allocator calls inside one `poll()` over [`IDLE_CONNS`] handshaken
+/// connections with nothing to say, after one such turn to warm it.
+fn idle_turn_calls(store: &Store) -> u64 {
+    let mut server = StoreServer::new(store, ServerConfig::default());
+    let idle: Vec<NetClient> =
+        (0..IDLE_CONNS).map(|_| NetClient::connect(&mut server, TierCredential::Guest)).collect();
+    server.poll(); // the handshakes
+    server.poll();
+    let before = CALLS.load(Ordering::Relaxed);
+    let stats = server.poll();
+    let calls = CALLS.load(Ordering::Relaxed) - before;
+    assert_eq!(stats.visited, 0, "idle connections are not visited");
+    drop(idle);
+    calls
 }
