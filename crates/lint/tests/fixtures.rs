@@ -213,6 +213,20 @@ fn known_good_is_clean() {
     assert_eq!(report.exit_code(true), 0);
 }
 
+/// R5 is only as good as its sink list: a sink that names no fn — one
+/// renamed away, say — disarms the rule with zero findings.
+#[test]
+fn every_reconfig_sink_names_a_workspace_fn() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let (ws, _) = analyze(&root).unwrap();
+    for sink in apc_lint::rules::RECONFIG_SINKS {
+        assert!(
+            ws.all_fns().any(|id| ws.fn_info(id).name == sink),
+            "R5 sink `{sink}` names no fn in the workspace"
+        );
+    }
+}
+
 /// The self-check: running the analyzer over this very workspace must come
 /// back clean. This is the test-suite twin of the CI `--deny` gate — a
 /// change that introduces an unjustified blocking call, `Relaxed`, panic,

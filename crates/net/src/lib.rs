@@ -11,12 +11,15 @@
 //! the network boundary instead of flattening them:
 //!
 //! * **VIP isolation** — admission is keyed by connection credential
-//!   (a token from [`ServerConfig::vip_tokens`]), and each reactor turn
-//!   drains the ready VIP connections first and serves *every* VIP
-//!   request through a lint-verified `bounded_wait_free` dispatch path
-//!   before it drains any guest, handshake or HTTP connection: guest
-//!   load never makes a VIP request wait on guest progress, nor on guest
-//!   ingest within its turn.
+//!   (a token from [`ServerConfig::vip_tokens`]). A VIP request is served
+//!   where it is decoded, through a lint-verified `bounded_wait_free`
+//!   dispatch path; a guest request is queued once. Each reactor turn
+//!   drains the ready VIP connections first, serving their requests
+//!   before it drains any guest, handshake or HTTP connection; then
+//!   drains every other ready connection, serving a VIP admitted there
+//!   as its frames decode; then dispatches guests. Guest load never makes
+//!   a VIP request wait on guest progress, nor, once its connection is
+//!   admitted, on guest ingest within its turn.
 //! * **Idle connections cost nothing** — a connection rings one bit of
 //!   the reactor's ready set when its client sends or hangs up, and a
 //!   turn visits only the connections whose bits are set.

@@ -7,37 +7,38 @@
 //! up (the hook is in [`crate::conn`]), and the turn swaps every word of
 //! the set to 0 before it drains any connection, then visits the set
 //! bits, lowest index first. An idle connection costs a turn nothing but
-//! its share of one word per 64 connections. The turn runs in four
-//! phases:
+//! its share of one word per 64 connections. A VIP request is served
+//! where it is decoded; a guest request is queued once. The turn runs in
+//! three phases:
 //!
-//! 1. **VIP ingest and dispatch** — the ready VIP connections are drained
-//!    first, and every request they carry is served, no cap. The
-//!    per-request work is `StoreServer::dispatch_vip`, annotated
+//! 1. **VIP connections** — the ready VIP connections are drained first,
+//!    and every request they carry is served as its frame decodes, no
+//!    cap. The per-request work is `StoreServer::dispatch_vip`, annotated
 //!    `bounded_wait_free` and lint-verified: the whole serve path down to
 //!    the store's port commit is a bounded number of steps, and no guest,
 //!    handshake or HTTP connection has been drained yet, so guest load
 //!    can neither lengthen this phase nor make any VIP request wait on
 //!    guest progress.
-//! 2. **Ingest** — drain every other ready connection, extract complete
-//!    frames, finish handshakes ([`Message::Hello`] → admission) and
-//!    answer plain-HTTP probes (`GET /metrics` serves the merged
-//!    store + net Prometheus scrape). Decoded requests are queued by the
-//!    *connection's* admitted tier, never by what the frame claims.
-//! 3. **Late VIP dispatch** — the requests of VIP connections admitted
-//!    during phase 2 are served, still before any guest.
-//! 4. **Guest dispatch** — the turn's guest arrivals join a bounded
-//!    backlog ([`ServerConfig::guest_queue_depth`]) behind frames carried
-//!    over from earlier turns; up to
-//!    [`ServerConfig::guest_dispatch_per_poll`] are served from the
-//!    front, oldest first. A frame whose `deadline_ms` expired while it
-//!    queued is shed **pre-dispatch** with a typed
-//!    [`StoreError::DeadlineExceeded`] — serving it would burn a store
-//!    commit whose response the client will discard — and the wait it
-//!    did survive is debited from the deadline the store sees. Overflow
-//!    beyond the backlog depth is shed from the back (newest arrivals)
-//!    with a typed [`StoreError::RetryBudgetExhausted`] (the wire's 429)
-//!    instead of buffering unboundedly or blocking the reactor.
-//!    Backpressure is a value, not a stall.
+//! 2. **Every other connection** — drain every other ready connection,
+//!    extract complete frames, finish handshakes ([`Message::Hello`] →
+//!    admission) and answer plain-HTTP probes (`GET /metrics` serves the
+//!    merged store + net Prometheus scrape). A request goes by the
+//!    *connection's* admitted tier, never by what the frame claims: a
+//!    VIP admitted mid-turn is served as its frames decode, before any
+//!    later connection is drained; a guest request joins the back of a
+//!    bounded backlog ([`ServerConfig::guest_queue_depth`]), stamped with
+//!    the turn's start.
+//! 3. **Guest dispatch** — up to [`ServerConfig::guest_dispatch_per_poll`]
+//!    backlog frames are served from the front, oldest first. A frame
+//!    whose `deadline_ms` expired while it queued is shed
+//!    **pre-dispatch** with a typed [`StoreError::DeadlineExceeded`] —
+//!    serving it would burn a store commit whose response the client
+//!    will discard — and the wait it did survive, counted from the start
+//!    of the turn that read it, is debited from the deadline the store
+//!    sees. Overflow beyond the backlog depth is shed from the back
+//!    (newest arrivals) with a typed [`StoreError::RetryBudgetExhausted`]
+//!    (the wire's 429) instead of buffering unboundedly or blocking the
+//!    reactor. Backpressure is a value, not a stall.
 //!
 //! ## Per-shard batching of pipelined guest envelopes
 //!
@@ -54,8 +55,8 @@
 //! coalescing can delay other guests but never a VIP frame. Envelopes the
 //! guest tier refuses (`Sync` durability, a VIP credential on a guest
 //! connection) ride the batch too and are refused one by one by the
-//! store. VIP frames are never batched, never queued across turns, never
-//! deadline-shed: every VIP frame is still served in its arrival turn.
+//! store. VIP frames are never batched, never queued, never deadline-shed:
+//! every VIP frame is served where it is decoded.
 //!
 //! ## Admission is keyed by connection credential
 //!
@@ -158,8 +159,8 @@ pub struct PollStats {
     pub visited: usize,
 }
 
-/// A guest frame waiting in the reactor backlog, stamped with its
-/// arrival instant so queue wait can be charged against its deadline.
+/// A guest frame waiting in the reactor backlog, stamped with the start of
+/// the turn that read it so queue wait can be charged against its deadline.
 #[derive(Debug)]
 struct QueuedGuest {
     conn: usize,
@@ -188,9 +189,6 @@ enum ConnState {
 struct TurnBuffers {
     /// The turn's copy of the ready set, each word taken with one swap.
     ready: Vec<u64>,
-    /// The turn's decoded requests `(conn, id, request)`, by admitted tier.
-    vip_q: Vec<(usize, u64, Request)>,
-    guest_q: Vec<(usize, u64, Request)>,
     /// One connection's drained bytes.
     scratch: Vec<u8>,
     /// The guest dispatch set: `(conn, id, ops, arrived)` per envelope…
@@ -231,7 +229,9 @@ pub struct StoreServer<'a> {
     /// turn reports its own closes without scanning `conns`.
     closed: usize,
     turn: TurnBuffers,
-    /// Guest frames carried over between poll turns, oldest first.
+    /// Guest frames waiting for dispatch, oldest first: every guest
+    /// request is queued here where it is decoded, and frames the turn's
+    /// dispatch cap leaves over carry to later turns.
     guest_backlog: VecDeque<QueuedGuest>,
     /// The server's own guest session: coalesced dispatches commit under
     /// this ticket (guest ports are interchangeable shared slots, so the
@@ -290,12 +290,16 @@ impl<'a> StoreServer<'a> {
         snap
     }
 
-    /// One reactor turn: VIP ingest and dispatch, ingest of every other
-    /// ready connection, late VIP dispatch, guest dispatch + shed.
+    /// One reactor turn: drain and serve the ready VIP connections; drain
+    /// every other ready connection, serving a VIP admitted mid-turn as its
+    /// frames decode and queueing every guest request; dispatch guests.
     pub fn poll(&mut self) -> PollStats {
         let mut stats = PollStats::default();
         let closed_before = self.closed;
         let mut turn = std::mem::take(&mut self.turn);
+        // The turn's one clock read: a guest frame read this turn is
+        // stamped with it, and a queued frame's wait is measured to it.
+        let now = Instant::now();
 
         // Every word is swapped out before any connection is drained, so
         // a client that writes after its word's swap rings it again for
@@ -304,20 +308,12 @@ impl<'a> StoreServer<'a> {
         turn.ready.extend(self.ready.iter().map(|word| word.swap(0, Ordering::SeqCst)));
 
         // Phase 1: the ready VIP connections, drained and served first.
-        self.ingest_ready(true, &mut turn, &mut stats);
-        self.serve_vips(&mut turn, &mut stats);
+        self.ingest_ready(true, now, &mut turn, &mut stats);
         // Phase 2: every other ready connection.
-        self.ingest_ready(false, &mut turn, &mut stats);
-        // Phase 3: VIPs admitted in phase 2, still before any guest.
-        self.serve_vips(&mut turn, &mut stats);
+        self.ingest_ready(false, now, &mut turn, &mut stats);
 
-        // Phase 4: the turn's guest arrivals join the backlog behind any
-        // carried-over frames; serve from the front, oldest first.
-        let TurnBuffers { guest_q, owners, reqs, frame, .. } = &mut turn;
-        let now = Instant::now();
-        for (i, id, req) in guest_q.drain(..) {
-            self.guest_backlog.push_back(QueuedGuest { conn: i, id, req, arrived: now });
-        }
+        // Phase 3: serve the backlog from the front, oldest first.
+        let TurnBuffers { owners, reqs, frame, .. } = &mut turn;
         while reqs.len() < self.cfg.guest_dispatch_per_poll {
             let Some(mut q) = self.guest_backlog.pop_front() else { break };
             if !matches!(self.conns[q.conn].state, ConnState::Serving(_)) {
@@ -328,7 +324,7 @@ impl<'a> StoreServer<'a> {
             // commit whose response the client will discard; a live one
             // carries only its *remaining* deadline into dispatch.
             if let Some(ms) = q.req.deadline_ms {
-                let waited = q.arrived.elapsed().as_millis();
+                let waited = now.duration_since(q.arrived).as_millis();
                 if waited >= u128::from(ms) {
                     self.metrics.record_deadline_shed(false);
                     let err = StoreError::DeadlineExceeded { deadline_ms: ms };
@@ -369,7 +365,13 @@ impl<'a> StoreServer<'a> {
 
     /// Drains the turn's ready connections that are serving VIPs (`vip`),
     /// or every other one, lowest index first.
-    fn ingest_ready(&mut self, vip: bool, turn: &mut TurnBuffers, stats: &mut PollStats) {
+    fn ingest_ready(
+        &mut self,
+        vip: bool,
+        now: Instant,
+        turn: &mut TurnBuffers,
+        stats: &mut PollStats,
+    ) {
         for w in 0..turn.ready.len() {
             for i in set_bits(turn.ready[w]).map(|b| w * 64 + b) {
                 let class = match &self.conns[i].state {
@@ -377,20 +379,27 @@ impl<'a> StoreServer<'a> {
                     _ => None,
                 };
                 if (class == Some(ProgressClass::Vip)) == vip {
-                    self.ingest_conn(i, turn, stats);
+                    self.ingest_conn(i, now, turn, stats);
                 }
             }
         }
     }
 
     /// Drains conn `i`'s bytes and handles them: frames are decoded and
-    /// queued by tier, a handshake is finished, an HTTP probe answered.
-    fn ingest_conn(&mut self, i: usize, turn: &mut TurnBuffers, stats: &mut PollStats) {
+    /// served or queued by tier, a handshake is finished, an HTTP probe
+    /// answered.
+    fn ingest_conn(
+        &mut self,
+        i: usize,
+        now: Instant,
+        turn: &mut TurnBuffers,
+        stats: &mut PollStats,
+    ) {
         if matches!(self.conns[i].state, ConnState::Closed) {
             return;
         }
         stats.visited += 1;
-        let TurnBuffers { vip_q, guest_q, scratch, frame, .. } = turn;
+        let TurnBuffers { scratch, frame, .. } = turn;
         scratch.clear();
         self.conns[i].end.drain_into(scratch);
 
@@ -409,7 +418,7 @@ impl<'a> StoreServer<'a> {
             ConnState::Http(_) => self.ingest_http(i, scratch),
             ConnState::Handshake | ConnState::Serving(_) => {
                 self.conns[i].reader.push(scratch);
-                self.ingest_frames(i, stats, vip_q, guest_q, frame);
+                self.ingest_frames(i, now, stats, frame);
             }
             ConnState::Closed => {}
         }
@@ -420,20 +429,6 @@ impl<'a> StoreServer<'a> {
         if !matches!(self.conns[i].state, ConnState::Closed) && self.conns[i].end.is_closed() {
             let torn = self.conns[i].reader.buffered() > 0;
             self.close_conn(i, torn);
-        }
-    }
-
-    /// Serves every queued VIP request — no cap, by construction.
-    fn serve_vips(&mut self, turn: &mut TurnBuffers, stats: &mut PollStats) {
-        let TurnBuffers { vip_q, frame, .. } = turn;
-        for (i, id, req) in vip_q.drain(..) {
-            let ticket = match &self.conns[i].state {
-                ConnState::Serving(t) => *t,
-                _ => continue,
-            };
-            let resp = self.serve_vip(ticket, req);
-            self.send_response(frame, i, id, &resp.results);
-            stats.served += 1;
         }
     }
 
@@ -466,62 +461,42 @@ impl<'a> StoreServer<'a> {
         }
     }
 
-    /// Extracts and handles every complete frame buffered on conn `i`.
+    /// Extracts and handles every complete frame buffered on conn `i`, until
+    /// the buffer runs dry or the connection closes.
     fn ingest_frames(
         &mut self,
         i: usize,
+        now: Instant,
         stats: &mut PollStats,
-        vip_q: &mut Vec<(usize, u64, Request)>,
-        guest_q: &mut Vec<(usize, u64, Request)>,
         frame: &mut Vec<u8>,
     ) {
-        loop {
+        while !matches!(self.conns[i].state, ConnState::Closed) {
             let payload = match self.conns[i].reader.next_payload() {
                 Ok(Some(p)) => p,
                 Ok(None) => return,
-                Err(_) => {
-                    self.close_conn(i, true);
-                    return;
-                }
+                Err(_) => return self.close_conn(i, true),
             };
             self.metrics.record_frame_in();
             stats.frames += 1;
-            let msg = match decode_message(payload) {
-                Ok(m) => m,
-                Err(_) => {
-                    self.close_conn(i, true);
-                    return;
+            let Ok(msg) = decode_message(payload) else { return self.close_conn(i, true) };
+            match (msg, &self.conns[i].state) {
+                (Message::Hello(cred), ConnState::Handshake) => {
+                    self.finish_handshake(i, cred, frame);
                 }
-            };
-            match msg {
-                Message::Hello(cred) => {
-                    if matches!(self.conns[i].state, ConnState::Handshake) {
-                        self.finish_handshake(i, cred, frame);
-                        if matches!(self.conns[i].state, ConnState::Closed) {
-                            return;
-                        }
-                    } else {
-                        // A second Hello is a protocol violation.
-                        self.close_conn(i, true);
-                        return;
+                // VIP: now; guest: queue.
+                (Message::Request { id, req }, &ConnState::Serving(t)) => match t.class() {
+                    ProgressClass::Vip => {
+                        let resp = self.serve_vip(t, req);
+                        self.send_response(frame, i, id, &resp.results);
+                        stats.served += 1;
                     }
-                }
-                Message::Request { id, req } => match &self.conns[i].state {
-                    ConnState::Serving(t) => match t.class() {
-                        ProgressClass::Vip => vip_q.push((i, id, req)),
-                        ProgressClass::Guest => guest_q.push((i, id, req)),
-                    },
-                    // Requests before the handshake are a violation.
-                    _ => {
-                        self.close_conn(i, true);
-                        return;
+                    ProgressClass::Guest => {
+                        self.guest_backlog.push_back(QueuedGuest { conn: i, id, req, arrived: now })
                     }
                 },
-                // Clients do not send responses.
-                Message::Response { .. } => {
-                    self.close_conn(i, true);
-                    return;
-                }
+                // A second Hello, a request before the handshake, or a
+                // response from a client: a protocol violation.
+                _ => self.close_conn(i, true),
             }
         }
     }
@@ -1132,6 +1107,47 @@ mod tests {
         let text = String::from_utf8(body).unwrap();
         assert!(text.contains("store_net_requests_total{tier=\"vip\"} 1"), "got: {text}");
         assert_eq!(vip.drain().unwrap().len(), 1);
+    }
+
+    #[test]
+    fn a_vip_admitted_mid_turn_is_answered_before_later_connections_drain() {
+        let store = StoreBuilder::new().shards(1).vip_capacity(1).build().unwrap();
+        let mut server = server_fixture(&store);
+        // Connection 0 handshakes and sends its put in the same turn that
+        // connection 1 asks for the scrape.
+        let mut vip = NetClient::connect(&mut server, TierCredential::Vip { token: 7 });
+        vip.send(
+            &Request::new(vec![StoreOp::Put("k".into(), 1)])
+                .credential(TierCredential::Vip { token: 7 }),
+        );
+        let probe = server.connect();
+        probe.send(b"GET /metrics HTTP/1.1\r\n\r\n");
+        let stats = server.poll();
+        assert_eq!((stats.served, stats.visited), (1, 2));
+        let mut body = Vec::new();
+        probe.drain_into(&mut body);
+        let text = String::from_utf8(body).unwrap();
+        assert!(text.contains("store_net_requests_total{tier=\"vip\"} 1"), "got: {text}");
+        assert_eq!(vip.drain().unwrap()[0].1, vec![Ok(StoreResp::Value(None))]);
+    }
+
+    #[test]
+    fn vip_frames_before_a_protocol_violation_are_served_then_the_connection_closes() {
+        let store = StoreBuilder::new().shards(1).vip_capacity(1).build().unwrap();
+        let mut server = server_fixture(&store);
+        let cred = TierCredential::Vip { token: 7 };
+        let mut vip = NetClient::connect(&mut server, cred);
+        server.poll();
+        vip.send(&Request::new(vec![StoreOp::Put("k".into(), 5)]).credential(cred));
+        vip.end.send(&encode_hello(&cred));
+        let stats = server.poll();
+        assert_eq!((stats.frames, stats.served, stats.closed), (2, 1, 1));
+        assert_eq!(vip.drain().unwrap(), vec![(1, vec![Ok(StoreResp::Value(None))])]);
+        assert!(vip.is_closed());
+        assert_eq!(server.metrics().scrape().value("store_net_codec_errors_total", &[]), Some(1));
+        let get = Request::new(vec![StoreOp::Get("k".into())]);
+        let got = store.client(store.admit_guest()).request_guest(get);
+        assert_eq!(got.results, vec![Ok(StoreResp::Value(Some(5)))], "the put was applied");
     }
 
     #[test]

@@ -263,7 +263,12 @@ impl StoreBuilder {
     /// when that port is busy, so the cadence is amortized, never
     /// blocking); each seal caps the shard log's memory and keeps
     /// fresh-handle replay O(delta) without any explicit
-    /// [`Store::checkpoint`] call.
+    /// [`Store::checkpoint`] call. Only a **guest** commit seals: the seal
+    /// is a lock-free checkpoint that clones the shard's state, which a
+    /// bounded wait-free VIP commit must never carry. VIP commits count
+    /// toward the cadence, and one that crosses a boundary skips that
+    /// window; the next guest boundary seals. (A store serving only VIPs
+    /// never auto-seals.)
     pub fn checkpoint_every(mut self, k: u64) -> Self {
         self.checkpoint_every = (k > 0).then_some(k);
         self
@@ -668,8 +673,14 @@ impl Store {
     /// from the others is the one to [`split`](Store::split_shard).
     #[progress(wait_free)]
     pub fn snapshot_stats(&self) -> Vec<ShardDigest> {
-        self.current_view()
-            .shards
+        Self::digests(&self.current_view())
+    }
+
+    /// Every shard's digest in `view`: the freshest per-port register plus
+    /// the shard's local reads.
+    #[progress(wait_free)]
+    fn digests(view: &StoreView) -> Vec<ShardDigest> {
+        view.shards
             .iter()
             .map(|shard| {
                 let mut digest = shard
@@ -699,21 +710,7 @@ impl Store {
     #[progress(wait_free)]
     pub fn hottest_shard(&self) -> usize {
         let view = self.current_view();
-        let mut hottest: Option<(usize, u64)> = None;
-        for (s, d) in self.snapshot_stats().into_iter().enumerate() {
-            if !view.topology.is_live(s) {
-                continue;
-            }
-            // Strict `>` keeps the lowest id among equally hot shards.
-            match hottest {
-                Some((_, best)) if d.commits <= best => {}
-                _ => hottest = Some((s, d.commits)),
-            }
-        }
-        match hottest {
-            Some((s, _)) => s,
-            None => 0,
-        }
+        hottest_live(&view, &Self::digests(&view))
     }
 
     /// A wait-free scrape of every exported metric series: the registry's
@@ -730,7 +727,10 @@ impl Store {
     /// transitively.
     #[progress(wait_free)]
     pub fn scrape(&self) -> MetricsSnapshot {
+        // One view and one collect: the hottest-shard gauge and the
+        // per-shard series describe the same topology and digests.
         let view = self.current_view();
+        let stats = Self::digests(&view);
         let mut samples = self.metrics.samples();
         let gauges: [(&'static str, &'static str, u64); 4] = [
             (
@@ -751,7 +751,7 @@ impl Store {
             (
                 "store_hottest_shard",
                 "Live shard with the most heat: cells plus local reads (lowest id on ties).",
-                self.hottest_shard() as u64,
+                hottest_live(&view, &stats) as u64,
             ),
         ];
         for (name, help, value) in gauges {
@@ -762,7 +762,7 @@ impl Store {
                 value: SampleValue::Gauge(value),
             });
         }
-        for (s, d) in self.snapshot_stats().into_iter().enumerate() {
+        for (s, d) in stats.into_iter().enumerate() {
             let labels = || {
                 vec![("shard", format!("{s}")), ("live", format!("{}", view.topology.is_live(s)))]
             };
@@ -1074,11 +1074,14 @@ impl Store {
                 }
                 None => {
                     let resps = self.append_on(handle, shard_id, batch, durability);
+                    // Every append counts; only a guest commit seals (the
+                    // seal is lock-free, not wait-free), so a VIP commit
+                    // crossing a boundary skips that window.
                     // RELAXED: cadence counter — the checkpoint trigger needs
                     // an exact count (atomicity) but no cross-thread ordering.
                     let seal_due = self.checkpoint_every.is_some_and(|k| {
                         (shard.auto_commits.fetch_add(1, Ordering::Relaxed) + 1).is_multiple_of(k)
-                    });
+                    }) && tier == ProgressClass::Guest;
                     (resps, seal_due)
                 }
             };
@@ -1256,6 +1259,17 @@ impl Store {
     pub fn wal(&self) -> Option<&Arc<Wal>> {
         self.wal.as_ref()
     }
+}
+
+/// The live shard of `view` with the most heat in `stats` (one digest per
+/// shard slot of `view`); ties go to the lowest id.
+fn hottest_live(view: &StoreView, stats: &[ShardDigest]) -> usize {
+    stats
+        .iter()
+        .enumerate()
+        .filter(|&(s, _)| view.topology.is_live(s))
+        .max_by_key(|&(s, d)| (d.commits, std::cmp::Reverse(s)))
+        .map_or(0, |(s, _)| s)
 }
 
 /// Operations in `resps` bounced by a reconfiguration epoch check.
@@ -1784,6 +1798,49 @@ mod tests {
     }
 
     #[test]
+    fn a_scrape_elects_its_hottest_shard_from_its_own_series() {
+        use std::sync::atomic::AtomicBool;
+        let store = small_store(2);
+        let stop = AtomicBool::new(false);
+        let mut scrapes = 0;
+        std::thread::scope(|s| {
+            let (store, stop) = (&store, &stop);
+            s.spawn(move || {
+                let mut c = store.client(store.admit_guest());
+                for i in (0u64..).take_while(|_| !stop.load(Ordering::Acquire)) {
+                    c.put(&format!("k{}", i % 64), i);
+                }
+            });
+            s.spawn(move || {
+                for _ in 0..32 {
+                    let child = store.split_shard(0).unwrap();
+                    std::thread::yield_now();
+                    store.merge_shard(child).unwrap();
+                }
+                stop.store(true, Ordering::Release);
+            });
+            while !stop.load(Ordering::Acquire) || scrapes == 0 {
+                let snap = store.scrape();
+                let live: Vec<(u64, u64)> = snap
+                    .samples
+                    .iter()
+                    .filter(|x| x.name == "store_shard_commits")
+                    .filter(|x| x.labels.contains(&("live", "true".to_string())))
+                    .map(|x| match x.value {
+                        SampleValue::Gauge(commits) => (x.labels[0].1.parse().unwrap(), commits),
+                        _ => panic!("store_shard_commits is a gauge"),
+                    })
+                    .collect();
+                let most = live.iter().map(|&(_, commits)| commits).max().unwrap();
+                let want = live.iter().filter(|&&(_, commits)| commits == most).min().unwrap().0;
+                assert_eq!(snap.value("store_hottest_shard", &[]), Some(want), "{live:?}");
+                scrapes += 1;
+            }
+        });
+        assert!(scrapes > 0);
+    }
+
+    #[test]
     fn scrape_exports_tier_topology_and_shard_series() {
         let store = small_store(2);
         let mut v = store.client(store.admit_vip().unwrap());
@@ -2273,7 +2330,7 @@ mod tests {
             .checkpoint_every(8)
             .build()
             .unwrap();
-        let mut c = store.client(store.admit_vip().unwrap());
+        let mut c = store.client(store.admit_guest());
         assert_eq!(store.anchor_indices(), vec![0]);
         for i in 0..24 {
             c.put(&format!("k{i}"), i);
@@ -2295,11 +2352,30 @@ mod tests {
             .checkpoint_every(0)
             .build()
             .unwrap();
-        let mut c = store.client(store.admit_vip().unwrap());
+        let mut c = store.client(store.admit_guest());
         for i in 0..20 {
             c.put(&format!("k{i}"), i);
         }
         assert_eq!(store.anchor_indices(), vec![0], "no automatic seal when disabled");
+    }
+
+    #[test]
+    fn a_vip_commit_never_seals_and_the_next_guest_commit_does() {
+        let store = StoreBuilder::new()
+            .shards(1)
+            .vip_capacity(1)
+            .guest_ports(1)
+            .checkpoint_every(1)
+            .build()
+            .unwrap();
+        let mut vip = store.client(store.admit_vip().unwrap());
+        for i in 0..20 {
+            vip.put(&format!("k{i}"), i);
+        }
+        assert_eq!(store.anchor_indices(), vec![0], "a VIP commit skips its window");
+        store.client(store.admit_guest()).put("g", 1);
+        assert!(store.anchor_indices()[0] > 0, "the guest commit seals");
+        assert_eq!(vip.scan("", "z").len(), 21);
     }
 
     /// A scratch file under the workspace target dir, unique per test.

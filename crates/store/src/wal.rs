@@ -132,21 +132,22 @@ pub enum DurabilityClass {
     Sync,
 }
 
-/// Tuning knobs of the WAL's group-commit flusher and segment layout.
-/// These are the durability-side twins of the ops layer's batching knobs;
-/// [`Persister`](crate::persist::Persister) carries them via
+/// Flush cadence of the background flusher: the longest a buffered
+/// group-commit frame waits before a write-and-fsync cycle.
+const FLUSH_INTERVAL: Duration = Duration::from_millis(2);
+
+/// The flusher is nudged early once this many frames are buffered — the
+/// largest coalescing window of one group commit.
+const MAX_COALESCED_FRAMES: u64 = 128;
+
+/// The WAL's settings: its segment size and whether a background flusher
+/// runs. [`Persister`](crate::persist::Persister) carries them via
 /// [`Persister::with_wal`](crate::persist::Persister::with_wal).
 #[derive(Copy, Clone, Debug)]
 pub struct WalConfig {
     /// Rotate to a fresh segment once the current one exceeds this many
     /// bytes (checkpoint seals also rotate, regardless of size).
     pub segment_bytes: u64,
-    /// Flush cadence of the background flusher: maximum time a buffered
-    /// group-commit frame waits before a write-and-fsync cycle.
-    pub flush_interval: Duration,
-    /// Nudge the flusher early once this many frames are buffered — the
-    /// maximum coalescing window of one group commit.
-    pub max_coalesced_frames: u64,
     /// Spawn the background flusher thread. Without it, frames are only
     /// flushed by [`Wal::sync`] callers (sync commits and checkpoint
     /// rotations) — useful for deterministic tests.
@@ -155,12 +156,7 @@ pub struct WalConfig {
 
 impl Default for WalConfig {
     fn default() -> Self {
-        WalConfig {
-            segment_bytes: 4 << 20,
-            flush_interval: Duration::from_millis(2),
-            max_coalesced_frames: 128,
-            background_flusher: true,
-        }
+        WalConfig { segment_bytes: 4 << 20, background_flusher: true }
     }
 }
 
@@ -358,8 +354,7 @@ impl Wal {
         if cfg.background_flusher {
             let weak = Arc::downgrade(&wal);
             let signal = Arc::clone(&wal.signal);
-            let interval = cfg.flush_interval;
-            std::thread::spawn(move || flusher_loop(weak, signal, interval));
+            std::thread::spawn(move || flusher_loop(weak, signal));
         }
         Ok(wal)
     }
@@ -407,7 +402,7 @@ impl Wal {
         buf.pending_frames += 1;
         buf.appended += 1;
         let gen = buf.appended;
-        let nudge = buf.pending_frames >= self.cfg.max_coalesced_frames;
+        let nudge = buf.pending_frames >= MAX_COALESCED_FRAMES;
         drop(buf);
         self.metrics.record_append(bytes, frame.class);
         if nudge {
@@ -573,13 +568,16 @@ impl Drop for Wal {
 /// The background flusher: sleeps on its own signal (holding only a
 /// [`Weak`] to the WAL, so a dropped WAL actually drops), wakes on the
 /// cadence or an early nudge, and runs one flush cycle if there is work.
-fn flusher_loop(weak: Weak<Wal>, signal: Arc<FlusherSignal>, interval: Duration) {
+fn flusher_loop(weak: Weak<Wal>, signal: Arc<FlusherSignal>) {
     loop {
         {
             let mut sig = lock_unpoisoned(&signal.state);
             if !sig.nudged && !sig.shutdown {
-                sig =
-                    signal.cv.wait_timeout(sig, interval).unwrap_or_else(PoisonError::into_inner).0;
+                sig = signal
+                    .cv
+                    .wait_timeout(sig, FLUSH_INTERVAL)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0;
             }
             if sig.shutdown {
                 return;
@@ -1060,12 +1058,7 @@ mod tests {
     #[test]
     fn background_flusher_makes_group_commits_durable() {
         let dir = scratch("flusher");
-        let cfg = WalConfig {
-            flush_interval: Duration::from_millis(1),
-            background_flusher: true,
-            ..WalConfig::default()
-        };
-        let wal = Wal::open(&dir, cfg).unwrap();
+        let wal = Wal::open(&dir, WalConfig::default()).unwrap();
         wal.enqueue(&frame(0, 1, &[("k", Some(1))]));
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         while wal.pending_frames() > 0 {

@@ -136,8 +136,6 @@ pub struct CheckpointRecord<T> {
     /// every propose/peek — sharing keeps those clones O(1) instead of
     /// O(state size).
     state: Arc<T>,
-    /// Per-process highest applied sequence numbers in the sealed prefix.
-    applied: Vec<u64>,
 }
 
 impl<T> CheckpointRecord<T> {
@@ -534,7 +532,6 @@ where
                     pid: self.pid as u8,
                     index: self.cell_index,
                     state: Arc::new(self.state.clone()),
-                    applied: self.applied.clone(),
                 })
             });
             // Any checkpoint agreed at my cursor cell seals exactly my
@@ -1138,7 +1135,6 @@ mod tests {
                     pid: 0,
                     index: a.cell_index,
                     state: Arc::new(a.state),
-                    applied: a.applied.clone(),
                 })
             }),
             ("reconfiguration", |a| {
@@ -1236,7 +1232,6 @@ mod tests {
                     pid,
                     index: applier.cell_index,
                     state: Arc::new(applier.state.clone()),
-                    applied: applier.applied.clone(),
                 }),
                 27 => {
                     let mut post = applier.state.clone();

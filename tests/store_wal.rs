@@ -180,19 +180,24 @@ fn group_commits_recover_to_a_consistent_prefix() {
     let mut oracle = BTreeMap::new();
     let mut prefix_states = vec![oracle.clone()];
     {
-        let cfg = WalConfig {
-            flush_interval: std::time::Duration::from_micros(200),
-            max_coalesced_frames: 4,
-            ..WalConfig::default()
-        };
-        let wal = Wal::open(&wal_dir, cfg).expect("fresh wal");
+        let wal = Wal::open(&wal_dir, WalConfig::default()).expect("fresh wal");
         let store = builder().build_with_wal(Arc::clone(&wal)).expect("sizing");
         let mut guest = store.client(store.admit_guest());
+        let flushes = || wal.scrape().value("store_wal_flushes_total", &[]).unwrap_or(0);
         for i in 0..40u64 {
             let op = StoreOp::Put(format!("key/{:02}", i % 9), i);
             guest.execute(vec![op.clone()]);
             oracle_apply(&mut oracle, &op);
             prefix_states.push(oracle.clone());
+            if i == 19 {
+                // Midway, a background cycle must have run, so the crash
+                // lands after one, with later frames possibly buffered.
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+                while flushes() == 0 {
+                    assert!(std::time::Instant::now() < deadline, "the flusher never ran a cycle");
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+            }
         }
         wal.simulate_crash();
     }
