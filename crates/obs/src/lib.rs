@@ -24,8 +24,8 @@
 //! (each component is individually monotone), exactly like any live
 //! Prometheus scrape. Nothing here ever blocks a writer to get a
 //! consistent cut, and the store's own per-shard series are no cut either:
-//! they are read one port's digest register at a time
-//! (`Store::snapshot_stats`), each register monotone on its own.
+//! they are read one port's two digest words at a time
+//! (`Store::snapshot_stats`), each port's cursor monotone on its own.
 //!
 //! [`MetricsSnapshot`] is the scrape output — a flat list of [`Sample`]s —
 //! and [`encode_prometheus`] renders it in the Prometheus text exposition

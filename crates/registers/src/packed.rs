@@ -77,23 +77,6 @@ impl PackedRegister {
         assert_ne!(value, BOT, "u64::MAX is reserved for ⊥");
         self.word.compare_exchange(BOT, value, Ordering::AcqRel, Ordering::Acquire).is_ok()
     }
-
-    /// Busy-waits until the register is non-`⊥` and returns its value,
-    /// yielding to the OS scheduler between attempts.
-    ///
-    /// This is the paper's `wait(R ≠ ⊥)` statement. It blocks by design —
-    /// callers use it exactly where the paper's algorithms wait (e.g. the
-    /// guest branch of the arbiter, line 04 of Figure 4).
-    #[progress(blocking)]
-    pub fn await_value(&self) -> u64 {
-        loop {
-            if let Some(v) = self.load() {
-                return v;
-            }
-            std::hint::spin_loop();
-            std::thread::yield_now();
-        }
-    }
 }
 
 fn decode(word: u64) -> Option<u64> {
@@ -169,18 +152,6 @@ mod tests {
             }
         });
         assert_eq!(winners, 1);
-    }
-
-    #[test]
-    fn await_value_sees_late_write() {
-        let r = Arc::new(PackedRegister::new());
-        let waiter = Arc::clone(&r);
-        std::thread::scope(|s| {
-            let h = s.spawn(move || waiter.await_value());
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            r.store(77);
-            assert_eq!(h.join().unwrap(), 77);
-        });
     }
 
     #[test]

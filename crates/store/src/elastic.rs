@@ -40,7 +40,7 @@ use crate::store::ShardDigest;
 /// multiple of the fair share: a fair-share baseline (`total /
 /// live_shards`) shrinks as the topology grows, so any
 /// concentrated-but-steady workload would look ever more "skewed" after
-/// each split and the driver would run away to `max_shards`. A total-share
+/// each split and the driver would run away to [`MAX_SHARDS`]. A total-share
 /// trigger is scale-free — a shard that draws half of *all* traffic is
 /// worth splitting whether the store has 4 shards or 40, and a shard that
 /// draws a third of it never is.
@@ -56,6 +56,10 @@ const SPLIT_SHARE: f64 = 0.5;
 /// 1.0: the distance between the two thresholds is the hysteresis band.
 const MERGE_RATIO: f64 = 0.25;
 
+/// The driver never grows the topology beyond this many shard slots (live
+/// and retired).
+const MAX_SHARDS: usize = 64;
+
 /// Tuning knobs of the automatic split/merge driver. The two trigger
 /// thresholds are not among them: they are fixed (split above half of the
 /// window's total commits, merge below a quarter of the fair share), so
@@ -63,7 +67,7 @@ const MERGE_RATIO: f64 = 0.25;
 ///
 /// One honest limitation: hotness below the router's resolution — a
 /// single melted **key** — cannot be relieved by splitting (the hot key
-/// lands wholly on one side). The cool-down and `max_shards` bound the
+/// lands wholly on one side). The cool-down and `MAX_SHARDS` (64) bound the
 /// damage; fixing it takes key-level load tracking, which the wait-free
 /// digests deliberately do not do.
 #[derive(Copy, Clone, PartialEq, Debug)]
@@ -79,21 +83,11 @@ pub struct ElasticityPolicy {
     /// Commits to hold after any reconfiguration (the cool-down epoch):
     /// at most one split or merge per this many commits.
     pub cooldown: u64,
-    /// Never grow beyond this many shard slots (live + retired).
-    pub max_shards: usize,
-    /// Never merge below this many live shards.
-    pub min_live_shards: usize,
 }
 
 impl Default for ElasticityPolicy {
     fn default() -> Self {
-        ElasticityPolicy {
-            evaluate_every: 64,
-            min_window: 1024,
-            cooldown: 512,
-            max_shards: 64,
-            min_live_shards: 1,
-        }
+        ElasticityPolicy { evaluate_every: 64, min_window: 1024, cooldown: 512 }
     }
 }
 
@@ -206,7 +200,7 @@ impl ElasticEngine {
 
         // Split half: the hottest live shard vs its share of the whole
         // window (scale-free — see `SPLIT_SHARE` for why not fair-share).
-        if topology.shards() < self.policy.max_shards {
+        if topology.shards() < MAX_SHARDS {
             if let Some((hot, &d)) = deltas
                 .iter()
                 .enumerate()
@@ -222,14 +216,13 @@ impl ElasticEngine {
         // Merge half: the coldest structurally eligible child vs the fair
         // share. Eligibility (leaf + last live child) unwinds splits in
         // reverse; a cold shard that is not yet eligible waits its turn.
-        if live > self.policy.min_live_shards {
-            let candidate = (0..topology.shards())
-                .filter(|&s| topology.check_merge(s).is_ok())
-                .min_by_key(|&s| (deltas[s], s));
-            if let Some(cold) = candidate {
-                if (deltas[cold] as f64) < MERGE_RATIO * fair {
-                    return ElasticDecision::Merge(cold);
-                }
+        // Roots are never eligible, so the last live shard never merges.
+        let candidate = (0..topology.shards())
+            .filter(|&s| topology.check_merge(s).is_ok())
+            .min_by_key(|&s| (deltas[s], s));
+        if let Some(cold) = candidate {
+            if (deltas[cold] as f64) < MERGE_RATIO * fair {
+                return ElasticDecision::Merge(cold);
             }
         }
         ElasticDecision::Hold
@@ -258,12 +251,7 @@ mod tests {
     fn policy() -> ElasticityPolicy {
         // Tiny min_window: these tests feed synthetic ~100-commit windows
         // and probe the thresholds, not the accumulation.
-        ElasticityPolicy {
-            evaluate_every: 16,
-            cooldown: 100,
-            min_window: 1,
-            ..ElasticityPolicy::default()
-        }
+        ElasticityPolicy { evaluate_every: 16, cooldown: 100, min_window: 1 }
     }
 
     #[test]
@@ -316,28 +304,14 @@ mod tests {
     }
 
     #[test]
-    fn min_live_shards_floors_the_merge() {
-        let (topo, _) = ShardTopology::fresh(1).split(0);
-        let mut engine = ElasticEngine::new(ElasticityPolicy {
-            min_live_shards: 2,
-            max_shards: 2, // the hot parent is at 100% share; cap its split
-            ..policy()
-        });
-        engine.evaluate(0, &digests(&[0, 0]), &topo);
-        assert_eq!(
-            engine.evaluate(100, &digests(&[100, 0]), &topo),
-            ElasticDecision::Hold,
-            "the live-shard floor wins over the cold child"
-        );
-    }
-
-    #[test]
     fn max_shards_caps_the_split() {
-        let topo = ShardTopology::fresh(4);
-        let mut engine = ElasticEngine::new(ElasticityPolicy { max_shards: 4, ..policy() });
-        engine.evaluate(0, &digests(&[0, 0, 0, 0]), &topo);
+        let topo = ShardTopology::fresh(MAX_SHARDS);
+        let mut engine = ElasticEngine::new(policy());
+        let mut commits = vec![0; MAX_SHARDS];
+        engine.evaluate(0, &digests(&commits), &topo);
+        commits[0] = 97;
         assert_eq!(
-            engine.evaluate(100, &digests(&[97, 1, 1, 1]), &topo),
+            engine.evaluate(100, &digests(&commits), &topo),
             ElasticDecision::Hold,
             "at the slot cap even a melted shard holds"
         );
@@ -368,13 +342,8 @@ mod tests {
     fn oscillating_load_reconfigures_at_most_once_per_cooldown_window() {
         let cooldown = 200u64;
         let step = 20u64; // commits per evaluation window
-        let mut engine = ElasticEngine::new(ElasticityPolicy {
-            evaluate_every: step,
-            cooldown,
-            min_live_shards: 2,
-            min_window: 1,
-            ..ElasticityPolicy::default()
-        });
+        let mut engine =
+            ElasticEngine::new(ElasticityPolicy { evaluate_every: step, cooldown, min_window: 1 });
         let mut topo = ShardTopology::fresh(4);
         let mut commits = vec![0u64; 4];
         let mut reconfig_times: Vec<u64> = Vec::new();

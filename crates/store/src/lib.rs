@@ -28,8 +28,8 @@
 //!   merge faded children back, hysteresis + cool-down against thrash;
 //! * [`ops`] + [`store`] — read/write/CAS/scan operations, same-shard
 //!   batching into single universal-construction appends, and wait-free
-//!   statistics from one single-writer digest register per port for the
-//!   VIP dashboard path;
+//!   statistics from two single-writer digest words per port (replay
+//!   cursor and key count) for the VIP dashboard path;
 //! * [`keymap`] — the ordered map every shard replica is: sorted leaves
 //!   behind one fence index, each searched over one array of 8-byte key
 //!   heads;

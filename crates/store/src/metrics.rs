@@ -143,9 +143,6 @@ pub(crate) struct StoreMetrics {
     elastic_applied_merges: Counter,
     /// Checkpoint seals triggered by the auto-checkpoint cadence.
     auto_checkpoints: Counter,
-    /// Log cells replayed while booting this store (≈0 unless recovering
-    /// ahead of a checkpoint anchor; set once at build time).
-    recovery_replay_steps: Gauge,
 }
 
 impl StoreMetrics {
@@ -163,7 +160,6 @@ impl StoreMetrics {
             elastic_applied_splits: Counter::new(),
             elastic_applied_merges: Counter::new(),
             auto_checkpoints: Counter::new(),
-            recovery_replay_steps: Gauge::new(),
         }
     }
 
@@ -244,12 +240,6 @@ impl StoreMetrics {
         self.auto_checkpoints.inc();
     }
 
-    /// Sets the boot-time replay-work gauge (once, at build).
-    #[progress(wait_free)]
-    pub(crate) fn set_recovery_replay_steps(&self, steps: u64) {
-        self.recovery_replay_steps.set(steps);
-    }
-
     /// The registry's samples (tier series first, then event counters).
     ///
     /// Counter reads go through the instrument fields directly (never
@@ -309,12 +299,6 @@ impl StoreMetrics {
             help: "Checkpoint seals triggered by the auto-checkpoint cadence.",
             labels: Vec::new(),
             value: SampleValue::Counter(self.auto_checkpoints.get()),
-        });
-        out.push(Sample {
-            name: "store_recovery_replay_steps",
-            help: "Log cells replayed while booting this store (set at build).",
-            labels: Vec::new(),
-            value: SampleValue::Gauge(self.recovery_replay_steps.get()),
         });
         out
     }
@@ -630,7 +614,6 @@ mod tests {
         m.record_elastic(ElasticDecision::Merge(1), true);
         m.record_elastic(ElasticDecision::Hold, false);
         m.record_auto_checkpoint();
-        m.set_recovery_replay_steps(17);
         let s = snap(&m);
         assert_eq!(s.value("store_reconfigs_total", &[("kind", "split")]), Some(1));
         assert_eq!(s.value("store_reconfigs_total", &[("kind", "merge")]), Some(1));
@@ -640,7 +623,6 @@ mod tests {
         assert_eq!(s.value("store_elastic_applied_total", &[("decision", "split")]), Some(1));
         assert_eq!(s.value("store_elastic_decisions_total", &[("decision", "hold")]), Some(1));
         assert_eq!(s.value("store_auto_checkpoints_total", &[]), Some(1));
-        assert_eq!(s.value("store_recovery_replay_steps", &[]), Some(17));
     }
 
     #[test]

@@ -486,16 +486,13 @@ impl Persister {
     /// A wait-free scrape of the persister's metric series (flush cycles,
     /// failures, coalesced requests, flush latency), ready to
     /// [`merge`](MetricsSnapshot::merge) into a
-    /// [`Store::scrape`](crate::Store::scrape) snapshot. Reads atomics
+    /// [`Store::scrape`](crate::Store::scrape) snapshot. An attached WAL's
+    /// series are the store's to scrape, not this one's. Reads atomics
     /// only — never the flush lock — so a dashboard poller cannot queue
     /// behind an in-flight fsync.
     #[progress(wait_free)]
     pub fn scrape(&self) -> MetricsSnapshot {
-        let mut samples = self.metrics.samples();
-        if let Some(wal) = &self.wal {
-            samples.extend(wal.scrape().samples);
-        }
-        MetricsSnapshot { samples }
+        MetricsSnapshot { samples: self.metrics.samples() }
     }
 
     /// Number of physical flush cycles performed so far. With `k`

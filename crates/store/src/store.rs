@@ -15,10 +15,11 @@
 //!   takes none: it is answered from the port's own replica, caught up to
 //!   the log tail observed at invocation
 //!   ([`OwnedHandle::sync_read`]), with the same stale-plan bounce;
-//! * each shard additionally keeps one single-writer register per port
-//!   holding that port's commit digest — the VIP dashboard path: reading
-//!   store-wide statistics is one load per port and never touches the
-//!   consensus log, so it completes even while guests hammer every shard.
+//! * each shard additionally keeps two plain words per port — the port's
+//!   replay cursor and its replica's key count, stored by whoever holds
+//!   the port — the VIP dashboard path: reading store-wide statistics is
+//!   two loads per port and never touches the consensus log, so it
+//!   completes even while guests hammer every shard.
 //!
 //! ## Live shard splits and merges
 //!
@@ -85,7 +86,7 @@ pub type ShardLog = Universal<crate::ops::ShardSpec, AsymmetricFactory>;
 /// One port's handle on a shard log, with the port's replica of the shard.
 type PortHandle = OwnedHandle<crate::ops::ShardSpec, AsymmetricFactory>;
 
-/// A monotone per-port commit digest, published into the port's register
+/// A monotone per-port commit digest, published into the port's two words
 /// after every visit.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub struct ShardDigest {
@@ -103,12 +104,12 @@ struct Shard {
     /// One slot per port; guests multiplex, VIPs own theirs exclusively.
     /// Each handle co-owns the shard's universal log.
     ports: Vec<Mutex<PortHandle>>,
-    /// Per-port digests, `⊥` until the port's first visit. Each register
-    /// has one writer at a time (whoever holds the port's mutex), and the
-    /// one reader ([`Store::snapshot_stats`]) keeps the maximum of monotone
-    /// per-port values, so it needs each port's latest value and no
-    /// atomicity across ports: one collect, not a snapshot scan.
-    stats: Vec<AtomicCell<ShardDigest>>,
+    /// Per-port digests, seeded from the state the shard is built from.
+    /// Each has one writer at a time (whoever holds the port's mutex), and
+    /// the one reader ([`Store::snapshot_stats`]) keeps the maximum of
+    /// monotone per-port values, so it needs each port's latest value and
+    /// no atomicity across ports: one collect, not a snapshot scan.
+    digests: Vec<PortDigest>,
     /// Appended rounds since build, for the auto-checkpoint cadence.
     auto_commits: AtomicU64,
     /// Rounds answered from a port's replica without a log cell. Read
@@ -119,8 +120,8 @@ struct Shard {
 
 impl Shard {
     /// **The one door to a port**: locks the slot, runs `act` on its handle,
-    /// then publishes the handle's replayed position into the port's stats
-    /// register — in that order, always. Nothing else locks a port, so
+    /// then publishes the handle's replayed position into the port's digest
+    /// words — in that order, always. Nothing else locks a port, so
     /// no path that advances a port's replica (commits, seals and
     /// reconfigurations alike) can leave the dashboard reporting the
     /// position it had before.
@@ -145,10 +146,7 @@ impl Shard {
         act: impl FnOnce(&mut PortHandle) -> R,
     ) -> R {
         let out = act(&mut handle);
-        self.stats[port].store(ShardDigest {
-            commits: handle.replayed_cells(),
-            entries: handle.local_state().entries().len() as u64,
-        });
+        self.digests[port].publish(&handle);
         out
     }
 
@@ -160,33 +158,63 @@ impl Shard {
     }
 
     /// Builds one shard over `ports` port slots, optionally resuming from a
-    /// recovered `(state, log_index)` pair.
+    /// recovered `(state, log_index)` pair (a snapshot's, or a split
+    /// child's migrated keys at index 0). Each port's digest starts at the
+    /// state it resumes from, so the shard reports its keys before any
+    /// visit.
     fn build(
         spec: crate::ops::ShardSpec,
         liveness: Liveness,
         ports: usize,
         resume: Option<(ShardState, u64)>,
     ) -> Self {
-        let log = match resume {
-            Some((state, log_index)) => Arc::new(Universal::recovered(
-                spec,
-                AsymmetricFactory::new(liveness),
-                ports,
-                state,
-                log_index,
-            )),
-            None => Arc::new(Universal::new(spec, AsymmetricFactory::new(liveness), ports)),
-        };
-        let port_slots = (0..ports)
-            .map(|p| Mutex::new(log.owned_handle(p).expect("fresh log, every port available")))
-            .collect();
+        let factory = AsymmetricFactory::new(liveness);
+        let log = Arc::new(match resume {
+            Some((state, index)) => Universal::recovered(spec, factory, ports, state, index),
+            None => Universal::new(spec, factory, ports),
+        });
+        let (port_slots, digests) = (0..ports)
+            .map(|p| {
+                let handle = log.owned_handle(p).expect("fresh log, every port available");
+                let digest = PortDigest::default();
+                digest.publish(&handle);
+                (Mutex::new(handle), digest)
+            })
+            .unzip();
         Shard {
             log,
             ports: port_slots,
-            stats: (0..ports).map(|_| AtomicCell::new()).collect(),
+            digests,
             auto_commits: AtomicU64::new(0),
             local_reads: AtomicU64::new(0),
         }
+    }
+}
+
+/// One port's digest words. The writer stores the key count, then the
+/// cursor; the reader loads them in the opposite order.
+#[derive(Default)]
+struct PortDigest {
+    /// The port's replay cursor ([`OwnedHandle::replayed_cells`]).
+    cursor: AtomicU64,
+    /// Live keys in the port's replica.
+    entries: AtomicU64,
+}
+
+impl PortDigest {
+    /// Publishes `handle`'s position; the caller holds the port.
+    fn publish(&self, handle: &PortHandle) {
+        // RELAXED: ordered before the reader's view by the Release below.
+        self.entries.store(handle.local_state().entries().len() as u64, Ordering::Relaxed);
+        // Release: a reader that sees this cursor sees its key count.
+        self.cursor.store(handle.replayed_cells(), Ordering::Release);
+    }
+
+    /// The latest published digest.
+    fn load(&self) -> ShardDigest {
+        let commits = self.cursor.load(Ordering::Acquire);
+        // RELAXED: ordered after the cursor by the Acquire above.
+        ShardDigest { commits, entries: self.entries.load(Ordering::Relaxed) }
     }
 }
 
@@ -295,7 +323,7 @@ impl StoreBuilder {
     }
 
     /// Builds the store: admission layer, topology, and `S` shard logs with
-    /// their port pools and digest registers.
+    /// their port pools and digest words.
     ///
     /// # Errors
     ///
@@ -438,7 +466,7 @@ impl StoreBuilder {
                 Arc::new(Shard::build(shard_spec, spec, ports, resume))
             })
             .collect();
-        let store = Store {
+        Ok(Store {
             admission,
             view: AtomicCell::with_value(Arc::new(StoreView { topology, shards })),
             admin: Mutex::new(()),
@@ -451,12 +479,7 @@ impl StoreBuilder {
             metrics: StoreMetrics::new(),
             wal,
             _settle: SettleAllocator,
-        };
-        // The boot-time replay-work gauge: ~0 for a fresh build, O(delta)
-        // past the anchors when recovering. Uncontended here — the store
-        // has not been shared yet.
-        store.metrics.set_recovery_replay_steps(store.replay_steps());
-        Ok(store)
+        })
     }
 }
 
@@ -666,7 +689,7 @@ impl Store {
     /// Wait-free store-wide statistics: for each shard, the freshest
     /// per-port commit digest.
     ///
-    /// This is the VIP dashboard path — it loads each port's digest register
+    /// This is the VIP dashboard path — it loads each port's digest words
     /// once and never touches the consensus log, so it completes in a
     /// bounded number of steps regardless of guest contention. It is
     /// also the hot-shard detector: a shard whose `commits` digest runs away
@@ -676,7 +699,7 @@ impl Store {
         Self::digests(&self.current_view())
     }
 
-    /// Every shard's digest in `view`: the freshest per-port register plus
+    /// Every shard's digest in `view`: the freshest per-port digest plus
     /// the shard's local reads.
     #[progress(wait_free)]
     fn digests(view: &StoreView) -> Vec<ShardDigest> {
@@ -684,9 +707,9 @@ impl Store {
             .iter()
             .map(|shard| {
                 let mut digest = shard
-                    .stats
+                    .digests
                     .iter()
-                    .filter_map(AtomicCell::load)
+                    .map(PortDigest::load)
                     .max_by_key(|d| d.commits)
                     .unwrap_or_default();
                 // RELAXED: a statistic; heat needs no ordering against the
@@ -715,7 +738,8 @@ impl Store {
 
     /// A wait-free scrape of every exported metric series: the registry's
     /// commit/reconfig/elastic instruments plus scrape-time topology
-    /// gauges and the per-shard digest series, ready for
+    /// gauges, the per-shard digest series and, if a WAL is attached, its
+    /// series ([`Wal::scrape`]), ready for
     /// [`encode_prometheus`](apc_obs::encode_prometheus).
     ///
     /// This is the dashboard entry point, and it keeps the VIP dashboard
@@ -779,6 +803,7 @@ impl Store {
                 value: SampleValue::Gauge(d.entries),
             });
         }
+        samples.extend(self.wal.iter().flat_map(|wal| wal.scrape().samples));
         MetricsSnapshot { samples }
     }
 
@@ -852,9 +877,6 @@ impl Store {
             self.admission.ports(),
             Some((ShardState::with_entries(outgoing, node.created_at), 0)),
         ));
-        // Seed the newborn's dashboard so the migrated entries are visible
-        // before its first commit: a visit publishes.
-        child_shard.visit(child_shard.seal_port(), |_| ());
         let mut shards = view.shards.clone();
         shards.push(child_shard);
         self.metrics.record_split(topology.version());
@@ -2226,7 +2248,6 @@ mod tests {
                 // A single-threaded client round-robins its keys, so tiny
                 // windows are already burst-free here.
                 min_window: 32,
-                ..ElasticityPolicy::default()
             })
             .build()
             .unwrap();
@@ -2287,12 +2308,7 @@ mod tests {
             .shards(4)
             .vip_capacity(1)
             .guest_ports(2)
-            .elastic(ElasticityPolicy {
-                evaluate_every: 16,
-                cooldown: 64,
-                min_window: 32,
-                ..ElasticityPolicy::default()
-            })
+            .elastic(ElasticityPolicy { evaluate_every: 16, cooldown: 64, min_window: 32 })
             .build()
             .unwrap();
         let joined = std::thread::scope(|s| {
@@ -2469,6 +2485,40 @@ mod tests {
             "first op after recovery costs O(1) replay, got {}",
             recovered.replay_steps()
         );
+    }
+
+    #[test]
+    fn recovered_and_newborn_shards_report_their_keys_before_any_visit() {
+        let path = scratch("seeded-digests.snapshot");
+        let keys: Vec<String> = (0..20).map(|i| format!("k{i}")).collect();
+        let snapshot = {
+            let store = small_store(2);
+            let mut c = store.client(store.admit_guest());
+            for (i, key) in keys.iter().enumerate() {
+                c.put(key, i as u64);
+            }
+            let snapshot = store.checkpoint();
+            snapshot.write_to(&path).unwrap();
+            snapshot
+        };
+        // Nothing has touched the recovered store: each shard reports the
+        // state and the log index it resumed from.
+        let recovered = StoreBuilder::new().vip_capacity(2).guest_ports(4).recover(&path).unwrap();
+        let expected: Vec<ShardDigest> = snapshot
+            .shards
+            .iter()
+            .map(|s| ShardDigest { commits: s.log_index, entries: s.state.entries().len() as u64 })
+            .collect();
+        assert_eq!(recovered.snapshot_stats(), expected);
+        // The split's child reports its migrated keys before its first
+        // commit, and the two halves still add up to every key.
+        let child = recovered.split_shard(0).unwrap();
+        let topology = recovered.topology();
+        let on_child = keys.iter().filter(|k| topology.shard_of(k) == child).count() as u64;
+        assert!(on_child > 0, "the split must migrate keys to the child");
+        let stats = recovered.snapshot_stats();
+        assert_eq!(stats[child], ShardDigest { commits: 0, entries: on_child });
+        assert_eq!(stats.iter().map(|d| d.entries).sum::<u64>(), keys.len() as u64);
     }
 
     #[test]
@@ -2795,12 +2845,7 @@ mod tests {
             .shards(4)
             .vip_capacity(1)
             .guest_ports(2)
-            .elastic(ElasticityPolicy {
-                evaluate_every: 16,
-                cooldown: 64,
-                min_window: 32,
-                ..ElasticityPolicy::default()
-            })
+            .elastic(ElasticityPolicy { evaluate_every: 16, cooldown: 64, min_window: 32 })
             .build()
             .unwrap();
         let mut c = store.client(store.admit_guest());

@@ -365,9 +365,9 @@ impl Wal {
     }
 
     /// A wait-free scrape of the WAL's metric series (appends, flush
-    /// cycles, fsync latency, group sizes, rotations, truncations),
-    /// ready to [`merge`](MetricsSnapshot::merge) into a
-    /// [`Store::scrape`](crate::Store::scrape) snapshot. Reads atomics
+    /// cycles, fsync latency, group sizes, rotations, truncations). A
+    /// store built with this WAL appends them to its own
+    /// [`Store::scrape`](crate::Store::scrape). Reads atomics
     /// only — never a WAL lock — so a dashboard poller cannot queue
     /// behind an in-flight fsync.
     #[progress(wait_free)]

@@ -18,7 +18,8 @@ use asymmetric_progress::net::{
 use asymmetric_progress::store::persist::Persister;
 use asymmetric_progress::store::wal::{Wal, WalConfig};
 use asymmetric_progress::store::{
-    DurabilityClass, Request, StoreBuilder, StoreError, StoreOp, StoreResp, TierCredential,
+    DurabilityClass, Request, SampleValue, StoreBuilder, StoreError, StoreOp, StoreResp,
+    TierCredential,
 };
 
 const VIP_TOKEN: u64 = 0xbeef;
@@ -221,6 +222,20 @@ fn net_ten_thousand_connections_smoke() {
     );
 }
 
+/// A plain HTTP `GET /metrics` on a fresh connection: the reply, whose
+/// status must be 200, and after which the connection must be closed.
+fn get_metrics(server: &mut StoreServer<'_>) -> String {
+    let http = server.connect();
+    http.send(b"GET /metrics HTTP/1.1\r\nHost: sim\r\n\r\n");
+    server.poll();
+    let mut body = Vec::new();
+    http.drain_into(&mut body);
+    let text = String::from_utf8(body).expect("utf-8 exposition");
+    assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "served: {}", &text[..40.min(text.len())]);
+    assert!(http.is_closed(), "the HTTP connection closes after the reply");
+    text
+}
+
 /// The listener doubles as the observability endpoint: a plain HTTP `GET
 /// /metrics` on a fresh connection returns the merged store+net scrape.
 #[test]
@@ -236,13 +251,7 @@ fn net_http_metrics_lists_net_series() {
     );
     poll_until(&mut server, &mut guest);
 
-    let http = server.connect();
-    http.send(b"GET /metrics HTTP/1.1\r\nHost: sim\r\n\r\n");
-    server.poll();
-    let mut body = Vec::new();
-    http.drain_into(&mut body);
-    let text = String::from_utf8(body).expect("utf-8 exposition");
-    assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "served: {}", &text[..40.min(text.len())]);
+    let text = get_metrics(&mut server);
     for series in [
         "store_net_conns_accepted_total",
         "store_net_requests_total",
@@ -252,7 +261,45 @@ fn net_http_metrics_lists_net_series() {
     ] {
         assert!(text.contains(series), "exposition must carry {series}");
     }
-    assert!(http.is_closed(), "the HTTP connection closes after the reply");
+}
+
+/// A WAL-backed store scrapes its own WAL: the durable server's `GET
+/// /metrics` carries the `store_wal_*` series, and the server's scrape
+/// merged with its persister's lists every series exactly once.
+#[test]
+fn durable_server_metrics_carry_the_wal_series_once() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("store-net-wal-series");
+    let _ = std::fs::remove_dir_all(&dir);
+    let wal = Wal::open(dir.join("wal"), WalConfig::default()).expect("fresh wal");
+    let store = StoreBuilder::new().shards(2).build_with_wal(Arc::clone(&wal)).unwrap();
+    let persister = Persister::new(dir.join("store.snapshot")).with_wal(wal);
+    let mut server = StoreServer::new(&store, server_cfg(64));
+
+    let mut guest = NetClient::connect(&mut server, TierCredential::Guest);
+    guest.send(
+        &Request::new(vec![StoreOp::Put("durable".into(), 1)])
+            .credential(TierCredential::Guest)
+            .retry_budget(4),
+    );
+    poll_until(&mut server, &mut guest);
+
+    let text = get_metrics(&mut server);
+    assert!(
+        text.contains("store_wal_appends_total{class=\"group\"} 1"),
+        "a durable server's exposition must carry the WAL's group appends"
+    );
+
+    let mut scrape = server.scrape();
+    scrape.merge(persister.scrape());
+    let mut seen = BTreeSet::new();
+    for sample in &scrape.samples {
+        assert!(
+            seen.insert((sample.name, sample.labels.clone())),
+            "{} {:?} is scraped twice",
+            sample.name,
+            sample.labels
+        );
+    }
 }
 
 /// `execute` and `get` are sugar over the envelope: both paths must
@@ -489,6 +536,29 @@ fn metrics_md_lists_exactly_the_scraped_series() {
         scraped.difference(&documented).collect::<Vec<_>>(),
         documented.difference(&scraped).collect::<Vec<_>>(),
     );
+
+    // Each row's type and label keys are those of every sample it names.
+    // A label cell's keys are the first backticked token of each
+    // comma-separated part; `—` is none.
+    for row in include_str!("../METRICS.md").lines().filter(|row| row.starts_with("| `")) {
+        let row = row.replace("\\|", "/");
+        let cells: Vec<&str> = row.trim_matches('|').split('|').map(str::trim).collect();
+        let name = cells[0].trim_matches('`');
+        let keys: Vec<&str> = match cells[2] {
+            "—" => Vec::new(),
+            labels => labels.split(',').filter_map(|part| part.split('`').nth(1)).collect(),
+        };
+        for sample in scrape.samples.iter().filter(|s| s.name == name) {
+            let kind = match sample.value {
+                SampleValue::Counter(_) => "counter",
+                SampleValue::Gauge(_) => "gauge",
+                SampleValue::Histogram(_) => "histogram",
+            };
+            assert_eq!(cells[1], kind, "METRICS.md types {name} wrong");
+            let scraped_keys: Vec<&str> = sample.labels.iter().map(|(k, _)| *k).collect();
+            assert_eq!(keys, scraped_keys, "METRICS.md labels {name} wrong");
+        }
+    }
 }
 
 /// The rows of the WIRE.md table whose header line starts with `header`,

@@ -527,7 +527,6 @@ proptest! {
                 evaluate_every: 4,
                 min_window: 8,
                 cooldown: 16,
-                ..ElasticityPolicy::default()
             })
             .build()
             .expect("valid sizing");

@@ -354,7 +354,7 @@ fn synchronous_durability_is_a_vip_privilege() {
     guest.put("g", 3); // a group append, for the class-labelled counter
 
     persister.persist(&store).expect("checkpoint");
-    let snap = persister.scrape();
+    let snap = store.scrape();
     assert_eq!(snap.value("store_wal_sync_denied_total", &[]), Some(1));
     assert_eq!(snap.value("store_wal_appends_total", &[("class", "sync")]), Some(1));
     assert!(snap.value("store_wal_appends_total", &[("class", "group")]).unwrap_or(0) >= 1);
