@@ -28,8 +28,8 @@
 //!   merge faded children back, hysteresis + cool-down against thrash;
 //! * [`ops`] + [`store`] — read/write/CAS/scan operations, same-shard
 //!   batching into single universal-construction appends, and wait-free
-//!   statistics from two single-writer digest words per port (replay
-//!   cursor and key count) for the VIP dashboard path;
+//!   statistics from three single-writer digest words per port (replay
+//!   cursor, key count and replay meter) for the VIP dashboard path;
 //! * [`keymap`] — the ordered map every shard replica is: sorted leaves
 //!   behind one fence index, each searched over one array of 8-byte key
 //!   heads;
@@ -40,8 +40,8 @@
 //! The [`persist`] layer makes the store crash-recoverable: a flush seals a
 //! **checkpoint cell** on every shard log (agreed through the same
 //! consensus path as client batches), writes the sealed states as a
-//! versioned, checksummed snapshot file with group-commit coalescing of
-//! concurrent flush requests, and
+//! versioned, checksummed snapshot file, one seal cycle per flush call
+//! (the [`wal`] is the one group commit), and
 //! [`StoreBuilder::recover`] rebuilds the store with every shard log resuming
 //! at its checkpointed index — boot-time replay is O(delta), never
 //! O(history).

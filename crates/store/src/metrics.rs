@@ -311,7 +311,7 @@ const FLUSH_LATENCY_NS_BOUNDS: [u64; 7] =
 
 /// The [`Persister`](crate::persist::Persister)'s instruments. Recorded
 /// from the (blocking) flush path, but kept in atomics **outside** the
-/// flush-state mutex so [`PersistMetrics::samples`] — and through it
+/// flush lock so [`PersistMetrics::samples`] — and through it
 /// `Persister::scrape` — stays wait-free: a dashboard never queues behind
 /// an in-flight fsync.
 #[derive(Debug)]
@@ -321,9 +321,6 @@ pub(crate) struct PersistMetrics {
     /// Cycles whose write failed (the atomic rename keeps earlier
     /// successful snapshots intact).
     failures: Counter,
-    /// Durability requests satisfied by another caller's cycle — the
-    /// group-commit win.
-    coalesced: Counter,
     /// Wall-clock latency of one seal-and-write cycle.
     flush_latency_ns: FixedHistogram,
 }
@@ -333,7 +330,6 @@ impl PersistMetrics {
         PersistMetrics {
             flushes: Counter::new(),
             failures: Counter::new(),
-            coalesced: Counter::new(),
             flush_latency_ns: FixedHistogram::new(&FLUSH_LATENCY_NS_BOUNDS),
         }
     }
@@ -348,10 +344,10 @@ impl PersistMetrics {
         }
     }
 
-    /// Records a request covered by another caller's flush cycle.
+    /// Cycles recorded so far.
     #[progress(wait_free)]
-    pub(crate) fn record_coalesced(&self) {
-        self.coalesced.inc();
+    pub(crate) fn flushes(&self) -> u64 {
+        self.flushes.get()
     }
 
     /// The persister's samples.
@@ -369,12 +365,6 @@ impl PersistMetrics {
                 help: "Flush cycles whose snapshot write failed.",
                 labels: Vec::new(),
                 value: SampleValue::Counter(self.failures.get()),
-            },
-            Sample {
-                name: "store_persist_coalesced_total",
-                help: "Durability requests satisfied by another caller's flush (group commit).",
-                labels: Vec::new(),
-                value: SampleValue::Counter(self.coalesced.get()),
             },
             Sample {
                 name: "store_persist_flush_latency_ns",
@@ -626,16 +616,13 @@ mod tests {
     }
 
     #[test]
-    fn persist_metrics_track_cycles_and_coalescing() {
+    fn persist_metrics_track_cycles() {
         let m = PersistMetrics::new();
         m.record_flush(2_000_000, true);
         m.record_flush(300_000_000, false);
-        m.record_coalesced();
-        m.record_coalesced();
         let s = MetricsSnapshot { samples: m.samples() };
         assert_eq!(s.value("store_persist_flushes_total", &[]), Some(2));
         assert_eq!(s.value("store_persist_flush_failures_total", &[]), Some(1));
-        assert_eq!(s.value("store_persist_coalesced_total", &[]), Some(2));
         let lat = s.histogram("store_persist_flush_latency_ns", &[]).unwrap();
         assert_eq!(lat.count, 2);
         assert_eq!(lat.sum, 302_000_000);

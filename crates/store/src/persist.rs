@@ -1,5 +1,5 @@
-//! Durable snapshot persistence: sealed shard states on disk, group-commit
-//! flushes, crash recovery.
+//! Durable snapshot persistence: sealed shard states on disk, one seal
+//! cycle per flush, crash recovery.
 //!
 //! The persistence model is **checkpoint = durability point**: a flush
 //! seals a checkpoint cell on every shard log (through the same consensus
@@ -12,22 +12,14 @@
 //! recovery guarantee is *prefix consistency*: the recovered store is
 //! exactly the store as of the last successful flush.
 //!
-//! # Group commit: one flush lock, one ledger
+//! # One cycle per call
 //!
-//! [`Persister`] coalesces concurrent `persist` calls into one
-//! seal-and-fsync cycle, as the ops layer batches same-shard operations
-//! into one log append; the [`Wal`](crate::wal::Wal) group-commits the
-//! same way. A caller registers a **generation** without any lock, then
-//! takes the **flush lock**, held across a whole cycle. Under it, the
-//! caller either finds its generation already taken by another caller's
-//! cycle (it was *coalesced*) or runs the next cycle itself, covering every
-//! generation registered so far. Each cycle's outcome goes into a `Ledger`
-//! under the same lock, and a request is `Ok` iff **the cycle that took
-//! it** succeeded: a later success never acknowledges an earlier failure.
-//! A cycle that panics leaves its take unsettled and the lock poisoned;
-//! every lock here is recovered from poison, and the ledger reads an
-//! unsettled take as failed, so a panic costs its own requests an `Err`
-//! and wedges nobody.
+//! Each [`Persister::persist`] call runs one seal cycle of its own under
+//! the persister's **flush lock**, so concurrent calls take turns and each
+//! returns its own cycle's outcome. Nothing is coalesced here: the
+//! durability layer's one group commit is the [`Wal`](crate::wal::Wal)'s.
+//! The flush lock is recovered from poison, so a cycle that panics costs
+//! only its own caller and wedges nobody.
 //!
 //! # File format (version 3, little-endian)
 //!
@@ -71,7 +63,6 @@ use std::fmt;
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
 
 use apc_obs::MetricsSnapshot;
@@ -94,8 +85,8 @@ pub const VERSION: u32 = 3;
 /// never panics on corrupt input.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum PersistError {
-    /// An I/O operation failed (kind + rendered message; cloneable so a
-    /// group-commit outcome can be shared among coalesced waiters).
+    /// An I/O operation failed (kind + rendered message; cloneable so one
+    /// WAL cycle's outcome can answer every sync whose frames it took).
     Io {
         /// The failed operation's [`io::ErrorKind`].
         kind: io::ErrorKind,
@@ -412,13 +403,9 @@ impl StoreSnapshot {
     }
 }
 
-/// Group-commit snapshot flusher: many concurrent durability requests, one
-/// seal-and-fsync cycle.
-///
-/// [`Persister::persist`] seals a checkpoint on every shard and writes the
-/// snapshot file — but a request whose generation another caller's cycle
-/// already took returns that cycle's outcome instead of running one (see
-/// the [module docs](self) on group commit).
+/// Snapshot flusher: one seal-and-fsync cycle per [`Persister::persist`]
+/// call, the calls serialized by one flush lock (see the
+/// [module docs](self)).
 ///
 /// # Examples
 ///
@@ -434,12 +421,9 @@ impl StoreSnapshot {
 #[derive(Debug)]
 pub struct Persister {
     path: PathBuf,
-    /// Generation of the newest durability request, registered before the
-    /// flush lock is taken.
-    requested: AtomicU64,
-    /// The flush lock, held across a whole seal cycle, and the ledger of
-    /// what each cycle took and how it ended.
-    flush: Mutex<Ledger>,
+    /// The flush lock, held across a whole seal cycle: two cycles never
+    /// race each other's WAL rotation or truncation.
+    flush: Mutex<()>,
     /// Flush instruments — atomics outside the flush lock, so scraping
     /// never queues behind an in-flight fsync.
     metrics: PersistMetrics,
@@ -455,8 +439,7 @@ impl Persister {
     pub fn new(path: impl Into<PathBuf>) -> Self {
         Persister {
             path: path.into(),
-            requested: AtomicU64::new(0),
-            flush: Mutex::new(Ledger::default()),
+            flush: Mutex::new(()),
             metrics: PersistMetrics::new(),
             wal: None,
         }
@@ -484,7 +467,7 @@ impl Persister {
     }
 
     /// A wait-free scrape of the persister's metric series (flush cycles,
-    /// failures, coalesced requests, flush latency), ready to
+    /// failures, flush latency), ready to
     /// [`merge`](MetricsSnapshot::merge) into a
     /// [`Store::scrape`](crate::Store::scrape) snapshot. An attached WAL's
     /// series are the store's to scrape, not this one's. Reads atomics
@@ -495,55 +478,33 @@ impl Persister {
         MetricsSnapshot { samples: self.metrics.samples() }
     }
 
-    /// Number of physical flush cycles performed so far. With `k`
-    /// concurrent [`Persister::persist`] calls this is between 1 and `k` —
-    /// the group-commit win is `k − flushes()`.
-    #[progress(blocking)]
+    /// Seal cycles run so far, failed ones included: one per
+    /// [`Persister::persist`] call that returned. Reads the
+    /// `store_persist_flushes_total` counter, never the flush lock.
+    #[progress(wait_free)]
     pub fn flushes(&self) -> u64 {
-        lock_unpoisoned(&self.flush).cycles
+        self.metrics.flushes()
     }
 
-    /// Makes the store's current state durable: seals a checkpoint on every
-    /// shard and writes the snapshot file, coalescing with concurrent
-    /// callers (group commit). On `Ok`, every operation that committed
-    /// before this call is on disk.
+    /// Makes the store's current state durable: under the flush lock,
+    /// seals a checkpoint on every shard and writes the snapshot file. On
+    /// `Ok`, every operation that committed before this call is on disk.
     ///
-    /// Returns the number of flush cycles performed when this request was
-    /// settled.
+    /// Returns the number of flush cycles performed so far, this one
+    /// included.
     ///
     /// # Errors
     ///
-    /// `Ok` iff the cycle that took this request succeeded — then its data
-    /// is durably on disk regardless of what later cycles do (snapshots
-    /// are whole-store and atomically renamed). `Err` with that cycle's
-    /// error otherwise, or if that cycle panicked. The rule is conservative
-    /// only in a race: a request whose cycle failed reads `Err` even if a
-    /// later cycle has since succeeded and covered its data too; the
-    /// caller may retry.
+    /// This call's own cycle's error: the snapshot did not land, and the
+    /// file keeps the last one that did (snapshots are whole-store and
+    /// atomically renamed). The caller may retry.
     #[progress(blocking)]
     pub fn persist(&self, store: &Store) -> Result<u64, PersistError> {
-        // RELEASE: the cycle that takes this generation reads it with
-        // Acquire, so everything this caller committed before the call
-        // happens before that cycle's seal.
-        let gen = self.requested.fetch_add(1, Ordering::Release) + 1;
-        let mut ledger = lock_unpoisoned(&self.flush);
-        if let Some(outcome) = ledger.outcome(gen) {
-            // Taken by another caller's cycle: coalesced.
-            self.metrics.record_coalesced();
-            return outcome.map(|()| ledger.cycles);
-        }
-        // ACQUIRE: pairs with every requester's Release increment, so the
-        // commits of every generation this cycle takes (this caller's
-        // included) happen before its seal: a taken generation really is
-        // in the snapshot. A request registered after this load finds its
-        // generation untaken once it holds the lock, and runs its own cycle.
-        let target = self.requested.load(Ordering::Acquire);
-        ledger.take_through(target);
+        let _cycle = lock_unpoisoned(&self.flush);
         let start = std::time::Instant::now();
         let outcome = self.seal_cycle(store);
         self.metrics.record_flush(elapsed_ns(start), outcome.is_ok());
-        ledger.settle(outcome.clone());
-        outcome.map(|()| ledger.cycles)
+        outcome.map(|()| self.flushes())
     }
 
     /// One physical seal cycle. With a WAL attached: rotate it to a fresh
@@ -565,82 +526,9 @@ impl Persister {
     }
 }
 
-/// The record of one flush lock's group-commit cycles: which generations
-/// each cycle took and how it ended. [`Persister`] and the
-/// [`Wal`](crate::wal::Wal) keep theirs behind their flush locks and read
-/// and write it only there, so the one take a reader can find unsettled
-/// is a take whose cycle panicked.
-#[derive(Debug, Default)]
-pub(crate) struct Ledger {
-    /// Highest generation any cycle has taken.
-    taken: u64,
-    /// Highest generation whose cycle has settled; below `taken` only
-    /// while the newest take is open.
-    settled: u64,
-    /// The failed ranges `(lo, hi]`, oldest first, each with its cycle's
-    /// error. At most [`LEDGER_FAILURES`] of them.
-    failed: Vec<(u64, u64, PersistError)>,
-    /// Cycles taken (what [`Persister::flushes`] reports).
-    pub(crate) cycles: u64,
-}
-
-/// How many failed ranges a [`Ledger`] keeps apart. Past it the two oldest
-/// merge into one, which can make a success between them read `Err` to a
-/// caller that asks that late: conservative, never a false `Ok`.
-const LEDGER_FAILURES: usize = 64;
-
-impl Ledger {
-    /// A cycle starts, covering every generation up to `target`. A take
-    /// that never settled (its cycle panicked) is settled as failed first.
-    pub(crate) fn take_through(&mut self, target: u64) {
-        if self.settled < self.taken {
-            self.settle(Err(abandoned()));
-        }
-        self.taken = self.taken.max(target);
-        self.cycles += 1;
-    }
-
-    /// The cycle that took last ends with `result`.
-    pub(crate) fn settle(&mut self, result: Result<(), PersistError>) {
-        if let Err(e) = result {
-            if self.failed.len() == LEDGER_FAILURES {
-                let (_, hi, _) = self.failed.remove(1);
-                self.failed[0].1 = hi;
-            }
-            self.failed.push((self.settled, self.taken, e));
-        }
-        self.settled = self.taken;
-    }
-
-    /// How the cycle that took `gen` ended: `None` until some cycle takes
-    /// it, `Err` if that cycle failed or was abandoned, `Ok` otherwise. A
-    /// later success never turns an earlier failure into `Ok`.
-    pub(crate) fn outcome(&self, gen: u64) -> Option<Result<(), PersistError>> {
-        if gen > self.taken {
-            return None;
-        }
-        if gen > self.settled {
-            return Some(Err(abandoned()));
-        }
-        let i = self.failed.partition_point(|&(_, hi, _)| hi < gen);
-        Some(match self.failed.get(i) {
-            Some((lo, _, e)) if *lo < gen => Err(e.clone()),
-            _ => Ok(()),
-        })
-    }
-}
-
-/// The error of a generation whose cycle panicked before it settled.
-fn abandoned() -> PersistError {
-    PersistError::Io {
-        kind: io::ErrorKind::Other,
-        msg: "the flush cycle that took this request panicked".into(),
-    }
-}
-
 /// Locks `m`, taking the guard back if a holder panicked: every critical
 /// section of the durability layer leaves its state usable when it
-/// unwinds (the [`Ledger`] reads an unsettled take as failed), so a
+/// unwinds (the WAL's ledger reads an unsettled take as failed), so a
 /// poisoned lock is neither a panic nor a hang.
 pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -1036,106 +924,9 @@ mod tests {
         assert!(RecoverError::from(AdmissionError::BadConfig("x")).to_string().contains("x"));
     }
 
-    /// A distinct error per failed cycle, so a read-back names its cycle.
-    fn failed(cycle: usize) -> PersistError {
-        PersistError::Io { kind: io::ErrorKind::Other, msg: format!("cycle {cycle} failed") }
-    }
-
-    /// A cycle to 5 fails, then a cycle to 6 succeeds: generation 5 keeps
-    /// its own cycle's error. A failed WAL cycle drops its frames, so
-    /// reading 5 as `Ok` once 6 landed would acknowledge a lost write.
-    #[test]
-    fn ledger_keeps_a_failure_after_a_later_success() {
-        let mut ledger = Ledger::default();
-        assert_eq!(ledger.outcome(0), Some(Ok(())), "generation 0 asks for nothing");
-        assert_eq!(ledger.outcome(1), None);
-        ledger.take_through(5);
-        ledger.settle(Err(failed(5)));
-        ledger.take_through(6);
-        ledger.settle(Ok(()));
-        for gen in 1..=5 {
-            assert_eq!(ledger.outcome(gen), Some(Err(failed(5))), "generation {gen}");
-        }
-        assert_eq!(ledger.outcome(6), Some(Ok(())));
-        assert_eq!(ledger.outcome(7), None);
-        assert_eq!(ledger.cycles, 2);
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
-
-        /// The ledger against a per-generation oracle. A script step takes
-        /// up to `taken + d` (abandoning the open take, if any), settles
-        /// the open take `Ok`, or settles it `Err`; after every step every
-        /// generation reads what the cycle that took it ended with, an
-        /// open take reading as abandoned.
-        #[test]
-        fn ledger_matches_a_per_generation_oracle(
-            script in proptest::collection::vec((0u8..4, 0u64..4), 1..48),
-        ) {
-            let mut ledger = Ledger::default();
-            // oracle[g]: None until taken, then the outcome a reader sees.
-            let mut oracle: Vec<Option<Result<(), PersistError>>> = vec![Some(Ok(()))];
-            let mut open: Option<std::ops::Range<usize>> = None;
-            let mut takes = 0;
-            for (step, &(kind, d)) in script.iter().enumerate() {
-                match (kind, open.clone()) {
-                    (0 | 1, _) => {
-                        let from = oracle.len();
-                        let target = from - 1 + d as usize;
-                        ledger.take_through(target as u64);
-                        oracle.resize(target + 1, Some(Err(abandoned())));
-                        open = Some(from..target + 1);
-                        takes += 1;
-                    }
-                    (2, Some(range)) => {
-                        ledger.settle(Ok(()));
-                        oracle[range].fill(Some(Ok(())));
-                        open = None;
-                    }
-                    (3, Some(range)) => {
-                        ledger.settle(Err(failed(step)));
-                        oracle[range].fill(Some(Err(failed(step))));
-                        open = None;
-                    }
-                    _ => {} // nothing open to settle
-                }
-                for gen in 0..oracle.len() + 2 {
-                    let expected = oracle.get(gen).cloned().flatten();
-                    proptest::prop_assert_eq!(
-                        ledger.outcome(gen as u64), expected, "generation {} after step {}", gen, step
-                    );
-                }
-                proptest::prop_assert_eq!(ledger.cycles, takes);
-            }
-        }
-    }
-
-    /// Past [`LEDGER_FAILURES`] failed ranges the oldest merge: a success
-    /// between them may then read `Err`, but a failure never reads `Ok`,
-    /// and the newest failures stay exact.
-    #[test]
-    fn ledger_merges_old_failures_conservatively() {
-        let mut ledger = Ledger::default();
-        let cycles = 4 * LEDGER_FAILURES;
-        for cycle in 1..=cycles {
-            ledger.take_through(cycle as u64);
-            ledger.settle(if cycle % 2 == 1 { Err(failed(cycle)) } else { Ok(()) });
-        }
-        assert_eq!(ledger.failed.len(), LEDGER_FAILURES);
-        for gen in 1..=cycles {
-            let read = ledger.outcome(gen as u64).expect("taken");
-            if gen % 2 == 1 {
-                assert!(read.is_err(), "failed generation {gen} read Ok");
-            } else if gen > cycles - LEDGER_FAILURES {
-                assert_eq!(read, Ok(()), "recent generation {gen}");
-            }
-        }
-    }
-
-    /// A seal cycle that panics while holding the flush lock, after its
-    /// take, wedges nobody: the generations it took read `Err`, and the
-    /// next request runs its own cycle and reads `Ok`.
+    /// A seal cycle that panics while holding the flush lock wedges
+    /// nobody: the next `persist` takes the recovered lock, runs its own
+    /// cycle and reads `Ok`, and the file it writes recovers.
     #[test]
     fn a_poisoned_flush_lock_wedges_no_persister() {
         let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -1146,27 +937,17 @@ mod tests {
         let store = crate::StoreBuilder::new().shards(2).build().unwrap();
         store.client(store.admit_guest()).put("k", 1);
         let persister = Persister::new(&path);
-        // Two requests register; a cycle takes both and panics mid-seal.
-        let taken = [1, 2].map(|_| persister.requested.fetch_add(1, Ordering::Release) + 1);
         let joined = std::thread::scope(|s| {
             s.spawn(|| {
-                let mut ledger = persister.flush.lock().unwrap();
-                ledger.take_through(persister.requested.load(Ordering::Acquire));
+                let _cycle = persister.flush.lock().unwrap();
                 panic!("the seal cycle panics");
             })
             .join()
         });
         assert!(joined.is_err() && persister.flush.is_poisoned());
-        for gen in taken {
-            let read = lock_unpoisoned(&persister.flush).outcome(gen);
-            assert!(matches!(read, Some(Err(_))), "abandoned generation {gen} read {read:?}");
-        }
-        assert_eq!(persister.persist(&store), Ok(2), "the abandoned take counts as a cycle");
-        assert_eq!(persister.persist(&store), Ok(3));
-        for gen in taken {
-            assert!(matches!(lock_unpoisoned(&persister.flush).outcome(gen), Some(Err(_))));
-        }
-        assert_eq!(persister.flushes(), 3);
+        assert_eq!(persister.persist(&store), Ok(1), "the panicked cycle recorded nothing");
+        assert_eq!(persister.persist(&store), Ok(2));
+        assert_eq!(persister.flushes(), 2);
         let recovered = crate::StoreBuilder::new().recover(&path).unwrap();
         assert_eq!(recovered.client(recovered.admit_guest()).get("k"), Some(1));
     }

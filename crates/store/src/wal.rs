@@ -60,23 +60,28 @@
 //!
 //! ## Group commit and lock order
 //!
-//! The WAL group-commits the way the
-//! [`Persister`](crate::persist::Persister) does (see the
-//! [`persist`](crate::persist) module docs). A frame's generation is its
+//! The WAL is the store's one group commit. A frame's generation is its
 //! place in the buffer. One **flush lock**, the *log* lock over the open
 //! segment and the ledger of cycles, is held across a whole
 //! write-and-fsync cycle. Under it, [`Wal::sync`] either finds its
 //! generation taken by another caller's cycle (coalesced) and returns that
-//! cycle's outcome, or runs the next cycle itself. A sync is `Ok` iff the
-//! cycle that took its frames succeeded. The *buffer* lock covers only
-//! what [`Wal::enqueue`] touches, and a cycle holds it just long enough to
-//! take the buffer, so an enqueue never waits on an fsync.
+//! cycle's outcome, or runs the next cycle itself, taking every frame
+//! buffered so far. The flusher, the `Sync` waiters and a checkpoint's
+//! rotation all race for this lock, so each cycle's take and outcome go
+//! into the ledger under it, and a sync is `Ok` iff **the cycle that took
+//! its frames** succeeded: a later success never acknowledges an earlier
+//! failure, whose frames were dropped. A cycle that panics leaves its take
+//! unsettled and the lock poisoned; the lock is recovered from poison and
+//! the ledger reads an unsettled take as failed, so a panic costs its own
+//! frames an `Err` and wedges nobody. The *buffer* lock covers only what
+//! [`Wal::enqueue`] touches, and a cycle holds it just long enough to take
+//! the buffer, so an enqueue never waits on an fsync.
 //!
 //! Locks are taken in one order: persister flush → WAL log → WAL buffer (a
 //! checkpoint seal rotates the WAL under the persister's flush lock), and
 //! admin → port → WAL buffer (a commit enqueues its frame under its port
 //! lock). No port lock is held across [`Wal::sync`]. Every lock is
-//! recovered from poison; a cycle that panicked reads as failed.
+//! recovered from poison.
 //!
 //! ## Failure policy
 //!
@@ -90,7 +95,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
-use std::io::{Read as _, Write as _};
+use std::io::{self, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, Weak};
 use std::time::Duration;
@@ -101,7 +106,7 @@ use apc_progress_macros::progress;
 use crate::frame::{self, put_str, put_u32, put_u64, Cursor, Next};
 use crate::metrics::{elapsed_ns, WalMetrics};
 use crate::ops::{Key, StoreOp, StoreResp};
-use crate::persist::{lock_unpoisoned, Ledger, PersistError};
+use crate::persist::{lock_unpoisoned, PersistError};
 
 /// Magic bytes opening every WAL segment file.
 pub const WAL_MAGIC: [u8; 4] = *b"APCW";
@@ -446,7 +451,7 @@ impl Wal {
     /// [`PersistError::Io`] if the flush or the new segment's creation
     /// fails (the WAL stays usable on its old segment).
     #[progress(blocking)]
-    pub fn rotate(&self) -> Result<u64, PersistError> {
+    pub(crate) fn rotate(&self) -> Result<u64, PersistError> {
         let mut log = lock_unpoisoned(&self.log);
         log.write_cycle(&self.buffer, &self.metrics)?;
         log.roll_segment(&self.metrics)
@@ -458,7 +463,7 @@ impl Wal {
     /// [`Persister`](crate::persist::Persister) after its snapshot rename
     /// lands — see [`Wal::rotate`] for why this is safe.
     #[progress(blocking)]
-    pub fn truncate_before(&self, seq: u64) -> u64 {
+    pub(crate) fn truncate_before(&self, seq: u64) -> u64 {
         let mut deleted = 0;
         let Ok(entries) = fs::read_dir(&self.dir) else { return 0 };
         for entry in entries.flatten() {
@@ -552,6 +557,78 @@ impl Log {
     }
 }
 
+/// The record of the WAL's group-commit cycles: which generations each
+/// cycle took and how it ended. Read and written only under the log lock,
+/// so the one take a reader can find unsettled is a take whose cycle
+/// panicked.
+#[derive(Debug, Default)]
+struct Ledger {
+    /// Highest generation any cycle has taken.
+    taken: u64,
+    /// Highest generation whose cycle has settled; below `taken` only
+    /// while the newest take is open.
+    settled: u64,
+    /// The failed ranges `(lo, hi]`, oldest first, each with its cycle's
+    /// error. At most [`LEDGER_FAILURES`] of them.
+    failed: Vec<(u64, u64, PersistError)>,
+    /// Cycles taken.
+    cycles: u64,
+}
+
+/// How many failed ranges a [`Ledger`] keeps apart. Past it the two oldest
+/// merge into one, which can make a success between them read `Err` to a
+/// caller that asks that late: conservative, never a false `Ok`.
+const LEDGER_FAILURES: usize = 64;
+
+impl Ledger {
+    /// A cycle starts, covering every generation up to `target`. A take
+    /// that never settled (its cycle panicked) is settled as failed first.
+    fn take_through(&mut self, target: u64) {
+        if self.settled < self.taken {
+            self.settle(Err(abandoned()));
+        }
+        self.taken = self.taken.max(target);
+        self.cycles += 1;
+    }
+
+    /// The cycle that took last ends with `result`.
+    fn settle(&mut self, result: Result<(), PersistError>) {
+        if let Err(e) = result {
+            if self.failed.len() == LEDGER_FAILURES {
+                let (_, hi, _) = self.failed.remove(1);
+                self.failed[0].1 = hi;
+            }
+            self.failed.push((self.settled, self.taken, e));
+        }
+        self.settled = self.taken;
+    }
+
+    /// How the cycle that took `gen` ended: `None` until some cycle takes
+    /// it, `Err` if that cycle failed or was abandoned, `Ok` otherwise. A
+    /// later success never turns an earlier failure into `Ok`.
+    fn outcome(&self, gen: u64) -> Option<Result<(), PersistError>> {
+        if gen > self.taken {
+            return None;
+        }
+        if gen > self.settled {
+            return Some(Err(abandoned()));
+        }
+        let i = self.failed.partition_point(|&(_, hi, _)| hi < gen);
+        Some(match self.failed.get(i) {
+            Some((lo, _, e)) if *lo < gen => Err(e.clone()),
+            _ => Ok(()),
+        })
+    }
+}
+
+/// The error of a generation whose cycle panicked before it settled.
+fn abandoned() -> PersistError {
+    PersistError::Io {
+        kind: io::ErrorKind::Other,
+        msg: "the flush cycle that took this request panicked".into(),
+    }
+}
+
 impl Drop for Wal {
     fn drop(&mut self) {
         // Stop the flusher, then make a clean shutdown durable (a crash
@@ -611,7 +688,7 @@ fn open_segment(dir: &Path, seq: u64) -> Result<SegmentWriter, PersistError> {
 }
 
 /// The file name of segment `seq`.
-pub fn segment_name(seq: u64) -> String {
+pub(crate) fn segment_name(seq: u64) -> String {
     format!("wal-{seq:016x}.apcw")
 }
 
@@ -1133,6 +1210,103 @@ mod tests {
             vec![("p".to_string(), Some(1)), ("d".to_string(), None), ("won".to_string(), Some(7)),],
             "reads, failed CAS, and bounced ops have no effect"
         );
+    }
+
+    /// A distinct error per failed cycle, so a read-back names its cycle.
+    fn failed(cycle: usize) -> PersistError {
+        PersistError::Io { kind: io::ErrorKind::Other, msg: format!("cycle {cycle} failed") }
+    }
+
+    /// A cycle to 5 fails, then a cycle to 6 succeeds: generation 5 keeps
+    /// its own cycle's error. A failed WAL cycle drops its frames, so
+    /// reading 5 as `Ok` once 6 landed would acknowledge a lost write.
+    #[test]
+    fn ledger_keeps_a_failure_after_a_later_success() {
+        let mut ledger = Ledger::default();
+        assert_eq!(ledger.outcome(0), Some(Ok(())), "generation 0 asks for nothing");
+        assert_eq!(ledger.outcome(1), None);
+        ledger.take_through(5);
+        ledger.settle(Err(failed(5)));
+        ledger.take_through(6);
+        ledger.settle(Ok(()));
+        for gen in 1..=5 {
+            assert_eq!(ledger.outcome(gen), Some(Err(failed(5))), "generation {gen}");
+        }
+        assert_eq!(ledger.outcome(6), Some(Ok(())));
+        assert_eq!(ledger.outcome(7), None);
+        assert_eq!(ledger.cycles, 2);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The ledger against a per-generation oracle. A script step takes
+        /// up to `taken + d` (abandoning the open take, if any), settles
+        /// the open take `Ok`, or settles it `Err`; after every step every
+        /// generation reads what the cycle that took it ended with, an
+        /// open take reading as abandoned.
+        #[test]
+        fn ledger_matches_a_per_generation_oracle(
+            script in proptest::collection::vec((0u8..4, 0u64..4), 1..48),
+        ) {
+            let mut ledger = Ledger::default();
+            // oracle[g]: None until taken, then the outcome a reader sees.
+            let mut oracle: Vec<Option<Result<(), PersistError>>> = vec![Some(Ok(()))];
+            let mut open: Option<std::ops::Range<usize>> = None;
+            let mut takes = 0;
+            for (step, &(kind, d)) in script.iter().enumerate() {
+                match (kind, open.clone()) {
+                    (0 | 1, _) => {
+                        let from = oracle.len();
+                        let target = from - 1 + d as usize;
+                        ledger.take_through(target as u64);
+                        oracle.resize(target + 1, Some(Err(abandoned())));
+                        open = Some(from..target + 1);
+                        takes += 1;
+                    }
+                    (2, Some(range)) => {
+                        ledger.settle(Ok(()));
+                        oracle[range].fill(Some(Ok(())));
+                        open = None;
+                    }
+                    (3, Some(range)) => {
+                        ledger.settle(Err(failed(step)));
+                        oracle[range].fill(Some(Err(failed(step))));
+                        open = None;
+                    }
+                    _ => {} // nothing open to settle
+                }
+                for gen in 0..oracle.len() + 2 {
+                    let expected = oracle.get(gen).cloned().flatten();
+                    proptest::prop_assert_eq!(
+                        ledger.outcome(gen as u64), expected, "generation {} after step {}", gen, step
+                    );
+                }
+                proptest::prop_assert_eq!(ledger.cycles, takes);
+            }
+        }
+    }
+
+    /// Past [`LEDGER_FAILURES`] failed ranges the oldest merge: a success
+    /// between them may then read `Err`, but a failure never reads `Ok`,
+    /// and the newest failures stay exact.
+    #[test]
+    fn ledger_merges_old_failures_conservatively() {
+        let mut ledger = Ledger::default();
+        let cycles = 4 * LEDGER_FAILURES;
+        for cycle in 1..=cycles {
+            ledger.take_through(cycle as u64);
+            ledger.settle(if cycle % 2 == 1 { Err(failed(cycle)) } else { Ok(()) });
+        }
+        assert_eq!(ledger.failed.len(), LEDGER_FAILURES);
+        for gen in 1..=cycles {
+            let read = ledger.outcome(gen as u64).expect("taken");
+            if gen % 2 == 1 {
+                assert!(read.is_err(), "failed generation {gen} read Ok");
+            } else if gen > cycles - LEDGER_FAILURES {
+                assert_eq!(read, Ok(()), "recent generation {gen}");
+            }
+        }
     }
 
     /// A write cycle that panics while holding the flush lock, after it

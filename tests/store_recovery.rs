@@ -269,7 +269,7 @@ fn recovered_store_does_not_replay_history() {
 }
 
 /// Per-shard prefix consistency under concurrency: clients write ordered
-/// streams to disjoint key spaces while a persister group-commits in the
+/// streams to disjoint key spaces while a persister flushes in the
 /// background; whatever cut the crash lands on, each shard's recovered
 /// content is a *prefix* of every client's per-shard write order — no
 /// gaps, no phantom writes.
@@ -632,12 +632,11 @@ fn churned_topology_recovers_exactly() {
     }
 }
 
-/// The persister's scrape: flush cycles, failures, and group-commit
-/// coalescing reconcile with `flushes()` — and under `k` concurrent
-/// requests, every request is accounted for as either a led cycle or a
-/// coalesced ride-along.
+/// The persister's scrape: flush cycles and failures reconcile with
+/// `flushes()` — and under `k` concurrent requests as well as sequential
+/// ones, every `persist()` call runs exactly one cycle.
 #[test]
-fn persister_scrape_counts_flushes_failures_and_coalescing() {
+fn persister_scrape_counts_flushes_and_failures() {
     use asymmetric_progress::store::persist::Persister;
 
     let path = scratch("persist-metrics.snapshot");
@@ -656,14 +655,9 @@ fn persister_scrape_counts_flushes_failures_and_coalescing() {
 
     let snap = persister.scrape();
     let flushes = snap.value("store_persist_flushes_total", &[]).unwrap();
-    let coalesced = snap.value("store_persist_coalesced_total", &[]).unwrap();
-    assert_eq!(flushes, persister.flushes(), "scrape agrees with the state-mutex counter");
+    assert_eq!(flushes, persister.flushes(), "scrape agrees with `flushes()`");
     assert_eq!(snap.value("store_persist_flush_failures_total", &[]), Some(0));
-    assert_eq!(
-        flushes + coalesced,
-        2 + CONCURRENT,
-        "every request either led a cycle or coalesced into one"
-    );
+    assert_eq!(flushes, 2 + CONCURRENT, "every persist() call runs one cycle");
     let lat = snap.histogram("store_persist_flush_latency_ns", &[]).unwrap();
     assert_eq!(lat.count, flushes, "every physical cycle is timed");
 
