@@ -36,11 +36,14 @@
 //! slot they do not own: the loop above polls it and installs a commit in it
 //! with a CAS-from-`⊥`. A slot is an [`OnceBox`]: set once, never cleared,
 //! so a poll is one load and `peek_with` borrows the decision without an
-//! epoch pin or a clone. The rounds' own registers stay `AtomicCell`s —
-//! retiring clears them. This object runs the rounds on its own slot — what
-//! `peek` and every later proposer read — and keeps slot and rounds for as
-//! long as it lives. [`crate::consensus::AsymmetricConsensus`] runs the same rounds
-//! on its outer slot, so there the outer slot *is* `D`: nothing else is
+//! epoch pin or a clone. The two registers retiring clears — round 0 and
+//! the link to the first segment — stay `AtomicCell`s; a segment's round
+//! slots and its link to the next segment are set once ([`OnceArc`]), so
+//! the walk past the first segment pins no epoch. This object runs the
+//! rounds on its own slot — what `peek` and every later proposer read —
+//! and keeps slot and rounds for as long as it lives.
+//! [`crate::consensus::AsymmetricConsensus`] runs the same rounds on its
+//! outer slot, so there the outer slot *is* `D`: nothing else is
 //! installed. Once `D` is decided the rounds have no use there, and every
 //! guest that ran them *retires* them on its way out — round 0 and the
 //! segment chain back to `⊥`, each displaced object reclaimed once no process
@@ -55,7 +58,7 @@ use std::sync::Arc;
 
 use apc_model::ProcessSet;
 use apc_progress_macros::progress;
-use apc_registers::{AtomicCell, OnceBox};
+use apc_registers::{AtomicCell, OnceArc, OnceBox};
 
 use crate::consensus::adopt_commit::AdoptCommit;
 use crate::consensus::{Consensus, ProposeOnce};
@@ -65,28 +68,20 @@ use crate::liveness::Liveness;
 /// Rounds per lazily-allocated segment.
 const SEGMENT_ROUNDS: usize = 8;
 
-/// One round's adopt-commit object, created by the first process to reach
-/// the round.
-type RoundSlot<T> = AtomicCell<Arc<AdoptCommit<T>>>;
-
 /// `SEGMENT_ROUNDS` consecutive rounds past round 0, and the link to the
-/// segment after them.
+/// segment after them. Each round's adopt-commit object is created by the
+/// first process to reach the round. Both are set once and never cleared
+/// alone: retiring drops the whole segment.
 struct Segment<T> {
-    rounds: [RoundSlot<T>; SEGMENT_ROUNDS],
-    next: AtomicCell<Arc<Segment<T>>>,
-}
-
-impl<T> Segment<T> {
-    fn new() -> Self {
-        Segment { rounds: std::array::from_fn(|_| AtomicCell::new()), next: AtomicCell::new() }
-    }
+    rounds: [OnceArc<AdoptCommit<T>>; SEGMENT_ROUNDS],
+    next: OnceArc<Segment<T>>,
 }
 
 /// The round protocol: the unbounded sequence of adopt-commit rounds, built
 /// on first use, deciding a slot its caller owns (see the module docs).
 pub(crate) struct Rounds<T> {
     /// Round 0 — the only round an uncontended proposal runs.
-    round0: RoundSlot<T>,
+    round0: AtomicCell<Arc<AdoptCommit<T>>>,
     /// Rounds `1..`, in segments; `⊥` until some process leaves round 0.
     later: AtomicCell<Arc<Segment<T>>>,
 }
@@ -106,7 +101,7 @@ impl<T: Clone + Eq + Send + Sync> Rounds<T> {
         let Some(r) = r.checked_sub(1) else {
             return self.round0.load_or_init(new_round);
         };
-        let new_segment = || Arc::new(Segment::new());
+        let new_segment = || Arc::new(Segment { rounds: Default::default(), next: OnceArc::new() });
         let mut segment = self.later.load_or_init(new_segment);
         for _ in 0..r / SEGMENT_ROUNDS {
             segment = segment.next.load_or_init(new_segment);

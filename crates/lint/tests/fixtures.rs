@@ -334,3 +334,54 @@ fn live_workspace_is_clean() {
         assert_eq!(f.class, Some(class), "OwnedHandle::{driver} changed its progress class");
     }
 }
+
+/// The dashboard path pins no epoch: nothing `Store::scrape` or
+/// `Store::snapshot_stats` can reach, by the analyzer's own resolution and
+/// through every callee whatever its annotation, is defined in the epoch
+/// shim. Its reads are plain loads and borrows of registers that never free
+/// a value under a reader.
+#[test]
+fn the_dashboard_path_reaches_nothing_in_the_epoch_shim() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let (ws, _) = analyze(&root).unwrap();
+    let shim = Path::new("shims/crossbeam-epoch/src/lib.rs");
+    for entry in ["scrape", "snapshot_stats"] {
+        let source = ws
+            .all_fns()
+            .find(|&id| {
+                let f = ws.fn_info(id);
+                f.name == entry && f.self_type.as_deref() == Some("Store")
+            })
+            .unwrap_or_else(|| panic!("apc-store must keep a Store::{entry} fn"));
+        // Breadth-first over every resolved callee, remembering how each
+        // fn was first reached.
+        let mut reached = std::collections::HashMap::from([(source, source)]);
+        let mut queue = std::collections::VecDeque::from([source]);
+        while let Some(cur) = queue.pop_front() {
+            for call in ws.calls_of(cur) {
+                for target in ws.resolve(cur, call) {
+                    if let std::collections::hash_map::Entry::Vacant(e) = reached.entry(target) {
+                        e.insert(cur);
+                        queue.push_back(target);
+                    }
+                }
+            }
+        }
+        let mut chains: Vec<String> = reached
+            .keys()
+            .filter(|id| ws.files[id.file].path == shim)
+            .map(|&id| {
+                let mut chain = vec![ws.fn_info(id).qualified()];
+                let mut at = id;
+                while at != source {
+                    at = reached[&at];
+                    chain.push(ws.fn_info(at).qualified());
+                }
+                chain.reverse();
+                chain.join(" → ")
+            })
+            .collect();
+        chains.sort();
+        assert!(chains.is_empty(), "Store::{entry} reaches the epoch shim:\n{}", chains.join("\n"));
+    }
+}

@@ -83,7 +83,7 @@ impl Counter {
     #[progress(wait_free)]
     pub fn get(&self) -> u64 {
         // RELAXED: reading a monotone counter; no ordering obligations.
-        self.value.load(Ordering::Relaxed)
+        AtomicU64::load(&self.value, Ordering::Relaxed)
     }
 }
 
@@ -120,7 +120,7 @@ impl Gauge {
     #[progress(wait_free)]
     pub fn get(&self) -> u64 {
         // RELAXED: see `set`.
-        self.value.load(Ordering::Relaxed)
+        AtomicU64::load(&self.value, Ordering::Relaxed)
     }
 }
 
@@ -199,11 +199,11 @@ impl FixedHistogram {
         HistogramSnapshot {
             bounds: self.bounds.clone(),
             // RELAXED: reading monotone components; no ordering needed.
-            buckets: self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
+            buckets: self.buckets.iter().map(|b| AtomicU64::load(b, Ordering::Relaxed)).collect(),
             // RELAXED: see above.
-            sum: self.sum.load(Ordering::Relaxed),
+            sum: AtomicU64::load(&self.sum, Ordering::Relaxed),
             // RELAXED: see above.
-            count: self.count.load(Ordering::Relaxed),
+            count: AtomicU64::load(&self.count, Ordering::Relaxed),
         }
     }
 }

@@ -103,31 +103,6 @@ impl<T> AtomicCell<T> {
         unsafe { defer_destroy(old, &guard) };
     }
 
-    /// Moves the value out of the cell (leaving `⊥`), bypassing epoch
-    /// deferral.
-    ///
-    /// Requires `&mut self`: exclusive access guarantees no concurrent
-    /// reader can hold a reference into the cell, so the value can be
-    /// reclaimed immediately. This is the building block for *iterative*
-    /// teardown of linked structures whose recursive `Drop` would otherwise
-    /// overflow the stack on long chains.
-    #[progress(wait_free)]
-    pub fn take_mut(&mut self) -> Option<T> {
-        // SAFETY: `&mut self` excludes all concurrent access; an unprotected
-        // guard is sound because nothing can race the swap or still read the
-        // displaced value.
-        // RELAXED: same exclusivity — no observers to synchronize with.
-        let old =
-            unsafe { self.inner.swap(Shared::null(), Ordering::Relaxed, epoch::unprotected()) };
-        if old.is_null() {
-            None
-        } else {
-            // SAFETY: `old` was just detached under exclusive access and is
-            // owned solely by us.
-            Some(*unsafe { old.into_owned() }.into_box())
-        }
-    }
-
     /// Sets the cell to `value` only if it is currently `⊥`.
     ///
     /// This is the wait-free decision-slot primitive: exactly one concurrent
@@ -187,45 +162,6 @@ impl<T: Clone> AtomicCell<T> {
         match self.set_if_bot(value.clone()) {
             Ok(()) => value,
             Err(returned) => self.load().unwrap_or(returned),
-        }
-    }
-
-    /// Replaces the current value with `value` iff `keep_new` approves the
-    /// replacement, retrying on contention (a CAS loop on the cell's
-    /// pointer). Returns whether `value` was installed.
-    ///
-    /// `keep_new` receives the current value (`None` for `⊥`) and decides
-    /// whether `value` should supersede it. This is the lock-free *monotone
-    /// publish* idiom: with a predicate like "new version > current
-    /// version", concurrent publishers never regress the cell, because every
-    /// successful swing re-validated the predicate against the value it
-    /// displaced.
-    #[progress(lock_free)]
-    pub fn update_if(&self, value: T, keep_new: impl Fn(Option<&T>) -> bool) -> bool {
-        let guard = epoch::pin();
-        let mut new = Owned::new(value);
-        loop {
-            let current = self.inner.load(Ordering::Acquire, &guard);
-            // SAFETY: `current` is protected by `guard`; valid for the
-            // predicate's borrow.
-            if !keep_new(unsafe { current.as_ref() }) {
-                return false;
-            }
-            match self.inner.compare_exchange(
-                current,
-                new,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-                &guard,
-            ) {
-                Ok(_) => {
-                    // SAFETY: `current` was displaced from the cell by the
-                    // successful exchange; destruction deferred to the epoch.
-                    unsafe { defer_destroy(current, &guard) };
-                    return true;
-                }
-                Err(failure) => new = failure.new,
-            }
         }
     }
 }
@@ -371,46 +307,6 @@ mod tests {
         });
         let last = cell.load().unwrap();
         assert!(last % 10_000 < 1000, "last value was actually written: {last}");
-    }
-
-    #[test]
-    fn take_mut_moves_the_value_out() {
-        let mut cell = AtomicCell::with_value(vec![1, 2]);
-        assert_eq!(cell.take_mut(), Some(vec![1, 2]));
-        assert!(cell.is_bot());
-        assert_eq!(cell.take_mut(), None);
-    }
-
-    #[test]
-    fn update_if_respects_predicate() {
-        let cell = AtomicCell::with_value(5u64);
-        assert!(!cell.update_if(3, |cur| cur.is_some_and(|&c| 3 > c)));
-        assert_eq!(cell.load(), Some(5));
-        assert!(cell.update_if(8, |cur| cur.is_some_and(|&c| 8 > c)));
-        assert_eq!(cell.load(), Some(8));
-        // `⊥` is passed as `None`.
-        let empty: AtomicCell<u64> = AtomicCell::new();
-        assert!(empty.update_if(1, |cur| cur.is_none()));
-        assert_eq!(empty.load(), Some(1));
-    }
-
-    #[test]
-    fn concurrent_update_if_is_monotone() {
-        // Racing publishers with a strictly-increasing predicate: the cell
-        // must end at the maximum, never regress.
-        let cell: Arc<AtomicCell<u64>> = Arc::new(AtomicCell::with_value(0));
-        std::thread::scope(|s| {
-            for t in 1..=8u64 {
-                let cell = Arc::clone(&cell);
-                s.spawn(move || {
-                    for i in 0..200 {
-                        let v = t * 1000 + i;
-                        cell.update_if(v, |cur| cur.is_none_or(|&c| v > c));
-                    }
-                });
-            }
-        });
-        assert_eq!(cell.load(), Some(8199), "the maximum published value wins");
     }
 
     #[test]

@@ -97,7 +97,7 @@ impl<T> OnceBox<T> {
     /// One read, then — only if the box is `⊥` — one CAS: the installed
     /// value on a win, or the caller's value and the winner's on a loss.
     #[progress(wait_free)]
-    fn install(&self, value: T) -> Result<&T, (T, &T)> {
+    pub(crate) fn install(&self, value: T) -> Result<&T, (T, &T)> {
         if let Some(winner) = self.get() {
             return Err((value, winner));
         }
@@ -113,6 +113,16 @@ impl<T> OnceBox<T> {
             Err(winner) => Err(unsafe { (*Box::from_raw(new), &*winner) }),
         }
     }
+
+    /// Moves the value out (leaving `⊥`), for the iterative teardown of a
+    /// chain of boxes, whose recursive `Drop` would overflow the stack.
+    pub(crate) fn take_box(&mut self) -> Option<Box<T>> {
+        let ptr = std::mem::replace(self.ptr.get_mut(), ptr::null_mut());
+        // SAFETY: `&mut self` excludes every reader, and a non-null pointer
+        // came from `Box::into_raw` in a winning `install`: the box owned it
+        // alone and no longer refers to it.
+        (!ptr.is_null()).then(|| unsafe { Box::from_raw(ptr) })
+    }
 }
 
 impl<T> Default for OnceBox<T> {
@@ -123,13 +133,7 @@ impl<T> Default for OnceBox<T> {
 
 impl<T> Drop for OnceBox<T> {
     fn drop(&mut self) {
-        let ptr = *self.ptr.get_mut();
-        if !ptr.is_null() {
-            // SAFETY: `&mut self` excludes every reader, and the pointer came
-            // from `Box::into_raw` in a winning `install`: the box owns it
-            // alone.
-            drop(unsafe { Box::from_raw(ptr) });
-        }
+        drop(self.take_box());
     }
 }
 

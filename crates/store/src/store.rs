@@ -37,8 +37,9 @@
 //! bouncing stragglers) followed by a sealed [`AdoptSpec`] through the
 //! parent (folding the drained entries in) — each seal doubles as that
 //! log's checkpoint anchor, so a merge also compacts both logs. The
-//! store's current `(topology, shards)` pair is one atomically-published
-//! view; readers never lock to route.
+//! store's current `(topology, shards)` pair is one view, published once
+//! per reconfiguration and kept for the store's lifetime, so a request
+//! borrows it with one load: no lock, no epoch pin, no reference count.
 //!
 //! With [`StoreBuilder::elastic`], the store drives both itself: a policy
 //! engine ([`ElasticityPolicy`]) rides the commit path, splitting on
@@ -60,7 +61,7 @@ use std::time::Duration;
 
 use apc_core::liveness::Liveness;
 use apc_progress_macros::progress;
-use apc_registers::AtomicCell;
+use apc_registers::Generations;
 use apc_universal::{AsymmetricFactory, OwnedHandle, Universal};
 
 use apc_obs::{MetricsSnapshot, Sample, SampleValue};
@@ -227,9 +228,9 @@ impl PortDigest {
     }
 }
 
-/// One atomically-published routing generation: the topology and the shard
-/// handles it routes to. Everything a client needs to place and commit a
-/// batch is reachable from one wait-free load of the current view.
+/// One routing generation: the topology and the shard handles it routes
+/// to. Everything a client needs to place and commit a batch is reachable
+/// from one wait-free load of the current view.
 struct StoreView {
     topology: ShardTopology,
     shards: Vec<Arc<Shard>>,
@@ -298,9 +299,12 @@ impl StoreBuilder {
     ///
     /// The seal rides the shard's guest tier (and is skipped — not queued —
     /// when that port is busy, so the cadence is amortized, never
-    /// blocking); each seal caps the shard log's memory and keeps
-    /// fresh-handle replay O(delta) without any explicit
-    /// [`Store::checkpoint`] call. Only a **guest** commit seals: the seal
+    /// blocking); each seal makes the shard log's prefix before it
+    /// reclaimable without any explicit [`Store::checkpoint`] call. The
+    /// prefix is freed once every port of the shard has replayed past it:
+    /// every port handle is made when the shard is built, and one that
+    /// never visits the shard keeps its log alive from its build-time
+    /// cursor (ROADMAP item 9). Only a **guest** commit seals: the seal
     /// is a lock-free checkpoint that clones the shard's state, which a
     /// bounded wait-free VIP commit must never carry. VIP commits count
     /// toward the cadence, and one that crosses a boundary skips that
@@ -477,7 +481,7 @@ impl StoreBuilder {
             .collect();
         Ok(Store {
             admission,
-            view: AtomicCell::with_value(Arc::new(StoreView { topology, shards })),
+            view: Generations::new(StoreView { topology, shards }),
             admin: Mutex::new(()),
             checkpoint_every: self.checkpoint_every,
             elastic: self.elastic.map(|policy| ElasticSlot {
@@ -539,9 +543,14 @@ impl std::error::Error for SplitError {}
 /// See the [module docs](self) for the architecture and consistency model.
 pub struct Store {
     admission: Admission,
-    /// The current `(topology, shards)` generation; swapped atomically by
-    /// splits and merges, loaded wait-free by every operation. Never `⊥`.
-    view: AtomicCell<Arc<StoreView>>,
+    /// The current `(topology, shards)` generation, published by splits
+    /// and merges under the admin lock and borrowed by every operation with
+    /// one load. Every view stays until the store drops: one per
+    /// reconfiguration, so under the elastic driver at most
+    /// 2 × (`MAX_SHARDS` − initial shards) of them, each a topology and a
+    /// `Vec` of `Arc`s — small next to the tombstoned `Shard` that every
+    /// reconfiguration already keeps.
+    view: Generations<StoreView>,
     /// Serializes admin operations (splits, merges, and store-wide
     /// checkpoints) so a durable snapshot's topology always matches its
     /// sealed states. It guards no data, so a panic under it poisons
@@ -611,22 +620,14 @@ impl Store {
         Client { store: self, ticket }
     }
 
-    /// The current routing view (one wait-free load).
-    fn current_view(&self) -> Arc<StoreView> {
-        self.view.load().expect("the view is initialized and never cleared")
-    }
-
     /// The bounded arms' view source: the current view if the topology a
     /// `Moved` rejection pointed at is published, [`Input::NotYet`] if not
     /// — one wait-free load, never a wait.
     #[progress(wait_free)]
-    fn view_published(&self, min_version: u64) -> Result<Arc<StoreView>, Input> {
-        let view = self.current_view();
-        if view.topology.version() >= min_version {
-            Ok(view)
-        } else {
-            Err(Input::NotYet)
-        }
+    fn view_published(&self, min_version: u64) -> Result<&StoreView, Input> {
+        Some(self.view.newest())
+            .filter(|view| view.topology.version() >= min_version)
+            .ok_or(Input::NotYet)
     }
 
     /// The waiting arm's view source: waits for a view of at least
@@ -643,7 +644,7 @@ impl Store {
     /// turns that into the typed [`StoreError::Unavailable`] instead of
     /// aborting the client thread.
     #[progress(blocking)]
-    fn view_at_least(&self, min_version: u64) -> Result<Arc<StoreView>, Input> {
+    fn view_at_least(&self, min_version: u64) -> Result<&StoreView, Input> {
         let deadline = std::time::Instant::now() + VIEW_WAIT;
         let mut backoff_ns: u64 = 0;
         loop {
@@ -667,17 +668,17 @@ impl Store {
     /// retired — shard ids are dense and stable, so merged-away shards
     /// keep their slot as tombstones).
     pub fn shards(&self) -> usize {
-        self.current_view().topology.shards()
+        self.view.newest().topology.shards()
     }
 
     /// Number of live (routable) shards in the current topology.
     pub fn live_shards(&self) -> usize {
-        self.current_view().topology.live_shards()
+        self.view.newest().topology.live_shards()
     }
 
     /// A clone of the current shard topology (version, split tree, seeds).
     pub fn topology(&self) -> ShardTopology {
-        self.current_view().topology.clone()
+        self.view.newest().topology.clone()
     }
 
     /// The per-shard liveness specification.
@@ -692,7 +693,7 @@ impl Store {
 
     /// The shard owning `key` under the current topology.
     pub fn shard_of(&self, key: &str) -> usize {
-        self.current_view().topology.shard_of(key)
+        self.view.newest().topology.shard_of(key)
     }
 
     /// Wait-free store-wide statistics: for each shard, the freshest
@@ -705,7 +706,7 @@ impl Store {
     /// from the others is the one to [`split`](Store::split_shard).
     #[progress(wait_free)]
     pub fn snapshot_stats(&self) -> Vec<ShardDigest> {
-        Self::digests(&self.current_view())
+        Self::digests(self.view.newest())
     }
 
     /// Every shard's digest in `view`: the freshest per-port digest plus
@@ -741,8 +742,8 @@ impl Store {
     /// (it does not depend on iterator or `max_by` tie-breaking order).
     #[progress(wait_free)]
     pub fn hottest_shard(&self) -> usize {
-        let view = self.current_view();
-        hottest_live(&view, &Self::digests(&view))
+        let view = self.view.newest();
+        hottest_live(view, &Self::digests(view))
     }
 
     /// A wait-free scrape of every exported metric series: the registry's
@@ -762,8 +763,8 @@ impl Store {
     pub fn scrape(&self) -> MetricsSnapshot {
         // One view and one collect: the hottest-shard gauge and the
         // per-shard series describe the same topology and digests.
-        let view = self.current_view();
-        let stats = Self::digests(&view);
+        let view = self.view.newest();
+        let stats = Self::digests(view);
         let mut samples = self.metrics.samples();
         let gauges: [(&'static str, &'static str, u64); 4] = [
             (
@@ -784,7 +785,7 @@ impl Store {
             (
                 "store_hottest_shard",
                 "Live shard with the most heat: cells plus local reads (lowest id on ties).",
-                hottest_live(&view, &stats) as u64,
+                hottest_live(view, &stats) as u64,
             ),
         ];
         for (name, help, value) in gauges {
@@ -812,7 +813,7 @@ impl Store {
                 value: SampleValue::Gauge(d.entries),
             });
         }
-        samples.extend(self.wal.iter().flat_map(|wal| wal.scrape().samples));
+        Vec::extend(&mut samples, self.wal.iter().flat_map(|wal| wal.scrape().samples));
         MetricsSnapshot { samples }
     }
 
@@ -860,7 +861,7 @@ impl Store {
 
     /// The body of [`Store::split_shard`]; the caller holds the admin lock.
     fn split_locked(&self, shard: usize) -> Result<usize, SplitError> {
-        let view = self.current_view();
+        let view = self.view.newest();
         if shard >= view.topology.shards() {
             return Err(SplitError::NoSuchShard { shard, shards: view.topology.shards() });
         }
@@ -889,7 +890,7 @@ impl Store {
         let mut shards = view.shards.clone();
         shards.push(child_shard);
         self.metrics.record_split(topology.version());
-        self.view.store(Arc::new(StoreView { topology, shards }));
+        self.view.supersede(StoreView { topology, shards });
         Ok(child)
     }
 
@@ -946,7 +947,7 @@ impl Store {
 
     /// The body of [`Store::merge_shard`]; the caller holds the admin lock.
     fn merge_locked(&self, child: usize) -> Result<usize, MergeError> {
-        let view = self.current_view();
+        let view = self.view.newest();
         let (topology, parent) = view.topology.merge(child)?;
         let version = topology.version();
         // Child-side linearization point: retire through the child's own
@@ -973,7 +974,7 @@ impl Store {
         );
         self.metrics.record_merge(version);
         self.metrics.record_adopt();
-        self.view.store(Arc::new(StoreView { topology, shards: view.shards.clone() }));
+        self.view.supersede(StoreView { topology, shards: view.shards.clone() });
         Ok(parent)
     }
 
@@ -985,14 +986,14 @@ impl Store {
     /// Checkpoints ride the guest tier (the last port of each shard), so
     /// sealing never contends with a VIP's exclusive port; placement is
     /// lock-free — each failed attempt means a client batch committed
-    /// instead. The sealed prefix caps the shard log's memory: fresh port
-    /// handles bootstrap from it and the retired cells become reclaimable.
+    /// instead. The sealed prefix becomes reclaimable, and is freed once
+    /// every port of the shard has replayed past it.
     /// Serializes with [`Store::split_shard`] so the snapshot's topology
     /// always matches its sealed states.
     #[progress(blocking)]
     pub fn checkpoint(&self) -> crate::persist::StoreSnapshot {
         let _admin = lock_unpoisoned(&self.admin);
-        let view = self.current_view();
+        let view = self.view.newest();
         let shards = view
             .shards
             .iter()
@@ -1009,7 +1010,7 @@ impl Store {
     /// Per-shard latest-checkpoint log indices (0 where no checkpoint was
     /// ever sealed): where a fresh handle on each shard starts replaying.
     pub fn anchor_indices(&self) -> Vec<u64> {
-        self.current_view().shards.iter().map(|shard| shard.log.anchor_index()).collect()
+        self.view.newest().shards.iter().map(|shard| shard.log.anchor_index()).collect()
     }
 
     /// Total log cells replayed by this store's port handles since build —
@@ -1021,7 +1022,8 @@ impl Store {
     /// never waits on a commit in flight and never locks a VIP's port.
     #[progress(wait_free)]
     pub fn replay_steps(&self) -> u64 {
-        self.current_view()
+        self.view
+            .newest()
             .shards
             .iter()
             .flat_map(|shard| &shard.digests)
@@ -1211,8 +1213,7 @@ impl Store {
         let Some(mut engine) = try_lock_unpoisoned(&slot.engine) else { return };
         let Some(_admin) = try_lock_unpoisoned(&self.admin) else { return };
         let stats = self.snapshot_stats();
-        let topology = self.current_view().topology.clone();
-        let decision = engine.evaluate(total, &stats, &topology);
+        let decision = engine.evaluate(total, &stats, &self.view.newest().topology);
         let applied = match decision {
             ElasticDecision::Split(shard) => self.split_locked(shard).is_ok(),
             ElasticDecision::Merge(shard) => self.merge_locked(shard).is_ok(),
@@ -1269,17 +1270,17 @@ impl Store {
     /// arm's tier ([`Store::execute_in`]), `seek_view` whether the arm waits
     /// for a topology ([`Store::view_at_least`]) or not
     /// ([`Store::view_published`]).
-    fn replan(
-        &self,
+    fn replan<'s>(
+        &'s self,
         mut plan: Replan,
         mut commit_sub: impl FnMut(&Shard, usize, Batch) -> Vec<StoreResp>,
-        mut seek_view: impl FnMut(u64) -> Result<Arc<StoreView>, Input>,
+        mut seek_view: impl FnMut(u64) -> Result<&'s StoreView, Input>,
     ) -> Vec<Response> {
         let started = std::time::Instant::now();
-        let mut view = Ok(self.current_view());
+        let mut view = Ok(self.view.newest());
         loop {
             let input = match view {
-                Ok(view) => Store::execute_in(&view, plan.due_ops(), &mut commit_sub),
+                Ok(view) => Store::execute_in(view, plan.due_ops(), &mut commit_sub),
                 Err(unpublished) => unpublished,
             };
             match plan.advance(input, started.elapsed()) {
@@ -1313,7 +1314,7 @@ fn count_moved(resps: &[StoreResp]) -> u64 {
 
 impl fmt::Debug for Store {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let view = self.current_view();
+        let view = self.view.newest();
         f.debug_struct("Store")
             .field("shards", &view.topology.shards())
             .field("topology_version", &view.topology.version())
@@ -2365,7 +2366,8 @@ mod tests {
         }
         let anchor = store.anchor_indices()[0];
         assert!(anchor >= 8, "at least two cadence windows must have sealed, got {anchor}");
-        // A fresh session replays O(delta) thanks to the cadence.
+        // A fresh session rides a port made when the shard was built, which
+        // replays from its own cursor, not from the anchor, and sees all.
         let mut fresh = store.client(store.admit_guest());
         assert_eq!(fresh.get("k0"), Some(0));
         assert_eq!(c.scan("", "z").len(), 24, "sealing never loses commits");
@@ -2578,7 +2580,7 @@ mod tests {
         }
         let steps = store.replay_steps();
         assert!(steps > 0);
-        let view = store.current_view();
+        let view = store.view.newest();
         let held = view.shards[store.shard_of("k0")].ports[ticket.port()].lock().unwrap();
         let (tx, rx) = std::sync::mpsc::channel();
         let store = &store;
@@ -2644,7 +2646,8 @@ mod tests {
     /// Every port's replay cursor on every shard, `[shard][port]`.
     fn cursors(store: &Store) -> Vec<Vec<u64>> {
         store
-            .current_view()
+            .view
+            .newest()
             .shards
             .iter()
             .map(|sh| sh.ports.iter().map(|p| p.lock().unwrap().replayed_cells()).collect())
@@ -2753,7 +2756,7 @@ mod tests {
         for (i, k) in keys.iter().enumerate() {
             c.put(k, i as u64);
         }
-        let stale = store.current_view();
+        let stale = store.view.newest();
         store.split_shard(1).unwrap();
         // The split driver absorbed its bump before it published, so the
         // reader's catch-up crosses it and the stale plan bounces whole at
@@ -2762,7 +2765,7 @@ mod tests {
         // bounced its copy — the retry's copy comes from there.
         let mut ops: Vec<StoreOp> = keys.iter().cloned().map(StoreOp::Get).collect();
         ops.push(StoreOp::Scan { from: "s/".into(), to: "s/99".into() });
-        let round = Store::execute_in(&stale, ops.clone(), |shard, s, batch| {
+        let round = Store::execute_in(stale, ops.clone(), |shard, s, batch| {
             store.commit_vip(shard, s, vip.port(), batch, DurabilityClass::Group)
         });
         let Input::Landed { resps, bounced } = round else { panic!("a round over a view lands") };
@@ -2802,7 +2805,7 @@ mod tests {
             let before = moved(store);
             let live = store.topology();
             let victim = (0..live.shards()).find(|&s| live.is_live(s)).unwrap();
-            let view = store.current_view();
+            let view = store.view.newest();
             assert_ne!(ticket.port(), view.shards[victim].ports.len() - 1, "the driver's port");
             let parked = view.shards[victim].ports[ticket.port()].lock().unwrap();
             let go = std::sync::Barrier::new(2);

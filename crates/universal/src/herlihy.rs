@@ -6,8 +6,8 @@
 //! helping rule included) and absorb the agreed record (`absorb`). Absorbing
 //! borrows the record where the cell's decision slot holds it — no clone,
 //! no epoch pin — applies its operation if there is one, notes it in
-//! `applied`, moves the cursor, and publishes the anchor if the record
-//! seals a state. Only the walker's own operation is applied with
+//! `applied`, moves the cursor, and raises the tail if the record seals a
+//! state. Only the walker's own operation is applied with
 //! [`SequentialSpec::apply`], for the response it is waiting on; every other
 //! record is *replayed* ([`SequentialSpec::replay`]) for its effect on the
 //! replica alone, so a lagging replica pays one state change per foreign
@@ -21,10 +21,13 @@
 //! index — into the next free cell. Once a checkpoint is agreed, it is a
 //! no-op for replicas that are already past it (by determinism its sealed
 //! state equals their replayed prefix), but it becomes the **anchor** for
-//! everyone arriving later: fresh handles bootstrap from the latest agreed
-//! checkpoint and replay only the post-checkpoint suffix, so handle
-//! creation costs O(delta) instead of O(history), and the pre-checkpoint
-//! prefix of the log becomes *reclaimable*.
+//! everyone arriving later: fresh handles bootstrap from the latest
+//! published seal and replay only the suffix after it, so handle creation
+//! costs O(delta) instead of O(history), and the pre-checkpoint prefix of
+//! the log becomes *reclaimable*. The anchor has one writer at a time: the
+//! walker whose `checkpoint` or `reconfigure` returns a seal publishes it,
+//! under a `try_lock` that skips a contended publish (the next seal
+//! publishes). A walker that only crosses a seal leaves the anchor alone.
 //!
 //! **The log is a chain of segments.** A segment is `SEGMENT_CELLS` (64)
 //! consensus objects in one allocation, built whole by the first handle to
@@ -47,7 +50,7 @@
 //! bytes per cell + one replica of the state per handle, with cells
 //! retained = log length since the start of the slowest live cursor's
 //! segment. Bounding the first factor — a lagging handle re-adopts the
-//! anchor, the cadence becomes a default — is ROADMAP item 3; the second
+//! anchor, the cadence becomes a default — is ROADMAP item 9; the second
 //! factor is a cell's share of its segment plus its agreed record, which
 //! with the store's `(n,x)`-live cells is the same whichever class decided
 //! the cell: a guest retires its round protocol once the cell is decided.
@@ -71,7 +74,7 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use apc_core::consensus::Consensus;
 use apc_core::error::ConsensusError;
@@ -248,16 +251,12 @@ impl<C> Drop for Segment<C> {
     }
 }
 
-/// The latest known agreed checkpoint: where fresh handles bootstrap.
-struct Anchor<S, C>
-where
-    S: SequentialSpec,
-{
-    /// Log index of the first cell a bootstrapping replay consumes.
-    index: u64,
-    state: Arc<S::State>,
+/// The latest published seal: where fresh handles bootstrap. Its log
+/// index is [`Universal`]'s `anchor_index`.
+struct Anchor<T, C> {
+    state: Arc<T>,
     applied: Vec<u64>,
-    /// The segment holding cell `index`.
+    /// The segment holding the cell at the anchor's index.
     segment: Arc<Segment<C>>,
 }
 
@@ -275,19 +274,25 @@ where
     factory: F,
     n: usize,
     announce: Vec<AtomicCell<Announce<S::Op>>>,
-    /// Latest agreed checkpoint (initially the empty prefix at the head).
-    /// Monotone in `index`; never `⊥`.
-    anchor: AtomicCell<Arc<Anchor<S, F::Object>>>,
+    /// Latest published seal (initially the empty prefix at the head).
+    /// Written only by a walker whose `checkpoint` or `reconfigure` returned
+    /// a seal, and read only by [`Universal::owned_handle`]. Monotone in
+    /// `anchor_index`.
+    anchor: Mutex<Anchor<S::State, F::Object>>,
+    /// The anchor's log index: the first cell a bootstrapping replay
+    /// consumes. Stored under `anchor`'s lock, and loaded without it by
+    /// [`Universal::anchor_index`].
+    anchor_index: AtomicU64,
     handles: AtomicU64,
     /// A log index every cell below which is decided, and past every cell
     /// whose effect a caller has been shown. Raised to the walker's cursor
     /// once per call, not per cell: by [`OwnedHandle::apply`] before it
-    /// returns its response, and by `absorb` before it publishes a seal as
-    /// the anchor — which is how `reconfigure` and `checkpoint` raise it
-    /// before they return. So **every response or publication that depends
-    /// on cell `i` happens after `tail > i`**, and whenever none of its
-    /// operations is running, a handle's cursor is at most `tail`. This is
-    /// what [`OwnedHandle::sync_read`] catches up to.
+    /// returns its response, and by `absorb` for every seal it crosses —
+    /// which is how `reconfigure` and `checkpoint` raise it before they
+    /// publish the anchor and return. So **every response or publication
+    /// that depends on cell `i` happens after `tail > i`**, and whenever
+    /// none of its operations is running, a handle's cursor is at most
+    /// `tail`. This is what [`OwnedHandle::sync_read`] catches up to.
     tail: AtomicU64,
 }
 
@@ -303,7 +308,7 @@ where
     /// Panics if `n == 0` or `n > 64`.
     pub fn new(spec: S, factory: F, n: usize) -> Self {
         let init = spec.init();
-        Self::with_anchor(spec, factory, n, init, 0)
+        Self::recovered(spec, factory, n, init, 0)
     }
 
     /// Creates a universal object whose log *starts* at `index` with the
@@ -318,19 +323,16 @@ where
     ///
     /// Panics if `n == 0` or `n > 64`.
     pub fn recovered(spec: S, factory: F, n: usize, state: S::State, index: u64) -> Self {
-        Self::with_anchor(spec, factory, n, state, index)
-    }
-
-    fn with_anchor(spec: S, factory: F, n: usize, state: S::State, index: u64) -> Self {
         assert!((1..=64).contains(&n), "n must be in 1..=64");
         let head = Arc::new(Segment::new(|| factory.create()));
-        let anchor = Anchor { index, state: Arc::new(state), applied: vec![0; n], segment: head };
+        let anchor = Anchor { state: Arc::new(state), applied: vec![0; n], segment: head };
         Universal {
             spec,
             factory,
             n,
             announce: (0..n).map(|_| AtomicCell::new()).collect(),
-            anchor: AtomicCell::with_value(Arc::new(anchor)),
+            anchor: Mutex::new(anchor),
+            anchor_index: AtomicU64::new(index),
             handles: AtomicU64::new(0),
             tail: AtomicU64::new(index),
         }
@@ -341,29 +343,26 @@ where
         self.n
     }
 
-    /// Log index of the latest agreed checkpoint this object knows about
-    /// (0 if none was ever taken): where a fresh handle starts replaying.
+    /// Log index of the latest published seal (the log's first index if none
+    /// was ever published): where a fresh handle starts replaying.
     #[progress(wait_free)]
     pub fn anchor_index(&self) -> u64 {
-        self.latest_anchor().index
-    }
-
-    fn latest_anchor(&self) -> Arc<Anchor<S, F::Object>> {
-        self.anchor.load().expect("the anchor is initialized and never cleared")
+        self.anchor_index.load(Ordering::Acquire)
     }
 
     /// Takes the (unique) handle for process `pid`: claims the port bit and
-    /// starts the handle's replica at the latest checkpoint anchor. The
-    /// handle keeps the object alive through an [`Arc`], so it can be stored
-    /// next to (or instead of) the object without borrowing it, e.g. in a
-    /// pool of per-port slots.
+    /// starts the handle's replica at the latest published seal, read under
+    /// the anchor's lock (the admin path: a store makes every handle when
+    /// it builds a shard). The handle keeps the object alive through an
+    /// [`Arc`], so it can be stored next to (or instead of) the object
+    /// without borrowing it, e.g. in a pool of per-port slots.
     ///
     /// # Errors
     ///
     /// * [`UniversalError::NotAPort`] if `pid` is not a port of the
     ///   factory's liveness spec;
     /// * [`UniversalError::HandleTaken`] if the handle was already taken.
-    #[progress(wait_free)]
+    #[progress(blocking)]
     pub fn owned_handle(self: &Arc<Self>, pid: usize) -> Result<OwnedHandle<S, F>, UniversalError> {
         if pid >= self.n || !self.factory.spec().is_port(pid) {
             return Err(UniversalError::NotAPort { pid });
@@ -372,13 +371,13 @@ where
         if self.handles.fetch_or(bit, Ordering::AcqRel) & bit != 0 {
             return Err(UniversalError::HandleTaken { pid });
         }
-        let anchor = self.latest_anchor();
+        let anchor = self.anchor.lock().unwrap_or_else(PoisonError::into_inner);
         Ok(OwnedHandle {
             obj: Arc::clone(self),
             pid,
             seq: 0,
             segment: Arc::clone(&anchor.segment),
-            cell_index: anchor.index,
+            cell_index: self.anchor_index.load(Ordering::Acquire),
             state: S::State::clone(&anchor.state),
             applied: anchor.applied.clone(),
             steps: 0,
@@ -400,9 +399,11 @@ where
 }
 
 /// What [`OwnedHandle::absorb`] crossed.
-struct Absorbed<R> {
+struct Absorbed<R, T> {
     /// Whether the cell agreed on a checkpoint.
     checkpoint: bool,
+    /// The state the cell sealed, if it sealed one.
+    seal: Option<Arc<T>>,
     /// Log index of the absorbed cell.
     index: u64,
     /// The walker's own operation, answered at this cell; `None` for every
@@ -481,7 +482,8 @@ where
     /// This is the live-reconfiguration primitive: the op observes exactly
     /// the operations that committed before the bump, every replica applies
     /// it at the same log index, and fresh handles bootstrap from the sealed
-    /// post-state (the cell doubles as a checkpoint anchor).
+    /// post-state (the cell doubles as a checkpoint anchor, which this call
+    /// publishes as [`Self::checkpoint`] does).
     ///
     /// Progress: lock-free. Like checkpoints, reconfig proposals are not
     /// announced (nobody helps them), so each failed placement attempt means
@@ -506,7 +508,8 @@ where
                 })
             });
             // A reconfiguration seals, so absorbing it raised the tail.
-            if let Some(Absorbed { index, resp: Some(resp), .. }) = self.absorb(Some(me)) {
+            if let Some(Absorbed { index, resp: Some(resp), seal, .. }) = self.absorb(Some(me)) {
+                self.publish_anchor(seal);
                 return (index, resp);
             }
         }
@@ -516,9 +519,11 @@ where
     /// agreed through the same consensus path as operations; returns the
     /// log index of the checkpoint cell.
     ///
-    /// After agreement, fresh handles bootstrap from the sealed state and
-    /// replay only the post-checkpoint suffix (O(delta) instead of
-    /// O(history)), and the pre-checkpoint cells become reclaimable.
+    /// After agreement this call publishes the seal as the anchor (unless
+    /// it finds the anchor's lock held, and skips the publish): fresh
+    /// handles bootstrap from it and replay only the post-checkpoint suffix
+    /// (O(delta) instead of O(history)), and the pre-checkpoint cells
+    /// become reclaimable.
     ///
     /// Progress: lock-free — each failed placement attempt is another
     /// port's record committing; the loop absorbs it and re-seals at the
@@ -537,7 +542,8 @@ where
             // Any checkpoint agreed at my cursor cell seals exactly my
             // replayed prefix (determinism), so it serves whether or not I
             // proposed it; absorbing it raised the tail.
-            if let Some(Absorbed { checkpoint: true, index, .. }) = self.absorb(None) {
+            if let Some(Absorbed { checkpoint: true, index, seal, .. }) = self.absorb(None) {
+                self.publish_anchor(seal);
                 return index;
             }
         }
@@ -612,11 +618,11 @@ where
     /// sequence number), and replayed for its effect otherwise; either way
     /// it is noted in `applied`. Then the cursor moves, and — if the record
     /// seals a state (a checkpoint its prefix, a reconfiguration its own
-    /// post-state) — the tail is raised and the seal published as the
-    /// bootstrap anchor for future handles. By determinism the seal equals
-    /// the local replica here, so it is shared straight out of the record,
-    /// never cloned.
-    fn absorb(&mut self, awaited: Option<(usize, u64)>) -> Option<Absorbed<S::Resp>> {
+    /// post-state) — the tail is raised and the seal handed back, for a
+    /// sealing caller to publish. By determinism the seal equals the local
+    /// replica here, so it is shared straight out of the record, never
+    /// cloned.
+    fn absorb(&mut self, awaited: Option<(usize, u64)>) -> Option<Absorbed<S::Resp, S::State>> {
         let index = self.cell_index;
         let Self { obj, segment, state, applied, .. } = self;
         let (checkpoint, resp, seal) = segment.cells[offset(index)].peek_with(|decided| {
@@ -643,25 +649,31 @@ where
             Some((checkpoint, resp, seal.map(Arc::clone)))
         })?;
         self.advance();
-        if let Some(state) = seal {
-            debug_assert!(*state == self.state, "a sealed state matches the replica");
+        if let Some(state) = &seal {
+            debug_assert!(**state == self.state, "a sealed state matches the replica");
             self.raise_tail();
-            let anchor_index = self.cell_index;
-            // Skip the allocation when someone already published this seal
-            // (or a later one).
-            if self.obj.latest_anchor().index < anchor_index {
-                let anchor = Arc::new(Anchor {
-                    index: anchor_index,
-                    state,
-                    applied: self.applied.clone(),
-                    segment: Arc::clone(&self.segment),
-                });
-                // Monotone publish: racing replicas can only move the anchor
-                // forward.
-                self.obj.anchor.update_if(anchor, |cur| cur.is_none_or(|a| a.index < anchor_index));
-            }
         }
-        Some(Absorbed { checkpoint, index, resp })
+        Some(Absorbed { checkpoint, seal, index, resp })
+    }
+
+    /// Publishes `seal`, which this walker just absorbed in the cell before
+    /// its cursor, as the anchor for handles created from now on. A publish
+    /// that finds the anchor's lock held is skipped, and the next seal
+    /// publishes; so is one that finds it poisoned (a panic while
+    /// `owned_handle` cloned the state), which leaves an earlier seal in
+    /// place: as correct, at more replay for a later handle. One behind the
+    /// anchor changes nothing, so the anchor never moves backward.
+    fn publish_anchor(&self, seal: Option<Arc<S::State>>) {
+        let mut segment = Arc::clone(&self.segment);
+        let (Some(mut state), Ok(mut anchor)) = (seal, self.obj.anchor.try_lock()) else { return };
+        if self.obj.anchor_index.load(Ordering::Acquire) < self.cell_index {
+            anchor.applied.clone_from(&self.applied);
+            std::mem::swap(&mut anchor.state, &mut state);
+            std::mem::swap(&mut anchor.segment, &mut segment);
+            self.obj.anchor_index.store(self.cell_index, Ordering::Release);
+        }
+        // The displaced state and segment drop after the guard: nothing
+        // under the lock runs a destructor, so no publish poisons it.
     }
 
     /// Moves the cursor to the next cell: the next one in its segment, or,
@@ -1186,12 +1198,14 @@ mod tests {
                         if !(witness && stops) {
                             drive(&mut port);
                         }
-                        (port.state, port.applied.clone(), port.cell_index, obj.anchor_index())
+                        ((port.state, port.applied.clone(), port.cell_index), obj.anchor_index())
                     };
-                    let alone = crossed(false);
+                    let (alone, anchor) = crossed(false);
                     let case = format!("{name} absorbing a foreign {kind} in cell {at}");
-                    assert_eq!(alone, crossed(true), "{case}");
-                    assert!(kind == "op" || alone.3 > at, "{case} published its seal");
+                    assert_eq!(alone, crossed(true).0, "{case}");
+                    // Only a walker whose own call returns a seal publishes.
+                    let seals = matches!(name, "checkpoint" | "reconfigure");
+                    assert_eq!(anchor > at, seals, "{case}: published iff it returned a seal");
                 }
             }
         }
@@ -1278,7 +1292,7 @@ mod tests {
             (&applier.state, &applier.applied, applier.cell_index)
         );
         assert_eq!(reader.applied, seqs.to_vec(), "every authored record is noted");
-        assert!(obj.anchor_index() > 0, "the seals were published");
+        assert_eq!(obj.anchor_index(), 0, "absorbing a seal publishes nothing");
     }
 
     #[test]
@@ -1418,6 +1432,91 @@ mod tests {
                 }
             });
         });
+    }
+
+    #[test]
+    fn racing_sealers_never_move_the_anchor_backward() {
+        // Three ports seal over and over while two write; a watcher reads
+        // the anchor throughout. Afterwards a fresh handle starts at the
+        // published anchor and reads the exact total.
+        let (n, writers, per_writer) = (6, 2u64, 300u64);
+        let obj = wait_free_counter(n);
+        let sealing = AtomicU64::new(3);
+        std::thread::scope(|s| {
+            for pid in 0..writers as usize {
+                let obj = &obj;
+                s.spawn(move || {
+                    let mut h = obj.owned_handle(pid).unwrap();
+                    for _ in 0..per_writer {
+                        h.apply(CounterOp::Add(1));
+                    }
+                });
+            }
+            for pid in 2..5 {
+                let (obj, sealing) = (&obj, &sealing);
+                s.spawn(move || {
+                    let mut h = obj.owned_handle(pid).unwrap();
+                    for i in 0..40 {
+                        if i % 2 == 0 {
+                            h.checkpoint();
+                        } else {
+                            h.reconfigure(CounterOp::Add(0));
+                        }
+                    }
+                    sealing.fetch_sub(1, Ordering::SeqCst);
+                });
+            }
+            let (obj, sealing) = (&obj, &sealing);
+            s.spawn(move || {
+                let mut last = 0;
+                while sealing.load(Ordering::SeqCst) > 0 {
+                    let index = obj.anchor_index();
+                    assert!(index >= last, "the anchor went back from {last} to {index}");
+                    last = index;
+                }
+            });
+        });
+        let anchor = obj.anchor_index();
+        assert!(anchor > 0, "some seal was published");
+        assert!(anchor <= obj.tail.load(Ordering::SeqCst), "the anchor is past no raised tail");
+        let mut fresh = obj.owned_handle(5).unwrap();
+        assert_eq!(fresh.replayed_cells(), anchor, "a fresh handle starts at the anchor");
+        assert_eq!(fresh.sync_read(|s| *s), writers * per_writer);
+        assert_eq!(fresh.replay_steps(), fresh.replayed_cells() - anchor);
+    }
+
+    #[test]
+    fn a_replaying_walker_leaves_the_anchor_where_the_sealer_put_it() {
+        let obj = wait_free_counter(4);
+        let mut sealer = obj.owned_handle(0).unwrap();
+        let mut walker = obj.owned_handle(1).unwrap();
+        sealer.apply(CounterOp::Add(1));
+        let sealed = sealer.checkpoint() + 1;
+        assert_eq!(obj.anchor_index(), sealed);
+        // A seal whose publish finds the lock held is skipped, not queued.
+        let held = obj.anchor.lock().unwrap();
+        sealer.apply(CounterOp::Add(2));
+        sealer.reconfigure(CounterOp::Add(3));
+        sealer.checkpoint();
+        drop(held);
+        assert_eq!(obj.anchor_index(), sealed, "a contended publish was skipped");
+        // A publish from behind the anchor changes nothing.
+        walker.publish_anchor(Some(Arc::new(0)));
+        assert_eq!(obj.anchor_index(), sealed, "the anchor moved backward");
+        // A walker that crosses both seals, by reading and by applying,
+        // publishes neither.
+        assert_eq!(walker.sync_read(|s| *s), 6);
+        assert_eq!(walker.apply(CounterOp::Add(4)), 10);
+        assert_eq!(obj.anchor_index(), sealed, "a replaying walker moved the anchor");
+        // A fresh handle starts at the published seal and replays the rest.
+        let mut fresh = obj.owned_handle(2).unwrap();
+        assert_eq!(fresh.replayed_cells(), sealed);
+        assert_eq!(fresh.sync_read(|s| *s), 10);
+        assert_eq!(fresh.replay_steps(), 4, "op, reconfiguration, checkpoint, op");
+        // The next seal publishes.
+        let next = walker.checkpoint() + 1;
+        assert_eq!(obj.anchor_index(), next);
+        assert_eq!(obj.owned_handle(3).unwrap().replayed_cells(), next);
     }
 
     #[test]
