@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use apc_model::{
     MaybeParticipant, ObjectId, Op, Program, ProgramAction, System, SystemBuilder, Value,
 };
-use apc_registers::AtomicCell;
+use apc_registers::OnceBox;
 
 use crate::faa::FetchAndAdd;
 use crate::swap::SwapCell;
@@ -33,8 +33,8 @@ use crate::two_consensus::TwoConsensusError;
 /// assert_eq!(cons.propose(1, 9).unwrap(), 5);
 /// ```
 pub struct SwapConsensus<T> {
-    reg: [AtomicCell<T>; 2],
-    token: SwapCell<u8>,
+    reg: [OnceBox<T>; 2],
+    token: SwapCell,
     proposed: [AtomicBool; 2],
 }
 
@@ -42,7 +42,7 @@ impl<T: Clone + Send + Sync> SwapConsensus<T> {
     /// Creates the object.
     pub fn new() -> Self {
         SwapConsensus {
-            reg: [AtomicCell::new(), AtomicCell::new()],
+            reg: [OnceBox::new(), OnceBox::new()],
             token: SwapCell::new(),
             proposed: [AtomicBool::new(false), AtomicBool::new(false)],
         }
@@ -61,13 +61,15 @@ impl<T: Clone + Send + Sync> SwapConsensus<T> {
         if self.proposed[pid].swap(true, Ordering::SeqCst) {
             return Err(TwoConsensusError::AlreadyProposed { pid });
         }
-        self.reg[pid].store(value.clone());
+        // `proposed` admitted `pid` once, so its register is still `⊥`.
+        let fresh = OnceBox::set(&self.reg[pid], value.clone()).is_ok();
+        debug_assert!(fresh, "a process sets its register once");
         std::sync::atomic::fence(Ordering::SeqCst);
-        match self.token.swap(pid as u8) {
+        match self.token.swap(pid as u64) {
             None => Ok(value), // got ⊥ back: went first, wins
             // The winner published before swapping, so the load is non-`⊥`;
             // falling back to our own published proposal keeps this total.
-            Some(_) => Ok(self.reg[1 - pid].load().unwrap_or(value)),
+            Some(_) => Ok(OnceBox::get(&self.reg[1 - pid]).cloned().unwrap_or(value)),
         }
     }
 }
@@ -90,7 +92,7 @@ impl<T: Clone + Send + Sync> Default for SwapConsensus<T> {
 /// assert_eq!(cons.propose(0, "a").unwrap(), "b");
 /// ```
 pub struct FaaConsensus<T> {
-    reg: [AtomicCell<T>; 2],
+    reg: [OnceBox<T>; 2],
     counter: FetchAndAdd,
     proposed: [AtomicBool; 2],
 }
@@ -99,7 +101,7 @@ impl<T: Clone + Send + Sync> FaaConsensus<T> {
     /// Creates the object.
     pub fn new() -> Self {
         FaaConsensus {
-            reg: [AtomicCell::new(), AtomicCell::new()],
+            reg: [OnceBox::new(), OnceBox::new()],
             counter: FetchAndAdd::new(0),
             proposed: [AtomicBool::new(false), AtomicBool::new(false)],
         }
@@ -118,14 +120,16 @@ impl<T: Clone + Send + Sync> FaaConsensus<T> {
         if self.proposed[pid].swap(true, Ordering::SeqCst) {
             return Err(TwoConsensusError::AlreadyProposed { pid });
         }
-        self.reg[pid].store(value.clone());
+        // `proposed` admitted `pid` once, so its register is still `⊥`.
+        let fresh = OnceBox::set(&self.reg[pid], value.clone()).is_ok();
+        debug_assert!(fresh, "a process sets its register once");
         std::sync::atomic::fence(Ordering::SeqCst);
         if self.counter.fetch_add(1) == 0 {
             Ok(value)
         } else {
             // The winner published its value before the fetch-and-add, so
             // the load is non-`⊥`; the fallback keeps this path total.
-            Ok(self.reg[1 - pid].load().unwrap_or(value))
+            Ok(OnceBox::get(&self.reg[1 - pid]).cloned().unwrap_or(value))
         }
     }
 }

@@ -1,61 +1,83 @@
 //! A lock-free swap register.
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use apc_progress_macros::progress;
-use apc_registers::AtomicCell;
 
-/// A wait-free swap register over arbitrary values (consensus number 2).
+/// The sentinel encoding `⊥` inside the word, as in
+/// `apc_registers::PackedRegister`.
+const BOT: u64 = u64::MAX;
+
+/// A wait-free swap register over `u64` values in `0 ..= u64::MAX - 1`
+/// (consensus number 2); one sentinel value encodes `⊥`.
 ///
 /// `swap` atomically exchanges the content with a new value and returns the
 /// previous one; the returned values over concurrent swaps form a chain, a
-/// property the tests verify.
+/// property the tests verify. The register is one word: a swap allocates
+/// nothing and pins no epoch.
 ///
 /// # Examples
 ///
 /// ```
 /// use apc_common2::SwapCell;
-/// let cell: SwapCell<u32> = SwapCell::new();
+/// let cell = SwapCell::new();
 /// assert_eq!(cell.swap(1), None);
 /// assert_eq!(cell.swap(2), Some(1));
 /// ```
-pub struct SwapCell<T> {
-    inner: AtomicCell<T>,
+pub struct SwapCell {
+    word: AtomicU64,
 }
 
-impl<T> SwapCell<T> {
+impl SwapCell {
     /// Creates an empty swap register.
     pub fn new() -> Self {
-        SwapCell { inner: AtomicCell::new() }
+        SwapCell { word: AtomicU64::new(BOT) }
     }
 
     /// Creates a swap register holding `value`.
-    pub fn with_value(value: T) -> Self {
-        SwapCell { inner: AtomicCell::with_value(value) }
+    ///
+    /// # Panics
+    ///
+    /// Panics if `value == u64::MAX` (reserved for `⊥`).
+    pub fn with_value(value: u64) -> Self {
+        assert_ne!(value, BOT, "u64::MAX is reserved for ⊥");
+        SwapCell { word: AtomicU64::new(value) }
     }
-}
 
-impl<T: Clone> SwapCell<T> {
     /// Atomically installs `value`, returning the previous content.
+    ///
+    /// Uses `SeqCst`, as [`crate::TestAndSet`] does: a Common2 consensus
+    /// protocol orders a register write before the swap and a register
+    /// read after it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `value == u64::MAX` (reserved for `⊥`).
     #[progress(wait_free)]
-    pub fn swap(&self, value: T) -> Option<T> {
-        self.inner.swap(value)
+    pub fn swap(&self, value: u64) -> Option<u64> {
+        assert_ne!(value, BOT, "u64::MAX is reserved for ⊥");
+        decode(self.word.swap(value, Ordering::SeqCst))
     }
 
     /// Reads the current content.
     #[progress(wait_free)]
-    pub fn read(&self) -> Option<T> {
-        self.inner.load()
+    pub fn read(&self) -> Option<u64> {
+        decode(self.word.load(Ordering::SeqCst))
     }
 }
 
-impl<T> Default for SwapCell<T> {
+fn decode(word: u64) -> Option<u64> {
+    (word != BOT).then_some(word)
+}
+
+impl Default for SwapCell {
     fn default() -> Self {
         SwapCell::new()
     }
 }
 
-impl<T: Clone + fmt::Debug> fmt::Debug for SwapCell<T> {
+impl fmt::Debug for SwapCell {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_tuple("SwapCell").field(&self.read()).finish()
     }
@@ -88,7 +110,7 @@ mod tests {
         // value is returned at most once, and exactly one thread receives
         // `None` (the initial content).
         for _ in 0..100 {
-            let cell: SwapCell<u64> = SwapCell::new();
+            let cell: SwapCell = SwapCell::new();
             let results = Mutex::new(Vec::new());
             std::thread::scope(|s| {
                 for t in 1..=8u64 {

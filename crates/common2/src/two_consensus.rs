@@ -15,7 +15,7 @@ use apc_progress_macros::progress;
 use apc_model::{
     MaybeParticipant, ObjectId, Op, Program, ProgramAction, System, SystemBuilder, Value,
 };
-use apc_registers::AtomicCell;
+use apc_registers::OnceBox;
 
 use crate::tas::TestAndSet;
 
@@ -61,7 +61,7 @@ impl std::error::Error for TwoConsensusError {}
 /// assert_eq!(cons.propose(0, "a").unwrap(), "b");
 /// ```
 pub struct TasConsensus<T> {
-    reg: [AtomicCell<T>; 2],
+    reg: [OnceBox<T>; 2],
     tas: TestAndSet,
     proposed: [std::sync::atomic::AtomicBool; 2],
 }
@@ -70,7 +70,7 @@ impl<T: Clone + Send + Sync> TasConsensus<T> {
     /// Creates the object.
     pub fn new() -> Self {
         TasConsensus {
-            reg: [AtomicCell::new(), AtomicCell::new()],
+            reg: [OnceBox::new(), OnceBox::new()],
             tas: TestAndSet::new(),
             proposed: [
                 std::sync::atomic::AtomicBool::new(false),
@@ -96,7 +96,9 @@ impl<T: Clone + Send + Sync> TasConsensus<T> {
         // Publish the proposal, then race. The write must precede the TAS
         // in the global order (the loser reads the winner's register), so
         // both the register store and the TAS are SeqCst-ordered.
-        self.reg[pid].store(value.clone());
+        // `proposed` admitted `pid` once, so its register is still `⊥`.
+        let fresh = OnceBox::set(&self.reg[pid], value.clone()).is_ok();
+        debug_assert!(fresh, "a process sets its register once");
         std::sync::atomic::fence(Ordering::SeqCst);
         if self.tas.test_and_set() {
             Ok(value)
@@ -104,7 +106,7 @@ impl<T: Clone + Send + Sync> TasConsensus<T> {
             // The winner published its value before winning the TAS, so the
             // load is non-`⊥`; the fallback to our own (published, valid)
             // proposal merely keeps this path total.
-            Ok(self.reg[1 - pid].load().unwrap_or(value))
+            Ok(OnceBox::get(&self.reg[1 - pid]).cloned().unwrap_or(value))
         }
     }
 }

@@ -18,7 +18,7 @@
 use std::fmt;
 
 use apc_progress_macros::progress;
-use apc_registers::AtomicCell;
+use apc_registers::OnceBox;
 
 use crate::consensus::ProposeOnce;
 use crate::error::ConsensusError;
@@ -67,12 +67,14 @@ pub struct AdoptCommit<T> {
     once: ProposeOnce,
 }
 
-/// The two single-writer registers of one process.
+/// The two single-writer registers of one process. Each is written at
+/// most once — `ProposeOnce` admits one `adopt_commit` per process — so
+/// each is set-once, and a collect borrows what it reads with one load.
 struct Registers<T> {
     /// Phase 1: the proposal.
-    proposal: AtomicCell<T>,
+    proposal: OnceBox<T>,
     /// Phase 2: the `(flag, value)` announcement.
-    announced: AtomicCell<(AcOutcome, T)>,
+    announced: OnceBox<(AcOutcome, T)>,
 }
 
 impl<T: Clone + Eq + Send + Sync> AdoptCommit<T> {
@@ -85,7 +87,7 @@ impl<T: Clone + Eq + Send + Sync> AdoptCommit<T> {
         assert!((1..=64).contains(&n), "n must be in 1..=64");
         AdoptCommit {
             slots: (0..n)
-                .map(|_| Registers { proposal: AtomicCell::new(), announced: AtomicCell::new() })
+                .map(|_| Registers { proposal: OnceBox::new(), announced: OnceBox::new() })
                 .collect(),
             once: ProposeOnce::new(),
         }
@@ -99,8 +101,10 @@ impl<T: Clone + Eq + Send + Sync> AdoptCommit<T> {
     /// One adopt-commit operation by `pid` with input `value`.
     ///
     /// Wait-free: 2 stores + 2 collects (`O(n)` register operations). A
-    /// collect reads the registers one by one in index order and borrows
-    /// each value where it sits; it copies out only the value it adopts.
+    /// store sets one of `pid`'s set-once registers; a collect reads the
+    /// registers one by one in index order with one load each and borrows
+    /// each value where it sits, pinning nothing; it copies out only the
+    /// value it adopts.
     ///
     /// # Errors
     ///
@@ -112,6 +116,9 @@ impl<T: Clone + Eq + Send + Sync> AdoptCommit<T> {
             return Err(ConsensusError::NotAPort { pid });
         }
         self.once.claim(pid)?;
+        // Register reads and value clones are spelled by path (`OnceBox::get`,
+        // `T::clone`): apc-lint resolves a method call on a value it cannot
+        // type by name alone, to every `get` or `clone` in the workspace.
 
         // Phase 1: publish the proposal, then collect.
         //
@@ -120,23 +127,23 @@ impl<T: Clone + Eq + Send + Sync> AdoptCommit<T> {
         // writes its slot and then reads the others'. That reasoning needs a
         // total store order, which acquire/release alone does not give —
         // hence the SeqCst fence between the store and the collect.
-        self.slots[pid].proposal.store(value.clone());
+        // `once` admitted `pid` once, so its registers are still `⊥`.
+        let fresh = OnceBox::set(&self.slots[pid].proposal, T::clone(&value)).is_ok();
+        debug_assert!(fresh, "a process sets its proposal once");
         std::sync::atomic::fence(std::sync::atomic::Ordering::SeqCst);
         let mut unanimous = true;
         let mut collected_any = false;
         // The first value collected, kept only if it differs from ours.
         let mut first_other = None;
         for slot in self.slots.iter() {
-            slot.proposal.load_with(|seen| {
-                let Some(seen) = seen else { return };
-                if *seen != value {
-                    unanimous = false;
-                    if !collected_any {
-                        first_other = Some(seen.clone());
-                    }
+            let Some(seen) = OnceBox::get(&slot.proposal) else { continue };
+            if *seen != value {
+                unanimous = false;
+                if !collected_any {
+                    first_other = Some(T::clone(seen));
                 }
-                collected_any = true;
-            });
+            }
+            collected_any = true;
         }
         // Mixed proposals: flag adopt, carrying the first value collected
         // (deterministic choice; any collected value is valid) — which is
@@ -149,18 +156,21 @@ impl<T: Clone + Eq + Send + Sync> AdoptCommit<T> {
 
         // Phase 2: publish the flagged value, then collect (same
         // store-buffering pattern, same fence).
-        self.slots[pid].announced.store((flag, estimate.clone()));
+        let fresh = OnceBox::set(&self.slots[pid].announced, (flag, T::clone(&estimate))).is_ok();
+        debug_assert!(fresh, "a process sets its announcement once");
         std::sync::atomic::fence(std::sync::atomic::Ordering::SeqCst);
         let mut all_commit = true;
         // The first commit-flagged value collected. All committed values
         // are equal (at most one commit value can exist, see module docs).
         let mut committed = None;
         for slot in self.slots.iter() {
-            slot.announced.load_with(|seen| match seen {
-                Some((AcOutcome::Commit, w)) if committed.is_none() => committed = Some(w.clone()),
+            match OnceBox::get(&slot.announced) {
+                Some((AcOutcome::Commit, w)) if committed.is_none() => {
+                    committed = Some(T::clone(w))
+                }
                 Some((AcOutcome::Commit, _)) | None => {}
                 Some((AcOutcome::Adopt, _)) => all_commit = false,
-            });
+            }
         }
         Ok(match committed {
             // Everyone observed unanimity: commit.

@@ -39,9 +39,9 @@ use crate::liveness::Liveness;
 /// no round object — a guest-decided object keeps what a VIP-decided one
 /// keeps. In the universal construction's log that is the object itself,
 /// inline in its 64-cell segment, and one boxed record per cell.
-/// The rounds sit inline as two `⊥` pointers until a guest runs one; there
-/// is no second decision slot, no second port check and no second
-/// at-most-once mask behind them.
+/// The rounds sit inline as one `⊥` pointer until a guest runs one — round
+/// 0, which holds the link to any later rounds; there is no second decision
+/// slot, no second port check and no second at-most-once mask behind it.
 ///
 /// The decision slot is an [`OnceBox`]: installed by one CAS-from-`⊥`, never
 /// cleared or replaced, and freed only with the object. So a reader needs
@@ -91,7 +91,7 @@ pub struct AsymmetricConsensus<T> {
     /// The decision slot: set once, by the VIP's CAS or a guest round's
     /// commit, and lent out to every later reader without a clone.
     decision: OnceBox<T>,
-    /// The guests' round protocol; two `⊥` pointers unless a guest is
+    /// The guests' round protocol; one `⊥` pointer unless a guest is
     /// running it.
     rounds: Rounds<T>,
     once: ProposeOnce,

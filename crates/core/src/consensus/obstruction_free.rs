@@ -24,30 +24,35 @@
 //! a round no other process has touched, where its own input converges and
 //! commits.
 //!
-//! The unbounded round sequence is materialized where it is used: round 0's
-//! slot sits inline in the object, and rounds `1..` come from a lock-free
+//! The unbounded round sequence is materialized where it is used: one
+//! pointer in the object holds round 0, allocated by the first process to
+//! run a round, and round 0 holds the link to rounds `1..` — a lock-free
 //! chain of fixed-size segments whose first link is allocated by the first
 //! process that leaves round 0. Every slot (and every link) is initialized
 //! on first use with a CAS-from-`⊥` — allocation happens off the
-//! register-protocol itself. An object decided in round 0, or never
-//! proposed to at all, owns no segment.
+//! register-protocol itself. An object decided in round 0 owns no segment,
+//! and one never proposed to owns no round at all.
 //!
 //! **Whose decision `D` is.** The rounds (`Rounds`, crate-private) decide a
 //! slot they do not own: the loop above polls it and installs a commit in it
 //! with a CAS-from-`⊥`. A slot is an [`OnceBox`]: set once, never cleared,
 //! so a poll is one load and `peek_with` borrows the decision without an
-//! epoch pin or a clone. The two registers retiring clears — round 0 and
-//! the link to the first segment — stay `AtomicCell`s; a segment's round
-//! slots and its link to the next segment are set once ([`OnceArc`]), so
-//! the walk past the first segment pins no epoch. This object runs the
+//! epoch pin or a clone. The one register retiring clears — the pointer to
+//! round 0 — stays an `AtomicCell`, since a retire replaces it under
+//! readers. Everything behind it is set once: a round's adopt-commit
+//! registers ([`OnceBox`]es: each process writes each at most once), a
+//! segment's round slots and the links between segments ([`OnceArc`]). A
+//! proposer loads round 0 once, after its first poll finds `D` `⊥`, and
+//! reaches every later round from the round 0 it holds, so its rounds pin
+//! no epoch past that load. This object runs the
 //! rounds on its own slot — what `peek` and every later proposer read —
 //! and keeps slot and rounds for as long as it lives.
 //! [`crate::consensus::AsymmetricConsensus`] runs the same rounds on its
 //! outer slot, so there the outer slot *is* `D`: nothing else is
 //! installed. Once `D` is decided the rounds have no use there, and every
-//! guest that ran them *retires* them on its way out — round 0 and the
-//! segment chain back to `⊥`, each displaced object reclaimed once no process
-//! still holds it. A process that asks for a round after a retire
+//! guest that ran them *retires* them on its way out — round 0, and with it
+//! the segment chain, back to `⊥`, reclaimed once no process still holds
+//! it. A process that asks for a round after a retire
 //! re-creates it lazily and retires it on its own way out, so once the last
 //! proposer of a composed object has returned, it holds no round object. A
 //! retire is safe only once `D` is decided; the argument is on
@@ -71,42 +76,54 @@ const SEGMENT_ROUNDS: usize = 8;
 /// `SEGMENT_ROUNDS` consecutive rounds past round 0, and the link to the
 /// segment after them. Each round's adopt-commit object is created by the
 /// first process to reach the round. Both are set once and never cleared
-/// alone: retiring drops the whole segment.
+/// alone: retiring drops the whole chain with the round 0 it hangs off.
 struct Segment<T> {
     rounds: [OnceArc<AdoptCommit<T>>; SEGMENT_ROUNDS],
     next: OnceArc<Segment<T>>,
 }
 
+/// Round 0 — the only round an uncontended proposal runs — and the link to
+/// rounds `1..`, in segments; `⊥` until some process leaves round 0.
+struct RoundZero<T> {
+    round: AdoptCommit<T>,
+    later: OnceArc<Segment<T>>,
+}
+
+impl<T: Clone + Eq + Send + Sync> RoundZero<T> {
+    /// Round `r ≥ 1`'s object, on the chain that hangs off this round 0.
+    fn later_round(&self, r: usize, ports: ProcessSet) -> Arc<AdoptCommit<T>> {
+        let new_segment = || Arc::new(Segment { rounds: Default::default(), next: OnceArc::new() });
+        let mut segment = self.later.load_or_init(new_segment);
+        for _ in 0..(r - 1) / SEGMENT_ROUNDS {
+            segment = segment.next.load_or_init(new_segment);
+        }
+        segment.rounds[(r - 1) % SEGMENT_ROUNDS].load_or_init(|| Arc::new(new_round(ports)))
+    }
+}
+
+/// An adopt-commit object whose registers are allocated for the maximum
+/// index in `ports` + 1.
+fn new_round<T: Clone + Eq + Send + Sync>(ports: ProcessSet) -> AdoptCommit<T> {
+    AdoptCommit::new(ports.iter().map(|p| p.index() + 1).max().unwrap_or(1))
+}
+
 /// The round protocol: the unbounded sequence of adopt-commit rounds, built
 /// on first use, deciding a slot its caller owns (see the module docs).
 pub(crate) struct Rounds<T> {
-    /// Round 0 — the only round an uncontended proposal runs.
-    round0: AtomicCell<Arc<AdoptCommit<T>>>,
-    /// Rounds `1..`, in segments; `⊥` until some process leaves round 0.
-    later: AtomicCell<Arc<Segment<T>>>,
+    /// Round 0, which owns the chain of later rounds; `⊥` until a process
+    /// runs a round, and again once the rounds are retired.
+    round0: AtomicCell<Arc<RoundZero<T>>>,
 }
 
 impl<T: Clone + Eq + Send + Sync> Rounds<T> {
     pub(crate) fn new() -> Self {
-        Rounds { round0: AtomicCell::new(), later: AtomicCell::new() }
+        Rounds { round0: AtomicCell::new() }
     }
 
-    /// Round `r`'s object; each round's registers are allocated for the
-    /// maximum index in `ports` + 1.
-    fn round_object(&self, r: usize, ports: ProcessSet) -> Arc<AdoptCommit<T>> {
-        let new_round = || {
-            let n = ports.iter().map(|p| p.index() + 1).max().unwrap_or(1);
-            Arc::new(AdoptCommit::new(n))
-        };
-        let Some(r) = r.checked_sub(1) else {
-            return self.round0.load_or_init(new_round);
-        };
-        let new_segment = || Arc::new(Segment { rounds: Default::default(), next: OnceArc::new() });
-        let mut segment = self.later.load_or_init(new_segment);
-        for _ in 0..r / SEGMENT_ROUNDS {
-            segment = segment.next.load_or_init(new_segment);
-        }
-        segment.rounds[r % SEGMENT_ROUNDS].load_or_init(new_round)
+    /// Round 0 and the chain behind it, built first if they are `⊥`.
+    fn round_zero(&self, ports: ProcessSet) -> Arc<RoundZero<T>> {
+        self.round0
+            .load_or_init(|| Arc::new(RoundZero { round: new_round(ports), later: OnceArc::new() }))
     }
 
     /// Runs rounds as `pid` (one of `ports`) from `estimate` until
@@ -114,6 +131,10 @@ impl<T: Clone + Eq + Send + Sync> Rounds<T> {
     /// polled before every round, and a round that commits installs its
     /// value there with a CAS-from-`⊥`. Gives up with `None` after
     /// `max_rounds` rounds without a decision.
+    ///
+    /// Round 0 is loaded only after the first poll finds `decision` `⊥`,
+    /// and every later round is reached from the round 0 this run holds, so
+    /// a retire in between does not move the run to another chain.
     pub(crate) fn run(
         &self,
         pid: usize,
@@ -122,17 +143,21 @@ impl<T: Clone + Eq + Send + Sync> Rounds<T> {
         max_rounds: Option<usize>,
         decision: &OnceBox<T>,
     ) -> Option<T> {
+        let mut held = None;
         let mut r = 0usize;
         loop {
-            if let Some(d) = decision.get() {
+            if let Some(d) = OnceBox::get(decision) {
                 return Some(d.clone());
             }
             if max_rounds.is_some_and(|max| r >= max) {
                 return None;
             }
-            let ac = self.round_object(r, ports);
-            let (flag, w) =
-                ac.adopt_commit(pid, estimate).expect("each pid visits each round at most once");
+            let zero = held.get_or_insert_with(|| self.round_zero(ports));
+            let outcome = match r {
+                0 => zero.round.adopt_commit(pid, estimate),
+                r => zero.later_round(r, ports).adopt_commit(pid, estimate),
+            };
+            let (flag, w) = outcome.expect("each pid visits each round at most once");
             if flag.is_commit() {
                 return Some(decision.decide(w).clone());
             }
@@ -141,8 +166,14 @@ impl<T: Clone + Eq + Send + Sync> Rounds<T> {
         }
     }
 
-    /// Takes the rounds down: round 0 and the segment chain back to `⊥`,
-    /// each displaced object reclaimed once no process still holds it.
+    /// Round `r ≥ 1`'s object, on the chain behind the current round 0.
+    #[cfg(test)]
+    fn round_object(&self, r: usize, ports: ProcessSet) -> Arc<AdoptCommit<T>> {
+        self.round_zero(ports).later_round(r, ports)
+    }
+
+    /// Takes the rounds down: round 0, and with it the segment chain, back
+    /// to `⊥`, reclaimed once no process still holds it.
     ///
     /// Only for a caller whose `decision` slot is already decided, and that
     /// keeps that slot — a standalone [`ObstructionFreeConsensus`] never
@@ -150,14 +181,13 @@ impl<T: Clone + Eq + Send + Sync> Rounds<T> {
     #[progress(wait_free)]
     pub(crate) fn retire(&self) {
         self.round0.clear();
-        self.later.clear();
     }
 
     /// Whether no round object and no segment is held — what retired rounds,
     /// or rounds nobody ran, look like.
     #[cfg(test)]
     pub(crate) fn hold_nothing(&self) -> bool {
-        self.round0.is_bot() && self.later.is_bot()
+        self.round0.is_bot()
     }
 }
 
@@ -339,11 +369,11 @@ mod tests {
         let ports = ProcessSet::first_n(2);
         assert_eq!(rounds.run(0, 5, ports, None, &OnceBox::new()), Some(5));
         rounds.round_object(SEGMENT_ROUNDS + 1, ports);
-        assert!(!rounds.round0.is_bot() && !rounds.later.is_bot());
+        assert!(rounds.round0.load().is_some_and(|zero| zero.later.load().is_some()));
         rounds.retire();
         assert!(rounds.hold_nothing());
         // Retired rounds are rounds nobody ran: asking re-creates them.
-        assert_eq!(rounds.round_object(0, ports).n(), 2);
+        assert_eq!(rounds.round_zero(ports).round.n(), 2);
     }
 
     #[test]
@@ -365,16 +395,30 @@ mod tests {
         // after a latecomer learned the decision.
         assert_eq!(cons.propose(4, 7).unwrap(), 7);
         assert_eq!(cons.propose(2, 9).unwrap(), 7);
-        assert!(!cons.rounds.round0.is_bot() && cons.rounds.later.is_bot());
+        assert!(cons.rounds.round0.load().is_some_and(|zero| zero.later.load().is_none()));
         // Only a process that leaves round 0 builds the first segment.
         cons.rounds.round_object(1, cons.spec.ports());
-        assert!(!cons.rounds.later.is_bot());
+        assert!(cons.rounds.round0.load().is_some_and(|zero| zero.later.load().is_some()));
+    }
+
+    /// Round `r` as an asker holds it: round 0, and round `r` itself when it
+    /// is a later one.
+    type Held = (Arc<RoundZero<u64>>, Option<Arc<AdoptCommit<u64>>>);
+
+    fn held_round(rounds: &Rounds<u64>, r: usize, ports: ProcessSet) -> Held {
+        let zero = rounds.round_zero(ports);
+        let later = (r > 0).then(|| zero.later_round(r, ports));
+        (zero, later)
+    }
+
+    fn object((zero, later): &Held) -> &AdoptCommit<u64> {
+        later.as_deref().unwrap_or(&zero.round)
     }
 
     #[test]
     fn the_lazy_chain_hands_every_asker_the_same_round_object() {
-        // Rounds 0 ..= 2·SEGMENT_ROUNDS: the inline slot, then every slot of
-        // the first two segments — two boundaries, each opened by a race.
+        // Rounds 0 ..= 2·SEGMENT_ROUNDS: round 0, then every slot of the
+        // first two segments — two boundaries, each opened by a race.
         let rounds: Rounds<u64> = Rounds::new();
         let ports = ProcessSet::first_n(2);
         for r in 0..=2 * SEGMENT_ROUNDS {
@@ -382,20 +426,53 @@ mod tests {
             let (a, b) = std::thread::scope(|s| {
                 let ask = || {
                     barrier.wait();
-                    rounds.round_object(r, ports)
+                    held_round(&rounds, r, ports)
                 };
                 let a = s.spawn(ask);
                 let b = s.spawn(ask);
                 (a.join().unwrap(), b.join().unwrap())
             });
-            assert!(Arc::ptr_eq(&a, &b), "round {r} resolved to two objects");
-            assert!(Arc::ptr_eq(&a, &rounds.round_object(r, ports)), "round {r} moved");
+            let (a, b) = (object(&a), object(&b));
+            assert!(std::ptr::eq(a, b), "round {r} resolved to two objects");
+            let again = held_round(&rounds, r, ports);
+            assert!(std::ptr::eq(a, object(&again)), "round {r} moved");
             // The object is a working adopt-commit: a solo run commits, and
             // the second process adopts what was committed.
             let input = r as u64;
             assert_eq!(a.adopt_commit(0, input).unwrap(), (AcOutcome::Commit, input));
             assert_eq!(b.adopt_commit(1, input + 100).unwrap(), (AcOutcome::Adopt, input));
         }
+    }
+
+    #[test]
+    fn a_late_guest_past_a_retire_rebuilds_round_zero_and_its_chain_then_retires_them() {
+        let rounds: Rounds<u64> = Rounds::new();
+        let ports = ProcessSet::first_n(3);
+        // Guest 0 decides in round 0 and retires the rounds on its way out.
+        let decision = OnceBox::new();
+        assert_eq!(rounds.run(0, 1, ports, None, &decision), Some(1));
+        let retired = rounds.round0.load().unwrap();
+        rounds.retire();
+        assert!(rounds.hold_nothing());
+        // Two guests polled the slot while it was `⊥` and stalled (here:
+        // their rounds run on a slot of their own). Guest 2 resumes first,
+        // re-creates round 0 and its chain, and proposes a value of its own
+        // in rounds 0 ..= SEGMENT_ROUNDS + 1 before it stalls again...
+        let stalled = OnceBox::new();
+        let zero = rounds.round_zero(ports);
+        assert!(!Arc::ptr_eq(&zero, &retired), "a retired round 0 came back");
+        zero.round.adopt_commit(2, 100).unwrap();
+        for r in 1..=SEGMENT_ROUNDS + 1 {
+            zero.later_round(r, ports).adopt_commit(2, 100 + r as u64).unwrap();
+        }
+        // ...so guest 1 adopts guest 2's value in each of those rounds and
+        // commits the last one alone in the next, inside the second segment.
+        let last = 100 + SEGMENT_ROUNDS as u64 + 1;
+        assert_eq!(rounds.run(1, 7, ports, None, &stalled), Some(last));
+        assert!(zero.later.load().is_some_and(|first| first.next.load().is_some()));
+        // Its retire takes the re-created round 0 down with its whole chain.
+        rounds.retire();
+        assert!(rounds.hold_nothing());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::fmt;
 
 use apc_progress_macros::progress;
-use apc_registers::AtomicCell;
+use apc_registers::OnceBox;
 
 use crate::arbiter::{Arbiter, Role};
 use crate::consensus::{CasConsensus, Consensus};
@@ -47,10 +47,13 @@ use crate::liveness::Liveness;
 /// ```
 pub struct GroupConsensus<T> {
     layout: GroupLayout,
-    /// `VAL[g]` at index `g-1`.
-    val: Vec<AtomicCell<T>>,
-    /// `ARB_VAL[g]` at index `g-1`.
-    arb_val: Vec<AtomicCell<T>>,
+    /// `VAL[g]` at index `g-1`. Set once: every member of group `g` writes
+    /// what `GXCONS[g]` decided, so every write carries the same value.
+    val: Vec<OnceBox<T>>,
+    /// `ARB_VAL[g]` at index `g-1`. Set once: it has several writers, but
+    /// any two writes of an entry carry the same value (the §6.3 remark),
+    /// so the first installs it and a later one finds it there.
+    arb_val: Vec<OnceBox<T>>,
     /// `GXCONS[g]` at index `g-1`.
     gxcons: Vec<CasConsensus<T>>,
     /// `ARBITER[g]` at index `g-1` (length `m-1`).
@@ -77,8 +80,8 @@ impl<T: Clone + Eq + Send + Sync> GroupConsensus<T> {
         let arbiters = (1..m).map(|g| Arbiter::new(layout.members(g))).collect();
         Ok(GroupConsensus {
             layout,
-            val: (0..m).map(|_| AtomicCell::new()).collect(),
-            arb_val: (0..m).map(|_| AtomicCell::new()).collect(),
+            val: (0..m).map(|_| OnceBox::new()).collect(),
+            arb_val: (0..m).map(|_| OnceBox::new()).collect(),
             gxcons,
             arbiters,
         })
@@ -92,7 +95,7 @@ impl<T: Clone + Eq + Send + Sync> GroupConsensus<T> {
     /// The final decision, if one exists yet (`ARB_VAL[1]`).
     #[progress(wait_free)]
     pub fn peek(&self) -> Option<T> {
-        self.arb_val[0].load()
+        OnceBox::get(&self.arb_val[0]).cloned()
     }
 
     /// The decision computed *inside* group `g`, if any (`VAL[g]`).
@@ -103,7 +106,7 @@ impl<T: Clone + Eq + Send + Sync> GroupConsensus<T> {
     #[progress(wait_free)]
     pub fn group_value(&self, g: usize) -> Option<T> {
         assert!(g >= 1 && g <= self.layout.m());
-        self.val[g - 1].load()
+        OnceBox::get(&self.val[g - 1]).cloned()
     }
 
     /// A snapshot of the full `ARB_VAL[1..m]` array — the paper's §6.3
@@ -116,7 +119,7 @@ impl<T: Clone + Eq + Send + Sync> GroupConsensus<T> {
     /// the same entry are equal.
     #[progress(wait_free)]
     pub fn arb_val_array(&self) -> Vec<Option<T>> {
-        self.arb_val.iter().map(|cell| cell.load()).collect()
+        self.arb_val.iter().map(|cell| OnceBox::get(cell).cloned()).collect()
     }
 
     /// Spin-reads `cell` until non-`⊥`, with the task-`T2` escape: returns
@@ -126,10 +129,10 @@ impl<T: Clone + Eq + Send + Sync> GroupConsensus<T> {
     /// proofs show to be immediately satisfied (Lemma 10's case analysis) —
     /// the loop is defensive, the escape is `T2`.
     #[progress(blocking)]
-    fn await_cell(&self, cell: &AtomicCell<T>) -> Await<T> {
+    fn await_cell(&self, cell: &OnceBox<T>) -> Await<T> {
         loop {
-            if let Some(v) = cell.load() {
-                return Await::Value(v);
+            if let Some(v) = OnceBox::get(cell) {
+                return Await::Value(v.clone());
             }
             if let Some(d) = self.peek() {
                 return Await::FinalDecision(d);
@@ -168,12 +171,12 @@ impl<T: Clone + Eq + Send + Sync> GroupConsensus<T> {
             }
             Err(e) => return Err(e.into()),
         };
-        self.val[y - 1].store(val_y.clone());
+        write_once(&self.val[y - 1], val_y.clone());
 
         // Competition #1 (lines 03–09): deposit into ARB_VAL[y].
         if y == m {
             // (03) last group: no competition below.
-            self.arb_val[m - 1].store(val_y);
+            write_once(&self.arb_val[m - 1], val_y);
         } else {
             // (04) winner ← ARBITER[y].arbitrate(owner).
             let winner = self.arbiters[y - 1]
@@ -183,11 +186,11 @@ impl<T: Clone + Eq + Send + Sync> GroupConsensus<T> {
             };
             if winner == Role::Owner {
                 // (06) ARB_VAL[y] ← VAL[y].
-                self.arb_val[y - 1].store(val_y);
+                write_once(&self.arb_val[y - 1], val_y);
             } else {
                 // (07) ARB_VAL[y] ← ARB_VAL[y+1] (non-⊥ by Lemma 10).
                 match self.await_cell(&self.arb_val[y]) {
-                    Await::Value(v) => self.arb_val[y - 1].store(v),
+                    Await::Value(v) => write_once(&self.arb_val[y - 1], v),
                     Await::FinalDecision(d) => return Ok(d),
                 }
             }
@@ -209,7 +212,7 @@ impl<T: Clone + Eq + Send + Sync> GroupConsensus<T> {
                 self.await_cell(&self.val[level - 1])
             };
             match carried {
-                Await::Value(v) => self.arb_val[level - 1].store(v),
+                Await::Value(v) => write_once(&self.arb_val[level - 1], v),
                 Await::FinalDecision(d) => return Ok(d),
             }
         }
@@ -219,6 +222,17 @@ impl<T: Clone + Eq + Send + Sync> GroupConsensus<T> {
         match self.await_cell(&self.arb_val[0]) {
             Await::Value(v) | Await::FinalDecision(v) => Ok(v),
         }
+    }
+}
+
+/// Writes a `VAL`/`ARB_VAL` entry: the first write installs `value`, and a
+/// later one — which carries the same value, by the §6.3 remark — leaves it.
+fn write_once<T: Eq>(cell: &OnceBox<T>, value: T) {
+    if let Err(lost) = OnceBox::set(cell, value) {
+        debug_assert!(
+            OnceBox::get(cell) == Some(&lost),
+            "two writes of a group register carried different values"
+        );
     }
 }
 
@@ -233,7 +247,7 @@ impl<T: Clone + Eq + fmt::Debug> fmt::Debug for GroupConsensus<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("GroupConsensus")
             .field("layout", &self.layout)
-            .field("decision", &self.arb_val[0].load())
+            .field("decision", &OnceBox::get(&self.arb_val[0]))
             .finish()
     }
 }
@@ -388,6 +402,19 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The set-once registers hold the §6.3 remark to account: a second
+    /// write of an entry with a different value is a bug, not a race.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "two writes of a group register carried different values")]
+    fn a_second_different_write_to_a_group_register_panics() {
+        let cons: GroupConsensus<u32> = GroupConsensus::new(4, 2).unwrap();
+        write_once(&cons.arb_val[1], 7);
+        write_once(&cons.arb_val[1], 7);
+        assert_eq!(cons.arb_val_array(), vec![None, Some(7)]);
+        write_once(&cons.arb_val[1], 8);
     }
 
     #[test]

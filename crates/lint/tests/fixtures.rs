@@ -4,6 +4,7 @@
 
 use std::path::{Path, PathBuf};
 
+use apc_lint::graph::FnId;
 use apc_lint::{analyze, analyze_files};
 
 fn fixture(name: &str) -> (PathBuf, Vec<PathBuf>) {
@@ -335,6 +336,52 @@ fn live_workspace_is_clean() {
     }
 }
 
+/// Every chain, by the analyzer's own resolution and through every callee
+/// whatever its annotation, from `source` to a fn defined in one of
+/// `files`, as `A::f → B::g → …`, sorted.
+fn chains_into(ws: &apc_lint::graph::Workspace, source: FnId, files: &[&Path]) -> Vec<String> {
+    // Breadth-first over every resolved callee, remembering how each fn
+    // was first reached.
+    let mut reached = std::collections::HashMap::from([(source, source)]);
+    let mut queue = std::collections::VecDeque::from([source]);
+    while let Some(cur) = queue.pop_front() {
+        for call in ws.calls_of(cur) {
+            for target in ws.resolve(cur, call) {
+                if let std::collections::hash_map::Entry::Vacant(e) = reached.entry(target) {
+                    e.insert(cur);
+                    queue.push_back(target);
+                }
+            }
+        }
+    }
+    let mut chains: Vec<String> = reached
+        .keys()
+        .filter(|id| files.contains(&ws.files[id.file].path.as_path()))
+        .map(|&id| {
+            let mut chain = vec![ws.fn_info(id).qualified()];
+            let mut at = id;
+            while at != source {
+                at = reached[&at];
+                chain.push(ws.fn_info(at).qualified());
+            }
+            chain.reverse();
+            chain.join(" → ")
+        })
+        .collect();
+    chains.sort();
+    chains
+}
+
+/// The workspace's one fn named `name` on `self_type`.
+fn method(ws: &apc_lint::graph::Workspace, self_type: &str, name: &str) -> FnId {
+    ws.all_fns()
+        .find(|&id| {
+            let f = ws.fn_info(id);
+            f.name == name && f.self_type.as_deref() == Some(self_type)
+        })
+        .unwrap_or_else(|| panic!("the workspace must keep a {self_type}::{name} fn"))
+}
+
 /// The dashboard path pins no epoch: nothing `Store::scrape` or
 /// `Store::snapshot_stats` can reach, by the analyzer's own resolution and
 /// through every callee whatever its annotation, is defined in the epoch
@@ -346,42 +393,28 @@ fn the_dashboard_path_reaches_nothing_in_the_epoch_shim() {
     let (ws, _) = analyze(&root).unwrap();
     let shim = Path::new("shims/crossbeam-epoch/src/lib.rs");
     for entry in ["scrape", "snapshot_stats"] {
-        let source = ws
-            .all_fns()
-            .find(|&id| {
-                let f = ws.fn_info(id);
-                f.name == entry && f.self_type.as_deref() == Some("Store")
-            })
-            .unwrap_or_else(|| panic!("apc-store must keep a Store::{entry} fn"));
-        // Breadth-first over every resolved callee, remembering how each
-        // fn was first reached.
-        let mut reached = std::collections::HashMap::from([(source, source)]);
-        let mut queue = std::collections::VecDeque::from([source]);
-        while let Some(cur) = queue.pop_front() {
-            for call in ws.calls_of(cur) {
-                for target in ws.resolve(cur, call) {
-                    if let std::collections::hash_map::Entry::Vacant(e) = reached.entry(target) {
-                        e.insert(cur);
-                        queue.push_back(target);
-                    }
-                }
-            }
-        }
-        let mut chains: Vec<String> = reached
-            .keys()
-            .filter(|id| ws.files[id.file].path == shim)
-            .map(|&id| {
-                let mut chain = vec![ws.fn_info(id).qualified()];
-                let mut at = id;
-                while at != source {
-                    at = reached[&at];
-                    chain.push(ws.fn_info(at).qualified());
-                }
-                chain.reverse();
-                chain.join(" → ")
-            })
-            .collect();
-        chains.sort();
+        let chains = chains_into(&ws, method(&ws, "Store", entry), &[shim]);
         assert!(chains.is_empty(), "Store::{entry} reaches the epoch shim:\n{}", chains.join("\n"));
     }
+}
+
+/// A guest's round registers are set once: nothing
+/// `AdoptCommit::adopt_commit` can reach, by the analyzer's own resolution
+/// and through every callee whatever its annotation, is defined in the
+/// epoch-reclaimed register or in the epoch shim. Its stores are
+/// CAS-from-`⊥` installs and its collects plain loads.
+#[test]
+fn a_guest_round_reaches_nothing_in_the_epoch_shim() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let (ws, _) = analyze(&root).unwrap();
+    let epoch = [
+        Path::new("crates/registers/src/atomic_cell.rs"),
+        Path::new("shims/crossbeam-epoch/src/lib.rs"),
+    ];
+    let chains = chains_into(&ws, method(&ws, "AdoptCommit", "adopt_commit"), &epoch);
+    assert!(
+        chains.is_empty(),
+        "AdoptCommit::adopt_commit reaches the epoch-reclaimed register:\n{}",
+        chains.join("\n")
+    );
 }

@@ -10,16 +10,18 @@
 //! * [`AtomicCell`] — an MWMR atomic register over `Option<T>` (a null
 //!   pointer is the paper's `⊥`), with `load`/`store`/`swap` and a
 //!   compare-and-swap from `⊥` (`set_if_bot`). It is for registers
-//!   rewritten while readers may hold the old value: adopt-commit's
-//!   registers, the guests' round 0 and first round segment (cleared when
-//!   the rounds are retired), and the universal construction's
-//!   announcements.
+//!   rewritten while readers may hold the old value, and two are left: the
+//!   universal construction's announcements, and the guests' round 0 of a
+//!   consensus cell (cleared when the rounds are retired).
 //! * [`OnceBox`] — a set-once box, installed by a CAS-from-`⊥` and never
 //!   replaced while shared, so a read borrows the value with one load and
-//!   no epoch pin. The consensus objects' decision slots are `OnceBox`es.
+//!   no epoch pin. The consensus objects' decision slots are `OnceBox`es,
+//!   and so is every register written at most once, or only ever with one
+//!   value: adopt-commit's, the Common2 constructions' and the group
+//!   consensus's `VAL`/`ARB_VAL`.
 //! * [`OnceArc`] — a set-once link to an `Arc<T>`, installed and read the
 //!   same way, with no box of its own. The universal construction's log
-//!   links its segments with it, and the guests' rounds their later rounds.
+//!   links its segments with it, and a guest's round 0 its later rounds.
 //! * [`Generations`] — a register that keeps every value it is given, so
 //!   a read borrows the newest with one load and no epoch pin. The store's
 //!   routing view is one; it changes once per reconfiguration.

@@ -11,8 +11,10 @@ use apc_progress_macros::progress;
 /// [`OnceBox::set`] (or [`OnceBox::decide`]) installs a value with a
 /// CAS-from-`⊥`, and never changed after that while it is shared.
 ///
-/// It is the decision slot of a single-shot consensus object. A value that
-/// is never replaced is never retired under a reader, so [`OnceBox::get`]
+/// It is the decision slot of a single-shot consensus object, and every
+/// register written at most once — adopt-commit's, the Common2
+/// constructions' — or only ever with one value, as the group
+/// consensus's `VAL`/`ARB_VAL` entries are. A value that is never replaced is never retired under a reader, so [`OnceBox::get`]
 /// lends it out for as long as the box is borrowed with one `Acquire` load
 /// — no epoch pin, no clone — and the box frees it only when dropped, which
 /// takes `&mut self`. An [`AtomicCell`](crate::AtomicCell) pins an epoch on

@@ -1668,6 +1668,17 @@ mod tests {
             .collect()
     }
 
+    /// A shard log's cell is inline in its 64-cell segment, so its size is
+    /// what every committed write keeps of it: the decision slot, one `⊥`
+    /// pointer of guest rounds, the at-most-once mask and the liveness spec.
+    #[test]
+    fn a_log_cell_is_at_most_40_bytes() {
+        type Cell = apc_core::consensus::AsymmetricConsensus<
+            apc_universal::LogRecordOf<crate::ops::ShardSpec>,
+        >;
+        assert!(size_of::<Cell>() <= 40, "a log cell is {} B", size_of::<Cell>());
+    }
+
     #[test]
     fn builder_defaults_build() {
         let store = StoreBuilder::new().build().unwrap();

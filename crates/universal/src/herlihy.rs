@@ -54,8 +54,8 @@
 //! factor is a cell's share of its segment plus its agreed record, which
 //! with the store's `(n,x)`-live cells is the same whichever class decided
 //! the cell: a guest retires its round protocol once the cell is decided.
-//! For a one-op write that is 48 B of segment (1/64 of ~3.1 KB) and the
-//! record's box, the batch's ops slice and its key: ~184 requested bytes
+//! For a one-op write that is 40 B of segment (1/64 of ~2.6 KB) and the
+//! record's box, the batch's ops slice and its key: ~176 requested bytes
 //! in 3 + 1/64 allocations, and a retired cell frees as many. For the
 //! store the replicas are keys × bytes per key × ports that have visited
 //! the shard, at ~21 B per 8-byte key in a full leaf of its packed map

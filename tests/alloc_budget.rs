@@ -175,12 +175,15 @@ fn commit_path_allocations_stay_within_budget() {
     // The budgets are the census of the commit that set them: a shard log
     // is a chain of 64-cell segments, each one allocation, so a cell has
     // no node and no link of its own (its parent read 21 and 16 calls, and
-    // 5 allocations / 216 B retained per put).
+    // 5 allocations / 216 B retained per put). The guests' rounds hang off
+    // one pointer per cell (its parent read 184.4 B retained per put: two
+    // pointers, in a 3,096 B segment).
     //
     // What a put's cell leaves, guest or VIP alike, is three allocations
-    // and its share of a fourth: 48 B of its 3,096 B segment (the
-    // consensus object — decision slot, inline rounds, at-most-once mask —
-    // plus a 64th of the segment's `Arc` counts and link), the batch's
+    // and its share of a fourth: 40 B of its 2,584 B segment (the
+    // consensus object — liveness spec, decision slot, the guests' round-0
+    // pointer, at-most-once mask — plus a 64th of the segment's `Arc`
+    // counts and link), the batch's
     // 72 B `Arc<[StoreOp]>`, the 8 B key and the 56 B decided record. A
     // stored key's calls are its share of its leaf's growth, and what it
     // keeps is its bytes in that leaf: a 16 B slot (head and value), a 4 B
@@ -195,13 +198,15 @@ fn commit_path_allocations_stay_within_budget() {
     //   three vectors (per-shard, per-slot, the one sub-batch), the
     //   shard's response vector, the reassembled one and the `Response`
     //   list;
-    // - a put adds the announce record (1); a guest's put adds its round-0
-    //   adopt-commit object, its register slice, the slice's box, and its
-    //   proposal and flag records (5), retired when it leaves.
+    // - a put adds the announce record (1); a guest's put adds its round 0
+    //   (the `Arc` holding the adopt-commit object and the link to later
+    //   rounds), the object's register slice, the round-0 register's box
+    //   of the `Arc`, and its proposal and flag records (5), retired when
+    //   it leaves.
     let cell = Census {
         calls: 3.0 + SEGMENT_SHARE,
         retained_allocs: 3.0 + SEGMENT_SHARE,
-        retained_bytes: 136.0 + 3096.0 * SEGMENT_SHARE,
+        retained_bytes: 136.0 + 2584.0 * SEGMENT_SHARE,
     };
     let put_budget = |other_calls: f64| Census { calls: cell.calls + other_calls, ..cell };
     let arms = [
