@@ -283,10 +283,26 @@ pub fn encode_response(id: u64, results: &[WireResult]) -> Vec<u8> {
 /// operation. Results that fit their share are transmitted untouched.
 /// (`docs/WIRE.md` § "Oversized responses" is the normative text.)
 pub fn encode_response_into(out: &mut Vec<u8>, id: u64, results: &[WireResult]) {
+    encode_results_into(out, id, results.iter());
+}
+
+/// Appends the response frame that refuses every one of a request's `ops`
+/// with the same `err`: the bytes [`encode_response_into`] writes for
+/// `Response::fail_all(ops, err).results`, with no results vector built.
+pub(crate) fn encode_refusal_into(out: &mut Vec<u8>, id: u64, ops: usize, err: StoreError) {
+    encode_results_into(out, id, std::iter::repeat_n(&Err(err), ops));
+}
+
+/// [`encode_response_into`] over any re-walkable run of results.
+fn encode_results_into<'r>(
+    out: &mut Vec<u8>,
+    id: u64,
+    results: impl ExactSizeIterator<Item = &'r WireResult> + Clone,
+) {
     // The payload's head: version, kind, id, result count.
     const HEAD: usize = 2 + 8 + 4;
     let budget = MAX_WIRE_PAYLOAD as usize - HEAD;
-    let body: usize = results.iter().map(result_len).sum();
+    let body: usize = results.clone().map(result_len).sum();
     out.reserve(FRAME_OVERHEAD + HEAD + body.min(budget));
     let start = frame::begin(out);
     out.extend_from_slice(&[WIRE_VERSION, KIND_RESPONSE]);
@@ -458,6 +474,30 @@ fn read_op(rd: &mut Cursor<'_>) -> Result<StoreOp, CodecError> {
     }
 }
 
+/// Reads past one op, checking what [`read_op`] checks.
+fn skip_op(rd: &mut Cursor<'_>) -> Result<(), CodecError> {
+    match rd.u8()? {
+        0 | 2 => {
+            rd.str()?;
+        }
+        1 => {
+            rd.str()?;
+            rd.u64()?;
+        }
+        3 => {
+            rd.str()?;
+            opt_u64(rd)?;
+            rd.u64()?;
+        }
+        4 => {
+            rd.str()?;
+            rd.str()?;
+        }
+        found => return Err(CodecError::UnknownDiscriminant { what: "op", found }),
+    }
+    Ok(())
+}
+
 fn read_result(rd: &mut Cursor<'_>) -> Result<WireResult, CodecError> {
     match rd.u8()? {
         0 => {
@@ -504,43 +544,53 @@ fn read_result(rd: &mut Cursor<'_>) -> Result<WireResult, CodecError> {
     }
 }
 
+/// Reads a payload's version byte and returns its kind byte.
+fn read_kind(rd: &mut Cursor<'_>) -> Result<u8, CodecError> {
+    let version = rd.u8()?;
+    if version != WIRE_VERSION {
+        return Err(CodecError::BadVersion { found: version });
+    }
+    Ok(rd.u8()?)
+}
+
+/// A request's fields before its ops: its correlation id, the envelope
+/// without its ops, and the op count.
+fn read_request_head(rd: &mut Cursor<'_>) -> Result<(u64, Request, u32), CodecError> {
+    let id = rd.u64()?;
+    let durability = match rd.u8()? {
+        0 => DurabilityClass::Group,
+        1 => DurabilityClass::Sync,
+        found => return Err(CodecError::UnknownDiscriminant { what: "durability", found }),
+    };
+    let deadline_ms = match rd.u8()? {
+        0 => None,
+        1 => Some(rd.u32()?),
+        found => return Err(CodecError::UnknownDiscriminant { what: "deadline", found }),
+    };
+    let retry_budget = rd.u32()?;
+    let credential = read_credential(rd)?;
+    let n = list_len(rd)?;
+    // An empty `Vec` does not allocate.
+    let head = Request { ops: Vec::new(), credential, durability, deadline_ms, retry_budget };
+    Ok((id, head, n))
+}
+
 /// Decodes one complete frame payload (as returned by
 /// [`FrameReader::next_payload`]) into a [`Message`]. Fails closed on any
 /// structural fault.
 pub fn decode_message(payload: &[u8]) -> Result<Message, CodecError> {
     let mut rd = Cursor::new(payload);
-    let version = rd.u8()?;
-    if version != WIRE_VERSION {
-        return Err(CodecError::BadVersion { found: version });
-    }
-    let kind = rd.u8()?;
-    let msg = match kind {
+    let msg = match read_kind(&mut rd)? {
         KIND_HELLO => Message::Hello(read_credential(&mut rd)?),
         KIND_REQUEST => {
-            let id = rd.u64()?;
-            let durability = match rd.u8()? {
-                0 => DurabilityClass::Group,
-                1 => DurabilityClass::Sync,
-                found => return Err(CodecError::UnknownDiscriminant { what: "durability", found }),
-            };
-            let deadline_ms = match rd.u8()? {
-                0 => None,
-                1 => Some(rd.u32()?),
-                found => return Err(CodecError::UnknownDiscriminant { what: "deadline", found }),
-            };
-            let retry_budget = rd.u32()?;
-            let credential = read_credential(&mut rd)?;
-            let n = list_len(&mut rd)?;
+            let (id, mut req, n) = read_request_head(&mut rd)?;
             // Sized once: an op is at least 5 bytes (tag + string length),
             // so the payload's size bounds the count a lying prefix can claim.
-            let mut ops = Vec::with_capacity((n as usize).min(payload.len() / 5));
+            req.ops = Vec::with_capacity((n as usize).min(payload.len() / 5));
             for _ in 0..n {
-                ops.push(read_op(&mut rd)?);
+                req.ops.push(read_op(&mut rd)?);
             }
-            Message::Request {
-                id,
-                req: Request { ops, credential, durability, deadline_ms, retry_budget },
-            }
+            Message::Request { id, req }
         }
         KIND_RESPONSE => {
             let id = rd.u64()?;
@@ -555,6 +605,26 @@ pub fn decode_message(payload: &[u8]) -> Result<Message, CodecError> {
     };
     rd.finish()?;
     Ok(msg)
+}
+
+/// Validates a request payload as [`decode_message`] does — the head,
+/// every op's tag, string lengths and UTF-8, then the payload's end — and
+/// returns its correlation id, retry budget and op count, allocating
+/// nothing. It fails where [`decode_message`] fails, and on a well-formed
+/// payload of another kind. This is all the reactor reads of a request it
+/// sheds; [`encode_refusal_into`] writes the answer.
+pub(crate) fn read_request_header(payload: &[u8]) -> Result<(u64, u32, usize), CodecError> {
+    let mut rd = Cursor::new(payload);
+    match read_kind(&mut rd)? {
+        KIND_REQUEST => {}
+        found => return Err(CodecError::UnknownDiscriminant { what: "request kind", found }),
+    }
+    let (id, head, n) = read_request_head(&mut rd)?;
+    for _ in 0..n {
+        skip_op(&mut rd)?;
+    }
+    rd.finish()?;
+    Ok((id, head.retry_budget, n as usize))
 }
 
 /// The streaming frame extractor: push raw connection bytes in, pull
@@ -968,6 +1038,98 @@ mod tests {
         let mut payload = reader.next_payload().unwrap().expect("frame").to_vec();
         payload.push(0);
         assert!(matches!(decode_message(&payload), Err(CodecError::TrailingBytes { extra: 1 })));
+    }
+
+    /// A request drawn from `ops` (`(kind, n)` per op) and `head`
+    /// (durability and deadline bits, retry budget, VIP token or guest).
+    /// Keys mix one-, two- and three-byte characters, so that a flipped
+    /// byte can break their UTF-8.
+    fn drawn_request(ops: &[(u8, u64)], head: (u8, u32, u64)) -> Request {
+        let key = |n: u64| format!("k{n}{}", ["", "é", "日"][n as usize % 3]);
+        let ops = ops
+            .iter()
+            .map(|&(kind, n)| match kind {
+                0 => StoreOp::Get(key(n)),
+                1 => StoreOp::Put(key(n), n),
+                2 => StoreOp::Remove(key(n)),
+                3 => StoreOp::Cas { key: key(n), expect: (n % 2 == 0).then_some(n), new: n },
+                _ => StoreOp::Scan { from: key(n), to: key(n + 1) },
+            })
+            .collect();
+        let (bits, budget, token) = head;
+        let mut req = Request::new(ops).retry_budget(budget);
+        if bits & 1 == 1 {
+            req = req.durability(DurabilityClass::Sync);
+        }
+        if bits & 2 == 2 {
+            req = req.deadline_ms(budget / 2);
+        }
+        if token % 2 == 1 {
+            req = req.credential(TierCredential::Vip { token });
+        }
+        req
+    }
+
+    /// The header reader on `payload` against the full decoder: it errs
+    /// exactly when the decoder errs or reads another kind of message, and
+    /// otherwise returns the decoded request's id, budget and op count.
+    fn reader_agrees(payload: &[u8]) -> Result<(), proptest::TestCaseError> {
+        match (read_request_header(payload), decode_message(payload)) {
+            (Ok(header), Ok(Message::Request { id, req })) => {
+                proptest::prop_assert_eq!(header, (id, req.retry_budget, req.ops.len()));
+            }
+            (Err(_), Err(_) | Ok(Message::Hello(_) | Message::Response { .. })) => {}
+            (header, decoded) => {
+                let why = format!("reader {header:?}, decoder {decoded:?} on {}", hex(payload));
+                return Err(proptest::TestCaseError::fail(why));
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Every encoded request, every prefix of it, and it with each one
+        /// of its bytes flipped: the shed path's reader fails closed where
+        /// the decoder does, and reads what the decoder reads.
+        #[test]
+        fn the_request_header_reader_agrees_with_the_decoder(
+            ops in proptest::collection::vec((0u8..5, 0u64..1_000), 0..6),
+            head in (0u8..4, 0u32..300, 0u64..1_000),
+            flip in 1u8..=255,
+        ) {
+            let frame = encode_request(head.2, &drawn_request(&ops, head));
+            let mut reader = FrameReader::new();
+            reader.push(&frame);
+            let payload = reader.next_payload().unwrap().expect("one complete frame").to_vec();
+            for cut in 0..=payload.len() {
+                reader_agrees(&payload[..cut])?;
+            }
+            for at in 0..payload.len() {
+                let mut flipped = payload.clone();
+                flipped[at] ^= flip;
+                reader_agrees(&flipped)?;
+            }
+        }
+    }
+
+    /// A refusal frame is byte for byte the response of `fail_all`'s
+    /// results, for an empty request, a one-op one and a 300-op one.
+    #[test]
+    fn a_refusal_is_the_fail_all_response_byte_for_byte() {
+        for ops in [0, 1, 300] {
+            for err in [
+                StoreError::RetryBudgetExhausted { budget: 7 },
+                StoreError::DeadlineExceeded { deadline_ms: 250 },
+            ] {
+                let mut refusal = vec![0xaa];
+                encode_refusal_into(&mut refusal, 42, ops, err.clone());
+                let want = encode_response(42, &apc_store::Response::fail_all(ops, err).results);
+                assert_eq!(refusal[0], 0xaa, "what the buffer held stays");
+                assert_eq!(refusal[1..], want[..], "{ops} ops");
+            }
+        }
     }
 
     #[test]

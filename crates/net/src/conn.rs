@@ -109,7 +109,11 @@ impl ConnEnd {
     pub fn drain_into(&self, out: &mut Vec<u8>) -> usize {
         let mut pipe = locked(&self.rx);
         let n = pipe.buf.len();
-        out.extend(pipe.buf.drain(..));
+        // The ring's two runs, copied whole: the front, then the wrapped back.
+        let (front, back) = pipe.buf.as_slices();
+        out.extend_from_slice(front);
+        out.extend_from_slice(back);
+        pipe.buf.clear();
         n
     }
 
@@ -182,6 +186,23 @@ mod tests {
         let (_client, server) = hooked_pair(Arc::clone(&word), 1);
         server.close();
         assert_eq!(rung(), 0, "the server's own close rings nothing");
+    }
+
+    #[test]
+    fn a_drain_across_the_rings_wrap_point_returns_every_byte_in_order() {
+        let (a, b) = sim_pair();
+        let bytes: Vec<u8> = (0..=255).cycle().take(4096).collect();
+        assert!(a.send(&bytes[..600]));
+        // Part of the pipe is read: the ring's head moves off its start.
+        locked(&b.rx).buf.drain(..500);
+        // Fill the ring to its capacity, so the new bytes wrap around its end.
+        let room = locked(&b.rx).buf.capacity() - 100;
+        assert!(a.send(&bytes[600..600 + room]));
+        assert!(!locked(&b.rx).buf.as_slices().1.is_empty(), "the queued bytes wrap");
+        let mut out = Vec::new();
+        assert_eq!(b.drain_into(&mut out), 100 + room);
+        assert_eq!(out, bytes[500..600 + room], "every byte, in order");
+        assert_eq!(b.pending(), 0, "and the pipe is empty");
     }
 
     #[test]

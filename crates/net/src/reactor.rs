@@ -8,8 +8,8 @@
 //! the set to 0 before it drains any connection, then visits the set
 //! bits, lowest index first. An idle connection costs a turn nothing but
 //! its share of one word per 64 connections. A VIP request is served
-//! where it is decoded; a guest request is queued once. The turn runs in
-//! three phases:
+//! where it is decoded; a guest request is queued once, or shed where it
+//! is read. The turn runs in three phases:
 //!
 //! 1. **VIP connections** — the ready VIP connections are drained first,
 //!    and every request they carry is served as its frame decodes, no
@@ -27,7 +27,14 @@
 //!    VIP admitted mid-turn is served as its frames decode, before any
 //!    later connection is drained; a guest request joins the back of a
 //!    bounded backlog ([`ServerConfig::guest_queue_depth`]), stamped with
-//!    the turn's start.
+//!    the turn's start. A guest frame that finds the backlog full — depth
+//!    plus [`ServerConfig::guest_dispatch_per_poll`] frames — is shed
+//!    where it is read (the newest arrivals lose) with a typed
+//!    [`StoreError::RetryBudgetExhausted`] (the wire's 429) instead of
+//!    buffering unboundedly or blocking the reactor. Backpressure is a
+//!    value, not a stall, and it costs a header: the shed frame is
+//!    validated whole, so a malformed one still closes its connection,
+//!    but its ops are never decoded and it is never queued.
 //! 3. **Guest dispatch** — up to [`ServerConfig::guest_dispatch_per_poll`]
 //!    backlog frames are served from the front, oldest first. A frame
 //!    whose `deadline_ms` expired while it queued is shed
@@ -35,10 +42,11 @@
 //!    serving it would burn a store commit whose response the client
 //!    will discard — and the wait it did survive, counted from the start
 //!    of the turn that read it, is debited from the deadline the store
-//!    sees. Overflow beyond the backlog depth is shed from the back
-//!    (newest arrivals) with a typed [`StoreError::RetryBudgetExhausted`]
-//!    (the wire's 429) instead of buffering unboundedly or blocking the
-//!    reactor. Backpressure is a value, not a stall.
+//!    sees. The dispatch takes at least `guest_dispatch_per_poll` frames,
+//!    or the whole backlog, so at most `guest_queue_depth` carry over.
+//!    A VIP frame, once read, waits for none of this; but one that
+//!    arrives while a turn runs is read by the next turn, so a shorter
+//!    guest turn is what shortens a VIP's wait under guest flood.
 //!
 //! ## Per-shard batching of pipelined guest envelopes
 //!
@@ -91,7 +99,8 @@ use apc_store::{
     TierCredential,
 };
 
-use crate::codec::{decode_message, encode_hello, encode_request, encode_response_into};
+use crate::codec::{decode_message, encode_hello, encode_refusal_into, encode_request};
+use crate::codec::{encode_response_into, read_request_header};
 use crate::codec::{CodecError, FrameReader, Message, WireResult};
 use crate::conn::{hooked_pair, ConnEnd};
 use crate::metrics::NetMetrics;
@@ -115,11 +124,15 @@ pub struct ServerConfig {
     /// [`StoreError::RetryBudgetExhausted`].
     pub guest_dispatch_per_poll: usize,
     /// Guest frames that may carry over between poll turns after the
-    /// per-turn dispatch cap is spent. Overflow beyond this depth is shed
-    /// (newest first) with the typed 429; with depth `0` nothing carries
-    /// over, so everything past the dispatch cap is shed in its arrival
-    /// turn. A queued frame's wait is debited from its `deadline_ms`;
-    /// frames that expire while queued are shed pre-dispatch with
+    /// per-turn dispatch cap is spent. A guest frame read while the
+    /// backlog holds this many frames plus the dispatch cap is shed on
+    /// the spot (newest first) with the typed 429, answered from its
+    /// validated frame without decoding its ops; with depth `0` nothing
+    /// carries over, so everything past the dispatch cap is shed in its
+    /// arrival turn. A queued frame whose connection closed or whose
+    /// deadline expired holds its place until dispatch reaches it. A
+    /// queued frame's wait is debited from its `deadline_ms`; frames that
+    /// expire while queued are shed pre-dispatch with
     /// [`StoreError::DeadlineExceeded`].
     pub guest_queue_depth: usize,
     /// Cap applied to every wire request's retry budget. Keeps the
@@ -230,8 +243,8 @@ pub struct StoreServer<'a> {
     closed: usize,
     turn: TurnBuffers,
     /// Guest frames waiting for dispatch, oldest first: every guest
-    /// request is queued here where it is decoded, and frames the turn's
-    /// dispatch cap leaves over carry to later turns.
+    /// request not shed at ingest is queued here where it is decoded, and
+    /// frames the turn's dispatch cap leaves over carry to later turns.
     guest_backlog: VecDeque<QueuedGuest>,
     /// The server's own guest session: coalesced dispatches commit under
     /// this ticket (guest ports are interchangeable shared slots, so the
@@ -328,8 +341,7 @@ impl<'a> StoreServer<'a> {
                 if waited >= u128::from(ms) {
                     self.metrics.record_deadline_shed(false);
                     let err = StoreError::DeadlineExceeded { deadline_ms: ms };
-                    let resp = Response::fail_all(q.req.ops.len(), err);
-                    self.send_response(frame, q.conn, q.id, &resp.results);
+                    self.send_refusal(frame, q.conn, q.id, q.req.ops.len(), err);
                     stats.deadline_shed += 1;
                     continue;
                 }
@@ -339,20 +351,10 @@ impl<'a> StoreServer<'a> {
             owners.push((q.conn, q.id, q.req.ops.len() as u64, q.arrived));
             reqs.push(q.req);
         }
-        // Overflow beyond the backlog depth is shed from the back — the
-        // newest arrivals lose, so a queued frame's position only ever
-        // improves.
-        while self.guest_backlog.len() > self.cfg.guest_queue_depth {
-            let Some(q) = self.guest_backlog.pop_back() else { break };
-            if !matches!(self.conns[q.conn].state, ConnState::Serving(_)) {
-                continue;
-            }
-            self.metrics.record_shed(false);
-            let err = StoreError::RetryBudgetExhausted { budget: q.req.retry_budget };
-            let resp = Response::fail_all(q.req.ops.len(), err);
-            self.send_response(frame, q.conn, q.id, &resp.results);
-            stats.shed += 1;
-        }
+        // Ingest shed every arrival past depth + cap, and the loop above
+        // took at least `cap` frames or all of them: nothing is over the
+        // depth.
+        debug_assert!(self.guest_backlog.len() <= self.cfg.guest_queue_depth);
         self.metrics.record_queue_depth(self.guest_backlog.len() as u64);
 
         self.serve_guest_turn(owners, reqs, frame, &mut stats);
@@ -471,6 +473,10 @@ impl<'a> StoreServer<'a> {
         frame: &mut Vec<u8>,
     ) {
         while !matches!(self.conns[i].state, ConnState::Closed) {
+            let guest = matches!(
+                &self.conns[i].state,
+                ConnState::Serving(t) if t.class() == ProgressClass::Guest
+            );
             let payload = match self.conns[i].reader.next_payload() {
                 Ok(Some(p)) => p,
                 Ok(None) => return,
@@ -478,6 +484,23 @@ impl<'a> StoreServer<'a> {
             };
             self.metrics.record_frame_in();
             stats.frames += 1;
+            // A guest frame that finds a full backlog — as many frames as
+            // the turn's dispatch serves plus as many as may carry over — is
+            // shed where it is read, so the newest arrivals lose and a
+            // queued frame's position only ever improves. The 429 is
+            // answered from the validated frame: it is checked whole but
+            // never decoded into a `Request`, never queued.
+            let full = self.cfg.guest_queue_depth + self.cfg.guest_dispatch_per_poll;
+            if guest && self.guest_backlog.len() >= full {
+                let Ok((id, budget, ops)) = read_request_header(payload) else {
+                    return self.close_conn(i, true);
+                };
+                self.metrics.record_shed(false);
+                let err = StoreError::RetryBudgetExhausted { budget };
+                self.send_refusal(frame, i, id, ops, err);
+                stats.shed += 1;
+                continue;
+            }
             let Ok(msg) = decode_message(payload) else { return self.close_conn(i, true) };
             match (msg, &self.conns[i].state) {
                 (Message::Hello(cred), ConnState::Handshake) => {
@@ -640,6 +663,16 @@ impl<'a> StoreServer<'a> {
     fn send_response(&self, frame: &mut Vec<u8>, i: usize, id: u64, results: &[WireResult]) {
         frame.clear();
         encode_response_into(frame, id, results);
+        if self.conns[i].end.send(frame) {
+            self.metrics.record_frame_out();
+        }
+    }
+
+    /// Encodes the response refusing all `ops` of request `id` with `err`
+    /// into the turn's `frame` buffer and sends it.
+    fn send_refusal(&self, frame: &mut Vec<u8>, i: usize, id: u64, ops: usize, err: StoreError) {
+        frame.clear();
+        encode_refusal_into(frame, id, ops, err);
         if self.conns[i].end.send(frame) {
             self.metrics.record_frame_out();
         }
@@ -918,6 +951,58 @@ mod tests {
             }
         }
         assert_eq!((ok, shed), (4, 2));
+    }
+
+    /// With no backlog and no dispatch, every guest frame meets a full
+    /// backlog and is shed. A well-formed one gets its 429; a malformed one
+    /// — an unknown op tag, a key that is not UTF-8, a trailing byte — or a
+    /// second `Hello` closes the connection as a codec fault, unanswered.
+    #[test]
+    fn a_shed_guest_frame_still_fails_closed() {
+        let put = Request::new(vec![StoreOp::Put("k".into(), 1)]).retry_budget(4);
+        let put = encode_request(5, &put);
+        let mut reader = FrameReader::new();
+        reader.push(&put);
+        let payload = reader.next_payload().unwrap().expect("one frame").to_vec();
+        // The payload ends with the put: tag, key length, "k", value.
+        let tag = payload.len() - (1 + 4 + 1 + 8);
+        let framed = |edit: &dyn Fn(&mut Vec<u8>)| {
+            let mut bad = payload.clone();
+            edit(&mut bad);
+            let mut out = Vec::new();
+            let start = apc_store::frame::begin(&mut out);
+            out.extend_from_slice(&bad);
+            apc_store::frame::seal(&mut out, start);
+            out
+        };
+        let faults = [
+            ("unknown op tag", framed(&|p| p[tag] = 0x6e)),
+            ("non-UTF-8 key", framed(&|p| p[tag + 5] = 0xff)),
+            ("trailing bytes", framed(&|p| p.push(0))),
+            ("second Hello", encode_hello(&TierCredential::Guest)),
+        ];
+        let store = StoreBuilder::new().shards(1).vip_capacity(1).build().unwrap();
+        let cfg =
+            ServerConfig { guest_queue_depth: 0, guest_dispatch_per_poll: 0, ..Default::default() };
+        let mut server = StoreServer::new(&store, cfg.clone());
+        let mut guest = NetClient::connect(&mut server, TierCredential::Guest);
+        server.poll();
+        guest.end.send(&put);
+        assert_eq!(server.poll().shed, 1, "a full backlog sheds a well-formed frame");
+        let want = vec![Err(StoreError::RetryBudgetExhausted { budget: 4 })];
+        assert_eq!(guest.drain().unwrap(), vec![(5, want)]);
+        for (what, frame) in faults {
+            let mut server = StoreServer::new(&store, cfg.clone());
+            let mut guest = NetClient::connect(&mut server, TierCredential::Guest);
+            server.poll();
+            guest.end.send(&frame);
+            let stats = server.poll();
+            assert_eq!((stats.closed, stats.shed, stats.served), (1, 0, 0), "{what}");
+            assert!(guest.is_closed(), "{what}");
+            let errors = server.metrics().scrape().value("store_net_codec_errors_total", &[]);
+            assert_eq!(errors, Some(1), "{what}");
+            assert_eq!(guest.drain().unwrap(), vec![], "{what}: no response");
+        }
     }
 
     #[test]

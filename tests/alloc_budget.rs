@@ -29,8 +29,10 @@
 //! over `sim_pair` connections, in allocator calls made inside `poll()`
 //! per served frame — from the request's bytes arriving to its response's
 //! bytes sent — for a put and a local get on each tier, a 64-frame guest
-//! batch and a 16-key scan. Its last line prices a turn over 4096
-//! handshaken connections that have nothing to say: no allocator call.
+//! batch and a 16-key scan. Its last two lines price a guest frame shed at
+//! a full backlog, which is refused from its validated header, and a turn
+//! over 4096 handshaken connections that have nothing to say: no allocator
+//! call for either.
 //!
 //! A change that adds an allocation to the commit path or the serve path
 //! fails here and has to raise a budget below to land — that is, it has to
@@ -425,9 +427,50 @@ fn serve_path_allocations_stay_within_budget(store: &Store) {
         assert!(*calls <= budget + SLACK, "{name} is over its serve-path budget: {calls:.2}");
     }
 
+    let shed = shed_frame_calls(store, TURNS / 64);
+    println!("a guest frame shed at a full backlog: {shed:.3} allocator calls");
+    assert_eq!(shed, 0.0, "a shed frame is refused from its header, not decoded");
+
     let idle = idle_turn_calls(store);
     println!("a turn over {IDLE_CONNS} idle connections: {idle} allocator calls");
     assert_eq!(idle, 0, "a turn with nothing to serve allocates");
+}
+
+/// Allocator calls per frame inside `poll()` when every guest frame of a
+/// turn meets a full backlog: `turns` turns of a one-put frame from each of
+/// 64 guests, on a server that queues none and dispatches none, after as
+/// many unpriced turns to warm its buffers and the pipes'.
+fn shed_frame_calls(store: &Store, turns: u32) -> f64 {
+    let cfg = ServerConfig {
+        guest_queue_depth: 0,
+        guest_dispatch_per_poll: 0,
+        ..ServerConfig::default()
+    };
+    let mut server = StoreServer::new(store, cfg);
+    let mut guests: Vec<NetClient> =
+        (0..64).map(|_| NetClient::connect(&mut server, TierCredential::Guest)).collect();
+    server.poll(); // the handshakes
+    let mut shed_turn = |t: u32| {
+        for (f, guest) in (0..).zip(guests.iter_mut()) {
+            let i = t * 64 + f;
+            guest.send(&Request::new(vec![StoreOp::Put(nth_key(i), u64::from(i))]));
+        }
+        let before = CALLS.load(Ordering::Relaxed);
+        let stats = server.poll();
+        let calls = CALLS.load(Ordering::Relaxed) - before;
+        assert_eq!((stats.shed, stats.served), (64, 0), "every frame is shed");
+        for guest in &mut guests {
+            for (_, results) in guest.drain().expect("well-formed responses") {
+                assert!(results.iter().all(Result::is_err), "refused: {results:?}");
+            }
+        }
+        calls
+    };
+    for t in 0..turns {
+        shed_turn(t);
+    }
+    let calls: u64 = (0..turns).map(shed_turn).sum();
+    calls as f64 / f64::from(turns * 64)
 }
 
 const IDLE_CONNS: usize = 4096;
