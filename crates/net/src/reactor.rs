@@ -69,13 +69,18 @@
 //! ## Admission is keyed by connection credential
 //!
 //! A VIP handshake must present a token from
-//! [`ServerConfig::vip_tokens`]; the server admits one VIP ticket per
-//! distinct token (cached in `vip_sessions`, so reconnects reuse the same
-//! port) and refuses unknown tokens or over-capacity admissions with a
-//! typed [`StoreError::GuestTier`] response before closing. Guests are
-//! admitted unboundedly, one ticket per connection. A serving connection
-//! whose request claims a different tier than its handshake earned is
-//! answered with `GuestTier` errors — frames cannot escalate privilege.
+//! [`ServerConfig::vip_tokens`]. The reactor is one process, so it holds
+//! one ticket per tier: the first allow-listed VIP hello admits the
+//! server's one VIP ticket, and every VIP connection after it — whatever
+//! its token, reconnects included — is served on that same port, so each
+//! guest write is replayed once on the VIP side, not once per token. An
+//! unknown token, or a first VIP hello that finds the store's VIP capacity
+//! exhausted, is refused with a typed [`StoreError::GuestTier`] response
+//! before closing. Guests are accepted unboundedly, and every guest
+//! connection carries the server's one guest ticket, the one its coalesced
+//! dispatch commits under. A serving connection whose request claims a
+//! different tier than its handshake earned is answered with `GuestTier`
+//! errors — frames cannot escalate privilege.
 //!
 //! ## The wire never blocks
 //!
@@ -87,7 +92,7 @@
 //! durability is the one deliberate exception — it fsyncs on the reactor
 //! thread via the store's own (VIP-gated) blocking arm.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -113,10 +118,9 @@ const MAX_HTTP_HEAD: usize = 8 << 10;
 /// Tuning knobs for a [`StoreServer`].
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Tokens whose `Hello` handshake may claim the VIP tier. Each
-    /// distinct token is backed by at most one admitted VIP ticket
-    /// (reconnects reuse it), so the list's length bounds how much VIP
-    /// port capacity the wire can consume.
+    /// Tokens whose `Hello` handshake may claim the VIP tier. Every
+    /// token's connections share the server's one admitted VIP ticket, so
+    /// the wire holds at most one VIP port whatever the list's length.
     pub vip_tokens: Vec<u64>,
     /// Guest requests served per [`StoreServer::poll`]; arrivals beyond
     /// this wait in the backlog (up to
@@ -231,9 +235,10 @@ pub struct StoreServer<'a> {
     store: &'a Store,
     cfg: ServerConfig,
     metrics: NetMetrics,
-    /// One admitted VIP ticket per authorized token, reused across
-    /// reconnects so a flapping VIP client cannot leak ports.
-    vip_sessions: BTreeMap<u64, ClientTicket>,
+    /// The server's one VIP session: admitted at the first allow-listed
+    /// VIP hello and carried by every VIP connection, whatever its token,
+    /// so the wire holds one VIP port and a flapping client leaks none.
+    vip_ticket: Option<ClientTicket>,
     conns: Vec<ConnSlot>,
     /// The ready set: bit `i % 64` of word `i / 64` is set by connection
     /// `i`'s client whenever it sends or hangs up.
@@ -246,9 +251,10 @@ pub struct StoreServer<'a> {
     /// request not shed at ingest is queued here where it is decoded, and
     /// frames the turn's dispatch cap leaves over carry to later turns.
     guest_backlog: VecDeque<QueuedGuest>,
-    /// The server's own guest session: coalesced dispatches commit under
-    /// this ticket (guest ports are interchangeable shared slots, so the
-    /// batch riding one fixed port changes nothing observable).
+    /// The server's one guest session: every guest connection carries it,
+    /// and coalesced dispatches commit under it (guest ports are
+    /// interchangeable shared slots, so the batch riding one fixed port
+    /// changes nothing observable).
     batch_ticket: ClientTicket,
 }
 
@@ -259,7 +265,7 @@ impl<'a> StoreServer<'a> {
             store,
             cfg,
             metrics: NetMetrics::new(),
-            vip_sessions: BTreeMap::new(),
+            vip_ticket: None,
             conns: Vec::new(),
             ready: Vec::new(),
             closed: 0,
@@ -528,21 +534,11 @@ impl<'a> StoreServer<'a> {
     fn finish_handshake(&mut self, i: usize, cred: TierCredential, frame: &mut Vec<u8>) {
         match cred {
             TierCredential::Vip { token } => {
-                let ticket = if self.cfg.vip_tokens.contains(&token) {
-                    match self.vip_sessions.get(&token) {
-                        Some(t) => Some(*t),
-                        None => match self.store.admit_vip() {
-                            Ok(t) => {
-                                self.vip_sessions.insert(token, t);
-                                Some(t)
-                            }
-                            Err(_) => None,
-                        },
-                    }
-                } else {
-                    None
-                };
-                match ticket {
+                let allowed = self.cfg.vip_tokens.contains(&token);
+                if allowed && self.vip_ticket.is_none() {
+                    self.vip_ticket = self.store.admit_vip().ok();
+                }
+                match self.vip_ticket.filter(|_| allowed) {
                     Some(t) => {
                         self.conns[i].state = ConnState::Serving(t);
                         self.metrics.record_accept(true);
@@ -557,8 +553,7 @@ impl<'a> StoreServer<'a> {
                 }
             }
             TierCredential::Guest => {
-                let t = self.store.admit_guest();
-                self.conns[i].state = ConnState::Serving(t);
+                self.conns[i].state = ConnState::Serving(self.batch_ticket);
                 self.metrics.record_accept(false);
             }
         }
@@ -1373,5 +1368,40 @@ mod tests {
         let stats = server.poll();
         assert_eq!(stats.served, 1);
         assert_eq!(b.drain().unwrap().len(), 1);
+    }
+
+    /// The reactor is one process and holds one VIP port: every
+    /// allow-listed token's connections ride the server's one VIP ticket,
+    /// so a capacity of 1 serves two tokens in one turn, and a capacity of
+    /// 2 leaves a port for an in-process client.
+    #[test]
+    fn every_allow_listed_token_rides_the_one_vip_ticket() {
+        let serve_both = |store: &Store| {
+            let cfg = ServerConfig { vip_tokens: vec![1, 2], ..ServerConfig::default() };
+            let mut server = StoreServer::new(store, cfg);
+            let mut vips: Vec<NetClient> = [1, 2]
+                .map(|token| NetClient::connect(&mut server, TierCredential::Vip { token }))
+                .into();
+            server.poll();
+            for (n, (vip, token)) in vips.iter_mut().zip([1, 2]).enumerate() {
+                let put = StoreOp::Put(format!("v/{token}"), n as u64);
+                vip.send(&Request::new(vec![put]).credential(TierCredential::Vip { token }));
+            }
+            let stats = server.poll();
+            assert_eq!((stats.served, stats.closed), (2, 0), "both tokens served in one turn");
+            for vip in &mut vips {
+                assert_eq!(vip.drain().unwrap(), vec![(1, vec![Ok(StoreResp::Value(None))])]);
+                assert!(!vip.is_closed());
+            }
+            let snap = server.metrics().scrape();
+            assert_eq!(snap.value("store_net_conns_denied_total", &[("tier", "vip")]), Some(0));
+            assert_eq!(snap.value("store_net_conns_accepted_total", &[("tier", "vip")]), Some(2));
+        };
+        let one_port = StoreBuilder::new().shards(1).vip_capacity(1).build().unwrap();
+        serve_both(&one_port);
+        assert!(one_port.admit_vip().is_err(), "the wire took the one port");
+        let two_ports = StoreBuilder::new().shards(1).vip_capacity(2).build().unwrap();
+        serve_both(&two_ports);
+        assert!(two_ports.admit_vip().is_ok(), "the wire left a port for an in-process client");
     }
 }

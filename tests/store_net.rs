@@ -381,6 +381,42 @@ fn net_deadline_expiry_is_typed_and_never_touches_vip() {
     assert_eq!(snap.value("store_net_backpressure_shed_total", &[("tier", "guest")]), Some(0));
 }
 
+/// The reactor holds one VIP port, so every guest cell is replayed once on
+/// the VIP side however many tokens are connected: two VIPs, 64 guest
+/// commits, and the two VIPs' next reads replay 64 cells between them.
+#[test]
+fn the_vip_side_replays_each_guest_cell_once() {
+    let store = StoreBuilder::new().shards(1).vip_capacity(2).build().unwrap();
+    let mut server =
+        StoreServer::new(&store, ServerConfig { vip_tokens: vec![1, 2], ..server_cfg(64) });
+    let mut vips: Vec<NetClient> =
+        [1, 2].map(|token| NetClient::connect(&mut server, TierCredential::Vip { token })).into();
+    let mut guest = NetClient::connect(&mut server, TierCredential::Guest);
+    let mut read_all = |server: &mut StoreServer<'_>| -> Vec<Vec<WireResult>> {
+        let mut reads = Vec::new();
+        for (vip, token) in vips.iter_mut().zip([1, 2]) {
+            let get = Request::new(vec![StoreOp::Get("cell".into())])
+                .credential(TierCredential::Vip { token });
+            vip.send(&get);
+            reads.extend(poll_until(server, vip).into_iter().map(|(_, results)| results));
+        }
+        reads
+    };
+    let replayed = |server: &StoreServer<'_>| {
+        server.scrape().value("store_replayed_cells_total", &[("tier", "vip")]).unwrap()
+    };
+
+    assert_eq!(read_all(&mut server), vec![vec![Ok(StoreResp::Value(None))]; 2]);
+    for n in 0..64 {
+        guest.send(&Request::new(vec![StoreOp::Put("cell".into(), n)]));
+        poll_until(&mut server, &mut guest);
+    }
+    let before = replayed(&server);
+    let reads = read_all(&mut server);
+    assert_eq!(replayed(&server) - before, 64, "one VIP replica replays the 64 guest cells");
+    assert_eq!(reads, vec![vec![Ok(StoreResp::Value(Some(63)))]; 2], "both VIPs read alike");
+}
+
 /// The independent oracle: the sequential meaning of one operation.
 fn oracle_apply(state: &mut BTreeMap<String, u64>, op: &StoreOp) -> StoreResp {
     match op {
