@@ -9,7 +9,7 @@
 //! bits, lowest index first. An idle connection costs a turn nothing but
 //! its share of one word per 64 connections. A VIP request is served
 //! where it is decoded; a guest request is queued once, or shed where it
-//! is read. The turn runs in three phases:
+//! is read. The turn runs in four phases:
 //!
 //! 1. **VIP connections** — the ready VIP connections are drained first,
 //!    and every request they carry is served as its frame decodes, no
@@ -47,6 +47,17 @@
 //!    A VIP frame, once read, waits for none of this; but one that
 //!    arrives while a turn runs is read by the next turn, so a shorter
 //!    guest turn is what shortens a VIP's wait under guest flood.
+//! 4. **VIP catch-up** — after a turn whose guest batch ran, and once a
+//!    VIP ticket is held, the server's one VIP replica is caught up on
+//!    every shard it trails by at least the shard log's port count `n`
+//!    ([`apc_store::Client::catch_up`], `bounded_wait_free` like the VIP
+//!    serve path: two loads per shard, and one visit of the VIP's own
+//!    port where the lag has reached `n`). So a VIP request replays fewer
+//!    than `n` cells of the guests' writes on its own path, and its walk
+//!    stays O(n) whatever the guests wrote. This moves replay; it does not
+//!    remove any: each guest cell is still replayed once on the VIP
+//!    replica, by the turn that caught it up instead of by the next VIP
+//!    request (`store_caught_up_cells_total{tier="vip"}`).
 //!
 //! ## Per-shard batching of pipelined guest envelopes
 //!
@@ -311,7 +322,8 @@ impl<'a> StoreServer<'a> {
 
     /// One reactor turn: drain and serve the ready VIP connections; drain
     /// every other ready connection, serving a VIP admitted mid-turn as its
-    /// frames decode and queueing every guest request; dispatch guests.
+    /// frames decode and queueing every guest request; dispatch guests;
+    /// catch the VIP replica up on what they wrote.
     pub fn poll(&mut self) -> PollStats {
         let mut stats = PollStats::default();
         let closed_before = self.closed;
@@ -364,6 +376,12 @@ impl<'a> StoreServer<'a> {
         self.metrics.record_queue_depth(self.guest_backlog.len() as u64);
 
         self.serve_guest_turn(owners, reqs, frame, &mut stats);
+
+        // Phase 4: the guests' writes, replayed into the VIP replica
+        // wherever it trails a shard by the log's port count.
+        if let Some(ticket) = self.vip_ticket.filter(|_| stats.batches > 0) {
+            self.catch_up_vip(ticket);
+        }
 
         frame.clear();
         self.turn = turn;
@@ -628,6 +646,15 @@ impl<'a> StoreServer<'a> {
         let resp = client.request_vip(req);
         self.metrics.record_request(true, ops, elapsed_ns(started));
         resp
+    }
+
+    /// The VIP catch-up: keeps the one VIP replica within the log's port
+    /// count of every shard's tail ([`apc_store::Client::catch_up`]), so a
+    /// VIP request replays fewer than that many of the guests' cells on
+    /// its own path. Moves replay off the VIP's clock; removes none.
+    #[progress(bounded_wait_free)]
+    fn catch_up_vip(&self, ticket: ClientTicket) {
+        self.store.client(ticket).catch_up();
     }
 
     /// The coalesced guest serve path: every guest envelope dispatched

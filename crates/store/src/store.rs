@@ -1447,6 +1447,45 @@ impl Client<'_> {
         ))
     }
 
+    /// Catches this VIP session's replica of every shard up to the shard's
+    /// log tail, wherever it trails the tail by at least the log's port
+    /// count `n` ([`Universal::n`]); a shard it trails by less is not
+    /// entered. Called between requests by whoever holds the ticket (the
+    /// `apc-net` reactor, after each turn's guest batch), it keeps the
+    /// lag a VIP request replays on its own path below `n` cells of that
+    /// holder's guest writes, so the request's walk stays O(n) whatever
+    /// the guests wrote. A guest session's call visits nothing.
+    ///
+    /// Nothing is skipped or reordered: each cell is replayed once, on the
+    /// VIP's own handle, only earlier ([`OwnedHandle::sync_read`] through
+    /// the port door, so the port's digest is republished). The replayed
+    /// cells count on `store_caught_up_cells_total`, not on the request
+    /// path's `store_replayed_cells_total`.
+    ///
+    /// Progress: per shard, two loads — [`Universal::tail`] and the port's
+    /// published cursor, no lock — and, past the threshold, one visit of
+    /// the VIP's exclusively owned port, bounded by the lag observed at the
+    /// call.
+    #[progress(bounded_wait_free)]
+    pub fn catch_up(&mut self) {
+        if self.ticket.class() != ProgressClass::Vip {
+            return;
+        }
+        let port = self.ticket.port();
+        for shard in &self.store.view.newest().shards {
+            let cursor = shard.digests[port].cursor.load(Ordering::Acquire);
+            if shard.log.tail().saturating_sub(cursor) < shard.log.n() as u64 {
+                continue;
+            }
+            let cells = shard.visit(port, |handle| {
+                let replayed = handle.replay_steps();
+                handle.sync_read(|_| ());
+                handle.replay_steps() - replayed
+            });
+            self.store.metrics.record_caught_up(ProgressClass::Vip, cells);
+        }
+    }
+
     /// The **bounded guest arm**: [`Client::request_guest_many`] with one
     /// envelope.
     #[progress(obstruction_free)]
@@ -2732,6 +2771,47 @@ mod tests {
         vip.put(&keys[0], 99);
         assert_eq!(cursors(&store)[shard][vip.ticket().port()], tail + 1);
         assert_eq!(guest.get(&keys[0]), Some(99), "the other port catches up by reading");
+    }
+
+    #[test]
+    fn a_vip_catch_up_enters_only_the_shards_it_trails_by_the_port_count() {
+        let store = small_store(2);
+        let n = store.spec().y();
+        let mut vip = store.client(store.admit_vip().unwrap());
+        let mut guest = store.client(store.admit_guest());
+        let port = vip.ticket().port();
+        let keys = [0, 1].map(|s| keys_on_shard(&store.topology(), s, n));
+        // Guests write n − 1 cells to shard 0 and n to shard 1.
+        for k in keys[0].iter().skip(1).chain(&keys[1]) {
+            guest.put(k, 7);
+        }
+        let view = store.view.newest();
+        let digest = |s: usize| view.shards[s].digests[port].load();
+        let tails = [0, 1].map(|s| view.shards[s].log.tail());
+        assert_eq!(tails, [n as u64 - 1, n as u64]);
+        let (cursors0, digest0) = (cursors(&store), digest(0));
+        let replayed0 = tier_counter(&store, "store_replayed_cells_total");
+
+        // A guest whose port trails both shards, as the VIP's does.
+        let mut idle = store.client(store.admit_guest());
+        assert_ne!(idle.ticket().port(), guest.ticket().port());
+        idle.catch_up();
+        assert_eq!(cursors(&store), cursors0, "a guest session's call visits nothing");
+        assert_eq!(tier_counter(&store, "store_caught_up_cells_total"), 0);
+
+        vip.catch_up();
+        assert_eq!(digest(0), digest0, "a shard at lag n − 1 is not entered");
+        assert_eq!(cursors(&store)[0], cursors0[0]);
+        assert_eq!(digest(1).commits, tails[1], "a shard at lag n is caught up to its tail");
+        assert_eq!(cursors(&store)[1][port], tails[1]);
+        assert_eq!(tier_counter(&store, "store_caught_up_cells_total"), n as u64);
+        assert_eq!(tier_counter(&store, "store_replayed_cells_total"), replayed0);
+
+        // The VIP's next reads replay the n − 1 cells left on shard 0, and
+        // nothing on shard 1, on their own path.
+        assert_eq!(vip.get(&keys[1][0]), Some(7));
+        assert_eq!(vip.get(&keys[0][1]), Some(7));
+        assert_eq!(tier_counter(&store, "store_replayed_cells_total") - replayed0, n as u64 - 1);
     }
 
     #[test]

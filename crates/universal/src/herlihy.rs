@@ -350,6 +350,16 @@ where
         self.anchor_index.load(Ordering::Acquire)
     }
 
+    /// The log's published tail: every cell below it is decided, and every
+    /// response or seal shown so far depends only on cells below it. It is
+    /// what [`OwnedHandle::sync_read`] catches up to, so a handle whose
+    /// [`OwnedHandle::replayed_cells`] trails it by `k` would replay `k`
+    /// cells in its next read. One load; monotone.
+    #[progress(wait_free)]
+    pub fn tail(&self) -> u64 {
+        self.tail.load(Ordering::Acquire)
+    }
+
     /// Takes the (unique) handle for process `pid`: claims the port bit and
     /// starts the handle's replica at the latest published seal, read under
     /// the anchor's lock (the admin path: a store makes every handle when
@@ -570,7 +580,7 @@ where
     /// read before it is legal.
     #[progress(bounded_wait_free)]
     pub fn sync_read<R>(&mut self, f: impl FnOnce(&S::State) -> R) -> R {
-        let tail = self.obj.tail.load(Ordering::Acquire);
+        let tail = self.obj.tail();
         // Every cell below `tail` is decided; stay total regardless.
         while self.cell_index < tail && self.absorb(None).is_some() {}
         f(&self.state)
@@ -1106,6 +1116,7 @@ mod tests {
         }
         // The reader starts at cursor 0 with the tail at 10: exactly
         // tail − cursor cells replayed, none consumed.
+        assert_eq!((obj.tail(), reader.replayed_cells()), (10, 0));
         assert_eq!(reader.sync_read(|s| *s), 10);
         assert_eq!(reader.replay_steps(), 10);
         assert_eq!(*reader.local_state(), 10);
@@ -1116,6 +1127,7 @@ mod tests {
         writer.apply(CounterOp::Add(1));
         assert_eq!(writer.replayed_cells(), 11);
         assert_eq!(reader.sync_read(|s| *s), 11);
+        assert_eq!(obj.tail(), 11, "a read never moves the tail");
     }
 
     #[test]
