@@ -9,7 +9,7 @@
 //! bits, lowest index first. An idle connection costs a turn nothing but
 //! its share of one word per 64 connections. A VIP request is served
 //! where it is decoded; a guest request is queued once, or shed where it
-//! is read. The turn runs in four phases:
+//! is read. The turn runs in three phases:
 //!
 //! 1. **VIP connections** — the ready VIP connections are drained first,
 //!    and every request they carry is served as its frame decodes, no
@@ -47,17 +47,23 @@
 //!    A VIP frame, once read, waits for none of this; but one that
 //!    arrives while a turn runs is read by the next turn, so a shorter
 //!    guest turn is what shortens a VIP's wait under guest flood.
-//! 4. **VIP catch-up** — after a turn whose guest batch ran, and once a
-//!    VIP ticket is held, the server's one VIP replica is caught up on
-//!    every shard it trails by at least the shard log's port count `n`
-//!    ([`apc_store::Client::catch_up`], `bounded_wait_free` like the VIP
-//!    serve path: two loads per shard, and one visit of the VIP's own
-//!    port where the lag has reached `n`). So a VIP request replays fewer
-//!    than `n` cells of the guests' writes on its own path, and its walk
-//!    stays O(n) whatever the guests wrote. This moves replay; it does not
-//!    remove any: each guest cell is still replayed once on the VIP
-//!    replica, by the turn that caught it up instead of by the next VIP
-//!    request (`store_caught_up_cells_total{tier="vip"}`).
+//!
+//! ## One replica per reactor
+//!
+//! The reactor runs every commit on one thread, one after the other, so
+//! once it holds a VIP ticket its guest batch commits under that ticket's
+//! **guest voice**
+//! ([`apc_store::Store::guest_voice`]): a guest pid of its own, committing
+//! through the VIP's port slot and replica. The batch still runs the guest
+//! consensus protocol — never the VIP's one CAS — and still carries
+//! everything a guest commit carries (group durability, the elasticity
+//! tick, the auto-seal); but the one replica it walks is the one the VIP
+//! requests read. So every cell the reactor writes, VIP or guest, is
+//! applied once on the reactor's side, and a VIP request replays only
+//! what *other* processes wrote since the reactor's last turn. Until the
+//! first VIP hello, the batch commits under the server's guest ticket; the
+//! first batch after it replays, on the shared replica, whatever the VIP
+//! slot had not yet seen.
 //!
 //! ## Per-shard batching of pipelined guest envelopes
 //!
@@ -70,11 +76,11 @@
 //! deadline errors as one envelope per round (property-tested against the
 //! oracle in `tests/store_net.rs`, 256 envelopes per turn against 1) —
 //! and it cannot erode the asymmetric guarantees: the batch runs strictly
-//! *after* the VIP phase under the server's own guest session, so
-//! coalescing can delay other guests but never a VIP frame. Envelopes the
-//! guest tier refuses (`Sync` durability, a VIP credential on a guest
-//! connection) ride the batch too and are refused one by one by the
-//! store. VIP frames are never batched, never queued, never deadline-shed:
+//! *after* the VIP phase under a guest pid (the VIP ticket's voice, or the
+//! server's guest ticket before any VIP hello), so coalescing can delay
+//! other guests but never a VIP frame. Envelopes the guest tier refuses
+//! (`Sync` durability, a VIP credential on a guest connection) ride the
+//! batch too and are refused one by one by the store. VIP frames are never batched, never queued, never deadline-shed:
 //! every VIP frame is served where it is decoded.
 //!
 //! ## Admission is keyed by connection credential
@@ -83,13 +89,14 @@
 //! [`ServerConfig::vip_tokens`]. The reactor is one process, so it holds
 //! one ticket per tier: the first allow-listed VIP hello admits the
 //! server's one VIP ticket, and every VIP connection after it — whatever
-//! its token, reconnects included — is served on that same port, so each
-//! guest write is replayed once on the VIP side, not once per token. An
+//! its token, reconnects included — is served on that same port, whose
+//! replica the guest batch shares (above). An
 //! unknown token, or a first VIP hello that finds the store's VIP capacity
 //! exhausted, is refused with a typed [`StoreError::GuestTier`] response
 //! before closing. Guests are accepted unboundedly, and every guest
 //! connection carries the server's one guest ticket, the one its coalesced
-//! dispatch commits under. A serving connection whose request claims a
+//! dispatch commits under until a VIP ticket is held. A serving connection
+//! whose request claims a
 //! different tier than its handshake earned is answered with `GuestTier`
 //! errors — frames cannot escalate privilege.
 //!
@@ -249,6 +256,7 @@ pub struct StoreServer<'a> {
     /// The server's one VIP session: admitted at the first allow-listed
     /// VIP hello and carried by every VIP connection, whatever its token,
     /// so the wire holds one VIP port and a flapping client leaks none.
+    /// Once it is held, the guest batch commits under its guest voice.
     vip_ticket: Option<ClientTicket>,
     conns: Vec<ConnSlot>,
     /// The ready set: bit `i % 64` of word `i / 64` is set by connection
@@ -263,9 +271,9 @@ pub struct StoreServer<'a> {
     /// frames the turn's dispatch cap leaves over carry to later turns.
     guest_backlog: VecDeque<QueuedGuest>,
     /// The server's one guest session: every guest connection carries it,
-    /// and coalesced dispatches commit under it (guest ports are
-    /// interchangeable shared slots, so the batch riding one fixed port
-    /// changes nothing observable).
+    /// and coalesced dispatches commit under it until a VIP ticket is held
+    /// (guest pids are interchangeable, so the batch riding one fixed pid,
+    /// then another, changes nothing observable).
     batch_ticket: ClientTicket,
 }
 
@@ -322,8 +330,7 @@ impl<'a> StoreServer<'a> {
 
     /// One reactor turn: drain and serve the ready VIP connections; drain
     /// every other ready connection, serving a VIP admitted mid-turn as its
-    /// frames decode and queueing every guest request; dispatch guests;
-    /// catch the VIP replica up on what they wrote.
+    /// frames decode and queueing every guest request; dispatch guests.
     pub fn poll(&mut self) -> PollStats {
         let mut stats = PollStats::default();
         let closed_before = self.closed;
@@ -376,12 +383,6 @@ impl<'a> StoreServer<'a> {
         self.metrics.record_queue_depth(self.guest_backlog.len() as u64);
 
         self.serve_guest_turn(owners, reqs, frame, &mut stats);
-
-        // Phase 4: the guests' writes, replayed into the VIP replica
-        // wherever it trails a shard by the log's port count.
-        if let Some(ticket) = self.vip_ticket.filter(|_| stats.batches > 0) {
-            self.catch_up_vip(ticket);
-        }
 
         frame.clear();
         self.turn = turn;
@@ -648,24 +649,18 @@ impl<'a> StoreServer<'a> {
         resp
     }
 
-    /// The VIP catch-up: keeps the one VIP replica within the log's port
-    /// count of every shard's tail ([`apc_store::Client::catch_up`]), so a
-    /// VIP request replays fewer than that many of the guests' cells on
-    /// its own path. Moves replay off the VIP's clock; removes none.
-    #[progress(bounded_wait_free)]
-    fn catch_up_vip(&self, ticket: ClientTicket) {
-        self.store.client(ticket).catch_up();
-    }
-
     /// The coalesced guest serve path: every guest envelope dispatched
-    /// this turn rides one store round under the server's own
-    /// guest session — the store's batch planner turns N pipelined
-    /// single-op envelopes into ~one log append per shard. Runs strictly
-    /// after the VIP phase, so coalescing can delay other guests but
-    /// never a VIP frame; obstruction-free like the tier it serves.
+    /// this turn rides one store round under the server's own guest pid —
+    /// the VIP ticket's guest voice once one is held, so the batch commits
+    /// through the VIP's replica, and the server's guest ticket before —
+    /// and the store's batch planner turns N pipelined single-op envelopes
+    /// into ~one log append per shard. Runs strictly after the VIP phase,
+    /// so coalescing can delay other guests but never a VIP frame;
+    /// obstruction-free like the tier it serves.
     #[progress(obstruction_free)]
     fn dispatch_guest_batch(&self, reqs: &mut Vec<Request>) -> Vec<Response> {
-        let mut client = self.store.client(self.batch_ticket);
+        let ticket = self.vip_ticket.and_then(|vip| self.store.guest_voice(vip));
+        let mut client = self.store.client(ticket.unwrap_or(self.batch_ticket));
         client.request_guest_from(reqs.drain(..))
     }
 

@@ -1,7 +1,8 @@
 //! The admission layer: who gets which progress class.
 //!
-//! A store serves two tiers of clients against every shard's `(y,x)`-live
-//! universal object:
+//! A store serves two tiers of clients against every shard's
+//! `(2x + g, x)`-live universal object, for `x` VIP ports and `g` guest
+//! ports:
 //!
 //! * a **bounded VIP tier** — each VIP client owns one port of the shard
 //!   spec's wait-free set `X` exclusively, so its operations are wait-free.
@@ -10,7 +11,21 @@
 //!   `x` processes (Theorem 3: consensus number `x+1`);
 //! * an **unbounded guest tier** — guests are obstruction-free. Any number
 //!   of guest clients are admitted; they are multiplexed round-robin onto
-//!   the shard spec's guest ports `Y \ X`.
+//!   the `g` shared guest ports;
+//! * one **guest voice** per VIP port ([`Admission::guest_voice`]): a
+//!   guest process of its own, `x + g + v` for VIP port `v`, that the VIP
+//!   port's owner may run between its own operations. It commits through
+//!   the VIP's port slot and replica, so an owner that serves guest work
+//!   too (the wire reactor) keeps one replica, not two; but it runs the
+//!   guest consensus protocol, never the VIP's wait-free path.
+//!
+//! So the log has `y = 2x + g` processes — VIPs, then shared guests, then
+//! voices, numbered in that order — over `x + g` port slots
+//! ([`Admission::ports`]). The voices cost the VIPs something: the helping
+//! rule places an announced operation within ~`y` to `2y` cells, so a
+//! VIP's worst-case bound grows with them (10 processes instead of 8 at the
+//! default sizing), while its usual path no longer replays its own
+//! owner's guest writes.
 //!
 //! [`Admission`] owns the per-shard [`Liveness`] specification; every shard
 //! of one store uses the same spec, so a ticket's port is valid on all
@@ -94,7 +109,8 @@ pub struct ClientTicket {
 }
 
 impl ClientTicket {
-    /// The unique client id within the issuing store.
+    /// The client id within the issuing store, unique per admission; a
+    /// guest voice ([`Admission::guest_voice`]) carries its VIP's.
     pub fn id(&self) -> u64 {
         self.id
     }
@@ -104,7 +120,8 @@ impl ClientTicket {
         self.class
     }
 
-    /// The per-shard port this client operates through.
+    /// The per-shard process this client operates as: its port, or, for a
+    /// guest voice, the voice's own pid past the port slots.
     pub fn port(&self) -> usize {
         self.port
     }
@@ -122,22 +139,24 @@ pub struct Admission {
 
 impl Admission {
     /// Builds the admission layer, deriving the per-shard [`Liveness`] spec
-    /// (`(vip_capacity + guest_ports, vip_capacity)`-live).
+    /// (`(2 · vip_capacity + guest_ports, vip_capacity)`-live: the VIPs,
+    /// the guest ports, and one guest voice per VIP port).
     ///
     /// # Errors
     ///
     /// [`AdmissionError::BadConfig`] if there are no guest ports or the
-    /// total port count leaves the representable range (`1..=64`).
+    /// process count leaves the representable range (`1..=64`).
     pub fn new(cfg: AdmissionConfig) -> Result<Self, AdmissionError> {
         if cfg.guest_ports == 0 {
             return Err(AdmissionError::BadConfig("guest_ports must be at least 1"));
         }
-        let ports = cfg.vip_capacity + cfg.guest_ports;
-        if ports > 64 {
-            return Err(AdmissionError::BadConfig("vip_capacity + guest_ports must be ≤ 64"));
+        let processes = 2 * cfg.vip_capacity + cfg.guest_ports;
+        if processes > 64 {
+            return Err(AdmissionError::BadConfig("2 · vip_capacity + guest_ports must be ≤ 64"));
         }
-        let spec = Liveness::new(ProcessSet::first_n(ports), ProcessSet::first_n(cfg.vip_capacity))
-            .map_err(|_| AdmissionError::BadConfig("liveness spec rejected the port sets"))?;
+        let spec =
+            Liveness::new(ProcessSet::first_n(processes), ProcessSet::first_n(cfg.vip_capacity))
+                .map_err(|_| AdmissionError::BadConfig("liveness spec rejected the port sets"))?;
         Ok(Admission {
             cfg,
             spec,
@@ -148,14 +167,30 @@ impl Admission {
     }
 
     /// The per-shard liveness specification
-    /// (`(vip_capacity + guest_ports, vip_capacity)`-live).
+    /// (`(2 · vip_capacity + guest_ports, vip_capacity)`-live).
     pub fn spec(&self) -> Liveness {
         self.spec
     }
 
-    /// Total port count per shard (`y` of the spec).
+    /// Port slots per shard, `vip_capacity + guest_ports`: one replica
+    /// each. A VIP slot also carries its port's guest voice, so this is
+    /// `y` of the spec less one per VIP.
     pub fn ports(&self) -> usize {
-        self.spec.y()
+        self.cfg.vip_capacity + self.cfg.guest_ports
+    }
+
+    /// The guest voice of a VIP ticket: a guest-class ticket for the VIP
+    /// port's own guest process, `x + g + v` for port `v`, which commits
+    /// through the VIP's port slot and replica under the guest protocol.
+    /// `None` for a guest ticket (a voice is a VIP port's, and a voice
+    /// ticket is itself a guest's).
+    #[progress(wait_free)]
+    pub fn guest_voice(&self, ticket: ClientTicket) -> Option<ClientTicket> {
+        (ticket.class == ProgressClass::Vip).then(|| ClientTicket {
+            id: ticket.id,
+            class: ProgressClass::Guest,
+            port: self.ports() + ticket.port,
+        })
     }
 
     /// Admits a client into `class`.
@@ -228,9 +263,36 @@ mod tests {
     #[test]
     fn spec_matches_config() {
         let a = Admission::new(cfg(2, 6)).unwrap();
-        assert_eq!(a.spec().y(), 8);
+        assert_eq!(a.spec().y(), 10, "two VIPs, six guest ports, two voices");
         assert_eq!(a.spec().x(), 2);
         assert_eq!(a.ports(), 8);
+    }
+
+    #[test]
+    fn a_vip_ports_voice_is_a_guest_past_the_port_slots() {
+        let a = Admission::new(cfg(2, 3)).unwrap();
+        let vips = [a.admit(ProgressClass::Vip).unwrap(), a.admit(ProgressClass::Vip).unwrap()];
+        for (v, vip) in vips.into_iter().enumerate() {
+            let voice = a.guest_voice(vip).unwrap();
+            assert_eq!(
+                (voice.class(), voice.port(), voice.id()),
+                (ProgressClass::Guest, 5 + v, vip.id())
+            );
+            assert!(a.spec().is_port(voice.port()));
+            assert!(!a.spec().is_wait_free_for(voice.port()), "a voice is no VIP");
+        }
+        assert_eq!(a.guest_voice(a.admit_guest()), None, "a guest ticket has no voice");
+        let voice = a.guest_voice(vips[0]).unwrap();
+        assert_eq!(a.guest_voice(voice), None, "nor does a voice");
+    }
+
+    #[test]
+    fn round_robin_guests_never_get_a_voice() {
+        let a = Admission::new(cfg(3, 4)).unwrap();
+        for _ in 0..3 * 4 {
+            let port = a.admit_guest().port();
+            assert!((3..7).contains(&port), "guest port {port} is a shared guest slot");
+        }
     }
 
     #[test]
@@ -278,5 +340,8 @@ mod tests {
     fn bad_configs_rejected() {
         assert!(Admission::new(cfg(1, 0)).is_err());
         assert!(Admission::new(cfg(60, 8)).is_err());
+        // 34 ports, but 65 processes once each VIP port has its voice.
+        assert!(matches!(Admission::new(cfg(31, 3)), Err(AdmissionError::BadConfig(_))));
+        assert_eq!(Admission::new(cfg(31, 2)).unwrap().spec().y(), 64);
     }
 }

@@ -46,12 +46,8 @@ struct TierMetrics {
     /// without a log cell (read-only sub-batches).
     local_reads: Counter,
     /// Log cells this tier's ports replayed while serving their rounds.
-    /// Replay amplification = (replayed + caught up) ÷ appended
-    /// (`commits − local_reads`).
+    /// Replay amplification = replayed ÷ appended (`commits − local_reads`).
     replayed_cells: Counter,
-    /// Log cells this tier's ports replayed between rounds, in
-    /// [`Client::catch_up`](crate::Client::catch_up): VIP ports only.
-    caught_up_cells: Counter,
     /// Operations bounced [`StoreResp::Moved`](crate::ops::StoreResp) by a
     /// reconfiguration epoch check (re-planned by the client, never lost).
     moved_ops: Counter,
@@ -67,7 +63,6 @@ impl TierMetrics {
             commits: Counter::new(),
             local_reads: Counter::new(),
             replayed_cells: Counter::new(),
-            caught_up_cells: Counter::new(),
             moved_ops: Counter::new(),
             batch_ops: FixedHistogram::new(&BATCH_OPS_BOUNDS),
             latency_ns: FixedHistogram::new(&COMMIT_LATENCY_NS_BOUNDS),
@@ -106,12 +101,6 @@ impl TierMetrics {
             help: "Log cells replayed by this tier's ports while serving their rounds.",
             labels: label(),
             value: SampleValue::Counter(self.replayed_cells.get()),
-        });
-        out.push(Sample {
-            name: "store_caught_up_cells_total",
-            help: "Log cells replayed by this tier's ports between rounds, by a catch-up.",
-            labels: label(),
-            value: SampleValue::Counter(self.caught_up_cells.get()),
         });
         out.push(Sample {
             name: "store_moved_ops_total",
@@ -203,13 +192,6 @@ impl StoreMetrics {
     #[progress(wait_free)]
     pub(crate) fn record_replayed(&self, tier: ProgressClass, cells: u64) {
         self.tier(tier).replayed_cells.add(cells);
-    }
-
-    /// Records `cells` log cells a `tier` port replayed in a catch-up,
-    /// outside any round.
-    #[progress(wait_free)]
-    pub(crate) fn record_caught_up(&self, tier: ProgressClass, cells: u64) {
-        self.tier(tier).caught_up_cells.add(cells);
     }
 
     /// Records an applied split installing topology `version`.
@@ -600,14 +582,11 @@ mod tests {
         m.record_local_read(ProgressClass::Vip);
         m.record_replayed(ProgressClass::Vip, 3);
         m.record_replayed(ProgressClass::Guest, 0);
-        m.record_caught_up(ProgressClass::Vip, 8);
         let s = snap(&m);
         assert_eq!(s.value("store_local_reads_total", &[("tier", "vip")]), Some(1));
         assert_eq!(s.value("store_local_reads_total", &[("tier", "guest")]), Some(0));
         assert_eq!(s.value("store_replayed_cells_total", &[("tier", "vip")]), Some(3));
         assert_eq!(s.value("store_replayed_cells_total", &[("tier", "guest")]), Some(0));
-        assert_eq!(s.value("store_caught_up_cells_total", &[("tier", "vip")]), Some(8));
-        assert_eq!(s.value("store_caught_up_cells_total", &[("tier", "guest")]), Some(0));
         let vip_lat = s.histogram("store_commit_latency_ns", &[("tier", "vip")]).unwrap();
         assert_eq!(vip_lat.count, 2);
         let guest_ops = s.histogram("store_commit_ops", &[("tier", "guest")]).unwrap();

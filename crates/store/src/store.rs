@@ -5,10 +5,16 @@
 //! [`AsymmetricFactory`] consensus cells, fronted by the admission layer's
 //! port discipline:
 //!
-//! * every shard exposes the same ports `0..y`; VIP clients own a wait-free
-//!   port exclusively, guest clients multiplex onto shared guest ports
-//!   (serialized per port by a mutex — the obstruction-free tier is also the
-//!   queued tier);
+//! * every shard exposes the same port slots, one replica each; VIP
+//!   clients own a wait-free port exclusively, guest clients multiplex onto
+//!   shared guest ports (serialized per port by a mutex — the
+//!   obstruction-free tier is also the queued tier), and each VIP port
+//!   carries a guest voice ([`Store::guest_voice`]): a guest process of its
+//!   own that commits through the VIP's slot and replica, so the slot's
+//!   owner can serve guest work without keeping a second replica. The log
+//!   is `(2x + g, x)`-live — `x` VIPs, `g` shared guests, `x` voices — over
+//!   `x + g` slots (see the [admission docs](crate::admission) for what
+//!   the voices cost the VIP's helping bound);
 //! * a client batch is split by the versioned
 //!   [`ShardTopology`] into at most one log append per shard, so same-shard
 //!   operations amortize consensus — and a sub-batch made only of reads
@@ -102,8 +108,9 @@ pub struct ShardDigest {
 struct Shard {
     /// The shard's universal log (also co-owned by every port handle).
     log: Arc<ShardLog>,
-    /// One slot per port; guests multiplex, VIPs own theirs exclusively.
-    /// Each handle co-owns the shard's universal log.
+    /// One slot per port; guests multiplex, VIPs own theirs exclusively,
+    /// and a VIP slot's handle also holds the port's guest voice. Each
+    /// handle co-owns the shard's universal log.
     ports: Vec<Mutex<PortHandle>>,
     /// Per-port digests, seeded from the state the shard is built from.
     /// Each has one writer at a time (whoever holds the port's mutex), and
@@ -122,35 +129,44 @@ struct Shard {
 }
 
 impl Shard {
-    /// **The one door to a port**: locks the slot, runs `act` on its handle,
-    /// then publishes the handle's replayed position into the port's digest
-    /// words — in that order, always. Nothing else locks a port, so
-    /// no path that advances a port's replica (commits, seals and
-    /// reconfigurations alike) can leave the dashboard reporting the
+    /// **The one door to a port**: locks the slot of process `pid` — its
+    /// own, or for a VIP port's guest voice the VIP's — runs `act` on the
+    /// slot's handle, then publishes the handle's replayed position into
+    /// the slot's digest words — in that order, always. Nothing else locks
+    /// a port, so no path that advances a port's replica (commits, seals
+    /// and reconfigurations alike) can leave the dashboard reporting the
     /// position it had before.
-    fn visit<R>(&self, port: usize, act: impl FnOnce(&mut PortHandle) -> R) -> R {
-        // APC-LINT: allow(progress): a VIP port's mutex is uncontended by construction (one exclusive owner, and reconfiguration never touches VIP ports), so the VIP path's lock is bounded; guest ports share theirs by design
-        let handle = self.ports[port].lock().expect("port slot poisoned");
-        self.enter(port, handle, act)
+    fn visit<R>(&self, pid: usize, act: impl FnOnce(&mut PortHandle) -> R) -> R {
+        let slot = self.slot(pid);
+        // APC-LINT: allow(progress): a VIP slot's mutex is uncontended by construction (one exclusive owner, entering under its two pids one after the other, and reconfiguration never touches VIP ports), so the VIP path's lock is bounded; guest ports share theirs by design
+        let handle = self.ports[slot].lock().expect("port slot poisoned");
+        self.enter(slot, handle, act)
     }
 
     /// [`Shard::visit`] if the port is free right now; `None`, never a
     /// wait, if someone is in it.
-    fn try_visit<R>(&self, port: usize, act: impl FnOnce(&mut PortHandle) -> R) -> Option<R> {
-        let handle = self.ports[port].try_lock().ok()?;
-        Some(self.enter(port, handle, act))
+    fn try_visit<R>(&self, pid: usize, act: impl FnOnce(&mut PortHandle) -> R) -> Option<R> {
+        let slot = self.slot(pid);
+        let handle = self.ports[slot].try_lock().ok()?;
+        Some(self.enter(slot, handle, act))
     }
 
     /// What both doors do once the slot is theirs.
     fn enter<R>(
         &self,
-        port: usize,
+        slot: usize,
         mut handle: MutexGuard<'_, PortHandle>,
         act: impl FnOnce(&mut PortHandle) -> R,
     ) -> R {
         let out = act(&mut handle);
-        self.digests[port].publish(&handle);
+        self.digests[slot].publish(&handle);
         out
+    }
+
+    /// The slot whose handle holds process `pid`: a port's own, and for a
+    /// guest voice (past the slots) its VIP port's.
+    fn slot(&self, pid: usize) -> usize {
+        pid.checked_sub(self.ports.len()).unwrap_or(pid)
     }
 
     /// The port seals and reconfigurations ride: the guest tier
@@ -162,9 +178,11 @@ impl Shard {
 
     /// Builds one shard over `ports` port slots, optionally resuming from a
     /// recovered `(state, log_index)` pair (a snapshot's, or a split
-    /// child's migrated keys at index 0). Each port's digest starts at the
-    /// state it resumes from, so the shard reports its keys before any
-    /// visit.
+    /// child's migrated keys at index 0). The log has one process per
+    /// process of `liveness`; VIP slot `v` holds both the VIP and its
+    /// guest voice, `ports + v` ([`Universal::owned_pair`]). Each port's
+    /// digest starts at the state it resumes from, so the shard reports its
+    /// keys before any visit.
     fn build(
         spec: crate::ops::ShardSpec,
         liveness: Liveness,
@@ -172,13 +190,15 @@ impl Shard {
         resume: Option<(ShardState, u64)>,
     ) -> Self {
         let factory = AsymmetricFactory::new(liveness);
+        let n = liveness.y();
         let log = Arc::new(match resume {
-            Some((state, index)) => Universal::recovered(spec, factory, ports, state, index),
-            None => Universal::new(spec, factory, ports),
+            Some((state, index)) => Universal::recovered(spec, factory, n, state, index),
+            None => Universal::new(spec, factory, n),
         });
         let (port_slots, digests) = (0..ports)
             .map(|p| {
-                let handle = log.owned_handle(p).expect("fresh log, every port available");
+                let voice = if p < liveness.x() { ports + p } else { p };
+                let handle = log.owned_pair(p, voice).expect("fresh log, every port available");
                 let digest = PortDigest::default();
                 digest.publish(&handle);
                 (Mutex::new(handle), digest)
@@ -613,6 +633,17 @@ impl Store {
     #[progress(wait_free)]
     pub fn admit_guest(&self) -> ClientTicket {
         self.admission.admit_guest()
+    }
+
+    /// The guest voice of a VIP ticket ([`Admission::guest_voice`]): a
+    /// guest-class ticket whose commits go through the VIP's own port slot
+    /// and replica, under the voice's own guest pid — the guest protocol,
+    /// never the VIP's wait-free one. Everything else about it is a guest
+    /// ticket's: group durability only, the elasticity tick, the
+    /// auto-seal. `None` for a guest ticket.
+    #[progress(wait_free)]
+    pub fn guest_voice(&self, ticket: ClientTicket) -> Option<ClientTicket> {
+        self.admission.guest_voice(ticket)
     }
 
     /// Opens a client session for `ticket`.
@@ -1109,7 +1140,7 @@ impl Store {
                     (resps, false)
                 }
                 None => {
-                    let resps = self.append_on(handle, shard_id, batch, durability);
+                    let resps = self.append_on(handle, port, shard_id, batch, durability);
                     // Every append counts; only a guest commit seals (the
                     // seal is lock-free, not wait-free), so a VIP commit
                     // crossing a boundary skips that window.
@@ -1134,19 +1165,21 @@ impl Store {
     }
 
     /// The appending half of [`Store::commit_on`]: one universal-log append
-    /// through the locked port `handle` and, if a WAL is attached, the
-    /// commit's effect frame.
+    /// as process `pid` through the locked port `handle` that holds it and,
+    /// if a WAL is attached, the commit's effect frame.
     fn append_on(
         &self,
         handle: &mut PortHandle,
+        pid: usize,
         shard_id: usize,
         batch: Batch,
         durability: DurabilityClass,
     ) -> Vec<StoreResp> {
         let wal_ops = self.wal.as_ref().map(|_| Arc::clone(&batch.ops));
-        // Called by path so that apc-lint, which resolves `x.apply(..)` to
-        // every `apply` in the workspace, sees the one target.
-        let resps = OwnedHandle::apply(handle, ShardCmd::Batch(batch));
+        // Called by path so that apc-lint, which resolves `x.apply_as(..)`
+        // by name, sees the one target.
+        let resps = OwnedHandle::apply_as(handle, pid, ShardCmd::Batch(batch))
+            .expect("the port door hands a pid the slot that holds it");
         if let (Some(wal), Some(ops)) = (&self.wal, wal_ops) {
             // Frame the commit's resolved effects while still holding the
             // port lock: the handle's replay cursor is exactly one past
@@ -1196,10 +1229,12 @@ impl Store {
     /// the next guest boundary picks the evaluation up. (Corollary: a
     /// store serving *only* VIPs never auto-reconfigures.)
     ///
-    /// Only [`Store::commit_guest`] calls this; the `port` guard below is
-    /// the runtime mirror of that static routing.
+    /// Only [`Store::commit_guest`] calls this; the `pid` guard below is
+    /// the runtime mirror of that static routing. It is on the committing
+    /// process, not the slot it entered: a VIP port's guest voice enters
+    /// the VIP's slot, and drives the policy as any guest does.
     #[progress(blocking)]
-    fn elastic_tick(&self, port: usize) {
+    fn elastic_tick(&self, pid: usize) {
         let Some(slot) = &self.elastic else { return };
         // RELAXED: cadence counter — the evaluation trigger needs an exact
         // count (atomicity) but no cross-thread ordering.
@@ -1207,7 +1242,7 @@ impl Store {
         if !total.is_multiple_of(slot.evaluate_every) {
             return;
         }
-        if port < self.admission.spec().x() {
+        if pid < self.admission.spec().x() {
             return; // never on a VIP thread (see above)
         }
         let Some(mut engine) = try_lock_unpoisoned(&slot.engine) else { return };
@@ -1447,45 +1482,6 @@ impl Client<'_> {
         ))
     }
 
-    /// Catches this VIP session's replica of every shard up to the shard's
-    /// log tail, wherever it trails the tail by at least the log's port
-    /// count `n` ([`Universal::n`]); a shard it trails by less is not
-    /// entered. Called between requests by whoever holds the ticket (the
-    /// `apc-net` reactor, after each turn's guest batch), it keeps the
-    /// lag a VIP request replays on its own path below `n` cells of that
-    /// holder's guest writes, so the request's walk stays O(n) whatever
-    /// the guests wrote. A guest session's call visits nothing.
-    ///
-    /// Nothing is skipped or reordered: each cell is replayed once, on the
-    /// VIP's own handle, only earlier ([`OwnedHandle::sync_read`] through
-    /// the port door, so the port's digest is republished). The replayed
-    /// cells count on `store_caught_up_cells_total`, not on the request
-    /// path's `store_replayed_cells_total`.
-    ///
-    /// Progress: per shard, two loads — [`Universal::tail`] and the port's
-    /// published cursor, no lock — and, past the threshold, one visit of
-    /// the VIP's exclusively owned port, bounded by the lag observed at the
-    /// call.
-    #[progress(bounded_wait_free)]
-    pub fn catch_up(&mut self) {
-        if self.ticket.class() != ProgressClass::Vip {
-            return;
-        }
-        let port = self.ticket.port();
-        for shard in &self.store.view.newest().shards {
-            let cursor = shard.digests[port].cursor.load(Ordering::Acquire);
-            if shard.log.tail().saturating_sub(cursor) < shard.log.n() as u64 {
-                continue;
-            }
-            let cells = shard.visit(port, |handle| {
-                let replayed = handle.replay_steps();
-                handle.sync_read(|_| ());
-                handle.replay_steps() - replayed
-            });
-            self.store.metrics.record_caught_up(ProgressClass::Vip, cells);
-        }
-    }
-
     /// The **bounded guest arm**: [`Client::request_guest_many`] with one
     /// envelope.
     #[progress(obstruction_free)]
@@ -1723,7 +1719,8 @@ mod tests {
         let store = StoreBuilder::new().build().unwrap();
         assert_eq!(store.shards(), 4);
         assert_eq!(store.spec().x(), 2);
-        assert_eq!(store.spec().y(), 8);
+        assert_eq!(store.spec().y(), 10, "two VIPs, six guest ports, two voices");
+        assert_eq!(store.admission().ports(), 8);
         assert_eq!(store.topology().version(), 0);
     }
 
@@ -2773,45 +2770,79 @@ mod tests {
         assert_eq!(guest.get(&keys[0]), Some(99), "the other port catches up by reading");
     }
 
+    /// A VIP port's guest voice commits through the VIP's own slot: the
+    /// VIP's replica absorbs each of the voice's cells once, as it writes
+    /// it, so the VIP's next reads replay none of them. The voice's rounds
+    /// are guest rounds, refused what a guest is refused.
     #[test]
-    fn a_vip_catch_up_enters_only_the_shards_it_trails_by_the_port_count() {
+    fn a_guest_voice_commits_through_the_vip_replica() {
         let store = small_store(2);
-        let n = store.spec().y();
-        let mut vip = store.client(store.admit_vip().unwrap());
-        let mut guest = store.client(store.admit_guest());
-        let port = vip.ticket().port();
-        let keys = [0, 1].map(|s| keys_on_shard(&store.topology(), s, n));
-        // Guests write n − 1 cells to shard 0 and n to shard 1.
-        for k in keys[0].iter().skip(1).chain(&keys[1]) {
-            guest.put(k, 7);
+        let ticket = store.admit_vip().unwrap();
+        let voice_ticket = store.guest_voice(ticket).unwrap();
+        assert_eq!(store.guest_voice(store.admit_guest()), None);
+        assert_eq!(voice_ticket.port(), store.admission().ports() + ticket.port());
+        let (mut vip, mut voice) = (store.client(ticket), store.client(voice_ticket));
+        let keys: Vec<String> = (0..32).map(|i| format!("v/{i:02}")).collect();
+        let guest_rounds0 = store.scrape().value("store_commits_total", &[("tier", "guest")]);
+        let steps0 = store.replay_steps();
+        for (i, k) in keys.iter().enumerate() {
+            assert_eq!(voice.put(k, i as u64), None);
         }
-        let view = store.view.newest();
-        let digest = |s: usize| view.shards[s].digests[port].load();
-        let tails = [0, 1].map(|s| view.shards[s].log.tail());
-        assert_eq!(tails, [n as u64 - 1, n as u64]);
-        let (cursors0, digest0) = (cursors(&store), digest(0));
-        let replayed0 = tier_counter(&store, "store_replayed_cells_total");
+        let guest_rounds = store.scrape().value("store_commits_total", &[("tier", "guest")]);
+        assert_eq!(
+            guest_rounds.unwrap() - guest_rounds0.unwrap(),
+            32,
+            "a voice round is a guest's"
+        );
+        assert_eq!(
+            store.replay_steps() - steps0,
+            32,
+            "each cell absorbed once, by the one replica"
+        );
+        let tails: Vec<u64> = store.view.newest().shards.iter().map(|sh| sh.log.tail()).collect();
+        let vip_cursors: Vec<u64> = cursors(&store).iter().map(|c| c[ticket.port()]).collect();
+        assert_eq!(vip_cursors, tails, "the VIP's slot is at every tail");
+        let vip_replayed =
+            |s: &Store| s.scrape().value("store_replayed_cells_total", &[("tier", "vip")]).unwrap();
+        let before = vip_replayed(&store);
+        let want: Vec<_> = (0..32).map(|i| Ok(StoreResp::Value(Some(i)))).collect();
+        assert_eq!(vip.request_vip(reads(&keys)).results, want);
+        assert_eq!(vip_replayed(&store), before, "the VIP replays none of its voice's cells");
+        // A voice is a guest ticket: no synchronous durability, no VIP claim.
+        let put = Request::new(vec![StoreOp::Put("v/x".into(), 1)]).retry_budget(4);
+        let refused = Response::fail_all(1, StoreError::GuestTier);
+        assert_eq!(voice.request_guest(put.clone().durability(DurabilityClass::Sync)), refused);
+        assert_eq!(voice.request_vip(put), refused);
+    }
 
-        // A guest whose port trails both shards, as the VIP's does.
-        let mut idle = store.client(store.admit_guest());
-        assert_ne!(idle.ticket().port(), guest.ticket().port());
-        idle.catch_up();
-        assert_eq!(cursors(&store), cursors0, "a guest session's call visits nothing");
-        assert_eq!(tier_counter(&store, "store_caught_up_cells_total"), 0);
-
-        vip.catch_up();
-        assert_eq!(digest(0), digest0, "a shard at lag n − 1 is not entered");
-        assert_eq!(cursors(&store)[0], cursors0[0]);
-        assert_eq!(digest(1).commits, tails[1], "a shard at lag n is caught up to its tail");
-        assert_eq!(cursors(&store)[1][port], tails[1]);
-        assert_eq!(tier_counter(&store, "store_caught_up_cells_total"), n as u64);
-        assert_eq!(tier_counter(&store, "store_replayed_cells_total"), replayed0);
-
-        // The VIP's next reads replay the n − 1 cells left on shard 0, and
-        // nothing on shard 1, on their own path.
-        assert_eq!(vip.get(&keys[1][0]), Some(7));
-        assert_eq!(vip.get(&keys[0][1]), Some(7));
-        assert_eq!(tier_counter(&store, "store_replayed_cells_total") - replayed0, n as u64 - 1);
+    /// The elasticity tick is guarded on the committing pid, not on the
+    /// slot it enters: a VIP port's voice enters a VIP slot, and still
+    /// drives the policy as any guest commit does.
+    #[test]
+    fn a_vip_ports_voice_still_drives_the_elasticity_policy() {
+        use crate::elastic::ElasticityPolicy;
+        let store = StoreBuilder::new()
+            .shards(4)
+            .vip_capacity(1)
+            .guest_ports(2)
+            .elastic(ElasticityPolicy { evaluate_every: 16, cooldown: 64, min_window: 32 })
+            .build()
+            .unwrap();
+        let vip = store.admit_vip().unwrap();
+        let mut c = store.client(store.guest_voice(vip).unwrap());
+        let hot_keys = keys_on_shard(&store.topology(), 0, 4);
+        let mut rounds = 0;
+        while store.elastic_report().unwrap().splits == 0 {
+            for key in &hot_keys {
+                c.put(key, rounds);
+            }
+            rounds += 1;
+            assert!(rounds < 500, "the voice's melt must trigger an auto-split");
+        }
+        assert!(store.live_shards() > 4);
+        for key in &hot_keys {
+            assert_eq!(store.client(vip).get(key), Some(rounds - 1), "{key} survives the split");
+        }
     }
 
     #[test]

@@ -97,6 +97,12 @@ pub enum UniversalError {
         /// The offending process index.
         pid: usize,
     },
+    /// The handle does not hold this process: it is neither the handle's
+    /// own pid nor its voice ([`OwnedHandle::apply_as`]).
+    NotHeld {
+        /// The offending process index.
+        pid: usize,
+    },
 }
 
 impl fmt::Display for UniversalError {
@@ -107,6 +113,9 @@ impl fmt::Display for UniversalError {
             }
             UniversalError::HandleTaken { pid } => {
                 write!(f, "a handle for process {pid} already exists")
+            }
+            UniversalError::NotHeld { pid } => {
+                write!(f, "this handle does not hold process {pid}")
             }
         }
     }
@@ -374,18 +383,48 @@ where
     /// * [`UniversalError::HandleTaken`] if the handle was already taken.
     #[progress(blocking)]
     pub fn owned_handle(self: &Arc<Self>, pid: usize) -> Result<OwnedHandle<S, F>, UniversalError> {
-        if pid >= self.n || !self.factory.spec().is_port(pid) {
+        self.owned_pair(pid, pid)
+    }
+
+    /// Takes one handle for **two** processes run one after the other by
+    /// the same owner: `pid` and its `voice`. Both bits are claimed at once
+    /// (or neither), and the two share one cursor, one replica and one
+    /// `applied` vector, so no cell is ever absorbed twice on the owner's
+    /// side. [`OwnedHandle::apply`] acts as `pid`,
+    /// [`OwnedHandle::apply_as`] as either; each keeps its own sequence
+    /// number and proposes under its own pid, so each keeps its own class
+    /// of the factory's liveness spec. `owned_pair(p, p)` is
+    /// `owned_handle(p)`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Universal::owned_handle`], for whichever of the two fails
+    /// first.
+    #[progress(blocking)]
+    pub fn owned_pair(
+        self: &Arc<Self>,
+        pid: usize,
+        voice: usize,
+    ) -> Result<OwnedHandle<S, F>, UniversalError> {
+        if let Some(&pid) =
+            [pid, voice].iter().find(|&&p| p >= self.n || !self.factory.spec().is_port(p))
+        {
             return Err(UniversalError::NotAPort { pid });
         }
-        let bit = 1u64 << pid;
-        if self.handles.fetch_or(bit, Ordering::AcqRel) & bit != 0 {
-            return Err(UniversalError::HandleTaken { pid });
+        let bits = (1u64 << pid) | (1u64 << voice);
+        if let Err(held) = self.handles.fetch_update(Ordering::AcqRel, Ordering::Acquire, |h| {
+            (h & bits == 0).then_some(h | bits)
+        }) {
+            let taken = if held & (1u64 << pid) != 0 { pid } else { voice };
+            return Err(UniversalError::HandleTaken { pid: taken });
         }
         let anchor = self.anchor.lock().unwrap_or_else(PoisonError::into_inner);
         Ok(OwnedHandle {
             obj: Arc::clone(self),
             pid,
             seq: 0,
+            voice,
+            voice_seq: 0,
             segment: Arc::clone(&anchor.segment),
             cell_index: self.anchor_index.load(Ordering::Acquire),
             state: S::State::clone(&anchor.state),
@@ -429,7 +468,9 @@ struct Absorbed<R, T> {
 /// (port pools, per-client sessions) without a borrow. `apply` is
 /// linearizable across handles, with the progress condition of the
 /// underlying consensus factory (wait-free for the factory's wait-free set,
-/// obstruction-free for the rest).
+/// obstruction-free for the rest). A handle made by
+/// [`Universal::owned_pair`] holds two processes, each committing under its
+/// own pid and class, over the one replica.
 pub struct OwnedHandle<S, F>
 where
     S: SequentialSpec,
@@ -439,6 +480,11 @@ where
     pid: usize,
     /// Sequence number of my most recent operation.
     seq: u64,
+    /// The second process this handle acts as ([`Universal::owned_pair`]);
+    /// `pid` itself for a handle of one process.
+    voice: usize,
+    /// Sequence number of the voice's most recent operation.
+    voice_seq: u64,
     /// The segment holding the cursor cell, `cell_index`.
     segment: Arc<Segment<F::Object>>,
     /// Absolute log index of the cursor: the next undecided-or-unapplied
@@ -472,11 +518,42 @@ where
     #[progress(bounded_wait_free)]
     pub fn apply(&mut self, op: S::Op) -> S::Resp {
         self.seq += 1;
-        let me = (self.pid, self.seq);
-        self.obj.announce[self.pid].store(Announce { seq: self.seq, op: op.clone() });
+        self.commit(self.pid, self.seq, op)
+    }
+
+    /// [`Self::apply`] as process `pid`, which must be this handle's own
+    /// pid or its voice ([`Universal::owned_pair`]): `op` is announced and
+    /// proposed as `pid`, under `pid`'s own sequence number, so it has
+    /// `pid`'s class of the factory's liveness spec. The walk is the same
+    /// one, on the same replica, whichever pid acts.
+    ///
+    /// # Errors
+    ///
+    /// [`UniversalError::NotHeld`] if the handle does not hold `pid`;
+    /// nothing is announced or proposed then.
+    #[progress(bounded_wait_free)]
+    pub fn apply_as(&mut self, pid: usize, op: S::Op) -> Result<S::Resp, UniversalError> {
+        let seq = if pid == self.pid {
+            &mut self.seq
+        } else if pid == self.voice {
+            &mut self.voice_seq
+        } else {
+            return Err(UniversalError::NotHeld { pid });
+        };
+        *seq += 1;
+        let seq = *seq;
+        Ok(self.commit(pid, seq, op))
+    }
+
+    /// The body of [`Self::apply`] and [`Self::apply_as`]: announces `op`
+    /// as operation `seq` of `pid`, a process this handle holds, and walks
+    /// until it is answered.
+    fn commit(&mut self, pid: usize, seq: u64, op: S::Op) -> S::Resp {
+        let me = (pid, seq);
+        self.obj.announce[pid].store(Announce { seq, op: op.clone() });
         loop {
-            self.decide_current_cell(|| {
-                LogRecord::Op(OpRecord { pid: self.pid as u8, seq: self.seq, op: op.clone() })
+            self.decide_current_cell(pid, || {
+                LogRecord::Op(OpRecord { pid: pid as u8, seq, op: op.clone() })
             });
             if let Some(Absorbed { resp: Some(resp), .. }) = self.absorb(Some(me)) {
                 self.raise_tail();
@@ -505,7 +582,7 @@ where
         self.seq += 1;
         let me = (self.pid, self.seq);
         loop {
-            self.decide_current_cell(|| {
+            self.decide_current_cell(self.pid, || {
                 // Speculate the sealed post-state from the fully-replayed
                 // prefix; exact whenever this record is the one agreed.
                 let mut post = self.state.clone();
@@ -542,7 +619,7 @@ where
     #[progress(lock_free)]
     pub fn checkpoint(&mut self) -> u64 {
         loop {
-            self.decide_current_cell(|| {
+            self.decide_current_cell(self.pid, || {
                 LogRecord::Checkpoint(CheckpointRecord {
                     pid: self.pid as u8,
                     index: self.cell_index,
@@ -591,10 +668,10 @@ where
         &self.segment.cells[offset(self.cell_index)]
     }
 
-    /// Makes sure the cursor cell is decided, proposing to it if it is not.
-    /// `fallback` is the record to propose when the helping rule yields no
-    /// candidate. What was decided is `absorb`'s to read.
-    fn decide_current_cell(&self, fallback: impl FnOnce() -> LogRecordOf<S>) {
+    /// Makes sure the cursor cell is decided, proposing to it as `pid` if it
+    /// is not. `fallback` is the record to propose when the helping rule
+    /// yields no candidate. What was decided is `absorb`'s to read.
+    fn decide_current_cell(&self, pid: usize, fallback: impl FnOnce() -> LogRecordOf<S>) {
         let cell = self.cell();
         if cell.peek_with(|decided| decided.is_some()) {
             return;
@@ -611,7 +688,7 @@ where
         });
         let proposal = candidate.unwrap_or_else(fallback);
         // APC-LINT: allow(progress): dynamic dispatch through the factory's consensus object; its class is the factory's liveness spec (wait-free for the VIP set), checked at the object, not here
-        match cell.propose(self.pid, proposal) {
+        match cell.propose(pid, proposal) {
             // A proposed-to cell that rejects a re-proposal has decided too.
             Ok(_) | Err(ConsensusError::AlreadyProposed { .. }) => {}
             Err(ConsensusError::NotAPort { pid }) => {
@@ -739,6 +816,7 @@ where
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("OwnedHandle")
             .field("pid", &self.pid)
+            .field("voice", &self.voice)
             .field("replayed_cells", &self.cell_index)
             .finish()
     }
@@ -782,6 +860,79 @@ mod tests {
         let _h = obj.owned_handle(0).unwrap();
         assert_eq!(obj.owned_handle(0).unwrap_err(), UniversalError::HandleTaken { pid: 0 });
         assert_eq!(obj.owned_handle(9).unwrap_err(), UniversalError::NotAPort { pid: 9 });
+    }
+
+    #[test]
+    fn a_pair_claims_both_bits_or_neither() {
+        let obj = wait_free_counter(4);
+        let _pair = obj.owned_pair(0, 3).unwrap();
+        assert_eq!(obj.owned_handle(3).unwrap_err(), UniversalError::HandleTaken { pid: 3 });
+        assert_eq!(obj.owned_handle(0).unwrap_err(), UniversalError::HandleTaken { pid: 0 });
+        // A pair one of whose bits is taken claims neither.
+        assert_eq!(obj.owned_pair(1, 3).unwrap_err(), UniversalError::HandleTaken { pid: 3 });
+        assert_eq!(obj.owned_pair(1, 9).unwrap_err(), UniversalError::NotAPort { pid: 9 });
+        assert!(obj.owned_handle(1).is_ok(), "the failed pairs left pid 1 free");
+    }
+
+    #[test]
+    fn a_pid_the_handle_does_not_hold_is_refused() {
+        let obj = wait_free_counter(4);
+        let mut pair = obj.owned_pair(0, 3).unwrap();
+        let mut other = obj.owned_handle(1).unwrap();
+        assert_eq!(pair.apply_as(1, CounterOp::Add(5)), Err(UniversalError::NotHeld { pid: 1 }));
+        assert_eq!(other.apply_as(3, CounterOp::Add(5)), Err(UniversalError::NotHeld { pid: 3 }));
+        assert_eq!(obj.tail(), 0, "a refused op takes no cell");
+        assert_eq!(other.apply_as(1, CounterOp::Add(1)), Ok(1), "a handle holds its own pid");
+        assert_eq!(pair.apply_as(3, CounterOp::Add(2)), Ok(3));
+        assert_eq!(pair.apply(CounterOp::Get), 3);
+    }
+
+    #[test]
+    fn a_pair_interleaves_its_two_pids_on_one_replica_under_contention() {
+        // (5,1)-live cells: pid 0 is the VIP, pids 1–3 race as guests, and
+        // pid 4 is the VIP's guest voice. One thread runs the pair, taking
+        // turns between its two pids, while three handles add concurrently.
+        let (n, per_thread) = (5, 60u64);
+        let obj = Arc::new(Universal::new(
+            Counter,
+            AsymmetricFactory::new(Liveness::new_first_n(n, 1)),
+            n,
+        ));
+        let pair = std::thread::scope(|s| {
+            for pid in 1..4 {
+                let obj = &obj;
+                s.spawn(move || {
+                    let mut h = obj.owned_handle(pid).unwrap();
+                    for _ in 0..per_thread {
+                        h.apply(CounterOp::Add(1));
+                    }
+                });
+            }
+            let obj = &obj;
+            s.spawn(move || {
+                let mut pair = obj.owned_pair(0, 4).unwrap();
+                let mut last = 0;
+                for i in 0..per_thread {
+                    let total = if i % 2 == 0 {
+                        pair.apply(CounterOp::Add(1))
+                    } else {
+                        pair.apply_as(4, CounterOp::Add(1)).unwrap()
+                    };
+                    assert!(total > last, "the pair's two pids see one history");
+                    last = total;
+                }
+                pair
+            })
+            .join()
+            .unwrap()
+        });
+        let mut pair = pair;
+        assert_eq!(pair.apply(CounterOp::Get), 4 * per_thread, "no add lost or doubled");
+        assert_eq!(pair.applied[0], per_thread / 2 + 1, "the VIP's own sequence");
+        assert_eq!(pair.applied[4], per_thread / 2, "the voice's own sequence");
+        // One cursor: every cell the pair crossed is counted once.
+        assert_eq!(pair.replay_steps(), pair.replayed_cells());
+        assert_eq!(pair.replayed_cells(), obj.tail());
     }
 
     #[test]
@@ -1200,7 +1351,7 @@ mod tests {
                         // published yet — so whoever crosses the cell next
                         // does so alone.
                         let foreign = record(&author);
-                        author.decide_current_cell(|| foreign.clone());
+                        author.decide_current_cell(0, || foreign.clone());
                         assert_eq!(author.cell().peek(), Some(foreign));
                         author.advance();
                         author.raise_tail();
@@ -1282,7 +1433,7 @@ mod tests {
                 LogRecord::Reconfig(r) => Some((usize::from(r.pid), r.seq)),
                 LogRecord::Checkpoint(_) => None,
             };
-            applier.decide_current_cell(|| record.clone());
+            applier.decide_current_cell(1, || record.clone());
             assert_eq!(applier.cell().peek(), Some(record), "cell {i} took the record");
             let crossed = applier.absorb(author).expect("a decided cell is absorbed");
             match author {

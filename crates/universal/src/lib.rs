@@ -18,7 +18,9 @@
 //! placed into a list of cells, allocated and linked 64 at a time, each
 //! cell's order decided by one consensus instance; helping (cell `k` prefers the announcement of
 //! process `k mod n`) makes placement wait-free whenever the cell consensus
-//! is. There is **one handle type** ([`OwnedHandle`], one per process) and
+//! is. There is **one handle type** ([`OwnedHandle`], one per process, or
+//! one per pair of processes one owner runs in turn:
+//! [`Universal::owned_pair`]) and
 //! **one walk** of that log: every public operation decides the cell at the
 //! handle's cursor and absorbs the agreed record in the same single step,
 //! and the operations differ only in what they propose and when they stop.

@@ -32,7 +32,8 @@
 //! batch and a 16-key scan. Its last two lines price a guest frame shed at
 //! a full backlog, which is refused from its validated header, and a turn
 //! over 4096 handshaken connections that have nothing to say: no allocator
-//! call for either.
+//! call for either. README's per-frame table is held to this table: each
+//! row's first figure is the measured one, at the precision README prints.
 //!
 //! A change that adds an allocation to the commit path or the serve path
 //! fails here and has to raise a budget below to land — that is, it has to
@@ -426,6 +427,7 @@ fn serve_path_allocations_stay_within_budget(store: &Store) {
     for (name, calls, budget) in &arms {
         assert!(*calls <= budget + SLACK, "{name} is over its serve-path budget: {calls:.2}");
     }
+    readme_per_frame_rows_match(&arms);
 
     let shed = shed_frame_calls(store, TURNS / 64);
     println!("a guest frame shed at a full backlog: {shed:.3} allocator calls");
@@ -434,6 +436,41 @@ fn serve_path_allocations_stay_within_budget(store: &Store) {
     let idle = idle_turn_calls(store);
     println!("a turn over {IDLE_CONNS} idle connections: {idle} allocator calls");
     assert_eq!(idle, 0, "a turn with nothing to serve allocates");
+}
+
+/// README's per-frame table against what this binary measured: every row
+/// names the arms it reports, in order, and its first figure is each of
+/// them at the precision README prints it (`10` is a whole number of
+/// calls, `50.1` a tenth).
+fn readme_per_frame_rows_match(arms: &[(&str, f64, f64)]) {
+    let readme = include_str!("../README.md");
+    let rows: Vec<(&str, &str)> = readme
+        .lines()
+        .skip_while(|line| !line.starts_with("| per frame, inside `poll()` |"))
+        .skip(2) // the header and its separator
+        .take_while(|line| line.starts_with('|'))
+        .map(|row| {
+            let cells: Vec<&str> = row.trim_matches('|').split('|').map(str::trim).collect();
+            (cells[0], cells[1].split_whitespace().next().unwrap_or_default())
+        })
+        .collect();
+    let reported: [(&str, &[&str]); 5] = [
+        ("VIP put", &["vip put"]),
+        ("guest put", &["guest put"]),
+        ("local get, either tier", &["vip get", "guest get"]),
+        ("one frame of a 64-frame guest batch", &["64-frame guest batch"]),
+        ("16-key scan", &["16-key scan"]),
+    ];
+    let names: Vec<&str> = rows.iter().map(|(name, _)| *name).collect();
+    assert_eq!(names, reported.map(|(row, _)| row), "README's per-frame rows");
+    for ((row, figure), (_, arm_names)) in rows.iter().zip(reported) {
+        let decimals = figure.split_once('.').map_or(0, |(_, fraction)| fraction.len());
+        for arm in arm_names {
+            let calls = arms.iter().find(|(name, ..)| name == arm).map(|(_, calls, _)| *calls);
+            let measured = format!("{:.decimals$}", calls.expect("an arm README reports"));
+            assert_eq!(*figure, measured, "README's `{row}` row against the {arm} arm");
+        }
+    }
 }
 
 /// Allocator calls per frame inside `poll()` when every guest frame of a

@@ -381,15 +381,14 @@ fn net_deadline_expiry_is_typed_and_never_touches_vip() {
     assert_eq!(snap.value("store_net_backpressure_shed_total", &[("tier", "guest")]), Some(0));
 }
 
-/// The reactor holds one VIP port, so every guest cell is replayed once on
-/// the VIP side however many tokens are connected: two VIPs, 64 guest
-/// commits, and the one VIP replica replays 64 cells in all, whether the
-/// reactor caught it up between turns or the two VIPs' next reads did.
-/// Those reads replay fewer than the log's port count on their own path.
+/// The reactor holds one VIP port, and its guest batch commits through
+/// that port's replica under the port's guest voice: two VIPs, 64 guest
+/// commits, and the VIP tier replays none of them — each cell is applied
+/// once on the reactor's side, by the batch that wrote it, and the two
+/// VIPs' next reads find the replica at the tail.
 #[test]
-fn the_vip_side_replays_each_guest_cell_once() {
+fn the_vip_side_replays_none_of_the_reactors_guest_cells() {
     let store = StoreBuilder::new().shards(1).vip_capacity(2).build().unwrap();
-    let n = store.spec().y() as u64;
     let mut server =
         StoreServer::new(&store, ServerConfig { vip_tokens: vec![1, 2], ..server_cfg(64) });
     let mut vips: Vec<NetClient> =
@@ -405,38 +404,29 @@ fn the_vip_side_replays_each_guest_cell_once() {
         }
         reads
     };
-    let vip_cells = |server: &StoreServer<'_>, name: &str| {
-        server.scrape().value(name, &[("tier", "vip")]).unwrap()
-    };
     let replayed = |server: &StoreServer<'_>| {
-        vip_cells(server, "store_replayed_cells_total")
-            + vip_cells(server, "store_caught_up_cells_total")
+        server.scrape().value("store_replayed_cells_total", &[("tier", "vip")]).unwrap()
     };
 
     assert_eq!(read_all(&mut server), vec![vec![Ok(StoreResp::Value(None))]; 2]);
-    let before = replayed(&server);
+    let (before, steps) = (replayed(&server), store.replay_steps());
     for v in 0..64 {
         guest.send(&Request::new(vec![StoreOp::Put("cell".into(), v)]));
         poll_until(&mut server, &mut guest);
     }
-    let on_path = vip_cells(&server, "store_replayed_cells_total");
     let reads = read_all(&mut server);
-    assert_eq!(replayed(&server) - before, 64, "one VIP replica replays the 64 guest cells");
-    assert!(
-        vip_cells(&server, "store_replayed_cells_total") - on_path < n,
-        "the reads replay fewer than n cells on their own path"
-    );
+    assert_eq!(replayed(&server) - before, 0, "the VIP tier replays none of the 64 guest cells");
+    assert_eq!(store.replay_steps() - steps, 64, "each cell is applied once, by the one replica");
     assert_eq!(reads, vec![vec![Ok(StoreResp::Value(Some(63)))]; 2], "both VIPs read alike");
 }
 
-/// A wire VIP's request path replays fewer than the log's port count `n`
-/// of the guests' cells, however many the guests wrote: the reactor
-/// catches the VIP replica up between turns.
+/// A wire VIP's request path replays none of the reactor's own guest
+/// writes, however many there were: the guest batch committed them through
+/// the VIP's replica.
 #[test]
 fn a_wire_vips_replay_does_not_grow_with_guest_writes() {
     for guest_writes in [0, 7, 64, 1000] {
         let store = StoreBuilder::new().shards(1).vip_capacity(1).build().unwrap();
-        let n = store.spec().y() as u64;
         let mut server = StoreServer::new(&store, server_cfg(64));
         let mut vip = NetClient::connect(&mut server, TierCredential::Vip { token: VIP_TOKEN });
         let mut guest = NetClient::connect(&mut server, TierCredential::Guest);
@@ -457,7 +447,7 @@ fn a_wire_vips_replay_does_not_grow_with_guest_writes() {
         let last = guest_writes.checked_sub(1);
         assert_eq!(got[0].1, vec![Ok(StoreResp::Value(last))], "G = {guest_writes}");
         let replayed = on_path(&server) - before;
-        assert!(replayed < n, "G = {guest_writes}: the Get replayed {replayed} cells, n = {n}");
+        assert_eq!(replayed, 0, "G = {guest_writes}: the Get replayed {replayed} cells");
     }
 }
 
