@@ -337,9 +337,13 @@ fn live_workspace_is_clean() {
 }
 
 /// Every chain, by the analyzer's own resolution and through every callee
-/// whatever its annotation, from `source` to a fn defined in one of
-/// `files`, as `A::f → B::g → …`, sorted.
-fn chains_into(ws: &apc_lint::graph::Workspace, source: FnId, files: &[&Path]) -> Vec<String> {
+/// whatever its annotation, from `source` to a fn `is_target` picks, as
+/// `A::f → B::g → …`, sorted.
+fn chains_into(
+    ws: &apc_lint::graph::Workspace,
+    source: FnId,
+    is_target: impl Fn(FnId) -> bool,
+) -> Vec<String> {
     // Breadth-first over every resolved callee, remembering how each fn
     // was first reached.
     let mut reached = std::collections::HashMap::from([(source, source)]);
@@ -356,7 +360,7 @@ fn chains_into(ws: &apc_lint::graph::Workspace, source: FnId, files: &[&Path]) -
     }
     let mut chains: Vec<String> = reached
         .keys()
-        .filter(|id| files.contains(&ws.files[id.file].path.as_path()))
+        .filter(|&&id| is_target(id))
         .map(|&id| {
             let mut chain = vec![ws.fn_info(id).qualified()];
             let mut at = id;
@@ -370,6 +374,14 @@ fn chains_into(ws: &apc_lint::graph::Workspace, source: FnId, files: &[&Path]) -
         .collect();
     chains.sort();
     chains
+}
+
+/// Picks every fn defined in one of `files`.
+fn defined_in<'a>(
+    ws: &'a apc_lint::graph::Workspace,
+    files: &'a [&Path],
+) -> impl Fn(FnId) -> bool + 'a {
+    move |id| files.contains(&ws.files[id.file].path.as_path())
 }
 
 /// The workspace's one fn named `name` on `self_type`.
@@ -393,8 +405,40 @@ fn the_dashboard_path_reaches_nothing_in_the_epoch_shim() {
     let (ws, _) = analyze(&root).unwrap();
     let shim = Path::new("shims/crossbeam-epoch/src/lib.rs");
     for entry in ["scrape", "snapshot_stats"] {
-        let chains = chains_into(&ws, method(&ws, "Store", entry), &[shim]);
+        let chains = chains_into(&ws, method(&ws, "Store", entry), defined_in(&ws, &[shim]));
         assert!(chains.is_empty(), "Store::{entry} reaches the epoch shim:\n{}", chains.join("\n"));
+    }
+}
+
+/// A VIP commit carries only its own work: nothing `Client::request_vip`
+/// or `StoreServer::dispatch_vip` can reach, by the analyzer's own
+/// resolution and through every callee whatever its annotation (no `try_*`
+/// cut), is a checkpoint seal, a reconfiguration or the elasticity tick.
+/// Housekeeping rides the guest tier and admin calls only.
+#[test]
+fn the_vip_arm_reaches_no_housekeeping() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let (ws, _) = analyze(&root).unwrap();
+    let housekeeping = [
+        "OwnedHandle::checkpoint",
+        "OwnedHandle::reconfigure",
+        "Store::checkpoint",
+        "Store::split_locked",
+        "Store::merge_locked",
+        "Store::elastic_tick",
+    ];
+    for target in housekeeping {
+        let (self_type, name) = target.split_once("::").unwrap();
+        method(&ws, self_type, name);
+    }
+    let is_housekeeping = |id| housekeeping.contains(&ws.fn_info(id).qualified().as_str());
+    for (self_type, entry) in [("Client", "request_vip"), ("StoreServer", "dispatch_vip")] {
+        let chains = chains_into(&ws, method(&ws, self_type, entry), is_housekeeping);
+        assert!(
+            chains.is_empty(),
+            "{self_type}::{entry} reaches housekeeping:\n{}",
+            chains.join("\n")
+        );
     }
 }
 
@@ -411,7 +455,8 @@ fn a_guest_round_reaches_nothing_in_the_epoch_shim() {
         Path::new("crates/registers/src/atomic_cell.rs"),
         Path::new("shims/crossbeam-epoch/src/lib.rs"),
     ];
-    let chains = chains_into(&ws, method(&ws, "AdoptCommit", "adopt_commit"), &epoch);
+    let chains =
+        chains_into(&ws, method(&ws, "AdoptCommit", "adopt_commit"), defined_in(&ws, &epoch));
     assert!(
         chains.is_empty(),
         "AdoptCommit::adopt_commit reaches the epoch-reclaimed register:\n{}",

@@ -51,19 +51,18 @@
 //! ## One replica per reactor
 //!
 //! The reactor runs every commit on one thread, one after the other, so
-//! once it holds a VIP ticket its guest batch commits under that ticket's
-//! **guest voice**
+//! at the first VIP hello it sets its guest batch ticket, once, to that
+//! VIP ticket's **guest voice**
 //! ([`apc_store::Store::guest_voice`]): a guest pid of its own, committing
 //! through the VIP's port slot and replica. The batch still runs the guest
 //! consensus protocol — never the VIP's one CAS — and still carries
 //! everything a guest commit carries (group durability, the elasticity
-//! tick, the auto-seal); but the one replica it walks is the one the VIP
-//! requests read. So every cell the reactor writes, VIP or guest, is
-//! applied once on the reactor's side, and a VIP request replays only
-//! what *other* processes wrote since the reactor's last turn. Until the
-//! first VIP hello, the batch commits under the server's guest ticket; the
-//! first batch after it replays, on the shared replica, whatever the VIP
-//! slot had not yet seen.
+//! tick); but the one replica it walks is the one the VIP requests read.
+//! So every cell the reactor writes, VIP or guest, is applied once on the
+//! reactor's side, and a VIP request replays only what *other* processes
+//! wrote since the reactor's last turn. Until the first VIP hello, the
+//! batch commits under the server's guest ticket; the first batch after it
+//! replays, on the shared replica, whatever the VIP slot had not yet seen.
 //!
 //! ## Per-shard batching of pipelined guest envelopes
 //!
@@ -256,7 +255,6 @@ pub struct StoreServer<'a> {
     /// The server's one VIP session: admitted at the first allow-listed
     /// VIP hello and carried by every VIP connection, whatever its token,
     /// so the wire holds one VIP port and a flapping client leaks none.
-    /// Once it is held, the guest batch commits under its guest voice.
     vip_ticket: Option<ClientTicket>,
     conns: Vec<ConnSlot>,
     /// The ready set: bit `i % 64` of word `i / 64` is set by connection
@@ -270,10 +268,12 @@ pub struct StoreServer<'a> {
     /// request not shed at ingest is queued here where it is decoded, and
     /// frames the turn's dispatch cap leaves over carry to later turns.
     guest_backlog: VecDeque<QueuedGuest>,
-    /// The server's one guest session: every guest connection carries it,
-    /// and coalesced dispatches commit under it until a VIP ticket is held
-    /// (guest pids are interchangeable, so the batch riding one fixed pid,
-    /// then another, changes nothing observable).
+    /// The guest ticket every coalesced dispatch commits under: the
+    /// server's own guest session until the VIP ticket is admitted, then,
+    /// set once for good, that ticket's guest voice (guest pids are
+    /// interchangeable, so the batch riding one fixed pid, then another,
+    /// changes nothing observable). A guest connection carries whichever it
+    /// finds at its hello; only its class is ever read.
     batch_ticket: ClientTicket,
 }
 
@@ -556,6 +556,9 @@ impl<'a> StoreServer<'a> {
                 let allowed = self.cfg.vip_tokens.contains(&token);
                 if allowed && self.vip_ticket.is_none() {
                     self.vip_ticket = self.store.admit_vip().ok();
+                    if let Some(voice) = self.vip_ticket.and_then(|t| self.store.guest_voice(t)) {
+                        self.batch_ticket = voice;
+                    }
                 }
                 match self.vip_ticket.filter(|_| allowed) {
                     Some(t) => {
@@ -650,7 +653,7 @@ impl<'a> StoreServer<'a> {
     }
 
     /// The coalesced guest serve path: every guest envelope dispatched
-    /// this turn rides one store round under the server's own guest pid —
+    /// this turn rides one store round under the server's batch ticket —
     /// the VIP ticket's guest voice once one is held, so the batch commits
     /// through the VIP's replica, and the server's guest ticket before —
     /// and the store's batch planner turns N pipelined single-op envelopes
@@ -659,9 +662,7 @@ impl<'a> StoreServer<'a> {
     /// obstruction-free like the tier it serves.
     #[progress(obstruction_free)]
     fn dispatch_guest_batch(&self, reqs: &mut Vec<Request>) -> Vec<Response> {
-        let ticket = self.vip_ticket.and_then(|vip| self.store.guest_voice(vip));
-        let mut client = self.store.client(ticket.unwrap_or(self.batch_ticket));
-        client.request_guest_from(reqs.drain(..))
+        self.store.client(self.batch_ticket).request_guest_from(reqs.drain(..))
     }
 
     /// A VIP's `Sync` durability fsyncs on the reactor thread —

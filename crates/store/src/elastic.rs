@@ -2,16 +2,17 @@
 //! merge a cold child back, decided from wait-free stats with hysteresis.
 //!
 //! The driver is deliberately **passive**: it owns no thread. The store's
-//! commit path ticks it every [`ElasticityPolicy::evaluate_every`] commits
-//! (see [`Store::commit`](crate::store::Store)); an evaluation reads the
-//! per-shard commit deltas since the previous evaluation out of the
+//! guest commits tick it: every [`ElasticityPolicy::evaluate_every`] of
+//! them (see [`Store::commit`](crate::store::Store)), an evaluation reads
+//! the per-shard commit deltas since the previous evaluation out of the
 //! wait-free [`snapshot_stats`](crate::store::Store::snapshot_stats)
 //! digests and produces an [`ElasticDecision`]. Ticks that lose the
 //! engine's try-lock are simply skipped, and only **guest-tier** commits
-//! ever carry a tick past the counter — applying a decision blocks on
-//! guest-tier ports and installs lock-free (not wait-free) reconfig
-//! cells, work a VIP thread must never do — so elasticity is advisory
-//! and never adds blocking to a wait-free commit.
+//! tick at all — applying a decision blocks on guest-tier ports and
+//! installs lock-free (not wait-free) reconfig cells, work a VIP thread
+//! must never do — so elasticity is advisory and never adds a step to a
+//! wait-free commit. The heat the policy reads still counts every commit,
+//! VIP ones included: it comes from the per-port digests, not the clock.
 //!
 //! Thrash control is two-fold, mirroring every control-loop textbook:
 //!
@@ -20,7 +21,7 @@
 //!   drawing less than a quarter of the fair share) are far apart, so a
 //!   shard sitting near the fair share triggers neither; and
 //! * **a cool-down epoch** — after any reconfiguration the engine holds
-//!   for [`ElasticityPolicy::cooldown`] commits, so an oscillating load
+//!   for [`ElasticityPolicy::cooldown`] guest commits, so an oscillating load
 //!   can force at most one reconfiguration per cool-down window (unit
 //!   tested with a synthetic oscillating trace below).
 //!
@@ -72,7 +73,8 @@ const MAX_SHARDS: usize = 64;
 /// digests deliberately do not do.
 #[derive(Copy, Clone, PartialEq, Debug)]
 pub struct ElasticityPolicy {
-    /// Commits between policy evaluations (the sampling cadence).
+    /// Guest commits between policy evaluations (the sampling cadence; a
+    /// VIP commit does not tick it).
     pub evaluate_every: u64,
     /// Minimum commits a decision window must contain. Evaluations whose
     /// accumulated window is smaller just keep accumulating — deciding on
@@ -80,8 +82,8 @@ pub struct ElasticityPolicy {
     /// on one shard) for key-space skew. Size it to several times the
     /// longest plausible per-client burst.
     pub min_window: u64,
-    /// Commits to hold after any reconfiguration (the cool-down epoch):
-    /// at most one split or merge per this many commits.
+    /// Guest commits to hold after any reconfiguration (the cool-down
+    /// epoch): at most one split or merge per this many guest commits.
     pub cooldown: u64,
 }
 
@@ -124,7 +126,7 @@ pub struct ElasticEngine {
     /// Per-shard commit digests at the previous evaluation (grows as the
     /// topology does; new shards baseline at 0).
     last_commits: Vec<u64>,
-    /// No reconfiguration before this total-commit count.
+    /// No reconfiguration before this clock reading.
     hold_until: u64,
     report: ElasticReport,
 }
@@ -158,11 +160,11 @@ impl ElasticEngine {
         }
     }
 
-    /// One policy evaluation at total commit count `total`, over the
-    /// current per-shard digests and topology. The observation window
-    /// accumulates across evaluations until it holds at least
-    /// [`ElasticityPolicy::min_window`] commits; the caller applies the
-    /// decision and, on success, calls
+    /// One policy evaluation at clock reading `total` (the store's count of
+    /// guest commits), over the current per-shard digests and topology.
+    /// The observation window accumulates across evaluations until it
+    /// holds at least [`ElasticityPolicy::min_window`] commits; the caller
+    /// applies the decision and, on success, calls
     /// [`ElasticEngine::note_reconfigured`].
     pub fn evaluate(
         &mut self,

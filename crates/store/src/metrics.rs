@@ -141,8 +141,6 @@ pub(crate) struct StoreMetrics {
     elastic_hold_decisions: Counter,
     elastic_applied_splits: Counter,
     elastic_applied_merges: Counter,
-    /// Checkpoint seals triggered by the auto-checkpoint cadence.
-    auto_checkpoints: Counter,
 }
 
 impl StoreMetrics {
@@ -159,7 +157,6 @@ impl StoreMetrics {
             elastic_hold_decisions: Counter::new(),
             elastic_applied_splits: Counter::new(),
             elastic_applied_merges: Counter::new(),
-            auto_checkpoints: Counter::new(),
         }
     }
 
@@ -234,12 +231,6 @@ impl StoreMetrics {
         }
     }
 
-    /// Records one cadence-triggered checkpoint seal.
-    #[progress(wait_free)]
-    pub(crate) fn record_auto_checkpoint(&self) {
-        self.auto_checkpoints.inc();
-    }
-
     /// The registry's samples (tier series first, then event counters).
     ///
     /// Counter reads go through the instrument fields directly (never
@@ -294,12 +285,6 @@ impl StoreMetrics {
                 value: SampleValue::Counter(count),
             });
         }
-        out.push(Sample {
-            name: "store_auto_checkpoints_total",
-            help: "Checkpoint seals triggered by the auto-checkpoint cadence.",
-            labels: Vec::new(),
-            value: SampleValue::Counter(self.auto_checkpoints.get()),
-        });
         out
     }
 }
@@ -603,7 +588,6 @@ mod tests {
         m.record_elastic(ElasticDecision::Split(0), false);
         m.record_elastic(ElasticDecision::Merge(1), true);
         m.record_elastic(ElasticDecision::Hold, false);
-        m.record_auto_checkpoint();
         let s = snap(&m);
         assert_eq!(s.value("store_reconfigs_total", &[("kind", "split")]), Some(1));
         assert_eq!(s.value("store_reconfigs_total", &[("kind", "merge")]), Some(1));
@@ -612,7 +596,6 @@ mod tests {
         assert_eq!(s.value("store_elastic_decisions_total", &[("decision", "split")]), Some(2));
         assert_eq!(s.value("store_elastic_applied_total", &[("decision", "split")]), Some(1));
         assert_eq!(s.value("store_elastic_decisions_total", &[("decision", "hold")]), Some(1));
-        assert_eq!(s.value("store_auto_checkpoints_total", &[]), Some(1));
     }
 
     #[test]

@@ -118,8 +118,8 @@ pub enum StoreResp {
 /// and every log cell is applied to each of them, so what a key costs here
 /// is what it costs times the replicas: ~21 B for an 8-byte key in a full
 /// leaf, ~40 B under random inserts, and a deep clone
-/// ([`Store::checkpoint`](crate::store::Store::checkpoint), every cadence
-/// seal, a new handle) is one `memcpy` per leaf of such keys, two with
+/// ([`Store::checkpoint`](crate::store::Store::checkpoint), every seal, a
+/// new handle) is one `memcpy` per leaf of such keys, two with
 /// longer ones.
 ///
 /// Two states are equal when their epochs and their **entry sequences**

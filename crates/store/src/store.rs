@@ -62,7 +62,7 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use apc_core::liveness::Liveness;
@@ -120,8 +120,6 @@ struct Shard {
     /// value and no atomicity across ports: one collect, not a snapshot
     /// scan.
     digests: Vec<PortDigest>,
-    /// Appended rounds since build, for the auto-checkpoint cadence.
-    auto_commits: AtomicU64,
     /// Rounds answered from a port's replica without a log cell. Read
     /// traffic is heat too: [`Store::snapshot_stats`] adds this to the
     /// digest's cell count, or a read-hot shard would never split.
@@ -139,25 +137,7 @@ impl Shard {
     fn visit<R>(&self, pid: usize, act: impl FnOnce(&mut PortHandle) -> R) -> R {
         let slot = self.slot(pid);
         // APC-LINT: allow(progress): a VIP slot's mutex is uncontended by construction (one exclusive owner, entering under its two pids one after the other, and reconfiguration never touches VIP ports), so the VIP path's lock is bounded; guest ports share theirs by design
-        let handle = self.ports[slot].lock().expect("port slot poisoned");
-        self.enter(slot, handle, act)
-    }
-
-    /// [`Shard::visit`] if the port is free right now; `None`, never a
-    /// wait, if someone is in it.
-    fn try_visit<R>(&self, pid: usize, act: impl FnOnce(&mut PortHandle) -> R) -> Option<R> {
-        let slot = self.slot(pid);
-        let handle = self.ports[slot].try_lock().ok()?;
-        Some(self.enter(slot, handle, act))
-    }
-
-    /// What both doors do once the slot is theirs.
-    fn enter<R>(
-        &self,
-        slot: usize,
-        mut handle: MutexGuard<'_, PortHandle>,
-        act: impl FnOnce(&mut PortHandle) -> R,
-    ) -> R {
+        let mut handle = self.ports[slot].lock().expect("port slot poisoned");
         let out = act(&mut handle);
         self.digests[slot].publish(&handle);
         out
@@ -204,13 +184,7 @@ impl Shard {
                 (Mutex::new(handle), digest)
             })
             .unzip();
-        Shard {
-            log,
-            ports: port_slots,
-            digests,
-            auto_commits: AtomicU64::new(0),
-            local_reads: AtomicU64::new(0),
-        }
+        Shard { log, ports: port_slots, digests, local_reads: AtomicU64::new(0) }
     }
 }
 
@@ -273,18 +247,12 @@ struct StoreView {
 pub struct StoreBuilder {
     shards: usize,
     admission: AdmissionConfig,
-    checkpoint_every: Option<u64>,
     elastic: Option<ElasticityPolicy>,
 }
 
 impl Default for StoreBuilder {
     fn default() -> Self {
-        StoreBuilder {
-            shards: 4,
-            admission: AdmissionConfig::default(),
-            checkpoint_every: None,
-            elastic: None,
-        }
+        StoreBuilder { shards: 4, admission: AdmissionConfig::default(), elastic: None }
     }
 }
 
@@ -314,42 +282,21 @@ impl StoreBuilder {
         self
     }
 
-    /// Seals a checkpoint on a shard automatically every `k` commits to it
-    /// (`0` disables the cadence, the default).
-    ///
-    /// The seal rides the shard's guest tier (and is skipped — not queued —
-    /// when that port is busy, so the cadence is amortized, never
-    /// blocking); each seal makes the shard log's prefix before it
-    /// reclaimable without any explicit [`Store::checkpoint`] call. The
-    /// prefix is freed once every port of the shard has replayed past it:
-    /// every port handle is made when the shard is built, and one that
-    /// never visits the shard keeps its log alive from its build-time
-    /// cursor (ROADMAP item 9). Only a **guest** commit seals: the seal
-    /// is a lock-free checkpoint that clones the shard's state, which a
-    /// bounded wait-free VIP commit must never carry. VIP commits count
-    /// toward the cadence, and one that crosses a boundary skips that
-    /// window; the next guest boundary seals. (A store serving only VIPs
-    /// never auto-seals.)
-    pub fn checkpoint_every(mut self, k: u64) -> Self {
-        self.checkpoint_every = (k > 0).then_some(k);
-        self
-    }
-
     /// Enables the **automatic elasticity driver**: every
-    /// [`ElasticityPolicy::evaluate_every`] commits, the store evaluates
-    /// the policy against its wait-free per-shard digests and performs a
-    /// [`Store::split_shard`] on a melting shard or a
+    /// [`ElasticityPolicy::evaluate_every`] guest commits, the store
+    /// evaluates the policy against its wait-free per-shard digests and
+    /// performs a [`Store::split_shard`] on a melting shard or a
     /// [`Store::merge_shard`] on a cold, structurally eligible child — no
     /// manual call needed.
     ///
-    /// The driver is passive and never blocks a wait-free commit: the
-    /// evaluation rides whichever **guest-tier** commit crosses the
-    /// cadence boundary (VIP threads never carry reconfiguration work —
-    /// it would break their wait-free bound — so a store serving only
-    /// VIPs never auto-reconfigures), skips itself under try-lock
-    /// contention, and holds for the policy's cool-down after every
-    /// reconfiguration, so oscillating load cannot thrash the topology
-    /// (at most one reconfig per cool-down window).
+    /// The driver is passive and never blocks a wait-free commit: its
+    /// clock is guest commits, and the evaluation rides the **guest-tier**
+    /// commit that crosses the cadence boundary (a VIP commit carries no
+    /// housekeeping — reconfiguration work would break its wait-free bound
+    /// — so a store serving only VIPs never auto-reconfigures), skips
+    /// itself under try-lock contention, and holds for the policy's
+    /// cool-down after every reconfiguration, so oscillating load cannot
+    /// thrash the topology (at most one reconfig per cool-down window).
     pub fn elastic(mut self, policy: ElasticityPolicy) -> Self {
         self.elastic = Some(policy);
         self
@@ -503,7 +450,6 @@ impl StoreBuilder {
             admission,
             view: Generations::new(StoreView { topology, shards }),
             admin: Mutex::new(()),
-            checkpoint_every: self.checkpoint_every,
             elastic: self.elastic.map(|policy| ElasticSlot {
                 evaluate_every: policy.evaluate_every.max(1),
                 engine: Mutex::new(ElasticEngine::new(policy)),
@@ -519,8 +465,8 @@ impl StoreBuilder {
 /// The store-side half of the elasticity driver: the cadence and the
 /// engine it ticks.
 struct ElasticSlot {
-    /// Commits between policy evaluations (cached outside the engine's
-    /// mutex so the fast path never locks to check the cadence).
+    /// Guest commits between policy evaluations (cached outside the
+    /// engine's mutex so the fast path never locks to check the cadence).
     evaluate_every: u64,
     engine: Mutex<ElasticEngine>,
 }
@@ -576,11 +522,10 @@ pub struct Store {
     /// sealed states. It guards no data, so a panic under it poisons
     /// nothing: every taker recovers the guard.
     admin: Mutex<()>,
-    checkpoint_every: Option<u64>,
     /// The automatic elasticity driver, if configured.
     elastic: Option<ElasticSlot>,
-    /// Commits across all shards since build — the elasticity cadence
-    /// clock.
+    /// Guest commits across all shards since build — the elasticity
+    /// cadence clock.
     total_commits: AtomicU64,
     /// The always-on metric registry; every record path is wait-free, so
     /// instrumentation never weakens a commit path's progress class.
@@ -639,8 +584,8 @@ impl Store {
     /// guest-class ticket whose commits go through the VIP's own port slot
     /// and replica, under the voice's own guest pid — the guest protocol,
     /// never the VIP's wait-free one. Everything else about it is a guest
-    /// ticket's: group durability only, the elasticity tick, the
-    /// auto-seal. `None` for a guest ticket.
+    /// ticket's: group durability only, the elasticity tick. `None` for a
+    /// guest ticket.
     #[progress(wait_free)]
     pub fn guest_voice(&self, ticket: ClientTicket) -> Option<ClientTicket> {
         self.admission.guest_voice(ticket)
@@ -1064,10 +1009,10 @@ impl Store {
     }
 
     /// A VIP-tier commit: one universal-log append through the client's
-    /// exclusively-owned port plus a digest publication, in a bounded
-    /// number of the caller's own steps. The cadence clock still advances
-    /// ([`Store::note_commit`]), but the policy evaluation — and every
-    /// reconfiguration it could install — stays off this path.
+    /// exclusively-owned port plus a digest publication and its metrics, in
+    /// a bounded number of the caller's own steps. It does no housekeeping:
+    /// no checkpoint seal, no elasticity tick, so no reconfiguration can
+    /// ride this path.
     #[progress(bounded_wait_free)]
     fn commit_vip(
         &self,
@@ -1080,7 +1025,6 @@ impl Store {
         let ops = batch.ops.len() as u64;
         let start = std::time::Instant::now();
         let resps = self.commit_on(shard, shard_id, port, ProgressClass::Vip, batch, durability);
-        self.note_commit();
         self.metrics.record_commit(ProgressClass::Vip, ops, elapsed_ns(start), count_moved(&resps));
         resps
     }
@@ -1118,9 +1062,11 @@ impl Store {
     /// replica, caught up to the log tail observed at invocation
     /// ([`OwnedHandle::sync_read`]): no log cell, nothing for the other
     /// ports to replay, no WAL work. A sub-batch with any write is one
-    /// universal-log append plus a WAL effect frame (if a WAL is attached),
-    /// and a tick of the auto-checkpoint cadence. Either way the round
-    /// publishes its digest ([`Shard::visit`]).
+    /// universal-log append plus a WAL effect frame (if a WAL is attached).
+    /// Either way the round publishes its digest ([`Shard::visit`]); it
+    /// seals nothing, so a seal happens only in an admin act
+    /// ([`Store::checkpoint`], a split, a merge, or the elasticity driver
+    /// riding a guest commit).
     fn commit_on(
         &self,
         shard: &Shard,
@@ -1130,38 +1076,20 @@ impl Store {
         batch: Batch,
         durability: DurabilityClass,
     ) -> Vec<StoreResp> {
-        let (resps, seal_due) = shard.visit(port, |handle| {
+        shard.visit(port, |handle| {
             let replayed = handle.replay_steps();
-            let round = match handle.sync_read(|state| read_batch(state, &batch)) {
+            let resps = match handle.sync_read(|state| read_batch(state, &batch)) {
                 Some(resps) => {
                     // RELAXED: heat statistic, read by `snapshot_stats`.
                     shard.local_reads.fetch_add(1, Ordering::Relaxed);
                     self.metrics.record_local_read(tier);
-                    (resps, false)
+                    resps
                 }
-                None => {
-                    let resps = self.append_on(handle, port, shard_id, batch, durability);
-                    // Every append counts; only a guest commit seals (the
-                    // seal is lock-free, not wait-free), so a VIP commit
-                    // crossing a boundary skips that window.
-                    // RELAXED: cadence counter — the checkpoint trigger needs
-                    // an exact count (atomicity) but no cross-thread ordering.
-                    let seal_due = self.checkpoint_every.is_some_and(|k| {
-                        (shard.auto_commits.fetch_add(1, Ordering::Relaxed) + 1).is_multiple_of(k)
-                    }) && tier == ProgressClass::Guest;
-                    (resps, seal_due)
-                }
+                None => self.append_on(handle, port, shard_id, batch, durability),
             };
             self.metrics.record_replayed(tier, handle.replay_steps() - replayed);
-            round
-        });
-        // The seal rides the guest tier without ever holding two port locks
-        // (the caller's door is closed): if the seal port is busy, skip — a
-        // commit is happening there and the next cadence window retries.
-        if seal_due && shard.try_visit(shard.seal_port(), |sealer| sealer.checkpoint()).is_some() {
-            self.metrics.record_auto_checkpoint();
-        }
-        resps
+            resps
+        })
     }
 
     /// The appending half of [`Store::commit_on`]: one universal-log append
@@ -1203,31 +1131,19 @@ impl Store {
         resps
     }
 
-    /// Advances the elasticity cadence clock without ever evaluating the
-    /// policy: the VIP half of the commit-path bookkeeping. VIP commits
-    /// count toward the cadence, but the evaluation itself only rides
-    /// guest commits ([`Store::elastic_tick`]).
-    #[progress(wait_free)]
-    fn note_commit(&self) {
-        if self.elastic.is_some() {
-            // RELAXED: cadence counter, exactly as in `elastic_tick`.
-            self.total_commits.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// One step of the elasticity cadence, ridden by the commit path. Runs
-    /// a policy evaluation every `evaluate_every` commits; everything is
-    /// try-locked, so a busy engine or a concurrent admin operation makes
-    /// this a no-op rather than a stall. A lock an earlier panic poisoned
-    /// is not busy: reading it as busy would turn the driver off for good.
+    /// One step of the elasticity cadence, ridden by the guest commit path.
+    /// The clock is guest commits: it runs a policy evaluation every
+    /// `evaluate_every` of them; everything is try-locked, so a busy engine
+    /// or a concurrent admin operation makes this a no-op rather than a
+    /// stall. A lock an earlier panic poisoned is not busy: reading it as
+    /// busy would turn the driver off for good.
     ///
     /// Reconfigurations ride **guest-tier commits only**: applying a
     /// decision blocks on guest-tier port locks and installs through a
     /// lock-free (not wait-free) reconfig cell, so letting a VIP thread
     /// carry that work would break the wait-free bound its port promises.
-    /// A VIP commit crossing the cadence boundary just skips the window —
-    /// the next guest boundary picks the evaluation up. (Corollary: a
-    /// store serving *only* VIPs never auto-reconfigures.)
+    /// A VIP commit neither ticks nor reads the clock. (Corollary: a store
+    /// serving *only* VIPs never auto-reconfigures.)
     ///
     /// Only [`Store::commit_guest`] calls this; the `pid` guard below is
     /// the runtime mirror of that static routing. It is on the committing
@@ -2397,64 +2313,6 @@ mod tests {
         assert!(store.live_shards() > 4);
     }
 
-    #[test]
-    fn auto_checkpoint_cadence_seals_without_explicit_calls() {
-        let store = StoreBuilder::new()
-            .shards(1)
-            .vip_capacity(1)
-            .guest_ports(2)
-            .checkpoint_every(8)
-            .build()
-            .unwrap();
-        let mut c = store.client(store.admit_guest());
-        assert_eq!(store.anchor_indices(), vec![0]);
-        for i in 0..24 {
-            c.put(&format!("k{i}"), i);
-        }
-        let anchor = store.anchor_indices()[0];
-        assert!(anchor >= 8, "at least two cadence windows must have sealed, got {anchor}");
-        // A fresh session rides a port made when the shard was built, which
-        // replays from its own cursor, not from the anchor, and sees all.
-        let mut fresh = store.client(store.admit_guest());
-        assert_eq!(fresh.get("k0"), Some(0));
-        assert_eq!(c.scan("", "z").len(), 24, "sealing never loses commits");
-    }
-
-    #[test]
-    fn checkpoint_every_zero_disables_the_cadence() {
-        let store = StoreBuilder::new()
-            .shards(1)
-            .vip_capacity(1)
-            .guest_ports(1)
-            .checkpoint_every(0)
-            .build()
-            .unwrap();
-        let mut c = store.client(store.admit_guest());
-        for i in 0..20 {
-            c.put(&format!("k{i}"), i);
-        }
-        assert_eq!(store.anchor_indices(), vec![0], "no automatic seal when disabled");
-    }
-
-    #[test]
-    fn a_vip_commit_never_seals_and_the_next_guest_commit_does() {
-        let store = StoreBuilder::new()
-            .shards(1)
-            .vip_capacity(1)
-            .guest_ports(1)
-            .checkpoint_every(1)
-            .build()
-            .unwrap();
-        let mut vip = store.client(store.admit_vip().unwrap());
-        for i in 0..20 {
-            vip.put(&format!("k{i}"), i);
-        }
-        assert_eq!(store.anchor_indices(), vec![0], "a VIP commit skips its window");
-        store.client(store.admit_guest()).put("g", 1);
-        assert!(store.anchor_indices()[0] > 0, "the guest commit seals");
-        assert_eq!(vip.scan("", "z").len(), 21);
-    }
-
     /// A scratch file under the workspace target dir, unique per test.
     fn scratch(name: &str) -> std::path::PathBuf {
         let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -2712,16 +2570,7 @@ mod tests {
 
     #[test]
     fn read_only_rounds_take_no_log_cell() {
-        // A seal is due every 4th appended round — and only appended ones:
-        // a read round that ticked the cadence would seal a checkpoint cell,
-        // moving an anchor and a cursor below.
-        let store = StoreBuilder::new()
-            .shards(2)
-            .vip_capacity(2)
-            .guest_ports(4)
-            .checkpoint_every(4)
-            .build()
-            .unwrap();
+        let store = StoreBuilder::new().shards(2).vip_capacity(2).guest_ports(4).build().unwrap();
         let mut vip = store.client(store.admit_vip().unwrap());
         let mut guest = store.client(store.admit_guest());
         let keys: Vec<String> = (0..8).map(|i| format!("r/{i}")).collect();
@@ -2818,6 +2667,29 @@ mod tests {
     /// The elasticity tick is guarded on the committing pid, not on the
     /// slot it enters: a VIP port's voice enters a VIP slot, and still
     /// drives the policy as any guest commit does.
+    #[test]
+    fn the_elasticity_clock_counts_guest_commits_only() {
+        use crate::elastic::ElasticityPolicy;
+        let store = StoreBuilder::new()
+            .shards(1)
+            .vip_capacity(1)
+            .guest_ports(1)
+            .elastic(ElasticityPolicy { evaluate_every: 4, min_window: u64::MAX, cooldown: 0 })
+            .build()
+            .unwrap();
+        let mut vip = store.client(store.admit_vip().unwrap());
+        let mut guest = store.client(store.admit_guest());
+        for i in 0..3 {
+            vip.put(&format!("v{i}"), i);
+        }
+        guest.put("g0", 0);
+        assert_eq!(store.elastic_report().unwrap().evaluations, 0, "a VIP commit ticks nothing");
+        for i in 1..4 {
+            guest.put(&format!("g{i}"), i);
+        }
+        assert_eq!(store.elastic_report().unwrap().evaluations, 1, "4 guest commits tick once");
+    }
+
     #[test]
     fn a_vip_ports_voice_still_drives_the_elasticity_policy() {
         use crate::elastic::ElasticityPolicy;

@@ -44,13 +44,13 @@
 //! segment after it. A handle adopts an anchor only when it is created;
 //! afterwards it walks the log cell by cell, so one handle that lags behind
 //! the anchor keeps the whole prefix from its segment on alive, and an
-//! object nobody checkpoints (the store's default:
-//! `StoreBuilder::checkpoint_every` is off) retains every cell it ever
-//! agreed on. What holds today is therefore: memory = cells retained ×
-//! bytes per cell + one replica of the state per handle, with cells
-//! retained = log length since the start of the slowest live cursor's
-//! segment. Bounding the first factor — a lagging handle re-adopts the
-//! anchor, the cadence becomes a default — is ROADMAP item 9; the second
+//! object nobody checkpoints (a store shard no admin act seals: a store
+//! commit never seals on its own) retains every cell it ever agreed on.
+//! What holds today is therefore: memory = cells retained × bytes per
+//! cell + one replica of the state per handle, with cells retained = log
+//! length since the start of the slowest live cursor's segment. Bounding
+//! the first factor — a lagging handle re-adopts the anchor, the store
+//! seals on a cadence of its own — is ROADMAP item 9; the second
 //! factor is a cell's share of its segment plus its agreed record, which
 //! with the store's `(n,x)`-live cells is the same whichever class decided
 //! the cell: a guest retires its round protocol once the cell is decided.
