@@ -10,8 +10,10 @@
 //!
 //! That bookkeeping lives here, once, with no store behind it. The driver
 //! (`Store::replan`) owns the clock, the views and the commits; after
-//! every round it tells [`Replan::advance`] what it saw and how much time
-//! has passed, and is told to run another round or that it is done. The
+//! every round it tells [`Replan::advance`] what it saw and how to read the
+//! time that has passed, and is told to run another round or that it is
+//! done. Only a deadline needs the time: a run whose envelopes carry none
+//! reads no clock at all ([`Replan::has_deadline`]). The
 //! request arms differ only in the closures they hand that driver, which
 //! is where each arm's progress class is stated.
 
@@ -108,6 +110,13 @@ impl Replan {
         plan
     }
 
+    /// Whether an envelope of the run carries a deadline: only then does
+    /// the driver need a clock.
+    #[progress(wait_free)]
+    pub(crate) fn has_deadline(&self) -> bool {
+        self.envelopes.iter().any(|env| env.deadline_ms.is_some())
+    }
+
     /// The operations of the due slots, in slot order: the next round.
     /// They move into the round; the round's [`Input::Landed`] hands back
     /// the ones it bounced.
@@ -123,8 +132,16 @@ impl Replan {
     /// it still takes part in — never when all its operations landed. That
     /// holds for [`UNBOUNDED_RETRIES`](crate::api::UNBOUNDED_RETRIES) too: it is a budget no waiting arm
     /// lives to spend, and the step bound of an arm that does not wait.
+    ///
+    /// `elapsed` is the time since the run's first round. It is called at
+    /// most once, and only if a slot still bounced belongs to an envelope
+    /// with a deadline.
     #[progress(wait_free)]
-    pub(crate) fn advance(&mut self, input: Input, elapsed: Duration) -> Transition {
+    pub(crate) fn advance(
+        &mut self,
+        input: Input,
+        mut elapsed: impl FnMut() -> Duration,
+    ) -> Transition {
         let Replan { envelopes, ops, results, due } = self;
         let land = |resp| match resp {
             StoreResp::Moved { epoch } => Err(StoreError::Moved { epoch }),
@@ -161,6 +178,7 @@ impl Replan {
         // `ops` runs beside `due`: the slot judged `at`-th owns `ops[at]`,
         // and a slot that stays due moves it to `ops[kept]`.
         let (mut need, mut e, mut next, mut kept) = (0, 0, 0, 0);
+        let mut now = None;
         let mut charged: Vec<usize> = Vec::new();
         due.retain(|&slot| {
             let at = next;
@@ -170,8 +188,9 @@ impl Replan {
                 e += 1; // `due` ascends, and so do the envelopes' slot ranges
             }
             let env = &envelopes[e];
-            let expired =
-                env.deadline_ms.filter(|&ms| elapsed >= Duration::from_millis(u64::from(ms)));
+            let expired = env.deadline_ms.filter(|&ms| {
+                *now.get_or_insert_with(&mut elapsed) >= Duration::from_millis(u64::from(ms))
+            });
             let gave_up = match expired {
                 Some(deadline_ms) => Some(StoreError::DeadlineExceeded { deadline_ms }),
                 None if env.left == 0 => {
@@ -285,7 +304,7 @@ mod tests {
             let gave_up = matches!(input, Input::Never);
             let due_before = std::mem::take(&mut round);
             let left_before: Vec<u32> = plan.envelopes.iter().map(|e| e.left).collect();
-            let transition = plan.advance(input, now);
+            let transition = plan.advance(input, || now);
 
             for (e, env) in plan.envelopes.iter().enumerate() {
                 let in_next = plan.due.iter().any(|&slot| owner(&plan, slot) == e);
@@ -362,14 +381,17 @@ mod tests {
         let mut plan = Replan::new([(request(&[0], UNBOUNDED_RETRIES, None), None)]);
         let round =
             Input::Landed { resps: vec![StoreResp::Moved { epoch: 3 }], bounced: plan.due_ops() };
-        assert_eq!(plan.advance(round, Duration::ZERO), Transition::Retry { need: 3 });
+        assert_eq!(plan.advance(round, || Duration::ZERO), Transition::Retry { need: 3 });
         for _ in 0..1000 {
-            assert_eq!(plan.advance(Input::NotYet, Duration::ZERO), Transition::Retry { need: 3 });
+            assert_eq!(
+                plan.advance(Input::NotYet, || Duration::ZERO),
+                Transition::Retry { need: 3 }
+            );
         }
         assert_eq!(plan.envelopes[0].left, UNBOUNDED_RETRIES - 1001);
         assert_eq!(plan.ops.len(), 1, "rounds that never ran keep the bounced op");
         plan.envelopes[0].left = 0; // … and 4e9 rounds later
-        assert_eq!(plan.advance(Input::NotYet, Duration::ZERO), Transition::Done);
+        assert_eq!(plan.advance(Input::NotYet, || Duration::ZERO), Transition::Done);
         let spent = StoreError::RetryBudgetExhausted { budget: UNBOUNDED_RETRIES };
         assert_eq!(plan.into_responses()[0].results, vec![Err(spent)]);
     }

@@ -45,7 +45,13 @@
 //! [`BatchPlan`] turns one client batch into at most one sub-batch per
 //! **live** shard (the batching contract of the operation layer; tombstones
 //! receive nothing) and remembers how to reassemble responses in invocation
-//! order, merging broadcast scans across shards.
+//! order, merging broadcast scans across shards. A batch whose every op
+//! routes to one shard — every one-op request — is planned in the
+//! **one-shard form**: the batch's own ops `Vec` is that shard's sub-batch
+//! and reassembly is the identity, so committing it builds no per-shard
+//! vector, no slot list and no reassembled response vector. The router
+//! alone picks the form; both answer every [`BatchPlan`] and
+//! [`BatchReassembly`] call alike, and a sub-batch bounces whole in both.
 
 use std::fmt;
 
@@ -434,14 +440,37 @@ impl ShardTopology {
 
     /// Plans a batch: splits the ops into per-shard sub-batches, broadcast
     /// ops (scans) going to every **live** shard (tombstones hold no data
-    /// and receive nothing).
+    /// and receive nothing). A batch whose every op routes to one shard is
+    /// planned in the *one-shard form*: its ops `Vec` is that shard's
+    /// sub-batch as it came, and its reassembly is the identity.
     pub fn plan(&self, ops: Vec<StoreOp>) -> BatchPlan {
+        // The leading run of ops placed on the first op's shard: all of
+        // them is the one-shard form, and the spread form reuses their
+        // placement.
+        let mut placed = ops.iter().map(|op| op.routing_key().map(|key| self.shard_of(key)));
+        let first = placed.next().flatten();
+        let run = first.map_or(0, |s| 1 + placed.take_while(|&p| p == Some(s)).count());
+        match first {
+            Some(shard) if run == ops.len() => {
+                BatchPlan(Plan::OneShard { shard, shards: self.shards(), ops })
+            }
+            _ => self.spread(ops, first.map(|shard| (shard, run))),
+        }
+    }
+
+    /// The spread form of a plan of `ops`: one sub-batch per shard slot.
+    /// `lead`, if known, is `(shard, run)`: the first `run` ops route to
+    /// `shard`.
+    fn spread(&self, ops: Vec<StoreOp>, lead: Option<(usize, usize)>) -> BatchPlan {
         let mut per_shard: Vec<Vec<StoreOp>> = vec![Vec::new(); self.shards()];
         let mut slots = Vec::with_capacity(ops.len());
-        for op in ops {
+        for (i, op) in ops.into_iter().enumerate() {
             match op.routing_key() {
                 Some(key) => {
-                    let shard = self.shard_of(key);
+                    let shard = match lead {
+                        Some((shard, run)) if i < run => shard,
+                        _ => self.shard_of(key),
+                    };
                     slots.push(RespSlot::Single { shard, index: per_shard[shard].len() });
                     per_shard[shard].push(op);
                 }
@@ -459,7 +488,7 @@ impl ShardTopology {
                 }
             }
         }
-        BatchPlan { per_shard, slots }
+        BatchPlan(Plan::Spread { per_shard, slots })
     }
 }
 
@@ -501,33 +530,101 @@ enum RespSlot {
 /// The result of [`ShardTopology::plan`]: per-shard sub-batches plus the
 /// recipe for reassembling responses in the original invocation order.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct BatchPlan {
-    per_shard: Vec<Vec<StoreOp>>,
-    slots: Vec<RespSlot>,
+pub struct BatchPlan(Plan);
+
+/// The two forms of a [`BatchPlan`].
+#[derive(Clone, PartialEq, Eq, Debug)]
+enum Plan {
+    /// Every op routes to `shard`: the batch's ops, in invocation order,
+    /// are that shard's sub-batch, and its responses are the batch's.
+    OneShard {
+        /// The one shard the batch touches.
+        shard: usize,
+        /// Shard slots of the planning topology (live and retired).
+        shards: usize,
+        /// The batch's ops, which are the sub-batch.
+        ops: Vec<StoreOp>,
+    },
+    /// The ops span shards, or include a broadcast.
+    Spread {
+        /// One sub-batch per shard slot (empty if the shard is idle).
+        per_shard: Vec<Vec<StoreOp>>,
+        /// Where each op's response comes from, in invocation order.
+        slots: Vec<RespSlot>,
+    },
 }
 
 impl BatchPlan {
     /// The sub-batch destined for shard `s` (empty if the shard is idle).
     pub fn sub_batch(&self, s: usize) -> &[StoreOp] {
-        &self.per_shard[s]
+        match &self.0 {
+            Plan::OneShard { shard, ops, .. } if *shard == s => ops,
+            Plan::OneShard { .. } => &[],
+            Plan::Spread { per_shard, .. } => &per_shard[s],
+        }
     }
 
     /// Shards with at least one op, in index order.
     pub fn active_shards(&self) -> impl Iterator<Item = usize> + '_ {
-        self.per_shard.iter().enumerate().filter(|(_, sub)| !sub.is_empty()).map(|(s, _)| s)
+        let (one, spread) = match &self.0 {
+            Plan::OneShard { shard, .. } => (Some(*shard), None),
+            Plan::Spread { per_shard, .. } => (None, Some(per_shard)),
+        };
+        let spread = spread.into_iter().flatten().enumerate();
+        one.into_iter().chain(spread.filter(|(_, sub)| !sub.is_empty()).map(|(s, _)| s))
     }
 
     /// Takes ownership of the per-shard sub-batches (index = shard).
     pub fn into_sub_batches(self) -> (Vec<Vec<StoreOp>>, BatchReassembly) {
-        (self.per_shard, BatchReassembly { slots: self.slots })
+        match self.0 {
+            Plan::OneShard { shard, shards, ops } => {
+                let mut per_shard = vec![Vec::new(); shards];
+                per_shard[shard] = ops;
+                (per_shard, BatchReassembly(Reassembly::Identity { shard }))
+            }
+            Plan::Spread { per_shard, slots } => {
+                (per_shard, BatchReassembly(Reassembly::Slots(slots)))
+            }
+        }
+    }
+
+    /// Hands each non-empty sub-batch to `commit` in shard order and
+    /// returns the responses in invocation order, with the reassembly that
+    /// ordered them. The one-shard form builds nothing around its one
+    /// commit: the ops move in whole and the shard's responses are the
+    /// batch's.
+    pub(crate) fn commit_each(
+        self,
+        mut commit: impl FnMut(usize, Vec<StoreOp>) -> Vec<StoreResp>,
+    ) -> (Vec<StoreResp>, BatchReassembly) {
+        if let Plan::OneShard { shard, ops, .. } = self.0 {
+            return (commit(shard, ops), BatchReassembly(Reassembly::Identity { shard }));
+        }
+        let (subs, reassembly) = self.into_sub_batches();
+        let per_shard = subs
+            .into_iter()
+            .enumerate()
+            .map(|(s, sub)| if sub.is_empty() { Vec::new() } else { commit(s, sub) })
+            .collect();
+        (reassembly.reassemble(per_shard), reassembly)
     }
 }
 
 /// Reassembles per-shard responses into invocation order; the second half
 /// of a [`BatchPlan`].
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct BatchReassembly {
-    slots: Vec<RespSlot>,
+pub struct BatchReassembly(Reassembly);
+
+/// The two forms of a [`BatchReassembly`], one per [`Plan`] form.
+#[derive(Clone, PartialEq, Eq, Debug)]
+enum Reassembly {
+    /// A one-shard plan's: the shard's responses are the batch's.
+    Identity {
+        /// The one shard the batch touched.
+        shard: usize,
+    },
+    /// A spread plan's: where each op's response comes from.
+    Slots(Vec<RespSlot>),
 }
 
 impl BatchReassembly {
@@ -543,9 +640,13 @@ impl BatchReassembly {
     ///
     /// Panics if the response shapes do not match the plan (a store bug).
     pub fn reassemble(&self, mut per_shard: Vec<Vec<StoreResp>>) -> Vec<StoreResp> {
+        let slots = match &self.0 {
+            Reassembly::Identity { shard } => return std::mem::take(&mut per_shard[*shard]),
+            Reassembly::Slots(slots) => slots,
+        };
         let mut take =
             |s: usize, i: usize| std::mem::replace(&mut per_shard[s][i], StoreResp::Value(None));
-        self.slots
+        slots
             .iter()
             .map(|slot| match slot {
                 RespSlot::Single { shard, index } => take(*shard, *index),
@@ -588,14 +689,17 @@ impl BatchReassembly {
         sub_batch: impl Fn(usize) -> Option<&'a [StoreOp]>,
     ) -> Vec<StoreOp> {
         let op = |(s, i): (usize, usize)| sub_batch(s).map(|ops| ops[i].clone());
-        self.slots
+        resps
             .iter()
-            .zip(resps)
+            .enumerate()
             .filter(|(_, resp)| matches!(resp, StoreResp::Moved { .. }))
-            .map(|(slot, _)| {
-                let op = match slot {
-                    RespSlot::Single { shard, index } => op((*shard, *index)),
-                    RespSlot::Broadcast { indices } => indices.iter().copied().find_map(op),
+            .map(|(at, _)| {
+                let op = match &self.0 {
+                    Reassembly::Identity { shard } => op((*shard, at)),
+                    Reassembly::Slots(slots) => match &slots[at] {
+                        RespSlot::Single { shard, index } => op((*shard, *index)),
+                        RespSlot::Broadcast { indices } => indices.iter().copied().find_map(op),
+                    },
                 };
                 op.expect("a bounced slot's sub-batch bounced")
             })
@@ -914,27 +1018,173 @@ mod tests {
         assert_eq!(reassembly.reassemble(per_shard), vec![StoreResp::Entries(vec![])]);
     }
 
+    /// A fresh topology, one after a split, and one after a merge that
+    /// left a tombstone (shard 4) beside a live split child (shard 3).
+    fn plan_topologies() -> [ShardTopology; 3] {
+        let fresh = ShardTopology::fresh(3);
+        let (split, child) = fresh.split(1);
+        let (twice, tomb) = split.split(0);
+        let (merged, _) = twice.merge(tomb).expect("the newest child merges");
+        assert_eq!((child, tomb), (3, 4));
+        [fresh, split, merged]
+    }
+
+    /// `n` keys `t` routes to `shard`.
+    fn keys_on(t: &ShardTopology, shard: usize, n: usize) -> Vec<String> {
+        (0..).map(|i| format!("k{i}")).filter(|k| t.shard_of(k) == shard).take(n).collect()
+    }
+
+    /// Commits the plan of `ops` on `t` against scratch shard states, the
+    /// shards in `bounce` answering `Moved` for their whole sub-batch, and
+    /// checks that the form the router picks gives what the spread form
+    /// gives: the same sub-batches, reassembled responses and bounced
+    /// operations — through the public calls and through the store's
+    /// `commit_each`. Returns the responses.
+    fn same_as_spread(t: &ShardTopology, ops: &[StoreOp], bounce: &[usize]) -> Vec<StoreResp> {
+        let commit = |s: usize, sub: &[StoreOp]| -> Vec<StoreResp> {
+            if bounce.contains(&s) {
+                return vec![StoreResp::Moved { epoch: 9 }; sub.len()];
+            }
+            let mut state = crate::ops::ShardState::new();
+            sub.iter().map(|op| crate::ops::apply_op(&mut state, op)).collect()
+        };
+        let land = |plan: BatchPlan| {
+            let (subs, reassembly) = plan.into_sub_batches();
+            let per_shard = subs.iter().enumerate().map(|(s, sub)| commit(s, sub)).collect();
+            let resps = reassembly.reassemble(per_shard);
+            let bounced = reassembly.bounced(&resps, |s| bounce.contains(&s).then(|| &subs[s][..]));
+            (subs, resps, bounced)
+        };
+        let spread = land(t.spread(ops.to_vec(), None));
+        assert_eq!(land(t.plan(ops.to_vec())), spread, "{ops:?}");
+        let mut committed: Vec<(usize, Vec<StoreOp>)> = Vec::new();
+        let (resps, reassembly) = t.plan(ops.to_vec()).commit_each(|s, sub| {
+            let resps = commit(s, &sub);
+            committed.push((s, sub));
+            resps
+        });
+        let sub_batch = |s| committed.iter().find(|(c, _)| *c == s).map(|(_, sub)| &sub[..]);
+        assert_eq!(resps, spread.1, "commit_each answers as the spread form: {ops:?}");
+        assert_eq!(reassembly.bounced(&resps, sub_batch), spread.2, "{ops:?}");
+        spread.1
+    }
+
+    fn is_one_shard(plan: &BatchPlan, on: usize) -> bool {
+        matches!(plan.0, Plan::OneShard { shard, .. } if shard == on)
+    }
+
     #[test]
     fn plan_routes_and_reassembles_in_order() {
-        let t = ShardTopology::fresh(3);
-        let ops = vec![
-            StoreOp::Put("a".into(), 1),
-            StoreOp::Put("b".into(), 2),
-            StoreOp::Get("a".into()),
-        ];
-        let plan = t.plan(ops.clone());
-        let (subs, reassembly) = plan.into_sub_batches();
-        // Apply each sub-batch against a scratch state to fake shard commits.
-        let mut per_shard = Vec::new();
-        for sub in &subs {
-            let mut state = crate::ops::ShardState::new();
-            per_shard.push(sub.iter().map(|op| crate::ops::apply_op(&mut state, op)).collect());
+        use StoreResp::{Moved, Value};
+        for t in plan_topologies() {
+            let ops = vec![
+                StoreOp::Put("a".into(), 1),
+                StoreOp::Put("b".into(), 2),
+                StoreOp::Get("a".into()),
+            ];
+            let resps = same_as_spread(&t, &ops, &[]);
+            assert_eq!(resps, vec![Value(None), Value(None), Value(Some(1))]);
+
+            // Every live shard, the split child included, takes a one-op
+            // and a several-op batch in the one-shard form; the several
+            // ops keep their invocation order, and bounce whole.
+            let live: Vec<usize> = (0..t.shards()).filter(|&s| t.is_live(s)).collect();
+            assert_eq!(live.contains(&3), t.shards() > 3, "the split child is live");
+            for &shard in &live {
+                let k = keys_on(&t, shard, 2);
+                let one = vec![StoreOp::Put(k[0].clone(), 1)];
+                assert!(is_one_shard(&t.plan(one.clone()), shard));
+                assert_eq!(t.plan(one.clone()).active_shards().collect::<Vec<_>>(), [shard]);
+                assert_eq!(same_as_spread(&t, &one, &[]), [Value(None)]);
+                assert_eq!(same_as_spread(&t, &one, &[shard]), [Moved { epoch: 9 }]);
+
+                let several = vec![
+                    StoreOp::Put(k[0].clone(), 1),
+                    StoreOp::Get(k[1].clone()),
+                    StoreOp::Cas { key: k[0].clone(), expect: Some(1), new: 2 },
+                    StoreOp::Get(k[0].clone()),
+                    StoreOp::Remove(k[0].clone()),
+                ];
+                let plan = t.plan(several.clone());
+                assert!(is_one_shard(&plan, shard));
+                assert_eq!(plan.sub_batch(shard), &several[..], "invocation order");
+                assert!(live
+                    .iter()
+                    .filter(|&&s| s != shard)
+                    .all(|&s| plan.sub_batch(s).is_empty()));
+                assert_eq!(
+                    same_as_spread(&t, &several, &[]),
+                    [
+                        Value(None),
+                        Value(None),
+                        StoreResp::Cas { ok: true, actual: Some(1) },
+                        Value(Some(2)),
+                        Value(Some(2)),
+                    ]
+                );
+                let others: Vec<usize> = live.iter().copied().filter(|&s| s != shard).collect();
+                assert_eq!(
+                    same_as_spread(&t, &several, &others),
+                    same_as_spread(&t, &several, &[])
+                );
+                assert_eq!(same_as_spread(&t, &several, &[shard]), vec![Moved { epoch: 9 }; 5]);
+
+                // Single-key ops of one shard beside a scan stay spread.
+                let mut scanned = several.clone();
+                scanned.insert(2, StoreOp::Scan { from: "k".into(), to: "l".into() });
+                assert!(matches!(t.plan(scanned.clone()).0, Plan::Spread { .. }));
+                let resps = same_as_spread(&t, &scanned, &[]);
+                assert!(matches!(resps[2], StoreResp::Entries(_)));
+                same_as_spread(&t, &scanned, &[shard]);
+            }
         }
-        let resps = reassembly.reassemble(per_shard);
-        assert_eq!(resps.len(), 3);
-        assert_eq!(resps[0], StoreResp::Value(None));
-        assert_eq!(resps[1], StoreResp::Value(None));
-        assert_eq!(resps[2], StoreResp::Value(Some(1)), "get sees the same-shard put");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Any op list, on any of the three topologies and with any set of
+        /// shards bouncing, plans to what the spread form gives; a list
+        /// drawn from one shard's keys is planned in the one-shard form.
+        #[test]
+        fn every_plan_form_lands_as_the_spread_form(
+            shape in (0usize..3, 0u8..2, 0u64..32),
+            picks in proptest::collection::vec((0u8..5, 0usize..64, 0u64..4), 0..12),
+        ) {
+            let (which, one_shard, bounce) = shape;
+            let t = &plan_topologies()[which];
+            let live: Vec<usize> = (0..t.shards()).filter(|&s| t.is_live(s)).collect();
+            let target = live[picks.len() % live.len()];
+            let keys = if one_shard == 1 {
+                keys_on(t, target, 64)
+            } else {
+                (0..64).map(|i| format!("k{i}")).collect()
+            };
+            let ops: Vec<StoreOp> = picks
+                .iter()
+                .map(|&(kind, key, value)| {
+                    let key = keys[key].clone();
+                    match kind {
+                        0 => StoreOp::Get(key),
+                        1 => StoreOp::Put(key, value),
+                        2 => StoreOp::Remove(key),
+                        3 => StoreOp::Cas { key, expect: Some(value), new: value + 1 },
+                        _ => StoreOp::Scan { from: key, to: "z".into() },
+                    }
+                })
+                .collect();
+            let bounce: Vec<usize> = (0..t.shards()).filter(|s| bounce >> s & 1 == 1).collect();
+            let resps = same_as_spread(t, &ops, &bounce);
+            proptest::prop_assert_eq!(resps.len(), ops.len());
+            let single = !ops.is_empty() && ops.iter().all(|op| op.routing_key().is_some());
+            let planned = t.plan(ops.clone());
+            if one_shard == 1 && single {
+                proptest::prop_assert!(is_one_shard(&planned, target), "one shard's keys");
+            } else if !single {
+                let spread = matches!(planned.0, Plan::Spread { .. });
+                proptest::prop_assert!(spread, "a scan or an empty list plans spread");
+            }
+        }
     }
 
     #[test]

@@ -1181,34 +1181,29 @@ impl Store {
     /// invocation order (stale sub-batches as [`StoreResp::Moved`]). The
     /// ops are the round's; each sub-batch's stays shared with its commit
     /// until the shard answers, and only a bounced one's operations are
-    /// copied back out for the retry. The tier is the closure's: each
-    /// request arm's names its own commit fn inside the arm's annotated
-    /// body, which is where apc-lint reads the class.
+    /// copied back out for the retry. A round whose ops all route to one
+    /// shard is planned in the router's one-shard form and commits through
+    /// the same closure: its ops are the sub-batch and the shard's
+    /// responses are the round's, so nothing is split or reassembled. The
+    /// tier is the closure's: each request arm's names its own commit fn
+    /// inside the arm's annotated body, which is where apc-lint reads the
+    /// class.
     fn execute_in(
         view: &StoreView,
         ops: Vec<StoreOp>,
         mut commit_sub: impl FnMut(&Shard, usize, Batch) -> Vec<StoreResp>,
     ) -> Input {
-        let (subs, reassembly) = view.topology.plan(ops).into_sub_batches();
         let version = view.topology.version();
         let mut bounced: Vec<(usize, Arc<[StoreOp]>)> = Vec::new();
-        let per_shard: Vec<Vec<StoreResp>> = subs
-            .into_iter()
-            .enumerate()
-            .map(|(s, sub)| {
-                if sub.is_empty() {
-                    return Vec::new();
-                }
-                let batch = Batch::new(version, sub);
-                let ops = Arc::clone(&batch.ops);
-                let resps = commit_sub(&view.shards[s], s, batch);
-                if count_moved(&resps) > 0 {
-                    bounced.push((s, ops));
-                }
-                resps
-            })
-            .collect();
-        let resps = reassembly.reassemble(per_shard);
+        let (resps, reassembly) = view.topology.plan(ops).commit_each(|s, sub| {
+            let batch = Batch::new(version, sub);
+            let ops = Arc::clone(&batch.ops);
+            let resps = commit_sub(&view.shards[s], s, batch);
+            if count_moved(&resps) > 0 {
+                bounced.push((s, ops));
+            }
+            resps
+        });
         let sub_batch = |s| bounced.iter().find(|(b, _)| *b == s).map(|(_, ops)| &ops[..]);
         let bounced = reassembly.bounced(&resps, sub_batch);
         Input::Landed { resps, bounced }
@@ -1220,21 +1215,25 @@ impl Store {
     /// so an applied operation is never re-issued. `commit_sub` carries the
     /// arm's tier ([`Store::execute_in`]), `seek_view` whether the arm waits
     /// for a topology ([`Store::view_at_least`]) or not
-    /// ([`Store::view_published`]).
+    /// ([`Store::view_published`]). The clock starts before the first
+    /// round only if an envelope of the run carries a deadline, and
+    /// [`Replan::advance`] reads it only for those envelopes' bounced
+    /// slots: a run without a deadline reads no clock.
     fn replan<'s>(
         &'s self,
         mut plan: Replan,
         mut commit_sub: impl FnMut(&Shard, usize, Batch) -> Vec<StoreResp>,
         mut seek_view: impl FnMut(u64) -> Result<&'s StoreView, Input>,
     ) -> Vec<Response> {
-        let started = std::time::Instant::now();
+        let started = plan.has_deadline().then(std::time::Instant::now);
+        let elapsed = || started.map_or(Duration::ZERO, |t| t.elapsed());
         let mut view = Ok(self.view.newest());
         loop {
             let input = match view {
                 Ok(view) => Store::execute_in(view, plan.due_ops(), &mut commit_sub),
                 Err(unpublished) => unpublished,
             };
-            match plan.advance(input, started.elapsed()) {
+            match plan.advance(input, elapsed) {
                 Transition::Retry { need } => view = seek_view(need),
                 Transition::Done => return plan.into_responses(),
             }
@@ -2783,6 +2782,45 @@ mod tests {
         assert_eq!(fresh.results, want);
     }
 
+    #[test]
+    fn a_one_shard_write_planned_before_a_split_bounces_whole_and_lands_once() {
+        let store = small_store(2);
+        let vip = store.admit_vip().unwrap();
+        let mut c = store.client(vip);
+        let moved = |s: &Store| s.scrape().value("store_moved_ops_total", &[("tier", "vip")]);
+        let stale = store.view.newest();
+        let k = keys_on_shard(&stale.topology, 1, 2);
+        store.split_shard(1).unwrap();
+        let one = vec![StoreOp::Put(k[0].clone(), 1)];
+        let two = vec![
+            StoreOp::Put(k[1].clone(), 2),
+            StoreOp::Cas { key: k[1].clone(), expect: Some(2), new: 3 },
+        ];
+        let mut landed = Vec::new();
+        for ops in [one, two] {
+            assert!(stale.topology.plan(ops.clone()).active_shards().eq([1]), "{ops:?}");
+            let before = moved(&store).unwrap();
+            // Planned under the stale view, the request is shard 1's
+            // sub-batch as it came: it bounces whole, and the round hands
+            // back exactly its ops, in order.
+            let round = Store::execute_in(stale, ops.clone(), |shard, s, batch| {
+                store.commit_vip(shard, s, vip.port(), batch, DurabilityClass::Group)
+            });
+            let Input::Landed { resps, bounced } = round else {
+                panic!("a round over a view lands")
+            };
+            assert_eq!(resps, vec![StoreResp::Moved { epoch: 1 }; ops.len()]);
+            assert_eq!(bounced, ops);
+            // Re-planned on the published view, each write lands once.
+            landed.push(c.request_vip(Request::new(bounced).retry_budget(4)).results);
+            assert_eq!(moved(&store).unwrap() - before, ops.len() as u64, "{ops:?}");
+        }
+        let cas = StoreResp::Cas { ok: true, actual: Some(2) };
+        assert_eq!(landed[0], vec![Ok(StoreResp::Value(None))], "the put did not land twice");
+        assert_eq!(landed[1], vec![Ok(StoreResp::Value(None)), Ok(cas)], "the CAS saw the put");
+        assert_eq!((c.get(&k[0]), c.get(&k[1])), (Some(1), Some(3)));
+    }
+
     /// Runs `issue` — a read of `keys` through one request arm — so that it
     /// plans under the pre-split view and reaches its port only after the
     /// split: the reader is parked on its port's lock, which this thread
@@ -2859,6 +2897,33 @@ mod tests {
         let all: Vec<_> = keys.iter().cloned().zip(0..).collect();
         assert_eq!(got.results, vec![Ok(StoreResp::Entries(all))], "waiting arm, a scan");
         assert!(tier_counter(&store, "store_local_reads_total") > local0, "and none took a cell");
+    }
+
+    #[test]
+    fn a_deadline_spent_parked_on_a_port_expires_at_the_replan_boundary() {
+        // The reader's clock starts before its first round, so the 5 ms it
+        // waits on its port's lock count against its 1 ms deadline when
+        // the round comes back bounced: the bounced slots expire at the
+        // re-plan boundary instead of being retried, and the rest land.
+        let store = small_store(2);
+        let vip = store.admit_vip().unwrap();
+        let keys: Vec<String> = (0..16).map(|i| format!("s/{i:02}")).collect();
+        let mut c = store.client(vip);
+        for (i, k) in keys.iter().enumerate() {
+            c.put(k, i as u64);
+        }
+        let got = read_across_a_split(&store, vip, |c| c.request_vip(reads(&keys).deadline_ms(1)));
+        let victim = (0..store.topology().shards()).find(|&s| store.topology().is_live(s));
+        let parked: Vec<bool> = keys.iter().map(|k| Some(store.shard_of(k)) == victim).collect();
+        assert!(parked.contains(&true) && parked.contains(&false), "both shards hold keys");
+        for ((result, parked), value) in got.results.iter().zip(parked).zip(0..) {
+            let want = if parked {
+                Err(StoreError::DeadlineExceeded { deadline_ms: 1 })
+            } else {
+                Ok(StoreResp::Value(Some(value)))
+            };
+            assert_eq!(result, &want);
+        }
     }
 
     #[test]

@@ -197,10 +197,13 @@ fn commit_path_allocations_stay_within_budget() {
     // Every other call is freed before the request returns:
     // - 3 are this harness building its request: the key's two (`format!`
     //   grows it once) and the `Vec<StoreOp>`;
-    // - 7 are the round on every arm: the run's envelope list, the plan's
-    //   three vectors (per-shard, per-slot, the one sub-batch), the
-    //   shard's response vector, the reassembled one and the `Response`
-    //   list;
+    // - 3 are the round on every arm: the run's envelope list, the
+    //   shard's response vector and the `Response` list. A one-op request
+    //   touches one shard, so the router plans it in the one-shard form:
+    //   its ops `Vec` is the sub-batch and the shard's responses are the
+    //   request's. A spread round adds the plan's three vectors
+    //   (per-shard, per-slot, each sub-batch) and the reassembled one
+    //   (its parent read 7, with those four on every round);
     // - a put adds the announce record (1); a guest's put adds its round 0
     //   (the `Arc` holding the adopt-commit object and the link to later
     //   rounds), the object's register slice, the round-0 register's box
@@ -213,12 +216,12 @@ fn commit_path_allocations_stay_within_budget() {
     };
     let put_budget = |other_calls: f64| Census { calls: cell.calls + other_calls, ..cell };
     let arms = [
-        ("guest put", guest_put, put_budget(15.0)),
-        ("vip put", vip_put, put_budget(10.0)),
+        ("guest put", guest_put, put_budget(11.0)),
+        ("vip put", vip_put, put_budget(6.0)),
         (
             "local read",
             local_read,
-            Census { calls: 11.0, retained_allocs: 0.0, retained_bytes: 0.0 },
+            Census { calls: 7.0, retained_allocs: 0.0, retained_bytes: 0.0 },
         ),
         (
             "stored key / replica",
@@ -400,12 +403,13 @@ fn serve_path_allocations_stay_within_budget(store: &Store) {
     let guest = TierCredential::Guest;
     let s = &mut server;
     // The budgets are the census of the commit that set them: a put's cell
-    // is three allocations and a 64th of its segment (its parent read 13,
-    // 18, 11, 11, 4.06 and 54.1: one call more per shard a request visits).
+    // is three allocations and a 64th of its segment (its parent read
+    // 12.015, 17.015, 10, 10, 3.998 and 50.1: a one-shard round built the
+    // plan's three vectors and the reassembled one).
     //
     // A one-op frame's calls are its decoded request — the ops `Vec` and
     // the key, which a put's cell keeps — and then exactly the calls of the
-    // same request in process less the harness's three: the round's seven,
+    // same request in process less the harness's three: the round's three,
     // what its commit builds (see above). A guest frame in a
     // 64-frame batch shares the round and the commits with its batch-mates
     // and keeps three calls of its own: its ops, its key and its results.
@@ -413,10 +417,10 @@ fn serve_path_allocations_stay_within_budget(store: &Store) {
     // shard's sub-batch, batch and response vectors; and one
     // `String` per key it returns.
     let arms = [
-        ("vip put", measure_turns(s, &mut vip, VIP, TURNS, put), 12.0 + SEGMENT_SHARE),
-        ("guest put", measure_turns(s, &mut guests[..1], guest, TURNS, put), 17.0 + SEGMENT_SHARE),
-        ("vip get", measure_turns(s, &mut vip, VIP, TURNS, get), 10.0),
-        ("guest get", measure_turns(s, &mut guests[..1], guest, TURNS, get), 10.0),
+        ("vip put", measure_turns(s, &mut vip, VIP, TURNS, put), 8.0 + SEGMENT_SHARE),
+        ("guest put", measure_turns(s, &mut guests[..1], guest, TURNS, put), 13.0 + SEGMENT_SHARE),
+        ("vip get", measure_turns(s, &mut vip, VIP, TURNS, get), 6.0),
+        ("guest get", measure_turns(s, &mut guests[..1], guest, TURNS, get), 6.0),
         ("64-frame guest batch", measure_turns(s, &mut guests, guest, TURNS / 64, put), 4.01),
         ("16-key scan", measure_turns(s, &mut vip, VIP, TURNS, scan), 50.1),
     ];
