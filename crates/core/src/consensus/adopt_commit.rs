@@ -16,6 +16,7 @@
 //!   contention.
 
 use std::fmt;
+use std::sync::atomic::{fence, AtomicU8, Ordering};
 
 use apc_progress_macros::progress;
 use apc_registers::OnceBox;
@@ -68,14 +69,25 @@ pub struct AdoptCommit<T> {
 }
 
 /// The two single-writer registers of one process. Each is written at
-/// most once — `ProposeOnce` admits one `adopt_commit` per process — so
-/// each is set-once, and a collect borrows what it reads with one load.
+/// most once — `ProposeOnce` admits one `adopt_commit` per process.
 struct Registers<T> {
-    /// Phase 1: the proposal.
+    /// Phase 1: the proposal, set once, so a collect borrows it with one
+    /// load.
     proposal: OnceBox<T>,
-    /// Phase 2: the `(flag, value)` announcement.
-    announced: OnceBox<(AcOutcome, T)>,
+    /// Phase 2: the `(flag, value)` announcement, as a flag and the pid
+    /// whose proposal the value is — every phase-2 value is a proposal
+    /// its announcer collected (or its own), and a proposal is never
+    /// replaced, so naming it is as good as copying it. `UNSET` until
+    /// written.
+    announced: AtomicU8,
 }
+
+/// An `announced` register not written yet.
+const UNSET: u8 = 0;
+/// Set in every written `announced` register.
+const WRITTEN: u8 = 0x80;
+/// Set in an `announced` register whose flag is commit.
+const COMMIT: u8 = 0x40;
 
 impl<T: Clone + Eq + Send + Sync> AdoptCommit<T> {
     /// Creates an adopt-commit object for processes `0..n`.
@@ -87,7 +99,7 @@ impl<T: Clone + Eq + Send + Sync> AdoptCommit<T> {
         assert!((1..=64).contains(&n), "n must be in 1..=64");
         AdoptCommit {
             slots: (0..n)
-                .map(|_| Registers { proposal: OnceBox::new(), announced: OnceBox::new() })
+                .map(|_| Registers { proposal: OnceBox::new(), announced: AtomicU8::new(UNSET) })
                 .collect(),
             once: ProposeOnce::new(),
         }
@@ -100,11 +112,12 @@ impl<T: Clone + Eq + Send + Sync> AdoptCommit<T> {
 
     /// One adopt-commit operation by `pid` with input `value`.
     ///
-    /// Wait-free: 2 stores + 2 collects (`O(n)` register operations). A
-    /// store sets one of `pid`'s set-once registers; a collect reads the
-    /// registers one by one in index order with one load each and borrows
-    /// each value where it sits, pinning nothing; it copies out only the
-    /// value it adopts.
+    /// Wait-free: 2 stores + 2 collects (`O(n)` register operations). The
+    /// first store moves `value` into `pid`'s set-once proposal — the one
+    /// allocation — and the second writes one byte naming a proposal; a
+    /// collect reads the registers one by one in index order with one load
+    /// each and borrows each value where it sits, pinning nothing. Only the
+    /// value returned is cloned.
     ///
     /// # Errors
     ///
@@ -128,19 +141,18 @@ impl<T: Clone + Eq + Send + Sync> AdoptCommit<T> {
         // total store order, which acquire/release alone does not give —
         // hence the SeqCst fence between the store and the collect.
         // `once` admitted `pid` once, so its registers are still `⊥`.
-        let fresh = OnceBox::set(&self.slots[pid].proposal, T::clone(&value)).is_ok();
-        debug_assert!(fresh, "a process sets its proposal once");
-        std::sync::atomic::fence(std::sync::atomic::Ordering::SeqCst);
+        let mine = OnceBox::decide(&self.slots[pid].proposal, value);
+        fence(Ordering::SeqCst);
         let mut unanimous = true;
         let mut collected_any = false;
-        // The first value collected, kept only if it differs from ours.
+        // The first proposal collected, kept only if it differs from ours.
         let mut first_other = None;
-        for slot in self.slots.iter() {
+        for (j, slot) in self.slots.iter().enumerate() {
             let Some(seen) = OnceBox::get(&slot.proposal) else { continue };
-            if *seen != value {
+            if seen != mine {
                 unanimous = false;
                 if !collected_any {
-                    first_other = Some(T::clone(seen));
+                    first_other = Some(j);
                 }
             }
             collected_any = true;
@@ -148,38 +160,42 @@ impl<T: Clone + Eq + Send + Sync> AdoptCommit<T> {
         // Mixed proposals: flag adopt, carrying the first value collected
         // (deterministic choice; any collected value is valid) — which is
         // ours when no other came first.
-        let (flag, estimate) = if unanimous {
-            (AcOutcome::Commit, value)
-        } else {
-            (AcOutcome::Adopt, first_other.unwrap_or(value))
-        };
+        let (flag, source) =
+            if unanimous { (COMMIT, pid) } else { (0, first_other.unwrap_or(pid)) };
 
         // Phase 2: publish the flagged value, then collect (same
-        // store-buffering pattern, same fence).
-        let fresh = OnceBox::set(&self.slots[pid].announced, (flag, T::clone(&estimate))).is_ok();
-        debug_assert!(fresh, "a process sets its announcement once");
-        std::sync::atomic::fence(std::sync::atomic::Ordering::SeqCst);
+        // store-buffering pattern, same fence). Release: a collector that
+        // reads the byte also sees the proposal it names, which this
+        // process read (or wrote) before.
+        self.slots[pid].announced.store(WRITTEN | flag | source as u8, Ordering::Release);
+        fence(Ordering::SeqCst);
         let mut all_commit = true;
-        // The first commit-flagged value collected. All committed values
-        // are equal (at most one commit value can exist, see module docs).
+        // The pid of the first commit-flagged value collected. All committed
+        // values are equal (at most one commit value can exist, see module
+        // docs).
         let mut committed = None;
         for slot in self.slots.iter() {
-            match OnceBox::get(&slot.announced) {
-                Some((AcOutcome::Commit, w)) if committed.is_none() => {
-                    committed = Some(T::clone(w))
-                }
-                Some((AcOutcome::Commit, _)) | None => {}
-                Some((AcOutcome::Adopt, _)) => all_commit = false,
+            let announced = slot.announced.load(Ordering::Acquire);
+            if announced == UNSET {
+                continue;
+            }
+            if announced & COMMIT == 0 {
+                all_commit = false;
+            } else if committed.is_none() {
+                committed = Some(usize::from(announced & !(WRITTEN | COMMIT)));
             }
         }
-        Ok(match committed {
+        let (flag, source) = match committed {
             // Everyone observed unanimity: commit.
-            Some(w) if all_commit => (AcOutcome::Commit, w),
+            Some(j) if all_commit => (AcOutcome::Commit, j),
             // Someone flagged commit: adopt that (unique) value.
-            Some(w) => (AcOutcome::Adopt, w),
+            Some(j) => (AcOutcome::Adopt, j),
             // No commit flags seen: adopt own phase-2 value.
-            None => (AcOutcome::Adopt, estimate),
-        })
+            None => (AcOutcome::Adopt, source),
+        };
+        let value = OnceBox::get(&self.slots[source].proposal);
+        debug_assert!(value.is_some(), "an announcement names a proposal that was set");
+        Ok((flag, value.map_or_else(|| T::clone(mine), T::clone)))
     }
 }
 

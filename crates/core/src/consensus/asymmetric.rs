@@ -29,23 +29,24 @@ use crate::liveness::Liveness;
 ///
 /// # What a decided object retains
 ///
-/// Only the decision. The guests' rounds are a way to reach it, and a
-/// guest that reached it takes them down on its way out: the rounds install
-/// the outcome in the decision slot and *then* the guest retires them (round
-/// 0 and any later rounds back to `⊥`). A guest that gives up undecided
-/// (`propose_bounded` → `Ok(None)`) retires nothing. A late racer that asks
-/// for a round after a retire re-creates it lazily and retires it again
-/// when it leaves, so once an object's last proposer has returned it holds
-/// no round object — a guest-decided object keeps what a VIP-decided one
-/// keeps. In the universal construction's log that is the object itself,
-/// inline in its 64-cell segment, and one boxed record per cell.
-/// The rounds sit inline as one `⊥` pointer until a guest runs one — round
-/// 0, which holds the link to any later rounds; there is no second decision
-/// slot, no second port check and no second at-most-once mask behind it.
+/// Only the decision. The guests' rounds are a way to reach it, and the
+/// guests take them down: round 0 — which holds the link to any later
+/// rounds — counts the guests inside it, and the last guest out frees it,
+/// chain and all, if it finds the slot decided. A guest that gives up
+/// undecided (`propose_bounded` → `Ok(None)`) leaves it for the next
+/// decided guest to free. A late racer whose entry finds round 0 freed
+/// builds nothing: a freed round 0 always means a decided slot, so it
+/// reads the decision. So once an object's last proposer has returned it
+/// holds no round object — a guest-decided object keeps what a
+/// VIP-decided one keeps. In the universal construction's log that is the
+/// object itself, inline in its 64-cell segment, and one boxed record per
+/// cell. The rounds sit inline as one word until a guest runs one; there
+/// is no second decision slot, no second port check and no second
+/// at-most-once mask behind it.
 ///
 /// The decision slot is an [`OnceBox`]: installed by one CAS-from-`⊥`, never
 /// cleared or replaced, and freed only with the object. So a reader needs
-/// no epoch to hold it: [`Consensus::peek_with`] lends the decided value out
+/// nothing to hold it: [`Consensus::peek_with`] lends the decided value out
 /// with one load and no clone, which is how a replica replays a decided
 /// cell. A VIP still pays one CAS and one read.
 ///
@@ -56,17 +57,17 @@ use crate::liveness::Liveness;
 /// * *validity* — what the rounds output is some guest's proposal, and the
 ///   slot only ever receives a proposal or a round output;
 /// * *obstruction-freedom* — a guest running alone either finds the slot
-///   decided (and escapes) or reaches a round nobody else touches (fresh or
-///   re-created alike) and commits its estimate there.
+///   decided (and escapes) or reaches a round nobody else touches and
+///   commits its estimate there.
 ///
-/// The order — decide, then retire — is what makes a retired round
-/// protocol mean a decided object. The rounds' one job is to carry a value
+/// The order — decided, then freed — is what makes a freed round protocol
+/// mean a decided object. The rounds' one job is to carry a value
 /// committed in round `r` into every estimate that enters round `r + 1`
-/// until the slot holds a decision; retired before the slot is decided, a
+/// until the slot holds a decision; freed before the slot is decided, a
 /// guest stalled between the two steps would leave an undecided object
 /// whose committed round is gone, and a latecomer would start over at a
 /// fresh round 0 instead of adopting that value. There is no inner
-/// decision to retire: a round that commits installs its value in the slot
+/// decision to free: a round that commits installs its value in the slot
 /// itself, which is the only decision there is.
 ///
 /// This is the object the paper proves *cannot* be built for `x ≥ 1` from
@@ -91,8 +92,8 @@ pub struct AsymmetricConsensus<T> {
     /// The decision slot: set once, by the VIP's CAS or a guest round's
     /// commit, and lent out to every later reader without a clone.
     decision: OnceBox<T>,
-    /// The guests' round protocol; one `⊥` pointer unless a guest is
-    /// running it.
+    /// The guests' round protocol; one word, `⊥` unless a guest is running
+    /// it.
     rounds: Rounds<T>,
     once: ProposeOnce,
 }
@@ -144,15 +145,12 @@ impl<T: Clone + Eq + Send + Sync> AsymmetricConsensus<T> {
     /// obstruction-free rounds among the guests on the decision slot —
     /// polled before each round (§2 remark: as soon as any value is decided,
     /// any process can decide the very same value), a commit installed with
-    /// a CAS-from-`⊥` — then the rounds retired. `None` only if
-    /// `max_rounds` ran out undecided, and then nothing is retired.
+    /// a CAS-from-`⊥` — leaving round 0 on the way out, and freeing it if
+    /// last out with the slot decided. `None` only if `max_rounds` ran out
+    /// undecided.
     #[progress(obstruction_free)]
     fn propose_as_guest(&self, pid: usize, value: T, max_rounds: Option<usize>) -> Option<T> {
-        let guests = self.spec.guests();
-        let decided = self.rounds.run(pid, value, guests, max_rounds, &self.decision)?;
-        // Only now: a retired round protocol must mean a decided object.
-        self.rounds.retire();
-        Some(decided)
+        self.rounds.run(pid, value, self.spec.guests(), max_rounds, &self.decision)
     }
 }
 
@@ -236,8 +234,8 @@ mod tests {
         // round, it cannot decide alone.
         assert_eq!(cons.propose_bounded(2, 20u32, 0).unwrap(), None);
         assert_eq!(cons.propose(3, 30).unwrap(), 30);
-        // It ran round 0 and took it down on its way out: the object keeps
-        // its decision and nothing of the guest protocol.
+        // It ran round 0 and freed it on its way out: the object keeps its
+        // decision and nothing of the guest protocol.
         assert!(cons.rounds.hold_nothing());
         assert_eq!(cons.peek(), Some(30));
     }
@@ -280,35 +278,58 @@ mod tests {
     }
 
     #[test]
-    fn a_guest_that_gives_up_retires_nothing() {
+    fn a_guest_that_gives_up_frees_nothing() {
         let cons = AsymmetricConsensus::new(Liveness::new_first_n(5, 1));
         // No round allowed: it gives up before building anything.
         assert_eq!(cons.propose_bounded(1, 10u32, 0).unwrap(), None);
         assert!(cons.rounds.hold_nothing());
         // Guest 4 commits 40 in round 0 and stalls before its CAS reaches
-        // the slot (here: its rounds run on a slot of its own)...
-        let stalled = OnceBox::new();
-        assert_eq!(cons.rounds.run(4, 40, cons.spec.guests(), None, &stalled), Some(40));
+        // the slot...
+        let guests = cons.spec.guests();
+        let stalled = cons.rounds.stall_after_round_zero(4, 40, guests);
         // ...so guest 2 adopts 40 there and runs out of rounds undecided. It
         // must leave the protocol as it found it.
         assert_eq!(cons.propose_bounded(2, 20, 1).unwrap(), None);
         assert_eq!(cons.peek(), None);
-        assert!(!cons.rounds.hold_nothing(), "an undecided guest retired the rounds");
-        // The protocol still works: guest 3 adopts 40 in round 0, commits it
-        // in round 1, installs it — and only then is the object empty.
+        assert!(!cons.rounds.hold_nothing(), "an undecided guest freed the rounds");
+        // Guest 4 resumes: its CAS decides the slot, and it is the last one
+        // out, so it frees round 0 — the next decided proposer after the one
+        // that gave up.
+        assert_eq!(*cons.decision.decide(40), 40);
+        stalled.leave(true);
+        assert!(cons.rounds.hold_nothing());
+        // A guest arriving now reads the decision and builds nothing.
+        assert_eq!(cons.propose(3, 30).unwrap(), 40);
+        assert_eq!(cons.propose(0, 0).unwrap(), 40);
+        assert_eq!(cons.rounds.census(), (1, 1));
+    }
+
+    #[test]
+    fn a_guest_that_gave_up_leaves_round_zero_for_the_next_decided_guest() {
+        let cons = AsymmetricConsensus::new(Liveness::new_first_n(5, 1));
+        let guests = cons.spec.guests();
+        // Guest 4 commits 40 in round 0 and stalls; guest 2 adopts it and
+        // gives up, the last one out with the slot still `⊥`.
+        let stalled = cons.rounds.stall_after_round_zero(4, 40, guests);
+        assert_eq!(cons.propose_bounded(2, 20, 1).unwrap(), None);
+        stalled.leave(false);
+        assert!(!cons.rounds.hold_nothing(), "round 0 was freed undecided");
+        // Guest 3 adopts 40 in round 0, commits it in round 1, installs it,
+        // and — last out, decided — frees round 0 and its chain.
         assert_eq!(cons.propose(3, 30).unwrap(), 40);
         assert!(cons.rounds.hold_nothing());
-        assert_eq!(cons.propose(0, 0).unwrap(), 40);
+        assert_eq!(cons.rounds.census(), (1, 1));
     }
 
     #[test]
     fn contended_objects_keep_only_their_decision() {
         // Per object: four guests started first, so they are usually inside
         // the rounds when the VIP lands; a watcher checks, while they run,
-        // that a retired round protocol always means a decided object; once
-        // every proposer has returned, no round object or segment is left —
-        // whatever late racers re-created, they retired. (There is no inner
-        // decision to leave: a round's commit goes straight to the slot.)
+        // that a freed round protocol always means a decided object; once
+        // every proposer has returned, no round object or segment is left,
+        // and every round 0 built — the installed one and any a racer lost
+        // — was dropped. (There is no inner decision to leave: a round's
+        // commit goes straight to the slot.)
         const GUESTS: usize = 4;
         for object in 0..200u64 {
             let cons = AsymmetricConsensus::new(Liveness::new_first_n(GUESTS + 1, 1));
@@ -321,7 +342,7 @@ mod tests {
                         if built && empty {
                             assert!(
                                 cons.peek().is_some(),
-                                "object {object}: the rounds were retired before the decision"
+                                "object {object}: the rounds were freed before the decision"
                             );
                         }
                         built |= !empty;
@@ -339,6 +360,8 @@ mod tests {
             });
             assert_consensus(&records.into_inner().unwrap());
             assert!(cons.rounds.hold_nothing(), "object {object} kept guest protocol state");
+            let (built, dropped) = cons.rounds.census();
+            assert_eq!(dropped, built, "object {object} built {built} round 0s, dropped {dropped}");
         }
     }
 

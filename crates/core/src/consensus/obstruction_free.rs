@@ -24,46 +24,46 @@
 //! a round no other process has touched, where its own input converges and
 //! commits.
 //!
-//! The unbounded round sequence is materialized where it is used: one
-//! pointer in the object holds round 0, allocated by the first process to
-//! run a round, and round 0 holds the link to rounds `1..` — a lock-free
-//! chain of fixed-size segments whose first link is allocated by the first
-//! process that leaves round 0. Every slot (and every link) is initialized
-//! on first use with a CAS-from-`⊥` — allocation happens off the
+//! The unbounded round sequence is materialized where it is used: round 0
+//! sits behind one word of the object, built by the first process to run
+//! a round, and holds the link to rounds `1..` — a lock-free chain of
+//! fixed-size segments whose first link is allocated by the first process
+//! that leaves round 0. Every slot (and every link) is initialized on
+//! first use with a CAS-from-`⊥` — allocation happens off the
 //! register-protocol itself. An object decided in round 0 owns no segment,
 //! and one never proposed to owns no round at all.
 //!
 //! **Whose decision `D` is.** The rounds (`Rounds`, crate-private) decide a
 //! slot they do not own: the loop above polls it and installs a commit in it
 //! with a CAS-from-`⊥`. A slot is an [`OnceBox`]: set once, never cleared,
-//! so a poll is one load and `peek_with` borrows the decision without an
-//! epoch pin or a clone. The one register retiring clears — the pointer to
-//! round 0 — stays an `AtomicCell`, since a retire replaces it under
-//! readers. Everything behind it is set once: a round's adopt-commit
-//! registers ([`OnceBox`]es: each process writes each at most once), a
-//! segment's round slots and the links between segments ([`OnceArc`]). A
-//! proposer loads round 0 once, after its first poll finds `D` `⊥`, and
-//! reaches every later round from the round 0 it holds, so its rounds pin
-//! no epoch past that load. This object runs the
-//! rounds on its own slot — what `peek` and every later proposer read —
-//! and keeps slot and rounds for as long as it lives.
-//! [`crate::consensus::AsymmetricConsensus`] runs the same rounds on its
-//! outer slot, so there the outer slot *is* `D`: nothing else is
-//! installed. Once `D` is decided the rounds have no use there, and every
-//! guest that ran them *retires* them on its way out — round 0, and with it
-//! the segment chain, back to `⊥`, reclaimed once no process still holds
-//! it. A process that asks for a round after a retire
-//! re-creates it lazily and retires it on its own way out, so once the last
-//! proposer of a composed object has returned, it holds no round object. A
-//! retire is safe only once `D` is decided; the argument is on
-//! [`crate::consensus::AsymmetricConsensus`].
+//! so a poll is one load and `peek_with` borrows the decision without a
+//! clone. Everything behind round 0 is set once too: a round's adopt-commit
+//! registers (each process writes each at most once), a segment's round
+//! slots and the links between segments ([`OnceArc`]).
+//!
+//! **Who frees the rounds.** Round 0 is a [`Scaffold`]: one `AtomicU64`
+//! holding its address, the count of processes running rounds, and a
+//! terminal `FREED` bit. A proposer whose first poll finds `D` `⊥` enters
+//! it (one `fetch_add`, and a CAS to install round 0 if nobody built it
+//! yet), reaches every later round from the round 0 it holds, and leaves
+//! with one `fetch_sub`. The last proposer out, if it finds `D` decided,
+//! swings the word to `FREED` and frees round 0 and the chain behind it.
+//! `FREED` always means decided, so a late proposer whose entry finds it
+//! reads `D` and touches nothing; a proposer that gives up undecided
+//! leaves round 0 for the next decided proposer to free. So once an
+//! object's last proposer has returned, a decided object holds no round
+//! object, whether it is this one or
+//! [`crate::consensus::AsymmetricConsensus`], which runs the same rounds on
+//! its outer slot. The order — decided, then freed — is the one the
+//! argument on [`crate::consensus::AsymmetricConsensus`] needs: a round
+//! that committed is only ever taken down with the decision in `D`.
 
 use std::fmt;
 use std::sync::Arc;
 
 use apc_model::ProcessSet;
 use apc_progress_macros::progress;
-use apc_registers::{AtomicCell, OnceArc, OnceBox};
+use apc_registers::{Inside, OnceArc, OnceBox, Scaffold};
 
 use crate::consensus::adopt_commit::AdoptCommit;
 use crate::consensus::{Consensus, ProposeOnce};
@@ -76,7 +76,7 @@ const SEGMENT_ROUNDS: usize = 8;
 /// `SEGMENT_ROUNDS` consecutive rounds past round 0, and the link to the
 /// segment after them. Each round's adopt-commit object is created by the
 /// first process to reach the round. Both are set once and never cleared
-/// alone: retiring drops the whole chain with the round 0 it hangs off.
+/// alone: freeing round 0 drops the whole chain that hangs off it.
 struct Segment<T> {
     rounds: [OnceArc<AdoptCommit<T>>; SEGMENT_ROUNDS],
     next: OnceArc<Segment<T>>,
@@ -84,20 +84,70 @@ struct Segment<T> {
 
 /// Round 0 — the only round an uncontended proposal runs — and the link to
 /// rounds `1..`, in segments; `⊥` until some process leaves round 0.
-struct RoundZero<T> {
+pub(crate) struct RoundZero<T> {
     round: AdoptCommit<T>,
     later: OnceArc<Segment<T>>,
+    /// Counts this round 0's drop, for the tests that count builds.
+    #[cfg(test)]
+    census: Arc<RoundCensus>,
 }
 
 impl<T: Clone + Eq + Send + Sync> RoundZero<T> {
     /// Round `r ≥ 1`'s object, on the chain that hangs off this round 0.
     fn later_round(&self, r: usize, ports: ProcessSet) -> Arc<AdoptCommit<T>> {
         let new_segment = || Arc::new(Segment { rounds: Default::default(), next: OnceArc::new() });
-        let mut segment = self.later.load_or_init(new_segment);
+        let mut segment = OnceArc::load_or_init(&self.later, new_segment);
         for _ in 0..(r - 1) / SEGMENT_ROUNDS {
-            segment = segment.next.load_or_init(new_segment);
+            segment = OnceArc::load_or_init(&segment.next, new_segment);
         }
-        segment.rounds[(r - 1) % SEGMENT_ROUNDS].load_or_init(|| Arc::new(new_round(ports)))
+        let round = &segment.rounds[(r - 1) % SEGMENT_ROUNDS];
+        OnceArc::load_or_init(round, || Arc::new(new_round(ports)))
+    }
+
+    /// Runs rounds as `pid` from `estimate` until `decision` holds a value
+    /// (see [`Rounds::run`]), on the chain this round 0 holds.
+    fn run(
+        &self,
+        pid: usize,
+        mut estimate: T,
+        ports: ProcessSet,
+        max_rounds: Option<usize>,
+        decision: &OnceBox<T>,
+    ) -> Option<T> {
+        let mut r = 0usize;
+        loop {
+            if let Some(d) = OnceBox::get(decision) {
+                return Some(T::clone(d));
+            }
+            if max_rounds.is_some_and(|max| r >= max) {
+                return None;
+            }
+            let outcome = match r {
+                0 => self.round.adopt_commit(pid, estimate),
+                r => self.later_round(r, ports).adopt_commit(pid, estimate),
+            };
+            let (flag, w) = outcome.expect("each pid visits each round at most once");
+            if flag.is_commit() {
+                return Some(T::clone(decision.decide(w)));
+            }
+            estimate = w;
+            r += 1;
+        }
+    }
+}
+
+/// How many round 0s a [`Rounds`] built and how many were dropped.
+#[cfg(test)]
+#[derive(Default)]
+pub(crate) struct RoundCensus {
+    pub(crate) built: std::sync::atomic::AtomicUsize,
+    pub(crate) dropped: std::sync::atomic::AtomicUsize,
+}
+
+#[cfg(test)]
+impl<T> Drop for RoundZero<T> {
+    fn drop(&mut self) {
+        self.census.dropped.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
     }
 }
 
@@ -109,21 +159,38 @@ fn new_round<T: Clone + Eq + Send + Sync>(ports: ProcessSet) -> AdoptCommit<T> {
 
 /// The round protocol: the unbounded sequence of adopt-commit rounds, built
 /// on first use, deciding a slot its caller owns (see the module docs).
+/// One `Rounds` decides one slot: every run of it is given the same one.
 pub(crate) struct Rounds<T> {
     /// Round 0, which owns the chain of later rounds; `⊥` until a process
-    /// runs a round, and again once the rounds are retired.
-    round0: AtomicCell<Arc<RoundZero<T>>>,
+    /// runs a round, and taken down for good once the slot is decided and
+    /// the last process running rounds has left.
+    round0: Scaffold<RoundZero<T>>,
+    #[cfg(test)]
+    census: Arc<RoundCensus>,
 }
 
 impl<T: Clone + Eq + Send + Sync> Rounds<T> {
     pub(crate) fn new() -> Self {
-        Rounds { round0: AtomicCell::new() }
+        Rounds {
+            round0: Scaffold::new(),
+            #[cfg(test)]
+            census: Arc::default(),
+        }
     }
 
-    /// Round 0 and the chain behind it, built first if they are `⊥`.
-    fn round_zero(&self, ports: ProcessSet) -> Arc<RoundZero<T>> {
-        self.round0
-            .load_or_init(|| Arc::new(RoundZero { round: new_round(ports), later: OnceArc::new() }))
+    /// Enters round 0, building it first if nobody has; `None` if it was
+    /// taken down, which happens only once the slot is decided.
+    fn enter(&self, ports: ProcessSet) -> Option<Inside<'_, RoundZero<T>>> {
+        self.round0.enter(|| {
+            #[cfg(test)]
+            self.census.built.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            RoundZero {
+                round: new_round(ports),
+                later: OnceArc::new(),
+                #[cfg(test)]
+                census: Arc::clone(&self.census),
+            }
+        })
     }
 
     /// Runs rounds as `pid` (one of `ports`) from `estimate` until
@@ -132,62 +199,64 @@ impl<T: Clone + Eq + Send + Sync> Rounds<T> {
     /// value there with a CAS-from-`⊥`. Gives up with `None` after
     /// `max_rounds` rounds without a decision.
     ///
-    /// Round 0 is loaded only after the first poll finds `decision` `⊥`,
-    /// and every later round is reached from the round 0 this run holds, so
-    /// a retire in between does not move the run to another chain.
+    /// Round 0 is entered only after the first poll finds `decision` `⊥`,
+    /// and every later round is reached from the round 0 this run holds.
+    /// On its way out the run leaves round 0, and frees it if it is the
+    /// last one out and `decision` is decided.
     pub(crate) fn run(
         &self,
         pid: usize,
-        mut estimate: T,
+        estimate: T,
         ports: ProcessSet,
         max_rounds: Option<usize>,
         decision: &OnceBox<T>,
     ) -> Option<T> {
-        let mut held = None;
-        let mut r = 0usize;
-        loop {
-            if let Some(d) = OnceBox::get(decision) {
-                return Some(d.clone());
-            }
-            if max_rounds.is_some_and(|max| r >= max) {
-                return None;
-            }
-            let zero = held.get_or_insert_with(|| self.round_zero(ports));
-            let outcome = match r {
-                0 => zero.round.adopt_commit(pid, estimate),
-                r => zero.later_round(r, ports).adopt_commit(pid, estimate),
-            };
-            let (flag, w) = outcome.expect("each pid visits each round at most once");
-            if flag.is_commit() {
-                return Some(decision.decide(w).clone());
-            }
-            estimate = w;
-            r += 1;
-        }
+        let entered = match OnceBox::get(decision) {
+            None if max_rounds != Some(0) => self.enter(ports),
+            _ => None,
+        };
+        // Decided, allowed no round, or round 0 taken down — which happens
+        // only with the slot decided: the slot is the answer.
+        let Some(zero) = entered else { return OnceBox::get(decision).cloned() };
+        // Spelled by path: apc-lint resolves an untyped method call by name.
+        let decided = RoundZero::run(&zero, pid, estimate, ports, max_rounds, decision);
+        Inside::leave(zero, OnceBox::get(decision).is_some());
+        decided
     }
 
-    /// Round `r ≥ 1`'s object, on the chain behind the current round 0.
-    #[cfg(test)]
-    fn round_object(&self, r: usize, ports: ProcessSet) -> Arc<AdoptCommit<T>> {
-        self.round_zero(ports).later_round(r, ports)
-    }
-
-    /// Takes the rounds down: round 0, and with it the segment chain, back
-    /// to `⊥`, reclaimed once no process still holds it.
-    ///
-    /// Only for a caller whose `decision` slot is already decided, and that
-    /// keeps that slot — a standalone [`ObstructionFreeConsensus`] never
-    /// retires.
-    #[progress(wait_free)]
-    pub(crate) fn retire(&self) {
-        self.round0.clear();
-    }
-
-    /// Whether no round object and no segment is held — what retired rounds,
-    /// or rounds nobody ran, look like.
+    /// Whether no round object and no segment is held — what rounds taken
+    /// down, or rounds nobody ran, look like.
     #[cfg(test)]
     pub(crate) fn hold_nothing(&self) -> bool {
-        self.round0.is_bot()
+        self.round0.holds_nothing()
+    }
+
+    /// Round 0 as a process that stalls inside the rounds holds it, for
+    /// tests that stop a proposer mid-protocol.
+    #[cfg(test)]
+    pub(crate) fn stall(&self, ports: ProcessSet) -> Inside<'_, RoundZero<T>> {
+        self.enter(ports).expect("the rounds were taken down")
+    }
+
+    /// Stalls `pid` right after it ran round 0 with `value`, before it
+    /// polls the slot again.
+    #[cfg(test)]
+    pub(crate) fn stall_after_round_zero(
+        &self,
+        pid: usize,
+        value: T,
+        ports: ProcessSet,
+    ) -> Inside<'_, RoundZero<T>> {
+        let zero = self.stall(ports);
+        zero.round.adopt_commit(pid, value).expect("a fresh pid in round 0");
+        zero
+    }
+
+    /// Round 0s built, and round 0s dropped, so far.
+    #[cfg(test)]
+    pub(crate) fn census(&self) -> (usize, usize) {
+        use std::sync::atomic::Ordering::SeqCst;
+        (self.census.built.load(SeqCst), self.census.dropped.load(SeqCst))
     }
 }
 
@@ -364,24 +433,31 @@ mod tests {
     }
 
     #[test]
-    fn retiring_clears_every_round() {
+    fn the_last_decided_proposer_out_frees_every_round() {
         let rounds: Rounds<u32> = Rounds::new();
-        let ports = ProcessSet::first_n(2);
-        assert_eq!(rounds.run(0, 5, ports, None, &OnceBox::new()), Some(5));
-        rounds.round_object(SEGMENT_ROUNDS + 1, ports);
-        assert!(rounds.round0.load().is_some_and(|zero| zero.later.load().is_some()));
-        rounds.retire();
+        let ports = ProcessSet::first_n(3);
+        let decision = OnceBox::new();
+        // Guest 2 stalls inside the rounds, far down the chain...
+        let stalled = rounds.stall(ports);
+        stalled.later_round(SEGMENT_ROUNDS + 1, ports);
+        // ...so guest 0, deciding in round 0, leaves it standing.
+        assert_eq!(rounds.run(0, 5, ports, None, &decision), Some(5));
+        assert!(stalled.later.load().is_some_and(|first| first.next.load().is_some()));
+        assert!(!rounds.hold_nothing(), "freed with a proposer inside");
+        // Guest 2 resumes, finds the slot decided, and is the last one out:
+        // round 0 and its whole chain go.
+        assert_eq!(stalled.run(2, 9, ports, None, &decision), Some(5));
+        stalled.leave(true);
         assert!(rounds.hold_nothing());
-        // Retired rounds are rounds nobody ran: asking re-creates them.
-        assert_eq!(rounds.round_zero(ports).round.n(), 2);
+        assert_eq!(rounds.census(), (1, 1));
     }
 
     #[test]
     fn segment_growth_past_one_segment() {
-        // Force many rounds by bounding and retrying with distinct pids...
-        // Simplest: look up a deep round object directly.
         let rounds: Rounds<u8> = Rounds::new();
-        let deep = rounds.round_object(SEGMENT_ROUNDS * 3 + 2, ProcessSet::first_n(2));
+        let ports = ProcessSet::first_n(2);
+        let zero = rounds.stall(ports);
+        let deep = zero.later_round(SEGMENT_ROUNDS * 3 + 2, ports);
         assert_eq!(deep.n(), 2);
     }
 
@@ -391,88 +467,79 @@ mod tests {
         // guest protocol: no round object, no segment.
         let cons: ObstructionFreeConsensus<u32> = ObstructionFreeConsensus::new(of_spec(6));
         assert!(cons.rounds.hold_nothing());
-        // Decided uncontended: round 0's object, and still no segment, also
-        // after a latecomer learned the decision.
+        // Decided uncontended while another proposer is inside: round 0's
+        // object, and still no segment, also after a latecomer learned the
+        // decision.
+        let ports = cons.spec.ports();
+        let inside = cons.rounds.stall(ports);
         assert_eq!(cons.propose(4, 7).unwrap(), 7);
         assert_eq!(cons.propose(2, 9).unwrap(), 7);
-        assert!(cons.rounds.round0.load().is_some_and(|zero| zero.later.load().is_none()));
+        assert!(inside.later.load().is_none());
         // Only a process that leaves round 0 builds the first segment.
-        cons.rounds.round_object(1, cons.spec.ports());
-        assert!(cons.rounds.round0.load().is_some_and(|zero| zero.later.load().is_some()));
-    }
-
-    /// Round `r` as an asker holds it: round 0, and round `r` itself when it
-    /// is a later one.
-    type Held = (Arc<RoundZero<u64>>, Option<Arc<AdoptCommit<u64>>>);
-
-    fn held_round(rounds: &Rounds<u64>, r: usize, ports: ProcessSet) -> Held {
-        let zero = rounds.round_zero(ports);
-        let later = (r > 0).then(|| zero.later_round(r, ports));
-        (zero, later)
-    }
-
-    fn object((zero, later): &Held) -> &AdoptCommit<u64> {
-        later.as_deref().unwrap_or(&zero.round)
+        inside.later_round(1, ports);
+        assert!(inside.later.load().is_some());
+        inside.leave(true);
+        assert!(cons.rounds.hold_nothing());
     }
 
     #[test]
     fn the_lazy_chain_hands_every_asker_the_same_round_object() {
-        // Rounds 0 ..= 2·SEGMENT_ROUNDS: round 0, then every slot of the
-        // first two segments — two boundaries, each opened by a race.
+        // Round 0 built by two racers, then rounds 1 ..= 2·SEGMENT_ROUNDS:
+        // every slot of the first two segments — two boundaries, each
+        // opened by a race.
         let rounds: Rounds<u64> = Rounds::new();
         let ports = ProcessSet::first_n(2);
-        for r in 0..=2 * SEGMENT_ROUNDS {
-            let barrier = std::sync::Barrier::new(2);
-            let (a, b) = std::thread::scope(|s| {
-                let ask = || {
-                    barrier.wait();
-                    held_round(&rounds, r, ports)
-                };
-                let a = s.spawn(ask);
-                let b = s.spawn(ask);
-                (a.join().unwrap(), b.join().unwrap())
+        let barrier = std::sync::Barrier::new(2);
+        let (a, b) = std::thread::scope(|s| {
+            let ask = || {
+                barrier.wait();
+                rounds.stall(ports)
+            };
+            let a = s.spawn(ask);
+            let b = s.spawn(ask);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert!(std::ptr::eq(&*a, &*b), "round 0 resolved to two objects");
+        let (built, dropped) = rounds.census();
+        assert_eq!(built - dropped, 1, "a losing round 0 was kept");
+        // The round 0 object is a working adopt-commit: a solo run commits,
+        // and the second process adopts what was committed.
+        assert_eq!(a.round.adopt_commit(0, 0).unwrap(), (AcOutcome::Commit, 0));
+        assert_eq!(b.round.adopt_commit(1, 100).unwrap(), (AcOutcome::Adopt, 0));
+        for r in 1..=2 * SEGMENT_ROUNDS {
+            let ask = |zero: &RoundZero<u64>| {
+                barrier.wait();
+                zero.later_round(r, ports)
+            };
+            let (ra, rb) = std::thread::scope(|s| {
+                let ra = s.spawn(|| ask(&a));
+                let rb = s.spawn(|| ask(&b));
+                (ra.join().unwrap(), rb.join().unwrap())
             });
-            let (a, b) = (object(&a), object(&b));
-            assert!(std::ptr::eq(a, b), "round {r} resolved to two objects");
-            let again = held_round(&rounds, r, ports);
-            assert!(std::ptr::eq(a, object(&again)), "round {r} moved");
-            // The object is a working adopt-commit: a solo run commits, and
-            // the second process adopts what was committed.
+            assert!(Arc::ptr_eq(&ra, &rb), "round {r} resolved to two objects");
+            assert!(Arc::ptr_eq(&ra, &a.later_round(r, ports)), "round {r} moved");
             let input = r as u64;
-            assert_eq!(a.adopt_commit(0, input).unwrap(), (AcOutcome::Commit, input));
-            assert_eq!(b.adopt_commit(1, input + 100).unwrap(), (AcOutcome::Adopt, input));
+            assert_eq!(ra.adopt_commit(0, input).unwrap(), (AcOutcome::Commit, input));
+            assert_eq!(rb.adopt_commit(1, input + 100).unwrap(), (AcOutcome::Adopt, input));
         }
     }
 
     #[test]
-    fn a_late_guest_past_a_retire_rebuilds_round_zero_and_its_chain_then_retires_them() {
+    fn a_late_guest_past_the_take_down_reads_the_decision_and_builds_nothing() {
         let rounds: Rounds<u64> = Rounds::new();
         let ports = ProcessSet::first_n(3);
-        // Guest 0 decides in round 0 and retires the rounds on its way out.
+        // Guest 0 decides in round 0 and, the last one out, frees it.
         let decision = OnceBox::new();
         assert_eq!(rounds.run(0, 1, ports, None, &decision), Some(1));
-        let retired = rounds.round0.load().unwrap();
-        rounds.retire();
         assert!(rounds.hold_nothing());
-        // Two guests polled the slot while it was `⊥` and stalled (here:
-        // their rounds run on a slot of their own). Guest 2 resumes first,
-        // re-creates round 0 and its chain, and proposes a value of its own
-        // in rounds 0 ..= SEGMENT_ROUNDS + 1 before it stalls again...
-        let stalled = OnceBox::new();
-        let zero = rounds.round_zero(ports);
-        assert!(!Arc::ptr_eq(&zero, &retired), "a retired round 0 came back");
-        zero.round.adopt_commit(2, 100).unwrap();
-        for r in 1..=SEGMENT_ROUNDS + 1 {
-            zero.later_round(r, ports).adopt_commit(2, 100 + r as u64).unwrap();
-        }
-        // ...so guest 1 adopts guest 2's value in each of those rounds and
-        // commits the last one alone in the next, inside the second segment.
-        let last = 100 + SEGMENT_ROUNDS as u64 + 1;
-        assert_eq!(rounds.run(1, 7, ports, None, &stalled), Some(last));
-        assert!(zero.later.load().is_some_and(|first| first.next.load().is_some()));
-        // Its retire takes the re-created round 0 down with its whole chain.
-        rounds.retire();
+        assert_eq!(rounds.census(), (1, 1));
+        // Guest 2 polled the slot while it was `⊥` and stalled; it resumes
+        // at its entry, which finds round 0 taken down: it builds nothing
+        // and reads the decision instead.
+        assert!(rounds.enter(ports).is_none(), "a freed round 0 came back");
+        assert_eq!(rounds.run(2, 100, ports, None, &decision), Some(1));
         assert!(rounds.hold_nothing());
+        assert_eq!(rounds.census(), (1, 1), "a late guest built a round 0");
     }
 
     #[test]

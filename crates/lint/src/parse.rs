@@ -739,8 +739,8 @@ mod tests {
     #[test]
     fn struct_fields_mapped() {
         let ast =
-            parse("pub struct Shard { pub stats: AtomicCell<Digest>, ports: Vec<Mutex<Handle>> }");
-        assert_eq!(ast.fields.get("stats").map(String::as_str), Some("AtomicCell"));
+            parse("pub struct Shard { pub stats: Generations<Digest>, ports: Vec<Mutex<Handle>> }");
+        assert_eq!(ast.fields.get("stats").map(String::as_str), Some("Generations"));
         assert_eq!(ast.fields.get("ports").map(String::as_str), Some("Vec"));
     }
 

@@ -17,8 +17,8 @@ use crate::OnceBox;
 /// the newest and moves the pointer to it. Nothing is freed while the
 /// register is shared, so it suits a value replaced a bounded number of
 /// times over the register's life, such as a routing table that changes
-/// once per reconfiguration. A value replaced on every write wants an
-/// [`AtomicCell`](crate::AtomicCell), which frees the old one.
+/// once per reconfiguration. A value replaced on every write wants
+/// [`HazardSlots`](crate::HazardSlots), which free the old one.
 ///
 /// # Examples
 ///

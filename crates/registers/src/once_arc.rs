@@ -16,10 +16,8 @@ use apc_progress_macros::progress;
 /// set. The word it holds *is* the `Arc`'s pointer, so installing a value
 /// allocates nothing beyond the `Arc` itself, and a read is one load and one
 /// reference-count increment. No epoch is pinned: a value that is never
-/// replaced is never retired under a reader. An
-/// [`AtomicCell<Arc<T>>`](crate::AtomicCell) boxes the `Arc` and pins an
-/// epoch on every read, which a register written many times needs and a
-/// link does not.
+/// replaced is never retired under a reader, so no reader needs a
+/// hazard pointer, as a [`HazardSlots`](crate::HazardSlots) reader does.
 ///
 /// # Examples
 ///

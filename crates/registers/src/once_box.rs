@@ -17,10 +17,10 @@ use apc_progress_macros::progress;
 /// consensus's `VAL`/`ARB_VAL` entries are. A value that is never replaced is never retired under a reader, so [`OnceBox::get`]
 /// lends it out for as long as the box is borrowed with one `Acquire` load
 /// — no epoch pin, no clone — and the box frees it only when dropped, which
-/// takes `&mut self`. An [`AtomicCell`](crate::AtomicCell) pins an epoch on
-/// every read, which a register written many times needs and a decision
-/// slot does not; an [`OnceArc`](crate::OnceArc) would put a count header
-/// on every value for readers that only borrow.
+/// takes `&mut self`. A [`HazardSlots`](crate::HazardSlots) reader
+/// publishes a hazard pointer on every read, which a register written many
+/// times needs and a decision slot does not; an [`OnceArc`](crate::OnceArc)
+/// would put a count header on every value for readers that only borrow.
 ///
 /// Not [`std::sync::OnceLock`]: its `set` parks a concurrent setter until
 /// the winner's initialization finishes, so a wait-free proposer could wait

@@ -11,8 +11,8 @@ const BOT: u64 = u64::MAX;
 /// A lock-free, allocation-free MWMR register holding `Option<u64>` values
 /// in `0 ..= u64::MAX - 1` (one sentinel value encodes `⊥`).
 ///
-/// Functionally a [`crate::AtomicCell<u64>`] without allocation — useful in
-/// hot paths and benchmark baselines.
+/// A multi-writer register for `Option<u64>` with no allocation — useful
+/// in hot paths and benchmark baselines.
 ///
 /// # Examples
 ///

@@ -5,7 +5,7 @@
 //! make sure the cell at its cursor is decided (`decide_current_cell`,
 //! helping rule included) and absorb the agreed record (`absorb`). Absorbing
 //! borrows the record where the cell's decision slot holds it — no clone,
-//! no epoch pin — applies its operation if there is one, notes it in
+//! no count — applies its operation if there is one, notes it in
 //! `applied`, moves the cursor, and raises the tail if the record seals a
 //! state. Only the walker's own operation is applied with
 //! [`SequentialSpec::apply`], for the response it is waiting on; every other
@@ -35,7 +35,7 @@
 //! set-once link (a CAS from `⊥`, as `Rounds` builds its round segments in
 //! `apc-core`). A cursor is a segment and the absolute index of a cell in
 //! it: moving to the next cell inside a segment is an index increment, with
-//! no `Arc` clone, no drop and no epoch pin; only a boundary crossing
+//! no `Arc` clone and no drop; only a boundary crossing
 //! touches the link.
 //!
 //! Reclaimable is not reclaimed: a segment is freed when the last `Arc` to
@@ -53,7 +53,8 @@
 //! seals on a cadence of its own — is ROADMAP item 9; the second
 //! factor is a cell's share of its segment plus its agreed record, which
 //! with the store's `(n,x)`-live cells is the same whichever class decided
-//! the cell: a guest retires its round protocol once the cell is decided.
+//! the cell: the last guest out of a cell's round protocol frees it once
+//! the cell is decided.
 //! For a one-op write that is 40 B of segment (1/64 of ~2.6 KB) and the
 //! record's box, the batch's ops slice and its key: ~176 requested bytes
 //! in 3 + 1/64 allocations, and a retired cell frees as many. For the
@@ -63,6 +64,13 @@
 //! what every checkpoint seal, every `reconfigure` and every
 //! `owned_handle` does — is a few `memcpy`s per 64 keys.
 //! `tests/alloc_budget.rs` holds the per-unit figures.
+//!
+//! An announcement lives only until its owner's next one: the
+//! announcements are [`HazardSlots`], one single-writer slot per pid,
+//! which a helper reads under its own handle's hazard pointer (one store,
+//! one re-load, one clear), and an owner that announces frees what it
+//! displaced unless a helper's hazard holds it — then its next announcement
+//! does. Nothing is deferred to an epoch, and nothing is locked.
 //!
 //! Progress: operation placement keeps its original guarantee (wait-free
 //! for the factory's wait-free set via the helping rule, obstruction-free
@@ -79,7 +87,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use apc_core::consensus::Consensus;
 use apc_core::error::ConsensusError;
 use apc_progress_macros::progress;
-use apc_registers::{AtomicCell, OnceArc};
+use apc_registers::{HazardSlots, OnceArc, SlotClaim};
 
 use crate::factory::ConsensusFactory;
 use crate::seq::SequentialSpec;
@@ -282,7 +290,11 @@ where
     spec: S,
     factory: F,
     n: usize,
-    announce: Vec<AtomicCell<Announce<S::Op>>>,
+    /// Each process's latest announcement, one single-writer slot per pid,
+    /// written by the handle that holds the pid and read by every handle
+    /// under its own hazard pointer. Its claims are the handles: a pid's
+    /// slot is claimed once, by the handle made for it.
+    announce: HazardSlots<Announce<S::Op>>,
     /// Latest published seal (initially the empty prefix at the head).
     /// Written only by a walker whose `checkpoint` or `reconfigure` returned
     /// a seal, and read only by [`Universal::owned_handle`]. Monotone in
@@ -292,7 +304,6 @@ where
     /// consumes. Stored under `anchor`'s lock, and loaded without it by
     /// [`Universal::anchor_index`].
     anchor_index: AtomicU64,
-    handles: AtomicU64,
     /// A log index every cell below which is decided, and past every cell
     /// whose effect a caller has been shown. Raised to the walker's cursor
     /// once per call, not per cell: by [`OwnedHandle::apply`] before it
@@ -339,10 +350,9 @@ where
             spec,
             factory,
             n,
-            announce: (0..n).map(|_| AtomicCell::new()).collect(),
+            announce: HazardSlots::new(n),
             anchor: Mutex::new(anchor),
             anchor_index: AtomicU64::new(index),
-            handles: AtomicU64::new(0),
             tail: AtomicU64::new(index),
         }
     }
@@ -411,13 +421,10 @@ where
         {
             return Err(UniversalError::NotAPort { pid });
         }
-        let bits = (1u64 << pid) | (1u64 << voice);
-        if let Err(held) = self.handles.fetch_update(Ordering::AcqRel, Ordering::Acquire, |h| {
-            (h & bits == 0).then_some(h | bits)
-        }) {
-            let taken = if held & (1u64 << pid) != 0 { pid } else { voice };
-            return Err(UniversalError::HandleTaken { pid: taken });
-        }
+        let claim = self
+            .announce
+            .claim(&[pid, voice])
+            .map_err(|pid| UniversalError::HandleTaken { pid })?;
         let anchor = self.anchor.lock().unwrap_or_else(PoisonError::into_inner);
         Ok(OwnedHandle {
             obj: Arc::clone(self),
@@ -425,6 +432,7 @@ where
             seq: 0,
             voice,
             voice_seq: 0,
+            claim,
             segment: Arc::clone(&anchor.segment),
             cell_index: self.anchor_index.load(Ordering::Acquire),
             state: S::State::clone(&anchor.state),
@@ -485,6 +493,9 @@ where
     voice: usize,
     /// Sequence number of the voice's most recent operation.
     voice_seq: u64,
+    /// The right to announce as `pid` and `voice`, and to read
+    /// announcements under `pid`'s hazard pointer.
+    claim: SlotClaim,
     /// The segment holding the cursor cell, `cell_index`.
     segment: Arc<Segment<F::Object>>,
     /// Absolute log index of the cursor: the next undecided-or-unapplied
@@ -550,9 +561,9 @@ where
     /// until it is answered.
     fn commit(&mut self, pid: usize, seq: u64, op: S::Op) -> S::Resp {
         let me = (pid, seq);
-        self.obj.announce[pid].store(Announce { seq, op: op.clone() });
+        self.obj.announce.store(&mut self.claim, pid, Announce { seq, op: op.clone() });
         loop {
-            self.decide_current_cell(pid, || {
+            self.decide_current_cell(pid, |_| {
                 LogRecord::Op(OpRecord { pid: pid as u8, seq, op: op.clone() })
             });
             if let Some(Absorbed { resp: Some(resp), .. }) = self.absorb(Some(me)) {
@@ -582,14 +593,14 @@ where
         self.seq += 1;
         let me = (self.pid, self.seq);
         loop {
-            self.decide_current_cell(self.pid, || {
+            self.decide_current_cell(self.pid, |handle| {
                 // Speculate the sealed post-state from the fully-replayed
                 // prefix; exact whenever this record is the one agreed.
-                let mut post = self.state.clone();
-                let _ = self.obj.spec.apply(&mut post, &op);
+                let mut post = handle.state.clone();
+                let _ = handle.obj.spec.apply(&mut post, &op);
                 LogRecord::Reconfig(ReconfigRecord {
-                    pid: self.pid as u8,
-                    seq: self.seq,
+                    pid: handle.pid as u8,
+                    seq: handle.seq,
                     op: op.clone(),
                     state: Arc::new(post),
                 })
@@ -619,11 +630,11 @@ where
     #[progress(lock_free)]
     pub fn checkpoint(&mut self) -> u64 {
         loop {
-            self.decide_current_cell(self.pid, || {
+            self.decide_current_cell(self.pid, |handle| {
                 LogRecord::Checkpoint(CheckpointRecord {
-                    pid: self.pid as u8,
-                    index: self.cell_index,
-                    state: Arc::new(self.state.clone()),
+                    pid: handle.pid as u8,
+                    index: handle.cell_index,
+                    state: Arc::new(handle.state.clone()),
                 })
             });
             // Any checkpoint agreed at my cursor cell seals exactly my
@@ -664,29 +675,34 @@ where
     }
 
     /// The cursor cell's consensus object.
+    #[cfg(test)]
     fn cell(&self) -> &F::Object {
         &self.segment.cells[offset(self.cell_index)]
     }
 
     /// Makes sure the cursor cell is decided, proposing to it as `pid` if it
-    /// is not. `fallback` is the record to propose when the helping rule
-    /// yields no candidate. What was decided is `absorb`'s to read.
-    fn decide_current_cell(&self, pid: usize, fallback: impl FnOnce() -> LogRecordOf<S>) {
-        let cell = self.cell();
+    /// is not. `fallback` builds the record to propose from the handle
+    /// when the helping rule yields no candidate. What was decided is
+    /// `absorb`'s to read.
+    fn decide_current_cell(&mut self, pid: usize, fallback: impl FnOnce(&Self) -> LogRecordOf<S>) {
+        let cell = &self.segment.cells[offset(self.cell_index)];
         if cell.peek_with(|decided| decided.is_some()) {
             return;
         }
         // Helping rule: cell k prefers the announcement of process k mod n,
         // if it is pending (announced and not yet applied in my replay —
         // which is exact for all cells before this one). Only a pending
-        // announcement is cloned.
+        // announcement is cloned. An announcement stored over while it is
+        // read reads as none: its owner announces again only once the
+        // operation before was applied, so what the read missed was
+        // announced after this step began.
         let slot = (self.cell_index as usize) % self.obj.n;
         let done = self.applied[slot];
-        let candidate = self.obj.announce[slot].load_with(|a| {
+        let candidate = self.obj.announce.read(&mut self.claim, slot, |a| {
             let a = a.filter(|a| a.seq > done)?;
             Some(LogRecord::Op(OpRecord { pid: slot as u8, seq: a.seq, op: a.op.clone() }))
         });
-        let proposal = candidate.unwrap_or_else(fallback);
+        let proposal = candidate.unwrap_or_else(|| fallback(self));
         // APC-LINT: allow(progress): dynamic dispatch through the factory's consensus object; its class is the factory's liveness spec (wait-free for the VIP set), checked at the object, not here
         match cell.propose(pid, proposal) {
             // A proposed-to cell that rejects a re-proposal has decided too.
@@ -1351,7 +1367,7 @@ mod tests {
                         // published yet — so whoever crosses the cell next
                         // does so alone.
                         let foreign = record(&author);
-                        author.decide_current_cell(0, || foreign.clone());
+                        author.decide_current_cell(0, |_| foreign.clone());
                         assert_eq!(author.cell().peek(), Some(foreign));
                         author.advance();
                         author.raise_tail();
@@ -1433,7 +1449,7 @@ mod tests {
                 LogRecord::Reconfig(r) => Some((usize::from(r.pid), r.seq)),
                 LogRecord::Checkpoint(_) => None,
             };
-            applier.decide_current_cell(1, || record.clone());
+            applier.decide_current_cell(1, |_| record.clone());
             assert_eq!(applier.cell().peek(), Some(record), "cell {i} took the record");
             let crossed = applier.absorb(author).expect("a decided cell is absorbed");
             match author {

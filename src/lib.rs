@@ -13,7 +13,8 @@
 //!   exhaustive explorer, valence analysis, fairness/livelock analysis and
 //!   non-termination certificates.
 //! * [`registers`] — real lock-free atomic register substrate
-//!   (`AtomicPtr` + crossbeam-epoch cells, packed `u64` registers).
+//!   (set-once boxes and links, count-freed scaffolds, hazard-pointer
+//!   slots, packed `u64` registers).
 //! * [`core`] — the paper's contribution: liveness specifications,
 //!   asymmetric consensus objects, the arbiter (Figure 4) and group-based
 //!   asymmetric consensus (Figure 5), in both real-thread and model form.

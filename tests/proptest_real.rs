@@ -8,64 +8,36 @@ use asymmetric_progress::model::linearize::{
     is_linearizable, CompleteOp, ConsensusSpec, RegOp, RegisterSpec,
 };
 use asymmetric_progress::model::ProcessSet;
-use asymmetric_progress::registers::{AtomicCell, PackedRegister};
+use asymmetric_progress::registers::PackedRegister;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// AtomicCell sequential semantics match an Option<u64> reference.
+    /// PackedRegister's sequential semantics match an Option<u64> oracle.
     #[test]
-    fn atomic_cell_matches_reference(ops in proptest::collection::vec(0u8..4, 1..60)) {
-        let cell: AtomicCell<u64> = AtomicCell::new();
+    fn packed_register_matches_reference(ops in proptest::collection::vec(0u8..3, 1..60)) {
+        let packed = PackedRegister::new();
         let mut reference: Option<u64> = None;
         for (i, op) in ops.into_iter().enumerate() {
             let v = i as u64;
             match op {
                 0 => {
-                    cell.store(v);
+                    packed.store(v);
                     reference = Some(v);
                 }
                 1 => {
-                    prop_assert_eq!(cell.swap(v), reference);
-                    reference = Some(v);
-                }
-                2 => {
-                    let won = cell.set_if_bot(v).is_ok();
+                    let won = packed.set_if_bot(v);
                     prop_assert_eq!(won, reference.is_none());
                     if won {
                         reference = Some(v);
                     }
                 }
                 _ => {
-                    cell.clear();
+                    packed.clear();
                     reference = None;
                 }
             }
-            prop_assert_eq!(cell.load(), reference);
-        }
-    }
-
-    /// PackedRegister agrees with AtomicCell<u64> on the same op sequence.
-    #[test]
-    fn packed_register_matches_cell(ops in proptest::collection::vec(0u8..3, 1..60)) {
-        let packed = PackedRegister::new();
-        let cell: AtomicCell<u64> = AtomicCell::new();
-        for (i, op) in ops.into_iter().enumerate() {
-            let v = i as u64;
-            match op {
-                0 => {
-                    packed.store(v);
-                    cell.store(v);
-                }
-                1 => {
-                    prop_assert_eq!(packed.set_if_bot(v), cell.set_if_bot(v).is_ok());
-                }
-                _ => {
-                    packed.clear();
-                    cell.clear();
-                }
-            }
-            prop_assert_eq!(packed.load(), cell.load());
+            prop_assert_eq!(packed.load(), reference);
         }
     }
 

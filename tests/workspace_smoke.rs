@@ -13,7 +13,7 @@ use asymmetric_progress::hierarchy::theorem3;
 use asymmetric_progress::model::explore::{Agreement, ExploreConfig, Explorer, ValidityIn};
 use asymmetric_progress::model::programs::ProposeProgram;
 use asymmetric_progress::model::{ProcessSet, SystemBuilder, Value};
-use asymmetric_progress::registers::AtomicCell;
+use asymmetric_progress::registers::OnceBox;
 use asymmetric_progress::store::{ProgressClass, StoreBuilder, StoreOp, StoreResp};
 use asymmetric_progress::universal::seq::{Counter, CounterOp};
 use asymmetric_progress::universal::{CasFactory, Universal};
@@ -57,9 +57,10 @@ fn model_explorer_verifies_small_live_consensus() {
 #[test]
 fn facade_crates_all_wired() {
     // registers
-    let cell: AtomicCell<u64> = AtomicCell::new();
-    assert!(cell.set_if_bot(7).is_ok());
-    assert_eq!(cell.load(), Some(7));
+    let slot: OnceBox<u64> = OnceBox::new();
+    assert_eq!(slot.set(7), Ok(()));
+    assert_eq!(slot.set(8), Err(8));
+    assert_eq!(slot.get(), Some(&7));
 
     // common2
     let tas = TestAndSet::new();
