@@ -1,10 +1,17 @@
 //! Wire-path observability: the `store_net_*` metric family.
 //!
 //! Mirrors the store's own metrics layer: wait-free recording on the hot
-//! path (atomic counters and a fixed-bound histogram — no locks, no
-//! allocation), with scraping kept off to the side. Every per-tier series
-//! is split into its own `vip`/`guest` instrument pair so the recording
-//! path never formats a label; labels are attached only at scrape time.
+//! path (counters and a fixed-bound histogram — no locks, no allocation),
+//! with scraping kept off to the side. Every per-tier series is split into
+//! its own `vip`/`guest` instrument pair so the recording path never
+//! formats a label; labels are attached only at scrape time.
+//!
+//! The reactor is the one writer: every `record_*` method takes `&mut
+//! self` and is crate-private, so the borrow checker, not a convention,
+//! keeps any other thread from recording, and a record is a plain add
+//! through the owned-writer methods of [`apc_obs`] — no lock-prefixed
+//! instruction on the reactor's thread. A scrape (`&self`) reads the same
+//! atomics between the reactor's turns.
 
 use apc_obs::{Counter, FixedHistogram, Gauge, MetricsSnapshot, Sample, SampleValue};
 use apc_progress_macros::progress;
@@ -90,47 +97,47 @@ impl NetMetrics {
         }
     }
 
-    fn tier(&self, vip: bool) -> &TierMetrics {
+    fn tier(&mut self, vip: bool) -> &mut TierMetrics {
         if vip {
-            &self.vip
+            &mut self.vip
         } else {
-            &self.guest
+            &mut self.guest
         }
     }
 
     /// Records an accepted handshake on the given tier.
     #[progress(wait_free)]
-    pub fn record_accept(&self, vip: bool) {
-        self.tier(vip).conns_accepted.inc();
+    pub(crate) fn record_accept(&mut self, vip: bool) {
+        self.tier(vip).conns_accepted.inc_mut();
         self.conns_open.set(self.conns_open.get() + 1);
     }
 
     /// Records a denied handshake (bad credential / over-capacity).
     #[progress(wait_free)]
-    pub fn record_deny(&self, vip: bool) {
-        self.tier(vip).conns_denied.inc();
+    pub(crate) fn record_deny(&mut self, vip: bool) {
+        self.tier(vip).conns_denied.inc_mut();
     }
 
     /// Records a connection teardown.
     #[progress(wait_free)]
-    pub fn record_close(&self) {
-        self.conns_closed.inc();
+    pub(crate) fn record_close(&mut self) {
+        self.conns_closed.inc_mut();
         self.conns_open.set(self.conns_open.get().saturating_sub(1));
     }
 
     /// Records a served request: its op count and round-trip latency.
     #[progress(wait_free)]
-    pub fn record_request(&self, vip: bool, ops: u64, latency_ns: u64) {
+    pub(crate) fn record_request(&mut self, vip: bool, ops: u64, latency_ns: u64) {
         let tier = self.tier(vip);
-        tier.requests.inc();
-        tier.ops.add(ops);
-        tier.latency_ns.observe(latency_ns);
+        tier.requests.inc_mut();
+        tier.ops.add_mut(ops);
+        tier.latency_ns.observe_mut(latency_ns);
     }
 
     /// Records a request shed by backpressure (typed 429, never served).
     #[progress(wait_free)]
-    pub fn record_shed(&self, vip: bool) {
-        self.tier(vip).shed.inc();
+    pub(crate) fn record_shed(&mut self, vip: bool) {
+        self.tier(vip).shed.inc_mut();
     }
 
     /// Records a request shed because its deadline expired before
@@ -138,46 +145,46 @@ impl NetMetrics {
     /// served). The `vip` series exists only to prove it stays zero: VIP
     /// frames are never shed.
     #[progress(wait_free)]
-    pub fn record_deadline_shed(&self, vip: bool) {
-        self.tier(vip).deadline_shed.inc();
+    pub(crate) fn record_deadline_shed(&mut self, vip: bool) {
+        self.tier(vip).deadline_shed.inc_mut();
     }
 
     /// Records one coalesced guest dispatch and how many envelopes it
     /// carried.
     #[progress(wait_free)]
-    pub fn record_batch(&self, envelopes: u64) {
-        self.batch_dispatches.inc();
-        self.batch_envelopes.observe(envelopes);
+    pub(crate) fn record_batch(&mut self, envelopes: u64) {
+        self.batch_dispatches.inc_mut();
+        self.batch_envelopes.observe_mut(envelopes);
     }
 
     /// Records the guest backlog depth left at the end of a poll turn.
     #[progress(wait_free)]
-    pub fn record_queue_depth(&self, depth: u64) {
+    pub(crate) fn record_queue_depth(&mut self, depth: u64) {
         self.guest_queue_depth.set(depth);
     }
 
     /// Records a frame decoded off a connection.
     #[progress(wait_free)]
-    pub fn record_frame_in(&self) {
-        self.frames_in.inc();
+    pub(crate) fn record_frame_in(&mut self) {
+        self.frames_in.inc_mut();
     }
 
     /// Records a frame written to a connection.
     #[progress(wait_free)]
-    pub fn record_frame_out(&self) {
-        self.frames_out.inc();
+    pub(crate) fn record_frame_out(&mut self) {
+        self.frames_out.inc_mut();
     }
 
     /// Records a codec failure (poisoned stream, torn tail, bad frame).
     #[progress(wait_free)]
-    pub fn record_codec_error(&self) {
-        self.codec_errors.inc();
+    pub(crate) fn record_codec_error(&mut self) {
+        self.codec_errors.inc_mut();
     }
 
     /// Records a plain-HTTP hit on the listener (e.g. `GET /metrics`).
     #[progress(wait_free)]
-    pub fn record_http_hit(&self) {
-        self.http_hits.inc();
+    pub(crate) fn record_http_hit(&mut self) {
+        self.http_hits.inc_mut();
     }
 
     /// Current `store_net_*` samples.
@@ -298,7 +305,7 @@ mod tests {
 
     #[test]
     fn samples_cover_both_tiers_and_globals() {
-        let m = NetMetrics::new();
+        let mut m = NetMetrics::new();
         m.record_accept(true);
         m.record_accept(false);
         m.record_deny(false);
@@ -319,7 +326,7 @@ mod tests {
 
     #[test]
     fn batching_and_deadline_series_are_scraped() {
-        let m = NetMetrics::new();
+        let mut m = NetMetrics::new();
         m.record_deadline_shed(false);
         m.record_deadline_shed(false);
         m.record_batch(8);
@@ -340,7 +347,7 @@ mod tests {
 
     #[test]
     fn open_gauge_never_underflows() {
-        let m = NetMetrics::new();
+        let mut m = NetMetrics::new();
         m.record_close();
         assert_eq!(m.scrape().value("store_net_conns_open", &[]), Some(0));
     }

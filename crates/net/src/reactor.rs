@@ -27,7 +27,7 @@
 //!    VIP admitted mid-turn is served as its frames decode, before any
 //!    later connection is drained; a guest request joins the back of a
 //!    bounded backlog ([`ServerConfig::guest_queue_depth`]), stamped with
-//!    the turn's start. A guest frame that finds the backlog full — depth
+//!    the turn's reading (see "Clock reads"). A guest frame that finds the backlog full — depth
 //!    plus [`ServerConfig::guest_dispatch_per_poll`] frames — is shed
 //!    where it is read (the newest arrivals lose) with a typed
 //!    [`StoreError::RetryBudgetExhausted`] (the wire's 429) instead of
@@ -40,13 +40,32 @@
 //!    whose `deadline_ms` expired while it queued is shed
 //!    **pre-dispatch** with a typed [`StoreError::DeadlineExceeded`] —
 //!    serving it would burn a store commit whose response the client
-//!    will discard — and the wait it did survive, counted from the start
-//!    of the turn that read it, is debited from the deadline the store
-//!    sees. The dispatch takes at least `guest_dispatch_per_poll` frames,
+//!    will discard — and the wait it did survive, from its stamp to the
+//!    dispatch's start, is debited from the deadline the store sees. The dispatch takes at least `guest_dispatch_per_poll` frames,
 //!    or the whole backlog, so at most `guest_queue_depth` carry over.
 //!    A VIP frame, once read, waits for none of this; but one that
 //!    arrives while a turn runs is read by the next turn, so a shorter
 //!    guest turn is what shortens a VIP's wait under guest flood.
+//!
+//! ## Clock reads
+//!
+//! A turn reads the clock once when it starts, and that is the turn's
+//! reading. A VIP request lends the reading to its store session
+//! ([`apc_store::Client::lend_clock`]): its commit starts there and reads
+//! the clock once, at its end, and that end is both the request's end in
+//! `store_net_request_latency_ns` and the turn's reading from then on. A
+//! guest frame is stamped with the turn's reading when it is read. A VIP
+//! served in phase 2 starts from a fresh reading instead, because guest
+//! frames may have been read since the last one. The guest dispatch reads
+//! the clock once when it starts; its round is lent that reading, each of
+//! its commits reads once at its end, and the last end is every envelope's
+//! end. A `Sync` VIP request reads once more, after its fsync. So a turn
+//! reads the clock:
+//!
+//! - 2 times for one VIP frame (the turn's reading, the commit's end);
+//! - 3 times for one guest frame (the turn's, the dispatch's, the commit's
+//!   end);
+//! - 2 + k times for a guest dispatch of k commits (one per touched shard).
 //!
 //! ## One replica per reactor
 //!
@@ -117,7 +136,7 @@ use std::time::Instant;
 use apc_obs::{encode_prometheus, MetricsSnapshot};
 use apc_progress_macros::progress;
 use apc_store::{
-    ClientTicket, DurabilityClass, ProgressClass, Request, Response, Store, StoreError,
+    ClientTicket, DurabilityClass, ProgressClass, Request, Response, Responses, Store, StoreError,
     TierCredential,
 };
 
@@ -193,8 +212,9 @@ pub struct PollStats {
     pub visited: usize,
 }
 
-/// A guest frame waiting in the reactor backlog, stamped with the start of
-/// the turn that read it so queue wait can be charged against its deadline.
+/// A guest frame waiting in the reactor backlog, stamped with the reading
+/// its turn held when it was read, so queue wait can be charged against
+/// its deadline.
 #[derive(Debug)]
 struct QueuedGuest {
     conn: usize,
@@ -335,9 +355,10 @@ impl<'a> StoreServer<'a> {
         let mut stats = PollStats::default();
         let closed_before = self.closed;
         let mut turn = std::mem::take(&mut self.turn);
-        // The turn's one clock read: a guest frame read this turn is
-        // stamped with it, and a queued frame's wait is measured to it.
-        let now = Instant::now();
+        // The turn's latest clock reading: read once here, then moved on by
+        // each VIP request to its commit's end. A VIP request starts at the
+        // reading before it, and a guest frame is stamped with it.
+        let mut clock = Instant::now();
 
         // Every word is swapped out before any connection is drained, so
         // a client that writes after its word's swap rings it again for
@@ -346,12 +367,32 @@ impl<'a> StoreServer<'a> {
         turn.ready.extend(self.ready.iter().map(|word| word.swap(0, Ordering::SeqCst)));
 
         // Phase 1: the ready VIP connections, drained and served first.
-        self.ingest_ready(true, now, &mut turn, &mut stats);
+        self.ingest_ready(true, &mut clock, &mut turn, &mut stats);
         // Phase 2: every other ready connection.
-        self.ingest_ready(false, now, &mut turn, &mut stats);
+        self.ingest_ready(false, &mut clock, &mut turn, &mut stats);
 
         // Phase 3: serve the backlog from the front, oldest first.
-        let TurnBuffers { owners, reqs, frame, .. } = &mut turn;
+        if !self.guest_backlog.is_empty() {
+            self.serve_backlog(&mut turn, &mut stats);
+        }
+        // Ingest shed every arrival past depth + cap, and the dispatch took
+        // at least `cap` frames or all of them: nothing is over the depth.
+        debug_assert!(self.guest_backlog.len() <= self.cfg.guest_queue_depth);
+        self.metrics.record_queue_depth(self.guest_backlog.len() as u64);
+
+        turn.frame.clear();
+        self.turn = turn;
+        stats.closed = self.closed - closed_before;
+        stats
+    }
+
+    /// Phase 3: takes up to the dispatch cap of frames from the front of
+    /// the backlog and serves them as one coalesced store round. Its one
+    /// clock read is the dispatch's start: a queued frame's wait is
+    /// measured to it, and the round's session is lent it.
+    fn serve_backlog(&mut self, turn: &mut TurnBuffers, stats: &mut PollStats) {
+        let TurnBuffers { owners, reqs, frame, .. } = turn;
+        let at = Instant::now();
         while reqs.len() < self.cfg.guest_dispatch_per_poll {
             let Some(mut q) = self.guest_backlog.pop_front() else { break };
             if !matches!(self.conns[q.conn].state, ConnState::Serving(_)) {
@@ -362,7 +403,7 @@ impl<'a> StoreServer<'a> {
             // commit whose response the client will discard; a live one
             // carries only its *remaining* deadline into dispatch.
             if let Some(ms) = q.req.deadline_ms {
-                let waited = now.duration_since(q.arrived).as_millis();
+                let waited = at.saturating_duration_since(q.arrived).as_millis();
                 if waited >= u128::from(ms) {
                     self.metrics.record_deadline_shed(false);
                     let err = StoreError::DeadlineExceeded { deadline_ms: ms };
@@ -376,26 +417,15 @@ impl<'a> StoreServer<'a> {
             owners.push((q.conn, q.id, q.req.ops.len() as u64, q.arrived));
             reqs.push(q.req);
         }
-        // Ingest shed every arrival past depth + cap, and the loop above
-        // took at least `cap` frames or all of them: nothing is over the
-        // depth.
-        debug_assert!(self.guest_backlog.len() <= self.cfg.guest_queue_depth);
-        self.metrics.record_queue_depth(self.guest_backlog.len() as u64);
-
-        self.serve_guest_turn(owners, reqs, frame, &mut stats);
-
-        frame.clear();
-        self.turn = turn;
-        stats.closed = self.closed - closed_before;
-        stats
+        self.serve_guest_turn(at, owners, reqs, frame, stats);
     }
 
     /// Drains the turn's ready connections that are serving VIPs (`vip`),
-    /// or every other one, lowest index first.
+    /// or every other one, lowest index first, on the turn's `clock`.
     fn ingest_ready(
         &mut self,
         vip: bool,
-        now: Instant,
+        clock: &mut Instant,
         turn: &mut TurnBuffers,
         stats: &mut PollStats,
     ) {
@@ -406,7 +436,7 @@ impl<'a> StoreServer<'a> {
                     _ => None,
                 };
                 if (class == Some(ProgressClass::Vip)) == vip {
-                    self.ingest_conn(i, now, turn, stats);
+                    self.ingest_conn(i, vip, clock, turn, stats);
                 }
             }
         }
@@ -414,11 +444,12 @@ impl<'a> StoreServer<'a> {
 
     /// Drains conn `i`'s bytes and handles them: frames are decoded and
     /// served or queued by tier, a handshake is finished, an HTTP probe
-    /// answered.
+    /// answered. `vip_phase` says whether the turn is in phase 1.
     fn ingest_conn(
         &mut self,
         i: usize,
-        now: Instant,
+        vip_phase: bool,
+        clock: &mut Instant,
         turn: &mut TurnBuffers,
         stats: &mut PollStats,
     ) {
@@ -445,7 +476,7 @@ impl<'a> StoreServer<'a> {
             ConnState::Http(_) => self.ingest_http(i, scratch),
             ConnState::Handshake | ConnState::Serving(_) => {
                 self.conns[i].reader.push(scratch);
-                self.ingest_frames(i, now, stats, frame);
+                self.ingest_frames(i, vip_phase, clock, stats, frame);
             }
             ConnState::Closed => {}
         }
@@ -460,12 +491,13 @@ impl<'a> StoreServer<'a> {
     }
 
     /// Serves one turn's guest dispatch set (drained from `owners` and
-    /// `reqs`) as a single coalesced store round. Nothing is filtered on
-    /// the way in: an envelope the guest tier must refuse (`Sync`
-    /// durability, a VIP credential) is refused, alone, by
+    /// `reqs`) as a single coalesced store round, started at `at`. Nothing
+    /// is filtered on the way in: an envelope the guest tier must refuse
+    /// (`Sync` durability, a VIP credential) is refused, alone, by
     /// [`apc_store::Client::request_guest_many`].
     fn serve_guest_turn(
         &mut self,
+        at: Instant,
         owners: &mut Vec<(usize, u64, u64, Instant)>,
         reqs: &mut Vec<Request>,
         frame: &mut Vec<u8>,
@@ -475,14 +507,13 @@ impl<'a> StoreServer<'a> {
             return;
         }
         let envelopes = reqs.len() as u64;
-        let responses = self.dispatch_guest_batch(reqs);
-        // One clock read for the whole batch: each envelope's latency is
-        // its own, from arrival (queue wait included) to this instant.
-        let done = Instant::now();
+        // `done` is the round's last commit's end reading: each envelope's
+        // latency is its own, from arrival (queue wait included) to there.
+        let (responses, done) = self.dispatch_guest_batch(at, reqs);
         self.metrics.record_batch(envelopes);
         stats.batches += 1;
         for ((conn, id, ops, arrived), resp) in owners.drain(..).zip(responses) {
-            self.metrics.record_request(false, ops, nanos(done.duration_since(arrived)));
+            self.metrics.record_request(false, ops, nanos(arrived, done));
             self.send_response(frame, conn, id, &resp.results);
             stats.served += 1;
         }
@@ -493,7 +524,8 @@ impl<'a> StoreServer<'a> {
     fn ingest_frames(
         &mut self,
         i: usize,
-        now: Instant,
+        vip_phase: bool,
+        clock: &mut Instant,
         stats: &mut PollStats,
         frame: &mut Vec<u8>,
     ) {
@@ -534,12 +566,19 @@ impl<'a> StoreServer<'a> {
                 // VIP: now; guest: queue.
                 (Message::Request { id, req }, &ConnState::Serving(t)) => match t.class() {
                     ProgressClass::Vip => {
-                        let resp = self.serve_vip(t, req);
+                        // Phase 2 may have queued guest frames since the
+                        // turn's last reading: a fresh one keeps their
+                        // ingest off this VIP's latency.
+                        if !vip_phase {
+                            *clock = Instant::now();
+                        }
+                        let resp = self.serve_vip(t, req, clock);
                         self.send_response(frame, i, id, &resp.results);
                         stats.served += 1;
                     }
                     ProgressClass::Guest => {
-                        self.guest_backlog.push_back(QueuedGuest { conn: i, id, req, arrived: now })
+                        let arrived = *clock;
+                        self.guest_backlog.push_back(QueuedGuest { conn: i, id, req, arrived })
                     }
                 },
                 // A second Hello, a request before the handshake, or a
@@ -623,8 +662,14 @@ impl<'a> StoreServer<'a> {
         }
     }
 
-    /// Dispatches one request of a VIP connection under its ticket.
-    fn serve_vip(&self, ticket: ClientTicket, mut req: Request) -> Response {
+    /// Dispatches one request of a VIP connection under its ticket, from
+    /// the turn's `clock` reading, which it moves to the request's end.
+    fn serve_vip(
+        &mut self,
+        ticket: ClientTicket,
+        mut req: Request,
+        clock: &mut Instant,
+    ) -> Response {
         // Frames cannot escalate — or step down: the request's claimed
         // tier must match what the handshake earned.
         if req.credential.class() != ticket.class() {
@@ -634,21 +679,30 @@ impl<'a> StoreServer<'a> {
         req.retry_budget = req.retry_budget.min(self.cfg.wire_retry_budget_cap);
         req.credential = TierCredential::for_ticket(&ticket);
         match req.durability {
-            DurabilityClass::Sync => self.dispatch_durable(ticket, req),
-            DurabilityClass::Group => self.dispatch_vip(ticket, req),
+            DurabilityClass::Sync => self.dispatch_durable(ticket, req, clock),
+            DurabilityClass::Group => self.dispatch_vip(ticket, req, clock),
         }
     }
 
     /// The VIP serve path: a bounded number of the reactor's own steps
     /// from envelope to committed response — lint-verified down through
-    /// [`apc_store::Client::request_vip`] and the store's port commit.
+    /// [`apc_store::Client::request_vip`] and the store's port commit. It
+    /// reads no clock of its own: the session is lent the turn's reading,
+    /// the request is timed from it to the commit's end reading, and that
+    /// end is the turn's reading from here on.
     #[progress(bounded_wait_free)]
-    fn dispatch_vip(&self, ticket: ClientTicket, req: Request) -> Response {
-        let started = Instant::now();
-        let ops = req.ops.len() as u64;
+    fn dispatch_vip(
+        &mut self,
+        ticket: ClientTicket,
+        req: Request,
+        clock: &mut Instant,
+    ) -> Response {
+        let (start, ops) = (*clock, req.ops.len() as u64);
         let mut client = self.store.client(ticket);
+        client.lend_clock(start);
         let resp = client.request_vip(req);
-        self.metrics.record_request(true, ops, elapsed_ns(started));
+        *clock = client.clock().unwrap_or(start);
+        self.metrics.record_request(true, ops, nanos(start, *clock));
         resp
     }
 
@@ -659,26 +713,38 @@ impl<'a> StoreServer<'a> {
     /// and the store's batch planner turns N pipelined single-op envelopes
     /// into ~one log append per shard. Runs strictly after the VIP phase,
     /// so coalescing can delay other guests but never a VIP frame;
-    /// obstruction-free like the tier it serves.
+    /// obstruction-free like the tier it serves. The round's session is
+    /// lent `at`; returns its responses and its last reading, the end of
+    /// its last commit.
     #[progress(obstruction_free)]
-    fn dispatch_guest_batch(&self, reqs: &mut Vec<Request>) -> Vec<Response> {
-        self.store.client(self.batch_ticket).request_guest_from(reqs.drain(..))
+    fn dispatch_guest_batch(&self, at: Instant, reqs: &mut Vec<Request>) -> (Responses, Instant) {
+        let mut client = self.store.client(self.batch_ticket);
+        client.lend_clock(at);
+        let responses = client.request_guest_from(reqs.drain(..));
+        (responses, client.clock().unwrap_or(at))
     }
 
     /// A VIP's `Sync` durability fsyncs on the reactor thread —
-    /// deliberately blocking.
+    /// deliberately blocking. Timed like [`StoreServer::dispatch_vip`],
+    /// but to the one reading the reactor takes itself, after the fsync.
     #[progress(blocking)]
-    fn dispatch_durable(&self, ticket: ClientTicket, req: Request) -> Response {
-        let started = Instant::now();
-        let ops = req.ops.len() as u64;
+    fn dispatch_durable(
+        &mut self,
+        ticket: ClientTicket,
+        req: Request,
+        clock: &mut Instant,
+    ) -> Response {
+        let (start, ops) = (*clock, req.ops.len() as u64);
         let mut client = self.store.client(ticket);
+        client.lend_clock(start);
         let resp = client.request(req);
-        self.metrics.record_request(true, ops, elapsed_ns(started));
+        *clock = Instant::now();
+        self.metrics.record_request(true, ops, nanos(start, *clock));
         resp
     }
 
     /// Encodes one response into the turn's `frame` buffer and sends it.
-    fn send_response(&self, frame: &mut Vec<u8>, i: usize, id: u64, results: &[WireResult]) {
+    fn send_response(&mut self, frame: &mut Vec<u8>, i: usize, id: u64, results: &[WireResult]) {
         frame.clear();
         encode_response_into(frame, id, results);
         if self.conns[i].end.send(frame) {
@@ -688,7 +754,14 @@ impl<'a> StoreServer<'a> {
 
     /// Encodes the response refusing all `ops` of request `id` with `err`
     /// into the turn's `frame` buffer and sends it.
-    fn send_refusal(&self, frame: &mut Vec<u8>, i: usize, id: u64, ops: usize, err: StoreError) {
+    fn send_refusal(
+        &mut self,
+        frame: &mut Vec<u8>,
+        i: usize,
+        id: u64,
+        ops: usize,
+        err: StoreError,
+    ) {
         frame.clear();
         encode_refusal_into(frame, id, ops, err);
         if self.conns[i].end.send(frame) {
@@ -710,12 +783,9 @@ impl<'a> StoreServer<'a> {
     }
 }
 
-fn elapsed_ns(started: Instant) -> u64 {
-    nanos(started.elapsed())
-}
-
-fn nanos(d: std::time::Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+/// The nanoseconds from reading `start` to reading `end`, saturating.
+fn nanos(start: Instant, end: Instant) -> u64 {
+    u64::try_from(end.saturating_duration_since(start).as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// The indices of `word`'s set bits, lowest first.
@@ -1054,6 +1124,97 @@ mod tests {
         // dispatch from a 20 ms hold, and only the held frame is above it.
         let slow: u64 = latency.buckets[8..].iter().sum();
         assert_eq!(slow, 1, "one envelope of four waited: {latency:?}");
+    }
+
+    /// The wire's counters have one writer, the reactor, and a scrape
+    /// reads them between its turns: by the time a turn returns, every
+    /// frame it read and every frame it answered — served, queued and
+    /// served later, or shed — is counted.
+    #[test]
+    fn a_scrape_between_turns_sees_every_frame_counted() {
+        let store = StoreBuilder::new().shards(2).vip_capacity(1).build().unwrap();
+        let mut server = server_fixture(&store);
+        let cred = TierCredential::Vip { token: 7 };
+        let mut clients = vec![NetClient::connect(&mut server, cred)];
+        clients.extend((0..3).map(|_| NetClient::connect(&mut server, TierCredential::Guest)));
+        let (mut sent, mut answered) = (clients.len() as u64, 0);
+        for turn in 0..40u64 {
+            if turn > 0 {
+                clients[0].send(&Request::new(vec![StoreOp::Get("v".into())]).credential(cred));
+                // Six guest frames on even turns: two past the dispatch
+                // cap, shed with a 429.
+                for guest in &mut clients[1..] {
+                    for _ in 0..1 + turn % 2 {
+                        guest.send(&Request::new(vec![StoreOp::Put(format!("g/{turn}"), turn)]));
+                    }
+                }
+                sent += 1 + 3 * (1 + turn % 2);
+            }
+            server.poll();
+            answered += clients.iter_mut().map(|c| c.drain().unwrap().len() as u64).sum::<u64>();
+            let snap = server.scrape();
+            assert_eq!(snap.value("store_net_frames_in_total", &[]), Some(sent), "turn {turn}");
+            assert_eq!(
+                snap.value("store_net_frames_out_total", &[]),
+                Some(answered),
+                "turn {turn}"
+            );
+        }
+        assert_eq!(answered, sent - 4, "every request answered, no hello");
+    }
+
+    /// A VIP request is lent the turn's reading: the reactor times it from
+    /// that reading to its commit's end, and the store times the commit on
+    /// the same two readings. Over one-get turns the two series agree in
+    /// count and in sum, nanosecond for nanosecond.
+    #[test]
+    fn a_vip_get_and_its_commit_are_priced_on_the_same_readings() {
+        let store = StoreBuilder::new().shards(2).vip_capacity(1).build().unwrap();
+        let mut server = server_fixture(&store);
+        let cred = TierCredential::Vip { token: 7 };
+        let mut vip = NetClient::connect(&mut server, cred);
+        server.poll();
+        for n in 0..32 {
+            vip.send(&Request::new(vec![StoreOp::Get(format!("k/{n}"))]).credential(cred));
+            assert_eq!(server.poll().served, 1);
+        }
+        assert_eq!(vip.drain().unwrap().len(), 32);
+        let snap = server.scrape();
+        let tier = [("tier", "vip")];
+        let wire = snap.histogram("store_net_request_latency_ns", &tier).unwrap();
+        let commit = snap.histogram("store_commit_latency_ns", &tier).unwrap();
+        assert_eq!((wire.count, wire.sum), (32, commit.sum));
+        assert_eq!(commit.count, 32);
+    }
+
+    /// A guest round is lent the dispatch's one reading, and its commits
+    /// chain from there, each starting where the last ended, to the reading
+    /// every envelope of the turn is answered at: the turn's envelopes,
+    /// read at one reading, share one latency, and it covers the round's
+    /// commits whole.
+    #[test]
+    fn a_guest_round_chains_its_commits_from_the_dispatchs_reading() {
+        let store = StoreBuilder::new().shards(4).vip_capacity(1).build().unwrap();
+        let mut server = StoreServer::new(&store, ServerConfig::default());
+        let mut guests: Vec<NetClient> =
+            (0..8).map(|_| NetClient::connect(&mut server, TierCredential::Guest)).collect();
+        server.poll();
+        let keys: Vec<String> = (0..8).map(|n| format!("g/{n}")).collect();
+        let mut shards: Vec<usize> = keys.iter().map(|k| store.shard_of(k)).collect();
+        for (guest, key) in guests.iter_mut().zip(&keys) {
+            guest.send(&Request::new(vec![StoreOp::Put(key.clone(), 1)]));
+        }
+        assert_eq!((server.poll().served, server.poll().served), (8, 0));
+        shards.sort_unstable();
+        shards.dedup();
+        assert!(shards.len() > 1, "the round spans shards: {shards:?}");
+        let snap = server.scrape();
+        let tier = [("tier", "guest")];
+        let wire = snap.histogram("store_net_request_latency_ns", &tier).unwrap();
+        let commit = snap.histogram("store_commit_latency_ns", &tier).unwrap();
+        assert_eq!(commit.count, shards.len() as u64, "one observation per commit");
+        assert_eq!((wire.count, wire.sum % 8), (8, 0), "one latency for the turn's envelopes");
+        assert!(wire.sum / 8 >= commit.sum, "{wire:?} against {commit:?}");
     }
 
     #[test]

@@ -18,6 +18,13 @@
 //!   `fetch_add`s. No resizing, no quantile sketch, no allocation on the
 //!   record path.
 //!
+//! An instrument with one writer records through `&mut self` instead
+//! ([`Counter::inc_mut`], [`Counter::add_mut`],
+//! [`FixedHistogram::observe_mut`]): plain adds through
+//! `AtomicU64::get_mut`, no lock-prefixed instruction. The borrow checker
+//! is what proves the writer alone: no scrape can hold `&self` while the
+//! owner holds `&mut self`, and a scrape after it reads the same atomics.
+//!
 //! Reads ([`Counter::get`], [`FixedHistogram::snapshot`], …) are equally
 //! wait-free and *torn-tolerant by design*: a snapshot taken while writers
 //! are racing may observe bucket counts from slightly different instants
@@ -79,12 +86,45 @@ impl Counter {
         self.value.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Adds one event through the counter's one owner: no atomic
+    /// read-modify-write, because `&mut self` proves no other thread can
+    /// touch the count until the borrow ends.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use apc_obs::Counter;
+    /// let mut c = Counter::new();
+    /// c.inc_mut();
+    /// c.add_mut(2);
+    /// assert_eq!(c.get(), 3);
+    /// ```
+    #[progress(wait_free)]
+    pub fn inc_mut(&mut self) {
+        self.add_mut(1);
+    }
+
+    /// Adds `n` events through the counter's one owner: a plain add (see
+    /// [`Counter::inc_mut`]).
+    #[progress(wait_free)]
+    pub fn add_mut(&mut self, n: u64) {
+        add_owned(&mut self.value, n);
+    }
+
     /// The current count: a single atomic load.
     #[progress(wait_free)]
     pub fn get(&self) -> u64 {
         // RELAXED: reading a monotone counter; no ordering obligations.
         AtomicU64::load(&self.value, Ordering::Relaxed)
     }
+}
+
+/// Adds `n` to an atomic its caller owns: a plain wrapping add, where a
+/// shared writer's `fetch_add` would wrap too.
+#[progress(wait_free)]
+fn add_owned(cell: &mut AtomicU64, n: u64) {
+    let value = cell.get_mut();
+    *value = value.wrapping_add(n);
 }
 
 /// A last-write-wins level (Prometheus `gauge`).
@@ -184,6 +224,29 @@ impl FixedHistogram {
         self.sum.fetch_add(v, Ordering::Relaxed);
         // RELAXED: see above.
         self.count.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records one observation through the histogram's one owner: the same
+    /// bounds scan, then three plain adds, because `&mut self` proves no
+    /// other thread can touch the buckets until the borrow ends.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use apc_obs::FixedHistogram;
+    /// let mut h = FixedHistogram::new(&[10, 100]);
+    /// h.observe_mut(5);
+    /// h.observe_mut(5000); // +Inf bucket
+    /// let snap = h.snapshot();
+    /// assert_eq!((snap.count, snap.sum), (2, 5005));
+    /// assert_eq!(snap.buckets, vec![1, 0, 1]);
+    /// ```
+    #[progress(wait_free)]
+    pub fn observe_mut(&mut self, v: u64) {
+        let idx = self.bounds.iter().position(|&b| v <= b).unwrap_or(self.bounds.len());
+        add_owned(&mut self.buckets[idx], 1);
+        add_owned(&mut self.sum, v);
+        add_owned(&mut self.count, 1);
     }
 
     /// The configured bucket upper bounds (exclusive of the implicit
@@ -466,6 +529,24 @@ mod tests {
         assert_eq!(snap.count, 2000);
         assert_eq!(snap.buckets[0] + snap.buckets[1], 2000);
         assert_eq!(snap.buckets[0], 1000);
+    }
+
+    /// An owned writer and a shared one leave the same state: the scrape
+    /// cannot tell which recorded.
+    #[test]
+    fn owned_writes_read_as_shared_ones() {
+        let (shared, mut owned) = (Counter::new(), Counter::new());
+        let (hs, mut ho) = (FixedHistogram::new(&[10, 100]), FixedHistogram::new(&[10, 100]));
+        for v in [0, 10, 11, 100, 101, u64::MAX] {
+            shared.add(v);
+            owned.add_mut(v);
+            shared.inc();
+            owned.inc_mut();
+            hs.observe(v);
+            ho.observe_mut(v);
+        }
+        assert_eq!(owned.get(), shared.get());
+        assert_eq!(ho.snapshot(), hs.snapshot());
     }
 
     #[test]

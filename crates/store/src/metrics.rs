@@ -34,7 +34,12 @@ const BATCH_OPS_BOUNDS: [u64; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
 /// saturating at `u64::MAX` (585 years of latency is off the chart
 /// anyway).
 pub(crate) fn elapsed_ns(start: std::time::Instant) -> u64 {
-    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    nanos(start.elapsed())
+}
+
+/// A duration in nanoseconds, saturating at `u64::MAX`.
+pub(crate) fn nanos(d: std::time::Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// The per-tier commit instruments: VIP and guest are separate series

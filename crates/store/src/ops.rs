@@ -215,18 +215,30 @@ fn owned((key, value): (&str, u64)) -> (Key, u64) {
 /// the batch must be appended whole, because the read-after-write order
 /// inside one shard's sub-batch is a promise.
 pub fn read_batch(state: &ShardState, batch: &Batch) -> Option<Vec<StoreResp>> {
-    if !batch.ops.iter().all(StoreOp::is_read) {
+    read_sub_batch(state, batch.planned_at, &batch.ops)
+}
+
+/// [`read_batch`] over a sub-batch that is not a [`Batch`] yet: its
+/// operations and the topology version they were planned under. The store
+/// answers a read-only sub-batch from the plan's own `Vec` this way, and
+/// builds a batch's shared slice only for an append.
+pub fn read_sub_batch(
+    state: &ShardState,
+    planned_at: u64,
+    ops: &[StoreOp],
+) -> Option<Vec<StoreResp>> {
+    if !ops.iter().all(StoreOp::is_read) {
         return None;
     }
-    if batch.planned_at < state.epoch {
-        return Some(moved(batch, state.epoch));
+    if planned_at < state.epoch {
+        return Some(moved(ops, state.epoch));
     }
-    batch.ops.iter().map(|op| read_op(state, op)).collect()
+    ops.iter().map(|op| read_op(state, op)).collect()
 }
 
 /// The whole-batch bounce of a plan older than the shard's `epoch`.
-fn moved(batch: &Batch, epoch: u64) -> Vec<StoreResp> {
-    batch.ops.iter().map(|_| StoreResp::Moved { epoch }).collect()
+fn moved(ops: &[StoreOp], epoch: u64) -> Vec<StoreResp> {
+    ops.iter().map(|_| StoreResp::Moved { epoch }).collect()
 }
 
 /// A batch of same-shard operations committed by **one** log append,
@@ -358,7 +370,7 @@ impl SequentialSpec for ShardSpec {
                     // Planned before this shard's latest split: some of its
                     // keys may have moved. Reject deterministically; the
                     // client re-plans under the published topology.
-                    return moved(batch, state.epoch);
+                    return moved(&batch.ops, state.epoch);
                 }
                 batch.ops.iter().map(|op| apply_op(state, op)).collect()
             }

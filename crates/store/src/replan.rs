@@ -70,11 +70,66 @@ pub(crate) enum Transition {
     Done,
 }
 
+/// A run's envelopes, the first held inline: a run of one envelope — every
+/// request arm but the coalesced guest one, and a guest turn of one frame
+/// on the wire — builds no list.
+#[derive(Debug, Default)]
+struct Envelopes {
+    first: Option<Envelope>,
+    rest: Vec<Envelope>,
+}
+
+impl Envelopes {
+    fn push(&mut self, env: Envelope) {
+        match self.first {
+            None => self.first = Some(env),
+            Some(_) => self.rest.push(env),
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Envelope> {
+        self.first.iter().chain(&self.rest)
+    }
+
+    fn last(&self) -> Option<&Envelope> {
+        self.rest.last().or(self.first.as_ref())
+    }
+}
+
+impl std::ops::Index<usize> for Envelopes {
+    type Output = Envelope;
+
+    fn index(&self, e: usize) -> &Envelope {
+        match e {
+            0 => self.first.as_ref().expect("envelope 0 of an empty run"),
+            e => &self.rest[e - 1],
+        }
+    }
+}
+
+impl std::ops::IndexMut<usize> for Envelopes {
+    fn index_mut(&mut self, e: usize) -> &mut Envelope {
+        match e {
+            0 => self.first.as_mut().expect("envelope 0 of an empty run"),
+            e => &mut self.rest[e - 1],
+        }
+    }
+}
+
+impl IntoIterator for Envelopes {
+    type Item = Envelope;
+    type IntoIter = std::iter::Chain<std::option::IntoIter<Envelope>, std::vec::IntoIter<Envelope>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.first.into_iter().chain(self.rest)
+    }
+}
+
 /// One run of the re-plan loop over the combined operations of its
 /// envelopes. A *slot* is an index into that combined list.
 #[derive(Debug)]
 pub(crate) struct Replan {
-    envelopes: Vec<Envelope>,
+    envelopes: Envelopes,
     /// The next round's operations, one per due slot: every operation
     /// until the first round takes them, then those handed back bounced.
     ops: Vec<StoreOp>,
@@ -89,8 +144,12 @@ impl Replan {
     /// A run over `envelopes`, each with the refusal (if any) that keeps
     /// it out of the rounds. Every slot is due.
     pub(crate) fn new(envelopes: impl IntoIterator<Item = (Request, Option<StoreError>)>) -> Self {
-        let mut plan =
-            Replan { envelopes: Vec::new(), ops: Vec::new(), results: Vec::new(), due: Vec::new() };
+        let mut plan = Replan {
+            envelopes: Envelopes::default(),
+            ops: Vec::new(),
+            results: Vec::new(),
+            due: Vec::new(),
+        };
         for (req, refusal) in envelopes {
             let ops = req.ops.len();
             match refusal {
@@ -222,20 +281,49 @@ impl Replan {
     }
 
     /// One response per envelope, in envelope order, each with its results
-    /// in invocation order.
-    pub(crate) fn into_responses(self) -> Vec<Response> {
-        if let [Envelope { refusal: None, .. }] = self.envelopes[..] {
-            // One envelope owns every slot: its results are the run's.
-            return vec![Response { results: self.results }];
-        }
-        let mut slots = self.results.into_iter();
-        self.envelopes
-            .into_iter()
-            .map(|env| match env.refusal {
-                Some(err) => Response::fail_all(env.ops, err),
-                None => Response { results: slots.by_ref().take(env.ops).collect() },
-            })
-            .collect()
+    /// in invocation order, built as they are taken: no list of them.
+    pub(crate) fn into_responses(self) -> Responses {
+        let Replan { envelopes, results, .. } = self;
+        // One envelope that owns every slot takes the run's results whole.
+        let (whole, slots) = match (&envelopes.first, envelopes.rest.is_empty()) {
+            (Some(Envelope { refusal: None, .. }), true) => (Some(results), Vec::new()),
+            _ => (None, results),
+        };
+        Responses { envelopes: envelopes.into_iter(), whole, slots: slots.into_iter() }
+    }
+}
+
+/// The responses of a request run, one per envelope, in envelope order,
+/// each with its results in invocation order. Each is built as it is
+/// taken, so a caller that answers as it goes (the wire's reactor) holds
+/// no list of them.
+#[derive(Debug)]
+pub struct Responses {
+    envelopes: <Envelopes as IntoIterator>::IntoIter,
+    /// A one-envelope run's results, taken whole by its one response.
+    whole: Option<Vec<Result<StoreResp, StoreError>>>,
+    /// Every other run's results, slot by slot.
+    slots: std::vec::IntoIter<Result<StoreResp, StoreError>>,
+}
+
+impl Iterator for Responses {
+    type Item = Response;
+
+    fn next(&mut self) -> Option<Response> {
+        let env = self.envelopes.next()?;
+        Some(match env.refusal {
+            Some(err) => Response::fail_all(env.ops, err),
+            None => Response {
+                results: match self.whole.take() {
+                    Some(results) => results,
+                    None => self.slots.by_ref().take(env.ops).collect(),
+                },
+            },
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.envelopes.size_hint()
     }
 }
 
@@ -337,7 +425,7 @@ mod tests {
                 Some(need) => assert_eq!(transition, Transition::Retry { need }),
                 None => {
                     assert_eq!(transition, Transition::Done);
-                    return plan.into_responses();
+                    return plan.into_responses().collect();
                 }
             }
             (view, round) = (next_view, plan.due.clone());
@@ -393,7 +481,7 @@ mod tests {
         plan.envelopes[0].left = 0; // … and 4e9 rounds later
         assert_eq!(plan.advance(Input::NotYet, || Duration::ZERO), Transition::Done);
         let spent = StoreError::RetryBudgetExhausted { budget: UNBOUNDED_RETRIES };
-        assert_eq!(plan.into_responses()[0].results, vec![Err(spent)]);
+        assert_eq!(plan.into_responses().next().unwrap().results, vec![Err(spent)]);
     }
 
     proptest! {

@@ -63,7 +63,7 @@
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use apc_core::liveness::Liveness;
 use apc_progress_macros::progress;
@@ -75,12 +75,13 @@ use apc_obs::{MetricsSnapshot, Sample, SampleValue};
 use crate::admission::{Admission, AdmissionConfig, AdmissionError, ClientTicket, ProgressClass};
 use crate::api::{Request, Response, StoreError, TierCredential, UNBOUNDED_RETRIES};
 use crate::elastic::{ElasticDecision, ElasticEngine, ElasticReport, ElasticityPolicy};
-use crate::metrics::{elapsed_ns, StoreMetrics};
+use crate::metrics::{nanos, StoreMetrics};
 use crate::ops::{
-    read_batch, AdoptSpec, Batch, MergeSpec, ShardCmd, ShardState, SplitSpec, StoreOp, StoreResp,
+    read_sub_batch, AdoptSpec, Batch, MergeSpec, ShardCmd, ShardState, SplitSpec, StoreOp,
+    StoreResp,
 };
 use crate::persist::{lock_unpoisoned, try_lock_unpoisoned};
-use crate::replan::{Input, Replan, Transition};
+use crate::replan::{Input, Replan, Responses, Transition};
 use crate::router::{MergeError, ShardTopology};
 use crate::wal::{DurabilityClass, Wal, WalFrame};
 
@@ -593,7 +594,7 @@ impl Store {
 
     /// Opens a client session for `ticket`.
     pub fn client(&self, ticket: ClientTicket) -> Client<'_> {
-        Client { store: self, ticket }
+        Client { store: self, ticket, clock: None }
     }
 
     /// The bounded arms' view source: the current view if the topology a
@@ -1019,13 +1020,15 @@ impl Store {
         shard: &Shard,
         shard_id: usize,
         port: usize,
-        batch: Batch,
+        sub: &mut SubBatch,
         durability: DurabilityClass,
+        clock: &mut Option<Instant>,
     ) -> Vec<StoreResp> {
-        let ops = batch.ops.len() as u64;
-        let start = std::time::Instant::now();
-        let resps = self.commit_on(shard, shard_id, port, ProgressClass::Vip, batch, durability);
-        self.metrics.record_commit(ProgressClass::Vip, ops, elapsed_ns(start), count_moved(&resps));
+        let ops = sub.ops.len() as u64;
+        let start = lap_start(*clock);
+        let resps = self.commit_on(shard, shard_id, port, ProgressClass::Vip, sub, durability);
+        let latency_ns = lap_end(clock, start);
+        self.metrics.record_commit(ProgressClass::Vip, ops, latency_ns, count_moved(&resps));
         resps
     }
 
@@ -1039,18 +1042,15 @@ impl Store {
         shard: &Shard,
         shard_id: usize,
         port: usize,
-        batch: Batch,
+        sub: &mut SubBatch,
         durability: DurabilityClass,
+        clock: &mut Option<Instant>,
     ) -> Vec<StoreResp> {
-        let ops = batch.ops.len() as u64;
-        let start = std::time::Instant::now();
-        let resps = self.commit_on(shard, shard_id, port, ProgressClass::Guest, batch, durability);
-        self.metrics.record_commit(
-            ProgressClass::Guest,
-            ops,
-            elapsed_ns(start),
-            count_moved(&resps),
-        );
+        let ops = sub.ops.len() as u64;
+        let start = lap_start(*clock);
+        let resps = self.commit_on(shard, shard_id, port, ProgressClass::Guest, sub, durability);
+        let latency_ns = lap_end(clock, start);
+        self.metrics.record_commit(ProgressClass::Guest, ops, latency_ns, count_moved(&resps));
         // The committing handle is released before the tick: a reconfig
         // decided here locks other ports, and a commit must never hold two.
         self.elastic_tick(port);
@@ -1060,9 +1060,10 @@ impl Store {
     /// The tier-independent round body — the single funnel every request
     /// arm reaches. A sub-batch of reads is answered from the port's own
     /// replica, caught up to the log tail observed at invocation
-    /// ([`OwnedHandle::sync_read`]): no log cell, nothing for the other
-    /// ports to replay, no WAL work. A sub-batch with any write is one
-    /// universal-log append plus a WAL effect frame (if a WAL is attached).
+    /// ([`OwnedHandle::sync_read`]), straight from the plan's ops: no log
+    /// cell, no [`Batch`], nothing for the other ports to replay, no WAL
+    /// work. A sub-batch with any write is one universal-log append plus a
+    /// WAL effect frame (if a WAL is attached).
     /// Either way the round publishes its digest ([`Shard::visit`]); it
     /// seals nothing, so a seal happens only in an admin act
     /// ([`Store::checkpoint`], a split, a merge, or the elasticity driver
@@ -1073,42 +1074,49 @@ impl Store {
         shard_id: usize,
         port: usize,
         tier: ProgressClass,
-        batch: Batch,
+        sub: &mut SubBatch,
         durability: DurabilityClass,
     ) -> Vec<StoreResp> {
         shard.visit(port, |handle| {
             let replayed = handle.replay_steps();
-            let resps = match handle.sync_read(|state| read_batch(state, &batch)) {
-                Some(resps) => {
-                    // RELAXED: heat statistic, read by `snapshot_stats`.
-                    shard.local_reads.fetch_add(1, Ordering::Relaxed);
-                    self.metrics.record_local_read(tier);
-                    resps
-                }
-                None => self.append_on(handle, port, shard_id, batch, durability),
-            };
+            let resps =
+                match handle.sync_read(|state| read_sub_batch(state, sub.planned_at, &sub.ops)) {
+                    Some(resps) => {
+                        // RELAXED: heat statistic, read by `snapshot_stats`.
+                        shard.local_reads.fetch_add(1, Ordering::Relaxed);
+                        self.metrics.record_local_read(tier);
+                        resps
+                    }
+                    None => self.append_on(handle, port, shard_id, sub, durability),
+                };
             self.metrics.record_replayed(tier, handle.replay_steps() - replayed);
             resps
         })
     }
 
     /// The appending half of [`Store::commit_on`]: one universal-log append
-    /// as process `pid` through the locked port `handle` that holds it and,
-    /// if a WAL is attached, the commit's effect frame.
+    /// of `sub`, moved into a [`Batch`], as process `pid` through the
+    /// locked port `handle` that holds it and, if a WAL is attached, the
+    /// commit's effect frame. A bounced append hands a copy of its ops back
+    /// to `sub`: the batch's own are the log's now.
     fn append_on(
         &self,
         handle: &mut PortHandle,
         pid: usize,
         shard_id: usize,
-        batch: Batch,
+        sub: &mut SubBatch,
         durability: DurabilityClass,
     ) -> Vec<StoreResp> {
-        let wal_ops = self.wal.as_ref().map(|_| Arc::clone(&batch.ops));
+        let batch = Batch::new(sub.planned_at, std::mem::take(&mut sub.ops));
+        let ops = Arc::clone(&batch.ops);
         // Called by path so that apc-lint, which resolves `x.apply_as(..)`
         // by name, sees the one target.
         let resps = OwnedHandle::apply_as(handle, pid, ShardCmd::Batch(batch))
             .expect("the port door hands a pid the slot that holds it");
-        if let (Some(wal), Some(ops)) = (&self.wal, wal_ops) {
+        if count_moved(&resps) > 0 {
+            sub.ops.extend(ops.iter().cloned());
+        }
+        if let Some(wal) = &self.wal {
             // Frame the commit's resolved effects while still holding the
             // port lock: the handle's replay cursor is exactly one past
             // this batch's log cell here, giving the frame its exact
@@ -1177,30 +1185,30 @@ impl Store {
     }
 
     /// Plans `ops` under `view` and commits one sub-batch per touched shard
-    /// through `commit_sub`: one round, whose responses come back in
-    /// invocation order (stale sub-batches as [`StoreResp::Moved`]). The
-    /// ops are the round's; each sub-batch's stays shared with its commit
-    /// until the shard answers, and only a bounced one's operations are
-    /// copied back out for the retry. A round whose ops all route to one
-    /// shard is planned in the router's one-shard form and commits through
-    /// the same closure: its ops are the sub-batch and the shard's
-    /// responses are the round's, so nothing is split or reassembled. The
-    /// tier is the closure's: each request arm's names its own commit fn
-    /// inside the arm's annotated body, which is where apc-lint reads the
-    /// class.
+    /// through `commit_sub`, on the session's `clock`: one round, whose
+    /// responses come back in invocation order (stale sub-batches as
+    /// [`StoreResp::Moved`]). The ops are the round's; each sub-batch's go
+    /// to its commit, which hands them back if the shard bounced them, and
+    /// only those operations are copied out for the retry. A round whose
+    /// ops all route to one shard is planned in the router's one-shard
+    /// form and commits through the same closure: its ops are the
+    /// sub-batch and the shard's responses are the round's, so nothing is
+    /// split or reassembled. The tier is the closure's: each request arm's
+    /// names its own commit fn inside the arm's annotated body, which is
+    /// where apc-lint reads the class.
     fn execute_in(
         view: &StoreView,
         ops: Vec<StoreOp>,
-        mut commit_sub: impl FnMut(&Shard, usize, Batch) -> Vec<StoreResp>,
+        clock: &mut Option<Instant>,
+        mut commit_sub: impl FnMut(&Shard, usize, &mut SubBatch, &mut Option<Instant>) -> Vec<StoreResp>,
     ) -> Input {
-        let version = view.topology.version();
-        let mut bounced: Vec<(usize, Arc<[StoreOp]>)> = Vec::new();
-        let (resps, reassembly) = view.topology.plan(ops).commit_each(|s, sub| {
-            let batch = Batch::new(version, sub);
-            let ops = Arc::clone(&batch.ops);
-            let resps = commit_sub(&view.shards[s], s, batch);
+        let planned_at = view.topology.version();
+        let mut bounced: Vec<(usize, Vec<StoreOp>)> = Vec::new();
+        let (resps, reassembly) = view.topology.plan(ops).commit_each(|s, ops| {
+            let mut sub = SubBatch { planned_at, ops };
+            let resps = commit_sub(&view.shards[s], s, &mut sub, clock);
             if count_moved(&resps) > 0 {
-                bounced.push((s, ops));
+                bounced.push((s, sub.ops));
             }
             resps
         });
@@ -1215,23 +1223,29 @@ impl Store {
     /// so an applied operation is never re-issued. `commit_sub` carries the
     /// arm's tier ([`Store::execute_in`]), `seek_view` whether the arm waits
     /// for a topology ([`Store::view_at_least`]) or not
-    /// ([`Store::view_published`]). The clock starts before the first
-    /// round only if an envelope of the run carries a deadline, and
+    /// ([`Store::view_published`]). Every commit is timed on the session's
+    /// `clock` ([`Client::lend_clock`]). The deadline clock starts before
+    /// the first round only if an envelope of the run carries a deadline —
+    /// at the session's reading, if it was lent one — and
     /// [`Replan::advance`] reads it only for those envelopes' bounced
-    /// slots: a run without a deadline reads no clock.
+    /// slots, off a lent session's reading (the last commit's end) rather
+    /// than a fresh one: a run without a deadline reads no clock for it.
     fn replan<'s>(
         &'s self,
         mut plan: Replan,
-        mut commit_sub: impl FnMut(&Shard, usize, Batch) -> Vec<StoreResp>,
+        clock: &mut Option<Instant>,
+        mut commit_sub: impl FnMut(&Shard, usize, &mut SubBatch, &mut Option<Instant>) -> Vec<StoreResp>,
         mut seek_view: impl FnMut(u64) -> Result<&'s StoreView, Input>,
-    ) -> Vec<Response> {
-        let started = plan.has_deadline().then(std::time::Instant::now);
-        let elapsed = || started.map_or(Duration::ZERO, |t| t.elapsed());
+    ) -> Responses {
+        let started = plan.has_deadline().then(|| lap_start(*clock));
         let mut view = Ok(self.view.newest());
         loop {
             let input = match view {
-                Ok(view) => Store::execute_in(view, plan.due_ops(), &mut commit_sub),
+                Ok(view) => Store::execute_in(view, plan.due_ops(), clock, &mut commit_sub),
                 Err(unpublished) => unpublished,
+            };
+            let elapsed = || {
+                started.map_or(Duration::ZERO, |t| lap_start(*clock).saturating_duration_since(t))
             };
             match plan.advance(input, elapsed) {
                 Transition::Retry { need } => view = seek_view(need),
@@ -1257,6 +1271,35 @@ fn hottest_live(view: &StoreView, stats: &[ShardDigest]) -> usize {
         .map_or(0, |(s, _)| s)
 }
 
+/// One shard's part of a round, as a commit takes it: its operations, in
+/// invocation order, and the topology version they were planned under. A
+/// read-only one is answered from these ops where they are; only an append
+/// moves them into a [`Batch`]'s shared slice. If the shard bounces the
+/// sub-batch, its ops are here again when the commit returns.
+#[derive(Debug)]
+struct SubBatch {
+    planned_at: u64,
+    ops: Vec<StoreOp>,
+}
+
+/// Where a commit starts on a session's clock: at the session's reading,
+/// if its caller lent it one ([`Client::lend_clock`]), else at a fresh one.
+#[progress(wait_free)]
+fn lap_start(clock: Option<Instant>) -> Instant {
+    clock.unwrap_or_else(Instant::now)
+}
+
+/// Ends a commit that started at `start`: one fresh reading, which a lent
+/// session keeps as its reading. Returns the commit's nanoseconds.
+#[progress(wait_free)]
+fn lap_end(clock: &mut Option<Instant>, start: Instant) -> u64 {
+    let end = Instant::now();
+    if let Some(reading) = clock {
+        *reading = end;
+    }
+    nanos(end.saturating_duration_since(start))
+}
+
 /// Operations in `resps` bounced by a reconfiguration epoch check.
 fn count_moved(resps: &[StoreResp]) -> u64 {
     resps.iter().filter(|r| matches!(r, StoreResp::Moved { .. })).count() as u64
@@ -1278,10 +1321,20 @@ impl fmt::Debug for Store {
 /// Sessions are cheap (`ticket` + store reference) and a single ticket may
 /// open many sequential sessions; operations from sessions sharing a guest
 /// port serialize on that port's slot.
+///
+/// A session times each commit it makes into `store_commit_latency_ns`. By
+/// default each commit reads the clock at its start and at its end. A
+/// caller that has just read the clock can lend the session that reading
+/// ([`Client::lend_clock`]): each commit then starts at the session's
+/// reading and reads the clock once, at its end, and that end is the
+/// session's reading from then on ([`Client::clock`]).
 #[derive(Copy, Clone)]
 pub struct Client<'a> {
     store: &'a Store,
     ticket: ClientTicket,
+    /// The reading the session was lent, advanced to the end of each
+    /// commit since; `None` if it was never lent one.
+    clock: Option<Instant>,
 }
 
 impl Client<'_> {
@@ -1302,6 +1355,37 @@ impl Client<'_> {
     #[progress(wait_free)]
     pub fn credential(&self) -> TierCredential {
         TierCredential::for_ticket(&self.ticket)
+    }
+
+    /// Lends the session the caller's latest clock reading, `now`. Each
+    /// commit from here on starts at the session's reading instead of
+    /// reading the clock, and reads it once, at its end; that end becomes
+    /// the session's reading, and it is where the next commit, and a
+    /// request's deadline, start. A session never lent a reading reads a
+    /// commit's start and end itself.
+    ///
+    /// ```
+    /// use std::time::Instant;
+    /// use apc_store::{Request, StoreBuilder, StoreOp};
+    ///
+    /// let store = StoreBuilder::new().shards(1).build().unwrap();
+    /// let mut client = store.client(store.admit_guest());
+    /// let lent = Instant::now();
+    /// client.lend_clock(lent);
+    /// client.request(Request::new(vec![StoreOp::Put("k".into(), 1)]));
+    /// // The commit's end reading is the session's now.
+    /// assert!(client.clock().unwrap() >= lent);
+    /// ```
+    #[progress(wait_free)]
+    pub fn lend_clock(&mut self, now: Instant) {
+        self.clock = Some(now);
+    }
+
+    /// The session's latest clock reading: the one it was lent, or the end
+    /// of its last commit since. `None` if it was never lent one.
+    #[progress(wait_free)]
+    pub fn clock(&self) -> Option<Instant> {
+        self.clock
     }
 
     /// **The unified entry point**: executes one [`Request`] envelope and
@@ -1389,11 +1473,12 @@ impl Client<'_> {
     #[progress(bounded_wait_free)]
     pub fn request_vip(&mut self, req: Request) -> Response {
         let refusal = (self.ticket.class() != ProgressClass::Vip).then_some(StoreError::GuestTier);
-        let (port, durability) = (self.ticket.port(), req.durability);
-        only(self.store.replan(
+        let (store, port, durability) = (self.store, self.ticket.port(), req.durability);
+        only(store.replan(
             Replan::new([(req, refusal)]),
-            |shard, s, batch| self.store.commit_vip(shard, s, port, batch, durability),
-            |need| self.store.view_published(need),
+            &mut self.clock,
+            |shard, s, sub, clock| store.commit_vip(shard, s, port, sub, durability, clock),
+            |need| store.view_published(need),
         ))
     }
 
@@ -1434,25 +1519,28 @@ impl Client<'_> {
     /// envelopes one at a time, in order, on this session.
     #[progress(obstruction_free)]
     pub fn request_guest_many(&mut self, reqs: Vec<Request>) -> Vec<Response> {
-        self.request_guest_from(reqs)
+        self.request_guest_from(reqs).collect()
     }
 
     /// [`Client::request_guest_many`] over any source of envelopes, for a
     /// caller that keeps its envelope buffer from round to round and hands
-    /// over `buffer.drain(..)` (the reactor, every turn).
+    /// over `buffer.drain(..)` (the reactor, every turn). The responses
+    /// are built as they are taken, so a caller that answers each as it
+    /// comes holds no list of them.
     #[progress(obstruction_free)]
-    pub fn request_guest_from(&mut self, reqs: impl IntoIterator<Item = Request>) -> Vec<Response> {
-        let port = self.ticket.port();
-        let envelopes = reqs.into_iter().map(|req| {
+    pub fn request_guest_from(&mut self, reqs: impl IntoIterator<Item = Request>) -> Responses {
+        let (store, port) = (self.store, self.ticket.port());
+        let plan = Replan::new(reqs.into_iter().map(|req| {
             let refusal = self.guest_refusal(&req);
             (req, refusal)
-        });
-        self.store.replan(
-            Replan::new(envelopes),
-            |shard, s, batch| {
-                self.store.commit_guest(shard, s, port, batch, DurabilityClass::Group)
+        }));
+        store.replan(
+            plan,
+            &mut self.clock,
+            |shard, s, sub, clock| {
+                store.commit_guest(shard, s, port, sub, DurabilityClass::Group, clock)
             },
-            |need| self.store.view_published(need),
+            |need| store.view_published(need),
         )
     }
 
@@ -1468,13 +1556,15 @@ impl Client<'_> {
             ProgressClass::Vip => None,
             ProgressClass::Guest => self.guest_refusal(&req),
         };
-        only(self.store.replan(
+        let store = self.store;
+        only(store.replan(
             Replan::new([(req, refusal)]),
-            |shard, s, batch| match class {
-                ProgressClass::Vip => self.store.commit_vip(shard, s, port, batch, durability),
-                ProgressClass::Guest => self.store.commit_guest(shard, s, port, batch, durability),
+            &mut self.clock,
+            |shard, s, sub, clock| match class {
+                ProgressClass::Vip => store.commit_vip(shard, s, port, sub, durability, clock),
+                ProgressClass::Guest => store.commit_guest(shard, s, port, sub, durability, clock),
             },
-            |need| self.store.view_at_least(need),
+            |need| store.view_at_least(need),
         ))
     }
 
@@ -1583,8 +1673,8 @@ impl Client<'_> {
 }
 
 /// The response of a one-envelope run.
-fn only(mut responses: Vec<Response>) -> Response {
-    responses.pop().unwrap_or(Response { results: Vec::new() })
+fn only(mut responses: Responses) -> Response {
+    responses.next().unwrap_or(Response { results: Vec::new() })
 }
 
 impl fmt::Debug for Client<'_> {
@@ -2758,8 +2848,8 @@ mod tests {
         // bounced its copy — the retry's copy comes from there.
         let mut ops: Vec<StoreOp> = keys.iter().cloned().map(StoreOp::Get).collect();
         ops.push(StoreOp::Scan { from: "s/".into(), to: "s/99".into() });
-        let round = Store::execute_in(stale, ops.clone(), |shard, s, batch| {
-            store.commit_vip(shard, s, vip.port(), batch, DurabilityClass::Group)
+        let round = Store::execute_in(stale, ops.clone(), &mut None, |shard, s, sub, clock| {
+            store.commit_vip(shard, s, vip.port(), sub, DurabilityClass::Group, clock)
         });
         let Input::Landed { resps, bounced } = round else { panic!("a round over a view lands") };
         let split = |op: &StoreOp| op.routing_key().is_none_or(|k| stale.topology.shard_of(k) == 1);
@@ -2803,8 +2893,8 @@ mod tests {
             // Planned under the stale view, the request is shard 1's
             // sub-batch as it came: it bounces whole, and the round hands
             // back exactly its ops, in order.
-            let round = Store::execute_in(stale, ops.clone(), |shard, s, batch| {
-                store.commit_vip(shard, s, vip.port(), batch, DurabilityClass::Group)
+            let round = Store::execute_in(stale, ops.clone(), &mut None, |shard, s, sub, clock| {
+                store.commit_vip(shard, s, vip.port(), sub, DurabilityClass::Group, clock)
             });
             let Input::Landed { resps, bounced } = round else {
                 panic!("a round over a view lands")
@@ -2960,5 +3050,48 @@ mod tests {
         }
         assert!(store.live_shards() > 4);
         assert_eq!(cursors(&store)[1], cells[1], "shard 1 took reads and no cell");
+    }
+
+    /// The commit-latency histogram of `tier`: (observations, sum).
+    fn commit_latency(store: &Store, tier: &str) -> (u64, u64) {
+        let snap = store.scrape();
+        let h = snap.histogram("store_commit_latency_ns", &[("tier", tier)]).unwrap();
+        (h.count, h.sum)
+    }
+
+    /// A session lent a reading times its commits on its own readings: a
+    /// one-commit request is observed as the session's reading less the
+    /// lent one, and a guest batch over every shard as one observation per
+    /// commit, each starting where the last ended, so that they sum to the
+    /// session's last reading less the lent one. A session lent nothing
+    /// still times every commit, and holds no reading.
+    #[test]
+    fn a_lent_session_prices_its_commits_reading_to_reading() {
+        let store = small_store(4);
+        let mut vip = store.client(store.admit_vip().unwrap());
+        let t0 = Instant::now();
+        vip.lend_clock(t0);
+        let put = Request::new(vec![StoreOp::Put("v".into(), 1)]).retry_budget(4);
+        assert!(vip.request_vip(put.credential(vip.credential())).results[0].is_ok());
+        let read = vip.clock().expect("a lent session keeps a reading");
+        assert_eq!(commit_latency(&store, "vip"), (1, nanos(read - t0)));
+
+        let topology = store.topology();
+        let keys: Vec<String> = (0..4).map(|s| keys_on_shard(&topology, s, 1).remove(0)).collect();
+        let reqs = |value| {
+            keys.iter().map(|k| Request::new(vec![StoreOp::Put(k.clone(), value)])).collect()
+        };
+        let mut guest = store.client(store.admit_guest());
+        let t1 = Instant::now();
+        guest.lend_clock(t1);
+        let landed = guest.request_guest_many(reqs(2));
+        assert!(landed.iter().all(|resp| resp.results[0].is_ok()));
+        let read = guest.clock().unwrap();
+        assert_eq!(commit_latency(&store, "guest"), (4, nanos(read - t1)), "chained");
+
+        let mut plain = store.client(store.admit_guest());
+        assert_eq!(plain.request_guest_many(reqs(3)).len(), 4);
+        assert_eq!(commit_latency(&store, "guest").0, 8, "one observation per commit");
+        assert_eq!(plain.clock(), None);
     }
 }

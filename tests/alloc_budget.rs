@@ -197,13 +197,17 @@ fn commit_path_allocations_stay_within_budget() {
     // Every other call is freed before the request returns:
     // - 3 are this harness building its request: the key's two (`format!`
     //   grows it once) and the `Vec<StoreOp>`;
-    // - 3 are the round on every arm: the run's envelope list, the
-    //   shard's response vector and the `Response` list. A one-op request
-    //   touches one shard, so the router plans it in the one-shard form:
-    //   its ops `Vec` is the sub-batch and the shard's responses are the
-    //   request's. A spread round adds the plan's three vectors
-    //   (per-shard, per-slot, each sub-batch) and the reassembled one
-    //   (its parent read 7, with those four on every round);
+    // - 1 is the round on every arm: the shard's response vector. A
+    //   one-op request touches one shard, so the router plans it in the
+    //   one-shard form: its ops `Vec` is the sub-batch and the shard's
+    //   responses are the request's. A one-envelope run holds its
+    //   envelope inline and builds its one `Response` from the shard's
+    //   responses: no envelope list, no `Response` list. A read-only
+    //   sub-batch is answered from the ops `Vec` itself: no
+    //   `Arc<[StoreOp]>`. (Its parent's round made 3 calls on a put and 4
+    //   on a read, with those three.) A spread round adds the plan's
+    //   three vectors (per-shard, per-slot, each sub-batch) and the
+    //   reassembled one;
     // - a put adds the announce record (1); a guest's put adds three calls
     //   freed when it leaves round 0: round 0 itself (the adopt-commit
     //   object and the link to later rounds, behind the cell's one word),
@@ -218,12 +222,12 @@ fn commit_path_allocations_stay_within_budget() {
     };
     let put_budget = |other_calls: f64| Census { calls: cell.calls + other_calls, ..cell };
     let arms = [
-        ("guest put", guest_put, put_budget(9.0)),
-        ("vip put", vip_put, put_budget(6.0)),
+        ("guest put", guest_put, put_budget(7.0)),
+        ("vip put", vip_put, put_budget(4.0)),
         (
             "local read",
             local_read,
-            Census { calls: 7.0, retained_allocs: 0.0, retained_bytes: 0.0 },
+            Census { calls: 4.0, retained_allocs: 0.0, retained_bytes: 0.0 },
         ),
         (
             "stored key / replica",
@@ -406,25 +410,29 @@ fn serve_path_allocations_stay_within_budget(store: &Store) {
     let s = &mut server;
     // The budgets are the census of the commit that set them: a put's cell
     // is three allocations and a 64th of its segment (its parent read
-    // 8.015, 13.015, 6, 6, 3.998 and 50.1: a guest's round 0 took two
-    // calls more, see above).
+    // 8.015, 11.015, 6, 6, 3.873 and 50.1: every run built an envelope
+    // list and a `Response` list, and every read-only sub-batch an
+    // `Arc<[StoreOp]>`, see above).
     //
     // A one-op frame's calls are its decoded request — the ops `Vec` and
     // the key, which a put's cell keeps — and then exactly the calls of the
-    // same request in process less the harness's three: the round's three,
-    // what its commit builds (see above). A guest frame in a
-    // 64-frame batch shares the round and the commits with its batch-mates
-    // and keeps three calls of its own: its ops, its key and its results.
-    // A scan adds a copy of itself for each shard but the last; each
-    // shard's sub-batch, batch and response vectors; and one
-    // `String` per key it returns.
+    // same request in process less the harness's three: the round's one,
+    // what its commit builds (see above). A guest frame of a one-frame
+    // turn is a one-envelope run too: the turn's dispatch takes each
+    // response as it is built. A guest frame in a 64-frame batch shares
+    // the round and the commits with its batch-mates and keeps three calls
+    // of its own: its ops, its key and its results. A scan adds a copy of
+    // itself for each shard but the last; each shard's sub-batch and
+    // response vectors; the plan's per-shard, per-slot and broadcast-index
+    // vectors and the reassembled one; and one `String` per key it
+    // returns.
     let arms = [
-        ("vip put", measure_turns(s, &mut vip, VIP, TURNS, put), 8.0 + SEGMENT_SHARE),
-        ("guest put", measure_turns(s, &mut guests[..1], guest, TURNS, put), 11.0 + SEGMENT_SHARE),
-        ("vip get", measure_turns(s, &mut vip, VIP, TURNS, get), 6.0),
-        ("guest get", measure_turns(s, &mut guests[..1], guest, TURNS, get), 6.0),
-        ("64-frame guest batch", measure_turns(s, &mut guests, guest, TURNS / 64, put), 4.01),
-        ("16-key scan", measure_turns(s, &mut vip, VIP, TURNS, scan), 50.1),
+        ("vip put", measure_turns(s, &mut vip, VIP, TURNS, put), 6.0 + SEGMENT_SHARE),
+        ("guest put", measure_turns(s, &mut guests[..1], guest, TURNS, put), 9.0 + SEGMENT_SHARE),
+        ("vip get", measure_turns(s, &mut vip, VIP, TURNS, get), 3.0),
+        ("guest get", measure_turns(s, &mut guests[..1], guest, TURNS, get), 3.0),
+        ("64-frame guest batch", measure_turns(s, &mut guests, guest, TURNS / 64, put), 3.86),
+        ("16-key scan", measure_turns(s, &mut vip, VIP, TURNS, scan), 44.1),
     ];
     println!("per frame, inside poll()  calls");
     for (name, calls, _) in &arms {
