@@ -16,7 +16,7 @@
 //!   fns, which never promised liveness, may panic. (Plain asserts are
 //!   allowed: they signal broken invariants, not environmental failure.)
 //! * `reconfig` (R5) — the PR-5 invariant: no reconfiguration-install
-//!   operation (`split_locked`, `merge_locked`, `elastic_tick`) is
+//!   operation (`split_locked`, `merge_locked`, `rebalance`) is
 //!   reachable from a (bounded-)wait-free fn.
 //!
 //! Any rule can be waived at a call/finding site with
@@ -35,7 +35,7 @@ const RULES: [&str; 5] = ["progress", "safety", "relaxed", "panic", "reconfig"];
 
 /// Reconfiguration-install sinks for R5. Each must name a fn of the
 /// workspace: a self-check test fails on a sink that resolves to none.
-pub const RECONFIG_SINKS: [&str; 3] = ["split_locked", "merge_locked", "elastic_tick"];
+pub const RECONFIG_SINKS: [&str; 3] = ["split_locked", "merge_locked", "rebalance"];
 
 /// Method names that panic on failure (R4).
 const PANIC_METHODS: [&str; 4] = ["unwrap", "expect", "unwrap_err", "expect_err"];
@@ -557,14 +557,14 @@ mod tests {
     fn reconfig_sink_reachable_from_wait_free() {
         let f = analyze(&[
             "struct S; impl S {\n#[progress(bounded_wait_free)]\nfn commit(&self) { self.step(); }\n\
-             fn step(&self) { self.engine.elastic_tick(); }\n}",
+             fn step(&self) { self.store.rebalance(); }\n}",
         ]);
         let hits: Vec<_> = f.iter().filter(|x| x.rule == "reconfig").collect();
         assert_eq!(hits.len(), 1);
-        assert!(hits[0].message.contains("elastic_tick"));
+        assert!(hits[0].message.contains("rebalance"));
         // lock_free sources are NOT subject to R5.
         let lf = analyze(&[
-            "struct S; impl S {\n#[progress(lock_free)]\nfn maint(&self) { self.engine.elastic_tick(); }\n}",
+            "struct S; impl S {\n#[progress(lock_free)]\nfn maint(&self) { self.store.rebalance(); }\n}",
         ]);
         assert_eq!(lf.iter().filter(|x| x.rule == "reconfig").count(), 0);
     }

@@ -386,11 +386,12 @@ fn method(ws: &apc_lint::graph::Workspace, self_type: &str, name: &str) -> FnId 
         .unwrap_or_else(|| panic!("the workspace must keep a {self_type}::{name} fn"))
 }
 
-/// A VIP commit carries only its own work: nothing `Client::request_vip`
-/// or `StoreServer::dispatch_vip` can reach, by the analyzer's own
-/// resolution and through every callee whatever its annotation (no `try_*`
-/// cut), is a checkpoint seal, a reconfiguration or the elasticity tick.
-/// Housekeeping rides the guest tier and admin calls only.
+/// No commit carries housekeeping: nothing a VIP arm (`Client::request_vip`,
+/// `StoreServer::dispatch_vip`), a guest arm (`Client::request_guest_from`,
+/// `Store::commit_guest`) or a whole reactor turn (`StoreServer::poll`) can
+/// reach, by the analyzer's own resolution and through every callee
+/// whatever its annotation (no `try_*` cut), is a checkpoint seal, a
+/// reconfiguration or a rebalance. Housekeeping is an admin call only.
 #[test]
 fn the_vip_arm_reaches_no_housekeeping() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -401,14 +402,20 @@ fn the_vip_arm_reaches_no_housekeeping() {
         "Store::checkpoint",
         "Store::split_locked",
         "Store::merge_locked",
-        "Store::elastic_tick",
+        "Store::rebalance",
     ];
     for target in housekeeping {
         let (self_type, name) = target.split_once("::").unwrap();
         method(&ws, self_type, name);
     }
     let is_housekeeping = |id| housekeeping.contains(&ws.fn_info(id).qualified().as_str());
-    for (self_type, entry) in [("Client", "request_vip"), ("StoreServer", "dispatch_vip")] {
+    for (self_type, entry) in [
+        ("Client", "request_vip"),
+        ("StoreServer", "dispatch_vip"),
+        ("StoreServer", "poll"),
+        ("Client", "request_guest_from"),
+        ("Store", "commit_guest"),
+    ] {
         let chains = chains_into(&ws, method(&ws, self_type, entry), is_housekeeping);
         assert!(
             chains.is_empty(),

@@ -75,8 +75,9 @@
 //! ([`apc_store::Store::guest_voice`]): a guest pid of its own, committing
 //! through the VIP's port slot and replica. The batch still runs the guest
 //! consensus protocol — never the VIP's one CAS — and still carries
-//! everything a guest commit carries (group durability, the elasticity
-//! tick); but the one replica it walks is the one the VIP requests read.
+//! everything a guest commit carries (group durability, and no
+//! housekeeping: a reconfiguration is an admin act, never a turn's); but
+//! the one replica it walks is the one the VIP requests read.
 //! So every cell the reactor writes, VIP or guest, is applied once on the
 //! reactor's side, and a VIP request replays only what *other* processes
 //! wrote since the reactor's last turn. Until the first VIP hello, the

@@ -1,18 +1,17 @@
-//! The automatic elasticity policy: when to split a hot shard and when to
-//! merge a cold child back, decided from wait-free stats with hysteresis.
+//! The elasticity policy: when to split a hot shard and when to merge a
+//! cold child back, decided from wait-free stats with hysteresis.
 //!
-//! The driver is deliberately **passive**: it owns no thread. The store's
-//! guest commits tick it: every [`ElasticityPolicy::evaluate_every`] of
-//! them (see [`Store::commit`](crate::store::Store)), an evaluation reads
-//! the per-shard commit deltas since the previous evaluation out of the
-//! wait-free [`snapshot_stats`](crate::store::Store::snapshot_stats)
-//! digests and produces an [`ElasticDecision`]. Ticks that lose the
-//! engine's try-lock are simply skipped, and only **guest-tier** commits
-//! tick at all — applying a decision blocks on guest-tier ports and
-//! installs lock-free (not wait-free) reconfig cells, work a VIP thread
-//! must never do — so elasticity is advisory and never adds a step to a
-//! wait-free commit. The heat the policy reads still counts every commit,
-//! VIP ones included: it comes from the per-port digests, not the clock.
+//! The engine is **passive**: it owns no thread, and no commit drives it.
+//! Its owner keeps it and hands it to
+//! [`Store::rebalance`](crate::store::Store::rebalance) at whatever cadence
+//! it likes, as it would call a split or a checkpoint. Each call is one
+//! evaluation: it reads the per-shard heat deltas since the previous
+//! evaluation out of the wait-free
+//! [`snapshot_stats`](crate::store::Store::snapshot_stats) digests and
+//! produces an [`ElasticDecision`], which the store applies under its admin
+//! lock. Heat counts every tier's cells and local reads, and it is also the
+//! engine's clock: [`ElasticityPolicy::min_window`] and
+//! [`ElasticityPolicy::cooldown`] are both counted in it.
 //!
 //! Thrash control is two-fold, mirroring every control-loop textbook:
 //!
@@ -21,7 +20,7 @@
 //!   drawing less than a quarter of the fair share) are far apart, so a
 //!   shard sitting near the fair share triggers neither; and
 //! * **a cool-down epoch** — after any reconfiguration the engine holds
-//!   for [`ElasticityPolicy::cooldown`] guest commits, so an oscillating load
+//!   for [`ElasticityPolicy::cooldown`] units of heat, so an oscillating load
 //!   can force at most one reconfiguration per cool-down window (unit
 //!   tested with a synthetic oscillating trace below).
 //!
@@ -61,7 +60,7 @@ const MERGE_RATIO: f64 = 0.25;
 /// and retired).
 const MAX_SHARDS: usize = 64;
 
-/// Tuning knobs of the automatic split/merge driver. The two trigger
+/// Tuning knobs of the split/merge policy. The two trigger
 /// thresholds are not among them: they are fixed (split above half of the
 /// window's total commits, merge below a quarter of the fair share), so
 /// the hysteresis band between them cannot be configured away.
@@ -73,23 +72,21 @@ const MAX_SHARDS: usize = 64;
 /// digests deliberately do not do.
 #[derive(Copy, Clone, PartialEq, Debug)]
 pub struct ElasticityPolicy {
-    /// Guest commits between policy evaluations (the sampling cadence; a
-    /// VIP commit does not tick it).
-    pub evaluate_every: u64,
-    /// Minimum commits a decision window must contain. Evaluations whose
+    /// Minimum heat a decision window must contain. Evaluations whose
     /// accumulated window is smaller just keep accumulating — deciding on
     /// a short window mistakes one thread's scheduler burst (which lands
     /// on one shard) for key-space skew. Size it to several times the
     /// longest plausible per-client burst.
     pub min_window: u64,
-    /// Guest commits to hold after any reconfiguration (the cool-down
-    /// epoch): at most one split or merge per this many guest commits.
+    /// Heat to hold for after any reconfiguration (the cool-down epoch):
+    /// at most one split or merge per this much heat, summed over every
+    /// shard, whatever tier made it.
     pub cooldown: u64,
 }
 
 impl Default for ElasticityPolicy {
     fn default() -> Self {
-        ElasticityPolicy { evaluate_every: 64, min_window: 1024, cooldown: 512 }
+        ElasticityPolicy { min_window: 1024, cooldown: 512 }
     }
 }
 
@@ -104,7 +101,7 @@ pub enum ElasticDecision {
     Hold,
 }
 
-/// Running totals of the driver, for dashboards and assertions.
+/// Running totals of an engine, for dashboards and assertions.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub struct ElasticReport {
     /// Policy evaluations performed.
@@ -160,8 +157,8 @@ impl ElasticEngine {
         }
     }
 
-    /// One policy evaluation at clock reading `total` (the store's count of
-    /// guest commits), over the current per-shard digests and topology.
+    /// One policy evaluation at clock reading `total` (the store's summed
+    /// heat), over the current per-shard digests and topology.
     /// The observation window accumulates across evaluations until it
     /// holds at least [`ElasticityPolicy::min_window`] commits; the caller
     /// applies the decision and, on success, calls
@@ -253,7 +250,7 @@ mod tests {
     fn policy() -> ElasticityPolicy {
         // Tiny min_window: these tests feed synthetic ~100-commit windows
         // and probe the thresholds, not the accumulation.
-        ElasticityPolicy { evaluate_every: 16, cooldown: 100, min_window: 1 }
+        ElasticityPolicy { cooldown: 100, min_window: 1 }
     }
 
     #[test]
@@ -344,8 +341,7 @@ mod tests {
     fn oscillating_load_reconfigures_at_most_once_per_cooldown_window() {
         let cooldown = 200u64;
         let step = 20u64; // commits per evaluation window
-        let mut engine =
-            ElasticEngine::new(ElasticityPolicy { evaluate_every: step, cooldown, min_window: 1 });
+        let mut engine = ElasticEngine::new(ElasticityPolicy { cooldown, min_window: 1 });
         let mut topo = ShardTopology::fresh(4);
         let mut commits = vec![0u64; 4];
         let mut reconfig_times: Vec<u64> = Vec::new();

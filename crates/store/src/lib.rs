@@ -23,9 +23,10 @@
 //!   and [`Store::merge_shard`](store::Store::merge_shard) retires a
 //!   cold child back into its parent (a drain through the child's log
 //!   plus an adoption through the parent's — both sealed, so a merge
-//!   compacts both logs). [`StoreBuilder::elastic`] adds the automatic
-//!   policy driver ([`elastic`]): split on sustained total-share skew,
-//!   merge faded children back, hysteresis + cool-down against thrash;
+//!   compacts both logs). [`Store::rebalance`](store::Store::rebalance)
+//!   lets the owner delegate the choice to the policy engine
+//!   ([`elastic`]): split on sustained total-share skew, merge faded
+//!   children back, hysteresis + cool-down against thrash;
 //! * [`ops`] + [`store`] — read/write/CAS/scan operations, same-shard
 //!   batching into single universal-construction appends, and wait-free
 //!   statistics from three single-writer digest words per port (replay

@@ -5,7 +5,7 @@
 //! fed exclusively from paths that are already wait-free (or bounded
 //! wait-free) for their tier: commit bookkeeping rides
 //! `commit_vip`/`commit_guest`, reconfiguration events ride the admin-side
-//! split/merge drivers, and elastic decisions ride the guest-tier tick.
+//! split/merge drivers, and elastic decisions ride `Store::rebalance`.
 //! Every record method is a bounded number of the caller's own atomic
 //! steps ([`apc_obs`] primitives only), so instrumentation never weakens a
 //! path's progress class — `apc-lint --deny` proves it.

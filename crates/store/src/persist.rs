@@ -63,7 +63,7 @@ use std::fmt;
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use apc_obs::MetricsSnapshot;
 use apc_progress_macros::progress;
@@ -532,15 +532,6 @@ impl Persister {
 /// poisoned lock is neither a panic nor a hang.
 pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Try-locks `m` under the same rule: `None` only while another thread holds it.
-pub(crate) fn try_lock_unpoisoned<T>(m: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
-    match m.try_lock() {
-        Ok(guard) => Some(guard),
-        Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
-        Err(TryLockError::WouldBlock) => None,
-    }
 }
 
 /// Removes orphaned `<snapshot>.<pid>-<seq>.tmp` siblings that a crash

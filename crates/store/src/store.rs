@@ -47,10 +47,11 @@
 //! per reconfiguration and kept for the store's lifetime, so a request
 //! borrows it with one load: no lock, no epoch pin, no reference count.
 //!
-//! With [`StoreBuilder::elastic`], the store drives both itself: a policy
-//! engine ([`ElasticityPolicy`]) rides the commit path, splitting on
-//! sustained skew and merging cold children back, with hysteresis and a
-//! cool-down epoch so oscillating load cannot thrash the topology.
+//! [`Store::rebalance`] lets the owner delegate the choice to a policy
+//! engine ([`ElasticEngine`]): it splits on sustained skew and merges cold
+//! children back, with hysteresis and a cool-down so oscillating load
+//! cannot thrash the topology. It is an admin act like the other two; no
+//! commit carries it.
 //!
 //! **Consistency:** operations within one shard are linearizable (they go
 //! through that shard's universal log). A multi-shard batch commits
@@ -74,13 +75,13 @@ use apc_obs::{MetricsSnapshot, Sample, SampleValue};
 
 use crate::admission::{Admission, AdmissionConfig, AdmissionError, ClientTicket, ProgressClass};
 use crate::api::{Request, Response, StoreError, TierCredential, UNBOUNDED_RETRIES};
-use crate::elastic::{ElasticDecision, ElasticEngine, ElasticReport, ElasticityPolicy};
+use crate::elastic::{ElasticDecision, ElasticEngine};
 use crate::metrics::{nanos, StoreMetrics};
 use crate::ops::{
     read_sub_batch, AdoptSpec, Batch, MergeSpec, ShardCmd, ShardState, SplitSpec, StoreOp,
     StoreResp,
 };
-use crate::persist::{lock_unpoisoned, try_lock_unpoisoned};
+use crate::persist::lock_unpoisoned;
 use crate::replan::{Input, Replan, Responses, Transition};
 use crate::router::{MergeError, ShardTopology};
 use crate::wal::{DurabilityClass, Wal, WalFrame};
@@ -248,12 +249,11 @@ struct StoreView {
 pub struct StoreBuilder {
     shards: usize,
     admission: AdmissionConfig,
-    elastic: Option<ElasticityPolicy>,
 }
 
 impl Default for StoreBuilder {
     fn default() -> Self {
-        StoreBuilder { shards: 4, admission: AdmissionConfig::default(), elastic: None }
+        StoreBuilder { shards: 4, admission: AdmissionConfig::default() }
     }
 }
 
@@ -280,26 +280,6 @@ impl StoreBuilder {
     /// Sets the guest port count (per shard).
     pub fn guest_ports(mut self, g: usize) -> Self {
         self.admission.guest_ports = g;
-        self
-    }
-
-    /// Enables the **automatic elasticity driver**: every
-    /// [`ElasticityPolicy::evaluate_every`] guest commits, the store
-    /// evaluates the policy against its wait-free per-shard digests and
-    /// performs a [`Store::split_shard`] on a melting shard or a
-    /// [`Store::merge_shard`] on a cold, structurally eligible child — no
-    /// manual call needed.
-    ///
-    /// The driver is passive and never blocks a wait-free commit: its
-    /// clock is guest commits, and the evaluation rides the **guest-tier**
-    /// commit that crosses the cadence boundary (a VIP commit carries no
-    /// housekeeping — reconfiguration work would break its wait-free bound
-    /// — so a store serving only VIPs never auto-reconfigures), skips
-    /// itself under try-lock contention, and holds for the policy's
-    /// cool-down after every reconfiguration, so oscillating load cannot
-    /// thrash the topology (at most one reconfig per cool-down window).
-    pub fn elastic(mut self, policy: ElasticityPolicy) -> Self {
-        self.elastic = Some(policy);
         self
     }
 
@@ -451,25 +431,11 @@ impl StoreBuilder {
             admission,
             view: Generations::new(StoreView { topology, shards }),
             admin: Mutex::new(()),
-            elastic: self.elastic.map(|policy| ElasticSlot {
-                evaluate_every: policy.evaluate_every.max(1),
-                engine: Mutex::new(ElasticEngine::new(policy)),
-            }),
-            total_commits: AtomicU64::new(0),
             metrics: StoreMetrics::new(),
             wal,
             _settle: SettleAllocator,
         })
     }
-}
-
-/// The store-side half of the elasticity driver: the cadence and the
-/// engine it ticks.
-struct ElasticSlot {
-    /// Guest commits between policy evaluations (cached outside the
-    /// engine's mutex so the fast path never locks to check the cadence).
-    evaluate_every: u64,
-    engine: Mutex<ElasticEngine>,
 }
 
 /// Errors of [`Store::split_shard`].
@@ -513,21 +479,16 @@ pub struct Store {
     /// The current `(topology, shards)` generation, published by splits
     /// and merges under the admin lock and borrowed by every operation with
     /// one load. Every view stays until the store drops: one per
-    /// reconfiguration, so under the elastic driver at most
+    /// reconfiguration, so under [`Store::rebalance`] alone at most
     /// 2 × (`MAX_SHARDS` − initial shards) of them, each a topology and a
     /// `Vec` of `Arc`s — small next to the tombstoned `Shard` that every
     /// reconfiguration already keeps.
     view: Generations<StoreView>,
-    /// Serializes admin operations (splits, merges, and store-wide
-    /// checkpoints) so a durable snapshot's topology always matches its
-    /// sealed states. It guards no data, so a panic under it poisons
-    /// nothing: every taker recovers the guard.
+    /// Serializes admin operations (splits, merges, rebalances and
+    /// store-wide checkpoints) so a durable snapshot's topology always
+    /// matches its sealed states. It guards no data, so a panic under it
+    /// poisons nothing: every taker recovers the guard.
     admin: Mutex<()>,
-    /// The automatic elasticity driver, if configured.
-    elastic: Option<ElasticSlot>,
-    /// Guest commits across all shards since build — the elasticity
-    /// cadence clock.
-    total_commits: AtomicU64,
     /// The always-on metric registry; every record path is wait-free, so
     /// instrumentation never weakens a commit path's progress class.
     metrics: StoreMetrics,
@@ -585,8 +546,7 @@ impl Store {
     /// guest-class ticket whose commits go through the VIP's own port slot
     /// and replica, under the voice's own guest pid — the guest protocol,
     /// never the VIP's wait-free one. Everything else about it is a guest
-    /// ticket's: group durability only, the elasticity tick. `None` for a
-    /// guest ticket.
+    /// ticket's: group durability only. `None` for a guest ticket.
     #[progress(wait_free)]
     pub fn guest_voice(&self, ticket: ClientTicket) -> Option<ClientTicket> {
         self.admission.guest_voice(ticket)
@@ -733,7 +693,7 @@ impl Store {
     /// contract of [`Store::snapshot_stats`]: the whole scrape is a
     /// bounded number of the scraper's own steps — register and atomic
     /// loads only, never a consensus-log append, a port lock, or
-    /// the elastic engine's mutex — so a monitoring poller can never
+    /// the admin lock — so a monitoring poller can never
     /// steal progress from VIP clients. `apc-lint --deny` enforces this
     /// transitively.
     #[progress(wait_free)]
@@ -792,13 +752,6 @@ impl Store {
         }
         Vec::extend(&mut samples, self.wal.iter().flat_map(|wal| wal.scrape().samples));
         MetricsSnapshot { samples }
-    }
-
-    /// The running totals of the automatic elasticity driver, or `None`
-    /// when the store was built without [`StoreBuilder::elastic`].
-    #[progress(blocking)]
-    pub fn elastic_report(&self) -> Option<ElasticReport> {
-        self.elastic.as_ref().map(|slot| lock_unpoisoned(&slot.engine).report())
     }
 
     /// Splits shard `shard` **live**: commits keep flowing while the split
@@ -955,6 +908,34 @@ impl Store {
         Ok(parent)
     }
 
+    /// One act of the elasticity policy, which the store's owner delivers
+    /// as it calls [`Store::split_shard`] or [`Store::checkpoint`]: no
+    /// commit carries it. Under the admin lock, `engine` evaluates one read
+    /// of [`Store::snapshot_stats`] at the digests' summed heat (the unit
+    /// of its `min_window` and `cooldown`: every tier's cells and local
+    /// reads), and the store applies the one split or merge it decides, if
+    /// any. Returns the decision it applied, [`ElasticDecision::Hold`] if
+    /// none. The engine is the caller's, and so are the cadence and the
+    /// running totals ([`ElasticEngine::report`]).
+    #[progress(blocking)]
+    pub fn rebalance(&self, engine: &mut ElasticEngine) -> ElasticDecision {
+        let _admin = lock_unpoisoned(&self.admin);
+        let stats = self.snapshot_stats();
+        let heat = stats.iter().map(|d| d.commits).sum();
+        let decision = engine.evaluate(heat, &stats, &self.view.newest().topology);
+        let applied = match decision {
+            ElasticDecision::Split(shard) => self.split_locked(shard).is_ok(),
+            ElasticDecision::Merge(shard) => self.merge_locked(shard).is_ok(),
+            ElasticDecision::Hold => false,
+        };
+        self.metrics.record_elastic(decision, applied);
+        if !applied {
+            return ElasticDecision::Hold;
+        }
+        engine.note_reconfigured(decision, heat);
+        decision
+    }
+
     /// Seals a checkpoint cell on every shard log and returns the sealed
     /// per-shard states — the capture half of the
     /// [`persist`](crate::persist) layer — paired with the topology they
@@ -1012,8 +993,7 @@ impl Store {
     /// A VIP-tier commit: one universal-log append through the client's
     /// exclusively-owned port plus a digest publication and its metrics, in
     /// a bounded number of the caller's own steps. It does no housekeeping:
-    /// no checkpoint seal, no elasticity tick, so no reconfiguration can
-    /// ride this path.
+    /// no checkpoint seal and no reconfiguration ride this path.
     #[progress(bounded_wait_free)]
     fn commit_vip(
         &self,
@@ -1033,9 +1013,8 @@ impl Store {
     }
 
     /// A guest-tier commit: the same log append over a **shared** port
-    /// (queued behind the port mutex) followed by the elasticity tick —
-    /// the obstruction-free tier is also the tier that pays for
-    /// reconfiguration.
+    /// (queued behind the port mutex), and no more housekeeping than a VIP
+    /// commit does.
     #[progress(obstruction_free)]
     fn commit_guest(
         &self,
@@ -1051,9 +1030,6 @@ impl Store {
         let resps = self.commit_on(shard, shard_id, port, ProgressClass::Guest, sub, durability);
         let latency_ns = lap_end(clock, start);
         self.metrics.record_commit(ProgressClass::Guest, ops, latency_ns, count_moved(&resps));
-        // The committing handle is released before the tick: a reconfig
-        // decided here locks other ports, and a commit must never hold two.
-        self.elastic_tick(port);
         resps
     }
 
@@ -1066,8 +1042,7 @@ impl Store {
     /// WAL effect frame (if a WAL is attached).
     /// Either way the round publishes its digest ([`Shard::visit`]); it
     /// seals nothing, so a seal happens only in an admin act
-    /// ([`Store::checkpoint`], a split, a merge, or the elasticity driver
-    /// riding a guest commit).
+    /// ([`Store::checkpoint`], a split, a merge, or [`Store::rebalance`]).
     fn commit_on(
         &self,
         shard: &Shard,
@@ -1137,51 +1112,6 @@ impl Store {
             }
         }
         resps
-    }
-
-    /// One step of the elasticity cadence, ridden by the guest commit path.
-    /// The clock is guest commits: it runs a policy evaluation every
-    /// `evaluate_every` of them; everything is try-locked, so a busy engine
-    /// or a concurrent admin operation makes this a no-op rather than a
-    /// stall. A lock an earlier panic poisoned is not busy: reading it as
-    /// busy would turn the driver off for good.
-    ///
-    /// Reconfigurations ride **guest-tier commits only**: applying a
-    /// decision blocks on guest-tier port locks and installs through a
-    /// lock-free (not wait-free) reconfig cell, so letting a VIP thread
-    /// carry that work would break the wait-free bound its port promises.
-    /// A VIP commit neither ticks nor reads the clock. (Corollary: a store
-    /// serving *only* VIPs never auto-reconfigures.)
-    ///
-    /// Only [`Store::commit_guest`] calls this; the `pid` guard below is
-    /// the runtime mirror of that static routing. It is on the committing
-    /// process, not the slot it entered: a VIP port's guest voice enters
-    /// the VIP's slot, and drives the policy as any guest does.
-    #[progress(blocking)]
-    fn elastic_tick(&self, pid: usize) {
-        let Some(slot) = &self.elastic else { return };
-        // RELAXED: cadence counter — the evaluation trigger needs an exact
-        // count (atomicity) but no cross-thread ordering.
-        let total = self.total_commits.fetch_add(1, Ordering::Relaxed) + 1;
-        if !total.is_multiple_of(slot.evaluate_every) {
-            return;
-        }
-        if pid < self.admission.spec().x() {
-            return; // never on a VIP thread (see above)
-        }
-        let Some(mut engine) = try_lock_unpoisoned(&slot.engine) else { return };
-        let Some(_admin) = try_lock_unpoisoned(&self.admin) else { return };
-        let stats = self.snapshot_stats();
-        let decision = engine.evaluate(total, &stats, &self.view.newest().topology);
-        let applied = match decision {
-            ElasticDecision::Split(shard) => self.split_locked(shard).is_ok(),
-            ElasticDecision::Merge(shard) => self.merge_locked(shard).is_ok(),
-            ElasticDecision::Hold => false,
-        };
-        self.metrics.record_elastic(decision, applied);
-        if applied {
-            engine.note_reconfigured(decision, total);
-        }
     }
 
     /// Plans `ops` under `view` and commits one sub-batch per touched shard
@@ -1491,10 +1421,9 @@ impl Client<'_> {
 
     /// The **coalesced guest arm**, the obstruction-free twin of
     /// [`Client::request_vip`]: commits queue behind the shared guest
-    /// port (`Store::commit_guest`, which also carries the elasticity
-    /// tick), the `Moved` re-plan loop is the same non-waiting,
-    /// budget-bounded round, and many guest envelopes execute as one
-    /// planning-and-commit round — the combined operation list is planned
+    /// port (`Store::commit_guest`), the `Moved` re-plan loop is the same
+    /// non-waiting, budget-bounded round, and many guest envelopes execute
+    /// as one planning-and-commit round — the combined operation list is planned
     /// once and costs ~one log append per touched shard for the *whole
     /// batch*, instead of one per envelope — while preserving every
     /// envelope's own service terms. This is what the `apc-net` reactor
@@ -1690,6 +1619,7 @@ impl fmt::Debug for Client<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::elastic::ElasticityPolicy;
 
     fn small_store(shards: usize) -> Store {
         StoreBuilder::new().shards(shards).vip_capacity(2).guest_ports(4).build().unwrap()
@@ -2298,42 +2228,46 @@ mod tests {
         assert_eq!(entries, check.scan("", "z").len() as u64);
     }
 
+    /// The policy the elasticity tests rebalance by: a 32-heat window and
+    /// a 64-heat cool-down, so the tests stay fast. A single-threaded
+    /// client round-robins its keys, so windows this small are burst-free.
+    fn melt_policy() -> ElasticityPolicy {
+        ElasticityPolicy { cooldown: 64, min_window: 32 }
+    }
+
+    /// Runs `round` and then one [`Store::rebalance`] until the engine
+    /// applies a split; returns the rounds it took.
+    fn rounds_until_split(
+        store: &Store,
+        engine: &mut ElasticEngine,
+        mut round: impl FnMut(u64),
+    ) -> u64 {
+        for rounds in 0..500 {
+            round(rounds);
+            if let ElasticDecision::Split(_) = store.rebalance(engine) {
+                return rounds + 1;
+            }
+        }
+        panic!("500 rounds of melt and rebalance, and no split");
+    }
+
     #[test]
     fn elastic_store_auto_splits_on_melt_and_auto_merges_on_cool() {
-        use crate::elastic::ElasticityPolicy;
-        // Aggressive policy so the test stays fast: evaluate every 16
-        // commits, cool down after 64.
-        let store = StoreBuilder::new()
-            .shards(4)
-            .vip_capacity(1)
-            .guest_ports(2)
-            .elastic(ElasticityPolicy {
-                evaluate_every: 16,
-                cooldown: 64,
-                // A single-threaded client round-robins its keys, so tiny
-                // windows are already burst-free here.
-                min_window: 32,
-            })
-            .build()
-            .unwrap();
-        // A guest session: the driver only ever acts from guest-tier
-        // commits (VIP threads never carry reconfiguration work).
+        let store = StoreBuilder::new().shards(4).vip_capacity(1).guest_ports(2).build().unwrap();
+        let mut engine = ElasticEngine::new(melt_policy());
         let mut c = store.client(store.admit_guest());
         // Melt: hammer keys that all live on one shard under the fresh
-        // topology. The driver must split without any manual call.
+        // topology. The engine must split it with no manual choice.
         let hot_keys = keys_on_shard(&store.topology(), 0, 4);
-        let mut rounds = 0;
-        while store.elastic_report().unwrap().splits == 0 {
+        rounds_until_split(&store, &mut engine, |round| {
             for key in &hot_keys {
-                c.put(key, rounds);
+                c.put(key, round);
             }
-            rounds += 1;
-            assert!(rounds < 500, "the melt must trigger an auto-split");
-        }
-        assert!(store.live_shards() > 4, "the driver grew the topology");
+        });
+        assert!(store.live_shards() > 4, "the engine grew the topology");
         let grown = store.shards();
         // Cool: move every bit of traffic to shards 1..: the children of
-        // shard 0 go cold and the driver must retire them, unwinding to
+        // shard 0 go cold and the engine must retire them, unwinding to
         // the original live set.
         let cool_keys: Vec<String> =
             (1..4).flat_map(|s| keys_on_shard(&store.topology(), s, 3)).collect();
@@ -2342,43 +2276,30 @@ mod tests {
             for key in &cool_keys {
                 c.put(key, rounds);
             }
+            store.rebalance(&mut engine);
             rounds += 1;
-            assert!(rounds < 2000, "fading load must trigger the auto-merges");
+            assert!(rounds < 2000, "fading load must trigger the merges");
         }
-        let report = store.elastic_report().unwrap();
+        let report = engine.report();
         assert!(report.splits >= 1);
         assert!(report.merges >= 1);
         assert_eq!(store.live_shards(), 4, "the topology converged back");
         assert_eq!(store.shards(), grown, "tombstones keep their slots");
         // The data survived the whole elastic episode.
         for key in &hot_keys {
-            assert!(c.get(key).is_some(), "{key} survives auto-split and auto-merge");
+            assert!(c.get(key).is_some(), "{key} survives the split and the merge");
         }
     }
 
-    #[test]
-    fn elastic_report_is_none_without_the_driver() {
-        let store = small_store(1);
-        assert!(store.elastic_report().is_none());
-    }
-
     /// A panic under the admin lock costs only its own operation. The
-    /// thread below dies where an elastic reconfiguration would, holding
-    /// the engine and the admin lock: afterwards splits, merges and
-    /// checkpoints still run, and the driver still splits a melting shard.
+    /// thread below dies where a reconfiguration would, holding the admin
+    /// lock: afterwards splits, merges and checkpoints still run, and
+    /// [`Store::rebalance`] still splits a melting shard.
     #[test]
     fn a_poisoned_admin_lock_costs_only_its_own_operation() {
-        use crate::elastic::ElasticityPolicy;
-        let store = StoreBuilder::new()
-            .shards(4)
-            .vip_capacity(1)
-            .guest_ports(2)
-            .elastic(ElasticityPolicy { evaluate_every: 16, cooldown: 64, min_window: 32 })
-            .build()
-            .unwrap();
+        let store = StoreBuilder::new().shards(4).vip_capacity(1).guest_ports(2).build().unwrap();
         let joined = std::thread::scope(|s| {
             s.spawn(|| {
-                let _engine = store.elastic.as_ref().unwrap().engine.lock().unwrap();
                 let _admin = store.admin.lock().unwrap();
                 panic!("a reconfiguration panics under the admin lock");
             })
@@ -2388,17 +2309,14 @@ mod tests {
         let child = store.split_shard(0).unwrap();
         assert_eq!(store.merge_shard(child).unwrap(), 0);
         assert_eq!(store.checkpoint().shards.len(), 5);
-        assert_eq!(store.elastic_report().unwrap().splits, 0);
+        let mut engine = ElasticEngine::new(melt_policy());
         let mut c = store.client(store.admit_guest());
         let hot_keys = keys_on_shard(&store.topology(), 1, 4);
-        let mut rounds = 0;
-        while store.elastic_report().unwrap().splits == 0 {
+        rounds_until_split(&store, &mut engine, |round| {
             for key in &hot_keys {
-                c.put(key, rounds);
+                c.put(key, round);
             }
-            rounds += 1;
-            assert!(rounds < 500, "the melt must trigger an auto-split past the poison");
-        }
+        });
         assert!(store.live_shards() > 4);
     }
 
@@ -2753,56 +2671,44 @@ mod tests {
         assert_eq!(voice.request_vip(put), refused);
     }
 
-    /// The elasticity tick is guarded on the committing pid, not on the
-    /// slot it enters: a VIP port's voice enters a VIP slot, and still
-    /// drives the policy as any guest commit does.
+    /// A VIP port's guest voice commits through the VIP's slot, and its
+    /// cells are heat like any other: [`Store::rebalance`] splits the shard
+    /// the voice melts, and the VIP reads every key across the split.
     #[test]
-    fn the_elasticity_clock_counts_guest_commits_only() {
-        use crate::elastic::ElasticityPolicy;
-        let store = StoreBuilder::new()
-            .shards(1)
-            .vip_capacity(1)
-            .guest_ports(1)
-            .elastic(ElasticityPolicy { evaluate_every: 4, min_window: u64::MAX, cooldown: 0 })
-            .build()
-            .unwrap();
-        let mut vip = store.client(store.admit_vip().unwrap());
-        let mut guest = store.client(store.admit_guest());
-        for i in 0..3 {
-            vip.put(&format!("v{i}"), i);
-        }
-        guest.put("g0", 0);
-        assert_eq!(store.elastic_report().unwrap().evaluations, 0, "a VIP commit ticks nothing");
-        for i in 1..4 {
-            guest.put(&format!("g{i}"), i);
-        }
-        assert_eq!(store.elastic_report().unwrap().evaluations, 1, "4 guest commits tick once");
-    }
-
-    #[test]
-    fn a_vip_ports_voice_still_drives_the_elasticity_policy() {
-        use crate::elastic::ElasticityPolicy;
-        let store = StoreBuilder::new()
-            .shards(4)
-            .vip_capacity(1)
-            .guest_ports(2)
-            .elastic(ElasticityPolicy { evaluate_every: 16, cooldown: 64, min_window: 32 })
-            .build()
-            .unwrap();
+    fn a_voices_commits_are_heat_that_rebalance_acts_on() {
+        let store = StoreBuilder::new().shards(4).vip_capacity(1).guest_ports(2).build().unwrap();
+        let mut engine = ElasticEngine::new(melt_policy());
         let vip = store.admit_vip().unwrap();
         let mut c = store.client(store.guest_voice(vip).unwrap());
         let hot_keys = keys_on_shard(&store.topology(), 0, 4);
-        let mut rounds = 0;
-        while store.elastic_report().unwrap().splits == 0 {
+        let rounds = rounds_until_split(&store, &mut engine, |round| {
             for key in &hot_keys {
-                c.put(key, rounds);
+                c.put(key, round);
             }
-            rounds += 1;
-            assert!(rounds < 500, "the voice's melt must trigger an auto-split");
-        }
+        });
         assert!(store.live_shards() > 4);
         for key in &hot_keys {
             assert_eq!(store.client(vip).get(key), Some(rounds - 1), "{key} survives the split");
+        }
+    }
+
+    /// Heat counts every tier: a shard that only VIPs write melts, and
+    /// [`Store::rebalance`] splits it. No VIP commit did any of that work.
+    #[test]
+    fn a_vip_only_melt_is_rebalanced() {
+        let store = StoreBuilder::new().shards(4).vip_capacity(1).guest_ports(2).build().unwrap();
+        let mut engine = ElasticEngine::new(melt_policy());
+        let mut vip = store.client(store.admit_vip().unwrap());
+        let hot_keys = keys_on_shard(&store.topology(), 3, 4);
+        rounds_until_split(&store, &mut engine, |round| {
+            for key in &hot_keys {
+                vip.put(key, round);
+            }
+        });
+        assert_eq!(engine.report().splits, 1);
+        assert_eq!(store.live_shards(), 5);
+        for key in &hot_keys {
+            assert!(vip.get(key).is_some(), "{key} survives the split");
         }
     }
 
@@ -3018,14 +2924,8 @@ mod tests {
 
     #[test]
     fn a_read_only_melt_is_heat_and_trips_an_auto_split() {
-        use crate::elastic::ElasticityPolicy;
-        let store = StoreBuilder::new()
-            .shards(4)
-            .vip_capacity(1)
-            .guest_ports(2)
-            .elastic(ElasticityPolicy { evaluate_every: 16, cooldown: 64, min_window: 32 })
-            .build()
-            .unwrap();
+        let store = StoreBuilder::new().shards(4).vip_capacity(1).guest_ports(2).build().unwrap();
+        let mut engine = ElasticEngine::new(melt_policy());
         let mut c = store.client(store.admit_guest());
         let hot_keys = keys_on_shard(&store.topology(), 2, 4);
         for key in &hot_keys {
@@ -3039,15 +2939,12 @@ mod tests {
             assert_eq!(c.get(&other[0]), None);
         }
         assert_eq!(store.hottest_shard(), 1);
-        // ...and reads alone melt shard 2 until the driver splits it.
-        let mut rounds = 0;
-        while store.elastic_report().unwrap().splits == 0 {
+        // ...and reads alone melt shard 2 until a rebalance splits it.
+        rounds_until_split(&store, &mut engine, |_| {
             for key in &hot_keys {
                 assert_eq!(c.get(key), Some(7));
             }
-            rounds += 1;
-            assert!(rounds < 500, "a read-only melt must trigger an auto-split");
-        }
+        });
         assert!(store.live_shards() > 4);
         assert_eq!(cursors(&store)[1], cells[1], "shard 1 took reads and no cell");
     }

@@ -18,8 +18,8 @@ use asymmetric_progress::net::{
 use asymmetric_progress::store::persist::Persister;
 use asymmetric_progress::store::wal::{Wal, WalConfig};
 use asymmetric_progress::store::{
-    DurabilityClass, Request, SampleValue, StoreBuilder, StoreError, StoreOp, StoreResp,
-    TierCredential,
+    DurabilityClass, ElasticDecision, ElasticEngine, ElasticityPolicy, Request, SampleValue,
+    StoreBuilder, StoreError, StoreOp, StoreResp, TierCredential,
 };
 
 const VIP_TOKEN: u64 = 0xbeef;
@@ -696,4 +696,36 @@ fn wire_md_tables_match_the_code() {
         [("Hello", KIND_HELLO), ("Request", KIND_REQUEST), ("Response", KIND_RESPONSE)],
         "WIRE.md § Frame kinds"
     );
+}
+
+/// Housekeeping is an input someone delivers, never a side effect of
+/// serving: guest frames that melt one shard go through `poll()` without a
+/// single reconfiguration, however hot the shard gets, and the owner's one
+/// `Store::rebalance` call then splits it.
+#[test]
+fn a_reactor_turn_never_reconfigures_and_the_owner_rebalances() {
+    let store = StoreBuilder::new().shards(4).vip_capacity(1).guest_ports(2).build().unwrap();
+    let mut server = StoreServer::new(&store, server_cfg(64));
+    let mut guest = NetClient::connect(&mut server, TierCredential::Guest);
+    let hot: Vec<String> =
+        (0..).map(|i| format!("hot/{i}")).filter(|k| store.shard_of(k) == 0).take(4).collect();
+    let reconfigs = |server: &StoreServer<'_>| {
+        let snap = server.scrape();
+        ["split", "merge", "adopt"]
+            .map(|kind| snap.value("store_reconfigs_total", &[("kind", kind)]).unwrap())
+    };
+    for round in 0..64 {
+        for key in &hot {
+            guest.send(&Request::new(vec![StoreOp::Put(key.clone(), round)]));
+        }
+        let before = reconfigs(&server);
+        server.poll();
+        assert_eq!(reconfigs(&server), before, "round {round}: a turn reconfigured the store");
+        assert_eq!(guest.drain().expect("clean wire").len(), hot.len());
+    }
+    assert_eq!(store.live_shards(), 4);
+    let mut engine = ElasticEngine::new(ElasticityPolicy { cooldown: 64, min_window: 32 });
+    assert_eq!(store.rebalance(&mut engine), ElasticDecision::Split(0), "the melt is heat");
+    assert_eq!(reconfigs(&server), [1, 0, 0]);
+    assert_eq!(store.live_shards(), 5);
 }

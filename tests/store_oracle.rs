@@ -8,11 +8,13 @@
 //! sequential meaning of the operations.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 
 use asymmetric_progress::store::{
-    ElasticityPolicy, ShardTopology, Store, StoreBuilder, StoreError, StoreOp, StoreResp,
+    ElasticEngine, ElasticityPolicy, ShardTopology, Store, StoreBuilder, StoreError, StoreOp,
+    StoreResp,
 };
 
 /// The independent oracle: the sequential meaning of one operation.
@@ -506,13 +508,13 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The elastic driver's report under **concurrent** topology churn:
-    /// guest committers keep the policy engine ticking while manual splits
-    /// and merges race the driver's own reconfigurations. Afterwards the
-    /// window counters, the live-shard view, and the wait-free scrape must
-    /// tell one consistent story — every reconfiguration, whoever initiated
-    /// it, is exactly one version bump, one event-counter bump, and (for a
-    /// merge) one adoption.
+    /// An elastic engine's report under **concurrent** topology churn: a
+    /// thread loops `Store::rebalance` while guest committers make heat and
+    /// manual splits and merges race the engine's own reconfigurations.
+    /// Afterwards the window counters, the live-shard view, and the
+    /// wait-free scrape must tell one consistent story — every
+    /// reconfiguration, whoever initiated it, is exactly one version bump,
+    /// one event-counter bump, and (for a merge) one adoption.
     #[test]
     fn elastic_report_and_scrape_stay_consistent_under_churn(
         clients in 2usize..4,
@@ -523,28 +525,33 @@ proptest! {
             .shards(4)
             .vip_capacity(1)
             .guest_ports(4)
-            .elastic(ElasticityPolicy {
-                evaluate_every: 4,
-                min_window: 8,
-                cooldown: 16,
-            })
             .build()
             .expect("valid sizing");
         let tickets: Vec<_> = (0..clients).map(|_| store.admit_guest()).collect();
+        let committing = AtomicUsize::new(clients);
         let mut manual = 0u64;
-        std::thread::scope(|s| {
+        let report = std::thread::scope(|s| {
             for (c, ticket) in tickets.iter().enumerate() {
-                let store = &store;
+                let (store, committing) = (&store, &committing);
                 s.spawn(move || {
                     let mut client = store.client(*ticket);
                     for step in 0..ops_per_client {
                         client.put(&format!("c{c}/k{:02}", step % 8), step as u64);
                     }
+                    committing.fetch_sub(1, Ordering::Release);
                 });
             }
-            // Manual churn racing both the committers and the driver. A
+            let rebalancer = s.spawn(|| {
+                let mut engine = ElasticEngine::new(ElasticityPolicy { min_window: 8, cooldown: 16 });
+                while committing.load(Ordering::Acquire) > 0 {
+                    store.rebalance(&mut engine);
+                    std::thread::yield_now();
+                }
+                engine.report()
+            });
+            // Manual churn racing both the committers and the engine. A
             // candidate picked from a topology snapshot may be gone (the
-            // driver got there first) — a rejected reconfig is fine, it
+            // engine got there first) — a rejected reconfig is fine, it
             // just must not be *miscounted*.
             for &(merge, target) in &churn {
                 let topology = store.topology();
@@ -566,13 +573,13 @@ proptest! {
                 }
                 std::thread::yield_now();
             }
+            rebalancer.join().expect("the rebalancer finishes")
         });
 
-        let report = store.elastic_report().expect("driver configured");
         let topology = store.topology();
         let snap = store.scrape();
 
-        // Every reconfiguration — manual or the driver's — bumped the
+        // Every reconfiguration — manual or the engine's — bumped the
         // version exactly once and landed in the event counters.
         let splits = snap.value("store_reconfigs_total", &[("kind", "split")]).expect("series");
         let merges = snap.value("store_reconfigs_total", &[("kind", "merge")]).expect("series");
@@ -582,11 +589,11 @@ proptest! {
         prop_assert_eq!(
             manual + report.splits + report.merges,
             splits + merges,
-            "every reconfiguration is either the churn thread's or the driver's"
+            "every reconfiguration is either the churn thread's or the engine's"
         );
         prop_assert_eq!(snap.value("store_reconfig_last_version", &[]), Some(topology.version()));
 
-        // Window counters: a driver decision implies an evaluation, and the
+        // Window counters: an engine decision implies an evaluation, and the
         // applied decisions in the scrape match the report exactly.
         prop_assert!(report.evaluations >= report.splits + report.merges);
         prop_assert_eq!(
@@ -609,9 +616,6 @@ proptest! {
         // client wrote is scannable, and retired shards drained to empty.
         let mut auditor = store.client(store.admit_guest());
         prop_assert_eq!(auditor.scan("", "z").len(), clients * 8);
-        // The scan is a guest round and may itself have carried a driver
-        // split: judge the digests against the topology as it is now.
-        let topology = store.topology();
         for (sh, digest) in store.snapshot_stats().iter().enumerate() {
             if !topology.is_live(sh) {
                 prop_assert_eq!(digest.entries, 0, "tombstone {} must be empty", sh);

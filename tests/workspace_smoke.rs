@@ -146,3 +146,65 @@ fn store_persistence_wired() {
     assert_eq!(c.get("durable"), Some(1));
     assert_eq!(c.get("volatile"), None, "prefix consistency as of the last flush");
 }
+
+/// Every test-name filter on a `cargo test` line of the CI workflow names
+/// a `fn` or a `mod` of the workspace, so renaming a test cannot leave a
+/// CI line quietly running none. libtest matches a filter as a substring
+/// of a test's path, so a filter passes if it is part of some item's name.
+#[test]
+fn ci_test_filters_name_workspace_items() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut names = std::collections::BTreeSet::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        collect_item_names(&root.join(dir), &mut names);
+    }
+    let ci = std::fs::read_to_string(root.join(".github/workflows/ci.yml")).expect("ci.yml");
+    let filters: Vec<&str> = ci
+        .lines()
+        .filter_map(|line| line.trim().strip_prefix("cargo test "))
+        .flat_map(test_filters)
+        .collect();
+    assert!(!filters.is_empty(), "ci.yml names no test on a `cargo test` line");
+    let dangling: Vec<&str> =
+        filters.into_iter().filter(|f| !names.iter().any(|name| name.contains(f))).collect();
+    assert!(dangling.is_empty(), "ci.yml filters that name no fn or mod: {dangling:?}");
+}
+
+/// The test-name filters among the arguments of one `cargo test` line:
+/// every word that is neither a flag nor the value of one.
+fn test_filters(args: &str) -> Vec<&str> {
+    let mut filters = Vec::new();
+    let mut words = args.split_whitespace();
+    while let Some(word) = words.next() {
+        match word {
+            "-p" | "--package" | "--test" | "--manifest-path" => {
+                words.next();
+            }
+            flag if flag.starts_with('-') => {}
+            filter => filters.push(filter),
+        }
+    }
+    filters
+}
+
+/// The name after every `fn` and `mod` keyword of the `.rs` files under
+/// `dir`.
+fn collect_item_names(dir: &std::path::Path, names: &mut std::collections::BTreeSet<String>) {
+    for entry in std::fs::read_dir(dir).expect("a source dir") {
+        let path = entry.expect("a dir entry").path();
+        if path.is_dir() {
+            collect_item_names(&path, names);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            let text = std::fs::read_to_string(&path).expect("a source file");
+            let words: Vec<&str> = text
+                .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .filter(|word| !word.is_empty())
+                .collect();
+            for pair in words.windows(2) {
+                if pair[0] == "fn" || pair[0] == "mod" {
+                    names.insert(pair[1].to_owned());
+                }
+            }
+        }
+    }
+}
