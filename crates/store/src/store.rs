@@ -60,169 +60,41 @@
 //! preserve all of this: an operation is applied exactly once — on the
 //! shard that owns its key at its linearization point — or bounced and
 //! retried, never both.
+//!
+//! [`Universal`]: apc_universal::Universal
+//! [`AsymmetricFactory`]: apc_universal::AsymmetricFactory
+//! [`SplitSpec`]: crate::ops::SplitSpec
+//! [`MergeSpec`]: crate::ops::MergeSpec
+//! [`AdoptSpec`]: crate::ops::AdoptSpec
+//! [`ElasticEngine`]: crate::elastic::ElasticEngine
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use apc_core::liveness::Liveness;
 use apc_progress_macros::progress;
 use apc_registers::Generations;
-use apc_universal::{AsymmetricFactory, OwnedHandle, Universal};
+use apc_universal::OwnedHandle;
 
 use apc_obs::{MetricsSnapshot, Sample, SampleValue};
 
 use crate::admission::{Admission, AdmissionConfig, AdmissionError, ClientTicket, ProgressClass};
-use crate::api::{Request, Response, StoreError, TierCredential, UNBOUNDED_RETRIES};
-use crate::elastic::{ElasticDecision, ElasticEngine};
 use crate::metrics::{nanos, StoreMetrics};
-use crate::ops::{
-    read_sub_batch, AdoptSpec, Batch, MergeSpec, ShardCmd, ShardState, SplitSpec, StoreOp,
-    StoreResp,
-};
-use crate::persist::lock_unpoisoned;
+use crate::ops::{read_sub_batch, Batch, ShardCmd, StoreOp, StoreResp};
 use crate::replan::{Input, Replan, Responses, Transition};
-use crate::router::{MergeError, ShardTopology};
+use crate::router::ShardTopology;
 use crate::wal::{DurabilityClass, Wal, WalFrame};
 
-/// How long the waiting arm waits for a bumped topology to publish.
-const VIEW_WAIT: Duration = Duration::from_secs(60);
+mod admin;
+mod client;
+mod shard;
 
-/// The universal-object type backing one shard.
-pub type ShardLog = Universal<crate::ops::ShardSpec, AsymmetricFactory>;
-
-/// One port's handle on a shard log, with the port's replica of the shard.
-type PortHandle = OwnedHandle<crate::ops::ShardSpec, AsymmetricFactory>;
-
-/// A monotone per-port commit digest, published into two of the port's
-/// digest words after every visit.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
-pub struct ShardDigest {
-    /// Log cells replayed by the publishing port (monotone version). As
-    /// returned by [`Store::snapshot_stats`], plus the shard's rounds
-    /// answered without a cell — the shard's heat, reads included.
-    pub commits: u64,
-    /// Number of live keys in the shard at publication time.
-    pub entries: u64,
-}
-
-struct Shard {
-    /// The shard's universal log (also co-owned by every port handle).
-    log: Arc<ShardLog>,
-    /// One slot per port; guests multiplex, VIPs own theirs exclusively,
-    /// and a VIP slot's handle also holds the port's guest voice. Each
-    /// handle co-owns the shard's universal log.
-    ports: Vec<Mutex<PortHandle>>,
-    /// Per-port digests, seeded from the state the shard is built from.
-    /// Each has one writer at a time (whoever holds the port's mutex), and
-    /// each reader folds monotone per-port values
-    /// ([`Store::snapshot_stats`] keeps the maximum,
-    /// [`Store::replay_steps`] the sum), so it needs each port's latest
-    /// value and no atomicity across ports: one collect, not a snapshot
-    /// scan.
-    digests: Vec<PortDigest>,
-    /// Rounds answered from a port's replica without a log cell. Read
-    /// traffic is heat too: [`Store::snapshot_stats`] adds this to the
-    /// digest's cell count, or a read-hot shard would never split.
-    local_reads: AtomicU64,
-}
-
-impl Shard {
-    /// **The one door to a port**: locks the slot of process `pid` — its
-    /// own, or for a VIP port's guest voice the VIP's — runs `act` on the
-    /// slot's handle, then publishes the handle's replayed position into
-    /// the slot's digest words — in that order, always. Nothing else locks
-    /// a port, so no path that advances a port's replica (commits, seals
-    /// and reconfigurations alike) can leave the dashboard reporting the
-    /// position it had before.
-    fn visit<R>(&self, pid: usize, act: impl FnOnce(&mut PortHandle) -> R) -> R {
-        let slot = self.slot(pid);
-        // APC-LINT: allow(progress): a VIP slot's mutex is uncontended by construction (one exclusive owner, entering under its two pids one after the other, and reconfiguration never touches VIP ports), so the VIP path's lock is bounded; guest ports share theirs by design
-        let mut handle = self.ports[slot].lock().expect("port slot poisoned");
-        let out = act(&mut handle);
-        self.digests[slot].publish(&handle);
-        out
-    }
-
-    /// The slot whose handle holds process `pid`: a port's own, and for a
-    /// guest voice (past the slots) its VIP port's.
-    fn slot(&self, pid: usize) -> usize {
-        pid.checked_sub(self.ports.len()).unwrap_or(pid)
-    }
-
-    /// The port seals and reconfigurations ride: the guest tier
-    /// (`guest_ports ≥ 1`, so the last port is always a guest port), never a
-    /// VIP's exclusive one.
-    fn seal_port(&self) -> usize {
-        self.ports.len() - 1
-    }
-
-    /// Builds one shard over `ports` port slots, optionally resuming from a
-    /// recovered `(state, log_index)` pair (a snapshot's, or a split
-    /// child's migrated keys at index 0). The log has one process per
-    /// process of `liveness`; VIP slot `v` holds both the VIP and its
-    /// guest voice, `ports + v` ([`Universal::owned_pair`]). Each port's
-    /// digest starts at the state it resumes from, so the shard reports its
-    /// keys before any visit.
-    fn build(
-        spec: crate::ops::ShardSpec,
-        liveness: Liveness,
-        ports: usize,
-        resume: Option<(ShardState, u64)>,
-    ) -> Self {
-        let factory = AsymmetricFactory::new(liveness);
-        let n = liveness.y();
-        let log = Arc::new(match resume {
-            Some((state, index)) => Universal::recovered(spec, factory, n, state, index),
-            None => Universal::new(spec, factory, n),
-        });
-        let (port_slots, digests) = (0..ports)
-            .map(|p| {
-                let voice = if p < liveness.x() { ports + p } else { p };
-                let handle = log.owned_pair(p, voice).expect("fresh log, every port available");
-                let digest = PortDigest::default();
-                digest.publish(&handle);
-                (Mutex::new(handle), digest)
-            })
-            .unzip();
-        Shard { log, ports: port_slots, digests, local_reads: AtomicU64::new(0) }
-    }
-}
-
-/// One port's digest words. The writer stores the key count, then the
-/// cursor; the reader loads them in the opposite order. The replay meter
-/// is read on its own.
-#[derive(Default)]
-struct PortDigest {
-    /// The port's replay cursor ([`OwnedHandle::replayed_cells`]).
-    cursor: AtomicU64,
-    /// Live keys in the port's replica.
-    entries: AtomicU64,
-    /// Cells the port's handle replayed itself
-    /// ([`OwnedHandle::replay_steps`]).
-    steps: AtomicU64,
-}
-
-impl PortDigest {
-    /// Publishes `handle`'s position; the caller holds the port.
-    fn publish(&self, handle: &PortHandle) {
-        // RELAXED: ordered before the reader's view by the Release below.
-        self.entries.store(handle.local_state().entries().len() as u64, Ordering::Relaxed);
-        // RELAXED: a meter summed on its own by `Store::replay_steps`, which
-        // needs each port's latest count and no order against other words.
-        self.steps.store(handle.replay_steps(), Ordering::Relaxed);
-        // Release: a reader that sees this cursor sees its key count.
-        self.cursor.store(handle.replayed_cells(), Ordering::Release);
-    }
-
-    /// The latest published digest.
-    fn load(&self) -> ShardDigest {
-        let commits = self.cursor.load(Ordering::Acquire);
-        // RELAXED: ordered after the cursor by the Acquire above.
-        ShardDigest { commits, entries: self.entries.load(Ordering::Relaxed) }
-    }
-}
+pub use admin::SplitError;
+pub use client::Client;
+use shard::{PortDigest, PortHandle, Shard};
+pub use shard::{ShardDigest, ShardLog};
 
 /// One routing generation: the topology and the shard handles it routes
 /// to. Everything a client needs to place and commit a batch is reachable
@@ -322,6 +194,8 @@ impl StoreBuilder {
     /// persistent state. Each shard's universal log resumes at its
     /// checkpointed log index via [`Universal::recovered`], so boot-time
     /// replay work is O(delta), not O(history).
+    ///
+    /// [`Universal::recovered`]: apc_universal::Universal::recovered
     ///
     /// # Errors
     ///
@@ -438,38 +312,6 @@ impl StoreBuilder {
     }
 }
 
-/// Errors of [`Store::split_shard`].
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum SplitError {
-    /// The shard id does not exist in the current topology.
-    NoSuchShard {
-        /// The offending shard id.
-        shard: usize,
-        /// The current shard count.
-        shards: usize,
-    },
-    /// The shard was retired by a merge; tombstones cannot split.
-    RetiredShard {
-        /// The offending shard id.
-        shard: usize,
-    },
-}
-
-impl fmt::Display for SplitError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SplitError::NoSuchShard { shard, shards } => {
-                write!(f, "no shard {shard} to split (store has {shards})")
-            }
-            SplitError::RetiredShard { shard } => {
-                write!(f, "shard {shard} was retired by a merge and cannot split")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SplitError {}
-
 /// An in-memory, sharded, progress-class-aware object service with live
 /// hot-shard splitting.
 ///
@@ -565,40 +407,6 @@ impl Store {
         Some(self.view.newest())
             .filter(|view| view.topology.version() >= min_version)
             .ok_or(Input::NotYet)
-    }
-
-    /// The waiting arm's view source: waits for a view of at least
-    /// `min_version`. The split/merge driver publishes it right after
-    /// installing the bump, so the wait is normally bounded by the
-    /// driver's remaining migration work (microseconds in practice) and
-    /// the first few yield-only spins catch it.
-    ///
-    /// The wait is **bounded** ([`VIEW_WAIT`]): a yield, then exponential
-    /// backoff sleeps capped at 1ms, until the deadline.
-    /// [`Input::Never`] past the deadline means the reconfiguration
-    /// driver died between installing its bump and publishing the
-    /// topology (the store's one cross-thread obligation); the engine
-    /// turns that into the typed [`StoreError::Unavailable`] instead of
-    /// aborting the client thread.
-    #[progress(blocking)]
-    fn view_at_least(&self, min_version: u64) -> Result<&StoreView, Input> {
-        let deadline = std::time::Instant::now() + VIEW_WAIT;
-        let mut backoff_ns: u64 = 0;
-        loop {
-            if let Ok(view) = self.view_published(min_version) {
-                return Ok(view);
-            }
-            if std::time::Instant::now() >= deadline {
-                return Err(Input::Never);
-            }
-            if backoff_ns == 0 {
-                std::thread::yield_now();
-                backoff_ns = 1_000;
-            } else {
-                std::thread::sleep(Duration::from_nanos(backoff_ns));
-                backoff_ns = (backoff_ns * 2).min(1_000_000);
-            }
-        }
     }
 
     /// Number of shard slots in the current topology (live **and**
@@ -752,217 +560,6 @@ impl Store {
         }
         Vec::extend(&mut samples, self.wal.iter().flat_map(|wal| wal.scrape().samples));
         MetricsSnapshot { samples }
-    }
-
-    /// Splits shard `shard` **live**: commits keep flowing while the split
-    /// installs. Returns the new shard's id.
-    ///
-    /// The sequence is:
-    ///
-    /// 1. compute the bumped topology (the new shard's rendezvous seed and
-    ///    version);
-    /// 2. install a [`SplitSpec`] bump through the split shard's own
-    ///    consensus log inside a sealed reconfig cell
-    ///    ([`OwnedHandle::reconfigure`]) — the linearization point of the
-    ///    split. Everything committed before it is partitioned
-    ///    deterministically (pairwise rendezvous); the keys the child wins
-    ///    come back as the migration set, and the cell doubles as a
-    ///    checkpoint anchor for the parent's log. Batches landing after the
-    ///    bump under the old topology bounce with [`StoreResp::Moved`] and
-    ///    are re-planned by their clients;
-    /// 3. boot the child shard from the migrated entries (invisible to
-    ///    routing until published, so initialization is uncontended);
-    /// 4. atomically publish the new `(topology, shards)` view.
-    ///
-    /// The bump rides the guest tier of the split shard, so VIP ports never
-    /// contend with it; placement is lock-free (each failed attempt is a
-    /// client batch committing). Splits serialize with each other and with
-    /// [`Store::checkpoint`] on the admin lock.
-    ///
-    /// # Errors
-    ///
-    /// [`SplitError::NoSuchShard`] if `shard` is out of range,
-    /// [`SplitError::RetiredShard`] if a merge already tombstoned it.
-    #[progress(blocking)]
-    pub fn split_shard(&self, shard: usize) -> Result<usize, SplitError> {
-        let _admin = lock_unpoisoned(&self.admin);
-        self.split_locked(shard)
-    }
-
-    /// The body of [`Store::split_shard`]; the caller holds the admin lock.
-    fn split_locked(&self, shard: usize) -> Result<usize, SplitError> {
-        let view = self.view.newest();
-        if shard >= view.topology.shards() {
-            return Err(SplitError::NoSuchShard { shard, shards: view.topology.shards() });
-        }
-        if !view.topology.is_live(shard) {
-            return Err(SplitError::RetiredShard { shard });
-        }
-        let (topology, child) = view.topology.split(shard);
-        let split =
-            SplitSpec { child_seed: topology.node(child).seed, version: topology.version() };
-        // The linearization point: the bump agreed through the parent's own
-        // log, returning exactly the pre-bump keys the child now owns.
-        let parent = &view.shards[shard];
-        let (_, mut resps) =
-            parent.visit(parent.seal_port(), |handle| handle.reconfigure(ShardCmd::Split(split)));
-        let outgoing = match resps.pop() {
-            Some(StoreResp::Entries(entries)) => entries,
-            other => unreachable!("a split bump answers with its migration set, got {other:?}"),
-        };
-        let node = topology.node(child);
-        let child_shard = Arc::new(Shard::build(
-            crate::ops::ShardSpec { seed: node.seed, created_at: node.created_at },
-            self.admission.spec(),
-            self.admission.ports(),
-            Some((ShardState::with_entries(outgoing, node.created_at), 0)),
-        ));
-        let mut shards = view.shards.clone();
-        shards.push(child_shard);
-        self.metrics.record_split(topology.version());
-        self.view.supersede(StoreView { topology, shards });
-        Ok(child)
-    }
-
-    /// Merges shard `child` back into its parent **live** — the inverse of
-    /// [`Store::split_shard`] — and returns the parent's id. Commits keep
-    /// flowing while the merge installs.
-    ///
-    /// The sequence mirrors the split, with the bump crossing **both**
-    /// logs:
-    ///
-    /// 1. compute the bumped topology (the child tombstoned at the new
-    ///    version; structural eligibility per
-    ///    [`ShardTopology::check_merge`] — merges unwind splits in
-    ///    reverse);
-    /// 2. install a [`MergeSpec`] retirement through the **child's** own
-    ///    consensus log inside a sealed reconfig cell — the child-side
-    ///    linearization point. Everything committed to the child before it
-    ///    is drained out as the migration set; batches landing after it
-    ///    under the old topology bounce with [`StoreResp::Moved`] and are
-    ///    re-planned by their clients. The sealed cell compacts the
-    ///    child's log (its last anchor seals an empty state);
-    /// 3. install an [`AdoptSpec`] with the drained entries through the
-    ///    **parent's** consensus log, also sealed — the parent-side
-    ///    linearization point: the parent's anchor now carries the adopted
-    ///    subtree, so the merge compacts the parent's log too (the
-    ///    dual-log anchor). The parent's epoch is *not* bumped: its own
-    ///    keys never move in a merge, so in-flight parent batches stay
-    ///    valid;
-    /// 4. atomically publish the new `(topology, shards)` view. The
-    ///    retired shard keeps its slot (ids stay dense) and keeps
-    ///    answering stale batches with `Moved`, but routing, broadcasts,
-    ///    and the hot-shard detector skip it from now on.
-    ///
-    /// Clients whose keys lived on the child observe the same contract as
-    /// across a split: an operation is applied exactly once — on the shard
-    /// that owns its key at its linearization point — or bounced and
-    /// retried, never both. Between the drain and the adoption the moved
-    /// keys are reachable by **no** batch: old plans bounce at the child,
-    /// and no client can plan against the merged topology until it is
-    /// published, which happens only after the adoption installs.
-    ///
-    /// Both installs ride the guest tier and are lock-free (each failed
-    /// placement attempt is a client batch committing); merges serialize
-    /// with splits and checkpoints on the admin lock.
-    ///
-    /// # Errors
-    ///
-    /// Any [`MergeError`] from [`ShardTopology::check_merge`].
-    #[progress(blocking)]
-    pub fn merge_shard(&self, child: usize) -> Result<usize, MergeError> {
-        let _admin = lock_unpoisoned(&self.admin);
-        self.merge_locked(child)
-    }
-
-    /// The body of [`Store::merge_shard`]; the caller holds the admin lock.
-    fn merge_locked(&self, child: usize) -> Result<usize, MergeError> {
-        let view = self.view.newest();
-        let (topology, parent) = view.topology.merge(child)?;
-        let version = topology.version();
-        // Child-side linearization point: retire through the child's own
-        // log. Returns exactly the entries committed before the bump.
-        let retiring = &view.shards[child];
-        let (_, mut resps) = retiring.visit(retiring.seal_port(), |handle| {
-            handle.reconfigure(ShardCmd::Merge(MergeSpec { version }))
-        });
-        let outgoing = match resps.pop() {
-            Some(StoreResp::Entries(entries)) => entries,
-            other => {
-                unreachable!("a merge retirement answers with its migration set, got {other:?}")
-            }
-        };
-        // Parent-side linearization point: adopt through the parent's log
-        // (sealed — the dual-log anchor that also compacts the parent).
-        let adopter = &view.shards[parent];
-        let (_, resps) = adopter.visit(adopter.seal_port(), |handle| {
-            handle.reconfigure(ShardCmd::Adopt(AdoptSpec { version, entries: Arc::new(outgoing) }))
-        });
-        debug_assert!(
-            matches!(resps.first(), Some(StoreResp::Value(Some(_)))),
-            "an adoption answers with its entry count"
-        );
-        self.metrics.record_merge(version);
-        self.metrics.record_adopt();
-        self.view.supersede(StoreView { topology, shards: view.shards.clone() });
-        Ok(parent)
-    }
-
-    /// One act of the elasticity policy, which the store's owner delivers
-    /// as it calls [`Store::split_shard`] or [`Store::checkpoint`]: no
-    /// commit carries it. Under the admin lock, `engine` evaluates one read
-    /// of [`Store::snapshot_stats`] at the digests' summed heat (the unit
-    /// of its `min_window` and `cooldown`: every tier's cells and local
-    /// reads), and the store applies the one split or merge it decides, if
-    /// any. Returns the decision it applied, [`ElasticDecision::Hold`] if
-    /// none. The engine is the caller's, and so are the cadence and the
-    /// running totals ([`ElasticEngine::report`]).
-    #[progress(blocking)]
-    pub fn rebalance(&self, engine: &mut ElasticEngine) -> ElasticDecision {
-        let _admin = lock_unpoisoned(&self.admin);
-        let stats = self.snapshot_stats();
-        let heat = stats.iter().map(|d| d.commits).sum();
-        let decision = engine.evaluate(heat, &stats, &self.view.newest().topology);
-        let applied = match decision {
-            ElasticDecision::Split(shard) => self.split_locked(shard).is_ok(),
-            ElasticDecision::Merge(shard) => self.merge_locked(shard).is_ok(),
-            ElasticDecision::Hold => false,
-        };
-        self.metrics.record_elastic(decision, applied);
-        if !applied {
-            return ElasticDecision::Hold;
-        }
-        engine.note_reconfigured(decision, heat);
-        decision
-    }
-
-    /// Seals a checkpoint cell on every shard log and returns the sealed
-    /// per-shard states — the capture half of the
-    /// [`persist`](crate::persist) layer — paired with the topology they
-    /// were sealed under.
-    ///
-    /// Checkpoints ride the guest tier (the last port of each shard), so
-    /// sealing never contends with a VIP's exclusive port; placement is
-    /// lock-free — each failed attempt means a client batch committed
-    /// instead. The sealed prefix becomes reclaimable, and is freed once
-    /// every port of the shard has replayed past it.
-    /// Serializes with [`Store::split_shard`] so the snapshot's topology
-    /// always matches its sealed states.
-    #[progress(blocking)]
-    pub fn checkpoint(&self) -> crate::persist::StoreSnapshot {
-        let _admin = lock_unpoisoned(&self.admin);
-        let view = self.view.newest();
-        let shards = view
-            .shards
-            .iter()
-            .map(|shard| {
-                shard.visit(shard.seal_port(), |handle| {
-                    let log_index = handle.checkpoint();
-                    crate::persist::ShardSnapshot { log_index, state: handle.local_state().clone() }
-                })
-            })
-            .collect();
-        crate::persist::StoreSnapshot { topology: view.topology.clone(), shards }
     }
 
     /// Per-shard latest-checkpoint log indices (0 where no checkpoint was
@@ -1246,388 +843,23 @@ impl fmt::Debug for Store {
     }
 }
 
-/// A client session: the operation surface of the store.
-///
-/// Sessions are cheap (`ticket` + store reference) and a single ticket may
-/// open many sequential sessions; operations from sessions sharing a guest
-/// port serialize on that port's slot.
-///
-/// A session times each commit it makes into `store_commit_latency_ns`. By
-/// default each commit reads the clock at its start and at its end. A
-/// caller that has just read the clock can lend the session that reading
-/// ([`Client::lend_clock`]): each commit then starts at the session's
-/// reading and reads the clock once, at its end, and that end is the
-/// session's reading from then on ([`Client::clock`]).
-#[derive(Copy, Clone)]
-pub struct Client<'a> {
-    store: &'a Store,
-    ticket: ClientTicket,
-    /// The reading the session was lent, advanced to the end of each
-    /// commit since; `None` if it was never lent one.
-    clock: Option<Instant>,
-}
-
-impl Client<'_> {
-    /// This session's admission ticket.
-    #[progress(wait_free)]
-    pub fn ticket(&self) -> ClientTicket {
-        self.ticket
-    }
-
-    /// The session's progress class.
-    #[progress(wait_free)]
-    pub fn class(&self) -> ProgressClass {
-        self.ticket.class()
-    }
-
-    /// This session's own tier credential — what the in-process wrappers
-    /// put into the [`Request`] envelope.
-    #[progress(wait_free)]
-    pub fn credential(&self) -> TierCredential {
-        TierCredential::for_ticket(&self.ticket)
-    }
-
-    /// Lends the session the caller's latest clock reading, `now`. Each
-    /// commit from here on starts at the session's reading instead of
-    /// reading the clock, and reads it once, at its end; that end becomes
-    /// the session's reading, and it is where the next commit, and a
-    /// request's deadline, start. A session never lent a reading reads a
-    /// commit's start and end itself.
-    ///
-    /// ```
-    /// use std::time::Instant;
-    /// use apc_store::{Request, StoreBuilder, StoreOp};
-    ///
-    /// let store = StoreBuilder::new().shards(1).build().unwrap();
-    /// let mut client = store.client(store.admit_guest());
-    /// let lent = Instant::now();
-    /// client.lend_clock(lent);
-    /// client.request(Request::new(vec![StoreOp::Put("k".into(), 1)]));
-    /// // The commit's end reading is the session's now.
-    /// assert!(client.clock().unwrap() >= lent);
-    /// ```
-    #[progress(wait_free)]
-    pub fn lend_clock(&mut self, now: Instant) {
-        self.clock = Some(now);
-    }
-
-    /// The session's latest clock reading: the one it was lent, or the end
-    /// of its last commit since. `None` if it was never lent one.
-    #[progress(wait_free)]
-    pub fn clock(&self) -> Option<Instant> {
-        self.clock
-    }
-
-    /// **The unified entry point**: executes one [`Request`] envelope and
-    /// returns its [`Response`] — the same envelope the `apc-net` wire
-    /// codec serializes, so a request behaves identically whether it
-    /// arrived in process or over a connection.
-    ///
-    /// Routing, by the envelope's terms:
-    ///
-    /// * `retry_budget == `[`UNBOUNDED_RETRIES`] — the **waiting arm**:
-    ///   `Moved` retries wait (bounded, 60 s) for the re-planned topology
-    ///   to publish; this is what [`Client::execute`] wraps.
-    /// * finite `retry_budget` — the **non-blocking bounded arms**
-    ///   ([`Client::request_vip`] / [`Client::request_guest`]): no waits
-    ///   anywhere; a spent budget or deadline surfaces as the typed
-    ///   [`StoreError::RetryBudgetExhausted`] (the envelope's 429) instead
-    ///   of blocking. The wire front-end always takes these arms.
-    /// * `durability == `[`DurabilityClass::Sync`] — VIP-only; the
-    ///   response additionally waits for the covering fsync, and a failed
-    ///   flush downgrades applied operations to [`StoreError::Corrupt`]
-    ///   ("applied but not durably acknowledged").
-    ///
-    /// The in-process ticket is authoritative: a request whose credential
-    /// claims more than the session's admission is refused with
-    /// [`StoreError::GuestTier`] on every operation.
-    pub fn request(&mut self, req: Request) -> Response {
-        let vip = matches!(self.ticket.class(), ProgressClass::Vip);
-        // A guest's `Sync` is its arm's to refuse: nothing to wait for.
-        let sync = vip && matches!(req.durability, DurabilityClass::Sync);
-        if sync && self.store.wal().is_none() {
-            return Response::fail_all(req.ops.len(), StoreError::Unavailable { version: 0 });
-        }
-        let mut resp = if req.retry_budget == UNBOUNDED_RETRIES {
-            self.request_waiting(req)
-        } else if vip {
-            self.request_vip(req)
-        } else {
-            self.request_guest(req)
-        };
-        if sync {
-            self.await_durability(&mut resp);
-        }
-        resp
-    }
-
-    /// Why the guest arm refuses `req`, if it does: it serves guest
-    /// tickets only, and synchronous durability and a VIP credential are
-    /// both claims a guest ticket cannot back.
-    #[progress(wait_free)]
-    fn guest_refusal(&self, req: &Request) -> Option<StoreError> {
-        if self.ticket.class() != ProgressClass::Guest {
-            return Some(StoreError::GuestTier);
-        }
-        if matches!(req.durability, DurabilityClass::Sync) {
-            if let Some(wal) = self.store.wal() {
-                wal.metrics().record_sync_denied();
-            }
-            return Some(StoreError::GuestTier);
-        }
-        (req.credential.class() == ProgressClass::Vip).then_some(StoreError::GuestTier)
-    }
-
-    /// The **bounded VIP arm**: executes the envelope in a bounded number
-    /// of the caller's own steps — commits go through the exclusively
-    /// owned port (`Store::commit_vip`), and the `Moved` re-plan loop
-    /// never waits for a topology to publish: each round re-reads the
-    /// current view and spends one unit of the request's `retry_budget`,
-    /// so the budget is the a-priori step bound. A spent budget degrades
-    /// exactly the still-bounced operations to
-    /// [`StoreError::RetryBudgetExhausted`]; a deadline found expired at a
-    /// re-plan boundary degrades them to
-    /// [`StoreError::DeadlineExceeded`] instead — budget backpressure and
-    /// timeout are distinct, typed outcomes.
-    ///
-    /// This is the arm the `apc-net` reactor pins with `apc-lint`: the
-    /// wire front-end's VIP dispatch must stay on it, so no guest flood —
-    /// and no reconfiguration — can make a VIP connection wait. The
-    /// closures below are part of this body: one that named `commit_guest`
-    /// or `view_at_least` would be a `progress` finding against this fn.
-    ///
-    /// Synchronous durability note: this arm stamps WAL frames with the
-    /// requested class but never performs the (blocking) fsync wait
-    /// itself; [`Client::request`] adds it. A direct caller that needs
-    /// the sync acknowledgment must use [`Client::request`].
-    #[progress(bounded_wait_free)]
-    pub fn request_vip(&mut self, req: Request) -> Response {
-        let refusal = (self.ticket.class() != ProgressClass::Vip).then_some(StoreError::GuestTier);
-        let (store, port, durability) = (self.store, self.ticket.port(), req.durability);
-        only(store.replan(
-            Replan::new([(req, refusal)]),
-            &mut self.clock,
-            |shard, s, sub, clock| store.commit_vip(shard, s, port, sub, durability, clock),
-            |need| store.view_published(need),
-        ))
-    }
-
-    /// The **bounded guest arm**: [`Client::request_guest_many`] with one
-    /// envelope.
-    #[progress(obstruction_free)]
-    pub fn request_guest(&mut self, req: Request) -> Response {
-        only(self.request_guest_from([req]))
-    }
-
-    /// The **coalesced guest arm**, the obstruction-free twin of
-    /// [`Client::request_vip`]: commits queue behind the shared guest
-    /// port (`Store::commit_guest`), the `Moved` re-plan loop is the same
-    /// non-waiting, budget-bounded round, and many guest envelopes execute
-    /// as one planning-and-commit round — the combined operation list is planned
-    /// once and costs ~one log append per touched shard for the *whole
-    /// batch*, instead of one per envelope — while preserving every
-    /// envelope's own service terms. This is what the `apc-net` reactor
-    /// rides to batch the pipelined guest frames of one poll turn.
-    ///
-    /// Per-envelope semantics are kept intact:
-    ///
-    /// * each envelope's `retry_budget` is charged once per `Moved`
-    ///   re-plan round *it participates in* (envelopes whose operations
-    ///   all landed are never charged), and a spent budget degrades only
-    ///   that envelope's bounced operations to
-    ///   [`StoreError::RetryBudgetExhausted`];
-    /// * each envelope's `deadline_ms` is checked at the same re-plan
-    ///   boundaries and degrades its bounced operations to
-    ///   [`StoreError::DeadlineExceeded`];
-    /// * envelopes the guest tier must refuse (synchronous durability, a
-    ///   VIP over-claim) are refused individually with
-    ///   [`StoreError::GuestTier`] — they do not poison their batch-mates.
-    ///
-    /// Responses come back in envelope order, each with its results in
-    /// invocation order: observationally equivalent to dispatching the
-    /// envelopes one at a time, in order, on this session.
-    #[progress(obstruction_free)]
-    pub fn request_guest_many(&mut self, reqs: Vec<Request>) -> Vec<Response> {
-        self.request_guest_from(reqs).collect()
-    }
-
-    /// [`Client::request_guest_many`] over any source of envelopes, for a
-    /// caller that keeps its envelope buffer from round to round and hands
-    /// over `buffer.drain(..)` (the reactor, every turn). The responses
-    /// are built as they are taken, so a caller that answers each as it
-    /// comes holds no list of them.
-    #[progress(obstruction_free)]
-    pub fn request_guest_from(&mut self, reqs: impl IntoIterator<Item = Request>) -> Responses {
-        let (store, port) = (self.store, self.ticket.port());
-        let plan = Replan::new(reqs.into_iter().map(|req| {
-            let refusal = self.guest_refusal(&req);
-            (req, refusal)
-        }));
-        store.replan(
-            plan,
-            &mut self.clock,
-            |shard, s, sub, clock| {
-                store.commit_guest(shard, s, port, sub, DurabilityClass::Group, clock)
-            },
-            |need| store.view_published(need),
-        )
-    }
-
-    /// The **waiting arm**: `Moved` retries wait — bounded, see
-    /// [`Store::view_at_least`] — for the re-planned topology, and a
-    /// publish that never comes degrades to [`StoreError::Unavailable`].
-    /// Commits go through the session's own tier, and a guest session's
-    /// envelope is refused as its bounded arm would refuse it.
-    #[progress(blocking)]
-    fn request_waiting(&mut self, req: Request) -> Response {
-        let (class, port, durability) = (self.ticket.class(), self.ticket.port(), req.durability);
-        let refusal = match class {
-            ProgressClass::Vip => None,
-            ProgressClass::Guest => self.guest_refusal(&req),
-        };
-        let store = self.store;
-        only(store.replan(
-            Replan::new([(req, refusal)]),
-            &mut self.clock,
-            |shard, s, sub, clock| match class {
-                ProgressClass::Vip => store.commit_vip(shard, s, port, sub, durability, clock),
-                ProgressClass::Guest => store.commit_guest(shard, s, port, sub, durability, clock),
-            },
-            |need| store.view_at_least(need),
-        ))
-    }
-
-    /// The synchronous-durability tail of [`Client::request`]: waits for
-    /// the WAL flush covering the envelope's commits; a failed flush
-    /// downgrades every applied operation to [`StoreError::Corrupt`] —
-    /// "applied but not durably acknowledged", the same contract as a
-    /// failed [`Persister::persist`](crate::persist::Persister::persist).
-    #[progress(blocking)]
-    fn await_durability(&mut self, resp: &mut Response) {
-        let Some(wal) = self.store.wal() else { return }; // gated upstream; total anyway
-        if let Err(err) = wal.sync() {
-            let detail = format!("durability flush failed: {err}");
-            for slot in resp.results.iter_mut() {
-                if slot.is_ok() {
-                    *slot = Err(StoreError::Corrupt { detail: detail.clone() });
-                }
-            }
-        }
-    }
-
-    /// Executes a batch of operations, one log append per touched shard,
-    /// returning the envelope's per-operation results in invocation order.
-    ///
-    /// Sugar over [`Client::request`]: the envelope carries this session's
-    /// own credential, group durability, and an unbounded retry budget
-    /// (the waiting arm).
-    ///
-    /// If a shard split between planning and commit, the affected
-    /// operations bounce from their old shard (nothing applied); the
-    /// envelope's retry loop transparently re-plans exactly those
-    /// operations against the newly published topology and patches their
-    /// responses in place — already-applied operations are never
-    /// re-issued, so nothing commits twice and nothing is dropped.
-    ///
-    /// The class below is the **floor** over admitted tiers: a guest
-    /// session shares its port, so its commits queue behind the port
-    /// mutex. A VIP session's commits are bounded wait-free
-    /// (`Store::commit_vip`) except across a concurrent reconfiguration,
-    /// where the `Moved` retry waits (bounded) for the new topology to
-    /// publish; past the bound those operations come back
-    /// [`StoreError::Unavailable`] instead of hanging or aborting.
-    #[progress(obstruction_free)]
-    pub fn execute(&mut self, ops: Vec<StoreOp>) -> Vec<Result<StoreResp, StoreError>> {
-        let credential = self.credential();
-        self.request(Request::new(ops).credential(credential)).results
-    }
-
-    /// Executes one operation; `None` if it failed (see
-    /// [`Client::execute`] for the error).
-    fn execute_one(&mut self, op: StoreOp) -> Option<StoreResp> {
-        self.execute(vec![op]).pop()?.ok()
-    }
-
-    /// Reads `key`. `None` means absent — or, degenerately, that the
-    /// operation failed (use [`Client::execute`] to distinguish).
-    #[progress(obstruction_free)]
-    pub fn get(&mut self, key: &str) -> Option<u64> {
-        match self.execute_one(StoreOp::Get(key.into())) {
-            Some(StoreResp::Value(v)) => v,
-            _ => None,
-        }
-    }
-
-    /// Writes `key`, returning the previous value (`None` if absent or
-    /// failed — see [`Client::get`]).
-    #[progress(obstruction_free)]
-    pub fn put(&mut self, key: &str, value: u64) -> Option<u64> {
-        match self.execute_one(StoreOp::Put(key.into(), value)) {
-            Some(StoreResp::Value(v)) => v,
-            _ => None,
-        }
-    }
-
-    /// Removes `key`, returning the removed value (`None` if absent or
-    /// failed — see [`Client::get`]).
-    #[progress(obstruction_free)]
-    pub fn remove(&mut self, key: &str) -> Option<u64> {
-        match self.execute_one(StoreOp::Remove(key.into())) {
-            Some(StoreResp::Value(v)) => v,
-            _ => None,
-        }
-    }
-
-    /// Compare-and-set on `key`; returns `(ok, actual)`. A failed
-    /// operation reads as a failed CAS with `actual: None` — nothing was
-    /// applied (use [`Client::execute`] to distinguish).
-    #[progress(obstruction_free)]
-    pub fn cas(&mut self, key: &str, expect: Option<u64>, new: u64) -> (bool, Option<u64>) {
-        match self.execute_one(StoreOp::Cas { key: key.into(), expect, new }) {
-            Some(StoreResp::Cas { ok, actual }) => (ok, actual),
-            _ => (false, None),
-        }
-    }
-
-    /// Range scan over `[from, to)` merged across all shards, in key
-    /// order. A failed operation reads as an empty scan (use
-    /// [`Client::execute`] to distinguish).
-    #[progress(obstruction_free)]
-    pub fn scan(&mut self, from: &str, to: &str) -> Vec<(String, u64)> {
-        match self.execute_one(StoreOp::Scan { from: from.into(), to: to.into() }) {
-            Some(StoreResp::Entries(entries)) => entries,
-            _ => Vec::new(),
-        }
-    }
-}
-
-/// The response of a one-envelope run.
-fn only(mut responses: Responses) -> Response {
-    responses.next().unwrap_or(Response { results: Vec::new() })
-}
-
-impl fmt::Debug for Client<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Client")
-            .field("id", &self.ticket.id())
-            .field("class", &self.ticket.class())
-            .field("port", &self.ticket.port())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::elastic::ElasticityPolicy;
+    use crate::api::{Request, Response};
+    use std::sync::atomic::AtomicU64;
 
-    fn small_store(shards: usize) -> Store {
+    pub(super) fn small_store(shards: usize) -> Store {
         StoreBuilder::new().shards(shards).vip_capacity(2).guest_ports(4).build().unwrap()
     }
 
     /// The first `count` keys of the `key/NNNN` namespace that `topology`
     /// routes to `shard` — how a test aims its traffic at one shard.
-    fn keys_on_shard(topology: &ShardTopology, shard: usize, count: usize) -> Vec<String> {
+    pub(super) fn keys_on_shard(
+        topology: &ShardTopology,
+        shard: usize,
+        count: usize,
+    ) -> Vec<String> {
         // Nothing routes to a tombstone, so the unbounded scan below would
         // spin forever on a retired shard; fail loudly instead.
         assert!(topology.is_live(shard), "shard {shard} is retired; no key routes to it");
@@ -1636,17 +868,6 @@ mod tests {
             .filter(|k| topology.shard_of(k) == shard)
             .take(count)
             .collect()
-    }
-
-    /// A shard log's cell is inline in its 64-cell segment, so its size is
-    /// what every committed write keeps of it: the decision slot, one `⊥`
-    /// pointer of guest rounds, the at-most-once mask and the liveness spec.
-    #[test]
-    fn a_log_cell_is_at_most_40_bytes() {
-        type Cell = apc_core::consensus::AsymmetricConsensus<
-            apc_universal::LogRecordOf<crate::ops::ShardSpec>,
-        >;
-        assert!(size_of::<Cell>() <= 40, "a log cell is {} B", size_of::<Cell>());
     }
 
     #[test]
@@ -1662,96 +883,6 @@ mod tests {
     #[test]
     fn zero_shards_rejected() {
         assert!(StoreBuilder::new().shards(0).build().is_err());
-    }
-
-    #[test]
-    fn vip_and_guest_sessions_see_each_other() {
-        let store = small_store(2);
-        let vip = store.admit_vip().unwrap();
-        let guest = store.admit_guest();
-        let mut v = store.client(vip);
-        let mut g = store.client(guest);
-        assert_eq!(v.put("alpha", 1), None);
-        assert_eq!(g.get("alpha"), Some(1));
-        assert_eq!(g.put("alpha", 2), Some(1));
-        assert_eq!(v.get("alpha"), Some(2));
-    }
-
-    #[test]
-    fn batches_span_shards_and_keep_invocation_order() {
-        let store = small_store(3);
-        let mut c = store.client(store.admit_guest());
-        let ops: Vec<StoreOp> = (0..12).map(|i| StoreOp::Put(format!("k{i}"), i)).collect();
-        let resps = c.execute(ops);
-        assert_eq!(resps.len(), 12);
-        assert!(resps.iter().all(|r| *r == Ok(StoreResp::Value(None))));
-        let mut check = store.client(store.admit_guest());
-        let all = check.scan("", "z");
-        assert_eq!(all.len(), 12);
-    }
-
-    #[test]
-    fn cas_is_atomic_per_key() {
-        let store = small_store(2);
-        let mut c = store.client(store.admit_vip().unwrap());
-        assert_eq!(c.cas("n", None, 1), (true, None));
-        assert_eq!(c.cas("n", None, 2), (false, Some(1)));
-        assert_eq!(c.cas("n", Some(1), 2), (true, Some(1)));
-        assert_eq!(c.get("n"), Some(2));
-    }
-
-    #[test]
-    fn guests_sharing_a_port_serialize_but_succeed() {
-        // 1 guest port, many guest clients: all multiplex onto the same
-        // port and every operation still commits.
-        let store = StoreBuilder::new().shards(1).vip_capacity(1).guest_ports(1).build().unwrap();
-        let tickets: Vec<_> = (0..4).map(|_| store.admit_guest()).collect();
-        assert!(tickets.windows(2).all(|w| w[0].port() == w[1].port()));
-        std::thread::scope(|s| {
-            for (i, t) in tickets.iter().enumerate() {
-                let store = &store;
-                s.spawn(move || {
-                    let mut c = store.client(*t);
-                    for j in 0..10 {
-                        c.put(&format!("g{i}/{j}"), j);
-                    }
-                });
-            }
-        });
-        let mut check = store.client(store.admit_vip().unwrap());
-        assert_eq!(check.scan("", "z").len(), 40);
-    }
-
-    #[test]
-    fn concurrent_counter_is_exact_via_cas() {
-        // Contended CAS increments across classes: the final value equals
-        // the number of successful CASes (no lost updates).
-        let store = small_store(2);
-        let vip = store.admit_vip().unwrap();
-        let guests: Vec<_> = (0..3).map(|_| store.admit_guest()).collect();
-        let success = std::sync::atomic::AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for t in guests.iter().copied().chain([vip]) {
-                let store = &store;
-                let success = &success;
-                s.spawn(move || {
-                    let mut c = store.client(t);
-                    for _ in 0..25 {
-                        loop {
-                            let cur = c.get("ctr");
-                            let next = cur.unwrap_or(0) + 1;
-                            if c.cas("ctr", cur, next).0 {
-                                success.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                break;
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        let mut check = store.client(store.admit_guest());
-        assert_eq!(check.get("ctr"), Some(100));
-        assert_eq!(success.load(std::sync::atomic::Ordering::Relaxed), 100);
     }
 
     #[test]
@@ -2015,309 +1146,11 @@ mod tests {
     }
 
     #[test]
-    fn removed_keys_disappear_from_scans() {
-        let store = small_store(2);
-        let mut c = store.client(store.admit_vip().unwrap());
-        c.put("a", 1);
-        c.put("b", 2);
-        assert_eq!(c.remove("a"), Some(1));
-        assert_eq!(c.scan("", "z"), vec![("b".to_string(), 2)]);
-        assert_eq!(c.remove("a"), None);
-    }
-
-    #[test]
     fn debug_renders() {
         let store = small_store(1);
         let c = store.client(store.admit_guest());
         assert!(format!("{store:?}").contains("Store"));
         assert!(format!("{c:?}").contains("Guest"));
-    }
-
-    #[test]
-    fn split_preserves_every_key_and_rebalances() {
-        let store = small_store(2);
-        let mut c = store.client(store.admit_vip().unwrap());
-        for i in 0..64 {
-            c.put(&format!("key/{i:02}"), i);
-        }
-        let before = store.client(store.admit_guest()).scan("", "z");
-        let hot = store.hottest_shard();
-        let child = store.split_shard(hot).unwrap();
-        assert_eq!(child, 2, "splits append");
-        assert_eq!(store.shards(), 3);
-        assert_eq!(store.topology().version(), 1);
-        // Nothing lost, nothing duplicated, order preserved.
-        assert_eq!(store.client(store.admit_guest()).scan("", "z"), before);
-        // The child actually owns keys now, and routing agrees with data.
-        let stats = store.snapshot_stats();
-        assert!(stats[child].entries > 0, "the split must migrate keys to the child");
-        for i in 0..64 {
-            let key = format!("key/{i:02}");
-            assert_eq!(c.get(&key), Some(i), "{key} survives the split");
-        }
-        // Point ops keep landing on the right shards post-split.
-        assert_eq!(c.put("post-split", 7), None);
-        assert_eq!(c.get("post-split"), Some(7));
-    }
-
-    #[test]
-    fn split_of_missing_shard_is_a_typed_error() {
-        let store = small_store(1);
-        assert_eq!(store.split_shard(5), Err(SplitError::NoSuchShard { shard: 5, shards: 1 }));
-        assert!(store.split_shard(5).unwrap_err().to_string().contains("no shard 5"));
-    }
-
-    #[test]
-    fn splits_stack_and_children_can_split() {
-        let store = small_store(1);
-        let mut c = store.client(store.admit_vip().unwrap());
-        for i in 0..96 {
-            c.put(&format!("k/{i:03}"), i);
-        }
-        let c1 = store.split_shard(0).unwrap();
-        let c2 = store.split_shard(0).unwrap();
-        let c3 = store.split_shard(c1).unwrap();
-        assert_eq!((c1, c2, c3), (1, 2, 3));
-        assert_eq!(store.topology().version(), 3);
-        let all = store.client(store.admit_guest()).scan("", "z");
-        assert_eq!(all.len(), 96, "three stacked splits lose nothing");
-        let entries: u64 = store.snapshot_stats().iter().map(|d| d.entries).sum();
-        assert_eq!(entries, 96);
-    }
-
-    #[test]
-    fn split_races_concurrent_commits_without_loss_or_duplication() {
-        // Writers hammer disjoint keys while the hot shard splits mid-run:
-        // every put must survive exactly once, every CAS total stays exact.
-        let store = small_store(2);
-        let vip = store.admit_vip().unwrap();
-        let guests: Vec<_> = (0..3).map(|_| store.admit_guest()).collect();
-        let success = std::sync::atomic::AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for (w, t) in guests.iter().copied().chain([vip]).enumerate() {
-                let store = &store;
-                let success = &success;
-                s.spawn(move || {
-                    let mut c = store.client(t);
-                    for i in 0..40 {
-                        c.put(&format!("w{w}/{i:02}"), i);
-                        loop {
-                            let cur = c.get("shared/ctr");
-                            if c.cas("shared/ctr", cur, cur.unwrap_or(0) + 1).0 {
-                                success.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                break;
-                            }
-                        }
-                    }
-                });
-            }
-            let store = &store;
-            s.spawn(move || {
-                // Split both original shards while the writers run.
-                store.split_shard(0).unwrap();
-                store.split_shard(1).unwrap();
-            });
-        });
-        assert_eq!(store.shards(), 4);
-        let mut check = store.client(store.admit_guest());
-        let puts = check.scan("w", "x");
-        assert_eq!(puts.len(), 4 * 40, "every put survives the splits exactly once");
-        assert_eq!(check.get("shared/ctr"), Some(160));
-        assert_eq!(success.load(std::sync::atomic::Ordering::Relaxed), 160);
-        // The audit dashboards agree with the data.
-        let entries: u64 = store.snapshot_stats().iter().map(|d| d.entries).sum();
-        assert_eq!(entries, check.scan("", "z").len() as u64);
-    }
-
-    #[test]
-    fn merge_preserves_every_key_and_restores_placement() {
-        let store = small_store(2);
-        let mut c = store.client(store.admit_vip().unwrap());
-        for i in 0..64 {
-            c.put(&format!("key/{i:02}"), i);
-        }
-        let placement_before: Vec<usize> =
-            (0..64).map(|i| store.shard_of(&format!("key/{i:02}"))).collect();
-        let before = store.client(store.admit_guest()).scan("", "z");
-        let child = store.split_shard(0).unwrap();
-        let parent = store.merge_shard(child).unwrap();
-        assert_eq!(parent, 0);
-        assert_eq!(store.shards(), 3, "the tombstone keeps its slot");
-        assert_eq!(store.live_shards(), 2);
-        assert_eq!(store.topology().version(), 2);
-        // Nothing lost, nothing duplicated, order preserved.
-        assert_eq!(store.client(store.admit_guest()).scan("", "z"), before);
-        // Placement is exactly what it was before the split.
-        for (i, &was) in placement_before.iter().enumerate() {
-            let key = format!("key/{i:02}");
-            assert_eq!(store.shard_of(&key), was, "{key} must route as before the split");
-            assert_eq!(c.get(&key), Some(i as u64), "{key} survives the round-trip");
-        }
-        // The tombstone holds no data; the stats dashboards agree.
-        let stats = store.snapshot_stats();
-        assert_eq!(stats[child].entries, 0, "the retired child drained everything");
-        let entries: u64 = stats.iter().map(|d| d.entries).sum();
-        assert_eq!(entries, 64);
-        // The store keeps serving and splitting after a merge.
-        assert_eq!(c.put("post-merge", 7), None);
-        assert_eq!(c.get("post-merge"), Some(7));
-        let next = store.split_shard(0).unwrap();
-        assert_eq!(next, 3, "tombstoned slots are never reused");
-    }
-
-    #[test]
-    fn merge_and_split_of_ineligible_shards_are_typed_errors() {
-        let store = small_store(2);
-        assert_eq!(
-            store.merge_shard(9),
-            Err(crate::router::MergeError::NoSuchShard { shard: 9, shards: 2 })
-        );
-        assert_eq!(store.merge_shard(1), Err(crate::router::MergeError::RootShard { shard: 1 }));
-        let child = store.split_shard(0).unwrap();
-        store.merge_shard(child).unwrap();
-        assert_eq!(
-            store.merge_shard(child),
-            Err(crate::router::MergeError::AlreadyRetired { shard: child })
-        );
-        assert_eq!(store.split_shard(child), Err(SplitError::RetiredShard { shard: child }));
-        assert!(store.split_shard(child).unwrap_err().to_string().contains("retired"));
-    }
-
-    #[test]
-    fn merge_races_concurrent_commits_without_loss_or_duplication() {
-        // Writers hammer disjoint keys while a split and its inverse merge
-        // land mid-run: every put survives exactly once, the CAS total
-        // stays exact, and the final placement equals the pre-split one.
-        let store = small_store(2);
-        let vip = store.admit_vip().unwrap();
-        let guests: Vec<_> = (0..3).map(|_| store.admit_guest()).collect();
-        let success = std::sync::atomic::AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for (w, t) in guests.iter().copied().chain([vip]).enumerate() {
-                let store = &store;
-                let success = &success;
-                s.spawn(move || {
-                    let mut c = store.client(t);
-                    for i in 0..40 {
-                        c.put(&format!("w{w}/{i:02}"), i);
-                        loop {
-                            let cur = c.get("shared/ctr");
-                            if c.cas("shared/ctr", cur, cur.unwrap_or(0) + 1).0 {
-                                success.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                break;
-                            }
-                        }
-                    }
-                });
-            }
-            let store = &store;
-            s.spawn(move || {
-                let child = store.split_shard(0).unwrap();
-                std::thread::yield_now();
-                store.merge_shard(child).unwrap();
-            });
-        });
-        assert_eq!(store.shards(), 3);
-        assert_eq!(store.live_shards(), 2, "the topology round-tripped");
-        let mut check = store.client(store.admit_guest());
-        let puts = check.scan("w", "x");
-        assert_eq!(puts.len(), 4 * 40, "every put survives the split+merge exactly once");
-        assert_eq!(check.get("shared/ctr"), Some(160));
-        assert_eq!(success.load(std::sync::atomic::Ordering::Relaxed), 160);
-        let entries: u64 = store.snapshot_stats().iter().map(|d| d.entries).sum();
-        assert_eq!(entries, check.scan("", "z").len() as u64);
-    }
-
-    /// The policy the elasticity tests rebalance by: a 32-heat window and
-    /// a 64-heat cool-down, so the tests stay fast. A single-threaded
-    /// client round-robins its keys, so windows this small are burst-free.
-    fn melt_policy() -> ElasticityPolicy {
-        ElasticityPolicy { cooldown: 64, min_window: 32 }
-    }
-
-    /// Runs `round` and then one [`Store::rebalance`] until the engine
-    /// applies a split; returns the rounds it took.
-    fn rounds_until_split(
-        store: &Store,
-        engine: &mut ElasticEngine,
-        mut round: impl FnMut(u64),
-    ) -> u64 {
-        for rounds in 0..500 {
-            round(rounds);
-            if let ElasticDecision::Split(_) = store.rebalance(engine) {
-                return rounds + 1;
-            }
-        }
-        panic!("500 rounds of melt and rebalance, and no split");
-    }
-
-    #[test]
-    fn elastic_store_auto_splits_on_melt_and_auto_merges_on_cool() {
-        let store = StoreBuilder::new().shards(4).vip_capacity(1).guest_ports(2).build().unwrap();
-        let mut engine = ElasticEngine::new(melt_policy());
-        let mut c = store.client(store.admit_guest());
-        // Melt: hammer keys that all live on one shard under the fresh
-        // topology. The engine must split it with no manual choice.
-        let hot_keys = keys_on_shard(&store.topology(), 0, 4);
-        rounds_until_split(&store, &mut engine, |round| {
-            for key in &hot_keys {
-                c.put(key, round);
-            }
-        });
-        assert!(store.live_shards() > 4, "the engine grew the topology");
-        let grown = store.shards();
-        // Cool: move every bit of traffic to shards 1..: the children of
-        // shard 0 go cold and the engine must retire them, unwinding to
-        // the original live set.
-        let cool_keys: Vec<String> =
-            (1..4).flat_map(|s| keys_on_shard(&store.topology(), s, 3)).collect();
-        let mut rounds = 0;
-        while store.live_shards() > 4 {
-            for key in &cool_keys {
-                c.put(key, rounds);
-            }
-            store.rebalance(&mut engine);
-            rounds += 1;
-            assert!(rounds < 2000, "fading load must trigger the merges");
-        }
-        let report = engine.report();
-        assert!(report.splits >= 1);
-        assert!(report.merges >= 1);
-        assert_eq!(store.live_shards(), 4, "the topology converged back");
-        assert_eq!(store.shards(), grown, "tombstones keep their slots");
-        // The data survived the whole elastic episode.
-        for key in &hot_keys {
-            assert!(c.get(key).is_some(), "{key} survives the split and the merge");
-        }
-    }
-
-    /// A panic under the admin lock costs only its own operation. The
-    /// thread below dies where a reconfiguration would, holding the admin
-    /// lock: afterwards splits, merges and checkpoints still run, and
-    /// [`Store::rebalance`] still splits a melting shard.
-    #[test]
-    fn a_poisoned_admin_lock_costs_only_its_own_operation() {
-        let store = StoreBuilder::new().shards(4).vip_capacity(1).guest_ports(2).build().unwrap();
-        let joined = std::thread::scope(|s| {
-            s.spawn(|| {
-                let _admin = store.admin.lock().unwrap();
-                panic!("a reconfiguration panics under the admin lock");
-            })
-            .join()
-        });
-        assert!(joined.is_err() && store.admin.is_poisoned());
-        let child = store.split_shard(0).unwrap();
-        assert_eq!(store.merge_shard(child).unwrap(), 0);
-        assert_eq!(store.checkpoint().shards.len(), 5);
-        let mut engine = ElasticEngine::new(melt_policy());
-        let mut c = store.client(store.admit_guest());
-        let hot_keys = keys_on_shard(&store.topology(), 1, 4);
-        rounds_until_split(&store, &mut engine, |round| {
-            for key in &hot_keys {
-                c.put(key, round);
-            }
-        });
-        assert!(store.live_shards() > 4);
     }
 
     /// A scratch file under the workspace target dir, unique per test.
@@ -2326,37 +1159,6 @@ mod tests {
             .join("../../target/tmp-unit-tests");
         std::fs::create_dir_all(&dir).expect("scratch dir");
         dir.join(name)
-    }
-
-    #[test]
-    fn checkpoint_seals_every_shard_and_publishes_anchors() {
-        let store = small_store(3);
-        let mut c = store.client(store.admit_vip().unwrap());
-        for i in 0..24 {
-            c.put(&format!("k{i}"), i);
-        }
-        assert_eq!(store.anchor_indices(), vec![0, 0, 0]);
-        let snapshot = store.checkpoint();
-        assert_eq!(snapshot.shards.len(), 3);
-        assert_eq!(snapshot.entries(), 24, "sealed states cover every committed key");
-        let (anchors, stats) = (store.anchor_indices(), store.snapshot_stats());
-        for (s, anchor) in anchors.iter().enumerate() {
-            assert_eq!(
-                *anchor,
-                snapshot.shards[s].log_index + 1,
-                "anchor points past shard {s}'s checkpoint cell"
-            );
-            // No reads so far, so heat is cells alone.
-            assert_eq!(
-                stats[s].commits,
-                snapshot.shards[s].log_index + 1,
-                "shard {s}'s seal published its digest"
-            );
-        }
-        // The store keeps serving after a checkpoint.
-        assert_eq!(c.get("k3"), Some(3));
-        c.put("post", 99);
-        assert_eq!(c.get("post"), Some(99));
     }
 
     #[test]
@@ -2505,58 +1307,8 @@ mod tests {
         assert_eq!(answer, Ok(steps), "replay_steps waited on a VIP's port");
     }
 
-    #[test]
-    fn request_guest_many_matches_sequential_dispatch() {
-        let batched_store = small_store(2);
-        let sequential_store = small_store(2);
-        let envelopes = || {
-            vec![
-                Request::new(vec![StoreOp::Put("m/a".into(), 1), StoreOp::Get("m/b".into())]),
-                Request::new(vec![StoreOp::Put("m/b".into(), 2), StoreOp::Get("m/a".into())]),
-                Request::new(vec![
-                    StoreOp::Cas { key: "m/a".into(), expect: Some(1), new: 9 },
-                    StoreOp::Remove("m/b".into()),
-                    StoreOp::Get("m/a".into()),
-                ]),
-            ]
-        };
-        let mut batched = batched_store.client(batched_store.admit_guest());
-        let got = batched.request_guest_many(envelopes());
-        let mut sequential = sequential_store.client(sequential_store.admit_guest());
-        let want: Vec<Response> =
-            envelopes().into_iter().map(|req| sequential.request_guest(req)).collect();
-        assert_eq!(got, want, "one coalesced round ≡ one envelope at a time");
-        // Cross-envelope visibility inside the batch: envelope 2's Cas
-        // saw envelope 0's Put, its Get sees its own Cas.
-        assert_eq!(got[2].results[0], Ok(StoreResp::Cas { ok: true, actual: Some(1) }));
-        assert_eq!(got[2].results[2], Ok(StoreResp::Value(Some(9))));
-    }
-
-    #[test]
-    fn every_guest_arm_refuses_sync_and_vip_claims_one_envelope_at_a_time() {
-        let store = small_store(1);
-        let mut c = store.client(store.admit_guest());
-        let put = |k: &str| Request::new(vec![StoreOp::Put(k.into(), 1)]).retry_budget(4);
-        let refused = Response::fail_all(1, StoreError::GuestTier);
-        let claims: [fn(Request) -> Request; 2] = [
-            |r| r.durability(DurabilityClass::Sync),
-            |r| r.credential(TierCredential::Vip { token: 7 }),
-        ];
-        let mut vip = store.client(store.admit_vip().unwrap());
-        assert_eq!(vip.request_guest_many(vec![put("v")]), vec![refused.clone()]);
-        assert_eq!(c.request_vip(put("v")), refused, "and neither session has the other's arm");
-        for claim in claims {
-            assert_eq!(c.request(claim(put("x"))), refused);
-            assert_eq!(c.request_guest(claim(put("x"))), refused, "the n = 1 fold");
-            let got = c.request_guest_many(vec![put("a"), claim(put("x")), put("a")]);
-            assert_eq!(got[1], refused, "refused alone, not with its batch-mates");
-            assert_eq!(got[2].results, vec![Ok(StoreResp::Value(Some(1)))], "which ran, in order");
-            assert_eq!(c.get("x"), None, "the refused envelope committed nothing");
-        }
-    }
-
     /// Every port's replay cursor on every shard, `[shard][port]`.
-    fn cursors(store: &Store) -> Vec<Vec<u64>> {
+    pub(super) fn cursors(store: &Store) -> Vec<Vec<u64>> {
         store
             .view
             .newest()
@@ -2566,12 +1318,12 @@ mod tests {
             .collect()
     }
 
-    fn tier_counter(store: &Store, name: &str) -> u64 {
+    pub(super) fn tier_counter(store: &Store, name: &str) -> u64 {
         let snap = store.scrape();
         ["vip", "guest"].iter().map(|t| snap.value(name, &[("tier", t)]).unwrap()).sum()
     }
 
-    fn reads(keys: &[String]) -> Request {
+    pub(super) fn reads(keys: &[String]) -> Request {
         Request::new(keys.iter().cloned().map(StoreOp::Get).collect()).retry_budget(8)
     }
 
@@ -2624,92 +1376,6 @@ mod tests {
         vip.put(&keys[0], 99);
         assert_eq!(cursors(&store)[shard][vip.ticket().port()], tail + 1);
         assert_eq!(guest.get(&keys[0]), Some(99), "the other port catches up by reading");
-    }
-
-    /// A VIP port's guest voice commits through the VIP's own slot: the
-    /// VIP's replica absorbs each of the voice's cells once, as it writes
-    /// it, so the VIP's next reads replay none of them. The voice's rounds
-    /// are guest rounds, refused what a guest is refused.
-    #[test]
-    fn a_guest_voice_commits_through_the_vip_replica() {
-        let store = small_store(2);
-        let ticket = store.admit_vip().unwrap();
-        let voice_ticket = store.guest_voice(ticket).unwrap();
-        assert_eq!(store.guest_voice(store.admit_guest()), None);
-        assert_eq!(voice_ticket.port(), store.admission().ports() + ticket.port());
-        let (mut vip, mut voice) = (store.client(ticket), store.client(voice_ticket));
-        let keys: Vec<String> = (0..32).map(|i| format!("v/{i:02}")).collect();
-        let guest_rounds0 = store.scrape().value("store_commits_total", &[("tier", "guest")]);
-        let steps0 = store.replay_steps();
-        for (i, k) in keys.iter().enumerate() {
-            assert_eq!(voice.put(k, i as u64), None);
-        }
-        let guest_rounds = store.scrape().value("store_commits_total", &[("tier", "guest")]);
-        assert_eq!(
-            guest_rounds.unwrap() - guest_rounds0.unwrap(),
-            32,
-            "a voice round is a guest's"
-        );
-        assert_eq!(
-            store.replay_steps() - steps0,
-            32,
-            "each cell absorbed once, by the one replica"
-        );
-        let tails: Vec<u64> = store.view.newest().shards.iter().map(|sh| sh.log.tail()).collect();
-        let vip_cursors: Vec<u64> = cursors(&store).iter().map(|c| c[ticket.port()]).collect();
-        assert_eq!(vip_cursors, tails, "the VIP's slot is at every tail");
-        let vip_replayed =
-            |s: &Store| s.scrape().value("store_replayed_cells_total", &[("tier", "vip")]).unwrap();
-        let before = vip_replayed(&store);
-        let want: Vec<_> = (0..32).map(|i| Ok(StoreResp::Value(Some(i)))).collect();
-        assert_eq!(vip.request_vip(reads(&keys)).results, want);
-        assert_eq!(vip_replayed(&store), before, "the VIP replays none of its voice's cells");
-        // A voice is a guest ticket: no synchronous durability, no VIP claim.
-        let put = Request::new(vec![StoreOp::Put("v/x".into(), 1)]).retry_budget(4);
-        let refused = Response::fail_all(1, StoreError::GuestTier);
-        assert_eq!(voice.request_guest(put.clone().durability(DurabilityClass::Sync)), refused);
-        assert_eq!(voice.request_vip(put), refused);
-    }
-
-    /// A VIP port's guest voice commits through the VIP's slot, and its
-    /// cells are heat like any other: [`Store::rebalance`] splits the shard
-    /// the voice melts, and the VIP reads every key across the split.
-    #[test]
-    fn a_voices_commits_are_heat_that_rebalance_acts_on() {
-        let store = StoreBuilder::new().shards(4).vip_capacity(1).guest_ports(2).build().unwrap();
-        let mut engine = ElasticEngine::new(melt_policy());
-        let vip = store.admit_vip().unwrap();
-        let mut c = store.client(store.guest_voice(vip).unwrap());
-        let hot_keys = keys_on_shard(&store.topology(), 0, 4);
-        let rounds = rounds_until_split(&store, &mut engine, |round| {
-            for key in &hot_keys {
-                c.put(key, round);
-            }
-        });
-        assert!(store.live_shards() > 4);
-        for key in &hot_keys {
-            assert_eq!(store.client(vip).get(key), Some(rounds - 1), "{key} survives the split");
-        }
-    }
-
-    /// Heat counts every tier: a shard that only VIPs write melts, and
-    /// [`Store::rebalance`] splits it. No VIP commit did any of that work.
-    #[test]
-    fn a_vip_only_melt_is_rebalanced() {
-        let store = StoreBuilder::new().shards(4).vip_capacity(1).guest_ports(2).build().unwrap();
-        let mut engine = ElasticEngine::new(melt_policy());
-        let mut vip = store.client(store.admit_vip().unwrap());
-        let hot_keys = keys_on_shard(&store.topology(), 3, 4);
-        rounds_until_split(&store, &mut engine, |round| {
-            for key in &hot_keys {
-                vip.put(key, round);
-            }
-        });
-        assert_eq!(engine.report().splits, 1);
-        assert_eq!(store.live_shards(), 5);
-        for key in &hot_keys {
-            assert!(vip.get(key).is_some(), "{key} survives the split");
-        }
     }
 
     #[test]
@@ -2815,180 +1481,5 @@ mod tests {
         assert_eq!(landed[0], vec![Ok(StoreResp::Value(None))], "the put did not land twice");
         assert_eq!(landed[1], vec![Ok(StoreResp::Value(None)), Ok(cas)], "the CAS saw the put");
         assert_eq!((c.get(&k[0]), c.get(&k[1])), (Some(1), Some(3)));
-    }
-
-    /// Runs `issue` — a read of `keys` through one request arm — so that it
-    /// plans under the pre-split view and reaches its port only after the
-    /// split: the reader is parked on its port's lock, which this thread
-    /// holds across the split. Returns what the arm answered.
-    fn read_across_a_split(
-        store: &Store,
-        ticket: ClientTicket,
-        issue: impl Fn(&mut Client<'_>) -> Response + Sync,
-    ) -> Response {
-        let tier = if ticket.class() == ProgressClass::Vip { "vip" } else { "guest" };
-        let moved =
-            |s: &Store| s.scrape().value("store_moved_ops_total", &[("tier", tier)]).unwrap();
-        for _ in 0..50 {
-            let before = moved(store);
-            let live = store.topology();
-            let victim = (0..live.shards()).find(|&s| live.is_live(s)).unwrap();
-            let view = store.view.newest();
-            assert_ne!(ticket.port(), view.shards[victim].ports.len() - 1, "the driver's port");
-            let parked = view.shards[victim].ports[ticket.port()].lock().unwrap();
-            let go = std::sync::Barrier::new(2);
-            let resp = std::thread::scope(|s| {
-                let reader = s.spawn(|| {
-                    go.wait();
-                    issue(&mut store.client(ticket))
-                });
-                go.wait();
-                // Not load-bearing: it only makes it likely that the reader
-                // has planned by now. If it had not, nothing bounces and
-                // the loop goes round again.
-                std::thread::sleep(Duration::from_millis(5));
-                let child = store.split_shard(victim).unwrap();
-                drop(parked);
-                let resp = reader.join().unwrap();
-                store.merge_shard(child).unwrap();
-                resp
-            });
-            if moved(store) > before {
-                return resp;
-            }
-        }
-        panic!("the reader never planned before the split in 50 attempts");
-    }
-
-    #[test]
-    fn stale_read_plans_return_through_every_replan_loop() {
-        let store = small_store(1);
-        let vip = store.admit_vip().unwrap();
-        let guest = std::iter::repeat_with(|| store.admit_guest())
-            .find(|t| t.port() != store.admission().ports() - 1)
-            .unwrap();
-        let keys: Vec<String> = (0..16).map(|i| format!("s/{i:02}")).collect();
-        let mut c = store.client(vip);
-        for (i, k) in keys.iter().enumerate() {
-            c.put(k, i as u64);
-        }
-        let want: Vec<_> = (0..16).map(|i| Ok(StoreResp::Value(Some(i)))).collect();
-        let local0 = tier_counter(&store, "store_local_reads_total");
-
-        let got = read_across_a_split(&store, vip, |c| c.request_vip(reads(&keys)));
-        assert_eq!(got.results, want, "VIP arm");
-        let got = read_across_a_split(&store, guest, |c| c.request_guest(reads(&keys)));
-        assert_eq!(got.results, want, "guest arm");
-        let got = read_across_a_split(&store, guest, |c| {
-            let mut many = c.request_guest_many(vec![reads(&keys[..8]), reads(&keys[8..])]);
-            let tail = many.pop().unwrap();
-            let mut head = many.pop().unwrap();
-            head.results.extend(tail.results);
-            head
-        });
-        assert_eq!(got.results, want, "coalesced guest arm");
-        let got = read_across_a_split(&store, vip, |c| {
-            c.request(Request::new(vec![StoreOp::Scan { from: "s/".into(), to: "s/99".into() }]))
-        });
-        let all: Vec<_> = keys.iter().cloned().zip(0..).collect();
-        assert_eq!(got.results, vec![Ok(StoreResp::Entries(all))], "waiting arm, a scan");
-        assert!(tier_counter(&store, "store_local_reads_total") > local0, "and none took a cell");
-    }
-
-    #[test]
-    fn a_deadline_spent_parked_on_a_port_expires_at_the_replan_boundary() {
-        // The reader's clock starts before its first round, so the 5 ms it
-        // waits on its port's lock count against its 1 ms deadline when
-        // the round comes back bounced: the bounced slots expire at the
-        // re-plan boundary instead of being retried, and the rest land.
-        let store = small_store(2);
-        let vip = store.admit_vip().unwrap();
-        let keys: Vec<String> = (0..16).map(|i| format!("s/{i:02}")).collect();
-        let mut c = store.client(vip);
-        for (i, k) in keys.iter().enumerate() {
-            c.put(k, i as u64);
-        }
-        let got = read_across_a_split(&store, vip, |c| c.request_vip(reads(&keys).deadline_ms(1)));
-        let victim = (0..store.topology().shards()).find(|&s| store.topology().is_live(s));
-        let parked: Vec<bool> = keys.iter().map(|k| Some(store.shard_of(k)) == victim).collect();
-        assert!(parked.contains(&true) && parked.contains(&false), "both shards hold keys");
-        for ((result, parked), value) in got.results.iter().zip(parked).zip(0..) {
-            let want = if parked {
-                Err(StoreError::DeadlineExceeded { deadline_ms: 1 })
-            } else {
-                Ok(StoreResp::Value(Some(value)))
-            };
-            assert_eq!(result, &want);
-        }
-    }
-
-    #[test]
-    fn a_read_only_melt_is_heat_and_trips_an_auto_split() {
-        let store = StoreBuilder::new().shards(4).vip_capacity(1).guest_ports(2).build().unwrap();
-        let mut engine = ElasticEngine::new(melt_policy());
-        let mut c = store.client(store.admit_guest());
-        let hot_keys = keys_on_shard(&store.topology(), 2, 4);
-        for key in &hot_keys {
-            c.put(key, 7);
-        }
-        assert_eq!(store.hottest_shard(), 2);
-        let cells = cursors(&store);
-        // Reads alone move the detector to another shard...
-        let other = keys_on_shard(&store.topology(), 1, 1);
-        for _ in 0..8 {
-            assert_eq!(c.get(&other[0]), None);
-        }
-        assert_eq!(store.hottest_shard(), 1);
-        // ...and reads alone melt shard 2 until a rebalance splits it.
-        rounds_until_split(&store, &mut engine, |_| {
-            for key in &hot_keys {
-                assert_eq!(c.get(key), Some(7));
-            }
-        });
-        assert!(store.live_shards() > 4);
-        assert_eq!(cursors(&store)[1], cells[1], "shard 1 took reads and no cell");
-    }
-
-    /// The commit-latency histogram of `tier`: (observations, sum).
-    fn commit_latency(store: &Store, tier: &str) -> (u64, u64) {
-        let snap = store.scrape();
-        let h = snap.histogram("store_commit_latency_ns", &[("tier", tier)]).unwrap();
-        (h.count, h.sum)
-    }
-
-    /// A session lent a reading times its commits on its own readings: a
-    /// one-commit request is observed as the session's reading less the
-    /// lent one, and a guest batch over every shard as one observation per
-    /// commit, each starting where the last ended, so that they sum to the
-    /// session's last reading less the lent one. A session lent nothing
-    /// still times every commit, and holds no reading.
-    #[test]
-    fn a_lent_session_prices_its_commits_reading_to_reading() {
-        let store = small_store(4);
-        let mut vip = store.client(store.admit_vip().unwrap());
-        let t0 = Instant::now();
-        vip.lend_clock(t0);
-        let put = Request::new(vec![StoreOp::Put("v".into(), 1)]).retry_budget(4);
-        assert!(vip.request_vip(put.credential(vip.credential())).results[0].is_ok());
-        let read = vip.clock().expect("a lent session keeps a reading");
-        assert_eq!(commit_latency(&store, "vip"), (1, nanos(read - t0)));
-
-        let topology = store.topology();
-        let keys: Vec<String> = (0..4).map(|s| keys_on_shard(&topology, s, 1).remove(0)).collect();
-        let reqs = |value| {
-            keys.iter().map(|k| Request::new(vec![StoreOp::Put(k.clone(), value)])).collect()
-        };
-        let mut guest = store.client(store.admit_guest());
-        let t1 = Instant::now();
-        guest.lend_clock(t1);
-        let landed = guest.request_guest_many(reqs(2));
-        assert!(landed.iter().all(|resp| resp.results[0].is_ok()));
-        let read = guest.clock().unwrap();
-        assert_eq!(commit_latency(&store, "guest"), (4, nanos(read - t1)), "chained");
-
-        let mut plain = store.client(store.admit_guest());
-        assert_eq!(plain.request_guest_many(reqs(3)).len(), 4);
-        assert_eq!(commit_latency(&store, "guest").0, 8, "one observation per commit");
-        assert_eq!(plain.clock(), None);
     }
 }
