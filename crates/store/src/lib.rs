@@ -111,8 +111,8 @@ pub use api::{Request, Response, StoreError, TierCredential, UNBOUNDED_RETRIES};
 pub use elastic::{ElasticDecision, ElasticEngine, ElasticReport, ElasticityPolicy};
 pub use keymap::KeyMap;
 pub use ops::{
-    apply_op, read_batch, read_op, read_sub_batch, AdoptSpec, Batch, Key, MergeSpec, ShardCmd,
-    ShardSpec, ShardState, SplitSpec, StoreOp, StoreResp,
+    apply_op, read_op, read_sub_batch, AdoptSpec, Batch, Key, MergeSpec, ShardCmd, ShardSpec,
+    ShardState, SplitSpec, StoreOp, StoreResp,
 };
 pub use persist::{PersistError, Persister, RecoverError, ShardSnapshot, StoreSnapshot};
 pub use replan::Responses;

@@ -140,12 +140,10 @@ pub(crate) struct StoreMetrics {
     adopts: Counter,
     /// Topology version installed by the most recent reconfiguration.
     reconfig_last_version: Gauge,
-    /// Elastic-engine decisions by kind, and how many were applied.
+    /// Elastic-engine decisions by kind; each split or merge is applied.
     elastic_split_decisions: Counter,
     elastic_merge_decisions: Counter,
     elastic_hold_decisions: Counter,
-    elastic_applied_splits: Counter,
-    elastic_applied_merges: Counter,
 }
 
 impl StoreMetrics {
@@ -160,8 +158,6 @@ impl StoreMetrics {
             elastic_split_decisions: Counter::new(),
             elastic_merge_decisions: Counter::new(),
             elastic_hold_decisions: Counter::new(),
-            elastic_applied_splits: Counter::new(),
-            elastic_applied_merges: Counter::new(),
         }
     }
 
@@ -218,20 +214,10 @@ impl StoreMetrics {
 
     /// Records one elastic-engine evaluation outcome.
     #[progress(wait_free)]
-    pub(crate) fn record_elastic(&self, decision: ElasticDecision, applied: bool) {
+    pub(crate) fn record_elastic(&self, decision: ElasticDecision) {
         match decision {
-            ElasticDecision::Split(_) => {
-                self.elastic_split_decisions.inc();
-                if applied {
-                    self.elastic_applied_splits.inc();
-                }
-            }
-            ElasticDecision::Merge(_) => {
-                self.elastic_merge_decisions.inc();
-                if applied {
-                    self.elastic_applied_merges.inc();
-                }
-            }
+            ElasticDecision::Split(_) => self.elastic_split_decisions.inc(),
+            ElasticDecision::Merge(_) => self.elastic_merge_decisions.inc(),
             ElasticDecision::Hold => self.elastic_hold_decisions.inc(),
         }
     }
@@ -274,18 +260,6 @@ impl StoreMetrics {
             out.push(Sample {
                 name: "store_elastic_decisions_total",
                 help: "Elastic-engine policy decisions by kind.",
-                labels: vec![("decision", String::from(decision))],
-                value: SampleValue::Counter(count),
-            });
-        }
-        let applied = [
-            ("split", self.elastic_applied_splits.get()),
-            ("merge", self.elastic_applied_merges.get()),
-        ];
-        for (decision, count) in applied {
-            out.push(Sample {
-                name: "store_elastic_applied_total",
-                help: "Elastic-engine decisions that were applied to the topology.",
                 labels: vec![("decision", String::from(decision))],
                 value: SampleValue::Counter(count),
             });
@@ -589,17 +563,16 @@ mod tests {
         m.record_split(3);
         m.record_merge(4);
         m.record_adopt();
-        m.record_elastic(ElasticDecision::Split(0), true);
-        m.record_elastic(ElasticDecision::Split(0), false);
-        m.record_elastic(ElasticDecision::Merge(1), true);
-        m.record_elastic(ElasticDecision::Hold, false);
+        m.record_elastic(ElasticDecision::Split(0));
+        m.record_elastic(ElasticDecision::Split(0));
+        m.record_elastic(ElasticDecision::Merge(1));
+        m.record_elastic(ElasticDecision::Hold);
         let s = snap(&m);
         assert_eq!(s.value("store_reconfigs_total", &[("kind", "split")]), Some(1));
         assert_eq!(s.value("store_reconfigs_total", &[("kind", "merge")]), Some(1));
         assert_eq!(s.value("store_reconfigs_total", &[("kind", "adopt")]), Some(1));
         assert_eq!(s.value("store_reconfig_last_version", &[]), Some(4));
         assert_eq!(s.value("store_elastic_decisions_total", &[("decision", "split")]), Some(2));
-        assert_eq!(s.value("store_elastic_applied_total", &[("decision", "split")]), Some(1));
         assert_eq!(s.value("store_elastic_decisions_total", &[("decision", "hold")]), Some(1));
     }
 

@@ -73,7 +73,7 @@ impl StoreOp {
 
     /// Whether this operation leaves every shard state unchanged (`Get`,
     /// `Scan`). A sub-batch of reads is answered from the caller's replica
-    /// ([`read_batch`]) instead of taking a log cell.
+    /// ([`read_sub_batch`]) instead of taking a log cell.
     pub fn is_read(&self) -> bool {
         matches!(self, StoreOp::Get(_) | StoreOp::Scan { .. })
     }
@@ -208,20 +208,14 @@ fn owned((key, value): (&str, u64)) -> (Key, u64) {
     (key.to_owned(), value)
 }
 
-/// Answers `batch` from `state` if every operation in it is a read — what
-/// [`ShardSpec::apply`] would answer for it at this point of the log,
-/// without the log: the same `planned_at < epoch` → [`StoreResp::Moved`]
-/// bounce, then [`read_op`] per operation. `None` if any operation writes:
-/// the batch must be appended whole, because the read-after-write order
-/// inside one shard's sub-batch is a promise.
-pub fn read_batch(state: &ShardState, batch: &Batch) -> Option<Vec<StoreResp>> {
-    read_sub_batch(state, batch.planned_at, &batch.ops)
-}
-
-/// [`read_batch`] over a sub-batch that is not a [`Batch`] yet: its
-/// operations and the topology version they were planned under. The store
-/// answers a read-only sub-batch from the plan's own `Vec` this way, and
-/// builds a batch's shared slice only for an append.
+/// Answers a sub-batch from `state` if every operation in it is a read —
+/// what [`ShardSpec::apply`] would answer for its [`Batch`] at this point of
+/// the log, without the log: the same `planned_at < epoch` →
+/// [`StoreResp::Moved`] bounce, then [`read_op`] per operation. `None` if any
+/// operation writes: the sub-batch must be appended whole, because the
+/// read-after-write order inside one shard's sub-batch is a promise. The
+/// store answers a read-only sub-batch from the plan's own `Vec` this way,
+/// and builds a batch's shared slice only for an append.
 pub fn read_sub_batch(
     state: &ShardState,
     planned_at: u64,

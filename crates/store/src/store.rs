@@ -1,9 +1,12 @@
-//! The store itself: builder, shards, live splits, and client sessions.
+//! The store itself: its builder and recovery, the round driver every
+//! request arm commits through, and the wait-free dashboard. Three rules
+//! have files of their own: the port door (`store/shard.rs`), the client
+//! arms (`store/client.rs`) and the admin acts (`store/admin.rs`).
 //!
-//! A [`Store`] is a set of independent shards, each a
-//! [`Universal`]`<`[`ShardSpec`](crate::ops::ShardSpec)`>` driven by `(y,x)`-live
-//! [`AsymmetricFactory`] consensus cells, fronted by the admission layer's
-//! port discipline:
+//! A [`Store`] is a set of independent shards, each a [`ShardLog`]: a
+//! universal log of [`ShardSpec`](crate::ops::ShardSpec) states driven by
+//! `(y,x)`-live asymmetric consensus cells, fronted by the admission
+//! layer's port discipline:
 //!
 //! * every shard exposes the same port slots, one replica each; VIP
 //!   clients own a wait-free port exclusively, guest clients multiplex onto
@@ -29,29 +32,16 @@
 //!
 //! ## Live shard splits and merges
 //!
-//! The shard set is **elastic in both directions**: [`Store::split_shard`]
-//! carves a hot shard in two without stopping commits, and
-//! [`Store::merge_shard`] retires a cold child back into its parent — the
-//! inverse bump. A split installs a [`SplitSpec`] record through the
-//! shard's own consensus log inside a sealed
-//! [`ReconfigRecord`](apc_universal::ReconfigRecord) cell, so it
-//! linearizes against every concurrent VIP/guest batch: commits before the
-//! bump migrate with the sealed state, commits after it bounce with
-//! [`StoreResp::Moved`] and are re-planned by the client against the newly
-//! published topology. A merge crosses **both** logs: a sealed
-//! [`MergeSpec`] retirement through the child (draining its state,
-//! bouncing stragglers) followed by a sealed [`AdoptSpec`] through the
-//! parent (folding the drained entries in) — each seal doubles as that
-//! log's checkpoint anchor, so a merge also compacts both logs. The
-//! store's current `(topology, shards)` pair is one view, published once
-//! per reconfiguration and kept for the store's lifetime, so a request
-//! borrows it with one load: no lock, no epoch pin, no reference count.
-//!
-//! [`Store::rebalance`] lets the owner delegate the choice to a policy
-//! engine ([`ElasticEngine`]): it splits on sustained skew and merges cold
-//! children back, with hysteresis and a cool-down so oscillating load
-//! cannot thrash the topology. It is an admin act like the other two; no
-//! commit carries it.
+//! The shard set is **elastic in both directions** ([`Store::split_shard`],
+//! [`Store::merge_shard`], and [`Store::rebalance`] for an owner who
+//! delegates the choice to a policy engine), and no commit stops for it: a
+//! bump linearizes through the shard's own log in a sealed
+//! [`ReconfigRecord`](apc_universal::ReconfigRecord) cell, and a batch
+//! planned before it bounces with [`StoreResp::Moved`] and is re-planned
+//! against the published topology. The current `(topology, shards)` pair
+//! is one view, published once per reconfiguration and kept for the
+//! store's lifetime, so a request borrows it with one load: no lock, no
+//! epoch pin, no reference count.
 //!
 //! **Consistency:** operations within one shard are linearizable (they go
 //! through that shard's universal log). A multi-shard batch commits
@@ -60,13 +50,6 @@
 //! preserve all of this: an operation is applied exactly once — on the
 //! shard that owns its key at its linearization point — or bounced and
 //! retried, never both.
-//!
-//! [`Universal`]: apc_universal::Universal
-//! [`AsymmetricFactory`]: apc_universal::AsymmetricFactory
-//! [`SplitSpec`]: crate::ops::SplitSpec
-//! [`MergeSpec`]: crate::ops::MergeSpec
-//! [`AdoptSpec`]: crate::ops::AdoptSpec
-//! [`ElasticEngine`]: crate::elastic::ElasticEngine
 
 use std::fmt;
 use std::sync::atomic::Ordering;
@@ -192,10 +175,9 @@ impl StoreBuilder {
     /// admission sizing (VIP capacity, guest ports) is taken from the
     /// builder: progress classes are a runtime serving choice, not
     /// persistent state. Each shard's universal log resumes at its
-    /// checkpointed log index via [`Universal::recovered`], so boot-time
-    /// replay work is O(delta), not O(history).
-    ///
-    /// [`Universal::recovered`]: apc_universal::Universal::recovered
+    /// checkpointed log index via
+    /// [`Universal::recovered`](apc_universal::Universal::recovered), so
+    /// boot-time replay work is O(delta), not O(history).
     ///
     /// # Errors
     ///
@@ -328,8 +310,10 @@ pub struct Store {
     view: Generations<StoreView>,
     /// Serializes admin operations (splits, merges, rebalances and
     /// store-wide checkpoints) so a durable snapshot's topology always
-    /// matches its sealed states. It guards no data, so a panic under it
-    /// poisons nothing: every taker recovers the guard.
+    /// matches its sealed states. An act that bumps a shard holds it until
+    /// it publishes the bumped view, so it is also what the waiting arm
+    /// waits on ([`Store::view_at_least`]). It guards no data, so a panic
+    /// under it poisons nothing: every taker recovers the guard.
     admin: Mutex<()>,
     /// The always-on metric registry; every record path is wait-free, so
     /// instrumentation never weakens a commit path's progress class.
@@ -392,11 +376,6 @@ impl Store {
     #[progress(wait_free)]
     pub fn guest_voice(&self, ticket: ClientTicket) -> Option<ClientTicket> {
         self.admission.guest_voice(ticket)
-    }
-
-    /// Opens a client session for `ticket`.
-    pub fn client(&self, ticket: ClientTicket) -> Client<'_> {
-        Client { store: self, ticket, clock: None }
     }
 
     /// The bounded arms' view source: the current view if the topology a

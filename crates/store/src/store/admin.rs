@@ -1,6 +1,10 @@
+//! The admin acts: splits, merges, the owner's rebalance and store-wide
+//! checkpoints. A topology moves only inside one of them, under one hold
+//! of the admin lock from bump to publish, so that lock is the one thing a
+//! bounced request waits on ([`Store::view_at_least`]).
+
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
 
 use apc_progress_macros::progress;
 
@@ -10,9 +14,6 @@ use crate::ops::{AdoptSpec, MergeSpec, ShardCmd, ShardState, SplitSpec, StoreRes
 use crate::persist::lock_unpoisoned;
 use crate::replan::Input;
 use crate::router::MergeError;
-
-/// How long the waiting arm waits for a bumped topology to publish.
-const VIEW_WAIT: Duration = Duration::from_secs(60);
 
 /// Errors of [`Store::split_shard`].
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -47,38 +48,19 @@ impl fmt::Display for SplitError {
 impl std::error::Error for SplitError {}
 
 impl Store {
-    /// The waiting arm's view source: waits for a view of at least
-    /// `min_version`. The split/merge driver publishes it right after
-    /// installing the bump, so the wait is normally bounded by the
-    /// driver's remaining migration work (microseconds in practice) and
-    /// the first few yield-only spins catch it.
-    ///
-    /// The wait is **bounded** ([`VIEW_WAIT`]): a yield, then exponential
-    /// backoff sleeps capped at 1ms, until the deadline.
-    /// [`Input::Never`] past the deadline means the reconfiguration
-    /// driver died between installing its bump and publishing the
-    /// topology (the store's one cross-thread obligation); the engine
-    /// turns that into the typed [`StoreError::Unavailable`] instead of
-    /// aborting the client thread.
+    /// The waiting arm's view source: a view of at least `min_version`. An
+    /// act holds the admin lock from its bump to its publish, so if the
+    /// published view is older, this takes the lock — waiting for the act
+    /// to end — and reads the view once more. Still older means the act
+    /// died between its bump and its publish: [`Input::Never`], which the
+    /// engine turns into [`StoreError::Unavailable`](crate::StoreError).
     #[progress(blocking)]
     pub(super) fn view_at_least(&self, min_version: u64) -> Result<&StoreView, Input> {
-        let deadline = std::time::Instant::now() + VIEW_WAIT;
-        let mut backoff_ns: u64 = 0;
-        loop {
-            if let Ok(view) = self.view_published(min_version) {
-                return Ok(view);
-            }
-            if std::time::Instant::now() >= deadline {
-                return Err(Input::Never);
-            }
-            if backoff_ns == 0 {
-                std::thread::yield_now();
-                backoff_ns = 1_000;
-            } else {
-                std::thread::sleep(Duration::from_nanos(backoff_ns));
-                backoff_ns = (backoff_ns * 2).min(1_000_000);
-            }
+        if let Ok(view) = self.view_published(min_version) {
+            return Ok(view);
         }
+        let _admin = lock_unpoisoned(&self.admin);
+        self.view_published(min_version).map_err(|_| Input::Never)
     }
 
     /// Splits shard `shard` **live**: commits keep flowing while the split
@@ -90,13 +72,13 @@ impl Store {
     ///    version);
     /// 2. install a [`SplitSpec`] bump through the split shard's own
     ///    consensus log inside a sealed reconfig cell
-    ///    ([`OwnedHandle::reconfigure`]) — the linearization point of the
-    ///    split. Everything committed before it is partitioned
-    ///    deterministically (pairwise rendezvous); the keys the child wins
-    ///    come back as the migration set, and the cell doubles as a
-    ///    checkpoint anchor for the parent's log. Batches landing after the
-    ///    bump under the old topology bounce with [`StoreResp::Moved`] and
-    ///    are re-planned by their clients;
+    ///    ([`reconfigure`](apc_universal::OwnedHandle::reconfigure)) — the
+    ///    linearization point of the split. Everything committed before it
+    ///    is partitioned deterministically (pairwise rendezvous); the keys
+    ///    the child wins come back as the migration set, and the cell
+    ///    doubles as a checkpoint anchor for the parent's log. Batches
+    ///    landing after the bump under the old topology bounce with
+    ///    [`StoreResp::Moved`] and are re-planned by their clients;
     /// 3. boot the child shard from the migrated entries (invisible to
     ///    routing until published, so initialization is uncontended);
     /// 4. atomically publish the new `(topology, shards)` view.
@@ -105,8 +87,6 @@ impl Store {
     /// contend with it; placement is lock-free (each failed attempt is a
     /// client batch committing). Splits serialize with each other and with
     /// [`Store::checkpoint`] on the admin lock.
-    ///
-    /// [`OwnedHandle::reconfigure`]: apc_universal::OwnedHandle::reconfigure
     ///
     /// # Errors
     ///
@@ -162,8 +142,8 @@ impl Store {
     ///
     /// 1. compute the bumped topology (the child tombstoned at the new
     ///    version; structural eligibility per
-    ///    [`ShardTopology::check_merge`] — merges unwind splits in
-    ///    reverse);
+    ///    [`check_merge`](crate::router::ShardTopology::check_merge) —
+    ///    merges unwind splits in reverse);
     /// 2. install a [`MergeSpec`] retirement through the **child's** own
     ///    consensus log inside a sealed reconfig cell — the child-side
     ///    linearization point. Everything committed to the child before it
@@ -197,9 +177,8 @@ impl Store {
     ///
     /// # Errors
     ///
-    /// Any [`MergeError`] from [`ShardTopology::check_merge`].
-    ///
-    /// [`ShardTopology::check_merge`]: crate::router::ShardTopology::check_merge
+    /// Any [`MergeError`] from
+    /// [`check_merge`](crate::router::ShardTopology::check_merge).
     #[progress(blocking)]
     pub fn merge_shard(&self, child: usize) -> Result<usize, MergeError> {
         let _admin = lock_unpoisoned(&self.admin);
@@ -242,24 +221,28 @@ impl Store {
     /// One act of the elasticity policy, which the store's owner delivers
     /// as it calls [`Store::split_shard`] or [`Store::checkpoint`]: no
     /// commit carries it. Under the admin lock, `engine` evaluates one read
-    /// of [`Store::snapshot_stats`] at the digests' summed heat (the unit
-    /// of its `min_window` and `cooldown`: every tier's cells and local
-    /// reads), and the store applies the one split or merge it decides, if
-    /// any. Returns the decision it applied, [`ElasticDecision::Hold`] if
-    /// none. The engine is the caller's, and so are the cadence and the
-    /// running totals ([`ElasticEngine::report`]).
+    /// of the shards' digests ([`Store::snapshot_stats`]) at their summed
+    /// heat (the unit of its `min_window` and `cooldown`: every tier's
+    /// cells and local reads), and the store applies the one split or merge
+    /// it decides, if any. Returns that decision. The engine is the
+    /// caller's, and so are the cadence and the running totals
+    /// ([`ElasticEngine::report`]).
     #[progress(blocking)]
     pub fn rebalance(&self, engine: &mut ElasticEngine) -> ElasticDecision {
         let _admin = lock_unpoisoned(&self.admin);
-        let stats = self.snapshot_stats();
+        let view = self.view.newest();
+        let stats = Store::digests(view);
         let heat = stats.iter().map(|d| d.commits).sum();
-        let decision = engine.evaluate(heat, &stats, &self.view.newest().topology);
+        let decision = engine.evaluate(heat, &stats, &view.topology);
+        self.metrics.record_elastic(decision);
+        // The engine splits only a live shard and merges only what
+        // `check_merge` accepts, on this view: neither act can refuse it.
         let applied = match decision {
             ElasticDecision::Split(shard) => self.split_locked(shard).is_ok(),
             ElasticDecision::Merge(shard) => self.merge_locked(shard).is_ok(),
-            ElasticDecision::Hold => false,
+            ElasticDecision::Hold => return ElasticDecision::Hold,
         };
-        self.metrics.record_elastic(decision, applied);
+        debug_assert!(applied, "the store refused the engine's {decision:?}");
         if !applied {
             return ElasticDecision::Hold;
         }
@@ -300,9 +283,12 @@ impl Store {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::StoreError;
     use crate::elastic::ElasticityPolicy;
+    use crate::ops::StoreOp;
     use crate::store::tests::{cursors, keys_on_shard, small_store};
     use crate::store::StoreBuilder;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn split_preserves_every_key_and_rebalances() {
@@ -589,6 +575,79 @@ mod tests {
             }
         });
         assert!(store.live_shards() > 4);
+    }
+
+    /// Bumps shard 0 the way a split does, through the shard's own log,
+    /// and publishes nothing: the caller holds the admin lock, as the act
+    /// would. Returns the view the split would publish.
+    fn bump_shard_0(store: &Store) -> StoreView {
+        let view = store.view.newest();
+        let (topology, child) = view.topology.split(0);
+        let version = topology.version();
+        let split = SplitSpec { child_seed: topology.node(child).seed, version };
+        let shard = &view.shards[0];
+        let (_, mut resps) =
+            shard.visit(shard.seal_port(), |h| h.reconfigure(ShardCmd::Split(split)));
+        let Some(StoreResp::Entries(outgoing)) = resps.pop() else {
+            panic!("a split bump answers with its migration set")
+        };
+        let node = topology.node(child);
+        let spec = crate::ops::ShardSpec { seed: node.seed, created_at: node.created_at };
+        let state = ShardState::with_entries(outgoing, node.created_at);
+        let ports = store.admission.ports();
+        let born = Shard::build(spec, store.admission.spec(), ports, Some((state, 0)));
+        let shards = view.shards.iter().cloned().chain([Arc::new(born)]).collect();
+        StoreView { topology, shards }
+    }
+
+    /// An act that dies between its bump and its publish leaves a shard
+    /// that bounces every plan at a topology no one will publish. The
+    /// waiting arm learns that from the admin lock the act held: it is
+    /// free, the view is still old, so the bounced put is `Unavailable`
+    /// at once instead of after a wait.
+    #[test]
+    fn a_bump_whose_act_died_is_unavailable_at_once() {
+        let store = small_store(1);
+        let died = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _admin = store.admin.lock().unwrap();
+                bump_shard_0(&store);
+                panic!("the act dies between its bump and its publish");
+            })
+            .join()
+        });
+        assert!(died.is_err() && store.topology().version() == 0);
+        let mut c = store.client(store.admit_vip().unwrap());
+        let started = Instant::now();
+        let got = c.execute(vec![StoreOp::Put("k".into(), 1)]);
+        assert_eq!(got, vec![Err(StoreError::Unavailable { version: 1 })]);
+        assert!(started.elapsed() < Duration::from_secs(5), "waited {:?}", started.elapsed());
+    }
+
+    /// A put that bounces off a live act's bump waits on the admin lock,
+    /// and lands once the act has published and let go.
+    #[test]
+    fn a_bounce_waits_on_the_admin_lock_and_lands_after_the_publish() {
+        let store = small_store(1);
+        let moved = || store.scrape().value("store_moved_ops_total", &[("tier", "vip")]);
+        let mut c = store.client(store.admit_vip().unwrap());
+        let got = std::thread::scope(|s| {
+            let admin = store.admin.lock().unwrap();
+            let bumped = bump_shard_0(&store);
+            let putter = s.spawn(move || c.execute(vec![StoreOp::Put("k".into(), 1)]));
+            while moved() == Some(0) {
+                std::thread::yield_now();
+            }
+            // Not load-bearing: it only makes it likely that the putter has
+            // found the view old before the publish. If it has not, its
+            // first look sees the publish, and the put lands all the same.
+            std::thread::sleep(Duration::from_millis(20));
+            store.view.supersede(bumped);
+            drop(admin);
+            putter.join().unwrap()
+        });
+        assert_eq!(got, vec![Ok(StoreResp::Value(None))], "the put landed once");
+        assert_eq!(store.client(store.admit_guest()).get("k"), Some(1));
     }
 
     #[test]

@@ -1,3 +1,7 @@
+//! Client sessions and their arms. The arm a request takes decides whom
+//! it may wait on: the bounded VIP arm on nobody, the guest arms only on
+//! their shared port, and the waiting arm also on the admin lock.
+
 use std::fmt;
 use std::time::Instant;
 
@@ -24,11 +28,18 @@ use crate::wal::DurabilityClass;
 /// session's reading from then on ([`Client::clock`]).
 #[derive(Copy, Clone)]
 pub struct Client<'a> {
-    pub(super) store: &'a Store,
-    pub(super) ticket: ClientTicket,
+    store: &'a Store,
+    ticket: ClientTicket,
     /// The reading the session was lent, advanced to the end of each
     /// commit since; `None` if it was never lent one.
-    pub(super) clock: Option<Instant>,
+    clock: Option<Instant>,
+}
+
+impl Store {
+    /// Opens a client session for `ticket`.
+    pub fn client(&self, ticket: ClientTicket) -> Client<'_> {
+        Client { store: self, ticket, clock: None }
+    }
 }
 
 impl Client<'_> {
@@ -90,8 +101,8 @@ impl Client<'_> {
     /// Routing, by the envelope's terms:
     ///
     /// * `retry_budget == `[`UNBOUNDED_RETRIES`] — the **waiting arm**:
-    ///   `Moved` retries wait (bounded, 60 s) for the re-planned topology
-    ///   to publish; this is what [`Client::execute`] wraps.
+    ///   `Moved` retries wait on the admin lock for the act that bumped the
+    ///   topology to publish it; this is what [`Client::execute`] wraps.
     /// * finite `retry_budget` — the **non-blocking bounded arms**
     ///   ([`Client::request_vip`] / [`Client::request_guest`]): no waits
     ///   anywhere; a spent budget or deadline surfaces as the typed
@@ -237,9 +248,9 @@ impl Client<'_> {
         )
     }
 
-    /// The **waiting arm**: `Moved` retries wait — bounded, see
-    /// [`Store::view_at_least`] — for the re-planned topology, and a
-    /// publish that never comes degrades to [`StoreError::Unavailable`].
+    /// The **waiting arm**: `Moved` retries wait on the admin lock for the
+    /// re-planned topology ([`Store::view_at_least`]), and a bump whose act
+    /// died before its publish degrades to [`StoreError::Unavailable`].
     /// Commits go through the session's own tier, and a guest session's
     /// envelope is refused as its bounded arm would refuse it.
     #[progress(blocking)]
@@ -297,8 +308,8 @@ impl Client<'_> {
     /// session shares its port, so its commits queue behind the port
     /// mutex. A VIP session's commits are bounded wait-free
     /// (`Store::commit_vip`) except across a concurrent reconfiguration,
-    /// where the `Moved` retry waits (bounded) for the new topology to
-    /// publish; past the bound those operations come back
+    /// where the `Moved` retry waits on the admin lock for the new topology;
+    /// if its act died unpublished, those operations come back
     /// [`StoreError::Unavailable`] instead of hanging or aborting.
     #[progress(obstruction_free)]
     pub fn execute(&mut self, ops: Vec<StoreOp>) -> Vec<Result<StoreResp, StoreError>> {

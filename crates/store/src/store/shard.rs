@@ -1,3 +1,9 @@
+//! The port door: every path into a shard's replicas goes through
+//! [`Shard::visit`]. A VIP's slot is its own (one owner, under its own pid
+//! or its guest voice's, one at a time), a guest's is shared behind the
+//! slot's mutex, and each visit publishes the slot's digest words before
+//! it lets go.
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -34,14 +40,15 @@ pub(super) struct Shard {
     /// Per-port digests, seeded from the state the shard is built from.
     /// Each has one writer at a time (whoever holds the port's mutex), and
     /// each reader folds monotone per-port values
-    /// ([`Store::snapshot_stats`] keeps the maximum,
-    /// [`Store::replay_steps`] the sum), so it needs each port's latest
-    /// value and no atomicity across ports: one collect, not a snapshot
-    /// scan.
+    /// ([`snapshot_stats`](super::Store::snapshot_stats) keeps the maximum,
+    /// [`replay_steps`](super::Store::replay_steps) the sum), so it needs
+    /// each port's latest value and no atomicity across ports: one collect,
+    /// not a snapshot scan.
     pub(super) digests: Vec<PortDigest>,
     /// Rounds answered from a port's replica without a log cell. Read
-    /// traffic is heat too: [`Store::snapshot_stats`] adds this to the
-    /// digest's cell count, or a read-hot shard would never split.
+    /// traffic is heat too: [`snapshot_stats`](super::Store::snapshot_stats)
+    /// adds this to the digest's cell count, or a read-hot shard would
+    /// never split.
     pub(super) local_reads: AtomicU64,
 }
 
@@ -146,7 +153,8 @@ mod tests {
     use crate::api::{Request, Response, StoreError};
     use crate::ops::{StoreOp, StoreResp};
     use crate::store::tests::{cursors, reads, small_store};
-    use crate::store::{DurabilityClass, Store, StoreBuilder};
+    use crate::store::{Store, StoreBuilder};
+    use crate::wal::DurabilityClass;
 
     /// A shard log's cell is inline in its 64-cell segment, so its size is
     /// what every committed write keeps of it: the decision slot, one `⊥`

@@ -80,8 +80,8 @@
 //! Locks are taken in one order: persister flush → WAL log → WAL buffer (a
 //! checkpoint seal rotates the WAL under the persister's flush lock), and
 //! admin → port → WAL buffer (a commit enqueues its frame under its port
-//! lock). No port lock is held across [`Wal::sync`]. Every lock is
-//! recovered from poison.
+//! lock); the waiting arm takes admin holding nothing. No port lock is
+//! held across [`Wal::sync`]. Every lock is recovered from poison.
 //!
 //! ## Failure policy
 //!

@@ -593,15 +593,16 @@ proptest! {
         );
         prop_assert_eq!(snap.value("store_reconfig_last_version", &[]), Some(topology.version()));
 
-        // Window counters: an engine decision implies an evaluation, and the
-        // applied decisions in the scrape match the report exactly.
+        // Window counters: an engine decision implies an evaluation, and
+        // every split or merge the engine decided was applied, so the
+        // scrape's decisions match the report's reconfigurations exactly.
         prop_assert!(report.evaluations >= report.splits + report.merges);
         prop_assert_eq!(
-            snap.value("store_elastic_applied_total", &[("decision", "split")]),
+            snap.value("store_elastic_decisions_total", &[("decision", "split")]),
             Some(report.splits)
         );
         prop_assert_eq!(
-            snap.value("store_elastic_applied_total", &[("decision", "merge")]),
+            snap.value("store_elastic_decisions_total", &[("decision", "merge")]),
             Some(report.merges)
         );
 
