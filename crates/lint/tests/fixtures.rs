@@ -334,6 +334,22 @@ fn live_workspace_is_clean() {
             .unwrap_or_else(|| panic!("apc-universal must keep an OwnedHandle::{driver} fn"));
         assert_eq!(f.class, Some(class), "OwnedHandle::{driver} changed its progress class");
     }
+    // Every commit and read ends in a descent of the shard map: its two
+    // entry points must stay claimed wait-free, or a rewrite that dropped
+    // the annotation would let the sweep walk into them by name and hold
+    // them to nothing.
+    for method in ["get", "range"] {
+        let f = ws
+            .all_fns()
+            .map(|id| ws.fn_info(id))
+            .find(|f| f.name == method && f.self_type.as_deref() == Some("KeyMap"))
+            .unwrap_or_else(|| panic!("apc-store must keep a KeyMap::{method} fn"));
+        assert_eq!(
+            f.class,
+            Some(apc_lint::parse::Class::WaitFree),
+            "KeyMap::{method} changed its progress class"
+        );
+    }
 }
 
 /// Every chain, by the analyzer's own resolution and through every callee

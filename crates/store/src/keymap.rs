@@ -1,50 +1,67 @@
 //! The shard's ordered map: sorted leaves behind one fence index, both
-//! searched over one array of 8-byte key heads.
+//! searched by counting over contiguous arrays of 8-byte key heads.
 //!
 //! A [`KeyMap`] maps string keys to `u64` values in key order, like a
 //! `BTreeMap<String, u64>`, but keeps the bytes it compares where it looks
 //! for them. Every entry has a **head**: the first 8 bytes of its key,
-//! zero-padded. Read as big-endian `u64`s, two heads order as their keys
-//! do, unless they are equal. Equal heads are a tie. If the stored key is
-//! at most 8 bytes, it is a prefix of the other (its zero padding matches
-//! the other's NUL bytes), so the lengths settle the tie; otherwise the
-//! full keys are compared.
+//! zero-padded. Read as big-endian `u64`s (its **rank**), two heads order
+//! as their keys do, unless they are equal. Equal heads are a tie. If the
+//! stored key is at most 8 bytes, it is a prefix of the other (its zero
+//! padding matches the other's NUL bytes), so the lengths settle the tie;
+//! otherwise the full keys are compared.
 //!
-//! * a **leaf** holds up to `LEAF_ENTRIES` (64) consecutive entries in two
-//!   buffers: the slots and the text. A slot is 20 B: the head, a `u32`
-//!   tag that holds a short key's length or a long key's text offset, and
-//!   the value. The text holds the full keys longer than 8 bytes, back to
-//!   back. A key of at most 8 bytes is stored in its head alone and lent
-//!   from there. Nothing is allocated per key;
-//! * the **fence index** is the same structure without values (12 B slots):
+//! * a **leaf** holds up to `LEAF_ENTRIES` (64) consecutive entries in
+//!   three buffers: the heads, back to back (a full leaf's are 512 B, 8
+//!   cache lines); the 12 B slots, each a `u32` tag (a short key's length
+//!   or a long key's text offset) and the value; and the text, the full
+//!   keys longer than 8 bytes, back to back. A key of at most 8 bytes is
+//!   stored in its head alone and lent from there, which is why heads stay
+//!   big-endian bytes and are ranked as they are read. Nothing is
+//!   allocated per key;
+//! * the **fence index** is the same structure without values (4 B slots):
 //!   one lower-bound key per leaf after the first. Every key of leaf
-//!   `i + 1` is `>= fence[i]`, every key of leaf `i` is below it.
+//!   `i + 1` is `>= fence[i]`, every key of leaf `i` is below it. Its **top
+//!   index** holds the rank of every 16th fence head as a native `u64`,
+//!   and is rebuilt when a leaf splits or is freed.
 //!
-//! A lookup binary-searches the fence index and then one leaf, with one
-//! routine. A probe loads one slot from the array the search walks and
-//! compares its head as one integer; a tie reads the tag in the same slot,
-//! and only a tie with a key longer than 8 bytes loads text. Keys that
-//! share more than their first 8 bytes would tie on every probe, so an
-//! array whose keys are all long heads the bytes after their common prefix
-//! instead, and the search checks that prefix once. The fence index costs
-//! 12 B per leaf for 8-byte keys: ~5 KB per 25 000 keys, so it stays
-//! cache-resident while the leaves do not, and a lookup is two dependent
-//! cache misses, not one per tree level plus one per heap-allocated key
-//! compared. A scan walks leaves in sequence. Overwriting a key touches one
-//! value and copies no key.
+//! A lookup is four short counts, not a chain of dependent probes. It
+//! counts the top index ranks below the key's (8 B per 16 leaves: ~200 B at
+//! 25 000 keys, ~800 B at 100 000), which picks one block of 16 fence
+//! heads, and counts there, which picks the leaf. In the leaf it first
+//! reads one slot in every cache line of the slots and lets the reads go;
+//! then it counts over every 8th head (64 bytes apart), which picks a run
+//! of 8 heads, and counts there. A count has no branch on what it read,
+//! and none of its loads waits on another, so a leaf out of cache arrives
+//! at once, its heads and the slot the search ends at, instead of one line
+//! per probe. The head found is compared whole; only a tie reads a tag (in
+//! the slot, beside the value) or, with a key longer than 8 bytes, text.
+//! Keys that share more than their first 8 bytes would tie on every head,
+//! so an array whose keys are all long heads the bytes after their common
+//! prefix instead, and the search checks that prefix once. Timed alone on
+//! 8-byte keys in random order (2-core x86-64 VM), with the map in cache a
+//! `get` costs ~65–135 ns at 25 000 keys and ~175–300 ns at 100 000,
+//! against ~150–240 and ~250–380 ns for the binary search it replaced; with
+//! the leaf out of cache (each put timed after 256 puts on another replica
+//! and 1.2 KB of other allocation per op) a put costs ~240–330 ns at 4 ×
+//! 25 000 keys against ~310–410 ns. Without the slot reads it cost what the
+//! binary search did: the slot was a miss of its own after the count. A
+//! scan walks leaves in sequence. Overwriting a key touches one value and
+//! copies no key.
 //!
-//! An 8-byte key in a full leaf costs its 20 B slot plus a 64th of its
-//! leaf's 56 B header and 12 B fence slot: 21.1 B. Its leaf's text buffer
-//! is never allocated. A half-full leaf costs twice as much per key. A
-//! deep clone is one `memcpy` per allocated buffer: one per leaf of short
-//! keys, two per leaf with long ones.
+//! An 8-byte key in a full leaf costs its 8 B head and 12 B slot plus a
+//! 64th of its leaf's 80 B header and 12 B fence entry: 21.4 B (the
+//! allocation census reads 21.9 with the spare capacity of the leaf vector
+//! and the fence). Its leaf's text buffer is never allocated. A half-full
+//! leaf costs twice as much per key. A deep clone is one `memcpy` per
+//! allocated buffer: two per leaf of short keys, three per leaf with long
+//! ones.
 //!
 //! Two levels, not a tree: inserting or freeing a leaf shifts the tail of
-//! the leaf vector and of the fence index (56 B + one fence slot per leaf
-//! behind it), once per ~`LEAF_ENTRIES / 2` inserts. At 100 000 keys that
-//! is ~2 KB moved per insert, amortised, and a shard that grows far past
-//! that is what [`Store::split_shard`](crate::store::Store::split_shard)
-//! is for.
+//! the leaf vector and of the fence index (80 B + one 12 B fence entry per
+//! leaf behind it) and rebuilds the top index, once per ~`LEAF_ENTRIES / 2`
+//! inserts. At 100 000 keys that is ~2 KB moved per insert, amortised, and
+//! a shard that grows far past that is what
+//! [`Store::split_shard`](crate::store::Store::split_shard) is for.
 //!
 //! Leaves are never merged: one is freed when its last entry is removed,
 //! and the sequential rebuilds ([`KeyMap::push`]: split partition, merge
@@ -55,8 +72,8 @@ use std::fmt;
 
 use apc_progress_macros::progress;
 
-/// Entries per leaf. 64 slots are 1280 B: a leaf search is 6 probes over
-/// 20 cache lines of slots, and an insert shifts at most ~1.3 KB.
+/// Entries per leaf. A leaf search counts over its heads: at most 64, 512 B
+/// in 8 cache lines, and an insert shifts at most ~1.3 KB.
 const LEAF_ENTRIES: usize = 64;
 
 /// Long-key text per leaf: 64 B per entry on average before a leaf splits
@@ -71,17 +88,47 @@ const HEAD: usize = 8;
 /// The tag bit of a long key; the other 31 bits are its offset in the text.
 const LONG: u32 = 1 << 31;
 
+/// Heads per cache line: a leaf search counts over every `LINE`th head,
+/// 64 bytes apart, and then over the `LINE` heads where the key falls.
+const LINE: usize = 64 / HEAD;
+
+/// Fence heads per block of the top index: 16 heads are two cache lines.
+const BLOCK: usize = 16;
+
 /// The first [`HEAD`] bytes of `bytes`, zero-padded.
 fn head_of(bytes: &[u8]) -> [u8; HEAD] {
-    let n = bytes.len().min(HEAD);
-    let mut head = [0; HEAD];
-    head[..n].copy_from_slice(&bytes[..n]);
-    head
+    match bytes.first_chunk() {
+        Some(head) => *head,
+        None => {
+            let mut head = [0; HEAD];
+            head[..bytes.len()].copy_from_slice(bytes);
+            head
+        }
+    }
 }
 
 /// A head as the integer the search compares.
 fn rank(head: [u8; HEAD]) -> u64 {
     u64::from_be_bytes(head)
+}
+
+/// How many of `heads`, in rank order, have a rank that `passes` (a run
+/// from the first): a count over `samples`, the ranks of every `stride`th
+/// head, and then over the one run of `stride` heads where the answer lies.
+/// Counts, not searches: no load waits on the one before it, and no branch
+/// on what it read.
+fn count_passing(
+    heads: &[[u8; HEAD]],
+    samples: impl Iterator<Item = u64>,
+    stride: usize,
+    passes: impl Fn(u64) -> bool,
+) -> usize {
+    let sampled = samples.filter(|&r| passes(r)).count();
+    // Every head before the last sample that passes passes too, and none
+    // from the next sample on.
+    let start = stride * sampled.saturating_sub(1);
+    let run = heads.get(start..heads.len().min(start + stride)).unwrap_or_default();
+    start + run.iter().filter(|&&head| passes(rank(head))).count()
 }
 
 /// Where a long key's text starts, if `tag` is a long key's.
@@ -94,12 +141,11 @@ fn common_prefix(a: &[u8], b: &[u8]) -> usize {
     a.iter().zip(b).take_while(|(x, y)| x == y).count()
 }
 
-/// One entry: its head, its tag and its value. A leaf's is 20 B, the fence
-/// index's 12 B; packed, so the value does not pad the slot to 24 B.
+/// What an entry keeps beside its head: its tag and its value. A leaf's is
+/// 12 B, the fence index's 4 B; packed, so the value does not pad it to 16.
 #[derive(Clone, Copy)]
 #[repr(C, packed(4))]
 struct Slot<V> {
-    head: [u8; HEAD],
     /// The key's length if it is short, else [`LONG`] and the offset of its
     /// text.
     tag: u32,
@@ -107,17 +153,21 @@ struct Slot<V> {
 }
 
 // The slot sizes the module docs' bytes-per-key figure is made of.
-const _: () = assert!(size_of::<Slot<u64>>() == 20 && size_of::<Slot<()>>() == 12);
+const _: () = assert!(size_of::<Slot<u64>>() == 12 && size_of::<Slot<()>>() == 4);
 
 /// Entries in key order, addressed by position: a leaf (`V = u64`) or the
-/// fence index (`V = ()`).
+/// fence index (`V = ()`). Entry `i` is `heads[i]`, `slots[i]` and, if its
+/// key is long, its text.
 ///
-/// Keys that share more than their first 8 bytes would tie on every probe,
+/// Keys that share more than their first 8 bytes would tie on every head,
 /// so an array whose keys are all long heads the bytes after their common
 /// prefix instead: `user:0000012345` and `user:0000012346` share 14 bytes,
 /// and their heads are `5` and `6`.
 #[derive(Clone, Default)]
 struct Entries<V: Copy> {
+    /// Every key's head, big-endian, in entry order: what a search counts
+    /// over, and where a short key is lent from.
+    heads: Vec<[u8; HEAD]>,
     slots: Vec<Slot<V>>,
     /// The long keys' full text, back to back in entry order: a long key
     /// ends where the next long key starts, the last one at `text.len()`.
@@ -133,15 +183,27 @@ struct Entries<V: Copy> {
 /// Up to [`LEAF_ENTRIES`] consecutive entries; never empty while in a map.
 type Leaf = Entries<u64>;
 
+// The header the module docs' bytes-per-key figure charges a leaf.
+const _: () = assert!(size_of::<Leaf>() == 80);
+
 impl<V: Copy> Entries<V> {
+    /// A new leaf holding one entry, with room for a full leaf: a leaf is
+    /// new where inserts go on past an end of the map (an ascending or a
+    /// descending load, a rebuild through [`KeyMap::push`]), and those fill
+    /// it, so neither buffer regrows four times on the way.
     fn single(key: &str, value: V) -> Self {
-        let mut entries = Entries { slots: Vec::new(), text: String::new(), prefix: 0 };
+        let mut entries = Entries {
+            heads: Vec::with_capacity(LEAF_ENTRIES),
+            slots: Vec::with_capacity(LEAF_ENTRIES),
+            text: String::new(),
+            prefix: 0,
+        };
         entries.insert(0, key, value);
         entries
     }
 
     fn len(&self) -> usize {
-        self.slots.len()
+        self.heads.len()
     }
 
     /// Where the text of the first long key at or after position `i`
@@ -163,9 +225,9 @@ impl<V: Copy> Entries<V> {
 
     /// The key of entry `i`.
     fn key(&self, i: usize) -> Option<&str> {
-        let slot = self.slots.get(i)?;
-        match long_start(slot.tag) {
-            None => std::str::from_utf8(&slot.head[..(slot.tag as usize).min(HEAD)]).ok(),
+        let tag = self.slots.get(i)?.tag;
+        match long_start(tag) {
+            None => std::str::from_utf8(&self.heads.get(i)?[..(tag as usize).min(HEAD)]).ok(),
             Some(start) => self.text.get(start..self.text_at(i + 1)),
         }
     }
@@ -184,6 +246,9 @@ impl<V: Copy> Entries<V> {
     /// `key`'s head here; or, if `key` does not start with the shared
     /// bytes, the position it sorts at: before every entry or after them.
     fn head_here(&self, key: &str) -> Result<[u8; HEAD], usize> {
+        if self.prefix == 0 {
+            return Ok(head_of(key.as_bytes()));
+        }
         let shared = self.shared();
         match key.as_bytes().strip_prefix(shared) {
             Some(rest) => Ok(head_of(rest)),
@@ -192,15 +257,11 @@ impl<V: Copy> Entries<V> {
         }
     }
 
-    /// How entry `i` orders against `key`, whose head ranks `rank_of_key`.
-    /// Equal heads are settled by length if the entry is short and by the
-    /// full text otherwise.
-    fn order(&self, i: usize, key: &str, rank_of_key: u64) -> Ordering {
+    /// How entry `i`, whose head ties `key`'s, orders against `key`: by
+    /// length if the entry is short (its zero padding matches the key's
+    /// NULs), by the full text otherwise.
+    fn order(&self, i: usize, key: &str) -> Ordering {
         let Some(slot) = self.slots.get(i) else { return Ordering::Greater };
-        match rank(slot.head).cmp(&rank_of_key) {
-            Ordering::Equal => {}
-            order => return order,
-        }
         match long_start(slot.tag) {
             None => (slot.tag as usize).cmp(&key.len()),
             Some(_) => self.key(i).unwrap_or_default().cmp(key),
@@ -208,17 +269,46 @@ impl<V: Copy> Entries<V> {
     }
 
     /// The position of `key` (`Ok`), or the position it would be inserted
-    /// at to keep the entries sorted (`Err`): at most `log2(len) + 1`
-    /// probes.
+    /// at to keep the entries sorted (`Err`): a count over every [`LINE`]th
+    /// head, then over the `LINE` heads where the key falls.
+    ///
+    /// It first reads one slot in every cache line of the slots and lets
+    /// the reads go (`black_box` only keeps them): a leaf out of cache then
+    /// fetches its slots while its heads are counted, and the slot the
+    /// search ends at is not a miss of its own after the count.
     fn search(&self, key: &str) -> Result<usize, usize> {
-        let rank_of_key = match self.head_here(key) {
-            Ok(head) => rank(head),
-            Err(at) => return Err(at),
-        };
-        let (mut lo, mut hi) = (0, self.len());
+        for slot in self.slots.iter().step_by(64 / size_of::<Slot<V>>()) {
+            std::hint::black_box(slot.tag);
+        }
+        self.search_by(key, self.heads.iter().step_by(LINE).map(|&head| rank(head)), LINE)
+    }
+
+    /// [`Entries::search`], counting over `samples` (the ranks of every
+    /// `stride`th head) and then over one run of `stride` heads, as
+    /// [`count_passing`] does. Heads that tie `key`'s are settled by
+    /// [`order`], binary searching the tie; a tie of more than one head
+    /// is counted again to find its end.
+    ///
+    /// [`order`]: Entries::order
+    fn search_by(
+        &self,
+        key: &str,
+        samples: impl Iterator<Item = u64> + Clone,
+        stride: usize,
+    ) -> Result<usize, usize> {
+        let head = self.head_here(key)?;
+        let r = rank(head);
+        let mut lo = count_passing(&self.heads, samples.clone(), stride, |x| x < r);
+        if self.heads.get(lo) != Some(&head) {
+            return Err(lo);
+        }
+        let mut hi = lo + 1;
+        if self.heads.get(hi) == Some(&head) {
+            hi = count_passing(&self.heads, samples, stride, |x| x <= r);
+        }
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            match self.order(mid, key, rank_of_key) {
+            match self.order(mid, key) {
                 Ordering::Less => lo = mid + 1,
                 Ordering::Equal => return Ok(mid),
                 Ordering::Greater => hi = mid,
@@ -232,7 +322,7 @@ impl<V: Copy> Entries<V> {
     fn set_prefix(&mut self, prefix: usize) {
         for i in 0..self.len() {
             let key = self.key(i).unwrap_or_default().as_bytes();
-            self.slots[i].head = head_of(&key[prefix.min(key.len())..]);
+            self.heads[i] = head_of(&key[prefix.min(key.len())..]);
         }
         self.prefix = prefix as u32;
     }
@@ -256,7 +346,7 @@ impl<V: Copy> Entries<V> {
         // fence index's by one key per leaf.
         assert!(
             self.text.len() + key.len() < LONG as usize,
-            "2 GiB of long-key text behind one slot array"
+            "2 GiB of long-key text behind one entry array"
         );
         let prefix = match self.len() {
             _ if key.len() <= HEAD => 0,
@@ -274,10 +364,12 @@ impl<V: Copy> Entries<V> {
             Self::shift_text(&mut self.slots[i..], |tag| tag + key.len() as u32);
             LONG | at as u32
         };
-        self.slots.insert(i, Slot { head: head_of(&key.as_bytes()[prefix..]), tag, value });
+        self.heads.insert(i, head_of(&key.as_bytes()[prefix..]));
+        self.slots.insert(i, Slot { tag, value });
     }
 
     fn remove(&mut self, i: usize) -> V {
+        self.heads.remove(i);
         let slot = self.slots.remove(i);
         if let Some(start) = long_start(slot.tag) {
             let end = self.text_at(i);
@@ -292,15 +384,17 @@ impl<V: Copy> Entries<V> {
     fn split_off(&mut self, at: usize) -> Self {
         let cut = self.text_at(at);
         let text = self.text.split_off(cut);
+        let heads = self.heads.split_off(at);
         let mut slots = self.slots.split_off(at);
         Self::shift_text(&mut slots, |tag| tag - cut as u32);
-        let mut right = Entries { slots, text, prefix: self.prefix };
+        let mut right = Entries { heads, slots, text, prefix: self.prefix };
         self.widen_prefix();
         right.widen_prefix();
         right
     }
 
     fn clear(&mut self) {
+        self.heads.clear();
         self.slots.clear();
         self.text.clear();
         self.prefix = 0;
@@ -313,6 +407,53 @@ impl<V: Copy> Entries<V> {
     }
 }
 
+/// The leaves' lower bounds, with a top index over their heads.
+///
+/// Entry `i` bounds leaf `i + 1` from below and leaf `i` from above; leaf 0
+/// has no fence. A bound need not be a stored key: removing a leaf's first
+/// entry leaves its fence where it was.
+#[derive(Clone, Default)]
+struct Fence {
+    entries: Entries<()>,
+    /// The rank of every [`BLOCK`]th head of `entries`: `top[j]` ranks
+    /// head `BLOCK * j`. Rebuilt whenever an entry comes or goes, that is
+    /// once per leaf split or freed, and with it whenever the shared prefix
+    /// rewrites the heads.
+    top: Vec<u64>,
+}
+
+impl Fence {
+    fn insert(&mut self, i: usize, key: &str) {
+        self.entries.insert(i, key, ());
+        self.index();
+    }
+
+    fn remove(&mut self, i: usize) {
+        self.entries.remove(i);
+        self.index();
+    }
+
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.top.clear();
+    }
+
+    fn index(&mut self) {
+        self.top.clear();
+        self.top.extend(self.entries.heads.iter().step_by(BLOCK).map(|&head| rank(head)));
+    }
+
+    /// The index of the one leaf that may hold `key` (0 in an empty map):
+    /// how many bounds are at or below it. A count over the top index picks one block of the
+    /// fence, and a count over that block finishes the search.
+    fn leaf_for(&self, key: &str) -> usize {
+        match self.entries.search_by(key, self.top.iter().copied(), BLOCK) {
+            Ok(i) => i + 1,
+            Err(i) => i,
+        }
+    }
+}
+
 /// An ordered map from string keys to `u64` values (see the module docs for
 /// the layout).
 ///
@@ -322,10 +463,7 @@ impl<V: Copy> Entries<V> {
 /// leaves in different places and are still the same map.
 #[derive(Clone, Default)]
 pub struct KeyMap {
-    /// Entry `i` bounds leaf `i + 1` from below and leaf `i` from above;
-    /// leaf 0 has no fence. A bound need not be a stored key: removing a
-    /// leaf's first entry leaves its fence where it was.
-    fence: Entries<()>,
+    fence: Fence,
     leaves: Vec<Leaf>,
     len: usize,
 }
@@ -353,19 +491,13 @@ impl KeyMap {
         self.len = 0;
     }
 
-    /// The index of the one leaf that may hold `key` (0 in an empty map).
-    fn leaf_for(&self, key: &str) -> usize {
-        match self.fence.search(key) {
-            Ok(i) => i + 1,
-            Err(i) => i,
-        }
-    }
-
-    /// The value stored under `key`. Bounded by the fence search plus one
-    /// leaf search: `log2(leaves) + log2(LEAF_ENTRIES) + 2` probes.
+    /// The value stored under `key`. Bounded by three counts — over the
+    /// top index (`leaves / BLOCK` heads), one fence block (`BLOCK`) and
+    /// one leaf (`LEAF_ENTRIES`) — plus a binary search within each tie of
+    /// equal heads.
     #[progress(wait_free)]
     pub fn get(&self, key: &str) -> Option<u64> {
-        let leaf = self.leaves.get(self.leaf_for(key))?;
+        let leaf = self.leaves.get(self.fence.leaf_for(key))?;
         let at = leaf.search(key).ok()?;
         leaf.slots.get(at).map(|slot| slot.value)
     }
@@ -373,7 +505,7 @@ impl KeyMap {
     /// Stores `value` under `key`, returning the value it replaces. Over an
     /// existing key this writes one value slot and copies nothing.
     pub fn insert(&mut self, key: &str, value: u64) -> Option<u64> {
-        let li = self.leaf_for(key);
+        let li = self.fence.leaf_for(key);
         let Some(leaf) = self.leaves.get_mut(li) else {
             self.leaves.push(Leaf::single(key, value));
             self.len = 1;
@@ -436,17 +568,17 @@ impl KeyMap {
             if cut == 0 {
                 // The entry's own leaf takes over this leaf's fence; this
                 // leaf is fenced by its first key from now on.
-                self.fence.insert(li, leaf.key(0).unwrap_or_default(), ());
+                self.fence.insert(li, leaf.key(0).unwrap_or_default());
                 self.leaves.insert(li, Leaf::single(key, value));
                 return;
             }
             if cut == len {
-                self.fence.insert(li, key, ());
+                self.fence.insert(li, key);
                 self.leaves.insert(li + 1, Leaf::single(key, value));
                 return;
             }
             let right = leaf.split_off(cut);
-            self.fence.insert(li, right.key(0).unwrap_or_default(), ());
+            self.fence.insert(li, right.key(0).unwrap_or_default());
             self.leaves.insert(li + 1, right);
             if at > cut {
                 li += 1;
@@ -457,7 +589,7 @@ impl KeyMap {
 
     /// Removes `key`, returning its value.
     pub fn remove(&mut self, key: &str) -> Option<u64> {
-        let li = self.leaf_for(key);
+        let li = self.fence.leaf_for(key);
         let leaf = self.leaves.get_mut(li)?;
         let at = leaf.search(key).ok()?;
         let value = leaf.remove(at);
@@ -465,7 +597,7 @@ impl KeyMap {
         if leaf.len() == 0 {
             self.leaves.remove(li);
             // Leaf 0 has no fence of its own: freeing it unfences leaf 1.
-            if self.fence.len() > 0 {
+            if self.fence.entries.len() > 0 {
                 self.fence.remove(li.saturating_sub(1));
             }
         }
@@ -485,7 +617,7 @@ impl KeyMap {
         if from >= to {
             return Iter { leaves: &[], at: 0, to: None };
         }
-        let li = self.leaf_for(from);
+        let li = self.fence.leaf_for(from);
         let leaves = self.leaves.get(li..).unwrap_or_default();
         let at = leaves.first().map_or(0, |leaf| match leaf.search(from) {
             Ok(at) | Err(at) => at,
@@ -569,22 +701,22 @@ mod tests {
 
     use super::*;
 
-    /// One entry array's own promises: every key starts with the shared
-    /// prefix, which only long keys have; each head is the bytes after it;
-    /// a short key's tag is its exact length; and the text is the long
-    /// keys' and nothing else, in order. Returns the keys.
+    /// One entry array's own promises: one head and one slot per entry;
+    /// every key starts with the shared prefix, which only long keys have;
+    /// each head is the bytes after it, so the heads rank in entry order; a
+    /// short key's tag is its exact length; and the text is the long keys'
+    /// and nothing else, in order. Returns the keys.
     fn check_entries<V: Copy>(entries: &Entries<V>) -> Vec<&str> {
+        assert_eq!(entries.heads.len(), entries.slots.len(), "one head per slot");
         let keys: Vec<&str> = (0..entries.len()).map(|i| entries.key(i).unwrap()).collect();
+        let ranks: Vec<u64> = entries.heads.iter().map(|&head| rank(head)).collect();
+        assert!(ranks.windows(2).all(|pair| pair[0] <= pair[1]), "the heads rank out of order");
         let prefix = entries.prefix as usize;
         let mut text = String::new();
         for (i, key) in keys.iter().enumerate() {
             assert!(prefix == 0 || key.len() > HEAD, "entry {i} is short under a prefix");
             assert!(key.as_bytes().starts_with(entries.shared()), "entry {i} lacks the prefix");
-            assert_eq!(
-                entries.slots[i].head,
-                head_of(&key.as_bytes()[prefix..]),
-                "entry {i}'s head"
-            );
+            assert_eq!(entries.heads[i], head_of(&key.as_bytes()[prefix..]), "entry {i}'s head");
             let tag = entries.slots[i].tag;
             match long_start(tag) {
                 None => assert_eq!(tag as usize, key.len(), "entry {i}'s length"),
@@ -599,9 +731,15 @@ mod tests {
         keys
     }
 
-    /// The layout's own promises, whatever history produced it.
+    /// The layout's own promises, whatever history produced it: each
+    /// array's own (above), a top index that is every [`BLOCK`]th fence
+    /// head, leaves in order between their fences, and a descent that finds
+    /// every bound's leaf and every key where it is stored.
     fn check_layout(map: &KeyMap) {
-        let fence = check_entries(&map.fence);
+        let fence = check_entries(&map.fence.entries);
+        let every_block: Vec<u64> =
+            map.fence.entries.heads.iter().step_by(BLOCK).map(|&head| rank(head)).collect();
+        assert_eq!(map.fence.top, every_block, "the top index is every {BLOCK}th fence head");
         assert_eq!(fence.len(), map.leaves.len().saturating_sub(1), "one fence per later leaf");
         assert_eq!(map.leaves.iter().map(Entries::len).sum::<usize>(), map.len);
         let mut below: Option<&str> = None;
@@ -614,6 +752,16 @@ mod tests {
             if li > 0 {
                 assert!(fence[li - 1] <= keys[0], "leaf {li} starts below its fence");
                 assert!(below.unwrap() < fence[li - 1], "leaf {} ends at its fence", li - 1);
+                assert_eq!(
+                    map.fence.leaf_for(fence[li - 1]),
+                    li,
+                    "fence {} leads elsewhere",
+                    li - 1
+                );
+            }
+            for (i, key) in keys.iter().enumerate() {
+                assert_eq!(map.fence.leaf_for(key), li, "{key:?} is looked for in another leaf");
+                assert_eq!(leaf.search(key), Ok(i), "{key:?} is not found where it is");
             }
             below = keys.last().copied();
         }
@@ -670,6 +818,35 @@ mod tests {
         order
     }
 
+    /// Checks one scripted insert (`kind` 0..=11), remove (12..=15), get
+    /// (16..=18) or range from `key` to `to` (19..=21) against the oracle:
+    /// the answers must be the same.
+    fn answer_as_the_oracle(
+        map: &mut KeyMap,
+        oracle: &mut BTreeMap<String, u64>,
+        kind: u8,
+        key: String,
+        to: String,
+        value: u64,
+    ) -> Result<(), TestCaseError> {
+        match kind {
+            0..=11 => prop_assert_eq!(map.insert(&key, value), oracle.insert(key, value)),
+            12..=15 => prop_assert_eq!(map.remove(&key), oracle.remove(&key)),
+            16..=18 => prop_assert_eq!(map.get(&key), oracle.get(&key).copied()),
+            _ => {
+                let got: Vec<(String, u64)> =
+                    map.range(&key, &to).map(|(k, v)| (k.to_owned(), v)).collect();
+                let want: Vec<(String, u64)> = if key < to {
+                    oracle.range(key..to).map(|(k, v)| (k.clone(), *v)).collect()
+                } else {
+                    Vec::new()
+                };
+                prop_assert_eq!(got, want);
+            }
+        }
+        Ok(())
+    }
+
     /// Runs `script` against `KeyMap` and `BTreeMap<String, u64>` side by
     /// side: every answer, the length after every step, the final contents
     /// and layout, and a clone taken mid-way.
@@ -680,20 +857,7 @@ mod tests {
         for (step, &(kind, a, b)) in script.iter().enumerate() {
             let (key, value) = (key_of(a), u64::from(b));
             match kind {
-                0..=11 => prop_assert_eq!(map.insert(&key, value), oracle.insert(key, value)),
-                12..=15 => prop_assert_eq!(map.remove(&key), oracle.remove(&key)),
-                16..=18 => prop_assert_eq!(map.get(&key), oracle.get(&key).copied()),
-                19..=21 => {
-                    let to = key_of(b);
-                    let got: Vec<(String, u64)> =
-                        map.range(&key, &to).map(|(k, v)| (k.to_owned(), v)).collect();
-                    let want: Vec<(String, u64)> = if key < to {
-                        oracle.range(key..to).map(|(k, v)| (k.clone(), *v)).collect()
-                    } else {
-                        Vec::new()
-                    };
-                    prop_assert_eq!(got, want);
-                }
+                0..=21 => answer_as_the_oracle(&mut map, &mut oracle, kind, key, key_of(b), value)?,
                 22 => {
                     if let Some((clone, at_clone)) = cloned.take() {
                         prop_assert_eq!(
@@ -723,6 +887,111 @@ mod tests {
         Ok(())
     }
 
+    /// The keys of a large load, in order: at least `n`, mostly 8 bytes,
+    /// with head ties where a full load cuts. Across every leaf edge, a
+    /// family under one 7-byte head: keys of 7, 8 and 9 bytes, NULs against
+    /// the head's zero padding, long keys sharing 8 bytes. Across every top
+    /// index block edge, a run of 300 long keys sharing 10 bytes, the first
+    /// keys of five leaves: fences that tie on both sides of the edge.
+    fn large_load(n: usize) -> Vec<String> {
+        const EDGE: usize = LEAF_ENTRIES * BLOCK;
+        let mut keys = Vec::with_capacity(n + 300);
+        for i in 0.. {
+            if keys.len() >= n {
+                break;
+            }
+            let head = format!("f{i:06}");
+            if keys.len() % EDGE >= EDGE - 160 {
+                keys.extend((0..300).map(|j| format!("{head}:t{j:04}")));
+            } else if keys.len() % LEAF_ENTRIES >= LEAF_ENTRIES - 4 {
+                let family = ["", "\0", "\0\0", "a", "a\0", "a!", "abcdefgh1", "abcdefgh2"];
+                keys.extend(family.map(|tail| format!("{head}{tail}")));
+            } else {
+                keys.push(format!("{head}0"));
+            }
+        }
+        keys
+    }
+
+    /// Loads [`large_load`]`(n)` through `push`, then runs `script` against
+    /// `BTreeMap<String, u64>` as [`run_against_the_oracle`] does, on keys
+    /// at and beside the loaded ones, with two more steps: removing a run of
+    /// 80 keys (a freed leaf) and inserting 80 keys in one place (splits
+    /// mid-map). Nothing clears the map, so the top index spans many
+    /// blocks throughout.
+    fn run_large_against_the_oracle(
+        n: usize,
+        script: &[(u8, u32, u32)],
+    ) -> Result<(), TestCaseError> {
+        let load = large_load(n);
+        let mut map = KeyMap::new();
+        for (value, key) in (0..).zip(&load) {
+            map.push(key, value);
+        }
+        let mut oracle: BTreeMap<String, u64> =
+            (0..).zip(&load).map(|(value, key)| (key.clone(), value)).collect();
+        check_layout(&map);
+        let (_, full) = map.leaves.split_last().expect("a large load has leaves");
+        prop_assert!(
+            full.iter().all(|leaf| leaf.len() == LEAF_ENTRIES),
+            "a load through `push` leaves every leaf but the last full"
+        );
+        let fences = &map.fence.entries.heads;
+        prop_assert!(
+            (BLOCK..fences.len()).step_by(BLOCK).any(|at| fences[at - 1] == fences[at]),
+            "no tie of fence heads straddles a top index block edge"
+        );
+        // A loaded key, or one beside it: a NUL above it, a byte short of
+        // it, or past its family.
+        let pick = |a: u32| {
+            let key = &load[(a / 4) as usize % load.len()];
+            match a % 4 {
+                0 => key.clone(),
+                1 => format!("{key}\0"),
+                2 => key[..key.len() - 1].to_owned(),
+                _ => format!("{key}~"),
+            }
+        };
+        let mut cloned: Option<(KeyMap, BTreeMap<String, u64>)> = None;
+        for &(kind, a, b) in script {
+            let (key, value) = (pick(a), u64::from(b));
+            match kind {
+                0..=21 => {
+                    let to = pick(a.wrapping_add(b % 256));
+                    answer_as_the_oracle(&mut map, &mut oracle, kind, key, to, value)?;
+                }
+                22 => {
+                    cloned.get_or_insert_with(|| (map.clone(), oracle.clone()));
+                }
+                23 => {
+                    let run: Vec<String> =
+                        oracle.range(key..).take(80).map(|(k, _)| k.clone()).collect();
+                    for key in run {
+                        prop_assert_eq!(map.remove(&key), oracle.remove(&key));
+                    }
+                }
+                _ => {
+                    for j in 0..80 {
+                        let key = format!("{key}~{j:02}");
+                        prop_assert_eq!(map.insert(&key, value), oracle.insert(key, value));
+                    }
+                }
+            }
+            prop_assert_eq!(map.len(), oracle.len());
+        }
+        check_layout(&map);
+        prop_assert_eq!(contents(&map), oracle_contents(&oracle));
+        if let Some((clone, at_clone)) = cloned {
+            check_layout(&clone);
+            prop_assert_eq!(
+                contents(&clone),
+                oracle_contents(&at_clone),
+                "a clone moved with its source"
+            );
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -747,6 +1016,36 @@ mod tests {
             script in proptest::collection::vec((0u8..24, 0u32..600, 0u32..600), 1..1500),
         ) {
             run_against_the_oracle(&script)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        /// A map of 20 000 to 50 000 keys, loaded in order with head ties
+        /// across leaf and top index block edges, answers any history of
+        /// inserts, removes (of runs too), reads, scans and a clone exactly
+        /// as `BTreeMap<String, u64>` does.
+        #[test]
+        fn a_large_map_answers_as_the_btreemap_oracle(
+            n in 20_000usize..50_000,
+            script in proptest::collection::vec((0u8..25, 0u32..200_000, 0u32..600), 1..400),
+        ) {
+            run_large_against_the_oracle(n, &script)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The large-map oracle at 64 cases, for release builds.
+        #[test]
+        #[ignore = "64 cases: run in release with --include-ignored"]
+        fn a_large_map_answers_as_the_btreemap_oracle_at_64_cases(
+            n in 20_000usize..50_000,
+            script in proptest::collection::vec((0u8..25, 0u32..200_000, 0u32..600), 1..400),
+        ) {
+            run_large_against_the_oracle(n, &script)?;
         }
     }
 
@@ -836,7 +1135,12 @@ mod tests {
             assert_eq!(map.remove(&format!("k{i:03}")), Some(i));
             assert_eq!(map.remove(&format!("k{i:03}")), None);
         }
-        assert!(map.is_empty() && map.leaves.is_empty() && map.fence.len() == 0);
+        assert!(
+            map.is_empty()
+                && map.leaves.is_empty()
+                && map.fence.entries.len() == 0
+                && map.fence.top.is_empty()
+        );
         assert_eq!(map, KeyMap::new());
         assert!(map.iter().next().is_none());
         for i in shuffled(500) {

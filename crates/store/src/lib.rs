@@ -32,8 +32,8 @@
 //!   statistics from three single-writer digest words per port (replay
 //!   cursor, key count and replay meter) for the VIP dashboard path;
 //! * [`keymap`] — the ordered map every shard replica is: sorted leaves
-//!   behind one fence index, each searched over one array of 8-byte key
-//!   heads;
+//!   behind one fence index with a top index over it, each searched by
+//!   counting over a contiguous array of 8-byte key heads;
 //! * [`frame`] — the byte format under the snapshot, the WAL and the
 //!   `apc-net` wire codec: one checksummed frame shape, the little-endian
 //!   primitives, and one bounds-checked cursor.

@@ -110,17 +110,19 @@ pub enum StoreResp {
 ///
 /// The map is a [`KeyMap`]: sorted leaves of at most 64 entries (or 4 KiB of
 /// long-key text — its two constants, `LEAF_ENTRIES` and `LEAF_BYTES`),
-/// found through one fence index of the leaves' lower bounds. Each leaf is
-/// one array of 20 B slots — a key's first 8 bytes as its head, its length
-/// or text offset, its value — that the search walks, and one buffer with
-/// the full text of the keys longer than 8 bytes. A replayed write is one
-/// descent over two such arrays. Every port keeps a replica of this state
-/// and every log cell is applied to each of them, so what a key costs here
-/// is what it costs times the replicas: ~21 B for an 8-byte key in a full
-/// leaf, ~40 B under random inserts, and a deep clone
+/// found through one fence index of the leaves' lower bounds and a top
+/// index over every 16th of them. Each leaf keeps its keys' first 8 bytes
+/// (their heads) back to back, a 12 B slot per key (its length or text
+/// offset, its value) and one buffer with the full text of the keys longer
+/// than 8 bytes. A replayed write is one descent: four counts over a few
+/// cache lines of heads, none of whose loads waits on another, with the
+/// leaf's slots read alongside its heads. Every port keeps a replica of
+/// this state and every log cell is applied to each of them, so what a key
+/// costs here is what it costs times the replicas: ~22 B for an 8-byte key
+/// in a full leaf, ~40 B under random inserts, and a deep clone
 /// ([`Store::checkpoint`](crate::store::Store::checkpoint), every seal, a
-/// new handle) is one `memcpy` per leaf of such keys, two with
-/// longer ones.
+/// new handle) is one `memcpy` per buffer: two per leaf of such keys,
+/// three with longer ones.
 ///
 /// Two states are equal when their epochs and their **entry sequences**
 /// are, wherever their leaves happen to be cut: a replica that replayed a

@@ -32,8 +32,9 @@
 //! batch and a 16-key scan. Its last two lines price a guest frame shed at
 //! a full backlog, which is refused from its validated header, and a turn
 //! over 4096 handshaken connections that have nothing to say: no allocator
-//! call for either. README's per-frame table is held to this table: each
-//! row's first figure is the measured one, at the precision README prints.
+//! call for either. README's per-request and per-frame tables are held to
+//! the two tables: each row's first figures are the measured ones, at the
+//! precision README prints.
 //!
 //! A change that adds an allocation to the commit path or the serve path
 //! fails here and has to raise a budget below to land — that is, it has to
@@ -188,11 +189,13 @@ fn commit_path_allocations_stay_within_budget() {
     // word, at-most-once mask — plus a 64th of the segment's `Arc`
     // counts and link), the batch's
     // 72 B `Arc<[StoreOp]>`, the 8 B key and the 56 B decided record. A
-    // stored key's calls are its share of its leaf's growth, and what it
-    // keeps is its bytes in that leaf: a 16 B slot (head and value), a 4 B
-    // tag and its share of the leaf's header and fence entry, 21.3 B in a
-    // full leaf. The budget is that and no more (it was twice the census),
-    // so a layout that stores a key's bytes twice fails here.
+    // stored key's calls are its share of its leaf's two buffers (heads
+    // and slots, each made with room for a full leaf), and what it keeps
+    // is its bytes in that leaf: an 8 B head, a 12 B slot (tag and value)
+    // and its share of the leaf's 80 B header and 12 B fence entry, 21.4 B
+    // in a full leaf and 21.9 B with the spare capacity of the leaf vector
+    // and the fence. The budget is that and no more (it was twice the
+    // census), so a layout that stores a key's bytes twice fails here.
     //
     // Every other call is freed before the request returns:
     // - 3 are this harness building its request: the key's two (`format!`
@@ -242,6 +245,7 @@ fn commit_path_allocations_stay_within_budget() {
             census.calls, census.retained_allocs, census.retained_bytes
         );
     }
+    readme_per_request_rows_match(&arms);
     for (name, census, budget) in &arms {
         assert!(
             census.calls <= budget.calls + SLACK
@@ -267,7 +271,7 @@ fn commit_path_allocations_stay_within_budget() {
     assert!(replayed <= SLACK, "a replayed cell is over its call budget: {replayed:.3}");
 
     // A deep clone copies each leaf's buffers whole: two allocations per
-    // leaf of 8-byte keys (slots and tags; the long-key text is empty),
+    // leaf of 8-byte keys (heads and slots; the long-key text is empty),
     // none per key.
     let cloned = deep_clone_calls();
     println!("deep clone, calls / key  {cloned:>7.3}");
@@ -452,22 +456,63 @@ fn serve_path_allocations_stay_within_budget(store: &Store) {
     assert_eq!(idle, 0, "a turn with nothing to serve allocates");
 }
 
-/// README's per-frame table against what this binary measured: every row
-/// names the arms it reports, in order, and its first figure is each of
-/// them at the precision README prints it (`10` is a whole number of
-/// calls, `50.1` a tenth).
-fn readme_per_frame_rows_match(arms: &[(&str, f64, f64)]) {
+/// The rows of README's table whose header row starts with `header`, as
+/// cells, each cell cut to its first word: a row's name and then the first
+/// figure of each column, the measured one (`10.02 (was 12.02, …)`).
+fn readme_rows(header: &str) -> Vec<Vec<&'static str>> {
     let readme = include_str!("../README.md");
-    let rows: Vec<(&str, &str)> = readme
+    readme
         .lines()
-        .skip_while(|line| !line.starts_with("| per frame, inside `poll()` |"))
+        .skip_while(|line| !line.starts_with(header))
         .skip(2) // the header and its separator
         .take_while(|line| line.starts_with('|'))
         .map(|row| {
-            let cells: Vec<&str> = row.trim_matches('|').split('|').map(str::trim).collect();
-            (cells[0], cells[1].split_whitespace().next().unwrap_or_default())
+            let mut cells = row.trim_matches('|').split('|').map(str::trim);
+            let name = cells.next().unwrap_or_default();
+            let figures = cells.map(|cell| cell.split_whitespace().next().unwrap_or_default());
+            std::iter::once(name).chain(figures).collect()
         })
-        .collect();
+        .collect()
+}
+
+/// Whether README's `figure` is `measured` at the precision README prints
+/// it (`10` is a whole number, `50.1` a tenth).
+fn printed_as(figure: &str, measured: f64) -> bool {
+    let decimals = figure.split_once('.').map_or(0, |(_, fraction)| fraction.len());
+    figure == format!("{measured:.decimals$}")
+}
+
+/// README's per-request table against what this binary measured: every
+/// row names the arm it reports, in order, and its first figure in each
+/// column is that arm's calls, retained allocations and retained bytes.
+fn readme_per_request_rows_match(arms: &[(&str, Census, Census)]) {
+    let rows = readme_rows("| per request |");
+    let reported = [
+        ("guest put", "guest put"),
+        ("VIP put", "vip put"),
+        ("local read", "local read"),
+        ("**per stored key, per replica**", "stored key / replica"),
+    ];
+    let names: Vec<&str> = rows.iter().map(|cells| cells[0]).collect();
+    assert_eq!(names, reported.map(|(row, _)| row), "README's per-request rows");
+    for (cells, (row, arm)) in rows.iter().zip(reported) {
+        let (_, census, _) = arms.iter().find(|(name, ..)| *name == arm).expect("a measured arm");
+        let measured = [census.calls, census.retained_allocs, census.retained_bytes];
+        assert_eq!(cells.len(), 1 + measured.len(), "README's `{row}` row has three figures");
+        for (figure, measured) in cells[1..].iter().zip(measured) {
+            assert!(
+                printed_as(figure, measured),
+                "README's `{row}` row: {figure} against {measured}"
+            );
+        }
+    }
+}
+
+/// README's per-frame table against what this binary measured: every row
+/// names the arms it reports, in order, and its first figure is each of
+/// them.
+fn readme_per_frame_rows_match(arms: &[(&str, f64, f64)]) {
+    let rows = readme_rows("| per frame, inside `poll()` |");
     let reported: [(&str, &[&str]); 5] = [
         ("VIP put", &["vip put"]),
         ("guest put", &["guest put"]),
@@ -475,14 +520,17 @@ fn readme_per_frame_rows_match(arms: &[(&str, f64, f64)]) {
         ("one frame of a 64-frame guest batch", &["64-frame guest batch"]),
         ("16-key scan", &["16-key scan"]),
     ];
-    let names: Vec<&str> = rows.iter().map(|(name, _)| *name).collect();
+    let names: Vec<&str> = rows.iter().map(|cells| cells[0]).collect();
     assert_eq!(names, reported.map(|(row, _)| row), "README's per-frame rows");
-    for ((row, figure), (_, arm_names)) in rows.iter().zip(reported) {
-        let decimals = figure.split_once('.').map_or(0, |(_, fraction)| fraction.len());
+    for (cells, (row, arm_names)) in rows.iter().zip(reported) {
         for arm in arm_names {
             let calls = arms.iter().find(|(name, ..)| name == arm).map(|(_, calls, _)| *calls);
-            let measured = format!("{:.decimals$}", calls.expect("an arm README reports"));
-            assert_eq!(*figure, measured, "README's `{row}` row against the {arm} arm");
+            let calls = calls.expect("an arm README reports");
+            let figure = cells[1];
+            assert!(
+                printed_as(figure, calls),
+                "README's `{row}` row: {figure} against {arm}'s {calls}"
+            );
         }
     }
 }
