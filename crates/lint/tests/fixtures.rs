@@ -316,16 +316,18 @@ fn live_workspace_is_clean() {
             .unwrap_or_else(|| panic!("apc-store must keep a Client::{arm} fn"));
         assert_eq!(f.class, Some(class), "Client::{arm} changed its progress class");
     }
-    // The log walk's four drivers: `request_vip` → `commit_vip` →
+    // The log walk's drivers: `request_vip` → `commit_vip` →
     // `sync_read` / `apply` is bounded wait-free end to end only while the
-    // handle methods say so, and a seal or a reconfiguration is lock-free,
-    // never more. Dropping an annotation would let the sweep walk into the
-    // method by name and find nothing to hold it to.
+    // handle methods say so, and a checkpoint, a reconfiguration and the
+    // sealing walk under both are lock-free, never more. Dropping an
+    // annotation would let the sweep walk into the method by name and find
+    // nothing to hold it to.
     for (driver, class) in [
         ("apply", apc_lint::parse::Class::BoundedWaitFree),
         ("sync_read", apc_lint::parse::Class::BoundedWaitFree),
         ("checkpoint", apc_lint::parse::Class::LockFree),
         ("reconfigure", apc_lint::parse::Class::LockFree),
+        ("place_seal", apc_lint::parse::Class::LockFree),
     ] {
         let f = ws
             .all_fns()
@@ -406,8 +408,9 @@ fn method(ws: &apc_lint::graph::Workspace, self_type: &str, name: &str) -> FnId 
 /// `StoreServer::dispatch_vip`), a guest arm (`Client::request_guest_from`,
 /// `Store::commit_guest`) or a whole reactor turn (`StoreServer::poll`) can
 /// reach, by the analyzer's own resolution and through every callee
-/// whatever its annotation (no `try_*` cut), is a checkpoint seal, a
-/// reconfiguration or a rebalance. Housekeeping is an admin call only.
+/// whatever its annotation (no `try_*` cut), is a checkpoint, a
+/// reconfiguration, the sealing walk under both, or a rebalance.
+/// Housekeeping is an admin call only.
 #[test]
 fn the_vip_arm_reaches_no_housekeeping() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -415,6 +418,7 @@ fn the_vip_arm_reaches_no_housekeeping() {
     let housekeeping = [
         "OwnedHandle::checkpoint",
         "OwnedHandle::reconfigure",
+        "OwnedHandle::place_seal",
         "Store::checkpoint",
         "Store::split_locked",
         "Store::merge_locked",

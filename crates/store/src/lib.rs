@@ -49,10 +49,11 @@
 //!
 //! The [`model`] module re-expresses the shard commit path as an
 //! `apc-model` program so small instances can be *exhaustively* checked:
-//! commit safety on every schedule (including a checkpoint install racing
-//! concurrent VIP/guest commits), termination of every fair VIP schedule,
-//! and a positive livelock witness for guest-only schedules — the
-//! asymmetric liveness claim, machine-checked.
+//! commit safety on every schedule (including a seal — a checkpoint, a
+//! split or a merge drain, which place alike — racing concurrent VIP/guest
+//! commits), termination of every fair VIP schedule, and a positive
+//! livelock witness for guest-only schedules — the asymmetric liveness
+//! claim, machine-checked.
 //!
 //! ## Example
 //!

@@ -40,6 +40,16 @@
 //!    cell proposes the segment it built to the boundary's link and walks
 //!    on in the segment the link decided, and [`PlacementSafety`] and
 //!    [`PrefixSafety`] hold over the log the links decide.
+//!
+//! A **seal** is one more value placed in the log: a checkpoint, a split's
+//! topology bump and a merge's drain are each one
+//! [`SealRecord`](apc_universal::SealRecord) in the real log, agreed
+//! through the same cells as batches. So the model has one seal marker,
+//! `SEAL_BASE + pid`, and one race of batches against it
+//! ([`seal_commit_system`]), which the read path and the segmented log run
+//! too. Only the cross-log merge ([`merge_adopt_system`]) needs a second
+//! marker from the same placer, the parent-side adoption
+//! (`ADOPT_BASE + pid`), for [`MergeOrder`].
 
 use std::sync::Arc;
 
@@ -160,22 +170,14 @@ pub fn proposed_batches(participants: ProcessSet) -> Vec<Value> {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint install racing concurrent commits: the multi-cell log model.
+// A seal racing concurrent commits: the multi-cell log model.
 // ---------------------------------------------------------------------------
 
-/// Batch ids are `100 + pid`; checkpoint markers are `CHECKPOINT_BASE + pid`.
-pub const CHECKPOINT_BASE: u32 = 900;
-
-/// Topology-bump (split) markers are `SPLIT_BASE + pid` — namespaced away
-/// from both batch ids and checkpoint markers, like the real
-/// [`ShardCmd::Split`](crate::ops::ShardCmd) is a distinct log-record
-/// payload.
-pub const SPLIT_BASE: u32 = 800;
-
-/// Merge-retirement markers (the child-side drain of a live merge) are
-/// `MERGE_BASE + pid` — the model of
-/// [`ShardCmd::Merge`](crate::ops::ShardCmd) placing in the child's log.
-pub const MERGE_BASE: u32 = 700;
+/// Batch ids are `100 + pid`; seal markers — a checkpoint, a split's
+/// topology bump ([`ShardCmd::Split`](crate::ops::ShardCmd)) or a merge's
+/// child-side drain ([`ShardCmd::Merge`](crate::ops::ShardCmd)), which
+/// place alike — are `SEAL_BASE + pid`.
+pub const SEAL_BASE: u32 = 900;
 
 /// Merge-adoption markers (the parent-side fold-in of a live merge) are
 /// `ADOPT_BASE + pid` — the model of
@@ -292,7 +294,7 @@ fn segment_builder(decided: Option<Value>) -> Option<usize> {
     Some(decided?.as_num()?.checked_sub(SEGMENT_BASE)? as usize)
 }
 
-/// One port placing one value (a batch or a checkpoint) into a multi-cell
+/// One port placing one value (a batch or a seal) into a multi-cell
 /// log, exactly like the real universal construction walks its cells:
 /// propose to the next free cell; if the cell agreed on someone else's
 /// value, move on and re-propose; stop at the cell that agreed on mine.
@@ -304,7 +306,7 @@ fn segment_builder(decided: Option<Value>) -> Option<usize> {
 /// With as many cells as participants, every participant places within the
 /// window (each process wins at most one cell, so a process can lose at
 /// most `participants − 1` times) — the model-checkable core of the claim
-/// that a checkpoint install never drops or duplicates a committed op.
+/// that a seal never drops or duplicates a committed op.
 ///
 /// A placer built with [`LogPlaceProgram::publishing`] also does what
 /// `OwnedHandle::apply` does for the read path: once it has absorbed the
@@ -432,11 +434,11 @@ impl Program for LogPlaceProgram {
     }
 }
 
-/// The safety invariant of the checkpointed commit path, checked at every
+/// The safety invariant of the sealed commit path, checked at every
 /// reachable state:
 ///
 /// 1. **no duplicate placement** — no value is agreed by two different log
-///    cells (a committed batch or checkpoint is never replayed twice);
+///    cells (a committed batch or seal is never replayed twice);
 /// 2. **cell validity** — every cell decision is some participant's
 ///    proposal;
 /// 3. **placement before decision** — a port only decides a value some
@@ -490,83 +492,40 @@ impl<P: apc_model::Program> apc_model::explore::Invariant<P> for PlacementSafety
     }
 }
 
-/// Builds the checkpointed commit path: `committers` race their batches
-/// (`100 + pid`) against `checkpointer`'s checkpoint install
-/// (`CHECKPOINT_BASE + pid`) over a log window of one `(ports,vips)`-live
-/// cell per participant.
+/// Builds the **seal race**: `committers` race their batches (`100 + pid`)
+/// against `sealer`'s seal (`SEAL_BASE + pid`) over a log window of one
+/// `(ports,vips)`-live cell per participant — the model of a checkpoint
+/// ([`Store::checkpoint`]), a split's topology bump
+/// ([`Store::split_shard`]) or a merge's child-side drain
+/// ([`Store::merge_shard`]) racing concurrent VIP/guest batches through the
+/// shard's own log. (The cross-log half of a merge — the drain *then* the
+/// adoption — is [`merge_adopt_system`].)
 ///
-/// Returns the system, the log cells, and the participants' proposal set.
-///
-/// # Panics
-///
-/// Panics if `ports == 0`, `vips > ports`, or the checkpointer is also a
-/// committer.
-pub fn checkpointed_commit_system(
-    ports: usize,
-    vips: usize,
-    isolation_window: u8,
-    committers: ProcessSet,
-    checkpointer: Option<usize>,
-) -> (System<MaybeParticipant<LogPlaceProgram>>, Vec<ObjectId>, Vec<Value>) {
-    special_commit_system(ports, vips, isolation_window, committers, checkpointer, CHECKPOINT_BASE)
-}
-
-/// Builds the **split-vs-commit race**: `committers` race their batches
-/// (`100 + pid`) against `splitter`'s topology-bump install
-/// (`SPLIT_BASE + pid`) over a log window of one `(ports,vips)`-live cell
-/// per participant — the model of [`Store::split_shard`]'s reconfig record
-/// racing concurrent VIP/guest batches through the shard's own log.
-///
-/// [`PlacementSafety`] over the result is exactly the split-safety claim:
-/// the bump and every batch place **exactly once** (no committed op is
-/// dropped by the migration or replayed into both sides of the split), and
+/// [`PlacementSafety`] over the result is the seal-safety claim: the seal
+/// and every batch place **exactly once** (no committed op is dropped by
+/// the seal, or replayed into both sides of a split or after a drain), and
 /// terminal states place every participant.
 ///
 /// Returns the system, the log cells, and the participants' proposal set.
 ///
 /// # Panics
 ///
-/// Panics if `ports == 0`, `vips > ports`, or the splitter is also a
+/// Panics if `ports == 0`, `vips > ports`, or the sealer is also a
 /// committer.
 ///
+/// [`Store::checkpoint`]: crate::store::Store::checkpoint
 /// [`Store::split_shard`]: crate::store::Store::split_shard
-pub fn split_commit_system(
-    ports: usize,
-    vips: usize,
-    isolation_window: u8,
-    committers: ProcessSet,
-    splitter: Option<usize>,
-) -> (System<MaybeParticipant<LogPlaceProgram>>, Vec<ObjectId>, Vec<Value>) {
-    special_commit_system(ports, vips, isolation_window, committers, splitter, SPLIT_BASE)
-}
-
-/// Builds the **single-log merge-vs-commit race**: `committers` race their
-/// batches (`100 + pid`) against `merger`'s retirement install
-/// (`MERGE_BASE + pid`) over a log window of one `(ports,vips)`-live cell
-/// per participant — the model of [`Store::merge_shard`]'s child-side
-/// drain racing concurrent VIP/guest batches through the retiring shard's
-/// own log. (The cross-log half — the drain *then* the adoption — is
-/// [`merge_adopt_system`].)
-///
-/// [`PlacementSafety`] over the result is the child-side merge-safety
-/// claim: the retirement and every batch place **exactly once** (no
-/// committed op is dropped by the drain or replayed after it), and
-/// terminal states place every participant.
-///
-/// # Panics
-///
-/// Panics if `ports == 0`, `vips > ports`, or the merger is also a
-/// committer.
-///
 /// [`Store::merge_shard`]: crate::store::Store::merge_shard
-pub fn merge_commit_system(
+pub fn seal_commit_system(
     ports: usize,
     vips: usize,
     isolation_window: u8,
     committers: ProcessSet,
-    merger: Option<usize>,
+    sealer: Option<usize>,
 ) -> (System<MaybeParticipant<LogPlaceProgram>>, Vec<ObjectId>, Vec<Value>) {
-    special_commit_system(ports, vips, isolation_window, committers, merger, MERGE_BASE)
+    let race = PlaceRace::new(ports, vips, isolation_window, committers, sealer, None);
+    let (system, safety) = race.build(|place| place, |_| MaybeParticipant::Absent);
+    (system, safety.log.head, safety.proposals)
 }
 
 /// One port placing a value in **each of two logs, in order**: the merge
@@ -698,7 +657,7 @@ impl<P: apc_model::Program> apc_model::explore::Invariant<P> for MergeOrder {
 
 /// Builds the **cross-log merge race**: `child_committers` race batches in
 /// the child's log and `parent_committers` race batches in the parent's
-/// log while `merger` drains the child (`MERGE_BASE + pid`) and then
+/// log while `merger` drains the child (`SEAL_BASE + pid`) and then
 /// adopts into the parent (`ADOPT_BASE + pid`) — the dual-log shape of
 /// [`Store::merge_shard`]. Each log has one `(ports,vips)`-live cell per
 /// port placing into it.
@@ -756,7 +715,7 @@ pub fn merge_adopt_system(
         .chain(parent_committers.iter())
         .map(|p| Value::Num(100 + p.index() as u32))
         .collect();
-    proposals.push(Value::Num(MERGE_BASE + merger as u32));
+    proposals.push(Value::Num(SEAL_BASE + merger as u32));
     proposals.push(Value::Num(ADOPT_BASE + merger as u32));
     let child_log = Arc::new(LogCells::flat(child_cells.clone()));
     let parent_log = Arc::new(LogCells::flat(parent_cells.clone()));
@@ -773,7 +732,7 @@ pub fn merge_adopt_system(
         } else if pid.index() == merger {
             MaybeParticipant::Present(MergePlaceProgram::Merge(DualLogPlaceProgram::new(
                 child_cells.clone(),
-                Value::Num(MERGE_BASE + merger as u32),
+                Value::Num(SEAL_BASE + merger as u32),
                 parent_cells.clone(),
                 Value::Num(ADOPT_BASE + merger as u32),
             )))
@@ -785,10 +744,9 @@ pub fn merge_adopt_system(
 }
 
 /// The set-up shared by the single-log races: `committers` placing their
-/// batches (`100 + pid`) against one distinguished port's marker
-/// (`marker_base + pid`) over a window of one `(ports,vips)`-live cell per
-/// placer — flat, or, if `segmented` gives the log's start in its first
-/// segment, in segments.
+/// batches (`100 + pid`) against `sealer`'s seal (`SEAL_BASE + pid`) over a
+/// window of one `(ports,vips)`-live cell per placer — flat, or, if
+/// `segmented` gives the log's start in its first segment, in segments.
 struct PlaceRace {
     builder: SystemBuilder,
     placers: ProcessSet,
@@ -803,16 +761,15 @@ impl PlaceRace {
         vips: usize,
         isolation_window: u8,
         committers: ProcessSet,
-        special: Option<(usize, u32)>,
+        sealer: Option<usize>,
         segmented: Option<usize>,
     ) -> Self {
         assert!(ports > 0 && vips <= ports, "need 0 < ports and vips ≤ ports");
-        let marker_port = special.map(|(port, _)| port);
         assert!(
-            !committers.iter().any(|p| Some(p.index()) == marker_port),
-            "the marker port must not also commit a batch"
+            !committers.iter().any(|p| Some(p.index()) == sealer),
+            "the sealer must not also commit a batch"
         );
-        let placers: ProcessSet = committers.iter().map(|p| p.index()).chain(marker_port).collect();
+        let placers: ProcessSet = committers.iter().map(|p| p.index()).chain(sealer).collect();
         let mut builder = SystemBuilder::new(ports);
         let cell = |b: &mut SystemBuilder| {
             b.add_live_consensus(
@@ -827,9 +784,9 @@ impl PlaceRace {
             Some(start) => LogCells::segmented(&mut builder, ports, len, start, cell),
         };
         let values = (0..ports)
-            .map(|pid| match special {
-                Some((port, marker_base)) if port == pid => Value::Num(marker_base + pid as u32),
-                _ => Value::Num(100 + pid as u32),
+            .map(|pid| {
+                let base = if sealer == Some(pid) { SEAL_BASE } else { 100 };
+                Value::Num(base + pid as u32)
             })
             .collect();
         PlaceRace { builder, placers, log: Arc::new(log), values }
@@ -857,25 +814,8 @@ impl PlaceRace {
     }
 }
 
-/// Shared body of [`checkpointed_commit_system`], [`split_commit_system`]
-/// and [`merge_commit_system`].
-fn special_commit_system(
-    ports: usize,
-    vips: usize,
-    isolation_window: u8,
-    committers: ProcessSet,
-    special: Option<usize>,
-    marker_base: u32,
-) -> (System<MaybeParticipant<LogPlaceProgram>>, Vec<ObjectId>, Vec<Value>) {
-    let special = special.map(|port| (port, marker_base));
-    let race = PlaceRace::new(ports, vips, isolation_window, committers, special, None);
-    let (system, safety) = race.build(|place| place, |_| MaybeParticipant::Absent);
-    (system, safety.log.head, safety.proposals)
-}
-
 /// Builds the **segment hand-off race**: `committers` place their batches
-/// (`100 + pid`) and, optionally, `special = (pid, marker_base)` places a
-/// marker, into a log of [`MODEL_SEGMENT_CELLS`]-cell segments that starts
+/// (`100 + pid`) and, optionally, `sealer` places a seal, into a log of [`MODEL_SEGMENT_CELLS`]-cell segments that starts
 /// `start` cells into its first segment — the model of the real log's
 /// 64-cell segments, where a handle that absorbs a segment's last cell
 /// proposes the segment it built to the link and walks on in the one the
@@ -887,18 +827,18 @@ fn special_commit_system(
 ///
 /// # Panics
 ///
-/// Panics if `ports == 0`, `vips > ports`, the marker port also commits,
-/// or `start ≥ MODEL_SEGMENT_CELLS`.
+/// Panics if `ports == 0`, `vips > ports`, the sealer also commits, or
+/// `start ≥ MODEL_SEGMENT_CELLS`.
 pub fn segmented_commit_system<P: Program>(
     ports: usize,
     vips: usize,
     isolation_window: u8,
     committers: ProcessSet,
-    special: Option<(usize, u32)>,
+    sealer: Option<usize>,
     start: usize,
     program: impl Fn(LogPlaceProgram) -> P,
 ) -> (System<MaybeParticipant<P>>, PlacementSafety) {
-    let race = PlaceRace::new(ports, vips, isolation_window, committers, special, Some(start));
+    let race = PlaceRace::new(ports, vips, isolation_window, committers, sealer, Some(start));
     race.build(program, |_| MaybeParticipant::Absent)
 }
 
@@ -1114,9 +1054,8 @@ impl<P: apc_model::Program> apc_model::explore::Invariant<P> for PrefixSafety {
 }
 
 /// Builds the **read race**: `committers` place their batches (`100 + pid`)
-/// and, optionally, `special = (pid, marker_base)` places a checkpoint,
-/// split-seal or merge-drain marker, each raising the tail past its own
-/// cell before it finishes, while `reader` runs one [`SyncReadProgram`]
+/// and, optionally, `sealer` places a seal, each raising the tail past its
+/// own cell before it finishes, while `reader` runs one [`SyncReadProgram`]
 /// from an empty replica.
 ///
 /// Returns the system and the [`PrefixSafety`] invariant over it.
@@ -1129,10 +1068,10 @@ pub fn sync_read_system(
     vips: usize,
     isolation_window: u8,
     committers: ProcessSet,
-    special: Option<(usize, u32)>,
+    sealer: Option<usize>,
     reader: usize,
 ) -> (System<MaybeParticipant<ReadRaceProgram>>, PrefixSafety) {
-    read_race(ports, vips, isolation_window, committers, special, reader, None)
+    read_race(ports, vips, isolation_window, committers, sealer, reader, None)
 }
 
 /// The read race of [`sync_read_system`] over the segmented log of
@@ -1149,11 +1088,11 @@ pub fn segmented_sync_read_system(
     vips: usize,
     isolation_window: u8,
     committers: ProcessSet,
-    special: Option<(usize, u32)>,
+    sealer: Option<usize>,
     reader: usize,
     start: usize,
 ) -> (System<MaybeParticipant<ReadRaceProgram>>, PrefixSafety) {
-    read_race(ports, vips, isolation_window, committers, special, reader, Some(start))
+    read_race(ports, vips, isolation_window, committers, sealer, reader, Some(start))
 }
 
 /// Shared body of [`sync_read_system`] and [`segmented_sync_read_system`].
@@ -1162,11 +1101,11 @@ fn read_race(
     vips: usize,
     isolation_window: u8,
     committers: ProcessSet,
-    special: Option<(usize, u32)>,
+    sealer: Option<usize>,
     reader: usize,
     segmented: Option<usize>,
 ) -> (System<MaybeParticipant<ReadRaceProgram>>, PrefixSafety) {
-    let mut race = PlaceRace::new(ports, vips, isolation_window, committers, special, segmented);
+    let mut race = PlaceRace::new(ports, vips, isolation_window, committers, sealer, segmented);
     assert!(!race.placers.iter().any(|p| p.index() == reader), "the reader does not place");
     let objs = TailObjects {
         tail: race.builder.add_fetch_and_add(0),
@@ -1259,36 +1198,36 @@ mod tests {
     }
 
     #[test]
-    fn solo_checkpointer_installs_its_checkpoint() {
-        let (sys, cells, _) = checkpointed_commit_system(3, 1, 1, ProcessSet::EMPTY, Some(0));
+    fn solo_vip_sealer_installs_its_seal() {
+        let (sys, cells, _) = seal_commit_system(3, 1, 1, ProcessSet::EMPTY, Some(0));
         let mut runner = Runner::new(sys);
         runner.run_until_terminated(&Schedule::solo(ProcessId::new(0), 1), 100);
-        assert_eq!(runner.system().decision(ProcessId::new(0)), Some(Value::Num(CHECKPOINT_BASE)),);
+        assert_eq!(runner.system().decision(ProcessId::new(0)), Some(Value::Num(SEAL_BASE)));
         assert_eq!(
             runner.system().object(cells[0]).consensus_decision(),
-            Some(Value::Num(CHECKPOINT_BASE)),
-            "the checkpoint occupies the first free cell"
+            Some(Value::Num(SEAL_BASE)),
+            "the seal occupies the first free cell"
         );
     }
 
     #[test]
-    fn solo_splitter_installs_its_bump() {
-        let (sys, cells, _) = split_commit_system(3, 1, 1, ProcessSet::EMPTY, Some(2));
+    fn solo_guest_sealer_installs_its_seal() {
+        let (sys, cells, _) = seal_commit_system(3, 1, 1, ProcessSet::EMPTY, Some(2));
         let mut runner = Runner::new(sys);
         runner.run_until_terminated(&Schedule::solo(ProcessId::new(2), 1), 100);
-        assert_eq!(runner.system().decision(ProcessId::new(2)), Some(Value::Num(SPLIT_BASE + 2)),);
+        assert_eq!(runner.system().decision(ProcessId::new(2)), Some(Value::Num(SEAL_BASE + 2)));
         assert_eq!(
             runner.system().object(cells[0]).consensus_decision(),
-            Some(Value::Num(SPLIT_BASE + 2)),
-            "the bump occupies the first free cell"
+            Some(Value::Num(SEAL_BASE + 2)),
+            "the seal occupies the first free cell"
         );
     }
 
     #[test]
-    fn checkpoint_race_small_exhaustive() {
-        // VIP commit + guest commit + guest checkpoint, every schedule.
+    fn seal_race_small_exhaustive() {
+        // VIP commit + guest commit + guest seal, every schedule.
         let committers = ProcessSet::from_indices([0, 1]);
-        let (sys, cells, proposals) = checkpointed_commit_system(3, 1, 1, committers, Some(2));
+        let (sys, cells, proposals) = seal_commit_system(3, 1, 1, committers, Some(2));
         let explorer = Explorer::new(ExploreConfig::default().with_max_states(400_000));
         let safety = PlacementSafety {
             log: LogCells::flat(cells),
@@ -1313,7 +1252,7 @@ mod tests {
         );
         assert_eq!(
             runner.system().object(child_cells[0]).consensus_decision(),
-            Some(Value::Num(MERGE_BASE + 2)),
+            Some(Value::Num(SEAL_BASE + 2)),
             "the drain occupies the child log's first free cell"
         );
         assert_eq!(
@@ -1342,7 +1281,7 @@ mod tests {
         let order = MergeOrder {
             child_cells,
             parent_cells,
-            drain: Value::Num(MERGE_BASE + 2),
+            drain: Value::Num(SEAL_BASE + 2),
             adopt: Value::Num(ADOPT_BASE + 2),
         };
         let explorer = Explorer::new(ExploreConfig::default().with_max_states(2_000_000));
@@ -1367,9 +1306,8 @@ mod tests {
 
     #[test]
     fn read_race_small_exhaustive() {
-        // VIP writer + guest checkpointer + guest reader, every schedule.
-        let (sys, safety) =
-            sync_read_system(3, 1, 1, ProcessSet::from_indices([0]), Some((1, CHECKPOINT_BASE)), 2);
+        // VIP writer + guest sealer + guest reader, every schedule.
+        let (sys, safety) = sync_read_system(3, 1, 1, ProcessSet::from_indices([0]), Some(1), 2);
         let explorer = Explorer::new(ExploreConfig::default().with_max_states(400_000));
         let result = explorer.explore(&sys, &[&safety, &NoFaults]);
         assert!(result.ok(), "violations: {:?}", result.violations.first());

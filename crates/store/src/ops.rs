@@ -265,8 +265,8 @@ impl Batch {
 }
 
 /// The topology-bump half of a live shard split, installed through the
-/// shard's own consensus log (inside a sealed
-/// [`ReconfigRecord`](apc_universal::ReconfigRecord) cell, see
+/// shard's own consensus log (inside a
+/// [`SealRecord`](apc_universal::SealRecord) cell with an operation, see
 /// [`Store::split_shard`](crate::store::Store::split_shard)).
 ///
 /// Applying it partitions the shard's entries by pairwise rendezvous

@@ -35,10 +35,10 @@
 //! The shard set is **elastic in both directions** ([`Store::split_shard`],
 //! [`Store::merge_shard`], and [`Store::rebalance`] for an owner who
 //! delegates the choice to a policy engine), and no commit stops for it: a
-//! bump linearizes through the shard's own log in a sealed
-//! [`ReconfigRecord`](apc_universal::ReconfigRecord) cell, and a batch
-//! planned before it bounces with [`StoreResp::Moved`] and is re-planned
-//! against the published topology. The current `(topology, shards)` pair
+//! bump linearizes through the shard's own log in a
+//! [`SealRecord`](apc_universal::SealRecord) cell with an operation, and a
+//! batch planned before it bounces with [`StoreResp::Moved`] and is
+//! re-planned against the published topology. The current `(topology, shards)` pair
 //! is one view, published once per reconfiguration and kept for the
 //! store's lifetime, so a request borrows it with one load: no lock, no
 //! epoch pin, no reference count.

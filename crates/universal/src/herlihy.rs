@@ -1,5 +1,5 @@
 //! The announce-and-help universal construction (Herlihy [7]), extended
-//! with **checkpoint cells**.
+//! with **seal cells**.
 //!
 //! **One walk, one handle.** An [`OwnedHandle`] does one thing to the log:
 //! make sure the cell at its cursor is decided (`decide_current_cell`,
@@ -11,23 +11,25 @@
 //! [`SequentialSpec::apply`], for the response it is waiting on; every other
 //! record is *replayed* ([`SequentialSpec::replay`]) for its effect on the
 //! replica alone, so a lagging replica pays one state change per foreign
-//! write and builds no response for it. `apply`, `reconfigure`,
-//! `checkpoint` and `sync_read` are loops over that step which differ only
-//! in what they propose and when they stop, so what a cell does to a replica
-//! cannot depend on which of them crossed it.
+//! write and builds no response for it. `apply`, `sync_read` and the
+//! sealing walk (`place_seal`, behind `checkpoint` and `reconfigure`) are
+//! loops over that step which differ only in what they propose and when
+//! they stop, so what a cell does to a replica cannot depend on which of
+//! them crossed it.
 //!
-//! Checkpoints ride the same consensus path as operations: any port may
-//! propose a [`CheckpointRecord`] — its fully-replayed state sealed at a log
-//! index — into the next free cell. Once a checkpoint is agreed, it is a
-//! no-op for replicas that are already past it (by determinism its sealed
-//! state equals their replayed prefix), but it becomes the **anchor** for
-//! everyone arriving later: fresh handles bootstrap from the latest
-//! published seal and replay only the suffix after it, so handle creation
-//! costs O(delta) instead of O(history), and the pre-checkpoint prefix of
-//! the log becomes *reclaimable*. The anchor has one writer at a time: the
-//! walker whose `checkpoint` or `reconfigure` returns a seal publishes it,
-//! under a `try_lock` that skips a contended publish (the next seal
-//! publishes). A walker that only crosses a seal leaves the anchor alone.
+//! Seals ride the same consensus path as operations: any port may propose
+//! a [`SealRecord`] — its fully-replayed state, after an operation of its
+//! own (a reconfiguration) or none (a checkpoint) — into the next free
+//! cell. Once a seal is agreed, it changes nothing for replicas that
+//! absorb it (by determinism its sealed state equals their replica past
+//! the cell), but it becomes the **anchor** for everyone arriving later:
+//! fresh handles bootstrap from the latest published seal and replay only
+//! the suffix after it, so handle creation costs O(delta) instead of
+//! O(history), and the sealed prefix of the log becomes *reclaimable*. The
+//! anchor has one writer at a time: the walker whose `checkpoint` or
+//! `reconfigure` returns a seal publishes it, under a `try_lock` that
+//! skips a contended publish (the next seal publishes). A walker that only
+//! crosses a seal leaves the anchor alone.
 //!
 //! **The log is a chain of segments.** A segment is `SEGMENT_CELLS` (64)
 //! consensus objects in one allocation, built whole by the first handle to
@@ -61,8 +63,8 @@
 //! store the replicas are keys × bytes per key × ports that have visited
 //! the shard, at ~21 B per 8-byte key in a full leaf of its packed map
 //! (~72 B in the `BTreeMap<String, u64>` it replaced), and cloning one —
-//! what every checkpoint seal, every `reconfigure` and every
-//! `owned_handle` does — is a few `memcpy`s per 64 keys.
+//! what every seal and every `owned_handle` does — is a few `memcpy`s per
+//! 64 keys.
 //! `tests/alloc_budget.rs` holds the per-unit figures.
 //!
 //! An announcement lives only until its owner's next one: the
@@ -74,11 +76,11 @@
 //!
 //! Progress: operation placement keeps its original guarantee (wait-free
 //! for the factory's wait-free set via the helping rule, obstruction-free
-//! otherwise). Checkpoint placement is **lock-free** for every port —
-//! checkpoints are not announced, so nobody helps them, but each failed
-//! placement attempt means some *operation* committed instead (system-wide
-//! progress). Checkpoint proposers still obey the helping rule, so they
-//! never undermine the wait-free bound of the privileged set.
+//! otherwise). Seal placement is **lock-free** for every port — seals are
+//! not announced, so nobody helps them, but each failed placement attempt
+//! means some other record committed instead (system-wide progress). Seal
+//! proposers still obey the helping rule, so they never undermine the
+//! wait-free bound of the privileged set.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -141,27 +143,39 @@ pub struct OpRecord<O> {
     op: O,
 }
 
-/// An agreed checkpoint: the object state sealed at a log index.
+/// An agreed **seal**: the object state at a log index, with or without an
+/// operation applied just before it.
 ///
-/// The sealed `state` is exactly the result of replaying log cells
-/// `[0, index)`; the cell at `index` is the checkpoint cell itself and
-/// contributes no operation.
+/// A seal without an operation is a **checkpoint**: its `state` is exactly
+/// the result of replaying the cells before it. A seal with one is a
+/// **reconfiguration**, the topology-bump record of service layers: its
+/// operation is applied through the ordinary spec at the cell's position in
+/// the log, and `state` is the state after it. Either way the sealed state
+/// is what a replica holds once it has absorbed the cell, so it becomes the
+/// bootstrap anchor. One cell for both is what makes a live reconfiguration
+/// linearizable in one step: the proposer learns exactly which operations
+/// committed before the bump — the sealed state — and every replica applies
+/// the bump at the same log index.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct CheckpointRecord<T> {
+pub struct SealRecord<O, T> {
     pid: u8,
-    /// Log index of the checkpoint cell (= number of sealed prefix cells).
-    index: u64,
-    /// The state after replaying the sealed prefix. `Arc`-shared: the seal
-    /// is immutable once proposed, and consensus cells clone records on
-    /// every propose/peek — sharing keeps those clones O(1) instead of
-    /// O(state size).
+    /// The operation's sequence number of `pid` (0 without an operation).
+    seq: u64,
+    /// The operation applied before the seal, through the ordinary spec.
+    op: Option<O>,
+    /// The state after the cell. Proposed speculatively from the
+    /// proposer's replayed state; correct whenever the record is the one
+    /// agreed (the proposer's cursor state *is* the agreed prefix state, and
+    /// `apply` is deterministic). `Arc`-shared: the seal is immutable once
+    /// proposed, and consensus cells clone records on every propose/peek —
+    /// sharing keeps those clones O(1) instead of O(state size).
     state: Arc<T>,
 }
 
-impl<T> CheckpointRecord<T> {
-    /// The log index this checkpoint seals (number of prefix cells).
-    pub fn index(&self) -> u64 {
-        self.index
+impl<O, T> SealRecord<O, T> {
+    /// The operation applied before the seal; `None` for a checkpoint.
+    pub fn op(&self) -> Option<&O> {
+        self.op.as_ref()
     }
 
     /// The sealed state.
@@ -170,43 +184,7 @@ impl<T> CheckpointRecord<T> {
     }
 }
 
-/// An agreed **reconfiguration**: an operation that also seals the post-op
-/// state — the topology-bump record of service layers.
-///
-/// A reconfig cell behaves like an ordinary operation cell (its `op` is
-/// applied through the sequential spec at the cell's position in the log)
-/// *and* like a checkpoint cell (the state after the op is sealed and
-/// published as the bootstrap anchor). The combination is what makes live
-/// reconfiguration linearizable in one step: the proposer learns exactly
-/// which operations committed before the bump — the sealed state — and
-/// every replica deterministically applies the bump at the same log index.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct ReconfigRecord<O, T> {
-    pid: u8,
-    seq: u64,
-    /// The reconfiguration operation, applied through the ordinary spec.
-    op: O,
-    /// The state *after* applying `op` to the agreed prefix. Proposed
-    /// speculatively from the proposer's replayed state; correct whenever
-    /// the record is the one agreed (the proposer's cursor state *is* the
-    /// agreed prefix state, and `apply` is deterministic).
-    state: Arc<T>,
-}
-
-impl<O, T> ReconfigRecord<O, T> {
-    /// The reconfiguration operation.
-    pub fn op(&self) -> &O {
-        &self.op
-    }
-
-    /// The sealed post-reconfiguration state.
-    pub fn state(&self) -> &T {
-        &self.state
-    }
-}
-
-/// The value one log cell agrees on: an operation, a checkpoint, or a
-/// reconfiguration.
+/// The value one log cell agrees on: an operation, or a seal.
 ///
 /// This is the value type of the [`ConsensusFactory`] bound of
 /// [`Universal`] (see [`LogRecordOf`]).
@@ -214,11 +192,8 @@ impl<O, T> ReconfigRecord<O, T> {
 pub enum LogRecord<O, T> {
     /// A client operation (the common case).
     Op(OpRecord<O>),
-    /// A checkpoint sealing the log prefix before its cell.
-    Checkpoint(CheckpointRecord<T>),
-    /// An operation that also seals the state after itself (see
-    /// [`ReconfigRecord`]).
-    Reconfig(ReconfigRecord<O, T>),
+    /// A sealed state, after an operation or not (see [`SealRecord`]).
+    Seal(SealRecord<O, T>),
 }
 
 /// The record type agreed on by each log cell for spec `S`.
@@ -457,8 +432,9 @@ where
 
 /// What [`OwnedHandle::absorb`] crossed.
 struct Absorbed<R, T> {
-    /// Whether the cell agreed on a checkpoint.
-    checkpoint: bool,
+    /// The author and sequence number of the cell's operation; `None` if
+    /// the cell carried none (a checkpoint).
+    author: Option<(usize, u64)>,
     /// The state the cell sealed, if it sealed one.
     seal: Option<Arc<T>>,
     /// Log index of the absorbed cell.
@@ -574,75 +550,87 @@ where
     }
 
     /// Applies `op` **and** seals the post-op state in a single agreed
-    /// [`ReconfigRecord`] cell, returning the cell's log index and the op's
+    /// [`SealRecord`] cell, returning the cell's log index and the op's
     /// response at its linearization point.
     ///
     /// This is the live-reconfiguration primitive: the op observes exactly
     /// the operations that committed before the bump, every replica applies
     /// it at the same log index, and fresh handles bootstrap from the sealed
     /// post-state (the cell doubles as a checkpoint anchor, which this call
-    /// publishes as [`Self::checkpoint`] does).
+    /// publishes as [`Self::checkpoint`] does). It stops at its own seal.
     ///
-    /// Progress: lock-free. Like checkpoints, reconfig proposals are not
-    /// announced (nobody helps them), so each failed placement attempt means
-    /// some other port's record committed instead. The proposer still obeys
-    /// the helping rule, so it never undermines the wait-free bound of the
-    /// privileged set.
+    /// Progress: lock-free, as [`Self::checkpoint`].
     #[progress(lock_free)]
     pub fn reconfigure(&mut self, op: S::Op) -> (u64, S::Resp) {
-        self.seq += 1;
-        let me = (self.pid, self.seq);
-        loop {
-            self.decide_current_cell(self.pid, |handle| {
-                // Speculate the sealed post-state from the fully-replayed
-                // prefix; exact whenever this record is the one agreed.
-                let mut post = handle.state.clone();
-                let _ = handle.obj.spec.apply(&mut post, &op);
-                LogRecord::Reconfig(ReconfigRecord {
-                    pid: handle.pid as u8,
-                    seq: handle.seq,
-                    op: op.clone(),
-                    state: Arc::new(post),
-                })
-            });
-            // A reconfiguration seals, so absorbing it raised the tail.
-            if let Some(Absorbed { index, resp: Some(resp), seal, .. }) = self.absorb(Some(me)) {
-                self.publish_anchor(seal);
-                return (index, resp);
-            }
-        }
+        self.place_seal(Some(op), |resp| resp)
     }
 
-    /// Seals this handle's fully-replayed state into a checkpoint cell
-    /// agreed through the same consensus path as operations; returns the
-    /// log index of the checkpoint cell.
+    /// Seals this handle's fully-replayed state into a checkpoint cell —
+    /// a [`SealRecord`] without an operation — agreed through the same
+    /// consensus path as operations; returns the log index of the
+    /// checkpoint cell.
     ///
     /// After agreement this call publishes the seal as the anchor (unless
     /// it finds the anchor's lock held, and skips the publish): fresh
     /// handles bootstrap from it and replay only the post-checkpoint suffix
     /// (O(delta) instead of O(history)), and the pre-checkpoint cells
-    /// become reclaimable.
+    /// become reclaimable. It stops at the first checkpoint agreed at its
+    /// cursor, whoever proposed it.
     ///
-    /// Progress: lock-free — each failed placement attempt is another
-    /// port's record committing; the loop absorbs it and re-seals at the
-    /// next index, so the checkpoint contract — sealed state excludes the
-    /// checkpoint cell — stays exact.
+    /// Progress: lock-free. Seals are not announced, so nobody helps them,
+    /// but each failed placement attempt is another port's record
+    /// committing; the walk absorbs it and re-seals at the next index, so
+    /// the sealed state stays exact. The proposer still obeys the helping
+    /// rule, so it never undermines the wait-free bound of the privileged
+    /// set.
     #[progress(lock_free)]
     pub fn checkpoint(&mut self) -> u64 {
+        self.place_seal(None, |_| Some(())).0
+    }
+
+    /// **The sealing walk**, the body of [`Self::checkpoint`] (`op` is
+    /// `None`) and [`Self::reconfigure`]: wherever the helping rule leaves
+    /// the cursor cell to it, proposes a [`SealRecord`] of this replica
+    /// after `op`; absorbs whatever the cell agreed; and stops at the first
+    /// seal whose operation is its own — for a reconfiguration its own seal,
+    /// for a checkpoint any seal without an operation, whoever proposed it,
+    /// since by determinism such a seal at my cursor seals exactly my
+    /// replica. A seal with someone else's operation is crossed like any
+    /// record. Absorbing the seal raised the tail; the walk publishes it and
+    /// returns its index and what `answer` makes of the cell's response
+    /// (the reconfiguration's own; nothing, for a checkpoint).
+    #[progress(lock_free)]
+    fn place_seal<R>(
+        &mut self,
+        op: Option<S::Op>,
+        answer: impl Fn(Option<S::Resp>) -> Option<R>,
+    ) -> (u64, R) {
+        let me = op.is_some().then(|| {
+            self.seq += 1;
+            (self.pid, self.seq)
+        });
         loop {
             self.decide_current_cell(self.pid, |handle| {
-                LogRecord::Checkpoint(CheckpointRecord {
+                // Speculate the sealed state from the fully-replayed
+                // prefix; exact whenever this record is the one agreed.
+                let mut state = handle.state.clone();
+                if let Some(op) = &op {
+                    let _ = handle.obj.spec.apply(&mut state, op);
+                }
+                LogRecord::Seal(SealRecord {
                     pid: handle.pid as u8,
-                    index: handle.cell_index,
-                    state: Arc::new(handle.state.clone()),
+                    seq: me.map_or(0, |(_, seq)| seq),
+                    op: op.clone(),
+                    state: Arc::new(state),
                 })
             });
-            // Any checkpoint agreed at my cursor cell seals exactly my
-            // replayed prefix (determinism), so it serves whether or not I
-            // proposed it; absorbing it raised the tail.
-            if let Some(Absorbed { checkpoint: true, index, seal, .. }) = self.absorb(None) {
-                self.publish_anchor(seal);
-                return index;
+            if let Some(Absorbed { author, seal: seal @ Some(_), index, resp }) = self.absorb(me) {
+                // The stop rule: the first seal carrying the operation I
+                // place, which for a checkpoint is none.
+                if let Some(answer) = answer(resp).filter(|_| author == me) {
+                    self.publish_anchor(seal);
+                    return (index, answer);
+                }
             }
         }
     }
@@ -728,19 +716,13 @@ where
     fn absorb(&mut self, awaited: Option<(usize, u64)>) -> Option<Absorbed<S::Resp, S::State>> {
         let index = self.cell_index;
         let Self { obj, segment, state, applied, .. } = self;
-        let (checkpoint, resp, seal) = segment.cells[offset(index)].peek_with(|decided| {
-            let (checkpoint, author, op, seal) = match decided? {
-                LogRecord::Op(rec) => (false, (rec.pid, rec.seq), Some(&rec.op), None),
-                LogRecord::Checkpoint(ck) => {
-                    debug_assert_eq!(ck.index, index, "checkpoint index matches its cell");
-                    (true, (ck.pid, 0), None, Some(&ck.state))
-                }
-                LogRecord::Reconfig(rec) => {
-                    (false, (rec.pid, rec.seq), Some(&rec.op), Some(&rec.state))
-                }
+        let (author, resp, seal) = segment.cells[offset(index)].peek_with(|decided| {
+            let (author, op, seal) = match decided? {
+                LogRecord::Op(rec) => ((rec.pid, rec.seq), Some(&rec.op), None),
+                LogRecord::Seal(rec) => ((rec.pid, rec.seq), rec.op.as_ref(), Some(&rec.state)),
             };
-            let author = (usize::from(author.0), author.1);
-            let resp = op.and_then(|op| {
+            let author = op.map(|_| (usize::from(author.0), author.1));
+            let resp = op.zip(author).and_then(|(op, author)| {
                 applied[author.0] = author.1;
                 if awaited == Some(author) {
                     Some(obj.spec.apply(state, op))
@@ -749,14 +731,14 @@ where
                     None
                 }
             });
-            Some((checkpoint, resp, seal.map(Arc::clone)))
+            Some((author, resp, seal.map(Arc::clone)))
         })?;
         self.advance();
         if let Some(state) = &seal {
             debug_assert!(**state == self.state, "a sealed state matches the replica");
             self.raise_tail();
         }
-        Some(Absorbed { checkpoint, seal, index, resp })
+        Some(Absorbed { author, seal, index, resp })
     }
 
     /// Publishes `seal`, which this walker just absorbed in the cell before
@@ -1322,17 +1304,13 @@ mod tests {
         let foreign: [(&str, Foreign); 3] = [
             ("op", |a| LogRecord::Op(OpRecord { pid: 0, seq: a.seq + 1, op: CounterOp::Add(10) })),
             ("checkpoint", |a| {
-                LogRecord::Checkpoint(CheckpointRecord {
-                    pid: 0,
-                    index: a.cell_index,
-                    state: Arc::new(a.state),
-                })
+                LogRecord::Seal(SealRecord { pid: 0, seq: 0, op: None, state: Arc::new(a.state) })
             }),
             ("reconfiguration", |a| {
-                LogRecord::Reconfig(ReconfigRecord {
+                LogRecord::Seal(SealRecord {
                     pid: 0,
                     seq: a.seq + 1,
-                    op: CounterOp::Add(10),
+                    op: Some(CounterOp::Add(10)),
                     state: Arc::new(a.state + 10),
                 })
             }),
@@ -1391,6 +1369,48 @@ mod tests {
     }
 
     #[test]
+    fn a_lagging_checkpointer_stops_only_at_a_seal_without_an_operation() {
+        // Port 0 writes three cells and agrees a seal of its own into the
+        // fourth — a checkpoint, or a reconfiguration adding 10 — while port
+        // 1, still at cell 0, checkpoints: it walks the three writes and
+        // meets the foreign seal at its cursor.
+        for reconfiguration in [false, true] {
+            let obj = wait_free_counter(3);
+            let mut author = obj.owned_handle(0).unwrap();
+            let mut lagging = obj.owned_handle(1).unwrap();
+            for _ in 0..3 {
+                author.apply(CounterOp::Add(1));
+            }
+            let at = author.cell_index;
+            let (seq, op, sealed) = match reconfiguration {
+                false => (0, None, 3),
+                true => (author.seq + 1, Some(CounterOp::Add(10)), 13),
+            };
+            let foreign = LogRecord::Seal(SealRecord { pid: 0, seq, op, state: Arc::new(sealed) });
+            author.decide_current_cell(0, |_| foreign.clone());
+            author.advance();
+            author.raise_tail();
+            let index = lagging.checkpoint();
+            if reconfiguration {
+                // A seal with an operation is crossed like any record: the
+                // checkpointer seals the next cell, after the operation.
+                assert_eq!(index, at + 1, "a checkpoint stopped at a reconfiguration");
+                let own = SealRecord { pid: 1, seq: 0, op: None, state: Arc::new(13) };
+                assert_eq!(author.cell().peek(), Some(LogRecord::Seal(own)));
+            } else {
+                // Any checkpoint at the cursor seals exactly this replica:
+                // the checkpointer returns its index and proposes nothing.
+                assert_eq!(index, at, "a checkpoint walked past a foreign checkpoint");
+                assert_eq!(lagging.cell().peek(), None, "a checkpoint proposed past its stop");
+            }
+            assert_eq!(lagging.replayed_cells(), index + 1);
+            assert_eq!(obj.tail(), index + 1);
+            assert_eq!(obj.anchor_index(), index + 1, "the returned seal is published");
+            assert_eq!(*obj.owned_handle(2).unwrap().local_state(), sealed);
+        }
+    }
+
+    #[test]
     fn a_replaying_replica_ends_where_an_applying_one_does() {
         // One port agrees a log of KV operations from three authors, with
         // checkpoint and reconfiguration cells among them, and absorbs
@@ -1421,9 +1441,10 @@ mod tests {
             };
             let pid = ((rng >> 40) % 3) as u8;
             let record = match i % 29 {
-                13 => LogRecord::Checkpoint(CheckpointRecord {
+                13 => LogRecord::Seal(SealRecord {
                     pid,
-                    index: applier.cell_index,
+                    seq: 0,
+                    op: None,
                     state: Arc::new(applier.state.clone()),
                 }),
                 27 => {
@@ -1431,10 +1452,10 @@ mod tests {
                     KvStore.apply(&mut post, &op);
                     seqs[usize::from(pid)] += 1;
                     let seq = seqs[usize::from(pid)];
-                    LogRecord::Reconfig(ReconfigRecord {
+                    LogRecord::Seal(SealRecord {
                         pid,
                         seq,
-                        op: op.clone(),
+                        op: Some(op.clone()),
                         state: Arc::new(post),
                     })
                 }
@@ -1446,8 +1467,7 @@ mod tests {
             };
             let author = match &record {
                 LogRecord::Op(r) => Some((usize::from(r.pid), r.seq)),
-                LogRecord::Reconfig(r) => Some((usize::from(r.pid), r.seq)),
-                LogRecord::Checkpoint(_) => None,
+                LogRecord::Seal(r) => r.op.as_ref().map(|_| (usize::from(r.pid), r.seq)),
             };
             applier.decide_current_cell(1, |_| record.clone());
             assert_eq!(applier.cell().peek(), Some(record), "cell {i} took the record");

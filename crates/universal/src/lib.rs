@@ -25,16 +25,16 @@
 //! handle's cursor and absorbs the agreed record in the same single step,
 //! and the operations differ only in what they propose and when they stop.
 //!
-//! The log additionally supports **checkpoint cells**
-//! ([`OwnedHandle::checkpoint`]): any port can seal its fully-replayed state
-//! through the same consensus path, after which fresh handles bootstrap
-//! from the sealed state and replay only the post-checkpoint suffix
-//! (O(delta) instead of O(history)), the retired prefix becomes
-//! reclaimable, and a persistence layer can rebuild the object from a
-//! durable snapshot via [`Universal::recovered`]; and **reconfig cells**
-//! ([`OwnedHandle::reconfigure`]): an operation that also seals the state after
-//! itself, so a service layer can linearize a live reconfiguration (e.g. a
-//! shard-topology bump) against concurrent operations in one agreed cell.
+//! The log additionally supports **seal cells** ([`SealRecord`]): any port
+//! can seal its fully-replayed state through the same consensus path, after
+//! which fresh handles bootstrap from the sealed state and replay only the
+//! suffix after it (O(delta) instead of O(history)), the retired prefix
+//! becomes reclaimable, and a persistence layer can rebuild the object from
+//! a durable snapshot via [`Universal::recovered`]. A seal without an
+//! operation is a checkpoint ([`OwnedHandle::checkpoint`]); a seal with one
+//! is a reconfiguration ([`OwnedHandle::reconfigure`]), so a service layer
+//! can linearize a live reconfiguration (e.g. a shard-topology bump) against
+//! concurrent operations in one agreed cell.
 //!
 //! ## Example
 //!
@@ -61,6 +61,5 @@ mod herlihy;
 
 pub use factory::{AsymmetricFactory, CasFactory, ConsensusFactory};
 pub use herlihy::{
-    CheckpointRecord, LogRecord, LogRecordOf, OpRecord, OwnedHandle, ReconfigRecord, Universal,
-    UniversalError,
+    LogRecord, LogRecordOf, OpRecord, OwnedHandle, SealRecord, Universal, UniversalError,
 };

@@ -11,9 +11,9 @@ use std::collections::VecDeque;
 pub trait SequentialSpec: Send + Sync {
     /// The object's state.
     ///
-    /// `Eq + Send + Sync` because sealed state travels through checkpoint
-    /// cells: a [`CheckpointRecord`](crate::CheckpointRecord) is a consensus
-    /// value, and consensus values are compared and shared across threads.
+    /// `Eq + Send + Sync` because sealed state travels through seal cells: a
+    /// [`SealRecord`](crate::SealRecord) is a consensus value, and consensus
+    /// values are compared and shared across threads.
     type State: Clone + Eq + Send + Sync;
     /// Operation descriptors (the *invocation*, not the effect).
     type Op: Clone + Eq + Send + Sync;

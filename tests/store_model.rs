@@ -1,15 +1,15 @@
 //! Exhaustive model checks of the store's shard commit path: commit safety
 //! on every schedule, the asymmetric liveness guarantee (Theorem 3
 //! flavor) — every fair schedule with a VIP participant terminates, while
-//! guest-only schedules admit a fair livelock — the checkpoint-install
-//! race: a checkpoint proposed through the same consensus path as client
-//! batches is safe on every schedule (no committed op dropped or replayed
-//! twice) — and the **split-vs-commit race**: a live shard split's
-//! topology-bump record racing concurrent VIP/guest batches places exactly
-//! once on every schedule, and VIP fair-termination survives the split —
-//! and the **read path**: a reader bounded by the tail it loaded observes
-//! exactly a prefix of the log containing everything that had completed,
-//! against every one of those races, and terminates in every schedule —
+//! guest-only schedules admit a fair livelock — the **seal race**: a seal
+//! (a checkpoint, a split's topology bump or a merge's drain, which place
+//! alike) proposed through the same consensus path as client batches
+//! places exactly once on every schedule (no committed op dropped or
+//! replayed twice), and VIP fair-termination survives it — the cross-log
+//! merge, whose adoption never precedes its drain — and the **read path**:
+//! a reader bounded by the tail it loaded observes exactly a prefix of the
+//! log containing everything that had completed, against batches alone and
+//! against a seal, and terminates in every schedule —
 //! and the **segment hand-off**: placers and a reader crossing from one
 //! segment of the log to the next walk on in the segment the link decided,
 //! and a placer that keeps the segment it built is caught.
@@ -21,10 +21,9 @@ use asymmetric_progress::model::fairness::{fair_livelocks, fair_termination, Sta
 use asymmetric_progress::model::{ObjectId, Op, Program, ProgramAction};
 use asymmetric_progress::model::{ProcessId, ProcessSet, Runner, Schedule, Value};
 use asymmetric_progress::store::model::{
-    checkpointed_commit_system, merge_adopt_system, merge_commit_system, proposed_batches,
-    segmented_commit_system, segmented_sync_read_system, shard_commit_system, split_commit_system,
-    sync_read_system, LogCells, LogPlaceProgram, MergeOrder, PlacementSafety, ADOPT_BASE,
-    CHECKPOINT_BASE, MERGE_BASE, MODEL_SEGMENT_CELLS, SEGMENT_BASE, SPLIT_BASE,
+    merge_adopt_system, proposed_batches, seal_commit_system, segmented_commit_system,
+    segmented_sync_read_system, shard_commit_system, sync_read_system, LogCells, LogPlaceProgram,
+    MergeOrder, PlacementSafety, ADOPT_BASE, MODEL_SEGMENT_CELLS, SEAL_BASE, SEGMENT_BASE,
 };
 
 fn mask_participants(mask: u8, n: usize) -> ProcessSet {
@@ -103,43 +102,47 @@ fn guest_only_schedules_admit_livelock() {
     }
 }
 
-/// The checkpoint race matrix, exhaustively: for a (3,1) shard, every
-/// committer participation pattern racing a checkpoint install from every
-/// non-committing port satisfies [`PlacementSafety`] on **every** schedule
-/// — no committed batch is dropped, nothing (batch or checkpoint) is
-/// agreed by two log cells, and terminal states place every participant.
+/// The seal race matrix, exhaustively: for a (3,1) shard, every committer
+/// participation pattern racing a seal from every non-committing port
+/// satisfies [`PlacementSafety`] on **every** schedule — no committed batch
+/// is dropped by a checkpoint, a split's migration or a merge's drain,
+/// nothing (batch or seal) is agreed by two log cells (no op replays into
+/// both sides of a split), and terminal states place every participant.
+/// This is the model-checked core of the safety claims of
+/// [`Store::checkpoint`], [`Store::split_shard`] and the child-side half of
+/// [`Store::merge_shard`].
 #[test]
-fn checkpoint_install_race_safety_matrix_exhaustive() {
+fn seal_race_safety_matrix_exhaustive() {
     for committer_mask in 0u8..8 {
-        for ck in 0usize..3 {
-            if committer_mask & (1 << ck) != 0 {
-                continue; // the checkpointer does not also commit a batch
+        for sealer in 0usize..3 {
+            if committer_mask & (1 << sealer) != 0 {
+                continue; // the sealer does not also commit a batch
             }
             let committers = mask_participants(committer_mask, 3);
-            let participants = mask_participants(committer_mask | (1 << ck), 3);
-            let (sys, cells, proposals) = checkpointed_commit_system(3, 1, 1, committers, Some(ck));
+            let participants = mask_participants(committer_mask | (1 << sealer), 3);
+            let (sys, cells, proposals) = seal_commit_system(3, 1, 1, committers, Some(sealer));
             let safety = PlacementSafety { log: LogCells::flat(cells), participants, proposals };
             let explorer = Explorer::new(ExploreConfig::default().with_max_states(400_000));
             let result = explorer.explore(&sys, &[&safety, &NoFaults]);
             assert!(
                 result.ok(),
-                "committers {committer_mask:03b} + ckpt {ck}: {:?}",
+                "committers {committer_mask:03b} + seal {sealer}: {:?}",
                 result.violations.first()
             );
             assert!(
                 !result.truncated,
-                "committers {committer_mask:03b} + ckpt {ck} must be exhaustive"
+                "committers {committer_mask:03b} + seal {sealer} must be exhaustive"
             );
         }
     }
 }
 
-/// At (4,2): both VIPs and a guest commit while the other guest installs a
-/// checkpoint — still safe on every schedule.
+/// At (4,2): both VIPs and a guest commit while the other guest seals —
+/// still safe on every schedule.
 #[test]
-fn checkpoint_race_4_2_exhaustive() {
+fn seal_race_4_2_exhaustive() {
     let committers = ProcessSet::from_indices([0, 1, 2]);
-    let (sys, cells, proposals) = checkpointed_commit_system(4, 2, 1, committers, Some(3));
+    let (sys, cells, proposals) = seal_commit_system(4, 2, 1, committers, Some(3));
     let safety = PlacementSafety {
         log: LogCells::flat(cells),
         participants: ProcessSet::first_n(4),
@@ -151,14 +154,14 @@ fn checkpoint_race_4_2_exhaustive() {
     assert!(!result.truncated);
 }
 
-/// Liveness, positive half: a VIP committing while a guest checkpoints
-/// terminates on every fair schedule — the checkpointer cannot block the
-/// wait-free tier, and once the VIP is done the checkpointer installs in
-/// isolation.
+/// Liveness, positive half: a VIP committing while a guest seals terminates
+/// on every fair schedule — the seal rides the guest tier and obeys the
+/// helping rule, so it cannot block the wait-free class, and once the VIP
+/// is done the sealer places in isolation.
 #[test]
-fn vip_commit_racing_checkpoint_terminates_fairly() {
+fn vip_commit_racing_seal_terminates_fairly() {
     let committers = ProcessSet::from_indices([0]);
-    let (sys, _, _) = checkpointed_commit_system(3, 1, 1, committers, Some(2));
+    let (sys, _, _) = seal_commit_system(3, 1, 1, committers, Some(2));
     let graph = StateGraph::build(&sys, 500_000);
     assert!(!graph.truncated());
     let participants = ProcessSet::from_indices([0, 2]);
@@ -166,92 +169,12 @@ fn vip_commit_racing_checkpoint_terminates_fairly() {
     assert!(verdict.holds(), "{verdict:?}");
 }
 
-/// Liveness, negative half: checkpoint installation is lock-free but not
-/// wait-free — a guest checkpointer and a guest committer can starve each
-/// other in lockstep, which the checker exhibits as a fair-livelock
-/// witness. (This is why the store rides checkpoints on the guest tier and
-/// documents them as lock-free.)
-#[test]
-fn guest_checkpointer_racing_guest_committer_admits_livelock() {
-    let committers = ProcessSet::from_indices([1]);
-    let (sys, _, _) = checkpointed_commit_system(3, 1, 1, committers, Some(2));
-    let graph = StateGraph::build(&sys, 500_000);
-    assert!(!graph.truncated());
-    let witnesses = fair_livelocks(&graph);
-    assert!(!witnesses.is_empty(), "lockstep guests must admit a livelock witness");
-}
-
-/// The split race matrix, exhaustively: for a (3,1) shard, every committer
-/// participation pattern racing a topology-bump install from every
-/// non-committing port satisfies [`PlacementSafety`] on **every** schedule
-/// — no committed batch is dropped by the migration, nothing (batch or
-/// bump) is agreed by two log cells (no op replays into both sides of the
-/// split), and terminal states place every participant. This is the
-/// model-checked core of [`Store::split_shard`]'s safety claim.
-#[test]
-fn split_install_race_safety_matrix_exhaustive() {
-    for committer_mask in 0u8..8 {
-        for splitter in 0usize..3 {
-            if committer_mask & (1 << splitter) != 0 {
-                continue; // the splitter does not also commit a batch
-            }
-            let committers = mask_participants(committer_mask, 3);
-            let participants = mask_participants(committer_mask | (1 << splitter), 3);
-            let (sys, cells, proposals) = split_commit_system(3, 1, 1, committers, Some(splitter));
-            let safety = PlacementSafety { log: LogCells::flat(cells), participants, proposals };
-            let explorer = Explorer::new(ExploreConfig::default().with_max_states(400_000));
-            let result = explorer.explore(&sys, &[&safety, &NoFaults]);
-            assert!(
-                result.ok(),
-                "committers {committer_mask:03b} + split {splitter}: {:?}",
-                result.violations.first()
-            );
-            assert!(
-                !result.truncated,
-                "committers {committer_mask:03b} + split {splitter} must be exhaustive"
-            );
-        }
-    }
-}
-
-/// At (4,2): both VIPs and a guest commit while the other guest installs a
-/// split bump — still safe on every schedule.
-#[test]
-fn split_race_4_2_exhaustive() {
-    let committers = ProcessSet::from_indices([0, 1, 2]);
-    let (sys, cells, proposals) = split_commit_system(4, 2, 1, committers, Some(3));
-    let safety = PlacementSafety {
-        log: LogCells::flat(cells),
-        participants: ProcessSet::first_n(4),
-        proposals,
-    };
-    let explorer = Explorer::new(ExploreConfig::default().with_max_states(2_000_000));
-    let result = explorer.explore(&sys, &[&safety, &NoFaults]);
-    assert!(result.ok(), "{:?}", result.violations.first());
-    assert!(!result.truncated);
-}
-
-/// VIP wait-freedom survives a split: a VIP committing while a guest
-/// installs the topology bump terminates on every fair schedule — the
-/// split rides the guest tier and obeys the helping rule, so it cannot
-/// block the wait-free class.
-#[test]
-fn vip_commit_racing_split_terminates_fairly() {
-    let committers = ProcessSet::from_indices([0]);
-    let (sys, _, _) = split_commit_system(3, 1, 1, committers, Some(2));
-    let graph = StateGraph::build(&sys, 500_000);
-    assert!(!graph.truncated());
-    let participants = ProcessSet::from_indices([0, 2]);
-    let verdict = fair_termination(&graph, |pid| participants.contains(pid));
-    assert!(verdict.holds(), "{verdict:?}");
-}
-
-/// Both VIPs committing against a guest's split bump also terminate fairly
-/// at (4,2) — the wait-free tier's guarantee is per-class, not per-port.
+/// Both VIPs committing against a guest's seal also terminate fairly at
+/// (4,2) — the wait-free tier's guarantee is per-class, not per-port.
 #[test]
 fn both_vips_racing_split_terminate_fairly_4_2() {
     let committers = ProcessSet::from_indices([0, 1]);
-    let (sys, _, _) = split_commit_system(4, 2, 1, committers, Some(3));
+    let (sys, _, _) = seal_commit_system(4, 2, 1, committers, Some(3));
     let graph = StateGraph::build(&sys, 2_000_000);
     assert!(!graph.truncated());
     let participants = ProcessSet::from_indices([0, 1, 3]);
@@ -259,68 +182,19 @@ fn both_vips_racing_split_terminate_fairly_4_2() {
     assert!(verdict.holds(), "{verdict:?}");
 }
 
-/// The caveat carries over from checkpoints: split installation is
-/// lock-free but not wait-free — a guest splitter and a guest committer can
-/// starve each other in lockstep. This is why `Store::split_shard` rides
-/// the guest tier and documents the split as lock-free.
+/// Liveness, negative half: placing a seal is lock-free but not wait-free —
+/// a guest sealer and a guest committer can starve each other in lockstep,
+/// which the checker exhibits as a fair-livelock witness. This is why the
+/// store's checkpoints, splits and merges ride the guest tier and are
+/// documented as lock-free.
 #[test]
-fn guest_splitter_racing_guest_committer_admits_livelock() {
+fn guest_sealer_racing_guest_committer_admits_livelock() {
     let committers = ProcessSet::from_indices([1]);
-    let (sys, _, _) = split_commit_system(3, 1, 1, committers, Some(2));
+    let (sys, _, _) = seal_commit_system(3, 1, 1, committers, Some(2));
     let graph = StateGraph::build(&sys, 500_000);
     assert!(!graph.truncated());
     let witnesses = fair_livelocks(&graph);
     assert!(!witnesses.is_empty(), "lockstep guests must admit a livelock witness");
-}
-
-/// The **merge race matrix**, exhaustively — the child-side half of
-/// [`Store::merge_shard`]: for a (3,1) shard, every committer
-/// participation pattern racing a retirement (drain) install from every
-/// non-committing port satisfies [`PlacementSafety`] on **every** schedule
-/// — no committed batch is dropped by the drain, nothing (batch or
-/// retirement) is agreed by two log cells, and terminal states place every
-/// participant. Mirrors PR 4's split matrix, marker for marker.
-#[test]
-fn merge_install_race_safety_matrix_exhaustive() {
-    for committer_mask in 0u8..8 {
-        for merger in 0usize..3 {
-            if committer_mask & (1 << merger) != 0 {
-                continue; // the merger does not also commit a batch
-            }
-            let committers = mask_participants(committer_mask, 3);
-            let participants = mask_participants(committer_mask | (1 << merger), 3);
-            let (sys, cells, proposals) = merge_commit_system(3, 1, 1, committers, Some(merger));
-            let safety = PlacementSafety { log: LogCells::flat(cells), participants, proposals };
-            let explorer = Explorer::new(ExploreConfig::default().with_max_states(400_000));
-            let result = explorer.explore(&sys, &[&safety, &NoFaults]);
-            assert!(
-                result.ok(),
-                "committers {committer_mask:03b} + merge {merger}: {:?}",
-                result.violations.first()
-            );
-            assert!(
-                !result.truncated,
-                "committers {committer_mask:03b} + merge {merger} must be exhaustive"
-            );
-        }
-    }
-}
-
-/// At (4,2): both VIPs and a guest commit while the other guest installs
-/// the retirement — still safe on every schedule.
-#[test]
-fn merge_race_4_2_exhaustive() {
-    let committers = ProcessSet::from_indices([0, 1, 2]);
-    let (sys, cells, proposals) = merge_commit_system(4, 2, 1, committers, Some(3));
-    let safety = PlacementSafety {
-        log: LogCells::flat(cells),
-        participants: ProcessSet::first_n(4),
-        proposals,
-    };
-    let explorer = Explorer::new(ExploreConfig::default().with_max_states(2_000_000));
-    let result = explorer.explore(&sys, &[&safety, &NoFaults]);
-    assert!(result.ok(), "{:?}", result.violations.first());
-    assert!(!result.truncated);
 }
 
 /// The **cross-log merge matrix**: both halves of the merge — the child
@@ -358,7 +232,7 @@ fn merge_adopt_race_matrix_exhaustive() {
             let order = MergeOrder {
                 child_cells,
                 parent_cells,
-                drain: Value::Num(MERGE_BASE + 2),
+                drain: Value::Num(SEAL_BASE + 2),
                 adopt: Value::Num(ADOPT_BASE + 2),
             };
             let explorer = Explorer::new(ExploreConfig::default().with_max_states(2_000_000));
@@ -369,54 +243,25 @@ fn merge_adopt_race_matrix_exhaustive() {
     }
 }
 
-/// VIP wait-freedom survives a merge: a VIP committing (on either side of
-/// the merge) while a guest drives the dual-log retirement terminates on
-/// every fair schedule — the merge rides the guest tier and obeys the
-/// helping rule on both logs, so it cannot block the wait-free class.
+/// VIP wait-freedom survives a merge's two logs: a VIP committing on the
+/// child log while a guest drives the dual-log retirement terminates on
+/// every fair schedule — the merge obeys the helping rule on both logs, so
+/// it cannot block the wait-free class. (The single-log half, a VIP against
+/// the drain alone, is [`vip_commit_racing_seal_terminates_fairly`].)
 #[test]
 fn vip_commit_racing_merge_terminates_fairly() {
-    // Single-log half (the child drain racing a VIP batch).
-    let committers = ProcessSet::from_indices([0]);
-    let (sys, _, _) = merge_commit_system(3, 1, 1, committers, Some(2));
-    let graph = StateGraph::build(&sys, 500_000);
-    assert!(!graph.truncated());
-    let participants = ProcessSet::from_indices([0, 2]);
-    let verdict = fair_termination(&graph, |pid| participants.contains(pid));
-    assert!(verdict.holds(), "single-log: {verdict:?}");
-
-    // Cross-log: the VIP commits on the child log while the merger crosses
-    // both logs.
     let (sys, _, _, _) =
         merge_adopt_system(3, 1, 1, ProcessSet::from_indices([0]), ProcessSet::EMPTY, 2);
     let graph = StateGraph::build(&sys, 2_000_000);
     assert!(!graph.truncated());
+    let participants = ProcessSet::from_indices([0, 2]);
     let verdict = fair_termination(&graph, |pid| participants.contains(pid));
     assert!(verdict.holds(), "cross-log: {verdict:?}");
 }
 
-/// The caveat carries over from splits: merge installation is lock-free
-/// but not wait-free — a guest merger and a guest committer can starve
-/// each other in lockstep, which the checker exhibits as a fair-livelock
-/// witness. This is why `Store::merge_shard` rides the guest tier and
-/// documents the merge as lock-free.
-#[test]
-fn guest_merger_racing_guest_committer_admits_livelock() {
-    let committers = ProcessSet::from_indices([1]);
-    let (sys, _, _) = merge_commit_system(3, 1, 1, committers, Some(2));
-    let graph = StateGraph::build(&sys, 500_000);
-    assert!(!graph.truncated());
-    let witnesses = fair_livelocks(&graph);
-    assert!(!witnesses.is_empty(), "lockstep guests must admit a livelock witness");
-}
-
-/// What the read races run against: plain batches, then a checkpoint, a
-/// split seal and a merge drain from the marker port.
-const READ_RACE_MARKERS: [Option<u32>; 4] =
-    [None, Some(CHECKPOINT_BASE), Some(SPLIT_BASE), Some(MERGE_BASE)];
-
 /// The read-path safety matrix at (3,1), exhaustively: every choice of
 /// reading port, every committer pattern over the other two, alone and
-/// racing a checkpoint, a split seal and a merge drain from a third port.
+/// racing a seal from a third port.
 /// On **every** schedule the tail never passes an undecided cell, the
 /// reader's observation is exactly cells `[0, T)` for the tail `T` it
 /// loaded, and it contains the value of every placer that had finished
@@ -430,42 +275,39 @@ fn sync_read_prefix_safety_matrix_3_1_exhaustive() {
             }
             let committers = mask_participants(committer_mask, 3);
             let idle = (0usize..3).find(|&p| p != reader && committer_mask & (1 << p) == 0);
-            for marker in READ_RACE_MARKERS {
-                let special = match (marker, idle) {
-                    (None, _) => None,
-                    (Some(base), Some(port)) => Some((port, base)),
-                    (Some(_), None) => continue, // no port left to place the marker
+            for sealed in [false, true] {
+                let sealer = match (sealed, idle) {
+                    (false, _) => None,
+                    (true, Some(port)) => Some(port),
+                    (true, None) => continue, // no port left to seal
                 };
-                let (sys, safety) = sync_read_system(3, 1, 1, committers, special, reader);
+                let (sys, safety) = sync_read_system(3, 1, 1, committers, sealer, reader);
                 let explorer = Explorer::new(ExploreConfig::default().with_max_states(400_000));
                 let result = explorer.explore(&sys, &[&safety, &NoFaults]);
                 assert!(
                     result.ok(),
-                    "reader {reader}, committers {committer_mask:03b}, marker {special:?}: {:?}",
+                    "reader {reader}, committers {committer_mask:03b}, sealer {sealer:?}: {:?}",
                     result.violations.first()
                 );
-                assert!(!result.truncated, "reader {reader} / {committer_mask:03b} / {special:?}");
+                assert!(!result.truncated, "reader {reader} / {committer_mask:03b} / {sealer:?}");
             }
         }
     }
 }
 
 /// At (4,2): both VIPs and a guest place while the other guest reads, and
-/// both VIPs place while one guest seals a checkpoint and the other reads
-/// — still a prefix on every schedule. (The three kinds of marker differ
-/// only in the number they place; the (3,1) matrix runs them all.)
+/// both VIPs place while one guest seals and the other reads — still a
+/// prefix on every schedule.
 #[test]
 fn sync_read_prefix_safety_4_2_exhaustive() {
-    let cases = [
-        (ProcessSet::from_indices([0, 1, 2]), None),
-        (ProcessSet::from_indices([0, 1]), Some((2, CHECKPOINT_BASE))),
-    ];
-    for (committers, special) in cases {
-        let (sys, safety) = sync_read_system(4, 2, 1, committers, special, 3);
+    let cases =
+        [(ProcessSet::from_indices([0, 1, 2]), None), (ProcessSet::from_indices([0, 1]), Some(2))];
+    for (committers, sealer) in cases {
+        let (sys, safety) = sync_read_system(4, 2, 1, committers, sealer, 3);
         let explorer = Explorer::new(ExploreConfig::default().with_max_states(2_000_000));
         let result = explorer.explore(&sys, &[&safety, &NoFaults]);
-        assert!(result.ok(), "marker {special:?}: {:?}", result.violations.first());
-        assert!(!result.truncated, "marker {special:?} must be exhaustive");
+        assert!(result.ok(), "sealer {sealer:?}: {:?}", result.violations.first());
+        assert!(!result.truncated, "sealer {sealer:?} must be exhaustive");
     }
 }
 
@@ -476,15 +318,15 @@ fn sync_read_prefix_safety_4_2_exhaustive() {
 fn assert_reader_always_terminates(
     (ports, vips): (usize, usize),
     committers: &[usize],
-    special: Option<(usize, u32)>,
+    sealer: Option<usize>,
     reader: usize,
     placers_livelock: bool,
 ) {
     let committers = ProcessSet::from_indices(committers.iter().copied());
-    let (sys, _) = sync_read_system(ports, vips, 1, committers, special, reader);
+    let (sys, _) = sync_read_system(ports, vips, 1, committers, sealer, reader);
     let graph = StateGraph::build(&sys, 2_000_000);
     assert!(!graph.truncated());
-    let case = format!("({ports},{vips}) reader {reader} vs {committers} + {special:?}");
+    let case = format!("({ports},{vips}) reader {reader} vs {committers} + sealer {sealer:?}");
 
     let mut scc_of = vec![0; graph.states().len()];
     for (i, scc) in graph.sccs().iter().enumerate() {
@@ -512,32 +354,24 @@ fn sync_read_terminates_in_every_schedule() {
     // A VIP reads, then a guest reads, while two guests can lock step.
     assert_reader_always_terminates((3, 1), &[1, 2], None, 0, true);
     assert_reader_always_terminates((4, 1), &[1, 2], None, 3, true);
-    // A guest batch against a guest's split seal can lock step too.
-    assert_reader_always_terminates((3, 1), &[1], Some((2, SPLIT_BASE)), 0, true);
+    // A guest batch against a guest's seal can lock step too.
+    assert_reader_always_terminates((3, 1), &[1], Some(2), 0, true);
     // With a VIP placing, everybody finishes.
-    assert_reader_always_terminates((3, 1), &[0], Some((1, CHECKPOINT_BASE)), 2, false);
+    assert_reader_always_terminates((3, 1), &[0], Some(1), 2, false);
     assert_reader_always_terminates((4, 2), &[0, 1, 2], None, 3, false);
 }
 
-/// The checkpoint, split, and merge marker values and the segment ids are
-/// namespaced away from batch ids (and from each other), so none can be
-/// confused in a decision.
+/// The seal (a checkpoint's among them) and adoption marker values and the
+/// segment ids are namespaced away from batch ids (and from each other), so
+/// none can be confused in a decision.
 #[test]
 fn checkpoint_values_are_disjoint_from_batches() {
     let batches = proposed_batches(ProcessSet::first_n(64));
     for pid in 0..64u32 {
-        assert!(!batches.contains(&Value::Num(CHECKPOINT_BASE + pid)));
-        assert!(!batches.contains(&Value::Num(SPLIT_BASE + pid)));
-        assert!(!batches.contains(&Value::Num(MERGE_BASE + pid)));
-        assert!(!batches.contains(&Value::Num(ADOPT_BASE + pid)));
-        assert!(!batches.contains(&Value::Num(SEGMENT_BASE + pid)));
-        let markers = [
-            CHECKPOINT_BASE + pid,
-            SPLIT_BASE + pid,
-            MERGE_BASE + pid,
-            ADOPT_BASE + pid,
-            SEGMENT_BASE + pid,
-        ];
+        let markers = [SEAL_BASE + pid, ADOPT_BASE + pid, SEGMENT_BASE + pid];
+        for marker in markers {
+            assert!(!batches.contains(&Value::Num(marker)));
+        }
         for (i, a) in markers.iter().enumerate() {
             for b in &markers[i + 1..] {
                 assert_ne!(a, b, "marker namespaces must not collide");
@@ -564,8 +398,8 @@ fn every_solo_guest_commits() {
 }
 
 /// The port patterns of a (3,1) race: every committer mask, alone and
-/// racing a checkpoint from a port that neither commits nor is `reader`.
-fn race_patterns(reader: Option<usize>) -> Vec<(ProcessSet, Option<(usize, u32)>)> {
+/// racing a seal from a port that neither commits nor is `reader`.
+fn race_patterns(reader: Option<usize>) -> Vec<(ProcessSet, Option<usize>)> {
     let mut patterns = Vec::new();
     for committer_mask in 0u8..8 {
         if reader.is_some_and(|r| committer_mask & (1 << r) != 0) {
@@ -574,15 +408,15 @@ fn race_patterns(reader: Option<usize>) -> Vec<(ProcessSet, Option<(usize, u32)>
         let committers = mask_participants(committer_mask, 3);
         let idle = (0usize..3).find(|&p| Some(p) != reader && committer_mask & (1 << p) == 0);
         patterns.push((committers, None));
-        if let Some(port) = idle {
-            patterns.push((committers, Some((port, CHECKPOINT_BASE))));
+        if idle.is_some() {
+            patterns.push((committers, idle));
         }
     }
     patterns
 }
 
 /// The segment hand-off, placement half, exhaustively: (3,1) placers —
-/// every committer pattern, alone and racing a checkpoint — in a log of
+/// every committer pattern, alone and racing a seal — in a log of
 /// two-cell segments that starts at a segment's first cell or at its last.
 /// A placer that absorbs a segment's last cell proposes the segment it built
 /// to the link and walks on in the one the link decided; on **every**
@@ -590,14 +424,14 @@ fn race_patterns(reader: Option<usize>) -> Vec<(ProcessSet, Option<(usize, u32)>
 #[test]
 fn segment_handoff_placement_safety_3_1_exhaustive() {
     for start in 0..MODEL_SEGMENT_CELLS {
-        for (committers, special) in race_patterns(None) {
-            if committers.is_empty() && special.is_none() {
+        for (committers, sealer) in race_patterns(None) {
+            if committers.is_empty() && sealer.is_none() {
                 continue;
             }
-            let (sys, safety) = segmented_commit_system(3, 1, 1, committers, special, start, |p| p);
+            let (sys, safety) = segmented_commit_system(3, 1, 1, committers, sealer, start, |p| p);
             let explorer = Explorer::new(ExploreConfig::default().with_max_states(2_000_000));
             let result = explorer.explore(&sys, &[&safety, &NoFaults]);
-            let case = format!("start {start}, committers {committers} + {special:?}");
+            let case = format!("start {start}, committers {committers} + sealer {sealer:?}");
             assert!(result.ok(), "{case}: {:?}", result.violations.first());
             assert!(!result.truncated, "{case} must be exhaustive");
         }
@@ -630,7 +464,7 @@ fn a_placer_walks_on_in_the_segment_the_link_decided() {
 
 /// The segment hand-off, read half, exhaustively: every reading port and
 /// every pattern of (3,1) placers over the other two, alone and racing a
-/// checkpoint, in a log of two-cell segments started at either cell. Placers
+/// seal, in a log of two-cell segments started at either cell. Placers
 /// cross before they raise the tail, so on **every** schedule the reader
 /// finds each link below its tail decided and observes exactly a prefix
 /// holding everything that had completed ([`PrefixSafety`]).
@@ -638,12 +472,12 @@ fn a_placer_walks_on_in_the_segment_the_link_decided() {
 fn segment_handoff_read_race_prefix_safety_exhaustive() {
     for start in 0..MODEL_SEGMENT_CELLS {
         for reader in 0usize..3 {
-            for (committers, special) in race_patterns(Some(reader)) {
+            for (committers, sealer) in race_patterns(Some(reader)) {
                 let (sys, safety) =
-                    segmented_sync_read_system(3, 1, 1, committers, special, reader, start);
+                    segmented_sync_read_system(3, 1, 1, committers, sealer, reader, start);
                 let explorer = Explorer::new(ExploreConfig::default().with_max_states(2_000_000));
                 let result = explorer.explore(&sys, &[&safety, &NoFaults]);
-                let case = format!("start {start}, reader {reader}, {committers} + {special:?}");
+                let case = format!("start {start}, reader {reader}, {committers} + {sealer:?}");
                 assert!(result.ok(), "{case}: {:?}", result.violations.first());
                 assert!(!result.truncated, "{case} must be exhaustive");
             }
