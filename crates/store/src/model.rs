@@ -493,15 +493,18 @@ impl<P: apc_model::Program> apc_model::explore::Invariant<P> for PlacementSafety
 }
 
 /// Builds the **seal race**: `committers` race their batches (`100 + pid`)
-/// against `sealer`'s seal (`SEAL_BASE + pid`) over a log window of one
-/// `(ports,vips)`-live cell per participant — the model of a checkpoint
+/// against each of `sealers`' seals (`SEAL_BASE + pid`) over a log window
+/// of one `(ports,vips)`-live cell per participant — the model of a checkpoint
 /// ([`Store::checkpoint`]), a split's topology bump
 /// ([`Store::split_shard`]) or a merge's child-side drain
 /// ([`Store::merge_shard`]) racing concurrent VIP/guest batches through the
 /// shard's own log. (The cross-log half of a merge — the drain *then* the
-/// adoption — is [`merge_adopt_system`].)
+/// adoption — is [`merge_adopt_system`].) Pass one sealer (`Some(pid)`) for
+/// a seal racing batches, or two for seals racing each other as well: a
+/// split's seal carries its operation, so a checkpoint racing it does not
+/// stop at it, and each places its own.
 ///
-/// [`PlacementSafety`] over the result is the seal-safety claim: the seal
+/// [`PlacementSafety`] over the result is the seal-safety claim: every seal
 /// and every batch place **exactly once** (no committed op is dropped by
 /// the seal, or replayed into both sides of a split or after a drain), and
 /// terminal states place every participant.
@@ -510,7 +513,7 @@ impl<P: apc_model::Program> apc_model::explore::Invariant<P> for PlacementSafety
 ///
 /// # Panics
 ///
-/// Panics if `ports == 0`, `vips > ports`, or the sealer is also a
+/// Panics if `ports == 0`, `vips > ports`, or a sealer is also a
 /// committer.
 ///
 /// [`Store::checkpoint`]: crate::store::Store::checkpoint
@@ -521,9 +524,9 @@ pub fn seal_commit_system(
     vips: usize,
     isolation_window: u8,
     committers: ProcessSet,
-    sealer: Option<usize>,
+    sealers: impl IntoIterator<Item = usize>,
 ) -> (System<MaybeParticipant<LogPlaceProgram>>, Vec<ObjectId>, Vec<Value>) {
-    let race = PlaceRace::new(ports, vips, isolation_window, committers, sealer, None);
+    let race = PlaceRace::new(ports, vips, isolation_window, committers, sealers, None);
     let (system, safety) = race.build(|place| place, |_| MaybeParticipant::Absent);
     (system, safety.log.head, safety.proposals)
 }
@@ -744,7 +747,7 @@ pub fn merge_adopt_system(
 }
 
 /// The set-up shared by the single-log races: `committers` placing their
-/// batches (`100 + pid`) against `sealer`'s seal (`SEAL_BASE + pid`) over a
+/// batches (`100 + pid`) against `sealers`' seals (`SEAL_BASE + pid`) over a
 /// window of one `(ports,vips)`-live cell per placer — flat, or, if
 /// `segmented` gives the log's start in its first segment, in segments.
 struct PlaceRace {
@@ -761,15 +764,16 @@ impl PlaceRace {
         vips: usize,
         isolation_window: u8,
         committers: ProcessSet,
-        sealer: Option<usize>,
+        sealers: impl IntoIterator<Item = usize>,
         segmented: Option<usize>,
     ) -> Self {
         assert!(ports > 0 && vips <= ports, "need 0 < ports and vips ≤ ports");
+        let sealers: ProcessSet = sealers.into_iter().collect();
         assert!(
-            !committers.iter().any(|p| Some(p.index()) == sealer),
-            "the sealer must not also commit a batch"
+            committers.intersection(sealers).is_empty(),
+            "a sealer must not also commit a batch"
         );
-        let placers: ProcessSet = committers.iter().map(|p| p.index()).chain(sealer).collect();
+        let placers = committers.union(sealers);
         let mut builder = SystemBuilder::new(ports);
         let cell = |b: &mut SystemBuilder| {
             b.add_live_consensus(
@@ -785,7 +789,8 @@ impl PlaceRace {
         };
         let values = (0..ports)
             .map(|pid| {
-                let base = if sealer == Some(pid) { SEAL_BASE } else { 100 };
+                let base =
+                    if sealers.contains(apc_model::ProcessId::new(pid)) { SEAL_BASE } else { 100 };
                 Value::Num(base + pid as u32)
             })
             .collect();

@@ -5,8 +5,9 @@
 //! (a checkpoint, a split's topology bump or a merge's drain, which place
 //! alike) proposed through the same consensus path as client batches
 //! places exactly once on every schedule (no committed op dropped or
-//! replayed twice), and VIP fair-termination survives it — the cross-log
-//! merge, whose adoption never precedes its drain — and the **read path**:
+//! replayed twice), also when two seals race each other, and VIP
+//! fair-termination survives it — the cross-log merge, driven from any
+//! port, whose adoption never precedes its drain — and the **read path**:
 //! a reader bounded by the tail it loaded observes exactly a prefix of the
 //! log containing everything that had completed, against batches alone and
 //! against a seal, and terminates in every schedule —
@@ -110,48 +111,72 @@ fn guest_only_schedules_admit_livelock() {
 /// both sides of a split), and terminal states place every participant.
 /// This is the model-checked core of the safety claims of
 /// [`Store::checkpoint`], [`Store::split_shard`] and the child-side half of
-/// [`Store::merge_shard`].
+/// [`Store::merge_shard`]: the three place one seal alike, so the race is
+/// checked once, under the checkpoint's name.
 #[test]
-fn seal_race_safety_matrix_exhaustive() {
+fn checkpoint_install_race_safety_matrix_exhaustive() {
     for committer_mask in 0u8..8 {
         for sealer in 0usize..3 {
             if committer_mask & (1 << sealer) != 0 {
                 continue; // the sealer does not also commit a batch
             }
-            let committers = mask_participants(committer_mask, 3);
-            let participants = mask_participants(committer_mask | (1 << sealer), 3);
-            let (sys, cells, proposals) = seal_commit_system(3, 1, 1, committers, Some(sealer));
-            let safety = PlacementSafety { log: LogCells::flat(cells), participants, proposals };
-            let explorer = Explorer::new(ExploreConfig::default().with_max_states(400_000));
-            let result = explorer.explore(&sys, &[&safety, &NoFaults]);
-            assert!(
-                result.ok(),
-                "committers {committer_mask:03b} + seal {sealer}: {:?}",
-                result.violations.first()
-            );
-            assert!(
-                !result.truncated,
-                "committers {committer_mask:03b} + seal {sealer} must be exhaustive"
-            );
+            assert_seal_race_safe(3, 1, committer_mask, 1 << sealer, 400_000);
         }
     }
+}
+
+/// Checks [`PlacementSafety`] on every schedule of a `(ports,vips)` shard
+/// whose `committer_mask` ports commit batches while its `sealer_mask`
+/// ports seal.
+fn assert_seal_race_safe(
+    ports: usize,
+    vips: usize,
+    committer_mask: u8,
+    sealer_mask: u8,
+    max_states: usize,
+) {
+    let committers = mask_participants(committer_mask, ports);
+    let sealers = mask_participants(sealer_mask, ports).into_iter().map(|p| p.index());
+    let (sys, cells, proposals) = seal_commit_system(ports, vips, 1, committers, sealers);
+    let safety = PlacementSafety {
+        log: LogCells::flat(cells),
+        participants: mask_participants(committer_mask | sealer_mask, ports),
+        proposals,
+    };
+    let explorer = Explorer::new(ExploreConfig::default().with_max_states(max_states));
+    let result = explorer.explore(&sys, &[&safety, &NoFaults]);
+    let race =
+        format!("({ports},{vips}) committers {committer_mask:04b} + seals {sealer_mask:04b}");
+    assert!(result.ok(), "{race}: {:?}", result.violations.first());
+    assert!(!result.truncated, "{race} must be exhaustive");
 }
 
 /// At (4,2): both VIPs and a guest commit while the other guest seals —
 /// still safe on every schedule.
 #[test]
-fn seal_race_4_2_exhaustive() {
-    let committers = ProcessSet::from_indices([0, 1, 2]);
-    let (sys, cells, proposals) = seal_commit_system(4, 2, 1, committers, Some(3));
-    let safety = PlacementSafety {
-        log: LogCells::flat(cells),
-        participants: ProcessSet::first_n(4),
-        proposals,
-    };
-    let explorer = Explorer::new(ExploreConfig::default().with_max_states(2_000_000));
-    let result = explorer.explore(&sys, &[&safety, &NoFaults]);
-    assert!(result.ok(), "{:?}", result.violations.first());
-    assert!(!result.truncated);
+fn checkpoint_race_4_2_exhaustive() {
+    assert_seal_race_safe(4, 2, 0b0111, 0b1000, 2_000_000);
+}
+
+/// Two seals racing each other as well as batches: a split's seal carries
+/// its operation, so a checkpoint racing it does not stop at it, and both
+/// must place. For a (3,1) shard, every pair of sealing ports, with the
+/// third port committing or idle, is safe on every schedule — neither seal
+/// drops the other or a batch, and none places twice.
+#[test]
+fn split_install_race_safety_matrix_exhaustive() {
+    for sealer_mask in [0b011u8, 0b101, 0b110] {
+        for committer_mask in [0, 0b111 & !sealer_mask] {
+            assert_seal_race_safe(3, 1, committer_mask, sealer_mask, 400_000);
+        }
+    }
+}
+
+/// At (4,2): both VIPs commit while both guests seal, one splitting and one
+/// checkpointing — still safe on every schedule.
+#[test]
+fn split_race_4_2_exhaustive() {
+    assert_seal_race_safe(4, 2, 0b0011, 0b1100, 2_000_000);
 }
 
 /// Liveness, positive half: a VIP committing while a guest seals terminates
@@ -159,27 +184,53 @@ fn seal_race_4_2_exhaustive() {
 /// helping rule, so it cannot block the wait-free class, and once the VIP
 /// is done the sealer places in isolation.
 #[test]
-fn vip_commit_racing_seal_terminates_fairly() {
-    let committers = ProcessSet::from_indices([0]);
-    let (sys, _, _) = seal_commit_system(3, 1, 1, committers, Some(2));
-    let graph = StateGraph::build(&sys, 500_000);
+fn vip_commit_racing_checkpoint_terminates_fairly() {
+    assert_vip_terminates_fairly(3, 1, &[0], &[2]);
+}
+
+/// VIP wait-freedom survives two guests sealing against each other — a
+/// split and a checkpoint — as well as against its batch: the VIP decides
+/// on every fair schedule. The two seals themselves are only lock-free:
+/// once the VIP is done they race each other in lockstep, and the checker
+/// exhibits that livelock.
+#[test]
+fn vip_commit_racing_split_terminates_fairly() {
+    let (sys, _, _) = seal_commit_system(3, 1, 1, ProcessSet::from_indices([0]), [1, 2]);
+    let graph = StateGraph::build(&sys, 2_000_000);
     assert!(!graph.truncated());
-    let participants = ProcessSet::from_indices([0, 2]);
-    let verdict = fair_termination(&graph, |pid| participants.contains(pid));
+    let verdict = fair_termination(&graph, |pid| pid.index() == 0);
     assert!(verdict.holds(), "{verdict:?}");
+    let verdict = fair_termination(&graph, |_| true);
+    assert!(!verdict.holds(), "two guest seals racing each other must admit a livelock");
 }
 
 /// Both VIPs committing against a guest's seal also terminate fairly at
 /// (4,2) — the wait-free tier's guarantee is per-class, not per-port.
 #[test]
 fn both_vips_racing_split_terminate_fairly_4_2() {
-    let committers = ProcessSet::from_indices([0, 1]);
-    let (sys, _, _) = seal_commit_system(4, 2, 1, committers, Some(3));
+    assert_vip_terminates_fairly(4, 2, &[0, 1], &[3]);
+}
+
+/// Checks that every fair schedule of `committers` racing `sealers` on a
+/// `(ports,vips)` shard terminates.
+fn assert_vip_terminates_fairly(
+    ports: usize,
+    vips: usize,
+    committers: &[usize],
+    sealers: &[usize],
+) {
+    let (sys, _, _) = seal_commit_system(
+        ports,
+        vips,
+        1,
+        ProcessSet::from_indices(committers.iter().copied()),
+        sealers.iter().copied(),
+    );
     let graph = StateGraph::build(&sys, 2_000_000);
     assert!(!graph.truncated());
-    let participants = ProcessSet::from_indices([0, 1, 3]);
+    let participants: ProcessSet = committers.iter().chain(sealers).copied().collect();
     let verdict = fair_termination(&graph, |pid| participants.contains(pid));
-    assert!(verdict.holds(), "{verdict:?}");
+    assert!(verdict.holds(), "({ports},{vips}) {committers:?} + seals {sealers:?}: {verdict:?}");
 }
 
 /// Liveness, negative half: placing a seal is lock-free but not wait-free —
@@ -188,9 +239,23 @@ fn both_vips_racing_split_terminate_fairly_4_2() {
 /// store's checkpoints, splits and merges ride the guest tier and are
 /// documented as lock-free.
 #[test]
-fn guest_sealer_racing_guest_committer_admits_livelock() {
-    let committers = ProcessSet::from_indices([1]);
-    let (sys, _, _) = seal_commit_system(3, 1, 1, committers, Some(2));
+fn guest_checkpointer_racing_guest_committer_admits_livelock() {
+    assert_seal_race_admits_livelock(3, 1, 1, 2);
+}
+
+/// The lockstep livelock does not depend on the shard's shape: at (4,2),
+/// with both VIP ports idle, the two guests — one committing, one
+/// splitting — still starve each other.
+#[test]
+fn guest_splitter_racing_guest_committer_admits_livelock() {
+    assert_seal_race_admits_livelock(4, 2, 2, 3);
+}
+
+/// Checks that a guest `committer` racing a guest `sealer` on a
+/// `(ports,vips)` shard admits a fair livelock.
+fn assert_seal_race_admits_livelock(ports: usize, vips: usize, committer: usize, sealer: usize) {
+    let committers = ProcessSet::from_indices([committer]);
+    let (sys, _, _) = seal_commit_system(ports, vips, 1, committers, Some(sealer));
     let graph = StateGraph::build(&sys, 500_000);
     assert!(!graph.truncated());
     let witnesses = fair_livelocks(&graph);
@@ -199,55 +264,92 @@ fn guest_sealer_racing_guest_committer_admits_livelock() {
 
 /// The **cross-log merge matrix**: both halves of the merge — the child
 /// drain and the parent adoption — racing committers on *each* log, for
-/// every placement of up to two committers across the two logs. Placement
-/// safety holds over the union of both logs' cells (in particular, no
-/// batch ever places into both sides of the merge) and the adoption never
-/// precedes the drain, on every schedule.
+/// every placement of the two other ports as committers across the two
+/// logs, with the guest port 2 merging. Placement safety holds over the
+/// union of both logs' cells (in particular, no batch ever places into
+/// both sides of the merge) and the adoption never precedes the drain, on
+/// every schedule.
 #[test]
 fn merge_adopt_race_matrix_exhaustive() {
-    // Committers 0 and 1 each go to the child log, the parent log, or
-    // nowhere; port 2 is always the merger.
-    for c0 in 0u8..3 {
-        for c1 in 0u8..3 {
+    assert_merge_adopt_matrix_safe(2);
+}
+
+/// The cross-log merge matrix with the merger on every other port: the VIP
+/// port 0 and the guest port 1 — so a merge driven through the wait-free
+/// tier is checked as well as one through the guest tier.
+#[test]
+fn merge_install_race_safety_matrix_exhaustive() {
+    for merger in [0, 1] {
+        assert_merge_adopt_matrix_safe(merger);
+    }
+}
+
+/// Checks the cross-log merge at (3,1) with `merger` driving it, for every
+/// placement of the two other ports: on the child log, on the parent log,
+/// or absent.
+fn assert_merge_adopt_matrix_safe(merger: usize) {
+    let others: Vec<usize> = (0..3).filter(|&p| p != merger).collect();
+    for w0 in 0u8..3 {
+        for w1 in 0u8..3 {
             // 0 = absent, 1 = commits on the child log, 2 = on the parent.
             let mut child: Vec<usize> = Vec::new();
             let mut parent: Vec<usize> = Vec::new();
-            for (pid, which) in [(0usize, c0), (1, c1)] {
+            for (pid, which) in [(others[0], w0), (others[1], w1)] {
                 match which {
                     1 => child.push(pid),
                     2 => parent.push(pid),
                     _ => {}
                 }
             }
-            let child_committers: ProcessSet = child.clone().into_iter().collect();
-            let parent_committers: ProcessSet = parent.clone().into_iter().collect();
-            let (sys, child_cells, parent_cells, proposals) =
-                merge_adopt_system(3, 1, 1, child_committers, parent_committers, 2);
-            let all_cells: Vec<ObjectId> =
-                child_cells.iter().chain(parent_cells.iter()).copied().collect();
-            let participants: ProcessSet =
-                child.into_iter().chain(parent).chain([2usize]).collect();
-            let safety =
-                PlacementSafety { log: LogCells::flat(all_cells), participants, proposals };
-            let order = MergeOrder {
-                child_cells,
-                parent_cells,
-                drain: Value::Num(SEAL_BASE + 2),
-                adopt: Value::Num(ADOPT_BASE + 2),
-            };
-            let explorer = Explorer::new(ExploreConfig::default().with_max_states(2_000_000));
-            let result = explorer.explore(&sys, &[&safety, &order, &NoFaults]);
-            assert!(result.ok(), "child {c0} / parent {c1}: {:?}", result.violations.first());
-            assert!(!result.truncated, "child {c0} / parent {c1} must be exhaustive");
+            assert_merge_adopt_safe(3, 1, &child, &parent, merger, 2_000_000);
         }
     }
+}
+
+/// At (4,2): both VIPs and a guest commit — two on the child log, one on
+/// the parent's — while the other guest merges the two; safe and ordered
+/// on every schedule.
+#[test]
+fn merge_race_4_2_exhaustive() {
+    assert_merge_adopt_safe(4, 2, &[0, 2], &[1], 3, 4_000_000);
+}
+
+/// Checks [`PlacementSafety`] over both logs and [`MergeOrder`] on every
+/// schedule of `merger` merging a `(ports,vips)` shard's `child` ports'
+/// log into the `parent` ports' log.
+fn assert_merge_adopt_safe(
+    ports: usize,
+    vips: usize,
+    child: &[usize],
+    parent: &[usize],
+    merger: usize,
+    max_states: usize,
+) {
+    let child_committers = ProcessSet::from_indices(child.iter().copied());
+    let parent_committers = ProcessSet::from_indices(parent.iter().copied());
+    let (sys, child_cells, parent_cells, proposals) =
+        merge_adopt_system(ports, vips, 1, child_committers, parent_committers, merger);
+    let all_cells: Vec<ObjectId> = child_cells.iter().chain(parent_cells.iter()).copied().collect();
+    let participants: ProcessSet = child.iter().chain(parent).copied().chain([merger]).collect();
+    let safety = PlacementSafety { log: LogCells::flat(all_cells), participants, proposals };
+    let order = MergeOrder {
+        child_cells,
+        parent_cells,
+        drain: Value::Num(SEAL_BASE + merger as u32),
+        adopt: Value::Num(ADOPT_BASE + merger as u32),
+    };
+    let explorer = Explorer::new(ExploreConfig::default().with_max_states(max_states));
+    let result = explorer.explore(&sys, &[&safety, &order, &NoFaults]);
+    let race = format!("merger {merger}, child {child:?} / parent {parent:?}");
+    assert!(result.ok(), "{race}: {:?}", result.violations.first());
+    assert!(!result.truncated, "{race} must be exhaustive");
 }
 
 /// VIP wait-freedom survives a merge's two logs: a VIP committing on the
 /// child log while a guest drives the dual-log retirement terminates on
 /// every fair schedule — the merge obeys the helping rule on both logs, so
 /// it cannot block the wait-free class. (The single-log half, a VIP against
-/// the drain alone, is [`vip_commit_racing_seal_terminates_fairly`].)
+/// the drain alone, is [`vip_commit_racing_checkpoint_terminates_fairly`].)
 #[test]
 fn vip_commit_racing_merge_terminates_fairly() {
     let (sys, _, _, _) =
@@ -257,6 +359,20 @@ fn vip_commit_racing_merge_terminates_fairly() {
     let participants = ProcessSet::from_indices([0, 2]);
     let verdict = fair_termination(&graph, |pid| participants.contains(pid));
     assert!(verdict.holds(), "cross-log: {verdict:?}");
+}
+
+/// The livelock carries over to the cross-log merge: a guest merger and a
+/// guest committing on the child log can starve each other in lockstep on
+/// the drain, so the merge, like every seal, is lock-free and not
+/// wait-free.
+#[test]
+fn guest_merger_racing_guest_committer_admits_livelock() {
+    let (sys, _, _, _) =
+        merge_adopt_system(3, 1, 1, ProcessSet::from_indices([1]), ProcessSet::EMPTY, 2);
+    let graph = StateGraph::build(&sys, 2_000_000);
+    assert!(!graph.truncated());
+    let witnesses = fair_livelocks(&graph);
+    assert!(!witnesses.is_empty(), "lockstep guests must admit a livelock witness");
 }
 
 /// The read-path safety matrix at (3,1), exhaustively: every choice of
