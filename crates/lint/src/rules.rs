@@ -16,8 +16,9 @@
 //!   fns, which never promised liveness, may panic. (Plain asserts are
 //!   allowed: they signal broken invariants, not environmental failure.)
 //! * `reconfig` (R5) — the PR-5 invariant: no reconfiguration-install
-//!   operation (`split_locked`, `merge_locked`, `rebalance`) is
-//!   reachable from a (bounded-)wait-free fn.
+//!   operation (`split_locked`, `merge_locked`, `rebalance`, or the drain
+//!   step `seal_drain` the first two share) is reachable from a
+//!   (bounded-)wait-free fn.
 //!
 //! Any rule can be waived at a call/finding site with
 //! `// APC-LINT: allow(<rule>): <reason>` on the line or up to two lines
@@ -35,7 +36,7 @@ const RULES: [&str; 5] = ["progress", "safety", "relaxed", "panic", "reconfig"];
 
 /// Reconfiguration-install sinks for R5. Each must name a fn of the
 /// workspace: a self-check test fails on a sink that resolves to none.
-pub const RECONFIG_SINKS: [&str; 3] = ["split_locked", "merge_locked", "rebalance"];
+pub const RECONFIG_SINKS: [&str; 4] = ["split_locked", "merge_locked", "rebalance", "seal_drain"];
 
 /// Method names that panic on failure (R4).
 const PANIC_METHODS: [&str; 4] = ["unwrap", "expect", "unwrap_err", "expect_err"];

@@ -409,7 +409,8 @@ fn method(ws: &apc_lint::graph::Workspace, self_type: &str, name: &str) -> FnId 
 /// `Store::commit_guest`) or a whole reactor turn (`StoreServer::poll`) can
 /// reach, by the analyzer's own resolution and through every callee
 /// whatever its annotation (no `try_*` cut), is a checkpoint, a
-/// reconfiguration, the sealing walk under both, or a rebalance.
+/// reconfiguration, the sealing walk under both, the drain step a split
+/// and a merge share, or a rebalance.
 /// Housekeeping is an admin call only.
 #[test]
 fn the_vip_arm_reaches_no_housekeeping() {
@@ -422,6 +423,7 @@ fn the_vip_arm_reaches_no_housekeeping() {
         "Store::checkpoint",
         "Store::split_locked",
         "Store::merge_locked",
+        "Store::seal_drain",
         "Store::rebalance",
     ];
     for target in housekeeping {

@@ -281,7 +281,7 @@ mod tests {
 
     #[test]
     fn cold_eligible_child_merges() {
-        let (topo, child) = ShardTopology::fresh(4).split(0);
+        let (topo, child) = ShardTopology::fresh(4).split(0).unwrap();
         let mut engine = ElasticEngine::new(policy());
         engine.evaluate(0, &digests(&[0, 0, 0, 0, 0]), &topo);
         // Load on everything except the child (and it is the only
@@ -360,7 +360,7 @@ mod tests {
             let d = engine.evaluate(total, &digests(&commits), &topo);
             match d {
                 ElasticDecision::Split(s) => {
-                    let (bumped, _) = topo.split(s);
+                    let (bumped, _) = topo.split(s).unwrap();
                     topo = bumped;
                     engine.note_reconfigured(d, total);
                     reconfig_times.push(total);
@@ -422,7 +422,7 @@ mod tests {
         let topo = ShardTopology::fresh(3);
         let mut engine = ElasticEngine::new(policy());
         engine.evaluate(0, &digests(&[0, 0, 0]), &topo);
-        let (grown, _) = topo.split(0);
+        let (grown, _) = topo.split(0).unwrap();
         // The child appears mid-flight with 10 absolute commits; its whole
         // digest counts as this window's delta — which is correct, those
         // commits did happen since the last evaluation. The window is

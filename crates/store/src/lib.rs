@@ -19,11 +19,12 @@
 //!   append per live shard, merging broadcast scans; the topology is
 //!   **elastic in both directions**:
 //!   [`Store::split_shard`](store::Store::split_shard) grows it live
-//!   (the bump linearized through the hot shard's own consensus log)
 //!   and [`Store::merge_shard`](store::Store::merge_shard) retires a
-//!   cold child back into its parent (a drain through the child's log
-//!   plus an adoption through the parent's — both sealed, so a merge
-//!   compacts both logs). [`Store::rebalance`](store::Store::rebalance)
+//!   cold child back into its parent. Both move keys with one sealed
+//!   log command, a [`DrainSpec`] through the source shard's own log (a
+//!   merge then adopts the drained keys through the parent's), and both
+//!   are judged by the topology and refused with one [`ReconfigError`].
+//!   [`Store::rebalance`](store::Store::rebalance)
 //!   lets the owner delegate the choice to the policy engine
 //!   ([`elastic`]): split on sustained total-share skew, merge faded
 //!   children back, hysteresis + cool-down against thrash;
@@ -49,8 +50,8 @@
 //!
 //! The [`model`] module re-expresses the shard commit path as an
 //! `apc-model` program so small instances can be *exhaustively* checked:
-//! commit safety on every schedule (including a seal — a checkpoint, a
-//! split or a merge drain, which place alike — racing concurrent VIP/guest
+//! commit safety on every schedule (including a seal — a checkpoint or a
+//! drain, which place alike — racing concurrent VIP/guest
 //! commits), termination of every fair VIP schedule, and a positive
 //! livelock witness for guest-only schedules — the asymmetric liveness
 //! claim, machine-checked.
@@ -112,13 +113,13 @@ pub use api::{Request, Response, StoreError, TierCredential, UNBOUNDED_RETRIES};
 pub use elastic::{ElasticDecision, ElasticEngine, ElasticReport, ElasticityPolicy};
 pub use keymap::KeyMap;
 pub use ops::{
-    apply_op, read_op, read_sub_batch, AdoptSpec, Batch, Key, MergeSpec, ShardCmd, ShardSpec,
-    ShardState, SplitSpec, StoreOp, StoreResp,
+    apply_op, read_op, read_sub_batch, AdoptSpec, Batch, DrainSpec, Key, ShardCmd, ShardSpec,
+    ShardState, StoreOp, StoreResp,
 };
 pub use persist::{PersistError, Persister, RecoverError, ShardSnapshot, StoreSnapshot};
 pub use replan::Responses;
 pub use router::{
-    BatchPlan, BatchReassembly, MergeError, ShardTopology, TopoNode, TopoRecord, TopologyError,
+    BatchPlan, BatchReassembly, ReconfigError, ShardTopology, TopoNode, TopoRecord, TopologyError,
 };
-pub use store::{Client, ShardDigest, ShardLog, SplitError, Store, StoreBuilder};
+pub use store::{Client, ShardDigest, ShardLog, Store, StoreBuilder};
 pub use wal::{DurabilityClass, Wal, WalConfig, WalFrame, WalRecovery};

@@ -133,11 +133,9 @@ impl TierMetrics {
 pub(crate) struct StoreMetrics {
     vip: TierMetrics,
     guest: TierMetrics,
-    /// Applied splits / merges / adoptions (an adoption is the parent-side
-    /// half of every merge).
+    /// Applied splits / merges.
     splits: Counter,
     merges: Counter,
-    adopts: Counter,
     /// Topology version installed by the most recent reconfiguration.
     reconfig_last_version: Gauge,
     /// Elastic-engine decisions by kind; each split or merge is applied.
@@ -153,7 +151,6 @@ impl StoreMetrics {
             guest: TierMetrics::new(),
             splits: Counter::new(),
             merges: Counter::new(),
-            adopts: Counter::new(),
             reconfig_last_version: Gauge::new(),
             elastic_split_decisions: Counter::new(),
             elastic_merge_decisions: Counter::new(),
@@ -206,12 +203,6 @@ impl StoreMetrics {
         self.reconfig_last_version.set(version);
     }
 
-    /// Records the parent-side adoption half of a merge.
-    #[progress(wait_free)]
-    pub(crate) fn record_adopt(&self) {
-        self.adopts.inc();
-    }
-
     /// Records one elastic-engine evaluation outcome.
     #[progress(wait_free)]
     pub(crate) fn record_elastic(&self, decision: ElasticDecision) {
@@ -232,11 +223,7 @@ impl StoreMetrics {
         let mut out = Vec::new();
         self.vip.append_samples(&mut out, "vip");
         self.guest.append_samples(&mut out, "guest");
-        let reconfigs = [
-            ("split", self.splits.get()),
-            ("merge", self.merges.get()),
-            ("adopt", self.adopts.get()),
-        ];
+        let reconfigs = [("split", self.splits.get()), ("merge", self.merges.get())];
         for (kind, count) in reconfigs {
             out.push(Sample {
                 name: "store_reconfigs_total",
@@ -562,7 +549,6 @@ mod tests {
         let m = StoreMetrics::new();
         m.record_split(3);
         m.record_merge(4);
-        m.record_adopt();
         m.record_elastic(ElasticDecision::Split(0));
         m.record_elastic(ElasticDecision::Split(0));
         m.record_elastic(ElasticDecision::Merge(1));
@@ -570,7 +556,6 @@ mod tests {
         let s = snap(&m);
         assert_eq!(s.value("store_reconfigs_total", &[("kind", "split")]), Some(1));
         assert_eq!(s.value("store_reconfigs_total", &[("kind", "merge")]), Some(1));
-        assert_eq!(s.value("store_reconfigs_total", &[("kind", "adopt")]), Some(1));
         assert_eq!(s.value("store_reconfig_last_version", &[]), Some(4));
         assert_eq!(s.value("store_elastic_decisions_total", &[("decision", "split")]), Some(2));
         assert_eq!(s.value("store_elastic_decisions_total", &[("decision", "hold")]), Some(1));

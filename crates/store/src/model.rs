@@ -41,8 +41,8 @@
 //!    on in the segment the link decided, and [`PlacementSafety`] and
 //!    [`PrefixSafety`] hold over the log the links decide.
 //!
-//! A **seal** is one more value placed in the log: a checkpoint, a split's
-//! topology bump and a merge's drain are each one
+//! A **seal** is one more value placed in the log: a checkpoint and a
+//! drain (a split's or a merge's) are each one
 //! [`SealRecord`](apc_universal::SealRecord) in the real log, agreed
 //! through the same cells as batches. So the model has one seal marker,
 //! `SEAL_BASE + pid`, and one race of batches against it
@@ -173,10 +173,9 @@ pub fn proposed_batches(participants: ProcessSet) -> Vec<Value> {
 // A seal racing concurrent commits: the multi-cell log model.
 // ---------------------------------------------------------------------------
 
-/// Batch ids are `100 + pid`; seal markers — a checkpoint, a split's
-/// topology bump ([`ShardCmd::Split`](crate::ops::ShardCmd)) or a merge's
-/// child-side drain ([`ShardCmd::Merge`](crate::ops::ShardCmd)), which
-/// place alike — are `SEAL_BASE + pid`.
+/// Batch ids are `100 + pid`; seal markers — a checkpoint or a split's or
+/// merge's drain ([`ShardCmd::Drain`](crate::ops::ShardCmd)), which place
+/// alike — are `SEAL_BASE + pid`.
 pub const SEAL_BASE: u32 = 900;
 
 /// Merge-adoption markers (the parent-side fold-in of a live merge) are
@@ -495,9 +494,9 @@ impl<P: apc_model::Program> apc_model::explore::Invariant<P> for PlacementSafety
 /// Builds the **seal race**: `committers` race their batches (`100 + pid`)
 /// against each of `sealers`' seals (`SEAL_BASE + pid`) over a log window
 /// of one `(ports,vips)`-live cell per participant — the model of a checkpoint
-/// ([`Store::checkpoint`]), a split's topology bump
-/// ([`Store::split_shard`]) or a merge's child-side drain
-/// ([`Store::merge_shard`]) racing concurrent VIP/guest batches through the
+/// ([`Store::checkpoint`]) or a drain — a split's
+/// ([`Store::split_shard`]) or a merge's child-side one
+/// ([`Store::merge_shard`]) — racing concurrent VIP/guest batches through the
 /// shard's own log. (The cross-log half of a merge — the drain *then* the
 /// adoption — is [`merge_adopt_system`].) Pass one sealer (`Some(pid)`) for
 /// a seal racing batches, or two for seals racing each other as well: a

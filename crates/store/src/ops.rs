@@ -6,14 +6,14 @@
 //! atomically, so a client issuing `k` operations against one shard pays
 //! for **one** consensus-backed append instead of `k`) or a
 //! reconfiguration record installed through the same consensus path so it
-//! linearizes against concurrent batches: a [`SplitSpec`] (the
-//! topology-bump half of a live shard split), a [`MergeSpec`] (the
-//! child-side retirement of a live merge, draining the child's state), or
-//! an [`AdoptSpec`] (the parent-side adoption of those drained entries).
+//! linearizes against concurrent batches: a [`DrainSpec`] (keys leave the
+//! shard at a new topology version — the keys a split's child wins, or
+//! every key of a merge's retiring child) or an [`AdoptSpec`] (the
+//! parent-side adoption of a merge's drained entries).
 //!
 //! Every batch is stamped with the topology version it was planned under
 //! ([`Batch::planned_at`]). A shard state remembers the version of its own
-//! last split ([`ShardState::epoch`]); a batch planned before that split
+//! last drain ([`ShardState::epoch`]); a batch planned before that drain
 //! may route keys that have since moved away, so it is rejected whole with
 //! [`StoreResp::Moved`] **at the linearization point** — deterministically,
 //! by every replica — and the client re-plans it against the published
@@ -106,7 +106,7 @@ pub enum StoreResp {
 }
 
 /// The per-shard state: an ordered map, scannable by range, plus the
-/// topology **epoch** of the shard's last split.
+/// topology **epoch** of the shard's last drain.
 ///
 /// The map is a [`KeyMap`]: sorted leaves of at most 64 entries (or 4 KiB of
 /// long-key text — its two constants, `LEAF_ENTRIES` and `LEAF_BYTES`),
@@ -132,7 +132,7 @@ pub enum StoreResp {
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct ShardState {
     map: KeyMap,
-    /// The topology version of this shard's most recent split (or the
+    /// The topology version of this shard's most recent drain (or the
     /// version whose split created it). Batches planned earlier are stale.
     epoch: u64,
 }
@@ -159,7 +159,7 @@ impl ShardState {
         &self.map
     }
 
-    /// The topology version of this shard's most recent split.
+    /// The topology version of this shard's most recent drain.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -264,45 +264,41 @@ impl Batch {
     }
 }
 
-/// The topology-bump half of a live shard split, installed through the
+/// The one record that moves keys out of a shard: installed through the
 /// shard's own consensus log (inside a
-/// [`SealRecord`](apc_universal::SealRecord) cell with an operation, see
-/// [`Store::split_shard`](crate::store::Store::split_shard)).
+/// [`SealRecord`](apc_universal::SealRecord) cell with an operation) by a
+/// split ([`Store::split_shard`](crate::store::Store::split_shard)) and by a
+/// merge ([`Store::merge_shard`](crate::store::Store::merge_shard)).
 ///
-/// Applying it partitions the shard's entries by pairwise rendezvous
-/// between the shard's own seed and `child_seed`: the keys the child wins
-/// are drained out of this shard and returned
-/// ([`StoreResp::Entries`]) so the split driver can install them into the
-/// new shard before publishing the bumped topology. It also advances the
-/// shard's [`ShardState::epoch`] to `version`, after which older batches
-/// bounce with [`StoreResp::Moved`].
+/// Applying it drains the keys it takes, in one pass in key order, and
+/// returns them ([`StoreResp::Entries`]) as the migration set. With a
+/// `child_seed` it takes the keys that seed wins against the shard's own
+/// seed by pairwise rendezvous: a split, whose new child boots from them.
+/// Without one it takes every key: a merge's retirement, whose keys the
+/// parent then takes in through an [`AdoptSpec`]. Either way it advances
+/// the shard's [`ShardState::epoch`] to `version`, after which any batch
+/// planned under an older topology bounces with [`StoreResp::Moved`] — a
+/// retired shard keeps answering, it just answers "moved".
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
-pub struct SplitSpec {
-    /// The rendezvous seed of the new child shard.
-    pub child_seed: u64,
+pub struct DrainSpec {
     /// The bumped topology version.
     pub version: u64,
+    /// The rendezvous seed of a split's new child; `None` drains every key.
+    pub child_seed: Option<u64>,
 }
 
-/// The child-side half of a live shard **merge**: the retirement record,
-/// installed through the retiring child's own consensus log (sealed, like
-/// a split bump — see [`Store::merge_shard`](crate::store::Store::merge_shard)).
-///
-/// Applying it drains **every** entry out of the child (returned as
-/// [`StoreResp::Entries`], the migration set the merge driver hands to the
-/// parent's [`AdoptSpec`]) and advances the child's
-/// [`ShardState::epoch`] to `version`, after which any batch planned under
-/// an older topology bounces with [`StoreResp::Moved`] — the retired shard
-/// keeps answering, it just answers "moved".
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
-pub struct MergeSpec {
-    /// The bumped topology version (the child's retirement version).
-    pub version: u64,
+impl DrainSpec {
+    /// Whether this drain takes `key` from a shard seeded `seed`.
+    fn takes(&self, seed: u64, key: &str) -> bool {
+        let Some(child_seed) = self.child_seed else { return true };
+        let digest = key_digest(key);
+        rendezvous_score(child_seed, digest) > rendezvous_score(seed, digest)
+    }
 }
 
 /// The parent-side half of a live shard merge: the adoption record,
-/// installed through the **parent's** consensus log right after the
-/// child's [`MergeSpec`] drained its state.
+/// installed through the **parent's** consensus log right after a
+/// [`DrainSpec`] without a child seed drained the child's state.
 ///
 /// Applying it inserts the child's drained entries into the parent. The
 /// parent's epoch is deliberately **not** advanced: keys that routed to
@@ -323,16 +319,14 @@ pub struct AdoptSpec {
 }
 
 /// One agreed log cell's command: a client batch or a reconfiguration
-/// (split bump, merge retirement, or merge adoption — admin paths only).
+/// (a drain or a merge's adoption — admin paths only).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum ShardCmd {
     /// A client batch (the common case).
     Batch(Batch),
-    /// A live-split topology bump (admin path only).
-    Split(SplitSpec),
-    /// A live-merge retirement: drain this (child) shard and start
+    /// A split's or a merge's drain: move keys out of this shard and start
     /// bouncing stale batches (admin path only).
-    Merge(MergeSpec),
+    Drain(DrainSpec),
     /// A live-merge adoption: fold a retired child's drained entries into
     /// this (parent) shard (admin path only).
     Adopt(AdoptSpec),
@@ -340,7 +334,7 @@ pub enum ShardCmd {
 
 /// The sequential specification of one shard: an ordered map whose log
 /// entries are whole [`ShardCmd`]s. Each shard's spec carries its own
-/// rendezvous `seed` (the split partition rule needs it) and the topology
+/// rendezvous `seed` (a split's drain partitions by it) and the topology
 /// version the shard was created at (its initial epoch).
 #[derive(Copy, Clone, Debug, Default)]
 pub struct ShardSpec {
@@ -370,33 +364,21 @@ impl SequentialSpec for ShardSpec {
                 }
                 batch.ops.iter().map(|op| apply_op(state, op)).collect()
             }
-            ShardCmd::Split(split) => {
-                // One pass in key order: the child's winners leave as the
+            ShardCmd::Drain(drain) => {
+                // One pass in key order: the drained keys leave as the
                 // migration set, the rest are appended to the map that
                 // replaces this one.
                 let mut kept = KeyMap::new();
                 let mut outgoing = Vec::new();
                 for (k, v) in state.map.iter() {
-                    let digest = key_digest(k);
-                    if rendezvous_score(split.child_seed, digest)
-                        > rendezvous_score(self.seed, digest)
-                    {
-                        outgoing.push((k.to_owned(), v));
+                    if drain.takes(self.seed, k) {
+                        outgoing.push(owned((k, v)));
                     } else {
                         kept.push(k, v);
                     }
                 }
                 state.map = kept;
-                state.epoch = split.version;
-                vec![StoreResp::Entries(outgoing)]
-            }
-            ShardCmd::Merge(merge) => {
-                // Retirement drains everything: the whole state is the
-                // migration set, and the epoch bump makes every batch
-                // planned before the merge bounce deterministically.
-                let outgoing = state.map.iter().map(owned).collect();
-                state.map.clear();
-                state.epoch = merge.version;
+                state.epoch = drain.version;
                 vec![StoreResp::Entries(outgoing)]
             }
             ShardCmd::Adopt(adopt) => {
@@ -507,7 +489,7 @@ mod tests {
         let spec = ShardSpec { seed: 7, created_at: 0 };
         let mut s = spec.init();
         spec.apply(&mut s, &ShardCmd::Batch(Batch::new(0, vec![StoreOp::Put("a".into(), 1)])));
-        spec.apply(&mut s, &ShardCmd::Split(SplitSpec { child_seed: 99, version: 3 }));
+        spec.apply(&mut s, &ShardCmd::Drain(DrainSpec { version: 3, child_seed: Some(99) }));
         assert_eq!(s.epoch(), 3);
         // A batch planned under the old topology bounces without applying.
         let resps = spec.apply(
@@ -542,7 +524,10 @@ mod tests {
                 rendezvous_score(child_seed, digest) > rendezvous_score(42, digest)
             })
             .collect();
-        let resps = spec.apply(&mut s, &ShardCmd::Split(SplitSpec { child_seed, version: 1 }));
+        let resps = spec.apply(
+            &mut s,
+            &ShardCmd::Drain(DrainSpec { version: 1, child_seed: Some(child_seed) }),
+        );
         let outgoing = match &resps[0] {
             StoreResp::Entries(entries) => entries.clone(),
             other => panic!("split returned {other:?}"),
@@ -561,7 +546,8 @@ mod tests {
         let mut s = spec.init();
         spec.apply(&mut s, &ShardCmd::Batch(Batch::new(1, vec![StoreOp::Put("a".into(), 1)])));
         spec.apply(&mut s, &ShardCmd::Batch(Batch::new(1, vec![StoreOp::Put("b".into(), 2)])));
-        let resps = spec.apply(&mut s, &ShardCmd::Merge(MergeSpec { version: 4 }));
+        let resps =
+            spec.apply(&mut s, &ShardCmd::Drain(DrainSpec { version: 4, child_seed: None }));
         assert_eq!(
             resps,
             vec![StoreResp::Entries(vec![("a".into(), 1), ("b".into(), 2)])],
@@ -603,8 +589,8 @@ mod tests {
             s.map.insert(&format!("k{i:02}"), i);
         }
         let before: Vec<(Key, u64)> = s.map.iter().map(owned).collect();
-        let resps =
-            spec.apply(&mut s, &ShardCmd::Split(SplitSpec { child_seed: 0xfeed, version: 1 }));
+        let resps = spec
+            .apply(&mut s, &ShardCmd::Drain(DrainSpec { version: 1, child_seed: Some(0xfeed) }));
         let outgoing = match &resps[0] {
             StoreResp::Entries(entries) => entries.clone(),
             other => panic!("split returned {other:?}"),
@@ -628,7 +614,8 @@ mod tests {
 
     /// One command of a script: mostly batches of every operation against
     /// the small key space, planned at a version that may be older than
-    /// the shard's epoch; now and then a split, a merge or an adoption.
+    /// the shard's epoch; now and then a drain of either shape (a split's
+    /// or a merge's) or an adoption.
     fn command(kind: u8, ops: &[(u8, u32, u64)], at: u64) -> ShardCmd {
         let op = |&(op, k, v): &(u8, u32, u64)| match op {
             0 => StoreOp::Get(key_of(k)),
@@ -638,8 +625,8 @@ mod tests {
             _ => StoreOp::Put(key_of(k), v),
         };
         match kind {
-            13 => ShardCmd::Split(SplitSpec { child_seed: at, version: at + 1 }),
-            14 => ShardCmd::Merge(MergeSpec { version: at + 1 }),
+            13 => ShardCmd::Drain(DrainSpec { version: at + 1, child_seed: Some(at) }),
+            14 => ShardCmd::Drain(DrainSpec { version: at + 1, child_seed: None }),
             15 => {
                 let entries: std::collections::BTreeMap<Key, u64> =
                     ops.iter().map(|&(_, k, v)| (key_of(k + 48), v)).collect();

@@ -606,7 +606,7 @@ mod tests {
     /// both shard frames with their checksums, and the file checksum.
     #[test]
     fn format_pin_two_shards_with_a_tombstone() {
-        let (split, child) = ShardTopology::fresh(1).split(0);
+        let (split, child) = ShardTopology::fresh(1).split(0).unwrap();
         let (merged, _) = split.merge(child).unwrap();
         let snap = StoreSnapshot {
             topology: merged,
@@ -679,7 +679,7 @@ mod tests {
     fn split_topology_and_epochs_roundtrip() {
         // A post-split snapshot: 3 shards, shard 0 split once (child = 2),
         // parent and child carrying the split epoch.
-        let (topology, child) = ShardTopology::fresh(2).split(0);
+        let (topology, child) = ShardTopology::fresh(2).split(0).unwrap();
         let mut parent_state = std::collections::BTreeMap::new();
         parent_state.insert("kept".to_string(), 1u64);
         let mut child_state = std::collections::BTreeMap::new();
@@ -708,8 +708,8 @@ mod tests {
     fn merged_tree_snapshot_roundtrips() {
         // Split shard 0 twice, merge the later child back: the snapshot
         // must carry the tombstone and decode to the identical topology.
-        let (t1, c1) = ShardTopology::fresh(2).split(0);
-        let (t2, c2) = t1.split(0);
+        let (t1, c1) = ShardTopology::fresh(2).split(0).unwrap();
+        let (t2, c2) = t1.split(0).unwrap();
         let (t3, parent) = t2.merge(c2).expect("last live child merges");
         assert_eq!(parent, 0);
         let mut parent_state = std::collections::BTreeMap::new();
@@ -791,7 +791,7 @@ mod tests {
         );
 
         // A tombstoned frame that still carries entries.
-        let (t1, c) = ShardTopology::fresh(1).split(0);
+        let (t1, c) = ShardTopology::fresh(1).split(0).unwrap();
         let (t2, _) = t1.merge(c).unwrap();
         let mut orphan = std::collections::BTreeMap::new();
         orphan.insert("ghost".to_string(), 1u64);

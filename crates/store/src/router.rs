@@ -28,7 +28,8 @@
 //! moves keys *only* from the retired child *only* back to its parent.
 //! That inverse-exactness holds because merges must unwind splits in
 //! reverse: only a **live leaf that is the last live child of its parent**
-//! may retire ([`MergeError`] names every way a candidate can fail). With
+//! may retire. A split needs only a live shard. Both are judged here, and
+//! [`ReconfigError`] names every way a candidate can fail. With
 //! the last live child gone, the parent's descent considers exactly the
 //! prefix of children it considered before that child's split, so
 //! split-then-merge restores the parent's placement verbatim
@@ -155,14 +156,18 @@ impl fmt::Display for TopologyError {
 
 impl std::error::Error for TopologyError {}
 
-/// Why a shard cannot be merged back into its parent right now.
+/// Why a shard cannot be reconfigured right now: the one error of
+/// [`ShardTopology::split`] and [`ShardTopology::merge`] (and of the store's
+/// [`split_shard`](crate::store::Store::split_shard) and
+/// [`merge_shard`](crate::store::Store::merge_shard)).
 ///
-/// Merges unwind splits in reverse: the candidate must be a live **leaf**
-/// (no live children of its own) and the **last live child** of its
-/// parent's split order — only then does retiring it return every one of
-/// its keys to the parent, and nothing else moves.
+/// Either act needs a live shard id. A merge also unwinds a split in
+/// reverse: the candidate must be a non-root **leaf** (no live children of
+/// its own) and the **last live child** of its parent's split order — only
+/// then does retiring it return every one of its keys to the parent, and
+/// nothing else moves.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum MergeError {
+pub enum ReconfigError {
     /// The shard id does not exist in the topology.
     NoSuchShard {
         /// The offending shard id.
@@ -170,13 +175,14 @@ pub enum MergeError {
         /// The topology's shard count (live + retired).
         shards: usize,
     },
-    /// The shard is a root: there is no parent to merge into.
-    RootShard {
+    /// The shard was retired by a merge; a tombstone neither splits nor
+    /// merges.
+    Retired {
         /// The offending shard id.
         shard: usize,
     },
-    /// The shard was already retired by an earlier merge.
-    AlreadyRetired {
+    /// The shard is a root: there is no parent to merge into.
+    RootShard {
         /// The offending shard id.
         shard: usize,
     },
@@ -194,29 +200,27 @@ pub enum MergeError {
     },
 }
 
-impl fmt::Display for MergeError {
+impl fmt::Display for ReconfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            MergeError::NoSuchShard { shard, shards } => {
-                write!(f, "no shard {shard} to merge (topology has {shards})")
+            ReconfigError::NoSuchShard { shard, shards } => {
+                write!(f, "no shard {shard} (topology has {shards})")
             }
-            MergeError::RootShard { shard } => {
+            ReconfigError::Retired { shard } => write!(f, "shard {shard} was retired by a merge"),
+            ReconfigError::RootShard { shard } => {
                 write!(f, "shard {shard} is a root and has no parent to merge into")
             }
-            MergeError::AlreadyRetired { shard } => {
-                write!(f, "shard {shard} was already retired by an earlier merge")
-            }
-            MergeError::HasLiveChildren { shard } => {
+            ReconfigError::HasLiveChildren { shard } => {
                 write!(f, "shard {shard} still has live children; merge those first")
             }
-            MergeError::NotLastLiveChild { shard, last } => {
+            ReconfigError::NotLastLiveChild { shard, last } => {
                 write!(f, "shard {shard} is not its parent's last live child (shard {last} is)")
             }
         }
     }
 }
 
-impl std::error::Error for MergeError {}
+impl std::error::Error for ReconfigError {}
 
 /// A versioned shard topology: the rendezvous tree keys route through.
 ///
@@ -358,12 +362,12 @@ impl ShardTopology {
     /// Splits shard `parent`: returns the bumped topology and the new
     /// shard's id (always `self.shards()` — splits append).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `parent` is not a live shard id.
-    pub fn split(&self, parent: usize) -> (ShardTopology, usize) {
-        assert!(parent < self.nodes.len(), "no shard {parent} to split");
-        assert!(self.nodes[parent].is_live(), "shard {parent} is retired and cannot split");
+    /// [`ReconfigError::NoSuchShard`] or [`ReconfigError::Retired`] if
+    /// `parent` is not a live shard id.
+    pub fn split(&self, parent: usize) -> Result<(ShardTopology, usize), ReconfigError> {
+        let parent_seed = self.live_node(parent)?.seed;
         let child = self.nodes.len();
         let version = self.version + 1;
         let mut nodes = self.nodes.clone();
@@ -372,13 +376,23 @@ impl ShardTopology {
             // Unique and deterministic: derived from the parent's seed and
             // the bump version, so a replayed split history yields the same
             // tree.
-            seed: child_seed(self.nodes[parent].seed, version),
+            seed: child_seed(parent_seed, version),
             parent: Some(parent as u32),
             created_at: version,
             retired_at: None,
             children: Vec::new(),
         });
-        (ShardTopology { version, nodes }, child)
+        Ok((ShardTopology { version, nodes }, child))
+    }
+
+    /// The node of shard `id`, if `id` names a live shard: the check both
+    /// reconfigurations start with.
+    fn live_node(&self, id: usize) -> Result<&TopoNode, ReconfigError> {
+        match self.nodes.get(id) {
+            None => Err(ReconfigError::NoSuchShard { shard: id, shards: self.nodes.len() }),
+            Some(node) if !node.is_live() => Err(ReconfigError::Retired { shard: id }),
+            Some(node) => Ok(node),
+        }
     }
 
     /// Checks whether shard `child` may merge back into its parent right
@@ -386,23 +400,18 @@ impl ShardTopology {
     ///
     /// # Errors
     ///
-    /// A [`MergeError`] naming the obstruction. Merges unwind splits in
+    /// A [`ReconfigError`] naming the obstruction. Merges unwind splits in
     /// reverse: the candidate must be live, non-root, a leaf (no live
     /// children), and the **last live child** in its parent's split order —
     /// exactly the condition under which retiring it returns all of its
     /// keys to the parent and moves nothing else.
-    pub fn check_merge(&self, child: usize) -> Result<usize, MergeError> {
-        let Some(node) = self.nodes.get(child) else {
-            return Err(MergeError::NoSuchShard { shard: child, shards: self.nodes.len() });
-        };
+    pub fn check_merge(&self, child: usize) -> Result<usize, ReconfigError> {
+        let node = self.live_node(child)?;
         let Some(parent) = node.parent else {
-            return Err(MergeError::RootShard { shard: child });
+            return Err(ReconfigError::RootShard { shard: child });
         };
-        if !node.is_live() {
-            return Err(MergeError::AlreadyRetired { shard: child });
-        }
         if node.children.iter().any(|&c| self.nodes[c as usize].is_live()) {
-            return Err(MergeError::HasLiveChildren { shard: child });
+            return Err(ReconfigError::HasLiveChildren { shard: child });
         }
         let last_live = self.nodes[parent as usize]
             .children
@@ -411,7 +420,7 @@ impl ShardTopology {
             .rfind(|&c| self.nodes[c as usize].is_live())
             .expect("child is a live child of its parent");
         if last_live as usize != child {
-            return Err(MergeError::NotLastLiveChild { shard: child, last: last_live as usize });
+            return Err(ReconfigError::NotLastLiveChild { shard: child, last: last_live as usize });
         }
         Ok(parent as usize)
     }
@@ -424,8 +433,8 @@ impl ShardTopology {
     ///
     /// # Errors
     ///
-    /// Any [`MergeError`] from [`ShardTopology::check_merge`].
-    pub fn merge(&self, child: usize) -> Result<(ShardTopology, usize), MergeError> {
+    /// Any [`ReconfigError`] from [`ShardTopology::check_merge`].
+    pub fn merge(&self, child: usize) -> Result<(ShardTopology, usize), ReconfigError> {
         let parent = self.check_merge(child)?;
         let version = self.version + 1;
         let mut nodes = self.nodes.clone();
@@ -744,7 +753,7 @@ mod tests {
     fn split_moves_keys_only_to_the_new_shard() {
         let t = ShardTopology::fresh(4);
         let hot = 2;
-        let (t2, fresh) = t.split(hot);
+        let (t2, fresh) = t.split(hot).unwrap();
         assert_eq!(fresh, 4);
         assert_eq!(t2.version(), 1);
         assert_eq!(t2.shards(), 5);
@@ -767,8 +776,8 @@ mod tests {
         // Splitting shard 0 twice: the second split moves keys only from
         // what shard 0 retained, never from the first child.
         let t0 = ShardTopology::fresh(2);
-        let (t1, c1) = t0.split(0);
-        let (t2, c2) = t1.split(0);
+        let (t1, c1) = t0.split(0).unwrap();
+        let (t2, c2) = t1.split(0).unwrap();
         assert_eq!((c1, c2), (2, 3));
         assert_eq!(t2.version(), 2);
         for i in 0..1024 {
@@ -784,8 +793,8 @@ mod tests {
     #[test]
     fn split_children_can_split_again() {
         let t0 = ShardTopology::fresh(1);
-        let (t1, c1) = t0.split(0);
-        let (t2, c2) = t1.split(c1);
+        let (t1, c1) = t0.split(0).unwrap();
+        let (t2, c2) = t1.split(c1).unwrap();
         assert_eq!(t2.node(c2).parent, Some(c1 as u32));
         for i in 0..1024 {
             let key = format!("deep/{i}");
@@ -817,7 +826,7 @@ mod tests {
 
     #[test]
     fn from_nodes_roundtrips_and_validates() {
-        let (t, _) = ShardTopology::fresh(3).split(1);
+        let (t, _) = ShardTopology::fresh(3).split(1).unwrap();
         let rebuilt =
             ShardTopology::from_nodes(t.version(), &records_of(&t)).expect("valid records");
         assert_eq!(rebuilt, t);
@@ -844,7 +853,7 @@ mod tests {
     #[test]
     fn from_nodes_validates_tombstones() {
         // A tombstoned topology round-trips.
-        let (t1, child) = ShardTopology::fresh(2).split(0);
+        let (t1, child) = ShardTopology::fresh(2).split(0).unwrap();
         let (t2, _) = t1.merge(child).expect("fresh child merges");
         let rebuilt =
             ShardTopology::from_nodes(t2.version(), &records_of(&t2)).expect("valid tombstones");
@@ -889,7 +898,7 @@ mod tests {
         // Split shard 1 of 4, then merge the child back: every key routes
         // exactly where it did before the split.
         let t0 = ShardTopology::fresh(4);
-        let (t1, child) = t0.split(1);
+        let (t1, child) = t0.split(1).unwrap();
         let (t2, parent) = t1.merge(child).expect("last live child merges");
         assert_eq!(parent, 1);
         assert_eq!(t2.version(), 2);
@@ -909,7 +918,7 @@ mod tests {
 
     #[test]
     fn merge_moves_keys_only_child_to_parent() {
-        let (t1, child) = ShardTopology::fresh(3).split(2);
+        let (t1, child) = ShardTopology::fresh(3).split(2).unwrap();
         let (t2, parent) = t1.merge(child).expect("merge");
         let mut moved = 0;
         for i in 0..2048 {
@@ -929,24 +938,27 @@ mod tests {
         let t = ShardTopology::fresh(2);
         assert_eq!(
             t.check_merge(5),
-            Err(MergeError::NoSuchShard { shard: 5, shards: 2 }),
+            Err(ReconfigError::NoSuchShard { shard: 5, shards: 2 }),
             "{}",
-            MergeError::NoSuchShard { shard: 5, shards: 2 }
+            ReconfigError::NoSuchShard { shard: 5, shards: 2 }
         );
-        assert_eq!(t.check_merge(0), Err(MergeError::RootShard { shard: 0 }));
+        assert_eq!(t.check_merge(0), Err(ReconfigError::RootShard { shard: 0 }));
         // Stack two splits of shard 0: children 2 then 3. Shard 2 is not
         // the last live child; shard 3 is; splitting 2 gives it a live
         // child of its own.
-        let (t1, c1) = t.split(0);
-        let (t2, c2) = t1.split(0);
+        let (t1, c1) = t.split(0).unwrap();
+        let (t2, c2) = t1.split(0).unwrap();
         assert_eq!((c1, c2), (2, 3));
-        assert_eq!(t2.check_merge(c1), Err(MergeError::NotLastLiveChild { shard: c1, last: c2 }));
-        let (t3, c3) = t2.split(c1);
-        assert_eq!(t3.check_merge(c1), Err(MergeError::HasLiveChildren { shard: c1 }));
+        assert_eq!(
+            t2.check_merge(c1),
+            Err(ReconfigError::NotLastLiveChild { shard: c1, last: c2 })
+        );
+        let (t3, c3) = t2.split(c1).unwrap();
+        assert_eq!(t3.check_merge(c1), Err(ReconfigError::HasLiveChildren { shard: c1 }));
         assert_eq!(t3.check_merge(c3), Ok(c1), "a leaf last-live-child is eligible");
         // After merging c3 and c2, c1 becomes mergeable.
         let (t4, _) = t3.merge(c3).unwrap();
-        assert_eq!(t4.check_merge(c3), Err(MergeError::AlreadyRetired { shard: c3 }));
+        assert_eq!(t4.check_merge(c3), Err(ReconfigError::Retired { shard: c3 }));
         let (t5, _) = t4.merge(c2).unwrap();
         let (t6, _) = t5.merge(c1).unwrap();
         assert_eq!(t6.live_shards(), 2, "the whole split stack unwinds");
@@ -956,11 +968,11 @@ mod tests {
         }
         // Every error renders.
         for e in [
-            MergeError::NoSuchShard { shard: 1, shards: 1 },
-            MergeError::RootShard { shard: 1 },
-            MergeError::AlreadyRetired { shard: 1 },
-            MergeError::HasLiveChildren { shard: 1 },
-            MergeError::NotLastLiveChild { shard: 1, last: 2 },
+            ReconfigError::NoSuchShard { shard: 1, shards: 1 },
+            ReconfigError::RootShard { shard: 1 },
+            ReconfigError::Retired { shard: 1 },
+            ReconfigError::HasLiveChildren { shard: 1 },
+            ReconfigError::NotLastLiveChild { shard: 1, last: 2 },
         ] {
             assert!(!e.to_string().is_empty());
         }
@@ -970,9 +982,9 @@ mod tests {
     fn split_after_merge_reuses_no_slot_and_routes_fresh() {
         // Merge a child away, split the same parent again: the new child
         // gets a fresh slot (append-only ids) and its own seed.
-        let (t1, c1) = ShardTopology::fresh(2).split(0);
+        let (t1, c1) = ShardTopology::fresh(2).split(0).unwrap();
         let (t2, _) = t1.merge(c1).unwrap();
-        let (t3, c2) = t2.split(0);
+        let (t3, c2) = t2.split(0).unwrap();
         assert_eq!(c2, 3, "tombstoned slots are never reused");
         assert!(t3.is_live(c2));
         assert!(!t3.is_live(c1));
@@ -993,16 +1005,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "retired and cannot split")]
-    fn splitting_a_tombstone_panics() {
-        let (t1, child) = ShardTopology::fresh(1).split(0);
+    fn split_eligibility_is_typed() {
+        let (t1, child) = ShardTopology::fresh(1).split(0).unwrap();
         let (t2, _) = t1.merge(child).unwrap();
-        let _ = t2.split(child);
+        assert_eq!(t2.split(child), Err(ReconfigError::Retired { shard: child }));
+        assert_eq!(t2.split(7), Err(ReconfigError::NoSuchShard { shard: 7, shards: 2 }));
+        // A tombstone or a missing id fails a merge the same way.
+        assert_eq!(t2.check_merge(child), Err(ReconfigError::Retired { shard: child }));
+        assert_eq!(t2.check_merge(7), Err(ReconfigError::NoSuchShard { shard: 7, shards: 2 }));
     }
 
     #[test]
     fn broadcasts_skip_tombstones() {
-        let (t1, child) = ShardTopology::fresh(2).split(0);
+        let (t1, child) = ShardTopology::fresh(2).split(0).unwrap();
         let (t2, _) = t1.merge(child).unwrap();
         let plan = t2.plan(vec![StoreOp::Scan { from: "".into(), to: "z".into() }]);
         assert!(plan.sub_batch(child).is_empty(), "tombstones receive no broadcast copy");
@@ -1022,8 +1037,8 @@ mod tests {
     /// left a tombstone (shard 4) beside a live split child (shard 3).
     fn plan_topologies() -> [ShardTopology; 3] {
         let fresh = ShardTopology::fresh(3);
-        let (split, child) = fresh.split(1);
-        let (twice, tomb) = split.split(0);
+        let (split, child) = fresh.split(1).unwrap();
+        let (twice, tomb) = split.split(0).unwrap();
         let (merged, _) = twice.merge(tomb).expect("the newest child merges");
         assert_eq!((child, tomb), (3, 4));
         [fresh, split, merged]
@@ -1283,8 +1298,8 @@ mod tests {
             3, 3, 1, 2, 3, 0, 4, 4, 0, 0, 0, 3, 4, 4, 0, 1,
         ];
         let fresh = ShardTopology::fresh(4);
-        let (split_0, child) = fresh.split(0);
-        let (split_4, grandchild) = split_0.split(child);
+        let (split_0, child) = fresh.split(0).unwrap();
+        let (split_4, grandchild) = split_0.split(child).unwrap();
         let (merged, _) = split_4.merge(grandchild).expect("the grandchild is a last live child");
         assert_eq!((child, grandchild), (4, 5));
         let keys = pinned_keys();

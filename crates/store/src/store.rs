@@ -74,7 +74,6 @@ mod admin;
 mod client;
 mod shard;
 
-pub use admin::SplitError;
 pub use client::Client;
 use shard::{PortDigest, PortHandle, Shard};
 pub use shard::{ShardDigest, ShardLog};
@@ -1116,7 +1115,6 @@ mod tests {
         store.merge_shard(child).unwrap();
         let snap = store.scrape();
         assert_eq!(snap.value("store_reconfigs_total", &[("kind", "merge")]), Some(1));
-        assert_eq!(snap.value("store_reconfigs_total", &[("kind", "adopt")]), Some(1));
         assert_eq!(snap.value("store_reconfig_last_version", &[]), Some(2));
         assert_eq!(snap.value("store_shards_total", &[]), Some(2));
         assert_eq!(snap.value("store_shards_live", &[]), Some(1));

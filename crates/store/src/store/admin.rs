@@ -1,51 +1,19 @@
 //! The admin acts: splits, merges, the owner's rebalance and store-wide
 //! checkpoints. A topology moves only inside one of them, under one hold
 //! of the admin lock from bump to publish, so that lock is the one thing a
-//! bounced request waits on ([`Store::view_at_least`]).
+//! bounced request waits on ([`Store::view_at_least`]). A split and a
+//! merge move keys through one step, `Store::seal_drain`.
 
-use std::fmt;
 use std::sync::Arc;
 
 use apc_progress_macros::progress;
 
 use super::{Shard, Store, StoreView};
 use crate::elastic::{ElasticDecision, ElasticEngine};
-use crate::ops::{AdoptSpec, MergeSpec, ShardCmd, ShardState, SplitSpec, StoreResp};
+use crate::ops::{AdoptSpec, DrainSpec, Key, ShardCmd, ShardSpec, ShardState, StoreResp};
 use crate::persist::lock_unpoisoned;
 use crate::replan::Input;
-use crate::router::MergeError;
-
-/// Errors of [`Store::split_shard`].
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum SplitError {
-    /// The shard id does not exist in the current topology.
-    NoSuchShard {
-        /// The offending shard id.
-        shard: usize,
-        /// The current shard count.
-        shards: usize,
-    },
-    /// The shard was retired by a merge; tombstones cannot split.
-    RetiredShard {
-        /// The offending shard id.
-        shard: usize,
-    },
-}
-
-impl fmt::Display for SplitError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SplitError::NoSuchShard { shard, shards } => {
-                write!(f, "no shard {shard} to split (store has {shards})")
-            }
-            SplitError::RetiredShard { shard } => {
-                write!(f, "shard {shard} was retired by a merge and cannot split")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SplitError {}
+use crate::router::ReconfigError;
 
 impl Store {
     /// The waiting arm's view source: a view of at least `min_version`. An
@@ -70,67 +38,53 @@ impl Store {
     ///
     /// 1. compute the bumped topology (the new shard's rendezvous seed and
     ///    version);
-    /// 2. install a [`SplitSpec`] bump through the split shard's own
-    ///    consensus log inside a sealed reconfig cell
-    ///    ([`reconfigure`](apc_universal::OwnedHandle::reconfigure)) — the
-    ///    linearization point of the split. Everything committed before it
-    ///    is partitioned deterministically (pairwise rendezvous); the keys
-    ///    the child wins come back as the migration set, and the cell
-    ///    doubles as a checkpoint anchor for the parent's log. Batches
-    ///    landing after the bump under the old topology bounce with
-    ///    [`StoreResp::Moved`] and are re-planned by their clients;
+    /// 2. drain the keys the child wins out of the split shard through its
+    ///    own consensus log (`Store::seal_drain`) — the linearization
+    ///    point of the split. Everything committed before it is partitioned
+    ///    deterministically (pairwise rendezvous); batches landing after
+    ///    it under the old topology bounce with [`StoreResp::Moved`] and
+    ///    are re-planned by their clients;
     /// 3. boot the child shard from the migrated entries (invisible to
     ///    routing until published, so initialization is uncontended);
     /// 4. atomically publish the new `(topology, shards)` view.
     ///
-    /// The bump rides the guest tier of the split shard, so VIP ports never
-    /// contend with it; placement is lock-free (each failed attempt is a
-    /// client batch committing). Splits serialize with each other and with
+    /// Splits serialize with each other, with merges and with
     /// [`Store::checkpoint`] on the admin lock.
     ///
     /// # Errors
     ///
-    /// [`SplitError::NoSuchShard`] if `shard` is out of range,
-    /// [`SplitError::RetiredShard`] if a merge already tombstoned it.
+    /// [`ReconfigError::NoSuchShard`] or [`ReconfigError::Retired`] if
+    /// `shard` is not a live shard id.
     #[progress(blocking)]
-    pub fn split_shard(&self, shard: usize) -> Result<usize, SplitError> {
+    pub fn split_shard(&self, shard: usize) -> Result<usize, ReconfigError> {
         let _admin = lock_unpoisoned(&self.admin);
         self.split_locked(shard)
     }
 
     /// The body of [`Store::split_shard`]; the caller holds the admin lock.
-    fn split_locked(&self, shard: usize) -> Result<usize, SplitError> {
+    fn split_locked(&self, shard: usize) -> Result<usize, ReconfigError> {
+        let (bumped, child) = self.split_bump(shard)?;
+        self.metrics.record_split(bumped.topology.version());
+        self.view.supersede(bumped);
+        Ok(child)
+    }
+
+    /// Steps 1–3 of a split of `shard` in the newest view: returns the view
+    /// the split publishes and the child's id, and publishes nothing.
+    fn split_bump(&self, shard: usize) -> Result<(StoreView, usize), ReconfigError> {
         let view = self.view.newest();
-        if shard >= view.topology.shards() {
-            return Err(SplitError::NoSuchShard { shard, shards: view.topology.shards() });
-        }
-        if !view.topology.is_live(shard) {
-            return Err(SplitError::RetiredShard { shard });
-        }
-        let (topology, child) = view.topology.split(shard);
-        let split =
-            SplitSpec { child_seed: topology.node(child).seed, version: topology.version() };
-        // The linearization point: the bump agreed through the parent's own
-        // log, returning exactly the pre-bump keys the child now owns.
-        let parent = &view.shards[shard];
-        let (_, mut resps) =
-            parent.visit(parent.seal_port(), |handle| handle.reconfigure(ShardCmd::Split(split)));
-        let outgoing = match resps.pop() {
-            Some(StoreResp::Entries(entries)) => entries,
-            other => unreachable!("a split bump answers with its migration set, got {other:?}"),
-        };
+        let (topology, child) = view.topology.split(shard)?;
         let node = topology.node(child);
-        let child_shard = Arc::new(Shard::build(
-            crate::ops::ShardSpec { seed: node.seed, created_at: node.created_at },
+        let drain = DrainSpec { version: topology.version(), child_seed: Some(node.seed) };
+        let outgoing = Store::seal_drain(&view.shards[shard], drain);
+        let born = Shard::build(
+            ShardSpec { seed: node.seed, created_at: node.created_at },
             self.admission.spec(),
             self.admission.ports(),
             Some((ShardState::with_entries(outgoing, node.created_at), 0)),
-        ));
-        let mut shards = view.shards.clone();
-        shards.push(child_shard);
-        self.metrics.record_split(topology.version());
-        self.view.supersede(StoreView { topology, shards });
-        Ok(child)
+        );
+        let shards = view.shards.iter().cloned().chain([Arc::new(born)]).collect();
+        Ok((StoreView { topology, shards }, child))
     }
 
     /// Merges shard `child` back into its parent **live** — the inverse of
@@ -144,18 +98,13 @@ impl Store {
     ///    version; structural eligibility per
     ///    [`check_merge`](crate::router::ShardTopology::check_merge) —
     ///    merges unwind splits in reverse);
-    /// 2. install a [`MergeSpec`] retirement through the **child's** own
-    ///    consensus log inside a sealed reconfig cell — the child-side
-    ///    linearization point. Everything committed to the child before it
-    ///    is drained out as the migration set; batches landing after it
-    ///    under the old topology bounce with [`StoreResp::Moved`] and are
-    ///    re-planned by their clients. The sealed cell compacts the
-    ///    child's log (its last anchor seals an empty state);
+    /// 2. drain every key out of the child through its own consensus log
+    ///    (`Store::seal_drain`) — the child-side linearization point.
+    ///    Batches landing after it under the old topology bounce with
+    ///    [`StoreResp::Moved`] and are re-planned by their clients;
     /// 3. install an [`AdoptSpec`] with the drained entries through the
     ///    **parent's** consensus log, also sealed — the parent-side
-    ///    linearization point: the parent's anchor now carries the adopted
-    ///    subtree, so the merge compacts the parent's log too (the
-    ///    dual-log anchor). The parent's epoch is *not* bumped: its own
+    ///    linearization point. The parent's epoch is *not* bumped: its own
     ///    keys never move in a merge, so in-flight parent batches stay
     ///    valid;
     /// 4. atomically publish the new `(topology, shards)` view. The
@@ -163,59 +112,56 @@ impl Store {
     ///    answering stale batches with `Moved`, but routing, broadcasts,
     ///    and the hot-shard detector skip it from now on.
     ///
-    /// Clients whose keys lived on the child observe the same contract as
-    /// across a split: an operation is applied exactly once — on the shard
-    /// that owns its key at its linearization point — or bounced and
-    /// retried, never both. Between the drain and the adoption the moved
-    /// keys are reachable by **no** batch: old plans bounce at the child,
-    /// and no client can plan against the merged topology until it is
-    /// published, which happens only after the adoption installs.
-    ///
-    /// Both installs ride the guest tier and are lock-free (each failed
-    /// placement attempt is a client batch committing); merges serialize
-    /// with splits and checkpoints on the admin lock.
+    /// Between the drain and the adoption the moved keys are reachable by
+    /// **no** batch: old plans bounce at the child, and no client can plan
+    /// against the merged topology until it is published, which happens
+    /// only after the adoption installs. Each seal anchors its log, so a
+    /// merge compacts both.
     ///
     /// # Errors
     ///
-    /// Any [`MergeError`] from
+    /// Any [`ReconfigError`] from
     /// [`check_merge`](crate::router::ShardTopology::check_merge).
     #[progress(blocking)]
-    pub fn merge_shard(&self, child: usize) -> Result<usize, MergeError> {
+    pub fn merge_shard(&self, child: usize) -> Result<usize, ReconfigError> {
         let _admin = lock_unpoisoned(&self.admin);
         self.merge_locked(child)
     }
 
     /// The body of [`Store::merge_shard`]; the caller holds the admin lock.
-    fn merge_locked(&self, child: usize) -> Result<usize, MergeError> {
+    fn merge_locked(&self, child: usize) -> Result<usize, ReconfigError> {
         let view = self.view.newest();
         let (topology, parent) = view.topology.merge(child)?;
         let version = topology.version();
-        // Child-side linearization point: retire through the child's own
-        // log. Returns exactly the entries committed before the bump.
-        let retiring = &view.shards[child];
-        let (_, mut resps) = retiring.visit(retiring.seal_port(), |handle| {
-            handle.reconfigure(ShardCmd::Merge(MergeSpec { version }))
-        });
-        let outgoing = match resps.pop() {
-            Some(StoreResp::Entries(entries)) => entries,
-            other => {
-                unreachable!("a merge retirement answers with its migration set, got {other:?}")
-            }
-        };
-        // Parent-side linearization point: adopt through the parent's log
-        // (sealed — the dual-log anchor that also compacts the parent).
+        let drain = DrainSpec { version, child_seed: None };
+        let entries = Arc::new(Store::seal_drain(&view.shards[child], drain));
         let adopter = &view.shards[parent];
         let (_, resps) = adopter.visit(adopter.seal_port(), |handle| {
-            handle.reconfigure(ShardCmd::Adopt(AdoptSpec { version, entries: Arc::new(outgoing) }))
+            handle.reconfigure(ShardCmd::Adopt(AdoptSpec { version, entries }))
         });
         debug_assert!(
             matches!(resps.first(), Some(StoreResp::Value(Some(_)))),
             "an adoption answers with its entry count"
         );
         self.metrics.record_merge(version);
-        self.metrics.record_adopt();
         self.view.supersede(StoreView { topology, shards: view.shards.clone() });
         Ok(parent)
+    }
+
+    /// The step a split and a merge share: installs `drain` through
+    /// `source`'s own consensus log as a seal with an operation
+    /// ([`reconfigure`](apc_universal::OwnedHandle::reconfigure), on the
+    /// seal port, so VIP ports never contend with it; placement is
+    /// lock-free, each failed attempt a client batch committing) and
+    /// returns the entries it drained. The seal is the act's
+    /// linearization point on `source`, and becomes its log's anchor.
+    fn seal_drain(source: &Shard, drain: DrainSpec) -> Vec<(Key, u64)> {
+        let (_, mut resps) =
+            source.visit(source.seal_port(), |handle| handle.reconfigure(ShardCmd::Drain(drain)));
+        match resps.pop() {
+            Some(StoreResp::Entries(entries)) => entries,
+            other => unreachable!("a drain answers with its migration set, got {other:?}"),
+        }
     }
 
     /// One act of the elasticity policy, which the store's owner delivers
@@ -320,7 +266,7 @@ mod tests {
     #[test]
     fn split_of_missing_shard_is_a_typed_error() {
         let store = small_store(1);
-        assert_eq!(store.split_shard(5), Err(SplitError::NoSuchShard { shard: 5, shards: 1 }));
+        assert_eq!(store.split_shard(5), Err(ReconfigError::NoSuchShard { shard: 5, shards: 1 }));
         assert!(store.split_shard(5).unwrap_err().to_string().contains("no shard 5"));
     }
 
@@ -425,18 +371,15 @@ mod tests {
     #[test]
     fn merge_and_split_of_ineligible_shards_are_typed_errors() {
         let store = small_store(2);
-        assert_eq!(
-            store.merge_shard(9),
-            Err(crate::router::MergeError::NoSuchShard { shard: 9, shards: 2 })
-        );
-        assert_eq!(store.merge_shard(1), Err(crate::router::MergeError::RootShard { shard: 1 }));
+        let missing = ReconfigError::NoSuchShard { shard: 9, shards: 2 };
+        assert_eq!(store.merge_shard(9), Err(missing));
+        assert_eq!(store.split_shard(9), Err(missing));
+        assert_eq!(store.merge_shard(1), Err(ReconfigError::RootShard { shard: 1 }));
         let child = store.split_shard(0).unwrap();
         store.merge_shard(child).unwrap();
-        assert_eq!(
-            store.merge_shard(child),
-            Err(crate::router::MergeError::AlreadyRetired { shard: child })
-        );
-        assert_eq!(store.split_shard(child), Err(SplitError::RetiredShard { shard: child }));
+        let tombstone = ReconfigError::Retired { shard: child };
+        assert_eq!(store.merge_shard(child), Err(tombstone));
+        assert_eq!(store.split_shard(child), Err(tombstone));
         assert!(store.split_shard(child).unwrap_err().to_string().contains("retired"));
     }
 
@@ -581,23 +524,7 @@ mod tests {
     /// and publishes nothing: the caller holds the admin lock, as the act
     /// would. Returns the view the split would publish.
     fn bump_shard_0(store: &Store) -> StoreView {
-        let view = store.view.newest();
-        let (topology, child) = view.topology.split(0);
-        let version = topology.version();
-        let split = SplitSpec { child_seed: topology.node(child).seed, version };
-        let shard = &view.shards[0];
-        let (_, mut resps) =
-            shard.visit(shard.seal_port(), |h| h.reconfigure(ShardCmd::Split(split)));
-        let Some(StoreResp::Entries(outgoing)) = resps.pop() else {
-            panic!("a split bump answers with its migration set")
-        };
-        let node = topology.node(child);
-        let spec = crate::ops::ShardSpec { seed: node.seed, created_at: node.created_at };
-        let state = ShardState::with_entries(outgoing, node.created_at);
-        let ports = store.admission.ports();
-        let born = Shard::build(spec, store.admission.spec(), ports, Some((state, 0)));
-        let shards = view.shards.iter().cloned().chain([Arc::new(born)]).collect();
-        StoreView { topology, shards }
+        store.split_bump(0).unwrap().0
     }
 
     /// An act that dies between its bump and its publish leaves a shard
