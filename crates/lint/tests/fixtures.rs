@@ -410,7 +410,8 @@ fn method(ws: &apc_lint::graph::Workspace, self_type: &str, name: &str) -> FnId 
 /// reach, by the analyzer's own resolution and through every callee
 /// whatever its annotation (no `try_*` cut), is a checkpoint, a
 /// reconfiguration, the sealing walk under both, the drain step a split
-/// and a merge share, or a rebalance.
+/// and a merge share, the seal act's door and the re-base of the idle
+/// ports behind it, or a rebalance.
 /// Housekeeping is an admin call only.
 #[test]
 fn the_vip_arm_reaches_no_housekeeping() {
@@ -420,6 +421,9 @@ fn the_vip_arm_reaches_no_housekeeping() {
         "OwnedHandle::checkpoint",
         "OwnedHandle::reconfigure",
         "OwnedHandle::place_seal",
+        "OwnedHandle::rebase",
+        "Shard::seal_act",
+        "Shard::rebase_idle",
         "Store::checkpoint",
         "Store::split_locked",
         "Store::merge_locked",

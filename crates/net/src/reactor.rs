@@ -107,7 +107,9 @@
 //! A VIP handshake must present a token from
 //! [`ServerConfig::vip_tokens`]. The reactor is one process, so it holds
 //! one ticket per tier: the first allow-listed VIP hello admits the
-//! server's one VIP ticket, and every VIP connection after it — whatever
+//! server's one VIP ticket (and may wait out an admin act already
+//! running: [`Store::admit_vip`] takes the admin lock), and every VIP
+//! connection after it — whatever
 //! its token, reconnects included — is served on that same port, whose
 //! replica the guest batch shares (above). An
 //! unknown token, or a first VIP hello that finds the store's VIP capacity

@@ -193,7 +193,10 @@ impl Admission {
         })
     }
 
-    /// Admits a client into `class`.
+    /// Admits a client into `class`. Crate-private: a VIP is admitted only
+    /// through [`Store::admit_vip`](crate::Store::admit_vip), which holds
+    /// the admin lock across it and makes the VIP's replica its own, so no
+    /// seal ever touches an admitted VIP's slot.
     ///
     /// # Errors
     ///
@@ -203,7 +206,7 @@ impl Admission {
     /// loop, so one admission can be starved by others — but some admission
     /// always completes. Guest admission is a single `fetch_add`.
     #[progress(lock_free)]
-    pub fn admit(&self, class: ProgressClass) -> Result<ClientTicket, AdmissionError> {
+    pub(crate) fn admit(&self, class: ProgressClass) -> Result<ClientTicket, AdmissionError> {
         match class {
             ProgressClass::Vip => {
                 let capacity = self.cfg.vip_capacity;
@@ -225,8 +228,8 @@ impl Admission {
         }
     }
 
-    /// Admits a guest directly. Guest admission is unbounded, so unlike the
-    /// VIP arm of [`Admission::admit`] it cannot fail — and it is wait-free:
+    /// Admits a guest directly. Guest admission is unbounded, so unlike a
+    /// VIP's admission it cannot fail — and it is wait-free:
     /// two unconditional `fetch_add`s, no retry loop.
     #[progress(wait_free)]
     pub fn admit_guest(&self) -> ClientTicket {

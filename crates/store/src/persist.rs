@@ -63,7 +63,7 @@ use std::fmt;
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use apc_obs::MetricsSnapshot;
 use apc_progress_macros::progress;
@@ -199,8 +199,9 @@ impl From<AdmissionError> for RecoverError {
 pub struct ShardSnapshot {
     /// The checkpointed log index (number of sealed prefix cells).
     pub log_index: u64,
-    /// The sealed key→value state.
-    pub state: ShardState,
+    /// The sealed key→value state, shared with the shard's replicas that
+    /// hold it: taking a snapshot copies no map.
+    pub state: Arc<ShardState>,
 }
 
 /// A whole-store snapshot: the shard topology plus one sealed
@@ -338,8 +339,10 @@ impl StoreSnapshot {
                 // where data lives — those keys would be unreachable.
                 return Err(PersistError::Corrupt("retired shard frame still carries entries"));
             }
-            shards
-                .push(ShardSnapshot { log_index, state: ShardState::with_entries(entries, epoch) });
+            shards.push(ShardSnapshot {
+                log_index,
+                state: ShardState::with_entries(entries, epoch).into(),
+            });
         }
         r.finish()?;
         Ok(StoreSnapshot { topology, shards })
@@ -590,8 +593,8 @@ mod tests {
         StoreSnapshot {
             topology: ShardTopology::fresh(2),
             shards: vec![
-                ShardSnapshot { log_index: 7, state: a },
-                ShardSnapshot { log_index: 11, state: b },
+                ShardSnapshot { log_index: 7, state: a.into() },
+                ShardSnapshot { log_index: 11, state: b.into() },
             ],
         }
     }
@@ -613,9 +616,9 @@ mod tests {
             shards: vec![
                 ShardSnapshot {
                     log_index: 5,
-                    state: ShardState::with_entries([("a", 1), ("bb", 2)], 0),
+                    state: ShardState::with_entries([("a", 1), ("bb", 2)], 0).into(),
                 },
-                ShardSnapshot { log_index: 3, state: empty_at(2) },
+                ShardSnapshot { log_index: 3, state: empty_at(2).into() },
             ],
         };
         let bytes = snap.encode();
@@ -670,7 +673,7 @@ mod tests {
     fn empty_store_roundtrip() {
         let snap = StoreSnapshot {
             topology: ShardTopology::fresh(1),
-            shards: vec![ShardSnapshot { log_index: 0, state: ShardState::new() }],
+            shards: vec![ShardSnapshot { log_index: 0, state: ShardState::new().into() }],
         };
         assert_eq!(StoreSnapshot::decode(&snap.encode()).unwrap(), snap);
     }
@@ -687,9 +690,15 @@ mod tests {
         let snap = StoreSnapshot {
             topology: topology.clone(),
             shards: vec![
-                ShardSnapshot { log_index: 9, state: ShardState::with_entries(parent_state, 1) },
-                ShardSnapshot { log_index: 4, state: ShardState::new() },
-                ShardSnapshot { log_index: 0, state: ShardState::with_entries(child_state, 1) },
+                ShardSnapshot {
+                    log_index: 9,
+                    state: ShardState::with_entries(parent_state, 1).into(),
+                },
+                ShardSnapshot { log_index: 4, state: ShardState::new().into() },
+                ShardSnapshot {
+                    log_index: 0,
+                    state: ShardState::with_entries(child_state, 1).into(),
+                },
             ],
         };
         let decoded = StoreSnapshot::decode(&snap.encode()).unwrap();
@@ -717,11 +726,14 @@ mod tests {
         let snap = StoreSnapshot {
             topology: t3.clone(),
             shards: vec![
-                ShardSnapshot { log_index: 12, state: ShardState::with_entries(parent_state, 2) },
-                ShardSnapshot { log_index: 4, state: ShardState::new() },
-                ShardSnapshot { log_index: 7, state: empty_at(1) },
+                ShardSnapshot {
+                    log_index: 12,
+                    state: ShardState::with_entries(parent_state, 2).into(),
+                },
+                ShardSnapshot { log_index: 4, state: ShardState::new().into() },
+                ShardSnapshot { log_index: 7, state: empty_at(1).into() },
                 // The tombstoned child: empty, epoch = its retirement.
-                ShardSnapshot { log_index: 3, state: empty_at(3) },
+                ShardSnapshot { log_index: 3, state: empty_at(3).into() },
             ],
         };
         let decoded = StoreSnapshot::decode(&snap.encode()).unwrap();
@@ -798,8 +810,8 @@ mod tests {
         let snap = StoreSnapshot {
             topology: t2,
             shards: vec![
-                ShardSnapshot { log_index: 1, state: ShardState::new() },
-                ShardSnapshot { log_index: 1, state: ShardState::with_entries(orphan, 2) },
+                ShardSnapshot { log_index: 1, state: ShardState::new().into() },
+                ShardSnapshot { log_index: 1, state: ShardState::with_entries(orphan, 2).into() },
             ],
         };
         assert_eq!(
@@ -828,7 +840,7 @@ mod tests {
     #[test]
     fn epoch_beyond_topology_version_is_corrupt() {
         let mut snap = sample();
-        snap.shards[0] = ShardSnapshot { log_index: 7, state: empty_at(5) };
+        snap.shards[0] = ShardSnapshot { log_index: 7, state: empty_at(5).into() };
         assert_eq!(
             StoreSnapshot::decode(&snap.encode()).unwrap_err(),
             PersistError::Corrupt("shard epoch exceeds the topology version")

@@ -66,6 +66,7 @@ use apc_obs::{MetricsSnapshot, Sample, SampleValue};
 use crate::admission::{Admission, AdmissionConfig, AdmissionError, ClientTicket, ProgressClass};
 use crate::metrics::{nanos, StoreMetrics};
 use crate::ops::{read_sub_batch, Batch, ShardCmd, StoreOp, StoreResp};
+use crate::persist::lock_unpoisoned;
 use crate::replan::{Input, Replan, Responses, Transition};
 use crate::router::ShardTopology;
 use crate::wal::{DurabilityClass, Wal, WalFrame};
@@ -271,15 +272,19 @@ impl StoreBuilder {
         let admission = Admission::new(self.admission)?;
         let spec = admission.spec();
         let ports = admission.ports();
+        // A recovered shard starts from its snapshot's state itself: every
+        // port shares it, and nothing is admitted yet.
+        let mut resumes = snapshot.map(|snap| snap.shards.into_iter());
         let shards = (0..topology.shards())
             .map(|s| {
                 let node = topology.node(s);
                 let shard_spec =
                     crate::ops::ShardSpec { seed: node.seed, created_at: node.created_at };
-                let resume = snapshot
-                    .as_ref()
-                    .map(|snap| (snap.shards[s].state.clone(), snap.shards[s].log_index));
-                Arc::new(Shard::build(shard_spec, spec, ports, resume))
+                let resume = resumes
+                    .as_mut()
+                    .and_then(Iterator::next)
+                    .map(|shard| (shard.state, shard.log_index));
+                Arc::new(Shard::build(shard_spec, spec, ports, 0, resume))
             })
             .collect();
         Ok(Store {
@@ -351,14 +356,34 @@ impl Store {
         StoreBuilder::new()
     }
 
-    /// Admits a wait-free VIP client (bounded by the configured capacity).
+    /// Admits a wait-free VIP client (bounded by the configured capacity),
+    /// and makes its port's replica its own on every shard, so that no
+    /// visit of the VIP ever copies a replica.
+    ///
+    /// Blocking: admission takes the admin lock, so a hello may wait out an
+    /// admin act (a checkpoint, a split, a merge) that is already running.
+    /// That is what keeps a seal off an admitted VIP's slot: a seal
+    /// re-bases only the slots of VIPs not yet admitted when it runs.
     ///
     /// # Errors
     ///
     /// [`AdmissionError::VipCapacityExhausted`] once all `x` ports are owned.
-    #[progress(lock_free)]
+    #[progress(blocking)]
     pub fn admit_vip(&self) -> Result<ClientTicket, AdmissionError> {
-        self.admission.admit(ProgressClass::Vip)
+        let _admin = lock_unpoisoned(&self.admin);
+        let ticket = self.admission.admit(ProgressClass::Vip)?;
+        // A slot never used, or re-based by a seal, shares the anchor's
+        // state until it is written: the copy is made here, not on a visit.
+        for shard in &self.view.newest().shards {
+            shard.visit(ticket.port(), OwnedHandle::own_replica);
+        }
+        Ok(ticket)
+    }
+
+    /// VIP slots admitted so far, `0..admitted_vips()`: the slots a seal
+    /// leaves alone. Stable under the admin lock, which admission takes.
+    fn admitted_vips(&self) -> usize {
+        self.admission.issued().0
     }
 
     /// Admits an obstruction-free guest client (never fails).

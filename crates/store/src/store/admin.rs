@@ -76,12 +76,13 @@ impl Store {
         let (topology, child) = view.topology.split(shard)?;
         let node = topology.node(child);
         let drain = DrainSpec { version: topology.version(), child_seed: Some(node.seed) };
-        let outgoing = Store::seal_drain(&view.shards[shard], drain);
+        let outgoing = self.seal_drain(&view.shards[shard], drain);
         let born = Shard::build(
             ShardSpec { seed: node.seed, created_at: node.created_at },
             self.admission.spec(),
             self.admission.ports(),
-            Some((ShardState::with_entries(outgoing, node.created_at), 0)),
+            self.admitted_vips(),
+            Some((Arc::new(ShardState::with_entries(outgoing, node.created_at)), 0)),
         );
         let shards = view.shards.iter().cloned().chain([Arc::new(born)]).collect();
         Ok((StoreView { topology, shards }, child))
@@ -134,9 +135,8 @@ impl Store {
         let (topology, parent) = view.topology.merge(child)?;
         let version = topology.version();
         let drain = DrainSpec { version, child_seed: None };
-        let entries = Arc::new(Store::seal_drain(&view.shards[child], drain));
-        let adopter = &view.shards[parent];
-        let (_, resps) = adopter.visit(adopter.seal_port(), |handle| {
+        let entries = Arc::new(self.seal_drain(&view.shards[child], drain));
+        let (_, resps) = view.shards[parent].seal_act(self.admitted_vips(), |handle| {
             handle.reconfigure(ShardCmd::Adopt(AdoptSpec { version, entries }))
         });
         debug_assert!(
@@ -155,9 +155,9 @@ impl Store {
     /// lock-free, each failed attempt a client batch committing) and
     /// returns the entries it drained. The seal is the act's
     /// linearization point on `source`, and becomes its log's anchor.
-    fn seal_drain(source: &Shard, drain: DrainSpec) -> Vec<(Key, u64)> {
-        let (_, mut resps) =
-            source.visit(source.seal_port(), |handle| handle.reconfigure(ShardCmd::Drain(drain)));
+    fn seal_drain(&self, source: &Shard, drain: DrainSpec) -> Vec<(Key, u64)> {
+        let (_, mut resps) = source
+            .seal_act(self.admitted_vips(), |handle| handle.reconfigure(ShardCmd::Drain(drain)));
         match resps.pop() {
             Some(StoreResp::Entries(entries)) => entries,
             other => unreachable!("a drain answers with its migration set, got {other:?}"),
@@ -204,8 +204,12 @@ impl Store {
     /// Checkpoints ride the guest tier (the last port of each shard), so
     /// sealing never contends with a VIP's exclusive port; placement is
     /// lock-free — each failed attempt means a client batch committed
-    /// instead. The sealed prefix becomes reclaimable, and is freed once
-    /// every port of the shard has replayed past it.
+    /// instead. The seal and the snapshot share the sealing port's replica:
+    /// neither copies the map. After each shard's seal every idle port of
+    /// it — free, behind the new anchor, and not an admitted VIP's — is
+    /// re-based onto the anchor, so the sealed prefix is freed once the
+    /// ports in use have replayed past it; an admitted VIP that has gone
+    /// idle still holds it.
     /// Serializes with [`Store::split_shard`] so the snapshot's topology
     /// always matches its sealed states.
     #[progress(blocking)]
@@ -216,9 +220,9 @@ impl Store {
             .shards
             .iter()
             .map(|shard| {
-                shard.visit(shard.seal_port(), |handle| {
+                shard.seal_act(self.admitted_vips(), |handle| {
                     let log_index = handle.checkpoint();
-                    crate::persist::ShardSnapshot { log_index, state: handle.local_state().clone() }
+                    crate::persist::ShardSnapshot { log_index, state: Arc::clone(handle.replica()) }
                 })
             })
             .collect();

@@ -3,11 +3,18 @@
 //! or its guest voice's, one at a time), a guest's is shared behind the
 //! slot's mutex, and each visit publishes the slot's digest words before
 //! it lets go.
+//!
+//! A seal goes through the door too ([`Shard::seal_act`]), and re-bases the
+//! idle ports behind it: a port nobody uses holds the anchor's state,
+//! shared, and pins no cell before the anchor. Only an admitted VIP's slot
+//! is left alone, so a VIP visit never copies a replica and never waits on
+//! a sealer.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use apc_core::liveness::Liveness;
+use apc_progress_macros::progress;
 use apc_universal::{AsymmetricFactory, OwnedHandle, Universal};
 
 use crate::ops::ShardState;
@@ -62,7 +69,7 @@ impl Shard {
     /// position it had before.
     pub(super) fn visit<R>(&self, pid: usize, act: impl FnOnce(&mut PortHandle) -> R) -> R {
         let slot = self.slot(pid);
-        // APC-LINT: allow(progress): a VIP slot's mutex is uncontended by construction (one exclusive owner, entering under its two pids one after the other, and reconfiguration never touches VIP ports), so the VIP path's lock is bounded; guest ports share theirs by design
+        // APC-LINT: allow(progress): a VIP slot's mutex is uncontended by construction (one exclusive owner, entering under its two pids one after the other; the one other party that may take a VIP slot is the sealer's re-base, only before the slot's VIP is admitted and only under the admin lock, which admission takes), so the VIP path's lock is bounded; guest ports share theirs by design
         let mut handle = self.ports[slot].lock().expect("port slot poisoned");
         let out = act(&mut handle);
         self.digests[slot].publish(&handle);
@@ -78,22 +85,60 @@ impl Shard {
     /// The port seals and reconfigurations ride: the guest tier
     /// (`guest_ports ≥ 1`, so the last port is always a guest port), never a
     /// VIP's exclusive one.
-    pub(super) fn seal_port(&self) -> usize {
+    fn seal_port(&self) -> usize {
         self.ports.len() - 1
+    }
+
+    /// **The seal act's door**: runs `seal` — a checkpoint or a
+    /// reconfiguration, which publishes the anchor — on the seal port
+    /// through [`Shard::visit`], then re-bases the idle ports behind the
+    /// new anchor ([`Shard::rebase_idle`]). The caller holds the admin
+    /// lock, so `admitted`, the VIPs admitted so far, cannot grow meanwhile.
+    #[progress(blocking)]
+    pub(super) fn seal_act<R>(
+        &self,
+        admitted: usize,
+        seal: impl FnOnce(&mut PortHandle) -> R,
+    ) -> R {
+        let out = self.visit(self.seal_port(), seal);
+        self.rebase_idle(admitted);
+        out
+    }
+
+    /// Re-bases ([`OwnedHandle::rebase`]) every port slot that is free (its
+    /// `try_lock` succeeds), trails the published anchor and is not an
+    /// admitted VIP's (slots `0..admitted`), and publishes its digest. A
+    /// busy slot is skipped: it is in use, and the next seal looks again.
+    /// What the re-bases displaced is dropped once every slot is released,
+    /// so the free burst lands on this thread, the admin act's, and never
+    /// under a port a client may be waiting on.
+    #[progress(blocking)]
+    fn rebase_idle(&self, admitted: usize) {
+        let displaced: Vec<_> = (admitted..self.ports.len())
+            .filter_map(|slot| {
+                let mut handle = self.ports[slot].try_lock().ok()?;
+                let displaced = OwnedHandle::rebase(&mut handle)?;
+                self.digests[slot].publish(&handle);
+                Some(displaced)
+            })
+            .collect();
+        drop(displaced);
     }
 
     /// Builds one shard over `ports` port slots, optionally resuming from a
     /// recovered `(state, log_index)` pair (a snapshot's, or a split
     /// child's migrated keys at index 0). The log has one process per
     /// process of `liveness`; VIP slot `v` holds both the VIP and its
-    /// guest voice, `ports + v` ([`Universal::owned_pair`]). Each port's
-    /// digest starts at the state it resumes from, so the shard reports its
-    /// keys before any visit.
+    /// guest voice, `ports + v` ([`Universal::owned_pair`]). Every port
+    /// shares the state it resumes from, but the `admitted` VIPs' slots
+    /// (`0..admitted`), which own theirs. Each port's digest starts at that
+    /// state, so the shard reports its keys before any visit.
     pub(super) fn build(
         spec: crate::ops::ShardSpec,
         liveness: Liveness,
         ports: usize,
-        resume: Option<(ShardState, u64)>,
+        admitted: usize,
+        resume: Option<(Arc<ShardState>, u64)>,
     ) -> Self {
         let factory = AsymmetricFactory::new(liveness);
         let n = liveness.y();
@@ -104,7 +149,10 @@ impl Shard {
         let (port_slots, digests) = (0..ports)
             .map(|p| {
                 let voice = if p < liveness.x() { ports + p } else { p };
-                let handle = log.owned_pair(p, voice).expect("fresh log, every port available");
+                let mut handle = log.owned_pair(p, voice).expect("fresh log, every port available");
+                if p < admitted {
+                    handle.own_replica();
+                }
                 let digest = PortDigest::default();
                 digest.publish(&handle);
                 (Mutex::new(handle), digest)
@@ -150,9 +198,13 @@ impl PortDigest {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    use super::Shard;
     use crate::api::{Request, Response, StoreError};
     use crate::ops::{StoreOp, StoreResp};
-    use crate::store::tests::{cursors, reads, small_store};
+    use crate::store::tests::{cursors, keys_on_shard, reads, small_store};
     use crate::store::{Store, StoreBuilder};
     use crate::wal::DurabilityClass;
 
@@ -232,5 +284,103 @@ mod tests {
         let refused = Response::fail_all(1, StoreError::GuestTier);
         assert_eq!(voice.request_guest(put.clone().durability(DurabilityClass::Sync)), refused);
         assert_eq!(voice.request_vip(put), refused);
+    }
+
+    /// The seal act's door re-bases every idle slot onto the anchor — the
+    /// VIP slot nobody was admitted to, the guest slot that wrote and the
+    /// ones nobody visited — and leaves the admitted VIP's slot as it was,
+    /// though it trails the new anchor too.
+    #[test]
+    fn a_checkpoint_rebases_the_idle_ports_and_leaves_an_admitted_vips_alone() {
+        // Default sizing: VIP slots 0 and 1, guest slots 2–7 (7 seals).
+        let store = StoreBuilder::new().shards(2).build().unwrap();
+        let view = store.view.newest();
+        let owns = |slot: usize| {
+            let replicas = view
+                .shards
+                .iter()
+                .map(|shard| Arc::strong_count(shard.ports[slot].lock().unwrap().replica()) == 1);
+            replicas.collect::<Vec<_>>() == [true, true]
+        };
+        let mut vip = store.client(store.admit_vip().unwrap());
+        assert!(owns(0), "an admitted VIP's replica is shared");
+        let mut guest = store.client(store.admit_guest());
+        for i in 0..64 {
+            vip.put(&format!("v/{i:02}"), i);
+            guest.put(&format!("g/{i:02}"), i);
+        }
+        let vip_slot = |shard: &Shard| {
+            let handle = shard.ports[0].lock().unwrap();
+            (shard.digests[0].load().commits, Arc::as_ptr(handle.replica()))
+        };
+        let before: Vec<_> = view.shards.iter().map(|shard| vip_slot(shard)).collect();
+        let snapshot = store.checkpoint();
+        for (s, shard) in view.shards.iter().enumerate() {
+            let anchor = shard.log.anchor_index();
+            assert_eq!(anchor, snapshot.shards[s].log_index + 1);
+            let digests: Vec<u64> = shard.digests.iter().map(|d| d.load().commits).collect();
+            assert_eq!(digests[1..], [anchor; 7], "shard {s}: an idle slot trails the anchor");
+            for (slot, port) in shard.ports.iter().enumerate().skip(1) {
+                let replica = Arc::clone(port.lock().unwrap().replica());
+                let shared = Arc::ptr_eq(&replica, &snapshot.shards[s].state);
+                assert!(shared, "shard {s}, slot {slot}: an idle replica is not the sealed one");
+            }
+            assert!(before[s].0 < anchor);
+            assert_eq!(vip_slot(shard), before[s], "shard {s}: the admitted VIP's slot moved");
+        }
+        assert_eq!(vip.get("g/07"), Some(7));
+        assert_eq!(guest.get("v/09"), Some(9));
+        // Admission copies the anchor's map the second VIP's slot shares,
+        // and its first read replays nothing before the anchor.
+        let mut second = store.client(store.admit_vip().unwrap());
+        assert!(owns(0) && owns(1), "an admitted VIP's replica is shared");
+        assert_eq!(second.get("g/63"), Some(63));
+        let steps = |slot: usize| {
+            view.shards.iter().map(|sh| sh.digests[slot].steps.load(Ordering::Relaxed)).sum::<u64>()
+        };
+        assert_eq!(steps(1), 0, "the second VIP replayed the sealed prefix");
+    }
+
+    /// Admission takes the admin lock, so a VIP admitted between two
+    /// checkpoints of a loop is never re-based under its own visits: every
+    /// put of both VIPs, each admitted while the loop runs, lands on every
+    /// shard once — one cell per put and one per seal — and none is lost.
+    #[test]
+    fn a_vip_admitted_while_checkpoints_loop_commits_once_on_every_shard() {
+        const ROUNDS: u64 = 40;
+        let store = StoreBuilder::new().shards(4).build().unwrap();
+        let keys: Vec<String> =
+            (0..4).map(|s| keys_on_shard(&store.topology(), s, 1).remove(0)).collect();
+        let mut guest = store.client(store.admit_guest());
+        for key in &keys {
+            assert_eq!(guest.put(key, 0), None);
+        }
+        let (done, sealed) = (AtomicBool::new(false), AtomicU64::new(0));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while !done.load(Ordering::SeqCst) {
+                    store.checkpoint();
+                    sealed.fetch_add(1, Ordering::SeqCst);
+                }
+            });
+            for v in 0..2 {
+                let seen = sealed.load(Ordering::SeqCst);
+                while sealed.load(Ordering::SeqCst) == seen {
+                    std::thread::yield_now();
+                }
+                let mut vip = store.client(store.admit_vip().unwrap());
+                for round in 1..=ROUNDS {
+                    let value = v * ROUNDS + round;
+                    for key in &keys {
+                        assert_eq!(vip.put(key, value), Some(value - 1), "{key}: a put was lost");
+                    }
+                }
+            }
+            done.store(true, Ordering::SeqCst);
+        });
+        let checkpoints = sealed.load(Ordering::SeqCst);
+        for (s, shard) in store.view.newest().shards.iter().enumerate() {
+            assert_eq!(shard.log.tail(), 1 + 2 * ROUNDS + checkpoints, "shard {s}: a doubled cell");
+        }
     }
 }

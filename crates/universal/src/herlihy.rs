@@ -40,31 +40,38 @@
 //! no `Arc` clone and no drop; only a boundary crossing
 //! touches the link.
 //!
-//! Reclaimable is not reclaimed: a segment is freed when the last `Arc` to
+//! **A replica is shared until written.** A handle's state is an
+//! `Arc`: a new handle shares the anchor's, a checkpoint seals the
+//! walker's own (no copy), and `absorb` writes through `Arc::make_mut`
+//! once per cell that carries an operation, so the first write after a
+//! share copies the state and every later one finds it its own.
+//!
+//! **Reclaiming is re-basing.** A segment is freed when the last `Arc` to
 //! it goes, and every handle's cursor — and the anchor — pins its segment,
 //! so up to 63 cells before the cursor, and, through the links, every
-//! segment after it. A handle adopts an anchor only when it is created;
-//! afterwards it walks the log cell by cell, so one handle that lags behind
-//! the anchor keeps the whole prefix from its segment on alive, and an
-//! object nobody checkpoints (a store shard no admin act seals: a store
-//! commit never seals on its own) retains every cell it ever agreed on.
-//! What holds today is therefore: memory = cells retained × bytes per
-//! cell + one replica of the state per handle, with cells retained = log
-//! length since the start of the slowest live cursor's segment. Bounding
-//! the first factor — a lagging handle re-adopts the anchor, the store
-//! seals on a cadence of its own — is ROADMAP item 9; the second
-//! factor is a cell's share of its segment plus its agreed record, which
-//! with the store's `(n,x)`-live cells is the same whichever class decided
-//! the cell: the last guest out of a cell's round protocol frees it once
-//! the cell is decided.
+//! segment after it. A handle that walks keeps moving its pin forward; one
+//! that goes idle behind the anchor would keep the whole prefix from its
+//! segment on alive. [`OwnedHandle::rebase`], an admin step, moves such a
+//! handle onto the anchor — segment, index, `applied` and state, the state
+//! shared — and hands back what it let go of, to be dropped where the free
+//! burst belongs. So memory = cells since the slowest cursor still in use
+//! × bytes per cell + one replica per handle that wrote since the anchor
+//! it shares (the anchor's own state counts once). An object nobody
+//! checkpoints (a store shard no admin act seals: a store commit never
+//! seals on its own) still retains every cell it agreed on, and so does a
+//! handle whose owner keeps it from being re-based and leaves it idle (a
+//! store's admitted VIP): the store's seal cadence and its idle VIPs are
+//! ROADMAP item 9. The bytes per cell are a cell's share of its segment
+//! plus its agreed record, which with the store's `(n,x)`-live cells is
+//! the same whichever class decided the cell: the last guest out of a
+//! cell's round protocol frees it once the cell is decided.
 //! For a one-op write that is 40 B of segment (1/64 of ~2.6 KB) and the
 //! record's box, the batch's ops slice and its key: ~176 requested bytes
 //! in 3 + 1/64 allocations, and a retired cell frees as many. For the
-//! store the replicas are keys × bytes per key × ports that have visited
-//! the shard, at ~21 B per 8-byte key in a full leaf of its packed map
-//! (~72 B in the `BTreeMap<String, u64>` it replaced), and cloning one —
-//! what every seal and every `owned_handle` does — is a few `memcpy`s per
-//! 64 keys.
+//! store a replica is keys × ~21 B per 8-byte key in a full leaf of its
+//! packed map (~72 B in the `BTreeMap<String, u64>` it replaced), and the
+//! copy a first write makes of a shared one is a few `memcpy`s per 64
+//! keys.
 //! `tests/alloc_budget.rs` holds the per-unit figures.
 //!
 //! An announcement lives only until its owner's next one: the
@@ -317,10 +324,16 @@ where
     /// # Panics
     ///
     /// Panics if `n == 0` or `n > 64`.
-    pub fn recovered(spec: S, factory: F, n: usize, state: S::State, index: u64) -> Self {
+    pub fn recovered(
+        spec: S,
+        factory: F,
+        n: usize,
+        state: impl Into<Arc<S::State>>,
+        index: u64,
+    ) -> Self {
         assert!((1..=64).contains(&n), "n must be in 1..=64");
         let head = Arc::new(Segment::new(|| factory.create()));
-        let anchor = Anchor { state: Arc::new(state), applied: vec![0; n], segment: head };
+        let anchor = Anchor { state: state.into(), applied: vec![0; n], segment: head };
         Universal {
             spec,
             factory,
@@ -356,8 +369,9 @@ where
 
     /// Takes the (unique) handle for process `pid`: claims the port bit and
     /// starts the handle's replica at the latest published seal, read under
-    /// the anchor's lock (the admin path: a store makes every handle when
-    /// it builds a shard). The handle keeps the object alive through an
+    /// the anchor's lock and shared with the anchor until the handle first
+    /// writes (the admin path: a store makes every handle when it builds a
+    /// shard). The handle keeps the object alive through an
     /// [`Arc`], so it can be stored next to (or instead of) the object
     /// without borrowing it, e.g. in a pool of per-port slots.
     ///
@@ -410,7 +424,7 @@ where
             claim,
             segment: Arc::clone(&anchor.segment),
             cell_index: self.anchor_index.load(Ordering::Acquire),
-            state: S::State::clone(&anchor.state),
+            state: Arc::clone(&anchor.state),
             applied: anchor.applied.clone(),
             steps: 0,
         })
@@ -477,8 +491,11 @@ where
     /// Absolute log index of the cursor: the next undecided-or-unapplied
     /// cell.
     cell_index: u64,
-    /// Local replayed state.
-    state: S::State,
+    /// Local replayed state, shared until written: with the anchor it
+    /// started or was re-based at, or with the seals it proposed. `absorb`
+    /// writes through [`Arc::make_mut`], so the first write after a share
+    /// copies and every later one finds the replica its own.
+    state: Arc<S::State>,
     /// `applied[p]` = highest sequence number of `p` applied so far.
     applied: Vec<u64>,
     /// Log cells this handle consumed itself (excludes the checkpointed
@@ -612,16 +629,22 @@ where
         loop {
             self.decide_current_cell(self.pid, |handle| {
                 // Speculate the sealed state from the fully-replayed
-                // prefix; exact whenever this record is the one agreed.
-                let mut state = handle.state.clone();
-                if let Some(op) = &op {
-                    let _ = handle.obj.spec.apply(&mut state, op);
-                }
+                // prefix; exact whenever this record is the one agreed. A
+                // checkpoint seals the replica itself, shared; a
+                // reconfiguration seals a copy with its operation applied.
+                let state = match &op {
+                    None => Arc::clone(&handle.state),
+                    Some(op) => {
+                        let mut state = S::State::clone(&handle.state);
+                        let _ = handle.obj.spec.apply(&mut state, op);
+                        Arc::new(state)
+                    }
+                };
                 LogRecord::Seal(SealRecord {
                     pid: handle.pid as u8,
                     seq: me.map_or(0, |(_, seq)| seq),
                     op: op.clone(),
-                    state: Arc::new(state),
+                    state,
                 })
             });
             if let Some(Absorbed { author, seal: seal @ Some(_), index, resp }) = self.absorb(me) {
@@ -712,7 +735,9 @@ where
     /// post-state) — the tail is raised and the seal handed back, for a
     /// sealing caller to publish. By determinism the seal equals the local
     /// replica here, so it is shared straight out of the record, never
-    /// cloned.
+    /// cloned. A cell that carries an operation writes the replica through
+    /// one [`Arc::make_mut`]: a copy if the replica is still shared (with
+    /// an anchor or a seal), nothing but a count check once it is its own.
     fn absorb(&mut self, awaited: Option<(usize, u64)>) -> Option<Absorbed<S::Resp, S::State>> {
         let index = self.cell_index;
         let Self { obj, segment, state, applied, .. } = self;
@@ -724,6 +749,7 @@ where
             let author = op.map(|_| (usize::from(author.0), author.1));
             let resp = op.zip(author).and_then(|(op, author)| {
                 applied[author.0] = author.1;
+                let state = Arc::make_mut(state);
                 if awaited == Some(author) {
                     Some(obj.spec.apply(state, op))
                 } else {
@@ -735,7 +761,7 @@ where
         })?;
         self.advance();
         if let Some(state) = &seal {
-            debug_assert!(**state == self.state, "a sealed state matches the replica");
+            debug_assert!(**state == *self.state, "a sealed state matches the replica");
             self.raise_tail();
         }
         Some(Absorbed { author, seal, index, resp })
@@ -759,6 +785,46 @@ where
         }
         // The displaced state and segment drop after the guard: nothing
         // under the lock runs a destructor, so no publish poisons it.
+    }
+
+    /// **Re-bases** a handle that trails the published anchor: the handle
+    /// takes over the anchor's segment, index, `applied` vector and state
+    /// (shared, not copied), read under the anchor's lock as
+    /// [`Universal::owned_pair`] reads them, and keeps its pids, both
+    /// sequence numbers, its claim and its [`Self::replay_steps`] meter.
+    /// Every operation of its own is below its cursor, so below the anchor,
+    /// and the anchor's `applied` already counts it. A handle at or past
+    /// the anchor is left as it is, and `None` comes back.
+    ///
+    /// Otherwise the handle's old segment and replica come back as a
+    /// [`Displaced`]: it is what kept the sealed prefix alive, and dropping
+    /// it may free every cell from its segment up to the anchor's. A caller
+    /// that holds a lock over the handle drops it after letting go.
+    ///
+    /// Progress: blocking (the anchor's lock). This is an admin step: a
+    /// store re-bases its idle ports after each seal, never on a commit.
+    #[progress(blocking)]
+    pub fn rebase(&mut self) -> Option<Displaced<S, F>> {
+        let anchor = self.obj.anchor.lock().unwrap_or_else(PoisonError::into_inner);
+        let index = self.obj.anchor_index.load(Ordering::Acquire);
+        if self.cell_index >= index {
+            return None;
+        }
+        self.applied.clone_from(&anchor.applied);
+        self.cell_index = index;
+        Some(Displaced {
+            _segment: std::mem::replace(&mut self.segment, Arc::clone(&anchor.segment)),
+            _state: std::mem::replace(&mut self.state, Arc::clone(&anchor.state)),
+        })
+    }
+
+    /// Makes the local replica this handle's own: copies it if it is
+    /// shared (with an anchor or a seal), and does nothing if it is not. A
+    /// handle whose owner must never pay for a copy on a commit calls this
+    /// beforehand; nothing shares a replica afterwards but a seal this
+    /// handle proposes or a re-base.
+    pub fn own_replica(&mut self) {
+        Arc::make_mut(&mut self.state);
     }
 
     /// Moves the cursor to the next cell: the next one in its segment, or,
@@ -804,6 +870,27 @@ where
     pub fn local_state(&self) -> &S::State {
         &self.state
     }
+
+    /// The local replica as a shared pointer: a second owner of the same
+    /// state, made without a copy (a checkpoint's snapshot is one). The
+    /// handle's next write then copies it first.
+    pub fn replica(&self) -> &Arc<S::State> {
+        &self.state
+    }
+}
+
+/// What [`OwnedHandle::rebase`] took off a handle: its old cursor segment
+/// and its old replica. While it lives it keeps them, and through the
+/// segment's links every segment after it; dropping it frees whatever
+/// nobody else holds.
+#[must_use = "dropping this frees the handle's old prefix: drop it where that cost belongs"]
+pub struct Displaced<S, F>
+where
+    S: SequentialSpec,
+    F: ConsensusFactory<LogRecordOf<S>>,
+{
+    _segment: Arc<Segment<F::Object>>,
+    _state: Arc<S::State>,
 }
 
 impl<S, F> fmt::Debug for OwnedHandle<S, F>
@@ -1304,14 +1391,19 @@ mod tests {
         let foreign: [(&str, Foreign); 3] = [
             ("op", |a| LogRecord::Op(OpRecord { pid: 0, seq: a.seq + 1, op: CounterOp::Add(10) })),
             ("checkpoint", |a| {
-                LogRecord::Seal(SealRecord { pid: 0, seq: 0, op: None, state: Arc::new(a.state) })
+                LogRecord::Seal(SealRecord {
+                    pid: 0,
+                    seq: 0,
+                    op: None,
+                    state: Arc::clone(&a.state),
+                })
             }),
             ("reconfiguration", |a| {
                 LogRecord::Seal(SealRecord {
                     pid: 0,
                     seq: a.seq + 1,
                     op: Some(CounterOp::Add(10)),
-                    state: Arc::new(a.state + 10),
+                    state: Arc::new(*a.state + 10),
                 })
             }),
         ];
@@ -1355,7 +1447,7 @@ mod tests {
                         if !(witness && stops) {
                             drive(&mut port);
                         }
-                        ((port.state, port.applied.clone(), port.cell_index), obj.anchor_index())
+                        ((*port.state, port.applied.clone(), port.cell_index), obj.anchor_index())
                     };
                     let (alone, anchor) = crossed(false);
                     let case = format!("{name} absorbing a foreign {kind} in cell {at}");
@@ -1445,10 +1537,10 @@ mod tests {
                     pid,
                     seq: 0,
                     op: None,
-                    state: Arc::new(applier.state.clone()),
+                    state: Arc::clone(&applier.state),
                 }),
                 27 => {
-                    let mut post = applier.state.clone();
+                    let mut post = (*applier.state).clone();
                     KvStore.apply(&mut post, &op);
                     seqs[usize::from(pid)] += 1;
                     let seq = seqs[usize::from(pid)];
@@ -1485,7 +1577,7 @@ mod tests {
             }
         }
         reader.sync_read(|_| ());
-        assert_eq!(reader.state, oracle);
+        assert_eq!(*reader.state, oracle);
         assert_eq!(
             (&reader.state, &reader.applied, reader.cell_index),
             (&applier.state, &applier.applied, applier.cell_index)
@@ -1716,6 +1808,113 @@ mod tests {
         let next = walker.checkpoint() + 1;
         assert_eq!(obj.anchor_index(), next);
         assert_eq!(obj.owned_handle(3).unwrap().replayed_cells(), next);
+    }
+
+    #[test]
+    fn a_rebased_handle_pins_no_sealed_segment_and_places_each_op_once() {
+        // A pair (pid 1, voice 3) writes once under each pid and goes idle
+        // at cell 2, while port 0 writes three segments' worth and seals.
+        let obj = wait_free_counter(4);
+        let mut sealer = obj.owned_handle(0).unwrap();
+        let mut idle = obj.owned_pair(1, 3).unwrap();
+        idle.apply(CounterOp::Add(1));
+        idle.apply_as(3, CounterOp::Add(1)).unwrap();
+        while sealer.replayed_cells() < 3 * SEGMENT_CELLS as u64 {
+            sealer.apply(CounterOp::Add(1));
+        }
+        let sealed = sealer.checkpoint() + 1;
+        assert_eq!(obj.anchor_index(), sealed);
+        // The segments from the idle cursor's up to the anchor's are sealed,
+        // and the idle handle is what keeps them.
+        let anchor = Arc::clone(&obj.anchor.lock().unwrap().segment);
+        let mut segment = Arc::clone(&idle.segment);
+        let mut sealed_segments = Vec::new();
+        while !Arc::ptr_eq(&segment, &anchor) {
+            sealed_segments.push(Arc::downgrade(&segment));
+            segment = segment.next.load().expect("the log is linked up to the anchor");
+        }
+        drop((segment, anchor));
+        assert_eq!(sealed_segments.len(), 3);
+        let steps = idle.replay_steps();
+        let displaced = idle.rebase().expect("a handle behind the anchor is re-based");
+        assert_eq!(idle.replayed_cells(), sealed, "a re-based handle starts at the anchor");
+        assert_eq!(idle.replay_steps(), steps, "and keeps its meter");
+        let shared = Arc::ptr_eq(idle.replica(), &obj.anchor.lock().unwrap().state);
+        assert!(shared, "a re-based handle shares the anchor's state");
+        assert!(sealed_segments.iter().all(|s| s.upgrade().is_some()), "kept until dropped");
+        drop(displaced);
+        assert!(
+            sealed_segments.iter().all(|s| s.upgrade().is_none()),
+            "a sealed segment is pinned"
+        );
+        // Its next operation under each pid takes one cell and is answered
+        // once, under the pid's next sequence number.
+        let before = *idle.local_state();
+        assert_eq!(idle.apply(CounterOp::Add(10)), before + 10);
+        assert_eq!(idle.apply_as(3, CounterOp::Add(100)), Ok(before + 110));
+        assert_eq!(idle.replayed_cells(), sealed + 2, "one cell each");
+        let mut fresh = obj.owned_handle(2).unwrap();
+        assert_eq!(fresh.sync_read(|s| *s), before + 110);
+        assert_eq!(fresh.replay_steps(), 2, "nothing else was placed");
+        assert_eq!((fresh.applied[1], fresh.applied[3]), (2, 2), "each pid's second operation");
+    }
+
+    #[test]
+    fn a_handle_at_or_past_the_anchor_is_not_rebased() {
+        let obj = wait_free_counter(4);
+        let mut sealer = obj.owned_handle(0).unwrap();
+        let mut reader = obj.owned_handle(1).unwrap();
+        let mut writer = obj.owned_handle(2).unwrap();
+        let mut behind = obj.owned_handle(3).unwrap();
+        sealer.apply(CounterOp::Add(1));
+        let sealed = sealer.checkpoint() + 1;
+        // At the anchor: the sealer, whose replica the anchor shares, and a
+        // reader that crossed the seal with a replica of its own. Past it:
+        // a writer.
+        assert_eq!(reader.sync_read(|s| *s), 1);
+        assert_eq!(writer.apply(CounterOp::Add(2)), 3);
+        assert!(!Arc::ptr_eq(reader.replica(), &obj.anchor.lock().unwrap().state));
+        for (name, h) in [("sealer", &mut sealer), ("reader", &mut reader), ("writer", &mut writer)]
+        {
+            let (cursor, replica) = (h.replayed_cells(), Arc::as_ptr(h.replica()));
+            assert!(h.rebase().is_none(), "the {name} was re-based from {cursor}, anchor {sealed}");
+            assert_eq!((h.replayed_cells(), Arc::as_ptr(h.replica())), (cursor, replica));
+        }
+        // Behind it: re-based, and it reads what the others do.
+        assert!(behind.rebase().is_some());
+        assert_eq!(behind.replayed_cells(), sealed);
+        assert_eq!(behind.sync_read(|s| *s), 3);
+        assert_eq!(reader.sync_read(|s| *s), 3);
+    }
+
+    #[test]
+    fn a_new_handle_shares_the_anchors_state_until_its_first_applying_cell() {
+        let recovered: std::collections::BTreeMap<String, u64> =
+            (0..16).map(|k| (format!("k{k}"), k)).collect();
+        let obj = Arc::new(Universal::recovered(
+            KvStore,
+            CasFactory::new(Liveness::new_first_n(3, 3)),
+            3,
+            recovered.clone(),
+            10,
+        ));
+        let anchor = || Arc::clone(&obj.anchor.lock().unwrap().state);
+        let mut pair = obj.owned_pair(0, 2).unwrap();
+        let mut other = obj.owned_handle(1).unwrap();
+        assert!(Arc::ptr_eq(pair.replica(), &anchor()), "a new handle copied the anchor's state");
+        // A checkpoint carries no operation: it seals the replica itself,
+        // and crossing it writes nothing.
+        other.checkpoint();
+        assert!(Arc::ptr_eq(other.replica(), &anchor()), "a checkpoint copied its replica");
+        pair.sync_read(|_| ());
+        assert_eq!(pair.replayed_cells(), obj.anchor_index());
+        assert!(Arc::ptr_eq(pair.replica(), &anchor()), "crossing a checkpoint copied");
+        // The first cell with an operation, even a read, writes a copy.
+        other.apply(KvOp::Get("k1".into()));
+        assert_eq!(pair.sync_read(|s| s.len()), 16);
+        assert!(!Arc::ptr_eq(pair.replica(), &anchor()), "a written replica is its own");
+        assert_eq!(pair.apply_as(2, KvOp::Put("k1".into(), 99)), Ok(Some(1)));
+        assert_eq!(*anchor(), recovered, "the anchor's state was written through a handle");
     }
 
     #[test]

@@ -61,5 +61,5 @@ mod herlihy;
 
 pub use factory::{AsymmetricFactory, CasFactory, ConsensusFactory};
 pub use herlihy::{
-    LogRecord, LogRecordOf, OpRecord, OwnedHandle, SealRecord, Universal, UniversalError,
+    Displaced, LogRecord, LogRecordOf, OpRecord, OwnedHandle, SealRecord, Universal, UniversalError,
 };

@@ -21,8 +21,8 @@
 //! written since. The record is borrowed from its cell and replayed for its
 //! effect alone, so the budget is zero.
 //!
-//! A seventh line prices a deep clone of a replica's map — what every
-//! checkpoint seal and every new handle makes: allocator calls per key, a
+//! A seventh line prices a deep clone of a replica's map — what a port's
+//! first write makes of a replica it shares: allocator calls per key, a
 //! fixed number of buffers per leaf and none per key.
 //!
 //! A second table prices the same store behind the wire: a `StoreServer`
@@ -36,6 +36,12 @@
 //! the two tables: each row's first figures are the measured ones, at the
 //! precision README prints.
 //!
+//! Two last lines count replicas, in copies of a store's maps: what a
+//! recovered store holds before and after a VIP is admitted, and what a
+//! store keeps after a checkpoint. A port that has not written since the
+//! anchor shares the anchor's map, and a seal re-bases the idle ports, so
+//! each is at most one copy per admitted VIP and one for the anchor.
+//!
 //! A change that adds an allocation to the commit path or the serve path
 //! fails here and has to raise a budget below to land — that is, it has to
 //! say so.
@@ -48,7 +54,7 @@ use asymmetric_progress::core::liveness::Liveness;
 use asymmetric_progress::net::{NetClient, ServerConfig, StoreServer};
 use asymmetric_progress::store::{
     Batch, Client, KeyMap, Request, ShardCmd, ShardLog, ShardSpec, Store, StoreBuilder, StoreOp,
-    TierCredential,
+    StoreSnapshot, TierCredential,
 };
 use asymmetric_progress::universal::AsymmetricFactory;
 
@@ -278,6 +284,79 @@ fn commit_path_allocations_stay_within_budget() {
     assert!(cloned <= 0.1, "a deep clone is over its call budget: {cloned:.3} per key");
 
     serve_path_allocations_stay_within_budget(&store);
+    drop(store);
+
+    // A port nobody uses holds nothing of its own: a recovered store's
+    // ports share the snapshot's maps, and admitting a VIP makes its
+    // replica its own (its parent's held 9: one replica per port and the
+    // anchor).
+    let (idle, admitted) = recovered_replica_copies();
+    println!("recovered store, replica copies: {idle:.3}, {admitted:.3} once a VIP is admitted");
+    assert!(idle <= 1.0 + COPY_SLACK, "a recovered store holds {idle:.3} replica copies");
+    assert!(admitted <= 2.0 + COPY_SLACK, "one VIP admitted, {admitted:.3} replica copies");
+
+    // A checkpoint frees the cells behind it: the idle ports are re-based
+    // onto its anchor, so what stays is the anchor's map and the VIP's (its
+    // parent kept every cell, pinned by the ports nobody used).
+    let kept = checkpointed_store_copies();
+    println!("checkpointed store, replica copies: {kept:.3}");
+    assert!(kept <= 2.0 + COPY_SLACK, "a checkpoint left {kept:.3} replica copies' worth");
+}
+
+/// What a replica copy may be off by: a store's fixed structures (segments
+/// at the anchors, digests, metric registries) are a small fraction of a
+/// copy of `KEYS` keys.
+const COPY_SLACK: f64 = 0.1;
+
+/// Preloads `KEYS` keys into `store` through a guest port, 256 to a batch.
+fn preload(store: &Store) {
+    let mut guest = store.client(store.admit_guest());
+    for chunk in (0..KEYS).collect::<Vec<_>>().chunks(256) {
+        let ops = chunk.iter().map(|&k| StoreOp::Put(key(k), u64::from(k))).collect();
+        assert!(guest.execute(ops).iter().all(Result::is_ok));
+    }
+}
+
+/// The bytes a recovered default-sized store holds, in copies of its
+/// snapshot's maps: once recovered, and once a VIP is admitted too.
+fn recovered_replica_copies() -> (f64, f64) {
+    let path = std::env::temp_dir().join(format!("alloc-budget-{}.snapshot", std::process::id()));
+    let store = StoreBuilder::new().build().expect("default sizing builds");
+    preload(&store);
+    store.checkpoint().write_to(&path).expect("the snapshot is written");
+    drop(store);
+    let mut snapshot = None;
+    let one_copy = measure(1, || snapshot = Some(StoreSnapshot::read_from(&path).unwrap()));
+    drop(snapshot);
+    let mut recovered = None;
+    let idle = measure(1, || recovered = Some(StoreBuilder::new().recover(&path).unwrap()));
+    let store = recovered.expect("the store recovers");
+    let admitted = measure(1, || _ = store.admit_vip().expect("a VIP port is free"));
+    std::fs::remove_file(&path).expect("the snapshot is removed");
+    let copies = |bytes: f64| bytes / one_copy.retained_bytes;
+    (copies(idle.retained_bytes), copies(idle.retained_bytes + admitted.retained_bytes))
+}
+
+/// The bytes a default-sized store holds after a preload through a guest
+/// port, `REQUESTS` VIP puts and one checkpoint, in copies of its maps.
+fn checkpointed_store_copies() -> f64 {
+    let mut sealed = None;
+    let held = measure(1, || {
+        let store = StoreBuilder::new().build().expect("default sizing builds");
+        preload(&store);
+        let mut vip = store.client(store.admit_vip().expect("a VIP port is free"));
+        (0..REQUESTS).for_each(|i| one_op(&mut vip, StoreOp::Put(nth_key(i), u64::from(i))));
+        let snapshot = store.checkpoint();
+        sealed = Some((store, snapshot));
+    });
+    // One copy of every shard's map, made from the snapshot the anchors
+    // share.
+    let mut copy = None;
+    let (_store, snapshot) = sealed.expect("the store was sealed");
+    let one_copy = measure(1, || {
+        copy = Some(snapshot.shards.iter().map(|s| (*s.state).clone()).collect::<Vec<_>>())
+    });
+    held.retained_bytes / one_copy.retained_bytes
 }
 
 /// Allocator calls per key for a deep clone of a `KEYS`-key map.

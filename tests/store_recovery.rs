@@ -569,7 +569,7 @@ fn corrupted_tombstones_fail_closed_with_typed_errors() {
     ghost.insert("ghost".to_string(), 1u64);
     tampered.shards[child] = asymmetric_progress::store::ShardSnapshot {
         log_index: tampered.shards[child].log_index,
-        state: asymmetric_progress::store::ShardState::with_entries(ghost, 2),
+        state: asymmetric_progress::store::ShardState::with_entries(ghost, 2).into(),
     };
     std::fs::write(&path, tampered.encode()).unwrap();
     let err = StoreBuilder::new()
