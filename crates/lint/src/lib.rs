@@ -9,14 +9,14 @@
 //!
 //! * **R1 `progress`** — no strong-class fn transitively reaches a blocking
 //!   primitive (`Mutex::lock`, channel `recv`, `thread::sleep`/`park`,
-//!   `File::sync_*`, condvar waits) or a weak-annotated callee, except
-//!   through `try_*` probes or an explicit waiver.
+//!   `File::sync_*`, condvar waits) or a callee annotated with a weaker
+//!   class, except through `try_*` probes or an explicit waiver. The
+//!   classes are ordered wait-free (`wait_free` and `bounded_wait_free`,
+//!   one level) over `lock_free` over `obstruction_free` over `blocking`.
 //! * **R2 `safety`** — every `unsafe` site carries `// SAFETY:` (or a
 //!   `# Safety` doc section on `unsafe fn`).
 //! * **R3 `relaxed`** — every `Ordering::Relaxed` carries `// RELAXED:`.
-//! * **R4 `panic`** — no `unwrap`/`expect`/`panic!` in strong-class bodies.
-//! * **R5 `reconfig`** — the PR-5 invariant: no reconfiguration-install
-//!   operation reachable from a (bounded-)wait-free fn.
+//! * **R4 `panic`** — no `unwrap`/`expect`/`panic!` in non-blocking bodies.
 //!
 //! Waive a finding in place with `// APC-LINT: allow(<rule>): <reason>`.
 //!

@@ -56,6 +56,14 @@ impl Class {
         matches!(self, Class::WaitFree | Class::BoundedWaitFree | Class::LockFree)
     }
 
+    /// Does a callee of this class break a caller's promise of `promised`?
+    /// Strength is the declared order, except that the two wait-free
+    /// classes are one level: the analyzer cannot count steps.
+    pub fn is_weaker_than(self, promised: Class) -> bool {
+        let level = |c| if c == Class::BoundedWaitFree { Class::WaitFree } else { c };
+        level(self) < level(promised)
+    }
+
     /// Classes that promise *some* liveness — everything above `blocking`.
     /// R4 holds these to a no-panic standard: even the obstruction-free
     /// tier promised to keep retrying, and an abort is strictly worse

@@ -5,8 +5,8 @@ use std::fmt::Write as _;
 /// One lint finding.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// Rule id: `progress`, `safety`, `relaxed`, `panic`, `reconfig`,
-    /// `annotation`, or `waiver`.
+    /// Rule id: `progress`, `safety`, `relaxed`, `panic`, `annotation`, or
+    /// `waiver`.
     pub rule: &'static str,
     /// Repo-relative path of the file the finding anchors to.
     pub file: String,

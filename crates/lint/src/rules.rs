@@ -1,10 +1,13 @@
-//! The five rules, plus annotation validation and waiver checking.
+//! The four rules, plus annotation validation and waiver checking.
 //!
 //! * `progress` (R1) — no strong-class fn (`wait_free`, `bounded_wait_free`,
 //!   `lock_free`) transitively reaches a blocking primitive or a callee
-//!   annotated `obstruction_free`/`blocking`. Traversal trusts strong
-//!   annotations (each is verified as its own source) and cuts at `try_*`
-//!   callees.
+//!   annotated with a weaker class: the classes are ordered wait-free
+//!   (both kinds, one level: the analyzer cannot count steps) over
+//!   `lock_free` over `obstruction_free` over `blocking`, so a wait-free fn
+//!   that reaches a `lock_free` one is a finding too. Traversal trusts
+//!   strong annotations (each is verified as its own source) and cuts at
+//!   `try_*` callees.
 //! * `safety` (R2) — every `unsafe` site carries a `SAFETY` comment (or a
 //!   `# Safety` doc section for `unsafe fn`).
 //! * `relaxed` (R3) — every `Ordering::Relaxed` carries a `RELAXED:`
@@ -15,10 +18,6 @@
 //!   than the unbounded-but-live retrying it promised; only `blocking`
 //!   fns, which never promised liveness, may panic. (Plain asserts are
 //!   allowed: they signal broken invariants, not environmental failure.)
-//! * `reconfig` (R5) — the PR-5 invariant: no reconfiguration-install
-//!   operation (`split_locked`, `merge_locked`, `rebalance`, or the drain
-//!   step `seal_drain` the first two share) is reachable from a
-//!   (bounded-)wait-free fn.
 //!
 //! Any rule can be waived at a call/finding site with
 //! `// APC-LINT: allow(<rule>): <reason>` on the line or up to two lines
@@ -32,11 +31,7 @@ use crate::parse::{Class, FileAst};
 use crate::report::Finding;
 
 /// Rule ids a waiver may name.
-const RULES: [&str; 5] = ["progress", "safety", "relaxed", "panic", "reconfig"];
-
-/// Reconfiguration-install sinks for R5. Each must name a fn of the
-/// workspace: a self-check test fails on a sink that resolves to none.
-pub const RECONFIG_SINKS: [&str; 4] = ["split_locked", "merge_locked", "rebalance", "seal_drain"];
+const RULES: [&str; 4] = ["progress", "safety", "relaxed", "panic"];
 
 /// Method names that panic on failure (R4).
 const PANIC_METHODS: [&str; 4] = ["unwrap", "expect", "unwrap_err", "expect_err"];
@@ -72,7 +67,6 @@ pub fn run(ws: &Workspace) -> Vec<Finding> {
     check_waiver_syntax(ws, &mut findings);
     check_annotations(ws, &mut findings);
     check_reachability(ws, &mut findings);
-    run_reconfig(ws, &mut findings);
     check_safety(ws, &mut findings);
     check_relaxed(ws, &mut findings);
     check_panic(ws, &mut findings);
@@ -145,16 +139,12 @@ fn check_annotations(ws: &Workspace, findings: &mut Vec<Finding>) {
     }
 }
 
-/// Shared BFS over the call graph from `source`, invoking `visit` for every
-/// reachable call site with its owning function. Traversal trusts
-/// strong-annotated callees and skips test functions; `cut_rule` waivers cut
-/// edges entirely.
-fn bfs_calls(
-    ws: &Workspace,
-    source: FnId,
-    cut_rule: &str,
-    mut visit: impl FnMut(FnId, &Call, &[String]),
-) {
+/// BFS over the call graph from `source`, invoking `visit` for every
+/// reachable call site with its owning function. Traversal does not enter
+/// annotated callees (`visit` judges each at its call site, and a strong
+/// one is verified as its own source) and skips test functions; `progress`
+/// waivers cut edges entirely.
+fn bfs_calls(ws: &Workspace, source: FnId, mut visit: impl FnMut(FnId, &Call, &[String])) {
     let mut queue = VecDeque::new();
     let mut seen = HashSet::new();
     // Chain of qualified names from the source to (and including) each
@@ -166,17 +156,14 @@ fn bfs_calls(
     while let Some(cur) = queue.pop_front() {
         let chain = chains[&cur].clone();
         for call in ws.calls_of(cur) {
-            if waived(&ws.files[cur.file], call.line, cut_rule) {
+            if waived(&ws.files[cur.file], call.line, "progress") {
                 continue;
             }
             visit(cur, call, &chain);
             for target in ws.resolve(cur, call) {
                 let tf = ws.fn_info(target);
-                if tf.is_test || tf.class.is_some_and(Class::is_strong) {
-                    continue; // trusted boundary / not live code
-                }
-                if tf.class.is_some() {
-                    continue; // weak-annotated: reported by visit, not entered
+                if tf.is_test || tf.class.is_some() {
+                    continue;
                 }
                 if seen.insert(target) {
                     let mut c = chain.clone();
@@ -190,17 +177,17 @@ fn bfs_calls(
 }
 
 /// `progress` (R1): strong fns must not reach blocking primitives or
-/// weak-annotated callees.
+/// callees annotated with a weaker class.
 fn check_reachability(ws: &Workspace, findings: &mut Vec<Finding>) {
     for source in ws.all_fns() {
         let sf = ws.fn_info(source);
-        if sf.is_test || !sf.class.is_some_and(Class::is_strong) {
+        let Some(promised) = sf.class.filter(|c| c.is_strong() && !sf.is_test) else {
             continue;
-        }
-        let class = sf.class.expect("checked above").name();
+        };
+        let class = promised.name();
         let src_name = sf.qualified();
         let mut reported = HashSet::new();
-        bfs_calls(ws, source, "progress", |owner, call, chain| {
+        bfs_calls(ws, source, |owner, call, chain| {
             let site = (owner.file, call.line, call.name.clone());
             if ws.is_blocking_primitive(owner.file, call) {
                 if reported.insert(site) {
@@ -226,70 +213,35 @@ fn check_reachability(ws: &Workspace, findings: &mut Vec<Finding>) {
             }
             for target in ws.resolve(owner, call) {
                 let tf = ws.fn_info(target);
-                if tf.is_test {
+                let Some(tc) = tf.class.filter(|c| c.is_weaker_than(promised) && !tf.is_test)
+                else {
                     continue;
-                }
-                if let Some(tc) = tf.class {
-                    if !tc.is_strong() {
-                        let site = (owner.file, call.line, tf.qualified());
-                        if reported.insert(site) {
-                            let mut path = chain.to_vec();
-                            path.push(format!(
-                                "{} [{}] @ {}:{}",
-                                tf.qualified(),
-                                tc.name(),
-                                file_name(ws, owner.file),
-                                call.line
-                            ));
-                            findings.push(Finding {
-                                rule: "progress",
-                                file: file_name(ws, owner.file),
-                                line: call.line,
-                                message: format!(
-                                    "{class} fn `{src_name}` calls `{}` which is only {}",
-                                    tf.qualified(),
-                                    tc.name()
-                                ),
-                                path,
-                            });
-                        }
-                    }
+                };
+                let site = (owner.file, call.line, tf.qualified());
+                if reported.insert(site) {
+                    let mut path = chain.to_vec();
+                    path.push(format!(
+                        "{} [{}] @ {}:{}",
+                        tf.qualified(),
+                        tc.name(),
+                        file_name(ws, owner.file),
+                        call.line
+                    ));
+                    findings.push(Finding {
+                        rule: "progress",
+                        file: file_name(ws, owner.file),
+                        line: call.line,
+                        message: format!(
+                            "{class} fn `{src_name}` calls `{}` which is only {}",
+                            tf.qualified(),
+                            tc.name()
+                        ),
+                        path,
+                    });
                 }
             }
         });
     }
-}
-
-/// `reconfig` (R5): no reconfiguration-install operation reachable from a
-/// (bounded-)wait-free fn.
-fn check_reconfig(
-    ws: &Workspace,
-    source: FnId,
-    findings: &mut Vec<Finding>,
-    reported: &mut HashSet<(usize, u32, String)>,
-) {
-    let src_name = ws.fn_info(source).qualified();
-    let class = ws.fn_info(source).class.expect("source is annotated").name();
-    bfs_calls(ws, source, "reconfig", |owner, call, chain| {
-        if RECONFIG_SINKS.contains(&call.name.as_str()) {
-            let site = (owner.file, call.line, call.name.clone());
-            if reported.insert(site) {
-                let mut path = chain.to_vec();
-                path.push(format!("{} @ {}:{}", call.name, file_name(ws, owner.file), call.line));
-                findings.push(Finding {
-                    rule: "reconfig",
-                    file: file_name(ws, owner.file),
-                    line: call.line,
-                    message: format!(
-                        "{class} fn `{src_name}` reaches reconfiguration-install \
-                         operation `{}`",
-                        call.name
-                    ),
-                    path,
-                });
-            }
-        }
-    });
 }
 
 /// `safety` (R2): every `unsafe` site needs a SAFETY comment; `unsafe fn`
@@ -382,19 +334,6 @@ fn check_panic(ws: &Workspace, findings: &mut Vec<Finding>) {
     }
 }
 
-/// R5 across all sources (separate from the R1 loop so waivers stay
-/// per-rule).
-fn run_reconfig(ws: &Workspace, findings: &mut Vec<Finding>) {
-    let mut reported = HashSet::new();
-    for source in ws.all_fns() {
-        let f = ws.fn_info(source);
-        if f.is_test || !matches!(f.class, Some(Class::WaitFree) | Some(Class::BoundedWaitFree)) {
-            continue;
-        }
-        check_reconfig(ws, source, findings, &mut reported);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -453,13 +392,64 @@ mod tests {
 
     #[test]
     fn strong_annotated_callee_is_trusted_boundary() {
-        // `g` is lock_free and internally waives its own lock; `f` calling
+        // `g` is wait_free and internally waives its own lock; `f` calling
         // `g` must not re-traverse into it.
         let f = analyze(&[
             "struct S; impl S {\n#[progress(wait_free)]\nfn f(&self) { self.g(); }\n\
-             #[progress(lock_free)]\nfn g(&self) {\n// APC-LINT: allow(progress): benign\nself.m.lock(); }\n}",
+             #[progress(wait_free)]\nfn g(&self) {\n// APC-LINT: allow(progress): benign\nself.m.lock(); }\n}",
         ]);
         assert_eq!(f.iter().filter(|x| x.rule == "progress").count(), 0);
+    }
+
+    #[test]
+    fn class_order_a_wait_free_fn_may_not_call_a_lock_free_one() {
+        for class in ["wait_free", "bounded_wait_free"] {
+            let f = analyze(&[&format!(
+                "struct S; impl S {{\n#[progress({class})]\nfn f(&self) {{ self.seal(); }}\n\
+                 #[progress(lock_free)]\nfn seal(&self) {{}}\n}}"
+            )]);
+            let hits: Vec<_> = f.iter().filter(|x| x.rule == "progress").collect();
+            assert_eq!(hits.len(), 1, "{class}: {f:?}");
+            assert!(hits[0].message.contains(&format!("{class} fn `S::f`")), "{class}: {f:?}");
+            assert!(hits[0].message.contains("`S::seal` which is only lock_free"), "{f:?}");
+        }
+    }
+
+    #[test]
+    fn class_order_the_wait_free_classes_are_one_level_and_lock_free_calls_lock_free() {
+        let f = analyze(&[
+            "struct S; impl S {\n#[progress(bounded_wait_free)]\nfn a(&self) { self.b(); }\n\
+             #[progress(wait_free)]\nfn b(&self) { self.c(); }\n\
+             #[progress(bounded_wait_free)]\nfn c(&self) {}\n\
+             #[progress(lock_free)]\nfn d(&self) { self.e(); }\n\
+             #[progress(lock_free)]\nfn e(&self) {}\n}",
+        ]);
+        assert!(f.is_empty(), "{f:?}");
+    }
+
+    /// A split, a merge and the drain they share each reach the `blocking`
+    /// seal act, and a rebalance is `blocking` itself: R1 flags each one
+    /// reached from a wait-free fn, by its class and by no name.
+    #[test]
+    fn class_order_a_reconfiguration_under_a_wait_free_fn_is_a_progress_finding() {
+        for sink in ["split_locked", "merge_locked", "seal_drain"] {
+            let f = analyze(&[&format!(
+                "struct S; impl S {{\n#[progress(bounded_wait_free)]\nfn commit(&self) {{ self.{sink}(); }}\n\
+                 fn {sink}(&self) {{ self.seal_act(); }}\n\
+                 #[progress(blocking)]\nfn seal_act(&self) {{}}\n}}"
+            )]);
+            let hits: Vec<_> = f.iter().filter(|x| x.rule == "progress").collect();
+            assert_eq!(hits.len(), 1, "{sink}: {f:?}");
+            assert_eq!(hits[0].path[..2], [String::from("S::commit"), format!("S::{sink}")]);
+            assert!(hits[0].message.contains("`S::seal_act` which is only blocking"), "{f:?}");
+        }
+        let f = analyze(&[
+            "struct S; impl S {\n#[progress(bounded_wait_free)]\nfn commit(&self) { self.rebalance(); }\n\
+             #[progress(blocking)]\nfn rebalance(&self) {}\n}",
+        ]);
+        let hits: Vec<_> = f.iter().filter(|x| x.rule == "progress").collect();
+        assert_eq!(hits.len(), 1, "{f:?}");
+        assert!(hits[0].message.contains("`S::rebalance` which is only blocking"), "{f:?}");
     }
 
     #[test]
@@ -552,22 +542,6 @@ mod tests {
         let hits: Vec<_> = f.iter().filter(|x| x.rule == "panic").collect();
         assert_eq!(hits.len(), 1);
         assert!(hits[0].message.contains("panic!"));
-    }
-
-    #[test]
-    fn reconfig_sink_reachable_from_wait_free() {
-        let f = analyze(&[
-            "struct S; impl S {\n#[progress(bounded_wait_free)]\nfn commit(&self) { self.step(); }\n\
-             fn step(&self) { self.store.rebalance(); }\n}",
-        ]);
-        let hits: Vec<_> = f.iter().filter(|x| x.rule == "reconfig").collect();
-        assert_eq!(hits.len(), 1);
-        assert!(hits[0].message.contains("rebalance"));
-        // lock_free sources are NOT subject to R5.
-        let lf = analyze(&[
-            "struct S; impl S {\n#[progress(lock_free)]\nfn maint(&self) { self.store.rebalance(); }\n}",
-        ]);
-        assert_eq!(lf.iter().filter(|x| x.rule == "reconfig").count(), 0);
     }
 
     #[test]

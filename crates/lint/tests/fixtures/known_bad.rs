@@ -7,8 +7,6 @@
 //!   down (`entry → mid → deep`);
 //! * `relaxed` — `Ordering::Relaxed` without a `// RELAXED:` justification;
 //! * `panic` — `.unwrap()` in a strong-class (`lock_free`) body;
-//! * `reconfig` — a reconfiguration sink reachable from a
-//!   `bounded_wait_free` fn;
 //! * `safety` — an `unsafe` block without a `// SAFETY:` comment.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,12 +45,6 @@ impl Bad {
         Some(1)
     }
 
-    #[apc_progress_macros::progress(bounded_wait_free)]
-    pub fn reconfigures(&self) {
-        self.split_locked();
-    }
-
-    fn split_locked(&self) {}
 }
 
 pub fn read_raw(p: *const u64) -> u64 {

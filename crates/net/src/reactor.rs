@@ -70,19 +70,17 @@
 //! ## One replica per reactor
 //!
 //! The reactor runs every commit on one thread, one after the other, so
-//! at the first VIP hello it sets its guest batch ticket, once, to that
-//! VIP ticket's **guest voice**
-//! ([`apc_store::Store::guest_voice`]): a guest pid of its own, committing
-//! through the VIP's port slot and replica. The batch still runs the guest
-//! consensus protocol — never the VIP's one CAS — and still carries
-//! everything a guest commit carries (group durability, and no
-//! housekeeping: a reconfiguration is an admin act, never a turn's); but
-//! the one replica it walks is the one the VIP requests read.
-//! So every cell the reactor writes, VIP or guest, is applied once on the
-//! reactor's side, and a VIP request replays only what *other* processes
-//! wrote since the reactor's last turn. Until the first VIP hello, the
-//! batch commits under the server's guest ticket; the first batch after it
-//! replays, on the shared replica, whatever the VIP slot had not yet seen.
+//! its guest batch commits under its VIP ticket's **guest voice**
+//! ([`apc_store::Store::guest_voice`]), fixed when the server is built: a
+//! guest pid of its own, committing through the VIP's port slot and
+//! replica. The batch still runs the guest consensus protocol — never the
+//! VIP's one CAS — and still carries everything a guest commit carries
+//! (group durability, and no housekeeping: a reconfiguration is an admin
+//! act, never a turn's); but the one replica it walks is the one the VIP
+//! requests read. So every cell the reactor writes, VIP or guest, is
+//! applied once on the reactor's side, and a VIP request replays only what
+//! *other* processes wrote since the reactor's last turn. A server that
+//! holds no VIP ticket commits its batch under a guest ticket of its own.
 //!
 //! ## Per-shard batching of pipelined guest envelopes
 //!
@@ -96,8 +94,8 @@
 //! oracle in `tests/store_net.rs`, 256 envelopes per turn against 1) —
 //! and it cannot erode the asymmetric guarantees: the batch runs strictly
 //! *after* the VIP phase under a guest pid (the VIP ticket's voice, or the
-//! server's guest ticket before any VIP hello), so coalescing can delay
-//! other guests but never a VIP frame. Envelopes the guest tier refuses
+//! server's guest ticket when it holds no VIP ticket), so coalescing can
+//! delay other guests but never a VIP frame. Envelopes the guest tier refuses
 //! (`Sync` durability, a VIP credential on a guest connection) ride the
 //! batch too and are refused one by one by the store. VIP frames are never batched, never queued, never deadline-shed:
 //! every VIP frame is served where it is decoded.
@@ -106,20 +104,18 @@
 //!
 //! A VIP handshake must present a token from
 //! [`ServerConfig::vip_tokens`]. The reactor is one process, so it holds
-//! one ticket per tier: the first allow-listed VIP hello admits the
-//! server's one VIP ticket (and may wait out an admin act already
-//! running: [`Store::admit_vip`] takes the admin lock), and every VIP
-//! connection after it — whatever
-//! its token, reconnects included — is served on that same port, whose
-//! replica the guest batch shares (above). An
-//! unknown token, or a first VIP hello that finds the store's VIP capacity
-//! exhausted, is refused with a typed [`StoreError::GuestTier`] response
-//! before closing. Guests are accepted unboundedly, and every guest
-//! connection carries the server's one guest ticket, the one its coalesced
-//! dispatch commits under until a VIP ticket is held. A serving connection
-//! whose request claims a
-//! different tier than its handshake earned is answered with `GuestTier`
-//! errors — frames cannot escalate privilege.
+//! one ticket per tier. A server with VIP tokens admits its one VIP ticket
+//! when it is built ([`StoreServer::new`]; [`Store::admit_vip`] takes the
+//! admin lock, so no turn waits on an admin act), and every allow-listed
+//! VIP connection — whatever its token, reconnects included — is served
+//! on that port, whose replica the guest batch shares (above). An unknown
+//! token, or any VIP hello to a server that found the store's VIP
+//! capacity exhausted when it was built, is refused with a typed
+//! [`StoreError::GuestTier`] response before closing. Guests are accepted
+//! unboundedly, and every guest connection carries the batch ticket. A
+//! serving connection whose request claims a different tier than its
+//! handshake earned is answered with `GuestTier` errors — frames cannot
+//! escalate privilege.
 //!
 //! ## The wire never blocks
 //!
@@ -158,8 +154,9 @@ const MAX_HTTP_HEAD: usize = 8 << 10;
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Tokens whose `Hello` handshake may claim the VIP tier. Every
-    /// token's connections share the server's one admitted VIP ticket, so
-    /// the wire holds at most one VIP port whatever the list's length.
+    /// token's connections share the server's one VIP ticket, admitted
+    /// when the server is built if the list is not empty, so the wire holds
+    /// at most one VIP port whatever the list's length.
     pub vip_tokens: Vec<u64>,
     /// Guest requests served per [`StoreServer::poll`]; arrivals beyond
     /// this wait in the backlog (up to
@@ -275,9 +272,10 @@ pub struct StoreServer<'a> {
     store: &'a Store,
     cfg: ServerConfig,
     metrics: NetMetrics,
-    /// The server's one VIP session: admitted at the first allow-listed
-    /// VIP hello and carried by every VIP connection, whatever its token,
-    /// so the wire holds one VIP port and a flapping client leaks none.
+    /// The server's one VIP session: admitted when the server is built (if
+    /// it has VIP tokens and the store a free VIP port) and carried by every
+    /// VIP connection, whatever its token, so the wire holds one VIP port
+    /// and a flapping client leaks none.
     vip_ticket: Option<ClientTicket>,
     conns: Vec<ConnSlot>,
     /// The ready set: bit `i % 64` of word `i / 64` is set by connection
@@ -291,29 +289,33 @@ pub struct StoreServer<'a> {
     /// request not shed at ingest is queued here where it is decoded, and
     /// frames the turn's dispatch cap leaves over carry to later turns.
     guest_backlog: VecDeque<QueuedGuest>,
-    /// The guest ticket every coalesced dispatch commits under: the
-    /// server's own guest session until the VIP ticket is admitted, then,
-    /// set once for good, that ticket's guest voice (guest pids are
-    /// interchangeable, so the batch riding one fixed pid, then another,
-    /// changes nothing observable). A guest connection carries whichever it
-    /// finds at its hello; only its class is ever read.
+    /// The guest ticket every coalesced dispatch commits under, fixed for
+    /// the server's life: the VIP ticket's guest voice, or the server's own
+    /// guest session when it holds no VIP ticket. Every guest connection
+    /// carries it; only its class is ever read.
     batch_ticket: ClientTicket,
 }
 
 impl<'a> StoreServer<'a> {
-    /// A reactor over `store` with the given tuning.
+    /// A reactor over `store` with the given tuning. A server with VIP
+    /// tokens admits its one VIP ticket here, so building one may wait out
+    /// an admin act already running ([`Store::admit_vip`] takes the admin
+    /// lock) and no turn ever does.
     pub fn new(store: &'a Store, cfg: ServerConfig) -> StoreServer<'a> {
+        let vip_ticket = if cfg.vip_tokens.is_empty() { None } else { store.admit_vip().ok() };
+        let batch_ticket =
+            vip_ticket.and_then(|t| store.guest_voice(t)).unwrap_or_else(|| store.admit_guest());
         StoreServer {
             store,
             cfg,
             metrics: NetMetrics::new(),
-            vip_ticket: None,
+            vip_ticket,
             conns: Vec::new(),
             ready: Vec::new(),
             closed: 0,
             turn: TurnBuffers::default(),
             guest_backlog: VecDeque::new(),
-            batch_ticket: store.admit_guest(),
+            batch_ticket,
         }
     }
 
@@ -591,25 +593,19 @@ impl<'a> StoreServer<'a> {
         }
     }
 
-    /// Admits (or refuses) a handshake credential on conn `i`.
+    /// Accepts (or refuses) a handshake credential on conn `i`, on the
+    /// tickets the server has held since it was built.
     fn finish_handshake(&mut self, i: usize, cred: TierCredential, frame: &mut Vec<u8>) {
         match cred {
             TierCredential::Vip { token } => {
-                let allowed = self.cfg.vip_tokens.contains(&token);
-                if allowed && self.vip_ticket.is_none() {
-                    self.vip_ticket = self.store.admit_vip().ok();
-                    if let Some(voice) = self.vip_ticket.and_then(|t| self.store.guest_voice(t)) {
-                        self.batch_ticket = voice;
-                    }
-                }
-                match self.vip_ticket.filter(|_| allowed) {
+                match self.vip_ticket.filter(|_| self.cfg.vip_tokens.contains(&token)) {
                     Some(t) => {
                         self.conns[i].state = ConnState::Serving(t);
                         self.metrics.record_accept(true);
                     }
                     None => {
-                        // Unknown token or VIP capacity exhausted: the
-                        // credential does not grant the claimed tier.
+                        // Unknown token, or no VIP port for the server:
+                        // the credential does not grant the claimed tier.
                         self.metrics.record_deny(true);
                         self.send_response(frame, i, 0, &[Err(StoreError::GuestTier)]);
                         self.close_conn(i, false);
@@ -711,8 +707,8 @@ impl<'a> StoreServer<'a> {
 
     /// The coalesced guest serve path: every guest envelope dispatched
     /// this turn rides one store round under the server's batch ticket —
-    /// the VIP ticket's guest voice once one is held, so the batch commits
-    /// through the VIP's replica, and the server's guest ticket before —
+    /// the VIP ticket's guest voice, so the batch commits through the VIP's
+    /// replica, or the server's guest ticket when it holds no VIP ticket —
     /// and the store's batch planner turns N pipelined single-op envelopes
     /// into ~one log append per shard. Runs strictly after the VIP phase,
     /// so coalescing can delay other guests but never a VIP frame;
@@ -1555,6 +1551,32 @@ mod tests {
         let stats = server.poll();
         assert_eq!(stats.served, 1);
         assert_eq!(b.drain().unwrap().len(), 1);
+    }
+
+    /// A server with VIP tokens holds its VIP port from the moment it is
+    /// built, before any turn, and its VIP hellos are served on that
+    /// ticket: no turn admits. A server without VIP tokens holds none.
+    #[test]
+    fn a_server_holds_its_vip_port_from_the_moment_it_is_built() {
+        let store = StoreBuilder::new().shards(1).vip_capacity(1).build().unwrap();
+        let mut server = server_fixture(&store);
+        assert!(store.admit_vip().is_err(), "the server took the one port when it was built");
+        let held = server.vip_ticket.expect("the server holds a VIP ticket");
+        assert_eq!(server.store.guest_voice(held), Some(server.batch_ticket));
+        let cred = TierCredential::Vip { token: 7 };
+        let mut vip = NetClient::connect(&mut server, cred);
+        vip.send(&Request::new(vec![StoreOp::Put("v".into(), 1)]).credential(cred));
+        let stats = server.poll();
+        assert_eq!((stats.served, stats.closed), (1, 0));
+        assert_eq!(vip.drain().unwrap(), vec![(1, vec![Ok(StoreResp::Value(None))])]);
+        assert!(matches!(server.conns[0].state, ConnState::Serving(t) if t == held));
+        let snap = server.metrics().scrape();
+        assert_eq!(snap.value("store_net_conns_accepted_total", &[("tier", "vip")]), Some(1));
+
+        let guests_only = StoreBuilder::new().shards(1).vip_capacity(1).build().unwrap();
+        let server = StoreServer::new(&guests_only, ServerConfig::default());
+        assert_eq!(server.vip_ticket, None);
+        assert!(guests_only.admit_vip().is_ok(), "a server without VIP tokens holds no port");
     }
 
     /// The reactor is one process and holds one VIP port: every

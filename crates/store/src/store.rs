@@ -360,8 +360,9 @@ impl Store {
     /// and makes its port's replica its own on every shard, so that no
     /// visit of the VIP ever copies a replica.
     ///
-    /// Blocking: admission takes the admin lock, so a hello may wait out an
-    /// admin act (a checkpoint, a split, a merge) that is already running.
+    /// Blocking: admission takes the admin lock, so it may wait out an admin
+    /// act (a checkpoint, a split, a merge) that is already running; a
+    /// reactor admits its VIP when it is built, never in a turn.
     /// That is what keeps a seal off an admitted VIP's slot: a seal
     /// re-bases only the slots of VIPs not yet admitted when it runs.
     ///
