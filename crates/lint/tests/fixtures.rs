@@ -411,8 +411,10 @@ fn method(ws: &apc_lint::graph::Workspace, self_type: &str, name: &str) -> FnId 
 /// whatever its annotation (no `try_*` cut), is a checkpoint, a
 /// reconfiguration, the sealing walk under both, the drain step a split
 /// and a merge share, the seal act's door and the re-base of the idle
-/// ports behind it, a rebalance, or a VIP's admission (it takes the admin
-/// lock, so a reactor admits its VIP when it is built, never in a turn).
+/// ports behind it, a rebalance, a VIP's admission (it takes the admin
+/// lock, so a reactor admits its VIP when it is built, never in a turn), or
+/// the seal cadence: its step, its start and its thread's loop (a server
+/// starts the thread when it is built, and no turn runs the step).
 /// Housekeeping is an admin call only.
 #[test]
 fn the_vip_arm_reaches_no_housekeeping() {
@@ -431,6 +433,10 @@ fn the_vip_arm_reaches_no_housekeeping() {
         "Store::seal_drain",
         "Store::rebalance",
         "Store::admit_vip",
+        "Store::seal_due",
+        "StoreCore::seal_due",
+        "Store::start_seal_cadence",
+        "SealCadence::cadence_loop",
     ];
     for target in housekeeping {
         let (self_type, name) = target.split_once("::").unwrap();

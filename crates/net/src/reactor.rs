@@ -1,5 +1,7 @@
-//! The single-threaded reactor: multiplexes many simulated connections
-//! onto one [`Store`]'s admission tiers.
+//! The reactor: one thread multiplexing many simulated connections onto
+//! one [`Store`]'s admission tiers. The server owns one more thread, a
+//! housekeeping thread running the store's seal cadence
+//! ([`Store::start_seal_cadence`]), which no turn ever waits on.
 //!
 //! One [`StoreServer::poll`] call is one reactor turn. It visits only the
 //! connections that have something to say: each connection's client
@@ -135,8 +137,8 @@ use std::time::Instant;
 use apc_obs::{encode_prometheus, MetricsSnapshot};
 use apc_progress_macros::progress;
 use apc_store::{
-    ClientTicket, DurabilityClass, ProgressClass, Request, Response, Responses, Store, StoreError,
-    TierCredential,
+    ClientTicket, DurabilityClass, ProgressClass, Request, Response, Responses, SealCadence, Store,
+    StoreError, TierCredential,
 };
 
 use crate::codec::{decode_message, encode_hello, encode_refusal_into, encode_request};
@@ -264,9 +266,10 @@ struct ConnSlot {
 /// The reactor: owns the server side of every simulated connection and
 /// drives them against one [`Store`].
 ///
-/// Single-threaded by design — progress isolation between tiers comes
-/// from the store's port structure and the phase ordering of
-/// [`StoreServer::poll`], not from thread scheduling.
+/// Its turns run on one thread by design — progress isolation between
+/// tiers comes from the store's port structure and the phase ordering of
+/// [`StoreServer::poll`], not from thread scheduling. The seal cadence's
+/// thread only seals the store's logs, under the admin lock no turn takes.
 #[derive(Debug)]
 pub struct StoreServer<'a> {
     store: &'a Store,
@@ -294,13 +297,19 @@ pub struct StoreServer<'a> {
     /// guest session when it holds no VIP ticket. Every guest connection
     /// carries it; only its class is ever read.
     batch_ticket: ClientTicket,
+    /// The store's seal cadence, run on a thread of its own while the
+    /// server lives; `None` if the thread could not be spawned. Dropping
+    /// the server stops the thread and joins it.
+    _cadence: Option<SealCadence>,
 }
 
 impl<'a> StoreServer<'a> {
     /// A reactor over `store` with the given tuning. A server with VIP
     /// tokens admits its one VIP ticket here, so building one may wait out
     /// an admin act already running ([`Store::admit_vip`] takes the admin
-    /// lock) and no turn ever does.
+    /// lock) and no turn ever does. It also starts the store's seal cadence
+    /// on a thread of its own, stopped and joined when the server drops; a
+    /// server whose thread cannot be spawned serves without it.
     pub fn new(store: &'a Store, cfg: ServerConfig) -> StoreServer<'a> {
         let vip_ticket = if cfg.vip_tokens.is_empty() { None } else { store.admit_vip().ok() };
         let batch_ticket =
@@ -316,6 +325,7 @@ impl<'a> StoreServer<'a> {
             turn: TurnBuffers::default(),
             guest_backlog: VecDeque::new(),
             batch_ticket,
+            _cadence: store.start_seal_cadence(),
         }
     }
 

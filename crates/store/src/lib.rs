@@ -121,5 +121,7 @@ pub use replan::Responses;
 pub use router::{
     BatchPlan, BatchReassembly, ReconfigError, ShardTopology, TopoNode, TopoRecord, TopologyError,
 };
-pub use store::{Client, ShardDigest, ShardLog, Store, StoreBuilder};
+pub use store::{
+    Client, SealCadence, ShardDigest, ShardLog, Store, StoreBuilder, SEAL_EVERY, SEAL_PERIOD,
+};
 pub use wal::{DurabilityClass, Wal, WalConfig, WalFrame, WalRecovery};

@@ -61,7 +61,7 @@ use apc_progress_macros::progress;
 use apc_registers::Generations;
 use apc_universal::OwnedHandle;
 
-use apc_obs::{MetricsSnapshot, Sample, SampleValue};
+use apc_obs::{Counter, MetricsSnapshot, Sample, SampleValue};
 
 use crate::admission::{Admission, AdmissionConfig, AdmissionError, ClientTicket, ProgressClass};
 use crate::metrics::{nanos, StoreMetrics};
@@ -75,6 +75,7 @@ mod admin;
 mod client;
 mod shard;
 
+pub use admin::{SealCadence, SEAL_EVERY, SEAL_PERIOD};
 pub use client::Client;
 use shard::{PortDigest, PortHandle, Shard};
 pub use shard::{ShardDigest, ShardLog};
@@ -288,9 +289,12 @@ impl StoreBuilder {
             })
             .collect();
         Ok(Store {
-            admission,
-            view: Generations::new(StoreView { topology, shards }),
-            admin: Mutex::new(()),
+            core: Arc::new(StoreCore {
+                admission,
+                view: Generations::new(StoreView { topology, shards }),
+                admin: Mutex::new(()),
+                cadence_seals: Counter::new(),
+            }),
             metrics: StoreMetrics::new(),
             wal,
             _settle: SettleAllocator,
@@ -303,22 +307,10 @@ impl StoreBuilder {
 ///
 /// See the [module docs](self) for the architecture and consistency model.
 pub struct Store {
-    admission: Admission,
-    /// The current `(topology, shards)` generation, published by splits
-    /// and merges under the admin lock and borrowed by every operation with
-    /// one load. Every view stays until the store drops: one per
-    /// reconfiguration, so under [`Store::rebalance`] alone at most
-    /// 2 × (`MAX_SHARDS` − initial shards) of them, each a topology and a
-    /// `Vec` of `Arc`s — small next to the tombstoned `Shard` that every
-    /// reconfiguration already keeps.
-    view: Generations<StoreView>,
-    /// Serializes admin operations (splits, merges, rebalances and
-    /// store-wide checkpoints) so a durable snapshot's topology always
-    /// matches its sealed states. An act that bumps a shard holds it until
-    /// it publishes the bumped view, so it is also what the waiting arm
-    /// waits on ([`Store::view_at_least`]). It guards no data, so a panic
-    /// under it poisons nothing: every taker recovers the guard.
-    admin: Mutex<()>,
+    /// What an admin act touches: the admission layer, the views and the
+    /// admin lock. Behind one `Arc` so that the seal cadence's thread
+    /// ([`Store::start_seal_cadence`]) can hold it by a `Weak`.
+    core: Arc<StoreCore>,
     /// The always-on metric registry; every record path is wait-free, so
     /// instrumentation never weakens a commit path's progress class.
     metrics: StoreMetrics,
@@ -329,6 +321,37 @@ pub struct Store {
     wal: Option<Arc<Wal>>,
     /// Declared last, so dropped last: after everything above is freed.
     _settle: SettleAllocator,
+}
+
+/// The part of a [`Store`] that a seal act needs, shared with the seal
+/// cadence's thread.
+struct StoreCore {
+    admission: Admission,
+    /// The current `(topology, shards)` generation, published by splits
+    /// and merges under the admin lock and borrowed by every operation with
+    /// one load. Every view stays until the store drops: one per
+    /// reconfiguration, so under [`Store::rebalance`] alone at most
+    /// 2 × (`MAX_SHARDS` − initial shards) of them, each a topology and a
+    /// `Vec` of `Arc`s — small next to the tombstoned `Shard` that every
+    /// reconfiguration already keeps.
+    view: Generations<StoreView>,
+    /// Serializes admin operations (splits, merges, rebalances, store-wide
+    /// checkpoints and cadence seals) so a durable snapshot's topology
+    /// always matches its sealed states. An act that bumps a shard holds it
+    /// until it publishes the bumped view, so it is also what the waiting
+    /// arm waits on ([`Store::view_at_least`]). It guards no data, so a
+    /// panic under it poisons nothing: every taker recovers the guard.
+    admin: Mutex<()>,
+    /// Shards sealed by [`Store::seal_due`], the cadence's step.
+    cadence_seals: Counter,
+}
+
+impl StoreCore {
+    /// VIP slots admitted so far, `0..admitted_vips()`: the slots a seal
+    /// leaves alone. Stable under the admin lock, which admission takes.
+    fn admitted_vips(&self) -> usize {
+        self.admission.issued().0
+    }
 }
 
 /// Makes a store's teardown pay for its own frees. Dropping a store frees
@@ -371,26 +394,20 @@ impl Store {
     /// [`AdmissionError::VipCapacityExhausted`] once all `x` ports are owned.
     #[progress(blocking)]
     pub fn admit_vip(&self) -> Result<ClientTicket, AdmissionError> {
-        let _admin = lock_unpoisoned(&self.admin);
-        let ticket = self.admission.admit(ProgressClass::Vip)?;
+        let _admin = lock_unpoisoned(&self.core.admin);
+        let ticket = self.core.admission.admit(ProgressClass::Vip)?;
         // A slot never used, or re-based by a seal, shares the anchor's
         // state until it is written: the copy is made here, not on a visit.
-        for shard in &self.view.newest().shards {
+        for shard in &self.core.view.newest().shards {
             shard.visit(ticket.port(), OwnedHandle::own_replica);
         }
         Ok(ticket)
     }
 
-    /// VIP slots admitted so far, `0..admitted_vips()`: the slots a seal
-    /// leaves alone. Stable under the admin lock, which admission takes.
-    fn admitted_vips(&self) -> usize {
-        self.admission.issued().0
-    }
-
     /// Admits an obstruction-free guest client (never fails).
     #[progress(wait_free)]
     pub fn admit_guest(&self) -> ClientTicket {
-        self.admission.admit_guest()
+        self.core.admission.admit_guest()
     }
 
     /// The guest voice of a VIP ticket ([`Admission::guest_voice`]): a
@@ -400,7 +417,7 @@ impl Store {
     /// ticket's: group durability only. `None` for a guest ticket.
     #[progress(wait_free)]
     pub fn guest_voice(&self, ticket: ClientTicket) -> Option<ClientTicket> {
-        self.admission.guest_voice(ticket)
+        self.core.admission.guest_voice(ticket)
     }
 
     /// The bounded arms' view source: the current view if the topology a
@@ -408,7 +425,7 @@ impl Store {
     /// — one wait-free load, never a wait.
     #[progress(wait_free)]
     fn view_published(&self, min_version: u64) -> Result<&StoreView, Input> {
-        Some(self.view.newest())
+        Some(self.core.view.newest())
             .filter(|view| view.topology.version() >= min_version)
             .ok_or(Input::NotYet)
     }
@@ -417,32 +434,32 @@ impl Store {
     /// retired — shard ids are dense and stable, so merged-away shards
     /// keep their slot as tombstones).
     pub fn shards(&self) -> usize {
-        self.view.newest().topology.shards()
+        self.core.view.newest().topology.shards()
     }
 
     /// Number of live (routable) shards in the current topology.
     pub fn live_shards(&self) -> usize {
-        self.view.newest().topology.live_shards()
+        self.core.view.newest().topology.live_shards()
     }
 
     /// A clone of the current shard topology (version, split tree, seeds).
     pub fn topology(&self) -> ShardTopology {
-        self.view.newest().topology.clone()
+        self.core.view.newest().topology.clone()
     }
 
     /// The per-shard liveness specification.
     pub fn spec(&self) -> Liveness {
-        self.admission.spec()
+        self.core.admission.spec()
     }
 
     /// The admission layer (capacity inspection, guest layout).
     pub fn admission(&self) -> &Admission {
-        &self.admission
+        &self.core.admission
     }
 
     /// The shard owning `key` under the current topology.
     pub fn shard_of(&self, key: &str) -> usize {
-        self.view.newest().topology.shard_of(key)
+        self.core.view.newest().topology.shard_of(key)
     }
 
     /// Wait-free store-wide statistics: for each shard, the freshest
@@ -455,7 +472,7 @@ impl Store {
     /// from the others is the one to [`split`](Store::split_shard).
     #[progress(wait_free)]
     pub fn snapshot_stats(&self) -> Vec<ShardDigest> {
-        Self::digests(self.view.newest())
+        Self::digests(self.core.view.newest())
     }
 
     /// Every shard's digest in `view`: the freshest per-port digest plus
@@ -491,7 +508,7 @@ impl Store {
     /// (it does not depend on iterator or `max_by` tie-breaking order).
     #[progress(wait_free)]
     pub fn hottest_shard(&self) -> usize {
-        let view = self.view.newest();
+        let view = self.core.view.newest();
         hottest_live(view, &Self::digests(view))
     }
 
@@ -512,7 +529,7 @@ impl Store {
     pub fn scrape(&self) -> MetricsSnapshot {
         // One view and one collect: the hottest-shard gauge and the
         // per-shard series describe the same topology and digests.
-        let view = self.view.newest();
+        let view = self.core.view.newest();
         let stats = Self::digests(view);
         let mut samples = self.metrics.samples();
         let gauges: [(&'static str, &'static str, u64); 4] = [
@@ -561,7 +578,19 @@ impl Store {
                 labels: labels(),
                 value: SampleValue::Gauge(d.entries),
             });
+            samples.push(Sample {
+                name: "store_shard_unsealed_cells",
+                help: "Cells the shard's log holds past its anchor (tail minus anchor index).",
+                labels: labels(),
+                value: SampleValue::Gauge(view.shards[s].unsealed_cells()),
+            });
         }
+        samples.push(Sample {
+            name: "store_cadence_seals_total",
+            help: "Shards sealed by the seal cadence's step (Store::seal_due).",
+            labels: Vec::new(),
+            value: SampleValue::Counter(self.core.cadence_seals.get()),
+        });
         Vec::extend(&mut samples, self.wal.iter().flat_map(|wal| wal.scrape().samples));
         MetricsSnapshot { samples }
     }
@@ -569,7 +598,7 @@ impl Store {
     /// Per-shard latest-checkpoint log indices (0 where no checkpoint was
     /// ever sealed): where a fresh handle on each shard starts replaying.
     pub fn anchor_indices(&self) -> Vec<u64> {
-        self.view.newest().shards.iter().map(|shard| shard.log.anchor_index()).collect()
+        self.core.view.newest().shards.iter().map(|shard| shard.log.anchor_index()).collect()
     }
 
     /// Total log cells replayed by this store's port handles since build —
@@ -581,7 +610,8 @@ impl Store {
     /// never waits on a commit in flight and never locks a VIP's port.
     #[progress(wait_free)]
     pub fn replay_steps(&self) -> u64 {
-        self.view
+        self.core
+            .view
             .newest()
             .shards
             .iter()
@@ -643,7 +673,8 @@ impl Store {
     /// WAL effect frame (if a WAL is attached).
     /// Either way the round publishes its digest ([`Shard::visit`]); it
     /// seals nothing, so a seal happens only in an admin act
-    /// ([`Store::checkpoint`], a split, a merge, or [`Store::rebalance`]).
+    /// ([`Store::checkpoint`], the cadence's [`Store::seal_due`], a split, a
+    /// merge, or [`Store::rebalance`]).
     fn commit_on(
         &self,
         shard: &Shard,
@@ -769,7 +800,7 @@ impl Store {
         mut seek_view: impl FnMut(u64) -> Result<&'s StoreView, Input>,
     ) -> Responses {
         let started = plan.has_deadline().then(|| lap_start(*clock));
-        let mut view = Ok(self.view.newest());
+        let mut view = Ok(self.core.view.newest());
         loop {
             let input = match view {
                 Ok(view) => Store::execute_in(view, plan.due_ops(), clock, &mut commit_sub),
@@ -838,11 +869,11 @@ fn count_moved(resps: &[StoreResp]) -> u64 {
 
 impl fmt::Debug for Store {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let view = self.view.newest();
+        let view = self.core.view.newest();
         f.debug_struct("Store")
             .field("shards", &view.topology.shards())
             .field("topology_version", &view.topology.version())
-            .field("spec", &self.admission.spec())
+            .field("spec", &self.core.admission.spec())
             .finish()
     }
 }
@@ -1297,7 +1328,7 @@ mod tests {
         }
         let steps = store.replay_steps();
         assert!(steps > 0);
-        let view = store.view.newest();
+        let view = store.core.view.newest();
         let held = view.shards[store.shard_of("k0")].ports[ticket.port()].lock().unwrap();
         let (tx, rx) = std::sync::mpsc::channel();
         let store = &store;
@@ -1313,6 +1344,7 @@ mod tests {
     /// Every port's replay cursor on every shard, `[shard][port]`.
     pub(super) fn cursors(store: &Store) -> Vec<Vec<u64>> {
         store
+            .core
             .view
             .newest()
             .shards
@@ -1414,7 +1446,7 @@ mod tests {
         for (i, k) in keys.iter().enumerate() {
             c.put(k, i as u64);
         }
-        let stale = store.view.newest();
+        let stale = store.core.view.newest();
         store.split_shard(1).unwrap();
         // The split driver absorbed its bump before it published, so the
         // reader's catch-up crosses it and the stale plan bounces whole at
@@ -1453,7 +1485,7 @@ mod tests {
         let vip = store.admit_vip().unwrap();
         let mut c = store.client(vip);
         let moved = |s: &Store| s.scrape().value("store_moved_ops_total", &[("tier", "vip")]);
-        let stale = store.view.newest();
+        let stale = store.core.view.newest();
         let k = keys_on_shard(&stale.topology, 1, 2);
         store.split_shard(1).unwrap();
         let one = vec![StoreOp::Put(k[0].clone(), 1)];

@@ -1,14 +1,25 @@
-//! The admin acts: splits, merges, the owner's rebalance and store-wide
-//! checkpoints. A topology moves only inside one of them, under one hold
-//! of the admin lock from bump to publish, so that lock is the one thing a
-//! bounced request waits on ([`Store::view_at_least`]). A split and a
-//! merge move keys through one step, `Store::seal_drain`.
+//! The admin acts: splits, merges, the owner's rebalance, store-wide
+//! checkpoints and the seal cadence's step. A topology moves only inside
+//! one of them, under one hold of the admin lock from bump to publish, so
+//! that lock is the one thing a bounced request waits on
+//! ([`Store::view_at_least`]). A split and a merge move keys through one
+//! step, `Store::seal_drain`.
+//!
+//! No commit seals, so a log nobody seals keeps every cell. The seal
+//! cadence bounds that: [`Store::seal_due`] checkpoints every live shard
+//! whose log holds [`SEAL_EVERY`] cells past its anchor, and
+//! [`Store::start_seal_cadence`] runs it every [`SEAL_PERIOD`] on a thread
+//! of its own (a `StoreServer` starts one), so the frees of the cells it
+//! retires land there, never on a serving thread.
 
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Weak};
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 use apc_progress_macros::progress;
 
-use super::{Shard, Store, StoreView};
+use super::{Shard, Store, StoreCore, StoreView};
 use crate::elastic::{ElasticDecision, ElasticEngine};
 use crate::ops::{AdoptSpec, DrainSpec, Key, ShardCmd, ShardSpec, ShardState, StoreResp};
 use crate::persist::lock_unpoisoned;
@@ -27,7 +38,7 @@ impl Store {
         if let Ok(view) = self.view_published(min_version) {
             return Ok(view);
         }
-        let _admin = lock_unpoisoned(&self.admin);
+        let _admin = lock_unpoisoned(&self.core.admin);
         self.view_published(min_version).map_err(|_| Input::Never)
     }
 
@@ -57,7 +68,7 @@ impl Store {
     /// `shard` is not a live shard id.
     #[progress(blocking)]
     pub fn split_shard(&self, shard: usize) -> Result<usize, ReconfigError> {
-        let _admin = lock_unpoisoned(&self.admin);
+        let _admin = lock_unpoisoned(&self.core.admin);
         self.split_locked(shard)
     }
 
@@ -65,23 +76,23 @@ impl Store {
     fn split_locked(&self, shard: usize) -> Result<usize, ReconfigError> {
         let (bumped, child) = self.split_bump(shard)?;
         self.metrics.record_split(bumped.topology.version());
-        self.view.supersede(bumped);
+        self.core.view.supersede(bumped);
         Ok(child)
     }
 
     /// Steps 1–3 of a split of `shard` in the newest view: returns the view
     /// the split publishes and the child's id, and publishes nothing.
     fn split_bump(&self, shard: usize) -> Result<(StoreView, usize), ReconfigError> {
-        let view = self.view.newest();
+        let view = self.core.view.newest();
         let (topology, child) = view.topology.split(shard)?;
         let node = topology.node(child);
         let drain = DrainSpec { version: topology.version(), child_seed: Some(node.seed) };
         let outgoing = self.seal_drain(&view.shards[shard], drain);
         let born = Shard::build(
             ShardSpec { seed: node.seed, created_at: node.created_at },
-            self.admission.spec(),
-            self.admission.ports(),
-            self.admitted_vips(),
+            self.core.admission.spec(),
+            self.core.admission.ports(),
+            self.core.admitted_vips(),
             Some((Arc::new(ShardState::with_entries(outgoing, node.created_at)), 0)),
         );
         let shards = view.shards.iter().cloned().chain([Arc::new(born)]).collect();
@@ -125,18 +136,18 @@ impl Store {
     /// [`check_merge`](crate::router::ShardTopology::check_merge).
     #[progress(blocking)]
     pub fn merge_shard(&self, child: usize) -> Result<usize, ReconfigError> {
-        let _admin = lock_unpoisoned(&self.admin);
+        let _admin = lock_unpoisoned(&self.core.admin);
         self.merge_locked(child)
     }
 
     /// The body of [`Store::merge_shard`]; the caller holds the admin lock.
     fn merge_locked(&self, child: usize) -> Result<usize, ReconfigError> {
-        let view = self.view.newest();
+        let view = self.core.view.newest();
         let (topology, parent) = view.topology.merge(child)?;
         let version = topology.version();
         let drain = DrainSpec { version, child_seed: None };
         let entries = Arc::new(self.seal_drain(&view.shards[child], drain));
-        let (_, resps) = view.shards[parent].seal_act(self.admitted_vips(), |handle| {
+        let (_, resps) = view.shards[parent].seal_act(self.core.admitted_vips(), |handle| {
             handle.reconfigure(ShardCmd::Adopt(AdoptSpec { version, entries }))
         });
         debug_assert!(
@@ -144,7 +155,7 @@ impl Store {
             "an adoption answers with its entry count"
         );
         self.metrics.record_merge(version);
-        self.view.supersede(StoreView { topology, shards: view.shards.clone() });
+        self.core.view.supersede(StoreView { topology, shards: view.shards.clone() });
         Ok(parent)
     }
 
@@ -156,8 +167,9 @@ impl Store {
     /// returns the entries it drained. The seal is the act's
     /// linearization point on `source`, and becomes its log's anchor.
     fn seal_drain(&self, source: &Shard, drain: DrainSpec) -> Vec<(Key, u64)> {
-        let (_, mut resps) = source
-            .seal_act(self.admitted_vips(), |handle| handle.reconfigure(ShardCmd::Drain(drain)));
+        let (_, mut resps) = source.seal_act(self.core.admitted_vips(), |handle| {
+            handle.reconfigure(ShardCmd::Drain(drain))
+        });
         match resps.pop() {
             Some(StoreResp::Entries(entries)) => entries,
             other => unreachable!("a drain answers with its migration set, got {other:?}"),
@@ -175,8 +187,8 @@ impl Store {
     /// ([`ElasticEngine::report`]).
     #[progress(blocking)]
     pub fn rebalance(&self, engine: &mut ElasticEngine) -> ElasticDecision {
-        let _admin = lock_unpoisoned(&self.admin);
-        let view = self.view.newest();
+        let _admin = lock_unpoisoned(&self.core.admin);
+        let view = self.core.view.newest();
         let stats = Store::digests(view);
         let heat = stats.iter().map(|d| d.commits).sum();
         let decision = engine.evaluate(heat, &stats, &view.topology);
@@ -212,21 +224,126 @@ impl Store {
     /// idle still holds it.
     /// Serializes with [`Store::split_shard`] so the snapshot's topology
     /// always matches its sealed states.
+    ///
+    /// This is the act for an owner who persists ([`Persister`] calls it):
+    /// it seals every shard, due or not, and returns what it sealed. A store
+    /// that only needs its memory bounded seals through the cadence's step,
+    /// [`Store::seal_due`], which a `StoreServer` runs on its own.
+    ///
+    /// [`Persister`]: crate::persist::Persister
     #[progress(blocking)]
     pub fn checkpoint(&self) -> crate::persist::StoreSnapshot {
-        let _admin = lock_unpoisoned(&self.admin);
-        let view = self.view.newest();
+        let _admin = lock_unpoisoned(&self.core.admin);
+        let view = self.core.view.newest();
         let shards = view
             .shards
             .iter()
             .map(|shard| {
-                shard.seal_act(self.admitted_vips(), |handle| {
+                shard.seal_act(self.core.admitted_vips(), |handle| {
                     let log_index = handle.checkpoint();
                     crate::persist::ShardSnapshot { log_index, state: Arc::clone(handle.replica()) }
                 })
             })
             .collect();
         crate::persist::StoreSnapshot { topology: view.topology.clone(), shards }
+    }
+}
+
+/// Cells a live shard's log may hold past its anchor before
+/// [`Store::seal_due`] seals it: 16 segments. Above every set-up the
+/// benchmark times (a 400 000-key preload in 1024-key batches is 391 cells
+/// per shard), so no cadence seal lands inside one.
+pub const SEAL_EVERY: u64 = 1024;
+
+/// How often the seal cadence's thread looks for a shard to seal.
+pub const SEAL_PERIOD: Duration = Duration::from_millis(10);
+
+/// The live shards of `view` whose log holds at least [`SEAL_EVERY`]
+/// cells past its anchor: two loads per shard, no lock.
+#[progress(wait_free)]
+fn due_shards(view: &StoreView) -> impl Iterator<Item = &Arc<Shard>> {
+    let live = view.shards.iter().enumerate().filter(|&(s, _)| view.topology.is_live(s));
+    live.map(|(_, shard)| shard).filter(|shard| shard.unsealed_cells() >= SEAL_EVERY)
+}
+
+impl StoreCore {
+    /// The body of [`Store::seal_due`].
+    #[progress(blocking)]
+    fn seal_due(&self) -> usize {
+        let _admin = lock_unpoisoned(&self.admin);
+        let admitted = self.admitted_vips();
+        let mut sealed = 0;
+        for shard in due_shards(self.view.newest()) {
+            shard.seal_act(admitted, |handle| handle.checkpoint());
+            sealed += 1;
+        }
+        self.cadence_seals.add(sealed as u64);
+        sealed
+    }
+}
+
+impl Store {
+    /// The seal cadence's step, an admin act the owner calls as it calls
+    /// [`Store::rebalance`] (a `StoreServer` calls it every [`SEAL_PERIOD`]
+    /// on a thread of its own, [`Store::start_seal_cadence`]): under the
+    /// admin lock, seals a checkpoint on every live shard whose log holds
+    /// at least [`SEAL_EVERY`] cells past its anchor, through the seal act's
+    /// door. So the idle ports are re-based behind each seal, an admitted
+    /// VIP's slot is never touched, and what the seals displace is freed on
+    /// the calling thread. It persists nothing: an owner who persists calls
+    /// [`Store::checkpoint`]. Returns how many shards it sealed.
+    #[progress(blocking)]
+    pub fn seal_due(&self) -> usize {
+        self.core.seal_due()
+    }
+
+    /// Starts the seal cadence: a housekeeping thread that wakes every
+    /// [`SEAL_PERIOD`], loads each live shard's tail and anchor, and runs
+    /// [`Store::seal_due`] when one of them is due. The thread holds the
+    /// store by a `Weak`, so it never keeps a dropped store alive, and
+    /// dropping the returned [`SealCadence`] stops and joins it. `None` if
+    /// the thread cannot be spawned: the store then seals only when its
+    /// owner does.
+    pub fn start_seal_cadence(&self) -> Option<SealCadence> {
+        let (stop, stopped) = mpsc::channel();
+        let core = Arc::downgrade(&self.core);
+        let thread = std::thread::Builder::new()
+            .name("apc-seal-cadence".into())
+            .spawn(move || SealCadence::cadence_loop(&core, &stopped))
+            .ok()?;
+        Some(SealCadence { stop: Some(stop), thread: Some(thread) })
+    }
+}
+
+/// A running seal cadence ([`Store::start_seal_cadence`]). Dropping it
+/// stops the thread and joins it.
+#[derive(Debug)]
+pub struct SealCadence {
+    /// Never sent on: dropping it ends the thread's wait at once.
+    stop: Option<Sender<()>>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl SealCadence {
+    /// The thread's loop: waits a period for the stop, then, if the store
+    /// is still there and a shard is due, seals.
+    fn cadence_loop(core: &Weak<StoreCore>, stopped: &Receiver<()>) {
+        while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(SEAL_PERIOD) {
+            let Some(core) = core.upgrade() else { return };
+            if due_shards(core.view.newest()).next().is_some() {
+                core.seal_due();
+            }
+        }
+    }
+}
+
+impl Drop for SealCadence {
+    fn drop(&mut self) {
+        drop(self.stop.take());
+        if let Some(thread) = self.thread.take() {
+            // A step that panicked ended the cadence, not the store.
+            let _ = thread.join();
+        }
     }
 }
 
@@ -504,12 +621,12 @@ mod tests {
         let store = StoreBuilder::new().shards(4).vip_capacity(1).guest_ports(2).build().unwrap();
         let joined = std::thread::scope(|s| {
             s.spawn(|| {
-                let _admin = store.admin.lock().unwrap();
+                let _admin = store.core.admin.lock().unwrap();
                 panic!("a reconfiguration panics under the admin lock");
             })
             .join()
         });
-        assert!(joined.is_err() && store.admin.is_poisoned());
+        assert!(joined.is_err() && store.core.admin.is_poisoned());
         let child = store.split_shard(0).unwrap();
         assert_eq!(store.merge_shard(child).unwrap(), 0);
         assert_eq!(store.checkpoint().shards.len(), 5);
@@ -541,7 +658,7 @@ mod tests {
         let store = small_store(1);
         let died = std::thread::scope(|s| {
             s.spawn(|| {
-                let _admin = store.admin.lock().unwrap();
+                let _admin = store.core.admin.lock().unwrap();
                 bump_shard_0(&store);
                 panic!("the act dies between its bump and its publish");
             })
@@ -563,7 +680,7 @@ mod tests {
         let moved = || store.scrape().value("store_moved_ops_total", &[("tier", "vip")]);
         let mut c = store.client(store.admit_vip().unwrap());
         let got = std::thread::scope(|s| {
-            let admin = store.admin.lock().unwrap();
+            let admin = store.core.admin.lock().unwrap();
             let bumped = bump_shard_0(&store);
             let putter = s.spawn(move || c.execute(vec![StoreOp::Put("k".into(), 1)]));
             while moved() == Some(0) {
@@ -573,7 +690,7 @@ mod tests {
             // found the view old before the publish. If it has not, its
             // first look sees the publish, and the put lands all the same.
             std::thread::sleep(Duration::from_millis(20));
-            store.view.supersede(bumped);
+            store.core.view.supersede(bumped);
             drop(admin);
             putter.join().unwrap()
         });
@@ -678,5 +795,92 @@ mod tests {
         });
         assert!(store.live_shards() > 4);
         assert_eq!(cursors(&store)[1], cells[1], "shard 1 took reads and no cell");
+    }
+
+    /// The cadence's step frees the sealed prefix: the first cell's record
+    /// — a batch whose ops slice only that cell holds — goes with the first
+    /// segment once a step seals past it and re-bases every port (no VIP
+    /// is admitted), and not before.
+    #[test]
+    fn the_cadence_step_frees_the_sealed_prefix() {
+        let store = small_store(1);
+        let guest = store.admit_guest();
+        let batch = crate::ops::Batch::new(0, vec![StoreOp::Put("first".into(), 1)]);
+        let first = Arc::downgrade(&batch.ops);
+        let shard = Arc::clone(&store.core.view.newest().shards[0]);
+        shard
+            .visit(guest.port(), |handle| {
+                apc_universal::OwnedHandle::apply_as(handle, guest.port(), ShardCmd::Batch(batch))
+            })
+            .unwrap();
+        assert_eq!(store.seal_due(), 0, "one cell is not due");
+        let mut client = store.client(guest);
+        for i in 0..SEAL_EVERY {
+            client.put(&format!("k{}", i % 8), i);
+        }
+        assert!(first.upgrade().is_some(), "the first cell went before any seal");
+        assert_eq!(shard.unsealed_cells(), SEAL_EVERY + 1);
+        assert_eq!(store.seal_due(), 1);
+        assert!(first.upgrade().is_none(), "the first segment outlived the seal past it");
+        assert_eq!(store.seal_due(), 0, "a sealed shard is not due again");
+        assert_eq!(store.scrape().value("store_cadence_seals_total", &[]), Some(1));
+    }
+
+    /// A started cadence seals a due shard on its own thread; once the
+    /// handle is dropped the thread is gone and seals nothing more; and a
+    /// cadence that outlives its store ends too (it holds a `Weak`).
+    #[test]
+    fn a_seal_cadence_seals_what_is_due_and_stops_when_dropped() {
+        let store = small_store(2);
+        let seals = |store: &Store| store.scrape().value("store_cadence_seals_total", &[]).unwrap();
+        let mut client = store.client(store.admit_guest());
+        let mut write = |from: u64| {
+            for i in from..from + 2 * SEAL_EVERY {
+                let ops = (0..2).map(|s| StoreOp::Put(format!("{s}/{}", i % 8), i)).collect();
+                client.execute(ops);
+            }
+        };
+        write(0);
+        let cadence = store.start_seal_cadence().expect("the thread spawns");
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while seals(&store) < 2 && Instant::now() < deadline {
+            std::thread::sleep(SEAL_PERIOD);
+        }
+        assert_eq!(seals(&store), 2, "both shards were due");
+        drop(cadence);
+        write(2 * SEAL_EVERY);
+        std::thread::sleep(3 * SEAL_PERIOD);
+        assert_eq!(seals(&store), 2, "a dropped cadence sealed");
+        assert_eq!(store.seal_due(), 2, "the owner's step still seals");
+
+        let cadence = store.start_seal_cadence().expect("the thread spawns");
+        drop(store);
+        drop(cadence);
+    }
+
+    /// The cadence's step reads the admitted VIPs under the admin lock, as
+    /// admission changes them: a VIP admitted while a step waits for the
+    /// lock is one the step leaves alone, so its replica stays its own. The
+    /// admission is made by hand under the held lock, the way
+    /// [`Store::admit_vip`] makes it, after the step has started.
+    #[test]
+    fn a_vip_admitted_while_a_cadence_step_waits_keeps_its_own_replica() {
+        let store = small_store(1);
+        let mut guest = store.client(store.admit_guest());
+        for i in 0..SEAL_EVERY {
+            guest.put(&format!("k{}", i % 8), i);
+        }
+        let shard = Arc::clone(&store.core.view.newest().shards[0]);
+        std::thread::scope(|s| {
+            let admin = store.core.admin.lock().unwrap();
+            let step = s.spawn(|| store.seal_due());
+            std::thread::sleep(Duration::from_millis(50));
+            let vip = store.core.admission.admit(crate::admission::ProgressClass::Vip).unwrap();
+            shard.visit(vip.port(), apc_universal::OwnedHandle::own_replica);
+            drop(admin);
+            assert_eq!(step.join().unwrap(), 1, "the shard was due");
+            let slot = shard.ports[vip.port()].lock().unwrap();
+            assert_eq!(Arc::strong_count(slot.replica()), 1, "the step re-based an admitted VIP");
+        });
     }
 }

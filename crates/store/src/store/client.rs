@@ -543,7 +543,7 @@ mod tests {
             let before = moved(store);
             let live = store.topology();
             let victim = (0..live.shards()).find(|&s| live.is_live(s)).unwrap();
-            let view = store.view.newest();
+            let view = store.core.view.newest();
             assert_ne!(ticket.port(), view.shards[victim].ports.len() - 1, "the driver's port");
             let parked = view.shards[victim].ports[ticket.port()].lock().unwrap();
             let go = std::sync::Barrier::new(2);

@@ -82,6 +82,16 @@ impl Shard {
         pid.checked_sub(self.ports.len()).unwrap_or(pid)
     }
 
+    /// Cells the shard's log holds past its anchor: what a seal would let
+    /// the idle ports drop. Two loads, the anchor's first, so the tail read
+    /// after it is never behind it (a seal raises the tail before it
+    /// publishes the anchor, and both only grow).
+    #[progress(wait_free)]
+    pub(super) fn unsealed_cells(&self) -> u64 {
+        let anchor = self.log.anchor_index();
+        self.log.tail().saturating_sub(anchor)
+    }
+
     /// The port seals and reconfigurations ride: the guest tier
     /// (`guest_ports ≥ 1`, so the last port is always a guest port), never a
     /// VIP's exclusive one.
@@ -270,7 +280,8 @@ mod tests {
             32,
             "each cell absorbed once, by the one replica"
         );
-        let tails: Vec<u64> = store.view.newest().shards.iter().map(|sh| sh.log.tail()).collect();
+        let tails: Vec<u64> =
+            store.core.view.newest().shards.iter().map(|sh| sh.log.tail()).collect();
         let vip_cursors: Vec<u64> = cursors(&store).iter().map(|c| c[ticket.port()]).collect();
         assert_eq!(vip_cursors, tails, "the VIP's slot is at every tail");
         let vip_replayed =
@@ -294,7 +305,7 @@ mod tests {
     fn a_checkpoint_rebases_the_idle_ports_and_leaves_an_admitted_vips_alone() {
         // Default sizing: VIP slots 0 and 1, guest slots 2–7 (7 seals).
         let store = StoreBuilder::new().shards(2).build().unwrap();
-        let view = store.view.newest();
+        let view = store.core.view.newest();
         let owns = |slot: usize| {
             let replicas = view
                 .shards
@@ -379,7 +390,7 @@ mod tests {
             done.store(true, Ordering::SeqCst);
         });
         let checkpoints = sealed.load(Ordering::SeqCst);
-        for (s, shard) in store.view.newest().shards.iter().enumerate() {
+        for (s, shard) in store.core.view.newest().shards.iter().enumerate() {
             assert_eq!(shard.log.tail(), 1 + 2 * ROUNDS + checkpoints, "shard {s}: a doubled cell");
         }
     }

@@ -57,11 +57,13 @@
 //! burst belongs. So memory = cells since the slowest cursor still in use
 //! × bytes per cell + one replica per handle that wrote since the anchor
 //! it shares (the anchor's own state counts once). An object nobody
-//! checkpoints (a store shard no admin act seals: a store commit never
-//! seals on its own) still retains every cell it agreed on, and so does a
-//! handle whose owner keeps it from being re-based and leaves it idle (a
-//! store's admitted VIP): the store's seal cadence and its idle VIPs are
-//! ROADMAP item 9. The bytes per cell are a cell's share of its segment
+//! checkpoints still retains every cell it agreed on: a store commit never
+//! seals on its own, so a store bounds its shards with a seal cadence, an
+//! admin step that checkpoints a shard whose log holds `SEAL_EVERY` cells
+//! past its anchor and that a store server runs on a thread of its own.
+//! A handle whose owner keeps it from being re-based and leaves it idle (a
+//! store's admitted VIP) still pins every cell from its segment on (ROADMAP
+//! item 9). The bytes per cell are a cell's share of its segment
 //! plus its agreed record, which with the store's `(n,x)`-live cells is
 //! the same whichever class decided the cell: the last guest out of a
 //! cell's round protocol frees it once the cell is decided.

@@ -47,14 +47,15 @@
 //! say so.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use asymmetric_progress::core::liveness::Liveness;
 use asymmetric_progress::net::{NetClient, ServerConfig, StoreServer};
 use asymmetric_progress::store::{
     Batch, Client, KeyMap, Request, ShardCmd, ShardLog, ShardSpec, Store, StoreBuilder, StoreOp,
-    StoreSnapshot, TierCredential,
+    StoreSnapshot, TierCredential, SEAL_EVERY,
 };
 use asymmetric_progress::universal::AsymmetricFactory;
 
@@ -65,12 +66,35 @@ static FREES: AtomicU64 = AtomicU64::new(0);
 static LIVE_ALLOCS: AtomicI64 = AtomicI64::new(0);
 static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
 
+thread_local! {
+    /// Allocator calls made by this thread. A server runs a housekeeping
+    /// thread of its own (the seal cadence), so the per-frame lines count
+    /// the polling thread's calls alone.
+    static THREAD_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocator call on the global and the thread's counters.
+fn count_call() {
+    CALLS.fetch_add(1, Ordering::Relaxed);
+    // A `Cell` needs no destructor, so this never meets a torn-down slot.
+    let _ = THREAD_CALLS.try_with(|calls| calls.set(calls.get() + 1));
+}
+
+/// Allocator calls made by the calling thread so far.
+fn thread_calls() -> u64 {
+    THREAD_CALLS.with(Cell::get)
+}
+
+/// The tests of this binary share its counters, so each runs alone.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 // SAFETY: every method forwards to `System` with the caller's own arguments
 // and only counts around the call.
-// RELAXED (all counters): statistics read by the one thread that made them.
+// RELAXED (all counters): statistics read by the one thread that made them
+// (a test reads the global ones only while no other thread allocates).
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         LIVE_ALLOCS.fetch_add(1, Ordering::Relaxed);
         LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
         System.alloc(layout)
@@ -84,7 +108,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         LIVE_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
@@ -154,6 +178,7 @@ fn catch_up(client: &mut Client<'_>) {
 
 #[test]
 fn commit_path_allocations_stay_within_budget() {
+    let _serial = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     let store = StoreBuilder::new().build().expect("default sizing builds");
     let mut guest = store.client(store.admit_guest());
     let mut vip = store.client(store.admit_vip().expect("a VIP port is free"));
@@ -268,6 +293,18 @@ fn commit_path_allocations_stay_within_budget() {
     println!("retired cell, frees      {retired:>7.3}");
     let budget = cell.retained_allocs;
     assert!(retired <= budget + SLACK, "a retired cell is over its free budget: {retired:.3}");
+
+    // The seal cadence's step frees what a retired cell retained and
+    // allocates next to nothing for it: the seal port's catch-up replays
+    // the cells (none is built anew), and the seal, the re-bases and their
+    // bookkeeping are a few calls per shard, not per cell.
+    let (seal_calls, seal_frees) = cadence_seal_per_retired_cell();
+    println!("cadence seal, calls / frees per retired cell {seal_calls:>7.3} {seal_frees:>7.3}");
+    assert!(seal_calls <= 0.05, "a cadence seal is over its call budget: {seal_calls:.3}");
+    assert!(
+        seal_frees <= cell.retained_allocs + SLACK,
+        "a cadence seal is over its free budget: {seal_frees:.3}"
+    );
 
     // Replaying a foreign write costs its effect on the replica and nothing
     // else: the record is borrowed from its cell and no response is built
@@ -415,6 +452,81 @@ fn retired_cell_frees() -> f64 {
     frees as f64 / f64::from(REQUESTS)
 }
 
+/// Allocator calls and frees of one [`Store::seal_due`] per cell it
+/// retires: a default-sized store takes `8 × SEAL_EVERY` one-put guest
+/// requests over 64 keys, then one step seals every shard and re-bases
+/// every port (no VIP is admitted), so nothing holds a sealed segment any
+/// more. Counted over the step alone, per cell below the new anchors.
+fn cadence_seal_per_retired_cell() -> (f64, f64) {
+    let store = StoreBuilder::new().build().expect("default sizing builds");
+    let mut guest = store.client(store.admit_guest());
+    for i in 0..8 * SEAL_EVERY as u32 {
+        one_op(&mut guest, StoreOp::Put(key(i % 64), u64::from(i)));
+    }
+    let anchored = |store: &Store| store.anchor_indices().iter().sum::<u64>();
+    let before = (anchored(&store), CALLS.load(Ordering::Relaxed), FREES.load(Ordering::Relaxed));
+    assert_eq!(store.seal_due(), 4, "every shard is due");
+    let calls = CALLS.load(Ordering::Relaxed) - before.1;
+    let frees = FREES.load(Ordering::Relaxed) - before.2;
+    let retired = (anchored(&store) - before.0) as f64;
+    (calls as f64 / retired, frees as f64 / retired)
+}
+
+/// What a store retains does not grow with the requests it serves once the
+/// seal cadence runs: a default-sized store preloads `PRELOAD` keys, then
+/// takes `N` and then `3 N` more one-put guest requests over them, its
+/// owner calling [`Store::seal_due`] after every chunk. The live
+/// allocations after `N` and after `4 N` requests differ by at most one
+/// cadence's worth of cells per shard — up to `SEAL_EVERY` unsealed cells,
+/// a chunk's and the anchor's segment — plus one replica of the maps.
+#[test]
+fn retention_is_flat_in_request_count_under_the_seal_cadence() {
+    const PRELOAD: u32 = 10_000;
+    const N: u32 = 8 * SEAL_EVERY as u32;
+    const CHUNK: u32 = 256;
+    let _serial = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let store = StoreBuilder::new().build().expect("default sizing builds");
+    let mut guest = store.client(store.admit_guest());
+    for chunk in (0..PRELOAD).collect::<Vec<_>>().chunks(CHUNK as usize) {
+        let ops = chunk.iter().map(|&k| StoreOp::Put(key(k), u64::from(k))).collect();
+        assert!(guest.execute(ops).iter().all(Result::is_ok));
+    }
+    let mut run = |from: u32, n: u32| {
+        for i in from..from + n {
+            let k = i.wrapping_mul(2_654_435_761) % PRELOAD;
+            one_op(&mut guest, StoreOp::Put(key(k), u64::from(i)));
+            if (i + 1) % CHUNK == 0 {
+                store.seal_due();
+            }
+        }
+        LIVE_ALLOCS.load(Ordering::Relaxed)
+    };
+    let after_n = run(0, N);
+    let after_4n = run(N, 3 * N);
+    let sealed = store.scrape().value("store_cadence_seals_total", &[]).unwrap();
+    assert!(sealed >= 4 * 4 * N as u64 / 4 / SEAL_EVERY / 2, "the cadence sealed {sealed} times");
+
+    // One replica of the maps, in allocations.
+    let snapshot = store.checkpoint();
+    let mut copy = None;
+    let replica = measure(1, || {
+        copy = Some(snapshot.shards.iter().map(|s| (*s.state).clone()).collect::<Vec<_>>())
+    });
+    let shards = store.live_shards() as f64;
+    let cadence = shards * (SEAL_EVERY as f64 + f64::from(CHUNK) + 64.0) * (3.0 + SEGMENT_SHARE);
+    let grew = (after_4n - after_n) as f64;
+    println!(
+        "live allocations after {N} and {} requests: {after_n}, {after_4n} ({grew:+}; bound ±{:.0})",
+        4 * N,
+        cadence + replica.retained_allocs
+    );
+    assert!(
+        grew.abs() <= cadence + replica.retained_allocs,
+        "retention grew by {grew} allocations from {N} to {} requests",
+        4 * N
+    );
+}
+
 /// A hair of slack: amortized growth of long-lived buffers is a fraction of
 /// an allocation per request, a new allocation on the path is a whole one.
 const SLACK: f64 = 0.01;
@@ -429,8 +541,9 @@ const VIP: TierCredential = TierCredential::Vip { token: TOKEN };
 
 /// One reactor turn of an arm: one one-op frame of `op` from each of
 /// `clients`, all claiming `credential`; then every answer is drained.
-/// Returns the allocator calls made inside `poll()`: the clients' encoding
-/// and decoding is not counted.
+/// Returns the allocator calls the polling thread made inside `poll()`:
+/// the clients' encoding and decoding is not counted, and neither is the
+/// server's housekeeping thread.
 fn turn(
     server: &mut StoreServer<'_>,
     clients: &mut [NetClient],
@@ -442,9 +555,9 @@ fn turn(
     for (f, client) in (0..).zip(clients.iter_mut()) {
         client.send(&Request::new(vec![op(turn * frames + f)]).credential(credential));
     }
-    let before = CALLS.load(Ordering::Relaxed);
+    let before = thread_calls();
     let stats = server.poll();
-    let calls = CALLS.load(Ordering::Relaxed) - before;
+    let calls = thread_calls() - before;
     assert_eq!(stats.served, clients.len(), "the census prices served frames only");
     for client in clients.iter_mut() {
         for (_, results) in client.drain().expect("well-formed responses") {
@@ -457,17 +570,35 @@ fn turn(
 /// Allocator calls per frame inside `poll()` over `turns` turns of an arm,
 /// after as many unpriced ones to warm the reactor's buffers and to catch
 /// the serving port up with the cells of the arm before.
+///
+/// A turn appends at most one cell to a shard, and each half is `turns` ≤
+/// 4 000 turns over at least four shards, so a checkpoint of `store` before
+/// each half, made by the harness outside `poll()`, keeps every shard's log
+/// short of `SEAL_EVERY` cells past its anchor, and the server's seal
+/// cadence never seals while a turn runs. A cadence seal
+/// that lands in the cell a turn's guest commit proposed for makes that
+/// commit propose again in the next cell — one more guest round, three
+/// calls, at most once per shard per seal, so about 0.003 calls per frame
+/// at `SEAL_EVERY` — and where it lands is the scheduler's choice: the
+/// census prices the frame on a deterministic schedule instead.
 fn measure_turns(
     server: &mut StoreServer<'_>,
+    store: &Store,
     clients: &mut [NetClient],
     credential: TierCredential,
     turns: u32,
     op: impl Fn(u32) -> StoreOp,
 ) -> f64 {
+    let mut sealed_turn = |server: &mut StoreServer<'_>, t: u32| {
+        if t == 0 {
+            store.checkpoint();
+        }
+        turn(server, clients, credential, &op, t)
+    };
     for t in 0..turns {
-        turn(server, clients, credential, &op, t);
+        sealed_turn(server, t);
     }
-    let calls: u64 = (0..turns).map(|t| turn(server, clients, credential, &op, t)).sum();
+    let calls: u64 = (0..turns).map(|t| sealed_turn(server, t)).sum();
     calls as f64 / f64::from(turns * clients.len() as u32)
 }
 
@@ -475,6 +606,9 @@ fn measure_turns(
 /// connections, priced per served frame from the bytes the reactor drains
 /// to the bytes it sends back.
 fn serve_path_allocations_stay_within_budget(store: &Store) {
+    // Nothing is due when the server's cadence first looks (see
+    // `measure_turns`).
+    store.checkpoint();
     let cfg = ServerConfig { vip_tokens: vec![TOKEN], ..ServerConfig::default() };
     let mut server = StoreServer::new(store, cfg);
     let mut vip = [NetClient::connect(&mut server, VIP)];
@@ -510,12 +644,20 @@ fn serve_path_allocations_stay_within_budget(store: &Store) {
     // vectors and the reassembled one; and one `String` per key it
     // returns.
     let arms = [
-        ("vip put", measure_turns(s, &mut vip, VIP, TURNS, put), 6.0 + SEGMENT_SHARE),
-        ("guest put", measure_turns(s, &mut guests[..1], guest, TURNS, put), 9.0 + SEGMENT_SHARE),
-        ("vip get", measure_turns(s, &mut vip, VIP, TURNS, get), 3.0),
-        ("guest get", measure_turns(s, &mut guests[..1], guest, TURNS, get), 3.0),
-        ("64-frame guest batch", measure_turns(s, &mut guests, guest, TURNS / 64, put), 3.86),
-        ("16-key scan", measure_turns(s, &mut vip, VIP, TURNS, scan), 44.1),
+        ("vip put", measure_turns(s, store, &mut vip, VIP, TURNS, put), 6.0 + SEGMENT_SHARE),
+        (
+            "guest put",
+            measure_turns(s, store, &mut guests[..1], guest, TURNS, put),
+            9.0 + SEGMENT_SHARE,
+        ),
+        ("vip get", measure_turns(s, store, &mut vip, VIP, TURNS, get), 3.0),
+        ("guest get", measure_turns(s, store, &mut guests[..1], guest, TURNS, get), 3.0),
+        (
+            "64-frame guest batch",
+            measure_turns(s, store, &mut guests, guest, TURNS / 64, put),
+            3.86,
+        ),
+        ("16-key scan", measure_turns(s, store, &mut vip, VIP, TURNS, scan), 44.1),
     ];
     println!("per frame, inside poll()  calls");
     for (name, calls, _) in &arms {
@@ -525,6 +667,8 @@ fn serve_path_allocations_stay_within_budget(store: &Store) {
         assert!(*calls <= budget + SLACK, "{name} is over its serve-path budget: {calls:.2}");
     }
     readme_per_frame_rows_match(&arms);
+    let cadence_seals = store.scrape().value("store_cadence_seals_total", &[]);
+    assert_eq!(cadence_seals, Some(0), "a cadence seal landed inside the census");
 
     let shed = shed_frame_calls(store, TURNS / 64);
     println!("a guest frame shed at a full backlog: {shed:.3} allocator calls");
@@ -633,9 +777,9 @@ fn shed_frame_calls(store: &Store, turns: u32) -> f64 {
             let i = t * 64 + f;
             guest.send(&Request::new(vec![StoreOp::Put(nth_key(i), u64::from(i))]));
         }
-        let before = CALLS.load(Ordering::Relaxed);
+        let before = thread_calls();
         let stats = server.poll();
-        let calls = CALLS.load(Ordering::Relaxed) - before;
+        let calls = thread_calls() - before;
         assert_eq!((stats.shed, stats.served), (64, 0), "every frame is shed");
         for guest in &mut guests {
             for (_, results) in guest.drain().expect("well-formed responses") {
@@ -661,9 +805,9 @@ fn idle_turn_calls(store: &Store) -> u64 {
         (0..IDLE_CONNS).map(|_| NetClient::connect(&mut server, TierCredential::Guest)).collect();
     server.poll(); // the handshakes
     server.poll();
-    let before = CALLS.load(Ordering::Relaxed);
+    let before = thread_calls();
     let stats = server.poll();
-    let calls = CALLS.load(Ordering::Relaxed) - before;
+    let calls = thread_calls() - before;
     assert_eq!(stats.visited, 0, "idle connections are not visited");
     drop(idle);
     calls

@@ -8,6 +8,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
@@ -19,7 +20,7 @@ use asymmetric_progress::store::persist::Persister;
 use asymmetric_progress::store::wal::{Wal, WalConfig};
 use asymmetric_progress::store::{
     DurabilityClass, ElasticDecision, ElasticEngine, ElasticityPolicy, Request, SampleValue,
-    StoreBuilder, StoreError, StoreOp, StoreResp, TierCredential,
+    StoreBuilder, StoreError, StoreOp, StoreResp, TierCredential, SEAL_EVERY, SEAL_PERIOD,
 };
 
 const VIP_TOKEN: u64 = 0xbeef;
@@ -728,4 +729,127 @@ fn a_reactor_turn_never_reconfigures_and_the_owner_rebalances() {
     assert_eq!(store.rebalance(&mut engine), ElasticDecision::Split(0), "the melt is heat");
     assert_eq!(reconfigs(&server), [1, 0]);
     assert_eq!(store.live_shards(), 5);
+}
+
+/// A served log seals itself: the server's seal cadence seals every shard
+/// once its log holds `SEAL_EVERY` cells past its anchor, on a thread of
+/// its own, while the reactor serves. Over `sim_pair` connections a server
+/// serves more than `2 × SEAL_EVERY` cells to every shard; every shard's
+/// anchor moves past its preload within a deadline, no VIP request fails,
+/// and once the traffic stops no shard is left due.
+#[test]
+fn a_served_log_is_sealed_by_the_servers_cadence() {
+    let store = StoreBuilder::new().build().unwrap();
+    let mut preload = store.client(store.admit_guest());
+    for batch in 0..16u64 {
+        let ops = (0..256).map(|k| StoreOp::Put(format!("w{:04}", batch * 256 + k), k)).collect();
+        assert!(preload.request(Request::new(ops)).is_ok());
+    }
+    let preloaded: Vec<u64> = store.snapshot_stats().iter().map(|d| d.commits).collect();
+    assert_eq!(store.anchor_indices(), vec![0; 4], "nothing is sealed before the server");
+
+    let mut server = StoreServer::new(&store, server_cfg(256));
+    let vip_cred = TierCredential::Vip { token: VIP_TOKEN };
+    let mut vip = NetClient::connect(&mut server, vip_cred);
+    let mut guests: Vec<NetClient> =
+        (0..8).map(|_| NetClient::connect(&mut server, TierCredential::Guest)).collect();
+    server.poll(); // the handshakes
+    let sealed_past_preload = |store: &asymmetric_progress::store::Store| {
+        let served = store
+            .snapshot_stats()
+            .iter()
+            .zip(&preloaded)
+            .all(|(d, &p)| d.commits - p > 2 * SEAL_EVERY);
+        served && store.anchor_indices().iter().zip(&preloaded).all(|(&a, &p)| a > p)
+    };
+    let deadline = Instant::now() + Duration::from_secs(120);
+    let (mut i, mut vip_failures) = (0u64, 0);
+    while !sealed_past_preload(&store) && Instant::now() < deadline {
+        let put = |i: u64| Request::new(vec![StoreOp::Put(format!("w{:04}", i % 4096), i)]);
+        vip.send(&put(i).credential(vip_cred).retry_budget(8));
+        for (g, guest) in (1..).zip(guests.iter_mut()) {
+            guest.send(&put(i * 9 + g).retry_budget(8));
+        }
+        server.poll();
+        for (_, results) in vip.drain().expect("clean wire") {
+            vip_failures += results.iter().filter(|r| r.is_err()).count();
+        }
+        for guest in &mut guests {
+            for (_, results) in guest.drain().expect("clean wire") {
+                assert!(results.iter().all(Result::is_ok), "a guest put failed: {results:?}");
+            }
+        }
+        i += 1;
+    }
+    assert!(
+        sealed_past_preload(&store),
+        "after {i} turns: cells {:?} over a preload of {preloaded:?}, anchors {:?}",
+        store.snapshot_stats(),
+        store.anchor_indices()
+    );
+    assert_eq!(vip_failures, 0, "a VIP request failed while the cadence sealed");
+
+    // The traffic stops; the cadence leaves every shard short of due.
+    let unsealed = |server: &StoreServer<'_>| {
+        let scrape = server.scrape();
+        let unsealed = scrape.samples.iter().filter(|s| s.name == "store_shard_unsealed_cells");
+        unsealed
+            .map(|s| match s.value {
+                SampleValue::Gauge(cells) => cells,
+                _ => panic!("store_shard_unsealed_cells is a gauge"),
+            })
+            .collect::<Vec<u64>>()
+    };
+    while unsealed(&server).iter().any(|&cells| cells >= SEAL_EVERY) && Instant::now() < deadline {
+        std::thread::sleep(SEAL_PERIOD);
+    }
+    assert!(unsealed(&server).iter().all(|&cells| cells < SEAL_EVERY), "{:?}", unsealed(&server));
+    let seals = server.scrape().value("store_cadence_seals_total", &[]).unwrap();
+    assert!(seals >= 4, "{seals} cadence seals over four shards");
+}
+
+/// No cadence seal lands inside a set-up like the benchmark's: a
+/// 400 000-key preload in 1 024-key batches is 391 cells per shard, short
+/// of `SEAL_EVERY`, and the handshake's one-key scans append none. So three
+/// periods after the server is built and every connection answered,
+/// `store_cadence_seals_total` still reads 0.
+#[test]
+fn a_benchmark_set_up_lands_no_cadence_seal() {
+    const PRELOAD: u32 = 400_000;
+    const BATCH: u32 = 1024;
+    let store = StoreBuilder::new().build().unwrap();
+    let mut preload = store.client(store.admit_guest());
+    for from in (0..PRELOAD).step_by(BATCH as usize) {
+        let to = (from + BATCH).min(PRELOAD);
+        let ops = (from..to).map(|k| StoreOp::Put(format!("k{k:07}"), u64::from(k))).collect();
+        assert!(preload.request(Request::new(ops)).is_ok());
+    }
+    let mut server = StoreServer::new(&store, server_cfg(256));
+    let vip_cred = TierCredential::Vip { token: VIP_TOKEN };
+    let mut conns: Vec<NetClient> = (0..18)
+        .map(|c| {
+            NetClient::connect(&mut server, if c < 2 { vip_cred } else { TierCredential::Guest })
+        })
+        .collect();
+    server.poll(); // the handshakes
+    for (c, conn) in conns.iter_mut().enumerate() {
+        let cred = if c < 2 { vip_cred } else { TierCredential::Guest };
+        let scan = StoreOp::Scan { from: "k0000000".into(), to: "k0000001".into() };
+        conn.send(&Request::new(vec![scan]).credential(cred).retry_budget(8));
+    }
+    server.poll();
+    for conn in &mut conns {
+        let answered = conn.drain().expect("clean wire");
+        let want = vec![Ok(StoreResp::Entries(vec![("k0000000".into(), 0)]))];
+        assert_eq!(answered.iter().map(|(_, r)| r).collect::<Vec<_>>(), vec![&want]);
+    }
+    std::thread::sleep(3 * SEAL_PERIOD);
+    let scrape = server.scrape();
+    assert_eq!(scrape.value("store_cadence_seals_total", &[]), Some(0));
+    for shard in 0..4 {
+        let labels = [("shard", format!("{shard}")), ("live", "true".to_string())];
+        let labels: Vec<(&str, &str)> = labels.iter().map(|(k, v)| (*k, v.as_str())).collect();
+        let cells = scrape.value("store_shard_unsealed_cells", &labels).unwrap();
+        assert_eq!(cells, u64::from(PRELOAD.div_ceil(BATCH)), "shard {shard}");
+    }
 }
