@@ -17,7 +17,9 @@
 use std::fmt;
 
 use apc_store::frame::{self, put_str, put_u32, put_u64, Cursor, Fault, Next};
-use apc_store::{DurabilityClass, Request, StoreError, StoreOp, StoreResp, TierCredential};
+use apc_store::{
+    key_from, DurabilityClass, Request, StoreError, StoreOp, StoreResp, TierCredential,
+};
 
 /// Protocol version carried by every frame (`docs/WIRE.md`).
 pub const WIRE_VERSION: u8 = 1;
@@ -464,14 +466,15 @@ fn read_credential(rd: &mut Cursor<'_>) -> Result<TierCredential, CodecError> {
 }
 
 fn read_op(rd: &mut Cursor<'_>) -> Result<StoreOp, CodecError> {
-    match rd.u8()? {
-        0 => Ok(StoreOp::Get(rd.str()?.into())),
-        1 => Ok(StoreOp::Put(rd.str()?.into(), rd.u64()?)),
-        2 => Ok(StoreOp::Remove(rd.str()?.into())),
-        3 => Ok(StoreOp::Cas { key: rd.str()?.into(), expect: opt_u64(rd)?, new: rd.u64()? }),
-        4 => Ok(StoreOp::Scan { from: rd.str()?.into(), to: rd.str()?.into() }),
-        found => Err(CodecError::UnknownDiscriminant { what: "op", found }),
-    }
+    let key = |rd: &mut Cursor<'_>| rd.str().map(key_from);
+    Ok(match rd.u8()? {
+        0 => StoreOp::Get(key(rd)?),
+        1 => StoreOp::Put(key(rd)?, rd.u64()?),
+        2 => StoreOp::Remove(key(rd)?),
+        3 => StoreOp::Cas { key: key(rd)?, expect: opt_u64(rd)?, new: rd.u64()? },
+        4 => StoreOp::Scan { from: key(rd)?, to: key(rd)? },
+        found => return Err(CodecError::UnknownDiscriminant { what: "op", found }),
+    })
 }
 
 /// Reads past one op, checking what [`read_op`] checks.

@@ -113,8 +113,8 @@ pub use api::{Request, Response, StoreError, TierCredential, UNBOUNDED_RETRIES};
 pub use elastic::{ElasticDecision, ElasticEngine, ElasticReport, ElasticityPolicy};
 pub use keymap::KeyMap;
 pub use ops::{
-    apply_op, read_op, read_sub_batch, AdoptSpec, Batch, DrainSpec, Key, ShardCmd, ShardSpec,
-    ShardState, StoreOp, StoreResp,
+    apply_op, key_from, read_op, read_sub_batch, AdoptSpec, Batch, DrainSpec, Key, OpRef,
+    PackedBatch, PackedOps, ShardCmd, ShardSpec, ShardState, StoreOp, StoreResp,
 };
 pub use persist::{PersistError, Persister, RecoverError, ShardSnapshot, StoreSnapshot};
 pub use replan::Responses;

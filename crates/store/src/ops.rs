@@ -2,9 +2,10 @@
 //! batching into a single universal-construction append.
 //!
 //! The unit the per-shard log agrees on is a [`ShardCmd`]: either a client
-//! [`Batch`] (one log cell commits an entire batch of same-shard operations
+//! batch (one log cell commits an entire batch of same-shard operations
 //! atomically, so a client issuing `k` operations against one shard pays
-//! for **one** consensus-backed append instead of `k`) or a
+//! for **one** consensus-backed append instead of `k`; the store appends it
+//! as a [`PackedBatch`], a stand-alone log may take a [`Batch`]) or a
 //! reconfiguration record installed through the same consensus path so it
 //! linearizes against concurrent batches: a [`DrainSpec`] (keys leave the
 //! shard at a new topology version — the keys a split's child wins, or
@@ -30,6 +31,65 @@ use crate::router::{key_digest, rendezvous_score};
 /// A store key. Keys are routed to shards by
 /// [`ShardTopology`](crate::router::ShardTopology).
 pub type Key = String;
+
+/// How many spare keys a thread keeps for [`key_from`].
+const SPARE_KEYS: usize = 4096;
+
+std::thread_local! {
+    /// The keys this thread's rounds let go of, kept for its next
+    /// [`key_from`]; `None` until the thread first asks for one.
+    static SPARE: std::cell::RefCell<Option<Vec<Key>>> =
+        const { std::cell::RefCell::new(None) };
+}
+
+/// A key holding `text`, written into a key this thread's rounds let go of
+/// if it kept one, else newly allocated.
+///
+/// A decoder calls this for every key it reads. The store packs a round's
+/// writes into its log cell ([`PackedBatch`]) and hands the round's keys
+/// back here when the round ends, so a thread that decodes and commits —
+/// a server's reactor — reuses the same few buffers instead of allocating
+/// a key per operation and freeing it one round later. Freed, each such
+/// key would sit in the allocator's small-chunk lists until the thread's
+/// next large allocation sorted them all, which costs a saturated reactor
+/// more than the key itself. A thread keeps at most 4096 spare keys, and
+/// none until it first calls this.
+pub fn key_from(text: &str) -> Key {
+    let spare = SPARE.with(|spare| {
+        let mut spare = spare.try_borrow_mut().ok()?;
+        spare.get_or_insert_with(|| Vec::with_capacity(SPARE_KEYS)).pop()
+    });
+    match spare {
+        Some(mut key) => {
+            key.clear();
+            key.push_str(text);
+            key
+        }
+        None => text.to_owned(),
+    }
+}
+
+/// Ends a round's hold on `ops`: keeps their keys as this thread's spares
+/// for [`key_from`], up to its limit, if the thread has asked for one;
+/// frees the rest.
+pub(crate) fn recycle_keys(ops: Vec<StoreOp>) {
+    SPARE.with(|spare| {
+        let Ok(mut spare) = spare.try_borrow_mut() else { return };
+        let Some(keys) = spare.as_mut() else { return };
+        for op in ops {
+            let (key, second) = match op {
+                StoreOp::Get(k) | StoreOp::Put(k, _) | StoreOp::Remove(k) => (k, None),
+                StoreOp::Cas { key, .. } => (key, None),
+                StoreOp::Scan { from, to } => (from, Some(to)),
+            };
+            for key in std::iter::once(key).chain(second) {
+                if keys.len() < SPARE_KEYS {
+                    keys.push(key);
+                }
+            }
+        }
+    });
+}
 
 /// One client-visible store operation.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -169,19 +229,24 @@ impl ShardState {
 /// operational semantics live, shared by the real store, the sequential
 /// oracle in tests, and the model commit path.
 pub fn apply_op(state: &mut ShardState, op: &StoreOp) -> StoreResp {
+    apply_ref(state, OpRef::from(op))
+}
+
+/// [`apply_op`] on a borrowed operation: what both batch forms replay.
+fn apply_ref(state: &mut ShardState, op: OpRef<'_>) -> StoreResp {
     match op {
-        StoreOp::Get(k) => read_get(state, k),
-        StoreOp::Put(k, v) => StoreResp::Value(state.map.insert(k, *v)),
-        StoreOp::Remove(k) => StoreResp::Value(state.map.remove(k)),
-        StoreOp::Cas { key, expect, new } => {
+        OpRef::Get(k) => read_get(state, k),
+        OpRef::Put(k, v) => StoreResp::Value(state.map.insert(k, v)),
+        OpRef::Remove(k) => StoreResp::Value(state.map.remove(k)),
+        OpRef::Cas { key, expect, new } => {
             let actual = state.map.get(key);
-            let ok = actual == *expect;
+            let ok = actual == expect;
             if ok {
-                state.map.insert(key, *new);
+                state.map.insert(key, new);
             }
             StoreResp::Cas { ok, actual }
         }
-        StoreOp::Scan { from, to } => read_scan(state, from, to),
+        OpRef::Scan { from, to } => read_scan(state, from, to),
     }
 }
 
@@ -227,26 +292,57 @@ pub fn read_sub_batch(
         return None;
     }
     if planned_at < state.epoch {
-        return Some(moved(ops, state.epoch));
+        return Some(moved(ops.iter(), state.epoch));
     }
     ops.iter().map(|op| read_op(state, op)).collect()
 }
 
-/// The whole-batch bounce of a plan older than the shard's `epoch`.
-fn moved(ops: &[StoreOp], epoch: u64) -> Vec<StoreResp> {
-    ops.iter().map(|_| StoreResp::Moved { epoch }).collect()
+/// The whole-batch bounce of a plan older than the shard's `epoch`: one
+/// [`StoreResp::Moved`] per operation of `ops`.
+fn moved<T>(ops: impl Iterator<Item = T>, epoch: u64) -> Vec<StoreResp> {
+    ops.map(|_| StoreResp::Moved { epoch }).collect()
+}
+
+/// A client batch's answers at its cell: the whole-batch bounce if it was
+/// planned before the shard's epoch, else every operation applied in order.
+fn apply_batch<'a>(
+    state: &mut ShardState,
+    planned_at: u64,
+    ops: impl Iterator<Item = OpRef<'a>>,
+) -> Vec<StoreResp> {
+    if planned_at < state.epoch {
+        // Planned before this shard's latest split: some of its keys may
+        // have moved. Reject deterministically; the client re-plans it
+        // under the published topology.
+        return moved(ops, state.epoch);
+    }
+    ops.map(|op| apply_ref(state, op)).collect()
+}
+
+/// What a replica does with a client batch somebody else is waiting on:
+/// its writes, and nothing for a batch a split has made stale (it bounces
+/// whole, changing nothing).
+fn replay_batch<'a>(state: &mut ShardState, planned_at: u64, ops: impl Iterator<Item = OpRef<'a>>) {
+    if planned_at < state.epoch {
+        return;
+    }
+    for op in ops.filter(|op| !op.is_read()) {
+        apply_ref(state, op);
+    }
 }
 
 /// A batch of same-shard operations committed by **one** log append,
-/// stamped with the topology version it was planned under.
+/// stamped with the topology version it was planned under, as owned ops:
+/// what a stand-alone [`ShardLog`](crate::store::ShardLog) is driven with.
+/// The store appends the same operations as a [`PackedBatch`].
 ///
 /// The ops are one `Arc`-shared slice. Shared, because a batch is cloned
 /// many times on its way through the log (the announce slot, every
 /// consensus proposal, the agreed cell) and each of those clones must be
-/// O(1), not a deep copy of every key string. One exact-size slice,
-/// because the agreed cell keeps it for as long as the log keeps the cell:
+/// O(1), not a deep copy of every key string. One exact-size slice:
 /// a one-op batch retains one allocation of `16 + size_of::<StoreOp>()`
-/// bytes, not the planner's growable buffer behind a second pointer.
+/// bytes and its key's, not the planner's growable buffer behind a second
+/// pointer.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct Batch {
     /// The topology version the router used to place this batch's keys.
@@ -263,6 +359,211 @@ impl Batch {
         Batch { planned_at, ops: ops.into() }
     }
 }
+
+/// One operation as a [`PackedBatch`] hands it out: a [`StoreOp`] whose
+/// keys are borrowed.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum OpRef<'a> {
+    /// [`StoreOp::Get`].
+    Get(&'a str),
+    /// [`StoreOp::Put`].
+    Put(&'a str, u64),
+    /// [`StoreOp::Remove`].
+    Remove(&'a str),
+    /// [`StoreOp::Cas`].
+    Cas {
+        /// The key to update.
+        key: &'a str,
+        /// The expected current value (`None` for "absent").
+        expect: Option<u64>,
+        /// The value to install on a match.
+        new: u64,
+    },
+    /// [`StoreOp::Scan`].
+    Scan {
+        /// Inclusive lower bound.
+        from: &'a str,
+        /// Exclusive upper bound.
+        to: &'a str,
+    },
+}
+
+impl OpRef<'_> {
+    /// Whether this operation leaves every shard state unchanged
+    /// ([`StoreOp::is_read`]).
+    pub fn is_read(&self) -> bool {
+        matches!(self, OpRef::Get(_) | OpRef::Scan { .. })
+    }
+}
+
+impl<'a> From<&'a StoreOp> for OpRef<'a> {
+    fn from(op: &'a StoreOp) -> Self {
+        match op {
+            StoreOp::Get(k) => OpRef::Get(k),
+            StoreOp::Put(k, v) => OpRef::Put(k, *v),
+            StoreOp::Remove(k) => OpRef::Remove(k),
+            StoreOp::Cas { key, expect, new } => OpRef::Cas { key, expect: *expect, new: *new },
+            StoreOp::Scan { from, to } => OpRef::Scan { from, to },
+        }
+    }
+}
+
+/// A client batch as the store appends it: a [`Batch`]'s operations and
+/// stamp, with the operations encoded back to back — their keys' bytes
+/// included — in **one** shared allocation.
+///
+/// The agreed cell keeps its command for as long as the log keeps the
+/// cell, so what the command holds is what every write retains until a
+/// seal lets the cell go, and what the thread that drops the sealed prefix
+/// frees. A [`Batch`] of `k` puts holds `k + 1` allocations, one per key;
+/// this holds one whatever `k` is, and the keys the committing caller
+/// built stay the caller's, freed on its own thread when its round ends.
+/// Cloning it is one reference count, as a [`Batch`]'s is.
+///
+/// The buffer is a `u32` operation count, then per operation a tag byte
+/// and its fields in [`StoreOp`]'s order: a key as a `u32` length and its
+/// bytes, a value as a `u64`, all little-endian.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct PackedBatch {
+    /// The topology version the router used to place this batch's keys.
+    pub planned_at: u64,
+    bytes: std::sync::Arc<[u8]>,
+}
+
+const TAG_GET: u8 = 0;
+const TAG_PUT: u8 = 1;
+const TAG_REMOVE: u8 = 2;
+const TAG_CAS_ABSENT: u8 = 3;
+const TAG_CAS: u8 = 4;
+const TAG_SCAN: u8 = 5;
+
+impl PackedBatch {
+    /// `ops`, planned under topology version `planned_at`, encoded into one
+    /// exact-size allocation; `ops` is left as it was.
+    pub fn new(planned_at: u64, ops: &[StoreOp]) -> Self {
+        let key = |k: &str| 4 + k.len();
+        let len = 4 + ops
+            .iter()
+            .map(|op| {
+                1 + match op {
+                    StoreOp::Get(k) | StoreOp::Remove(k) => key(k),
+                    StoreOp::Put(k, _) => key(k) + 8,
+                    StoreOp::Cas { key: k, expect, .. } => {
+                        key(k) + 8 * (1 + expect.is_some() as usize)
+                    }
+                    StoreOp::Scan { from, to } => key(from) + key(to),
+                }
+            })
+            .sum::<usize>();
+        // An exact-size iterator collects into one allocation, which is
+        // unique here and so writable in place.
+        let mut bytes: std::sync::Arc<[u8]> = std::iter::repeat_n(0, len).collect();
+        let mut out =
+            Packer(std::sync::Arc::get_mut(&mut bytes).expect("a fresh buffer is unique"));
+        out.pack_field(
+            &u32::try_from(ops.len()).expect("a batch holds fewer than 2^32 ops").to_le_bytes(),
+        );
+        for op in ops {
+            match op {
+                StoreOp::Get(k) => out.pack_tag(TAG_GET).pack_key(k),
+                StoreOp::Put(k, v) => {
+                    out.pack_tag(TAG_PUT).pack_key(k).pack_field(&v.to_le_bytes())
+                }
+                StoreOp::Remove(k) => out.pack_tag(TAG_REMOVE).pack_key(k),
+                StoreOp::Cas { key, expect: None, new } => {
+                    out.pack_tag(TAG_CAS_ABSENT).pack_key(key).pack_field(&new.to_le_bytes())
+                }
+                StoreOp::Cas { key, expect: Some(expect), new } => out
+                    .pack_tag(TAG_CAS)
+                    .pack_key(key)
+                    .pack_field(&expect.to_le_bytes())
+                    .pack_field(&new.to_le_bytes()),
+                StoreOp::Scan { from, to } => out.pack_tag(TAG_SCAN).pack_key(from).pack_key(to),
+            };
+        }
+        PackedBatch { planned_at, bytes }
+    }
+
+    /// The operations, in invocation order.
+    pub fn ops(&self) -> PackedOps<'_> {
+        let (count, rest) = self.bytes.split_at(4);
+        let left = u32::from_le_bytes(count.try_into().expect("four bytes")) as usize;
+        PackedOps { left, rest }
+    }
+}
+
+/// The unwritten rest of a [`PackedBatch`]'s buffer.
+struct Packer<'a>(&'a mut [u8]);
+
+impl Packer<'_> {
+    fn pack_field(&mut self, field: &[u8]) -> &mut Self {
+        let (head, rest) = std::mem::take(&mut self.0).split_at_mut(field.len());
+        head.copy_from_slice(field);
+        self.0 = rest;
+        self
+    }
+
+    fn pack_tag(&mut self, tag: u8) -> &mut Self {
+        self.pack_field(&[tag])
+    }
+
+    fn pack_key(&mut self, key: &str) -> &mut Self {
+        let len = u32::try_from(key.len()).expect("a key is shorter than 4 GiB");
+        self.pack_field(&len.to_le_bytes()).pack_field(key.as_bytes())
+    }
+}
+
+/// The operations of a [`PackedBatch`], in invocation order
+/// ([`PackedBatch::ops`]).
+#[derive(Clone, Debug)]
+pub struct PackedOps<'a> {
+    left: usize,
+    rest: &'a [u8],
+}
+
+impl<'a> PackedOps<'a> {
+    fn unpack_bytes(&mut self, n: usize) -> &'a [u8] {
+        let (head, rest) = self.rest.split_at(n);
+        self.rest = rest;
+        head
+    }
+
+    fn unpack_word(&mut self) -> u64 {
+        u64::from_le_bytes(self.unpack_bytes(8).try_into().expect("eight bytes"))
+    }
+
+    fn unpack_key(&mut self) -> &'a str {
+        let n = u32::from_le_bytes(self.unpack_bytes(4).try_into().expect("four bytes")) as usize;
+        std::str::from_utf8(self.unpack_bytes(n)).expect("a packed key is a key's bytes")
+    }
+}
+
+impl<'a> Iterator for PackedOps<'a> {
+    type Item = OpRef<'a>;
+
+    fn next(&mut self) -> Option<OpRef<'a>> {
+        self.left = self.left.checked_sub(1)?;
+        let tag = self.unpack_bytes(1)[0];
+        let key = self.unpack_key();
+        Some(match tag {
+            TAG_GET => OpRef::Get(key),
+            TAG_PUT => OpRef::Put(key, self.unpack_word()),
+            TAG_REMOVE => OpRef::Remove(key),
+            TAG_CAS_ABSENT => OpRef::Cas { key, expect: None, new: self.unpack_word() },
+            TAG_CAS => {
+                OpRef::Cas { key, expect: Some(self.unpack_word()), new: self.unpack_word() }
+            }
+            TAG_SCAN => OpRef::Scan { from: key, to: self.unpack_key() },
+            _ => unreachable!("PackedBatch::new writes no tag {tag}"),
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for PackedOps<'_> {}
 
 /// The one record that moves keys out of a shard: installed through the
 /// shard's own consensus log (inside a
@@ -322,8 +623,10 @@ pub struct AdoptSpec {
 /// (a drain or a merge's adoption — admin paths only).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum ShardCmd {
-    /// A client batch (the common case).
+    /// A client batch of owned operations (a stand-alone log's).
     Batch(Batch),
+    /// A client batch as the store appends it (the common case).
+    Packed(PackedBatch),
     /// A split's or a merge's drain: move keys out of this shard and start
     /// bouncing stale batches (admin path only).
     Drain(DrainSpec),
@@ -356,14 +659,9 @@ impl SequentialSpec for ShardSpec {
     fn apply(&self, state: &mut ShardState, cmd: &ShardCmd) -> Vec<StoreResp> {
         match cmd {
             ShardCmd::Batch(batch) => {
-                if batch.planned_at < state.epoch {
-                    // Planned before this shard's latest split: some of its
-                    // keys may have moved. Reject deterministically; the
-                    // client re-plans under the published topology.
-                    return moved(&batch.ops, state.epoch);
-                }
-                batch.ops.iter().map(|op| apply_op(state, op)).collect()
+                apply_batch(state, batch.planned_at, batch.ops.iter().map(OpRef::from))
             }
+            ShardCmd::Packed(batch) => apply_batch(state, batch.planned_at, batch.ops()),
             ShardCmd::Drain(drain) => {
                 // One pass in key order: the drained keys leave as the
                 // migration set, the rest are appended to the map that
@@ -410,13 +708,9 @@ impl SequentialSpec for ShardSpec {
     fn replay(&self, state: &mut ShardState, cmd: &ShardCmd) {
         match cmd {
             ShardCmd::Batch(batch) => {
-                if batch.planned_at < state.epoch {
-                    return;
-                }
-                for op in batch.ops.iter().filter(|op| !op.is_read()) {
-                    apply_op(state, op);
-                }
+                replay_batch(state, batch.planned_at, batch.ops.iter().map(OpRef::from))
             }
+            ShardCmd::Packed(batch) => replay_batch(state, batch.planned_at, batch.ops()),
             reconfig => drop(self.apply(state, reconfig)),
         }
     }
@@ -697,6 +991,71 @@ mod tests {
                 proptest::prop_assert_eq!(&replayed, &applied, "after {:?}", cmd);
             }
         }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// A packed batch hands back the operations it was built from, and
+        /// a cell holding it answers and replays as the owned batch does.
+        #[test]
+        fn a_packed_batch_is_the_batch_it_packs(
+            entries in proptest::collection::vec((0u32..48, 0u64..4), 0..40),
+            epoch in 0u64..3,
+            script in proptest::collection::vec(
+                (proptest::collection::vec((0u8..6, 0u32..48, 0u64..4), 0..6), 0u64..5),
+                1..24,
+            ),
+        ) {
+            let spec = ShardSpec { seed: 5, created_at: 0 };
+            let start =
+                ShardState::with_entries(entries.iter().map(|&(k, v)| (key_of(k), v)), epoch);
+            let (mut owned, mut packed) = (start.clone(), start.clone());
+            let (mut owned_replica, mut packed_replica) = (start.clone(), start);
+            for (ops, at) in &script {
+                let ShardCmd::Batch(batch) = command(0, ops, *at) else { unreachable!() };
+                let packing = PackedBatch::new(batch.planned_at, &batch.ops);
+                let unpacked: Vec<OpRef<'_>> = packing.ops().collect();
+                let expected: Vec<OpRef<'_>> = batch.ops.iter().map(OpRef::from).collect();
+                proptest::prop_assert_eq!(unpacked, expected);
+                proptest::prop_assert_eq!(packing.ops().len(), batch.ops.len());
+                let packing = ShardCmd::Packed(packing);
+                let batch = ShardCmd::Batch(batch);
+                proptest::prop_assert_eq!(
+                    spec.apply(&mut packed, &packing),
+                    spec.apply(&mut owned, &batch)
+                );
+                spec.replay(&mut packed_replica, &packing);
+                spec.replay(&mut owned_replica, &batch);
+                proptest::prop_assert_eq!(&packed, &owned);
+                proptest::prop_assert_eq!(&packed_replica, &owned);
+                proptest::prop_assert_eq!(&owned_replica, &owned);
+            }
+        }
+    }
+
+    #[test]
+    fn a_decoding_thread_writes_keys_into_the_ones_its_rounds_let_go_of() {
+        std::thread::spawn(|| {
+            // A thread that has not asked for a key keeps none.
+            recycle_keys(vec![StoreOp::Put("kept?".into(), 1)]);
+            let first = key_from("first");
+            assert_eq!(first, "first");
+            let buffer = first.as_ptr();
+            recycle_keys(vec![StoreOp::Get(first)]);
+            let reused = key_from("again");
+            assert_eq!(reused, "again");
+            assert_eq!(reused.as_ptr(), buffer, "the round's key was written over");
+            let fresh = key_from("fresh");
+            assert_ne!(fresh.as_ptr(), buffer, "one spare, handed out once");
+            let scan = StoreOp::Scan { from: reused, to: fresh };
+            let flood = (0..2 * SPARE_KEYS).map(|k| StoreOp::Remove(key_of(k as u32)));
+            recycle_keys(std::iter::once(scan).chain(flood).collect());
+            let kept = SPARE.with(|spare| spare.borrow().as_ref().map(Vec::len));
+            assert_eq!(kept, Some(SPARE_KEYS), "a thread keeps at most its limit");
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

@@ -65,7 +65,7 @@ use apc_obs::{Counter, MetricsSnapshot, Sample, SampleValue};
 
 use crate::admission::{Admission, AdmissionConfig, AdmissionError, ClientTicket, ProgressClass};
 use crate::metrics::{nanos, StoreMetrics};
-use crate::ops::{read_sub_batch, Batch, ShardCmd, StoreOp, StoreResp};
+use crate::ops::{read_sub_batch, recycle_keys, PackedBatch, ShardCmd, StoreOp, StoreResp};
 use crate::persist::lock_unpoisoned;
 use crate::replan::{Input, Replan, Responses, Transition};
 use crate::router::ShardTopology;
@@ -77,7 +77,7 @@ mod shard;
 
 pub use admin::{SealCadence, SEAL_EVERY, SEAL_PERIOD};
 pub use client::Client;
-use shard::{PortDigest, PortHandle, Shard};
+use shard::{PortDigest, PortHandle, Shard, EVERY_IDLE_PORT};
 pub use shard::{ShardDigest, ShardLog};
 
 /// One routing generation: the topology and the shard handles it routes
@@ -668,7 +668,7 @@ impl Store {
     /// arm reaches. A sub-batch of reads is answered from the port's own
     /// replica, caught up to the log tail observed at invocation
     /// ([`OwnedHandle::sync_read`]), straight from the plan's ops: no log
-    /// cell, no [`Batch`], nothing for the other ports to replay, no WAL
+    /// cell, no batch, nothing for the other ports to replay, no WAL
     /// work. A sub-batch with any write is one universal-log append plus a
     /// WAL effect frame (if a WAL is attached).
     /// Either way the round publishes its digest ([`Shard::visit`]); it
@@ -702,10 +702,12 @@ impl Store {
     }
 
     /// The appending half of [`Store::commit_on`]: one universal-log append
-    /// of `sub`, moved into a [`Batch`], as process `pid` through the
-    /// locked port `handle` that holds it and, if a WAL is attached, the
-    /// commit's effect frame. A bounced append hands a copy of its ops back
-    /// to `sub`: the batch's own are the log's now.
+    /// of `sub`'s ops, packed into a [`PackedBatch`], as process `pid`
+    /// through the locked port `handle` that holds it and, if a WAL is
+    /// attached, the commit's effect frame. The ops stay `sub`'s, so a
+    /// bounced append leaves them there for the retry, and their keys are
+    /// freed on this thread when the round lets go of them: the log's cell
+    /// keeps the one packed buffer.
     fn append_on(
         &self,
         handle: &mut PortHandle,
@@ -714,15 +716,11 @@ impl Store {
         sub: &mut SubBatch,
         durability: DurabilityClass,
     ) -> Vec<StoreResp> {
-        let batch = Batch::new(sub.planned_at, std::mem::take(&mut sub.ops));
-        let ops = Arc::clone(&batch.ops);
+        let batch = PackedBatch::new(sub.planned_at, &sub.ops);
         // Called by path so that apc-lint, which resolves `x.apply_as(..)`
         // by name, sees the one target.
-        let resps = OwnedHandle::apply_as(handle, pid, ShardCmd::Batch(batch))
+        let resps = OwnedHandle::apply_as(handle, pid, ShardCmd::Packed(batch))
             .expect("the port door hands a pid the slot that holds it");
-        if count_moved(&resps) > 0 {
-            sub.ops.extend(ops.iter().cloned());
-        }
         if let Some(wal) = &self.wal {
             // Frame the commit's resolved effects while still holding the
             // port lock: the handle's replay cursor is exactly one past
@@ -731,7 +729,7 @@ impl Store {
             // encode-and-append into the group-commit buffer — fsync never
             // happens under a port lock; a VIP that wants it blocks in
             // `Client::request`, after every lock is released.
-            let effects = crate::wal::resolved_effects(&ops, &resps);
+            let effects = crate::wal::resolved_effects(&sub.ops, &resps);
             if !effects.is_empty() {
                 // APC-LINT: allow(progress): durability is its own progress class (the module's thesis): logging an effect frame is a bounded buffer append under the WAL mutex, whose critical sections are all bounded memcpys — never an fsync
                 wal.enqueue(&WalFrame {
@@ -771,6 +769,8 @@ impl Store {
             let resps = commit_sub(&view.shards[s], s, &mut sub, clock);
             if count_moved(&resps) > 0 {
                 bounced.push((s, sub.ops));
+            } else {
+                recycle_keys(sub.ops);
             }
             resps
         });
@@ -836,8 +836,9 @@ fn hottest_live(view: &StoreView, stats: &[ShardDigest]) -> usize {
 /// One shard's part of a round, as a commit takes it: its operations, in
 /// invocation order, and the topology version they were planned under. A
 /// read-only one is answered from these ops where they are; only an append
-/// moves them into a [`Batch`]'s shared slice. If the shard bounces the
-/// sub-batch, its ops are here again when the commit returns.
+/// packs a copy of them into a [`PackedBatch`]. The ops stay here either
+/// way, so a sub-batch the shard bounces still holds them when the commit
+/// returns.
 #[derive(Debug)]
 struct SubBatch {
     planned_at: u64,

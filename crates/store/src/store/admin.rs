@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use apc_progress_macros::progress;
 
-use super::{Shard, Store, StoreCore, StoreView};
+use super::{Shard, Store, StoreCore, StoreView, EVERY_IDLE_PORT};
 use crate::elastic::{ElasticDecision, ElasticEngine};
 use crate::ops::{AdoptSpec, DrainSpec, Key, ShardCmd, ShardSpec, ShardState, StoreResp};
 use crate::persist::lock_unpoisoned;
@@ -147,9 +147,10 @@ impl Store {
         let version = topology.version();
         let drain = DrainSpec { version, child_seed: None };
         let entries = Arc::new(self.seal_drain(&view.shards[child], drain));
-        let (_, resps) = view.shards[parent].seal_act(self.core.admitted_vips(), |handle| {
-            handle.reconfigure(ShardCmd::Adopt(AdoptSpec { version, entries }))
-        });
+        let (_, resps) =
+            view.shards[parent].seal_act(self.core.admitted_vips(), EVERY_IDLE_PORT, |handle| {
+                handle.reconfigure(ShardCmd::Adopt(AdoptSpec { version, entries }))
+            });
         debug_assert!(
             matches!(resps.first(), Some(StoreResp::Value(Some(_)))),
             "an adoption answers with its entry count"
@@ -167,9 +168,10 @@ impl Store {
     /// returns the entries it drained. The seal is the act's
     /// linearization point on `source`, and becomes its log's anchor.
     fn seal_drain(&self, source: &Shard, drain: DrainSpec) -> Vec<(Key, u64)> {
-        let (_, mut resps) = source.seal_act(self.core.admitted_vips(), |handle| {
-            handle.reconfigure(ShardCmd::Drain(drain))
-        });
+        let (_, mut resps) =
+            source.seal_act(self.core.admitted_vips(), EVERY_IDLE_PORT, |handle| {
+                handle.reconfigure(ShardCmd::Drain(drain))
+            });
         match resps.pop() {
             Some(StoreResp::Entries(entries)) => entries,
             other => unreachable!("a drain answers with its migration set, got {other:?}"),
@@ -239,7 +241,7 @@ impl Store {
             .shards
             .iter()
             .map(|shard| {
-                shard.seal_act(self.core.admitted_vips(), |handle| {
+                shard.seal_act(self.core.admitted_vips(), EVERY_IDLE_PORT, |handle| {
                     let log_index = handle.checkpoint();
                     crate::persist::ShardSnapshot { log_index, state: Arc::clone(handle.replica()) }
                 })
@@ -274,7 +276,17 @@ impl StoreCore {
         let admitted = self.admitted_vips();
         let mut sealed = 0;
         for shard in due_shards(self.view.newest()) {
-            shard.seal_act(admitted, |handle| handle.checkpoint());
+            // A port that moved past the anchor this seal replaces is in
+            // use: a re-base would make its next write copy the map. The
+            // seal port itself, if in use, copies here instead.
+            let idle_at = shard.log.anchor_index();
+            shard.seal_act(admitted, idle_at, |handle| {
+                let in_use = handle.replayed_cells() > idle_at;
+                handle.checkpoint();
+                if in_use {
+                    handle.own_replica();
+                }
+            });
             sealed += 1;
         }
         self.cadence_seals.add(sealed as u64);

@@ -25,6 +25,10 @@ pub type ShardLog = Universal<crate::ops::ShardSpec, AsymmetricFactory>;
 /// One port's handle on a shard log, with the port's replica of the shard.
 pub(super) type PortHandle = OwnedHandle<crate::ops::ShardSpec, AsymmetricFactory>;
 
+/// The `idle_at` of a seal that re-bases every idle port behind it
+/// ([`Shard::seal_act`]), however recently it moved.
+pub(super) const EVERY_IDLE_PORT: u64 = u64::MAX;
+
 /// A monotone per-port commit digest, published into two of the port's
 /// digest words after every visit.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
@@ -102,31 +106,39 @@ impl Shard {
     /// **The seal act's door**: runs `seal` — a checkpoint or a
     /// reconfiguration, which publishes the anchor — on the seal port
     /// through [`Shard::visit`], then re-bases the idle ports behind the
-    /// new anchor ([`Shard::rebase_idle`]). The caller holds the admin
-    /// lock, so `admitted`, the VIPs admitted so far, cannot grow meanwhile.
+    /// new anchor ([`Shard::rebase_idle`]): those whose cursor is at or
+    /// before cell `idle_at` ([`EVERY_IDLE_PORT`] for all of them). The
+    /// caller holds the admin lock, so `admitted`, the VIPs admitted so
+    /// far, cannot grow meanwhile.
     #[progress(blocking)]
     pub(super) fn seal_act<R>(
         &self,
         admitted: usize,
+        idle_at: u64,
         seal: impl FnOnce(&mut PortHandle) -> R,
     ) -> R {
         let out = self.visit(self.seal_port(), seal);
-        self.rebase_idle(admitted);
+        self.rebase_idle(admitted, idle_at);
         out
     }
 
     /// Re-bases ([`OwnedHandle::rebase`]) every port slot that is free (its
-    /// `try_lock` succeeds), trails the published anchor and is not an
-    /// admitted VIP's (slots `0..admitted`), and publishes its digest. A
-    /// busy slot is skipped: it is in use, and the next seal looks again.
-    /// What the re-bases displaced is dropped once every slot is released,
-    /// so the free burst lands on this thread, the admin act's, and never
-    /// under a port a client may be waiting on.
+    /// `try_lock` succeeds), trails the published anchor, has not moved
+    /// past cell `idle_at` and is not an admitted VIP's (slots
+    /// `0..admitted`), and publishes its digest. A busy slot is skipped: it
+    /// is in use, and the next seal looks again. So is one past `idle_at`:
+    /// it has been used since, its replica is its own and its next write
+    /// would copy the anchor's. What the re-bases displaced is dropped once
+    /// every slot is released, so the free burst lands on this thread, the
+    /// admin act's, and never under a port a client may be waiting on.
     #[progress(blocking)]
-    fn rebase_idle(&self, admitted: usize) {
+    fn rebase_idle(&self, admitted: usize, idle_at: u64) {
         let displaced: Vec<_> = (admitted..self.ports.len())
             .filter_map(|slot| {
                 let mut handle = self.ports[slot].try_lock().ok()?;
+                if handle.replayed_cells() > idle_at {
+                    return None;
+                }
                 let displaced = OwnedHandle::rebase(&mut handle)?;
                 self.digests[slot].publish(&handle);
                 Some(displaced)
