@@ -1,7 +1,7 @@
 //! The reactor: one thread multiplexing many simulated connections onto
-//! one [`Store`]'s admission tiers. The server owns one more thread, a
-//! housekeeping thread running the store's seal cadence
-//! ([`Store::start_seal_cadence`]), which no turn ever waits on.
+//! one [`Store`]'s admission tiers. The server owns one more thread, the
+//! store's seal cadence ([`Store::start_seal_cadence`]), which no VIP
+//! request waits on and no turn pays a copy for (see `batch_ticket`).
 //!
 //! One [`StoreServer::poll`] call is one reactor turn. It visits only the
 //! connections that have something to say: each connection's client
@@ -293,9 +293,9 @@ pub struct StoreServer<'a> {
     /// frames the turn's dispatch cap leaves over carry to later turns.
     guest_backlog: VecDeque<QueuedGuest>,
     /// The guest ticket every coalesced dispatch commits under, fixed for
-    /// the server's life: the VIP ticket's guest voice, or the server's own
-    /// guest session when it holds no VIP ticket. Every guest connection
-    /// carries it; only its class is ever read.
+    /// the server's life: the VIP ticket's guest voice, whose slot no seal
+    /// takes, or else a guest port, which a cadence seal holds while it
+    /// seals if it is the seal port. Every guest connection carries it.
     batch_ticket: ClientTicket,
     /// The store's seal cadence, run on a thread of its own while the
     /// server lives; `None` if the thread could not be spawned. Dropping

@@ -4,8 +4,9 @@
 //! The unit the per-shard log agrees on is a [`ShardCmd`]: either a client
 //! batch (one log cell commits an entire batch of same-shard operations
 //! atomically, so a client issuing `k` operations against one shard pays
-//! for **one** consensus-backed append instead of `k`; the store appends it
-//! as a [`PackedBatch`], a stand-alone log may take a [`Batch`]) or a
+//! for **one** consensus-backed append instead of `k`; a [`Batch`] of the
+//! caller's own ops, or a [`PackedBatch`] from a thread that decodes its
+//! keys) or a
 //! reconfiguration record installed through the same consensus path so it
 //! linearizes against concurrent batches: a [`DrainSpec`] (keys leave the
 //! shard at a new topology version — the keys a split's child wins, or
@@ -45,15 +46,19 @@ std::thread_local! {
 /// A key holding `text`, written into a key this thread's rounds let go of
 /// if it kept one, else newly allocated.
 ///
-/// A decoder calls this for every key it reads. The store packs a round's
-/// writes into its log cell ([`PackedBatch`]) and hands the round's keys
-/// back here when the round ends, so a thread that decodes and commits —
-/// a server's reactor — reuses the same few buffers instead of allocating
-/// a key per operation and freeing it one round later. Freed, each such
-/// key would sit in the allocator's small-chunk lists until the thread's
-/// next large allocation sorted them all, which costs a saturated reactor
-/// more than the key itself. A thread keeps at most 4096 spare keys, and
-/// none until it first calls this.
+/// A decoder calls this for every key it reads. On a thread that keeps
+/// spare keys with room for a round's, the store packs the round's writes
+/// into its log cell ([`PackedBatch`]) and hands the round's keys back
+/// here when the round ends, so a thread that decodes and commits — a
+/// server's reactor — reuses the same few buffers instead of allocating a
+/// key per operation and freeing it one round later (or keeping it in the
+/// log until a seal frees it on another thread). Freed, each such key
+/// would sit in the allocator's small-chunk lists until the thread's next
+/// large allocation sorted them all, which costs a saturated reactor more
+/// than the key itself. A thread keeps at most 4096 spare keys, and none
+/// until it first calls this; a round whose keys would not fit moves its
+/// ops into the cell whole, as a [`Batch`], rather than copy and free
+/// them.
 pub fn key_from(text: &str) -> Key {
     let spare = SPARE.with(|spare| {
         let mut spare = spare.try_borrow_mut().ok()?;
@@ -67,6 +72,17 @@ pub fn key_from(text: &str) -> Key {
         }
         None => text.to_owned(),
     }
+}
+
+/// Whether this thread would keep `n` more spare keys: it has asked
+/// [`key_from`] for one, so it decodes the keys it commits, and its
+/// spares are `n` short of their limit.
+pub(crate) fn keeps_spare_keys(n: usize) -> bool {
+    SPARE.with(|spare| {
+        spare
+            .try_borrow()
+            .is_ok_and(|spare| spare.as_ref().is_some_and(|k| k.len() + n <= SPARE_KEYS))
+    })
 }
 
 /// Ends a round's hold on `ops`: keeps their keys as this thread's spares
@@ -333,8 +349,10 @@ fn replay_batch<'a>(state: &mut ShardState, planned_at: u64, ops: impl Iterator<
 
 /// A batch of same-shard operations committed by **one** log append,
 /// stamped with the topology version it was planned under, as owned ops:
-/// what a stand-alone [`ShardLog`](crate::store::ShardLog) is driven with.
-/// The store appends the same operations as a [`PackedBatch`].
+/// what an in-process caller's round appends, its ops moved in as they
+/// were allocated, and what a stand-alone
+/// [`ShardLog`](crate::store::ShardLog) is driven with. A thread that
+/// decodes its keys appends a [`PackedBatch`] instead.
 ///
 /// The ops are one `Arc`-shared slice. Shared, because a batch is cloned
 /// many times on its way through the log (the announce slot, every
@@ -417,8 +435,8 @@ impl<'a> From<&'a StoreOp> for OpRef<'a> {
 /// seal lets the cell go, and what the thread that drops the sealed prefix
 /// frees. A [`Batch`] of `k` puts holds `k + 1` allocations, one per key;
 /// this holds one whatever `k` is, and the keys the committing caller
-/// built stay the caller's, freed on its own thread when its round ends.
-/// Cloning it is one reference count, as a [`Batch`]'s is.
+/// decoded stay the caller's, to be reused for its next decode
+/// ([`key_from`]). Cloning it is one reference count, as a [`Batch`]'s is.
 ///
 /// The buffer is a `u32` operation count, then per operation a tag byte
 /// and its fields in [`StoreOp`]'s order: a key as a `u32` length and its
@@ -623,9 +641,9 @@ pub struct AdoptSpec {
 /// (a drain or a merge's adoption — admin paths only).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum ShardCmd {
-    /// A client batch of owned operations (a stand-alone log's).
+    /// A client batch of owned operations (an in-process caller's).
     Batch(Batch),
-    /// A client batch as the store appends it (the common case).
+    /// A client batch packed into one buffer (a server's).
     Packed(PackedBatch),
     /// A split's or a merge's drain: move keys out of this shard and start
     /// bouncing stale batches (admin path only).
@@ -1038,8 +1056,10 @@ mod tests {
     fn a_decoding_thread_writes_keys_into_the_ones_its_rounds_let_go_of() {
         std::thread::spawn(|| {
             // A thread that has not asked for a key keeps none.
+            assert!(!keeps_spare_keys(0), "no spares before the first key");
             recycle_keys(vec![StoreOp::Put("kept?".into(), 1)]);
             let first = key_from("first");
+            assert!(keeps_spare_keys(SPARE_KEYS), "room for a full set of spares");
             assert_eq!(first, "first");
             let buffer = first.as_ptr();
             recycle_keys(vec![StoreOp::Get(first)]);
@@ -1053,6 +1073,7 @@ mod tests {
             recycle_keys(std::iter::once(scan).chain(flood).collect());
             let kept = SPARE.with(|spare| spare.borrow().as_ref().map(Vec::len));
             assert_eq!(kept, Some(SPARE_KEYS), "a thread keeps at most its limit");
+            assert!(keeps_spare_keys(0) && !keeps_spare_keys(1), "no room past the limit");
         })
         .join()
         .unwrap();

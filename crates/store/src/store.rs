@@ -65,7 +65,10 @@ use apc_obs::{Counter, MetricsSnapshot, Sample, SampleValue};
 
 use crate::admission::{Admission, AdmissionConfig, AdmissionError, ClientTicket, ProgressClass};
 use crate::metrics::{nanos, StoreMetrics};
-use crate::ops::{read_sub_batch, recycle_keys, PackedBatch, ShardCmd, StoreOp, StoreResp};
+use crate::ops::{
+    keeps_spare_keys, read_sub_batch, recycle_keys, Batch, PackedBatch, ShardCmd, StoreOp,
+    StoreResp,
+};
 use crate::persist::lock_unpoisoned;
 use crate::replan::{Input, Replan, Responses, Transition};
 use crate::router::ShardTopology;
@@ -702,12 +705,14 @@ impl Store {
     }
 
     /// The appending half of [`Store::commit_on`]: one universal-log append
-    /// of `sub`'s ops, packed into a [`PackedBatch`], as process `pid`
-    /// through the locked port `handle` that holds it and, if a WAL is
-    /// attached, the commit's effect frame. The ops stay `sub`'s, so a
-    /// bounced append leaves them there for the retry, and their keys are
-    /// freed on this thread when the round lets go of them: the log's cell
-    /// keeps the one packed buffer.
+    /// of `sub`'s ops as process `pid` through the locked port `handle`
+    /// that holds it and, if a WAL is attached, the commit's effect frame.
+    /// On a thread that decodes the keys it commits (a server's reactor,
+    /// [`crate::ops::key_from`]) the cell keeps a [`PackedBatch`] copy and
+    /// the ops stay `sub`'s, whose keys the round hands back to the
+    /// thread's spares; any other caller's ops move into the cell as a
+    /// [`Batch`], as allocated, rather than be copied and freed here, and a
+    /// bounced append hands a copy of them back to `sub`.
     fn append_on(
         &self,
         handle: &mut PortHandle,
@@ -716,11 +721,21 @@ impl Store {
         sub: &mut SubBatch,
         durability: DurabilityClass,
     ) -> Vec<StoreResp> {
-        let batch = PackedBatch::new(sub.planned_at, &sub.ops);
+        let (cmd, moved) = if keeps_spare_keys(sub.ops.len()) {
+            (ShardCmd::Packed(PackedBatch::new(sub.planned_at, &sub.ops)), None)
+        } else {
+            let batch = Batch::new(sub.planned_at, std::mem::take(&mut sub.ops));
+            let ops = Arc::clone(&batch.ops);
+            (ShardCmd::Batch(batch), Some(ops))
+        };
         // Called by path so that apc-lint, which resolves `x.apply_as(..)`
         // by name, sees the one target.
-        let resps = OwnedHandle::apply_as(handle, pid, ShardCmd::Packed(batch))
+        let resps = OwnedHandle::apply_as(handle, pid, cmd)
             .expect("the port door hands a pid the slot that holds it");
+        if let Some(ops) = moved.as_ref().filter(|_| count_moved(&resps) > 0) {
+            sub.ops.extend(ops.iter().cloned());
+        }
+        let ops = moved.as_deref().unwrap_or(&sub.ops[..]);
         if let Some(wal) = &self.wal {
             // Frame the commit's resolved effects while still holding the
             // port lock: the handle's replay cursor is exactly one past
@@ -729,7 +744,7 @@ impl Store {
             // encode-and-append into the group-commit buffer — fsync never
             // happens under a port lock; a VIP that wants it blocks in
             // `Client::request`, after every lock is released.
-            let effects = crate::wal::resolved_effects(&sub.ops, &resps);
+            let effects = crate::wal::resolved_effects(ops, &resps);
             if !effects.is_empty() {
                 // APC-LINT: allow(progress): durability is its own progress class (the module's thesis): logging an effect frame is a bounded buffer append under the WAL mutex, whose critical sections are all bounded memcpys — never an fsync
                 wal.enqueue(&WalFrame {
@@ -836,9 +851,8 @@ fn hottest_live(view: &StoreView, stats: &[ShardDigest]) -> usize {
 /// One shard's part of a round, as a commit takes it: its operations, in
 /// invocation order, and the topology version they were planned under. A
 /// read-only one is answered from these ops where they are; only an append
-/// packs a copy of them into a [`PackedBatch`]. The ops stay here either
-/// way, so a sub-batch the shard bounces still holds them when the commit
-/// returns.
+/// takes them into a log cell ([`Store::append_on`]). If the shard bounces
+/// the sub-batch, its ops are here again when the commit returns.
 #[derive(Debug)]
 struct SubBatch {
     planned_at: u64,

@@ -300,9 +300,14 @@ impl Store {
     /// on a thread of its own, [`Store::start_seal_cadence`]): under the
     /// admin lock, seals a checkpoint on every live shard whose log holds
     /// at least [`SEAL_EVERY`] cells past its anchor, through the seal act's
-    /// door. So the idle ports are re-based behind each seal, an admitted
-    /// VIP's slot is never touched, and what the seals displace is freed on
-    /// the calling thread. It persists nothing: an owner who persists calls
+    /// door. So the ports idle since the shard's previous seal are re-based
+    /// behind it, an admitted VIP's slot is never touched, and what the
+    /// seals displace is freed on the calling thread. A port used since
+    /// keeps its own replica and cursor, pinning no cell before that
+    /// previous seal, so a shard holds at most about `2 × SEAL_EVERY`
+    /// cells; and if the seal port is one in use, its replica, which the
+    /// seal shares with the anchor, is copied here, not by its next write.
+    /// It persists nothing: an owner who persists calls
     /// [`Store::checkpoint`]. Returns how many shards it sealed.
     #[progress(blocking)]
     pub fn seal_due(&self) -> usize {

@@ -214,23 +214,21 @@ fn commit_path_allocations_stay_within_budget() {
     // one pointer per cell (its parent read 184.4 B retained per put: two
     // pointers, in a 3,096 B segment).
     //
-    // What a put's cell leaves, guest or VIP alike, is two allocations
-    // and its share of a third: 40 B of its 2,584 B segment (the
+    // What an in-process put's cell leaves, guest or VIP alike, is three
+    // allocations and its share of a fourth: 40 B of its 2,584 B segment (the
     // consensus object — liveness spec, decision slot, the guests' round-0
     // word, at-most-once mask — plus a 64th of the segment's `Arc`
-    // counts and link), the batch's 48 B packed buffer (its `Arc` counts,
-    // the op count, and the put's tag, key length, key and value) and the
-    // 56 B decided record. The key the request was built with is not the
-    // cell's: the round lets go of it when it ends (its parent read three
-    // allocations and 176.4 B: a 72 B `Arc<[StoreOp]>` and the 8 B key
-    // where the packed buffer is). A stored key's calls are its share of
-    // its leaf's two buffers (heads and slots, each made with room for a
-    // full leaf), and what it keeps is its bytes in that leaf: an 8 B
-    // head, a 12 B slot (tag and value) and its share of the leaf's 80 B
-    // header and 12 B fence entry, 21.4 B in a full leaf and 21.9 B with
-    // the spare capacity of the leaf vector and the fence. The budget is
-    // that and no more (it was twice the census), so a layout that stores
-    // a key's bytes twice fails here.
+    // counts and link), the batch's
+    // 72 B `Arc<[StoreOp]>`, the 8 B key and the 56 B decided record: the
+    // caller's ops move into the cell as they are (a thread that decodes
+    // its keys packs them instead, see `packed` below). A
+    // stored key's calls are its share of its leaf's two buffers (heads
+    // and slots, each made with room for a full leaf), and what it keeps
+    // is its bytes in that leaf: an 8 B head, a 12 B slot (tag and value)
+    // and its share of the leaf's 80 B header and 12 B fence entry, 21.4 B
+    // in a full leaf and 21.9 B with the spare capacity of the leaf vector
+    // and the fence. The budget is that and no more (it was twice the
+    // census), so a layout that stores a key's bytes twice fails here.
     //
     // Every other call is freed before the request returns:
     // - 3 are this harness building its request: the key's two (`format!`
@@ -241,11 +239,11 @@ fn commit_path_allocations_stay_within_budget() {
     //   responses are the request's. A one-envelope run holds its
     //   envelope inline and builds its one `Response` from the shard's
     //   responses: no envelope list, no `Response` list. A read-only
-    //   sub-batch is answered from the ops `Vec` itself: no packed
-    //   buffer. (Its parent's round made 3 calls on a put and 4 on a
-    //   read, with those three.) A spread round adds the plan's three
-    //   vectors (per-shard, per-slot, each sub-batch) and the reassembled
-    //   one;
+    //   sub-batch is answered from the ops `Vec` itself: no
+    //   `Arc<[StoreOp]>`. (Its parent's round made 3 calls on a put and 4
+    //   on a read, with those three.) A spread round adds the plan's
+    //   three vectors (per-shard, per-slot, each sub-batch) and the
+    //   reassembled one;
     // - a put adds the announce record (1); a guest's put adds three calls
     //   freed when it leaves round 0: round 0 itself (the adopt-commit
     //   object and the link to later rounds, behind the cell's one word),
@@ -254,14 +252,14 @@ fn commit_path_allocations_stay_within_budget() {
     //   14.02: round 0 was an `Arc` in a boxed epoch register, and the
     //   phase-2 register boxed a flag and a copy of the value).
     let cell = Census {
-        calls: 2.0 + SEGMENT_SHARE,
-        retained_allocs: 2.0 + SEGMENT_SHARE,
-        retained_bytes: 104.0 + 2584.0 * SEGMENT_SHARE,
+        calls: 3.0 + SEGMENT_SHARE,
+        retained_allocs: 3.0 + SEGMENT_SHARE,
+        retained_bytes: 136.0 + 2584.0 * SEGMENT_SHARE,
     };
     let put_budget = |other_calls: f64| Census { calls: cell.calls + other_calls, ..cell };
     let arms = [
-        ("guest put", guest_put, put_budget(8.0)),
-        ("vip put", vip_put, put_budget(5.0)),
+        ("guest put", guest_put, put_budget(7.0)),
+        ("vip put", vip_put, put_budget(4.0)),
         (
             "local read",
             local_read,
@@ -290,12 +288,30 @@ fn commit_path_allocations_stay_within_budget() {
         );
     }
 
-    // Retiring a cell frees what it retained: two allocations and its
-    // share of its segment (its parent freed five: node, link, record, ops
-    // and key, and its own parent three, with the ops' own key).
+    // A thread that decodes the keys it commits (a server's reactor) packs
+    // its batch into the cell: two allocations and its share of a third,
+    // the same segment share and decided record, and a 48 B packed buffer
+    // (`Arc` counts, op count, and the put's tag, key length, key and
+    // value) where the `Arc<[StoreOp]>` and the key were. Its calls are
+    // the buffer, the record, the announce record and the response vector.
+    let packed = packed_cell();
+    println!(
+        "packed cell              {:>7.2} {:>16.2} {:>15.1}",
+        packed.calls, packed.retained_allocs, packed.retained_bytes
+    );
+    assert!(
+        packed.calls <= 4.0 + SEGMENT_SHARE + SLACK
+            && packed.retained_allocs <= 2.0 + SEGMENT_SHARE + SLACK
+            && packed.retained_bytes <= 104.0 + 2584.0 * SEGMENT_SHARE + SLACK * 64.0,
+        "a packed cell is over its allocation budget: {packed:?}"
+    );
+
+    // Retiring a packed cell frees what it retained: two allocations and
+    // its share of its segment (an in-process cell frees three; its parent
+    // freed five: node, link, record, ops and key).
     let retired = retired_cell_frees();
     println!("retired cell, frees      {retired:>7.3}");
-    let budget = cell.retained_allocs;
+    let budget = packed.retained_allocs;
     assert!(retired <= budget + SLACK, "a retired cell is over its free budget: {retired:.3}");
 
     // The seal cadence's step frees what a retired cell retained and
@@ -432,6 +448,25 @@ fn replayed_cell_calls() -> f64 {
     let census = measure(REQUESTS, || vip.sync_read(|_| ()));
     assert_eq!(vip.replayed_cells(), guest.replayed_cells(), "the VIP caught up");
     census.calls
+}
+
+/// What a packed cell retains, per cell: a `(2,1)`-live log's VIP port
+/// appends `REQUESTS` one-put `PackedBatch`es over keys its replica
+/// already holds (an overwrite allocates nothing in the map), built
+/// beforehand.
+fn packed_cell() -> Census {
+    let factory = AsymmetricFactory::new(Liveness::new_first_n(2, 1));
+    let log = Arc::new(ShardLog::new(ShardSpec::default(), factory, 2));
+    let mut vip = log.owned_handle(0).expect("port 0 is free");
+    let puts: Vec<_> = (0..REQUESTS).map(|i| [StoreOp::Put(nth_key(i), u64::from(i))]).collect();
+    for chunk in puts.chunks(256) {
+        vip.apply(ShardCmd::Batch(Batch::new(0, chunk.iter().flatten().cloned().collect())));
+    }
+    measure(REQUESTS, || {
+        for put in &puts {
+            vip.apply(ShardCmd::Packed(PackedBatch::new(0, put)));
+        }
+    })
 }
 
 /// Frees per cell when a shard log's prefix is released: a `(2,1)`-live
